@@ -1,50 +1,27 @@
 package linalg
 
-import (
-	"runtime"
-	"sync"
-
-	"repro/internal/sched"
-	"repro/internal/tensor"
-)
-
-// symThreshold is the multiply-add count below which SymMulT1Into runs
-// serially; it mirrors the threshold of the tensor matmul kernels.
-const symThreshold = 64 * 64 * 64
+import "repro/internal/tensor"
 
 // SymMulT1Into computes the Gram matrix dst = aᵀ × a for a (k×m), writing
-// an m×m result. It is the kernel K-FAC's covariance factors A = aᵀa/N and
-// G = gᵀg are built from: because the result is symmetric, only the upper
-// triangle is computed (half the multiply-adds of a general matmul) and the
-// lower triangle is mirrored.
+// an m×m result; dst must not alias a. It is the kernel K-FAC's covariance
+// factors A = aᵀa/N and G = gᵀg are built from: because the result is
+// symmetric, only the micro-tiles that meet the upper triangle are computed
+// (about half the multiply-adds of a general matmul) and the lower triangle
+// is mirrored.
 //
-// The result is bit-identical to tensor.MatMulT1Into(dst, a, a) for finite
-// inputs: each upper-triangle element accumulates the same products in the
-// same k-ascending order as the general kernel, partial sums can never be
-// −0 (they start at +0 and +0 + ±0 = +0), and mirroring copies products
-// that are commutatively identical. Large products are split row-blocked
-// across the shared compute pool (sched.Shared) with zero steady-state heap
-// allocation; parallel results are bit-identical to serial ones because
-// every element is produced by exactly one range.
+// The result is bit-identical to tensor.MatMulT1Into(dst, a, a) for every
+// input, non-finite ones included: the upper triangle comes out of the same
+// driver and micro-kernel (tensor.MatMulT1UpperInto), so each element is the
+// same k-ascending fused multiply-add chain, and the general product is
+// itself bitwise symmetric — elements (i, j) and (j, i) chain the same
+// products a[p][i]·a[p][j] in the same order — so the mirror copies exactly
+// what the general kernel would have computed below the diagonal.
 func SymMulT1Into(dst, a *tensor.Tensor) {
-	k, m := a.Shape[0], a.Shape[1]
+	m := a.Shape[1]
 	if dst.Shape[0] != m || dst.Shape[1] != m {
 		panic("linalg: SymMulT1Into shape mismatch")
 	}
-	dst.Zero()
-	nw := runtime.GOMAXPROCS(0)
-	// Half the work of a general m×m×k product.
-	if work := m * m * k / 2; work < symThreshold || nw <= 1 || m < 2 {
-		symMulRange(dst.Data, a.Data, 0, m, k, m)
-	} else {
-		r := symRangerPool.Get().(*symRanger)
-		r.dst, r.a, r.k, r.m = dst.Data, a.Data, k, m
-		// Oversubscribe chunks: row i carries m−i products, so equal row
-		// counts are imbalanced; smaller chunks let the pool level the load.
-		sched.Shared().ForEach(m, 4*nw, r, &r.wg)
-		r.dst, r.a = nil, nil
-		symRangerPool.Put(r)
-	}
+	tensor.MatMulT1UpperInto(dst, a)
 	mirrorLower(dst.Data, m)
 }
 
@@ -55,60 +32,19 @@ func SymMulT1(a *tensor.Tensor) *tensor.Tensor {
 	return dst
 }
 
-// symRanger is the pooled dispatch record for one parallel SymMulT1Into.
-type symRanger struct {
-	wg     sync.WaitGroup
-	dst, a []float64
-	k, m   int
-}
-
-// RunRange implements sched.Ranger.
-func (r *symRanger) RunRange(lo, hi int) {
-	symMulRange(r.dst, r.a, lo, hi, r.k, r.m)
-}
-
-var symRangerPool = sync.Pool{New: func() any { return new(symRanger) }}
-
-// symMulRange accumulates rows [lo, hi) of the upper triangle of aᵀa. The
-// loop structure (k outer, destination rows inner, zero-products skipped,
-// 4-way unrolled axpy) matches tensor's matmulT1Range exactly, restricted
-// to columns j ≥ i.
-func symMulRange(dst, a []float64, lo, hi, k, m int) {
-	for kk := 0; kk < k; kk++ {
-		arow := a[kk*m : (kk+1)*m]
-		for i := lo; i < hi; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			axpyUnroll(dst[i*m+i:(i+1)*m], arow[i:], av)
-		}
-	}
-}
-
-// mirrorLower copies the computed upper triangle into the lower one.
+// mirrorLower copies the computed upper triangle into the lower one, in
+// square tiles so the column-wise reads stay within a few cache lines.
 func mirrorLower(dst []float64, m int) {
-	for i := 1; i < m; i++ {
-		for j := 0; j < i; j++ {
-			dst[i*m+j] = dst[j*m+i]
+	const tb = 32
+	for ib := 0; ib < m; ib += tb {
+		imax := min(ib+tb, m)
+		for jb := 0; jb <= ib; jb += tb {
+			for i := ib; i < imax; i++ {
+				row := dst[i*m : i*m+min(jb+tb, i)]
+				for j := jb; j < len(row); j++ {
+					row[j] = dst[j*m+i]
+				}
+			}
 		}
-	}
-}
-
-// axpyUnroll computes dst += a*src with 4-way unrolling — the same
-// accumulation kernel as tensor's axpy, duplicated here so the symmetric
-// multiply stays bit-compatible with the general matmul path (enforced by
-// TestSymMulBitIdenticalToMatMulT1).
-func axpyUnroll(dst, src []float64, a float64) {
-	n := len(dst)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] += a * src[i]
-		dst[i+1] += a * src[i+1]
-		dst[i+2] += a * src[i+2]
-		dst[i+3] += a * src[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] += a * src[i]
 	}
 }

@@ -8,6 +8,10 @@ import (
 	"repro/internal/tensor"
 )
 
+// symThreshold32 is the multiply-add count below which SymMulT1Into32 runs
+// serially; it mirrors the threshold of the float32 tensor matmul kernels.
+const symThreshold32 = 64 * 64 * 64
+
 // symBlock32 is the destination-row tile of the float32 symmetric multiply:
 // each tile streams a's rows once for up to symBlock32 destination rows.
 const symBlock32 = 8
@@ -31,7 +35,7 @@ func SymMulT1Into32(dst, a *tensor.T32) {
 	}
 	nw := runtime.GOMAXPROCS(0)
 	// Half the work of a general m×m×k product.
-	if work := m * m * k / 2; work < symThreshold || nw <= 1 || m < 2 {
+	if work := m * m * k / 2; work < symThreshold32 || nw <= 1 || m < 2 {
 		symMulRange32(dst.Data, a.Data, 0, m, k, m)
 	} else {
 		r := sym32RangerPool.Get().(*sym32Ranger)

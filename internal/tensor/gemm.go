@@ -1,0 +1,422 @@
+package tensor
+
+import (
+	"math"
+	"runtime"
+	"sync"
+	"time"
+	"unsafe"
+
+	"repro/internal/sched"
+)
+
+// The float64 GEMM: one driver and one micro-kernel under MatMulInto,
+// MatMulT1Into, MatMulT2Into, MatVec and (through MatMulT1UpperInto)
+// linalg.SymMulT1Into.
+//
+// Arithmetic definition — the whole determinism story of the float64
+// product family: every output element is
+//
+//	c[i][j] = fma(a[i][k-1], b[k-1][j], … fma(a[i][1], b[1][j], fma(a[i][0], b[0][j], +0)) …)
+//
+// one fused multiply-add per term, k ascending, starting from +0. Nothing
+// else about a run can reach the result: tile position, edge handling,
+// k-blocking (a float64 stored to C and reloaded is the same float64), block
+// grid, worker count, which operand was stored transposed, and whether the
+// micro-kernel is the AVX2 assembly or its math.FMA twin all leave each
+// element's chain untouched. There is no zero-skip, so NaN and ±Inf in
+// either operand propagate as IEEE 754 says.
+//
+// Structure: C is cut into blocks of at most gemmMC×gemmNC; one block is one
+// pool task. Per k-block of at most gemmKC the task packs its rows of op(A)
+// into gemmMR-interleaved panels and its columns of op(B) into gemmNR-wide
+// panels (zero-padded to whole panels), then runs the gemmMR×gemmNR
+// micro-kernel over the block, B panel outermost so it stays in L1. The
+// N/T1/T2 variants differ only in which packer reads each operand.
+const (
+	gemmMR = 4  // micro-tile rows: broadcast lanes of op(A)
+	gemmNR = 12 // micro-tile columns: three 4-wide vectors of op(B)
+
+	// Block caps, which bound the pack buffers: one workspace holds at most
+	// (gemmMC + gemmNC)·gemmKC float64 = 384 KiB, and there are as many
+	// workspaces as goroutines were ever inside the driver at once (callers
+	// plus pool workers), recycled through gemmFree.
+	gemmMC = 192
+	gemmNC = 192
+	gemmKC = 128
+
+	// gemmParallelWork is the multiply-add count below which a product runs
+	// on the calling goroutine: waking pool workers costs more than it saves.
+	gemmParallelWork = 1 << 21
+)
+
+// gemmKernels is one implementation of the three inner routines: the
+// micro-kernel and the two panel movers the packers are built on. There are
+// two, the portable Go set and the AVX2 assembly set, bit-identical.
+type gemmKernels struct {
+	// tile computes one gemmMR×gemmNR tile: rows of c (row stride ldc)
+	// continue from their stored values when load is set and from +0
+	// otherwise, then take kc fused multiply-adds each from the packed
+	// panels a (kc×gemmMR) and b (kc×gemmNR).
+	tile func(kc int, a, b, c []float64, ldc int, load bool)
+	// copySteps moves w (gemmMR or gemmNR) adjacent values per step:
+	// dst[p·w+l] = src[p·ld+l] for p < kc.
+	copySteps func(dst, src []float64, ld, kc, w int)
+	// transLanes4 transposes four rows of src into four adjacent lanes:
+	// dst[p·w+l] = src[l·ld+p] for l < 4, p < kc.
+	transLanes4 func(dst, src []float64, ld, kc, w int)
+}
+
+// gemmGo is the portable set; gemmActive is the one MatMul*Into use — the
+// portable set unless simd_amd64.go swapped in the assembly at init.
+var (
+	gemmGo     = gemmKernels{tile: gemmKernelGo, copySteps: copyStepsGo, transLanes4: transLanes4Go}
+	gemmActive = gemmGo
+)
+
+// gemmKernelGo is the portable micro-kernel and the bit-exact reference for
+// the assembly one. It walks the tile two columns at a time so the eight
+// running sums stay in registers; the per-element chain is the same.
+func gemmKernelGo(kc int, a, b, c []float64, ldc int, load bool) {
+	a = a[:kc*gemmMR]
+	b = b[:kc*gemmNR]
+	r0, r1, r2, r3 := c[:gemmNR], c[ldc:ldc+gemmNR], c[2*ldc:2*ldc+gemmNR], c[3*ldc:3*ldc+gemmNR]
+	for j := 0; j < gemmNR; j += 2 {
+		var c00, c01, c10, c11, c20, c21, c30, c31 float64
+		if load {
+			c00, c01 = r0[j], r0[j+1]
+			c10, c11 = r1[j], r1[j+1]
+			c20, c21 = r2[j], r2[j+1]
+			c30, c31 = r3[j], r3[j+1]
+		}
+		bj := b[j:]
+		for p := 0; p < kc; p++ {
+			ap := a[p*gemmMR : p*gemmMR+gemmMR : p*gemmMR+gemmMR]
+			b0, b1 := bj[p*gemmNR], bj[p*gemmNR+1]
+			c00 = math.FMA(ap[0], b0, c00)
+			c01 = math.FMA(ap[0], b1, c01)
+			c10 = math.FMA(ap[1], b0, c10)
+			c11 = math.FMA(ap[1], b1, c11)
+			c20 = math.FMA(ap[2], b0, c20)
+			c21 = math.FMA(ap[2], b1, c21)
+			c30 = math.FMA(ap[3], b0, c30)
+			c31 = math.FMA(ap[3], b1, c31)
+		}
+		r0[j], r0[j+1] = c00, c01
+		r1[j], r1[j+1] = c10, c11
+		r2[j], r2[j+1] = c20, c21
+		r3[j], r3[j+1] = c30, c31
+	}
+}
+
+// fmaPeakLoop runs iters steps of independent fused multiply-add chains with
+// every operand in a register — as many chains, as wide, as the active
+// micro-kernel keeps in flight — and returns the floating-point operations
+// performed. The assembly build swaps in the 4-wide vector form.
+var fmaPeakLoop = fmaPeakLoopGo
+
+// FMAPeakGFLOPS measures the FMA throughput of one core with every operand
+// in a register (best of five timings of fmaPeakLoop, about 10 ms in all):
+// the roofline kernel benchmarks report their fraction of.
+func FMAPeakGFLOPS() float64 {
+	const iters = 1 << 18
+	fmaPeakLoop(iters) // warm up
+	best := 0.0
+	for r := 0; r < 5; r++ {
+		t0 := time.Now()
+		flops := fmaPeakLoop(iters)
+		best = max(best, float64(flops)/time.Since(t0).Seconds()/1e9)
+	}
+	return best
+}
+
+// fmaPeakLoopGo is eight scalar math.FMA chains, the portable kernel's
+// register tile.
+func fmaPeakLoopGo(iters int) int {
+	x, y := 1.0000001, 1e-9
+	var c0, c1, c2, c3, c4, c5, c6, c7 float64
+	for i := 0; i < iters; i++ {
+		c0 = math.FMA(x, y, c0)
+		c1 = math.FMA(x, y, c1)
+		c2 = math.FMA(x, y, c2)
+		c3 = math.FMA(x, y, c3)
+		c4 = math.FMA(x, y, c4)
+		c5 = math.FMA(x, y, c5)
+		c6 = math.FMA(x, y, c6)
+		c7 = math.FMA(x, y, c7)
+	}
+	fmaPeakSink = c0 + c1 + c2 + c3 + c4 + c5 + c6 + c7
+	return iters * 8 * 2
+}
+
+// fmaPeakSink keeps fmaPeakLoopGo's chains live.
+var fmaPeakSink float64
+
+// copyStepsGo is the portable gemmKernels.copySteps.
+func copyStepsGo(dst, src []float64, ld, kc, w int) {
+	for p := 0; p < kc; p++ {
+		copy(dst[p*w:p*w+w], src[p*ld:])
+	}
+}
+
+// transLanes4Go is the portable gemmKernels.transLanes4.
+func transLanes4Go(dst, src []float64, ld, kc, w int) {
+	s0, s1, s2, s3 := src[:kc], src[ld:ld+kc], src[2*ld:2*ld+kc], src[3*ld:3*ld+kc]
+	for p := range s0 {
+		q := dst[p*w : p*w+4 : p*w+4]
+		q[0], q[1], q[2], q[3] = s0[p], s1[p], s2[p], s3[p]
+	}
+}
+
+// packLanes packs a w-wide panel whose lanes are rows of src: lane l, step p
+// comes from src[(r0+l)·ld + p0+p]. Lanes past rows are zero. This is the
+// packer for op(A) of MatMulInto/MatMulT2Into (w = gemmMR) and for op(B) of
+// MatMulT2Into (w = gemmNR).
+func (ks *gemmKernels) packLanes(dst, src []float64, ld, r0, rows, p0, kc, w int) {
+	dst = dst[:kc*w]
+	if rows < w {
+		for i := range dst {
+			dst[i] = 0
+		}
+	}
+	l := 0
+	for ; l+4 <= rows; l += 4 {
+		ks.transLanes4(dst[l:], src[(r0+l)*ld+p0:], ld, kc, w)
+	}
+	for ; l < rows; l++ {
+		o := (r0+l)*ld + p0
+		d := dst[l:]
+		for p, v := range src[o : o+kc] {
+			d[p*w] = v
+		}
+	}
+}
+
+// packSteps packs a w-wide panel whose steps are rows of src: lane l, step p
+// comes from src[(p0+p)·ld + c0+l]. Lanes past cols are zero. This is the
+// packer for op(A) of MatMulT1Into (w = gemmMR) and for op(B) of
+// MatMulInto/MatMulT1Into (w = gemmNR).
+func (ks *gemmKernels) packSteps(dst, src []float64, ld, c0, cols, p0, kc, w int) {
+	dst = dst[:kc*w]
+	o := p0*ld + c0
+	if cols == w {
+		ks.copySteps(dst, src[o:], ld, kc, w)
+		return
+	}
+	for i := range dst {
+		dst[i] = 0
+	}
+	for p := 0; p < kc; p++ {
+		copy(dst[p*w:p*w+cols], src[o+p*ld:])
+	}
+}
+
+// gemmJob describes one product. Operand storage: a is m×k, or k×m when
+// aT; b is k×n, or n×k when bT.
+type gemmJob struct {
+	wg        sync.WaitGroup // ForEach completion scratch
+	ks        *gemmKernels
+	dst, a, b []float64
+	m, n, k   int
+	aT, bT    bool
+	upper     bool // skip tiles strictly below the diagonal
+	bm, bn    int  // block extent in rows / columns
+	gn        int  // blocks per grid row
+}
+
+// gemmWorkspace is what one goroutine inside the driver holds: the job
+// record of the product it launched (unused by a pool worker) and the pack
+// buffers of the blocks it computes, grown on demand up to the block caps.
+type gemmWorkspace struct {
+	job    gemmJob
+	pa, pb []float64
+	edge   [gemmMR * gemmNR]float64 // private C tile for partial micro-tiles
+}
+
+// gemmFree recycles workspaces, so a product performs no heap allocation
+// once as many exist as goroutines were ever inside the driver at once
+// (callers plus pool workers). A mutex-guarded stack, not a sync.Pool: the
+// collector empties a sync.Pool, which would re-allocate up to 384 KiB of
+// pack buffer per worker after every other collection, and the race
+// detector makes it drop Puts, which the steady-state zero-allocation
+// suites (run under -race in CI) would see.
+var gemmFree struct {
+	mu   sync.Mutex
+	list []*gemmWorkspace
+}
+
+func getGemmWorkspace() *gemmWorkspace {
+	gemmFree.mu.Lock()
+	defer gemmFree.mu.Unlock()
+	if n := len(gemmFree.list); n > 0 {
+		ws := gemmFree.list[n-1]
+		gemmFree.list = gemmFree.list[:n-1]
+		return ws
+	}
+	return new(gemmWorkspace)
+}
+
+func putGemmWorkspace(ws *gemmWorkspace) {
+	gemmFree.mu.Lock()
+	gemmFree.list = append(gemmFree.list, ws)
+	gemmFree.mu.Unlock()
+}
+
+// RunRange implements sched.Ranger over block indices [lo, hi) of the grid,
+// on a pool worker (or inline on the caller when the queue is full).
+func (g *gemmJob) RunRange(lo, hi int) {
+	ws := getGemmWorkspace()
+	g.blocks(ws, lo, hi)
+	putGemmWorkspace(ws)
+}
+
+// blocks computes blocks [lo, hi) of the grid with ws's pack buffers.
+func (g *gemmJob) blocks(ws *gemmWorkspace, lo, hi int) {
+	for t := lo; t < hi; t++ {
+		i0, j0 := (t/g.gn)*g.bm, (t%g.gn)*g.bn
+		g.block(ws, i0, min(i0+g.bm, g.m), j0, min(j0+g.bn, g.n))
+	}
+}
+
+// block computes C[i0:i1, j0:j1].
+func (g *gemmJob) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
+	if g.upper && i0 >= j1 {
+		return
+	}
+	ldc := g.n
+	mp := (i1 - i0 + gemmMR - 1) / gemmMR
+	np := (j1 - j0 + gemmNR - 1) / gemmNR
+	// Even k-blocks: same count as cutting at gemmKC, no short last block.
+	kb := (g.k + gemmKC - 1) / gemmKC
+	kc := (g.k + kb - 1) / kb
+	if need := mp * gemmMR * kc; cap(ws.pa) < need {
+		ws.pa = make([]float64, need)
+	}
+	if need := np * gemmNR * kc; cap(ws.pb) < need {
+		ws.pb = make([]float64, need)
+	}
+	edge := ws.edge[:]
+	for p0 := 0; p0 < g.k; p0 += kc {
+		kc := min(kc, g.k-p0)
+		pa, pb := ws.pa[:mp*gemmMR*kc], ws.pb[:np*gemmNR*kc]
+		for ip := 0; ip < mp; ip++ {
+			i := i0 + ip*gemmMR
+			if g.aT {
+				g.ks.packSteps(pa[ip*gemmMR*kc:], g.a, g.m, i, min(gemmMR, i1-i), p0, kc, gemmMR)
+			} else {
+				g.ks.packLanes(pa[ip*gemmMR*kc:], g.a, g.k, i, min(gemmMR, i1-i), p0, kc, gemmMR)
+			}
+		}
+		for jp := 0; jp < np; jp++ {
+			j := j0 + jp*gemmNR
+			if g.bT {
+				g.ks.packLanes(pb[jp*gemmNR*kc:], g.b, g.k, j, min(gemmNR, j1-j), p0, kc, gemmNR)
+			} else {
+				g.ks.packSteps(pb[jp*gemmNR*kc:], g.b, g.n, j, min(gemmNR, j1-j), p0, kc, gemmNR)
+			}
+		}
+		load := p0 > 0
+		for jp := 0; jp < np; jp++ {
+			j := j0 + jp*gemmNR
+			nr := min(gemmNR, j1-j)
+			bp := pb[jp*gemmNR*kc : (jp+1)*gemmNR*kc]
+			for ip := 0; ip < mp; ip++ {
+				i := i0 + ip*gemmMR
+				if g.upper && i >= j+nr {
+					break // this tile and those under it lie below the diagonal
+				}
+				mr := min(gemmMR, i1-i)
+				ap := pa[ip*gemmMR*kc : (ip+1)*gemmMR*kc]
+				if mr == gemmMR && nr == gemmNR {
+					g.ks.tile(kc, ap, bp, g.dst[i*ldc+j:], ldc, load)
+					continue
+				}
+				// Edge tile: run the full-size kernel on a private tile
+				// and move only the valid part.
+				if load {
+					for r := 0; r < mr; r++ {
+						copy(edge[r*gemmNR:r*gemmNR+nr], g.dst[(i+r)*ldc+j:])
+					}
+				}
+				g.ks.tile(kc, ap, bp, edge, gemmNR, load)
+				for r := 0; r < mr; r++ {
+					copy(g.dst[(i+r)*ldc+j:(i+r)*ldc+j+nr], edge[r*gemmNR:])
+				}
+			}
+		}
+	}
+}
+
+// gemm computes dst (m×n) = op(a)·op(b) with the given kernel set; with
+// upper set (m == n) only the micro-tiles that meet the upper triangle are
+// written. Large products fan their blocks across sched.Shared().
+func gemm(ks *gemmKernels, dst, a, b []float64, m, n, k int, aT, bT, upper bool) {
+	if len(dst) < m*n || len(a) < m*k || len(b) < k*n {
+		panic("tensor: matmul operand storage shorter than its shape")
+	}
+	// The assembly indexes these without bounds checks; from here on every
+	// access is within the extents the shapes name.
+	dst, a, b = dst[:m*n], a[:m*k], b[:k*n]
+	if overlaps(dst, a) || overlaps(dst, b) {
+		panic("tensor: matmul destination aliases an operand")
+	}
+	if m == 0 || n == 0 {
+		return
+	}
+	if k == 0 {
+		for i := range dst {
+			dst[i] = 0
+		}
+		return
+	}
+	// Block extents in whole micro-tiles, capped by the pack buffers.
+	tm, tn := (m+gemmMR-1)/gemmMR, (n+gemmNR-1)/gemmNR
+	bm, bn := min(tm, gemmMC/gemmMR), min(tn, gemmNC/gemmNR)
+	nw := runtime.GOMAXPROCS(0)
+	work := m * n * k
+	if upper {
+		work /= 2
+	}
+	if nw > 1 && work >= gemmParallelWork {
+		// Halve the longer side until there are two blocks per worker:
+		// near-square blocks re-pack the least operand data per product.
+		for ((tm+bm-1)/bm)*((tn+bn-1)/bn) < 2*nw && (bm > 1 || bn > 1) {
+			if bn == 1 || (bm > 1 && bm*gemmMR >= bn*gemmNR) {
+				bm = (bm + 1) / 2
+			} else {
+				bn = (bn + 1) / 2
+			}
+		}
+	} else {
+		nw = 1
+	}
+	gm, gn := (tm+bm-1)/bm, (tn+bn-1)/bn
+	// Even the blocks out over the grid the caps and the split arrived at.
+	bm, bn = (tm+gm-1)/gm*gemmMR, (tn+gn-1)/gn*gemmNR
+
+	ws := getGemmWorkspace()
+	g := &ws.job
+	g.ks, g.dst, g.a, g.b = ks, dst, a, b
+	g.m, g.n, g.k, g.aT, g.bT, g.upper = m, n, k, aT, bT, upper
+	g.bm, g.bn, g.gn = bm, bn, gn
+	if nw == 1 {
+		g.blocks(ws, 0, gm*gn)
+	} else {
+		// One block per chunk: the pool's queue levels uneven blocks
+		// (edges, the triangle of an upper product).
+		sched.Shared().ForEach(gm*gn, gm*gn, g, &g.wg)
+	}
+	g.dst, g.a, g.b = nil, nil, nil // don't pin operand memory in the free list
+	putGemmWorkspace(ws)
+}
+
+// overlaps reports whether the two slices share any element's storage.
+func overlaps(x, y []float64) bool {
+	if len(x) == 0 || len(y) == 0 {
+		return false
+	}
+	xp := uintptr(unsafe.Pointer(unsafe.SliceData(x)))
+	yp := uintptr(unsafe.Pointer(unsafe.SliceData(y)))
+	const sz = unsafe.Sizeof(float64(0))
+	return xp < yp+uintptr(len(y))*sz && yp < xp+uintptr(len(x))*sz
+}

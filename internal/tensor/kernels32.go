@@ -11,8 +11,9 @@ package tensor
 //
 // Numeric contract: the fast and scalar paths may round differently (FMA
 // fuses the multiply-add; lane sums reassociate), so cross-implementation
-// tests are tolerance-based, never bit-exact. The float64 paths of this
-// package are untouched and stay bit-identical to their references.
+// tests are tolerance-based, never bit-exact. The float64 GEMM (gemm.go) is
+// the opposite case: its assembly and portable kernel sets are bit-identical
+// by definition.
 
 // dotChunk32 bounds the number of float32 products summed in working
 // precision before the chunk total is widened to float64: DotAcc32 combines
@@ -33,9 +34,9 @@ var (
 	kernelISA = "scalar"
 )
 
-// KernelISA reports which float32 kernel implementation is active:
-// "scalar" (portable Go, and always under the purego build tag) or
-// "avx2+fma" (amd64 assembly).
+// KernelISA reports which implementation of the float32 kernel primitives
+// and of the float64 GEMM kernel set is active: "scalar" (portable Go, and
+// always under the purego build tag) or "avx2+fma" (amd64 assembly).
 func KernelISA() string { return kernelISA }
 
 // Axpy32 computes dst += a*src elementwise in float32. Slices must have
@@ -104,8 +105,7 @@ func Narrow(dst []float32, src []float64) {
 	narrowImpl(dst, src)
 }
 
-// axpy32Scalar is the portable dst += a*src with 4-way unrolling, mirroring
-// the float64 axpy kernel.
+// axpy32Scalar is the portable dst += a*src with 4-way unrolling.
 func axpy32Scalar(dst, src []float32, a float32) {
 	n := len(dst)
 	i := 0

@@ -1,14 +1,5 @@
 package tensor
 
-// parallelThreshold is the minimum number of multiply-adds below which the
-// matmul kernels run single-threaded; dispatching pool work for tiny
-// products costs more than it saves.
-const parallelThreshold = 64 * 64 * 64
-
-// blockSize is the cache-blocking tile edge for the inner kernel. 64×64
-// float64 tiles (32 KiB) fit comfortably in L1/L2 on current hardware.
-const blockSize = 64
-
 // MatMul returns a × b for matrices a (m×k) and b (k×n).
 func MatMul(a, b *Tensor) *Tensor {
 	m, k := a.Shape[0], a.Shape[1]
@@ -22,55 +13,17 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulInto computes dst = a × b, reusing dst's storage. dst must be m×n
-// and must not alias a or b. Large products are split across the shared
-// compute pool (sched.Shared) with bit-identical results to a serial run.
+// and must not alias a or b (checked; aliasing panics). Every element is
+// the k-ascending fused multiply-add chain defined in gemm.go, so the result
+// is bit-identical whatever the worker count or build; large products are
+// split across the shared compute pool (sched.Shared).
 func MatMulInto(dst, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
 	if b.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic("tensor: MatMulInto shape mismatch")
 	}
-	dst.Zero()
-	runKernel(kindMatMul, dst.Data, a.Data, b.Data, m, k, n, m*n*k)
-}
-
-// matmulRange computes rows [lo,hi) of dst = a×b with i-k-j loop order and
-// k-blocking. The i-k-j order streams b rows sequentially, which the
-// hardware prefetcher handles well, and accumulates into dst rows.
-func matmulRange(dst, a, b []float64, lo, hi, k, n int) {
-	for kb := 0; kb < k; kb += blockSize {
-		kmax := kb + blockSize
-		if kmax > k {
-			kmax = k
-		}
-		for i := lo; i < hi; i++ {
-			arow := a[i*k : (i+1)*k]
-			drow := dst[i*n : (i+1)*n]
-			for kk := kb; kk < kmax; kk++ {
-				av := arow[kk]
-				if av == 0 {
-					continue
-				}
-				brow := b[kk*n : (kk+1)*n]
-				axpy(drow, brow, av)
-			}
-		}
-	}
-}
-
-// axpy computes dst += a*src with 4-way unrolling.
-func axpy(dst, src []float64, a float64) {
-	n := len(dst)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] += a * src[i]
-		dst[i+1] += a * src[i+1]
-		dst[i+2] += a * src[i+2]
-		dst[i+3] += a * src[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] += a * src[i]
-	}
+	gemm(&gemmActive, dst.Data, a.Data, b.Data, m, n, k, false, false, false)
 }
 
 // MatMulT1 returns aᵀ × b for a (k×m) and b (k×n): the m×n product of a's
@@ -87,32 +40,28 @@ func MatMulT1(a, b *Tensor) *Tensor {
 	return dst
 }
 
-// MatMulT1Into computes dst = aᵀ × b into dst (m×n), splitting large
-// products across the shared compute pool.
+// MatMulT1Into computes dst = aᵀ × b into dst (m×n), which must not alias a
+// or b. The result equals MatMulInto(dst, Transpose(a), b) bit for bit.
 func MatMulT1Into(dst, a, b *Tensor) {
 	k, m := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
 	if b.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic("tensor: MatMulT1Into shape mismatch")
 	}
-	dst.Zero()
-	runKernel(kindMatMulT1, dst.Data, a.Data, b.Data, m, k, n, m*n*k)
+	gemm(&gemmActive, dst.Data, a.Data, b.Data, m, n, k, true, false, false)
 }
 
-// matmulT1Range computes rows [lo,hi) of dst = aᵀb where a is k×m
-// (so aᵀ is m×k) and b is k×n.
-func matmulT1Range(dst, a, b []float64, lo, hi, k, m, n int) {
-	for kk := 0; kk < k; kk++ {
-		arow := a[kk*m : (kk+1)*m]
-		brow := b[kk*n : (kk+1)*n]
-		for i := lo; i < hi; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			axpy(dst[i*n:(i+1)*n], brow, av)
-		}
+// MatMulT1UpperInto computes the upper triangle of the Gram matrix
+// dst = aᵀ × a for a (k×m): every element on or above the diagonal holds
+// exactly what MatMulT1Into(dst, a, a) would put there; elements below it
+// are unspecified (some are written, some keep their old contents). It is
+// the kernel under linalg.SymMulT1Into, which mirrors the triangle.
+func MatMulT1UpperInto(dst, a *Tensor) {
+	k, m := a.Shape[0], a.Shape[1]
+	if dst.Shape[0] != m || dst.Shape[1] != m {
+		panic("tensor: MatMulT1UpperInto shape mismatch")
 	}
+	gemm(&gemmActive, dst.Data, a.Data, a.Data, m, m, k, true, false, true)
 }
 
 // MatMulT2 returns a × bᵀ for a (m×k) and b (n×k).
@@ -127,45 +76,16 @@ func MatMulT2(a, b *Tensor) *Tensor {
 	return dst
 }
 
-// MatMulT2Into computes dst = a × bᵀ into dst (m×n) where b is n×k,
-// splitting large products across the shared compute pool.
+// MatMulT2Into computes dst = a × bᵀ into dst (m×n) where b is n×k; dst
+// must not alias a or b. The result equals MatMulInto(dst, a, Transpose(b))
+// bit for bit.
 func MatMulT2Into(dst, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[0]
 	if b.Shape[1] != k || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic("tensor: MatMulT2Into shape mismatch")
 	}
-	runKernel(kindMatMulT2, dst.Data, a.Data, b.Data, m, k, n, m*n*k)
-}
-
-// matmulT2Range computes rows [lo,hi) of dst = a×bᵀ. Both a's row i and
-// b's row j are contiguous, so this is a sequence of dot products.
-func matmulT2Range(dst, a, b []float64, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			drow[j] = dotUnroll(arow, b[j*k:(j+1)*k])
-		}
-	}
-}
-
-// dotUnroll returns the dot product of equal-length slices with 4 partial
-// accumulators to break the dependency chain.
-func dotUnroll(a, b []float64) float64 {
-	var s0, s1, s2, s3 float64
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < n; i++ {
-		s0 += a[i] * b[i]
-	}
-	return s0 + s1 + s2 + s3
+	gemm(&gemmActive, dst.Data, a.Data, b.Data, m, n, k, false, true, false)
 }
 
 // Transpose returns the transpose of matrix a.
@@ -200,9 +120,7 @@ func MatVec(a, x *Tensor) *Tensor {
 		panic("tensor: MatVec dimension mismatch")
 	}
 	y := New(m)
-	for i := 0; i < m; i++ {
-		y.Data[i] = dotUnroll(a.Data[i*n:(i+1)*n], x.Data)
-	}
+	gemm(&gemmActive, y.Data, a.Data, x.Data, m, 1, n, false, false, false)
 	return y
 }
 

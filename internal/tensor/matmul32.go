@@ -19,9 +19,13 @@ import (
 // kChunk32 is the k-extent of one float32 accumulation chunk in the
 // axpy-form kernels (MatMulInto32, MatMulT1Into32, linalg.SymMulT1Into32):
 // at most kChunk32 products are summed in float32 before the partial sum is
-// widened into the float64 accumulator. It equals the float64 kernels'
-// cache block edge so both paths walk memory the same way.
+// widened into the float64 accumulator.
 const kChunk32 = 64
+
+// parallelThreshold is the minimum number of multiply-adds below which the
+// float32 matmul kernels run single-threaded; dispatching pool work for tiny
+// products costs more than it saves.
+const parallelThreshold = 64 * 64 * 64
 
 // mmRowBlock is the destination-row tile of the float32 kernels: b's rows
 // are streamed once per row block instead of once per row, cutting the

@@ -2,10 +2,10 @@
 
 package tensor
 
-// AVX2+FMA implementations of the float32 kernel primitives
-// (simd_amd64.s), swapped into the dispatch variables at init when the CPU
-// and OS support them. Build with -tags purego to keep the portable scalar
-// path (the conformance oracle) on any hardware.
+// AVX2+FMA implementations of the float32 kernel primitives and of the
+// float64 GEMM micro-kernel (simd_amd64.s), swapped into the dispatch
+// variables at init when the CPU and OS support them. Build with -tags
+// purego to keep the portable path (the conformance oracle) on any hardware.
 
 //go:noescape
 func axpy32AVX(dst, src []float32, a float32)
@@ -24,6 +24,35 @@ func widenAVX(dst []float64, src []float32)
 
 //go:noescape
 func narrowAVX(dst []float32, src []float64)
+
+// gemmKernelAVX is the gemmMR×gemmNR float64 micro-kernel: twelve YMM
+// accumulators, one VFMADD231PD per term — bit-identical to gemmKernelGo.
+//
+//go:noescape
+func gemmKernelAVX(kc int, a, b, c []float64, ldc int, load bool)
+
+// copyStepsAVX is gemmKernels.copySteps with 4-wide vector moves; w must be
+// gemmMR or gemmNR.
+//
+//go:noescape
+func copyStepsAVX(dst, src []float64, ld, kc, w int)
+
+// transLanes4AVX is gemmKernels.transLanes4 as in-register 4×4 transposes.
+//
+//go:noescape
+func transLanes4AVX(dst, src []float64, ld, kc, w int)
+
+// fmaPeakAVX runs iters steps of twelve independent 4-wide VFMADD231PD
+// chains on registers only.
+//
+//go:noescape
+func fmaPeakAVX(iters int)
+
+// fmaPeakLoopAVX is the assembly build's fmaPeakLoop.
+func fmaPeakLoopAVX(iters int) int {
+	fmaPeakAVX(iters)
+	return iters * 12 * 4 * 2
+}
 
 // cpuidRaw executes CPUID with the given leaf/subleaf.
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -66,6 +95,8 @@ func init() {
 		rot32Impl = rot32AVX
 		widenImpl = widenAVX
 		narrowImpl = narrowAVX
+		gemmActive = gemmKernels{tile: gemmKernelAVX, copySteps: copyStepsAVX, transLanes4: transLanes4AVX}
+		fmaPeakLoop = fmaPeakLoopAVX
 		kernelISA = "avx2+fma"
 	}
 }

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2+FMA float32 kernels. Operand order note: the Go assembler reverses
+// AVX2+FMA float32 kernels and the float64 GEMM micro-kernel. Operand order note: the Go assembler reverses
 // Intel operand order, so VFMADD231PS Ys, Ym, Yd computes Yd += Ym*Ys.
 // Every routine handles arbitrary lengths (vector body + scalar tail) and
 // executes VZEROUPPER before returning to avoid SSE/AVX transition stalls.
@@ -248,6 +248,248 @@ narrow_tail:
 	JMP  narrow_tail
 
 narrow_done:
+	VZEROUPPER
+	RET
+
+// func gemmKernelAVX(kc int, a, b, c []float64, ldc int, load bool)
+// One 4×12 float64 micro-tile: Y4–Y15 hold rows 0–3 × three 4-wide column
+// vectors. Each step loads one packed row of b (12 values) and broadcasts
+// the four packed values of a; every accumulator lane takes exactly one
+// fused multiply-add per step, steps ascending — the chain math.FMA gives
+// gemmKernelGo. The tile starts from +0 (VXORPD) or, when load is set, from
+// the values stored in c.
+TEXT ·gemmKernelAVX(SB), NOSPLIT, $0-89
+	MOVQ    kc+0(FP), CX
+	MOVQ    a_base+8(FP), AX
+	MOVQ    b_base+32(FP), BX
+	MOVQ    c_base+56(FP), DI
+	MOVQ    ldc+80(FP), DX
+	SHLQ    $3, DX
+	LEAQ    (DI)(DX*1), R9
+	LEAQ    (R9)(DX*1), R10
+	LEAQ    (R10)(DX*1), R11
+	MOVBLZX load+88(FP), R8
+	TESTQ   R8, R8
+	JZ      gemm_zero
+	VMOVUPD (DI), Y4
+	VMOVUPD 32(DI), Y5
+	VMOVUPD 64(DI), Y6
+	VMOVUPD (R9), Y7
+	VMOVUPD 32(R9), Y8
+	VMOVUPD 64(R9), Y9
+	VMOVUPD (R10), Y10
+	VMOVUPD 32(R10), Y11
+	VMOVUPD 64(R10), Y12
+	VMOVUPD (R11), Y13
+	VMOVUPD 32(R11), Y14
+	VMOVUPD 64(R11), Y15
+	JMP     gemm_steps
+
+gemm_zero:
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	VXORPD Y12, Y12, Y12
+	VXORPD Y13, Y13, Y13
+	VXORPD Y14, Y14, Y14
+	VXORPD Y15, Y15, Y15
+
+gemm_steps:
+	TESTQ CX, CX
+	JZ    gemm_store
+
+gemm_loop:
+	VMOVUPD      (BX), Y0
+	VMOVUPD      32(BX), Y1
+	VMOVUPD      64(BX), Y2
+	VBROADCASTSD (AX), Y3
+	VFMADD231PD  Y0, Y3, Y4
+	VFMADD231PD  Y1, Y3, Y5
+	VFMADD231PD  Y2, Y3, Y6
+	VBROADCASTSD 8(AX), Y3
+	VFMADD231PD  Y0, Y3, Y7
+	VFMADD231PD  Y1, Y3, Y8
+	VFMADD231PD  Y2, Y3, Y9
+	VBROADCASTSD 16(AX), Y3
+	VFMADD231PD  Y0, Y3, Y10
+	VFMADD231PD  Y1, Y3, Y11
+	VFMADD231PD  Y2, Y3, Y12
+	VBROADCASTSD 24(AX), Y3
+	VFMADD231PD  Y0, Y3, Y13
+	VFMADD231PD  Y1, Y3, Y14
+	VFMADD231PD  Y2, Y3, Y15
+	ADDQ $32, AX
+	ADDQ $96, BX
+	DECQ CX
+	JNZ  gemm_loop
+
+gemm_store:
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, 32(DI)
+	VMOVUPD Y6, 64(DI)
+	VMOVUPD Y7, (R9)
+	VMOVUPD Y8, 32(R9)
+	VMOVUPD Y9, 64(R9)
+	VMOVUPD Y10, (R10)
+	VMOVUPD Y11, 32(R10)
+	VMOVUPD Y12, 64(R10)
+	VMOVUPD Y13, (R11)
+	VMOVUPD Y14, 32(R11)
+	VMOVUPD Y15, 64(R11)
+	VZEROUPPER
+	RET
+
+// func copyStepsAVX(dst, src []float64, ld, kc, w int)
+// dst[p*w+l] = src[p*ld+l]: one (w = 4) or three (w = 12) vector moves per
+// step.
+TEXT ·copyStepsAVX(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ ld+48(FP), R8
+	SHLQ $3, R8
+	MOVQ kc+56(FP), CX
+	MOVQ w+64(FP), R9
+	TESTQ CX, CX
+	JZ   copy_done
+	CMPQ R9, $12
+	JNE  copy_loop4
+
+copy_loop12:
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	ADDQ R8, SI
+	ADDQ $96, DI
+	DECQ CX
+	JNZ  copy_loop12
+	JMP  copy_done
+
+copy_loop4:
+	VMOVUPD (SI), Y0
+	VMOVUPD Y0, (DI)
+	ADDQ R8, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  copy_loop4
+
+copy_done:
+	VZEROUPPER
+	RET
+
+// func transLanes4AVX(dst, src []float64, ld, kc, w int)
+// dst[p*w+l] = src[l*ld+p] for l < 4: four steps of four rows are
+// transposed in registers (unpack pairs, then swap 128-bit halves); a
+// scalar tail finishes kc mod 4.
+TEXT ·transLanes4AVX(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ ld+48(FP), R8
+	SHLQ $3, R8
+	MOVQ kc+56(FP), CX
+	MOVQ w+64(FP), R9
+	SHLQ $3, R9
+	LEAQ (SI)(R8*1), R10
+	LEAQ (SI)(R8*2), R11
+	LEAQ (R10)(R8*2), R12
+	LEAQ (R9)(R9*2), R13
+
+trans_loop4:
+	CMPQ CX, $4
+	JL   trans_tail
+	VMOVUPD    (SI), Y0
+	VMOVUPD    (R10), Y1
+	VMOVUPD    (R11), Y2
+	VMOVUPD    (R12), Y3
+	VUNPCKLPD  Y1, Y0, Y4            // r0[p] r1[p] r0[p+2] r1[p+2]
+	VUNPCKHPD  Y1, Y0, Y5            // r0[p+1] r1[p+1] r0[p+3] r1[p+3]
+	VUNPCKLPD  Y3, Y2, Y6            // r2[p] r3[p] r2[p+2] r3[p+2]
+	VUNPCKHPD  Y3, Y2, Y7
+	VPERM2F128 $0x20, Y6, Y4, Y8     // step p
+	VPERM2F128 $0x20, Y7, Y5, Y9     // step p+1
+	VPERM2F128 $0x31, Y6, Y4, Y10    // step p+2
+	VPERM2F128 $0x31, Y7, Y5, Y11    // step p+3
+	VMOVUPD    Y8, (DI)
+	VMOVUPD    Y9, (DI)(R9*1)
+	VMOVUPD    Y10, (DI)(R9*2)
+	VMOVUPD    Y11, (DI)(R13*1)
+	ADDQ $32, SI
+	ADDQ $32, R10
+	ADDQ $32, R11
+	ADDQ $32, R12
+	LEAQ (DI)(R9*4), DI
+	SUBQ $4, CX
+	JMP  trans_loop4
+
+trans_tail:
+	TESTQ CX, CX
+	JZ    trans_done
+	VMOVSD (SI), X0
+	VMOVSD (R10), X1
+	VMOVSD (R11), X2
+	VMOVSD (R12), X3
+	VMOVSD X0, (DI)
+	VMOVSD X1, 8(DI)
+	VMOVSD X2, 16(DI)
+	VMOVSD X3, 24(DI)
+	ADDQ $8, SI
+	ADDQ $8, R10
+	ADDQ $8, R11
+	ADDQ $8, R12
+	ADDQ R9, DI
+	DECQ CX
+	JMP  trans_tail
+
+trans_done:
+	VZEROUPPER
+	RET
+
+// func fmaPeakAVX(iters int)
+// Twelve independent accumulator chains (the micro-kernel's register tile),
+// no memory operands: the one-core FMA roofline.
+TEXT ·fmaPeakAVX(SB), NOSPLIT, $0-8
+	MOVQ   iters+0(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	VXORPD Y12, Y12, Y12
+	VXORPD Y13, Y13, Y13
+	VXORPD Y14, Y14, Y14
+	VXORPD Y15, Y15, Y15
+	TESTQ  CX, CX
+	JZ     peak_done
+
+peak_loop:
+	VFMADD231PD Y0, Y1, Y4
+	VFMADD231PD Y0, Y1, Y5
+	VFMADD231PD Y0, Y1, Y6
+	VFMADD231PD Y0, Y1, Y7
+	VFMADD231PD Y0, Y1, Y8
+	VFMADD231PD Y0, Y1, Y9
+	VFMADD231PD Y0, Y1, Y10
+	VFMADD231PD Y0, Y1, Y11
+	VFMADD231PD Y0, Y1, Y12
+	VFMADD231PD Y0, Y1, Y13
+	VFMADD231PD Y0, Y1, Y14
+	VFMADD231PD Y0, Y1, Y15
+	DECQ CX
+	JNZ  peak_loop
+
+peak_done:
 	VZEROUPPER
 	RET
 
