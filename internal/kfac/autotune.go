@@ -219,8 +219,8 @@ func (p *Preconditioner) Tuning() TuneState {
 
 // factorFuser builds the factor-allreduce fuser with the effective
 // communication settings, attaching the preconditioner's error-feedback
-// accumulator (or the bare codec under Options.NoErrorFeedback). Both
-// step engines build their fusers here, so compression and autotuning
+// accumulator (or the bare codec under Options.NoErrorFeedback). The
+// update's one issuer builds its fuser here, so compression and autotuning
 // apply uniformly across engines and DistModes.
 func (p *Preconditioner) factorFuser() *comm.Fuser {
 	fu := comm.NewFuser(p.comm, p.effFusionBytes())
@@ -258,7 +258,7 @@ func (p *Preconditioner) factorWireBytesPerUpdate() float64 {
 
 // autotune runs one controller step: estimate locally, agree by
 // consensus, pick a level, record the decision. Called from Step at
-// factor-update boundaries (after the first), before either engine issues
+// factor-update boundaries (after the first), before the update issues
 // its collectives — the same schedule point on every rank.
 func (p *Preconditioner) autotune(iter int) error {
 	t := p.tuner

@@ -1,7 +1,6 @@
 package kfac
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/linalg"
@@ -70,13 +69,14 @@ func EigTeamSize(dim, procs int, rankLoad float64) int {
 // decomposition fan-out sizes each factor's hold to its team so that the
 // sum of concurrently running teams never exceeds the machine. Weights
 // above the capacity are clamped at acquire (a full-machine team then
-// simply runs alone). FIFO fairness is not guaranteed — the fan-out
-// sorts jobs largest-first and correctness does not depend on ordering.
+// simply runs alone). FIFO fairness is not guaranteed — the scheduler
+// launches largest-first and correctness does not depend on ordering.
 type weightedSem struct {
 	mu    sync.Mutex
 	cond  sync.Cond
 	avail int
 	cap   int
+	peak  int // high-water mark of units held at once
 }
 
 // newWeightedSem returns a semaphore with the given capacity (≥ 1).
@@ -103,6 +103,7 @@ func (s *weightedSem) acquire(w int) int {
 		s.cond.Wait()
 	}
 	s.avail -= w
+	s.peak = max(s.peak, s.cap-s.avail)
 	s.mu.Unlock()
 	return w
 }
@@ -119,8 +120,8 @@ func (s *weightedSem) release(w int) {
 // active plan: factors are attributed to their owner rank, each rank's
 // total decomposition cost comes from WorkerLoads over the plan's
 // assignment, and every factor's team follows EigTeamSize against its
-// owner's load. Recorded into the per-layer state (consumed by
-// decomposeA/decomposeG) and surfaced through StageStats.EigTeams.
+// owner's load. Recorded into the per-layer state (consumed by the eig
+// scheduler and decompose) and surfaced through StageStats.EigTeams.
 // Called from replan, so the table tracks ownership changes.
 func (p *Preconditioner) computeEigTeams(procs int) {
 	refs := p.FactorRefs()
@@ -142,30 +143,4 @@ func (p *Preconditioner) computeEigTeams(procs int) {
 		)
 	}
 	p.stats.recordEigTeams(teams)
-}
-
-// eigJob is one owned decomposition in the fan-out queue.
-type eigJob struct {
-	layer int
-	s     *layerState
-	isG   bool
-	dim   int
-	team  int
-}
-
-// sortEigJobs orders the fan-out largest-dimension-first (ties: layer,
-// then A before G) so big teamed factors start immediately and small
-// serial factors pack into the remaining slots — a longest-processing-
-// time schedule. Deterministic for reproducible stats and scheduling.
-func sortEigJobs(jobs []eigJob) {
-	sort.Slice(jobs, func(a, b int) bool {
-		ja, jb := jobs[a], jobs[b]
-		if ja.dim != jb.dim {
-			return ja.dim > jb.dim
-		}
-		if ja.layer != jb.layer {
-			return ja.layer < jb.layer
-		}
-		return !ja.isG && jb.isG
-	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -510,8 +511,9 @@ func TestSerializationRoundTrip(t *testing.T) {
 		dst := &Preconditioner{opts: Options{Mode: mode, Damping: 0.1}}
 		n := 5
 		spd := tensor.MatMulT1(tensor.Randn(rng, 1, n, n), tensor.Randn(rng, 1, n, n))
-		// Use the same matrix for A-side of layer 0.
-		s := &layerState{}
+		// Use the same matrix for A-side of layer 0 (in+bias = n).
+		layer := nn.NewLinear("fc", n-1, 3, true, rng)
+		s := &layerState{layer: layer}
 		if mode == EigenMode {
 			eg, err := linalg.SymEig(spd)
 			if err != nil {
@@ -526,8 +528,8 @@ func TestSerializationRoundTrip(t *testing.T) {
 			s.invA = inv
 		}
 		src.states = []*layerState{s}
-		dst.states = []*layerState{{}}
-		buf := src.appendRecord(nil, 0, 0, s, false)
+		dst.states = []*layerState{{layer: layer}}
+		buf := src.appendRecord(nil, 0, false)
 		if err := dst.consumeRecords(buf); err != nil {
 			t.Fatal(err)
 		}
@@ -546,17 +548,80 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// recordFixture returns a never-stepped preconditioner over the tiny net
+// (layer 0: A 10×10, G 3×3; layer 1: A 4×4, G 4×4) plus one valid record
+// for layer 1's G factor in the given mode.
+func recordFixture(mode Mode) (*Preconditioner, []float64) {
+	p := NewFromOptions(buildTinyNet(61), nil, Options{Mode: mode})
+	_, n := FactorDims(p.states[1].layer)
+	rec := []float64{1, 1, float64(n)}
+	if mode == EigenMode {
+		for i := 0; i < n; i++ {
+			rec = append(rec, float64(i+1))
+		}
+	}
+	for i := 0; i < n*n; i++ {
+		rec = append(rec, float64(i%7))
+	}
+	return p, rec
+}
+
+// checkRecordState asserts every decomposition slot is either empty or
+// fully shaped for its factor — what "state fully consistent" means after
+// any consumeRecords call, failed or not.
+func checkRecordState(t *testing.T, p *Preconditioner) {
+	t.Helper()
+	for i, s := range p.states {
+		for _, isG := range factorSides {
+			n, f := p.factorDim(i, isG), s.side(isG)
+			if eg := *f.eig; eg != nil && (len(eg.Values) != n || eg.Q.Rows() != n || eg.Q.Cols() != n) {
+				t.Fatalf("layer %d %s: eigen slot shaped %d/%v, want %d", i, sideName(isG), len(eg.Values), eg.Q.Shape, n)
+			}
+			if inv := *f.inv; inv != nil && (inv.Rows() != n || inv.Cols() != n) {
+				t.Fatalf("layer %d %s: inverse slot shaped %v, want %d", i, sideName(isG), inv.Shape, n)
+			}
+		}
+	}
+}
+
 func TestConsumeRecordsTruncated(t *testing.T) {
-	p := &Preconditioner{opts: Options{Mode: EigenMode}}
-	p.states = []*layerState{{}}
-	if err := p.consumeRecords([]float64{0, 0}); err == nil {
-		t.Error("expected error for truncated header")
+	p, valid := recordFixture(EigenMode)
+	if err := p.consumeRecords(valid); err != nil {
+		t.Fatalf("valid record rejected: %v", err)
 	}
-	if err := p.consumeRecords([]float64{0, 0, 5, 1, 2}); err == nil {
-		t.Error("expected error for truncated payload")
+	if p.states[1].eigG == nil || p.states[1].eigG.Values[3] != 4 {
+		t.Fatal("valid record not stored")
 	}
-	if err := p.consumeRecords([]float64{9, 0, 1, 1, 1}); err == nil {
-		t.Error("expected error for unknown layer")
+	with := func(field int, v float64) []float64 {
+		rec := append([]float64(nil), valid...)
+		rec[field] = v
+		return rec
+	}
+	for _, c := range []struct {
+		name  string
+		block []float64
+		want  string // substring the error must carry
+	}{
+		{"truncated header", []float64{0, 0}, "header"},
+		{"truncated payload", valid[:len(valid)-1], "layer 1 G"},
+		{"unknown layer", with(0, 9), "layer 9"},
+		{"negative dimension", []float64{0, 0, -1}, "layer 0 A"},
+		{"NaN layer", with(0, math.NaN()), "layer NaN"},
+		{"fractional layer", with(0, 0.5), "layer 0.5"},
+		{"infinite layer", with(0, math.Inf(1)), "layer +Inf"},
+		{"side flag not 0/1", with(1, 2), "layer 1"},
+		{"NaN dimension", with(2, math.NaN()), "layer 1 G"},
+		{"fractional dimension", with(2, 4.5), "layer 1 G"},
+		{"other side's dimension", append([]float64{0, 1, 10}, make([]float64, 110)...), "layer 0 G"},
+		{"bad record after a good one", append(append([]float64(nil), valid...), 1, 1, 5), "layer 1 G"},
+	} {
+		err := p.consumeRecords(c.block)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
+		}
+		checkRecordState(t, p)
 	}
 }
 

@@ -98,14 +98,10 @@ func WithSkipLayers(names ...string) Option {
 // dimension (default 0 = no limit).
 func WithMaxFactorDim(d int) Option { return func(o *Options) { o.MaxFactorDim = d } }
 
-// WithEngine selects the Step execution engine (default EngineSync;
-// EnginePipelined overlaps compute, communication, and decomposition with
-// bit-identical results).
+// WithEngine selects the schedule of the update stage graph (default
+// EngineSync; EnginePipelined overlaps compute, communication, and
+// decomposition with bit-identical results).
 func WithEngine(e Engine) Option { return func(o *Options) { o.Engine = e } }
-
-// WithPipelineWorkers bounds the pipelined engine's compute pool
-// (default 0 = GOMAXPROCS). Ignored by EngineSync.
-func WithPipelineWorkers(n int) Option { return func(o *Options) { o.PipelineWorkers = n } }
 
 // WithCompression applies a lossy codec to the factor allreduce and the
 // trainer's gradient exchange, wrapped in error-feedback residual

@@ -19,20 +19,18 @@ func TestBuildResolvesOptions(t *testing.T) {
 		WithSkipLayers("fc", "conv1"),
 		WithMaxFactorDim(64),
 		WithEngine(EnginePipelined),
-		WithPipelineWorkers(2),
 	)
 	want := Options{
 		Mode: InverseMode, Strategy: SizeGreedy, Damping: 0.01,
 		FactorDecay: 0.9, KLClip: -1, FactorUpdateFreq: 3, InvUpdateFreq: 30,
 		FusionBytes: 1 << 20, PiDamping: true, SkipLayers: []string{"fc", "conv1"},
-		MaxFactorDim: 64, Engine: EnginePipelined, PipelineWorkers: 2,
+		MaxFactorDim: 64, Engine: EnginePipelined,
 	}
 	if o.Mode != want.Mode || o.Strategy != want.Strategy || o.Damping != want.Damping ||
 		o.FactorDecay != want.FactorDecay || o.KLClip != want.KLClip ||
 		o.FactorUpdateFreq != want.FactorUpdateFreq || o.InvUpdateFreq != want.InvUpdateFreq ||
 		o.FusionBytes != want.FusionBytes || o.PiDamping != want.PiDamping ||
-		o.MaxFactorDim != want.MaxFactorDim || o.Engine != want.Engine ||
-		o.PipelineWorkers != want.PipelineWorkers {
+		o.MaxFactorDim != want.MaxFactorDim || o.Engine != want.Engine {
 		t.Errorf("Build = %+v, want %+v", o, want)
 	}
 	if len(o.SkipLayers) != 2 || o.SkipLayers[0] != "fc" || o.SkipLayers[1] != "conv1" {

@@ -70,7 +70,7 @@ type LayerPlan struct {
 // Plan is a resolved distribution assignment: for every Kronecker factor an
 // owner rank, and for every layer a gradient-worker set, built once per
 // (strategy, mode, world) by the strategy's Planner and consumed uniformly
-// by both step engines. Every rank builds the identical Plan from shared
+// by every update stage. Every rank builds the identical Plan from shared
 // state, so no communication is needed to agree on it (Algorithm 1,
 // line 9); elastic recovery re-plans by rebuilding it for the new world.
 type Plan struct {

@@ -67,9 +67,9 @@ type layerF32 struct {
 	qA, qG     *tensor.T32
 	invA, invG *tensor.T32
 	// aEpoch/gEpoch count refreshes of the A and G mirrors. They are
-	// separate fields because the pipelined engine can refresh a layer's A
-	// and G slots from concurrent record-consumer goroutines; each site
-	// touches only its own counter.
+	// separate fields because a layer's A and G slots are refreshed from
+	// concurrent decomposition-job and record-consumer goroutines; each
+	// site touches only its own counter.
 	aEpoch, gEpoch uint64
 
 	// recip caches the elementwise reciprocal denominator of Equation 14,
@@ -101,39 +101,27 @@ func (s *layerState) ensureF32() *layerF32 {
 	return s.f32
 }
 
-// refreshF32A narrows the layer's updated A-side decomposition (eigenbasis
-// or damped inverse) into its float32 mirror. Called wherever the float64
-// slot is written: local decomposition, allgather consume, and broadcast
-// consume. No-op under F64.
-func (p *Preconditioner) refreshF32A(s *layerState) {
+// refreshF32 narrows one side's updated decomposition (eigenbasis or
+// damped inverse) into its float32 mirror. Called wherever the float64
+// slot is written: local decomposition and record consume. No-op under F64.
+func (p *Preconditioner) refreshF32(s *layerState, isG bool) {
 	if p.opts.Precision != F32 {
 		return
 	}
-	f := s.ensureF32()
+	m := s.ensureF32()
+	q, inv, epoch := &m.qA, &m.invA, &m.aEpoch
+	if isG {
+		q, inv, epoch = &m.qG, &m.invG, &m.gEpoch
+	}
+	f := s.side(isG)
 	if p.opts.Mode == InverseMode {
-		n := s.invA.Rows()
-		tensor.Ensure32(&f.invA, n, n).NarrowFrom(s.invA)
+		n := (*f.inv).Rows()
+		tensor.Ensure32(inv, n, n).NarrowFrom(*f.inv)
 	} else {
-		n := s.eigA.Q.Rows()
-		tensor.Ensure32(&f.qA, n, n).NarrowFrom(s.eigA.Q)
+		n := (*f.eig).Q.Rows()
+		tensor.Ensure32(q, n, n).NarrowFrom((*f.eig).Q)
 	}
-	f.aEpoch++
-}
-
-// refreshF32G is refreshF32A for the G-side decomposition.
-func (p *Preconditioner) refreshF32G(s *layerState) {
-	if p.opts.Precision != F32 {
-		return
-	}
-	f := s.ensureF32()
-	if p.opts.Mode == InverseMode {
-		n := s.invG.Rows()
-		tensor.Ensure32(&f.invG, n, n).NarrowFrom(s.invG)
-	} else {
-		n := s.eigG.Q.Rows()
-		tensor.Ensure32(&f.qG, n, n).NarrowFrom(s.eigG.Q)
-	}
-	f.gEpoch++
+	*epoch++
 }
 
 // recip32 returns the cached reciprocal-denominator matrix for Equation 14,

@@ -1,9 +1,9 @@
 package kfac
 
 import (
-	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -81,14 +81,12 @@ type Options struct {
 	// MaxFactorDim excludes layers whose A or G factor would exceed this
 	// dimension (0 = no limit) — a memory/time guard for very wide layers.
 	MaxFactorDim int
-	// Engine selects how Step executes its stages: EngineSync (default)
-	// runs them strictly in sequence; EnginePipelined overlaps per-layer
-	// factor computation, fused async allreduce, eigendecomposition, and a
-	// streamed per-layer allgather. Both engines are numerically identical.
+	// Engine selects the schedule of the update stage graph: EngineSync
+	// (default) puts a barrier after every stage; EnginePipelined overlaps
+	// per-layer factor computation, fused async allreduce,
+	// eigendecomposition, and the per-layer decomposition exchange. Both
+	// run the same stage code and are bit-identical.
 	Engine Engine
-	// PipelineWorkers bounds the pipelined engine's compute pool
-	// (0 = GOMAXPROCS). Ignored by EngineSync.
-	PipelineWorkers int
 	// Precision selects the arithmetic width of the covariance and
 	// preconditioning kernels (default F64). F32 stores and multiplies in
 	// float32 with float64 accumulation; running averages, decompositions,
@@ -191,6 +189,26 @@ type layerState struct {
 	f32 *layerF32
 }
 
+// factorSide addresses one factor's slots of a layerState, so every stage
+// body is written once for A and G. The slots are pointers: a side may be
+// taken before the layer's factor exists, and a layer's two sides are
+// worked on by concurrent goroutines that must each touch only their own.
+type factorSide struct {
+	factor      **tensor.Tensor // running average
+	eig, spare  **linalg.Eigen
+	inv         **tensor.Tensor
+	owner, team int
+	recv        *comm.Group
+}
+
+// side selects the layer's A (isG false) or G factor.
+func (s *layerState) side(isG bool) factorSide {
+	if isG {
+		return factorSide{&s.G, &s.eigG, &s.eigSpareG, &s.invG, s.gWorker, s.gTeam, s.gRecvGroup}
+	}
+	return factorSide{&s.A, &s.eigA, &s.eigSpareA, &s.invA, s.aWorker, s.aTeam, s.aRecvGroup}
+}
+
 // Preconditioner is the distributed K-FAC gradient preconditioner
 // (Algorithm 1). Create it once over a model; call Step after the backward
 // pass and gradient allreduce of each iteration, before the optimizer step,
@@ -203,6 +221,9 @@ type Preconditioner struct {
 	step   int
 	stats  StageStats
 	pool   *sched.Pool // lazily created by the pipelined engine
+	// eigSem is the latest decomposition update's team-weight semaphore,
+	// kept so tests can read its high-water mark.
+	eigSem *weightedSem
 
 	// factorEF persists factor-path compression residuals across steps;
 	// tuner is the autotune controller state (nil when disabled).
@@ -220,9 +241,6 @@ type Preconditioner struct {
 	// phase.
 	gradsBuf, precondsBuf []*tensor.Tensor
 	precondRg             precondRanger
-
-	// eigJobsBuf is the reused decomposition fan-out queue.
-	eigJobsBuf []eigJob
 }
 
 // New builds a preconditioner over every K-FAC-capturable layer of model
@@ -260,9 +278,9 @@ func NewFromOptions(model nn.Layer, c *comm.Communicator, opts Options) *Precond
 		l.SetCapture(true)
 		s := &layerState{layer: l}
 		if opts.Precision == F32 {
-			// Allocated eagerly: the pipelined engine refreshes a layer's A
-			// and G float32 mirrors from concurrent record consumers, so the
-			// lazy ensureF32 would race here.
+			// Allocated eagerly: a layer's A and G float32 mirrors are
+			// refreshed from concurrent decomposition jobs and record
+			// consumers, so the lazy ensureF32 would race here.
 			s.f32 = &layerF32{}
 		}
 		p.states = append(p.states, s)
@@ -454,8 +472,8 @@ func (p *Preconditioner) StepCount() int { return p.step }
 //
 // All ranks must call Step the same number of times with identical options
 // and an identically ordered layer list (guaranteed when every rank builds
-// the same model): the collective schedule — and under EnginePipelined the
-// async collective issue order — is a deterministic function of that state.
+// the same model): the collective issue order is a deterministic function
+// of that state.
 func (p *Preconditioner) Step(lr float64) error {
 	iter := p.step
 	p.step++
@@ -463,30 +481,16 @@ func (p *Preconditioner) Step(lr float64) error {
 	doFactors := iter%p.opts.FactorUpdateFreq == 0
 	doDecomp := iter%p.opts.InvUpdateFreq == 0
 	// Autotune consensus runs at factor-update boundaries (after the first
-	// update has produced a measurement), before either engine issues its
+	// update has produced a measurement), before the update issues its
 	// collectives — the same schedule point on every rank, so the tiny
-	// consensus allreduce never interleaves differently with engine traffic.
+	// consensus allreduce never interleaves differently with update traffic.
 	if p.tuner != nil && doFactors && iter > 0 && p.comm != nil && p.comm.Size() > 1 {
 		if err := p.autotune(iter); err != nil {
 			return err
 		}
 	}
-	if p.opts.Engine == EnginePipelined {
-		if doFactors || doDecomp {
-			if err := p.updatePipelined(doFactors, doDecomp); err != nil {
-				return err
-			}
-		}
-		return p.preconditionParallel(lr)
-	}
-
-	if doFactors {
-		if err := p.updateFactors(); err != nil {
-			return err
-		}
-	}
-	if doDecomp {
-		if err := p.updateDecompositions(); err != nil {
+	if doFactors || doDecomp {
+		if err := p.update(doFactors, doDecomp); err != nil {
 			return err
 		}
 	}
@@ -495,8 +499,8 @@ func (p *Preconditioner) Step(lr float64) error {
 
 // computeCovState recomputes one layer's local covariance factors into its
 // reused workspaces and folds them into the running averages
-// (Equations 16–17). Both step engines share this path, so their factor
-// arithmetic is identical bit for bit.
+// (Equations 16–17). Only the per-layer workspaces of s are touched, so
+// layers can run concurrently.
 func (p *Preconditioner) computeCovState(s *layerState) {
 	if p.opts.Precision == F32 {
 		p.computeCovState32(s)
@@ -515,239 +519,37 @@ func (p *Preconditioner) computeCovState(s *layerState) {
 	}
 }
 
-// updateFactors recomputes the local covariance factors, folds them into the
-// running averages, and averages the running averages across workers
-// (Algorithm 1, step 1).
-func (p *Preconditioner) updateFactors() error {
-	start := time.Now()
-	for _, s := range p.states {
-		p.computeCovState(s)
-	}
-	p.stats.add(&p.stats.FactorCompute, time.Since(start))
-	p.stats.mu.Lock()
-	p.stats.FactorUpdates++
-	p.stats.mu.Unlock()
-	p.stats.noteFactorMem(p.factorMemBytes())
-	if p.comm == nil || p.comm.Size() == 1 {
-		return nil
-	}
-	commStart := time.Now()
-	fu := p.factorFuser()
-	for _, s := range p.states {
-		fu.Add(s.A)
-		fu.Add(s.G)
-	}
-	err := fu.Flush()
-	p.stats.add(&p.stats.FactorComm, time.Since(commStart))
-	return err
-}
-
-// updateDecompositions eigendecomposes (or inverts) the factors this rank
-// owns and distributes the results per the plan (Algorithm 1, step 2):
-// fully replicated plans (COMM-OPT) allgather everything to every rank;
-// partial plans (MEM-OPT/HYBRID) broadcast each factor only to its
-// recipient group — the layer's gradient workers — and the remaining
-// ranks receive preconditioned gradients each iteration instead (§VI-C3).
-func (p *Preconditioner) updateDecompositions() error {
-	mine := p.rank()
-	distributed := p.comm != nil && p.comm.Size() > 1
-	start := time.Now()
-	for _, s := range p.states {
+// decompose eigendecomposes (or inverts) one factor of a layer into its
+// slots and refreshes the float32 mirror.
+func (p *Preconditioner) decompose(s *layerState, isG bool) error {
+	f := s.side(isG)
+	if p.opts.Mode == InverseMode {
+		gamma := p.opts.Damping
 		if p.opts.PiDamping {
-			s.pi = PiCorrection(s.A, s.G)
-		} else {
-			s.pi = 1
+			ga, gg := p.dampingSplit(s)
+			gamma = ga
+			if isG {
+				gamma = gg
+			}
 		}
-	}
-	jobs := p.eigJobsBuf[:0]
-	for i, s := range p.states {
-		da, dg := FactorDims(s.layer)
-		if !distributed || s.aWorker == mine {
-			jobs = append(jobs, eigJob{layer: i, s: s, isG: false, dim: da, team: s.aTeam})
+		inv, err := linalg.InverseDamped(*f.factor, gamma)
+		if err != nil {
+			return err
 		}
-		if !distributed || s.gWorker == mine {
-			jobs = append(jobs, eigJob{layer: i, s: s, isG: true, dim: dg, team: s.gTeam})
-		}
-	}
-	p.eigJobsBuf = jobs[:0]
-	if err := p.runEigJobs(jobs); err != nil {
-		return err
-	}
-	p.stats.add(&p.stats.EigCompute, time.Since(start))
-	p.stats.mu.Lock()
-	p.stats.EigUpdates++
-	p.stats.mu.Unlock()
-	if !distributed {
-		p.stats.noteFactorMem(p.factorMemBytes())
-		return nil
-	}
-	commStart := time.Now()
-	var err error
-	if p.plan.FullyReplicated() {
-		err = p.allgatherDecompositions()
+		*f.inv = inv
 	} else {
-		err = p.broadcastDecompositions()
-	}
-	p.stats.add(&p.stats.EigComm, time.Since(commStart))
-	p.stats.noteFactorMem(p.factorMemBytes())
-	return err
-}
-
-// runEigJobs executes this rank's owned decompositions. With one job or
-// one schedulable core it stays a plain serial loop (layer order); with
-// more, jobs launch largest-first over an error group, each holding its
-// team's worth of a GOMAXPROCS-weighted semaphore, so inter-factor
-// parallelism and intra-factor teams together never oversubscribe the
-// machine. Factor results are per-layer state, so ordering only shapes
-// wall time, never values.
-func (p *Preconditioner) runEigJobs(jobs []eigJob) error {
-	run := func(j eigJob) error {
-		if j.isG {
-			if err := p.decomposeG(j.s); err != nil {
-				return fmt.Errorf("kfac: layer %d G: %w", j.layer, err)
-			}
-			return nil
+		if *f.spare == nil {
+			*f.spare = &linalg.Eigen{}
 		}
-		if err := p.decomposeA(j.s); err != nil {
-			return fmt.Errorf("kfac: layer %d A: %w", j.layer, err)
-		}
-		return nil
-	}
-	procs := runtime.GOMAXPROCS(0)
-	if len(jobs) <= 1 || procs <= 1 {
-		for _, j := range jobs {
-			if err := run(j); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	sortEigJobs(jobs)
-	sem := newWeightedSem(procs)
-	var g sched.Group
-	for _, j := range jobs {
-		j := j
-		g.Go(func() error {
-			w := sem.acquire(j.team)
-			defer sem.release(w)
-			return run(j)
-		})
-	}
-	return g.Wait()
-}
-
-// broadcastDecompositions moves each owned factor's decomposition from its
-// owner to the layer's gradient workers over the plan's recipient groups,
-// in layer order (A before G) — the partial-plan counterpart of
-// allgatherDecompositions. Groups of one (owner is the only recipient, the
-// LayerWise/MemOpt case) move nothing and reserve no tags; every rank
-// takes the same branch, so the collective schedule stays aligned.
-func (p *Preconditioner) broadcastDecompositions() error {
-	mine := p.rank()
-	for i, s := range p.states {
-		for _, f := range [2]struct {
-			isG   bool
-			grp   *comm.Group
-			owner int
-		}{
-			{false, s.aRecvGroup, s.aWorker},
-			{true, s.gRecvGroup, s.gWorker},
-		} {
-			if f.grp == nil || f.grp.Size() <= 1 {
-				continue
-			}
-			var buf []float64
-			if f.owner == mine {
-				buf = p.appendRecord(nil, float64(i), b2f(f.isG), s, f.isG)
-			} else if f.grp.Contains(mine) {
-				buf = make([]float64, p.recordLen(i, f.isG))
-			}
-			if err := f.grp.Broadcast(buf, f.owner); err != nil {
-				return err
-			}
-			if f.owner != mine && f.grp.Contains(mine) {
-				if err := p.consumeRecords(buf); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// recordLen returns the serialized record length of one factor's
-// decomposition (header + payload; see appendRecord).
-func (p *Preconditioner) recordLen(layer int, isG bool) int {
-	da, dg := FactorDims(p.states[layer].layer)
-	n := da
-	if isG {
-		n = dg
-	}
-	if p.opts.Mode == InverseMode {
-		return 3 + n*n
-	}
-	return 3 + n + n*n
-}
-
-// b2f encodes the record isG flag.
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func (p *Preconditioner) decomposeA(s *layerState) error {
-	if p.opts.Mode == InverseMode {
-		gamma := p.opts.Damping
-		if p.opts.PiDamping {
-			gamma, _ = p.dampingSplit(s)
-		}
-		inv, err := linalg.InverseDamped(s.A, gamma)
-		if err != nil {
+		// Refresh into the spare; swap in only on success so the previous
+		// decomposition survives a convergence failure.
+		if err := p.symEig(*f.factor, *f.spare, f.team); err != nil {
 			return err
 		}
-		s.invA = inv
-		p.refreshF32A(s)
-		return nil
+		clampEigen(*f.spare)
+		*f.eig, *f.spare = *f.spare, *f.eig
 	}
-	if s.eigSpareA == nil {
-		s.eigSpareA = &linalg.Eigen{}
-	}
-	// Refresh into the spare; swap in only on success so the previous
-	// decomposition survives a convergence failure.
-	if err := p.symEig(s.A, s.eigSpareA, s.aTeam); err != nil {
-		return err
-	}
-	clampEigen(s.eigSpareA)
-	s.eigA, s.eigSpareA = s.eigSpareA, s.eigA
-	p.refreshF32A(s)
-	return nil
-}
-
-func (p *Preconditioner) decomposeG(s *layerState) error {
-	if p.opts.Mode == InverseMode {
-		gamma := p.opts.Damping
-		if p.opts.PiDamping {
-			_, gamma = p.dampingSplit(s)
-		}
-		inv, err := linalg.InverseDamped(s.G, gamma)
-		if err != nil {
-			return err
-		}
-		s.invG = inv
-		p.refreshF32G(s)
-		return nil
-	}
-	if s.eigSpareG == nil {
-		s.eigSpareG = &linalg.Eigen{}
-	}
-	if err := p.symEig(s.G, s.eigSpareG, s.gTeam); err != nil {
-		return err
-	}
-	clampEigen(s.eigSpareG)
-	s.eigG, s.eigSpareG = s.eigSpareG, s.eigG
-	p.refreshF32G(s)
+	p.refreshF32(s, isG)
 	return nil
 }
 
@@ -780,6 +582,23 @@ func clampEigen(eg *linalg.Eigen) {
 	}
 }
 
+// precondRanger runs per-layer preconditioning over a range of layer
+// indices — the unit precondition runs inline or fans out over the engine
+// pool with sched.Pool.ForEach. Each layer touches only its own state
+// workspaces, so ranges are independent.
+type precondRanger struct {
+	wg              sync.WaitGroup
+	p               *Preconditioner
+	grads, preconds []*tensor.Tensor
+}
+
+// RunRange implements sched.Ranger.
+func (r *precondRanger) RunRange(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		r.preconds[i] = r.p.preconditionOne(r.p.states[i], r.grads[i])
+	}
+}
+
 // precondition rewrites every layer's gradient with its preconditioned
 // version (Algorithm 1, step 3) and applies the κ scaling of Equation 18.
 func (p *Preconditioner) precondition(lr float64) error {
@@ -794,6 +613,8 @@ func (p *Preconditioner) precondition(lr float64) error {
 	for i, s := range p.states {
 		grads[i] = p.combinedGrad(s)
 	}
+	rg := &p.precondRg
+	rg.p, rg.grads, rg.preconds = p, grads, preconds
 
 	if p.comm != nil && p.comm.Size() > 1 && !p.plan.FullyReplicated() {
 		// Partial plan (MEM-OPT / HYBRID, and the LayerWise default): each
@@ -801,30 +622,31 @@ func (p *Preconditioner) precondition(lr float64) error {
 		// shared eigenbases — bit-identical results, since the arithmetic
 		// is a pure function of the (identical) decompositions and gradient
 		// — and the designated root broadcasts to the ranks that hold no
-		// eigenbases. All ranks call Broadcast; non-root gradient workers
-		// are outside the group and keep their locally computed (equal)
-		// bits after the tag reservation.
+		// eigenbases. All ranks call Broadcast, in layer order (the
+		// broadcasts are ordered collectives, so this branch never fans
+		// out); non-root gradient workers are outside the group and keep
+		// their locally computed (equal) bits after the tag reservation.
 		mine := p.rank()
 		for i, s := range p.states {
-			var pc *tensor.Tensor
 			if p.plan.IsGradWorker(i, mine) {
-				pc = p.preconditionOne(s, grads[i])
+				rg.RunRange(i, i+1)
 			} else {
 				// Broadcast fully overwrites the receive buffer.
-				pc = tensor.Ensure(&s.pcBuf, grads[i].Shape...)
+				preconds[i] = tensor.Ensure(&s.pcBuf, grads[i].Shape...)
 			}
-			if err := s.pcGroup.Broadcast(pc.Data, p.plan.GradRoot(i)); err != nil {
+			if err := s.pcGroup.Broadcast(preconds[i].Data, p.plan.GradRoot(i)); err != nil {
 				return err
 			}
-			preconds[i] = pc
 		}
-	} else {
+	} else if p.opts.Engine == EnginePipelined {
 		// Fully replicated plan (COMM-OPT): every rank holds all
 		// decompositions and preconditions locally — no per-iteration
-		// communication.
-		for i, s := range p.states {
-			preconds[i] = p.preconditionOne(s, grads[i])
-		}
+		// communication — at pool width under the overlapped schedule
+		// (zero-allocation ForEach dispatch), inline otherwise.
+		pool := p.ensurePool()
+		pool.ForEach(len(p.states), pool.Workers(), rg, &rg.wg)
+	} else {
+		rg.RunRange(0, len(p.states))
 	}
 
 	p.applyKLClip(lr, grads, preconds)
@@ -852,8 +674,8 @@ func (p *Preconditioner) combinedGrad(s *layerState) *tensor.Tensor {
 
 // applyKLClip applies the κ gradient scaling (Equation 18) and writes the
 // preconditioned gradients back: ν = min(1, sqrt(κ / (lr²·Σ|v·g|))). The
-// dot-product reduction runs in layer order so both step engines produce
-// bit-identical results.
+// dot-product reduction runs in layer order whatever width preconditioning
+// fanned out at, so both engines produce bit-identical results.
 func (p *Preconditioner) applyKLClip(lr float64, grads, preconds []*tensor.Tensor) {
 	nu := 1.0
 	if p.opts.KLClip > 0 {
@@ -927,113 +749,6 @@ func (p *Preconditioner) preconditionOne(s *layerState, grad *tensor.Tensor) *te
 	tensor.MatMulInto(t2, qg, v1)
 	tensor.MatMulT2Into(pc, t2, qa)
 	return pc
-}
-
-// allgatherDecompositions shares each rank's computed decompositions with
-// all ranks (Algorithm 1, line 18). Results are serialized as a float64
-// stream: per record [layerIdx, isG, n, values…(eigen only), payload…].
-func (p *Preconditioner) allgatherDecompositions() error {
-	mine := p.rank()
-	var buf []float64
-	for i, s := range p.states {
-		if s.aWorker == mine {
-			buf = p.appendRecord(buf, float64(i), 0, s, false)
-		}
-		if s.gWorker == mine {
-			buf = p.appendRecord(buf, float64(i), 1, s, true)
-		}
-	}
-	blocks, err := p.comm.AllgatherV(buf)
-	if err != nil {
-		return err
-	}
-	for r, block := range blocks {
-		if r == mine {
-			continue
-		}
-		if err := p.consumeRecords(block); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *Preconditioner) appendRecord(buf []float64, layer, isG float64, s *layerState, g bool) []float64 {
-	if p.opts.Mode == InverseMode {
-		m := s.invA
-		if g {
-			m = s.invG
-		}
-		n := m.Rows()
-		buf = append(buf, layer, isG, float64(n))
-		return append(buf, m.Data...)
-	}
-	eg := s.eigA
-	if g {
-		eg = s.eigG
-	}
-	n := eg.Q.Rows()
-	buf = append(buf, layer, isG, float64(n))
-	buf = append(buf, eg.Values...)
-	return append(buf, eg.Q.Data...)
-}
-
-func (p *Preconditioner) consumeRecords(block []float64) error {
-	pos := 0
-	for pos < len(block) {
-		if pos+3 > len(block) {
-			return fmt.Errorf("kfac: truncated decomposition record header")
-		}
-		layer := int(block[pos])
-		isG := block[pos+1] != 0
-		n := int(block[pos+2])
-		pos += 3
-		if layer < 0 || layer >= len(p.states) {
-			return fmt.Errorf("kfac: record for unknown layer %d", layer)
-		}
-		s := p.states[layer]
-		if p.opts.Mode == InverseMode {
-			if pos+n*n > len(block) {
-				return fmt.Errorf("kfac: truncated inverse record")
-			}
-			dst := &s.invA
-			if isG {
-				dst = &s.invG
-			}
-			// Fill the stored inverse in place, reusing its storage.
-			copy(tensor.Ensure(dst, n, n).Data, block[pos:pos+n*n])
-			pos += n * n
-			if isG {
-				p.refreshF32G(s)
-			} else {
-				p.refreshF32A(s)
-			}
-			continue
-		}
-		if pos+n+n*n > len(block) {
-			return fmt.Errorf("kfac: truncated eigen record")
-		}
-		// Select the slot by pointer so each record touches only its own
-		// field — the pipelined engine consumes a layer's A and G records on
-		// concurrent waiter goroutines.
-		slot := &s.eigA
-		if isG {
-			slot = &s.eigG
-		}
-		eg := *slot
-		if eg == nil {
-			eg = &linalg.Eigen{}
-			*slot = eg
-		}
-		eg.SetFrom(block[pos:pos+n], block[pos+n:pos+n+n*n], n)
-		pos += n + n*n
-		if isG {
-			p.refreshF32G(s)
-		} else {
-			p.refreshF32A(s)
-		}
-	}
-	return nil
 }
 
 // ParamSchedule is the paper's "decay by a fixed scalar at fixed epochs"

@@ -1,0 +1,171 @@
+package kfac
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/comm"
+)
+
+// countingEndpoint counts the sends and payload bytes crossing one rank's
+// transport endpoint.
+type countingEndpoint struct {
+	comm.Transport
+	sends, bytes atomic.Int64
+}
+
+func (e *countingEndpoint) Send(to int, tag uint64, data []float64) error {
+	e.sends.Add(1)
+	e.bytes.Add(int64(8 * len(data)))
+	return e.Transport.Send(to, tag, data)
+}
+
+// TestSchedulesIdenticalWireTraffic: the two engines are one program under
+// two schedules, so on every rank and every step they must put exactly the
+// same number of sends and payload bytes on the wire — factor steps,
+// decomposition steps and (MEM-OPT) stale steps alike.
+func TestSchedulesIdenticalWireTraffic(t *testing.T) {
+	const world, steps = 4, 5
+	type wire struct{ sends, bytes int64 }
+	run := func(mode DistMode, engine Engine) [world][steps]wire {
+		fab := comm.NewInprocFabric(world)
+		var out [world][steps]wire
+		var wg sync.WaitGroup
+		for r := 0; r < world; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				end := &countingEndpoint{Transport: fab.Endpoint(r)}
+				net := buildTinyNet(42)
+				prec := NewFromOptions(net, comm.NewCommunicator(end), Options{
+					DistMode: mode, Engine: engine, FactorUpdateFreq: 2, InvUpdateFreq: 4,
+				})
+				defer prec.Close()
+				for i := 0; i < steps; i++ {
+					runStep(net, int64(1000+i), 4)
+					before := wire{end.sends.Load(), end.bytes.Load()}
+					if err := prec.Step(0.1); err != nil {
+						t.Errorf("rank %d step %d: %v", r, i, err)
+						return
+					}
+					out[r][i] = wire{end.sends.Load() - before.sends, end.bytes.Load() - before.bytes}
+				}
+			}(r)
+		}
+		wg.Wait()
+		return out
+	}
+	for _, mode := range []DistMode{CommOpt, MemOpt} {
+		barrier, overlap := run(mode, EngineSync), run(mode, EnginePipelined)
+		if t.Failed() {
+			return
+		}
+		if barrier[0][0].sends == 0 {
+			t.Fatalf("%v: rank 0 sent nothing on the first update step", mode)
+		}
+		for r := 0; r < world; r++ {
+			for i := 0; i < steps; i++ {
+				if barrier[r][i] != overlap[r][i] {
+					t.Errorf("%v rank %d step %d: sync sent %+v, pipelined %+v", mode, r, i, barrier[r][i], overlap[r][i])
+				}
+			}
+		}
+	}
+}
+
+// TestSchedulesEigTeamsWithinGOMAXPROCS: every decomposition, under either
+// schedule, holds its team's weight of one GOMAXPROCS-capacity semaphore,
+// so the team weight in flight never exceeds the machine. The wide net's
+// 257-dim factor carries nearly the whole load and is assigned the full
+// machine as its team, so the high-water mark must also reach it.
+func TestSchedulesEigTeamsWithinGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, engine := range []Engine{EngineSync, EnginePipelined} {
+			net := buildWideNet(96)
+			prec := NewFromOptions(net, nil, Options{FactorUpdateFreq: 1, InvUpdateFreq: 1, Engine: engine})
+			runWideStep(net, 505, 8)
+			if err := prec.Step(0.1); err != nil {
+				t.Fatal(err)
+			}
+			prec.Close()
+			if prec.eigSem == nil {
+				t.Fatalf("procs %d %v: decompositions bypassed the semaphore", procs, engine)
+			}
+			if peak := prec.eigSem.peak; peak != procs || prec.eigSem.cap != procs {
+				t.Errorf("procs %d %v: peak team weight in flight %d (capacity %d), want %d",
+					procs, engine, peak, prec.eigSem.cap, procs)
+			}
+			if prec.eigSem.avail != procs {
+				t.Errorf("procs %d %v: %d units still held after the update", procs, engine, procs-prec.eigSem.avail)
+			}
+		}
+	}
+}
+
+// TestSchedulesSyncStageWindowsTileUpdate: under the barrier schedule no
+// two stages overlap, so the four stage windows of an update must add up
+// to the step's wall time less preconditioning (within 5 %: what is left
+// is goroutine hand-off between stages), and the Pipeline* counters stay
+// zero. Checked at world 1 and on rank 0 of world 2.
+func TestSchedulesSyncStageWindowsTileUpdate(t *testing.T) {
+	// tile runs one update step on a fresh wide net and returns the step's
+	// wall time less preconditioning, and the sum of its stage windows.
+	tile := func(c *comm.Communicator) (wall, stages time.Duration) {
+		net := buildWideNet(97)
+		prec := NewFromOptions(net, c, Options{FactorUpdateFreq: 1, InvUpdateFreq: 1})
+		runWideStep(net, 506, 8)
+		start := time.Now()
+		if err := prec.Step(0.1); err != nil {
+			t.Error(err)
+		}
+		wall = time.Since(start)
+		snap := prec.Stats().Snapshot()
+		if snap.PipelineUpdates != 0 || snap.PipelineWall != 0 || snap.PipelineWork != 0 || snap.PipelineIdle != 0 {
+			t.Errorf("Pipeline* stats nonzero under EngineSync: %s", prec.Stats())
+		}
+		if snap.FactorCompute <= 0 || snap.EigCompute <= 0 || (c != nil && (snap.FactorComm <= 0 || snap.EigComm <= 0)) {
+			t.Errorf("stage window missing: %s", prec.Stats())
+		}
+		return wall - snap.Precondition, snap.FactorCompute + snap.FactorComm + snap.EigCompute + snap.EigComm
+	}
+	for _, world := range []int{1, 2} {
+		// Timing: a descheduled goroutine can open a gap once; it will not
+		// three times in a row.
+		var gap float64
+		for attempt := 0; attempt < 3; attempt++ {
+			var wall, stages time.Duration
+			if world == 1 {
+				wall, stages = tile(nil)
+			} else {
+				fab := comm.NewInprocFabric(world)
+				var wg sync.WaitGroup
+				for r := 0; r < world; r++ {
+					wg.Add(1)
+					go func(r int) {
+						defer wg.Done()
+						w, s := tile(comm.NewCommunicator(fab.Endpoint(r)))
+						if r == 0 {
+							wall, stages = w, s
+						}
+					}(r)
+				}
+				wg.Wait()
+			}
+			if t.Failed() {
+				return
+			}
+			gap = float64(wall-stages) / float64(wall)
+			if gap >= 0 && gap < 0.05 {
+				break
+			}
+		}
+		if gap < 0 || gap >= 0.05 {
+			t.Errorf("world %d: stage windows leave %.1f%% of the update wall unaccounted, want [0, 5)%%", world, 100*gap)
+		}
+	}
+}

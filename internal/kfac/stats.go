@@ -8,10 +8,13 @@ import (
 	"repro/internal/linalg"
 )
 
-// StageStats accumulates wall-clock time per K-FAC pipeline stage of the
-// *real* implementation — the measured analogue of the paper's Table V
-// profile (factor computation vs communication, eigendecomposition vs
-// communication) plus the per-iteration preconditioning cost.
+// StageStats accumulates wall-clock time per K-FAC stage of the *real*
+// implementation — the measured analogue of the paper's Table V profile
+// (factor computation vs communication, eigendecomposition vs
+// communication) plus the per-iteration preconditioning cost. Each of the
+// four update-stage columns is, per update, the span from that stage's
+// first unit of work starting to its last finishing (update.go,
+// stageWindow), under both engines.
 type StageStats struct {
 	mu sync.Mutex
 
@@ -23,9 +26,9 @@ type StageStats struct {
 
 	// Per-kernel decomposition time of the blocked eigensolver, summed
 	// across factors (zero under EigSerial and for small factors on the
-	// serial fallback). EigCompute remains the fan-out's wall-clock; these
-	// are summed task time, so their total can exceed EigCompute when
-	// factors decompose concurrently.
+	// serial fallback). EigCompute is the decomposition stage's wall-clock
+	// window; these are summed task time, so their total can exceed
+	// EigCompute when factors decompose concurrently.
 	EigTridiag   time.Duration
 	EigBackAccum time.Duration
 	EigQL        time.Duration
@@ -34,14 +37,12 @@ type StageStats struct {
 	EigUpdates    int
 	Steps         int
 
-	// Pipelined-engine metrics (zero under EngineSync). PipelineWall is the
-	// wall-clock spent inside pipelined update phases; PipelineWork is the
-	// summed stage time folded into those phases — per-task compute time
-	// plus each communication phase measured as a first-issue→last-
-	// completion window (so concurrent in-flight collectives are never
-	// double-counted); PipelineIdle is the time stage issuers spent
+	// Pipelined-engine metrics (zero under EngineSync, whose stages cannot
+	// overlap). PipelineWall is the wall-clock spent inside updates;
+	// PipelineWork is the sum of the four stage windows folded into the
+	// columns above; PipelineIdle is the time the collective issuer spent
 	// starved, blocked on upstream per-layer events. Work in excess of
-	// wall is time the pipeline overlapped — see Overlap.
+	// wall is time the stages overlapped — see Overlap.
 	PipelineWall    time.Duration
 	PipelineWork    time.Duration
 	PipelineIdle    time.Duration
@@ -150,10 +151,10 @@ func overlapOf(work, wall time.Duration) time.Duration {
 	return 0
 }
 
-// Overlap estimates the time the pipelined engine saved by overlapping
-// compute with communication and parallelizing across layers: total task
-// busy time minus the wall-clock the update phases actually took. Zero for
-// the synchronous engine (whose work and wall coincide by construction).
+// Overlap is the time the pipelined engine's update stages ran
+// concurrently: the sum of the stage windows minus the wall-clock the
+// updates actually took. Zero for the synchronous engine, whose stage
+// windows tile the update by construction.
 func (s *StageStats) Overlap() time.Duration {
 	snap := s.Snapshot()
 	return overlapOf(snap.PipelineWork, snap.PipelineWall)

@@ -106,8 +106,8 @@ func TestDecomposeFailurePreservesPreviousEigen(t *testing.T) {
 	s := p.states[0]
 	q0 := s.eigA.Q.Clone()
 	s.A.Data[0] = math.NaN()
-	if err := p.decomposeA(s); err == nil {
-		t.Fatal("decomposeA accepted a NaN factor")
+	if err := p.decompose(s, false); err == nil {
+		t.Fatal("decompose accepted a NaN factor")
 	}
 	if !s.eigA.Q.Equal(q0, 0) {
 		t.Error("failed decomposition clobbered the previous eigenbasis")

@@ -89,84 +89,3 @@ func InverseDamped(a *tensor.Tensor, gamma float64) (*tensor.Tensor, error) {
 	}
 	return Inverse(d)
 }
-
-// Cholesky returns the lower-triangular L with A = L Lᵀ for symmetric
-// positive-definite a. Returns ErrSingular if a pivot is not positive.
-func Cholesky(a *tensor.Tensor) (*tensor.Tensor, error) {
-	n := a.Rows()
-	if a.Cols() != n {
-		return nil, fmt.Errorf("linalg: Cholesky requires square matrix, got %dx%d", a.Rows(), a.Cols())
-	}
-	l := tensor.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.Data[i*n+j]
-			for k := 0; k < j; k++ {
-				s -= l.Data[i*n+k] * l.Data[j*n+k]
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, ErrSingular
-				}
-				l.Data[i*n+i] = math.Sqrt(s)
-			} else {
-				l.Data[i*n+j] = s / l.Data[j*n+j]
-			}
-		}
-	}
-	return l, nil
-}
-
-// SolveCholesky solves A x = b given the Cholesky factor L of A, for each
-// column of b. b is n×m; the result is n×m.
-func SolveCholesky(l, b *tensor.Tensor) *tensor.Tensor {
-	n := l.Rows()
-	m := b.Cols()
-	x := b.Clone()
-	// Forward solve L y = b.
-	for col := 0; col < m; col++ {
-		for i := 0; i < n; i++ {
-			s := x.Data[i*m+col]
-			for k := 0; k < i; k++ {
-				s -= l.Data[i*n+k] * x.Data[k*m+col]
-			}
-			x.Data[i*m+col] = s / l.Data[i*n+i]
-		}
-		// Back solve Lᵀ x = y.
-		for i := n - 1; i >= 0; i-- {
-			s := x.Data[i*m+col]
-			for k := i + 1; k < n; k++ {
-				s -= l.Data[k*n+i] * x.Data[k*m+col]
-			}
-			x.Data[i*m+col] = s / l.Data[i*n+i]
-		}
-	}
-	return x
-}
-
-// ConditionNumber estimates the 2-norm condition number of symmetric matrix
-// a from its eigendecomposition: |λ|max / |λ|min. Returns +Inf when the
-// smallest magnitude eigenvalue is zero.
-func ConditionNumber(a *tensor.Tensor) (float64, error) {
-	eg, err := SymEig(a)
-	if err != nil {
-		return 0, err
-	}
-	if len(eg.Values) == 0 {
-		return 1, nil
-	}
-	maxAbs, minAbs := 0.0, math.Inf(1)
-	for _, v := range eg.Values {
-		av := math.Abs(v)
-		if av > maxAbs {
-			maxAbs = av
-		}
-		if av < minAbs {
-			minAbs = av
-		}
-	}
-	if minAbs == 0 {
-		return math.Inf(1), nil
-	}
-	return maxAbs / minAbs, nil
-}

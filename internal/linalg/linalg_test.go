@@ -266,155 +266,6 @@ func TestEigenVsExplicitInverseProperty(t *testing.T) {
 	}
 }
 
-func TestCholeskyRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	n := 15
-	a := randSPD(rng, n, 1)
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	llt := tensor.MatMulT2(l, l)
-	if !llt.Equal(a, 1e-9) {
-		t.Error("LLᵀ != A")
-	}
-}
-
-func TestCholeskyNotPD(t *testing.T) {
-	a := tensor.FromSlice([]float64{1, 0, 0, -1}, 2, 2)
-	if _, err := Cholesky(a); err == nil {
-		t.Error("expected error for indefinite matrix")
-	}
-}
-
-func TestSolveCholesky(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := 10
-	a := randSPD(rng, n, 1)
-	x := tensor.Randn(rng, 1, n, 3)
-	b := tensor.MatMul(a, x)
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := SolveCholesky(l, b)
-	if !got.Equal(x, 1e-8) {
-		t.Error("SolveCholesky did not recover x")
-	}
-}
-
-func TestKronKnownExample(t *testing.T) {
-	// The worked example from the paper (Equation 7).
-	a := tensor.FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	b := tensor.FromSlice([]float64{5, 6, 7, 8, 9, 0}, 3, 2)
-	k := Kron(a, b)
-	want := []float64{
-		5, 6, 10, 12,
-		7, 8, 14, 16,
-		9, 0, 18, 0,
-		15, 18, 20, 24,
-		21, 24, 28, 32,
-		27, 0, 36, 0,
-	}
-	if k.Rows() != 6 || k.Cols() != 4 {
-		t.Fatalf("Kron shape = %v", k.Shape)
-	}
-	for i := range want {
-		if k.Data[i] != want[i] {
-			t.Fatalf("Kron = %v, want %v", k.Data, want)
-		}
-	}
-}
-
-// Property: (A ⊗ B)⁻¹ == A⁻¹ ⊗ B⁻¹ (Equation 8 — the identity that makes
-// K-FAC tractable).
-func TestKronInverseProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 1 + rng.Intn(4)
-		p := 1 + rng.Intn(4)
-		a := randSPD(rng, m, 0.5)
-		b := randSPD(rng, p, 0.5)
-		ia, err := Inverse(a)
-		if err != nil {
-			return false
-		}
-		ib, err := Inverse(b)
-		if err != nil {
-			return false
-		}
-		left, err := Inverse(Kron(a, b))
-		if err != nil {
-			return false
-		}
-		right := Kron(ia, ib)
-		return left.Equal(right, 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Kronecker product is bilinear: (A+A') ⊗ B = A⊗B + A'⊗B.
-func TestKronBilinearProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, n := 1+rng.Intn(4), 1+rng.Intn(4)
-		p, q := 1+rng.Intn(4), 1+rng.Intn(4)
-		a1 := tensor.Randn(rng, 1, m, n)
-		a2 := tensor.Randn(rng, 1, m, n)
-		b := tensor.Randn(rng, 1, p, q)
-		sum := a1.Clone()
-		sum.Add(a2)
-		left := Kron(sum, b)
-		right := Kron(a1, b)
-		right.Add(Kron(a2, b))
-		return left.Equal(right, 1e-10)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the vec-trick (A ⊗ B) vec(X) = vec(B X Aᵀ) matches the explicit
-// Kronecker matrix-vector product. This is Equation (10)'s justification.
-func TestKronMatVecProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 1 + rng.Intn(4)
-		n := 1 + rng.Intn(4)
-		p := 1 + rng.Intn(4)
-		q := 1 + rng.Intn(4)
-		a := tensor.Randn(rng, 1, m, n)
-		b := tensor.Randn(rng, 1, p, q)
-		x := tensor.Randn(rng, 1, q, n)
-		// Explicit: (A ⊗ B) vec(X) where vec is row-major over the p×m
-		// output orientation. With row-major vec and X as q×n, the
-		// matching explicit form multiplies the (mp × nq) Kron matrix by
-		// vec(Xᵀ reshaped appropriately). To sidestep orientation
-		// bookkeeping, verify via elementwise definition:
-		// result[i*p+r] = Σ_{j,c} a[i,j]·b[r,c]·x[c,j].
-		got := KronMatVec(a, b, x) // p×m: B X Aᵀ
-		for i := 0; i < m; i++ {
-			for r := 0; r < p; r++ {
-				var wantV float64
-				for j := 0; j < n; j++ {
-					for c := 0; c < q; c++ {
-						wantV += a.Data[i*n+j] * b.Data[r*q+c] * x.Data[c*n+j]
-					}
-				}
-				if math.Abs(got.Data[r*m+i]-wantV) > 1e-9 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSymmetrizeInPlace(t *testing.T) {
 	a := tensor.FromSlice([]float64{1, 2, 4, 3}, 2, 2)
 	SymmetrizeInPlace(a)
@@ -443,19 +294,6 @@ func TestTrace(t *testing.T) {
 	a := tensor.FromSlice([]float64{1, 9, 9, 2}, 2, 2)
 	if Trace(a) != 3 {
 		t.Errorf("Trace = %v, want 3", Trace(a))
-	}
-}
-
-func TestConditionNumber(t *testing.T) {
-	a := tensor.New(2, 2)
-	a.Set(10, 0, 0)
-	a.Set(0.1, 1, 1)
-	c, err := ConditionNumber(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c-100) > 1e-9 {
-		t.Errorf("ConditionNumber = %v, want 100", c)
 	}
 }
 

@@ -1,18 +1,15 @@
-// Package sched provides the concurrency primitives the pipelined K-FAC
-// step engine is built from, kept generic so any layer of the codebase can
-// use them: a bounded worker Pool for CPU-bound tasks, an error-collecting
-// Group for wait-bound goroutines (communication waiters, stage issuers),
-// and a dependency-driven task Graph.
+// Package sched provides the concurrency primitives the K-FAC update stage
+// graph and the blocked kernels are built from, kept generic so any layer
+// of the codebase can use them: a bounded worker Pool for CPU-bound tasks
+// and an error-collecting Group for wait-bound goroutines (communication
+// waiters, stage gates, collective issuers).
 //
 // The split matters for deadlock freedom: Pool workers must never block on
 // other tasks (they run leaf compute), while Group goroutines are unbounded
-// and may block on channels, collective handles, or Task completion. The
-// Graph schedules a task onto its Pool only once every dependency has
-// finished, so no worker slot is ever held by a task that is waiting.
+// and may block on channels, semaphores, or collective handles.
 package sched
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 )
@@ -65,7 +62,7 @@ func (p *Pool) worker() {
 }
 
 // Ranger is a leaf compute kernel over a half-open row range. Implementations
-// are typically small reusable structs (drawn from a sync.Pool by the caller)
+// are typically small reusable structs (recycled by the caller)
 // carrying the kernel's operands, so a ForEach dispatch allocates nothing.
 type Ranger interface {
 	RunRange(lo, hi int)
@@ -179,9 +176,9 @@ func Shared() *Pool {
 	return sharedPool
 }
 
-// Group runs goroutines that may block (on channels, network handles, or
-// Task completion) and collects the first error — errgroup with no external
-// dependency. The zero value is ready to use.
+// Group runs goroutines that may block (on channels or network handles)
+// and collects the first error — errgroup with no external dependency. The
+// zero value is ready to use.
 type Group struct {
 	wg  sync.WaitGroup
 	mu  sync.Mutex
@@ -215,129 +212,4 @@ func (g *Group) Err() error {
 func (g *Group) Wait() error {
 	g.wg.Wait()
 	return g.Err()
-}
-
-// Task is one node of a Graph: a function plus its dependencies. A task runs
-// on the graph's Pool once all dependencies have completed successfully; if
-// any dependency failed (or was itself skipped), the task is skipped and
-// inherits the error.
-type Task struct {
-	fn   func() error
-	done chan struct{}
-	err  error
-
-	mu      sync.Mutex
-	pending int
-	succs   []*Task
-	g       *Graph
-}
-
-// Err returns the task's error (nil until done; call Wait first to
-// synchronize).
-func (t *Task) Err() error { return t.err }
-
-// Wait blocks until the task has run (or been skipped) and returns its
-// error.
-func (t *Task) Wait() error {
-	<-t.done
-	return t.err
-}
-
-// Done returns a channel closed when the task completes; useful in select
-// loops.
-func (t *Task) Done() <-chan struct{} { return t.done }
-
-// Graph schedules dependent tasks over a Pool. Tasks may be added
-// dynamically — including from inside running tasks — until Wait is called.
-// Dependency cycles are impossible by construction: a task can only depend
-// on tasks that already exist.
-type Graph struct {
-	pool *Pool
-	wg   sync.WaitGroup
-
-	mu  sync.Mutex
-	err error
-}
-
-// NewGraph creates a task graph over pool.
-func NewGraph(pool *Pool) *Graph { return &Graph{pool: pool} }
-
-// Add registers fn with the given dependencies and returns its Task. The
-// task is submitted to the pool as soon as every dependency has finished.
-func (g *Graph) Add(fn func() error, deps ...*Task) *Task {
-	t := &Task{fn: fn, done: make(chan struct{}), g: g}
-	g.wg.Add(1)
-	t.mu.Lock()
-	for _, d := range deps {
-		d.mu.Lock()
-		select {
-		case <-d.done:
-			d.mu.Unlock()
-			if d.err != nil && t.err == nil {
-				t.err = fmt.Errorf("sched: dependency failed: %w", d.err)
-			}
-		default:
-			t.pending++
-			d.succs = append(d.succs, t)
-			d.mu.Unlock()
-		}
-	}
-	ready := t.pending == 0
-	t.mu.Unlock()
-	if ready {
-		g.dispatch(t)
-	}
-	return t
-}
-
-// dispatch submits a ready task (or completes it immediately when a
-// dependency already failed).
-func (g *Graph) dispatch(t *Task) {
-	if t.err != nil {
-		t.finish()
-		return
-	}
-	g.pool.Submit(func() {
-		t.err = t.fn()
-		t.finish()
-	})
-}
-
-// finish marks t complete, records the graph error, and releases
-// successors.
-func (t *Task) finish() {
-	close(t.done)
-	if t.err != nil {
-		t.g.mu.Lock()
-		if t.g.err == nil {
-			t.g.err = t.err
-		}
-		t.g.mu.Unlock()
-	}
-	t.mu.Lock()
-	succs := t.succs
-	t.succs = nil
-	t.mu.Unlock()
-	for _, s := range succs {
-		s.mu.Lock()
-		if t.err != nil && s.err == nil {
-			s.err = fmt.Errorf("sched: dependency failed: %w", t.err)
-		}
-		s.pending--
-		ready := s.pending == 0
-		s.mu.Unlock()
-		if ready {
-			t.g.dispatch(s)
-		}
-	}
-	t.g.wg.Done()
-}
-
-// Wait blocks until every task added so far has completed and returns the
-// first error recorded in the graph.
-func (g *Graph) Wait() error {
-	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -93,98 +92,5 @@ func TestGroupCollectsFirstError(t *testing.T) {
 		if err == nil {
 			t.Fatal("Wait returned nil despite failures")
 		}
-	}
-}
-
-func TestGraphRespectsDependencies(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	g := NewGraph(p)
-	var order []int
-	var mu sync.Mutex
-	record := func(id int) func() error {
-		return func() error {
-			mu.Lock()
-			order = append(order, id)
-			mu.Unlock()
-			return nil
-		}
-	}
-	a := g.Add(record(1))
-	b := g.Add(record(2), a)
-	c := g.Add(record(3), a)
-	g.Add(record(4), b, c)
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	pos := map[int]int{}
-	for i, id := range order {
-		pos[id] = i
-	}
-	if pos[1] > pos[2] || pos[1] > pos[3] || pos[2] > pos[4] || pos[3] > pos[4] {
-		t.Fatalf("dependency order violated: %v", order)
-	}
-}
-
-func TestGraphSkipsDependentsOnError(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	g := NewGraph(p)
-	boom := errors.New("boom")
-	var ran atomic.Bool
-	bad := g.Add(func() error { return boom })
-	dep := g.Add(func() error { ran.Store(true); return nil }, bad)
-	if err := g.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("graph error = %v, want %v", err, boom)
-	}
-	if ran.Load() {
-		t.Fatal("dependent of failed task ran")
-	}
-	if err := dep.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("dependent error = %v, want wrapped %v", err, boom)
-	}
-}
-
-func TestGraphDynamicAddFromRunningTask(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	g := NewGraph(p)
-	var n atomic.Int64
-	var addChild func(depth int) func() error
-	addChild = func(depth int) func() error {
-		return func() error {
-			n.Add(1)
-			if depth > 0 {
-				g.Add(addChild(depth - 1))
-			}
-			return nil
-		}
-	}
-	g.Add(addChild(5))
-	// Give the chain a chance to unfold before Wait (Wait is still correct
-	// because each Add increments the WaitGroup before its parent finishes).
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 6 {
-		t.Fatalf("ran %d tasks, want 6", n.Load())
-	}
-}
-
-func TestGraphAddWithCompletedDependency(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	g := NewGraph(p)
-	a := g.Add(func() error { return nil })
-	if err := a.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	var ran atomic.Bool
-	b := g.Add(func() error { ran.Store(true); return nil }, a)
-	if err := b.Wait(); err != nil || !ran.Load() {
-		t.Fatalf("late-added task did not run: err=%v ran=%v", err, ran.Load())
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -233,41 +233,45 @@ type gemmWorkspace struct {
 	edge   [gemmMR * gemmNR]float64 // private C tile for partial micro-tiles
 }
 
-// gemmFree recycles workspaces, so a product performs no heap allocation
-// once as many exist as goroutines were ever inside the driver at once
+// freeList recycles kernel workspaces, so a kernel performs no heap
+// allocation once as many exist as goroutines were ever inside it at once
 // (callers plus pool workers). A mutex-guarded stack, not a sync.Pool: the
 // collector empties a sync.Pool, which would re-allocate up to 384 KiB of
-// pack buffer per worker after every other collection, and the race
+// GEMM pack buffer per worker after every other collection, and the race
 // detector makes it drop Puts, which the steady-state zero-allocation
-// suites (run under -race in CI) would see.
-var gemmFree struct {
+// suites (run under -race in CI) would see. The zero value is ready.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	list []*gemmWorkspace
+	list []*T
 }
 
-func getGemmWorkspace() *gemmWorkspace {
-	gemmFree.mu.Lock()
-	defer gemmFree.mu.Unlock()
-	if n := len(gemmFree.list); n > 0 {
-		ws := gemmFree.list[n-1]
-		gemmFree.list = gemmFree.list[:n-1]
+// get pops a recycled workspace, or allocates a zero one.
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.list); n > 0 {
+		ws := f.list[n-1]
+		f.list = f.list[:n-1]
 		return ws
 	}
-	return new(gemmWorkspace)
+	return new(T)
 }
 
-func putGemmWorkspace(ws *gemmWorkspace) {
-	gemmFree.mu.Lock()
-	gemmFree.list = append(gemmFree.list, ws)
-	gemmFree.mu.Unlock()
+// put returns ws for reuse.
+func (f *freeList[T]) put(ws *T) {
+	f.mu.Lock()
+	f.list = append(f.list, ws)
+	f.mu.Unlock()
 }
+
+var gemmFree freeList[gemmWorkspace]
 
 // RunRange implements sched.Ranger over block indices [lo, hi) of the grid,
 // on a pool worker (or inline on the caller when the queue is full).
 func (g *gemmJob) RunRange(lo, hi int) {
-	ws := getGemmWorkspace()
+	ws := gemmFree.get()
 	g.blocks(ws, lo, hi)
-	putGemmWorkspace(ws)
+	gemmFree.put(ws)
 }
 
 // blocks computes blocks [lo, hi) of the grid with ws's pack buffers.
@@ -394,7 +398,7 @@ func gemm(ks *gemmKernels, dst, a, b []float64, m, n, k int, aT, bT, upper bool)
 	// Even the blocks out over the grid the caps and the split arrived at.
 	bm, bn = (tm+gm-1)/gm*gemmMR, (tn+gn-1)/gn*gemmNR
 
-	ws := getGemmWorkspace()
+	ws := gemmFree.get()
 	g := &ws.job
 	g.ks, g.dst, g.a, g.b = ks, dst, a, b
 	g.m, g.n, g.k, g.aT, g.bT, g.upper = m, n, k, aT, bT, upper
@@ -407,7 +411,7 @@ func gemm(ks *gemmKernels, dst, a, b []float64, m, n, k int, aT, bT, upper bool)
 		sched.Shared().ForEach(gm*gn, gm*gn, g, &g.wg)
 	}
 	g.dst, g.a, g.b = nil, nil, nil // don't pin operand memory in the free list
-	putGemmWorkspace(ws)
+	gemmFree.put(ws)
 }
 
 // overlaps reports whether the two slices share any element's storage.

@@ -36,14 +36,15 @@ const mmRowBlock = 4
 // (not b) carries the per-row scalars; a larger tile amortizes streaming b.
 const t1RowBlock = 8
 
-// mm32Workspace carries one range's chunk and accumulator rows. Pooled so
-// parallel kernel launches perform zero steady-state heap allocation.
+// mm32Workspace carries one range's chunk and accumulator rows. Recycled
+// (see freeList) so parallel kernel launches perform zero steady-state heap
+// allocation.
 type mm32Workspace struct {
 	chunk []float32
 	acc   []float64
 }
 
-var mm32Pool = sync.Pool{New: func() any { return new(mm32Workspace) }}
+var mm32Free freeList[mm32Workspace]
 
 // grow sizes the workspace for rows×n tiles, reusing prior capacity.
 func (w *mm32Workspace) grow(rows, n int) {
@@ -102,7 +103,7 @@ func matmulRange32(dst, a, b []float32, lo, hi, k, n int) {
 		}
 		return
 	}
-	ws := mm32Pool.Get().(*mm32Workspace)
+	ws := mm32Free.get()
 	ws.grow(mmRowBlock, n)
 	for i0 := lo; i0 < hi; i0 += mmRowBlock {
 		i1 := i0 + mmRowBlock
@@ -133,7 +134,7 @@ func matmulRange32(dst, a, b []float32, lo, hi, k, n int) {
 			Narrow(dst[(i0+r)*n:(i0+r+1)*n], acc[r*n:(r+1)*n])
 		}
 	}
-	mm32Pool.Put(ws)
+	mm32Free.put(ws)
 }
 
 // MatMulT1Into32 computes dst = aᵀ × b for float32 matrices a (k×m) and
@@ -166,7 +167,7 @@ func matmulT1Range32(dst, a, b []float32, lo, hi, k, m, n int) {
 		}
 		return
 	}
-	ws := mm32Pool.Get().(*mm32Workspace)
+	ws := mm32Free.get()
 	ws.grow(t1RowBlock, n)
 	for i0 := lo; i0 < hi; i0 += t1RowBlock {
 		i1 := i0 + t1RowBlock
@@ -198,7 +199,7 @@ func matmulT1Range32(dst, a, b []float32, lo, hi, k, m, n int) {
 			Narrow(dst[(i0+r)*n:(i0+r+1)*n], acc[r*n:(r+1)*n])
 		}
 	}
-	mm32Pool.Put(ws)
+	mm32Free.put(ws)
 }
 
 // MatMulT2Into32 computes dst = a × bᵀ for float32 matrices a (m×k) and
@@ -234,7 +235,7 @@ const (
 )
 
 // mat32Ranger carries one float32 matmul dispatch through the shared
-// compute pool; recycled via mat32RangerPool for zero-allocation launches.
+// compute pool; recycled via mat32RangerFree for zero-allocation launches.
 type mat32Ranger struct {
 	wg        sync.WaitGroup
 	kind      kind32
@@ -256,7 +257,7 @@ func (r *mat32Ranger) RunRange(lo, hi int) {
 	}
 }
 
-var mat32RangerPool = sync.Pool{New: func() any { return new(mat32Ranger) }}
+var mat32RangerFree freeList[mat32Ranger]
 
 // runKernel32 executes one float32 matmul-family kernel over rows [0, m),
 // splitting across the shared compute pool when m·n·k is large enough to
@@ -274,9 +275,9 @@ func runKernel32(kind kind32, dst, a, b []float32, m, k, n int) {
 		}
 		return
 	}
-	r := mat32RangerPool.Get().(*mat32Ranger)
+	r := mat32RangerFree.get()
 	r.kind, r.dst, r.a, r.b, r.k, r.m, r.n = kind, dst, a, b, k, m, n
 	sched.Shared().ForEach(m, nw, r, &r.wg)
-	r.dst, r.a, r.b = nil, nil, nil // don't pin operand memory in the pool
-	mat32RangerPool.Put(r)
+	r.dst, r.a, r.b = nil, nil, nil // don't pin operand memory in the free list
+	mat32RangerFree.put(r)
 }
