@@ -8,25 +8,36 @@ package comm
 // operations cannot cross-match on the wire — this is the SPMD ordering
 // contract the pipelined K-FAC engine relies on (see docs/ARCHITECTURE.md).
 
-// Handle is an asynchronous collective in flight.
+import "sync"
+
+// Handle is an asynchronous collective in flight. It must not be copied.
 type Handle struct {
-	done chan struct{}
-	err  error
+	wg  sync.WaitGroup // one count, held by the operation's goroutine
+	err error          // written before wg.Done, read after wg.Wait
 }
 
-// Wait blocks until the operation completes and returns its error.
+// Wait blocks until the operation completes and returns its error. It may
+// be called any number of times, from any goroutine.
 func (h *Handle) Wait() error {
-	<-h.done
+	h.wg.Wait()
 	return h.err
 }
 
-// completedHandle returns an already finished handle. The fuser uses it for
-// degenerate (empty) chunks that need no communication.
-func completedHandle() *Handle {
-	h := &Handle{done: make(chan struct{})}
-	close(h.done)
+// newHandle returns the handle of an operation about to start: the
+// operation's goroutine calls h.wg.Done once, after setting h.err.
+func newHandle() *Handle {
+	h := &Handle{}
+	h.wg.Add(1)
 	return h
 }
+
+// completed is the one already finished, error-free handle.
+var completed = &Handle{}
+
+// completedHandle returns an already finished handle: the fuser uses it for
+// degenerate (empty) chunks and group collectives for non-members, neither
+// of which communicates. It is shared and never written.
+func completedHandle() *Handle { return completed }
 
 // WaitAll aggregates a batch of handles: it waits for every operation and
 // returns the first error encountered.
@@ -47,9 +58,9 @@ func WaitAll(hs ...*Handle) error {
 // returns.
 func (c *Communicator) AllreduceSumAsync(data []float64) *Handle {
 	base := c.nextOp()
-	h := &Handle{done: make(chan struct{})}
+	h := newHandle()
 	go func() {
-		defer close(h.done)
+		defer h.wg.Done()
 		h.err = c.allreduceSumTagged(data, base)
 	}()
 	return h
@@ -58,9 +69,9 @@ func (c *Communicator) AllreduceSumAsync(data []float64) *Handle {
 // AllreduceMeanAsync starts an asynchronous in-place mean-allreduce.
 func (c *Communicator) AllreduceMeanAsync(data []float64) *Handle {
 	base := c.nextOp()
-	h := &Handle{done: make(chan struct{})}
+	h := newHandle()
 	go func() {
-		defer close(h.done)
+		defer h.wg.Done()
 		if err := c.allreduceSumTagged(data, base); err != nil {
 			h.err = err
 			return

@@ -235,3 +235,44 @@ func TestChaosRecvCtxStillWins(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
+
+// BenchmarkChaosLinkHop measures what one dependent hop costs on the
+// repository benchmark's link (ChaosFabric, 50 µs + 100 MB/s): a one-value
+// ping-pong between two ranks, ns/op per one-way hop. The nominal cost is
+// the 50 µs latency; the measured one is dominated by timer granularity
+// (docs/PERFORMANCE.md, "Communication"). Run with
+// `go test ./internal/comm -run '^$' -bench ChaosLinkHop -benchtime 400x`.
+func BenchmarkChaosLinkHop(b *testing.B) {
+	fab := NewChaosFabric(NewInprocFabric(2), 2, ChaosConfig{
+		Seed: 1, MinLatency: 50 * time.Microsecond, MaxLatency: 50 * time.Microsecond, BandwidthBps: 100e6,
+	})
+	ends := [2]Transport{fab.Endpoint(0), fab.Endpoint(1)}
+	ctx := context.Background()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < b.N; i += 2 {
+			msg, err := ends[1].Recv(ctx, 0, uint64(1<<16+i))
+			if err == nil {
+				err = ends[1].Send(0, uint64(1<<16+i+1), msg)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 2 {
+		if err := ends[0].Send(1, uint64(1<<16+i), []float64{1}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ends[0].Recv(ctx, 1, uint64(1<<16+i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := <-done; err != nil {
+		b.Fatal(err)
+	}
+}

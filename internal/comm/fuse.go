@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/tensor"
@@ -10,6 +11,61 @@ import (
 // (paper §II-D: "usually set as 16 MB or 32 MB to guarantee that each
 // allreduce() is bandwidth dominated").
 const DefaultFusionBytes = 16 << 20
+
+// SymPackedLen returns the number of values a symmetric n×n matrix puts on
+// the wire: its row-major upper triangle (i ≤ j), n(n+1)/2. It is the one
+// definition of the factor wire size — the Fuser packs by it, and the
+// autotuner's bandwidth estimate and simulate.PlanModel price by it.
+func SymPackedLen(n int) int { return n * (n + 1) / 2 }
+
+// fuseEntry is one tensor queued for averaging. sym marks a symmetric
+// square matrix, which travels as its row-major upper triangle.
+type fuseEntry struct {
+	t   *tensor.Tensor
+	sym bool
+}
+
+// wireLen returns the number of values the entry occupies in the packed
+// buffer.
+func (e fuseEntry) wireLen() int {
+	if e.sym {
+		return SymPackedLen(e.t.Rows())
+	}
+	return e.t.Len()
+}
+
+// pack writes the entry's wire values to the front of dst: every element
+// of a dense tensor, rows i of a symmetric one from the diagonal on.
+func (e fuseEntry) pack(dst []float64) {
+	if !e.sym {
+		copy(dst, e.t.Data)
+		return
+	}
+	n := e.t.Rows()
+	for i := 0; i < n; i++ {
+		dst = dst[copy(dst, e.t.Data[i*n+i:(i+1)*n]):]
+	}
+}
+
+// unpack is the inverse of pack: it writes the wire values at the front of
+// src back into the tensor and, for a symmetric one, mirrors the upper
+// triangle into the lower half — so A[j][i] is the same float64 as A[i][j]
+// whatever ring chunk, codec or summation order produced it.
+func (e fuseEntry) unpack(src []float64) {
+	if !e.sym {
+		copy(e.t.Data, src)
+		return
+	}
+	n, d := e.t.Rows(), e.t.Data
+	for i := 0; i < n; i++ {
+		src = src[copy(d[i*n+i:(i+1)*n], src):]
+	}
+	for i := 1; i < n; i++ {
+		for j := 0; j < i; j++ {
+			d[i*n+j] = d[j*n+i]
+		}
+	}
+}
 
 // Chunk is one fused allreduce in flight: a packed buffer plus the tensors
 // it was packed from. Wait blocks for the collective and scatters the
@@ -29,13 +85,19 @@ type Chunk struct {
 	res     []float64     // error-feedback residual slot (nil = bare codec)
 	payload []float64     // pooled encoded payload, recycled by Wait
 	buf     []float64
-	tensors []*tensor.Tensor
+	entries []fuseEntry
 	once    sync.Once
 	err     error
 }
 
 // Tensors returns the tensors fused into this chunk, in Add order.
-func (ch *Chunk) Tensors() []*tensor.Tensor { return ch.tensors }
+func (ch *Chunk) Tensors() []*tensor.Tensor {
+	ts := make([]*tensor.Tensor, len(ch.entries))
+	for i, e := range ch.entries {
+		ts[i] = e.t
+	}
+	return ts
+}
 
 // Wait blocks until the fused allreduce completes, scatters the averaged
 // buffer back into the source tensors, and returns the operation's error.
@@ -51,9 +113,9 @@ func (ch *Chunk) Wait() error {
 			return
 		}
 		off := 0
-		for _, t := range ch.tensors {
-			copy(t.Data, ch.buf[off:off+t.Len()])
-			off += t.Len()
+		for _, e := range ch.entries {
+			e.unpack(ch.buf[off:])
+			off += e.wireLen()
 		}
 		putBuf(ch.buf)
 		ch.buf = nil
@@ -106,7 +168,11 @@ func (ch *Chunk) waitCompressed() error {
 // every rank) and either Flush when done (synchronous use) or consume
 // launched chunks incrementally via TakeLaunched/FlushAsync (streaming use:
 // the pipelined K-FAC engine reacts to each chunk as it lands instead of
-// blocking on the whole set). Tensors are averaged in place.
+// blocking on the whole set). Tensors are averaged in place. Symmetric
+// matrices enqueued with AddSymmetric occupy only their upper triangle in
+// the packed buffer; everything downstream of packing — chunk boundaries,
+// the error-feedback slot, the codec, the flat or hierarchical route — sees
+// that packed length.
 //
 // Chunk boundaries are a deterministic function of the Add sequence and the
 // byte limit, so every rank launches identical collectives in identical
@@ -118,8 +184,8 @@ type Fuser struct {
 	bare      Codec
 	ef        *ErrorFeedback
 	ordinal   int // chunk ordinal within this fuser's schedule (EF slot key)
-	pending   []*tensor.Tensor
-	pendingSz int // bytes
+	pending   []fuseEntry
+	pendingSz int // wire bytes
 	launched  []*Chunk
 	taken     int // prefix of launched already handed out
 }
@@ -164,9 +230,26 @@ func (f *Fuser) SetErrorFeedback(ef *ErrorFeedback) { f.ef = ef }
 // Add enqueues t for averaging. When the pending set reaches the fusion
 // threshold, an asynchronous fused allreduce is launched. A single tensor
 // larger than the threshold forms a chunk of its own.
-func (f *Fuser) Add(t *tensor.Tensor) {
-	f.pending = append(f.pending, t)
-	f.pendingSz += 8 * t.Len()
+func (f *Fuser) Add(t *tensor.Tensor) { f.add(fuseEntry{t: t}) }
+
+// AddSymmetric enqueues a symmetric square matrix — a Kronecker factor —
+// for averaging. Only its row-major upper triangle (SymPackedLen values) is
+// packed, counted against the fusion threshold, compressed and sent; Wait
+// writes the averaged triangle back and mirrors it into the lower half, so
+// the result is bitwise symmetric on every rank. The lower triangle of the
+// input is never read. A non-square tensor panics.
+func (f *Fuser) AddSymmetric(t *tensor.Tensor) {
+	if len(t.Shape) != 2 || t.Shape[0] != t.Shape[1] {
+		panic(fmt.Sprintf("comm: AddSymmetric needs a square matrix, got shape %v", t.Shape))
+	}
+	f.add(fuseEntry{t: t, sym: true})
+}
+
+// add queues one entry and launches the pending set once its wire size
+// reaches the fusion threshold.
+func (f *Fuser) add(e fuseEntry) {
+	f.pending = append(f.pending, e)
+	f.pendingSz += 8 * e.wireLen()
 	if f.pendingSz >= f.limit {
 		f.launch()
 	}
@@ -178,16 +261,13 @@ func (f *Fuser) launch() {
 	if len(f.pending) == 0 {
 		return
 	}
-	total := 0
-	for _, t := range f.pending {
-		total += t.Len()
-	}
+	total := f.pendingSz / 8
 	// Drawn from the shared pool; returned by Chunk.Wait after scatter.
 	buf := getBuf(total)
 	off := 0
-	for _, t := range f.pending {
-		copy(buf[off:], t.Data)
-		off += t.Len()
+	for _, e := range f.pending {
+		e.pack(buf[off:])
+		off += e.wireLen()
 	}
 	codec := f.bare
 	if f.ef != nil {
@@ -210,7 +290,7 @@ func (f *Fuser) launch() {
 		gh := f.comm.AllgatherVAsync(payload)
 		f.launched = append(f.launched, &Chunk{
 			gh: gh, codec: codec, res: res, payload: payload,
-			buf: buf, tensors: f.pending,
+			buf: buf, entries: f.pending,
 		})
 		f.pending = nil
 		f.pendingSz = 0
@@ -227,7 +307,7 @@ func (f *Fuser) launch() {
 			h = f.comm.AllreduceMeanAsync(buf)
 		}
 	}
-	f.launched = append(f.launched, &Chunk{h: h, buf: buf, tensors: f.pending})
+	f.launched = append(f.launched, &Chunk{h: h, buf: buf, entries: f.pending})
 	f.pending = nil
 	f.pendingSz = 0
 	f.ordinal++

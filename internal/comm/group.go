@@ -112,9 +112,9 @@ func (g *Group) BroadcastAsync(data []float64, root int) *Handle {
 	if g.index < 0 || len(g.members) == 1 {
 		return completedHandle()
 	}
-	h := &Handle{done: make(chan struct{})}
+	h := newHandle()
 	go func() {
-		defer close(h.done)
+		defer h.wg.Done()
 		h.err = g.broadcastTagged(data, root, base)
 	}()
 	return h

@@ -31,9 +31,9 @@ func (c *Communicator) HierarchicalAllreduceMean(data []float64, groupSize int) 
 // synchronously at call time, like every other async collective.
 func (c *Communicator) HierarchicalAllreduceMeanAsync(data []float64, groupSize int) *Handle {
 	base := c.nextOp()
-	h := &Handle{done: make(chan struct{})}
+	h := newHandle()
 	go func() {
-		defer close(h.done)
+		defer h.wg.Done()
 		h.err = c.hierarchicalMeanTagged(data, groupSize, base)
 	}()
 	return h

@@ -18,7 +18,8 @@ import (
 //
 //	uint64 tag | uint32 count | count × float64 (little endian)
 //
-// A reader goroutine per peer demultiplexes frames into per-peer mailboxes.
+// with count ≤ MaxTCPFrameValues. A reader goroutine per peer
+// demultiplexes frames into per-peer mailboxes.
 type TCPFabric struct {
 	rank, size int
 	conns      []net.Conn
@@ -26,6 +27,82 @@ type TCPFabric struct {
 	boxes      []*mailbox
 	listener   net.Listener
 	closeOnce  sync.Once
+}
+
+// MaxTCPFrameValues bounds the payload of one TCP frame, in float64 values
+// (2 GiB of payload — an order of magnitude above the largest message the
+// collectives send, a decomposition record of a 4608-dim factor). Send
+// refuses a larger payload; a received header announcing one is treated as
+// corruption and fails that peer's mailbox before anything is allocated.
+const MaxTCPFrameValues = 1 << 28
+
+const (
+	// tcpHeaderLen is the encoded size of the (tag, count) frame header.
+	tcpHeaderLen = 12
+	// tcpPieceBytes is the size of the byte buffer a payload is decoded
+	// through, piece by piece.
+	tcpPieceBytes = 1 << 16
+	// tcpEagerValues is the largest payload allocated on the header's word
+	// alone (8 MiB); a longer one grows as its bytes actually arrive.
+	tcpEagerValues = 1 << 20
+)
+
+// parseFrameHeader decodes a tcpHeaderLen-byte frame header and validates
+// its count against maxValues. The header comes off the wire: nothing may be sized by count
+// before this check.
+func parseFrameHeader(hdr []byte, maxValues int) (tag uint64, count int, err error) {
+	tag = binary.LittleEndian.Uint64(hdr[0:8])
+	n := binary.LittleEndian.Uint32(hdr[8:12])
+	if uint64(n) > uint64(maxValues) {
+		return tag, 0, fmt.Errorf("frame tag %d announces %d values, over the bound of %d", tag, n, maxValues)
+	}
+	return tag, int(n), nil
+}
+
+// putFrameHeader encodes a frame header announcing count values into hdr,
+// refusing a count the receiver would reject (and, beyond 2³²−1, one the
+// 32-bit field would silently truncate).
+func putFrameHeader(hdr []byte, tag uint64, count int) error {
+	if count > MaxTCPFrameValues {
+		return fmt.Errorf("frame tag %d: %d values exceed the frame bound of %d", tag, count, MaxTCPFrameValues)
+	}
+	binary.LittleEndian.PutUint64(hdr[0:8], tag)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(count))
+	return nil
+}
+
+// readFrame reads one frame from r: the header into hdr, then the payload
+// decoded through piece (len ≥ 8) straight into the returned slice. Memory
+// is committed as bytes arrive — at most tcpEagerValues up front, doubling
+// from there — so a header that lies about its payload costs no more than
+// the bytes its sender actually delivers.
+func readFrame(r io.Reader, hdr, piece []byte, maxValues int) (tag uint64, data []float64, err error) {
+	if _, err := io.ReadFull(r, hdr[:tcpHeaderLen]); err != nil {
+		return 0, nil, err
+	}
+	tag, count, err := parseFrameHeader(hdr, maxValues)
+	if err != nil {
+		return tag, nil, err
+	}
+	per := len(piece) / 8
+	data = make([]float64, 0, min(count, tcpEagerValues))
+	for len(data) < count {
+		k := min(count-len(data), per)
+		if _, err := io.ReadFull(r, piece[:8*k]); err != nil {
+			return tag, nil, fmt.Errorf("frame tag %d truncated at %d of %d values: %w", tag, len(data), count, err)
+		}
+		if len(data)+k > cap(data) {
+			grown := make([]float64, len(data), min(count, 2*cap(data)))
+			copy(grown, data)
+			data = grown
+		}
+		base := len(data)
+		data = data[:base+k]
+		for i := range data[base:] {
+			data[base+i] = math.Float64frombits(binary.LittleEndian.Uint64(piece[8*i:]))
+		}
+	}
+	return tag, data, nil
 }
 
 // handshake frame: the dialing rank announces itself.
@@ -142,25 +219,18 @@ func NewTCPFabric(rank int, addrs []string, timeout time.Duration) (*TCPFabric, 
 	return f, nil
 }
 
-// readLoop demultiplexes incoming frames from one peer into its mailbox.
+// readLoop demultiplexes incoming frames from one peer into its mailbox. A
+// read error or an invalid frame ends the loop and fails the mailbox, so
+// receivers blocked on that peer wake with the cause.
 func (f *TCPFabric) readLoop(peer int, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 1<<16)
-	hdr := make([]byte, 12)
+	hdr := make([]byte, tcpHeaderLen)
+	piece := make([]byte, tcpPieceBytes)
 	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			f.boxes[peer].close()
+		tag, data, err := readFrame(br, hdr, piece, MaxTCPFrameValues)
+		if err != nil {
+			f.boxes[peer].fail(fmt.Errorf("comm: rank %d reading from rank %d: %w", f.rank, peer, err))
 			return
-		}
-		tag := binary.LittleEndian.Uint64(hdr[0:8])
-		count := binary.LittleEndian.Uint32(hdr[8:12])
-		buf := make([]byte, 8*int(count))
-		if _, err := io.ReadFull(br, buf); err != nil {
-			f.boxes[peer].close()
-			return
-		}
-		data := make([]float64, count)
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 		}
 		f.boxes[peer].put(tag, data)
 	}
@@ -183,11 +253,14 @@ func (f *TCPFabric) Send(to int, tag uint64, data []float64) error {
 	if to < 0 || to >= f.size || f.conns[to] == nil {
 		return fmt.Errorf("comm: send to invalid/unconnected rank %d", to)
 	}
-	buf := make([]byte, 12+8*len(data))
-	binary.LittleEndian.PutUint64(buf[0:8], tag)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(data)))
+	var hdr [tcpHeaderLen]byte
+	if err := putFrameHeader(hdr[:], tag, len(data)); err != nil {
+		return fmt.Errorf("comm: send to rank %d: %w", to, err)
+	}
+	buf := make([]byte, tcpHeaderLen+8*len(data))
+	copy(buf, hdr[:])
 	for i, v := range data {
-		binary.LittleEndian.PutUint64(buf[12+8*i:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(buf[tcpHeaderLen+8*i:], math.Float64bits(v))
 	}
 	f.writeMu[to].Lock()
 	defer f.writeMu[to].Unlock()

@@ -63,6 +63,7 @@ type mailbox struct {
 	cond    *sync.Cond
 	pending map[uint64][][]float64
 	closed  bool
+	err     error // why the mailbox closed, when a failure closed it
 }
 
 func newMailbox() *mailbox {
@@ -107,6 +108,9 @@ func (m *mailbox) take(ctx context.Context, tag uint64) ([]float64, error) {
 			return data, nil
 		}
 		if m.closed {
+			if m.err != nil {
+				return nil, fmt.Errorf("comm: mailbox closed while waiting for tag %d: %w", tag, m.err)
+			}
 			return nil, fmt.Errorf("comm: mailbox closed while waiting for tag %d", tag)
 		}
 		if err := ctx.Err(); err != nil {
@@ -117,9 +121,15 @@ func (m *mailbox) take(ctx context.Context, tag uint64) ([]float64, error) {
 }
 
 // close wakes all waiters with an error.
-func (m *mailbox) close() {
+func (m *mailbox) close() { m.fail(nil) }
+
+// fail closes the mailbox because of err (nil for an orderly close); the
+// first cause sticks and is reported to every waiter.
+func (m *mailbox) fail(err error) {
 	m.mu.Lock()
-	m.closed = true
+	if !m.closed {
+		m.closed, m.err = true, err
+	}
 	m.mu.Unlock()
 	m.cond.Broadcast()
 }

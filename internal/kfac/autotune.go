@@ -237,17 +237,18 @@ func (p *Preconditioner) factorFuser() *comm.Fuser {
 }
 
 // factorWireBytesPerUpdate models the bytes this rank puts on the wire
-// for one factor update under the current effective settings: a flat ring
-// allreduce sends 2(p−1)/p of the payload, a compressed allgather
-// circulates each encoded block p−1 times. The model is shared by every
-// rank (a pure function of plan state), so only the measured time side of
-// the bandwidth estimate differs per rank — and the consensus mean
-// absorbs that.
+// for one factor update under the current effective settings. The payload
+// is every factor's packed upper triangle (comm.SymPackedLen, what the
+// Fuser actually sends); a flat ring allreduce sends 2(p−1)/p of it, a
+// compressed allgather circulates each encoded block p−1 times. The model
+// is shared by every rank (a pure function of plan state), so only the
+// measured time side of the bandwidth estimate differs per rank — and the
+// consensus mean absorbs that.
 func (p *Preconditioner) factorWireBytesPerUpdate() float64 {
 	var n int
 	for _, s := range p.states {
 		da, dg := FactorDims(s.layer)
-		n += da*da + dg*dg
+		n += comm.SymPackedLen(da) + comm.SymPackedLen(dg)
 	}
 	w := float64(p.comm.Size())
 	if codec := p.effCodec(); codec != nil {

@@ -11,7 +11,7 @@
 //
 // Distribution (§IV-B): factors are assigned to workers (round-robin by
 // default, matching K-FAC-opt); each worker eigendecomposes only its
-// assigned factors and the results are allgathered so every worker can
+// assigned factors and broadcasts each result to every worker, so all can
 // precondition all layers locally. The layer-wise strategy of Osawa et al.
 // (K-FAC-lw) and the size-greedy placement the paper proposes as future work
 // are also implemented for the scaling studies.

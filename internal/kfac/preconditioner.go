@@ -3,6 +3,7 @@ package kfac
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -158,12 +159,11 @@ type layerState struct {
 	// from the plan's per-rank decomposition loads (1 = serial-in-parallel;
 	// purely a performance knob, results are team-independent).
 	aTeam, gTeam int
-	// Plan-scoped sub-communicators, rebuilt by replan; nil when the plan
-	// is fully replicated or the run is single-process. aRecvGroup and
-	// gRecvGroup carry a factor's decomposition from its owner to the
-	// layer's gradient workers; pcGroup carries the preconditioned gradient
-	// from the designated root to the ranks that did not compute it.
-	aRecvGroup, gRecvGroup, pcGroup *comm.Group
+	// Plan-scoped sub-communicators, rebuilt by replan; nil when the run is
+	// single-process. They carry a factor's decomposition from its owner to
+	// its recipients: the layer's gradient workers (everyone under a fully
+	// replicated plan) plus the owner.
+	aRecvGroup, gRecvGroup *comm.Group
 	// π correction for factored damping (1 when disabled); recomputed at
 	// every decomposition update from the averaged factors, so it is
 	// identical on every rank without communication.
@@ -177,7 +177,9 @@ type layerState struct {
 	sample     *tensor.Tensor // bias-augmented activation sample matrix
 	gradBuf    *tensor.Tensor // combined gradient [dg, da]
 	wA, wB     *tensor.Tensor // preconditioning intermediates [dg, da]
-	pcBuf      *tensor.Tensor // preconditioned gradient [dg, da]
+	// pcBuf is the preconditioned gradient [dg, da]. Under a partial plan it
+	// is a view into its broadcast bucket's backing (see pcBucket).
+	pcBuf *tensor.Tensor
 	// Decomposition spares: SymEigInto refreshes into the spare, which is
 	// swapped with eigA/eigG only on success, so a convergence failure
 	// never clobbers the last good decomposition (the stale path keeps
@@ -209,6 +211,18 @@ func (s *layerState) side(isG bool) factorSide {
 	return factorSide{&s.A, &s.eigA, &s.eigSpareA, &s.invA, s.aWorker, s.aTeam, s.aRecvGroup}
 }
 
+// pcBucket is one per-iteration preconditioned-gradient broadcast of a
+// partial plan: the layers that share a designated root (and with it the
+// broadcast member set), whose pcBufs are consecutive views of one
+// contiguous backing, so the root's results for all of them travel as a
+// single message with no pack or unpack copy.
+type pcBucket struct {
+	root    int
+	group   *comm.Group
+	layers  []int     // ascending
+	backing []float64 // Σ dg·da over layers, in layer order
+}
+
 // Preconditioner is the distributed K-FAC gradient preconditioner
 // (Algorithm 1). Create it once over a model; call Step after the backward
 // pass and gradient allreduce of each iteration, before the optimizer step,
@@ -237,10 +251,18 @@ type Preconditioner struct {
 	decision         *PlanDecision
 	plannedGroupSize int
 
+	// pcBuckets lists the per-iteration result broadcasts in issue order
+	// (first-layer order), rebuilt by replan; empty when the plan is fully
+	// replicated or the run is single-process. pcBacking is the storage the
+	// buckets partition: Σ dg·da elements, allocated once.
+	pcBuckets []pcBucket
+	pcBacking []float64
+
 	// Reused per-step slices and dispatch record for the precondition
 	// phase.
 	gradsBuf, precondsBuf []*tensor.Tensor
 	precondRg             precondRanger
+	pcHandles             []*comm.Handle
 }
 
 // New builds a preconditioner over every K-FAC-capturable layer of model
@@ -367,19 +389,60 @@ func (p *Preconditioner) replan() {
 	}
 	p.plan = BuildPlan(p.opts.Strategy, mode, frac,
 		p.FactorRefs(), p.size())
-	partial := p.comm != nil && p.comm.Size() > 1 && !p.plan.FullyReplicated()
+	distributed := p.comm != nil && p.comm.Size() > 1
 	for i, s := range p.states {
 		lp := &p.plan.Layers[i]
 		s.aWorker, s.gWorker = lp.AOwner, lp.GOwner
-		s.aRecvGroup, s.gRecvGroup, s.pcGroup = nil, nil, nil
-		if partial {
+		s.aRecvGroup, s.gRecvGroup = nil, nil
+		if distributed {
 			s.aRecvGroup = p.comm.Group(p.plan.Recipients(i, false))
 			s.gRecvGroup = p.comm.Group(p.plan.Recipients(i, true))
-			s.pcGroup = p.comm.Group(lp.BcastMembers)
 		}
+	}
+	p.pcBuckets = nil
+	if distributed && !p.plan.FullyReplicated() {
+		p.buildBuckets()
 	}
 	p.computeEigTeams(runtime.GOMAXPROCS(0))
 	p.stats.noteFactorMem(p.factorMemBytes())
+}
+
+// buildBuckets groups the layers of a partial plan into the per-iteration
+// result broadcasts — one bucket per (GradRoot, BcastMembers), in
+// first-layer order — and carves every layer's pcBuf as a view of its
+// bucket's stretch of pcBacking. The views are capacity-limited, so
+// tensor.Ensure keeps reusing them; they are the same Σ dg·da elements the
+// per-layer buffers would occupy, so buckets cost no resident memory. A pure
+// function of the shared plan: every rank builds the identical list.
+func (p *Preconditioner) buildBuckets() {
+	total := 0
+	for i, s := range p.states {
+		da, dg := FactorDims(s.layer)
+		total += dg * da
+		root, members := p.plan.GradRoot(i), p.plan.Layers[i].BcastMembers
+		b := slices.IndexFunc(p.pcBuckets, func(bk pcBucket) bool {
+			return bk.root == root && slices.Equal(bk.group.Members(), members)
+		})
+		if b < 0 {
+			b = len(p.pcBuckets)
+			p.pcBuckets = append(p.pcBuckets, pcBucket{root: root, group: p.comm.Group(members)})
+		}
+		p.pcBuckets[b].layers = append(p.pcBuckets[b].layers, i)
+	}
+	if len(p.pcBacking) != total {
+		p.pcBacking = make([]float64, total)
+	}
+	rest := p.pcBacking
+	for b := range p.pcBuckets {
+		bk := &p.pcBuckets[b]
+		n := 0
+		for _, i := range bk.layers {
+			da, dg := FactorDims(p.states[i].layer)
+			p.states[i].pcBuf = tensor.FromSlice(rest[n:n+dg*da:n+dg*da], dg, da)
+			n += dg * da
+		}
+		bk.backing, rest = rest[:n:n], rest[n:]
+	}
 }
 
 // Plan returns the active resolved distribution plan.
@@ -589,13 +652,21 @@ func clampEigen(eg *linalg.Eigen) {
 type precondRanger struct {
 	wg              sync.WaitGroup
 	p               *Preconditioner
+	mine            int
 	grads, preconds []*tensor.Tensor
 }
 
-// RunRange implements sched.Ranger.
+// RunRange implements sched.Ranger. Layers this rank is not a gradient
+// worker of (partial plans only) are not computed: their pcBuf view is the
+// receive buffer the bucket broadcast fully overwrites.
 func (r *precondRanger) RunRange(lo, hi int) {
+	p := r.p
 	for i := lo; i < hi; i++ {
-		r.preconds[i] = r.p.preconditionOne(r.p.states[i], r.grads[i])
+		if s := p.states[i]; p.plan.IsGradWorker(i, r.mine) {
+			r.preconds[i] = p.preconditionOne(s, r.grads[i])
+		} else {
+			r.preconds[i] = s.pcBuf
+		}
 	}
 }
 
@@ -614,39 +685,40 @@ func (p *Preconditioner) precondition(lr float64) error {
 		grads[i] = p.combinedGrad(s)
 	}
 	rg := &p.precondRg
-	rg.p, rg.grads, rg.preconds = p, grads, preconds
+	rg.p, rg.mine, rg.grads, rg.preconds = p, p.rank(), grads, preconds
 
-	if p.comm != nil && p.comm.Size() > 1 && !p.plan.FullyReplicated() {
-		// Partial plan (MEM-OPT / HYBRID, and the LayerWise default): each
-		// layer's gradient workers precondition redundantly from their
-		// shared eigenbases — bit-identical results, since the arithmetic
-		// is a pure function of the (identical) decompositions and gradient
-		// — and the designated root broadcasts to the ranks that hold no
-		// eigenbases. All ranks call Broadcast, in layer order (the
-		// broadcasts are ordered collectives, so this branch never fans
-		// out); non-root gradient workers are outside the group and keep
-		// their locally computed (equal) bits after the tag reservation.
-		mine := p.rank()
-		for i, s := range p.states {
-			if p.plan.IsGradWorker(i, mine) {
-				rg.RunRange(i, i+1)
-			} else {
-				// Broadcast fully overwrites the receive buffer.
-				preconds[i] = tensor.Ensure(&s.pcBuf, grads[i].Shape...)
-			}
-			if err := s.pcGroup.Broadcast(preconds[i].Data, p.plan.GradRoot(i)); err != nil {
-				return err
-			}
-		}
-	} else if p.opts.Engine == EnginePipelined {
-		// Fully replicated plan (COMM-OPT): every rank holds all
-		// decompositions and preconditions locally — no per-iteration
-		// communication — at pool width under the overlapped schedule
-		// (zero-allocation ForEach dispatch), inline otherwise.
+	// Every rank preconditions the layers it is a gradient worker of — all
+	// of them under a fully replicated plan (COMM-OPT), which therefore
+	// needs no per-iteration communication — at pool width under the
+	// overlapped schedule (zero-allocation ForEach dispatch), inline
+	// otherwise. Under a partial plan the results land in the bucket views.
+	if p.opts.Engine == EnginePipelined {
 		pool := p.ensurePool()
 		pool.ForEach(len(p.states), pool.Workers(), rg, &rg.wg)
 	} else {
 		rg.RunRange(0, len(p.states))
+	}
+
+	// Partial plan (MEM-OPT / HYBRID, and the LayerWise default): a layer's
+	// gradient workers preconditioned redundantly from their shared
+	// eigenbases — bit-identical results, since the arithmetic is a pure
+	// function of the (identical) decompositions and gradient — and each
+	// designated root broadcasts all of its layers as one message to the
+	// ranks that hold no eigenbases. Every rank, member or not, issues every
+	// bucket's broadcast in bucket order (ordered collectives reserve their
+	// tags at call time) before waiting on any, so the trees run side by
+	// side; non-root gradient workers are outside the group and keep their
+	// locally computed (equal) bits.
+	if len(p.pcBuckets) > 0 {
+		hs := p.pcHandles[:0]
+		for b := range p.pcBuckets {
+			bk := &p.pcBuckets[b]
+			hs = append(hs, bk.group.BroadcastAsync(bk.backing, bk.root))
+		}
+		p.pcHandles = hs
+		if err := comm.WaitAll(hs...); err != nil {
+			return err
+		}
 	}
 
 	p.applyKLClip(lr, grads, preconds)

@@ -1,6 +1,7 @@
 package kfac
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,10 +12,16 @@ import (
 )
 
 // countingEndpoint counts the sends and payload bytes crossing one rank's
-// transport endpoint.
+// transport endpoint, and the payload bytes it receives.
 type countingEndpoint struct {
 	comm.Transport
-	sends, bytes atomic.Int64
+	sends, bytes, recvBytes atomic.Int64
+}
+
+func (e *countingEndpoint) Recv(ctx context.Context, from int, tag uint64) ([]float64, error) {
+	data, err := e.Transport.Recv(ctx, from, tag)
+	e.recvBytes.Add(int64(8 * len(data)))
+	return data, err
 }
 
 func (e *countingEndpoint) Send(to int, tag uint64, data []float64) error {
@@ -26,9 +33,11 @@ func (e *countingEndpoint) Send(to int, tag uint64, data []float64) error {
 // TestSchedulesIdenticalWireTraffic: the two engines are one program under
 // two schedules, so on every rank and every step they must put exactly the
 // same number of sends and payload bytes on the wire — factor steps,
-// decomposition steps and (MEM-OPT) stale steps alike.
+// decomposition steps and stale steps alike. Step 1 is stale (neither
+// update interval divides it): under MEM-OPT and HYBRID it carries exactly
+// the per-root preconditioned-gradient broadcasts, under COMM-OPT nothing.
 func TestSchedulesIdenticalWireTraffic(t *testing.T) {
-	const world, steps = 4, 5
+	const world, steps, staleStep = 4, 5, 1
 	type wire struct{ sends, bytes int64 }
 	run := func(mode DistMode, engine Engine) [world][steps]wire {
 		fab := comm.NewInprocFabric(world)
@@ -41,7 +50,7 @@ func TestSchedulesIdenticalWireTraffic(t *testing.T) {
 				end := &countingEndpoint{Transport: fab.Endpoint(r)}
 				net := buildTinyNet(42)
 				prec := NewFromOptions(net, comm.NewCommunicator(end), Options{
-					DistMode: mode, Engine: engine, FactorUpdateFreq: 2, InvUpdateFreq: 4,
+					DistMode: mode, GradWorkerFrac: 0.5, Engine: engine, FactorUpdateFreq: 2, InvUpdateFreq: 4,
 				})
 				defer prec.Close()
 				for i := 0; i < steps; i++ {
@@ -58,7 +67,7 @@ func TestSchedulesIdenticalWireTraffic(t *testing.T) {
 		wg.Wait()
 		return out
 	}
-	for _, mode := range []DistMode{CommOpt, MemOpt} {
+	for _, mode := range []DistMode{CommOpt, MemOpt, Hybrid} {
 		barrier, overlap := run(mode, EngineSync), run(mode, EnginePipelined)
 		if t.Failed() {
 			return
@@ -72,6 +81,13 @@ func TestSchedulesIdenticalWireTraffic(t *testing.T) {
 					t.Errorf("%v rank %d step %d: sync sent %+v, pipelined %+v", mode, r, i, barrier[r][i], overlap[r][i])
 				}
 			}
+		}
+		var stale int64
+		for r := 0; r < world; r++ {
+			stale += barrier[r][staleStep].sends
+		}
+		if partial := mode != CommOpt; (stale > 0) != partial {
+			t.Errorf("%v: the stale step sent %d messages; a partial plan must broadcast, a replicated one must not", mode, stale)
 		}
 	}
 }

@@ -394,8 +394,8 @@ func (r *updateRun) issue() error {
 				return nil
 			}
 			r.facComm.begin()
-			fu.Add(s.A)
-			fu.Add(s.G)
+			fu.AddSymmetric(s.A)
+			fu.AddSymmetric(s.G)
 			r.awaitChunks(fu.TakeLaunched())
 		}
 		r.awaitChunks(fu.FlushAsync())
@@ -429,45 +429,25 @@ func (r *updateRun) awaitChunks(chunks []*comm.Chunk) {
 }
 
 // issueExchange distributes the decompositions per the plan (Algorithm 1,
-// line 18), layer by layer as they land: fully replicated plans (COMM-OPT)
-// allgather each layer's records to every rank; partial plans
-// (MEM-OPT/HYBRID) broadcast each factor from its owner to its recipient
-// group — the layer's gradient workers — and the remaining ranks receive
-// preconditioned gradients each iteration instead (§VI-C3). Recipient
-// groups of one (the owner is the only recipient) move nothing and reserve
-// no tags; the schedule is a pure function of the shared plan, so every
-// rank issues identically.
+// line 18), layer by layer as they land: each factor is broadcast from its
+// owner to its recipient group — the layer's gradient workers plus the
+// owner. Under a fully replicated plan (COMM-OPT) the recipients are simply
+// everyone; under MEM-OPT/HYBRID the remaining ranks receive preconditioned
+// gradients each iteration instead (§VI-C3). Recipient groups of one (the
+// owner is the only recipient) move nothing and reserve no tags; every
+// rank, member or not, calls every other broadcast in the same order, and
+// the schedule is a pure function of the shared plan, so every rank issues
+// identically.
 func (r *updateRun) issueExchange() {
 	p := r.p
-	replicated := p.plan.FullyReplicated()
 	for i, s := range p.states {
 		if !r.waitIdle(r.decomposed, i) {
 			return
 		}
 		r.eigComm.begin()
-		if replicated {
-			var buf []float64
-			for _, isG := range factorSides {
-				if s.side(isG).owner == r.mine {
-					buf = p.appendRecord(buf, i, isG)
-				}
-			}
-			h := p.comm.AllgatherVAsync(buf)
-			r.spawn(func() error {
-				blocks, err := h.Wait()
-				for rank := 0; err == nil && rank < len(blocks); rank++ {
-					if rank != r.mine {
-						err = p.consumeRecords(blocks[rank])
-					}
-				}
-				r.eigComm.end()
-				return err
-			})
-			continue
-		}
 		for _, isG := range factorSides {
 			f := s.side(isG)
-			if f.recv == nil || f.recv.Size() <= 1 {
+			if f.recv.Size() <= 1 {
 				continue
 			}
 			var buf []float64

@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"repro/internal/comm"
 	"repro/internal/kfac"
 )
 
@@ -116,7 +117,7 @@ type PlanEval struct {
 	// PrecondSec is the slowest rank's per-iteration preconditioning GEMMs.
 	PrecondSec float64
 	// ResultBcastSec sums the per-iteration preconditioned-gradient
-	// broadcasts of partially replicated layers.
+	// broadcasts of a partially replicated plan, one per root.
 	ResultBcastSec float64
 	// FactorCommSec is the amortized factor allreduce.
 	FactorCommSec float64
@@ -172,11 +173,12 @@ func (pm *PlanModel) Evaluate(strategy kfac.Strategy, refs []kfac.FactorRef, wor
 		}
 	}
 
-	// Factor allreduce: running averages of every factor matrix, fused,
-	// through the candidate's hierarchical group size.
+	// Factor allreduce: running averages of every factor matrix, fused as
+	// packed upper triangles, through the candidate's hierarchical group
+	// size.
 	var factorElems float64
 	for _, f := range refs {
-		factorElems += float64(f.Dim) * float64(f.Dim)
+		factorElems += float64(comm.SymPackedLen(f.Dim))
 	}
 	ev.FactorCommSec = pm.Topology.HierarchicalAllreduceCost(
 		factorElems*pm.BytesPerElem, world, cand.GroupSize) / facFreq
@@ -230,9 +232,12 @@ func (pm *PlanModel) Evaluate(strategy kfac.Strategy, refs []kfac.FactorRef, wor
 	ev.EigCommSec = eigComm / invFreq
 
 	// Per-iteration preconditioning: each gradient worker preconditions the
-	// layers it serves; the slowest rank bounds the stage. Layer result
-	// broadcasts reach the ranks outside the gradient-worker set.
+	// layers it serves; the slowest rank bounds the stage. The results reach
+	// the ranks outside the gradient-worker set as one broadcast per root:
+	// the layers a root serves share its member set and travel together.
 	perRank := make([]float64, world)
+	bcastBytes := make([]float64, world) // by root
+	bcastMembers := make([][]int, world)
 	for i := 0; i < plan.NumLayers(); i++ {
 		da := float64(refs[2*i].Dim)
 		dg := float64(refs[2*i+1].Dim)
@@ -242,9 +247,13 @@ func (pm *PlanModel) Evaluate(strategy kfac.Strategy, refs []kfac.FactorRef, wor
 			perRank[r] += flops
 		}
 		if len(lp.BcastMembers) > 1 {
-			bytes := da * dg * pm.BytesPerElem
-			ev.ResultBcastSec += pm.Topology.BroadcastCost(bytes,
-				lp.BcastMembers[0], lp.BcastMembers[len(lp.BcastMembers)-1], len(lp.BcastMembers))
+			bcastBytes[lp.GOwner] += da * dg * pm.BytesPerElem
+			bcastMembers[lp.GOwner] = lp.BcastMembers
+		}
+	}
+	for root, m := range bcastMembers {
+		if m != nil {
+			ev.ResultBcastSec += pm.Topology.BroadcastCost(bcastBytes[root], m[0], m[len(m)-1], len(m))
 		}
 	}
 	var precondMax float64
