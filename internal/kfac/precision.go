@@ -28,9 +28,9 @@ const (
 	// F64 is the default full-precision path; results are bit-identical to
 	// the reference implementation.
 	F64 Precision = iota
-	// F32 stores and multiplies in float32 while accumulating inner
-	// products in float64 (see internal/tensor/kernels32.go). State and
-	// communication remain float64.
+	// F32 stores operands and results in float32; products run the float64
+	// FMA chain on them and round once (see internal/tensor/gemm.go). State
+	// and communication remain float64.
 	F32
 )
 

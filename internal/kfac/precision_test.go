@@ -40,17 +40,27 @@ func relFrobErr(got, want *tensor.Tensor) float64 {
 }
 
 // f32StepTol is the acceptance bound for the float32 compute path at the
-// K-FAC step level: the preconditioned gradient must stay within float32
-// working precision of the float64 reference, allowing for the damped
-// spectral amplification (γ = 1e-3 admits condition numbers up to ~1e3 on
-// the tiny-net factors, multiplying the ~1e-7 elementwise round-off).
-const f32StepTol = 1e-3
+// K-FAC step level, as relFrobErr of the preconditioned gradient against the
+// float64 reference. The products run the float64 chain, so what is left is
+// the rounding of operands and results to float32 (~6e-8 each). Worst layer
+// observed with that arithmetic: EigenMode 6.1e-07 single-process and
+// 6.4e-07 across worlds 1–4; InverseMode 5.5e-05, because the narrowed
+// damped inverse carries the factor's condition number (γ = 1e-3 admits
+// ~1e3 on the tiny-net factors) where the eigenbasis mirrors are
+// orthogonal. Each bound is about 4× its observation (both were 1e-3).
+func f32StepTol(mode Mode) float64 {
+	if mode == InverseMode {
+		return 2.5e-4
+	}
+	return 2.5e-6
+}
 
 // TestF32StepMatchesF64SingleProcess runs several full preconditioned steps
 // through the float32 kernel path — factors, eigendecompositions stay f64,
 // but every Gram product and preconditioning matmul runs in float32 — and
 // requires each layer's final gradient to track the float64 reference
-// within f32StepTol, for both preconditioning modes and both step engines.
+// within f32StepTol of its mode, for both preconditioning modes and both
+// step engines.
 func TestF32StepMatchesF64SingleProcess(t *testing.T) {
 	for _, mode := range []Mode{EigenMode, InverseMode} {
 		for _, engine := range []Engine{EngineSync, EnginePipelined} {
@@ -60,9 +70,9 @@ func TestF32StepMatchesF64SingleProcess(t *testing.T) {
 			f32opts.Precision = F32
 			got := stepTrace(t, nil, f32opts, 5)
 			for i := range want {
-				if e := relFrobErr(got[i], want[i]); e > f32StepTol {
-					t.Errorf("mode=%v engine=%v layer %d: f32 relative error %.3e > %.0e",
-						mode, engine, i, e, f32StepTol)
+				if e := relFrobErr(got[i], want[i]); e > f32StepTol(mode) {
+					t.Errorf("mode=%v engine=%v layer %d: f32 relative error %.3e > %.1e",
+						mode, engine, i, e, f32StepTol(mode))
 				}
 			}
 		}
@@ -84,7 +94,7 @@ func TestF32StepMatchesF64AcrossWorlds(t *testing.T) {
 			got := worldStepTrace(t, p, f32opts, 4)
 			for r := range want {
 				for i := range want[r] {
-					if e := relFrobErr(got[r][i], want[r][i]); e > f32StepTol {
+					if e := relFrobErr(got[r][i], want[r][i]); e > f32StepTol(base.Mode) {
 						t.Errorf("strategy=%v world %d rank %d layer %d: f32 relative error %.3e",
 							strategy, p, r, i, e)
 					}

@@ -8,28 +8,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// randSym32 returns an n×n float32 symmetric matrix with entries in [-1, 1)
-// plus a widened float64 copy.
-func randSym32(rng *rand.Rand, n int) (*tensor.T32, *tensor.Tensor) {
-	a32 := tensor.NewT32(n, n)
-	a64 := tensor.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			v := float32(rng.Float64()*2 - 1)
-			a32.Data[i*n+j] = v
-			a32.Data[j*n+i] = v
-		}
-	}
-	tensor.Widen(a64.Data, a32.Data)
-	return a32, a64
-}
-
 // TestSymMul32MatchesFloat64Oracle drives the float32 Gram kernel over
-// random k×m inputs — k below and above the accumulation chunk, m below and
-// above the parallel threshold — against the float64 SymMulT1Into on
-// widened copies. The error budget is the chunked-accumulation bound
-// (O(kChunk·ε₃₂) per element, inputs bounded by 1); exact symmetry of the
-// result is required separately since the lower triangle is a mirror copy.
+// random k×m inputs — from one element to past the fan-out threshold —
+// against the float64 SymMulT1Into on widened copies. The chain is float64,
+// so every element must lie within one float32 ULP of the rounded float64
+// product (TestSymMul32BitIdenticalToMatMulT1 and the tensor package's
+// bit-identity gate pin the distance to zero); the 512·ε₃₂·(k+1) absolute
+// budget the chunked float32 kernel was admitted under is kept beside it.
+// Exact symmetry of the result is required separately since the lower
+// triangle is a mirror copy.
 func TestSymMul32MatchesFloat64Oracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	const eps32 = 1.1920929e-07
@@ -53,6 +40,11 @@ func TestSymMul32MatchesFloat64Oracle(t *testing.T) {
 				t.Fatalf("k=%d m=%d element %d: got %v want %v (|Δ|=%.3e > %.3e)",
 					sh.k, sh.m, i, g, want.Data[i], d, tol)
 			}
+			w := float32(want.Data[i])
+			if inf := float32(math.Inf(1)); g != w && g != math.Nextafter32(w, inf) && g != math.Nextafter32(w, -inf) {
+				t.Fatalf("k=%d m=%d element %d: got %v, over one float32 ULP from the float64 product %v",
+					sh.k, sh.m, i, g, want.Data[i])
+			}
 		}
 		for i := 0; i < sh.m; i++ {
 			for j := 0; j < i; j++ {
@@ -65,7 +57,7 @@ func TestSymMul32MatchesFloat64Oracle(t *testing.T) {
 }
 
 // TestSymMul32ZeroAllocSteadyState asserts the parallel float32 Gram kernel
-// allocates nothing once its pooled workspaces are warm.
+// allocates nothing once the GEMM workspaces are warm.
 func TestSymMul32ZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := tensor.NewT32(300, 96)
@@ -76,117 +68,5 @@ func TestSymMul32ZeroAllocSteadyState(t *testing.T) {
 	SymMulT1Into32(dst, a)
 	if allocs := testing.AllocsPerRun(10, func() { SymMulT1Into32(dst, a) }); allocs != 0 {
 		t.Fatalf("SymMulT1Into32 allocates %v times per call", allocs)
-	}
-}
-
-// TestSymEigInto32Reconstructs checks the float32 Jacobi eigensolver on
-// random symmetric matrices at several sizes: QΛQᵀ must reconstruct the
-// symmetrized input to float32 resolution and Q must be orthogonal to the
-// same resolution.
-func TestSymEigInto32Reconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{1, 2, 3, 8, 17, 40} {
-		_, a64 := randSym32(rng, n)
-		var eg Eigen
-		if err := SymEigInto32(a64, &eg); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		rec := eg.Reconstruct()
-		// ‖A‖_F scales with n for unit-bounded entries; allow float32
-		// round-off amplified by the O(n) accumulation in reconstruction.
-		tol := 1e-5 * float64(n+1)
-		for i := range rec.Data {
-			if d := math.Abs(rec.Data[i] - a64.Data[i]); d > tol {
-				t.Fatalf("n=%d reconstruct element %d: |Δ|=%.3e > %.3e", n, i, d, tol)
-			}
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				var dot float64
-				for k := 0; k < n; k++ {
-					dot += eg.Q.Data[k*n+i] * eg.Q.Data[k*n+j]
-				}
-				want := 0.0
-				if i == j {
-					want = 1
-				}
-				if math.Abs(dot-want) > tol {
-					t.Fatalf("n=%d QᵀQ[%d,%d] = %v", n, i, j, dot)
-				}
-			}
-		}
-		for i := 1; i < n; i++ {
-			if eg.Values[i] < eg.Values[i-1] {
-				t.Fatalf("n=%d eigenvalues not ascending: %v", n, eg.Values)
-			}
-		}
-	}
-}
-
-// TestSymEigInto32MatchesFloat64Values compares the float32 Jacobi
-// eigenvalues against the float64 Householder+QL solver on the same input:
-// eigenvalues of a symmetric matrix are perfectly conditioned (Weyl), so
-// they must agree to float32 round-off in the matrix norm.
-func TestSymEigInto32MatchesFloat64Values(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	const n = 24
-	_, a64 := randSym32(rng, n)
-	ref, err := SymEig(a64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eg Eigen
-	if err := SymEigInto32(a64, &eg); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if d := math.Abs(eg.Values[i] - ref.Values[i]); d > 1e-4 {
-			t.Fatalf("eigenvalue %d: f32 %v vs f64 %v", i, eg.Values[i], ref.Values[i])
-		}
-	}
-}
-
-// TestSymEigInto32PSDFactors exercises the solver on the Gram-type
-// positive-semidefinite matrices K-FAC actually produces (A = aᵀa/N plus
-// damping-scale diagonal), including reuse of the same Eigen across calls.
-func TestSymEigInto32PSDFactors(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	var eg Eigen
-	for trial := 0; trial < 3; trial++ {
-		const k, m = 64, 20
-		a := tensor.New(k, m)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		f := SymMulT1(a)
-		f.Scale(1.0 / k)
-		if err := SymEigInto32(f, &eg); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for i, v := range eg.Values {
-			if v < -1e-4 {
-				t.Fatalf("trial %d: PSD factor produced eigenvalue %d = %v", trial, i, v)
-			}
-		}
-		rec := eg.Reconstruct()
-		for i := range rec.Data {
-			if d := math.Abs(rec.Data[i] - f.Data[i]); d > 1e-4*float64(m) {
-				t.Fatalf("trial %d reconstruct element %d: |Δ|=%.3e", trial, i, d)
-			}
-		}
-	}
-}
-
-// TestSymEigInto32RejectsBadInput mirrors the float64 solver's validation.
-func TestSymEigInto32RejectsBadInput(t *testing.T) {
-	var eg Eigen
-	bad := tensor.New(2, 2)
-	bad.Data[1] = math.NaN()
-	if err := SymEigInto32(bad, &eg); err == nil {
-		t.Fatal("NaN input accepted")
-	}
-	rect := tensor.New(2, 3)
-	if err := SymEigInto32(rect, &eg); err == nil {
-		t.Fatal("rectangular input accepted")
 	}
 }

@@ -25,6 +25,19 @@ func SymMulT1Into(dst, a *tensor.Tensor) {
 	mirrorLower(dst.Data, m)
 }
 
+// SymMulT1Into32 is SymMulT1Into for float32 storage — the kernel the
+// mixed-precision covariance updates run on. It equals
+// Narrow(SymMulT1Into(Widen(a))) bit for bit (tensor/matmul32.go), so it is
+// bitwise symmetric and bit-identical to tensor.MatMulT1Into32(dst, a, a).
+func SymMulT1Into32(dst, a *tensor.T32) {
+	m := a.Shape[1]
+	if dst.Shape[0] != m || dst.Shape[1] != m {
+		panic("linalg: SymMulT1Into32 shape mismatch")
+	}
+	tensor.MatMulT1UpperInto32(dst, a)
+	mirrorLower(dst.Data, m)
+}
+
 // SymMulT1 returns aᵀ × a for a (k×m) as a freshly allocated m×m tensor.
 func SymMulT1(a *tensor.Tensor) *tensor.Tensor {
 	dst := tensor.New(a.Shape[1], a.Shape[1])
@@ -34,7 +47,7 @@ func SymMulT1(a *tensor.Tensor) *tensor.Tensor {
 
 // mirrorLower copies the computed upper triangle into the lower one, in
 // square tiles so the column-wise reads stay within a few cache lines.
-func mirrorLower(dst []float64, m int) {
+func mirrorLower[E float32 | float64](dst []E, m int) {
 	const tb = 32
 	for ib := 0; ib < m; ib += tb {
 		imax := min(ib+tb, m)

@@ -95,7 +95,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 	}
 	out := ensureBuf(c.reuse, &c.outBuf, n, c.OutC, c.outH, c.outW)
-	matToNCHW(out, outMat, n, c.OutC, c.outH, c.outW)
+	matToNCHW(out.Data, outMat.Data, n, c.OutC, c.outH, c.outW)
 	return out
 }
 
@@ -106,7 +106,7 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	}
 	n := c.inShape[0]
 	gradMat := ensureBuf(c.reuse, &c.gradMatBuf, n*c.outH*c.outW, c.OutC)
-	nchwToMat(gradMat, gradOut, n, c.OutC, c.outH, c.outW) // [n·oh·ow, outC]
+	nchwToMat(gradMat.Data, gradOut.Data, n, c.OutC, c.outH, c.outW) // [n·oh·ow, outC]
 	if c.capture {
 		c.gradCap = gradMat
 	}
@@ -136,14 +136,14 @@ func (c *Conv2D) SetBufferReuse(on bool) { c.reuse = on }
 
 // matToNCHW reshapes a [n·oh·ow, outC] matrix (rows ordered image-major,
 // then spatial) into the [n, outC, oh, ow] destination, fully overwriting
-// it.
-func matToNCHW(out, m *tensor.Tensor, n, oc, oh, ow int) {
+// it and converting to the destination's element type as it scatters.
+func matToNCHW[D, S float32 | float64](out []D, m []S, n, oc, oh, ow int) {
 	spatial := oh * ow
 	for img := 0; img < n; img++ {
 		for s := 0; s < spatial; s++ {
-			src := m.Data[(img*spatial+s)*oc:]
+			src := m[(img*spatial+s)*oc:]
 			for ch := 0; ch < oc; ch++ {
-				out.Data[((img*oc+ch)*spatial + s)] = src[ch]
+				out[((img*oc+ch)*spatial + s)] = D(src[ch])
 			}
 		}
 	}
@@ -151,13 +151,13 @@ func matToNCHW(out, m *tensor.Tensor, n, oc, oh, ow int) {
 
 // nchwToMat is the inverse layout transform of matToNCHW, writing into the
 // [n·oh·ow, oc] destination m.
-func nchwToMat(m, t *tensor.Tensor, n, oc, oh, ow int) {
+func nchwToMat[D, S float32 | float64](m []D, t []S, n, oc, oh, ow int) {
 	spatial := oh * ow
 	for img := 0; img < n; img++ {
 		for ch := 0; ch < oc; ch++ {
 			base := (img*oc + ch) * spatial
 			for s := 0; s < spatial; s++ {
-				m.Data[(img*spatial+s)*oc+ch] = t.Data[base+s]
+				m[(img*spatial+s)*oc+ch] = D(t[base+s])
 			}
 		}
 	}

@@ -6,16 +6,16 @@ import "repro/internal/tensor"
 //
 // With SetComputeF32 enabled a layer narrows its inputs and weights to
 // float32 once per pass and runs its matrix products through the float32
-// kernels (tensor.MatMul*Into32), which accumulate inner products in
-// float64 before rounding — see internal/tensor/kernels32.go. Everything
-// crossing the layer boundary stays float64: Forward still returns a
-// float64 tensor, Backward still consumes and produces float64 gradients,
-// and parameter gradients accumulate in float64 (via the widening
-// tensor.FoldAcc32), so optimizers, communication, and checkpoints are
-// untouched ("convert at the boundary", docs/ARCHITECTURE.md). The cheap
-// pointwise layers (ReLU, BatchNorm, pooling) stay float64 — they are a
-// vanishing share of step time and BatchNorm's running statistics benefit
-// from the extra precision.
+// entry points of the GEMM (tensor.MatMul*Into32), which run the float64
+// FMA chain on the float32 operands and round the result once — see
+// internal/tensor/gemm.go. Everything crossing the layer boundary stays
+// float64: Forward still returns a float64 tensor, Backward still consumes
+// and produces float64 gradients, and parameter gradients accumulate in
+// float64 (via the widening tensor.FoldAcc32), so optimizers, communication,
+// and checkpoints are untouched ("convert at the boundary",
+// docs/ARCHITECTURE.md). The cheap pointwise layers (ReLU, BatchNorm,
+// pooling) stay float64 — they are a vanishing share of step time and
+// BatchNorm's running statistics benefit from the extra precision.
 
 // F32Computer is implemented by layers that can route their compute through
 // the float32 kernel path. Like buffer reuse, the toggle changes arithmetic
@@ -207,7 +207,7 @@ func (c *Conv2D) forward32(x *tensor.Tensor, n, h, w int) *tensor.Tensor {
 		}
 	}
 	out := ensureBuf(c.reuse, &c.outBuf, n, c.OutC, c.outH, c.outW)
-	matToNCHW32(out, outMat, n, c.OutC, c.outH, c.outW)
+	matToNCHW(out.Data, outMat.Data, n, c.OutC, c.outH, c.outW)
 	return out
 }
 
@@ -221,7 +221,7 @@ func (c *Conv2D) backward32(gradOut *tensor.Tensor) *tensor.Tensor {
 	rows := n * c.outH * c.outW
 	ckk := c.InC * c.KH * c.KW
 	gradMat := ensureField32(c.reuse, &f.gradMat, rows, c.OutC)
-	nchwToMat32(gradMat, gradOut, n, c.OutC, c.outH, c.outW)
+	nchwToMat(gradMat.Data, gradOut.Data, n, c.OutC, c.outH, c.outW)
 	// dW = gradMatᵀ × cols ([outC, ckk]), folded into float64.
 	dw32 := ensureField32(c.reuse, &f.dw, c.OutC, ckk)
 	tensor.MatMulT1Into32(dw32, gradMat, f.cols)
@@ -271,32 +271,6 @@ func (c *Conv2D) CapturedOutputGrad32() *tensor.T32 {
 
 var _ F32Computer = (*Conv2D)(nil)
 var _ KFACCapturable32 = (*Conv2D)(nil)
-
-// matToNCHW32 is matToNCHW with a float32 source, widening as it scatters.
-func matToNCHW32(out *tensor.Tensor, m *tensor.T32, n, oc, oh, ow int) {
-	spatial := oh * ow
-	for img := 0; img < n; img++ {
-		for s := 0; s < spatial; s++ {
-			src := m.Data[(img*spatial+s)*oc:]
-			for ch := 0; ch < oc; ch++ {
-				out.Data[((img*oc+ch)*spatial + s)] = float64(src[ch])
-			}
-		}
-	}
-}
-
-// nchwToMat32 is nchwToMat with a float64 source, narrowing as it gathers.
-func nchwToMat32(m *tensor.T32, t *tensor.Tensor, n, oc, oh, ow int) {
-	spatial := oh * ow
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < oc; ch++ {
-			base := (img*oc + ch) * spatial
-			for s := 0; s < spatial; s++ {
-				m.Data[(img*spatial+s)*oc+ch] = float32(t.Data[base+s])
-			}
-		}
-	}
-}
 
 // widenCapture lazily materializes a float64 view of a float32 capture
 // buffer for KFACCapturable callers that predate the mixed path.

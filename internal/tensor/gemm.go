@@ -10,37 +10,46 @@ import (
 	"repro/internal/sched"
 )
 
-// The float64 GEMM: one driver and one micro-kernel under MatMulInto,
-// MatMulT1Into, MatMulT2Into, MatVec and (through MatMulT1UpperInto)
-// linalg.SymMulT1Into.
+// The GEMM: one driver and one float64 micro-kernel under every matrix
+// product of both element types — MatMulInto, MatMulT1Into, MatMulT2Into,
+// MatVec, their float32 namesakes (matmul32.go) and, through
+// MatMulT1UpperInto[32], linalg.SymMulT1Into[32].
 //
-// Arithmetic definition — the whole determinism story of the float64
-// product family: every output element is
+// Arithmetic definition — the whole determinism story of the product
+// family: every output element is
 //
 //	c[i][j] = fma(a[i][k-1], b[k-1][j], … fma(a[i][1], b[1][j], fma(a[i][0], b[0][j], +0)) …)
 //
-// one fused multiply-add per term, k ascending, starting from +0. Nothing
-// else about a run can reach the result: tile position, edge handling,
-// k-blocking (a float64 stored to C and reloaded is the same float64), block
-// grid, worker count, which operand was stored transposed, and whether the
-// micro-kernel is the AVX2 assembly or its math.FMA twin all leave each
-// element's chain untouched. There is no zero-skip, so NaN and ±Inf in
-// either operand propagate as IEEE 754 says.
+// one float64 fused multiply-add per term, k ascending, starting from +0.
+// Nothing else about a run can reach the result: tile position, edge
+// handling, k-blocking (a float64 stored to C and reloaded is the same
+// float64), block grid, worker count, which operand was stored transposed,
+// and whether the micro-kernel is the AVX2 assembly or its math.FMA twin all
+// leave each element's chain untouched. There is no zero-skip, so NaN and
+// ±Inf in either operand propagate as IEEE 754 says.
+//
+// A float32 product is the same chain on the widened operands, rounded to
+// float32 once: MatMulInto32(dst, a, b) is Narrow(MatMulInto(Widen(a),
+// Widen(b))) bit for bit, so everything above holds for it unrestated.
 //
 // Structure: C is cut into blocks of at most gemmMC×gemmNC; one block is one
 // pool task. Per k-block of at most gemmKC the task packs its rows of op(A)
 // into gemmMR-interleaved panels and its columns of op(B) into gemmNR-wide
-// panels (zero-padded to whole panels), then runs the gemmMR×gemmNR
-// micro-kernel over the block, B panel outermost so it stays in L1. The
-// N/T1/T2 variants differ only in which packer reads each operand.
+// panels (float64, zero-padded to whole panels; a float32 source is widened
+// as it is packed), then runs the gemmMR×gemmNR micro-kernel over the block,
+// B panel outermost so it stays in L1. The N/T1/T2 variants differ only in
+// which packer reads each operand. A float64 block accumulates in dst; a
+// float32 block accumulates in a float64 scratch the workspace holds and is
+// narrowed into dst after its last k-block.
 const (
 	gemmMR = 4  // micro-tile rows: broadcast lanes of op(A)
 	gemmNR = 12 // micro-tile columns: three 4-wide vectors of op(B)
 
-	// Block caps, which bound the pack buffers: one workspace holds at most
-	// (gemmMC + gemmNC)·gemmKC float64 = 384 KiB, and there are as many
-	// workspaces as goroutines were ever inside the driver at once (callers
-	// plus pool workers), recycled through gemmFree.
+	// Block caps, which bound the workspace: at most (gemmMC + gemmNC)·gemmKC
+	// float64 = 384 KiB of pack buffers plus, where float32 blocks were
+	// computed, gemmMC·gemmNC float64 = 288 KiB of C scratch. There are as
+	// many workspaces as goroutines were ever inside the driver at once
+	// (callers plus pool workers), recycled through gemmFree.
 	gemmMC = 192
 	gemmNC = 192
 	gemmKC = 128
@@ -49,6 +58,9 @@ const (
 	// on the calling goroutine: waking pool workers costs more than it saves.
 	gemmParallelWork = 1 << 21
 )
+
+// elem is the element type of a product's operands and destination.
+type elem interface{ float32 | float64 }
 
 // gemmKernels is one implementation of the three inner routines: the
 // micro-kernel and the two panel movers the packers are built on. There are
@@ -70,7 +82,7 @@ type gemmKernels struct {
 // gemmGo is the portable set; gemmActive is the one MatMul*Into use — the
 // portable set unless simd_amd64.go swapped in the assembly at init.
 var (
-	gemmGo     = gemmKernels{tile: gemmKernelGo, copySteps: copyStepsGo, transLanes4: transLanes4Go}
+	gemmGo     = gemmKernels{tile: gemmKernelGo, copySteps: copyStepsGo, transLanes4: transLanes4Go[float64]}
 	gemmActive = gemmGo
 )
 
@@ -159,12 +171,13 @@ func copyStepsGo(dst, src []float64, ld, kc, w int) {
 	}
 }
 
-// transLanes4Go is the portable gemmKernels.transLanes4.
-func transLanes4Go(dst, src []float64, ld, kc, w int) {
+// transLanes4Go is the portable gemmKernels.transLanes4 and, at S = float32,
+// the widening lane packer of both kernel sets.
+func transLanes4Go[S elem](dst []float64, src []S, ld, kc, w int) {
 	s0, s1, s2, s3 := src[:kc], src[ld:ld+kc], src[2*ld:2*ld+kc], src[3*ld:3*ld+kc]
 	for p := range s0 {
 		q := dst[p*w : p*w+4 : p*w+4]
-		q[0], q[1], q[2], q[3] = s0[p], s1[p], s2[p], s3[p]
+		q[0], q[1], q[2], q[3] = float64(s0[p]), float64(s1[p]), float64(s2[p]), float64(s3[p])
 	}
 }
 
@@ -172,22 +185,26 @@ func transLanes4Go(dst, src []float64, ld, kc, w int) {
 // comes from src[(r0+l)·ld + p0+p]. Lanes past rows are zero. This is the
 // packer for op(A) of MatMulInto/MatMulT2Into (w = gemmMR) and for op(B) of
 // MatMulT2Into (w = gemmNR).
-func (ks *gemmKernels) packLanes(dst, src []float64, ld, r0, rows, p0, kc, w int) {
+func packLanes[S elem](ks *gemmKernels, dst []float64, src []S, ld, r0, rows, p0, kc, w int) {
 	dst = dst[:kc*w]
 	if rows < w {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	}
+	src64, is64 := any(src).([]float64)
 	l := 0
 	for ; l+4 <= rows; l += 4 {
-		ks.transLanes4(dst[l:], src[(r0+l)*ld+p0:], ld, kc, w)
+		o := (r0+l)*ld + p0
+		if is64 {
+			ks.transLanes4(dst[l:], src64[o:], ld, kc, w)
+		} else {
+			transLanes4Go(dst[l:], src[o:], ld, kc, w)
+		}
 	}
 	for ; l < rows; l++ {
 		o := (r0+l)*ld + p0
 		d := dst[l:]
 		for p, v := range src[o : o+kc] {
-			d[p*w] = v
+			d[p*w] = float64(v)
 		}
 	}
 }
@@ -196,27 +213,30 @@ func (ks *gemmKernels) packLanes(dst, src []float64, ld, r0, rows, p0, kc, w int
 // comes from src[(p0+p)·ld + c0+l]. Lanes past cols are zero. This is the
 // packer for op(A) of MatMulT1Into (w = gemmMR) and for op(B) of
 // MatMulInto/MatMulT1Into (w = gemmNR).
-func (ks *gemmKernels) packSteps(dst, src []float64, ld, c0, cols, p0, kc, w int) {
+func packSteps[S elem](ks *gemmKernels, dst []float64, src []S, ld, c0, cols, p0, kc, w int) {
 	dst = dst[:kc*w]
 	o := p0*ld + c0
-	if cols == w {
-		ks.copySteps(dst, src[o:], ld, kc, w)
+	if src64, ok := any(src).([]float64); ok && cols == w {
+		ks.copySteps(dst, src64[o:], ld, kc, w)
 		return
 	}
-	for i := range dst {
-		dst[i] = 0
+	if cols < w {
+		clear(dst)
 	}
 	for p := 0; p < kc; p++ {
-		copy(dst[p*w:p*w+cols], src[o+p*ld:])
+		d := dst[p*w : p*w+cols]
+		for l, v := range src[o+p*ld : o+p*ld+cols] {
+			d[l] = float64(v)
+		}
 	}
 }
 
 // gemmJob describes one product. Operand storage: a is m×k, or k×m when
 // aT; b is k×n, or n×k when bT.
-type gemmJob struct {
+type gemmJob[E elem] struct {
 	wg        sync.WaitGroup // ForEach completion scratch
 	ks        *gemmKernels
-	dst, a, b []float64
+	dst, a, b []E
 	m, n, k   int
 	aT, bT    bool
 	upper     bool // skip tiles strictly below the diagonal
@@ -225,19 +245,30 @@ type gemmJob struct {
 }
 
 // gemmWorkspace is what one goroutine inside the driver holds: the job
-// record of the product it launched (unused by a pool worker) and the pack
-// buffers of the blocks it computes, grown on demand up to the block caps.
+// record of the product it launched (unused by a pool worker), the pack
+// buffers of the blocks it computes and, once it has computed a float32
+// block, the float64 C scratch — all grown on demand up to the block caps.
 type gemmWorkspace struct {
-	job    gemmJob
+	job64  gemmJob[float64]
+	job32  gemmJob[float32]
 	pa, pb []float64
-	edge   [gemmMR * gemmNR]float64 // private C tile for partial micro-tiles
+	c      []float64                // float32 blocks accumulate here, in whole micro-tiles
+	edge   [gemmMR * gemmNR]float64 // private C tile for partial micro-tiles of a float64 block
+}
+
+// jobOf returns ws's job record for element type E.
+func jobOf[E elem](ws *gemmWorkspace) *gemmJob[E] {
+	if g, ok := any(&ws.job64).(*gemmJob[E]); ok {
+		return g
+	}
+	return any(&ws.job32).(*gemmJob[E])
 }
 
 // freeList recycles kernel workspaces, so a kernel performs no heap
 // allocation once as many exist as goroutines were ever inside it at once
 // (callers plus pool workers). A mutex-guarded stack, not a sync.Pool: the
-// collector empties a sync.Pool, which would re-allocate up to 384 KiB of
-// GEMM pack buffer per worker after every other collection, and the race
+// collector empties a sync.Pool, which would re-allocate up to 672 KiB of
+// GEMM workspace per worker after every other collection, and the race
 // detector makes it drop Puts, which the steady-state zero-allocation
 // suites (run under -race in CI) would see. The zero value is ready.
 type freeList[T any] struct {
@@ -264,18 +295,19 @@ func (f *freeList[T]) put(ws *T) {
 	f.mu.Unlock()
 }
 
+// gemmFree is the one list both element types draw workspaces from.
 var gemmFree freeList[gemmWorkspace]
 
 // RunRange implements sched.Ranger over block indices [lo, hi) of the grid,
 // on a pool worker (or inline on the caller when the queue is full).
-func (g *gemmJob) RunRange(lo, hi int) {
+func (g *gemmJob[E]) RunRange(lo, hi int) {
 	ws := gemmFree.get()
 	g.blocks(ws, lo, hi)
 	gemmFree.put(ws)
 }
 
 // blocks computes blocks [lo, hi) of the grid with ws's pack buffers.
-func (g *gemmJob) blocks(ws *gemmWorkspace, lo, hi int) {
+func (g *gemmJob[E]) blocks(ws *gemmWorkspace, lo, hi int) {
 	for t := lo; t < hi; t++ {
 		i0, j0 := (t/g.gn)*g.bm, (t%g.gn)*g.bn
 		g.block(ws, i0, min(i0+g.bm, g.m), j0, min(j0+g.bn, g.n))
@@ -283,11 +315,10 @@ func (g *gemmJob) blocks(ws *gemmWorkspace, lo, hi int) {
 }
 
 // block computes C[i0:i1, j0:j1].
-func (g *gemmJob) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
+func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 	if g.upper && i0 >= j1 {
 		return
 	}
-	ldc := g.n
 	mp := (i1 - i0 + gemmMR - 1) / gemmMR
 	np := (j1 - j0 + gemmNR - 1) / gemmNR
 	// Even k-blocks: same count as cutting at gemmKC, no short last block.
@@ -299,6 +330,25 @@ func (g *gemmJob) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 	if need := np * gemmNR * kc; cap(ws.pb) < need {
 		ws.pb = make([]float64, need)
 	}
+	// c is where the micro-kernel accumulates this block, origin at its
+	// first element: dst itself when dst is float64, else the scratch, whose
+	// whole micro-tiles need no edge path. The element type is resolved here,
+	// once, so the tile loop below is the same for both.
+	var c []float64
+	var dst32 []float32 // dst when the block goes through the scratch
+	ldc := g.n
+	switch dst := any(g.dst).(type) {
+	case []float64:
+		c = dst[i0*ldc+j0:]
+	case []float32:
+		dst32 = dst
+		ldc = np * gemmNR
+		if need := mp * gemmMR * ldc; cap(ws.c) < need {
+			ws.c = make([]float64, need)
+		}
+		c = ws.c[:mp*gemmMR*ldc]
+	}
+	direct := dst32 == nil
 	edge := ws.edge[:]
 	for p0 := 0; p0 < g.k; p0 += kc {
 		kc := min(kc, g.k-p0)
@@ -306,17 +356,17 @@ func (g *gemmJob) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 		for ip := 0; ip < mp; ip++ {
 			i := i0 + ip*gemmMR
 			if g.aT {
-				g.ks.packSteps(pa[ip*gemmMR*kc:], g.a, g.m, i, min(gemmMR, i1-i), p0, kc, gemmMR)
+				packSteps(g.ks, pa[ip*gemmMR*kc:], g.a, g.m, i, min(gemmMR, i1-i), p0, kc, gemmMR)
 			} else {
-				g.ks.packLanes(pa[ip*gemmMR*kc:], g.a, g.k, i, min(gemmMR, i1-i), p0, kc, gemmMR)
+				packLanes(g.ks, pa[ip*gemmMR*kc:], g.a, g.k, i, min(gemmMR, i1-i), p0, kc, gemmMR)
 			}
 		}
 		for jp := 0; jp < np; jp++ {
 			j := j0 + jp*gemmNR
 			if g.bT {
-				g.ks.packLanes(pb[jp*gemmNR*kc:], g.b, g.k, j, min(gemmNR, j1-j), p0, kc, gemmNR)
+				packLanes(g.ks, pb[jp*gemmNR*kc:], g.b, g.k, j, min(gemmNR, j1-j), p0, kc, gemmNR)
 			} else {
-				g.ks.packSteps(pb[jp*gemmNR*kc:], g.b, g.n, j, min(gemmNR, j1-j), p0, kc, gemmNR)
+				packSteps(g.ks, pb[jp*gemmNR*kc:], g.b, g.n, j, min(gemmNR, j1-j), p0, kc, gemmNR)
 			}
 		}
 		load := p0 > 0
@@ -331,22 +381,39 @@ func (g *gemmJob) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 				}
 				mr := min(gemmMR, i1-i)
 				ap := pa[ip*gemmMR*kc : (ip+1)*gemmMR*kc]
-				if mr == gemmMR && nr == gemmNR {
-					g.ks.tile(kc, ap, bp, g.dst[i*ldc+j:], ldc, load)
+				ct := c[ip*gemmMR*ldc+jp*gemmNR:]
+				if !direct || (mr == gemmMR && nr == gemmNR) {
+					g.ks.tile(kc, ap, bp, ct, ldc, load)
 					continue
 				}
-				// Edge tile: run the full-size kernel on a private tile
-				// and move only the valid part.
+				// Edge tile of a float64 block: run the full-size kernel on
+				// a private tile and move only the valid part.
 				if load {
 					for r := 0; r < mr; r++ {
-						copy(edge[r*gemmNR:r*gemmNR+nr], g.dst[(i+r)*ldc+j:])
+						copy(edge[r*gemmNR:r*gemmNR+nr], ct[r*ldc:])
 					}
 				}
 				g.ks.tile(kc, ap, bp, edge, gemmNR, load)
 				for r := 0; r < mr; r++ {
-					copy(g.dst[(i+r)*ldc+j:(i+r)*ldc+j+nr], edge[r*gemmNR:])
+					copy(ct[r*ldc:r*ldc+nr], edge[r*gemmNR:])
 				}
 			}
+		}
+	}
+	if !direct {
+		// The one rounding of a float32 product. Of an upper product, row i
+		// is narrowed from the tile that holds its diagonal element on: the
+		// scratch left of it was not computed.
+		iEnd := i1
+		if g.upper {
+			iEnd = min(i1, j1)
+		}
+		for i := i0; i < iEnd; i++ {
+			lo := 0
+			if g.upper && i > j0 {
+				lo = (i - j0) / gemmNR * gemmNR
+			}
+			Narrow(dst32[i*g.n+j0+lo:i*g.n+j1], c[(i-i0)*ldc+lo:(i-i0)*ldc+j1-j0])
 		}
 	}
 }
@@ -354,7 +421,7 @@ func (g *gemmJob) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 // gemm computes dst (m×n) = op(a)·op(b) with the given kernel set; with
 // upper set (m == n) only the micro-tiles that meet the upper triangle are
 // written. Large products fan their blocks across sched.Shared().
-func gemm(ks *gemmKernels, dst, a, b []float64, m, n, k int, aT, bT, upper bool) {
+func gemm[E elem](ks *gemmKernels, dst, a, b []E, m, n, k int, aT, bT, upper bool) {
 	if len(dst) < m*n || len(a) < m*k || len(b) < k*n {
 		panic("tensor: matmul operand storage shorter than its shape")
 	}
@@ -368,9 +435,7 @@ func gemm(ks *gemmKernels, dst, a, b []float64, m, n, k int, aT, bT, upper bool)
 		return
 	}
 	if k == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return
 	}
 	// Block extents in whole micro-tiles, capped by the pack buffers.
@@ -399,7 +464,7 @@ func gemm(ks *gemmKernels, dst, a, b []float64, m, n, k int, aT, bT, upper bool)
 	bm, bn = (tm+gm-1)/gm*gemmMR, (tn+gn-1)/gn*gemmNR
 
 	ws := gemmFree.get()
-	g := &ws.job
+	g := jobOf[E](ws)
 	g.ks, g.dst, g.a, g.b = ks, dst, a, b
 	g.m, g.n, g.k, g.aT, g.bT, g.upper = m, n, k, aT, bT, upper
 	g.bm, g.bn, g.gn = bm, bn, gn
@@ -415,12 +480,12 @@ func gemm(ks *gemmKernels, dst, a, b []float64, m, n, k int, aT, bT, upper bool)
 }
 
 // overlaps reports whether the two slices share any element's storage.
-func overlaps(x, y []float64) bool {
+func overlaps[E elem](x, y []E) bool {
 	if len(x) == 0 || len(y) == 0 {
 		return false
 	}
 	xp := uintptr(unsafe.Pointer(unsafe.SliceData(x)))
 	yp := uintptr(unsafe.Pointer(unsafe.SliceData(y)))
-	const sz = unsafe.Sizeof(float64(0))
+	sz := unsafe.Sizeof(x[0])
 	return xp < yp+uintptr(len(y))*sz && yp < xp+uintptr(len(x))*sz
 }

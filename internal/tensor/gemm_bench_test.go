@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// BenchmarkGEMMShapes runs the float64 product family at the shapes the
-// benchmark models issue and reports computed GFLOP/s (2mnk, packing
-// included) beside the measured one-core FMA peak, so the fraction of peak
-// is read off `go test -bench GEMM`. With -cpu 1 the ratio is per core; at
+// BenchmarkGEMMShapes runs the product family, at both element types of the
+// one kernel, at the shapes the benchmark models issue and reports computed
+// GFLOP/s (2mnk, packing and — float32 — the narrowing store included)
+// beside the measured one-core float64 FMA peak, so the fraction of peak is
+// read off `go test -bench GEMM`. With -cpu 1 the ratio is per core; at
 // higher -cpu the product may use several cores against a one-core peak.
 func BenchmarkGEMMShapes(b *testing.B) {
 	peak := FMAPeakGFLOPS()
@@ -30,31 +31,39 @@ func BenchmarkGEMMShapes(b *testing.B) {
 		{"N", 256, 256, 256, "square"},
 	}
 	for _, sh := range shapes {
-		rng := rand.New(rand.NewSource(1))
-		var a, bb *Tensor
-		var run func(dst *Tensor)
-		switch sh.variant {
-		case "N":
-			a, bb = Randn(rng, 1, sh.m, sh.k), Randn(rng, 1, sh.k, sh.n)
-			run = func(dst *Tensor) { MatMulInto(dst, a, bb) }
-		case "T1":
-			a, bb = Randn(rng, 1, sh.k, sh.m), Randn(rng, 1, sh.k, sh.n)
-			run = func(dst *Tensor) { MatMulT1Into(dst, a, bb) }
-		case "T2":
-			a, bb = Randn(rng, 1, sh.m, sh.k), Randn(rng, 1, sh.n, sh.k)
-			run = func(dst *Tensor) { MatMulT2Into(dst, a, bb) }
+		ar, ac, br, bc := sh.m, sh.k, sh.k, sh.n // operand storage shapes
+		if sh.variant == "T1" {
+			ar, ac = sh.k, sh.m
 		}
-		dst := New(sh.m, sh.n)
-		b.Run(fmt.Sprintf("%s_%dx%dx%d", sh.variant, sh.m, sh.k, sh.n), func(b *testing.B) {
-			run(dst)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(dst)
-			}
-			g := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n) * float64(b.N) / b.Elapsed().Seconds() / 1e9
-			b.ReportMetric(g, "GFLOP/s")
-			b.ReportMetric(peak, "peak-GFLOP/s")
-			b.ReportMetric(g/peak, "of-peak")
+		if sh.variant == "T2" {
+			br, bc = sh.n, sh.k
+		}
+		name := fmt.Sprintf("%s_%dx%dx%d", sh.variant, sh.m, sh.k, sh.n)
+		flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
+		b.Run(name+"/float64", func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			a, bb, dst := Randn(rng, 1, ar, ac), Randn(rng, 1, br, bc), New(sh.m, sh.n)
+			run := map[string]func(dst, a, b *Tensor){"N": MatMulInto, "T1": MatMulT1Into, "T2": MatMulT2Into}[sh.variant]
+			benchKernel(b, peak, flops, func() { run(dst, a, bb) })
+		})
+		b.Run(name+"/float32", func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			a, bb, dst := randT32(rng, ar, ac), randT32(rng, br, bc), NewT32(sh.m, sh.n)
+			run := map[string]func(dst, a, b *T32){"N": MatMulInto32, "T1": MatMulT1Into32, "T2": MatMulT2Into32}[sh.variant]
+			benchKernel(b, peak, flops, func() { run(dst, a, bb) })
 		})
 	}
+}
+
+// benchKernel times run and reports its GFLOP/s beside the peak.
+func benchKernel(b *testing.B, peak, flops float64, run func()) {
+	run()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	g := flops * float64(b.N) / b.Elapsed().Seconds() / 1e9
+	b.ReportMetric(g, "GFLOP/s")
+	b.ReportMetric(peak, "peak-GFLOP/s")
+	b.ReportMetric(g/peak, "of-peak")
 }

@@ -54,18 +54,26 @@ func (c gemmCase) refChain(a, b []float64) []float64 {
 
 // run executes the case on the given kernel set. The destination starts as
 // NaN so an element the driver failed to write cannot pass for a result.
-func (c gemmCase) run(ks *gemmKernels, a, b []float64) []float64 {
-	dst := make([]float64, c.m*c.n)
+func run[E elem](c gemmCase, ks *gemmKernels, a, b []E) []E {
+	dst := make([]E, c.m*c.n)
 	for i := range dst {
-		dst[i] = math.NaN()
+		dst[i] = E(math.NaN())
 	}
 	gemm(ks, dst, a, b, c.m, c.n, c.k, c.aT, c.bT, c.upper)
 	return dst
 }
 
+// bitsOf returns v's IEEE 754 encoding.
+func bitsOf[E elem](v E) uint64 {
+	if f, ok := any(v).(float32); ok {
+		return uint64(math.Float32bits(f))
+	}
+	return math.Float64bits(float64(v))
+}
+
 // sameBits compares got with want bit for bit; an upper case is compared on
 // and above the diagonal only.
-func (c gemmCase) sameBits(t *testing.T, label string, got, want []float64) {
+func sameBits[E elem](t *testing.T, label string, c gemmCase, got, want []E) {
 	t.Helper()
 	for i := 0; i < c.m; i++ {
 		for j := 0; j < c.n; j++ {
@@ -73,11 +81,53 @@ func (c gemmCase) sameBits(t *testing.T, label string, got, want []float64) {
 				continue
 			}
 			g, w := got[i*c.n+j], want[i*c.n+j]
-			if math.Float64bits(g) != math.Float64bits(w) {
+			if bitsOf(g) != bitsOf(w) {
 				t.Fatalf("%s: %v: element (%d,%d) = %x, want %x", label, c, i, j, g, w)
 			}
 		}
 	}
+}
+
+// narrowed returns s rounded to float32 and widened returns s converted to
+// float64, through the scalar loops rather than the primitives under test.
+func narrowed(s []float64) []float32 {
+	out := make([]float32, len(s))
+	narrowScalar(out, s)
+	return out
+}
+
+func widened(s []float32) []float64 {
+	out := make([]float64, len(s))
+	widenScalar(out, s)
+	return out
+}
+
+// gemmProblem is a case's operands and expected product at both element
+// types. The float64 oracle is the written-down chain; the float32 operands
+// are the float64 ones rounded, and their oracle is that chain on the
+// widened operands, narrowed — the definition of a float32 product.
+type gemmProblem struct {
+	a, b, want       []float64
+	a32, b32, want32 []float32
+}
+
+func (c gemmCase) problem(rng *rand.Rand) gemmProblem {
+	a, b := c.operands(rng)
+	a32, b32 := narrowed(a), narrowed(b)
+	if c.upper {
+		b32 = a32
+	}
+	return gemmProblem{
+		a: a, b: b, want: c.refChain(a, b),
+		a32: a32, b32: b32, want32: narrowed(c.refChain(widened(a32), widened(b32))),
+	}
+}
+
+// check runs the problem at both element types on the given kernel set.
+func (c gemmCase) check(t *testing.T, label string, ks *gemmKernels, p gemmProblem) {
+	t.Helper()
+	sameBits(t, label+"/float64", c, run(c, ks, p.a, p.b), p.want)
+	sameBits(t, label+"/float32", c, run(c, ks, p.a32, p.b32), p.want32)
 }
 
 // gemmCases is the shape set of the bit-identity tests: every small edge
@@ -119,15 +169,15 @@ func gemmCases() []gemmCase {
 // TestGEMMKernelSetsBitIdentical is the kernel-equality gate: the active
 // kernel set (the AVX2 assembly where the build and CPU have it) and the
 // portable math.FMA set, linked into this one binary, must both reproduce
-// the written-down FMA chain bit for bit — every variant, every edge.
+// the written-down FMA chain bit for bit — every variant, every edge, both
+// element types.
 func TestGEMMKernelSetsBitIdentical(t *testing.T) {
-	t.Logf("active float64 GEMM kernel set: %s", KernelISA())
+	t.Logf("active GEMM kernel set: %s", KernelISA())
 	rng := rand.New(rand.NewSource(1))
 	for _, c := range gemmCases() {
-		a, b := c.operands(rng)
-		want := c.refChain(a, b)
-		c.sameBits(t, "portable", c.run(&gemmGo, a, b), want)
-		c.sameBits(t, "active", c.run(&gemmActive, a, b), want)
+		p := c.problem(rng)
+		c.check(t, "portable", &gemmGo, p)
+		c.check(t, "active", &gemmActive, p)
 	}
 }
 
@@ -148,28 +198,67 @@ func TestGEMMBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		if work := c.m * c.n * c.k; work < 2*gemmParallelWork { // 2×: an upper case counts half
 			t.Fatalf("%v: %d multiply-adds would not fan out", c, work)
 		}
-		a, b := c.operands(rng)
-		want := c.refChain(a, b)
+		p := c.problem(rng)
 		for _, procs := range []int{1, 2, 4, 8} {
 			runtime.GOMAXPROCS(procs)
-			c.sameBits(t, fmt.Sprintf("GOMAXPROCS=%d", procs), c.run(&gemmActive, a, b), want)
+			c.check(t, fmt.Sprintf("GOMAXPROCS=%d", procs), &gemmActive, p)
 		}
 	}
 }
+
+// product is one entry point of the family at float64 operand types; the
+// float32 entry points are wrapped by via32.
+type product struct {
+	name string
+	run  func(dst, a, b *Tensor)
+}
+
+// via32 runs a float32 product on the narrowed operands and widens the
+// result, so one test body drives both element types. NaN and ±Inf survive
+// both conversions.
+func via32(run func(dst, a, b *T32)) func(dst, a, b *Tensor) {
+	return func(dst, a, b *Tensor) {
+		d32, a32, b32 := NewT32(dst.Shape...), NewT32(a.Shape...), NewT32(b.Shape...)
+		a32.NarrowFrom(a)
+		b32.NarrowFrom(b)
+		run(d32, a32, b32)
+		d32.WidenInto(dst)
+	}
+}
+
+var (
+	products64 = []product{
+		{"MatMulInto", MatMulInto},
+		{"MatMulT1Into", MatMulT1Into},
+		{"MatMulT2Into", MatMulT2Into},
+	}
+	products32 = []product{
+		{"MatMulInto32", via32(MatMulInto32)},
+		{"MatMulT1Into32", via32(MatMulT1Into32)},
+		{"MatMulT2Into32", via32(MatMulT2Into32)},
+	}
+	gram64 = product{"MatMulT1UpperInto", func(dst, a, _ *Tensor) { MatMulT1UpperInto(dst, a) }}
+	gram32 = product{"MatMulT1UpperInto32", via32(func(dst, a, _ *T32) { MatMulT1UpperInto32(dst, a) })}
+)
 
 // TestMatMulPropagatesNonFinite: NaN and ±Inf in either operand reach the
 // output even when the other operand's matching entry is zero (0·Inf is
 // NaN). The old kernels skipped zero multipliers and returned 0 here.
 func TestMatMulPropagatesNonFinite(t *testing.T) {
-	products := []struct {
-		name string
-		run  func(dst, a, b *Tensor) // a, b are k×k with k = 5
-	}{
-		{"MatMulInto", MatMulInto},
-		{"MatMulT1Into", MatMulT1Into},
-		{"MatMulT2Into", MatMulT2Into},
+	checkPropagatesNonFinite(t, products64, gram64)
+	// The issue's one-liner.
+	if got := MatMul(FromSlice([]float64{0}, 1, 1), FromSlice([]float64{math.Inf(1)}, 1, 1)).Data[0]; !math.IsNaN(got) {
+		t.Errorf("[[0]]·[[+Inf]] = %v, want NaN", got)
 	}
-	const k = 5
+}
+
+// TestMatMul32PropagatesNonFinite: the same for the float32 entry points.
+func TestMatMul32PropagatesNonFinite(t *testing.T) {
+	checkPropagatesNonFinite(t, products32, gram32)
+}
+
+func checkPropagatesNonFinite(t *testing.T, products []product, gram product) {
+	const k = 5 // a, b are k×k
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, pr := range products {
 			for _, inA := range []bool{true, false} {
@@ -198,51 +287,65 @@ func TestMatMulPropagatesNonFinite(t *testing.T) {
 		// product must show its share.
 		a, dst := New(k, k), New(k, k)
 		a.Data[1*k+2] = bad
-		MatMulT1UpperInto(dst, a)
+		gram.run(dst, a, a)
 		for j := 0; j < k; j++ {
 			lo, hi := min(2, j), max(2, j)
 			got := dst.Data[lo*k+hi]
 			if j == 2 && !math.IsNaN(got) && !math.IsInf(got, 1) {
-				t.Errorf("MatMulT1UpperInto with %v: diagonal element (2,2) = %v, want bad²", bad, got)
+				t.Errorf("%s with %v: diagonal element (2,2) = %v, want bad²", gram.name, bad, got)
 			}
 			if j != 2 && !math.IsNaN(got) {
-				t.Errorf("MatMulT1UpperInto with %v: element (%d,%d) = %v, want NaN", bad, lo, hi, got)
+				t.Errorf("%s with %v: element (%d,%d) = %v, want NaN", gram.name, bad, lo, hi, got)
 			}
 		}
 	}
-	// The issue's one-liner.
-	if got := MatMul(FromSlice([]float64{0}, 1, 1), FromSlice([]float64{math.Inf(1)}, 1, 1)).Data[0]; !math.IsNaN(got) {
-		t.Errorf("[[0]]·[[+Inf]] = %v, want NaN", got)
-	}
+}
+
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: aliased destination accepted", name)
+		}
+	}()
+	fn()
 }
 
 // TestMatMulAliasPanics: the documented "dst must not alias a or b" is
 // checked — the kernel reloads C tiles between k-blocks, so an aliased
 // destination would give wrong numbers, not stale ones.
 func TestMatMulAliasPanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: aliased destination accepted", name)
-			}
-		}()
-		fn()
-	}
 	a, b := New(6, 6), New(6, 6)
-	mustPanic("MatMulInto dst=a", func() { MatMulInto(a, a, b) })
-	mustPanic("MatMulInto dst=b", func() { MatMulInto(b, a, b) })
-	mustPanic("MatMulT1Into dst=a", func() { MatMulT1Into(a, a, b) })
-	mustPanic("MatMulT2Into dst=b", func() { MatMulT2Into(b, a, b) })
-	mustPanic("MatMulT1UpperInto dst=a", func() { MatMulT1UpperInto(a, a) })
+	mustPanic(t, "MatMulInto dst=a", func() { MatMulInto(a, a, b) })
+	mustPanic(t, "MatMulInto dst=b", func() { MatMulInto(b, a, b) })
+	mustPanic(t, "MatMulT1Into dst=a", func() { MatMulT1Into(a, a, b) })
+	mustPanic(t, "MatMulT2Into dst=b", func() { MatMulT2Into(b, a, b) })
+	mustPanic(t, "MatMulT1UpperInto dst=a", func() { MatMulT1UpperInto(a, a) })
 	// A partial overlap: dst is a window into the tail of a's storage.
 	buf := make([]float64, 60)
 	wa := FromSlice(buf[:36], 6, 6)
 	wd := FromSlice(buf[24:60], 6, 6)
-	mustPanic("MatMulInto overlapping windows", func() { MatMulInto(wd, wa, b) })
+	mustPanic(t, "MatMulInto overlapping windows", func() { MatMulInto(wd, wa, b) })
 	// Disjoint windows of one buffer are fine.
 	big := make([]float64, 72)
 	MatMulInto(FromSlice(big[36:], 6, 6), FromSlice(big[:36], 6, 6), b)
+}
+
+// TestMatMul32AliasPanics: the float32 entry points check it too. The overlap
+// test must scale by the element size, so the windows here share exactly one
+// float32, then none.
+func TestMatMul32AliasPanics(t *testing.T) {
+	a, b := NewT32(6, 6), NewT32(6, 6)
+	mustPanic(t, "MatMulInto32 dst=a", func() { MatMulInto32(a, a, b) })
+	mustPanic(t, "MatMulInto32 dst=b", func() { MatMulInto32(b, a, b) })
+	mustPanic(t, "MatMulT1Into32 dst=a", func() { MatMulT1Into32(a, a, b) })
+	mustPanic(t, "MatMulT2Into32 dst=b", func() { MatMulT2Into32(b, a, b) })
+	mustPanic(t, "MatMulT1UpperInto32 dst=a", func() { MatMulT1UpperInto32(a, a) })
+	buf := make([]float32, 72)
+	window := func(lo int) *T32 { return &T32{Shape: []int{6, 6}, Data: buf[lo : lo+36]} }
+	mustPanic(t, "MatMulInto32 windows sharing one element", func() { MatMulInto32(window(35), window(0), b) })
+	MatMulInto32(window(36), window(0), b)
 }
 
 // TestMatMulZeroAllocSteadyState asserts the float64 product family

@@ -21,13 +21,32 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 // [N*outH*outW, C*kh*kw]. The destination is fully overwritten (padding
 // positions are zeroed explicitly), so reused workspace buffers are safe.
 func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	outH := (h+2*pad-kh)/stride + 1
-	outW := (w+2*pad-kw)/stride + 1
-	if cols.Shape[0] != n*outH*outW || cols.Shape[1] != c*kh*kw {
-		panic("tensor: Im2ColInto shape mismatch")
+	im2col(cols.Data, cols.Shape, x.Data, x.Shape, kh, kw, stride, pad)
+}
+
+// Im2ColInto32 is Im2ColInto for float32 storage: the lowering only moves
+// data, so it stays in float32.
+func Im2ColInto32(cols, x *T32, kh, kw, stride, pad int) {
+	im2col(cols.Data, cols.Shape, x.Data, x.Shape, kh, kw, stride, pad)
+}
+
+// loweringDims returns the image extents [N, C, H, W] of xShape and the
+// output extents of the window, and panics unless colsShape is the matching
+// [N*outH*outW, C*kh*kw].
+func loweringDims(xShape, colsShape []int, kh, kw, stride, pad int) (n, c, h, w, outH, outW int) {
+	n, c, h, w = xShape[0], xShape[1], xShape[2], xShape[3]
+	outH = ConvOutSize(h, kh, stride, pad)
+	outW = ConvOutSize(w, kw, stride, pad)
+	if colsShape[0] != n*outH*outW || colsShape[1] != c*kh*kw {
+		panic("tensor: im2col/col2im column matrix shape mismatch")
 	}
-	cols.Zero()
+	return
+}
+
+// im2col is the body of Im2ColInto and Im2ColInto32.
+func im2col[E elem](cols []E, colsShape []int, x []E, xShape []int, kh, kw, stride, pad int) {
+	n, c, h, w, outH, outW := loweringDims(xShape, colsShape, kh, kw, stride, pad)
+	clear(cols)
 	colW := c * kh * kw
 	for img := 0; img < n; img++ {
 		base := img * c * h * w
@@ -35,7 +54,7 @@ func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
 			iy0 := oy*stride - pad
 			for ox := 0; ox < outW; ox++ {
 				ix0 := ox*stride - pad
-				row := cols.Data[((img*outH+oy)*outW+ox)*colW:]
+				row := cols[((img*outH+oy)*outW+ox)*colW:]
 				idx := 0
 				for ch := 0; ch < c; ch++ {
 					chBase := base + ch*h*w
@@ -50,7 +69,7 @@ func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
 						for kx := 0; kx < kw; kx++ {
 							ix := ix0 + kx
 							if ix >= 0 && ix < w {
-								row[idx] = x.Data[rowBase+ix]
+								row[idx] = x[rowBase+ix]
 							}
 							idx++
 						}
@@ -74,10 +93,22 @@ func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 // Col2ImInto is Col2Im accumulating into a caller-provided [N, C, H, W]
 // destination, which it zeroes first.
 func Col2ImInto(x, cols *Tensor, kh, kw, stride, pad int) {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	outH := (h+2*pad-kh)/stride + 1
-	outW := (w+2*pad-kw)/stride + 1
-	x.Zero()
+	col2im(x.Data, x.Shape, cols.Data, cols.Shape, kh, kw, stride, pad)
+}
+
+// Col2ImInto32 is Col2ImInto for a float32 column matrix and a float64
+// destination: overlapping receptive fields sum many contributions per
+// pixel, so the scatter widens as it accumulates and hands the upstream
+// layer an ordinary float64 gradient — the convert-at-the-boundary rule.
+func Col2ImInto32(x *Tensor, cols *T32, kh, kw, stride, pad int) {
+	col2im(x.Data, x.Shape, cols.Data, cols.Shape, kh, kw, stride, pad)
+}
+
+// col2im is the body of Col2ImInto and Col2ImInto32: it accumulates in the
+// destination's element type D whatever the columns' type S.
+func col2im[D, S elem](x []D, xShape []int, cols []S, colsShape []int, kh, kw, stride, pad int) {
+	n, c, h, w, outH, outW := loweringDims(xShape, colsShape, kh, kw, stride, pad)
+	clear(x)
 	colW := c * kh * kw
 	for img := 0; img < n; img++ {
 		base := img * c * h * w
@@ -85,7 +116,7 @@ func Col2ImInto(x, cols *Tensor, kh, kw, stride, pad int) {
 			iy0 := oy*stride - pad
 			for ox := 0; ox < outW; ox++ {
 				ix0 := ox*stride - pad
-				row := cols.Data[((img*outH+oy)*outW+ox)*colW:]
+				row := cols[((img*outH+oy)*outW+ox)*colW:]
 				idx := 0
 				for ch := 0; ch < c; ch++ {
 					chBase := base + ch*h*w
@@ -99,7 +130,7 @@ func Col2ImInto(x, cols *Tensor, kh, kw, stride, pad int) {
 						for kx := 0; kx < kw; kx++ {
 							ix := ix0 + kx
 							if ix >= 0 && ix < w {
-								x.Data[rowBase+ix] += row[idx]
+								x[rowBase+ix] += D(row[idx])
 							}
 							idx++
 						}

@@ -2,22 +2,13 @@
 
 package tensor
 
-// AVX2+FMA implementations of the float32 kernel primitives and of the
-// float64 GEMM micro-kernel (simd_amd64.s), swapped into the dispatch
+// AVX2+FMA implementations of the float32 conversion primitives and of the
+// GEMM kernel set (simd_amd64.s), swapped into the dispatch
 // variables at init when the CPU and OS support them. Build with -tags
 // purego to keep the portable path (the conformance oracle) on any hardware.
 
 //go:noescape
-func axpy32AVX(dst, src []float32, a float32)
-
-//go:noescape
-func dotAcc32AVX(a, b []float32) float64
-
-//go:noescape
 func foldAccAVX(acc []float64, src []float32)
-
-//go:noescape
-func rot32AVX(x, y []float32, c, s float32)
 
 //go:noescape
 func widenAVX(dst []float64, src []float32)
@@ -89,10 +80,7 @@ func cpuHasAVX2FMA() bool {
 
 func init() {
 	if cpuHasAVX2FMA() {
-		axpy32Impl = axpy32AVX
-		dotAcc32Impl = dotAcc32AVX
 		foldAccImpl = foldAccAVX
-		rot32Impl = rot32AVX
 		widenImpl = widenAVX
 		narrowImpl = narrowAVX
 		gemmActive = gemmKernels{tile: gemmKernelAVX, copySteps: copyStepsAVX, transLanes4: transLanes4AVX}
