@@ -65,8 +65,8 @@ func TestPiDampingEigenMatchesFactoredInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &Preconditioner{opts: Options{Mode: EigenMode, Damping: gamma, PiDamping: true}}
-	s := &layerState{eigA: egA, eigG: egG, pi: PiCorrection(A, G)}
-	got := p.preconditionOne(s, grad)
+	s := withKernels(p, &layerState{eigA: egA, eigG: egG, pi: PiCorrection(A, G)})
+	got := s.k.preconditionOne(grad)
 
 	ga, gg := p.dampingSplit(s)
 	invA, err := linalg.InverseDamped(A, ga)

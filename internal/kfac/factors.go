@@ -23,11 +23,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// covKernel computes dst = aᵀa. It defaults to the blocked symmetric
-// multiply (half the multiply-adds of a general matmul, parallel over the
-// shared compute pool); the bit-identity tests swap in the reference
-// general-matmul path to prove the two produce identical bits end to end.
-var covKernel = linalg.SymMulT1Into
+// covKernel computes dst = aᵀa at float64. It defaults to the blocked
+// symmetric multiply (half the multiply-adds of a general matmul, parallel
+// over the shared compute pool); the bit-identity tests swap in the
+// reference general-matmul path to prove the two produce identical bits end
+// to end.
+var covKernel = linalg.SymMulT1Into[float64]
 
 // ComputeCovA forms the activation covariance factor A for a captured
 // layer, following the conventions of the paper's reference implementation:
@@ -42,25 +43,25 @@ var covKernel = linalg.SymMulT1Into
 func ComputeCovA(layer nn.KFACCapturable) *tensor.Tensor {
 	da, _ := FactorDims(layer)
 	cov := tensor.New(da, da)
-	var sample *tensor.Tensor
-	computeCovAInto(cov, layer, &sample)
+	var sample, prod *tensor.Tensor
+	activationCov(cov, covKernel, layer, layer.CapturedActivation(), &sample, &prod)
 	return cov
 }
 
-// computeCovAInto is ComputeCovA writing into dst (da×da) and drawing the
-// bias-augmented sample matrix from *sample — the allocation-free form the
-// preconditioner's per-layer workspaces use.
-func computeCovAInto(dst *tensor.Tensor, layer nn.KFACCapturable, sample **tensor.Tensor) {
-	act := layer.CapturedActivation()
+// activationCov is ComputeCovA writing into dst (da×da, float64) from the
+// capture act at element type E: the bias-augmented sample matrix is drawn
+// from *sample and the Gram product formed by gramInto. This is the
+// allocation-free form the per-layer kernels use.
+func activationCov[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.Dense[E]),
+	layer nn.KFACCapturable, act *tensor.Dense[E], sample, prod **tensor.Dense[E]) {
 	if act == nil {
 		panic("kfac: ComputeCovA called without captured activation (is capture enabled?)")
 	}
 	rows, cols := act.Rows(), act.Cols()
 	spatial := layer.SpatialSize()
-	batch := layer.BatchSize()
-	scale := 1.0
+	scale := E(1)
 	if spatial > 1 {
-		scale = 1 / float64(spatial)
+		scale = E(1 / float64(spatial))
 	}
 	d := cols
 	if layer.HasBias() {
@@ -82,8 +83,18 @@ func computeCovAInto(dst *tensor.Tensor, layer nn.KFACCapturable, sample **tenso
 			}
 		}
 	}
-	covKernel(dst, a)
-	dst.Scale(1 / float64(batch))
+	gramInto(dst, gram, a, prod, 1/float64(layer.BatchSize()))
+}
+
+// gramInto writes scale·aᵀa into the float64 dst: the product is formed at
+// a's element type — in dst itself at float64, else in *prod — and scaled
+// after it has crossed the boundary.
+func gramInto[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.Dense[E]),
+	a *tensor.Dense[E], prod **tensor.Dense[E], scale float64) {
+	cov := tensor.Like(prod, dst)
+	gram(cov, a)
+	tensor.Convert(dst, cov)
+	dst.Scale(scale)
 }
 
 // ComputeCovG forms the output-gradient covariance factor G, assuming the
@@ -96,23 +107,22 @@ func computeCovAInto(dst *tensor.Tensor, layer nn.KFACCapturable, sample **tenso
 func ComputeCovG(layer nn.KFACCapturable) *tensor.Tensor {
 	_, dg := FactorDims(layer)
 	cov := tensor.New(dg, dg)
-	computeCovGInto(cov, layer)
+	var prod *tensor.Tensor
+	gradientCov(cov, covKernel, layer, layer.CapturedOutputGrad(), &prod)
 	return cov
 }
 
-// computeCovGInto is ComputeCovG writing into dst (dg×dg).
-func computeCovGInto(dst *tensor.Tensor, layer nn.KFACCapturable) {
-	g := layer.CapturedOutputGrad()
+// gradientCov is ComputeCovG writing into dst (dg×dg, float64) from the
+// capture g at element type E, as activationCov does.
+func gradientCov[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.Dense[E]),
+	layer nn.KFACCapturable, g *tensor.Dense[E], prod **tensor.Dense[E]) {
 	if g == nil {
 		panic("kfac: ComputeCovG called without captured output gradient")
 	}
-	batch := layer.BatchSize()
-	spatial := layer.SpatialSize()
 	// Undo batch averaging and spatial scaling: scale each sample row by
 	// N·S, then normalize the covariance by the sample count (N·S rows for
 	// conv, N rows for linear). Algebraically G = (N·S)²/(N·S)·gᵀg = N·S·gᵀg.
-	covKernel(dst, g)
-	dst.Scale(float64(batch) * float64(spatial))
+	gramInto(dst, gram, g, prod, float64(layer.BatchSize())*float64(layer.SpatialSize()))
 }
 
 // FactorDims returns the dimensions (rows of A, rows of G) the factors of a

@@ -43,6 +43,18 @@ func runStep(net *nn.Sequential, seed int64, batch int) {
 	net.Backward(grad)
 }
 
+// withKernels attaches kernels of p's precision to a hand-built layer state
+// and mirrors the decompositions it was built with.
+func withKernels(p *Preconditioner, s *layerState) *layerState {
+	s.k = newKernels(p.opts.Precision, p, s)
+	for _, isG := range factorSides {
+		if f := s.side(isG); *f.eig != nil || *f.inv != nil {
+			s.k.refresh(isG)
+		}
+	}
+	return s
+}
+
 func TestComputeCovALinearMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := nn.NewLinear("fc", 3, 2, true, rng)
@@ -148,8 +160,8 @@ func TestEigenPreconditionMatchesKroneckerInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &Preconditioner{opts: Options{Mode: EigenMode, Damping: gamma}}
-	s := &layerState{eigA: egA, eigG: egG}
-	got := p.preconditionOne(s, grad)
+	s := withKernels(p, &layerState{eigA: egA, eigG: egG})
+	got := s.k.preconditionOne(grad)
 
 	// Explicit: build the (out·in)×(out·in) matrix and solve.
 	dim := out * in
@@ -199,8 +211,8 @@ func TestInversePreconditionMatchesFactoredDamping(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &Preconditioner{opts: Options{Mode: InverseMode, Damping: gamma}}
-	s := &layerState{invA: invA, invG: invG}
-	got := p.preconditionOne(s, grad)
+	s := withKernels(p, &layerState{invA: invA, invG: invG})
+	got := s.k.preconditionOne(grad)
 	want := tensor.MatMul(tensor.MatMul(invG, grad), invA)
 	if !got.Equal(want, 1e-10) {
 		t.Error("inverse preconditioning != (G+γI)⁻¹∇L(A+γI)⁻¹")
@@ -236,8 +248,8 @@ func TestPreconditionRoundTripProperty(t *testing.T) {
 			return false
 		}
 		p := &Preconditioner{opts: Options{Mode: EigenMode, Damping: 0}}
-		s := &layerState{eigA: egA, eigG: egG}
-		pc := p.preconditionOne(s, grad)
+		s := withKernels(p, &layerState{eigA: egA, eigG: egG})
+		pc := s.k.preconditionOne(grad)
 		// Fisher · pc = G · pc · A should recover grad.
 		back := tensor.MatMul(tensor.MatMul(G, pc), A)
 		return back.Equal(grad, 1e-6)
@@ -528,7 +540,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 			s.invA = inv
 		}
 		src.states = []*layerState{s}
-		dst.states = []*layerState{{layer: layer}}
+		dst.states = []*layerState{withKernels(dst, &layerState{layer: layer})}
 		buf := src.appendRecord(nil, 0, false)
 		if err := dst.consumeRecords(buf); err != nil {
 			t.Fatal(err)

@@ -2,8 +2,10 @@ package kfac
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -184,15 +186,131 @@ func TestF32FactorsStayFloat64(t *testing.T) {
 		if s.A == nil || s.G == nil || s.eigA == nil || s.eigG == nil || s.pcBuf == nil {
 			t.Fatalf("layer %d: float64 state missing under F32", i)
 		}
-		if s.f32 == nil || s.f32.qA == nil || s.f32.qG == nil {
+		k := s.k.(*kernels[float32])
+		if k.mirror[0] == nil || k.mirror[1] == nil {
 			t.Fatalf("layer %d: float32 mirrors not refreshed", i)
 		}
 		// The mirror must be the narrowed image of the current eigenbasis.
 		n := s.eigA.Q.Rows()
 		for j := 0; j < n*n; j++ {
-			if s.f32.qA.Data[j] != float32(s.eigA.Q.Data[j]) {
+			if k.mirror[0].Data[j] != float32(s.eigA.Q.Data[j]) {
 				t.Fatalf("layer %d: stale qA mirror at %d", i, j)
 			}
 		}
 	}
+}
+
+// roundF32 returns t rounded to float32, as a float64 tensor.
+func roundF32(t *tensor.Tensor) *tensor.Tensor {
+	n := tensor.NewT32(t.Shape...)
+	n.NarrowFrom(t)
+	out := tensor.New(t.Shape...)
+	n.WidenInto(out)
+	return out
+}
+
+// f32PreconditionRef is preconditionOne at F32 as a definition: the float64
+// body of Equations 13–15 (or 10) on the float32-rounded decompositions and
+// gradient, with one rounding to float32 after each product and after the
+// division. The eigenvalues, γ and π stay float64.
+func f32PreconditionRef(p *Preconditioner, s *layerState, grad *tensor.Tensor) *tensor.Tensor {
+	r := roundF32
+	g := r(grad)
+	if p.opts.Mode == InverseMode {
+		return r(tensor.MatMul(r(tensor.MatMul(r(s.invG), g)), r(s.invA)))
+	}
+	qa, qg := r(s.eigA.Q), r(s.eigG.Q)
+	v := r(tensor.MatMul(r(tensor.MatMulT1(qg, g)), qa))
+	out, in := v.Rows(), v.Cols()
+	ga, gg := p.dampingSplit(s)
+	for row := 0; row < out; row++ {
+		for c := 0; c < in; c++ {
+			den := s.eigG.Values[row]*s.eigA.Values[c] + p.opts.Damping
+			if p.opts.PiDamping {
+				den = (s.eigG.Values[row] + gg) * (s.eigA.Values[c] + ga)
+			}
+			v.Data[row*in+c] /= den
+		}
+	}
+	return r(tensor.MatMulT2(r(tensor.MatMul(qg, r(v))), qa))
+}
+
+// f32TestState builds a hand-made F32 layer state over random SPD factors.
+func f32TestState(t *testing.T, opts Options) (*Preconditioner, *layerState, *tensor.Tensor) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(91))
+	const out, in = 5, 7
+	ga, ab := tensor.Randn(rng, 1, out+3, out), tensor.Randn(rng, 1, in+3, in)
+	G, A := tensor.MatMulT1(ga, ga), tensor.MatMulT1(ab, ab)
+	opts.Precision = F32
+	p := &Preconditioner{opts: opts}
+	s := &layerState{pi: 1}
+	if opts.PiDamping {
+		s.pi = PiCorrection(A, G)
+	}
+	var err error
+	if opts.Mode == InverseMode {
+		if s.invA, err = linalg.InverseDamped(A, opts.Damping); err == nil {
+			s.invG, err = linalg.InverseDamped(G, opts.Damping)
+		}
+	} else if s.eigA, err = linalg.SymEig(A); err == nil {
+		s.eigG, err = linalg.SymEig(G)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, withKernels(p, s), tensor.Randn(rng, 1, out, in)
+}
+
+func wantSameBits(t *testing.T, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element %d = %v, want %v (bit equality)", what, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestF32PreconditionOneIsItsDefinition turns the float32 step from a
+// tolerance into a definition, in both modes and both damping forms.
+func TestF32PreconditionOneIsItsDefinition(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"eigen", Options{Mode: EigenMode, Damping: 0.05}},
+		{"eigen+pi", Options{Mode: EigenMode, Damping: 0.05, PiDamping: true}},
+		{"inverse", Options{Mode: InverseMode, Damping: 0.05}},
+	} {
+		p, s, grad := f32TestState(t, c.opts)
+		wantSameBits(t, c.name, s.k.preconditionOne(grad), f32PreconditionRef(p, s, grad))
+	}
+}
+
+// TestF32StepSeesDampingAndPiAtOnce: γ and π are read by the step that uses
+// them, so a change between two F32 steps — the damping-decay schedule, a
+// decomposition update moving π — shows in the very next one.
+func TestF32StepSeesDampingAndPiAtOnce(t *testing.T) {
+	p, s, grad := f32TestState(t, Options{Mode: EigenMode, Damping: 0.05, PiDamping: true})
+	before := s.k.preconditionOne(grad).Clone()
+
+	p.SetDamping(0.005)
+	afterGamma := s.k.preconditionOne(grad).Clone()
+	wantSameBits(t, "after SetDamping", afterGamma, f32PreconditionRef(p, s, grad))
+	if afterGamma.Equal(before, 0) {
+		t.Fatal("a tenfold damping change left the preconditioned gradient unchanged")
+	}
+
+	s.pi *= 3
+	afterPi := s.k.preconditionOne(grad)
+	wantSameBits(t, "after π change", afterPi, f32PreconditionRef(p, s, grad))
+	if afterPi.Equal(afterGamma, 0) {
+		t.Fatal("a threefold π change left the preconditioned gradient unchanged")
+	}
+
+	// The uniform-γ form as well.
+	p, s, grad = f32TestState(t, Options{Mode: EigenMode, Damping: 0.05})
+	s.k.preconditionOne(grad)
+	p.SetDamping(0.5)
+	wantSameBits(t, "uniform γ after SetDamping", s.k.preconditionOne(grad), f32PreconditionRef(p, s, grad))
 }

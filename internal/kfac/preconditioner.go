@@ -88,11 +88,10 @@ type Options struct {
 	// eigendecomposition, and the per-layer decomposition exchange. Both
 	// run the same stage code and are bit-identical.
 	Engine Engine
-	// Precision selects the arithmetic width of the covariance and
-	// preconditioning kernels (default F64). F32 stores and multiplies in
-	// float32 with float64 accumulation; running averages, decompositions,
-	// communication, and checkpoints stay float64 regardless (see
-	// precision.go).
+	// Precision selects the element type of the covariance and
+	// preconditioning kernels (default F64). F32 keeps their operands and
+	// products in float32; running averages, decompositions, communication,
+	// and checkpoints stay float64 regardless (see kernels.go).
 	Precision Precision
 	// Compression applies a lossy codec to the factor allreduce and the
 	// trainer's gradient exchange (nil = exact), wrapped in error-feedback
@@ -169,14 +168,12 @@ type layerState struct {
 	// identical on every rank without communication.
 	pi float64
 
-	// Reused workspaces. Together with the Eigen in-place refresh
-	// (linalg.SymEigInto) they make the steady-state Step path — combined
-	// gradient, preconditioning products, KL clip — allocation-free; see
-	// TestKFACStepSteadyStateZeroAllocs.
+	// Reused workspaces. Together with those of k and the Eigen in-place
+	// refresh (linalg.SymEigInto) they make the steady-state Step path —
+	// combined gradient, preconditioning products, KL clip —
+	// allocation-free; see TestKFACStepSteadyStateZeroAllocs.
 	covA, covG *tensor.Tensor // covariance scratch for one factor update
-	sample     *tensor.Tensor // bias-augmented activation sample matrix
 	gradBuf    *tensor.Tensor // combined gradient [dg, da]
-	wA, wB     *tensor.Tensor // preconditioning intermediates [dg, da]
 	// pcBuf is the preconditioned gradient [dg, da]. Under a partial plan it
 	// is a view into its broadcast bucket's backing (see pcBucket).
 	pcBuf *tensor.Tensor
@@ -187,8 +184,9 @@ type layerState struct {
 	// ping-pongs between the two buffers.
 	eigSpareA, eigSpareG *linalg.Eigen
 
-	// Float32 mirrors and workspaces; nil unless Options.Precision == F32.
-	f32 *layerF32
+	// k holds the layer's state and stage bodies at the compute element
+	// type (kernels.go).
+	k layerKernels
 }
 
 // factorSide addresses one factor's slots of a layerState, so every stage
@@ -299,12 +297,7 @@ func NewFromOptions(model nn.Layer, c *comm.Communicator, opts Options) *Precond
 		}
 		l.SetCapture(true)
 		s := &layerState{layer: l}
-		if opts.Precision == F32 {
-			// Allocated eagerly: a layer's A and G float32 mirrors are
-			// refreshed from concurrent decomposition jobs and record
-			// consumers, so the lazy ensureF32 would race here.
-			s.f32 = &layerF32{}
-		}
+		s.k = newKernels(opts.Precision, p, s)
 		p.states = append(p.states, s)
 	}
 	p.replan()
@@ -471,17 +464,15 @@ func (p *Preconditioner) factorMemBytes() int64 {
 		}
 		return tlen(e.Q) + int64(len(e.Values))
 	}
+	var atE int64
 	for _, s := range p.states {
 		elems += tlen(s.A) + tlen(s.G) + tlen(s.covA) + tlen(s.covG)
-		elems += tlen(s.sample) + tlen(s.gradBuf) + tlen(s.wA) + tlen(s.wB) + tlen(s.pcBuf)
+		elems += tlen(s.gradBuf) + tlen(s.pcBuf)
 		elems += tlen(s.invA) + tlen(s.invG)
 		elems += eglen(s.eigA) + eglen(s.eigG) + eglen(s.eigSpareA) + eglen(s.eigSpareG)
+		atE += s.k.memBytes()
 	}
-	bytes := 8 * elems
-	for _, s := range p.states {
-		bytes += 4 * s.f32MemElems()
-	}
-	return bytes
+	return 8*elems + atE
 }
 
 // FactorRefs lists the factors in placement order: (A₀, G₁, A₁, G₂, ...) —
@@ -560,30 +551,8 @@ func (p *Preconditioner) Step(lr float64) error {
 	return p.precondition(lr)
 }
 
-// computeCovState recomputes one layer's local covariance factors into its
-// reused workspaces and folds them into the running averages
-// (Equations 16–17). Only the per-layer workspaces of s are touched, so
-// layers can run concurrently.
-func (p *Preconditioner) computeCovState(s *layerState) {
-	if p.opts.Precision == F32 {
-		p.computeCovState32(s)
-		return
-	}
-	da, dg := FactorDims(s.layer)
-	covA := tensor.Ensure(&s.covA, da, da)
-	computeCovAInto(covA, s.layer, &s.sample)
-	covG := tensor.Ensure(&s.covG, dg, dg)
-	computeCovGInto(covG, s.layer)
-	if s.A == nil {
-		s.A, s.G = covA.Clone(), covG.Clone()
-	} else {
-		s.A.Lerp(p.opts.FactorDecay, covA)
-		s.G.Lerp(p.opts.FactorDecay, covG)
-	}
-}
-
 // decompose eigendecomposes (or inverts) one factor of a layer into its
-// slots and refreshes the float32 mirror.
+// slots and refreshes the kernels' mirror of it.
 func (p *Preconditioner) decompose(s *layerState, isG bool) error {
 	f := s.side(isG)
 	if p.opts.Mode == InverseMode {
@@ -612,7 +581,7 @@ func (p *Preconditioner) decompose(s *layerState, isG bool) error {
 		clampEigen(*f.spare)
 		*f.eig, *f.spare = *f.spare, *f.eig
 	}
-	p.refreshF32(s, isG)
+	s.k.refresh(isG)
 	return nil
 }
 
@@ -663,7 +632,7 @@ func (r *precondRanger) RunRange(lo, hi int) {
 	p := r.p
 	for i := lo; i < hi; i++ {
 		if s := p.states[i]; p.plan.IsGradWorker(i, r.mine) {
-			r.preconds[i] = p.preconditionOne(s, r.grads[i])
+			r.preconds[i] = s.k.preconditionOne(r.grads[i])
 		} else {
 			r.preconds[i] = s.pcBuf
 		}
@@ -765,62 +734,6 @@ func (p *Preconditioner) applyKLClip(lr float64, grads, preconds []*tensor.Tenso
 		}
 		s.layer.SetCombinedGrad(preconds[i])
 	}
-}
-
-// preconditionOne computes (F̂ᵢ+γI)⁻¹∇L for a single layer from the stored
-// decompositions, writing into the layer's reused workspace (which it
-// returns). grad must not alias the workspace tensors.
-func (p *Preconditioner) preconditionOne(s *layerState, grad *tensor.Tensor) *tensor.Tensor {
-	if p.opts.Precision == F32 {
-		return p.preconditionOne32(s, grad)
-	}
-	out, in := grad.Rows(), grad.Cols()
-	pc := tensor.Ensure(&s.pcBuf, out, in)
-	if p.opts.Mode == InverseMode {
-		if s.invA == nil || s.invG == nil {
-			panic("kfac: precondition before inverse update")
-		}
-		// Equation 10: G⁻¹ ∇L A⁻¹ (inverses already damped).
-		t1 := tensor.Ensure(&s.wA, out, in)
-		tensor.MatMulInto(t1, s.invG, grad)
-		tensor.MatMulInto(pc, t1, s.invA)
-		return pc
-	}
-	if s.eigA == nil || s.eigG == nil {
-		panic("kfac: precondition before eigendecomposition update")
-	}
-	// Equations 13–15:
-	//   V₁ = Q_Gᵀ ∇L Q_A
-	//   V₂ = V₁ / (υ_G υ_Aᵀ + γ)
-	//   out = Q_G V₂ Q_Aᵀ
-	qg, qa := s.eigG.Q, s.eigA.Q
-	t1 := tensor.Ensure(&s.wA, out, in)
-	tensor.MatMulT1Into(t1, qg, grad)
-	v1 := tensor.Ensure(&s.wB, out, in)
-	tensor.MatMulInto(v1, t1, qa)
-	if p.opts.PiDamping {
-		// Factored split: denominator (λ_A + π√γ)(λ_G + √γ/π).
-		ga, gg := p.dampingSplit(s)
-		for r := 0; r < out; r++ {
-			vg := s.eigG.Values[r] + gg
-			row := v1.Data[r*in : (r+1)*in]
-			for c := 0; c < in; c++ {
-				row[c] /= vg * (s.eigA.Values[c] + ga)
-			}
-		}
-	} else {
-		for r := 0; r < out; r++ {
-			vg := s.eigG.Values[r]
-			row := v1.Data[r*in : (r+1)*in]
-			for c := 0; c < in; c++ {
-				row[c] /= vg*s.eigA.Values[c] + p.opts.Damping
-			}
-		}
-	}
-	t2 := t1 // wA no longer needed; reuse for Q_G × V₂
-	tensor.MatMulInto(t2, qg, v1)
-	tensor.MatMulT2Into(pc, t2, qa)
-	return pc
 }
 
 // ParamSchedule is the paper's "decay by a fixed scalar at fixed epochs"

@@ -284,7 +284,7 @@ func (r *updateRun) run(barrier bool) error {
 		for i, s := range p.states {
 			r.exec(func() {
 				r.facComp.begin()
-				p.computeCovState(s)
+				s.k.computeCov(p.opts.FactorDecay)
 				r.facComp.end()
 				r.covDone.done(i)
 			})
@@ -556,7 +556,7 @@ func (p *Preconditioner) consumeRecords(block []float64) error {
 			}
 			(*f.eig).SetFrom(payload[:n], payload[n:], n)
 		}
-		p.refreshF32(s, isG)
+		s.k.refresh(isG)
 		pos = end
 	}
 	return nil

@@ -16,7 +16,10 @@ import "repro/internal/tensor"
 // itself bitwise symmetric — elements (i, j) and (j, i) chain the same
 // products a[p][i]·a[p][j] in the same order — so the mirror copies exactly
 // what the general kernel would have computed below the diagonal.
-func SymMulT1Into(dst, a *tensor.Tensor) {
+//
+// At float32 it is that product on the widened operands rounded once
+// (tensor/gemm.go), so still bitwise symmetric.
+func SymMulT1Into[E tensor.Elem](dst, a *tensor.Dense[E]) {
 	m := a.Shape[1]
 	if dst.Shape[0] != m || dst.Shape[1] != m {
 		panic("linalg: SymMulT1Into shape mismatch")
@@ -25,18 +28,8 @@ func SymMulT1Into(dst, a *tensor.Tensor) {
 	mirrorLower(dst.Data, m)
 }
 
-// SymMulT1Into32 is SymMulT1Into for float32 storage — the kernel the
-// mixed-precision covariance updates run on. It equals
-// Narrow(SymMulT1Into(Widen(a))) bit for bit (tensor/matmul32.go), so it is
-// bitwise symmetric and bit-identical to tensor.MatMulT1Into32(dst, a, a).
-func SymMulT1Into32(dst, a *tensor.T32) {
-	m := a.Shape[1]
-	if dst.Shape[0] != m || dst.Shape[1] != m {
-		panic("linalg: SymMulT1Into32 shape mismatch")
-	}
-	tensor.MatMulT1UpperInto32(dst, a)
-	mirrorLower(dst.Data, m)
-}
+// SymMulT1Into32 is SymMulT1Into at float32, by the name the benchmark calls.
+func SymMulT1Into32(dst, a *tensor.T32) { SymMulT1Into(dst, a) }
 
 // SymMulT1 returns aᵀ × a for a (k×m) as a freshly allocated m×m tensor.
 func SymMulT1(a *tensor.Tensor) *tensor.Tensor {

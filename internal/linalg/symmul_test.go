@@ -64,7 +64,7 @@ func TestSymMul32BitIdenticalToMatMulT1(t *testing.T) {
 		a.NarrowFrom(a64)
 		a.WidenInto(a64)
 		want, got, narrowed := tensor.NewT32(sh.m, sh.m), tensor.NewT32(sh.m, sh.m), tensor.NewT32(sh.m, sh.m)
-		tensor.MatMulT1Into32(want, a, a)
+		tensor.MatMulT1Into(want, a, a)
 		SymMulT1Into32(got, a)
 		narrowed.NarrowFrom(SymMulT1(a64))
 		for i := 0; i < sh.m; i++ {
@@ -108,7 +108,7 @@ func via32(run func(dst, a *tensor.T32)) func(a *tensor.Tensor) *tensor.Tensor {
 // TestSymMul32PropagatesNonFinite: the same for the float32 Gram kernel.
 func TestSymMul32PropagatesNonFinite(t *testing.T) {
 	checkSymMulPropagatesNonFinite(t, via32(SymMulT1Into32),
-		via32(func(dst, a *tensor.T32) { tensor.MatMulT1Into32(dst, a, a) }))
+		via32(func(dst, a *tensor.T32) { tensor.MatMulT1Into(dst, a, a) }))
 }
 
 func checkSymMulPropagatesNonFinite(t *testing.T, gram, general func(a *tensor.Tensor) *tensor.Tensor) {

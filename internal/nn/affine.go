@@ -1,0 +1,305 @@
+package nn
+
+import "repro/internal/tensor"
+
+// The affine core: the arithmetic of the two GEMM-heavy layers, written once
+// over the element type.
+//
+// A Linear is the affine map Y = X·Wᵀ + b; a Conv2D is the same map applied
+// to its im2col patch matrix. Both delegate forward and backward to an
+// affine[E] — Linear directly, Conv2D wrapped in im2col, the NCHW layout
+// shims and col2im — and SetComputeF32 picks E once per layer: float64 (the
+// default), or float32 for the mixed-precision path, whose products run the
+// float64 FMA chain on float32 operands and round once (internal/tensor/
+// gemm.go). Nothing else asks which it is: a value crosses the precision
+// boundary through tensor.Cast, which hands back the float64 tensor itself
+// at float64 and converts into a reused buffer at float32 ("convert at the
+// boundary", docs/ARCHITECTURE.md).
+//
+// Whatever E is, everything crossing the layer boundary is float64: Forward
+// returns a float64 tensor, Backward consumes and produces float64
+// gradients, and parameter gradients accumulate in float64, so optimizers,
+// communication and checkpoints never see E. The cheap pointwise layers
+// (ReLU, BatchNorm, pooling) are float64 only — they are a vanishing share
+// of step time and BatchNorm's running statistics benefit from the width.
+
+// affineLayer is what Linear and Conv2D share: the parameters, the K-FAC and
+// buffer-reuse switches, and the core that computes at the chosen element
+// type. Its methods are most of both layers' KFACCapturable surface.
+type affineLayer struct {
+	name string
+	W    *Param // [out, in]
+	B    *Param // [out]; nil when bias is disabled
+
+	capture bool
+	reuse   bool // recycle the core's buffers across steps (BufferReuser)
+	batch   int
+	core    affineCore
+}
+
+// affineCore is a layer's element-typed half: linearCore[E] or convCore[E].
+type affineCore interface {
+	forward(x *tensor.Tensor, train bool) *tensor.Tensor
+	backward(gradOut *tensor.Tensor) *tensor.Tensor
+	// captured and captured32 return an operand K-FAC captures — the X of
+	// the last forward, or with grad the G of the last backward — at float64
+	// and at float32: the core's own buffer at its own element type, a
+	// converted copy at the other.
+	captured(grad bool) *tensor.Tensor
+	captured32(grad bool) *tensor.T32
+}
+
+// F32Computer is implemented by layers that can run their products in
+// float32. Like buffer reuse, the toggle leaves layer interfaces float64,
+// but unlike reuse it changes result bits; the trainer enables it only when
+// the session's K-FAC precision is F32.
+type F32Computer interface {
+	Layer
+	// SetComputeF32 selects the float32 (on) or float64 (off) core. Buffers
+	// and captures of the previous core are dropped.
+	SetComputeF32(on bool)
+}
+
+// SetComputeF32 selects the compute element type of every layer under root
+// that supports it (see F32Computer).
+func SetComputeF32(root Layer, on bool) {
+	walk(root, func(l Layer) {
+		if fc, ok := l.(F32Computer); ok {
+			fc.SetComputeF32(on)
+		}
+	})
+}
+
+// affine is the core proper: Y = X·Wᵀ + b forward; dW = GᵀX and db folded
+// into the float64 Param.Grad accumulators, and dX = G·W, backward. Operands
+// and products are E; it keeps the operands of the last pass, which are what
+// backward multiplies by and what K-FAC captures.
+type affine[E tensor.Elem] struct {
+	l *affineLayer
+
+	x, g, w   *tensor.Dense[E] // X and W of the last forward, G of the last backward
+	wBuf      *tensor.Dense[E] // w's storage where W.Value itself cannot serve
+	y, dw, dx *tensor.Dense[E] // products
+
+	// The captures on the far side of the precision boundary.
+	act64, grad64 *tensor.Tensor
+	act32, grad32 *tensor.T32
+}
+
+// forward returns Y = X·Wᵀ + b. x must stay valid and unmodified until the
+// layer's next Forward.
+func (a *affine[E]) forward(x *tensor.Dense[E]) *tensor.Dense[E] {
+	l := a.l
+	a.x = x
+	a.w = castBuf(l.reuse, &a.wBuf, l.W.Value)
+	y := ensureBuf(l.reuse, &a.y, x.Rows(), a.w.Rows())
+	tensor.MatMulT2Into(y, x, a.w)
+	if l.B != nil {
+		bias, out := l.B.Value.Data, y.Cols()
+		for i := 0; i < y.Rows(); i++ {
+			row := y.Data[i*out : (i+1)*out]
+			for j := range row {
+				row[j] += E(bias[j])
+			}
+		}
+	}
+	return y
+}
+
+// backward accumulates dW = GᵀX and db = Σᵢ G[i,:] into the parameter
+// gradients and returns dX = G·W. g must stay valid as x must.
+func (a *affine[E]) backward(g *tensor.Dense[E]) *tensor.Dense[E] {
+	l := a.l
+	a.g = g
+	dw := ensureBuf(l.reuse, &a.dw, a.w.Rows(), a.w.Cols())
+	tensor.MatMulT1Into(dw, g, a.x)
+	tensor.Accumulate(l.W.Grad, dw)
+	if l.B != nil {
+		out := g.Cols()
+		for i := 0; i < g.Rows(); i++ {
+			for j, v := range g.Data[i*out : (i+1)*out] {
+				l.B.Grad.Data[j] += float64(v)
+			}
+		}
+	}
+	dx := ensureBuf(l.reuse, &a.dx, g.Rows(), a.w.Cols())
+	tensor.MatMulInto(dx, g, a.w)
+	return dx
+}
+
+// operand brings a caller's float64 tensor in as an operand. For the
+// arithmetic alone the core may borrow src, and at float64 Cast does; a
+// capture must outlive the caller's buffer, so keep asks for a copy in the
+// core's own *buf at either element type. That is the one ownership rule: a
+// capture is the core's own operand buffer when it has one (always at
+// float32, and Conv2D's patch and gradient matrices), else a copy into one.
+func (a *affine[E]) operand(buf **tensor.Dense[E], src *tensor.Tensor, keep bool) *tensor.Dense[E] {
+	if !keep {
+		return castBuf(a.l.reuse, buf, src)
+	}
+	own := ensureBuf(a.l.reuse, buf, src.Shape...)
+	tensor.Convert(own, src)
+	return own
+}
+
+func (a *affine[E]) captured(grad bool) *tensor.Tensor {
+	if grad {
+		return castCapture(a.l, &a.grad64, a.g)
+	}
+	return castCapture(a.l, &a.act64, a.x)
+}
+
+func (a *affine[E]) captured32(grad bool) *tensor.T32 {
+	if grad {
+		return castCapture(a.l, &a.grad32, a.g)
+	}
+	return castCapture(a.l, &a.act32, a.x)
+}
+
+// castCapture returns the kept operand t at element type D, or nil when
+// capture is off or the pass that produces t has not run.
+func castCapture[D, S tensor.Elem](l *affineLayer, buf **tensor.Dense[D], t *tensor.Dense[S]) *tensor.Dense[D] {
+	if !l.capture || t == nil {
+		return nil
+	}
+	return tensor.Cast(buf, t)
+}
+
+// linearCore is Linear's core: the affine map with a cast on either side.
+type linearCore[E tensor.Elem] struct {
+	affine[E]
+	xBuf, gBuf  *tensor.Dense[E] // own copies of x and gradOut (see operand)
+	yOut, dxOut *tensor.Tensor   // products at float64 where the core's are not
+}
+
+func (c *linearCore[E]) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	y := c.affine.forward(c.operand(&c.xBuf, x, train && c.l.capture))
+	return castBuf(c.l.reuse, &c.yOut, y)
+}
+
+func (c *linearCore[E]) backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	dx := c.affine.backward(c.operand(&c.gBuf, gradOut, c.l.capture))
+	return castBuf(c.l.reuse, &c.dxOut, dx)
+}
+
+// convCore is Conv2D's core: im2col in front of the affine map, the NCHW
+// layout shims around it, col2im behind it. The lowering only moves data,
+// so it runs at E on the once-cast input; the shims and the col2im scatter
+// convert as they move, so no separate pass crosses back to float64.
+type convCore[E tensor.Elem] struct {
+	affine[E]
+	c *Conv2D
+
+	xIn     *tensor.Dense[E] // input at E where x itself cannot serve
+	cols    *tensor.Dense[E] // im2col patches [n·oh·ow, inC·kh·kw]: the affine X
+	gradMat *tensor.Dense[E] // gradOut as [n·oh·ow, outC]: the affine G
+	out, dx *tensor.Tensor   // NCHW output and input gradient
+}
+
+func (k *convCore[E]) forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+	c, reuse := k.c, k.l.reuse
+	n := c.inShape[0]
+	cols := ensureBuf(reuse, &k.cols, n*c.outH*c.outW, c.InDim())
+	tensor.Im2ColInto(cols, castBuf(reuse, &k.xIn, x), c.KH, c.KW, c.Stride, c.Pad)
+	y := k.affine.forward(cols)
+	out := ensureBuf(reuse, &k.out, n, c.OutC, c.outH, c.outW)
+	matToNCHW(out.Data, y.Data, n, c.OutC, c.outH, c.outW)
+	return out
+}
+
+func (k *convCore[E]) backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	c, reuse := k.c, k.l.reuse
+	n := c.inShape[0]
+	gradMat := ensureBuf(reuse, &k.gradMat, n*c.outH*c.outW, c.OutC)
+	nchwToMat(gradMat.Data, gradOut.Data, n, c.OutC, c.outH, c.outW)
+	dCols := k.affine.backward(gradMat)
+	dx := ensureBuf(reuse, &k.dx, c.inShape...)
+	tensor.Col2ImInto(dx, dCols, c.KH, c.KW, c.Stride, c.Pad)
+	return dx
+}
+
+// --- what Linear and Conv2D inherit from affineLayer ----------------------
+
+// Backward implements Layer.
+func (l *affineLayer) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return l.core.backward(gradOut)
+}
+
+// Params implements Layer.
+func (l *affineLayer) Params() []*Param {
+	if l.B != nil {
+		return []*Param{l.W, l.B}
+	}
+	return []*Param{l.W}
+}
+
+// Name implements Layer.
+func (l *affineLayer) Name() string { return l.name }
+
+// SetBufferReuse implements BufferReuser.
+func (l *affineLayer) SetBufferReuse(on bool) { l.reuse = on }
+
+// SetCapture implements KFACCapturable.
+func (l *affineLayer) SetCapture(on bool) { l.capture = on }
+
+// CapturedActivation implements KFACCapturable.
+func (l *affineLayer) CapturedActivation() *tensor.Tensor { return l.core.captured(false) }
+
+// CapturedOutputGrad implements KFACCapturable.
+func (l *affineLayer) CapturedOutputGrad() *tensor.Tensor { return l.core.captured(true) }
+
+// CapturedActivation32 implements KFACCapturable.
+func (l *affineLayer) CapturedActivation32() *tensor.T32 { return l.core.captured32(false) }
+
+// CapturedOutputGrad32 implements KFACCapturable.
+func (l *affineLayer) CapturedOutputGrad32() *tensor.T32 { return l.core.captured32(true) }
+
+// BatchSize implements KFACCapturable.
+func (l *affineLayer) BatchSize() int { return l.batch }
+
+// HasBias implements KFACCapturable.
+func (l *affineLayer) HasBias() bool { return l.B != nil }
+
+// InDim implements KFACCapturable.
+func (l *affineLayer) InDim() int { return l.W.Value.Cols() }
+
+// OutDim implements KFACCapturable.
+func (l *affineLayer) OutDim() int { return l.W.Value.Rows() }
+
+// CombinedGrad implements KFACCapturable: [out, in(+1)] with the bias
+// gradient in the final column when present.
+func (l *affineLayer) CombinedGrad() *tensor.Tensor {
+	cols := l.InDim()
+	if l.B != nil {
+		cols++
+	}
+	g := tensor.New(l.OutDim(), cols)
+	l.CombinedGradInto(g)
+	return g
+}
+
+// CombinedGradInto implements KFACCapturable.
+func (l *affineLayer) CombinedGradInto(g *tensor.Tensor) {
+	if l.B == nil {
+		g.CopyFrom(l.W.Grad)
+		return
+	}
+	out, in := l.OutDim(), l.InDim()
+	for i := 0; i < out; i++ {
+		copy(g.Data[i*(in+1):i*(in+1)+in], l.W.Grad.Data[i*in:(i+1)*in])
+		g.Data[i*(in+1)+in] = l.B.Grad.Data[i]
+	}
+}
+
+// SetCombinedGrad implements KFACCapturable.
+func (l *affineLayer) SetCombinedGrad(g *tensor.Tensor) {
+	if l.B == nil {
+		l.W.Grad.CopyFrom(g)
+		return
+	}
+	out, in := l.OutDim(), l.InDim()
+	for i := 0; i < out; i++ {
+		copy(l.W.Grad.Data[i*in:(i+1)*in], g.Data[i*(in+1):i*(in+1)+in])
+		l.B.Grad.Data[i] = g.Data[i*(in+1)+in]
+	}
+}

@@ -59,6 +59,11 @@ type Layer interface {
 // Conv2D — the paper's §V "supports K-FAC updates for Linear and Conv2D
 // layers"). The capture accessors return the data needed to form the
 // Kronecker factors A and G.
+//
+// Capture validity: a capture is the layer's own buffer, valid from the
+// training Forward (activation) or Backward (output gradient) that produced
+// it until the layer's next Forward — which is after K-FAC's Step has
+// consumed it. Callers that need it longer copy it.
 type KFACCapturable interface {
 	Layer
 	// SetCapture enables or disables activation/gradient capture.
@@ -71,6 +76,12 @@ type KFACCapturable interface {
 	// backward pass as a [samples, outDim] matrix (conv layers return
 	// [n·outH·outW, outC]). Nil if capture was off.
 	CapturedOutputGrad() *tensor.Tensor
+	// CapturedActivation32 and CapturedOutputGrad32 are the same captures at
+	// float32, so a float32 K-FAC step consumes a float32 layer's own
+	// buffers without a float64 round trip. Whichever pair is not at the
+	// layer's compute element type is a converted copy.
+	CapturedActivation32() *tensor.T32
+	CapturedOutputGrad32() *tensor.T32
 	// BatchSize returns the mini-batch size N of the last forward pass.
 	BatchSize() int
 	// SpatialSize returns outH·outW for conv layers and 1 for linear.
@@ -152,27 +163,34 @@ type Stateful interface {
 	StateTensors() []State
 }
 
+// walk visits root and every layer below it in forward order — a container
+// before its children, a Residual's body, then its shortcut, then the ReLU
+// it applies to their sum.
+func walk(root Layer, visit func(Layer)) {
+	visit(root)
+	switch v := root.(type) {
+	case *Sequential:
+		for _, c := range v.Layers {
+			walk(c, visit)
+		}
+	case *Residual:
+		walk(v.Body, visit)
+		if v.Shortcut != nil {
+			walk(v.Shortcut, visit)
+		}
+		walk(v.relu, visit)
+	}
+}
+
 // StateTensors walks a layer tree and collects every Stateful layer's
 // buffers in deterministic order.
 func StateTensors(root Layer) []State {
 	var out []State
-	var walk func(l Layer)
-	walk = func(l Layer) {
-		switch v := l.(type) {
-		case *Sequential:
-			for _, c := range v.Layers {
-				walk(c)
-			}
-		case *Residual:
-			walk(v.Body)
-			if v.Shortcut != nil {
-				walk(v.Shortcut)
-			}
-		case Stateful:
-			out = append(out, v.StateTensors()...)
+	walk(root, func(l Layer) {
+		if s, ok := l.(Stateful); ok {
+			out = append(out, s.StateTensors()...)
 		}
-	}
-	walk(root)
+	})
 	return out
 }
 
@@ -181,23 +199,11 @@ func StateTensors(root Layer) []State {
 // mirroring the paper's per-layer hook registration.
 func CapturableLayers(root Layer) []KFACCapturable {
 	var out []KFACCapturable
-	var walk func(l Layer)
-	walk = func(l Layer) {
-		switch v := l.(type) {
-		case *Sequential:
-			for _, c := range v.Layers {
-				walk(c)
-			}
-		case *Residual:
-			walk(v.Body)
-			if v.Shortcut != nil {
-				walk(v.Shortcut)
-			}
-		case KFACCapturable:
-			out = append(out, v)
+	walk(root, func(l Layer) {
+		if c, ok := l.(KFACCapturable); ok {
+			out = append(out, c)
 		}
-	}
-	walk(root)
+	})
 	return out
 }
 
@@ -218,27 +224,11 @@ type BufferReuser interface {
 // SetBufferReuse walks a layer tree and toggles workspace recycling on
 // every layer that supports it (see BufferReuser).
 func SetBufferReuse(root Layer, on bool) {
-	var walk func(l Layer)
-	walk = func(l Layer) {
-		switch v := l.(type) {
-		case *Sequential:
-			for _, c := range v.Layers {
-				walk(c)
-			}
-		case *Residual:
-			v.reuse = on
-			walk(v.Body)
-			if v.Shortcut != nil {
-				walk(v.Shortcut)
-			}
-			walk(v.relu)
-		default:
-			if br, ok := l.(BufferReuser); ok {
-				br.SetBufferReuse(on)
-			}
+	walk(root, func(l Layer) {
+		if br, ok := l.(BufferReuser); ok {
+			br.SetBufferReuse(on)
 		}
-	}
-	walk(root)
+	})
 }
 
 // ensureBuf returns a tensor of the given shape: when reuse is on it
@@ -246,11 +236,11 @@ func SetBufferReuse(root Layer, on bool) {
 // otherwise it allocates fresh zeroed storage without touching *buf. Both
 // paths go through Ensure so the variadic shape never escapes — a reusing
 // caller at steady state allocates nothing.
-func ensureBuf(reuse bool, buf **tensor.Tensor, shape ...int) *tensor.Tensor {
+func ensureBuf[E tensor.Elem](reuse bool, buf **tensor.Dense[E], shape ...int) *tensor.Dense[E] {
 	if reuse {
 		return tensor.Ensure(buf, shape...)
 	}
-	var fresh *tensor.Tensor
+	var fresh *tensor.Dense[E]
 	return tensor.Ensure(&fresh, shape...)
 }
 
@@ -261,6 +251,17 @@ func ensureBufZero(reuse bool, buf **tensor.Tensor, shape ...int) *tensor.Tensor
 	}
 	var fresh *tensor.Tensor
 	return tensor.Ensure(&fresh, shape...)
+}
+
+// castBuf is tensor.Cast under the same reuse rule as ensureBuf: src itself
+// when it already has element type D, else src converted into (*buf)'s
+// recycled storage, or into fresh storage when reuse is off.
+func castBuf[D, S tensor.Elem](reuse bool, buf **tensor.Dense[D], src *tensor.Dense[S]) *tensor.Dense[D] {
+	if reuse {
+		return tensor.Cast(buf, src)
+	}
+	var fresh *tensor.Dense[D]
+	return tensor.Cast(&fresh, src)
 }
 
 // ZeroGrads clears all parameter gradients in a layer tree.
@@ -306,6 +307,10 @@ type Residual struct {
 	sumBuf *tensor.Tensor // forward: body + shortcut sum
 	bwBuf  *tensor.Tensor // backward: summed input gradient
 }
+
+// SetBufferReuse implements BufferReuser for the block's own sum buffers;
+// the layers inside it are reached by the tree walk.
+func (r *Residual) SetBufferReuse(on bool) { r.reuse = on }
 
 // NewResidual constructs a residual block.
 func NewResidual(name string, body, shortcut Layer) *Residual {

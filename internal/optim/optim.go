@@ -72,17 +72,6 @@ func SGD(params []*nn.Param, opts ...Option) *SGDOptimizer {
 	}
 }
 
-// NewSGD constructs an SGD optimizer from positional arguments.
-//
-// Deprecated: use SGD with functional options.
-func NewSGD(params []*nn.Param, lr, momentum, weightDecay float64, nesterov bool) *SGDOptimizer {
-	opts := []Option{WithLR(lr), WithMomentum(momentum), WithWeightDecay(weightDecay)}
-	if nesterov {
-		opts = append(opts, WithNesterov())
-	}
-	return SGD(params, opts...)
-}
-
 // Step implements Optimizer.
 func (s *SGDOptimizer) Step() {
 	for i, p := range s.Params {
@@ -144,14 +133,6 @@ func LARS(params []*nn.Param, opts ...Option) *LARSOptimizer {
 	}
 }
 
-// NewLARS constructs a LARS optimizer from positional arguments.
-//
-// Deprecated: use LARS with functional options.
-func NewLARS(params []*nn.Param, lr, momentum, weightDecay, eta float64) *LARSOptimizer {
-	return LARS(params, WithLR(lr), WithMomentum(momentum),
-		WithWeightDecay(weightDecay), WithTrustCoefficient(eta))
-}
-
 // Step implements Optimizer.
 func (l *LARSOptimizer) Step() {
 	for i, p := range l.Params {
@@ -211,28 +192,6 @@ func Adam(params []*nn.Param, opts ...Option) *AdamOptimizer {
 		Params: params, Beta1: st.beta1, Beta2: st.beta2, Eps: st.eps,
 		WeightDecay: st.weightDecay, lr: st.lr, m: m, v: v,
 	}
-}
-
-// NewAdam constructs an Adam optimizer from positional arguments, with the
-// usual defaults for zero beta/eps arguments (0.9, 0.999, 1e-8).
-//
-// Deprecated: use Adam with functional options.
-func NewAdam(params []*nn.Param, lr, beta1, beta2, eps, weightDecay float64) *AdamOptimizer {
-	opts := []Option{WithLR(lr), WithWeightDecay(weightDecay)}
-	if beta1 != 0 || beta2 != 0 {
-		b1, b2 := beta1, beta2
-		if b1 == 0 {
-			b1 = 0.9
-		}
-		if b2 == 0 {
-			b2 = 0.999
-		}
-		opts = append(opts, WithBetas(b1, b2))
-	}
-	if eps != 0 {
-		opts = append(opts, WithEpsilon(eps))
-	}
-	return Adam(params, opts...)
 }
 
 // Step implements Optimizer.

@@ -17,7 +17,7 @@ func paramWith(value, grad []float64) *nn.Param {
 
 func TestSGDVanillaStep(t *testing.T) {
 	p := paramWith([]float64{1, 2}, []float64{0.5, -0.5})
-	s := NewSGD([]*nn.Param{p}, 0.1, 0, 0, false)
+	s := SGD([]*nn.Param{p}, WithLR(0.1))
 	s.Step()
 	if math.Abs(p.Value.Data[0]-0.95) > 1e-12 || math.Abs(p.Value.Data[1]-2.05) > 1e-12 {
 		t.Errorf("SGD step = %v", p.Value.Data)
@@ -26,7 +26,7 @@ func TestSGDVanillaStep(t *testing.T) {
 
 func TestSGDMomentumAccumulates(t *testing.T) {
 	p := paramWith([]float64{0}, []float64{1})
-	s := NewSGD([]*nn.Param{p}, 1, 0.9, 0, false)
+	s := SGD([]*nn.Param{p}, WithLR(1), WithMomentum(0.9))
 	s.Step() // buf=1, w=-1
 	copy(p.Grad.Data, []float64{1})
 	s.Step() // buf=1.9, w=-2.9
@@ -37,7 +37,7 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 
 func TestSGDNesterov(t *testing.T) {
 	p := paramWith([]float64{0}, []float64{1})
-	s := NewSGD([]*nn.Param{p}, 1, 0.9, 0, true)
+	s := SGD([]*nn.Param{p}, WithLR(1), WithMomentum(0.9), WithNesterov())
 	s.Step() // buf=1; update = g + m*buf = 1.9; w=-1.9
 	if math.Abs(p.Value.Data[0]+1.9) > 1e-12 {
 		t.Errorf("nesterov step = %v, want -1.9", p.Value.Data[0])
@@ -46,7 +46,7 @@ func TestSGDNesterov(t *testing.T) {
 
 func TestSGDWeightDecay(t *testing.T) {
 	p := paramWith([]float64{10}, []float64{0})
-	s := NewSGD([]*nn.Param{p}, 0.1, 0, 0.5, false)
+	s := SGD([]*nn.Param{p}, WithLR(0.1), WithWeightDecay(0.5))
 	s.Step() // g_eff = 0 + 0.5*10 = 5; w = 10 - 0.5 = 9.5
 	if math.Abs(p.Value.Data[0]-9.5) > 1e-12 {
 		t.Errorf("weight decay step = %v, want 9.5", p.Value.Data[0])
@@ -56,7 +56,7 @@ func TestSGDWeightDecay(t *testing.T) {
 func TestSGDNoWeightDecayFlag(t *testing.T) {
 	p := paramWith([]float64{10}, []float64{0})
 	p.NoWeightDecay = true
-	s := NewSGD([]*nn.Param{p}, 0.1, 0, 0.5, false)
+	s := SGD([]*nn.Param{p}, WithLR(0.1), WithWeightDecay(0.5))
 	s.Step()
 	if p.Value.Data[0] != 10 {
 		t.Errorf("NoWeightDecay param moved: %v", p.Value.Data[0])
@@ -68,7 +68,7 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	target := tensor.Randn(rng, 1, 10)
 	p := nn.NewParam("w", tensor.New(10))
-	s := NewSGD([]*nn.Param{p}, 0.3, 0.9, 0, false)
+	s := SGD([]*nn.Param{p}, WithLR(0.3), WithMomentum(0.9))
 	for i := 0; i < 500; i++ {
 		for j := range p.Grad.Data {
 			p.Grad.Data[j] = p.Value.Data[j] - target.Data[j]
@@ -86,7 +86,7 @@ func TestLARSTrustRatioScalesUpdate(t *testing.T) {
 	// With ‖w‖=1 and ‖g‖=100, trust ≈ eta/100: update is tiny relative to
 	// vanilla SGD.
 	p := paramWith([]float64{1, 0}, []float64{100, 0})
-	l := NewLARS([]*nn.Param{p}, 1, 0, 0, 0.001)
+	l := LARS([]*nn.Param{p}, WithLR(1), WithTrustCoefficient(0.001))
 	l.Step()
 	moved := math.Abs(1 - p.Value.Data[0])
 	if moved > 0.01 {
@@ -98,7 +98,7 @@ func TestLARSConvergesOnQuadratic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	target := tensor.Randn(rng, 1, 8)
 	p := nn.NewParam("w", tensor.Ones(8))
-	l := NewLARS([]*nn.Param{p}, 0.5, 0.9, 0, 0.02)
+	l := LARS([]*nn.Param{p}, WithLR(0.5), WithMomentum(0.9), WithTrustCoefficient(0.02))
 	for i := 0; i < 3000; i++ {
 		for j := range p.Grad.Data {
 			p.Grad.Data[j] = p.Value.Data[j] - target.Data[j]
@@ -116,7 +116,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	target := tensor.Randn(rng, 1, 10)
 	p := nn.NewParam("w", tensor.New(10))
-	a := NewAdam([]*nn.Param{p}, 0.05, 0, 0, 0, 0)
+	a := Adam([]*nn.Param{p}, WithLR(0.05))
 	for i := 0; i < 2000; i++ {
 		for j := range p.Grad.Data {
 			p.Grad.Data[j] = p.Value.Data[j] - target.Data[j]
@@ -132,7 +132,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 
 func TestAdamDefaults(t *testing.T) {
 	p := paramWith([]float64{0}, []float64{1})
-	a := NewAdam([]*nn.Param{p}, 0.1, 0, 0, 0, 0)
+	a := Adam([]*nn.Param{p}, WithLR(0.1))
 	if a.Beta1 != 0.9 || a.Beta2 != 0.999 || a.Eps != 1e-8 {
 		t.Errorf("defaults = %v %v %v", a.Beta1, a.Beta2, a.Eps)
 	}
@@ -146,9 +146,9 @@ func TestAdamDefaults(t *testing.T) {
 func TestSetLR(t *testing.T) {
 	p := paramWith([]float64{0}, []float64{1})
 	for _, o := range []Optimizer{
-		NewSGD([]*nn.Param{p}, 0.1, 0, 0, false),
-		NewLARS([]*nn.Param{p}, 0.1, 0, 0, 0.001),
-		NewAdam([]*nn.Param{p}, 0.1, 0, 0, 0, 0),
+		SGD([]*nn.Param{p}, WithLR(0.1)),
+		LARS([]*nn.Param{p}, WithLR(0.1), WithTrustCoefficient(0.001)),
+		Adam([]*nn.Param{p}, WithLR(0.1)),
 	} {
 		o.SetLR(0.42)
 		if o.LR() != 0.42 {

@@ -8,58 +8,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// clonedParams returns two identical parameter sets so two optimizers can be
-// stepped side by side.
-func clonedParams(value, grad []float64) (*nn.Param, *nn.Param) {
-	a := paramWith(value, grad)
-	b := paramWith(value, grad)
-	return a, b
-}
-
-// The functional constructors must produce trajectories identical to the
-// deprecated positional ones.
-func TestFunctionalConstructorsMatchPositional(t *testing.T) {
-	t.Run("sgd", func(t *testing.T) {
-		a, b := clonedParams([]float64{1, -2}, []float64{0.3, 0.7})
-		oldOpt := NewSGD([]*nn.Param{a}, 0.05, 0.9, 0.01, true)
-		newOpt := SGD([]*nn.Param{b},
-			WithLR(0.05), WithMomentum(0.9), WithWeightDecay(0.01), WithNesterov())
-		for i := 0; i < 5; i++ {
-			oldOpt.Step()
-			newOpt.Step()
-		}
-		if !a.Value.Equal(b.Value, 0) {
-			t.Errorf("SGD trajectories diverge: %v vs %v", a.Value.Data, b.Value.Data)
-		}
-	})
-	t.Run("lars", func(t *testing.T) {
-		a, b := clonedParams([]float64{1, 1}, []float64{2, -1})
-		oldOpt := NewLARS([]*nn.Param{a}, 0.05, 0.9, 0.01, 0.02)
-		newOpt := LARS([]*nn.Param{b},
-			WithLR(0.05), WithMomentum(0.9), WithWeightDecay(0.01), WithTrustCoefficient(0.02))
-		for i := 0; i < 5; i++ {
-			oldOpt.Step()
-			newOpt.Step()
-		}
-		if !a.Value.Equal(b.Value, 0) {
-			t.Errorf("LARS trajectories diverge: %v vs %v", a.Value.Data, b.Value.Data)
-		}
-	})
-	t.Run("adam", func(t *testing.T) {
-		a, b := clonedParams([]float64{1, -1}, []float64{0.5, 0.25})
-		oldOpt := NewAdam([]*nn.Param{a}, 0.01, 0.8, 0.99, 1e-6, 0.01)
-		newOpt := Adam([]*nn.Param{b},
-			WithLR(0.01), WithBetas(0.8, 0.99), WithEpsilon(1e-6), WithWeightDecay(0.01))
-		for i := 0; i < 5; i++ {
-			oldOpt.Step()
-			newOpt.Step()
-		}
-		if !a.Value.Equal(b.Value, 0) {
-			t.Errorf("Adam trajectories diverge: %v vs %v", a.Value.Data, b.Value.Data)
-		}
-	})
-}
-
 func TestOptionDefaults(t *testing.T) {
 	a := Adam(nil)
 	if a.Beta1 != 0.9 || a.Beta2 != 0.999 || a.Eps != 1e-8 {
@@ -112,20 +60,6 @@ func TestZeroGrad(t *testing.T) {
 		if p.Grad.Data[0] != 0 || p.Grad.Data[1] != 0 {
 			t.Errorf("%T: ZeroGrad left %v", o, p.Grad.Data)
 		}
-	}
-}
-
-// NewAdam's zero-argument defaulting must survive the shim.
-func TestNewAdamZeroDefaultsThroughShim(t *testing.T) {
-	p := paramWith([]float64{0}, []float64{1})
-	a := NewAdam([]*nn.Param{p}, 0.1, 0, 0, 0, 0)
-	if a.Beta1 != 0.9 || a.Beta2 != 0.999 || a.Eps != 1e-8 {
-		t.Errorf("shim defaults = %v %v %v", a.Beta1, a.Beta2, a.Eps)
-	}
-	// Partial zeroing: beta1 set, beta2 zero → beta2 defaults.
-	b := NewAdam([]*nn.Param{p}, 0.1, 0.8, 0, 0, 0)
-	if b.Beta1 != 0.8 || b.Beta2 != 0.999 {
-		t.Errorf("partial shim defaults = %v %v", b.Beta1, b.Beta2)
 	}
 }
 

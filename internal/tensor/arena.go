@@ -15,15 +15,7 @@ type Arena struct {
 	mu      sync.Mutex
 	classes map[int]*arenaClass
 
-	// classes32 keys the float32 size classes separately from the float64
-	// ones: an element count names a different byte size per element width,
-	// so sharing one map would alias a 4-byte-per-element buffer with an
-	// 8-byte one of equal count and corrupt reuse accounting. See
-	// TestArenaMixedWidthClasses.
-	classes32 map[int]*arenaClass32
-
-	// Outstanding counts checked-out tensors of either width (for tests and
-	// leak checks).
+	// Outstanding counts checked-out tensors (for tests and leak checks).
 	outstanding int
 }
 
@@ -33,18 +25,9 @@ type arenaClass struct {
 	free []*Tensor // subset of all currently available
 }
 
-// arenaClass32 is the float32 twin of arenaClass.
-type arenaClass32 struct {
-	all  []*T32
-	free []*T32
-}
-
 // NewArena returns an empty arena.
 func NewArena() *Arena {
-	return &Arena{
-		classes:   make(map[int]*arenaClass),
-		classes32: make(map[int]*arenaClass32),
-	}
+	return &Arena{classes: make(map[int]*arenaClass)}
 }
 
 // Get checks out a tensor of the given shape. Contents are unspecified
@@ -101,67 +84,12 @@ func (a *Arena) Put(t *Tensor) {
 	a.mu.Unlock()
 }
 
-// Get32 checks out a float32 tensor of the given shape. Contents are
-// unspecified (stale values from a previous checkout); use GetZero32 when
-// zeros are required. Float32 tensors live in their own size classes —
-// never backed by, nor backing, float64 storage of equal element count.
-func (a *Arena) Get32(shape ...int) *T32 {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	a.mu.Lock()
-	cl := a.classes32[n]
-	if cl == nil {
-		cl = &arenaClass32{}
-		a.classes32[n] = cl
-	}
-	var t *T32
-	if k := len(cl.free); k > 0 {
-		t = cl.free[k-1]
-		cl.free[k-1] = nil
-		cl.free = cl.free[:k-1]
-	} else {
-		t = &T32{Data: make([]float32, n)}
-		cl.all = append(cl.all, t)
-	}
-	a.outstanding++
-	a.mu.Unlock()
-	setShape32(t, shape)
-	return t
-}
-
-// GetZero32 is Get32 with the returned tensor zero-filled.
-func (a *Arena) GetZero32(shape ...int) *T32 {
-	t := a.Get32(shape...)
-	t.Zero()
-	return t
-}
-
-// Put32 returns a float32 tensor obtained from Get32 to the arena ahead of
-// the next Reset, with the same ownership rules as Put.
-func (a *Arena) Put32(t *T32) {
-	n := len(t.Data)
-	a.mu.Lock()
-	cl := a.classes32[n]
-	if cl == nil {
-		a.mu.Unlock()
-		panic("tensor: Arena.Put32 of tensor not obtained from this arena")
-	}
-	cl.free = append(cl.free, t)
-	a.outstanding--
-	a.mu.Unlock()
-}
-
 // Reset reclaims every tensor the arena has handed out, making all storage
 // available to subsequent Gets. Outstanding tensors become invalid: their
 // storage will be reused.
 func (a *Arena) Reset() {
 	a.mu.Lock()
 	for _, cl := range a.classes {
-		cl.free = append(cl.free[:0], cl.all...)
-	}
-	for _, cl := range a.classes32 {
 		cl.free = append(cl.free[:0], cl.all...)
 	}
 	a.outstanding = 0
@@ -178,7 +106,7 @@ func (a *Arena) Outstanding() int {
 
 // setShape points t at the given shape, reusing t's shape slice when the
 // dimensionality matches so steady-state reshapes are allocation-free.
-func setShape(t *Tensor, shape []int) {
+func setShape[E Elem](t *Dense[E], shape []int) {
 	if cap(t.Shape) >= len(shape) {
 		t.Shape = t.Shape[:len(shape)]
 		copy(t.Shape, shape)
@@ -194,7 +122,7 @@ func setShape(t *Tensor, shape []int) {
 // shape-stable buffer-reuse primitive the layer forward/backward passes and
 // the K-FAC workspaces are built on: after the first step at a given batch
 // shape, Ensure never allocates.
-func Ensure(buf **Tensor, shape ...int) *Tensor {
+func Ensure[E Elem](buf **Dense[E], shape ...int) *Dense[E] {
 	n := 1
 	for _, s := range shape {
 		n *= s
@@ -205,15 +133,15 @@ func Ensure(buf **Tensor, shape ...int) *Tensor {
 		setShape(t, shape)
 		return t
 	}
-	// Built directly (not via New) so the variadic shape slice provably
+	// Built directly (not via NewDense) so the variadic shape slice provably
 	// does not escape and steady-state callers allocate nothing.
-	t = &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
+	t = &Dense[E]{Shape: append([]int(nil), shape...), Data: make([]E, n)}
 	*buf = t
 	return t
 }
 
 // EnsureZero is Ensure with the returned tensor zero-filled.
-func EnsureZero(buf **Tensor, shape ...int) *Tensor {
+func EnsureZero[E Elem](buf **Dense[E], shape ...int) *Dense[E] {
 	t := Ensure(buf, shape...)
 	t.Zero()
 	return t

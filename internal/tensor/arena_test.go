@@ -144,61 +144,3 @@ func TestEnsureZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("Ensure allocated %.1f times per run in steady state, want 0", allocs)
 	}
 }
-
-// TestArenaMixedWidthClasses is the regression test for the mixed-width
-// size-class audit: float32 and float64 checkouts of equal element count
-// must live in disjoint size classes (an element count names a different
-// byte size per width), reuse must stay within a width, and the shared
-// leak counter must account for both widths.
-func TestArenaMixedWidthClasses(t *testing.T) {
-	a := NewArena()
-	t64 := a.Get(4, 4)
-	t32 := a.Get32(4, 4)
-	if a.Outstanding() != 2 {
-		t.Fatalf("Outstanding = %d, want 2", a.Outstanding())
-	}
-	for i := range t64.Data {
-		t64.Data[i] = 1e300 // a pattern no float32 can hold
-		t32.Data[i] = -7
-	}
-	// Writing one width must not disturb the other (no shared backing).
-	for i := range t64.Data {
-		if t64.Data[i] != 1e300 || t32.Data[i] != -7 {
-			t.Fatalf("element %d corrupted across widths: %v / %v", i, t64.Data[i], t32.Data[i])
-		}
-	}
-	a.Put(t64)
-	a.Put32(t32)
-	if a.Outstanding() != 0 {
-		t.Fatalf("Outstanding after puts = %d, want 0", a.Outstanding())
-	}
-	// Reuse stays within a width: the same backing arrays come back from the
-	// same-width Get, and the cross-width Get never sees them.
-	r32 := a.Get32(4, 4)
-	r64 := a.Get(4, 4)
-	if &r32.Data[0] != &t32.Data[0] {
-		t.Fatal("float32 storage was not reused within its own class")
-	}
-	if &r64.Data[0] != &t64.Data[0] {
-		t.Fatal("float64 storage was not reused within its own class")
-	}
-	a.Reset()
-	if a.Outstanding() != 0 {
-		t.Fatalf("Outstanding after Reset = %d", a.Outstanding())
-	}
-	// Reset reclaims both widths.
-	if got := a.Get32(4, 4); &got.Data[0] != &t32.Data[0] {
-		t.Fatal("Reset did not reclaim float32 storage")
-	}
-}
-
-// TestArenaPut32ForeignPanics mirrors TestArenaPutForeignPanics for the
-// float32 classes.
-func TestArenaPut32ForeignPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for foreign Put32")
-		}
-	}()
-	NewArena().Put32(NewT32(3, 3))
-}

@@ -11,9 +11,9 @@ import (
 )
 
 // The GEMM: one driver and one float64 micro-kernel under every matrix
-// product of both element types — MatMulInto, MatMulT1Into, MatMulT2Into,
-// MatVec, their float32 namesakes (matmul32.go) and, through
-// MatMulT1UpperInto[32], linalg.SymMulT1Into[32].
+// product of both element types — MatMulInto, MatMulT1Into, MatMulT2Into
+// and MatVec at either Elem and, through MatMulT1UpperInto,
+// linalg.SymMulT1Into.
 //
 // Arithmetic definition — the whole determinism story of the product
 // family: every output element is
@@ -29,7 +29,7 @@ import (
 // ±Inf in either operand propagate as IEEE 754 says.
 //
 // A float32 product is the same chain on the widened operands, rounded to
-// float32 once: MatMulInto32(dst, a, b) is Narrow(MatMulInto(Widen(a),
+// float32 once: MatMulInto on float32 tensors is Narrow(MatMulInto(Widen(a),
 // Widen(b))) bit for bit, so everything above holds for it unrestated.
 //
 // Structure: C is cut into blocks of at most gemmMC×gemmNC; one block is one
@@ -58,9 +58,6 @@ const (
 	// on the calling goroutine: waking pool workers costs more than it saves.
 	gemmParallelWork = 1 << 21
 )
-
-// elem is the element type of a product's operands and destination.
-type elem interface{ float32 | float64 }
 
 // gemmKernels is one implementation of the three inner routines: the
 // micro-kernel and the two panel movers the packers are built on. There are
@@ -173,7 +170,7 @@ func copyStepsGo(dst, src []float64, ld, kc, w int) {
 
 // transLanes4Go is the portable gemmKernels.transLanes4 and, at S = float32,
 // the widening lane packer of both kernel sets.
-func transLanes4Go[S elem](dst []float64, src []S, ld, kc, w int) {
+func transLanes4Go[S Elem](dst []float64, src []S, ld, kc, w int) {
 	s0, s1, s2, s3 := src[:kc], src[ld:ld+kc], src[2*ld:2*ld+kc], src[3*ld:3*ld+kc]
 	for p := range s0 {
 		q := dst[p*w : p*w+4 : p*w+4]
@@ -185,7 +182,7 @@ func transLanes4Go[S elem](dst []float64, src []S, ld, kc, w int) {
 // comes from src[(r0+l)·ld + p0+p]. Lanes past rows are zero. This is the
 // packer for op(A) of MatMulInto/MatMulT2Into (w = gemmMR) and for op(B) of
 // MatMulT2Into (w = gemmNR).
-func packLanes[S elem](ks *gemmKernels, dst []float64, src []S, ld, r0, rows, p0, kc, w int) {
+func packLanes[S Elem](ks *gemmKernels, dst []float64, src []S, ld, r0, rows, p0, kc, w int) {
 	dst = dst[:kc*w]
 	if rows < w {
 		clear(dst)
@@ -213,7 +210,7 @@ func packLanes[S elem](ks *gemmKernels, dst []float64, src []S, ld, r0, rows, p0
 // comes from src[(p0+p)·ld + c0+l]. Lanes past cols are zero. This is the
 // packer for op(A) of MatMulT1Into (w = gemmMR) and for op(B) of
 // MatMulInto/MatMulT1Into (w = gemmNR).
-func packSteps[S elem](ks *gemmKernels, dst []float64, src []S, ld, c0, cols, p0, kc, w int) {
+func packSteps[S Elem](ks *gemmKernels, dst []float64, src []S, ld, c0, cols, p0, kc, w int) {
 	dst = dst[:kc*w]
 	o := p0*ld + c0
 	if src64, ok := any(src).([]float64); ok && cols == w {
@@ -233,7 +230,7 @@ func packSteps[S elem](ks *gemmKernels, dst []float64, src []S, ld, c0, cols, p0
 
 // gemmJob describes one product. Operand storage: a is m×k, or k×m when
 // aT; b is k×n, or n×k when bT.
-type gemmJob[E elem] struct {
+type gemmJob[E Elem] struct {
 	wg        sync.WaitGroup // ForEach completion scratch
 	ks        *gemmKernels
 	dst, a, b []E
@@ -257,7 +254,7 @@ type gemmWorkspace struct {
 }
 
 // jobOf returns ws's job record for element type E.
-func jobOf[E elem](ws *gemmWorkspace) *gemmJob[E] {
+func jobOf[E Elem](ws *gemmWorkspace) *gemmJob[E] {
 	if g, ok := any(&ws.job64).(*gemmJob[E]); ok {
 		return g
 	}
@@ -421,7 +418,7 @@ func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 // gemm computes dst (m×n) = op(a)·op(b) with the given kernel set; with
 // upper set (m == n) only the micro-tiles that meet the upper triangle are
 // written. Large products fan their blocks across sched.Shared().
-func gemm[E elem](ks *gemmKernels, dst, a, b []E, m, n, k int, aT, bT, upper bool) {
+func gemm[E Elem](ks *gemmKernels, dst, a, b []E, m, n, k int, aT, bT, upper bool) {
 	if len(dst) < m*n || len(a) < m*k || len(b) < k*n {
 		panic("tensor: matmul operand storage shorter than its shape")
 	}
@@ -480,7 +477,7 @@ func gemm[E elem](ks *gemmKernels, dst, a, b []E, m, n, k int, aT, bT, upper boo
 }
 
 // overlaps reports whether the two slices share any element's storage.
-func overlaps[E elem](x, y []E) bool {
+func overlaps[E Elem](x, y []E) bool {
 	if len(x) == 0 || len(y) == 0 {
 		return false
 	}

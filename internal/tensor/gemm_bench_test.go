@@ -43,13 +43,13 @@ func BenchmarkGEMMShapes(b *testing.B) {
 		b.Run(name+"/float64", func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			a, bb, dst := Randn(rng, 1, ar, ac), Randn(rng, 1, br, bc), New(sh.m, sh.n)
-			run := map[string]func(dst, a, b *Tensor){"N": MatMulInto, "T1": MatMulT1Into, "T2": MatMulT2Into}[sh.variant]
+			run := map[string]func(dst, a, b *Tensor){"N": MatMulInto[float64], "T1": MatMulT1Into[float64], "T2": MatMulT2Into[float64]}[sh.variant]
 			benchKernel(b, peak, flops, func() { run(dst, a, bb) })
 		})
 		b.Run(name+"/float32", func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			a, bb, dst := randT32(rng, ar, ac), randT32(rng, br, bc), NewT32(sh.m, sh.n)
-			run := map[string]func(dst, a, b *T32){"N": MatMulInto32, "T1": MatMulT1Into32, "T2": MatMulT2Into32}[sh.variant]
+			run := map[string]func(dst, a, b *T32){"N": MatMulInto[float32], "T1": MatMulT1Into[float32], "T2": MatMulT2Into[float32]}[sh.variant]
 			benchKernel(b, peak, flops, func() { run(dst, a, bb) })
 		})
 	}

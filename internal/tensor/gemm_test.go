@@ -54,7 +54,7 @@ func (c gemmCase) refChain(a, b []float64) []float64 {
 
 // run executes the case on the given kernel set. The destination starts as
 // NaN so an element the driver failed to write cannot pass for a result.
-func run[E elem](c gemmCase, ks *gemmKernels, a, b []E) []E {
+func run[E Elem](c gemmCase, ks *gemmKernels, a, b []E) []E {
 	dst := make([]E, c.m*c.n)
 	for i := range dst {
 		dst[i] = E(math.NaN())
@@ -64,7 +64,7 @@ func run[E elem](c gemmCase, ks *gemmKernels, a, b []E) []E {
 }
 
 // bitsOf returns v's IEEE 754 encoding.
-func bitsOf[E elem](v E) uint64 {
+func bitsOf[E Elem](v E) uint64 {
 	if f, ok := any(v).(float32); ok {
 		return uint64(math.Float32bits(f))
 	}
@@ -73,7 +73,7 @@ func bitsOf[E elem](v E) uint64 {
 
 // sameBits compares got with want bit for bit; an upper case is compared on
 // and above the diagonal only.
-func sameBits[E elem](t *testing.T, label string, c gemmCase, got, want []E) {
+func sameBits[E Elem](t *testing.T, label string, c gemmCase, got, want []E) {
 	t.Helper()
 	for i := 0; i < c.m; i++ {
 		for j := 0; j < c.n; j++ {
@@ -228,17 +228,17 @@ func via32(run func(dst, a, b *T32)) func(dst, a, b *Tensor) {
 
 var (
 	products64 = []product{
-		{"MatMulInto", MatMulInto},
-		{"MatMulT1Into", MatMulT1Into},
-		{"MatMulT2Into", MatMulT2Into},
+		{"MatMulInto", MatMulInto[float64]},
+		{"MatMulT1Into", MatMulT1Into[float64]},
+		{"MatMulT2Into", MatMulT2Into[float64]},
 	}
 	products32 = []product{
-		{"MatMulInto32", via32(MatMulInto32)},
-		{"MatMulT1Into32", via32(MatMulT1Into32)},
-		{"MatMulT2Into32", via32(MatMulT2Into32)},
+		{"MatMulInto32", via32(MatMulInto[float32])},
+		{"MatMulT1Into32", via32(MatMulT1Into[float32])},
+		{"MatMulT2Into32", via32(MatMulT2Into[float32])},
 	}
 	gram64 = product{"MatMulT1UpperInto", func(dst, a, _ *Tensor) { MatMulT1UpperInto(dst, a) }}
-	gram32 = product{"MatMulT1UpperInto32", via32(func(dst, a, _ *T32) { MatMulT1UpperInto32(dst, a) })}
+	gram32 = product{"MatMulT1UpperInto32", via32(func(dst, a, _ *T32) { MatMulT1UpperInto(dst, a) })}
 )
 
 // TestMatMulPropagatesNonFinite: NaN and ±Inf in either operand reach the
@@ -339,9 +339,9 @@ func TestMatMul32AliasPanics(t *testing.T) {
 	a, b := NewT32(6, 6), NewT32(6, 6)
 	mustPanic(t, "MatMulInto32 dst=a", func() { MatMulInto32(a, a, b) })
 	mustPanic(t, "MatMulInto32 dst=b", func() { MatMulInto32(b, a, b) })
-	mustPanic(t, "MatMulT1Into32 dst=a", func() { MatMulT1Into32(a, a, b) })
-	mustPanic(t, "MatMulT2Into32 dst=b", func() { MatMulT2Into32(b, a, b) })
-	mustPanic(t, "MatMulT1UpperInto32 dst=a", func() { MatMulT1UpperInto32(a, a) })
+	mustPanic(t, "MatMulT1Into32 dst=a", func() { MatMulT1Into(a, a, b) })
+	mustPanic(t, "MatMulT2Into32 dst=b", func() { MatMulT2Into(b, a, b) })
+	mustPanic(t, "MatMulT1UpperInto32 dst=a", func() { MatMulT1UpperInto(a, a) })
 	buf := make([]float32, 72)
 	window := func(lo int) *T32 { return &T32{Shape: []int{6, 6}, Data: buf[lo : lo+36]} }
 	mustPanic(t, "MatMulInto32 windows sharing one element", func() { MatMulInto32(window(35), window(0), b) })

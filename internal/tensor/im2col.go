@@ -20,32 +20,10 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 // Im2ColInto is Im2Col writing into a caller-provided destination of shape
 // [N*outH*outW, C*kh*kw]. The destination is fully overwritten (padding
 // positions are zeroed explicitly), so reused workspace buffers are safe.
-func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
-	im2col(cols.Data, cols.Shape, x.Data, x.Shape, kh, kw, stride, pad)
-}
-
-// Im2ColInto32 is Im2ColInto for float32 storage: the lowering only moves
-// data, so it stays in float32.
-func Im2ColInto32(cols, x *T32, kh, kw, stride, pad int) {
-	im2col(cols.Data, cols.Shape, x.Data, x.Shape, kh, kw, stride, pad)
-}
-
-// loweringDims returns the image extents [N, C, H, W] of xShape and the
-// output extents of the window, and panics unless colsShape is the matching
-// [N*outH*outW, C*kh*kw].
-func loweringDims(xShape, colsShape []int, kh, kw, stride, pad int) (n, c, h, w, outH, outW int) {
-	n, c, h, w = xShape[0], xShape[1], xShape[2], xShape[3]
-	outH = ConvOutSize(h, kh, stride, pad)
-	outW = ConvOutSize(w, kw, stride, pad)
-	if colsShape[0] != n*outH*outW || colsShape[1] != c*kh*kw {
-		panic("tensor: im2col/col2im column matrix shape mismatch")
-	}
-	return
-}
-
-// im2col is the body of Im2ColInto and Im2ColInto32.
-func im2col[E elem](cols []E, colsShape []int, x []E, xShape []int, kh, kw, stride, pad int) {
-	n, c, h, w, outH, outW := loweringDims(xShape, colsShape, kh, kw, stride, pad)
+// The lowering only moves data, so it stays in the operands' element type.
+func Im2ColInto[E Elem](dst, src *Dense[E], kh, kw, stride, pad int) {
+	cols, x := dst.Data, src.Data
+	n, c, h, w, outH, outW := loweringDims(src.Shape, dst.Shape, kh, kw, stride, pad)
 	clear(cols)
 	colW := c * kh * kw
 	for img := 0; img < n; img++ {
@@ -80,6 +58,19 @@ func im2col[E elem](cols []E, colsShape []int, x []E, xShape []int, kh, kw, stri
 	}
 }
 
+// loweringDims returns the image extents [N, C, H, W] of xShape and the
+// output extents of the window, and panics unless colsShape is the matching
+// [N*outH*outW, C*kh*kw].
+func loweringDims(xShape, colsShape []int, kh, kw, stride, pad int) (n, c, h, w, outH, outW int) {
+	n, c, h, w = xShape[0], xShape[1], xShape[2], xShape[3]
+	outH = ConvOutSize(h, kh, stride, pad)
+	outW = ConvOutSize(w, kw, stride, pad)
+	if colsShape[0] != n*outH*outW || colsShape[1] != c*kh*kw {
+		panic("tensor: im2col/col2im column matrix shape mismatch")
+	}
+	return
+}
+
 // Col2Im scatters the column matrix back into image space, accumulating
 // overlapping contributions. It is the adjoint of Im2Col and is used for the
 // input-gradient of convolution. cols has shape [N*outH*outW, C*kh*kw]; the
@@ -91,23 +82,13 @@ func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 }
 
 // Col2ImInto is Col2Im accumulating into a caller-provided [N, C, H, W]
-// destination, which it zeroes first.
-func Col2ImInto(x, cols *Tensor, kh, kw, stride, pad int) {
-	col2im(x.Data, x.Shape, cols.Data, cols.Shape, kh, kw, stride, pad)
-}
-
-// Col2ImInto32 is Col2ImInto for a float32 column matrix and a float64
-// destination: overlapping receptive fields sum many contributions per
-// pixel, so the scatter widens as it accumulates and hands the upstream
-// layer an ordinary float64 gradient — the convert-at-the-boundary rule.
-func Col2ImInto32(x *Tensor, cols *T32, kh, kw, stride, pad int) {
-	col2im(x.Data, x.Shape, cols.Data, cols.Shape, kh, kw, stride, pad)
-}
-
-// col2im is the body of Col2ImInto and Col2ImInto32: it accumulates in the
-// destination's element type D whatever the columns' type S.
-func col2im[D, S elem](x []D, xShape []int, cols []S, colsShape []int, kh, kw, stride, pad int) {
-	n, c, h, w, outH, outW := loweringDims(xShape, colsShape, kh, kw, stride, pad)
+// destination, which it zeroes first. It accumulates in the destination's
+// element type whatever the columns': overlapping receptive fields sum many
+// contributions per pixel, so a float32 column matrix scatters into a
+// float64 image and hands the upstream layer an ordinary float64 gradient.
+func Col2ImInto[D, S Elem](dst *Dense[D], src *Dense[S], kh, kw, stride, pad int) {
+	x, cols := dst.Data, src.Data
+	n, c, h, w, outH, outW := loweringDims(dst.Shape, src.Shape, kh, kw, stride, pad)
 	clear(x)
 	colW := c * kh * kw
 	for img := 0; img < n; img++ {

@@ -1,13 +1,19 @@
 package tensor
 
+// The matrix products, each written once over Elem. Operands and destination
+// share the element type; a float32 product is its float64 namesake on the
+// widened operands rounded to float32 once (gemm.go), so the float64
+// contract — k-ascending FMA chain, bit-identical across tiles, workers and
+// builds, NaN/Inf propagate, an aliased destination panics — is its too.
+
 // MatMul returns a × b for matrices a (m×k) and b (k×n).
-func MatMul(a, b *Tensor) *Tensor {
+func MatMul[E Elem](a, b *Dense[E]) *Dense[E] {
 	m, k := a.Shape[0], a.Shape[1]
 	if b.Shape[0] != k {
 		panic("tensor: MatMul inner dimension mismatch")
 	}
 	n := b.Shape[1]
-	dst := New(m, n)
+	dst := NewDense[E](m, n)
 	MatMulInto(dst, a, b)
 	return dst
 }
@@ -17,7 +23,7 @@ func MatMul(a, b *Tensor) *Tensor {
 // the k-ascending fused multiply-add chain defined in gemm.go, so the result
 // is bit-identical whatever the worker count or build; large products are
 // split across the shared compute pool (sched.Shared).
-func MatMulInto(dst, a, b *Tensor) {
+func MatMulInto[E Elem](dst, a, b *Dense[E]) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
 	if b.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != n {
@@ -26,23 +32,26 @@ func MatMulInto(dst, a, b *Tensor) {
 	gemm(&gemmActive, dst.Data, a.Data, b.Data, m, n, k, false, false, false)
 }
 
+// MatMulInto32 is MatMulInto at float32, by the name the benchmark calls.
+func MatMulInto32(dst, a, b *T32) { MatMulInto(dst, a, b) }
+
 // MatMulT1 returns aᵀ × b for a (k×m) and b (k×n): the m×n product of a's
 // transpose with b. Used for weight-gradient and factor computation
 // (e.g. A = aᵀa / batch) without materializing the transpose.
-func MatMulT1(a, b *Tensor) *Tensor {
+func MatMulT1[E Elem](a, b *Dense[E]) *Dense[E] {
 	k, m := a.Shape[0], a.Shape[1]
 	if b.Shape[0] != k {
 		panic("tensor: MatMulT1 inner dimension mismatch")
 	}
 	n := b.Shape[1]
-	dst := New(m, n)
+	dst := NewDense[E](m, n)
 	MatMulT1Into(dst, a, b)
 	return dst
 }
 
 // MatMulT1Into computes dst = aᵀ × b into dst (m×n), which must not alias a
 // or b. The result equals MatMulInto(dst, Transpose(a), b) bit for bit.
-func MatMulT1Into(dst, a, b *Tensor) {
+func MatMulT1Into[E Elem](dst, a, b *Dense[E]) {
 	k, m := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
 	if b.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != n {
@@ -56,7 +65,7 @@ func MatMulT1Into(dst, a, b *Tensor) {
 // exactly what MatMulT1Into(dst, a, a) would put there; elements below it
 // are unspecified (some are written, some keep their old contents). It is
 // the kernel under linalg.SymMulT1Into, which mirrors the triangle.
-func MatMulT1UpperInto(dst, a *Tensor) {
+func MatMulT1UpperInto[E Elem](dst, a *Dense[E]) {
 	k, m := a.Shape[0], a.Shape[1]
 	if dst.Shape[0] != m || dst.Shape[1] != m {
 		panic("tensor: MatMulT1UpperInto shape mismatch")
@@ -65,13 +74,13 @@ func MatMulT1UpperInto(dst, a *Tensor) {
 }
 
 // MatMulT2 returns a × bᵀ for a (m×k) and b (n×k).
-func MatMulT2(a, b *Tensor) *Tensor {
+func MatMulT2[E Elem](a, b *Dense[E]) *Dense[E] {
 	m, k := a.Shape[0], a.Shape[1]
 	if b.Shape[1] != k {
 		panic("tensor: MatMulT2 inner dimension mismatch")
 	}
 	n := b.Shape[0]
-	dst := New(m, n)
+	dst := NewDense[E](m, n)
 	MatMulT2Into(dst, a, b)
 	return dst
 }
@@ -79,7 +88,7 @@ func MatMulT2(a, b *Tensor) *Tensor {
 // MatMulT2Into computes dst = a × bᵀ into dst (m×n) where b is n×k; dst
 // must not alias a or b. The result equals MatMulInto(dst, a, Transpose(b))
 // bit for bit.
-func MatMulT2Into(dst, a, b *Tensor) {
+func MatMulT2Into[E Elem](dst, a, b *Dense[E]) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[0]
 	if b.Shape[1] != k || dst.Shape[0] != m || dst.Shape[1] != n {

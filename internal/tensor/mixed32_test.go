@@ -81,11 +81,11 @@ func TestMatMul32FamilyMatchesFloat64Oracle(t *testing.T) {
 		MatMulInto(want, widen64(a), widen64(b))
 		checkMatClose(t, "MatMulInto32", got, want, scale)
 
-		MatMulT1Into32(got, aT, b)
+		MatMulT1Into(got, aT, b)
 		MatMulT1Into(want, widen64(aT), widen64(b))
 		checkMatClose(t, "MatMulT1Into32", got, want, scale)
 
-		MatMulT2Into32(got, a, bT)
+		MatMulT2Into(got, a, bT)
 		MatMulT2Into(want, widen64(a), widen64(bT))
 		checkMatClose(t, "MatMulT2Into32", got, want, scale)
 	}
@@ -105,18 +105,18 @@ func TestKernelPrimitivesMatchScalarOracle(t *testing.T) {
 			x[i] = float32(rng.Float64()*2 - 1)
 		}
 
-		// FoldAcc32 vs scalar (exact: both do float64 adds of exact widenings).
+		// Accumulate vs scalar (exact: both do float64 adds of exact widenings).
 		acc1 := make([]float64, n)
 		acc2 := make([]float64, n)
 		for i := range acc1 {
 			acc1[i] = rng.Float64()
 			acc2[i] = acc1[i]
 		}
-		FoldAcc32(acc1, x)
+		Accumulate(FromSlice(acc1, n), FromSlice(x, n))
 		foldAccScalar(acc2, x)
 		for i := range acc1 {
 			if acc1[i] != acc2[i] {
-				t.Fatalf("FoldAcc32 n=%d i=%d: %v vs %v", n, i, acc1[i], acc2[i])
+				t.Fatalf("Accumulate n=%d i=%d: %v vs %v", n, i, acc1[i], acc2[i])
 			}
 		}
 
@@ -157,7 +157,7 @@ func TestIm2Col32MatchesFloat64(t *testing.T) {
 
 	cols32 := NewT32(n*outH*outW, c*kh*kw)
 	cols64 := New(n*outH*outW, c*kh*kw)
-	Im2ColInto32(cols32, x32, kh, kw, stride, pad)
+	Im2ColInto(cols32, x32, kh, kw, stride, pad)
 	Im2ColInto(cols64, x64, kh, kw, stride, pad)
 	for i, v := range cols32.Data {
 		if float64(v) != cols64.Data[i] {
@@ -167,7 +167,7 @@ func TestIm2Col32MatchesFloat64(t *testing.T) {
 
 	dx32 := New(n, c, h, w)
 	dx64 := New(n, c, h, w)
-	Col2ImInto32(dx32, cols32, kh, kw, stride, pad)
+	Col2ImInto(dx32, cols32, kh, kw, stride, pad)
 	Col2ImInto(dx64, cols64, kh, kw, stride, pad)
 	for i := range dx32.Data {
 		if dx32.Data[i] != dx64.Data[i] {
@@ -180,20 +180,20 @@ func TestIm2Col32MatchesFloat64(t *testing.T) {
 // same capacity ⇒ same backing array, larger need ⇒ fresh allocation.
 func TestEnsure32ReusesStorage(t *testing.T) {
 	var buf *T32
-	a := Ensure32(&buf, 4, 8)
+	a := Ensure(&buf, 4, 8)
 	a.Data[0] = 42
-	b := Ensure32(&buf, 8, 4)
+	b := Ensure(&buf, 8, 4)
 	if &a.Data[0] != &b.Data[0] {
 		t.Fatal("Ensure32 did not reuse storage for equal element count")
 	}
 	if b.Rows() != 8 || b.Cols() != 4 {
 		t.Fatalf("Ensure32 shape = %v", b.Shape)
 	}
-	c := Ensure32(&buf, 16, 16)
+	c := Ensure(&buf, 16, 16)
 	if len(c.Data) != 256 {
 		t.Fatalf("Ensure32 grow: len = %d", len(c.Data))
 	}
-	if allocs := testing.AllocsPerRun(100, func() { Ensure32(&buf, 16, 16) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { Ensure(&buf, 16, 16) }); allocs != 0 {
 		t.Fatalf("steady-state Ensure32 allocates %v times per call", allocs)
 	}
 }
@@ -209,13 +209,59 @@ func TestMatMul32ZeroAllocSteadyState(t *testing.T) {
 	dst := NewT32(24, 24)
 	// Warm the workspace pools.
 	MatMulInto32(dst, a, b)
-	MatMulT1Into32(dst, b, b)
-	MatMulT2Into32(dst, a, bT)
+	MatMulT1Into(dst, b, b)
+	MatMulT2Into(dst, a, bT)
 	if allocs := testing.AllocsPerRun(10, func() {
 		MatMulInto32(dst, a, b)
-		MatMulT1Into32(dst, b, b)
-		MatMulT2Into32(dst, a, bT)
+		MatMulT1Into(dst, b, b)
+		MatMulT2Into(dst, a, bT)
 	}); allocs != 0 {
 		t.Fatalf("float32 matmul kernels allocate %v times per step", allocs)
+	}
+}
+
+// TestCastAndLikeAtTheBoundary pins the boundary helper: at the tensor's own
+// element type Cast and Like hand back the tensor itself, leave the buffer
+// alone and allocate nothing; across types Cast converts into the reused
+// buffer (one rounding when narrowing, exact when widening) and Like only
+// shapes it; Convert onto itself is a no-op.
+func TestCastAndLikeAtTheBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x := Randn(rng, 1, 3, 5)
+	var buf64 *Tensor
+	var buf32 *T32
+	if Cast(&buf64, x) != x || Like(&buf64, x) != x || buf64 != nil {
+		t.Fatal("same-type Cast/Like must return the tensor itself and leave the buffer nil")
+	}
+	n := Cast(&buf32, x)
+	if n != buf32 || n.Rows() != 3 || n.Cols() != 5 {
+		t.Fatalf("narrowing Cast: got shape %v, buffer %p vs %p", n.Shape, n, buf32)
+	}
+	for i, v := range n.Data {
+		if math.Float32bits(v) != math.Float32bits(float32(x.Data[i])) {
+			t.Fatalf("narrowing Cast element %d: %v vs %v", i, v, float32(x.Data[i]))
+		}
+	}
+	w := Cast(&buf64, n)
+	for i, v := range w.Data {
+		if v != float64(n.Data[i]) {
+			t.Fatalf("widening Cast element %d: %v vs %v", i, v, n.Data[i])
+		}
+	}
+	if l := Like(&buf32, New(5, 3)); l != n || l.Rows() != 5 || &l.Data[0] != &n.Data[0] {
+		t.Fatal("cross-type Like must reshape the reused buffer")
+	}
+	before := x.Clone()
+	Convert(x, x)
+	if !x.Equal(before, 0) {
+		t.Fatal("Convert onto itself changed the tensor")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		Cast(&buf32, x)
+		Cast(&buf64, x)
+		Like(&buf32, x)
+		x.WidenInto(x)
+	}); allocs != 0 {
+		t.Fatalf("steady-state Cast/Like allocate %v times per call", allocs)
 	}
 }

@@ -180,7 +180,7 @@ func Pad2D(x *Tensor, p int) *Tensor {
 }
 
 // Clamp limits every element to [lo, hi] in place.
-func (t *Tensor) Clamp(lo, hi float64) {
+func (t *Dense[E]) Clamp(lo, hi E) {
 	for i, v := range t.Data {
 		if v < lo {
 			t.Data[i] = lo

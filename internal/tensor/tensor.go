@@ -1,13 +1,20 @@
-// Package tensor implements dense, row-major float64 tensors and the
-// numerical kernels the rest of the repository builds on: elementwise
-// arithmetic, reductions, blocked and goroutine-parallel matrix multiply,
-// transposition, and the im2col/col2im transforms used by convolution.
+// Package tensor implements dense, row-major tensors and the numerical
+// kernels the rest of the repository builds on: elementwise arithmetic,
+// reductions, blocked and goroutine-parallel matrix multiply, transposition,
+// and the im2col/col2im transforms used by convolution.
 //
-// The package is deliberately small and allocation-conscious: a Tensor is a
-// shape plus a flat []float64, most operations have an in-place or
+// The package is deliberately small and allocation-conscious: a tensor is a
+// shape plus a flat slice, most operations have an in-place or
 // destination-passing variant, and the parallel kernels split work across
 // runtime.GOMAXPROCS(0) goroutines only when the problem is large enough to
 // amortize the spawn cost.
+//
+// There is one tensor type, Dense, generic over its element type. Tensor
+// (float64) is what parameters, gradients, factors, the wire and checkpoints
+// are made of; T32 (float32) is the storage of the mixed-precision compute
+// path. Code that is the same at both widths is written once over Elem, and
+// Cast/Like are where a value crosses between them (docs/ARCHITECTURE.md,
+// "convert at the boundary").
 package tensor
 
 import (
@@ -17,16 +24,25 @@ import (
 	"strings"
 )
 
-// Tensor is a dense, row-major tensor. Data holds the elements contiguously;
-// Shape holds the extent of each dimension. A Tensor with an empty shape is a
+// Elem is the element type of a tensor.
+type Elem interface{ float32 | float64 }
+
+// Dense is a dense, row-major tensor. Data holds the elements contiguously;
+// Shape holds the extent of each dimension. A tensor with an empty shape is a
 // scalar with a single element.
-type Tensor struct {
+type Dense[E Elem] struct {
 	Shape []int
-	Data  []float64
+	Data  []E
 }
 
-// New returns a zero-filled tensor of the given shape.
-func New(shape ...int) *Tensor {
+// Tensor is the float64 tensor and T32 the float32 one.
+type (
+	Tensor = Dense[float64]
+	T32    = Dense[float32]
+)
+
+// NewDense returns a zero-filled tensor of the given shape and element type.
+func NewDense[E Elem](shape ...int) *Dense[E] {
 	n := 1
 	for _, s := range shape {
 		if s < 0 {
@@ -34,13 +50,19 @@ func New(shape ...int) *Tensor {
 		}
 		n *= s
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
+	return &Dense[E]{Shape: append([]int(nil), shape...), Data: make([]E, n)}
 }
+
+// New returns a zero-filled float64 tensor of the given shape.
+func New(shape ...int) *Tensor { return NewDense[float64](shape...) }
+
+// NewT32 returns a zero-filled float32 tensor of the given shape.
+func NewT32(shape ...int) *T32 { return NewDense[float32](shape...) }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); it must have exactly the number of elements the
 // shape implies.
-func FromSlice(data []float64, shape ...int) *Tensor {
+func FromSlice[E Elem](data []E, shape ...int) *Dense[E] {
 	n := 1
 	for _, s := range shape {
 		n *= s
@@ -48,7 +70,7 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	if n != len(data) {
 		panic(fmt.Sprintf("tensor: shape %v needs %d elements, got %d", shape, n, len(data)))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
+	return &Dense[E]{Shape: append([]int(nil), shape...), Data: data}
 }
 
 // Zeros is an alias for New, for readability at call sites.
@@ -101,31 +123,31 @@ func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
 }
 
 // Len returns the total number of elements.
-func (t *Tensor) Len() int { return len(t.Data) }
+func (t *Dense[E]) Len() int { return len(t.Data) }
 
 // Dim returns the extent of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
+func (t *Dense[E]) Dim(i int) int { return t.Shape[i] }
 
 // NDim returns the number of dimensions.
-func (t *Tensor) NDim() int { return len(t.Shape) }
+func (t *Dense[E]) NDim() int { return len(t.Shape) }
 
 // Rows returns the first dimension of a matrix.
-func (t *Tensor) Rows() int { return t.Shape[0] }
+func (t *Dense[E]) Rows() int { return t.Shape[0] }
 
 // Cols returns the second dimension of a matrix.
-func (t *Tensor) Cols() int { return t.Shape[1] }
+func (t *Dense[E]) Cols() int { return t.Shape[1] }
 
 // At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float64 {
+func (t *Dense[E]) At(idx ...int) E {
 	return t.Data[t.offset(idx)]
 }
 
 // Set assigns v to the element at the given multi-index.
-func (t *Tensor) Set(v float64, idx ...int) {
+func (t *Dense[E]) Set(v E, idx ...int) {
 	t.Data[t.offset(idx)] = v
 }
 
-func (t *Tensor) offset(idx []int) int {
+func (t *Dense[E]) offset(idx []int) int {
 	if len(idx) != len(t.Shape) {
 		panic(fmt.Sprintf("tensor: index %v does not match shape %v", idx, t.Shape))
 	}
@@ -140,14 +162,14 @@ func (t *Tensor) offset(idx []int) int {
 }
 
 // Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
+func (t *Dense[E]) Clone() *Dense[E] {
+	c := NewDense[E](t.Shape...)
 	copy(c.Data, t.Data)
 	return c
 }
 
 // CopyFrom copies src's data into t. Shapes must have equal element counts.
-func (t *Tensor) CopyFrom(src *Tensor) {
+func (t *Dense[E]) CopyFrom(src *Dense[E]) {
 	if len(t.Data) != len(src.Data) {
 		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %d vs %d", len(t.Data), len(src.Data)))
 	}
@@ -156,7 +178,7 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 
 // Reshape returns a tensor sharing t's data with a new shape. The element
 // count must match.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
+func (t *Dense[E]) Reshape(shape ...int) *Dense[E] {
 	n := 1
 	for _, s := range shape {
 		n *= s
@@ -165,11 +187,11 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)",
 			t.Shape, len(t.Data), shape, n))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
+	return &Dense[E]{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
 // SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
+func (t *Dense[E]) SameShape(o *Dense[E]) bool {
 	if len(t.Shape) != len(o.Shape) {
 		return false
 	}
@@ -182,28 +204,24 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 }
 
 // Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
+func (t *Dense[E]) Fill(v E) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
 }
 
 // Zero sets every element to 0.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
+func (t *Dense[E]) Zero() { clear(t.Data) }
 
 // Scale multiplies every element by a.
-func (t *Tensor) Scale(a float64) {
+func (t *Dense[E]) Scale(a E) {
 	for i := range t.Data {
 		t.Data[i] *= a
 	}
 }
 
 // AddScaled adds a*o elementwise into t (axpy).
-func (t *Tensor) AddScaled(a float64, o *Tensor) {
+func (t *Dense[E]) AddScaled(a E, o *Dense[E]) {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: AddScaled size mismatch")
 	}
@@ -213,13 +231,13 @@ func (t *Tensor) AddScaled(a float64, o *Tensor) {
 }
 
 // Add adds o elementwise into t.
-func (t *Tensor) Add(o *Tensor) { t.AddScaled(1, o) }
+func (t *Dense[E]) Add(o *Dense[E]) { t.AddScaled(1, o) }
 
 // Sub subtracts o elementwise from t.
-func (t *Tensor) Sub(o *Tensor) { t.AddScaled(-1, o) }
+func (t *Dense[E]) Sub(o *Dense[E]) { t.AddScaled(-1, o) }
 
 // MulElem multiplies t by o elementwise in place.
-func (t *Tensor) MulElem(o *Tensor) {
+func (t *Dense[E]) MulElem(o *Dense[E]) {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: MulElem size mismatch")
 	}
@@ -230,7 +248,7 @@ func (t *Tensor) MulElem(o *Tensor) {
 
 // Lerp sets t = a*t + (1-a)*o, the running-average update used for
 // K-FAC factor accumulation (Equations 16–17 of the paper).
-func (t *Tensor) Lerp(a float64, o *Tensor) {
+func (t *Dense[E]) Lerp(a E, o *Dense[E]) {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: Lerp size mismatch")
 	}
@@ -241,11 +259,11 @@ func (t *Tensor) Lerp(a float64, o *Tensor) {
 }
 
 // Dot returns the inner product of t and o viewed as flat vectors.
-func (t *Tensor) Dot(o *Tensor) float64 {
+func (t *Dense[E]) Dot(o *Dense[E]) E {
 	if len(t.Data) != len(o.Data) {
 		panic("tensor: Dot size mismatch")
 	}
-	var s float64
+	var s E
 	for i := range t.Data {
 		s += t.Data[i] * o.Data[i]
 	}
@@ -253,8 +271,8 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 }
 
 // Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	var s float64
+func (t *Dense[E]) Sum() E {
+	var s E
 	for _, v := range t.Data {
 		s += v
 	}
@@ -262,15 +280,15 @@ func (t *Tensor) Sum() float64 {
 }
 
 // Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
+func (t *Dense[E]) Mean() E {
 	if len(t.Data) == 0 {
 		return 0
 	}
-	return t.Sum() / float64(len(t.Data))
+	return t.Sum() / E(len(t.Data))
 }
 
 // Max returns the maximum element. Panics on empty tensors.
-func (t *Tensor) Max() float64 {
+func (t *Dense[E]) Max() E {
 	if len(t.Data) == 0 {
 		panic("tensor: Max of empty tensor")
 	}
@@ -284,7 +302,7 @@ func (t *Tensor) Max() float64 {
 }
 
 // Min returns the minimum element. Panics on empty tensors.
-func (t *Tensor) Min() float64 {
+func (t *Dense[E]) Min() E {
 	if len(t.Data) == 0 {
 		panic("tensor: Min of empty tensor")
 	}
@@ -298,16 +316,16 @@ func (t *Tensor) Min() float64 {
 }
 
 // Norm2 returns the Euclidean (Frobenius) norm.
-func (t *Tensor) Norm2() float64 {
-	var s float64
+func (t *Dense[E]) Norm2() E {
+	var s E
 	for _, v := range t.Data {
 		s += v * v
 	}
-	return math.Sqrt(s)
+	return E(math.Sqrt(float64(s)))
 }
 
 // ArgMaxRow returns the index of the maximum element in row r of a matrix.
-func (t *Tensor) ArgMaxRow(r int) int {
+func (t *Dense[E]) ArgMaxRow(r int) int {
 	if t.NDim() != 2 {
 		panic("tensor: ArgMaxRow requires a matrix")
 	}
@@ -323,7 +341,7 @@ func (t *Tensor) ArgMaxRow(r int) int {
 }
 
 // Row returns a slice view of row r of a matrix.
-func (t *Tensor) Row(r int) []float64 {
+func (t *Dense[E]) Row(r int) []E {
 	if t.NDim() != 2 {
 		panic("tensor: Row requires a matrix")
 	}
@@ -332,7 +350,7 @@ func (t *Tensor) Row(r int) []float64 {
 }
 
 // Apply replaces every element x with f(x).
-func (t *Tensor) Apply(f func(float64) float64) {
+func (t *Dense[E]) Apply(f func(E) E) {
 	for i, v := range t.Data {
 		t.Data[i] = f(v)
 	}
@@ -340,12 +358,12 @@ func (t *Tensor) Apply(f func(float64) float64) {
 
 // Equal reports whether t and o have the same shape and all elements within
 // tol of each other.
-func (t *Tensor) Equal(o *Tensor, tol float64) bool {
+func (t *Dense[E]) Equal(o *Dense[E], tol float64) bool {
 	if !t.SameShape(o) {
 		return false
 	}
 	for i := range t.Data {
-		if math.Abs(t.Data[i]-o.Data[i]) > tol {
+		if math.Abs(float64(t.Data[i]-o.Data[i])) > tol {
 			return false
 		}
 	}
@@ -353,9 +371,9 @@ func (t *Tensor) Equal(o *Tensor, tol float64) bool {
 }
 
 // HasNaN reports whether any element is NaN or Inf.
-func (t *Tensor) HasNaN() bool {
+func (t *Dense[E]) HasNaN() bool {
 	for _, v := range t.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
 			return true
 		}
 	}
@@ -363,7 +381,7 @@ func (t *Tensor) HasNaN() bool {
 }
 
 // String renders small tensors fully and large ones as a summary.
-func (t *Tensor) String() string {
+func (t *Dense[E]) String() string {
 	if len(t.Data) > 64 {
 		return fmt.Sprintf("Tensor%v{n=%d, mean=%.4g, norm=%.4g}",
 			t.Shape, len(t.Data), t.Mean(), t.Norm2())
