@@ -164,7 +164,7 @@ func BenchmarkConv2DForward(b *testing.B) {
 func BenchmarkResNetForwardBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	net := models.BuildCIFARResNet(1, 8, 3, 10, rng)
-	x := tensor.Randn(rng, 1, 8, 3, 32, 32)
+	x := tensor.Randn(rng, 1, 8, 32, 32, 3)
 	labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	ce := nn.CrossEntropy{}
 	b.ResetTimer()
@@ -184,7 +184,7 @@ func BenchmarkKFACStep(b *testing.B) {
 			prec := kfac.NewFromOptions(net, nil, kfac.Options{
 				Mode: mode, FactorUpdateFreq: 1, InvUpdateFreq: 1, Damping: 1e-3,
 			})
-			x := tensor.Randn(rng, 1, 8, 3, 16, 16)
+			x := tensor.Randn(rng, 1, 8, 16, 16, 3)
 			labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
 			ce := nn.CrossEntropy{}
 			out := net.Forward(x, true)
@@ -217,7 +217,7 @@ func BenchmarkKFACStepEngines(b *testing.B) {
 				FactorUpdateFreq: 1, InvUpdateFreq: 1, Damping: 1e-3, Engine: engine,
 			})
 			defer prec.Close()
-			x := tensor.Randn(rng, 1, 8, 3, 16, 16)
+			x := tensor.Randn(rng, 1, 8, 16, 16, 3)
 			labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
 			ce := nn.CrossEntropy{}
 			out := net.Forward(x, true)
@@ -250,7 +250,7 @@ func TestPipelinedEngineMatchesSyncSameSeed(t *testing.T) {
 		ce := nn.CrossEntropy{}
 		for step := 0; step < 3; step++ {
 			srng := rand.New(rand.NewSource(int64(100 + step)))
-			x := tensor.Randn(srng, 1, 8, 3, 16, 16)
+			x := tensor.Randn(srng, 1, 8, 16, 16, 3)
 			labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
 			out := net.Forward(x, true)
 			_, grad := ce.Loss(out, labels)
@@ -286,7 +286,7 @@ func BenchmarkKFACStepStale(b *testing.B) {
 	prec := kfac.NewFromOptions(net, nil, kfac.Options{
 		FactorUpdateFreq: 1 << 30, InvUpdateFreq: 1 << 30, Damping: 1e-3,
 	})
-	x := tensor.Randn(rng, 1, 8, 3, 16, 16)
+	x := tensor.Randn(rng, 1, 8, 16, 16, 3)
 	labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	ce := nn.CrossEntropy{}
 	out := net.Forward(x, true)

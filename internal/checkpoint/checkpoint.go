@@ -21,8 +21,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// FormatVersion identifies the on-disk layout.
-const FormatVersion = 1
+// FormatVersion identifies the on-disk layout and what the tensors in it
+// mean. Version 2 stores a conv weight's columns in the channels-last patch
+// order (ky, kx, c); version 1 stored the same shape in channels-first
+// (c, ky, kx) order, so a version-1 file would load without a shape error
+// and compute a different network. Read refuses it.
+const FormatVersion = 2
 
 // Entry is one named tensor.
 type Entry struct {
@@ -123,7 +127,8 @@ func (f *File) Sum() ([32]byte, error) {
 }
 
 // Read decodes a checkpoint from r. Truncated streams, non-checkpoint
-// bytes, unknown versions, and internally inconsistent entries (a tensor
+// bytes, unknown versions, version-1 files (conv weights in the
+// channels-first column order), and internally inconsistent entries (a tensor
 // whose shape does not describe its data) are all rejected with a
 // descriptive error — a corrupt file can never panic a later Restore or
 // ExtraTensor call.
@@ -134,6 +139,10 @@ func Read(r io.Reader) (*File, error) {
 			return nil, fmt.Errorf("checkpoint: decode: truncated or empty stream: %w", err)
 		}
 		return nil, fmt.Errorf("checkpoint: decode: %w", err)
+	}
+	if f.Version == 1 {
+		return nil, fmt.Errorf("checkpoint: version 1 file: its conv weights are in channels-first (c, ky, kx) column order; "+
+			"this build computes channels-last and reads version %d, whose columns are (ky, kx, c) — same shapes, permuted meaning, so it is refused rather than loaded", FormatVersion)
 	}
 	if f.Version != FormatVersion {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", f.Version)

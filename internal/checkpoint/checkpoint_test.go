@@ -117,6 +117,31 @@ func TestReadBadVersion(t *testing.T) {
 	}
 }
 
+// TestReadRefusesVersion1Layout: a version-1 file holds conv weights of the
+// right shape in channels-first (c, ky, kx) column order. Nothing about its
+// shapes is wrong, so only the version can stop it from loading as a
+// different network; the error says why.
+func TestReadRefusesVersion1Layout(t *testing.T) {
+	conv := nn.NewConv2D("conv1", 3, 4, 3, 1, 1, false, rand.New(rand.NewSource(1)))
+	v1 := &File{Version: 1, Epoch: 2, Step: 20, Params: []Entry{entryOf(conv.W.Name, conv.W.Value)}}
+	var buf bytes.Buffer
+	if err := v1.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Read(&buf)
+	if err == nil {
+		t.Fatal("a version-1 checkpoint was read; its conv weights would load permuted")
+	}
+	for _, want := range []string{"version 1", "channels-first", "(ky, kx, c)"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if FormatVersion != 2 {
+		t.Errorf("FormatVersion = %d, want 2 (channels-last conv weights)", FormatVersion)
+	}
+}
+
 func TestReadGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewBufferString("not a gob")); err == nil {
 		t.Error("expected decode error")

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,6 +252,28 @@ func TestGetDetectsCorruptObject(t *testing.T) {
 }
 
 // Job names reach the filesystem, so hostile ones are rejected outright.
+// A version-1 object (conv weights in the channels-first column order) that
+// an older build filed is refused on the way out, by Get and by the Latest a
+// kfacd resume starts from, with checkpoint.Read's reason attached.
+func TestGetRefusesVersion1Layout(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := testFile(t, 3, 1, 10)
+	f.Version = 1
+	ref, _, err := s.Put("job-old", f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(ref.Sum); err == nil || !strings.Contains(err.Error(), "channels-first") {
+		t.Errorf("Get of a version-1 object: %v, want a refusal naming the layout", err)
+	}
+	if _, _, err := s.Latest("job-old"); err == nil || !strings.Contains(err.Error(), "channels-first") {
+		t.Errorf("Latest over a version-1 object: %v, want a refusal naming the layout", err)
+	}
+}
+
 func TestPutRejectsUnsafeJobNames(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {

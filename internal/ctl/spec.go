@@ -79,7 +79,7 @@ func (m ModelSpec) Build(rng *rand.Rand) *nn.Sequential {
 	case "cifar-resnet":
 		return models.BuildCIFARResNet(m.Blocks, m.Width, m.Channels, m.Classes, rng)
 	case "mlp":
-		// The trainer feeds [N, C, H, W] batches; a leading Flatten adapts
+		// The trainer feeds [N, H, W, C] batches; a leading Flatten adapts
 		// them to the fully-connected stack.
 		inner := models.BuildMLP("mlp", m.Dims, rng)
 		return nn.NewSequential("mlp",

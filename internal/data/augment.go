@@ -30,10 +30,10 @@ func NewAugmenter(pad int, flipProb float64, seed int64) *Augmenter {
 
 // Apply transforms every image in the batch in place.
 func (a *Augmenter) Apply(b Batch) {
-	n, c, h, w := b.X.Shape[0], b.X.Shape[1], b.X.Shape[2], b.X.Shape[3]
-	sz := c * h * w
+	n, h, w, c := b.X.Shape[0], b.X.Shape[1], b.X.Shape[2], b.X.Shape[3]
+	sz := h * w * c
 	for i := 0; i < n; i++ {
-		img := tensor.FromSlice(b.X.Data[i*sz:(i+1)*sz], 1, c, h, w)
+		img := tensor.FromSlice(b.X.Data[i*sz:(i+1)*sz], 1, h, w, c)
 		if a.Pad > 0 {
 			dy := a.rng.Intn(2*a.Pad+1) - a.Pad
 			dx := a.rng.Intn(2*a.Pad+1) - a.Pad
@@ -46,35 +46,26 @@ func (a *Augmenter) Apply(b Batch) {
 }
 
 // cropShift emulates pad-then-random-crop as a shift with zero fill: the
-// image moves by (dy, dx) and exposed borders become zero.
+// [1, H, W, C] image moves by (dy, dx) and exposed borders become zero. Each
+// row keeps one contiguous run of pixels.
 func cropShift(img *tensor.Tensor, dy, dx int) {
-	c, h, w := img.Shape[1], img.Shape[2], img.Shape[3]
+	h, w, c := img.Shape[1], img.Shape[2], img.Shape[3]
 	src := append([]float64(nil), img.Data...)
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for y := 0; y < h; y++ {
-			sy := y + dy
-			for x := 0; x < w; x++ {
-				sx := x + dx
-				if sy < 0 || sy >= h || sx < 0 || sx >= w {
-					img.Data[base+y*w+x] = 0
-				} else {
-					img.Data[base+y*w+x] = src[base+sy*w+sx]
-				}
-			}
-		}
+	clear(img.Data)
+	lo, hi := max(-dx, 0), min(w-dx, w) // destination columns with a source
+	for y := max(-dy, 0); y < min(h-dy, h) && lo < hi; y++ {
+		copy(img.Data[(y*w+lo)*c:(y*w+hi)*c], src[((y+dy)*w+lo+dx)*c:])
 	}
 }
 
-// flipHorizontal mirrors each row of every channel.
+// flipHorizontal mirrors each row of pixels.
 func flipHorizontal(img *tensor.Tensor) {
-	c, h, w := img.Shape[1], img.Shape[2], img.Shape[3]
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for y := 0; y < h; y++ {
-			row := img.Data[base+y*w : base+(y+1)*w]
-			for i, j := 0, w-1; i < j; i, j = i+1, j-1 {
-				row[i], row[j] = row[j], row[i]
+	h, w, c := img.Shape[1], img.Shape[2], img.Shape[3]
+	for y := 0; y < h; y++ {
+		row := img.Data[y*w*c : (y+1)*w*c]
+		for i, j := 0, w-1; i < j; i, j = i+1, j-1 {
+			for ch := 0; ch < c; ch++ {
+				row[i*c+ch], row[j*c+ch] = row[j*c+ch], row[i*c+ch]
 			}
 		}
 	}
@@ -85,31 +76,25 @@ func flipHorizontal(img *tensor.Tensor) {
 // and stds so the same statistics can normalize the test split — the
 // standard train-statistics contract.
 func Normalize(d *Dataset) (means, stds []float64) {
-	c, h, w := d.X.Shape[1], d.X.Shape[2], d.X.Shape[3]
-	spatial := h * w
-	n := d.Len()
+	c := d.X.Shape[3]
+	pixels := d.X.Len() / c
 	means = make([]float64, c)
 	stds = make([]float64, c)
-	cnt := float64(n * spatial)
-	for ch := 0; ch < c; ch++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			base := (i*c + ch) * spatial
-			for s := 0; s < spatial; s++ {
-				sum += d.X.Data[base+s]
-			}
+	for p := 0; p < pixels; p++ {
+		for ch, v := range d.X.Data[p*c : (p+1)*c] {
+			means[ch] += v
 		}
-		means[ch] = sum / cnt
-		var varSum float64
-		for i := 0; i < n; i++ {
-			base := (i*c + ch) * spatial
-			for s := 0; s < spatial; s++ {
-				dv := d.X.Data[base+s] - means[ch]
-				varSum += dv * dv
-			}
+	}
+	for ch := range means {
+		means[ch] /= float64(pixels)
+	}
+	for p := 0; p < pixels; p++ {
+		for ch, v := range d.X.Data[p*c : (p+1)*c] {
+			stds[ch] += (v - means[ch]) * (v - means[ch])
 		}
-		stds[ch] = sqrt(varSum / cnt)
-		if stds[ch] == 0 {
+	}
+	for ch := range stds {
+		if stds[ch] = sqrt(stds[ch] / float64(pixels)); stds[ch] == 0 {
 			stds[ch] = 1
 		}
 	}
@@ -119,15 +104,11 @@ func Normalize(d *Dataset) (means, stds []float64) {
 
 // ApplyNormalization standardizes d with externally computed statistics.
 func ApplyNormalization(d *Dataset, means, stds []float64) {
-	c, h, w := d.X.Shape[1], d.X.Shape[2], d.X.Shape[3]
-	spatial := h * w
-	for i := 0; i < d.Len(); i++ {
-		for ch := 0; ch < c; ch++ {
-			base := (i*c + ch) * spatial
-			inv := 1 / stds[ch]
-			for s := 0; s < spatial; s++ {
-				d.X.Data[base+s] = (d.X.Data[base+s] - means[ch]) * inv
-			}
+	c := d.X.Shape[3]
+	for p := 0; p < d.X.Len()/c; p++ {
+		px := d.X.Data[p*c : (p+1)*c]
+		for ch, v := range px {
+			px[ch] = (v - means[ch]) * (1 / stds[ch])
 		}
 	}
 }

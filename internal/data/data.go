@@ -22,7 +22,8 @@ import (
 
 // Dataset is an in-memory labeled image dataset.
 type Dataset struct {
-	// X holds images as [N, C, H, W].
+	// X holds images channels-last, as [N, H, W, C] — the layout every layer
+	// of internal/nn computes in, so a batch enters the network as it is.
 	X *tensor.Tensor
 	// Labels holds the class index of each image.
 	Labels []int
@@ -33,11 +34,11 @@ type Dataset struct {
 // Len returns the number of examples.
 func (d *Dataset) Len() int { return len(d.Labels) }
 
-// Image returns a view of example i as [1, C, H, W] sharing storage.
+// Image returns a view of example i as [1, H, W, C] sharing storage.
 func (d *Dataset) Image(i int) *tensor.Tensor {
-	c, h, w := d.X.Shape[1], d.X.Shape[2], d.X.Shape[3]
-	sz := c * h * w
-	return tensor.FromSlice(d.X.Data[i*sz:(i+1)*sz], 1, c, h, w)
+	h, w, c := d.X.Shape[1], d.X.Shape[2], d.X.Shape[3]
+	sz := h * w * c
+	return tensor.FromSlice(d.X.Data[i*sz:(i+1)*sz], 1, h, w, c)
 }
 
 // SyntheticConfig parameterizes GenerateSynthetic.
@@ -86,7 +87,7 @@ func GenerateSynthetic(cfg SyntheticConfig) (train, test *Dataset) {
 	}
 	gen := func(n int) *Dataset {
 		d := &Dataset{
-			X:       tensor.New(n, cfg.Channels, cfg.Size, cfg.Size),
+			X:       tensor.New(n, cfg.Size, cfg.Size, cfg.Channels),
 			Labels:  make([]int, n),
 			Classes: cfg.Classes,
 		}
@@ -99,20 +100,18 @@ func GenerateSynthetic(cfg SyntheticConfig) (train, test *Dataset) {
 				dy = rng.Intn(2*cfg.Shift+1) - cfg.Shift
 				dx = rng.Intn(2*cfg.Shift+1) - cfg.Shift
 			}
-			dst := d.X.Data[i*sz : (i+1)*sz]
-			writeShifted(dst, protos[k], cfg.Channels, cfg.Size, dy, dx)
-			for j := range dst {
-				dst[j] += rng.NormFloat64() * cfg.Noise
-			}
+			writeShifted(d.X.Data[i*sz:(i+1)*sz], protos[k], cfg.Channels, cfg.Size, dy, dx, rng, cfg.Noise)
 		}
 		return d
 	}
 	return gen(cfg.Train), gen(cfg.Test)
 }
 
-// smoothPrototype returns a low-frequency random image: a sum of a few
-// random 2-D cosine modes per channel, normalized to unit std. Low-frequency
-// structure survives shifts and noise, giving each class a stable signature.
+// smoothPrototype returns a low-frequency random image as [C, size, size]
+// planes: a sum of a few random 2-D cosine modes per channel, normalized to
+// unit std. Low-frequency structure survives shifts and noise, giving each
+// class a stable signature. A prototype is generated plane by plane and only
+// read by writeShifted, which interleaves it into the dataset's layout.
 func smoothPrototype(rng *rand.Rand, channels, size int) *tensor.Tensor {
 	p := tensor.New(channels, size, size)
 	const modes = 4
@@ -144,14 +143,17 @@ func smoothPrototype(rng *rand.Rand, channels, size int) *tensor.Tensor {
 	return p
 }
 
-// writeShifted copies proto into dst with a circular (dy, dx) shift.
-func writeShifted(dst []float64, proto *tensor.Tensor, channels, size, dy, dx int) {
+// writeShifted writes proto, circularly shifted by (dy, dx) and with
+// N(0, noise²) noise added, into the [size, size, channels] image dst. The
+// noise is drawn plane by plane — (c, y, x) order — so a seed gives the same
+// pixel values whichever layout stores them.
+func writeShifted(dst []float64, proto *tensor.Tensor, channels, size, dy, dx int, rng *rand.Rand, noise float64) {
 	for c := 0; c < channels; c++ {
 		for y := 0; y < size; y++ {
 			sy := ((y+dy)%size + size) % size
 			for x := 0; x < size; x++ {
 				sx := ((x+dx)%size + size) % size
-				dst[(c*size+y)*size+x] = proto.Data[(c*size+sy)*size+sx]
+				dst[(y*size+x)*channels+c] = proto.Data[(c*size+sy)*size+sx] + rng.NormFloat64()*noise
 			}
 		}
 	}
@@ -159,7 +161,7 @@ func writeShifted(dst []float64, proto *tensor.Tensor, channels, size, dy, dx in
 
 // Batch is one mini-batch of images and labels.
 type Batch struct {
-	X      *tensor.Tensor // [B, C, H, W]
+	X      *tensor.Tensor // [B, H, W, C]
 	Labels []int
 }
 
@@ -194,12 +196,12 @@ func Batches(d *Dataset, idx []int, batchSize int) []Batch {
 	if batchSize < 1 {
 		panic("data: batchSize must be ≥ 1")
 	}
-	c, h, w := d.X.Shape[1], d.X.Shape[2], d.X.Shape[3]
-	sz := c * h * w
+	h, w, c := d.X.Shape[1], d.X.Shape[2], d.X.Shape[3]
+	sz := h * w * c
 	var out []Batch
 	for start := 0; start+batchSize <= len(idx); start += batchSize {
 		b := Batch{
-			X:      tensor.New(batchSize, c, h, w),
+			X:      tensor.New(batchSize, h, w, c),
 			Labels: make([]int, batchSize),
 		}
 		for j := 0; j < batchSize; j++ {

@@ -1,9 +1,14 @@
 package data
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/tensor"
 )
 
 func TestGenerateSyntheticShapes(t *testing.T) {
@@ -12,7 +17,7 @@ func TestGenerateSyntheticShapes(t *testing.T) {
 	if train.Len() != 100 || test.Len() != 40 {
 		t.Fatalf("split sizes = %d/%d", train.Len(), test.Len())
 	}
-	if train.X.Shape[1] != 3 || train.X.Shape[2] != 8 || train.X.Shape[3] != 8 {
+	if train.X.Shape[1] != 8 || train.X.Shape[2] != 8 || train.X.Shape[3] != 3 {
 		t.Fatalf("image shape = %v", train.X.Shape)
 	}
 	for _, l := range train.Labels {
@@ -86,7 +91,7 @@ func TestImageView(t *testing.T) {
 	cfg := SyntheticConfig{Train: 4, Test: 1, Classes: 2, Channels: 2, Size: 3, Seed: 2}
 	train, _ := GenerateSynthetic(cfg)
 	img := train.Image(2)
-	if img.Shape[0] != 1 || img.Shape[1] != 2 || img.Shape[2] != 3 {
+	if img.Shape[0] != 1 || img.Shape[1] != 3 || img.Shape[2] != 3 || img.Shape[3] != 2 {
 		t.Fatalf("Image shape = %v", img.Shape)
 	}
 	// Shares storage with the dataset.
@@ -245,4 +250,71 @@ func TestPresetConfigs(t *testing.T) {
 	if i.Classes <= c.Classes {
 		t.Error("ImageNetLike should have more classes than CIFARLike")
 	}
+}
+
+// hashChannelsFirst is FNV-1a over the bits of an [N, H, W, C] tensor's
+// elements visited in [N, C, H, W] order: the hash a channels-first tensor
+// of the same values has when read front to back.
+func hashChannelsFirst(x *tensor.Tensor) uint64 {
+	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	hash := fnv.New64a()
+	var b [8]byte
+	for i := 0; i < n; i++ {
+		for ch := 0; ch < c; ch++ {
+			for s := 0; s < h*w; s++ {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x.Data[(i*h*w+s)*c+ch]))
+				hash.Write(b[:])
+			}
+		}
+	}
+	return hash.Sum64()
+}
+
+// TestLayoutSameDatasetForSameSeed pins the pipeline to the values it
+// produced while it was channels-first (recorded at 8c2b58a): the generator
+// makes the same draws and stores them transposed, Normalize sums each
+// channel in the same order, and the Augmenter consumes its generator in the
+// same order — so a seed names the same dataset, bit for bit, in either
+// layout.
+func TestLayoutSameDatasetForSameSeed(t *testing.T) {
+	cfg := SyntheticConfig{Train: 6, Test: 2, Classes: 3, Channels: 3, Size: 5, Noise: 0.7, Shift: 2, Seed: 17}
+	train, test := GenerateSynthetic(cfg)
+	if got, want := fmt.Sprint(train.Labels, test.Labels), "[1 0 2 0 0 0] [0 2]"; got != want {
+		t.Errorf("labels %s, want %s", got, want)
+	}
+	if got := train.X.At(4, 1, 3, 2); got != -0.80421066381641282 {
+		t.Errorf("train image 4, channel 2, pixel (1, 3) = %.17g, want -0.80421066381641282", got)
+	}
+	wantHash := func(what string, x *tensor.Tensor, want uint64) {
+		t.Helper()
+		if got := hashChannelsFirst(x); got != want {
+			t.Errorf("%s: channels-first hash %#x, want %#x", what, got, want)
+		}
+	}
+	wantHash("train split", train.X, 0xfbd6bae6ff8b4d63)
+	wantHash("test split", test.X, 0x69f9949e912e4376)
+
+	means, stds := Normalize(train)
+	wantStats := [][]float64{
+		{-0.022591922000036579, 0.077116071877820574, -0.030698559773367044},
+		{0.95952347831712692, 1.2901913775894227, 1.4203424941872884},
+	}
+	for ch := range means {
+		if means[ch] != wantStats[0][ch] || stds[ch] != wantStats[1][ch] {
+			t.Errorf("channel %d mean, std = %.17g, %.17g, want %.17g, %.17g", ch, means[ch], stds[ch], wantStats[0][ch], wantStats[1][ch])
+		}
+	}
+	wantHash("normalized train split", train.X, 0xbdbee98a7224113c)
+
+	// The channels-first batch held 1, 2, 3, … in storage order.
+	b := Batch{X: tensor.New(5, 6, 4, 2), Labels: make([]int, 5)}
+	for i := 0; i < 5; i++ {
+		for ch := 0; ch < 2; ch++ {
+			for s := 0; s < 24; s++ {
+				b.X.Data[(i*24+s)*2+ch] = float64((i*2+ch)*24 + s + 1)
+			}
+		}
+	}
+	NewAugmenter(2, 0.5, 9).Apply(b)
+	wantHash("augmented batch", b.X, 0xb4f0b28ad973e540)
 }

@@ -429,7 +429,7 @@ func runDistRank(ctx context.Context, sc distScenario, seed int64, c *comm.Commu
 	}
 
 	ce := nn.CrossEntropy{}
-	x := tensor.Randn(rng, 1, sc.batch, 3, 16, 16)
+	x := tensor.Randn(rng, 1, sc.batch, 16, 16, 3)
 	labels := make([]int, sc.batch)
 	for i := range labels {
 		labels[i] = rng.Intn(10)
@@ -583,7 +583,7 @@ func runBenchScenario(ctx context.Context, sc benchScenario, engine kfac.Engine,
 	}
 
 	ce := nn.CrossEntropy{}
-	x := tensor.Randn(rng, 1, sc.batch, 3, 16, 16)
+	x := tensor.Randn(rng, 1, sc.batch, 16, 16, 3)
 	labels := make([]int, sc.batch)
 	for i := range labels {
 		labels[i] = rng.Intn(10)

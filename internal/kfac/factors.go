@@ -34,12 +34,16 @@ var covKernel = linalg.SymMulT1Into[float64]
 // layer, following the conventions of the paper's reference implementation:
 //
 //	Linear: a [N, in] (+bias column of ones)   → A = aᵀa / N
-//	Conv2D: a [N·S, C·kh·kw] (+bias column), each patch scaled by 1/S
+//	Conv2D: a [N·S, kh·kw·C] (+bias column of ones), each patch weighted 1/S
 //	        → A = aᵀa / (S²·N)
 //
-// where S is the number of spatial output positions. The bias column makes
-// A's dimension in+1 so the bias gradient is preconditioned jointly with
-// the weights.
+// where S is the number of spatial output positions. The reference scales
+// every patch row by 1/S before the product; since [a/S, 1/S]ᵀ[a/S, 1/S] =
+// [a, 1]ᵀ[a, 1] / S², the weight is folded into the product's one scalar
+// and the capture is multiplied as it is, never copied to be scaled. The
+// bias column makes A's dimension in+1 so the bias gradient is
+// preconditioned jointly with the weights; a conv capture's columns, and so
+// A's rows, are in the patch order (ky, kx, c).
 func ComputeCovA(layer nn.KFACCapturable) *tensor.Tensor {
 	da, _ := FactorDims(layer)
 	cov := tensor.New(da, da)
@@ -49,41 +53,27 @@ func ComputeCovA(layer nn.KFACCapturable) *tensor.Tensor {
 }
 
 // activationCov is ComputeCovA writing into dst (da×da, float64) from the
-// capture act at element type E: the bias-augmented sample matrix is drawn
-// from *sample and the Gram product formed by gramInto. This is the
-// allocation-free form the per-layer kernels use.
+// capture act at element type E: with a bias the capture is copied into
+// *sample beside a column of ones, without one it is the Gram operand
+// itself; gramInto forms the product. This is the allocation-free form the
+// per-layer kernels use.
 func activationCov[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.Dense[E]),
 	layer nn.KFACCapturable, act *tensor.Dense[E], sample, prod **tensor.Dense[E]) {
 	if act == nil {
 		panic("kfac: ComputeCovA called without captured activation (is capture enabled?)")
 	}
-	rows, cols := act.Rows(), act.Cols()
-	spatial := layer.SpatialSize()
-	scale := E(1)
-	if spatial > 1 {
-		scale = E(1 / float64(spatial))
-	}
-	d := cols
-	if layer.HasBias() {
-		d++
-	}
-	// Form the (optionally bias-augmented, scaled) sample matrix without
-	// copying when possible.
 	a := act
-	if layer.HasBias() || scale != 1 {
-		a = tensor.Ensure(sample, rows, d)
+	if layer.HasBias() {
+		rows, cols := act.Rows(), act.Cols()
+		a = tensor.Ensure(sample, rows, cols+1)
 		for i := 0; i < rows; i++ {
-			src := act.Data[i*cols : (i+1)*cols]
-			dst := a.Data[i*d : (i+1)*d]
-			for j, v := range src {
-				dst[j] = v * scale
-			}
-			if layer.HasBias() {
-				dst[d-1] = scale
-			}
+			row := a.Data[i*(cols+1) : (i+1)*(cols+1)]
+			copy(row, act.Data[i*cols:(i+1)*cols])
+			row[cols] = 1
 		}
 	}
-	gramInto(dst, gram, a, prod, 1/float64(layer.BatchSize()))
+	s := float64(layer.SpatialSize())
+	gramInto(dst, gram, a, prod, 1/(s*s*float64(layer.BatchSize())))
 }
 
 // gramInto writes scale·aᵀa into the float64 dst: the product is formed at

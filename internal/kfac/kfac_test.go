@@ -31,7 +31,7 @@ func buildTinyNet(seed int64) *nn.Sequential {
 // the loss gradient path through the net.
 func runStep(net *nn.Sequential, seed int64, batch int) {
 	rng := rand.New(rand.NewSource(seed))
-	x := tensor.Randn(rng, 1, batch, 1, 5, 5)
+	x := tensor.Randn(rng, 1, batch, 5, 5, 1)
 	labels := make([]int, batch)
 	for i := range labels {
 		labels[i] = rng.Intn(4)
@@ -103,7 +103,7 @@ func TestComputeCovAConvShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := nn.NewConv2D("cv", 2, 3, 3, 1, 1, true, rng)
 	c.SetCapture(true)
-	x := tensor.Randn(rng, 1, 2, 2, 4, 4)
+	x := tensor.Randn(rng, 1, 2, 4, 4, 2)
 	c.Forward(x, true)
 	cov := ComputeCovA(c)
 	// A dim = inC·k·k + 1 = 19.
@@ -120,6 +120,55 @@ func TestComputeCovAConvShape(t *testing.T) {
 	}
 	if eg.Values[0] < -1e-10 {
 		t.Errorf("conv CovA has negative eigenvalue %v", eg.Values[0])
+	}
+}
+
+// TestComputeCovAConvIsItsDefinition states the conv A factor's arithmetic:
+// A = [a, 1]ᵀ[a, 1] / (S²·N) on the captured patch matrix a as it is — the
+// reference implementation's 1/S weight on every patch row, folded into the
+// product's one scalar. At float64 that is the Gram product's bits times the
+// scalar; a bias-free layer's capture is the Gram operand itself, so no
+// sample buffer exists for it at either element type.
+func TestComputeCovAConvIsItsDefinition(t *testing.T) {
+	const n, size, inC, outC = 3, 4, 2, 3
+	for _, bias := range []bool{true, false} {
+		rng := rand.New(rand.NewSource(31))
+		c := nn.NewConv2D("cv", inC, outC, 3, 1, 1, bias, rng)
+		c.SetCapture(true)
+		c.Forward(tensor.Randn(rng, 1, n, size, size, inC), true)
+		a := c.CapturedActivation()
+		if bias {
+			aug := tensor.New(a.Rows(), a.Cols()+1)
+			for i := 0; i < a.Rows(); i++ {
+				copy(aug.Row(i), a.Row(i))
+				aug.Row(i)[a.Cols()] = 1
+			}
+			a = aug
+		}
+		want := linalg.SymMulT1(a)
+		want.Scale(1 / float64(size*size*size*size*n))
+
+		da, _ := FactorDims(c)
+		got, got32 := tensor.New(da, da), tensor.New(da, da)
+		var sample, prod *tensor.Tensor
+		activationCov(got, covKernel, c, c.CapturedActivation(), &sample, &prod)
+		wantSameBits(t, fmt.Sprintf("bias=%v float64 A", bias), got, want)
+		var sample32, prod32 *tensor.T32
+		activationCov(got32, linalg.SymMulT1Into[float32], c, c.CapturedActivation32(), &sample32, &prod32)
+		if !got32.Equal(want, 1e-6) {
+			t.Errorf("bias=%v: float32 A departs from the definition by more than 1e-6", bias)
+		}
+		if !bias && (sample != nil || sample32 != nil) {
+			t.Error("a bias-free capture was copied into a sample buffer")
+		}
+		// The same factor the reference implementation's row scaling gives.
+		scaled := a.Clone()
+		scaled.Scale(1 / float64(size*size))
+		ref := linalg.SymMulT1(scaled)
+		ref.Scale(1 / float64(n))
+		if !got.Equal(ref, 1e-14) {
+			t.Errorf("bias=%v: A differs from the row-scaled form", bias)
+		}
 	}
 }
 

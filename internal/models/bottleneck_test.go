@@ -11,7 +11,7 @@ import (
 func TestBuildBottleneckResNetForwardBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := BuildBottleneckResNet([]int{1, 1}, 4, 3, 10, rng)
-	x := tensor.Randn(rng, 1, 2, 3, 16, 16)
+	x := tensor.Randn(rng, 1, 2, 16, 16, 3)
 	out := net.Forward(x, true)
 	if out.Rows() != 2 || out.Cols() != 10 {
 		t.Fatalf("output shape = %v", out.Shape)

@@ -160,7 +160,7 @@ func TestLayerParamsMap(t *testing.T) {
 func TestBuildCIFARResNetForwardBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := BuildCIFARResNet(1, 4, 3, 10, rng)
-	x := tensor.Randn(rng, 1, 2, 3, 16, 16)
+	x := tensor.Randn(rng, 1, 2, 16, 16, 3)
 	out := net.Forward(x, true)
 	if out.Rows() != 2 || out.Cols() != 10 {
 		t.Fatalf("output shape = %v", out.Shape)
@@ -197,7 +197,7 @@ func TestBuildCIFARResNetCapturableLayerCount(t *testing.T) {
 func TestBuildCIFARResNetStridesReduceSpatial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := BuildCIFARResNet(1, 4, 3, 5, rng)
-	x := tensor.Randn(rng, 1, 1, 3, 32, 32)
+	x := tensor.Randn(rng, 1, 1, 32, 32, 3)
 	out := net.Forward(x, false)
 	if out.Rows() != 1 || out.Cols() != 5 {
 		t.Fatalf("32x32 forward output shape = %v", out.Shape)
@@ -220,7 +220,7 @@ func TestBuildMLP(t *testing.T) {
 func TestBuildSmallCNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	net := BuildSmallCNN(3, 10, 8, rng)
-	x := tensor.Randn(rng, 1, 2, 3, 16, 16)
+	x := tensor.Randn(rng, 1, 2, 16, 16, 3)
 	out := net.Forward(x, true)
 	if out.Rows() != 2 || out.Cols() != 10 {
 		t.Fatalf("SmallCNN output shape = %v", out.Shape)

@@ -1,17 +1,41 @@
 package nn
 
 import (
+	"math"
+
 	"repro/internal/tensor"
 )
+
+// rectify returns max(v, 0) with every input that is not positive — negative
+// values, −0 and NaN — mapped to +0. The comparison selects a bit mask, not
+// a path, so it compiles to a conditional move: a sign pattern the branch
+// predictor cannot learn costs nothing.
+func rectify(v float64) float64 {
+	var keep uint64
+	if v > 0 {
+		keep = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(v) & keep)
+}
+
+// rectifyGrad writes dx = g where the rectified output out is positive and
+// +0 elsewhere. A rectified value is positive exactly when its bits are not
+// all zero, so the kept output is the mask and no branch is taken.
+func rectifyGrad(dx, g, out []float64) {
+	dx, g = dx[:len(out)], g[:len(out)]
+	for i, o := range out {
+		b := math.Float64bits(o)
+		dx[i] = math.Float64frombits(math.Float64bits(g[i]) & uint64(int64(b|-b)>>63))
+	}
+}
 
 // ReLU is the rectified linear activation, applied elementwise.
 type ReLU struct {
 	name string
-	mask []bool
+	out  *tensor.Tensor // the last output, which Backward masks by
 
-	reuse  bool
-	outBuf *tensor.Tensor
-	dxBuf  *tensor.Tensor
+	reuse bool
+	dxBuf *tensor.Tensor
 }
 
 // NewReLU constructs a ReLU layer.
@@ -22,33 +46,17 @@ func (r *ReLU) SetBufferReuse(on bool) { r.reuse = on }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := ensureBuf(r.reuse, &r.outBuf, x.Shape...)
-	if cap(r.mask) < x.Len() {
-		r.mask = make([]bool, x.Len())
-	}
-	r.mask = r.mask[:x.Len()]
+	r.out = ensureBuf(r.reuse, &r.out, x.Shape...)
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			out.Data[i] = 0
-			r.mask[i] = false
-		}
+		r.out.Data[i] = rectify(v)
 	}
-	return out
+	return r.out
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	dx := ensureBuf(r.reuse, &r.dxBuf, gradOut.Shape...)
-	for i, v := range gradOut.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = 0
-		}
-	}
+	rectifyGrad(dx.Data, gradOut.Data, r.out.Data)
 	return dx
 }
 
@@ -58,7 +66,7 @@ func (r *ReLU) Params() []*Param { return nil }
 // Name implements Layer.
 func (r *ReLU) Name() string { return r.name }
 
-// MaxPool2d is max pooling over [N, C, H, W] with square window k,
+// MaxPool2d is max pooling over [N, H, W, C] with square window k,
 // stride s, and no padding.
 type MaxPool2d struct {
 	name    string
@@ -79,38 +87,32 @@ func NewMaxPool2d(name string, k, stride int) *MaxPool2d {
 // SetBufferReuse implements BufferReuser.
 func (m *MaxPool2d) SetBufferReuse(on bool) { m.reuse = on }
 
-// Forward implements Layer.
+// Forward implements Layer. Each output pixel starts as the window's first
+// pixel and takes, channel by channel, every later one that is larger.
 func (m *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	m.inShape = x.Shape
 	oh := (h-m.K)/m.S + 1
 	ow := (w-m.K)/m.S + 1
-	out := ensureBuf(m.reuse, &m.outBuf, n, c, oh, ow)
+	out := ensureBuf(m.reuse, &m.outBuf, n, oh, ow, c)
 	if cap(m.argmax) < out.Len() {
 		m.argmax = make([]int, out.Len())
 	}
 	m.argmax = m.argmax[:out.Len()]
-	oi := 0
 	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			base := (img*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					bestIdx := base + (oy*m.S)*w + ox*m.S
-					best := x.Data[bestIdx]
-					for ky := 0; ky < m.K; ky++ {
-						rowBase := base + (oy*m.S+ky)*w
-						for kx := 0; kx < m.K; kx++ {
-							idx := rowBase + ox*m.S + kx
-							if x.Data[idx] > best {
-								best = x.Data[idx]
-								bestIdx = idx
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				o := ((img*oh+oy)*ow + ox) * c
+				best, arg := out.Data[o:o+c], m.argmax[o:o+c]
+				for ky := 0; ky < m.K; ky++ {
+					for kx := 0; kx < m.K; kx++ {
+						base := ((img*h+oy*m.S+ky)*w + ox*m.S + kx) * c
+						for ch, v := range x.Data[base : base+c] {
+							if ky+kx == 0 || v > best[ch] {
+								best[ch], arg[ch] = v, base+ch
 							}
 						}
 					}
-					out.Data[oi] = best
-					m.argmax[oi] = bestIdx
-					oi++
 				}
 			}
 		}
@@ -133,7 +135,7 @@ func (m *MaxPool2d) Params() []*Param { return nil }
 // Name implements Layer.
 func (m *MaxPool2d) Name() string { return m.name }
 
-// GlobalAvgPool reduces [N, C, H, W] to [N, C] by averaging each channel's
+// GlobalAvgPool reduces [N, H, W, C] to [N, C] by averaging each channel's
 // spatial extent — the head pooling of ResNet before the classifier.
 type GlobalAvgPool struct {
 	name    string
@@ -152,18 +154,18 @@ func (g *GlobalAvgPool) SetBufferReuse(on bool) { g.reuse = on }
 
 // Forward implements Layer.
 func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	n, spatial, c := x.Shape[0], x.Shape[1]*x.Shape[2], x.Shape[3]
 	g.inShape = x.Shape
-	spatial := h * w
-	out := ensureBuf(g.reuse, &g.outBuf, n, c)
+	out := ensureBufZero(g.reuse, &g.outBuf, n, c)
 	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			base := (img*c + ch) * spatial
-			var s float64
-			for i := 0; i < spatial; i++ {
-				s += x.Data[base+i]
+		mean := out.Data[img*c : (img+1)*c]
+		for s := 0; s < spatial; s++ {
+			for ch, v := range x.Data[(img*spatial+s)*c:][:c] {
+				mean[ch] += v
 			}
-			out.Data[img*c+ch] = s / float64(spatial)
+		}
+		for ch := range mean {
+			mean[ch] /= float64(spatial)
 		}
 	}
 	return out
@@ -171,17 +173,16 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (g *GlobalAvgPool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := g.inShape[0], g.inShape[1], g.inShape[2], g.inShape[3]
-	spatial := h * w
+	n, spatial, c := g.inShape[0], g.inShape[1]*g.inShape[2], g.inShape[3]
 	inv := 1 / float64(spatial)
 	dx := ensureBuf(g.reuse, &g.dxBuf, g.inShape...)
 	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			gv := gradOut.Data[img*c+ch] * inv
-			base := (img*c + ch) * spatial
-			for i := 0; i < spatial; i++ {
-				dx.Data[base+i] = gv
-			}
+		first := dx.Data[img*spatial*c:][:c]
+		for ch, v := range gradOut.Data[img*c : (img+1)*c] {
+			first[ch] = v * inv
+		}
+		for s := 1; s < spatial; s++ {
+			copy(dx.Data[(img*spatial+s)*c:][:c], first)
 		}
 	}
 	return dx
@@ -193,8 +194,9 @@ func (g *GlobalAvgPool) Params() []*Param { return nil }
 // Name implements Layer.
 func (g *GlobalAvgPool) Name() string { return g.name }
 
-// Flatten reshapes [N, ...] to [N, rest]. Needed between conv stacks and
-// linear classifiers when global pooling is not used.
+// Flatten reshapes [N, ...] to [N, rest] — an [N, H, W, C] activation to
+// features ordered (y, x, c). Needed between conv stacks and linear
+// classifiers when global pooling is not used.
 type Flatten struct {
 	name    string
 	inShape []int

@@ -6,9 +6,9 @@ import "repro/internal/tensor"
 // over the element type.
 //
 // A Linear is the affine map Y = X·Wᵀ + b; a Conv2D is the same map applied
-// to its im2col patch matrix. Both delegate forward and backward to an
-// affine[E] — Linear directly, Conv2D wrapped in im2col, the NCHW layout
-// shims and col2im — and SetComputeF32 picks E once per layer: float64 (the
+// to its patch matrix. Both delegate forward and backward to an
+// affine[E] — Linear directly, Conv2D between the lowering and its adjoint
+// (convCore) — and SetComputeF32 picks E once per layer: float64 (the
 // default), or float32 for the mixed-precision path, whose products run the
 // float64 FMA chain on float32 operands and round once (internal/tensor/
 // gemm.go). Nothing else asks which it is: a value crosses the precision
@@ -130,9 +130,11 @@ func (a *affine[E]) backward(g *tensor.Dense[E]) *tensor.Dense[E] {
 // operand brings a caller's float64 tensor in as an operand. For the
 // arithmetic alone the core may borrow src, and at float64 Cast does; a
 // capture must outlive the caller's buffer, so keep asks for a copy in the
-// core's own *buf at either element type. That is the one ownership rule: a
+// core's own *buf at either element type. That is Linear's ownership rule: a
 // capture is the core's own operand buffer when it has one (always at
-// float32, and Conv2D's patch and gradient matrices), else a copy into one.
+// float32), else a copy into one. Conv2D's patch matrix is its own buffer
+// too; its G capture at float64 is the incoming gradient itself, which the
+// layer behind it keeps until its own next Backward (KFACCapturable).
 func (a *affine[E]) operand(buf **tensor.Dense[E], src *tensor.Tensor, keep bool) *tensor.Dense[E] {
 	if !keep {
 		return castBuf(a.l.reuse, buf, src)
@@ -182,39 +184,38 @@ func (c *linearCore[E]) backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return castBuf(c.l.reuse, &c.dxOut, dx)
 }
 
-// convCore is Conv2D's core: im2col in front of the affine map, the NCHW
-// layout shims around it, col2im behind it. The lowering only moves data,
-// so it runs at E on the once-cast input; the shims and the col2im scatter
-// convert as they move, so no separate pass crosses back to float64.
+// convCore is Conv2D's core: the lowering in front of the affine map, its
+// adjoint behind it. Activations are channels-last, so the map's
+// [n·oh·ow, outC] product is the layer's [n, oh, ow, outC] output and the
+// incoming gradient is its G operand — both under another shape, neither
+// copied. The lowering only moves data, so it runs at E on the once-cast
+// input; the fold converts as it adds, so no separate pass crosses back to
+// float64.
 type convCore[E tensor.Elem] struct {
 	affine[E]
 	c *Conv2D
 
-	xIn     *tensor.Dense[E] // input at E where x itself cannot serve
-	cols    *tensor.Dense[E] // im2col patches [n·oh·ow, inC·kh·kw]: the affine X
-	gradMat *tensor.Dense[E] // gradOut as [n·oh·ow, outC]: the affine G
-	out, dx *tensor.Tensor   // NCHW output and input gradient
+	xIn, gIn   *tensor.Dense[E] // input and gradOut at E where they cannot serve themselves
+	cols       *tensor.Dense[E] // patches [n·oh·ow, kh·kw·inC]: the affine X
+	out, dx    *tensor.Tensor   // the product at float64 where the core's is not; the input gradient
+	outV, gInV *tensor.Tensor   // headers: the product as [n, oh, ow, outC], gradOut as a matrix
 }
 
 func (k *convCore[E]) forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	c, reuse := k.c, k.l.reuse
 	n := c.inShape[0]
 	cols := ensureBuf(reuse, &k.cols, n*c.outH*c.outW, c.InDim())
-	tensor.Im2ColInto(cols, castBuf(reuse, &k.xIn, x), c.KH, c.KW, c.Stride, c.Pad)
-	y := k.affine.forward(cols)
-	out := ensureBuf(reuse, &k.out, n, c.OutC, c.outH, c.outW)
-	matToNCHW(out.Data, y.Data, n, c.OutC, c.outH, c.outW)
-	return out
+	tensor.UnfoldInto(cols, castBuf(reuse, &k.xIn, x), c.KH, c.KW, c.Stride, c.Pad)
+	y := castBuf(reuse, &k.out, k.affine.forward(cols))
+	return viewBuf(reuse, &k.outV, y, n, c.outH, c.outW, c.OutC)
 }
 
 func (k *convCore[E]) backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	c, reuse := k.c, k.l.reuse
-	n := c.inShape[0]
-	gradMat := ensureBuf(reuse, &k.gradMat, n*c.outH*c.outW, c.OutC)
-	nchwToMat(gradMat.Data, gradOut.Data, n, c.OutC, c.outH, c.outW)
-	dCols := k.affine.backward(gradMat)
+	g := viewBuf(reuse, &k.gInV, gradOut, gradOut.Len()/c.OutC, c.OutC)
+	dCols := k.affine.backward(castBuf(reuse, &k.gIn, g))
 	dx := ensureBuf(reuse, &k.dx, c.inShape...)
-	tensor.Col2ImInto(dx, dCols, c.KH, c.KW, c.Stride, c.Pad)
+	tensor.FoldInto(dx, dCols, c.KH, c.KW, c.Stride, c.Pad)
 	return dx
 }
 

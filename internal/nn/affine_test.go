@@ -109,19 +109,21 @@ func TestConv2DCoreIsItsDefinition(t *testing.T) {
 		c := NewConv2D("conv", inC, outC, k, stride, pad, true, rng)
 		SetComputeF32(c, pr.f32)
 		c.B.Value = tensor.Randn(rng, 1, outC)
-		x := tensor.Randn(rng, 1, n, inC, h, w)
+		x := tensor.Randn(rng, 1, n, h, w, inC)
 		oh, ow := tensor.ConvOutSize(h, k, stride, pad), tensor.ConvOutSize(w, k, stride, pad)
-		g := tensor.Randn(rng, 1, n, outC, oh, ow)
+		g := tensor.Randn(rng, 1, n, oh, ow, outC)
 
-		// The lowering and the layout shims only move data; the arithmetic
-		// in between is the affine definition on the patch matrix.
-		cols := tensor.Im2Col(x, k, k, stride, pad)
-		gradMat := tensor.New(n*oh*ow, outC)
-		nchwToMat(gradMat.Data, g.Data, n, outC, oh, ow)
-		yMat, dW, db, dCols := affineRef(cols, c.W.Value, c.B.Value, gradMat, pr.round)
-		y := tensor.New(n, outC, oh, ow)
-		matToNCHW(y.Data, yMat.Data, n, outC, oh, ow)
-		dX := tensor.Col2Im(dCols, n, inC, h, w, k, k, stride, pad)
+		// The lowering and its adjoint only move and add data (tested against
+		// the channels-first routines in internal/tensor); the arithmetic in
+		// between is the affine definition on the patch matrix, and the
+		// product and the incoming gradient are the layer's output and G
+		// operand under another shape.
+		cols := tensor.New(n*oh*ow, k*k*inC)
+		tensor.UnfoldInto(cols, pr.round(x), k, k, stride, pad)
+		yMat, dW, db, dCols := affineRef(cols, c.W.Value, c.B.Value, g.Reshape(n*oh*ow, outC), pr.round)
+		y := yMat.Reshape(n, oh, ow, outC)
+		dX := tensor.New(n, h, w, inC)
+		tensor.FoldInto(dX, dCols, k, k, stride, pad)
 
 		wantBits(t, pr.name+" y", c.Forward(x, true), y)
 		ZeroGrads(c)

@@ -6,7 +6,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// AvgPool2d is windowed average pooling over [N, C, H, W] with square
+// AvgPool2d is windowed average pooling over [N, H, W, C] with square
 // window k and stride s (no padding). ResNet variants use it in shortcut
 // paths; GlobalAvgPool covers the classifier head.
 type AvgPool2d struct {
@@ -29,60 +29,51 @@ func (a *AvgPool2d) SetBufferReuse(on bool) { a.reuse = on }
 
 // Forward implements Layer.
 func (a *AvgPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	a.inShape = x.Shape
 	oh := (h-a.K)/a.S + 1
 	ow := (w-a.K)/a.S + 1
-	out := ensureBuf(a.reuse, &a.outBuf, n, c, oh, ow)
+	out := ensureBufZero(a.reuse, &a.outBuf, n, oh, ow, c)
 	inv := 1 / float64(a.K*a.K)
-	oi := 0
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			base := (img*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					var s float64
-					for ky := 0; ky < a.K; ky++ {
-						rowBase := base + (oy*a.S+ky)*w + ox*a.S
-						for kx := 0; kx < a.K; kx++ {
-							s += x.Data[rowBase+kx]
-						}
-					}
-					out.Data[oi] = s * inv
-					oi++
-				}
-			}
+	a.eachWindowPixel(oh, ow, func(o, px []float64) {
+		for ch, v := range px {
+			o[ch] += v
 		}
-	}
+	}, out.Data, x.Data)
+	out.Scale(inv)
 	return out
 }
 
 // Backward implements Layer.
 func (a *AvgPool2d) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := a.inShape[0], a.inShape[1], a.inShape[2], a.inShape[3]
-	oh := (h-a.K)/a.S + 1
-	ow := (w-a.K)/a.S + 1
+	oh, ow := gradOut.Shape[1], gradOut.Shape[2]
 	dx := ensureBufZero(a.reuse, &a.dxBuf, a.inShape...)
 	inv := 1 / float64(a.K*a.K)
-	oi := 0
+	a.eachWindowPixel(oh, ow, func(o, px []float64) {
+		for ch, g := range o {
+			px[ch] += g * inv
+		}
+	}, gradOut.Data, dx.Data)
+	return dx
+}
+
+// eachWindowPixel calls visit for every (output pixel, input pixel of its
+// window) pair of the last forward's geometry, in output order then window
+// order, passing each pixel's C channel values.
+func (a *AvgPool2d) eachWindowPixel(oh, ow int, visit func(o, px []float64), out, in []float64) {
+	n, h, w, c := a.inShape[0], a.inShape[1], a.inShape[2], a.inShape[3]
 	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			base := (img*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					g := gradOut.Data[oi] * inv
-					oi++
-					for ky := 0; ky < a.K; ky++ {
-						rowBase := base + (oy*a.S+ky)*w + ox*a.S
-						for kx := 0; kx < a.K; kx++ {
-							dx.Data[rowBase+kx] += g
-						}
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				o := out[((img*oh+oy)*ow+ox)*c:][:c]
+				for ky := 0; ky < a.K; ky++ {
+					for kx := 0; kx < a.K; kx++ {
+						visit(o, in[((img*h+oy*a.S+ky)*w+ox*a.S+kx)*c:][:c])
 					}
 				}
 			}
 		}
 	}
-	return dx
 }
 
 // Params implements Layer.

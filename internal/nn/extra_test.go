@@ -9,7 +9,7 @@ import (
 )
 
 func TestAvgPoolForwardKnown(t *testing.T) {
-	x := tensor.New(1, 1, 4, 4)
+	x := tensor.New(1, 4, 4, 1)
 	for i := range x.Data {
 		x.Data[i] = float64(i)
 	}
@@ -27,14 +27,14 @@ func TestAvgPoolForwardKnown(t *testing.T) {
 func TestAvgPoolGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ap := NewAvgPool2d("ap", 2, 2)
-	x := tensor.Randn(rng, 1, 2, 2, 4, 4)
+	x := tensor.Randn(rng, 1, 2, 4, 4, 2)
 	gradCheckLayer(t, ap, x, rng)
 }
 
 func TestAvgPoolStride1GradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ap := NewAvgPool2d("ap", 3, 1)
-	x := tensor.Randn(rng, 1, 1, 2, 5, 5)
+	x := tensor.Randn(rng, 1, 1, 5, 5, 2)
 	gradCheckLayer(t, ap, x, rng)
 }
 
@@ -97,20 +97,20 @@ func TestDropoutBackwardMatchesMask(t *testing.T) {
 func TestGroupNormForwardNormalizesSlabs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	gn := NewGroupNorm("gn", 4, 2)
-	x := tensor.Randn(rng, 2, 2, 4, 3, 3)
+	x := tensor.Randn(rng, 2, 2, 3, 3, 4)
 	y := gn.Forward(x, true)
-	// Each (image, group) slab of the output is standardized (γ=1, β=0).
-	spatial := 9
-	groupLen := 2 * spatial
+	// Each (image, group) slab of the output — two adjacent channels of
+	// every pixel of one image — is standardized (γ=1, β=0).
+	const spatial, c, chPerGroup = 9, 4, 2
 	for img := 0; img < 2; img++ {
 		for grp := 0; grp < 2; grp++ {
-			base := img*4*spatial + grp*groupLen
 			var mean float64
-			for i := 0; i < groupLen; i++ {
-				mean += y.Data[base+i]
+			for s := 0; s < spatial; s++ {
+				for ch := 0; ch < chPerGroup; ch++ {
+					mean += y.Data[(img*spatial+s)*c+grp*chPerGroup+ch]
+				}
 			}
-			mean /= float64(groupLen)
-			if math.Abs(mean) > 1e-10 {
+			if mean /= chPerGroup * spatial; math.Abs(mean) > 1e-10 {
 				t.Errorf("slab (%d,%d) mean %v", img, grp, mean)
 			}
 		}
@@ -120,14 +120,14 @@ func TestGroupNormForwardNormalizesSlabs(t *testing.T) {
 func TestGroupNormGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	gn := NewGroupNorm("gn", 4, 2)
-	x := tensor.Randn(rng, 1, 2, 4, 3, 3)
+	x := tensor.Randn(rng, 1, 2, 3, 3, 4)
 	gradCheckLayer(t, gn, x, rng)
 }
 
 func TestGroupNormSingleGroupIsLayerNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	gn := NewGroupNorm("gn", 3, 1)
-	x := tensor.Randn(rng, 1, 2, 3, 4, 4)
+	x := tensor.Randn(rng, 1, 2, 4, 4, 3)
 	gradCheckLayer(t, gn, x, rng)
 }
 
@@ -145,9 +145,9 @@ func TestGroupNormBatchSizeIndependent(t *testing.T) {
 	// the batch — the property BatchNorm lacks.
 	rng := rand.New(rand.NewSource(10))
 	gn := NewGroupNorm("gn", 2, 2)
-	x1 := tensor.Randn(rng, 1, 1, 2, 3, 3)
+	x1 := tensor.Randn(rng, 1, 1, 3, 3, 2)
 	solo := gn.Forward(x1, true).Clone()
-	x2 := tensor.ConcatRows(x1, tensor.Randn(rng, 1, 1, 2, 3, 3))
+	x2 := tensor.ConcatRows(x1, tensor.Randn(rng, 1, 1, 3, 3, 2))
 	both := gn.Forward(x2, true)
 	firstHalf := tensor.SliceRows(both, 0, 1)
 	if !firstHalf.Equal(solo, 1e-12) {

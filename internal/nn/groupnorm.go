@@ -8,7 +8,7 @@ import (
 )
 
 // GroupNorm normalizes groups of channels within each example of an
-// [N, C, H, W] tensor (Wu & He). Unlike BatchNorm it has no batch-size
+// [N, H, W, C] tensor (Wu & He). Unlike BatchNorm it has no batch-size
 // dependence and no running statistics, which makes it attractive for the
 // very large effective batches the paper's large-batch context concerns —
 // included as the standard alternative normalizer.
@@ -39,46 +39,48 @@ func NewGroupNorm(name string, c, groups int) *GroupNorm {
 	return &GroupNorm{name: name, C: c, Groups: groups, Eps: 1e-5, Gamma: g, Beta: b}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. A group is chPerGroup adjacent channels of every
+// pixel of one image: a strip of each [H·W, C] row.
 func (g *GroupNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	n, spatial, c := x.Shape[0], x.Shape[1]*x.Shape[2], x.Shape[3]
 	if c != g.C {
 		panic("nn: GroupNorm channel mismatch")
 	}
 	g.shape = x.Shape
-	spatial := h * w
 	chPerGroup := c / g.Groups
-	groupLen := chPerGroup * spatial
-	out := tensor.New(n, c, h, w)
-	g.xhat = tensor.New(n, c, h, w)
+	cnt := float64(chPerGroup * spatial)
+	out := tensor.New(x.Shape...)
+	g.xhat = tensor.New(x.Shape...)
 	if cap(g.invStd) < n*g.Groups {
 		g.invStd = make([]float64, n*g.Groups)
 	}
 	g.invStd = g.invStd[:n*g.Groups]
 	for img := 0; img < n; img++ {
 		for grp := 0; grp < g.Groups; grp++ {
-			base := img*c*spatial + grp*groupLen
-			var mean float64
-			for i := 0; i < groupLen; i++ {
-				mean += x.Data[base+i]
+			lo := grp * chPerGroup
+			strip := func(t *tensor.Tensor, s int) []float64 {
+				return t.Data[(img*spatial+s)*c+lo:][:chPerGroup]
 			}
-			mean /= float64(groupLen)
-			var variance float64
-			for i := 0; i < groupLen; i++ {
-				d := x.Data[base+i] - mean
-				variance += d * d
+			var mean, variance float64
+			for s := 0; s < spatial; s++ {
+				for _, v := range strip(x, s) {
+					mean += v
+				}
 			}
-			variance /= float64(groupLen)
-			inv := 1 / math.Sqrt(variance+g.Eps)
+			mean /= cnt
+			for s := 0; s < spatial; s++ {
+				for _, v := range strip(x, s) {
+					variance += (v - mean) * (v - mean)
+				}
+			}
+			inv := 1 / math.Sqrt(variance/cnt+g.Eps)
 			g.invStd[img*g.Groups+grp] = inv
-			for ch := 0; ch < chPerGroup; ch++ {
-				gamma := g.Gamma.Value.Data[grp*chPerGroup+ch]
-				beta := g.Beta.Value.Data[grp*chPerGroup+ch]
-				cb := base + ch*spatial
-				for s := 0; s < spatial; s++ {
-					xh := (x.Data[cb+s] - mean) * inv
-					g.xhat.Data[cb+s] = xh
-					out.Data[cb+s] = gamma*xh + beta
+			gamma, beta := g.Gamma.Value.Data[lo:], g.Beta.Value.Data[lo:]
+			for s := 0; s < spatial; s++ {
+				xh, o := strip(g.xhat, s), strip(out, s)
+				for ch, v := range strip(x, s) {
+					xh[ch] = (v - mean) * inv
+					o[ch] = gamma[ch]*xh[ch] + beta[ch]
 				}
 			}
 		}
@@ -89,39 +91,36 @@ func (g *GroupNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer. Same derivation as BatchNorm, with statistics
 // over each (image, group) slab.
 func (g *GroupNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := g.shape[0], g.shape[1], g.shape[2], g.shape[3]
-	spatial := h * w
+	n, spatial, c := g.shape[0], g.shape[1]*g.shape[2], g.shape[3]
 	chPerGroup := c / g.Groups
-	groupLen := chPerGroup * spatial
+	cnt := float64(chPerGroup * spatial)
 	dx := tensor.New(g.shape...)
-	cnt := float64(groupLen)
 	for img := 0; img < n; img++ {
 		for grp := 0; grp < g.Groups; grp++ {
-			base := img*c*spatial + grp*groupLen
+			lo := grp * chPerGroup
+			strip := func(t *tensor.Tensor, s int) []float64 {
+				return t.Data[(img*spatial+s)*c+lo:][:chPerGroup]
+			}
 			inv := g.invStd[img*g.Groups+grp]
+			gamma := g.Gamma.Value.Data[lo:]
+			dGamma, dBeta := g.Gamma.Grad.Data[lo:], g.Beta.Grad.Data[lo:]
 			// Accumulate per-channel parameter grads and the two slab sums
 			// of dxhat = dy·γ.
 			var sumDxhat, sumDxhatXhat float64
-			for ch := 0; ch < chPerGroup; ch++ {
-				gamma := g.Gamma.Value.Data[grp*chPerGroup+ch]
-				cb := base + ch*spatial
-				for s := 0; s < spatial; s++ {
-					dy := gradOut.Data[cb+s]
-					xh := g.xhat.Data[cb+s]
-					g.Gamma.Grad.Data[grp*chPerGroup+ch] += dy * xh
-					g.Beta.Grad.Data[grp*chPerGroup+ch] += dy
-					dxh := dy * gamma
+			for s := 0; s < spatial; s++ {
+				xh := strip(g.xhat, s)
+				for ch, dy := range strip(gradOut, s) {
+					dGamma[ch] += dy * xh[ch]
+					dBeta[ch] += dy
+					dxh := dy * gamma[ch]
 					sumDxhat += dxh
-					sumDxhatXhat += dxh * xh
+					sumDxhatXhat += dxh * xh[ch]
 				}
 			}
-			for ch := 0; ch < chPerGroup; ch++ {
-				gamma := g.Gamma.Value.Data[grp*chPerGroup+ch]
-				cb := base + ch*spatial
-				for s := 0; s < spatial; s++ {
-					dxh := gradOut.Data[cb+s] * gamma
-					xh := g.xhat.Data[cb+s]
-					dx.Data[cb+s] = inv / cnt * (cnt*dxh - sumDxhat - xh*sumDxhatXhat)
+			for s := 0; s < spatial; s++ {
+				xh, d := strip(g.xhat, s), strip(dx, s)
+				for ch, dy := range strip(gradOut, s) {
+					d[ch] = inv / cnt * (cnt*(dy*gamma[ch]) - sumDxhat - xh[ch]*sumDxhatXhat)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 // Package nn implements the neural-network substrate the K-FAC
 // preconditioner operates on: parameterized layers with explicit forward and
-// backward passes (Linear, Conv2D via im2col, BatchNorm2d, ReLU, pooling),
+// backward passes (Linear, Conv2D via patch lowering, BatchNorm2d, ReLU,
+// pooling) over channels-last [N, H, W, C] activations,
 // residual blocks, sequential composition, and a cross-entropy loss with
 // label smoothing.
 //
@@ -60,17 +61,20 @@ type Layer interface {
 // layers"). The capture accessors return the data needed to form the
 // Kronecker factors A and G.
 //
-// Capture validity: a capture is the layer's own buffer, valid from the
-// training Forward (activation) or Backward (output gradient) that produced
-// it until the layer's next Forward — which is after K-FAC's Step has
-// consumed it. Callers that need it longer copy it.
+// Capture validity: a capture is valid from the training Forward
+// (activation) or Backward (output gradient) that produced it until the
+// layer's next Forward — which is after K-FAC's Step has consumed it. It is
+// the layer's own buffer, except a Conv2D's float64 output gradient: that is
+// the gradient the layer behind it handed in, read as a matrix, which its
+// owner keeps until its own next Backward — later still. Callers that need
+// a capture longer copy it.
 type KFACCapturable interface {
 	Layer
 	// SetCapture enables or disables activation/gradient capture.
 	SetCapture(on bool)
 	// CapturedActivation returns the activation samples from the last
 	// forward pass as a [samples, inDim] matrix (conv layers return the
-	// im2col patch matrix [n·outH·outW, C·kh·kw]). Nil if capture was off.
+	// patch matrix [n·outH·outW, kh·kw·C]). Nil if capture was off.
 	CapturedActivation() *tensor.Tensor
 	// CapturedOutputGrad returns dL/d(pre-activation output) from the last
 	// backward pass as a [samples, outDim] matrix (conv layers return
@@ -164,8 +168,7 @@ type Stateful interface {
 }
 
 // walk visits root and every layer below it in forward order — a container
-// before its children, a Residual's body, then its shortcut, then the ReLU
-// it applies to their sum.
+// before its children, a Residual's body, then its shortcut.
 func walk(root Layer, visit func(Layer)) {
 	visit(root)
 	switch v := root.(type) {
@@ -178,7 +181,6 @@ func walk(root Layer, visit func(Layer)) {
 		if v.Shortcut != nil {
 			walk(v.Shortcut, visit)
 		}
-		walk(v.relu, visit)
 	}
 }
 
@@ -231,37 +233,37 @@ func SetBufferReuse(root Layer, on bool) {
 	})
 }
 
-// ensureBuf returns a tensor of the given shape: when reuse is on it
-// recycles (*buf)'s storage via tensor.Ensure (contents unspecified),
-// otherwise it allocates fresh zeroed storage without touching *buf. Both
-// paths go through Ensure so the variadic shape never escapes — a reusing
-// caller at steady state allocates nothing.
-func ensureBuf[E tensor.Elem](reuse bool, buf **tensor.Dense[E], shape ...int) *tensor.Dense[E] {
+// slot is where a layer's workspace tensor lives: buf itself when reuse is
+// on — tensor.Ensure, View and Cast then recycle (*buf)'s storage, and since
+// the variadic shape never escapes them a steady-state caller allocates
+// nothing — else a fresh empty slot, so the call allocates and *buf is left
+// alone.
+func slot[E tensor.Elem](reuse bool, buf **tensor.Dense[E]) **tensor.Dense[E] {
 	if reuse {
-		return tensor.Ensure(buf, shape...)
+		return buf
 	}
-	var fresh *tensor.Dense[E]
-	return tensor.Ensure(&fresh, shape...)
+	return new(*tensor.Dense[E])
+}
+
+// ensureBuf returns a tensor of the given shape, contents unspecified.
+func ensureBuf[E tensor.Elem](reuse bool, buf **tensor.Dense[E], shape ...int) *tensor.Dense[E] {
+	return tensor.Ensure(slot(reuse, buf), shape...)
 }
 
 // ensureBufZero is ensureBuf with the returned tensor guaranteed zeroed.
 func ensureBufZero(reuse bool, buf **tensor.Tensor, shape ...int) *tensor.Tensor {
-	if reuse {
-		return tensor.EnsureZero(buf, shape...)
-	}
-	var fresh *tensor.Tensor
-	return tensor.Ensure(&fresh, shape...)
+	return tensor.EnsureZero(slot(reuse, buf), shape...)
 }
 
-// castBuf is tensor.Cast under the same reuse rule as ensureBuf: src itself
-// when it already has element type D, else src converted into (*buf)'s
-// recycled storage, or into fresh storage when reuse is off.
+// viewBuf returns t's storage under another shape (tensor.View).
+func viewBuf[E tensor.Elem](reuse bool, buf **tensor.Dense[E], t *tensor.Dense[E], shape ...int) *tensor.Dense[E] {
+	return tensor.View(slot(reuse, buf), t, shape...)
+}
+
+// castBuf returns src at element type D (tensor.Cast): src itself when it
+// already is, else a converted copy.
 func castBuf[D, S tensor.Elem](reuse bool, buf **tensor.Dense[D], src *tensor.Dense[S]) *tensor.Dense[D] {
-	if reuse {
-		return tensor.Cast(buf, src)
-	}
-	var fresh *tensor.Dense[D]
-	return tensor.Cast(&fresh, src)
+	return tensor.Cast(slot(reuse, buf), src)
 }
 
 // ZeroGrads clears all parameter gradients in a layer tree.
@@ -292,66 +294,60 @@ func heInit(rng *rand.Rand, w *tensor.Tensor, fanIn int) {
 	}
 }
 
-// Residual is a residual block: out = body(x) + shortcut(x), followed by a
-// ReLU, matching the post-activation ResNet-v1 design the paper trains.
-// Shortcut may be nil for an identity skip.
+// Residual is a residual block: out = ReLU(body(x) + shortcut(x)), matching
+// the post-activation ResNet-v1 design the paper trains. Shortcut may be nil
+// for an identity skip.
 type Residual struct {
 	name     string
 	Body     Layer
 	Shortcut Layer // nil = identity
 
-	relu *ReLU
-	x    *tensor.Tensor
-
-	reuse  bool
-	sumBuf *tensor.Tensor // forward: body + shortcut sum
-	bwBuf  *tensor.Tensor // backward: summed input gradient
+	reuse bool
+	out   *tensor.Tensor // forward: the rectified sum, which Backward masks by
+	gBuf  *tensor.Tensor // backward: gradient of the sum
+	bwBuf *tensor.Tensor // backward: summed input gradient
 }
 
-// SetBufferReuse implements BufferReuser for the block's own sum buffers;
-// the layers inside it are reached by the tree walk.
+// SetBufferReuse implements BufferReuser for the block's own buffers; the
+// layers inside it are reached by the tree walk.
 func (r *Residual) SetBufferReuse(on bool) { r.reuse = on }
 
 // NewResidual constructs a residual block.
 func NewResidual(name string, body, shortcut Layer) *Residual {
-	return &Residual{name: name, Body: body, Shortcut: shortcut, relu: NewReLU(name + ".relu")}
+	return &Residual{name: name, Body: body, Shortcut: shortcut}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Sum and ReLU are one pass over the block's
+// output.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	r.x = x
-	out := r.Body.Forward(x, train)
-	var sc *tensor.Tensor
+	body, sc := r.Body.Forward(x, train), x
 	if r.Shortcut != nil {
 		sc = r.Shortcut.Forward(x, train)
-	} else {
-		sc = x
 	}
-	if !out.SameShape(sc) {
+	if !body.SameShape(sc) {
 		panic(fmt.Sprintf("nn: residual %s shape mismatch body=%v shortcut=%v",
-			r.name, out.Shape, sc.Shape))
+			r.name, body.Shape, sc.Shape))
 	}
-	sum := ensureBuf(r.reuse, &r.sumBuf, out.Shape...)
-	sum.CopyFrom(out)
-	sum.Add(sc)
-	return r.relu.Forward(sum, train)
+	r.out = ensureBuf(r.reuse, &r.out, body.Shape...)
+	for i, v := range body.Data {
+		r.out.Data[i] = rectify(v + sc.Data[i])
+	}
+	return r.out
 }
 
 // Backward implements Layer.
 func (r *Residual) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	g := r.relu.Backward(gradOut)
-	gBody := r.Body.Backward(g)
+	g := ensureBuf(r.reuse, &r.gBuf, gradOut.Shape...)
+	rectifyGrad(g.Data, gradOut.Data, r.out.Data)
+	gBody, gShort := r.Body.Backward(g), g
 	if r.Shortcut != nil {
-		gShort := r.Shortcut.Backward(g)
-		sum := ensureBuf(r.reuse, &r.bwBuf, gBody.Shape...)
-		sum.CopyFrom(gBody)
-		sum.Add(gShort)
-		return sum
+		gShort = r.Shortcut.Backward(g)
 	}
-	out := ensureBuf(r.reuse, &r.bwBuf, gBody.Shape...)
-	out.CopyFrom(gBody)
-	out.Add(g)
-	return out
+	sum := ensureBuf(r.reuse, &r.bwBuf, gBody.Shape...)
+	for i, v := range gBody.Data {
+		sum.Data[i] = v + gShort.Data[i]
+	}
+	return sum
 }
 
 // Params implements Layer.

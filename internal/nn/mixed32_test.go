@@ -76,14 +76,14 @@ func TestConv2DF32MatchesFloat64(t *testing.T) {
 	}
 	ref, f32 := mk()
 	SetComputeF32(f32, true)
-	x := tensor.Randn(rng, 1, 2, 2, 5, 5)
+	x := tensor.Randn(rng, 1, 2, 5, 5, 2)
 	yRef := ref.Forward(x, true)
 	yF32 := f32.Forward(x, true)
 	k := 2 * 3 * 3
 	if d := maxAbsDiff(yRef, yF32); d > f32LayerTol(k) {
 		t.Errorf("forward diverges: %.3e", d)
 	}
-	g := tensor.Randn(rng, 1, 2, 3, 5, 5)
+	g := tensor.Randn(rng, 1, 2, 5, 5, 3)
 	ZeroGrads(ref)
 	ZeroGrads(f32)
 	dxRef := ref.Backward(g)
@@ -151,7 +151,7 @@ func TestSetComputeF32Toggle(t *testing.T) {
 		NewGlobalAvgPool("gap"),
 		NewLinear("fc", 2, 3, true, rng),
 	)
-	x := tensor.Randn(rng, 1, 2, 1, 4, 4)
+	x := tensor.Randn(rng, 1, 2, 4, 4, 1)
 	want := net.Forward(x, true).Clone()
 
 	SetComputeF32(net, true)

@@ -97,36 +97,38 @@ func TestLinearNoBiasGradCheck(t *testing.T) {
 	gradCheckLayer(t, l, x, rng)
 }
 
-// naiveConv2D computes convolution directly from the definition.
+// naiveConv2D computes a channels-last convolution directly from the
+// definition: x is [N, H, W, C], w is [outC, kh·kw·C] with columns ordered
+// (ky, kx, c), the result is [N, outH, outW, outC].
 func naiveConv2D(x, w *tensor.Tensor, bias []float64, outC, k, stride, pad int) *tensor.Tensor {
-	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	n, h, wd, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh := tensor.ConvOutSize(h, k, stride, pad)
 	ow := tensor.ConvOutSize(wd, k, stride, pad)
-	out := tensor.New(n, outC, oh, ow)
+	out := tensor.New(n, oh, ow, outC)
 	for img := 0; img < n; img++ {
-		for oc := 0; oc < outC; oc++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				for oc := 0; oc < outC; oc++ {
 					var s float64
 					if bias != nil {
 						s = bias[oc]
 					}
-					for ch := 0; ch < c; ch++ {
-						for ky := 0; ky < k; ky++ {
-							iy := oy*stride - pad + ky
-							if iy < 0 || iy >= h {
+					for ky := 0; ky < k; ky++ {
+						iy := oy*stride - pad + ky
+						if iy < 0 || iy >= h {
+							continue
+						}
+						for kx := 0; kx < k; kx++ {
+							ix := ox*stride - pad + kx
+							if ix < 0 || ix >= wd {
 								continue
 							}
-							for kx := 0; kx < k; kx++ {
-								ix := ox*stride - pad + kx
-								if ix < 0 || ix >= wd {
-									continue
-								}
-								s += x.At(img, ch, iy, ix) * w.At(oc, (ch*k+ky)*k+kx)
+							for ch := 0; ch < c; ch++ {
+								s += x.At(img, iy, ix, ch) * w.At(oc, (ky*k+kx)*c+ch)
 							}
 						}
 					}
-					out.Set(s, img, oc, oy, ox)
+					out.Set(s, img, oy, ox, oc)
 				}
 			}
 		}
@@ -140,11 +142,11 @@ func TestConv2DForwardMatchesNaive(t *testing.T) {
 		{3, 1, 1}, {3, 2, 1}, {1, 1, 0}, {5, 1, 2},
 	} {
 		conv := NewConv2D("c", 3, 4, cfg.k, cfg.stride, cfg.pad, true, rng)
-		x := tensor.Randn(rng, 1, 2, 3, 8, 8)
+		x := tensor.Randn(rng, 1, 2, 8, 8, 3)
 		got := conv.Forward(x, false)
 		want := naiveConv2D(x, conv.W.Value, conv.B.Value.Data, 4, cfg.k, cfg.stride, cfg.pad)
 		if !got.Equal(want, 1e-10) {
-			t.Errorf("k=%d s=%d p=%d: im2col conv disagrees with naive", cfg.k, cfg.stride, cfg.pad)
+			t.Errorf("k=%d s=%d p=%d: lowered conv disagrees with naive", cfg.k, cfg.stride, cfg.pad)
 		}
 	}
 }
@@ -152,46 +154,38 @@ func TestConv2DForwardMatchesNaive(t *testing.T) {
 func TestConv2DGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	conv := NewConv2D("c", 2, 3, 3, 1, 1, true, rng)
-	x := tensor.Randn(rng, 1, 2, 2, 5, 5)
+	x := tensor.Randn(rng, 1, 2, 5, 5, 2)
 	gradCheckLayer(t, conv, x, rng)
 }
 
 func TestConv2DStridedGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	conv := NewConv2D("c", 2, 2, 3, 2, 1, false, rng)
-	x := tensor.Randn(rng, 1, 2, 2, 6, 6)
+	x := tensor.Randn(rng, 1, 2, 6, 6, 2)
 	gradCheckLayer(t, conv, x, rng)
 }
 
 func TestBatchNormForwardNormalizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	bn := NewBatchNorm2d("bn", 3)
-	x := tensor.Randn(rng, 2, 4, 3, 5, 5)
+	x := tensor.Randn(rng, 2, 4, 5, 5, 3)
 	y := bn.Forward(x, true)
 	// Per-channel mean ≈ 0, var ≈ 1 after normalization with γ=1, β=0.
-	n, c, h, w := 4, 3, 5, 5
-	spatial := h * w
+	c, cnt := 3, 4*5*5
 	for ch := 0; ch < c; ch++ {
-		var mean float64
-		for img := 0; img < n; img++ {
-			base := (img*c + ch) * spatial
-			for s := 0; s < spatial; s++ {
-				mean += y.Data[base+s]
-			}
+		var mean, variance float64
+		for r := 0; r < cnt; r++ {
+			mean += y.Data[r*c+ch]
 		}
-		mean /= float64(n * spatial)
+		mean /= float64(cnt)
 		if math.Abs(mean) > 1e-10 {
 			t.Errorf("channel %d mean = %v, want 0", ch, mean)
 		}
-		var variance float64
-		for img := 0; img < n; img++ {
-			base := (img*c + ch) * spatial
-			for s := 0; s < spatial; s++ {
-				d := y.Data[base+s] - mean
-				variance += d * d
-			}
+		for r := 0; r < cnt; r++ {
+			d := y.Data[r*c+ch] - mean
+			variance += d * d
 		}
-		variance /= float64(n * spatial)
+		variance /= float64(cnt)
 		if math.Abs(variance-1) > 1e-3 {
 			t.Errorf("channel %d var = %v, want 1", ch, variance)
 		}
@@ -201,7 +195,7 @@ func TestBatchNormForwardNormalizes(t *testing.T) {
 func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	bn := NewBatchNorm2d("bn", 2)
-	x := tensor.Randn(rng, 1, 8, 2, 4, 4)
+	x := tensor.Randn(rng, 1, 8, 4, 4, 2)
 	// Train several batches so the running stats move off their init.
 	for i := 0; i < 20; i++ {
 		bn.Forward(x, true)
@@ -216,7 +210,7 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 func TestBatchNormGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	bn := NewBatchNorm2d("bn", 2)
-	x := tensor.Randn(rng, 1, 3, 2, 3, 3)
+	x := tensor.Randn(rng, 1, 3, 3, 3, 2)
 	gradCheckLayer(t, bn, x, rng)
 }
 
@@ -240,7 +234,7 @@ func TestReLUForwardBackward(t *testing.T) {
 }
 
 func TestMaxPoolForward(t *testing.T) {
-	x := tensor.New(1, 1, 4, 4)
+	x := tensor.New(1, 4, 4, 1)
 	for i := range x.Data {
 		x.Data[i] = float64(i)
 	}
@@ -257,7 +251,7 @@ func TestMaxPoolForward(t *testing.T) {
 func TestMaxPoolGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	mp := NewMaxPool2d("mp", 2, 2)
-	x := tensor.Randn(rng, 1, 2, 2, 4, 4)
+	x := tensor.Randn(rng, 1, 2, 4, 4, 2)
 	// Max-pool is piecewise linear; numeric grad check valid away from ties.
 	gradCheckLayer(t, mp, x, rng)
 }
@@ -265,14 +259,14 @@ func TestMaxPoolGradCheck(t *testing.T) {
 func TestGlobalAvgPoolGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	gp := NewGlobalAvgPool("gap")
-	x := tensor.Randn(rng, 1, 2, 3, 4, 4)
+	x := tensor.Randn(rng, 1, 2, 4, 4, 3)
 	gradCheckLayer(t, gp, x, rng)
 }
 
 func TestFlattenRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	f := NewFlatten("flat")
-	x := tensor.Randn(rng, 1, 2, 3, 4, 5)
+	x := tensor.Randn(rng, 1, 2, 4, 5, 3)
 	y := f.Forward(x, true)
 	if y.Rows() != 2 || y.Cols() != 60 {
 		t.Fatalf("Flatten shape = %v", y.Shape)
@@ -302,7 +296,7 @@ func TestResidualIdentityGradCheck(t *testing.T) {
 		NewConv2D("c2", 2, 2, 3, 1, 1, false, rng),
 	)
 	res := NewResidual("res", body, nil)
-	x := tensor.Randn(rng, 1, 2, 2, 4, 4)
+	x := tensor.Randn(rng, 1, 2, 4, 4, 2)
 	gradCheckLayer(t, res, x, rng)
 }
 
@@ -313,7 +307,7 @@ func TestResidualProjectionGradCheck(t *testing.T) {
 	)
 	short := NewConv2D("sc", 2, 4, 1, 2, 0, false, rng)
 	res := NewResidual("res", body, short)
-	x := tensor.Randn(rng, 1, 2, 2, 4, 4)
+	x := tensor.Randn(rng, 1, 2, 4, 4, 2)
 	gradCheckLayer(t, res, x, rng)
 }
 
@@ -326,7 +320,7 @@ func TestResidualShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on shape mismatch")
 		}
 	}()
-	res.Forward(tensor.Randn(rng, 1, 1, 2, 4, 4), true)
+	res.Forward(tensor.Randn(rng, 1, 1, 4, 4, 2), true)
 }
 
 func TestCrossEntropyKnownValue(t *testing.T) {
@@ -412,7 +406,7 @@ func TestConvCaptureShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	c := NewConv2D("c", 3, 6, 3, 1, 1, true, rng)
 	c.SetCapture(true)
-	x := tensor.Randn(rng, 1, 2, 3, 8, 8)
+	x := tensor.Randn(rng, 1, 2, 8, 8, 3)
 	out := c.Forward(x, true)
 	c.Backward(tensor.Randn(rng, 1, out.Shape...))
 	act := c.CapturedActivation()

@@ -6,7 +6,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// BatchNorm2d normalizes each channel of an [N, C, H, W] tensor over the
+// BatchNorm2d normalizes each channel of an [N, H, W, C] tensor over the
 // batch and spatial dimensions, then applies a learned affine transform.
 // Training mode uses mini-batch statistics and updates running estimates;
 // evaluation mode uses the running estimates. K-FAC ignores BatchNorm
@@ -25,10 +25,10 @@ type BatchNorm2d struct {
 	RunningVar  *tensor.Tensor
 
 	// Backward caches.
-	xhat   *tensor.Tensor
-	invStd []float64
-	n      int // N·H·W per channel in last batch
-	shape  []int
+	xhat  *tensor.Tensor
+	stats []float64 // per channel: mean, variance, 1/std of the last forward; Σdy, Σdy·xhat of the last backward
+	n     int       // N·H·W per channel in last batch
+	shape []int
 
 	reuse  bool
 	outBuf *tensor.Tensor
@@ -52,65 +52,62 @@ func NewBatchNorm2d(name string, c int) *BatchNorm2d {
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Every pass walks the [N·H·W, C] rows once with
+// one accumulator per channel, so a channel's sums run over its samples in
+// row order.
 func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	c := x.Shape[3]
 	if c != b.C {
 		panic("nn: BatchNorm2d channel mismatch")
 	}
 	b.shape = x.Shape
-	spatial := h * w
-	cnt := n * spatial
+	cnt := x.Len() / c
 	b.n = cnt
-	out := ensureBuf(b.reuse, &b.outBuf, n, c, h, w)
-	if b.reuse {
-		tensor.Ensure(&b.xhat, n, c, h, w)
-	} else {
-		b.xhat = tensor.New(n, c, h, w)
+	out := ensureBuf(b.reuse, &b.outBuf, x.Shape...)
+	b.xhat = ensureBuf(b.reuse, &b.xhat, x.Shape...)
+	if len(b.stats) != 5*c {
+		b.stats = make([]float64, 5*c)
 	}
-	if b.invStd == nil || len(b.invStd) != c {
-		b.invStd = make([]float64, c)
-	}
-	for ch := 0; ch < c; ch++ {
-		var mean, variance float64
-		if train {
-			for img := 0; img < n; img++ {
-				base := (img*c + ch) * spatial
-				for s := 0; s < spatial; s++ {
-					mean += x.Data[base+s]
-				}
+	mean, variance, inv := b.stats[:c], b.stats[c:2*c], b.stats[2*c:3*c]
+	if train {
+		clear(b.stats[:2*c])
+		for r := 0; r < cnt; r++ {
+			for ch, v := range x.Data[r*c : (r+1)*c] {
+				mean[ch] += v
 			}
-			mean /= float64(cnt)
-			for img := 0; img < n; img++ {
-				base := (img*c + ch) * spatial
-				for s := 0; s < spatial; s++ {
-					d := x.Data[base+s] - mean
-					variance += d * d
-				}
-			}
-			variance /= float64(cnt)
-			// Update running stats with the unbiased variance, as PyTorch does.
-			unbiased := variance
-			if cnt > 1 {
-				unbiased = variance * float64(cnt) / float64(cnt-1)
-			}
-			b.RunningMean.Data[ch] = (1-b.Momentum)*b.RunningMean.Data[ch] + b.Momentum*mean
-			b.RunningVar.Data[ch] = (1-b.Momentum)*b.RunningVar.Data[ch] + b.Momentum*unbiased
-		} else {
-			mean = b.RunningMean.Data[ch]
-			variance = b.RunningVar.Data[ch]
 		}
-		inv := 1 / math.Sqrt(variance+b.Eps)
-		b.invStd[ch] = inv
-		g := b.Gamma.Value.Data[ch]
-		bt := b.Beta.Value.Data[ch]
-		for img := 0; img < n; img++ {
-			base := (img*c + ch) * spatial
-			for s := 0; s < spatial; s++ {
-				xh := (x.Data[base+s] - mean) * inv
-				b.xhat.Data[base+s] = xh
-				out.Data[base+s] = g*xh + bt
+		for ch := range mean {
+			mean[ch] /= float64(cnt)
+		}
+		for r := 0; r < cnt; r++ {
+			for ch, v := range x.Data[r*c : (r+1)*c] {
+				d := v - mean[ch]
+				variance[ch] += d * d
 			}
+		}
+		for ch := range variance {
+			variance[ch] /= float64(cnt)
+			// Update running stats with the unbiased variance, as PyTorch does.
+			unbiased := variance[ch]
+			if cnt > 1 {
+				unbiased = variance[ch] * float64(cnt) / float64(cnt-1)
+			}
+			b.RunningMean.Data[ch] = (1-b.Momentum)*b.RunningMean.Data[ch] + b.Momentum*mean[ch]
+			b.RunningVar.Data[ch] = (1-b.Momentum)*b.RunningVar.Data[ch] + b.Momentum*unbiased
+		}
+	} else {
+		copy(mean, b.RunningMean.Data)
+		copy(variance, b.RunningVar.Data)
+	}
+	for ch := range inv {
+		inv[ch] = 1 / math.Sqrt(variance[ch]+b.Eps)
+	}
+	gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
+	for r := 0; r < cnt; r++ {
+		xh, o := b.xhat.Data[r*c:(r+1)*c], out.Data[r*c:(r+1)*c]
+		for ch, v := range x.Data[r*c : (r+1)*c] {
+			xh[ch] = (v - mean[ch]) * inv[ch]
+			o[ch] = gamma[ch]*xh[ch] + beta[ch]
 		}
 	}
 	return out
@@ -120,31 +117,26 @@ func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // dxhat = dy·γ
 // dx = (1/N)·invStd·(N·dxhat − Σdxhat − xhat·Σ(dxhat·xhat))
 func (b *BatchNorm2d) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	n, c := b.shape[0], b.shape[1]
-	spatial := b.shape[2] * b.shape[3]
-	cnt := float64(b.n)
+	c, cnt := b.C, float64(b.n)
 	dx := ensureBuf(b.reuse, &b.dxBuf, b.shape...)
-	for ch := 0; ch < c; ch++ {
-		g := b.Gamma.Value.Data[ch]
-		var sumDy, sumDyXhat float64
-		for img := 0; img < n; img++ {
-			base := (img*c + ch) * spatial
-			for s := 0; s < spatial; s++ {
-				dy := gradOut.Data[base+s]
-				sumDy += dy
-				sumDyXhat += dy * b.xhat.Data[base+s]
-			}
+	inv, sumDy, sumDyXhat := b.stats[2*c:3*c], b.stats[3*c:4*c], b.stats[4*c:]
+	clear(b.stats[3*c:])
+	for r := 0; r < b.n; r++ {
+		xh := b.xhat.Data[r*c : (r+1)*c]
+		for ch, dy := range gradOut.Data[r*c : (r+1)*c] {
+			sumDy[ch] += dy
+			sumDyXhat[ch] += dy * xh[ch]
 		}
-		b.Gamma.Grad.Data[ch] += sumDyXhat
-		b.Beta.Grad.Data[ch] += sumDy
-		inv := b.invStd[ch]
-		for img := 0; img < n; img++ {
-			base := (img*c + ch) * spatial
-			for s := 0; s < spatial; s++ {
-				dy := gradOut.Data[base+s]
-				xh := b.xhat.Data[base+s]
-				dx.Data[base+s] = g * inv / cnt * (cnt*dy - sumDy - xh*sumDyXhat)
-			}
+	}
+	gamma := b.Gamma.Value.Data
+	for ch := 0; ch < c; ch++ {
+		b.Gamma.Grad.Data[ch] += sumDyXhat[ch]
+		b.Beta.Grad.Data[ch] += sumDy[ch]
+	}
+	for r := 0; r < b.n; r++ {
+		xh, d := b.xhat.Data[r*c:(r+1)*c], dx.Data[r*c:(r+1)*c]
+		for ch, dy := range gradOut.Data[r*c : (r+1)*c] {
+			d[ch] = gamma[ch] * inv[ch] / cnt * (cnt*dy - sumDy[ch] - xh[ch]*sumDyXhat[ch])
 		}
 	}
 	return dx

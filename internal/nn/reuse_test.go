@@ -41,7 +41,7 @@ func TestBufferReuseBitIdentical(t *testing.T) {
 		ce := CrossEntropy{}
 		for step := 0; step < 4; step++ {
 			rng := rand.New(rand.NewSource(int64(500 + step)))
-			x := tensor.Randn(rng, 1, 3, 2, 8, 8)
+			x := tensor.Randn(rng, 1, 3, 8, 8, 2)
 			labels := []int{0, 1, 2}
 			out := net.Forward(x, true)
 			outs = append(outs, out.Clone())
@@ -77,7 +77,7 @@ func TestBufferReuseSteadyStateForwardBackwardAllocs(t *testing.T) {
 	net := reuseTestNet(12)
 	SetBufferReuse(net, true)
 	rng := rand.New(rand.NewSource(900))
-	x := tensor.Randn(rng, 1, 3, 2, 8, 8)
+	x := tensor.Randn(rng, 1, 3, 8, 8, 2)
 	g := tensor.Randn(rng, 1, 3, 5)
 	for i := 0; i < 3; i++ { // settle workspaces
 		net.Forward(x, true)

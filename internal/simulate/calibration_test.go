@@ -69,7 +69,7 @@ func calibNet() *nn.Sequential {
 // on.
 func calibBatchData() (*tensor.Tensor, []int) {
 	rng := rand.New(rand.NewSource(23))
-	x := tensor.Randn(rng, 1, calibBatch, 3, 16, 16)
+	x := tensor.Randn(rng, 1, calibBatch, 16, 16, 3)
 	labels := make([]int, calibBatch)
 	for i := range labels {
 		labels[i] = rng.Intn(10)

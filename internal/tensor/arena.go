@@ -140,6 +140,26 @@ func Ensure[E Elem](buf **Dense[E], shape ...int) *Dense[E] {
 	return t
 }
 
+// View returns t's storage under another shape of the same element count,
+// as t.Reshape does, but in (*buf)'s reused header, so a steady-state caller
+// allocates nothing. It is how a conv layer hands its [N·H·W, C] product on
+// as an [N, H, W, C] activation and reads an incoming gradient as a matrix.
+func View[E Elem](buf **Dense[E], t *Dense[E], shape ...int) *Dense[E] {
+	n := 1
+	for _, s := range shape {
+		n *= s
+	}
+	if n != len(t.Data) {
+		panic("tensor: View shape does not match the element count") // shape must not escape
+	}
+	if *buf == nil {
+		*buf = &Dense[E]{}
+	}
+	(*buf).Data = t.Data
+	setShape(*buf, shape)
+	return *buf
+}
+
 // EnsureZero is Ensure with the returned tensor zero-filled.
 func EnsureZero[E Elem](buf **Dense[E], shape ...int) *Dense[E] {
 	t := Ensure(buf, shape...)

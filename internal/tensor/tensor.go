@@ -1,7 +1,7 @@
 // Package tensor implements dense, row-major tensors and the numerical
 // kernels the rest of the repository builds on: elementwise arithmetic,
 // reductions, blocked and goroutine-parallel matrix multiply, transposition,
-// and the im2col/col2im transforms used by convolution.
+// and the patch lowering of channels-last convolution and its adjoint.
 //
 // The package is deliberately small and allocation-conscious: a tensor is a
 // shape plus a flat slice, most operations have an in-place or
