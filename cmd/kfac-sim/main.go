@@ -174,8 +174,10 @@ func main() {
 		cat.Name, float64(cat.TotalParams())/1e6, len(cat.Layers), m.IterationsPerEpoch(*gpus), *gpus)
 
 	if dmode == kfac.DistAuto {
-		// Cost-model-driven DistAuto: the same resolution WithAutoPlanner
-		// installs in training, over the catalog's exact factor geometry.
+		// Cost-model-driven DistAuto, over the catalog's exact factor
+		// geometry: the planner is an offline/admission tool (here and in
+		// ctl.PlacementHint); a training job runs the mode, fraction and
+		// group size it picks only when launched with them explicitly.
 		dmode, *gradFrac = dec.Mode, dec.GradWorkerFrac
 		fmt.Printf("auto planner (%d ranks/node × %d nodes/rack): chose %s", topo.RanksPerNode, topo.NodesPerRack, dec.Mode)
 		if dec.Mode == kfac.Hybrid {

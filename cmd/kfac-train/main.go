@@ -393,9 +393,9 @@ func printKFACProfile(res *trainer.Result) {
 		if !d.Changed {
 			continue
 		}
-		codec := d.Codec
-		if codec == "" {
-			codec = "exact"
+		codec := "exact"
+		if d.Codec != nil {
+			codec = d.Codec.Name()
 		}
 		fmt.Printf("autotune: step %d → %s (codec %s, fusion %d B, groups %d) at %.1f MB/s, drop %.1f%%\n",
 			d.Step, d.Name, codec, d.FusionBytes, d.GroupSize,

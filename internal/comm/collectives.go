@@ -22,9 +22,8 @@ import (
 // collective, as trainer.Session.Run does; see docs/ARCHITECTURE.md.
 //
 // This file holds the synchronous collectives (allreduce, broadcast,
-// allgather, barrier, reduce, reduce-scatter, gather, scatter) and the
-// shared ring-phase helpers; the asynchronous handle-based variants live in
-// async.go.
+// allgather, barrier, reduce, gather) and the shared ring-phase helpers;
+// the asynchronous handle-based variants live in async.go.
 type Communicator struct {
 	t   Transport
 	seq *atomic.Uint64
@@ -351,37 +350,6 @@ func (c *Communicator) Reduce(data []float64, root int) error {
 	return nil
 }
 
-// ReduceScatter sums data elementwise across ranks and leaves each rank
-// with its chunk of the result (the first phase of the ring allreduce).
-// Returns this rank's reduced chunk; data is clobbered as scratch.
-func (c *Communicator) ReduceScatter(data []float64) ([]float64, error) {
-	p := c.Size()
-	r := c.Rank()
-	counts, displs := split(len(data), p)
-	if p == 1 {
-		out := make([]float64, counts[0])
-		copy(out, data)
-		return out, nil
-	}
-	if err := c.ringReduceScatter(data, counts, displs, c.fullRing(), c.nextOp(), 0); err != nil {
-		return nil, err
-	}
-	// After p−1 steps this rank owns the fully reduced chunk (r+1) mod p.
-	own := mod(r+1, p)
-	out := make([]float64, counts[own])
-	copy(out, chunkOf(data, counts, displs, own))
-	return out, nil
-}
-
-// OwnedChunk returns the index of the chunk ReduceScatter leaves on this
-// rank, and its extent within the original buffer.
-func (c *Communicator) OwnedChunk(n int) (index, offset, length int) {
-	p := c.Size()
-	counts, displs := split(n, p)
-	idx := mod(c.Rank()+1, p)
-	return idx, displs[idx], counts[idx]
-}
-
 // Gather collects each rank's (variable-length) contribution onto root.
 // root receives a per-rank slice; other ranks receive nil.
 func (c *Communicator) Gather(mine []float64, root int) ([][]float64, error) {
@@ -405,28 +373,4 @@ func (c *Communicator) Gather(mine []float64, root int) ([][]float64, error) {
 		out[r] = in
 	}
 	return out, nil
-}
-
-// Scatter distributes root's per-rank payloads; each rank returns its own
-// slice. chunks is only read on root and must have one entry per rank.
-func (c *Communicator) Scatter(chunks [][]float64, root int) ([]float64, error) {
-	p := c.Size()
-	base := c.nextOp()
-	if c.Rank() == root {
-		if len(chunks) != p {
-			return nil, fmt.Errorf("comm: scatter needs %d chunks, got %d", p, len(chunks))
-		}
-		for r := 0; r < p; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.t.Send(r, opTag(base, r), chunks[r]); err != nil {
-				return nil, err
-			}
-		}
-		out := make([]float64, len(chunks[root]))
-		copy(out, chunks[root])
-		return out, nil
-	}
-	return c.recv(root, opTag(base, c.Rank()))
 }

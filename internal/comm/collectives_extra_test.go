@@ -51,6 +51,18 @@ func TestReduceNonRootUnchanged(t *testing.T) {
 	})
 }
 
+// reduceScatterPhase runs the ring allreduce's scatter-reduce phase alone
+// over the full ring and returns the fully reduced chunk it leaves on this
+// rank: chunk (rank+1) mod p of split's partition.
+func reduceScatterPhase(c *Communicator, data []float64) ([]float64, error) {
+	p := c.Size()
+	counts, displs := split(len(data), p)
+	if err := c.ringReduceScatter(data, counts, displs, c.fullRing(), c.nextOp(), 0); err != nil {
+		return nil, err
+	}
+	return chunkOf(data, counts, displs, mod(c.Rank()+1, p)), nil
+}
+
 func TestReduceScatterMatchesAllreduce(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 6} {
 		for _, n := range []int{1, 7, 16, 100} {
@@ -63,7 +75,7 @@ func TestReduceScatterMatchesAllreduce(t *testing.T) {
 					for i := range data {
 						data[i] = float64(c.Rank()*100 + i)
 					}
-					chunk, err := c.ReduceScatter(data)
+					chunk, err := reduceScatterPhase(c, data)
 					if err != nil {
 						return err
 					}
@@ -95,14 +107,37 @@ func TestReduceScatterMatchesAllreduce(t *testing.T) {
 	}
 }
 
+// TestOwnedChunkConsistentWithReduceScatter: the allgather phase starts
+// from exactly the chunk the scatter-reduce phase leaves on each ring
+// member, (index+1) mod size — poisoning every other chunk between the two
+// phases must not reach the result.
 func TestOwnedChunkConsistentWithReduceScatter(t *testing.T) {
-	runWorld(t, 4, func(c *Communicator) error {
-		n := 10
-		idx, off, length := c.OwnedChunk(n)
-		counts, displs := split(n, 4)
-		wantIdx := (c.Rank() + 1) % 4
-		if idx != wantIdx || off != displs[wantIdx] || length != counts[wantIdx] {
-			return fmt.Errorf("OwnedChunk = (%d,%d,%d)", idx, off, length)
+	const p, n = 4, 10
+	runWorld(t, p, func(c *Communicator) error {
+		data := make([]float64, n)
+		for i := range data {
+			data[i] = float64(c.Rank()*100 + i)
+		}
+		counts, displs := split(n, p)
+		rg, base := c.fullRing(), c.nextOp()
+		if err := c.ringReduceScatter(data, counts, displs, rg, base, 0); err != nil {
+			return err
+		}
+		for i := 0; i < p; i++ {
+			if i != mod(c.Rank()+1, p) {
+				chunk := chunkOf(data, counts, displs, i)
+				for j := range chunk {
+					chunk[j] = math.NaN()
+				}
+			}
+		}
+		if err := c.ringAllgatherChunks(data, counts, displs, rg, base, p); err != nil {
+			return err
+		}
+		for i, v := range data {
+			if want := 100*float64(p*(p-1)/2) + float64(p*i); v != want {
+				return fmt.Errorf("rank %d elem %d = %v, want %v", c.Rank(), i, v, want)
+			}
 		}
 		return nil
 	})
@@ -146,41 +181,10 @@ func TestGatherVariableLengths(t *testing.T) {
 	}
 }
 
-func TestScatterRoundTripsGather(t *testing.T) {
-	const p = 3
-	runWorld(t, p, func(c *Communicator) error {
-		var chunks [][]float64
-		if c.Rank() == 0 {
-			chunks = [][]float64{{0}, {1, 1}, {2, 2, 2}}
-		}
-		mine, err := c.Scatter(chunks, 0)
-		if err != nil {
-			return err
-		}
-		if len(mine) != c.Rank()+1 {
-			return fmt.Errorf("rank %d scatter len %d", c.Rank(), len(mine))
-		}
-		for _, v := range mine {
-			if v != float64(c.Rank()) {
-				return fmt.Errorf("rank %d scatter value %v", c.Rank(), v)
-			}
-		}
-		return nil
-	})
-}
-
-func TestScatterWrongChunkCount(t *testing.T) {
-	fab := NewInprocFabric(1)
-	c := NewCommunicator(fab.Endpoint(0))
-	if _, err := c.Scatter([][]float64{{1}, {2}}, 0); err == nil {
-		t.Error("expected error for wrong chunk count")
-	}
-}
-
 func TestReduceScatterSingleRank(t *testing.T) {
 	fab := NewInprocFabric(1)
 	c := NewCommunicator(fab.Endpoint(0))
-	out, err := c.ReduceScatter([]float64{1, 2, 3})
+	out, err := reduceScatterPhase(c, []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}

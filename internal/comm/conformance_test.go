@@ -44,19 +44,16 @@ func confSum(n, p int, seed int64) []float64 {
 
 // confOut is one rank's results for the whole collective script.
 type confOut struct {
-	sum, mean, bcast   []float64
-	gatherv            [][]float64
-	reduce             []float64 // meaningful on root only
-	rsChunk            []float64 // per-rank
-	rsOffset, rsLength int
-	gather             [][]float64 // root only
-	scatter            []float64   // per-rank
-	hier2, hier3       []float64
-	compressed         []float64
-	asyncSum           []float64
-	asyncGather        [][]float64
-	fused              [][]float64
-	efFused            [][]float64
+	sum, mean, bcast []float64
+	gatherv          [][]float64
+	reduce           []float64   // meaningful on root only
+	gather           [][]float64 // root only
+	hier2, hier3     []float64
+	compressed       []float64
+	asyncSum         []float64
+	asyncGather      [][]float64
+	fused            [][]float64
+	efFused          [][]float64
 }
 
 // confScript runs the identical collective program on one rank. Every rank
@@ -107,30 +104,9 @@ func confScript(t *testing.T, c *Communicator, seed int64) *confOut {
 		return o
 	}
 
-	rsIn := confVec(n, r, seed+5)
-	o.rsChunk, err = c.ReduceScatter(rsIn)
-	if err != nil {
-		t.Errorf("rank %d ReduceScatter: %v", r, err)
-		return o
-	}
-	_, o.rsOffset, o.rsLength = c.OwnedChunk(n)
-
 	o.gather, err = c.Gather(confVec(r+2, r, seed+6), root)
 	if err != nil {
 		t.Errorf("rank %d Gather: %v", r, err)
-		return o
-	}
-
-	var chunks [][]float64
-	if r == root {
-		chunks = make([][]float64, p)
-		for i := range chunks {
-			chunks[i] = confVec(i+1, i, seed+7)
-		}
-	}
-	o.scatter, err = c.Scatter(chunks, root)
-	if err != nil {
-		t.Errorf("rank %d Scatter: %v", r, err)
 		return o
 	}
 
@@ -268,7 +244,6 @@ func runConformance(t *testing.T, p int, seed int64, cfg ChaosConfig) {
 	wantMean := confReferenceMean(n, p, seed+1)
 	wantBcast := confVec(n, root, seed+100)
 	wantReduce := confSum(n, p, seed+4)
-	wantRS := confSum(n, p, seed+5)
 	wantAsync := confSum(n, p, seed+11)
 
 	// CompressedAllreduceMean accumulates dec(block_r)·1/p in rank order;
@@ -293,8 +268,6 @@ func runConformance(t *testing.T, p int, seed int64, cfg ChaosConfig) {
 			// Non-root Reduce inputs must be left untouched.
 			checkEqual(t, "Reduce(non-root)", r, o.reduce, confVec(n, r, seed+4))
 		}
-		checkEqual(t, "ReduceScatter", r, o.rsChunk, wantRS[o.rsOffset:o.rsOffset+o.rsLength])
-		checkEqual(t, "Scatter", r, o.scatter, confVec(r+1, r, seed+7))
 		checkEqual(t, "Hierarchical(2)", r, o.hier2, confReferenceMean(n, p, seed+8))
 		checkEqual(t, "Hierarchical(3)", r, o.hier3, confReferenceMean(n, p, seed+9))
 		checkEqual(t, "CompressedAllreduceMean", r, o.compressed, wantComp)

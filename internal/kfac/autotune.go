@@ -19,8 +19,8 @@ import (
 // consensus allreduce — the same trick the trainer uses for cancellation:
 // the ring allreduce's rank-ordered arithmetic makes the mean
 // bit-identical on every rank, so thresholding it yields the same policy
-// level everywhere, and every rank switches {codec, FusionBytes,
-// GroupSize} at the same step boundary with no extra coordination
+// level everywhere, and every rank re-resolves its Decision (codec, fusion
+// bound, group size) at the same step boundary with no extra coordination
 // protocol. Decisions are recorded in StageStats.TuneDecisions; the
 // determinism suite asserts the sequences are deep-equal across ranks
 // under chaos schedules.
@@ -115,36 +115,14 @@ type TuneDecision struct {
 	// DropRate is the consensus mean of the ranks' transport drop rates
 	// (0 when the transport keeps no metrics).
 	DropRate float64
-	// Level indexes the policy table; Name/Codec/FusionBytes/GroupSize
-	// denormalize the selected row ("" codec = exact).
-	Level       int
-	Name        string
-	Codec       string
-	FusionBytes int
-	GroupSize   int
+	// Level indexes the policy table and Name labels the selected row.
+	Level int
+	Name  string
+	// Decision is the configuration the decision put in force.
+	Decision
 	// Changed marks decisions that selected a different level than the
 	// previous decision.
 	Changed bool
-}
-
-// TuneState is the effective communication configuration after static
-// options and any autotune decisions; the trainer queries it every
-// iteration to configure its gradient exchange identically to the factor
-// path.
-type TuneState struct {
-	// Codec is the effective payload codec (nil = exact).
-	Codec comm.Codec
-	// FusionBytes is the effective fusion-buffer bound.
-	FusionBytes int
-	// GroupSize is the effective hierarchical group size (0 = flat).
-	GroupSize int
-	// NoErrorFeedback disables residual accumulation (Options A/B knob).
-	NoErrorFeedback bool
-	// Tuned reports whether an autotune decision is in force — false means
-	// the fields above mirror the static Options (callers with their own
-	// static configuration, like the trainer's FusionBytes, keep it until
-	// the first decision).
-	Tuned bool
 }
 
 // tuner is the controller's mutable runtime state. It lives on the
@@ -152,7 +130,7 @@ type TuneState struct {
 type tuner struct {
 	policy    TunePolicy
 	interval  int
-	level     int // -1 until the first decision: static Options apply
+	level     int // -1 until the first decision
 	sinceLast int
 	lastBW    float64
 
@@ -173,71 +151,8 @@ func newTuner(cfg AutotuneConfig) *tuner {
 	return t
 }
 
-// effCodec returns the effective payload codec: the tuned level's once a
-// decision exists, the static option before that.
-func (p *Preconditioner) effCodec() comm.Codec {
-	if p.tuner != nil && p.tuner.level >= 0 {
-		return p.tuner.policy.Levels[p.tuner.level].Codec
-	}
-	return p.opts.Compression
-}
-
-// effFusionBytes returns the effective fusion-buffer bound.
-func (p *Preconditioner) effFusionBytes() int {
-	if p.tuner != nil && p.tuner.level >= 0 {
-		return p.tuner.policy.Levels[p.tuner.level].FusionBytes
-	}
-	return p.opts.FusionBytes
-}
-
-// effGroupSize returns the effective hierarchical group size: an autotune
-// decision wins, then an explicit WithGroupSize, then the auto-planner's
-// chosen group size (0 everywhere keeps the flat ring).
-func (p *Preconditioner) effGroupSize() int {
-	if p.tuner != nil && p.tuner.level >= 0 {
-		return p.tuner.policy.Levels[p.tuner.level].GroupSize
-	}
-	if p.opts.GroupSize != 0 {
-		return p.opts.GroupSize
-	}
-	return p.plannedGroupSize
-}
-
-// Tuning returns the effective communication configuration. The trainer
-// calls it once per iteration, after Step, so a decision made at step k
-// configures the gradient exchange from step k+1 — the same boundary on
-// every rank.
-func (p *Preconditioner) Tuning() TuneState {
-	return TuneState{
-		Codec:           p.effCodec(),
-		FusionBytes:     p.effFusionBytes(),
-		GroupSize:       p.effGroupSize(),
-		NoErrorFeedback: p.opts.NoErrorFeedback,
-		Tuned:           p.tuner != nil && p.tuner.level >= 0,
-	}
-}
-
-// factorFuser builds the factor-allreduce fuser with the effective
-// communication settings, attaching the preconditioner's error-feedback
-// accumulator (or the bare codec under Options.NoErrorFeedback). The
-// update's one issuer builds its fuser here, so compression and autotuning
-// apply uniformly across engines and DistModes.
-func (p *Preconditioner) factorFuser() *comm.Fuser {
-	fu := comm.NewFuser(p.comm, p.effFusionBytes())
-	fu.SetGroupSize(p.effGroupSize())
-	if codec := p.effCodec(); codec != nil {
-		if p.opts.NoErrorFeedback {
-			fu.SetCodec(codec)
-		} else {
-			p.factorEF.SetCodec(codec)
-			fu.SetErrorFeedback(p.factorEF)
-		}
-	}
-	return fu
-}
-
 // factorWireBytesPerUpdate models the bytes this rank puts on the wire
-// for one factor update under the current effective settings. The payload
+// for one factor update under the decision in force. The payload
 // is every factor's packed upper triangle (comm.SymPackedLen, what the
 // Fuser actually sends); a flat ring allreduce sends 2(p−1)/p of it, a
 // compressed allgather circulates each encoded block p−1 times. The model
@@ -251,7 +166,7 @@ func (p *Preconditioner) factorWireBytesPerUpdate() float64 {
 		n += comm.SymPackedLen(da) + comm.SymPackedLen(dg)
 	}
 	w := float64(p.comm.Size())
-	if codec := p.effCodec(); codec != nil {
+	if codec := p.dec.Codec; codec != nil {
 		return 8 * float64(codec.CompressedLen(n)) * (w - 1)
 	}
 	return 8 * float64(n) * 2 * (w - 1) / w
@@ -301,20 +216,15 @@ func (p *Preconditioner) autotune(iter int) error {
 	level := t.policy.Pick(est[0], est[1])
 	changed := level != t.level
 	t.level = level
-	lv := t.policy.Levels[level]
-	codecName := ""
-	if lv.Codec != nil {
-		codecName = lv.Codec.Name()
-	}
+	lv := &t.policy.Levels[level]
+	p.dec = resolve(p.opts, lv)
 	p.stats.recordTune(TuneDecision{
 		Step:         iter,
 		BandwidthBps: est[0],
 		DropRate:     est[1],
 		Level:        level,
 		Name:         lv.Name,
-		Codec:        codecName,
-		FusionBytes:  lv.FusionBytes,
-		GroupSize:    lv.GroupSize,
+		Decision:     p.dec,
 		Changed:      changed,
 	})
 	return nil

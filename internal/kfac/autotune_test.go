@@ -150,7 +150,7 @@ func TestAutotuneBandwidthCapForcesCompression(t *testing.T) {
 		t.Fatal("no autotune decisions recorded")
 	}
 	last := decs[0][len(decs[0])-1]
-	if last.Codec == "" {
+	if last.Codec == nil {
 		t.Errorf("1 MB/s link: final decision stayed uncompressed: %+v", last)
 	}
 	if last.BandwidthBps >= 4<<20 {
@@ -197,20 +197,25 @@ func TestAutotunePickBands(t *testing.T) {
 
 // TestAutotuneRebindResets: an elastic resize rebuilds the consensus
 // group, so surviving ranks must fall back to the static configuration
-// (level −1) and drop accumulated residuals rather than carry decisions
-// made with dead peers.
+// (level −1, the static Decision) and drop accumulated residuals rather
+// than carry decisions made with dead peers.
 func TestAutotuneRebindResets(t *testing.T) {
 	net := buildTinyNet(42)
-	prec := NewFromOptions(net, nil, Options{FactorUpdateFreq: 1, InvUpdateFreq: 1,
-		Autotune: &AutotuneConfig{}})
+	opts := Options{FactorUpdateFreq: 1, InvUpdateFreq: 1, Autotune: &AutotuneConfig{}}
+	prec := NewFromOptions(net, nil, opts)
 	defer prec.Close()
-	prec.tuner.level = 2 // simulate an in-force decision
-	if ts := prec.Tuning(); !ts.Tuned || ts.Codec == nil {
-		t.Fatalf("expected tuned state before rebind, got %+v", ts)
+	// Simulate an in-force decision, as autotune stores it.
+	prec.tuner.level = 2
+	prec.dec = resolve(prec.opts, &prec.tuner.policy.Levels[2])
+	if d := prec.Decision(); d.Codec == nil {
+		t.Fatalf("expected a tuned codec before rebind, got %+v", d)
 	}
 	prec.Rebind(nil)
-	ts := prec.Tuning()
-	if ts.Tuned || ts.Codec != nil {
-		t.Fatalf("rebind did not reset the tuner: %+v", ts)
+	if prec.tuner.level != -1 {
+		t.Fatalf("rebind did not reset the tuner: level %d", prec.tuner.level)
+	}
+	opts.fillDefaults()
+	if d, want := prec.Decision(), resolve(opts, nil); !reflect.DeepEqual(d, want) {
+		t.Fatalf("rebind left decision %+v, want the static %+v", d, want)
 	}
 }

@@ -37,7 +37,7 @@ const EigTeamMinDim = 192
 // EigTeamSize decides the intra-factor worker team for decomposing one
 // factor of dimension dim on a rank with procs schedulable workers,
 // given rankLoad — the total eigendecomposition cost (linalg.EigFLOPs)
-// this rank owns under the active plan (Plan.WorkerLoads). The rule
+// this rank owns under the active plan (see Plan.EigTeams). The rule
 // splits procs between inter-factor parallelism and intra-factor teams
 // by cost share: a factor carrying the whole rank's load (the MEM-OPT
 // one-big-factor case) gets the full machine, a factor that is one of
@@ -116,31 +116,20 @@ func (s *weightedSem) release(w int) {
 	s.cond.Broadcast()
 }
 
-// computeEigTeams derives each factor's decomposition team from the
-// active plan: factors are attributed to their owner rank, each rank's
-// total decomposition cost comes from WorkerLoads over the plan's
-// assignment, and every factor's team follows EigTeamSize against its
-// owner's load. Recorded into the per-layer state (consumed by the eig
-// scheduler and decompose) and surfaced through StageStats.EigTeams.
-// Called from replan, so the table tracks ownership changes.
+// computeEigTeams records each factor's decomposition team from the active
+// plan (Plan.EigTeams) into the per-layer state, consumed by the eig
+// scheduler and decompose, and surfaces the table through
+// StageStats.EigTeams. Called from replan, so the table tracks ownership
+// changes.
 func (p *Preconditioner) computeEigTeams(procs int) {
 	refs := p.FactorRefs()
-	assign := make([]int, len(refs))
-	for i := range p.states {
-		lp := &p.plan.Layers[i]
-		assign[2*i] = lp.AOwner
-		assign[2*i+1] = lp.GOwner
+	teams := p.plan.EigTeams(refs, procs)
+	table := make([]EigTeamAssign, len(refs))
+	for i, f := range refs {
+		table[i] = EigTeamAssign{Layer: f.Layer, IsG: f.IsG, Dim: f.Dim, Team: teams[i]}
 	}
-	loads := WorkerLoads(refs, assign, p.size())
-	teams := make([]EigTeamAssign, 0, len(refs))
 	for i, s := range p.states {
-		da, dg := FactorDims(s.layer)
-		s.aTeam = EigTeamSize(da, procs, loads[assign[2*i]])
-		s.gTeam = EigTeamSize(dg, procs, loads[assign[2*i+1]])
-		teams = append(teams,
-			EigTeamAssign{Layer: i, IsG: false, Dim: da, Team: s.aTeam},
-			EigTeamAssign{Layer: i, IsG: true, Dim: dg, Team: s.gTeam},
-		)
+		s.aTeam, s.gTeam = teams[2*i], teams[2*i+1]
 	}
-	p.stats.recordEigTeams(teams)
+	p.stats.recordEigTeams(table)
 }

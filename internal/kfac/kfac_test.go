@@ -212,23 +212,19 @@ func TestEigenPreconditionMatchesKroneckerInverse(t *testing.T) {
 	s := withKernels(p, &layerState{eigA: egA, eigG: egG})
 	got := s.k.preconditionOne(grad)
 
-	// Explicit: build the (out·in)×(out·in) matrix and solve.
+	// Explicit: build the (out·in)×(out·in) matrix G⊗A and solve damped.
 	dim := out * in
 	big := tensor.New(dim, dim)
 	for r := 0; r < out; r++ {
 		for c := 0; c < in; c++ {
 			for r2 := 0; r2 < out; r2++ {
 				for c2 := 0; c2 < in; c2++ {
-					v := G.At(r, r2) * A.At(c, c2)
-					if r == r2 && c == c2 {
-						v += gamma
-					}
-					big.Set(v, r*in+c, r2*in+c2)
+					big.Set(G.At(r, r2)*A.At(c, c2), r*in+c, r2*in+c2)
 				}
 			}
 		}
 	}
-	inv, err := linalg.Inverse(big)
+	inv, err := linalg.InverseDamped(big, gamma)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import "repro/internal/comm"
 // fill whatever remains unset. The Options struct is kept as the resolved
 // form — Build materializes an option list into one, and NewFromOptions
 // constructs a preconditioner directly from a resolved struct (the trainer's
-// Config path and tests use it).
+// WithKFACOptions and tests use it).
 type Option func(*Options)
 
 // Build resolves an option list into the Options struct form. Zero-valued
@@ -81,8 +81,8 @@ func WithFactorUpdateFreq(n int) Option { return func(o *Options) { o.FactorUpda
 // eigendecomposition (or inverse) updates (default 100).
 func WithInvUpdateFreq(n int) Option { return func(o *Options) { o.InvUpdateFreq = n } }
 
-// WithFusionBytes bounds the factor-allreduce fusion buffer (default
-// comm.DefaultFusionBytes).
+// WithFusionBytes bounds the fusion buffer of the factor allreduce and the
+// trainer's gradient exchange (default comm.DefaultFusionBytes).
 func WithFusionBytes(b int) Option { return func(o *Options) { o.FusionBytes = b } }
 
 // WithPiDamping enables the π-corrected factored damping split of
@@ -136,17 +136,4 @@ func WithBareCompression(c comm.Codec) Option {
 // factor update. Decisions land in StageStats.TuneDecisions.
 func WithAutotune(cfg AutotuneConfig) Option {
 	return func(o *Options) { o.Autotune = &cfg }
-}
-
-// WithAutoPlanner replaces the legacy two-case DistAuto rule with the
-// cost-model planner: at plan-build time the candidate
-// (DistMode, GradWorkerFrac, GroupSize) grid is priced by cfg.Model,
-// candidates over cfg.MemoryBudgetBytes are rejected, and the cheapest
-// survivor is selected — deterministically, as a pure function of the
-// BuildPlan inputs, so every rank picks the same configuration without
-// communication. Only consulted while DistMode is DistAuto (an explicit
-// WithDistMode always wins); with a nil Model the legacy rule applies
-// bit-identically. The canonical model is simulate.PlanModel.
-func WithAutoPlanner(cfg AutoPlannerConfig) Option {
-	return func(o *Options) { o.AutoPlanner = &cfg }
 }

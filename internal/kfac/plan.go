@@ -3,6 +3,7 @@ package kfac
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -210,6 +211,47 @@ func (p *Plan) Recipients(layer int, isG bool) []int {
 	out = append(out, owner)
 	sort.Ints(out)
 	return out
+}
+
+// ResultBuckets groups the layers whose preconditioned gradients travel
+// every iteration — those with a broadcast member beyond the root — into
+// one broadcast per (GradRoot, BcastMembers) pair, in first-layer order.
+// Each bucket lists its layers ascending; its root and members are those of
+// any of its layers. Nil for a fully replicated plan. The preconditioner
+// issues exactly these broadcasts and simulate.PlanModel prices exactly
+// these.
+func (p *Plan) ResultBuckets() [][]int {
+	var buckets [][]int
+	for i, lp := range p.Layers {
+		if len(lp.BcastMembers) <= 1 {
+			continue
+		}
+		b := slices.IndexFunc(buckets, func(layers []int) bool {
+			first := &p.Layers[layers[0]]
+			return first.GOwner == lp.GOwner && slices.Equal(first.BcastMembers, lp.BcastMembers)
+		})
+		if b < 0 {
+			b = len(buckets)
+			buckets = append(buckets, nil)
+		}
+		buckets[b] = append(buckets[b], i)
+	}
+	return buckets
+}
+
+// EigTeams returns every factor's decomposition worker team in refs order
+// (the placement order the plan was built from): EigTeamSize against the
+// owner's total decomposition load under this plan, on ranks with procs
+// schedulable workers. A pure function of (plan, procs), so every rank
+// computes the identical table; the eig scheduler runs these teams and
+// simulate.PlanModel prices them.
+func (p *Plan) EigTeams(refs []FactorRef, procs int) []int {
+	loads := WorkerLoads(refs, p.Owners, p.World)
+	teams := make([]int, len(refs))
+	for i, f := range refs {
+		teams[i] = EigTeamSize(f.Dim, procs, loads[p.Owners[i]])
+	}
+	return teams
 }
 
 // DecompElemsPerRank models the per-rank resident decomposition footprint

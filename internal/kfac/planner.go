@@ -1,17 +1,17 @@
 package kfac
 
-// Cost-model-driven plan selection. The legacy DistAuto behavior is a
-// two-case rule (ResolveDistMode: LayerWise → MemOpt, else CommOpt); at
-// hundreds of ranks that rule is blind to the actual memory/communication
-// tradeoff the paper's scaling story is about. When a PlanCostModel is
-// supplied (WithAutoPlanner), plan resolution instead enumerates candidate
-// (DistMode, GradWorkerFrac, GroupSize) configurations, rejects those whose
-// worst per-rank resident decomposition footprint exceeds a declared
-// budget, and picks the cheapest under the model. The selection is a
-// deterministic pure function of the BuildPlan inputs — every rank computes
-// the identical decision with no communication, exactly like BuildPlan
-// itself (Algorithm 1, line 9). Without a model the legacy rule applies
-// unchanged, bit-identical to the pre-planner behavior.
+// Cost-model-driven plan selection, the offline/admission tool. The
+// preconditioner's DistAuto is a two-case rule (ResolveDistMode: LayerWise
+// → MemOpt, else CommOpt); at hundreds of ranks that rule is blind to the
+// actual memory/communication tradeoff the paper's scaling story is about.
+// ResolveAutoPlan instead enumerates candidate (DistMode, GradWorkerFrac,
+// GroupSize) configurations, rejects those whose worst per-rank resident
+// decomposition footprint exceeds a declared budget, and picks the cheapest
+// under a PlanCostModel — for kfac-sim -plan-sweep and ctl.PlacementHint,
+// which turn the pick into explicit options. The selection is a
+// deterministic pure function of the BuildPlan inputs, exactly like
+// BuildPlan itself (Algorithm 1, line 9). Without a model the two-case rule
+// decides.
 
 // PlanCandidate is one point of the auto-planner's configuration grid.
 type PlanCandidate struct {

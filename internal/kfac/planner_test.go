@@ -172,61 +172,3 @@ func TestPlanCandidatesGridOrder(t *testing.T) {
 		t.Fatalf("custom grid[4] = %+v", custom[4])
 	}
 }
-
-func TestWithAutoPlannerWiresPreconditioner(t *testing.T) {
-	// End-to-end through New: with a model, the decision is exposed and its
-	// group size reaches effGroupSize; with a nil model (or no planner) the
-	// decision stays nil and plans are bit-identical to legacy DistAuto.
-	net := buildTinyNet(11)
-	planned := New(net, nil, WithAutoPlanner(AutoPlannerConfig{
-		Model:      stubPlanModel{},
-		GroupSizes: []int{3}, // force a visible group-size pick
-	}))
-	defer planned.Close()
-	d := planned.Decision()
-	if d == nil {
-		t.Fatal("Decision() nil with an active auto-planner")
-	}
-	if d.GroupSize != 3 {
-		t.Fatalf("decision group size %d, want 3 (only grid value)", d.GroupSize)
-	}
-	if got := planned.effGroupSize(); got != 3 {
-		t.Fatalf("effGroupSize = %d, want the planner's 3", got)
-	}
-	if planned.Plan() == nil {
-		t.Fatal("no plan built")
-	}
-
-	// An explicit WithGroupSize outranks the planner's pick.
-	net2 := buildTinyNet(11)
-	pinned := New(net2, nil, WithGroupSize(2), WithAutoPlanner(AutoPlannerConfig{
-		Model:      stubPlanModel{},
-		GroupSizes: []int{3},
-	}))
-	defer pinned.Close()
-	if got := pinned.effGroupSize(); got != 2 {
-		t.Fatalf("explicit group size lost: effGroupSize = %d, want 2", got)
-	}
-
-	// Nil model: legacy path, bit-identical plan, no decision.
-	net3 := buildTinyNet(11)
-	legacy := New(net3, nil, WithAutoPlanner(AutoPlannerConfig{}))
-	defer legacy.Close()
-	if legacy.Decision() != nil {
-		t.Fatal("Decision() non-nil without a model")
-	}
-	net4 := buildTinyNet(11)
-	plain := New(net4, nil)
-	defer plain.Close()
-	if !reflect.DeepEqual(legacy.Plan(), plain.Plan()) {
-		t.Fatal("nil-model planner plan differs from legacy DistAuto plan")
-	}
-
-	// An explicit DistMode bypasses the planner entirely.
-	net5 := buildTinyNet(11)
-	explicit := New(net5, nil, WithDistMode(MemOpt), WithAutoPlanner(AutoPlannerConfig{Model: stubPlanModel{}}))
-	defer explicit.Close()
-	if explicit.Decision() != nil {
-		t.Fatal("planner consulted despite explicit DistMode")
-	}
-}

@@ -3,7 +3,6 @@ package kfac
 import (
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -68,8 +67,8 @@ type Options struct {
 	// InvUpdateFreq is the paper's kfac-update-freq: the interval between
 	// eigendecomposition (or inverse) updates (default 100).
 	InvUpdateFreq int
-	// FusionBytes bounds the factor-allreduce fusion buffer
-	// (default comm.DefaultFusionBytes).
+	// FusionBytes bounds the fusion buffer of the factor allreduce and the
+	// trainer's gradient exchange (default comm.DefaultFusionBytes).
 	FusionBytes int
 	// PiDamping enables the π-corrected factored damping split of
 	// Martens & Grosse (§6.3): (A+π√γI)⊗(G+√γ/π·I) instead of the
@@ -114,14 +113,6 @@ type Options struct {
 	// EigSerial restores the single-threaded tred2/tql2 oracle). The two
 	// agree to round-off and are each bitwise deterministic.
 	EigSolver EigSolver
-	// AutoPlanner, when non-nil with a Model, resolves DistMode == DistAuto
-	// through the cost-model planner instead of the legacy two-case rule:
-	// candidate (mode, frac, group-size) configurations are enumerated at
-	// plan-build time, filtered by the per-worker memory budget, and the
-	// model-cheapest one wins — deterministically on every rank. Explicit
-	// DistMode settings always take precedence; a nil Model keeps the
-	// legacy rule bit-identical. See planner.go.
-	AutoPlanner *AutoPlannerConfig
 }
 
 func (o *Options) fillDefaults() {
@@ -237,17 +228,13 @@ type Preconditioner struct {
 	// kept so tests can read its high-water mark.
 	eigSem *weightedSem
 
-	// factorEF persists factor-path compression residuals across steps;
-	// tuner is the autotune controller state (nil when disabled).
+	// dec is the configuration in force (see Decision), stored only by
+	// replan and autotune; factorEF persists factor-path compression
+	// residuals across steps; tuner is the autotune controller state (nil
+	// when disabled).
+	dec      Decision
 	factorEF *comm.ErrorFeedback
 	tuner    *tuner
-
-	// decision is the auto-planner's latest resolution (nil when the
-	// legacy DistAuto rule or an explicit mode decided); plannedGroupSize
-	// is its chosen hierarchical group size, consulted by effGroupSize
-	// when no explicit GroupSize option is set.
-	decision         *PlanDecision
-	plannedGroupSize int
 
 	// pcBuckets lists the per-iteration result broadcasts in issue order
 	// (first-layer order), rebuilt by replan; empty when the plan is fully
@@ -272,7 +259,7 @@ func New(model nn.Layer, c *comm.Communicator, opts ...Option) *Preconditioner {
 }
 
 // NewFromOptions builds a preconditioner from a resolved Options struct —
-// the form the trainer's Config carries. Zero-valued fields select the
+// the form trainer.WithKFACOptions takes. Zero-valued fields select the
 // paper defaults.
 func NewFromOptions(model nn.Layer, c *comm.Communicator, opts Options) *Preconditioner {
 	opts.fillDefaults()
@@ -325,13 +312,7 @@ func (p *Preconditioner) Rebind(c *comm.Communicator) {
 	// Mode-based rather than plan-based: a world-1 MemOpt plan is trivially
 	// fully replicated, but clearing stays the conservative contract for
 	// every partial mode so ownership is always rebuilt fresh.
-	partial := ResolveDistMode(p.opts.DistMode, p.opts.Strategy) != CommOpt
-	if p.opts.DistMode == DistAuto && p.opts.AutoPlanner != nil && p.opts.AutoPlanner.Model != nil {
-		// The cost-model planner may pick a different configuration at the
-		// new world size; clear conservatively so ownership is always
-		// rebuilt fresh under whatever plan replan resolves.
-		partial = true
-	}
+	partial := p.dec.Mode != CommOpt
 	p.comm = c
 	// Autotune baselines and compression residuals are tied to the old
 	// world's timing and chunk schedule; restart both so every surviving
@@ -367,20 +348,16 @@ func (p *Preconditioner) rank() int {
 	return p.comm.Rank()
 }
 
-// replan rebuilds the resolved distribution Plan for the current
-// (strategy, mode, world) and mirrors it into the per-layer state: owner
-// ranks plus the plan-scoped sub-communicator groups partial plans need.
-// Every rank computes the identical plan from shared state, so no
-// communication is needed (Algorithm 1, line 9).
+// replan resolves the static Decision — it runs at construction and after
+// Rebind has reset the tuner, so no autotune level is in force — rebuilds
+// the distribution Plan for it at the current world, and mirrors the plan
+// into the per-layer state: owner ranks plus the plan-scoped
+// sub-communicator groups partial plans need. Every rank computes the
+// identical plan from shared state, so no communication is needed
+// (Algorithm 1, line 9).
 func (p *Preconditioner) replan() {
-	mode, frac := p.opts.DistMode, p.opts.GradWorkerFrac
-	p.decision, p.plannedGroupSize = nil, 0
-	if mode == DistAuto && p.opts.AutoPlanner != nil && p.opts.AutoPlanner.Model != nil {
-		d := ResolveAutoPlan(*p.opts.AutoPlanner, p.opts.Strategy, p.FactorRefs(), p.size())
-		p.decision = &d
-		mode, frac, p.plannedGroupSize = d.Mode, d.GradWorkerFrac, d.GroupSize
-	}
-	p.plan = BuildPlan(p.opts.Strategy, mode, frac,
+	p.dec = resolve(p.opts, nil)
+	p.plan = BuildPlan(p.opts.Strategy, p.dec.Mode, p.dec.GradWorkerFrac,
 		p.FactorRefs(), p.size())
 	distributed := p.comm != nil && p.comm.Size() > 1
 	for i, s := range p.states {
@@ -400,50 +377,38 @@ func (p *Preconditioner) replan() {
 	p.stats.noteFactorMem(p.factorMemBytes())
 }
 
-// buildBuckets groups the layers of a partial plan into the per-iteration
-// result broadcasts — one bucket per (GradRoot, BcastMembers), in
-// first-layer order — and carves every layer's pcBuf as a view of its
-// bucket's stretch of pcBacking. The views are capacity-limited, so
+// buildBuckets turns the plan's result buckets (Plan.ResultBuckets) into
+// the per-iteration broadcasts and carves every layer's pcBuf as a view of
+// its bucket's stretch of pcBacking. The views are capacity-limited, so
 // tensor.Ensure keeps reusing them; they are the same Σ dg·da elements the
 // per-layer buffers would occupy, so buckets cost no resident memory. A pure
 // function of the shared plan: every rank builds the identical list.
 func (p *Preconditioner) buildBuckets() {
 	total := 0
-	for i, s := range p.states {
+	for _, s := range p.states {
 		da, dg := FactorDims(s.layer)
 		total += dg * da
-		root, members := p.plan.GradRoot(i), p.plan.Layers[i].BcastMembers
-		b := slices.IndexFunc(p.pcBuckets, func(bk pcBucket) bool {
-			return bk.root == root && slices.Equal(bk.group.Members(), members)
-		})
-		if b < 0 {
-			b = len(p.pcBuckets)
-			p.pcBuckets = append(p.pcBuckets, pcBucket{root: root, group: p.comm.Group(members)})
-		}
-		p.pcBuckets[b].layers = append(p.pcBuckets[b].layers, i)
 	}
 	if len(p.pcBacking) != total {
 		p.pcBacking = make([]float64, total)
 	}
 	rest := p.pcBacking
-	for b := range p.pcBuckets {
-		bk := &p.pcBuckets[b]
+	for _, layers := range p.plan.ResultBuckets() {
 		n := 0
-		for _, i := range bk.layers {
+		for _, i := range layers {
 			da, dg := FactorDims(p.states[i].layer)
 			p.states[i].pcBuf = tensor.FromSlice(rest[n:n+dg*da:n+dg*da], dg, da)
 			n += dg * da
 		}
-		bk.backing, rest = rest[:n:n], rest[n:]
+		lp := &p.plan.Layers[layers[0]]
+		p.pcBuckets = append(p.pcBuckets, pcBucket{root: lp.GOwner,
+			group: p.comm.Group(lp.BcastMembers), layers: layers, backing: rest[:n:n]})
+		rest = rest[n:]
 	}
 }
 
 // Plan returns the active resolved distribution plan.
 func (p *Preconditioner) Plan() *Plan { return p.plan }
-
-// Decision returns the auto-planner resolution behind the active plan, or
-// nil when an explicit mode or the legacy DistAuto rule decided.
-func (p *Preconditioner) Decision() *PlanDecision { return p.decision }
 
 // factorMemBytes measures this rank's currently resident K-FAC factor
 // state in bytes: running averages, covariance/preconditioning workspaces,

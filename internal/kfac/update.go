@@ -388,7 +388,7 @@ func (r *updateRun) scheduleDecompositions() {
 func (r *updateRun) issue() error {
 	p := r.p
 	if r.doFactors {
-		fu := p.factorFuser()
+		fu := p.dec.NewFuser(p.comm, p.factorEF)
 		for i, s := range p.states {
 			if !r.waitIdle(r.covDone, i) {
 				return nil

@@ -3,7 +3,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-
 	"math"
 
 	"repro/internal/tensor"
@@ -12,22 +11,27 @@ import (
 // ErrSingular is returned when a matrix is numerically singular.
 var ErrSingular = errors.New("linalg: matrix is singular")
 
-// Inverse returns the inverse of square matrix a computed by Gauss–Jordan
-// elimination with partial pivoting. This is the explicit-inverse path the
-// paper ablates in Table I: cheaper per update than eigendecomposition but
-// less robust for ill-conditioned covariance factors.
+// InverseDamped returns (A + γI)⁻¹ — the Tikhonov-regularized inverse of
+// Equation (11) in the paper — by Gauss–Jordan elimination with partial
+// pivoting (γ = 0 gives the plain inverse). This is the explicit-inverse
+// path the paper ablates in Table I: cheaper per update than
+// eigendecomposition but less robust for ill-conditioned covariance
+// factors.
 //
-// Inverse (and InverseDamped) are reentrant: the input is cloned before
-// elimination and no package state is shared, so concurrent calls are safe
-// — the property the pipelined K-FAC engine depends on when inverting a
-// rank's owned factors in parallel.
-func Inverse(a *tensor.Tensor) (*tensor.Tensor, error) {
+// InverseDamped is reentrant: the input is cloned before elimination and no
+// package state is shared, so concurrent calls are safe — the property the
+// pipelined K-FAC engine depends on when inverting a rank's owned factors
+// in parallel.
+func InverseDamped(a *tensor.Tensor, gamma float64) (*tensor.Tensor, error) {
 	n := a.Rows()
 	if a.Cols() != n {
-		return nil, fmt.Errorf("linalg: Inverse requires square matrix, got %dx%d", a.Rows(), a.Cols())
+		return nil, fmt.Errorf("linalg: InverseDamped requires square matrix, got %dx%d", a.Rows(), a.Cols())
 	}
-	// Augment [A | I] and reduce in place.
+	// Augment [A+γI | I] and reduce in place.
 	m := a.Clone()
+	for i := 0; i < n; i++ {
+		m.Data[i*n+i] += gamma
+	}
 	inv := tensor.Eye(n)
 	for col := 0; col < n; col++ {
 		// Partial pivot: find the largest magnitude entry in this column.
@@ -77,15 +81,4 @@ func swapRows(data []float64, n, i, j int) {
 	for k := 0; k < n; k++ {
 		ri[k], rj[k] = rj[k], ri[k]
 	}
-}
-
-// InverseDamped returns (A + γI)⁻¹ by explicit inversion — the Tikhonov-
-// regularized inverse of Equation (11) in the paper.
-func InverseDamped(a *tensor.Tensor, gamma float64) (*tensor.Tensor, error) {
-	n := a.Rows()
-	d := a.Clone()
-	for i := 0; i < n; i++ {
-		d.Data[i*n+i] += gamma
-	}
-	return Inverse(d)
 }

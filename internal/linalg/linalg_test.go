@@ -189,13 +189,13 @@ func TestEigenInverseWithDamping(t *testing.T) {
 
 func TestInverseKnown(t *testing.T) {
 	a := tensor.FromSlice([]float64{4, 7, 2, 6}, 2, 2)
-	inv, err := Inverse(a)
+	inv, err := InverseDamped(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := tensor.FromSlice([]float64{0.6, -0.7, -0.2, 0.4}, 2, 2)
 	if !inv.Equal(want, 1e-12) {
-		t.Errorf("Inverse = %v, want %v", inv.Data, want.Data)
+		t.Errorf("InverseDamped(a, 0) = %v, want %v", inv.Data, want.Data)
 	}
 }
 
@@ -203,7 +203,7 @@ func TestInverseRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 3, 10, 50} {
 		rng := rand.New(rand.NewSource(int64(100 + n)))
 		a := randSPD(rng, n, 0.5)
-		inv, err := Inverse(a)
+		inv, err := InverseDamped(a, 0)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -216,13 +216,13 @@ func TestInverseRoundTrip(t *testing.T) {
 
 func TestInverseSingular(t *testing.T) {
 	a := tensor.FromSlice([]float64{1, 2, 2, 4}, 2, 2)
-	if _, err := Inverse(a); err == nil {
+	if _, err := InverseDamped(a, 0); err == nil {
 		t.Error("expected ErrSingular for rank-deficient matrix")
 	}
 }
 
 func TestInverseNonSquare(t *testing.T) {
-	if _, err := Inverse(tensor.New(2, 3)); err == nil {
+	if _, err := InverseDamped(tensor.New(2, 3), 0); err == nil {
 		t.Error("expected error for non-square input")
 	}
 }

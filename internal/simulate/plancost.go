@@ -1,6 +1,8 @@
 package simulate
 
 import (
+	"slices"
+
 	"repro/internal/comm"
 	"repro/internal/kfac"
 )
@@ -183,43 +185,20 @@ func (pm *PlanModel) Evaluate(strategy kfac.Strategy, refs []kfac.FactorRef, wor
 	ev.FactorCommSec = pm.Topology.HierarchicalAllreduceCost(
 		factorElems*pm.BytesPerElem, world, cand.GroupSize) / facFreq
 
-	// Eigendecomposition stage: compute from the real placement (slowest
-	// worker bounds it), distribution as per-factor broadcasts from the
-	// owner to the factor's recipient set.
-	assign := kfac.Assign(strategy, refs, world)
-	loads := kfac.WorkerLoads(refs, assign, world)
-	counts := make([]int, world)
-	for _, w := range assign {
-		counts[w]++
+	// Eigendecomposition stage: compute on the plan's owners (slowest
+	// worker bounds it), each factor's cost shrunk by the modeled speedup of
+	// the team the kfac eig scheduler grants it (Plan.EigTeams; every team
+	// is 1 when EigWorkers is 0) — the MEM-OPT one-big-factor-per-rank case
+	// is exactly where this diverges from the flat-throughput model.
+	// Distribution is per-factor broadcasts from the owner to the factor's
+	// recipient set.
+	teams := plan.EigTeams(refs, pm.EigWorkers)
+	eigPerRank := make([]float64, world)
+	for i, f := range refs {
+		eigPerRank[plan.Owners[i]] += f.Cost()/(pm.EigFlopsPerSec*pm.eigTeamSpeedup(teams[i])) +
+			pm.PerFactorOverheadSec
 	}
-	var eigComp float64
-	if pm.EigWorkers > 0 {
-		// Team-aware pricing: each factor's cost shrinks by the modeled
-		// speedup of the team the kfac eig scheduler would grant it on its
-		// owner rank (EigTeamSize against the owner's total load) — the
-		// MEM-OPT one-big-factor-per-rank case is exactly where this
-		// diverges from the flat-throughput model.
-		perRank := make([]float64, world)
-		for i, f := range refs {
-			r := assign[i]
-			team := kfac.EigTeamSize(f.Dim, pm.EigWorkers, loads[r])
-			perRank[r] += f.Cost() / (pm.EigFlopsPerSec * pm.eigTeamSpeedup(team))
-		}
-		for r, t := range perRank {
-			t += float64(counts[r]) * pm.PerFactorOverheadSec
-			if t > eigComp {
-				eigComp = t
-			}
-		}
-	} else {
-		for r, l := range loads {
-			t := l/pm.EigFlopsPerSec + float64(counts[r])*pm.PerFactorOverheadSec
-			if t > eigComp {
-				eigComp = t
-			}
-		}
-	}
-	ev.EigComputeSec = eigComp / invFreq
+	ev.EigComputeSec = slices.Max(eigPerRank) / invFreq
 	var eigComm float64
 	for i, f := range refs {
 		recips := plan.Recipients(i/2, f.IsG)
@@ -233,36 +212,24 @@ func (pm *PlanModel) Evaluate(strategy kfac.Strategy, refs []kfac.FactorRef, wor
 
 	// Per-iteration preconditioning: each gradient worker preconditions the
 	// layers it serves; the slowest rank bounds the stage. The results reach
-	// the ranks outside the gradient-worker set as one broadcast per root:
-	// the layers a root serves share its member set and travel together.
+	// the ranks outside the gradient-worker set as the plan's result
+	// buckets, one broadcast each.
 	perRank := make([]float64, world)
-	bcastBytes := make([]float64, world) // by root
-	bcastMembers := make([][]int, world)
-	for i := 0; i < plan.NumLayers(); i++ {
-		da := float64(refs[2*i].Dim)
-		dg := float64(refs[2*i+1].Dim)
-		flops := 2 * 2 * (da*da*dg + da*dg*dg)
-		lp := plan.Layers[i]
+	for i, lp := range plan.Layers {
+		da, dg := float64(refs[2*i].Dim), float64(refs[2*i+1].Dim)
 		for _, r := range lp.GradWorkers {
-			perRank[r] += flops
-		}
-		if len(lp.BcastMembers) > 1 {
-			bcastBytes[lp.GOwner] += da * dg * pm.BytesPerElem
-			bcastMembers[lp.GOwner] = lp.BcastMembers
+			perRank[r] += 2 * 2 * (da*da*dg + da*dg*dg)
 		}
 	}
-	for root, m := range bcastMembers {
-		if m != nil {
-			ev.ResultBcastSec += pm.Topology.BroadcastCost(bcastBytes[root], m[0], m[len(m)-1], len(m))
+	for _, layers := range plan.ResultBuckets() {
+		var bytes float64
+		for _, i := range layers {
+			bytes += float64(refs[2*i].Dim) * float64(refs[2*i+1].Dim) * pm.BytesPerElem
 		}
+		m := plan.Layers[layers[0]].BcastMembers
+		ev.ResultBcastSec += pm.Topology.BroadcastCost(bytes, m[0], m[len(m)-1], len(m))
 	}
-	var precondMax float64
-	for _, f := range perRank {
-		if f > precondMax {
-			precondMax = f
-		}
-	}
-	ev.PrecondSec = precondMax / pm.FactorFlopsPerSec
+	ev.PrecondSec = slices.Max(perRank) / pm.FactorFlopsPerSec
 
 	if pm.GradBytes > 0 {
 		ev.GradAllreduceSec = pm.Topology.HierarchicalAllreduceCost(pm.GradBytes, world, cand.GroupSize)

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,16 +16,11 @@ import (
 func runCompressedWorld2(t *testing.T, eng kfac.Engine, codec comm.Codec, bare bool, epochs int) float64 {
 	t.Helper()
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = epochs
-	cfg.KFAC = &kfac.Options{
-		FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01, Engine: eng,
-		Compression: codec, NoErrorFeedback: bare,
-	}
-	results, err := RunDistributed(2, buildTestNet, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := trainWorld(t, 2, train, test, WithEpochs(epochs),
+		WithKFACOptions(kfac.Options{
+			FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01, Engine: eng,
+			Compression: codec, NoErrorFeedback: bare,
+		}))
 	if l0, l1 := results[0].History[epochs-1].TrainLoss, results[1].History[epochs-1].TrainLoss; l0 != l1 {
 		t.Fatalf("ranks disagree on final loss: %v vs %v", l0, l1)
 	}
@@ -103,6 +99,57 @@ func TestFloat16CompressionTracksExact(t *testing.T) {
 		f16 := runCompressedWorld2(t, eng, comm.Float16Codec{}, false, epochs)
 		if d := math.Abs(f16 - exact); d > 0.05*(1+math.Abs(exact)) {
 			t.Errorf("engine=%v: float16 loss %.4f vs exact %.4f (Δ %.4f)", eng, f16, exact, d)
+		}
+	}
+}
+
+// TestAutotuneReconfiguresGradientExchange: under kfac.WithAutotune the
+// gradient exchange follows the preconditioner's Decision, not just the
+// factor allreduce. On a 1 MB/s link the consensus soon selects a
+// compressed level; the step after that decision is the first whose
+// gradient exchange puts a different number of bytes on the wire — on both
+// ranks at the same step, because the decision is a consensus output.
+// Factor updates run every second step and decompositions only at step 0,
+// so odd steps carry the gradient exchange alone.
+func TestAutotuneReconfiguresGradientExchange(t *testing.T) {
+	const world = 2
+	train, test := tinyDataset(t)
+	fab := comm.NewChaosFabric(comm.NewInprocFabric(world), world,
+		comm.ChaosConfig{Seed: 7, BandwidthBps: 1 << 20})
+	// sent[r][i] is rank r's cumulative wire bytes after step i.
+	sent := make([][]int64, world)
+	results, err := RunSessionsOn(context.Background(), fab, world, buildTestNet, train, test,
+		append(sessionOpts(), WithEpochs(1),
+			WithKFAC(kfac.WithFactorUpdateFreq(2), kfac.WithInvUpdateFreq(1000),
+				kfac.WithDamping(0.01), kfac.WithAutotune(kfac.AutotuneConfig{})),
+			OnStep(func(s *Session, info StepInfo) error {
+				sent[s.Rank()] = append(sent[s.Rank()], fab.Metrics(s.Rank()).Bytes)
+				return nil
+			}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := -1
+	for _, d := range results[0].KFACStats.Snapshot().TuneDecisions {
+		if d.Codec != nil {
+			first = d.Step
+			break
+		}
+	}
+	if first < 0 || first+1 >= len(sent[0]) {
+		t.Fatalf("no compressed decision with a step after it on a 1 MB/s link (%d steps)", len(sent[0]))
+	}
+	for r := 0; r < world; r++ {
+		exchange := func(step int) int64 { return sent[r][step] - sent[r][step-1] }
+		for step := 3; step < first; step += 2 {
+			if exchange(step) != exchange(1) {
+				t.Errorf("rank %d: step %d exchanged %d B before any compressed decision, step 1 %d B",
+					r, step, exchange(step), exchange(1))
+			}
+		}
+		if exchange(first+1) == exchange(1) {
+			t.Errorf("rank %d: step %d after the compressed decision at step %d still exchanged %d B",
+				r, first+1, first, exchange(1))
 		}
 	}
 }

@@ -14,18 +14,11 @@ func TestDistModesTrainBitIdentically(t *testing.T) {
 	train, test := tinyDataset(t)
 	const world = 4
 	run := func(mode kfac.DistMode, frac float64, engine kfac.Engine) []*Result {
-		cfg := baseConfig()
-		cfg.Epochs = 2
-		cfg.BatchPerRank = 8
-		cfg.KFAC = &kfac.Options{
-			FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01,
-			DistMode: mode, GradWorkerFrac: frac, Engine: engine,
-		}
-		results, err := RunDistributed(world, buildTestNet, train, test, cfg)
-		if err != nil {
-			t.Fatalf("%v f=%v %v: %v", mode, frac, engine, err)
-		}
-		return results
+		return trainWorld(t, world, train, test, WithEpochs(2), WithBatchPerRank(8),
+			WithKFACOptions(kfac.Options{
+				FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01,
+				DistMode: mode, GradWorkerFrac: frac, Engine: engine,
+			}))
 	}
 	ref := run(kfac.DistAuto, 0, kfac.EngineSync)
 	for _, tc := range []struct {
@@ -58,16 +51,10 @@ func TestDistModesTrainBitIdentically(t *testing.T) {
 // (leader-broadcast) trajectory.
 func TestGroupedGradientExchangeTrains(t *testing.T) {
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	cfg.BatchPerRank = 8
-	cfg.KFAC = &kfac.Options{
-		FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01, GroupSize: 2,
-	}
-	results, err := RunDistributed(4, buildTestNet, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := trainWorld(t, 4, train, test, WithEpochs(2), WithBatchPerRank(8),
+		WithKFACOptions(kfac.Options{
+			FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01, GroupSize: 2,
+		}))
 	for r := 1; r < len(results); r++ {
 		if results[r].FinalValAcc != results[0].FinalValAcc {
 			t.Errorf("rank %d disagrees under grouped allreduce: %v vs %v",

@@ -19,15 +19,9 @@ func TestKFACF32TrainsWithinLossTolerance(t *testing.T) {
 	train, test := tinyDataset(t)
 	run := func(pr kfac.Precision) *Result {
 		net := buildTestNet(rand.New(rand.NewSource(1)))
-		cfg := baseConfig()
-		cfg.KFAC = &kfac.Options{
+		return trainOne(t, net, train, test, WithKFACOptions(kfac.Options{
 			FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01, Precision: pr,
-		}
-		res, err := TrainRank(net, nil, train, test, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		}))
 	}
 	ref := run(kfac.F64)
 	f32 := run(kfac.F32)
@@ -51,16 +45,10 @@ func TestKFACF32TrainsWithinLossTolerance(t *testing.T) {
 // exact agreement even though each rank computes in float32.
 func TestKFACF32DistributedConsistentAcrossRanks(t *testing.T) {
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	cfg.BatchPerRank = 8
-	cfg.KFAC = &kfac.Options{
-		FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01, Precision: kfac.F32,
-	}
-	results, err := RunDistributed(2, buildTestNet, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := trainWorld(t, 2, train, test, WithEpochs(2), WithBatchPerRank(8),
+		WithKFACOptions(kfac.Options{
+			FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01, Precision: kfac.F32,
+		}))
 	if results[0].FinalValAcc != results[1].FinalValAcc {
 		t.Errorf("f32 ranks disagree: %v vs %v",
 			results[0].FinalValAcc, results[1].FinalValAcc)

@@ -82,16 +82,15 @@ type (
 // it with NewSession and functional options, register hooks, then call Run.
 // The zero value is not usable.
 //
-// A Session generalizes the deprecated TrainRank entry point: the paper's
-// Listing 1 loop (synchronize → precondition → step) is the fixed skeleton,
-// and everything scenario-specific — optimizer, K-FAC preconditioning,
-// schedules, logging, early stopping, checkpointing, observation — attaches
-// through options and typed hooks.
+// The paper's Listing 1 loop (synchronize → precondition → step) is the
+// fixed skeleton, and everything scenario-specific — optimizer, K-FAC
+// preconditioning, schedules, logging, early stopping, checkpointing,
+// observation — attaches through options and typed hooks.
 type Session struct {
 	net         *nn.Sequential
 	comm        *comm.Communicator
 	train, test *data.Dataset
-	cfg         Config // resolved option form (kept internal, like kfac.Options)
+	cfg         config
 
 	buildOpt   func(params []*nn.Param, initialLR float64) optim.Optimizer
 	epochHooks []EpochHook
@@ -139,9 +138,6 @@ func WithSeed(seed int64) SessionOption { return func(s *Session) { s.cfg.Seed =
 // each exchange and optimizer step (0/1 = off).
 func WithAccumSteps(n int) SessionOption { return func(s *Session) { s.cfg.AccumSteps = n } }
 
-// WithFusionBytes bounds the gradient-fusion buffer (0 = default 16 MB).
-func WithFusionBytes(b int) SessionOption { return func(s *Session) { s.cfg.FusionBytes = b } }
-
 // WithKFAC enables K-FAC preconditioning, configured by kfac functional
 // options (paper defaults where unset).
 func WithKFAC(opts ...kfac.Option) SessionOption {
@@ -152,7 +148,7 @@ func WithKFAC(opts ...kfac.Option) SessionOption {
 }
 
 // WithKFACOptions enables K-FAC preconditioning from a resolved options
-// struct — the form trainer.Config carries.
+// struct (kfac.Build's form).
 func WithKFACOptions(o kfac.Options) SessionOption {
 	return func(s *Session) { s.cfg.KFAC = &o }
 }
@@ -420,14 +416,6 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 	}
 	ce := nn.CrossEntropy{Smoothing: cfg.LabelSmoothing}
 	sampler := data.ShardSampler{N: s.train.Len(), Rank: rank, World: world, Seed: cfg.Seed}
-	// kfac.WithGroupSize routes the per-iteration gradient exchange (and
-	// the preconditioner's own factor averaging) through the two-level
-	// hierarchical allreduce — the intra-node/inter-node split of the
-	// paper's platform. Zero keeps the flat ring.
-	gradGroupSize := 0
-	if cfg.KFAC != nil {
-		gradGroupSize = cfg.KFAC.GroupSize
-	}
 	// The gradient exchange owns its error-feedback accumulator, separate
 	// from the preconditioner's factor-path residuals: the two streams
 	// carry different tensors, so sharing slots would corrupt both. It
@@ -493,33 +481,17 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 			}
 
 			// Gradient exchange (optimizer.synchronize() in Listing 1).
-			// With a preconditioner attached, the exchange follows its
-			// effective tuning: the static kfac.WithCompression codec, or —
-			// under kfac.WithAutotune — whatever level the last consensus
-			// decision selected. Tuning() is sampled here, before Step, so a
-			// decision made during step k reconfigures the exchange from
-			// step k+1: the same boundary on every rank, because the
-			// decision itself is a consensus output.
+			// With a preconditioner attached, the exchange is configured by
+			// its Decision, exactly like the factor allreduce — read here,
+			// before Step, so an autotune decision made during step k
+			// reconfigures the exchange from step k+1: the same boundary on
+			// every rank, because the decision itself is a consensus output.
 			if c != nil && world > 1 {
-				fusionBytes, groupSize := cfg.FusionBytes, gradGroupSize
-				var codec comm.Codec
-				bare := false
+				var fu *comm.Fuser
 				if prec != nil {
-					ts := prec.Tuning()
-					if ts.Tuned {
-						fusionBytes, groupSize = ts.FusionBytes, ts.GroupSize
-					}
-					codec, bare = ts.Codec, ts.NoErrorFeedback
-				}
-				fu := comm.NewFuser(c, fusionBytes)
-				fu.SetGroupSize(groupSize)
-				if codec != nil {
-					if bare {
-						fu.SetCodec(codec)
-					} else {
-						gradEF.SetCodec(codec)
-						fu.SetErrorFeedback(gradEF)
-					}
+					fu = prec.Decision().NewFuser(c, gradEF)
+				} else {
+					fu = comm.NewFuser(c, 0)
 				}
 				for _, p := range params {
 					fu.Add(p.Grad)
@@ -600,10 +572,9 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 
 // RunSessions builds one session per rank over an in-process fabric and
 // runs them in parallel under a shared context, returning every rank's
-// Result — the Session-API counterpart of RunDistributed. buildNet is
-// called once per rank with a rank-independent seed so replicas start
-// identical (the initial broadcast enforces it regardless). The shared
-// context satisfies the cancellation contract's requirement that every
+// Result. buildNet is called once per rank with a rank-independent seed so
+// replicas start identical (the initial broadcast enforces it regardless).
+// The shared context satisfies the cancellation contract's requirement that every
 // rank agree on cancellability.
 func RunSessions(ctx context.Context, world int, buildNet func(rng *rand.Rand) *nn.Sequential,
 	train, test *data.Dataset, opts ...SessionOption) ([]*Result, error) {

@@ -11,12 +11,11 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/kfac"
 	"repro/internal/nn"
 	"repro/internal/optim"
 )
 
-// sessionOpts are the session-API equivalent of baseConfig.
+// sessionOpts are the options every trainer test starts from.
 func sessionOpts() []SessionOption {
 	return []SessionOption{
 		WithEpochs(3),
@@ -24,82 +23,6 @@ func sessionOpts() []SessionOption {
 		WithLRSchedule(optim.LRSchedule{BaseLR: 0.05, WarmupEpochs: 1}),
 		WithMomentum(0.9),
 		WithSeed(5),
-	}
-}
-
-func TestSessionRunMatchesLegacyTrainRankBitIdentical(t *testing.T) {
-	train, test := tinyDataset(t)
-
-	legacyNet := buildTestNet(rand.New(rand.NewSource(1)))
-	cfg := baseConfig()
-	cfg.KFAC = &kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01}
-	legacy, err := TrainRank(legacyNet, nil, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sessNet := buildTestNet(rand.New(rand.NewSource(1)))
-	s, err := NewSession(sessNet, nil, train, test, append(sessionOpts(),
-		WithKFAC(kfac.WithFactorUpdateFreq(2), kfac.WithInvUpdateFreq(4), kfac.WithDamping(0.01)))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Run under a cancellable (but never cancelled) context so the
-	// cancellation machinery is active and must not perturb numerics.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	res, err := s.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if res.Iterations != legacy.Iterations {
-		t.Fatalf("iterations %d != legacy %d", res.Iterations, legacy.Iterations)
-	}
-	if len(res.History) != len(legacy.History) {
-		t.Fatalf("history length %d != legacy %d", len(res.History), len(legacy.History))
-	}
-	for i := range res.History {
-		a, b := res.History[i], legacy.History[i]
-		if a.LR != b.LR || a.TrainLoss != b.TrainLoss || a.TrainAcc != b.TrainAcc ||
-			a.ValAcc != b.ValAcc || a.ValTop5 != b.ValTop5 {
-			t.Errorf("epoch %d diverged:\n session %+v\n legacy  %+v", i, a, b)
-		}
-	}
-	// The trained parameters must agree bit for bit as well.
-	lp, sp := legacyNet.Params(), sessNet.Params()
-	for i := range lp {
-		if !lp[i].Value.Equal(sp[i].Value, 0) {
-			t.Fatalf("parameter %s diverged between session and legacy paths", lp[i].Name)
-		}
-	}
-}
-
-func TestRunSessionsMatchesRunDistributed(t *testing.T) {
-	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	cfg.BatchPerRank = 8
-	legacy, err := RunDistributed(2, buildTestNet, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	res, err := RunSessions(ctx, 2, buildTestNet, train, test,
-		WithEpochs(2), WithBatchPerRank(8),
-		WithLRSchedule(optim.LRSchedule{BaseLR: 0.05, WarmupEpochs: 1}),
-		WithMomentum(0.9), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range res {
-		for i := range res[r].History {
-			a, b := res[r].History[i], legacy[r].History[i]
-			if a.TrainLoss != b.TrainLoss || a.ValAcc != b.ValAcc {
-				t.Errorf("rank %d epoch %d diverged: %+v vs %+v", r, i, a, b)
-			}
-		}
 	}
 }
 

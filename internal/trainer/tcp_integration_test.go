@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"context"
 	"math/rand"
 	"net"
 	"sync"
@@ -30,10 +31,8 @@ func TestTCPDistributedKFACTraining(t *testing.T) {
 		ln.Close()
 	}
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = 1
-	cfg.BatchPerRank = 8
-	cfg.KFAC = &kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 1e-2}
+	opts := append(sessionOpts(), WithEpochs(1), WithBatchPerRank(8),
+		WithKFAC(kfac.WithFactorUpdateFreq(2), kfac.WithInvUpdateFreq(4), kfac.WithDamping(1e-2)))
 
 	var wg sync.WaitGroup
 	accs := make([]float64, world)
@@ -49,7 +48,12 @@ func TestTCPDistributedKFACTraining(t *testing.T) {
 			}
 			defer fab.Close()
 			net := buildTestNet(rand.New(rand.NewSource(1)))
-			res, err := TrainRank(net, comm.NewCommunicator(fab), train, test, cfg)
+			s, err := NewSession(net, comm.NewCommunicator(fab), train, test, opts...)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			res, err := s.Run(context.Background())
 			if err != nil {
 				errs[r] = err
 				return

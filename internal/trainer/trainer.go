@@ -12,9 +12,6 @@
 package trainer
 
 import (
-	"context"
-	"io"
-	"math/rand"
 	"time"
 
 	"repro/internal/comm"
@@ -25,9 +22,9 @@ import (
 	"repro/internal/optim"
 )
 
-// Config parameterizes a training run. The zero value is not runnable; see
-// the field comments for required entries.
-type Config struct {
+// config is a Session's resolved option form (kept internal, like
+// kfac.Options is for kfac.New's options).
+type config struct {
 	// Epochs is the number of passes over the training set.
 	Epochs int
 	// BatchPerRank is the local mini-batch size; the effective global batch
@@ -48,16 +45,8 @@ type Config struct {
 	DampingSchedule *kfac.ParamSchedule
 	// FreqSchedule optionally decays kfac-update-freq at fixed epochs.
 	FreqSchedule *kfac.ParamSchedule
-	// FusionBytes bounds the gradient-fusion buffer (0 = default 16 MB).
-	FusionBytes int
 	// Seed drives data sharding; must agree across ranks.
 	Seed int64
-	// Log, when non-nil, receives one line per epoch.
-	Log io.Writer
-	// StopAtValAcc, when positive, ends training at the first epoch whose
-	// validation accuracy reaches the threshold — the paper's
-	// time-to-baseline measurement (e.g. 75.9% for ResNet-50/ImageNet).
-	StopAtValAcc float64
 	// TrackTop5 additionally records top-5 validation accuracy.
 	TrackTop5 bool
 	// AccumSteps accumulates gradients over this many micro-batches before
@@ -74,7 +63,7 @@ type EpochStats struct {
 	TrainLoss float64
 	TrainAcc  float64
 	ValAcc    float64
-	ValTop5   float64 // populated when Config.TrackTop5 is set
+	ValTop5   float64 // populated under WithTop5
 	Wall      time.Duration
 }
 
@@ -84,7 +73,8 @@ type Result struct {
 	FinalValAcc float64
 	BestValAcc  float64
 	Iterations  int
-	// Stopped reports whether StopAtValAcc ended training early.
+	// Stopped reports whether a hook (e.g. WithStopAtValAcc) ended training
+	// early.
 	Stopped bool
 	// TotalWall is the summed epoch wall time (training + validation).
 	TotalWall time.Duration
@@ -103,60 +93,6 @@ func (r *Result) EpochsToReach(acc float64) int {
 		}
 	}
 	return -1
-}
-
-// TrainRank trains net on this rank's shards. c may be nil for
-// single-process runs. All ranks must use identical Config and datasets
-// (each rank loads the full dataset and iterates its shard, as PyTorch's
-// DistributedSampler does).
-//
-// Deprecated: TrainRank is a thin shim over the Session API — the Config
-// fields map onto session options (Log, StopAtValAcc and TrackTop5 become
-// the stock WithLogger, WithStopAtValAcc and WithTop5 hooks) and the run
-// executes under context.Background. New code should build a Session and
-// call Run(ctx) for hooks and cancellation.
-func TrainRank(net *nn.Sequential, c *comm.Communicator, train, test *data.Dataset, cfg Config) (*Result, error) {
-	s, err := NewSession(net, c, train, test, sessionOptionsFromConfig(cfg)...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(context.Background())
-}
-
-// sessionOptionsFromConfig translates the legacy Config struct into the
-// equivalent session options, preserving the legacy ordering of the stock
-// hooks (log first, then the early-stop decision).
-func sessionOptionsFromConfig(cfg Config) []SessionOption {
-	opts := []SessionOption{
-		WithEpochs(cfg.Epochs),
-		WithBatchPerRank(cfg.BatchPerRank),
-		WithLRSchedule(cfg.LR),
-		WithMomentum(cfg.Momentum),
-		WithWeightDecay(cfg.WeightDecay),
-		WithLabelSmoothing(cfg.LabelSmoothing),
-		WithSeed(cfg.Seed),
-		WithAccumSteps(cfg.AccumSteps),
-		WithFusionBytes(cfg.FusionBytes),
-	}
-	if cfg.KFAC != nil {
-		opts = append(opts, WithKFACOptions(*cfg.KFAC))
-	}
-	if cfg.DampingSchedule != nil {
-		opts = append(opts, WithDampingSchedule(cfg.DampingSchedule))
-	}
-	if cfg.FreqSchedule != nil {
-		opts = append(opts, WithFreqSchedule(cfg.FreqSchedule))
-	}
-	if cfg.TrackTop5 {
-		opts = append(opts, WithTop5())
-	}
-	if cfg.Log != nil {
-		opts = append(opts, WithLogger(cfg.Log))
-	}
-	if cfg.StopAtValAcc > 0 {
-		opts = append(opts, WithStopAtValAcc(cfg.StopAtValAcc))
-	}
-	return opts
 }
 
 // Evaluate computes validation accuracy over test, sharded across ranks and
@@ -196,18 +132,4 @@ func evaluateTopK(net *nn.Sequential, c *comm.Communicator, test *data.Dataset,
 		return 0, 0, nil
 	}
 	return correct / total, correct5 / total, nil
-}
-
-// RunDistributed builds one model replica per rank over an in-process
-// fabric and trains them in parallel, returning every rank's Result. buildNet
-// is called once per rank with a rank-independent seed so replicas start
-// identical (the initial broadcast enforces it regardless).
-//
-// Deprecated: RunDistributed is a thin shim over RunSessions (the Session
-// API's multi-rank runner) under context.Background; new code should call
-// RunSessions for hooks and cancellation.
-func RunDistributed(world int, buildNet func(rng *rand.Rand) *nn.Sequential,
-	train, test *data.Dataset, cfg Config) ([]*Result, error) {
-	return RunSessions(context.Background(), world, buildNet, train, test,
-		sessionOptionsFromConfig(cfg)...)
 }

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,13 +13,8 @@ import (
 func TestStopAtValAccEndsEarly(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(1)))
-	cfg := baseConfig()
-	cfg.Epochs = 50
-	cfg.StopAtValAcc = 0.30 // above chance; reached within a few epochs
-	res, err := TrainRank(net, nil, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// 0.30 is above chance and reached within a few epochs.
+	res := trainOne(t, net, train, test, WithEpochs(50), WithStopAtValAcc(0.30))
 	if !res.Stopped {
 		t.Fatal("expected early stop")
 	}
@@ -33,12 +29,7 @@ func TestStopAtValAccEndsEarly(t *testing.T) {
 func TestEpochWallTimesRecorded(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(2)))
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	res, err := TrainRank(net, nil, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := trainOne(t, net, train, test, WithEpochs(2))
 	for _, e := range res.History {
 		if e.Wall <= 0 {
 			t.Error("epoch wall time not recorded")
@@ -52,13 +43,7 @@ func TestEpochWallTimesRecorded(t *testing.T) {
 func TestTrackTop5(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(3)))
-	cfg := baseConfig()
-	cfg.Epochs = 1
-	cfg.TrackTop5 = true
-	res, err := TrainRank(net, nil, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := trainOne(t, net, train, test, WithEpochs(1), WithTop5())
 	e := res.History[0]
 	// Top-5 over 4 classes is always 1.0 (k clamps to class count); it must
 	// be at least top-1.
@@ -73,13 +58,8 @@ func TestTrackTop5(t *testing.T) {
 func TestKFACStatsExposed(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(4)))
-	cfg := baseConfig()
-	cfg.Epochs = 1
-	cfg.KFAC = &kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4}
-	res, err := TrainRank(net, nil, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := trainOne(t, net, train, test, WithEpochs(1),
+		WithKFAC(kfac.WithFactorUpdateFreq(2), kfac.WithInvUpdateFreq(4)))
 	if res.KFACStats == nil {
 		t.Fatal("KFACStats not surfaced")
 	}
@@ -95,12 +75,7 @@ func TestKFACStatsExposed(t *testing.T) {
 func TestSGDRunHasNoKFACStats(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(5)))
-	cfg := baseConfig()
-	cfg.Epochs = 1
-	res, err := TrainRank(net, nil, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := trainOne(t, net, train, test, WithEpochs(1))
 	if res.KFACStats != nil {
 		t.Error("SGD run should not carry K-FAC stats")
 	}
@@ -109,14 +84,8 @@ func TestSGDRunHasNoKFACStats(t *testing.T) {
 func TestGradientAccumulation(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(6)))
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	cfg.BatchPerRank = 8
-	cfg.AccumSteps = 4 // effective batch 32
-	res, err := TrainRank(net, nil, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Effective batch 32.
+	res := trainOne(t, net, train, test, WithEpochs(2), WithBatchPerRank(8), WithAccumSteps(4))
 	// 256 examples / 8 per micro-batch = 32 micro-batches = 8 optimizer
 	// steps per epoch.
 	if res.Iterations != 2*8 {
@@ -144,14 +113,12 @@ func TestGradientAccumulationMatchesLargeBatchLoss(t *testing.T) {
 	}
 	run := func(batch, accum int) *nn.Sequential {
 		net := buildNoBN(7)
-		cfg := Config{
-			Epochs:       1,
-			BatchPerRank: batch,
-			AccumSteps:   accum,
-			LR:           optim.LRSchedule{BaseLR: 0.1},
-			Seed:         9,
+		s, err := NewSession(net, nil, train, test, WithEpochs(1), WithBatchPerRank(batch),
+			WithAccumSteps(accum), WithLRSchedule(optim.LRSchedule{BaseLR: 0.1}), WithSeed(9))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := TrainRank(net, nil, train, test, cfg); err != nil {
+		if _, err := s.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return net

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -27,34 +28,48 @@ func buildTestNet(rng *rand.Rand) *nn.Sequential {
 	return models.BuildSmallCNN(1, 4, 4, rng)
 }
 
-func baseConfig() Config {
-	return Config{
-		Epochs:       3,
-		BatchPerRank: 16,
-		LR:           optim.LRSchedule{BaseLR: 0.05, WarmupEpochs: 1},
-		Momentum:     0.9,
-		Seed:         5,
+// trainOne runs a single-process session with sessionOpts plus opts (later
+// options win) and fails the test on error.
+func trainOne(t *testing.T, net *nn.Sequential, train, test *data.Dataset, opts ...SessionOption) *Result {
+	t.Helper()
+	s, err := NewSession(net, nil, train, test, append(sessionOpts(), opts...)...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// trainWorld runs world in-process ranks with sessionOpts plus opts and
+// fails the test on error.
+func trainWorld(t *testing.T, world int, train, test *data.Dataset, opts ...SessionOption) []*Result {
+	t.Helper()
+	results, err := RunSessions(context.Background(), world, buildTestNet, train, test,
+		append(sessionOpts(), opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
 }
 
 func TestSingleProcessSGDTrains(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(1)))
-	cfg := baseConfig()
-	res, err := TrainRank(net, nil, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.History) != cfg.Epochs {
+	const epochs, batch = 3, 16
+	res := trainOne(t, net, train, test)
+	if len(res.History) != epochs {
 		t.Fatalf("history length = %d", len(res.History))
 	}
-	if res.Iterations != cfg.Epochs*(train.Len()/cfg.BatchPerRank) {
+	if res.Iterations != epochs*(train.Len()/batch) {
 		t.Errorf("iterations = %d", res.Iterations)
 	}
 	// Loss should drop from epoch 0 to the last epoch.
-	if res.History[cfg.Epochs-1].TrainLoss >= res.History[0].TrainLoss {
+	if res.History[epochs-1].TrainLoss >= res.History[0].TrainLoss {
 		t.Errorf("loss did not decrease: %v → %v",
-			res.History[0].TrainLoss, res.History[cfg.Epochs-1].TrainLoss)
+			res.History[0].TrainLoss, res.History[epochs-1].TrainLoss)
 	}
 	// Better than chance (0.25) on validation.
 	if res.FinalValAcc <= 0.3 {
@@ -65,12 +80,8 @@ func TestSingleProcessSGDTrains(t *testing.T) {
 func TestSingleProcessKFACTrains(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(1)))
-	cfg := baseConfig()
-	cfg.KFAC = &kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01}
-	res, err := TrainRank(net, nil, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := trainOne(t, net, train, test,
+		WithKFAC(kfac.WithFactorUpdateFreq(2), kfac.WithInvUpdateFreq(4), kfac.WithDamping(0.01)))
 	if res.FinalValAcc <= 0.3 {
 		t.Errorf("K-FAC val acc = %v, want > 0.3", res.FinalValAcc)
 	}
@@ -88,13 +99,7 @@ func TestDistributedMatchesSingleWithSameGlobalBatch(t *testing.T) {
 	// averaged gradient is permutation invariant, so losses should agree
 	// closely). We verify the distributed run trains and all ranks agree.
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	cfg.BatchPerRank = 8
-	results, err := RunDistributed(2, buildTestNet, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := trainWorld(t, 2, train, test, WithEpochs(2), WithBatchPerRank(8))
 	if results[0].FinalValAcc != results[1].FinalValAcc {
 		t.Errorf("ranks disagree on val acc: %v vs %v",
 			results[0].FinalValAcc, results[1].FinalValAcc)
@@ -106,14 +111,8 @@ func TestDistributedMatchesSingleWithSameGlobalBatch(t *testing.T) {
 
 func TestDistributedKFACConsistentAcrossRanks(t *testing.T) {
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	cfg.BatchPerRank = 8
-	cfg.KFAC = &kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01}
-	results, err := RunDistributed(2, buildTestNet, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := trainWorld(t, 2, train, test, WithEpochs(2), WithBatchPerRank(8),
+		WithKFAC(kfac.WithFactorUpdateFreq(2), kfac.WithInvUpdateFreq(4), kfac.WithDamping(0.01)))
 	if results[0].FinalValAcc != results[1].FinalValAcc {
 		t.Errorf("K-FAC ranks disagree: %v vs %v",
 			results[0].FinalValAcc, results[1].FinalValAcc)
@@ -122,16 +121,9 @@ func TestDistributedKFACConsistentAcrossRanks(t *testing.T) {
 
 func TestDistributedKFACLayerWise(t *testing.T) {
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = 1
-	cfg.BatchPerRank = 8
-	cfg.KFAC = &kfac.Options{
-		Strategy: kfac.LayerWise, FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01,
-	}
-	results, err := RunDistributed(3, buildTestNet, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := trainWorld(t, 3, train, test, WithEpochs(1), WithBatchPerRank(8),
+		WithKFAC(kfac.WithStrategy(kfac.LayerWise), kfac.WithFactorUpdateFreq(2),
+			kfac.WithInvUpdateFreq(4), kfac.WithDamping(0.01)))
 	if results[0].FinalValAcc != results[2].FinalValAcc {
 		t.Error("layer-wise ranks disagree")
 	}
@@ -140,20 +132,16 @@ func TestDistributedKFACLayerWise(t *testing.T) {
 func TestSchedulesApplied(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(2)))
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	cfg.KFAC = &kfac.Options{FactorUpdateFreq: 1, InvUpdateFreq: 1}
-	cfg.DampingSchedule = &kfac.ParamSchedule{Initial: 0.01, DecayEpochs: []int{1}, Factor: 0.5}
-	cfg.FreqSchedule = &kfac.ParamSchedule{Initial: 2, DecayEpochs: []int{1}, Factor: 2} // grows to 4
-	res, err := TrainRank(net, nil, train, test, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lr := optim.LRSchedule{BaseLR: 0.05, WarmupEpochs: 1}
+	res := trainOne(t, net, train, test, WithEpochs(2), WithLRSchedule(lr),
+		WithKFAC(kfac.WithFactorUpdateFreq(1), kfac.WithInvUpdateFreq(1)),
+		WithDampingSchedule(&kfac.ParamSchedule{Initial: 0.01, DecayEpochs: []int{1}, Factor: 0.5}),
+		WithFreqSchedule(&kfac.ParamSchedule{Initial: 2, DecayEpochs: []int{1}, Factor: 2})) // grows to 4
 	if len(res.History) != 2 {
 		t.Fatal("wrong history length")
 	}
 	// LR schedule honored in history.
-	if res.History[0].LR != cfg.LR.At(0) || res.History[1].LR != cfg.LR.At(1) {
+	if res.History[0].LR != lr.At(0) || res.History[1].LR != lr.At(1) {
 		t.Error("LR schedule not recorded")
 	}
 }
@@ -188,10 +176,10 @@ func TestEvaluateSharded(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(4)))
-	if _, err := TrainRank(net, nil, train, test, Config{}); err == nil {
+	if _, err := NewSession(net, nil, train, test); err == nil {
 		t.Error("expected error for zero config")
 	}
-	if _, err := RunDistributed(0, buildTestNet, train, test, baseConfig()); err == nil {
+	if _, err := RunSessions(context.Background(), 0, buildTestNet, train, test, sessionOpts()...); err == nil {
 		t.Error("expected error for world=0")
 	}
 }
