@@ -163,26 +163,27 @@ func Read(r io.Reader) (*File, error) {
 	return &f, nil
 }
 
-// validate checks that the entry's shape describes its data: every
-// dimension positive and the dimension product equal to the element count.
-// Gob decodes whatever ints were in the stream, so a corrupted or
-// hand-crafted file can carry any inconsistency; this is the gate that
-// keeps it from reaching tensor construction (which would panic).
+// validate checks that the entry's shape describes its data: at least one
+// dimension, every dimension positive, and the dimension product equal to
+// the element count. Gob decodes whatever ints were in the stream, so a
+// corrupted or hand-crafted file can carry any inconsistency; this is the
+// gate that keeps it from reaching tensor construction (which would panic,
+// or build a tensor whose shape claims more elements than it holds).
 func (e Entry) validate() error {
+	if len(e.Shape) == 0 {
+		return fmt.Errorf("invalid shape %v", e.Shape)
+	}
 	n := 1
 	for _, d := range e.Shape {
 		if d <= 0 {
 			return fmt.Errorf("invalid shape %v", e.Shape)
 		}
-		// Guard the product against overflow from adversarially huge dims:
-		// bail as soon as it can no longer match len(Data).
-		if n > len(e.Data)+1 {
-			break
+		// Compared before multiplying, so the product never exceeds
+		// len(Data) and cannot wrap around onto it.
+		if d > len(e.Data)/n {
+			return fmt.Errorf("shape %v does not describe %d data elements", e.Shape, len(e.Data))
 		}
 		n *= d
-	}
-	if len(e.Shape) == 0 {
-		n = 0
 	}
 	if n != len(e.Data) {
 		return fmt.Errorf("shape %v does not describe %d data elements", e.Shape, len(e.Data))

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"crypto/sha256"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -255,6 +256,10 @@ func TestReadTruncatedFile(t *testing.T) {
 	}
 }
 
+// wrappingEntry's shape claims 4·(2⁶²+1) = 2⁶⁴+4 elements, a product that
+// wraps to exactly its 4 data elements in int arithmetic.
+var wrappingEntry = Entry{Name: "w", Shape: []int{4, 1<<62 + 1}, Data: make([]float64, 4)}
+
 // TestReadInconsistentEntry: a decoded entry whose shape does not describe
 // its data is rejected at Read time, before any tensor construction could
 // panic on it.
@@ -267,6 +272,8 @@ func TestReadInconsistentEntry(t *testing.T) {
 		{"zero dim", Entry{Name: "w", Shape: []int{0, 4}, Data: nil}},
 		{"negative dim", Entry{Name: "w", Shape: []int{-2, 2}, Data: make([]float64, 4)}},
 		{"huge dims overflow", Entry{Name: "w", Shape: []int{1 << 31, 1 << 31, 1 << 31}, Data: make([]float64, 1)}},
+		{"product wraps onto len(Data)", wrappingEntry},
+		{"empty shape", Entry{Name: "w"}},
 	}
 	for _, tc := range cases {
 		f := &File{Version: FormatVersion, Extra: []Entry{tc.entry}}
@@ -329,4 +336,45 @@ func TestRestoreAcrossWorldSizes(t *testing.T) {
 			t.Fatalf("parameter %s differs after cross-world restore", sp[i].Name)
 		}
 	}
+}
+
+// FuzzCheckpointRead feeds Read arbitrary bytes, seeded with a valid
+// snapshot and with the file carrying wrappingEntry. Read must never panic,
+// and every entry it accepts must describe its data exactly — the product
+// of its dims, computed without overflow, is len(Data) — so building its
+// tensor cannot panic or claim elements it does not hold.
+func FuzzCheckpointRead(f *testing.F) {
+	snap := Snapshot(models.BuildSmallCNN(1, 4, 4, rand.New(rand.NewSource(23))), 1, 9)
+	snap.AddExtra("momentum.fc", tensor.Full(0.5, 2, 3))
+	for _, file := range []*File{snap, {Version: FormatVersion, Extra: []Entry{wrappingEntry}}} {
+		var buf bytes.Buffer
+		if err := file.Write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, sec := range [][]Entry{got.Params, got.Buffers, got.Extra} {
+			for _, e := range sec {
+				n := uint64(1)
+				for _, d := range e.Shape {
+					hi, lo := bits.Mul64(n, uint64(d))
+					if d <= 0 || hi != 0 {
+						t.Fatalf("accepted entry %q with shape %v", e.Name, e.Shape)
+					}
+					n = lo
+				}
+				if n != uint64(len(e.Data)) {
+					t.Fatalf("accepted entry %q: shape %v for %d elements", e.Name, e.Shape, len(e.Data))
+				}
+				if l := e.tensor().Len(); l != len(e.Data) {
+					t.Fatalf("entry %q: tensor has %d elements, data %d", e.Name, l, len(e.Data))
+				}
+			}
+		}
+	})
 }

@@ -25,12 +25,14 @@
 //     parallel pass over the active bottom-right window.
 //  3. Batched QL. The scalar shift/rotation recurrence of tql2 — which
 //     touches only the tridiagonal d/e arrays — runs serially and records
-//     each sweep's rotation cosines/sines; the accumulated rotations are
-//     then applied to Q's rows in a row-chunked parallel pass whose
-//     per-row carry chain performs arithmetic identical to tql2's
-//     column-strided loop (see rotSweepRow). The final eigenvalue sort
-//     computes its column permutation serially and applies it in one
-//     row-chunked pass.
+//     each sweep's window and rotation cosines/sines into a bounded buffer
+//     (16·n rotations). Q is transposed once, so one block of qlLanes
+//     contiguous Qᵀ columns is qlLanes rows of Q; when the next sweep does
+//     not fit, one lane-block parallel pass applies every buffered sweep, in
+//     order, to each block with a per-lane carry chain whose arithmetic is
+//     tql2's column-strided update. A rotation treats every row of Q
+//     independently, so that grouping cannot change bits. The transpose
+//     back to Q is fused with the eigenvalue sort's column permutation.
 package linalg
 
 import (
@@ -56,15 +58,23 @@ const (
 	// fallback ignores the team parameter entirely, so the determinism
 	// contract (same bits for every team size) holds trivially there.
 	eigBlockedMinDim = 128
+
+	// qlLanes is the lane width of the QL rotation pass: one block of the
+	// transposed eigenbasis is qlLanes contiguous columns (qlLanes rows of
+	// Q), four ymm carries in the AVX kernel. The rotation buffer holds
+	// qlLanes·n rotations, so every flush but the last carries more than
+	// 15·n of them: one dispatch per batch of sweeps, not per sweep.
+	qlLanes = 16
 )
 
 // eigArena pools the blocked solver's workspaces — the reduced matrix copy
-// (whose lower triangle stores the Householder vectors), the U=[V|W] and
-// column-swapped panels, the rank-2b update buffer, and the
-// rotation/permutation scratch — so steady-state redecomposition performs
-// no heap allocation. Checkouts are balanced per call (Get/Put), never
-// Reset, so concurrent decompositions (the pipelined engine, intra-step
-// factor teams) share the arena safely.
+// (whose lower triangle stores the Householder vectors, and which then
+// holds the transposed eigenbasis during QL), the U=[V|W] and
+// column-swapped panels, the rank-2b update buffer, and the QL rotation
+// buffer — so steady-state redecomposition performs no heap allocation.
+// Checkouts are balanced per call (Get/Put), never Reset, so concurrent
+// decompositions (the pipelined engine, intra-step factor teams) share the
+// arena safely.
 var eigArena = tensor.NewArena()
 
 // EigKernelTimes accumulates the per-kernel wall time of one or more
@@ -111,9 +121,8 @@ func SymEigBlockedInto(a *tensor.Tensor, eg *Eigen, team int) error {
 }
 
 // SymEigBlockedTimedInto is SymEigBlockedInto accumulating per-kernel wall
-// times into tm (when non-nil). The fallback serial path below
-// eigBlockedMinDim reports its entire cost as QL time zero and tridiag
-// time zero — by convention only the blocked kernels are itemized.
+// times into tm (when non-nil). Only the blocked kernels are itemized: the
+// serial fallback below eigBlockedMinDim adds nothing to tm.
 func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernelTimes) error {
 	n := a.Rows()
 	if a.Cols() != n {
@@ -153,6 +162,7 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 	C := eigArena.Get(n, 2*eigBlock)
 	tauT := eigArena.Get(n)
 	workT := eigArena.Get(4 * n)
+	rotT := eigArena.Get(2 * qlLanes * n)
 	defer func() {
 		ws.clear()
 		eigWSPool.Put(ws)
@@ -162,6 +172,7 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 		eigArena.Put(C)
 		eigArena.Put(tauT)
 		eigArena.Put(workT)
+		eigArena.Put(rotT)
 	}()
 
 	// Symmetrized working copy; a is left untouched.
@@ -177,7 +188,7 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 	identityInto(v.Data, n)
 	ws.backAccumulate(v.Data, A.Data, n, tauT.Data, U.Data, C.Data, S.Data)
 	tAcc := time.Now()
-	err := ws.batchedQL(v.Data, n, d, e, workT.Data, A.Data)
+	err := ws.batchedQL(v.Data, n, d, e, rotT.Data, A.Data)
 	if tm != nil {
 		tm.TridiagNS += tTri.Sub(start).Nanoseconds()
 		tm.BackAccumNS += tAcc.Sub(tTri).Nanoseconds()
@@ -189,8 +200,9 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 // eigWS carries the reusable non-tensor state of one blocked
 // decomposition: the ranger structs the parallel passes dispatch through
 // (each with its own WaitGroup, reused across dispatches), the view
-// headers handed to the pooled GEMM, and the sort permutation buffer. A
-// sync.Pool recycles them so steady-state solves allocate nothing.
+// headers handed to the pooled GEMM, the QL sweep windows and the sort
+// permutation buffer. A sync.Pool recycles them so steady-state solves
+// allocate nothing.
 type eigWS struct {
 	team int
 
@@ -200,8 +212,8 @@ type eigWS struct {
 	xr xPassRanger
 	tr trailRanger
 	ar accumRanger
-	rr rotRanger
-	pr permRanger
+	rb rotBatch
+	lt laneTransRanger
 
 	perm []int
 }
@@ -216,8 +228,8 @@ func (ws *eigWS) clear() {
 	ws.xr = xPassRanger{}
 	ws.tr = trailRanger{}
 	ws.ar = accumRanger{}
-	ws.rr = rotRanger{}
-	ws.pr = permRanger{}
+	ws.rb = rotBatch{win: ws.rb.win[:0]}
+	ws.lt = laneTransRanger{}
 }
 
 // run executes r over [0,m) — inline when the team is 1 (or the range
@@ -592,12 +604,15 @@ func (r *accumRanger) RunRange(clo, chi int) {
 
 // batchedQL runs tql2's implicit-shift QL iteration with the rotation
 // application to Q batched: the scalar recurrence (d/e only) is byte-for-
-// byte the serial algorithm and records each sweep's Givens pairs, which a
-// row-chunked parallel pass then applies with per-row arithmetic identical
-// to the serial column loop. qtmp (n×n) is the sort scratch.
-func (ws *eigWS) batchedQL(v []float64, n int, d, e []float64, work, qtmp []float64) error {
-	cs := work[:n]
-	sn := work[n : 2*n]
+// byte the serial algorithm and records each sweep's Givens pairs into rot
+// (2·qlLanes·n float64s), and lane-block passes over qt (n×n scratch, which
+// holds Qᵀ meanwhile) apply them with per-element arithmetic identical to
+// the serial column loop.
+func (ws *eigWS) batchedQL(v []float64, n int, d, e []float64, rot, qt []float64) error {
+	ws.lt.q, ws.lt.qt, ws.lt.n, ws.lt.perm = v, qt, n, nil
+	ws.run(laneBlocks(n), &ws.lt, &ws.lt.wg)
+	ws.rb.qt, ws.rb.cs, ws.rb.n = qt, rot, n
+
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -637,6 +652,7 @@ func (ws *eigWS) batchedQL(v []float64, n int, d, e []float64, work, qtmp []floa
 				}
 				f += h
 
+				rs := ws.qlRecord(l, m)
 				p = d[m]
 				c := 1.0
 				c2, c3 := c, c
@@ -654,16 +670,12 @@ func (ws *eigWS) batchedQL(v []float64, n int, d, e []float64, work, qtmp []floa
 					c = p / r
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
-					cs[m-1-i] = c
-					sn[m-1-i] = s
+					rs[2*(m-1-i)] = c
+					rs[2*(m-1-i)+1] = s
 				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1
 				e[l] = s * p
 				d[l] = c * p
-
-				ws.rr.q, ws.rr.cs, ws.rr.sn = v, cs, sn
-				ws.rr.n, ws.rr.l, ws.rr.m = n, l, m
-				ws.run(n, &ws.rr, &ws.rr.wg)
 
 				if math.Abs(e[l]) <= eps*tst1 {
 					break
@@ -673,10 +685,11 @@ func (ws *eigWS) batchedQL(v []float64, n int, d, e []float64, work, qtmp []floa
 		d[l] += f
 		e[l] = 0
 	}
+	ws.qlFlush()
 
 	// Sort eigenvalues ascending. The selection scan and d swaps are the
-	// serial tql2 code; the column permutation is recorded and applied to
-	// Q in one row-chunked pass instead of per-swap column walks.
+	// serial tql2 code; the column permutation is recorded and applied by
+	// the transpose back to Q instead of per-swap column walks.
 	if cap(ws.perm) < n {
 		ws.perm = make([]int, n)
 	}
@@ -684,7 +697,6 @@ func (ws *eigWS) batchedQL(v []float64, n int, d, e []float64, work, qtmp []floa
 	for i := range perm {
 		perm[i] = i
 	}
-	changed := false
 	for i := 0; i < n-1; i++ {
 		k := i
 		p := d[i]
@@ -698,106 +710,105 @@ func (ws *eigWS) batchedQL(v []float64, n int, d, e []float64, work, qtmp []floa
 			d[k] = d[i]
 			d[i] = p
 			perm[i], perm[k] = perm[k], perm[i]
-			changed = true
 		}
 	}
-	if changed {
-		ws.pr.q, ws.pr.tmp, ws.pr.perm = v, qtmp, perm
-		ws.pr.n = n
-		ws.run(n, &ws.pr, &ws.pr.wg)
-	}
+	ws.lt.perm = perm
+	ws.run(laneBlocks(n), &ws.lt, &ws.lt.wg)
 	return nil
 }
 
-// rotRanger applies one QL sweep's recorded rotation sequence to a range
-// of Q's rows. Within a chunk, rows advance four at a time — four
-// independent carry chains hide the floating-point latency the serial
-// column-strided loop exposes — and each row's arithmetic is exactly the
-// serial recurrence, so grouping cannot change bits.
-type rotRanger struct {
-	wg      sync.WaitGroup
-	q       []float64
-	cs, sn  []float64
-	n, l, m int
+// laneBlocks is the number of qlLanes-wide blocks covering n lanes; the
+// last one holds the n mod qlLanes remainder.
+func laneBlocks(n int) int { return (n + qlLanes - 1) / qlLanes }
+
+// rotBatch is the QL rotation buffer: the (l, m) windows of the recorded
+// sweeps and their rotations as (c, s) pairs in generation order, applied
+// to the transposed eigenbasis by a pass over lane blocks. Each block owns
+// its qlLanes columns of qt in every row and applies the sweeps in
+// recording order, so the pass is deterministic for any chunk grid.
+type rotBatch struct {
+	wg   sync.WaitGroup
+	qt   []float64 // n×n, Qᵀ: row j holds eigenbasis column j
+	cs   []float64 // (c, s) pairs; len(cs)/2 rotations fit
+	win  []int     // (l, m) per recorded sweep
+	used int       // rotations recorded
+	n    int
 }
 
-// RunRange implements sched.Ranger over Q's rows.
-func (r *rotRanger) RunRange(lo, hi int) {
-	nrot := r.m - r.l
-	k := lo
-	for ; k+4 <= hi; k += 4 {
-		rotRows4(
-			r.q[k*r.n+r.l:k*r.n+r.m+1],
-			r.q[(k+1)*r.n+r.l:(k+1)*r.n+r.m+1],
-			r.q[(k+2)*r.n+r.l:(k+2)*r.n+r.m+1],
-			r.q[(k+3)*r.n+r.l:(k+3)*r.n+r.m+1],
-			r.cs, r.sn, nrot)
+// qlRecord reserves the slots of one sweep over window (l, m) — m−l
+// rotations, rotation t acting on columns (m−1−t, m−t) — flushing the
+// buffered sweeps first when it does not fit, and returns them for the
+// recurrence to fill with (c, s) pairs.
+func (ws *eigWS) qlRecord(l, m int) []float64 {
+	b := &ws.rb
+	nrot := m - l
+	if 2*(b.used+nrot) > len(b.cs) {
+		ws.qlFlush()
 	}
-	for ; k < hi; k++ {
-		rotRow(r.q[k*r.n+r.l:k*r.n+r.m+1], r.cs, r.sn, nrot)
+	rs := b.cs[2*b.used : 2*(b.used+nrot)]
+	b.used += nrot
+	b.win = append(b.win, l, m)
+	return rs
+}
+
+// qlFlush applies every buffered sweep in one pass over lane blocks and
+// empties the buffer.
+func (ws *eigWS) qlFlush() {
+	b := &ws.rb
+	if b.used == 0 {
+		return
 	}
+	ws.run(laneBlocks(b.n), b, &b.wg)
+	b.used, b.win = 0, b.win[:0]
 }
 
-// rotSweepRow applies rotations t = 0..nrot-1 (rotation t acts on columns
-// (m-1-t, m-t), recorded in generation order) to one row segment
-// sub = Q[row][l..m]. The carry-chain form is algebraically AND bitwise
-// the serial tql2 update: h is the running value of the right column, and
-// each step's two writes match the serial pair exactly.
-func rotSweepRow(sub, cs, sn []float64, nrot int) {
-	carry := sub[nrot]
-	for t := 0; t < nrot; t++ {
-		p := nrot - 1 - t
-		x := sub[p]
-		c, s := cs[t], sn[t]
-		sub[p+1] = s*x + c*carry
-		carry = c*x - s*carry
-	}
-	sub[0] = carry
-}
-
-// rotSweepRow4 is rotSweepRow over four rows in lockstep: identical
-// per-row arithmetic, but four independent dependency chains keep the FPU
-// pipeline full (~2.6× the single-row throughput in the scalar build).
-func rotSweepRow4(a0, a1, a2, a3, cs, sn []float64, nrot int) {
-	k0, k1, k2, k3 := a0[nrot], a1[nrot], a2[nrot], a3[nrot]
-	for t := 0; t < nrot; t++ {
-		p := nrot - 1 - t
-		c, s := cs[t], sn[t]
-		x0 := a0[p]
-		a0[p+1] = s*x0 + c*k0
-		k0 = c*x0 - s*k0
-		x1 := a1[p]
-		a1[p+1] = s*x1 + c*k1
-		k1 = c*x1 - s*k1
-		x2 := a2[p]
-		a2[p+1] = s*x2 + c*k2
-		k2 = c*x2 - s*k2
-		x3 := a3[p]
-		a3[p+1] = s*x3 + c*k3
-		k3 = c*x3 - s*k3
-	}
-	a0[0], a1[0], a2[0], a3[0] = k0, k1, k2, k3
-}
-
-// permRanger applies the eigenvalue sort's column permutation to a range
-// of Q's rows: each row is permuted into its slot of the shared scratch
-// and copied back — rows are chunk-owned, so the pass is deterministic
-// for any grid.
-type permRanger struct {
-	wg     sync.WaitGroup
-	q, tmp []float64
-	perm   []int
-	n      int
-}
-
-// RunRange implements sched.Ranger over Q's rows.
-func (r *permRanger) RunRange(lo, hi int) {
-	for k := lo; k < hi; k++ {
-		row := r.q[k*r.n : (k+1)*r.n]
-		trow := r.tmp[k*r.n : (k+1)*r.n]
-		for j := 0; j < r.n; j++ {
-			trow[j] = row[r.perm[j]]
+// RunRange implements sched.Ranger over lane blocks.
+func (b *rotBatch) RunRange(lo, hi int) {
+	n := b.n
+	for blk := lo; blk < hi; blk++ {
+		k0 := blk * qlLanes
+		w := min(qlLanes, n-k0)
+		off := 0
+		for i := 0; i < len(b.win); i += 2 {
+			l, m := b.win[i], b.win[i+1]
+			rotLanes(b.qt[l*n+k0:m*n+k0+w], n, w, b.cs[2*off:2*(off+m-l)])
+			off += m - l
 		}
-		copy(row, trow)
+	}
+}
+
+// laneTransRanger moves the eigenbasis between q (row-major n×n) and its
+// transpose qt over lane blocks of qlLanes rows of q. With perm nil it
+// writes qt = qᵀ; otherwise q[k][j] = qt[perm[j]][k], the transpose back
+// fused with the eigenvalue sort's column permutation. Each block owns its
+// rows of q and columns of qt.
+type laneTransRanger struct {
+	wg    sync.WaitGroup
+	q, qt []float64
+	perm  []int
+	n     int
+}
+
+// RunRange implements sched.Ranger over lane blocks.
+func (r *laneTransRanger) RunRange(lo, hi int) {
+	n := r.n
+	for blk := lo; blk < hi; blk++ {
+		k0 := blk * qlLanes
+		w := min(qlLanes, n-k0)
+		q := r.q[k0*n : (k0+w)*n]
+		if r.perm == nil {
+			for j := 0; j < n; j++ {
+				lanes := r.qt[j*n+k0 : j*n+k0+w]
+				for i := range lanes {
+					lanes[i] = q[i*n+j]
+				}
+			}
+			continue
+		}
+		for j, pj := range r.perm {
+			for i, x := range r.qt[pj*n+k0 : pj*n+k0+w] {
+				q[i*n+j] = x
+			}
+		}
 	}
 }

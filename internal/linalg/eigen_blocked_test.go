@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -101,7 +102,8 @@ func TestSymEigBlockedValuesMatchSerial(t *testing.T) {
 // and on repeated calls, so SPMD ranks with heterogeneous team
 // assignments stay in lockstep.
 func TestSymEigBlockedDeterministicAcrossTeams(t *testing.T) {
-	for _, n := range []int{130, 256} {
+	// 216 and 432 are the benchmark model's largest factor sizes.
+	for _, n := range []int{130, 216, 256, 432} {
 		rng := rand.New(rand.NewSource(int64(n) + 2))
 		a := randSPD(rng, n, 0.1)
 		var ref Eigen
@@ -253,5 +255,183 @@ func TestSymEigBlockedSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state SymEigBlockedInto allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// rotSweepRow is the row-sweep oracle of the QL lane pass: it applies
+// rotations t = 0..nrot-1 (rotation t acts on columns (m-1-t, m-t),
+// recorded in generation order) to one row segment sub = Q[row][l..m]. The
+// carry-chain form is algebraically and bitwise the serial tql2 update:
+// carry is the running value of the right column, and each step's two
+// writes match the serial pair exactly.
+func rotSweepRow(sub, cs, sn []float64, nrot int) {
+	carry := sub[nrot]
+	for t := 0; t < nrot; t++ {
+		p := nrot - 1 - t
+		x := sub[p]
+		c, s := cs[t], sn[t]
+		sub[p+1] = s*x + c*carry
+		carry = c*x - s*carry
+	}
+	sub[0] = carry
+}
+
+// rotSweepRowFMA is rotSweepRow with the AVX lane kernel's arithmetic: the
+// right-column update one rounded product plus one fused multiply-add, the
+// carry update one rounded product plus one fused negated multiply-add.
+func rotSweepRowFMA(sub, cs, sn []float64, nrot int) {
+	carry := sub[nrot]
+	for t := 0; t < nrot; t++ {
+		p := nrot - 1 - t
+		x := sub[p]
+		c, s := cs[t], sn[t]
+		sub[p+1] = math.FMA(s, x, c*carry)
+		carry = math.FMA(-s, carry, c*x)
+	}
+	sub[0] = carry
+}
+
+// TestQLLanePassMatchesRowSweep drives the QL lane pass the way batchedQL
+// does — transpose Q, record sweeps, flush, transpose back through a sort
+// permutation — and holds every element, bit for bit, to the row-sweep
+// oracle of the active kernel set applied to Q's rows one sweep at a time.
+// The sizes cover every remainder n mod qlLanes; the buffer capacities
+// cover the production 16·n, a sweep that exactly fills the buffer, and
+// flushes in the middle of a run of short sweeps; teams 1–3 move the chunk
+// grid over the lane blocks.
+func TestQLLanePassMatchesRowSweep(t *testing.T) {
+	oracle := rotSweepRow
+	if eigKernelISA == "avx2+fma" {
+		oracle = rotSweepRowFMA
+	}
+	var dims []int
+	for n := 1; n <= 40; n++ {
+		dims = append(dims, n)
+	}
+	dims = append(dims, 130, 216, 432)
+
+	type window struct{ l, m int }
+	type lanePassCase struct {
+		name     string
+		capacity int // rotations the buffer holds
+		sweeps   []window
+	}
+	for _, n := range dims {
+		rng := rand.New(rand.NewSource(int64(n)))
+		// A hundred random windows of ≈ n/4 rotations each overflow the
+		// 16·n production buffer, so it flushes mid-sequence too.
+		cases := []lanePassCase{{name: "production", capacity: qlLanes * n}}
+		for i := 0; i < 100 && n > 1; i++ {
+			l := rng.Intn(n - 1)
+			cases[0].sweeps = append(cases[0].sweeps, window{l, l + 1 + rng.Intn(n-1-l)})
+		}
+		if n > 1 {
+			// The first sweep fills the buffer exactly; the second flushes it.
+			cases = append(cases, lanePassCase{"exact fill", n - 1, []window{{0, n - 1}, {0, n - 1}, {n / 2, n - 1}}})
+			// Sweeps of 1–3 rotations against a 7-rotation buffer flush
+			// between two short sweeps, many times over.
+			short := lanePassCase{name: "short sweeps", capacity: 7}
+			for i := 0; i < 30; i++ {
+				l := rng.Intn(n - 1)
+				m := min(l+1+rng.Intn(3), n-1)
+				short.sweeps = append(short.sweeps, window{l, m})
+			}
+			cases = append(cases, short)
+		}
+
+		for _, tc := range cases {
+			for _, team := range []int{1, 2, 3} {
+				q := make([]float64, n*n)
+				for i := range q {
+					q[i] = rng.NormFloat64()
+				}
+				want := append([]float64(nil), q...)
+				qt := make([]float64, n*n)
+
+				ws := &eigWS{team: team}
+				ws.lt.q, ws.lt.qt, ws.lt.n = q, qt, n
+				ws.run(laneBlocks(n), &ws.lt, &ws.lt.wg)
+				ws.rb.qt, ws.rb.cs, ws.rb.n = qt, make([]float64, 2*tc.capacity), n
+
+				cs, sn := make([]float64, n), make([]float64, n)
+				for i, sw := range tc.sweeps {
+					nrot := sw.m - sw.l
+					before := ws.rb.used
+					rs := ws.qlRecord(sw.l, sw.m)
+					flushed := before+nrot > tc.capacity
+					if got := ws.rb.used; (flushed && got != nrot) || (!flushed && got != before+nrot) {
+						t.Fatalf("n=%d %s sweep %d: %d rotations buffered after recording %d onto %d (capacity %d)",
+							n, tc.name, i, got, nrot, before, tc.capacity)
+					}
+					for r := 0; r < nrot; r++ {
+						theta := rng.Float64() * 2 * math.Pi
+						cs[r], sn[r] = math.Cos(theta), math.Sin(theta)
+						rs[2*r], rs[2*r+1] = cs[r], sn[r]
+					}
+					for k := 0; k < n; k++ {
+						oracle(want[k*n+sw.l:k*n+sw.m+1], cs, sn, nrot)
+					}
+				}
+				ws.qlFlush()
+
+				perm := rng.Perm(n)
+				ws.lt.perm = perm
+				ws.run(laneBlocks(n), &ws.lt, &ws.lt.wg)
+				for k := 0; k < n; k++ {
+					for j := 0; j < n; j++ {
+						if got, w := q[k*n+j], want[k*n+perm[j]]; math.Float64bits(got) != math.Float64bits(w) {
+							t.Fatalf("n=%d %s team=%d: Q[%d,%d] = %v, row-sweep oracle %v (kernels %s)",
+								n, tc.name, team, k, j, got, w, eigKernelISA)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// kfacFactor returns an n×n factor shaped like K-FAC's: a running average
+// (decay 0.95) of updates Gram products of batch×n Gaussian captures.
+func kfacFactor(rng *rand.Rand, n, batch, updates int) *tensor.Tensor {
+	a := tensor.New(n, n)
+	g := tensor.New(n, n)
+	for u := 0; u < updates; u++ {
+		x := tensor.Randn(rng, 1, batch, n)
+		SymMulT1Into(g, x)
+		for i := range a.Data {
+			a.Data[i] = 0.95*a.Data[i] + 0.05*g.Data[i]/float64(batch)
+		}
+	}
+	return a
+}
+
+// BenchmarkSymEigBlockedQL decomposes a K-FAC-like factor (a running
+// average of 72×n Gram products) at the benchmark model's largest factor
+// sizes and reports the blocked kernels' split from EigKernelTimes — the
+// numbers of docs/PERFORMANCE.md's "Batched QL" table:
+//
+//	go test -run '^$' -bench SymEigBlockedQL ./internal/linalg
+func BenchmarkSymEigBlockedQL(b *testing.B) {
+	for _, n := range []int{216, 432} {
+		a := kfacFactor(rand.New(rand.NewSource(int64(n))), n, 72, 8)
+		for _, team := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/team=%d", n, team), func(b *testing.B) {
+				var eg Eigen
+				if err := SymEigBlockedInto(a, &eg, team); err != nil {
+					b.Fatal(err)
+				}
+				var tm EigKernelTimes
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := SymEigBlockedTimedInto(a, &eg, team, &tm); err != nil {
+						b.Fatal(err)
+					}
+				}
+				perOp := 1e6 * float64(b.N)
+				b.ReportMetric(float64(tm.QLNS)/perOp, "ql_ms")
+				b.ReportMetric(float64(tm.TridiagNS)/perOp, "tri_ms")
+				b.ReportMetric(float64(tm.BackAccumNS)/perOp, "acc_ms")
+			})
+		}
 	}
 }

@@ -17,7 +17,7 @@ func dotF64AVX(a, b []float64) float64
 func axpyF64AVX(dst, src []float64, a float64)
 
 //go:noescape
-func rotRows4AVX(a0, a1, a2, a3, cs, sn []float64, nrot int)
+func rotLanesAVX(q []float64, n int, cs []float64)
 
 // eigCPUID executes CPUID with the given leaf/subleaf.
 func eigCPUID(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -50,31 +50,38 @@ func eigHasAVX2FMA() bool {
 	return ebx7&avx2 != 0
 }
 
-// rotSweepRowFMA is the single-row rotation sweep with arithmetic
-// bitwise-matched to rotRows4AVX: the right-column update is one rounded
-// product plus one fused multiply-add (VMULPD + VFMADD231PD), the carry
-// update one rounded product plus one fused negated multiply-add
-// (VMULPD + VFNMADD231PD). Chunk grids group rows into fours with a
-// scalar remainder, so this pairing is what keeps the QL pass
-// deterministic across team sizes under the AVX dispatch.
-func rotSweepRowFMA(sub, cs, sn []float64, nrot int) {
-	carry := sub[nrot]
-	for t := 0; t < nrot; t++ {
-		p := nrot - 1 - t
-		x := sub[p]
-		c, s := cs[t], sn[t]
-		sub[p+1] = math.FMA(s, x, c*carry)
-		carry = math.FMA(-s, carry, c*x)
+// rotLanesFMA is rotLanes under the AVX dispatch: a full block runs
+// rotLanesAVX, and the n mod qlLanes remainder a scalar loop with the
+// kernel's arithmetic — the right-row update one rounded product plus one
+// fused multiply-add (VMULPD + VFMADD231PD), the carry update one rounded
+// product plus one fused negated multiply-add (VMULPD + VFNMADD) — so a
+// lane's bits do not depend on its block.
+func rotLanesFMA(q []float64, n, w int, cs []float64) {
+	if w == qlLanes {
+		rotLanesAVX(q, n, cs)
+		return
 	}
-	sub[0] = carry
+	nrot := len(cs) / 2
+	var carry [qlLanes]float64
+	copy(carry[:w], q[nrot*n:nrot*n+w])
+	for t := 0; t < nrot; t++ {
+		p := (nrot - 1 - t) * n
+		c, s := cs[2*t], cs[2*t+1]
+		x := q[p : p+w]
+		out := q[p+n : p+n+w]
+		for j, xj := range x {
+			out[j] = math.FMA(s, xj, c*carry[j])
+			carry[j] = math.FMA(-s, carry[j], c*xj)
+		}
+	}
+	copy(q[:w], carry[:w])
 }
 
 func init() {
 	if eigHasAVX2FMA() {
 		eigDot = dotF64AVX
 		eigAxpy = axpyF64AVX
-		rotRows4 = rotRows4AVX
-		rotRow = rotSweepRowFMA
+		rotLanes = rotLanesFMA
 		eigKernelISA = "avx2+fma"
 	}
 }

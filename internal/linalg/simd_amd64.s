@@ -107,70 +107,74 @@ axpy_done:
 	VZEROUPPER
 	RET
 
-// func rotRows4AVX(a0, a1, a2, a3, cs, sn []float64, nrot int)
-// Applies rotation sweep t = 0..nrot-1 (rotation t on positions
-// (nrot-1-t, nrot-t), generation order) to four row segments in lockstep:
-// lane r holds row r's running carry, and each step gathers the four
-// rows' element p into one ymm, computes out = s*x + c*carry (VMULPD +
-// VFMADD231PD) and carry' = c*x − s*carry (VMULPD + VFNMADD231PD), and
-// scatters out to position p+1. Bitwise-matched by rotSweepRowFMA for the
-// remainder rows.
-TEXT ·rotRows4AVX(SB), NOSPLIT, $0-152
-	MOVQ a0_base+0(FP), R8
-	MOVQ a1_base+24(FP), R9
-	MOVQ a2_base+48(FP), R10
-	MOVQ a3_base+72(FP), R11
-	MOVQ cs_base+96(FP), SI
-	MOVQ sn_base+120(FP), DI
-	MOVQ nrot+144(FP), CX
+// func rotLanesAVX(q []float64, n int, cs []float64)
+// Applies one recorded QL sweep to a full block of 16 lanes of the
+// transposed eigenbasis: q[0:16] is row l, q[nrot*n : nrot*n+16] row m,
+// and rotation t = 0..nrot-1 (c = cs[2t], s = cs[2t+1]) acts on rows
+// (m-1-t, m-t). Y0-Y3 carry the 16 lanes' running right-row value; each
+// step loads row p = m-1-t with contiguous VMOVUPDs, stores
+// out = s*x + c*carry (VMULPD + VFMADD231PD) to row p+1 and forms
+// carry' = c*x - s*carry (VMULPD + VFNMADD213PD), the fused pair the
+// scalar remainder loop of rotLanesFMA performs. Row l receives the final
+// carry.
+TEXT ·rotLanesAVX(SB), NOSPLIT, $0-56
+	MOVQ  q_base+0(FP), DI
+	MOVQ  n+24(FP), BX
+	MOVQ  cs_base+32(FP), SI
+	MOVQ  cs_len+40(FP), CX
+	SHRQ  $1, CX                  // nrot
+	SHLQ  $3, BX                  // row stride in bytes
+	MOVQ  CX, AX
+	IMULQ BX, AX
+	ADDQ  AX, DI                  // DI = row m
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	TESTQ CX, CX
+	JZ    lanes_done
 
-	// carry = [a0[nrot], a1[nrot], a2[nrot], a3[nrot]]
-	VMOVSD      (R8)(CX*8), X4
-	VMOVHPD     (R9)(CX*8), X4, X4
-	VMOVSD      (R10)(CX*8), X5
-	VMOVHPD     (R11)(CX*8), X5, X5
-	VINSERTF128 $1, X5, Y4, Y4
-	XORQ        AX, AX
+lanes_loop:
+	MOVQ DI, R8                   // R8 = row p+1 (out)
+	SUBQ BX, DI                   // DI = row p (x)
+	VBROADCASTSD (SI), Y4         // c
+	VBROADCASTSD 8(SI), Y5        // s
 
-rot_loop:
-	CMPQ AX, CX
-	JGE  rot_done
-	MOVQ CX, DX
-	SUBQ AX, DX
-	DECQ DX                       // p = nrot-1-t
-	VBROADCASTSD (SI)(AX*8), Y0   // c
-	VBROADCASTSD (DI)(AX*8), Y1   // s
+	VMOVUPD     (DI), Y6
+	VMOVUPD     32(DI), Y7
+	VMOVUPD     64(DI), Y8
+	VMOVUPD     96(DI), Y9
+	VMULPD      Y0, Y4, Y10       // c*carry
+	VMULPD      Y1, Y4, Y11
+	VMULPD      Y2, Y4, Y12
+	VMULPD      Y3, Y4, Y13
+	VFMADD231PD Y6, Y5, Y10       // + s*x
+	VFMADD231PD Y7, Y5, Y11
+	VFMADD231PD Y8, Y5, Y12
+	VFMADD231PD Y9, Y5, Y13
+	VMOVUPD     Y10, (R8)
+	VMOVUPD     Y11, 32(R8)
+	VMOVUPD     Y12, 64(R8)
+	VMOVUPD     Y13, 96(R8)
+	VMULPD      Y6, Y4, Y6        // c*x
+	VMULPD      Y7, Y4, Y7
+	VMULPD      Y8, Y4, Y8
+	VMULPD      Y9, Y4, Y9
+	VFNMADD213PD Y6, Y5, Y0       // carry = c*x - s*carry
+	VFNMADD213PD Y7, Y5, Y1
+	VFNMADD213PD Y8, Y5, Y2
+	VFNMADD213PD Y9, Y5, Y3
 
-	// x = [a0[p], a1[p], a2[p], a3[p]]
-	VMOVSD      (R8)(DX*8), X2
-	VMOVHPD     (R9)(DX*8), X2, X2
-	VMOVSD      (R10)(DX*8), X3
-	VMOVHPD     (R11)(DX*8), X3, X3
-	VINSERTF128 $1, X3, Y2, Y2
+	ADDQ $16, SI
+	DECQ CX
+	JNZ  lanes_loop
 
-	VMULPD      Y4, Y0, Y5        // c*carry
-	VFMADD231PD Y2, Y1, Y5        // + s*x
-	VMULPD      Y2, Y0, Y6        // c*x
-	VFNMADD231PD Y4, Y1, Y6       // − s*carry
-	VMOVAPD     Y6, Y4
-
-	// rows[p+1] = out
-	VMOVSD       X5, 8(R8)(DX*8)
-	VMOVHPD      X5, 8(R9)(DX*8)
-	VEXTRACTF128 $1, Y5, X7
-	VMOVSD       X7, 8(R10)(DX*8)
-	VMOVHPD      X7, 8(R11)(DX*8)
-
-	INCQ AX
-	JMP  rot_loop
-
-rot_done:
-	// rows[0] = carry
-	VMOVSD       X4, (R8)
-	VMOVHPD      X4, (R9)
-	VEXTRACTF128 $1, Y4, X7
-	VMOVSD       X7, (R10)
-	VMOVHPD      X7, (R11)
+lanes_done:
+	// row l = carry (DI is row m when nrot = 0, which is then row l)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
 	VZEROUPPER
 	RET
 
