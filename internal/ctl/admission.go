@@ -40,9 +40,11 @@ func (e *AdmissionError) Error() string { return "ctl: admission rejected: " + e
 // checks the worker quota (World ≤ fleet.Workers) and, when the fleet
 // declares per-worker memory, models the job's exact K-FAC distribution
 // plan via kfac.BuildPlan and rejects if any rank's resident decomposition
-// footprint (Plan.DecompElemsPerRank × 8 bytes) exceeds the budget. Jobs
-// without K-FAC skip the memory check. A nil return admits the job; a
-// non-nil return is an *AdmissionError.
+// footprint (Plan.DecompElemsPerRank × 8 bytes) exceeds the budget; a model
+// whose parameters alone exceed the job's workers' budgets together is
+// refused before the plan is built. Jobs without K-FAC skip the memory
+// check. A nil return admits the job; a non-nil return is an
+// *AdmissionError.
 func Admit(spec *JobSpec, fleet Fleet) error {
 	if fleet.Workers < 1 {
 		return &AdmissionError{Reason: "fleet has no workers"}
@@ -53,6 +55,20 @@ func Admit(spec *JobSpec, fleet Fleet) error {
 	}
 	if spec.KFAC == nil || fleet.MemoryPerWorker <= 0 {
 		return nil
+	}
+	// The plan comes from a throwaway instance of the model, so first
+	// refuse, from the closed-form parameter count, a model the plan check
+	// below must refuse anyway. A capturable layer with a dg×da weight
+	// matrix has factors of dims da and dg, whose decompositions hold
+	// da²+da+dg²+dg ≥ da·dg + 2·dg elements: its weights plus the scales
+	// and shifts of the batch norm after it. Every factor resides on some
+	// rank, so the ranks' footprints sum to at least 8 bytes per parameter.
+	params := spec.Model.params()
+	if need := decompBytesPerElem * params; need > float64(spec.World)*float64(fleet.MemoryPerWorker) {
+		return &AdmissionError{Reason: fmt.Sprintf(
+			"a %s model of %.4g parameters needs at least %.4g bytes of K-FAC decomposition memory "+
+				"across its %d workers, which offer %d each; shrink the model",
+			spec.Model.Kind, params, need, spec.World, fleet.MemoryPerWorker)}
 	}
 	refs, err := spec.Model.FactorRefs()
 	if err != nil {

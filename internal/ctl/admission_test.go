@@ -1,9 +1,13 @@
 package ctl
 
 import (
+	"bytes"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/kfac"
 	"repro/internal/simulate"
@@ -192,6 +196,168 @@ func TestAdmitMemoryFootprintFollowsPlan(t *testing.T) {
 	if err := Admit(&plain, Fleet{Workers: 8, MemoryPerWorker: 1}); err != nil {
 		t.Errorf("non-K-FAC job rejected on K-FAC memory: %v", err)
 	}
+}
+
+// TestAdmitRefusesOversizedModelUnbuilt: one POSTed K-FAC spec with a huge
+// width used to reach FactorRefs inside Admit, which builds the model — a
+// 309 GB allocation and a fatal out-of-memory, not a recoverable panic. On
+// a fleet that declares per-worker memory, Admit now refuses such a model
+// from its closed-form parameter count before building anything. (Over the
+// API the long MLP below never gets this far: see
+// TestSubmitRejectsOversizedBody.)
+func TestAdmitRefusesOversizedModelUnbuilt(t *testing.T) {
+	body := `{"name": "huge", "model": {"kind": "cifar-resnet", "blocks": 1, "width": 65536},
+		"data": {"train": 8, "test": 8, "classes": 10, "channels": 3, "size": 8},
+		"world": 1, "epochs": 1, "batch_per_rank": 4, "lr": 0.1, "kfac": {}}`
+	huge, err := decodeJobSpec(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The long unit-width MLP: about 8.4M parameters in 4M layers.
+	deep := tinySpec()
+	deep.Model.Dims = make([]int, 1<<22)
+	for i := range deep.Model.Dims {
+		deep.Model.Dims[i] = 1
+	}
+	deep.Model.Dims[0], deep.Model.Dims[len(deep.Model.Dims)-1] = 16, 4
+	deep.KFAC = &KFACSpec{DistMode: "memopt"}
+	wide := tinySpec()
+	wide.Model = ModelSpec{Kind: "smallcnn", Width: 1 << 40, Channels: 1, Classes: 4}
+	tall := tinySpec()
+	tall.Model = ModelSpec{Kind: "cifar-resnet", Blocks: 1 << 40, Width: 1, Channels: 1, Classes: 4}
+	for _, s := range []*JobSpec{&huge, deep, wide, tall} {
+		s.KFAC = &KFACSpec{DistMode: "memopt"}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%s: %v", s.Model.Kind, err)
+		}
+		start := time.Now()
+		err := Admit(s, Fleet{Workers: 4, MemoryPerWorker: 1 << 20})
+		var adm *AdmissionError
+		if !errors.As(err, &adm) || !strings.Contains(err.Error(), "parameters") {
+			t.Errorf("%s: Admit = %v, want a parameter-count rejection", s.Model.Kind, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: refusing the oversized model took %v", s.Model.Kind, d)
+		}
+	}
+	if err := (ModelSpec{Kind: "mlp", Dims: []int{4, 4}, Classes: -1}).validate(); err == nil {
+		t.Error("validate accepted a negative class count")
+	}
+}
+
+// TestAdmitParamBoundIsNecessary holds the premise Admit's closed-form
+// refusal rests on: under every distribution mode and world size, the
+// ranks' decomposition footprints sum to at least one element per model
+// parameter, so a model refused for its parameter count would fail the
+// plan check too. Width 1 and one input channel are the tightest cases
+// (batch-norm parameters weigh most against the factors).
+func TestAdmitParamBoundIsNecessary(t *testing.T) {
+	for _, m := range []ModelSpec{
+		{Kind: "smallcnn", Width: 1, Channels: 1, Classes: 2},
+		{Kind: "smallcnn", Width: 6},
+		{Kind: "cifar-resnet", Blocks: 1, Width: 1, Channels: 1, Classes: 2},
+		{Kind: "cifar-resnet", Blocks: 2, Width: 3},
+		{Kind: "mlp", Dims: []int{1, 1, 1, 2}},
+		{Kind: "mlp", Dims: []int{16, 64, 4}},
+	} {
+		refs, err := m.FactorRefs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []kfac.DistMode{kfac.CommOpt, kfac.MemOpt, kfac.Hybrid} {
+			for world := 1; world <= 5; world++ {
+				plan := kfac.BuildPlan(kfac.RoundRobin, mode, 0.5, refs, world)
+				var sum int64
+				for _, elems := range plan.DecompElemsPerRank(refs) {
+					sum += elems
+				}
+				if float64(sum) < m.params() {
+					t.Errorf("%+v %v world %d: decompositions hold %d elements, the model has %v parameters",
+						m, mode, world, sum, m.params())
+				}
+			}
+		}
+	}
+}
+
+// TestSubmitRejectsOversizedBody: the body cap is what bounds an mlp's
+// layer count over the API. The long unit-width spec — 4M layers, an 8 MB
+// body — is refused with 413 before it is decoded, and no job is recorded.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	d, err := NewDaemon(Config{
+		Fleet:      Fleet{Workers: 4, MemoryPerWorker: 64 << 20},
+		StoreDir:   t.TempDir(),
+		ScratchDir: t.TempDir(),
+		Heartbeat:  fastHeartbeat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv := httptest.NewServer(NewHandler(d))
+	defer srv.Close()
+
+	var body strings.Builder
+	body.WriteString(`{"name": "deep", "model": {"kind": "mlp", "classes": 4, "dims": [16`)
+	for i := 0; i < 1<<22; i++ {
+		body.WriteString(",1")
+	}
+	body.WriteString(`,4]}, "data": {"train": 32, "test": 8, "classes": 4, "channels": 1, "size": 4},
+		"world": 2, "epochs": 1, "batch_per_rank": 4, "lr": 0.05, "kfac": {"dist_mode": "memopt"}}`)
+	resp, err := srv.Client().Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if jobs := d.Jobs(); len(jobs) != 0 {
+		t.Errorf("oversized body recorded %d job(s)", len(jobs))
+	}
+}
+
+// FuzzJobSpecDecode feeds arbitrary request bodies through the submit
+// handler's decoder, Validate and Admit on a small fleet that declares
+// per-worker memory, so an accepted K-FAC spec reaches FactorRefs. Any
+// input must end in an error or an admission decision: never a panic, and
+// never an admitted model whose parameters exceed the workers' budgets.
+func FuzzJobSpecDecode(f *testing.F) {
+	f.Add([]byte(`{"name": "tiny", "model": {"kind": "mlp", "dims": [16, 8, 4], "classes": 4},
+		"data": {"train": 32, "test": 8, "classes": 4, "channels": 1, "size": 4},
+		"world": 2, "epochs": 2, "batch_per_rank": 4, "lr": 0.05, "kfac": {"dist_mode": "memopt"}}`))
+	f.Add([]byte(`{"name": "cnn", "model": {"kind": "smallcnn", "width": 4},
+		"data": {"train": 8, "test": 8, "classes": 10, "channels": 3, "size": 8},
+		"world": 1, "epochs": 1, "batch_per_rank": 2, "lr": 0.1, "kfac": {}}`))
+	f.Add([]byte(`{"name": "res", "model": {"kind": "cifar-resnet", "blocks": 1, "width": 4},
+		"data": {"train": 8, "test": 8, "classes": 10, "channels": 3, "size": 8},
+		"world": 2, "epochs": 3, "batch_per_rank": 2, "lr": 0.1,
+		"kfac": {"dist_mode": "hybrid", "grad_worker_frac": 0.5},
+		"chaos": {"kill_rank": 1, "kill_at_epoch": 1}}`))
+	f.Add([]byte(`{"name": "huge", "model": {"kind": "cifar-resnet", "blocks": 1, "width": 65536},
+		"data": {"train": 8, "test": 8, "classes": 10, "channels": 3, "size": 8},
+		"world": 1, "epochs": 1, "batch_per_rank": 4, "lr": 0.1, "kfac": {}}`))
+	f.Add([]byte(`{"model": {"kind": "mlp", "dims": [3, -1]}, "bogus": 1}`))
+	f.Add([]byte(`[]`))
+	fleet := Fleet{Workers: 4, MemoryPerWorker: 1 << 20}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := decodeJobSpec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			return
+		}
+		err = Admit(&spec, fleet)
+		if err == nil && spec.KFAC != nil &&
+			decompBytesPerElem*spec.Model.params() > float64(spec.World)*float64(fleet.MemoryPerWorker) {
+			t.Fatalf("Admit accepted a model of %g parameters", spec.Model.params())
+		}
+		var adm *AdmissionError
+		if err != nil && !errors.As(err, &adm) {
+			t.Fatalf("Admit returned %T, want *AdmissionError", err)
+		}
+	})
 }
 
 func TestAdmitEmptyFleet(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -42,7 +43,8 @@ type CheckpointView struct {
 //	GET  /healthz                      liveness
 //
 // Every response is JSON; errors use the {"error": ...} envelope with 400
-// for bad specs/verbs, 404 for unknown jobs, and 503 while draining.
+// for bad specs/verbs, 413 for a spec body over maxJobSpecBytes, 404 for
+// unknown jobs, and 503 while draining.
 func NewHandler(d *Daemon) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -57,11 +59,14 @@ func NewHandler(d *Daemon) http.Handler {
 		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{fmt.Sprintf("decoding job spec: %v", err)})
+		spec, err := decodeJobSpec(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
+		if err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, status, apiError{fmt.Sprintf("decoding job spec: %v", err)})
 			return
 		}
 		v, err := d.Submit(&spec)
@@ -154,6 +159,22 @@ func NewHandler(d *Daemon) http.Handler {
 		writeJSON(w, http.StatusOK, views)
 	})
 	return mux
+}
+
+// maxJobSpecBytes caps a submitted JobSpec body. A spec with every field
+// set is under 1 KiB; the cap is what bounds the length of an mlp's dims
+// list, and so the layer count of the instance Admit builds (at most 32 Ki
+// unit-width layers, about 36 MB of layers and factor refs).
+const maxJobSpecBytes = 64 << 10
+
+// decodeJobSpec reads one submitted JobSpec, rejecting fields the spec does
+// not declare so a misspelt knob fails loudly instead of defaulting.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -43,6 +43,10 @@ func (m *ModelSpec) fillDefaults() {
 }
 
 func (m ModelSpec) validate() error {
+	if m.Channels < 0 || m.Classes < 0 {
+		return fmt.Errorf("ctl: model channels and classes must be ≥ 1 (0 = default), got %d/%d",
+			m.Channels, m.Classes)
+	}
 	switch m.Kind {
 	case "smallcnn":
 		if m.Width < 1 {
@@ -66,6 +70,22 @@ func (m ModelSpec) validate() error {
 		return fmt.Errorf("ctl: unknown model kind %q (want smallcnn, cifar-resnet, or mlp)", m.Kind)
 	}
 	return nil
+}
+
+// params is the parameter count of the model Build constructs, from the
+// closed-form counts beside the models constructors, so nothing is built
+// to count it.
+func (m ModelSpec) params() float64 {
+	m.fillDefaults()
+	switch m.Kind {
+	case "smallcnn":
+		return models.SmallCNNParams(m.Channels, m.Classes, m.Width)
+	case "cifar-resnet":
+		return models.CIFARResNetParams(m.Blocks, m.Width, m.Channels, m.Classes)
+	case "mlp":
+		return models.MLPParams(m.Dims)
+	}
+	return 0
 }
 
 // Build constructs the model. The rng only seeds the initial weights; the

@@ -13,9 +13,10 @@ type EigSolver int
 const (
 	// EigBlocked (the default) is the blocked multi-threaded solver
 	// (linalg.SymEigBlockedInto): Level-3 Householder tridiagonalization
-	// with compact-WY trailing updates, parallel Q back-accumulation, and
-	// batched QL rotations, run with the per-factor worker team chosen by
-	// the eig scheduler. Bitwise deterministic across team sizes and runs.
+	// with compact-WY trailing updates, Q back-accumulation as pooled
+	// compact-WY GEMMs, and batched QL rotations, run with the per-factor
+	// worker team chosen by the eig scheduler. Bitwise deterministic across
+	// team sizes and runs.
 	EigBlocked EigSolver = iota
 	// EigSerial is the original single-threaded tred2/tql2 pair
 	// (linalg.SymEigInto), retained as the oracle — the escape hatch

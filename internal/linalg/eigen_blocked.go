@@ -1,5 +1,5 @@
 // Blocked symmetric eigensolver: Level-3 Householder tridiagonalization in
-// the compact-WY representation, a parallel Q back-accumulation pass, and a
+// the compact-WY representation, a GEMM-rate Q back-accumulation, and a
 // batched-rotation QL iteration. This is the multi-threaded counterpart of
 // the serial tred2/tql2 pair in eigen.go, built so that every parallel
 // partition is a fixed chunk grid whose elements are each produced by
@@ -19,10 +19,13 @@
 //     subtraction — the Level-3 step that carries ~2/3 of the reduction's
 //     flops.
 //  2. Q back-accumulation. Q is formed from the stored reflectors (kept in
-//     the reduced matrix's lower triangle, LAPACK-style) panel by panel in
-//     reverse, Q ← (I − V T Vᵀ)Q, with the small triangular T rebuilt per
-//     panel and the three GEMV/GEMM phases fused into one column-chunked
-//     parallel pass over the active bottom-right window.
+//     the reduced matrix's lower triangle, LAPACK-style) in panels of width
+//     accBlock, in reverse: Q ← (I − V T Vᵀ)Q. Only the bottom-right window
+//     W = Q[j0+1:, j0+1:] is not yet identity; it is kept contiguous at the
+//     front of Q's storage and re-strided in place as each panel widens it.
+//     T comes from one Gram product VᵀV, and each panel is three pooled
+//     GEMMs — M1 = VᵀW, M2 = T·M1, P = V·M2 — plus the subtraction W −= P,
+//     so every Q element is the GEMM's fixed FMA chain whatever the team.
 //  3. Batched QL. The scalar shift/rotation recurrence of tql2 — which
 //     touches only the tridiagonal d/e arrays — runs serially and records
 //     each sweep's window and rotation cosines/sines into a bounded buffer
@@ -46,11 +49,19 @@ import (
 )
 
 const (
-	// eigBlock is the panel width b of the blocked tridiagonalization and
-	// the back-accumulation. 32 keeps one U=[V|W] panel row (2b float64s)
-	// inside a cache line multiple and the rank-2b GEMM dots long enough
-	// for the pooled kernels to run at full throughput.
+	// eigBlock is the panel width b of the blocked tridiagonalization. 32
+	// keeps one U=[V|W] panel row (2b float64s) inside a cache line multiple
+	// and the rank-2b GEMM dots long enough for the pooled kernels to run at
+	// full throughput.
 	eigBlock = 32
+
+	// accBlock is the panel width of the back-accumulation. The reflectors
+	// are stored in A's lower triangle and tau, so they regroup freely; at
+	// 64 the products V·M2 and T·M1 have a 64-deep inner dimension and the
+	// per-panel packing and dispatch are amortized over twice the flops.
+	// It equals the U=[V|W] panel's row width, so the packed V and M1 reuse
+	// the tridiagonalization's U and C panels once it is done.
+	accBlock = 2 * eigBlock
 
 	// eigBlockedMinDim is the dimension below which the blocked solver
 	// falls back to the serial tred2/tql2 pair: small factors are
@@ -70,8 +81,11 @@ const (
 // eigArena pools the blocked solver's workspaces — the reduced matrix copy
 // (whose lower triangle stores the Householder vectors, and which then
 // holds the transposed eigenbasis during QL), the U=[V|W] and
-// column-swapped panels, the rank-2b update buffer, and the QL rotation
-// buffer — so steady-state redecomposition performs no heap allocation.
+// column-swapped panels (which the back-accumulation then reuses for its
+// packed V and first product), the rank-2b update buffer, the
+// back-accumulation's second product with its T and Gram blocks, and the
+// QL rotation buffer — so steady-state redecomposition performs no heap
+// allocation.
 // Checkouts are balanced per call (Get/Put), never Reset, so concurrent
 // decompositions (the pipelined engine, intra-step factor teams) share the
 // arena safely.
@@ -162,6 +176,7 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 	C := eigArena.Get(n, 2*eigBlock)
 	tauT := eigArena.Get(n)
 	workT := eigArena.Get(4 * n)
+	accT := eigArena.Get(accBlock*n + 2*accBlock*accBlock)
 	rotT := eigArena.Get(2 * qlLanes * n)
 	defer func() {
 		ws.clear()
@@ -172,6 +187,7 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 		eigArena.Put(C)
 		eigArena.Put(tauT)
 		eigArena.Put(workT)
+		eigArena.Put(accT)
 		eigArena.Put(rotT)
 	}()
 
@@ -185,8 +201,7 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 	start := time.Now()
 	ws.blockedTridiag(A.Data, S, U, C, n, d, e, tauT.Data, workT.Data)
 	tTri := time.Now()
-	identityInto(v.Data, n)
-	ws.backAccumulate(v.Data, A.Data, n, tauT.Data, U.Data, C.Data, S.Data)
+	ws.backAccumulate(v.Data, A.Data, n, tauT.Data, U.Data, C.Data, accT.Data, S.Data)
 	tAcc := time.Now()
 	err := ws.batchedQL(v.Data, n, d, e, rotT.Data, A.Data)
 	if tm != nil {
@@ -206,12 +221,10 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 type eigWS struct {
 	team int
 
-	// View headers over arena storage for the trailing-update GEMM.
-	sv, uv, cv tensor.Tensor
+	// View headers over arena storage for the pooled GEMMs (see view).
+	views [4]tensor.Tensor
 
-	xr xPassRanger
 	tr trailRanger
-	ar accumRanger
 	rb rotBatch
 	lt laneTransRanger
 
@@ -220,16 +233,25 @@ type eigWS struct {
 
 var eigWSPool = sync.Pool{New: func() any { return &eigWS{} }}
 
-// clear drops the slice references the rangers and views captured so a
-// pooled workspace does not pin arena storage class membership decisions
-// to stale shapes.
+// clear drops the slice references the rangers and views captured, so a
+// pooled workspace does not keep arena storage reachable after the solve
+// has handed it back.
 func (ws *eigWS) clear() {
-	ws.sv.Data, ws.uv.Data, ws.cv.Data = nil, nil, nil
-	ws.xr = xPassRanger{}
+	for i := range ws.views {
+		ws.views[i].Data = nil
+	}
 	ws.tr = trailRanger{}
-	ws.ar = accumRanger{}
 	ws.rb = rotBatch{win: ws.rb.win[:0]}
 	ws.lt = laneTransRanger{}
+}
+
+// view points header i at the leading rows×cols of data, reusing the
+// header's shape slice, and returns it as a GEMM operand.
+func (ws *eigWS) view(i int, data []float64, rows, cols int) *tensor.Tensor {
+	t := &ws.views[i]
+	t.Shape = append(t.Shape[:0], rows, cols)
+	t.Data = data[:rows*cols]
+	return t
 }
 
 // run executes r over [0,m) — inline when the team is 1 (or the range
@@ -243,16 +265,6 @@ func (ws *eigWS) run(m int, r sched.Ranger, wg *sync.WaitGroup) {
 		return
 	}
 	sched.Shared().ForEach(m, ws.team, r, wg)
-}
-
-// identityInto writes the n×n identity.
-func identityInto(q []float64, n int) {
-	for i := range q[:n*n] {
-		q[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		q[i*n+i] = 1
-	}
 }
 
 // eigDot4 is a fixed-order dot product with four partial accumulators (the
@@ -373,13 +385,18 @@ func (ws *eigWS) blockedTridiag(A []float64, S, U, C *tensor.Tensor, n int, d, e
 				}
 			}
 
-			// x = (A − VWᵀ − WVᵀ)·v: chunked row dots over the trailing
-			// rows, the prior-column corrections folded into each row's
-			// owner chunk.
-			ws.xr.A, ws.xr.U = A, U.Data
-			ws.xr.v, ws.xr.x, ws.xr.tmp1, ws.xr.tmp2 = hv[:m], x, tmp1, tmp2
-			ws.xr.n, ws.xr.j, ws.xr.jj = n, j, jj
-			ws.run(m, &ws.xr, &ws.xr.wg)
+			// x = (A − VWᵀ − WVᵀ)·v: one row dot per trailing row, with the
+			// prior-column corrections. Run inline: it is memory-bound
+			// and one dispatch per column costs more than a team gains.
+			for i := 0; i < m; i++ {
+				p := j + 1 + i
+				acc := eigDot(A[p*n+j+1:p*n+n], hv[:m])
+				if jj > 0 {
+					urow := U.Data[(jj+i)*2*b:]
+					acc -= eigDot(urow[:jj], tmp1) + eigDot(urow[b:b+jj], tmp2)
+				}
+				x[i] = acc
+			}
 
 			// w = τx − ½τ²(xᵀv)·v, stored as W column jj.
 			t := tau[j]
@@ -406,13 +423,8 @@ func (ws *eigWS) blockedTridiag(A []float64, S, U, C *tensor.Tensor, n int, d, e
 				cr[b+l] = ur[l]
 			}
 		}
-		ws.uv.Shape = append(ws.uv.Shape[:0], rcount, 2*b)
-		ws.uv.Data = usl
-		ws.cv.Shape = append(ws.cv.Shape[:0], rcount, 2*b)
-		ws.cv.Data = csl
-		ws.sv.Shape = append(ws.sv.Shape[:0], rcount, rcount)
-		ws.sv.Data = S.Data[:rcount*rcount]
-		tensor.MatMulT2Into(&ws.sv, &ws.uv, &ws.cv)
+		tensor.MatMulT2Into(ws.view(0, S.Data, rcount, rcount),
+			ws.view(1, usl, rcount, 2*b), ws.view(2, csl, rcount, 2*b))
 
 		ws.tr.A, ws.tr.S = A, S.Data
 		ws.tr.n, ws.tr.off, ws.tr.m = n, j0+w, rcount
@@ -429,35 +441,10 @@ func (ws *eigWS) blockedTridiag(A []float64, S, U, C *tensor.Tensor, n int, d, e
 	}
 }
 
-// xPassRanger computes x[i] = dot(A row j+1+i over cols j+1..n-1, v) minus
-// the panel's prior-column corrections, one trailing row per element —
-// each x element owned by exactly one chunk.
-type xPassRanger struct {
-	wg         sync.WaitGroup
-	A, U       []float64
-	v, x       []float64
-	tmp1, tmp2 []float64
-	n, j, jj   int
-}
-
-// RunRange implements sched.Ranger.
-func (r *xPassRanger) RunRange(lo, hi int) {
-	const b = eigBlock
-	n, j, jj := r.n, r.j, r.jj
-	for i := lo; i < hi; i++ {
-		p := j + 1 + i
-		row := r.A[p*n+j+1 : p*n+n]
-		acc := eigDot(row, r.v)
-		if jj > 0 {
-			urow := r.U[(jj+i)*2*b:]
-			acc -= eigDot(urow[:jj], r.tmp1) + eigDot(urow[b:b+jj], r.tmp2)
-		}
-		r.x[i] = acc
-	}
-}
-
-// trailRanger subtracts the rank-2w product S from the trailing block of A
-// (rows/cols off..off+m-1), one matrix row per range element.
+// trailRanger subtracts the m×m product S from the block of A (row stride
+// n) at rows/cols off..off+m-1, one matrix row per range element: the
+// tridiagonalization's rank-2w trailing update and the back-accumulation's
+// window update W −= V·M2.
 type trailRanger struct {
 	wg        sync.WaitGroup
 	A, S      []float64
@@ -476,31 +463,31 @@ func (r *trailRanger) RunRange(lo, hi int) {
 	}
 }
 
-// backAccumulate forms the tridiagonalization's orthogonal Q in q (n×n,
-// entered as identity) from the Householder vectors stored in A's lower
-// triangle, applying the compact-WY panels in reverse: Q ← (I − V T Vᵀ)Q.
-// V is repacked per panel into vbuf (stride eigBlock), T is rebuilt
-// serially (small), and the V/T/Q products run as one fused column-chunked
-// pass over the active bottom-right window. mbuf provides the two mt×b
-// intermediates; tbuf the T triangle.
-func (ws *eigWS) backAccumulate(q, A []float64, n int, tau, vbuf, mbuf, tbuf []float64) {
-	const b = eigBlock
+// backAccumulate forms the tridiagonalization's orthogonal Q in q (n×n)
+// from the Householder vectors stored in A's lower triangle, applying the
+// compact-WY panels of width accBlock in reverse: Q ← (I − V T Vᵀ)Q. Before
+// panel j0 is applied only the window W = Q[j0+1:, j0+1:] differs from the
+// identity; it is held at the front of q with row stride mt = n−1−j0 (see
+// widenWindow), so each panel is three GEMMs over contiguous operands and
+// one chunked subtraction. V receives the packed panel and M1 the product
+// VᵀW (n·b each: the tridiagonalization's U and C panels); work holds M2
+// (b·n) followed by T and the Gram matrix G = VᵀV (b×b each); pbuf the
+// mt×mt product P = V·M2.
+func (ws *eigWS) backAccumulate(q, A []float64, n int, tau, V, M1, work, pbuf []float64) {
+	const b = accBlock
+	M2, T, G := work[:b*n], work[b*n:b*n+b*b], work[b*n+b*b:b*n+2*b*b]
+	mt := 0
 	for j0 := (n - 3) / b * b; j0 >= 0; j0 -= b {
-		w := b
-		if j0+w > n-2 {
-			w = n - 2 - j0
-		}
-		mt := n - 1 - j0
+		w := min(b, n-2-j0)
+		widenWindow(q, mt, n-1-j0-mt)
+		mt = n - 1 - j0
 
 		// Pack V (mt×b row-major): row r ↔ A row j0+1+r; unit diagonal,
-		// stored components below, zero elsewhere. Row-wise contiguous
-		// reads from A's lower triangle.
+		// stored components below, zero elsewhere (the columns past w
+		// included). Row-wise contiguous reads from A's lower triangle.
 		for r := 0; r < mt; r++ {
-			vr := vbuf[r*b : (r+1)*b]
-			lim := r + 1
-			if lim > w {
-				lim = w
-			}
+			vr := V[r*b : (r+1)*b]
+			lim := min(r+1, w)
 			arow := A[(j0+1+r)*n+j0:]
 			for l := 0; l < lim; l++ {
 				if l == r {
@@ -509,96 +496,53 @@ func (ws *eigWS) backAccumulate(q, A []float64, n int, tau, vbuf, mbuf, tbuf []f
 					vr[l] = arow[l]
 				}
 			}
-			for l := lim; l < b; l++ {
-				vr[l] = 0
-			}
+			clear(vr[lim:])
 		}
 
-		// T (w×w upper triangular, forward columnwise): T[k,k] = τ_k,
-		// T[0:k,k] = −τ_k·T(0:k,0:k)·(V[:,0:k]ᵀ v_k). Serial — O(w²·mt)
-		// against the panel's O(w·mt²) apply.
-		T := tbuf[:w*w]
-		y := tbuf[w*w : w*w+w]
+		// T (w×w upper triangular, zero-padded to b×b, forward columnwise):
+		// T[k,k] = τ_k and T[l,k] = −τ_k·Σ_{l≤j<k} T[l,j]·G[j,k]. G is
+		// symmetric bit for bit (each element's products commute), so
+		// column k is read as row k.
+		v := ws.view(0, V, mt, b)
+		tensor.MatMulT1Into(ws.view(1, G, b, b), v, v)
+		clear(T)
 		for k := 0; k < w; k++ {
 			tk := tau[j0+k]
+			gk := G[k*b:]
 			for l := 0; l < k; l++ {
-				y[l] = 0
+				T[l*b+k] = -tk * eigDot(T[l*b+l:l*b+k], gk[l:k])
 			}
-			for r := k; r < mt; r++ {
-				vr := vbuf[r*b:]
-				vk := vr[k]
-				if vk == 0 {
-					continue
-				}
-				eigAxpy(y[:k], vr[:k], vk)
-			}
-			for l := 0; l < k; l++ {
-				T[l*w+k] = -tk * eigDot(T[l*w+l:l*w+k], y[l:k])
-			}
-			T[k*w+k] = tk
+			T[k*b+k] = tk
 		}
 
-		ws.ar.q, ws.ar.V, ws.ar.T = q, vbuf, T
-		ws.ar.M1, ws.ar.M2 = mbuf[:n*b], mbuf[n*b:2*n*b]
-		ws.ar.n, ws.ar.j0, ws.ar.mt, ws.ar.w = n, j0, mt, w
-		ws.run(mt, &ws.ar, &ws.ar.wg)
+		// W ← W − V·(T·(VᵀW)). View 0 stays V; views 1–3 are rebound.
+		m1, m2 := ws.view(1, M1, b, mt), ws.view(2, M2, b, mt)
+		tensor.MatMulT1Into(m1, v, ws.view(3, q, mt, mt))
+		tensor.MatMulInto(m2, ws.view(3, T, b, b), m1)
+		tensor.MatMulInto(ws.view(3, pbuf, mt, mt), v, m2)
+		ws.tr.A, ws.tr.S = q, pbuf
+		ws.tr.n, ws.tr.off, ws.tr.m = mt, 0, mt
+		ws.run(mt, &ws.tr, &ws.tr.wg)
 	}
+	widenWindow(q, mt, n-mt)
 }
 
-// accumRanger applies one compact-WY panel to a column range of Q's active
-// window: M1 = VᵀQ, M2 = T·M1, Q ← Q − V·M2, all three phases fused per
-// chunk. M1/M2 are stored transposed (one contiguous b-row per Q column)
-// and every element — including the updated Q entries — is owned by
-// exactly one column chunk.
-type accumRanger struct {
-	wg           sync.WaitGroup
-	q, V, T      []float64
-	M1, M2       []float64
-	n, j0, mt, w int
-}
-
-// RunRange implements sched.Ranger over Q's active-window columns.
-func (r *accumRanger) RunRange(clo, chi int) {
-	const b = eigBlock
-	off := r.j0 + 1
-	for c := clo; c < chi; c++ {
-		m1 := r.M1[c*b : c*b+r.w]
-		for k := range m1 {
-			m1[k] = 0
-		}
+// widenWindow re-strides the mt×mt window W at the front of q, in place,
+// into the (mt+d)×(mt+d) window [[I, 0], [0, W]]; mt = 0 writes the d×d
+// identity. Rows move last to first: for d ≥ 1 each row's destination lies
+// wholly past its own source and every row not yet moved, so no row is
+// overwritten before it is read.
+func widenWindow(q []float64, mt, d int) {
+	nt := mt + d
+	for r := mt - 1; r >= 0; r-- {
+		row := q[(d+r)*nt : (d+r+1)*nt]
+		copy(row[d:], q[r*mt:(r+1)*mt])
+		clear(row[:d])
 	}
-	for rr := 0; rr < r.mt; rr++ {
-		vrow := r.V[rr*b:]
-		qrow := r.q[(off+rr)*r.n+off:]
-		lim := rr + 1
-		if lim > r.w {
-			lim = r.w
-		}
-		for c := clo; c < chi; c++ {
-			x := qrow[c]
-			if x == 0 {
-				continue // Q is identity-sparse in the early panels
-			}
-			eigAxpy(r.M1[c*b:c*b+lim], vrow[:lim], x)
-		}
-	}
-	for c := clo; c < chi; c++ {
-		m1 := r.M1[c*b:]
-		m2 := r.M2[c*b:]
-		for k := 0; k < r.w; k++ {
-			m2[k] = eigDot(r.T[k*r.w+k:(k+1)*r.w], m1[k:r.w])
-		}
-	}
-	for rr := 0; rr < r.mt; rr++ {
-		vrow := r.V[rr*b:]
-		qrow := r.q[(off+rr)*r.n+off:]
-		lim := rr + 1
-		if lim > r.w {
-			lim = r.w
-		}
-		for c := clo; c < chi; c++ {
-			qrow[c] -= eigDot(vrow[:lim], r.M2[c*b:c*b+lim])
-		}
+	for r := 0; r < d; r++ {
+		row := q[r*nt : (r+1)*nt]
+		clear(row)
+		row[r] = 1
 	}
 }
 

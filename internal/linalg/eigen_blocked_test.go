@@ -11,8 +11,9 @@ import (
 
 // blockedDims covers the blocked path proper (≥ eigBlockedMinDim),
 // including odd sizes that exercise the remainder panel and the final
-// narrow panel, plus one multiple-of-b size.
-var blockedDims = []int{130, 161, 256, 293}
+// narrow panel, plus one multiple-of-b size. 129–131 and 193–195 give the
+// first back-accumulation panel (the last reflectors) widths 63, 64 and 1.
+var blockedDims = []int{129, 130, 131, 161, 193, 194, 195, 256, 293}
 
 func maxAbsRowSum(a *tensor.Tensor) float64 {
 	n := a.Rows()
@@ -103,7 +104,7 @@ func TestSymEigBlockedValuesMatchSerial(t *testing.T) {
 // assignments stay in lockstep.
 func TestSymEigBlockedDeterministicAcrossTeams(t *testing.T) {
 	// 216 and 432 are the benchmark model's largest factor sizes.
-	for _, n := range []int{130, 216, 256, 432} {
+	for _, n := range append([]int{216, 432}, blockedDims...) {
 		rng := rand.New(rand.NewSource(int64(n) + 2))
 		a := randSPD(rng, n, 0.1)
 		var ref Eigen
@@ -127,6 +128,79 @@ func TestSymEigBlockedDeterministicAcrossTeams(t *testing.T) {
 					if math.Float64bits(v) != math.Float64bits(refQ[i]) {
 						t.Fatalf("n=%d team=%d rep=%d: Q[%d] not bitwise equal", n, team, rep, i)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestBackAccumulateMatchesReflectorProduct holds the compact-WY
+// back-accumulation to its definition: after blockedTridiag, Q is the
+// product H₀H₁⋯H_{n−3} of the reflectors H_j = I − τ_j v_j v_jᵀ stored in
+// A's lower triangle and tau, formed here one reflector at a time. Q enters
+// as NaN, so any element the window re-striding fails to write shows.
+func TestBackAccumulateMatchesReflectorProduct(t *testing.T) {
+	for _, n := range []int{128, 129, 131, 194, 293} {
+		rng := rand.New(rand.NewSource(int64(n) + 4))
+		a := randSPD(rng, n, 0.1)
+		A := append([]float64(nil), a.Data...)
+		for i := 0; i < n; i++ {
+			for j := 0; j < i; j++ {
+				A[i*n+j] = 0.5 * (a.Data[i*n+j] + a.Data[j*n+i])
+				A[j*n+i] = A[i*n+j]
+			}
+		}
+		ws := &eigWS{team: 2}
+		tau, d, e, work := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, 4*n)
+		U, C, S := tensor.New(n, 2*eigBlock), tensor.New(n, 2*eigBlock), tensor.New(n, n)
+		ws.blockedTridiag(A, S, U, C, n, d, e, tau, work)
+		q := make([]float64, n*n)
+		for i := range q {
+			q[i] = math.NaN()
+		}
+		ws.backAccumulate(q, A, n, tau, U.Data, C.Data,
+			make([]float64, accBlock*n+2*accBlock*accBlock), S.Data)
+
+		want := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			want[i*n+i] = 1
+		}
+		v := make([]float64, n)
+		for j := n - 3; j >= 0; j-- {
+			clear(v)
+			v[j+1] = 1
+			for i := j + 2; i < n; i++ {
+				v[i] = A[i*n+j]
+			}
+			for c := 0; c < n; c++ {
+				s := 0.0
+				for i := j + 1; i < n; i++ {
+					s += v[i] * want[i*n+c]
+				}
+				for i := j + 1; i < n; i++ {
+					want[i*n+c] -= tau[j] * s * v[i]
+				}
+			}
+		}
+		diff := 0.0
+		for i := range q {
+			diff += (q[i] - want[i]) * (q[i] - want[i])
+		}
+		// ‖H₀⋯H_{n−3}‖_F = √n.
+		if rel := math.Sqrt(diff / float64(n)); !(rel <= 1e-12) {
+			t.Errorf("n=%d: ‖Q − H₀⋯H_{n−3}‖_F / ‖Q‖_F = %g, want ≤ 1e-12", n, rel)
+		}
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				var dot float64
+				for k := 0; k < n; k++ {
+					dot += q[k*n+i] * q[k*n+j]
+				}
+				if i == j {
+					dot--
+				}
+				if !(math.Abs(dot) <= 1e-12*float64(n)) {
+					t.Fatalf("n=%d: (QᵀQ − I)[%d,%d] = %g", n, i, j, dot)
 				}
 			}
 		}
@@ -405,13 +479,14 @@ func kfacFactor(rng *rand.Rand, n, batch, updates int) *tensor.Tensor {
 	return a
 }
 
-// BenchmarkSymEigBlockedQL decomposes a K-FAC-like factor (a running
-// average of 72×n Gram products) at the benchmark model's largest factor
-// sizes and reports the blocked kernels' split from EigKernelTimes — the
-// numbers of docs/PERFORMANCE.md's "Batched QL" table:
+// BenchmarkSymEigBlocked decomposes a K-FAC-like factor (a running average
+// of 72×n Gram products) at the benchmark model's largest factor sizes and
+// reports the blocked kernels' split from EigKernelTimes, with the
+// tridiagonalization and back-accumulation rates at their 4⁄3·n³ flops
+// each — the numbers of docs/PERFORMANCE.md's eigensolver tables:
 //
-//	go test -run '^$' -bench SymEigBlockedQL ./internal/linalg
-func BenchmarkSymEigBlockedQL(b *testing.B) {
+//	go test -run '^$' -bench SymEigBlocked -benchtime 20x ./internal/linalg
+func BenchmarkSymEigBlocked(b *testing.B) {
 	for _, n := range []int{216, 432} {
 		a := kfacFactor(rand.New(rand.NewSource(int64(n))), n, 72, 8)
 		for _, team := range []int{1, 2} {
@@ -431,6 +506,9 @@ func BenchmarkSymEigBlockedQL(b *testing.B) {
 				b.ReportMetric(float64(tm.QLNS)/perOp, "ql_ms")
 				b.ReportMetric(float64(tm.TridiagNS)/perOp, "tri_ms")
 				b.ReportMetric(float64(tm.BackAccumNS)/perOp, "acc_ms")
+				flops := 4.0 / 3 * float64(n) * float64(n) * float64(n) * float64(b.N)
+				b.ReportMetric(flops/float64(tm.TridiagNS), "tri_gflops")
+				b.ReportMetric(flops/float64(tm.BackAccumNS), "acc_gflops")
 			})
 		}
 	}

@@ -57,6 +57,26 @@ func BuildCIFARResNet(n, width, channels, classes int, rng *rand.Rand) *nn.Seque
 	return net
 }
 
+// CIFARResNetParams is the parameter count of BuildCIFARResNet(n, width,
+// channels, classes) — conv weights, batch-norm scales and shifts, and the
+// classifier — in closed form, so nothing is built to count it. It is a
+// float64 so that no configuration overflows it.
+func CIFARResNetParams(n, width, channels, classes int) float64 {
+	blocks, w, k := float64(n), float64(width), float64(classes)
+	total, in := 9*float64(channels)*w+2*w, w
+	for stage, out := range [3]float64{w, 2 * w, 4 * w} {
+		// Two 3×3 convs with batch norms per block; only the first block's
+		// first conv reads the previous stage's width, and only stages 2
+		// and 3 enter through a 1×1 projection with batch norm.
+		total += 9*in*out + 9*out*out*(2*blocks-1) + 4*out*blocks
+		if stage > 0 {
+			total += in*out + 2*out
+		}
+		in = out
+	}
+	return total + in*k + k
+}
+
 // BuildMLP constructs a small fully-connected classifier; used by the
 // quickstart example and fast tests.
 func BuildMLP(name string, dims []int, rng *rand.Rand) *nn.Sequential {
@@ -71,6 +91,16 @@ func BuildMLP(name string, dims []int, rng *rand.Rand) *nn.Sequential {
 		}
 	}
 	return net
+}
+
+// MLPParams is the parameter count of BuildMLP(name, dims): each layer's
+// weights and bias, as a float64 like CIFARResNetParams.
+func MLPParams(dims []int) float64 {
+	total := 0.0
+	for i := 0; i+1 < len(dims); i++ {
+		total += (float64(dims[i]) + 1) * float64(dims[i+1])
+	}
+	return total
 }
 
 // BuildBottleneckResNet constructs a trainable bottleneck-block ResNet —
@@ -141,4 +171,11 @@ func BuildSmallCNN(channels, classes, width int, rng *rand.Rand) *nn.Sequential 
 		nn.NewGlobalAvgPool("gap"),
 		nn.NewLinear("fc", 2*width, classes, true, rng),
 	)
+}
+
+// SmallCNNParams is the parameter count of BuildSmallCNN(channels, classes,
+// width), as a float64 like CIFARResNetParams.
+func SmallCNNParams(channels, classes, width int) float64 {
+	c, k, w := float64(channels), float64(classes), float64(width)
+	return 9*c*w + 2*w + 9*w*2*w + 2*2*w + (2*w+1)*k
 }

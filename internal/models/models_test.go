@@ -227,6 +227,38 @@ func TestBuildSmallCNN(t *testing.T) {
 	}
 }
 
+// TestParamCountsMatchBuild holds each closed-form count to the parameters
+// its builder allocates.
+func TestParamCountsMatchBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	count := func(net *nn.Sequential) float64 {
+		total := 0
+		for _, p := range net.Params() {
+			total += len(p.Value.Data)
+		}
+		return float64(total)
+	}
+	for _, c := range []struct{ n, width, channels, classes int }{
+		{1, 1, 1, 2}, {1, 2, 3, 10}, {3, 4, 2, 7}, {2, 3, 1, 5},
+	} {
+		if got, want := CIFARResNetParams(c.n, c.width, c.channels, c.classes),
+			count(BuildCIFARResNet(c.n, c.width, c.channels, c.classes, rng)); got != want {
+			t.Errorf("CIFARResNetParams%+v = %v, Build allocates %v", c, got, want)
+		}
+	}
+	for _, c := range []struct{ channels, classes, width int }{{3, 10, 3}, {1, 4, 8}, {2, 2, 1}} {
+		if got, want := SmallCNNParams(c.channels, c.classes, c.width),
+			count(BuildSmallCNN(c.channels, c.classes, c.width, rng)); got != want {
+			t.Errorf("SmallCNNParams%+v = %v, Build allocates %v", c, got, want)
+		}
+	}
+	for _, dims := range [][]int{{16, 8, 4}, {5, 3}, {48, 1, 1, 1, 10}} {
+		if got, want := MLPParams(dims), count(BuildMLP("mlp", dims, rng)); got != want {
+			t.Errorf("MLPParams(%v) = %v, Build allocates %v", dims, got, want)
+		}
+	}
+}
+
 func TestBuildInvalidConfigPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	defer func() {
