@@ -204,9 +204,11 @@ func BenchmarkKFACStep(b *testing.B) {
 // BenchmarkKFACStepEngines compares the synchronous and pipelined step
 // engines on a full factor + eigendecomposition update of a ResNet-scale
 // layer list (a deep CIFAR ResNet with dozens of preconditioned conv and
-// linear layers). On multi-core hosts the pipelined engine wins by running
-// the per-layer eigendecompositions (and covariance computations) in
-// parallel; both engines produce bit-identical preconditioned gradients
+// linear layers). Both engines decompose through the same eig scheduler and
+// precondition through the same grouped stages; they differ only in whether
+// covariance runs on a pool and stage events are per layer or barriers, so
+// in one process, with no wire time to hide, neither is expected to win.
+// Both produce bit-identical preconditioned gradients
 // (TestPipelinedEngineMatchesSyncSameSeed).
 func BenchmarkKFACStepEngines(b *testing.B) {
 	for _, engine := range []kfac.Engine{kfac.EngineSync, kfac.EnginePipelined} {

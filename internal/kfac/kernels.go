@@ -1,10 +1,13 @@
 package kfac
 
 import (
+	"runtime"
+	"sort"
 	"unsafe"
 
 	"repro/internal/linalg"
 	"repro/internal/nn"
+	"repro/internal/sched"
 	"repro/internal/tensor"
 )
 
@@ -34,7 +37,9 @@ type layerKernels interface {
 	// refresh mirrors one side's new decomposition at E. Called wherever
 	// the float64 slot is written: local decomposition and record consume.
 	refresh(isG bool)
-	// preconditionOne computes (F̂ᵢ+γI)⁻¹∇L into the layer's pcBuf.
+	// preconditionOne computes (F̂ᵢ+γI)⁻¹∇L into the layer's pcBuf: the
+	// stages of one layer (the step runs them over all of a rank's layers at
+	// once; see stages).
 	preconditionOne(grad *tensor.Tensor) *tensor.Tensor
 	// memBytes counts the resident bytes of the buffers held at E.
 	memBytes() int64
@@ -69,6 +74,10 @@ type kernels[E tensor.Elem] struct {
 	// Step workspaces: the gradient at E, the two preconditioning
 	// intermediates, and the result where pcBuf itself cannot hold it.
 	gradBuf, wA, wB, pcBuf *tensor.Dense[E]
+	// one is the stages over this layer alone, which preconditionOne runs
+	// with its gradient in oneGrad.
+	one     *stages[E]
+	oneGrad [1]*tensor.Tensor
 	// Covariance workspaces: bias-augmented activation sample, and the Gram
 	// product where the layer's float64 covA/covG cannot hold it.
 	sample, cov *tensor.Dense[E]
@@ -102,68 +111,213 @@ func (k *kernels[E]) refresh(isG bool) {
 	k.mirror[i] = tensor.Cast(&k.mirrorBuf[i], src)
 }
 
-// preconditionOne writes into the layer's reused float64 pcBuf (which it
-// returns), so the KL clip, the MEM-OPT result broadcast and
-// SetCombinedGrad see an ordinary float64 tensor; the products in between
-// run at E against the mirrored decompositions. grad must not alias the
-// workspace tensors.
+// preconditionOne is the grouped stages over this layer alone. It writes
+// into the layer's reused float64 pcBuf (which it returns), so the KL clip,
+// the MEM-OPT result broadcast and SetCombinedGrad see an ordinary float64
+// tensor; the products in between run at E against the mirrored
+// decompositions. grad must not alias the workspace tensors.
 func (k *kernels[E]) preconditionOne(grad *tensor.Tensor) *tensor.Tensor {
-	p, s := k.p, k.s
-	out, in := grad.Rows(), grad.Cols()
-	pc := tensor.Ensure(&s.pcBuf, out, in)
-	res := tensor.Like(&k.pcBuf, pc)
-	g := tensor.Cast(&k.gradBuf, grad)
-	mA, mG := k.mirror[0], k.mirror[1]
-	t1 := tensor.Ensure(&k.wA, out, in)
-	if p.opts.Mode == InverseMode {
-		if s.invA == nil || s.invG == nil {
+	if k.one == nil {
+		k.one = newStages(k.p, []*kernels[E]{k}, []int{0})
+	}
+	k.oneGrad[0] = grad
+	k.one.run(k.oneGrad[:])
+	k.oneGrad[0] = nil
+	return k.s.pcBuf
+}
+
+// precondStages preconditions a fixed set of layers (kernels[E]'s stages).
+type precondStages interface {
+	// run writes (F̂ᵢ+γI)⁻¹ grads[i] into the pcBuf of every layer i of the
+	// set; grads is indexed by layer.
+	run(grads []*tensor.Tensor)
+}
+
+// newPrecondStages builds the stages over the given layers of p at p's
+// element type, largest layer first so that a pooled pass does not end on
+// one.
+func newPrecondStages(p *Preconditioner, layers []int) precondStages {
+	size := func(i int) int {
+		da, dg := FactorDims(p.states[i].layer)
+		return da * dg
+	}
+	order := append([]int(nil), layers...)
+	sort.SliceStable(order, func(a, b int) bool { return size(order[a]) > size(order[b]) })
+	if p.opts.Precision == F32 {
+		return stagesOver[float32](p, order)
+	}
+	return stagesOver[float64](p, order)
+}
+
+func stagesOver[E tensor.Elem](p *Preconditioner, layers []int) *stages[E] {
+	ks := make([]*kernels[E], len(layers))
+	for j, i := range layers {
+		ks[j] = p.states[i].k.(*kernels[E])
+	}
+	return newStages(p, ks, layers)
+}
+
+// stages runs Equations 13–15 (or 10) for a set of layers as a few steps
+// each taken by every layer at once, instead of layer after layer: every
+// product of one step is recorded into one tensor.Group, so the step's
+// products share one block grid at pool width, and the element-wise steps
+// (Equation 14's division; at float32, the gradient's rounding in and the
+// result's widening out) run as one pooled pass over the layers. Each
+// layer's arithmetic is exactly what it would be alone — the products' bits
+// do not depend on their grid, and the element-wise passes touch each
+// element once — so the set is bit-identical to its layers one at a time.
+//
+//	EigenMode:   t = Q_Gᵀ∇L;  V₁ = t·Q_A;  V₂ = V₁ / (υ_G υ_Aᵀ + γ);
+//	             t = Q_G·V₂;  out = t·Q_Aᵀ
+//	InverseMode: t = G⁻¹∇L;   out = t·A⁻¹
+type stages[E tensor.Elem] struct {
+	p   *Preconditioner
+	ks  []*kernels[E]
+	idx []int // ks[j]'s layer index into run's grads
+
+	// Per-run views, ks-aligned: the gradient and the result at E (the
+	// float64 gradBuf and pcBuf themselves at float64), and the pcBuf.
+	g, res []*tensor.Dense[E]
+	grad   []*tensor.Tensor
+	pc     []*tensor.Tensor
+
+	grp  tensor.Group[E]
+	pass stagePass // the element-wise pass RunRange performs
+}
+
+// stagePass names an element-wise pass of stages.
+type stagePass int
+
+const (
+	passCastIn  stagePass = iota // g = grad at E
+	passDivide                   // Equation 14
+	passConvert                  // pc = res as float64
+)
+
+// newStages runs over the layers ks, in that order; idx[j] is ks[j]'s index
+// into run's grads. It keeps both slices.
+func newStages[E tensor.Elem](p *Preconditioner, ks []*kernels[E], idx []int) *stages[E] {
+	n := len(ks)
+	return &stages[E]{p: p, ks: ks, idx: idx,
+		g: make([]*tensor.Dense[E], n), res: make([]*tensor.Dense[E], n),
+		grad: make([]*tensor.Tensor, n), pc: make([]*tensor.Tensor, n)}
+}
+
+func (st *stages[E]) run(grads []*tensor.Tensor) {
+	if len(st.ks) == 0 {
+		return
+	}
+	inverse := st.p.opts.Mode == InverseMode
+	for j, k := range st.ks {
+		s := k.s
+		if inverse && (s.invA == nil || s.invG == nil) {
 			panic("kfac: precondition before inverse update")
 		}
+		if !inverse && (s.eigA == nil || s.eigG == nil) {
+			panic("kfac: precondition before eigendecomposition update")
+		}
+		grad := grads[st.idx[j]]
+		out, in := grad.Rows(), grad.Cols()
+		st.grad[j] = grad
+		st.pc[j] = tensor.Ensure(&s.pcBuf, out, in)
+		st.res[j] = tensor.Like(&k.pcBuf, st.pc[j])
+		st.g[j] = tensor.Like(&k.gradBuf, grad)
+		tensor.Ensure(&k.wA, out, in)
+		if !inverse {
+			tensor.Ensure(&k.wB, out, in)
+		}
+	}
+	// At float64 Like handed back the float64 tensors themselves, and the
+	// passes across the precision boundary have nothing to do.
+	boundary := any(st.g[0]) != any(st.grad[0])
+	if boundary {
+		st.each(passCastIn)
+	}
+	grp := &st.grp
+	if inverse {
 		// Equation 10: G⁻¹ ∇L A⁻¹ (inverses already damped).
-		tensor.MatMulInto(t1, mG, g)
-		tensor.MatMulInto(res, t1, mA)
-		tensor.Convert(pc, res)
-		return pc
-	}
-	if s.eigA == nil || s.eigG == nil {
-		panic("kfac: precondition before eigendecomposition update")
-	}
-	// Equations 13–15:
-	//   V₁ = Q_Gᵀ ∇L Q_A
-	//   V₂ = V₁ / (υ_G υ_Aᵀ + γ)
-	//   out = Q_G V₂ Q_Aᵀ
-	tensor.MatMulT1Into(t1, mG, g)
-	v1 := tensor.Ensure(&k.wB, out, in)
-	tensor.MatMulInto(v1, t1, mA)
-	// Equation 14 is one definition at either E: the denominator is formed
-	// in float64 from the float64 eigenvalues and the current γ (and π),
-	// the element is divided by it in float64, and the quotient is rounded
-	// to E once.
-	lamA, lamG := s.eigA.Values, s.eigG.Values
-	if p.opts.PiDamping {
-		// Factored split: denominator (λ_A + π√γ)(λ_G + √γ/π).
-		ga, gg := p.dampingSplit(s)
-		for r := 0; r < out; r++ {
-			vg := lamG[r] + gg
-			row := v1.Data[r*in : (r+1)*in]
-			for c := range row {
-				row[c] = E(float64(row[c]) / (vg * (lamA[c] + ga)))
-			}
+		for j, k := range st.ks {
+			grp.MatMul(k.wA, k.mirror[1], st.g[j])
 		}
+		grp.Run()
+		for j, k := range st.ks {
+			grp.MatMul(st.res[j], k.wA, k.mirror[0])
+		}
+		grp.Run()
 	} else {
-		for r := 0; r < out; r++ {
-			vg := lamG[r]
-			row := v1.Data[r*in : (r+1)*in]
-			for c := range row {
-				row[c] = E(float64(row[c]) / (vg*lamA[c] + p.opts.Damping))
+		for j, k := range st.ks {
+			grp.MatMulT1(k.wA, k.mirror[1], st.g[j])
+		}
+		grp.Run()
+		for _, k := range st.ks {
+			grp.MatMul(k.wB, k.wA, k.mirror[0])
+		}
+		grp.Run()
+		st.each(passDivide)
+		for _, k := range st.ks {
+			grp.MatMul(k.wA, k.mirror[1], k.wB)
+		}
+		grp.Run()
+		for j, k := range st.ks {
+			grp.MatMulT2(st.res[j], k.wA, k.mirror[0])
+		}
+		grp.Run()
+	}
+	if boundary {
+		st.each(passConvert)
+	}
+	clear(st.grad)
+}
+
+// each runs one element-wise pass over every layer, one layer per chunk.
+func (st *stages[E]) each(pass stagePass) {
+	st.pass = pass
+	if runtime.GOMAXPROCS(0) > 1 {
+		sched.Shared().ForEach(len(st.ks), len(st.ks), st)
+	} else {
+		st.RunRange(0, len(st.ks))
+	}
+}
+
+// RunRange implements sched.Ranger: the current pass over layers [lo, hi).
+func (st *stages[E]) RunRange(lo, hi int) {
+	p := st.p
+	for j := lo; j < hi; j++ {
+		switch st.pass {
+		case passCastIn:
+			tensor.Convert(st.g[j], st.grad[j])
+		case passConvert:
+			tensor.Convert(st.pc[j], st.res[j])
+		case passDivide:
+			// Equation 14 is one definition at either E: the denominator is
+			// formed in float64 from the float64 eigenvalues and the current
+			// γ (and π), the element is divided by it in float64, and the
+			// quotient is rounded to E once.
+			k := st.ks[j]
+			s, v1 := k.s, k.wB
+			out, in := v1.Rows(), v1.Cols()
+			lamA, lamG := s.eigA.Values, s.eigG.Values
+			if p.opts.PiDamping {
+				// Factored split: denominator (λ_A + π√γ)(λ_G + √γ/π).
+				ga, gg := p.dampingSplit(s)
+				for r := 0; r < out; r++ {
+					vg := lamG[r] + gg
+					row := v1.Data[r*in : (r+1)*in]
+					for c := range row {
+						row[c] = E(float64(row[c]) / (vg * (lamA[c] + ga)))
+					}
+				}
+			} else {
+				for r := 0; r < out; r++ {
+					vg := lamG[r]
+					row := v1.Data[r*in : (r+1)*in]
+					for c := range row {
+						row[c] = E(float64(row[c]) / (vg*lamA[c] + p.opts.Damping))
+					}
+				}
 			}
 		}
 	}
-	t2 := t1 // wA no longer needed; reuse for Q_G × V₂
-	tensor.MatMulInto(t2, mG, v1)
-	tensor.MatMulT2Into(res, t2, mA)
-	tensor.Convert(pc, res)
-	return pc
 }
 
 func (k *kernels[E]) memBytes() int64 {

@@ -1,9 +1,9 @@
 package kfac
 
 import (
+	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -243,11 +243,12 @@ type Preconditioner struct {
 	pcBuckets []pcBucket
 	pcBacking []float64
 
-	// Reused per-step slices and dispatch record for the precondition
-	// phase.
-	gradsBuf, precondsBuf []*tensor.Tensor
-	precondRg             precondRanger
-	pcHandles             []*comm.Handle
+	// pcStages preconditions the layers this rank is a gradient worker of
+	// (all of them under a fully replicated plan), rebuilt by replan;
+	// gradsBuf and pcHandles are reused per-step slices.
+	pcStages  precondStages
+	gradsBuf  []*tensor.Tensor
+	pcHandles []*comm.Handle
 }
 
 // New builds a preconditioner over every K-FAC-capturable layer of model
@@ -373,6 +374,13 @@ func (p *Preconditioner) replan() {
 	if distributed && !p.plan.FullyReplicated() {
 		p.buildBuckets()
 	}
+	var mine []int
+	for i := range p.states {
+		if p.plan.IsGradWorker(i, p.rank()) {
+			mine = append(mine, i)
+		}
+	}
+	p.pcStages = newPrecondStages(p, mine)
 	p.computeEigTeams(runtime.GOMAXPROCS(0))
 	p.stats.noteFactorMem(p.factorMemBytes())
 }
@@ -579,31 +587,6 @@ func clampEigen(eg *linalg.Eigen) {
 	}
 }
 
-// precondRanger runs per-layer preconditioning over a range of layer
-// indices — the unit precondition runs inline or fans out over the engine
-// pool with sched.Pool.ForEach. Each layer touches only its own state
-// workspaces, so ranges are independent.
-type precondRanger struct {
-	wg              sync.WaitGroup
-	p               *Preconditioner
-	mine            int
-	grads, preconds []*tensor.Tensor
-}
-
-// RunRange implements sched.Ranger. Layers this rank is not a gradient
-// worker of (partial plans only) are not computed: their pcBuf view is the
-// receive buffer the bucket broadcast fully overwrites.
-func (r *precondRanger) RunRange(lo, hi int) {
-	p := r.p
-	for i := lo; i < hi; i++ {
-		if s := p.states[i]; p.plan.IsGradWorker(i, r.mine) {
-			r.preconds[i] = s.k.preconditionOne(r.grads[i])
-		} else {
-			r.preconds[i] = s.pcBuf
-		}
-	}
-}
-
 // precondition rewrites every layer's gradient with its preconditioned
 // version (Algorithm 1, step 3) and applies the κ scaling of Equation 18.
 func (p *Preconditioner) precondition(lr float64) error {
@@ -614,24 +597,21 @@ func (p *Preconditioner) precondition(lr float64) error {
 		p.stats.Steps++
 		p.stats.mu.Unlock()
 	}()
-	grads, preconds := p.stepSlices()
+	if cap(p.gradsBuf) < len(p.states) {
+		p.gradsBuf = make([]*tensor.Tensor, len(p.states))
+	}
+	grads := p.gradsBuf[:len(p.states)]
 	for i, s := range p.states {
 		grads[i] = p.combinedGrad(s)
 	}
-	rg := &p.precondRg
-	rg.p, rg.mine, rg.grads, rg.preconds = p, p.rank(), grads, preconds
 
 	// Every rank preconditions the layers it is a gradient worker of — all
 	// of them under a fully replicated plan (COMM-OPT), which therefore
-	// needs no per-iteration communication — at pool width under the
-	// overlapped schedule (zero-allocation ForEach dispatch), inline
-	// otherwise. Under a partial plan the results land in the bucket views.
-	if p.opts.Engine == EnginePipelined {
-		pool := p.ensurePool()
-		pool.ForEach(len(p.states), pool.Workers(), rg, &rg.wg)
-	} else {
-		rg.RunRange(0, len(p.states))
-	}
+	// needs no per-iteration communication — as grouped stages at pool
+	// width (kernels.go). Under a partial plan the results land in the
+	// bucket views; a layer this rank does not compute keeps its view as the
+	// receive buffer the bucket broadcast fully overwrites.
+	p.pcStages.run(grads)
 
 	// Partial plan (MEM-OPT / HYBRID, and the LayerWise default): a layer's
 	// gradient workers preconditioned redundantly from their shared
@@ -655,18 +635,7 @@ func (p *Preconditioner) precondition(lr float64) error {
 		}
 	}
 
-	p.applyKLClip(lr, grads, preconds)
-	return nil
-}
-
-// stepSlices returns the reused per-layer gradient and precondition slices.
-func (p *Preconditioner) stepSlices() (grads, preconds []*tensor.Tensor) {
-	n := len(p.states)
-	if cap(p.gradsBuf) < n {
-		p.gradsBuf = make([]*tensor.Tensor, n)
-		p.precondsBuf = make([]*tensor.Tensor, n)
-	}
-	return p.gradsBuf[:n], p.precondsBuf[:n]
+	return p.applyKLClip(lr, grads)
 }
 
 // combinedGrad writes the layer's combined gradient into its reused
@@ -681,24 +650,37 @@ func (p *Preconditioner) combinedGrad(s *layerState) *tensor.Tensor {
 // applyKLClip applies the κ gradient scaling (Equation 18) and writes the
 // preconditioned gradients back: ν = min(1, sqrt(κ / (lr²·Σ|v·g|))). The
 // dot-product reduction runs in layer order whatever width preconditioning
-// fanned out at, so both engines produce bit-identical results.
-func (p *Preconditioner) applyKLClip(lr float64, grads, preconds []*tensor.Tensor) {
+// fanned out at, so every schedule produces bit-identical results.
+//
+// The reduction runs whether or not clipping is on, and doubles as the
+// step's non-finite guard: if Σ vᵀg is NaN or ±Inf, nothing is written back
+// — every Param.Grad keeps its raw gradient — and the error names the first
+// layer whose term made the sum non-finite. Its inputs are bit-identical on
+// every rank after the gradient exchange and the result broadcast, so every
+// rank fails at the same step with the same error and none is left inside
+// a collective.
+func (p *Preconditioner) applyKLClip(lr float64, grads []*tensor.Tensor) error {
+	var vg float64
+	for i, s := range p.states {
+		vg += s.pcBuf.Dot(grads[i]) * lr * lr
+		if math.IsNaN(vg) || math.IsInf(vg, 0) {
+			return fmt.Errorf("kfac: step %d: layer %d (%s): preconditioned gradient is not finite (Σ vᵀg·lr² = %v)",
+				p.step-1, i, s.layer.Name(), vg)
+		}
+	}
 	nu := 1.0
 	if p.opts.KLClip > 0 {
-		var vg float64
-		for i := range p.states {
-			vg += preconds[i].Dot(grads[i]) * lr * lr
-		}
 		if vg = math.Abs(vg); vg > 0 {
 			nu = math.Min(1, math.Sqrt(p.opts.KLClip/vg))
 		}
 	}
-	for i, s := range p.states {
+	for _, s := range p.states {
 		if nu != 1 {
-			preconds[i].Scale(nu)
+			s.pcBuf.Scale(nu)
 		}
-		s.layer.SetCombinedGrad(preconds[i])
+		s.layer.SetCombinedGrad(s.pcBuf)
 	}
+	return nil
 }
 
 // ParamSchedule is the paper's "decay by a fixed scalar at fixed epochs"

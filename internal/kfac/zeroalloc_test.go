@@ -70,7 +70,8 @@ func TestKFACStepSteadyStateZeroAllocsInverseMode(t *testing.T) {
 
 // TestKFACStepSteadyStateZeroAllocsPipelined guards the pipelined engine's
 // steady-state path: stale steps bypass the update pipeline entirely and
-// fan preconditioning out with the zero-allocation ForEach dispatch.
+// precondition through the same grouped stages as the sync engine, whose
+// pooled ForEach dispatch allocates nothing.
 func TestKFACStepSteadyStateZeroAllocsPipelined(t *testing.T) {
 	net := buildTinyNet(79)
 	prec := NewFromOptions(net, nil, Options{

@@ -213,9 +213,8 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 }
 
 // eigWS carries the reusable non-tensor state of one blocked
-// decomposition: the ranger structs the parallel passes dispatch through
-// (each with its own WaitGroup, reused across dispatches), the view
-// headers handed to the pooled GEMM, the QL sweep windows and the sort
+// decomposition: the ranger structs the parallel passes dispatch through,
+// the view headers handed to the pooled GEMM, the QL sweep windows and the sort
 // permutation buffer. A sync.Pool recycles them so steady-state solves
 // allocate nothing.
 type eigWS struct {
@@ -259,12 +258,12 @@ func (ws *eigWS) view(i int, data []float64, rows, cols int) *tensor.Tensor {
 // produce identical bits: every output element belongs to exactly one
 // chunk and is computed with a fixed serial reduction order, so the chunk
 // grid (and hence team) cannot affect results.
-func (ws *eigWS) run(m int, r sched.Ranger, wg *sync.WaitGroup) {
+func (ws *eigWS) run(m int, r sched.Ranger) {
 	if ws.team <= 1 || m < 2 {
 		r.RunRange(0, m)
 		return
 	}
-	sched.Shared().ForEach(m, ws.team, r, wg)
+	sched.Shared().ForEach(m, ws.team, r)
 }
 
 // eigDot4 is a fixed-order dot product with four partial accumulators (the
@@ -428,7 +427,7 @@ func (ws *eigWS) blockedTridiag(A []float64, S, U, C *tensor.Tensor, n int, d, e
 
 		ws.tr.A, ws.tr.S = A, S.Data
 		ws.tr.n, ws.tr.off, ws.tr.m = n, j0+w, rcount
-		ws.run(rcount, &ws.tr, &ws.tr.wg)
+		ws.run(rcount, &ws.tr)
 
 		j0 += w
 	}
@@ -446,7 +445,6 @@ func (ws *eigWS) blockedTridiag(A []float64, S, U, C *tensor.Tensor, n int, d, e
 // tridiagonalization's rank-2w trailing update and the back-accumulation's
 // window update W −= V·M2.
 type trailRanger struct {
-	wg        sync.WaitGroup
 	A, S      []float64
 	n, off, m int
 }
@@ -522,7 +520,7 @@ func (ws *eigWS) backAccumulate(q, A []float64, n int, tau, V, M1, work, pbuf []
 		tensor.MatMulInto(ws.view(3, pbuf, mt, mt), v, m2)
 		ws.tr.A, ws.tr.S = q, pbuf
 		ws.tr.n, ws.tr.off, ws.tr.m = mt, 0, mt
-		ws.run(mt, &ws.tr, &ws.tr.wg)
+		ws.run(mt, &ws.tr)
 	}
 	widenWindow(q, mt, n-mt)
 }
@@ -554,7 +552,7 @@ func widenWindow(q []float64, mt, d int) {
 // the serial column loop.
 func (ws *eigWS) batchedQL(v []float64, n int, d, e []float64, rot, qt []float64) error {
 	ws.lt.q, ws.lt.qt, ws.lt.n, ws.lt.perm = v, qt, n, nil
-	ws.run(laneBlocks(n), &ws.lt, &ws.lt.wg)
+	ws.run(laneBlocks(n), &ws.lt)
 	ws.rb.qt, ws.rb.cs, ws.rb.n = qt, rot, n
 
 	for i := 1; i < n; i++ {
@@ -657,7 +655,7 @@ func (ws *eigWS) batchedQL(v []float64, n int, d, e []float64, rot, qt []float64
 		}
 	}
 	ws.lt.perm = perm
-	ws.run(laneBlocks(n), &ws.lt, &ws.lt.wg)
+	ws.run(laneBlocks(n), &ws.lt)
 	return nil
 }
 
@@ -671,7 +669,6 @@ func laneBlocks(n int) int { return (n + qlLanes - 1) / qlLanes }
 // its qlLanes columns of qt in every row and applies the sweeps in
 // recording order, so the pass is deterministic for any chunk grid.
 type rotBatch struct {
-	wg   sync.WaitGroup
 	qt   []float64 // n×n, Qᵀ: row j holds eigenbasis column j
 	cs   []float64 // (c, s) pairs; len(cs)/2 rotations fit
 	win  []int     // (l, m) per recorded sweep
@@ -702,7 +699,7 @@ func (ws *eigWS) qlFlush() {
 	if b.used == 0 {
 		return
 	}
-	ws.run(laneBlocks(b.n), b, &b.wg)
+	ws.run(laneBlocks(b.n), b)
 	b.used, b.win = 0, b.win[:0]
 }
 
@@ -727,7 +724,6 @@ func (b *rotBatch) RunRange(lo, hi int) {
 // fused with the eigenvalue sort's column permutation. Each block owns its
 // rows of q and columns of qt.
 type laneTransRanger struct {
-	wg    sync.WaitGroup
 	q, qt []float64
 	perm  []int
 	n     int

@@ -424,7 +424,7 @@ func TestQLLanePassMatchesRowSweep(t *testing.T) {
 
 				ws := &eigWS{team: team}
 				ws.lt.q, ws.lt.qt, ws.lt.n = q, qt, n
-				ws.run(laneBlocks(n), &ws.lt, &ws.lt.wg)
+				ws.run(laneBlocks(n), &ws.lt)
 				ws.rb.qt, ws.rb.cs, ws.rb.n = qt, make([]float64, 2*tc.capacity), n
 
 				cs, sn := make([]float64, n), make([]float64, n)
@@ -450,7 +450,7 @@ func TestQLLanePassMatchesRowSweep(t *testing.T) {
 
 				perm := rng.Perm(n)
 				ws.lt.perm = perm
-				ws.run(laneBlocks(n), &ws.lt, &ws.lt.wg)
+				ws.run(laneBlocks(n), &ws.lt)
 				for k := 0; k < n; k++ {
 					for j := 0; j < n; j++ {
 						if got, w := q[k*n+j], want[k*n+perm[j]]; math.Float64bits(got) != math.Float64bits(w) {

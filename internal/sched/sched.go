@@ -12,18 +12,24 @@ package sched
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool is a bounded worker pool for CPU-bound tasks. Submitted functions are
 // executed by at most `workers` goroutines; Submit never blocks the caller.
 type Pool struct {
-	tasks chan func()
-	rjobs chan rangeJob
-	wg    sync.WaitGroup // tracks in-flight + queued tasks
+	tasks  chan func()
+	tokens chan forToken
+	wg     sync.WaitGroup // tracks in-flight + queued tasks and helper tokens
 
 	mu      sync.Mutex
 	closed  bool
 	workers int
+
+	// free recycles ForEach job descriptors; it holds as many as callers
+	// were ever inside ForEach at once.
+	freeMu sync.Mutex
+	free   []*forJob
 }
 
 // NewPool creates a pool with the given concurrency; workers <= 0 selects
@@ -35,7 +41,7 @@ func NewPool(workers int) *Pool {
 	p := &Pool{
 		// Buffer a healthy queue so producers rarely need the overflow path.
 		tasks:   make(chan func(), 4*workers),
-		rjobs:   make(chan rangeJob, 4*workers),
+		tokens:  make(chan forToken, 4*workers),
 		workers: workers,
 	}
 	for i := 0; i < workers; i++ {
@@ -53,9 +59,8 @@ func (p *Pool) worker() {
 			}
 			fn()
 			p.wg.Done()
-		case rj := <-p.rjobs:
-			rj.r.RunRange(rj.lo, rj.hi)
-			rj.done.Done()
+		case t := <-p.tokens:
+			t.j.help(t.gen)
 			p.wg.Done()
 		}
 	}
@@ -68,25 +73,76 @@ type Ranger interface {
 	RunRange(lo, hi int)
 }
 
-// rangeJob is one ForEach chunk. It travels by value through a buffered
-// channel, so dispatching a chunk performs no heap allocation.
-type rangeJob struct {
-	r      Ranger
-	lo, hi int
-	done   *sync.WaitGroup
+// forJob is one ForEach in flight: the range, its fixed chunk grid, and the
+// cursor every participant claims chunks from. state packs the generation
+// (high 32 bits) with the count of helpers currently inside the job (low 32
+// bits); a helper may join only while the generation is the one its token
+// was issued under, and the caller closes the job by advancing it.
+// Descriptors are recycled through Pool.free.
+type forJob struct {
+	r        Ranger
+	m, chunk int
+	nchunks  int64
+	next     atomic.Int64
+	state    atomic.Uint64
+	drained  chan struct{} // the last helper out after close signals here
 }
 
-// ForEach splits [0, m) into up to nchunks contiguous ranges, runs them on
-// the pool's workers, and blocks until all complete. done is caller-provided
-// scratch (usually embedded in the Ranger) and must have a zero count on
-// entry. When the job queue is full the caller runs the chunk inline, so
-// ForEach never spawns goroutines and never allocates — the property the
-// zero-allocation tensor kernels rely on.
+// forToken offers one helper's seat in a job. It travels by value through
+// a buffered channel, so offering it performs no heap allocation.
+type forToken struct {
+	j   *forJob
+	gen uint32
+}
+
+// claim runs chunks until none are left.
+func (j *forJob) claim() {
+	for {
+		c := j.next.Add(1) - 1
+		if c >= j.nchunks {
+			return
+		}
+		lo := int(c) * j.chunk
+		j.r.RunRange(lo, min(lo+j.chunk, j.m))
+	}
+}
+
+// help is a worker's side of a token: join the job if the token's
+// generation is still open, claim chunks, and leave. A token dequeued after
+// its ForEach returned finds the generation advanced and does nothing.
+func (j *forJob) help(gen uint32) {
+	for {
+		s := j.state.Load()
+		if uint32(s>>32) != gen {
+			return
+		}
+		if j.state.CompareAndSwap(s, s+1) {
+			break
+		}
+	}
+	j.claim()
+	// Leaving after the caller closed the job, the last helper out wakes it.
+	if s := j.state.Add(^uint64(0)); uint32(s>>32) != gen && uint32(s) == 0 {
+		j.drained <- struct{}{}
+	}
+}
+
+// ForEach splits [0, m) into up to nchunks contiguous ranges and runs them,
+// returning when all are done. Chunk boundaries are a pure function of (m,
+// nchunks); which goroutine runs a chunk is not, so a Ranger whose output
+// elements each belong to one chunk gives the same result however the
+// chunks were shared out.
 //
-// Like all pool tasks, ranges must be pure leaf compute: a RunRange that
-// itself called ForEach on the same pool could leave every worker blocked
-// waiting for chunks nobody can run.
-func (p *Pool) ForEach(m, nchunks int, r Ranger, done *sync.WaitGroup) {
+// Dispatch is claim-based: ForEach offers up to min(workers, chunks−1)
+// helper tokens without blocking, then claims chunks itself until none are
+// left, and waits only for the helpers that actually joined. A caller is
+// never parked behind queued chunks, so it completes even when every worker
+// is busy, and ForEach never spawns goroutines and never allocates — the
+// property the zero-allocation tensor kernels rely on.
+//
+// Like all pool tasks, ranges must be pure leaf compute: a RunRange must not
+// block on other pool work.
+func (p *Pool) ForEach(m, nchunks int, r Ranger) {
 	if m <= 0 {
 		return
 	}
@@ -98,23 +154,48 @@ func (p *Pool) ForEach(m, nchunks int, r Ranger, done *sync.WaitGroup) {
 		return
 	}
 	chunk := (m + nchunks - 1) / nchunks
-	for lo := 0; lo < m; lo += chunk {
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		done.Add(1)
+	count := (m + chunk - 1) / chunk
+	j := p.getJob()
+	j.r, j.m, j.chunk, j.nchunks = r, m, chunk, int64(count)
+	j.next.Store(0)
+	gen := uint32(j.state.Load() >> 32)
+offer:
+	for i := min(p.workers, count-1); i > 0; i-- {
 		p.wg.Add(1)
 		select {
-		case p.rjobs <- rangeJob{r: r, lo: lo, hi: hi, done: done}:
+		case p.tokens <- forToken{j: j, gen: gen}:
 		default:
-			// Queue full: run inline rather than block or spawn.
-			r.RunRange(lo, hi)
-			done.Done()
 			p.wg.Done()
+			break offer
 		}
 	}
-	done.Wait()
+	j.claim()
+	// Close: advance the generation so no further token joins, and wait for
+	// the helpers already inside.
+	if s := j.state.Add(1 << 32); uint32(s) != 0 {
+		<-j.drained
+	}
+	j.r = nil
+	p.putJob(j)
+}
+
+// getJob pops a recycled descriptor, or makes one.
+func (p *Pool) getJob() *forJob {
+	p.freeMu.Lock()
+	defer p.freeMu.Unlock()
+	if n := len(p.free); n > 0 {
+		j := p.free[n-1]
+		p.free = p.free[:n-1]
+		return j
+	}
+	return &forJob{drained: make(chan struct{}, 1)}
+}
+
+// putJob returns j for reuse.
+func (p *Pool) putJob(j *forJob) {
+	p.freeMu.Lock()
+	p.free = append(p.free, j)
+	p.freeMu.Unlock()
 }
 
 // Workers returns the pool's concurrency bound.

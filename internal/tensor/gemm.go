@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 	"unsafe"
@@ -33,10 +34,11 @@ import (
 // Widen(b))) bit for bit, so everything above holds for it unrestated.
 //
 // Structure: C is cut into blocks of at most gemmMC×gemmNC; one block is one
-// pool task. Per k-block of at most gemmKC the task packs its rows of op(A)
-// into gemmMR-interleaved panels and its columns of op(B) into gemmNR-wide
-// panels (float64, zero-padded to whole panels; a float32 source is widened
-// as it is packed), then runs the gemmMR×gemmNR micro-kernel over the block,
+// chunk of the grid (gemmGrid), which may hold several products. Per k-block
+// of at most gemmKC the chunk packs its rows of op(A) into gemmMR-interleaved
+// panels and its columns of op(B) into gemmNR-wide panels (float64,
+// zero-padded to whole panels; a float32 source is widened as it is
+// packed), then runs the gemmMR×gemmNR micro-kernel over the block,
 // B panel outermost so it stays in L1. The N/T1/T2 variants differ only in
 // which packer reads each operand. A float64 block accumulates in dst; a
 // float32 block accumulates in a float64 scratch the workspace holds and is
@@ -54,9 +56,9 @@ const (
 	gemmNC = 192
 	gemmKC = 128
 
-	// gemmParallelWork is the multiply-add count below which a product runs
-	// on the calling goroutine: waking pool workers costs more than it saves.
-	gemmParallelWork = 1 << 21
+	// gemmParallelWork is the multiply-add count below which a grid runs on
+	// the calling goroutine: waking pool workers costs more than it saves.
+	gemmParallelWork = 1 << 18
 )
 
 // gemmKernels is one implementation of the three inner routines: the
@@ -228,37 +230,25 @@ func packSteps[S Elem](ks *gemmKernels, dst []float64, src []S, ld, c0, cols, p0
 	}
 }
 
-// gemmJob describes one product. Operand storage: a is m×k, or k×m when
-// aT; b is k×n, or n×k when bT.
+// gemmJob describes one product of a grid. Operand storage: a is m×k, or
+// k×m when aT; b is k×n, or n×k when bT.
 type gemmJob[E Elem] struct {
-	wg        sync.WaitGroup // ForEach completion scratch
-	ks        *gemmKernels
 	dst, a, b []E
 	m, n, k   int
 	aT, bT    bool
 	upper     bool // skip tiles strictly below the diagonal
+	work      int  // multiply-adds: m·n·k, halved for an upper product
 	bm, bn    int  // block extent in rows / columns
 	gn        int  // blocks per grid row
 }
 
-// gemmWorkspace is what one goroutine inside the driver holds: the job
-// record of the product it launched (unused by a pool worker), the pack
-// buffers of the blocks it computes and, once it has computed a float32
-// block, the float64 C scratch — all grown on demand up to the block caps.
+// gemmWorkspace is what one goroutine computing blocks holds: the pack
+// buffers and, once it has computed a float32 block, the float64 C scratch
+// — all grown on demand up to the block caps.
 type gemmWorkspace struct {
-	job64  gemmJob[float64]
-	job32  gemmJob[float32]
 	pa, pb []float64
 	c      []float64                // float32 blocks accumulate here, in whole micro-tiles
 	edge   [gemmMR * gemmNR]float64 // private C tile for partial micro-tiles of a float64 block
-}
-
-// jobOf returns ws's job record for element type E.
-func jobOf[E Elem](ws *gemmWorkspace) *gemmJob[E] {
-	if g, ok := any(&ws.job64).(*gemmJob[E]); ok {
-		return g
-	}
-	return any(&ws.job32).(*gemmJob[E])
 }
 
 // freeList recycles kernel workspaces, so a kernel performs no heap
@@ -295,24 +285,148 @@ func (f *freeList[T]) put(ws *T) {
 // gemmFree is the one list both element types draw workspaces from.
 var gemmFree freeList[gemmWorkspace]
 
-// RunRange implements sched.Ranger over block indices [lo, hi) of the grid,
-// on a pool worker (or inline on the caller when the queue is full).
-func (g *gemmJob[E]) RunRange(lo, hi int) {
+// gridFree recycles the grid records of single products (gemm), one list
+// per element type.
+var gridFree struct {
+	f64 freeList[gemmGrid[float64]]
+	f32 freeList[gemmGrid[float32]]
+}
+
+// gridFreeOf returns gridFree's list for element type E.
+func gridFreeOf[E Elem]() *freeList[gemmGrid[E]] {
+	if f, ok := any(&gridFree.f64).(*freeList[gemmGrid[E]]); ok {
+		return f
+	}
+	return any(&gridFree.f32).(*freeList[gemmGrid[E]])
+}
+
+// gemmGrid is a group of independent products laid end to end on one block
+// grid: product i owns blocks [ends[i-1], ends[i]), largest product first.
+// Every product runs through one — a single MatMul*Into is a grid of one —
+// so there is one grid policy and one fan-out decision, taken on the grid's
+// total work.
+type gemmGrid[E Elem] struct {
+	ks   *gemmKernels // nil selects gemmActive
+	jobs []gemmJob[E]
+	ends []int
+}
+
+// add appends the product dst (m×n) = op(a)·op(b); with upper set (m == n)
+// only the micro-tiles that meet the upper triangle are written. Products
+// with nothing to multiply are finished here.
+func (g *gemmGrid[E]) add(dst, a, b []E, m, n, k int, aT, bT, upper bool) {
+	if len(dst) < m*n || len(a) < m*k || len(b) < k*n {
+		panic("tensor: matmul operand storage shorter than its shape")
+	}
+	// The assembly indexes these without bounds checks; from here on every
+	// access is within the extents the shapes name.
+	dst, a, b = dst[:m*n], a[:m*k], b[:k*n]
+	if overlaps(dst, a) || overlaps(dst, b) {
+		panic("tensor: matmul destination aliases an operand")
+	}
+	if m == 0 || n == 0 {
+		return
+	}
+	if k == 0 {
+		clear(dst)
+		return
+	}
+	work := m * n * k
+	if upper {
+		work /= 2
+	}
+	g.jobs = append(g.jobs, gemmJob[E]{dst: dst, a: a, b: b, m: m, n: n, k: k,
+		aT: aT, bT: bT, upper: upper, work: work})
+}
+
+// run computes every product added since the last run and empties the grid.
+// The grid fans out over sched.Shared() when the machine has more than one
+// worker and the total work reaches gemmParallelWork. Each product is then
+// cut into blocks in proportion to its share of that work — about 2·workers
+// blocks for the whole grid, so a grid of one is split exactly as a lone
+// product — and every block is one chunk: a claim-based ForEach levels
+// uneven blocks (edges, the triangle of an upper product, small products)
+// across whoever is free.
+func (g *gemmGrid[E]) run() {
+	if len(g.jobs) == 0 {
+		return
+	}
+	if g.ks == nil {
+		g.ks = &gemmActive
+	}
+	// Largest product first, so the long blocks start before the short ones
+	// that fill in behind them. Insertion sort: stable and allocation-free.
+	total := 0
+	for i := range g.jobs {
+		total += g.jobs[i].work
+		for j := i; j > 0 && g.jobs[j].work > g.jobs[j-1].work; j-- {
+			g.jobs[j], g.jobs[j-1] = g.jobs[j-1], g.jobs[j]
+		}
+	}
+	nw := runtime.GOMAXPROCS(0)
+	if nw < 2 || total < gemmParallelWork {
+		nw = 0
+	}
+	g.ends = g.ends[:0]
+	blocks := 0
+	for i := range g.jobs {
+		target := 1
+		if nw > 0 {
+			target = (2*nw*g.jobs[i].work + total - 1) / total
+		}
+		blocks += g.jobs[i].grid(target)
+		g.ends = append(g.ends, blocks)
+	}
+	if nw == 0 {
+		g.RunRange(0, blocks)
+	} else {
+		sched.Shared().ForEach(blocks, blocks, g)
+	}
+	clear(g.jobs) // don't pin operand memory
+	g.jobs = g.jobs[:0]
+}
+
+// grid picks the product's block extents — whole micro-tiles, capped by the
+// pack buffers, halving the longer side until there are at least target
+// blocks (near-square blocks re-pack the least operand data), then evened out
+// over the resulting grid — and returns the block count.
+func (g *gemmJob[E]) grid(target int) int {
+	tm, tn := (g.m+gemmMR-1)/gemmMR, (g.n+gemmNR-1)/gemmNR
+	bm, bn := min(tm, gemmMC/gemmMR), min(tn, gemmNC/gemmNR)
+	for ((tm+bm-1)/bm)*((tn+bn-1)/bn) < target && (bm > 1 || bn > 1) {
+		if bn == 1 || (bm > 1 && bm*gemmMR >= bn*gemmNR) {
+			bm = (bm + 1) / 2
+		} else {
+			bn = (bn + 1) / 2
+		}
+	}
+	gm, gn := (tm+bm-1)/bm, (tn+bn-1)/bn
+	g.bm, g.bn, g.gn = (tm+gm-1)/gm*gemmMR, (tn+gn-1)/gn*gemmNR, gn
+	return gm * gn
+}
+
+// RunRange implements sched.Ranger over blocks [lo, hi) of the grid, on
+// whichever goroutine claimed them.
+func (g *gemmGrid[E]) RunRange(lo, hi int) {
 	ws := gemmFree.get()
-	g.blocks(ws, lo, hi)
+	i := sort.SearchInts(g.ends, lo+1)
+	for t := lo; t < hi; t++ {
+		for g.ends[i] <= t {
+			i++
+		}
+		b := t // block b of product i
+		if i > 0 {
+			b -= g.ends[i-1]
+		}
+		jb := &g.jobs[i]
+		i0, j0 := (b/jb.gn)*jb.bm, (b%jb.gn)*jb.bn
+		jb.block(g.ks, ws, i0, min(i0+jb.bm, jb.m), j0, min(j0+jb.bn, jb.n))
+	}
 	gemmFree.put(ws)
 }
 
-// blocks computes blocks [lo, hi) of the grid with ws's pack buffers.
-func (g *gemmJob[E]) blocks(ws *gemmWorkspace, lo, hi int) {
-	for t := lo; t < hi; t++ {
-		i0, j0 := (t/g.gn)*g.bm, (t%g.gn)*g.bn
-		g.block(ws, i0, min(i0+g.bm, g.m), j0, min(j0+g.bn, g.n))
-	}
-}
-
 // block computes C[i0:i1, j0:j1].
-func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
+func (g *gemmJob[E]) block(ks *gemmKernels, ws *gemmWorkspace, i0, i1, j0, j1 int) {
 	if g.upper && i0 >= j1 {
 		return
 	}
@@ -353,17 +467,17 @@ func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 		for ip := 0; ip < mp; ip++ {
 			i := i0 + ip*gemmMR
 			if g.aT {
-				packSteps(g.ks, pa[ip*gemmMR*kc:], g.a, g.m, i, min(gemmMR, i1-i), p0, kc, gemmMR)
+				packSteps(ks, pa[ip*gemmMR*kc:], g.a, g.m, i, min(gemmMR, i1-i), p0, kc, gemmMR)
 			} else {
-				packLanes(g.ks, pa[ip*gemmMR*kc:], g.a, g.k, i, min(gemmMR, i1-i), p0, kc, gemmMR)
+				packLanes(ks, pa[ip*gemmMR*kc:], g.a, g.k, i, min(gemmMR, i1-i), p0, kc, gemmMR)
 			}
 		}
 		for jp := 0; jp < np; jp++ {
 			j := j0 + jp*gemmNR
 			if g.bT {
-				packLanes(g.ks, pb[jp*gemmNR*kc:], g.b, g.k, j, min(gemmNR, j1-j), p0, kc, gemmNR)
+				packLanes(ks, pb[jp*gemmNR*kc:], g.b, g.k, j, min(gemmNR, j1-j), p0, kc, gemmNR)
 			} else {
-				packSteps(g.ks, pb[jp*gemmNR*kc:], g.b, g.n, j, min(gemmNR, j1-j), p0, kc, gemmNR)
+				packSteps(ks, pb[jp*gemmNR*kc:], g.b, g.n, j, min(gemmNR, j1-j), p0, kc, gemmNR)
 			}
 		}
 		load := p0 > 0
@@ -380,7 +494,7 @@ func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 				ap := pa[ip*gemmMR*kc : (ip+1)*gemmMR*kc]
 				ct := c[ip*gemmMR*ldc+jp*gemmNR:]
 				if !direct || (mr == gemmMR && nr == gemmNR) {
-					g.ks.tile(kc, ap, bp, ct, ldc, load)
+					ks.tile(kc, ap, bp, ct, ldc, load)
 					continue
 				}
 				// Edge tile of a float64 block: run the full-size kernel on
@@ -390,7 +504,7 @@ func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 						copy(edge[r*gemmNR:r*gemmNR+nr], ct[r*ldc:])
 					}
 				}
-				g.ks.tile(kc, ap, bp, edge, gemmNR, load)
+				ks.tile(kc, ap, bp, edge, gemmNR, load)
 				for r := 0; r < mr; r++ {
 					copy(ct[r*ldc:r*ldc+nr], edge[r*gemmNR:])
 				}
@@ -415,65 +529,16 @@ func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 	}
 }
 
-// gemm computes dst (m×n) = op(a)·op(b) with the given kernel set; with
-// upper set (m == n) only the micro-tiles that meet the upper triangle are
-// written. Large products fan their blocks across sched.Shared().
+// gemm computes dst (m×n) = op(a)·op(b) with the given kernel set as a grid
+// of one product; with upper set (m == n) only the micro-tiles that meet the
+// upper triangle are written.
 func gemm[E Elem](ks *gemmKernels, dst, a, b []E, m, n, k int, aT, bT, upper bool) {
-	if len(dst) < m*n || len(a) < m*k || len(b) < k*n {
-		panic("tensor: matmul operand storage shorter than its shape")
-	}
-	// The assembly indexes these without bounds checks; from here on every
-	// access is within the extents the shapes name.
-	dst, a, b = dst[:m*n], a[:m*k], b[:k*n]
-	if overlaps(dst, a) || overlaps(dst, b) {
-		panic("tensor: matmul destination aliases an operand")
-	}
-	if m == 0 || n == 0 {
-		return
-	}
-	if k == 0 {
-		clear(dst)
-		return
-	}
-	// Block extents in whole micro-tiles, capped by the pack buffers.
-	tm, tn := (m+gemmMR-1)/gemmMR, (n+gemmNR-1)/gemmNR
-	bm, bn := min(tm, gemmMC/gemmMR), min(tn, gemmNC/gemmNR)
-	nw := runtime.GOMAXPROCS(0)
-	work := m * n * k
-	if upper {
-		work /= 2
-	}
-	if nw > 1 && work >= gemmParallelWork {
-		// Halve the longer side until there are two blocks per worker:
-		// near-square blocks re-pack the least operand data per product.
-		for ((tm+bm-1)/bm)*((tn+bn-1)/bn) < 2*nw && (bm > 1 || bn > 1) {
-			if bn == 1 || (bm > 1 && bm*gemmMR >= bn*gemmNR) {
-				bm = (bm + 1) / 2
-			} else {
-				bn = (bn + 1) / 2
-			}
-		}
-	} else {
-		nw = 1
-	}
-	gm, gn := (tm+bm-1)/bm, (tn+bn-1)/bn
-	// Even the blocks out over the grid the caps and the split arrived at.
-	bm, bn = (tm+gm-1)/gm*gemmMR, (tn+gn-1)/gn*gemmNR
-
-	ws := gemmFree.get()
-	g := jobOf[E](ws)
-	g.ks, g.dst, g.a, g.b = ks, dst, a, b
-	g.m, g.n, g.k, g.aT, g.bT, g.upper = m, n, k, aT, bT, upper
-	g.bm, g.bn, g.gn = bm, bn, gn
-	if nw == 1 {
-		g.blocks(ws, 0, gm*gn)
-	} else {
-		// One block per chunk: the pool's queue levels uneven blocks
-		// (edges, the triangle of an upper product).
-		sched.Shared().ForEach(gm*gn, gm*gn, g, &g.wg)
-	}
-	g.dst, g.a, g.b = nil, nil, nil // don't pin operand memory in the free list
-	gemmFree.put(ws)
+	free := gridFreeOf[E]()
+	g := free.get()
+	g.ks = ks
+	g.add(dst, a, b, m, n, k, aT, bT, upper)
+	g.run()
+	free.put(g)
 }
 
 // overlaps reports whether the two slices share any element's storage.

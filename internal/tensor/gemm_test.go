@@ -372,3 +372,115 @@ func TestMatMulZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("float64 matmul kernels allocate %v times per step", allocs)
 	}
 }
+
+// record adds case c on operands a, b to g through the Group entry point of
+// its variant and returns the destination, NaN-filled so an element the
+// grid failed to write cannot pass for a result.
+func record[E Elem](g *Group[E], c gemmCase, a, b []E) []E {
+	dst := make([]E, c.m*c.n)
+	for i := range dst {
+		dst[i] = E(math.NaN())
+	}
+	d := FromSlice(dst, c.m, c.n)
+	switch {
+	case c.upper:
+		g.MatMulT1Upper(d, FromSlice(a, c.k, c.m))
+	case c.aT:
+		g.MatMulT1(d, FromSlice(a, c.k, c.m), FromSlice(b, c.k, c.n))
+	case c.bT:
+		g.MatMulT2(d, FromSlice(a, c.m, c.k), FromSlice(b, c.n, c.k))
+	default:
+		g.MatMul(d, FromSlice(a, c.m, c.k), FromSlice(b, c.k, c.n))
+	}
+	return dst
+}
+
+// checkGroup runs every case as one group on the given kernel set and holds
+// each product to the one-product call of the same case, bit for bit.
+func checkGroup[E Elem](t *testing.T, label string, ks *gemmKernels, cases []gemmCase, operands func(i int) (a, b []E)) {
+	t.Helper()
+	var g Group[E]
+	g.grid.ks = ks
+	dsts := make([][]E, len(cases))
+	for i, c := range cases {
+		a, b := operands(i)
+		dsts[i] = record(&g, c, a, b)
+	}
+	g.Run()
+	for i, c := range cases {
+		a, b := operands(i)
+		sameBits(t, label, c, dsts[i], run(c, ks, a, b))
+	}
+}
+
+// TestGroupMatchesOneProductCalls: a group of mixed N/T1/T2/upper products
+// — a sample of the edge shapes plus the model shapes, enough work to fan
+// out — gives every product exactly the bits of its one-product call, at
+// both element types, with both kernel sets, whatever the worker count.
+func TestGroupMatchesOneProductCalls(t *testing.T) {
+	all := gemmCases()
+	var cases []gemmCase
+	for i, c := range all {
+		// The last 11 shapes are the model's; past 2^24 multiply-adds a
+		// case only slows the race run down.
+		if (i%10 == 0 || i >= len(all)-44) && c.m*c.n*c.k <= 1<<24 {
+			cases = append(cases, c)
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	a64, b64 := make([][]float64, len(cases)), make([][]float64, len(cases))
+	a32, b32 := make([][]float32, len(cases)), make([][]float32, len(cases))
+	for i, c := range cases {
+		a64[i], b64[i] = c.operands(rng)
+		a32[i], b32[i] = narrowed(a64[i]), narrowed(b64[i])
+		if c.upper {
+			b32[i] = a32[i]
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, set := range []struct {
+		name string
+		ks   *gemmKernels
+	}{{"portable", &gemmGo}, {"active", &gemmActive}} {
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			label := fmt.Sprintf("%s GOMAXPROCS=%d", set.name, procs)
+			checkGroup(t, label+"/float64", set.ks, cases, func(i int) (a, b []float64) { return a64[i], b64[i] })
+			checkGroup(t, label+"/float32", set.ks, cases, func(i int) (a, b []float32) { return a32[i], b32[i] })
+		}
+	}
+}
+
+// TestGroupZeroAllocSteadyState: a reused Group allocates nothing once its
+// record and the workspaces are warm, at both element types, on a grid that
+// fans out and on one that runs inline.
+func TestGroupZeroAllocSteadyState(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a, b, bT := Randn(rng, 1, 24, 200), Randn(rng, 1, 200, 24), Randn(rng, 1, 24, 200)
+	big := Randn(rng, 1, 170, 170)
+	d1, d2, d3, d4, bigDst := New(24, 24), New(24, 24), New(24, 24), New(24, 24), New(170, 170)
+	a32, b32, big32 := NewT32(24, 200), NewT32(200, 24), NewT32(170, 170)
+	small32, dst32 := NewT32(24, 24), NewT32(170, 170)
+	a32.NarrowFrom(a)
+	b32.NarrowFrom(b)
+	big32.NarrowFrom(big)
+	var g Group[float64]
+	var g32 Group[float32]
+	step := func() {
+		g.MatMul(d1, a, b)
+		g.MatMulT1(d2, b, b)
+		g.MatMulT2(d3, a, bT)
+		g.MatMulT1Upper(d4, b)
+		g.Run() // small: inline
+		g.MatMul(d1, a, b)
+		g.MatMulT2(bigDst, big, big)
+		g.Run() // fans out
+		g32.MatMul(small32, a32, b32)
+		g32.MatMul(dst32, big32, big32)
+		g32.Run()
+	}
+	step()
+	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+		t.Fatalf("a reused Group allocates %v times per run", allocs)
+	}
+}

@@ -24,12 +24,18 @@ func MatMul[E Elem](a, b *Dense[E]) *Dense[E] {
 // is bit-identical whatever the worker count or build; large products are
 // split across the shared compute pool (sched.Shared).
 func MatMulInto[E Elem](dst, a, b *Dense[E]) {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
+	m, n, k := dimsN(dst, a, b)
+	gemm(&gemmActive, dst.Data, a.Data, b.Data, m, n, k, false, false, false)
+}
+
+// dimsN checks the shapes of dst = a × b and returns m, n, k.
+func dimsN[E Elem](dst, a, b *Dense[E]) (m, n, k int) {
+	m, k = a.Shape[0], a.Shape[1]
+	n = b.Shape[1]
 	if b.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic("tensor: MatMulInto shape mismatch")
 	}
-	gemm(&gemmActive, dst.Data, a.Data, b.Data, m, n, k, false, false, false)
+	return m, n, k
 }
 
 // MatMulInto32 is MatMulInto at float32, by the name the benchmark calls.
@@ -52,12 +58,18 @@ func MatMulT1[E Elem](a, b *Dense[E]) *Dense[E] {
 // MatMulT1Into computes dst = aᵀ × b into dst (m×n), which must not alias a
 // or b. The result equals MatMulInto(dst, Transpose(a), b) bit for bit.
 func MatMulT1Into[E Elem](dst, a, b *Dense[E]) {
-	k, m := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
+	m, n, k := dimsT1(dst, a, b)
+	gemm(&gemmActive, dst.Data, a.Data, b.Data, m, n, k, true, false, false)
+}
+
+// dimsT1 checks the shapes of dst = aᵀ × b and returns m, n, k.
+func dimsT1[E Elem](dst, a, b *Dense[E]) (m, n, k int) {
+	k, m = a.Shape[0], a.Shape[1]
+	n = b.Shape[1]
 	if b.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic("tensor: MatMulT1Into shape mismatch")
 	}
-	gemm(&gemmActive, dst.Data, a.Data, b.Data, m, n, k, true, false, false)
+	return m, n, k
 }
 
 // MatMulT1UpperInto computes the upper triangle of the Gram matrix
@@ -66,11 +78,17 @@ func MatMulT1Into[E Elem](dst, a, b *Dense[E]) {
 // are unspecified (some are written, some keep their old contents). It is
 // the kernel under linalg.SymMulT1Into, which mirrors the triangle.
 func MatMulT1UpperInto[E Elem](dst, a *Dense[E]) {
-	k, m := a.Shape[0], a.Shape[1]
+	m, k := dimsGram(dst, a)
+	gemm(&gemmActive, dst.Data, a.Data, a.Data, m, m, k, true, false, true)
+}
+
+// dimsGram checks the shapes of dst = aᵀ × a and returns m, k.
+func dimsGram[E Elem](dst, a *Dense[E]) (m, k int) {
+	k, m = a.Shape[0], a.Shape[1]
 	if dst.Shape[0] != m || dst.Shape[1] != m {
 		panic("tensor: MatMulT1UpperInto shape mismatch")
 	}
-	gemm(&gemmActive, dst.Data, a.Data, a.Data, m, m, k, true, false, true)
+	return m, k
 }
 
 // MatMulT2 returns a × bᵀ for a (m×k) and b (n×k).
@@ -89,13 +107,64 @@ func MatMulT2[E Elem](a, b *Dense[E]) *Dense[E] {
 // must not alias a or b. The result equals MatMulInto(dst, a, Transpose(b))
 // bit for bit.
 func MatMulT2Into[E Elem](dst, a, b *Dense[E]) {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[0]
+	m, n, k := dimsT2(dst, a, b)
+	gemm(&gemmActive, dst.Data, a.Data, b.Data, m, n, k, false, true, false)
+}
+
+// dimsT2 checks the shapes of dst = a × bᵀ and returns m, n, k.
+func dimsT2[E Elem](dst, a, b *Dense[E]) (m, n, k int) {
+	m, k = a.Shape[0], a.Shape[1]
+	n = b.Shape[0]
 	if b.Shape[1] != k || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic("tensor: MatMulT2Into shape mismatch")
 	}
-	gemm(&gemmActive, dst.Data, a.Data, b.Data, m, n, k, false, true, false)
+	return m, n, k
 }
+
+// Group is a batch of independent matrix products run as one: MatMul,
+// MatMulT1, MatMulT2 and MatMulT1Upper each record one product — with the
+// shapes, storage and aliasing checks of its *Into namesake — and Run
+// computes them all, their block grids laid end to end, largest product
+// first, and fanned out over sched.Shared() as one claim-based ForEach when
+// their total work is worth it. Every element is the same fused
+// multiply-add chain its namesake computes, so a product's bits do not
+// depend on the company it ran in. A run empties the group and keeps its
+// storage, so a reused Group allocates nothing. The products must be
+// independent: no destination may overlap another product's operands or
+// destination. The zero value is ready to use; a Group is not safe for
+// concurrent use.
+type Group[E Elem] struct {
+	grid gemmGrid[E]
+}
+
+// MatMul records dst = a × b.
+func (g *Group[E]) MatMul(dst, a, b *Dense[E]) {
+	m, n, k := dimsN(dst, a, b)
+	g.grid.add(dst.Data, a.Data, b.Data, m, n, k, false, false, false)
+}
+
+// MatMulT1 records dst = aᵀ × b.
+func (g *Group[E]) MatMulT1(dst, a, b *Dense[E]) {
+	m, n, k := dimsT1(dst, a, b)
+	g.grid.add(dst.Data, a.Data, b.Data, m, n, k, true, false, false)
+}
+
+// MatMulT2 records dst = a × bᵀ.
+func (g *Group[E]) MatMulT2(dst, a, b *Dense[E]) {
+	m, n, k := dimsT2(dst, a, b)
+	g.grid.add(dst.Data, a.Data, b.Data, m, n, k, false, true, false)
+}
+
+// MatMulT1Upper records the upper triangle of dst = aᵀ × a, as
+// MatMulT1UpperInto.
+func (g *Group[E]) MatMulT1Upper(dst, a *Dense[E]) {
+	m, k := dimsGram(dst, a)
+	g.grid.add(dst.Data, a.Data, a.Data, m, m, k, true, false, true)
+}
+
+// Run computes every product recorded since the last Run and empties the
+// group.
+func (g *Group[E]) Run() { g.grid.run() }
 
 // Transpose returns the transpose of matrix a.
 func Transpose(a *Tensor) *Tensor {
