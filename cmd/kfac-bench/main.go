@@ -1,7 +1,4 @@
-// Command kfac-bench regenerates the paper's tables and figures, and — in
-// -json mode — emits the machine-readable benchmark trajectory
-// (BENCH_<scenario>.json) every performance-affecting change is measured
-// against.
+// Command kfac-bench regenerates the paper's tables and figures.
 //
 // Usage:
 //
@@ -11,16 +8,12 @@
 //	kfac-bench -exp chaos         # step-time degradation vs injected latency
 //	kfac-bench -all               # run everything
 //	kfac-bench -all -quick        # smoke-test scale (seconds instead of minutes)
-//	kfac-bench -json -out bench/  # write BENCH_*.json (engines × model sizes,
-//	                              # plus the dist_* distribution-mode axis)
-//	kfac-bench -json -short       # tiny-model JSON smoke run (the CI artifact job)
 //
 // Each experiment prints its table/series to stdout together with the
-// paper's reported values for comparison; see EXPERIMENTS.md for the
-// recorded paper-vs-measured summary and docs/PERFORMANCE.md for the JSON
-// schema and tuning guidance. Interrupting the process (SIGINT/SIGTERM)
-// cancels the in-progress runs cleanly through the trainer's context
-// plumbing.
+// paper's reported values for comparison. Performance is measured by the
+// repository benchmark instead (benchmark/README.md, docs/PERFORMANCE.md).
+// Interrupting the process (SIGINT/SIGTERM) cancels the in-progress runs
+// cleanly through the trainer's context plumbing.
 package main
 
 import (
@@ -30,78 +23,35 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/experiments"
 )
 
-// usage prints the grouped flag reference; the default flag.PrintDefaults
-// interleaves unrelated flag families alphabetically.
+// usage prints the flag reference with examples.
 func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), `kfac-bench — paper artifacts and benchmark trajectories
+	fmt.Fprintf(flag.CommandLine.Output(), `kfac-bench — paper tables and figures
 
-Experiment selection:
   -list         list experiment IDs
   -exp ID       run one experiment (see -list)
   -all          run every experiment
   -quick        reduced-scale smoke runs (with -exp/-all)
-
-Benchmark JSON mode:
-  -json         run the benchmark matrix and write BENCH_<scenario>.json:
-                the (model × engine) step-engine cells plus the dist_* axis
-                ({COMM-OPT, MEM-OPT, HYBRID} × grad-worker fraction, with
-                per-rank peak factor memory)
-  -out DIR      output directory for BENCH_*.json (default ".")
-  -short        tiny-model matrix for CI smoke jobs (with -json)
-  -precision P  precision slice of the matrix: f64 (reference cells and the
-                dist_* axis), f32 (the _f32 mixed-precision cells only), or
-                both (default)
-  -world N      dist_* axis world size (0 = 4 in-process, 16 for -fabric tcp)
-  -fabric F     dist transport: inproc (goroutines, the default) or tcp
-                (one OS process per rank over the TCP transport; runs the
-                f64 {commopt, memopt, hybrid50} sweep)
-  -cells        print the BENCH_<scenario> cell names the configured axes
-                emit, one per line, and exit (CI derives its artifact
-                asserts from this instead of a baked-in file list)
-  -eig          run the eigensolver microbenchmark instead of the step
-                matrix and write BENCH_eig.json (serial vs blocked vs
-                GOMAXPROCS-teamed at dims 256/1024/4096; -short shrinks
-                the ladder); carries its own schema, kfac-bench/eig/v1
-
-Common:
   -seed N       random seed (default 42)
 
 Examples:
   kfac-bench -exp table1
   kfac-bench -all -quick
-  kfac-bench -json -out bench-artifacts
-  kfac-bench -json -short
-  kfac-bench -json -precision f32 -out bench-artifacts
-  kfac-bench -json -fabric tcp -world 16 -out bench-artifacts
-  kfac-bench -json -short -cells
-  kfac-bench -json -eig -out bench-artifacts
 `)
 }
 
 func main() {
 	var (
-		expID    = flag.String("exp", "", "experiment ID to run (see -list)")
-		all      = flag.Bool("all", false, "run every experiment")
-		list     = flag.Bool("list", false, "list experiment IDs")
-		quick    = flag.Bool("quick", false, "reduced-scale smoke runs")
-		jsonMode = flag.Bool("json", false, "emit BENCH_<scenario>.json benchmark trajectories")
-		outDir   = flag.String("out", ".", "output directory for -json results")
-		short    = flag.Bool("short", false, "tiny-model -json matrix (CI smoke)")
-		prec     = flag.String("precision", "both", "-json precision slice: f64, f32, or both")
-		world    = flag.Int("world", 0, "dist_* axis world size (0 = fabric default)")
-		fabric   = flag.String("fabric", "inproc", "dist transport: inproc or tcp")
-		cells    = flag.Bool("cells", false, "print the cell names the configured axes emit and exit")
-		eig      = flag.Bool("eig", false, "eigensolver microbenchmark: write BENCH_eig.json (with -json)")
-		tcpRank  = flag.Int("tcp-rank", -1, "internal: TCP child rank (spawned by -fabric tcp)")
-		addrs    = flag.String("addrs", "", "internal: comma-separated TCP rank addresses")
-		seed     = flag.Int64("seed", 42, "random seed")
+		expID = flag.String("exp", "", "experiment ID to run (see -list)")
+		all   = flag.Bool("all", false, "run every experiment")
+		list  = flag.Bool("list", false, "list experiment IDs")
+		quick = flag.Bool("quick", false, "reduced-scale smoke runs")
+		seed  = flag.Int64("seed", 42, "random seed")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -114,54 +64,6 @@ func main() {
 	case *list:
 		for _, e := range experiments.All() {
 			fmt.Printf("%-20s %s\n", e.ID, e.Title)
-		}
-	case *cells:
-		var names []string
-		switch *fabric {
-		case "tcp":
-			names = experiments.TCPBenchCells(*short, *world)
-		default:
-			names = experiments.BenchCells(experiments.BenchConfig{
-				Short: *short, Precision: *prec, World: *world,
-			})
-		}
-		for _, n := range names {
-			fmt.Println(n)
-		}
-	case *jsonMode && *eig:
-		path, err := experiments.RunEigBench(ctx, *outDir, *short, *seed)
-		if err != nil {
-			fail("bench-eig", err)
-		}
-		fmt.Println(path)
-	case *jsonMode && *tcpRank >= 0:
-		// Child of a -fabric tcp parent: one rank of the multi-process world.
-		err := experiments.RunBenchTCPChild(ctx, *outDir, *short, *seed, *world, *tcpRank,
-			strings.Split(*addrs, ","))
-		if err != nil {
-			fail(fmt.Sprintf("bench-tcp-rank%d", *tcpRank), err)
-		}
-	case *jsonMode && *fabric == "tcp":
-		exe, err := os.Executable()
-		if err != nil {
-			fail("bench-tcp", err)
-		}
-		paths, err := experiments.RunBenchTCP(ctx, *outDir, *short, *seed, *world, exe)
-		for _, p := range paths {
-			fmt.Println(p)
-		}
-		if err != nil {
-			fail("bench-tcp", err)
-		}
-	case *jsonMode:
-		paths, err := experiments.RunBenchJSONConfig(ctx, *outDir, experiments.BenchConfig{
-			Short: *short, Seed: *seed, Precision: *prec, World: *world,
-		})
-		for _, p := range paths {
-			fmt.Println(p)
-		}
-		if err != nil {
-			fail("bench-json", err)
 		}
 	case *all:
 		for _, e := range experiments.All() {

@@ -152,11 +152,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfgData := data.CIFARLike(*seed)
-	train, test := data.GenerateSynthetic(cfgData)
-	fmt.Printf("dataset: %d train / %d test, %d classes, %dx%dx%d images\n",
-		train.Len(), test.Len(), train.Classes, cfgData.Channels, cfgData.Size, cfgData.Size)
-
 	opts := []trainer.SessionOption{
 		trainer.WithEpochs(*epochs),
 		trainer.WithBatchPerRank(*batch),
@@ -225,15 +220,23 @@ func main() {
 			kopts = append(kopts, kfac.WithGroupSize(*groupSize))
 		}
 		switch *strategy {
+		case "roundrobin":
+			kopts = append(kopts, kfac.WithStrategy(kfac.RoundRobin))
 		case "layerwise":
 			kopts = append(kopts, kfac.WithStrategy(kfac.LayerWise))
 		case "greedy":
 			kopts = append(kopts, kfac.WithStrategy(kfac.SizeGreedy))
 		default:
-			kopts = append(kopts, kfac.WithStrategy(kfac.RoundRobin))
+			fmt.Fprintf(os.Stderr, "unknown -strategy %q (want roundrobin, layerwise, or greedy)\n", *strategy)
+			os.Exit(2)
 		}
-		if *mode == "inverse" {
+		switch *mode {
+		case "eigen":
+		case "inverse":
 			kopts = append(kopts, kfac.WithMode(kfac.InverseMode))
+		default:
+			fmt.Fprintf(os.Stderr, "unknown -mode %q (want eigen or inverse)\n", *mode)
+			os.Exit(2)
 		}
 		pr, err := kfac.ParsePrecision(*precision)
 		if err != nil {
@@ -287,6 +290,11 @@ func main() {
 		}
 		opts = append(opts, trainer.WithKFAC(kopts...))
 	}
+
+	cfgData := data.CIFARLike(*seed)
+	train, test := data.GenerateSynthetic(cfgData)
+	fmt.Printf("dataset: %d train / %d test, %d classes, %dx%dx%d images\n",
+		train.Len(), test.Len(), train.Classes, cfgData.Channels, cfgData.Size, cfgData.Size)
 
 	build := func(rng *rand.Rand) *nn.Sequential {
 		return models.BuildCIFARResNet(*blocks, *width, 3, 10, rng)

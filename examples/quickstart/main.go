@@ -37,7 +37,7 @@ func main() {
 	flag.Parse()
 	rng := rand.New(rand.NewSource(1))
 
-	// Synthetic 10-class image dataset (stand-in for CIFAR-10; see DESIGN.md).
+	// Synthetic 10-class image dataset (stand-in for CIFAR-10; see internal/data).
 	cfg := data.CIFARLike(1)
 	cfg.Train, cfg.Test, cfg.Size, cfg.Noise = *trainN, *testN, 16, 0.8
 	train, test := data.GenerateSynthetic(cfg)

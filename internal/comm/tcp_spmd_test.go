@@ -22,12 +22,12 @@ import (
 // over the TCP transport must produce bit-identical collective results on
 // every rank, matching the in-process fabric exactly — and every child
 // must wind its mesh down cleanly (no goroutines, no held listeners)
-// before exiting. This is the conformance layer under the multi-process
-// benchmark driver (kfac-bench -fabric tcp): if checksums diverge here,
-// w16/w32 trajectories are measuring different computations per rank.
+// before exiting. This is the conformance layer under every multi-process
+// run over NewTCPFabric (examples/tcpcluster among them): if checksums
+// diverge here, ranks are computing different things.
 
-// tcpSPMDWorld is the conformance world size: 16 processes, matching the
-// smallest committed TCP benchmark world.
+// tcpSPMDWorld is the conformance world size: 16 processes, the world of
+// the TCP calibration rows in docs/PERFORMANCE.md.
 const tcpSPMDWorld = 16
 
 const (

@@ -1,11 +1,11 @@
 // Package data provides the dataset substrate. The paper trains on CIFAR-10
 // and ImageNet-1k; neither is redistributable or downloadable here, so this
 // package generates class-structured synthetic image datasets with the same
-// tensor shapes (see DESIGN.md, substitution 3): each class has a random
-// smooth prototype image, samples are prototypes plus structured noise and
-// random circular shifts. The resulting task is learnable but not trivially
-// linearly separable, which is what the correctness experiments need —
-// an optimizer that exploits curvature converges in fewer iterations.
+// tensor shapes: each class has a random smooth prototype image, samples
+// are prototypes plus structured noise and random circular shifts. The
+// resulting task is learnable but not trivially linearly separable, which
+// is what the correctness experiments need — an optimizer that exploits
+// curvature converges in fewer iterations.
 //
 // The package also provides the data-parallel sharding sampler that mirrors
 // PyTorch's DistributedSampler: each rank iterates a disjoint shard, and a

@@ -1,8 +1,7 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§VI), shared by the kfac-bench CLI and the top-level
-// benchmark suite. DESIGN.md maps every experiment ID to the paper artifact
-// and the modules involved; EXPERIMENTS.md records paper-vs-measured
-// numbers.
+// Go benchmarks (bench_test.go). Each runner prints what the paper reports
+// (Experiment.Paper) beside its own numbers.
 //
 // Two kinds of runner exist:
 //

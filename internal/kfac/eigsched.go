@@ -6,29 +6,6 @@ import (
 	"repro/internal/linalg"
 )
 
-// EigSolver selects the symmetric eigensolver behind EigenMode
-// decompositions.
-type EigSolver int
-
-const (
-	// EigBlocked (the default) is the blocked multi-threaded solver
-	// (linalg.SymEigBlockedInto): Level-3 Householder tridiagonalization
-	// with compact-WY trailing updates, Q back-accumulation as pooled
-	// compact-WY GEMMs, and batched QL rotations, run with the per-factor
-	// worker team chosen by the eig scheduler. Bitwise deterministic across
-	// team sizes and runs.
-	EigBlocked EigSolver = iota
-	// EigSerial is the original single-threaded tred2/tql2 pair
-	// (linalg.SymEigInto), retained as the oracle — the escape hatch
-	// analogous to the purego build tag for the SIMD kernels.
-	EigSerial
-)
-
-// WithEigSolver selects the eigendecomposition implementation (default
-// EigBlocked). EigSerial restores the single-threaded solver as a
-// numerical oracle; the two differ only in round-off.
-func WithEigSolver(s EigSolver) Option { return func(o *Options) { o.EigSolver = s } }
-
 // EigTeamMinDim is the factor dimension below which a decomposition
 // always runs on a single-worker team: the blocked solver falls back to
 // the serial pair under linalg's own small-dimension threshold anyway,

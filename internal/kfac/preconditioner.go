@@ -95,7 +95,7 @@ type Options struct {
 	// Compression applies a lossy codec to the factor allreduce and the
 	// trainer's gradient exchange (nil = exact), wrapped in error-feedback
 	// residual accumulation unless NoErrorFeedback is set. Must be
-	// identical on every rank. SymEigInto symmetrizes its input, so
+	// identical on every rank. The eigensolver symmetrizes its input, so
 	// sparsified factor averages stay safe to decompose.
 	Compression comm.Codec
 	// NoErrorFeedback strips the residual accumulator from Compression —
@@ -108,11 +108,6 @@ type Options struct {
 	// static Compression/FusionBytes/GroupSize fields from the first
 	// decision on. See autotune.go.
 	Autotune *AutotuneConfig
-	// EigSolver selects the EigenMode eigensolver (default EigBlocked, the
-	// blocked multi-threaded solver with per-factor worker teams;
-	// EigSerial restores the single-threaded tred2/tql2 oracle). The two
-	// agree to round-off and are each bitwise deterministic.
-	EigSolver EigSolver
 }
 
 func (o *Options) fillDefaults() {
@@ -160,15 +155,15 @@ type layerState struct {
 	pi float64
 
 	// Reused workspaces. Together with those of k and the Eigen in-place
-	// refresh (linalg.SymEigInto) they make the steady-state Step path —
-	// combined gradient, preconditioning products, KL clip —
+	// refresh (linalg.SymEigBlockedInto) they make the steady-state Step
+	// path — combined gradient, preconditioning products, KL clip —
 	// allocation-free; see TestKFACStepSteadyStateZeroAllocs.
 	covA, covG *tensor.Tensor // covariance scratch for one factor update
 	gradBuf    *tensor.Tensor // combined gradient [dg, da]
 	// pcBuf is the preconditioned gradient [dg, da]. Under a partial plan it
 	// is a view into its broadcast bucket's backing (see pcBucket).
 	pcBuf *tensor.Tensor
-	// Decomposition spares: SymEigInto refreshes into the spare, which is
+	// Decomposition spares: symEig refreshes into the spare, which is
 	// swapped with eigA/eigG only on success, so a convergence failure
 	// never clobbers the last good decomposition (the stale path keeps
 	// preconditioning with it). Storage still recycles: the pair
@@ -558,14 +553,12 @@ func (p *Preconditioner) decompose(s *layerState, isG bool) error {
 	return nil
 }
 
-// symEig runs the configured eigensolver into eg: the blocked solver
-// with this factor's worker team (EigBlocked, the default), or the serial
-// oracle (EigSerial). Blocked runs report per-kernel wall time into
-// StageStats.
+// symEig decomposes a into eg with the blocked solver
+// (linalg.SymEigBlockedInto) on this factor's worker team, reporting
+// per-kernel wall time into StageStats. Its result is bitwise independent
+// of the team size; linalg.SymEigInto, the serial tred2/tql2 pair, is its
+// test oracle (TestEigSolverBlockedMatchesSerialOracle).
 func (p *Preconditioner) symEig(a *tensor.Tensor, eg *linalg.Eigen, team int) error {
-	if p.opts.EigSolver == EigSerial {
-		return linalg.SymEigInto(a, eg)
-	}
 	if team < 1 {
 		team = 1
 	}

@@ -25,10 +25,10 @@ type StageStats struct {
 	Precondition  time.Duration
 
 	// Per-kernel decomposition time of the blocked eigensolver, summed
-	// across factors (zero under EigSerial and for small factors on the
-	// serial fallback). EigCompute is the decomposition stage's wall-clock
-	// window; these are summed task time, so their total can exceed
-	// EigCompute when factors decompose concurrently.
+	// across factors (zero for small factors on the serial fallback).
+	// EigCompute is the decomposition stage's wall-clock window; these are
+	// summed task time, so their total can exceed EigCompute when factors
+	// decompose concurrently.
 	EigTridiag   time.Duration
 	EigBackAccum time.Duration
 	EigQL        time.Duration

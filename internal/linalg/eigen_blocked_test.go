@@ -480,14 +480,16 @@ func kfacFactor(rng *rand.Rand, n, batch, updates int) *tensor.Tensor {
 }
 
 // BenchmarkSymEigBlocked decomposes a K-FAC-like factor (a running average
-// of 72×n Gram products) at the benchmark model's largest factor sizes and
-// reports the blocked kernels' split from EigKernelTimes, with the
-// tridiagonalization and back-accumulation rates at their 4⁄3·n³ flops
-// each — the numbers of docs/PERFORMANCE.md's eigensolver tables:
+// of 72×n Gram products) at the benchmark model's largest factor sizes,
+// 216 and 432, and at 1024, the first rung above them, and reports the
+// blocked kernels' split from EigKernelTimes, with the tridiagonalization
+// and back-accumulation rates at their 4⁄3·n³ flops each — the numbers of
+// docs/PERFORMANCE.md's eigensolver tables:
 //
 //	go test -run '^$' -bench SymEigBlocked -benchtime 20x ./internal/linalg
+//	go test -run '^$' -bench 'SymEigBlocked/n=1024' -benchtime 5x ./internal/linalg
 func BenchmarkSymEigBlocked(b *testing.B) {
-	for _, n := range []int{216, 432} {
+	for _, n := range []int{216, 432, 1024} {
 		a := kfacFactor(rand.New(rand.NewSource(int64(n))), n, 72, 8)
 		for _, team := range []int{1, 2} {
 			b.Run(fmt.Sprintf("n=%d/team=%d", n, team), func(b *testing.B) {

@@ -6,7 +6,7 @@ import (
 
 // Convergence models for the ImageNet experiments: the paper's measured
 // end-points (Table III, Figure 5) are encoded directly and interpolated.
-// This is an explicit substitution (DESIGN.md #4): full ImageNet training is
+// This is an explicit substitution: full ImageNet training is
 // not reproducible here, so the *accuracy* side of Tables III and Figures
 // 5–6 comes from a calibrated model, while the *time* side comes from the
 // performance model and the real placement algorithms. The synthetic-data

@@ -1,6 +1,6 @@
 // Package simulate is the cluster performance model used to regenerate the
 // paper's ImageNet-scale measurements (Tables III–VI, Figures 5–10) without
-// the 16–256 V100 GPUs the authors used (DESIGN.md, substitution 4).
+// the 16–256 V100 GPUs the authors used.
 //
 // The model combines:
 //
@@ -22,8 +22,9 @@
 //     with parameter count, matching the measured 26/84/173 ms residuals
 //     for ResNet-50/101/152.
 //
-// EXPERIMENTS.md records the calibration and paper-vs-model numbers for
-// every artifact.
+// The experiments built on it (internal/experiments) print paper-vs-model
+// numbers for every artifact; TestCalibration gates the model against
+// measured runs.
 package simulate
 
 import (
