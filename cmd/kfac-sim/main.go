@@ -15,7 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/kfac"
 	"repro/internal/models"
@@ -28,7 +28,7 @@ func usage() {
 
 Scenario:
   -model NAME       resnet32|resnet34|resnet50|resnet101|resnet152 (default resnet50)
-  -gpus N           worker count (default 64)
+  -gpus N           worker count, ≥ 1 (default 64)
   -strategy NAME    roundrobin|layerwise|greedy factor placement
 
 Distribution plan (memory/communication tradeoff; see docs/ARCHITECTURE.md):
@@ -37,9 +37,9 @@ Distribution plan (memory/communication tradeoff; see docs/ARCHITECTURE.md):
   -grad-worker-frac F  hybrid gradient-worker fraction, 0 < F < 1
 
 K-FAC schedule:
-  -freq N           kfac-update-freq; 0 selects the paper's scale-proportional value
-  -sgd-epochs N     SGD epoch budget for the time-to-solution comparison (default 90)
-  -kfac-epochs N    K-FAC epoch budget (default 55)
+  -freq N           kfac-update-freq, ≥ 1; 0 selects the paper's scale-proportional value
+  -sgd-epochs N     SGD epoch budget for the time-to-solution comparison, ≥ 1 (default 90)
+  -kfac-epochs N    K-FAC epoch budget, ≥ 1 (default 55)
 
 Topology and scale planning (docs/ARCHITECTURE.md "Scale planning"):
   -ranks-per-node N override the modeled node size (default 4)
@@ -53,9 +53,9 @@ Topology and scale planning (docs/ARCHITECTURE.md "Scale planning"):
 
 Output:
   -workers          also print per-worker eigendecomposition load (min/median/max)
-  -precision W      modeled element width for payloads and memory: f32 (the
-                    paper's wire format, default) or f64 (this repo's exact
-                    float64 wire format)
+  -precision W      modeled wire width only: f32 (the paper's wire format,
+                    default) or f64 (this repo's exact float64 wire format);
+                    resident eigenbasis memory is priced at float64 either way
 
 Examples:
   kfac-sim -model resnet50 -gpus 64
@@ -68,18 +68,24 @@ Examples:
 `)
 }
 
+// fail reports a usage error and exits 2.
+func fail(format string, a ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", a...)
+	os.Exit(2)
+}
+
 func main() {
 	var (
 		model      = flag.String("model", "resnet50", "resnet32|resnet34|resnet50|resnet101|resnet152")
-		gpus       = flag.Int("gpus", 64, "worker count")
+		gpus       = flag.Int("gpus", 64, "worker count (≥ 1)")
 		freq       = flag.Int("freq", 0, "kfac-update-freq (0 = paper's scale-proportional value)")
 		strategy   = flag.String("strategy", "roundrobin", "roundrobin|layerwise|greedy")
 		distMode   = flag.String("dist-mode", "auto", "auto|commopt|memopt|hybrid distribution plan")
 		gradFrac   = flag.Float64("grad-worker-frac", 0, "hybrid gradient-worker fraction (0 < F < 1)")
-		sgdEpochs  = flag.Int("sgd-epochs", 90, "SGD epoch budget")
-		kfacEpochs = flag.Int("kfac-epochs", 55, "K-FAC epoch budget")
+		sgdEpochs  = flag.Int("sgd-epochs", 90, "SGD epoch budget (≥ 1)")
+		kfacEpochs = flag.Int("kfac-epochs", 55, "K-FAC epoch budget (≥ 1)")
 		workers    = flag.Bool("workers", false, "print per-worker eigendecomposition times")
-		precision  = flag.String("precision", "f32", "modeled element width: f32 (the paper's wire format) or f64")
+		precision  = flag.String("precision", "f32", "modeled wire width only: f32 (the paper's wire format) or f64")
 		ranksNode  = flag.Int("ranks-per-node", 0, "modeled ranks per node (0 = topology default)")
 		nodesRack  = flag.Int("nodes-per-rack", 0, "modeled nodes per rack (0 = topology default)")
 		memBudget  = flag.Float64("mem-budget", 0, "per-worker decomposition memory budget in MB (0 = unlimited)")
@@ -90,8 +96,23 @@ func main() {
 
 	cat, err := models.CatalogByName(*model)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail("%v", err)
+	}
+	switch {
+	case *gpus < 1:
+		fail("-gpus must be ≥ 1, got %d", *gpus)
+	case *freq < 0:
+		fail("-freq must be 0 (the paper's scale-proportional value) or ≥ 1, got %d", *freq)
+	case *sgdEpochs < 1:
+		fail("-sgd-epochs must be ≥ 1, got %d", *sgdEpochs)
+	case *kfacEpochs < 1:
+		fail("-kfac-epochs must be ≥ 1, got %d", *kfacEpochs)
+	case *ranksNode < 0:
+		fail("-ranks-per-node must be 0 (the topology default) or ≥ 1, got %d", *ranksNode)
+	case *nodesRack < 0:
+		fail("-nodes-per-rack must be 0 (the topology default) or ≥ 1, got %d", *nodesRack)
+	case *memBudget < 0:
+		fail("-mem-budget must be 0 (unlimited) or a positive MB count, got %v", *memBudget)
 	}
 	var strat kfac.Strategy
 	switch *strategy {
@@ -102,8 +123,7 @@ func main() {
 	case "roundrobin":
 		strat = kfac.RoundRobin
 	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
-		os.Exit(2)
+		fail("unknown -strategy %q (want roundrobin, layerwise, or greedy)", *strategy)
 	}
 	var dmode kfac.DistMode
 	switch *distMode {
@@ -116,31 +136,25 @@ func main() {
 	case "hybrid":
 		dmode = kfac.Hybrid
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -dist-mode %q (want auto, commopt, memopt, or hybrid)\n", *distMode)
-		os.Exit(2)
+		fail("unknown -dist-mode %q (want auto, commopt, memopt, or hybrid)", *distMode)
 	}
 	if dmode == kfac.Hybrid && (*gradFrac <= 0 || *gradFrac >= 1) {
-		fmt.Fprintf(os.Stderr, "-dist-mode hybrid needs -grad-worker-frac strictly between 0 and 1 (got %v)\n", *gradFrac)
-		os.Exit(2)
+		fail("-dist-mode hybrid needs -grad-worker-frac strictly between 0 and 1 (got %v)", *gradFrac)
 	}
 	if dmode != kfac.Hybrid && *gradFrac != 0 {
-		fmt.Fprintf(os.Stderr, "-grad-worker-frac requires -dist-mode hybrid\n")
-		os.Exit(2)
+		fail("-grad-worker-frac requires -dist-mode hybrid")
 	}
 
 	pr, err := kfac.ParsePrecision(*precision)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail("%v", err)
 	}
 	cluster := simulate.DefaultV100Cluster()
-	bytesPerElem := 4.0
 	if pr == kfac.F64 {
 		// Model double-width payloads: twice the bytes through the same
 		// interconnect model.
-		bytesPerElem = 8.0
+		cluster.BytesPerElem = 8
 	}
-	cluster.BytesPerElem = bytesPerElem
 
 	m := simulate.NewModel(cluster, simulate.ImageNetWorkload(cat))
 	f := *freq
@@ -160,25 +174,25 @@ func main() {
 		topo.NodesPerRack = *nodesRack
 	}
 	if err := topo.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail("%v", err)
 	}
 	pm := simulate.NewPlanModel(topo, cluster)
 	pm.InvUpdateFreq = f
 	pm.BaseStepSec = m.FwdBwdTime()
 	budgetBytes := int64(*memBudget * 1e6)
-	plannerCfg := kfac.AutoPlannerConfig{Model: pm, MemoryBudgetBytes: budgetBytes}
-	dec := kfac.ResolveAutoPlan(plannerCfg, strat, cat.FactorRefs(), *gpus)
+	refs := cat.FactorRefs()
+	dec := kfac.ResolveAutoPlan(kfac.AutoPlannerConfig{Model: pm, MemoryBudgetBytes: budgetBytes}, strat, refs, *gpus)
 
 	fmt.Printf("model %s: %.1fM params, %d K-FAC layers, %d iterations/epoch at %d GPUs\n",
 		cat.Name, float64(cat.TotalParams())/1e6, len(cat.Layers), m.IterationsPerEpoch(*gpus), *gpus)
 
+	cand := kfac.PlanCandidate{Mode: dmode, GradWorkerFrac: *gradFrac}
 	if dmode == kfac.DistAuto {
 		// Cost-model-driven DistAuto, over the catalog's exact factor
 		// geometry: the planner is an offline/admission tool (here and in
 		// ctl.PlacementHint); a training job runs the mode, fraction and
 		// group size it picks only when launched with them explicitly.
-		dmode, *gradFrac = dec.Mode, dec.GradWorkerFrac
+		cand = dec.PlanCandidate
 		fmt.Printf("auto planner (%d ranks/node × %d nodes/rack): chose %s", topo.RanksPerNode, topo.NodesPerRack, dec.Mode)
 		if dec.Mode == kfac.Hybrid {
 			fmt.Printf(" f=%g", dec.GradWorkerFrac)
@@ -191,20 +205,15 @@ func main() {
 		}
 		fmt.Println(")")
 	}
-
-	// Resolve the real distribution plan over the catalog's exact factor
-	// dimensions and report the per-rank eigenbasis footprint — the memory
-	// side of the MEM-OPT/COMM-OPT tradeoff (FP32 on the modeled cluster).
-	plan := kfac.BuildPlan(strat, dmode, *gradFrac, cat.FactorRefs(), *gpus)
-	elems := plan.DecompElemsPerRank(cat.FactorRefs())
-	sortedElems := append([]int64(nil), elems...)
-	sort.Slice(sortedElems, func(a, b int) bool { return sortedElems[a] < sortedElems[b] })
-	elemMB := bytesPerElem / 1e6 // bytes per element → MB at the modeled width
-	fmt.Printf("plan %s (%s elements)\n", plan, pr)
+	// Every line below prices this plan: the paper model's time lines and
+	// the plan model's resident eigenbasis footprint alike.
+	m.DistMode, m.GradWorkerFrac = cand.Mode, cand.GradWorkerFrac
+	ev := pm.Evaluate(strat, refs, *gpus, cand)
+	mn, md, mx := ev.MemStats()
+	replicated := pm.Evaluate(strat, refs, *gpus, kfac.PlanCandidate{Mode: kfac.CommOpt}).MaxMemBytes
+	fmt.Printf("plan %s (%s wire)\n", kfac.BuildPlan(strat, cand.Mode, cand.GradWorkerFrac, refs, *gpus), pr)
 	fmt.Printf("eigenbasis memory/rank: min %.1f MB, median %.1f MB, max %.1f MB (COMM-OPT would hold %.1f MB everywhere)\n",
-		float64(sortedElems[0])*elemMB, float64(sortedElems[len(sortedElems)/2])*elemMB,
-		float64(sortedElems[len(sortedElems)-1])*elemMB,
-		float64(maxElems(kfac.BuildPlan(strat, kfac.CommOpt, 0, cat.FactorRefs(), *gpus).DecompElemsPerRank(cat.FactorRefs())))*elemMB)
+		float64(mn)/1e6, float64(md)/1e6, float64(mx)/1e6, float64(replicated)/1e6)
 	fmt.Printf("per-iteration: fwd+bwd %.1f ms, SGD iter %.1f ms, %s iter %.1f ms (freq %d)\n",
 		m.FwdBwdTime()*1e3, m.SGDIterTime(*gpus)*1e3,
 		strat, m.KFACIterAvgTime(*gpus, f, strat)*1e3, f)
@@ -222,18 +231,18 @@ func main() {
 		fmt.Println(":")
 		fmt.Printf("  %-8s %-6s %-5s  %9s  %26s  %s\n",
 			"mode", "frac", "group", "step ms", "mem/rank MB min/med/max", "status")
-		for _, cand := range kfac.PlanCandidates(plannerCfg) {
-			ev := pm.Evaluate(strat, cat.FactorRefs(), *gpus, cand)
+		for _, c := range kfac.PlanCandidates() {
+			ev := pm.Evaluate(strat, refs, *gpus, c)
 			mn, md, mx := ev.MemStats()
 			status := ""
 			if budgetBytes > 0 && ev.MaxMemBytes > budgetBytes {
 				status = "over-budget"
 			}
-			if cand == dec.PlanCandidate {
+			if c == dec.PlanCandidate {
 				status += " <- chosen"
 			}
 			fmt.Printf("  %-8s %-6g %-5d  %9.2f  %8.1f %8.1f %8.1f  %s\n",
-				cand.Mode, cand.GradWorkerFrac, cand.GroupSize, ev.StepSec*1e3,
+				c.Mode, c.GradWorkerFrac, c.GroupSize, ev.StepSec*1e3,
 				float64(mn)/1e6, float64(md)/1e6, float64(mx)/1e6, status)
 		}
 	}
@@ -250,8 +259,7 @@ func main() {
 
 	if *workers {
 		times := m.WorkerEigTimes(*gpus, strat)
-		sorted := append([]float64(nil), times...)
-		sort.Float64s(sorted)
+		sorted := slices.Sorted(slices.Values(times))
 		fmt.Printf("\nper-worker eig times (s), sorted: min %.3f  median %.3f  max %.3f\n",
 			sorted[0], sorted[len(sorted)/2], sorted[len(sorted)-1])
 		busy := 0
@@ -262,15 +270,4 @@ func main() {
 		}
 		fmt.Printf("busy workers: %d of %d (idle workers are the §IV scaling concern)\n", busy, *gpus)
 	}
-}
-
-// maxElems returns the largest per-rank element count.
-func maxElems(elems []int64) int64 {
-	var m int64
-	for _, v := range elems {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

@@ -336,6 +336,7 @@ func runAblationFusion(ctx context.Context, w io.Writer, cfg Config) error {
 	// Model the effect of splitting a 100 MB gradient exchange into k
 	// messages: latency term multiplies, bandwidth term is constant.
 	m := modelFor("resnet50")
+	topo := m.Cluster.Topology(64)
 	bytes := m.GradBytes()
 	fmt.Fprintf(w, "%-14s  %-12s  %-12s\n", "fusion buffer", "messages", "allreduce @64")
 	for _, mb := range []int{1, 4, 16, 32, 64} {
@@ -343,7 +344,7 @@ func runAblationFusion(ctx context.Context, w io.Writer, cfg Config) error {
 		t := 0.0
 		per := bytes / float64(msgs)
 		for i := 0; i < msgs; i++ {
-			t += m.RingAllreduceTime(per, 64)
+			t += topo.RingAllreduceCost(per, 64)
 		}
 		fmt.Fprintf(w, "%10d MB  %12d  %9.1f ms\n", mb, msgs, t*1000)
 	}

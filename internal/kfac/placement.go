@@ -51,113 +51,48 @@ type FactorRef struct {
 // Cost returns the modeled eigendecomposition cost of the factor.
 func (f FactorRef) Cost() float64 { return linalg.EigFLOPs(f.Dim) }
 
-// Planner produces the factor→owner assignment of a distribution plan.
-// Implementations must be deterministic pure functions of (factors,
-// workers): every rank computes the assignment independently and the
-// results must agree without communication (Algorithm 1, line 9).
-// Strategies resolve to planners through a registry (RegisterPlanner), so
-// new placement policies plug in without touching the engines — they only
-// ever see the resolved Plan.
-type Planner interface {
-	// Name identifies the planner in logs and plan summaries.
-	Name() string
-	// Assign maps each factor (placement order) to an owner in [0, workers).
-	Assign(factors []FactorRef, workers int) []int
-}
-
-// roundRobinPlanner is the paper's K-FAC-opt scheme.
-type roundRobinPlanner struct{}
-
-// Name implements Planner.
-func (roundRobinPlanner) Name() string { return RoundRobin.String() }
-
-// Assign implements Planner.
-func (roundRobinPlanner) Assign(factors []FactorRef, workers int) []int {
-	out := make([]int, len(factors))
-	for i := range factors {
-		out[i] = i % workers
-	}
-	return out
-}
-
-// layerWisePlanner is the Osawa et al. K-FAC-lw baseline: both factors of a
-// layer land on the same owner.
-type layerWisePlanner struct{}
-
-// Name implements Planner.
-func (layerWisePlanner) Name() string { return LayerWise.String() }
-
-// Assign implements Planner.
-func (layerWisePlanner) Assign(factors []FactorRef, workers int) []int {
-	out := make([]int, len(factors))
-	for i, f := range factors {
-		out[i] = f.Layer % workers
-	}
-	return out
-}
-
-// sizeGreedyPlanner implements the §VI-C4 cost-balancing policy: factors in
-// descending modeled eigendecomposition cost, each to the least-loaded
-// owner (longest-processing-time-first).
-type sizeGreedyPlanner struct{}
-
-// Name implements Planner.
-func (sizeGreedyPlanner) Name() string { return SizeGreedy.String() }
-
-// Assign implements Planner.
-func (sizeGreedyPlanner) Assign(factors []FactorRef, workers int) []int {
-	out := make([]int, len(factors))
-	order := make([]int, len(factors))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return factors[order[a]].Cost() > factors[order[b]].Cost()
-	})
-	load := make([]float64, workers)
-	for _, idx := range order {
-		best := 0
-		for w := 1; w < workers; w++ {
-			if load[w] < load[best] {
-				best = w
-			}
-		}
-		out[idx] = best
-		load[best] += factors[idx].Cost()
-	}
-	return out
-}
-
-// planners is the Strategy→Planner registry BuildPlan consults.
-var planners = map[Strategy]Planner{
-	RoundRobin: roundRobinPlanner{},
-	LayerWise:  layerWisePlanner{},
-	SizeGreedy: sizeGreedyPlanner{},
-}
-
-// RegisterPlanner installs (or replaces) the planner backing a strategy.
-// Call before any preconditioner is built; the registry is not synchronized
-// for concurrent mutation. All ranks must register identical planners — the
-// no-communication agreement contract extends to custom policies.
-func RegisterPlanner(s Strategy, p Planner) { planners[s] = p }
-
-// PlannerFor returns the planner registered for a strategy (RoundRobin's
-// when the strategy is unknown).
-func PlannerFor(s Strategy) Planner {
-	if p, ok := planners[s]; ok {
-		return p
-	}
-	return planners[RoundRobin]
-}
-
-// Assign maps each factor to a worker under the given strategy. The result
+// Assign maps each factor (placement order) to an owner in [0, workers)
+// under the given strategy; an unknown strategy gets RoundRobin. The result
 // is deterministic, so every rank computes the same assignment without
 // communication (Algorithm 1, line 9).
 func Assign(strategy Strategy, factors []FactorRef, workers int) []int {
 	if workers < 1 {
 		workers = 1
 	}
-	return PlannerFor(strategy).Assign(factors, workers)
+	out := make([]int, len(factors))
+	switch strategy {
+	case LayerWise:
+		// Both factors of a layer land on the same owner.
+		for i, f := range factors {
+			out[i] = f.Layer % workers
+		}
+	case SizeGreedy:
+		// Descending modeled eigendecomposition cost, each factor to the
+		// least-loaded owner (longest-processing-time-first).
+		order := make([]int, len(factors))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			return factors[order[a]].Cost() > factors[order[b]].Cost()
+		})
+		load := make([]float64, workers)
+		for _, idx := range order {
+			best := 0
+			for w := 1; w < workers; w++ {
+				if load[w] < load[best] {
+					best = w
+				}
+			}
+			out[idx] = best
+			load[best] += factors[idx].Cost()
+		}
+	default: // RoundRobin
+		for i := range factors {
+			out[i] = i % workers
+		}
+	}
+	return out
 }
 
 // WorkerLoads aggregates the modeled eigendecomposition cost assigned to

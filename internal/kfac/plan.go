@@ -70,7 +70,7 @@ type LayerPlan struct {
 
 // Plan is a resolved distribution assignment: for every Kronecker factor an
 // owner rank, and for every layer a gradient-worker set, built once per
-// (strategy, mode, world) by the strategy's Planner and consumed uniformly
+// (strategy, mode, world) from the strategy's Assign and consumed uniformly
 // by every update stage. Every rank builds the identical Plan from shared
 // state, so no communication is needed to agree on it (Algorithm 1,
 // line 9); elastic recovery re-plans by rebuilding it for the new world.
@@ -123,8 +123,8 @@ func ResolveDistMode(mode DistMode, strategy Strategy) DistMode {
 	return CommOpt
 }
 
-// BuildPlan resolves a distribution plan: owners from the strategy's
-// registered Planner, gradient-worker sets from the mode (frac is consulted
+// BuildPlan resolves a distribution plan: owners from Assign under the
+// strategy, gradient-worker sets from the mode (frac is consulted
 // only under Hybrid). refs must be in placement order (FactorRefs). The
 // result is a deterministic pure function of the arguments — identical on
 // every rank, and across repeated calls.
@@ -279,6 +279,6 @@ func (p *Plan) DecompElemsPerRank(refs []FactorRef) []int64 {
 // String summarizes the plan for logs and CLI banners.
 func (p *Plan) String() string {
 	return fmt.Sprintf("%s/%s: %d layers over %d ranks, %d gradient worker(s)/layer (f=%.2f)",
-		PlannerFor(p.Strategy).Name(), p.Mode, len(p.Layers), p.World,
+		p.Strategy, p.Mode, len(p.Layers), p.World,
 		p.GradWorkersPerLayer(), p.GradWorkerFrac)
 }

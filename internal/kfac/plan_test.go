@@ -94,6 +94,21 @@ func TestResolveDistModeAuto(t *testing.T) {
 	}
 }
 
+func TestBuildPlanDistAutoIsResolvedMode(t *testing.T) {
+	// DistAuto is exactly the strategy's resolved mode: the plans are
+	// bit-identical.
+	refs := planRefs(6, 5)
+	for _, strategy := range []Strategy{RoundRobin, LayerWise, SizeGreedy} {
+		for _, world := range []int{1, 4, 64, 1024} {
+			auto := BuildPlan(strategy, DistAuto, 0, refs, world)
+			resolved := BuildPlan(strategy, ResolveDistMode(DistAuto, strategy), 0, refs, world)
+			if !reflect.DeepEqual(auto, resolved) {
+				t.Fatalf("%v w=%d: DistAuto plan differs from the resolved mode's", strategy, world)
+			}
+		}
+	}
+}
+
 func TestDistModeString(t *testing.T) {
 	seen := map[string]bool{}
 	for _, m := range []DistMode{DistAuto, CommOpt, MemOpt, Hybrid, DistMode(42)} {

@@ -10,8 +10,7 @@ package kfac
 // under a PlanCostModel — for kfac-sim -plan-sweep and ctl.PlacementHint,
 // which turn the pick into explicit options. The selection is a
 // deterministic pure function of the BuildPlan inputs, exactly like
-// BuildPlan itself (Algorithm 1, line 9). Without a model the two-case rule
-// decides.
+// BuildPlan itself (Algorithm 1, line 9).
 
 // PlanCandidate is one point of the auto-planner's configuration grid.
 type PlanCandidate struct {
@@ -40,32 +39,23 @@ type PlanCostModel interface {
 
 // AutoPlannerConfig configures cost-model-driven DistAuto resolution.
 type AutoPlannerConfig struct {
-	// Model prices candidates. nil disables the planner entirely: DistAuto
-	// falls back to the legacy two-case rule (ResolveDistMode) and the
-	// resulting plans are bit-identical to the pre-planner behavior.
+	// Model prices candidates; it is required.
 	Model PlanCostModel
 	// MemoryBudgetBytes is the per-worker budget for resident
 	// decompositions. Candidates whose worst rank exceeds it are rejected.
 	// 0 means unlimited.
 	MemoryBudgetBytes int64
-	// HybridFracs lists the Hybrid gradient-worker fractions to consider.
-	// Empty selects DefaultHybridFracs.
-	HybridFracs []float64
-	// GroupSizes lists the hierarchical-allreduce group sizes to consider
-	// (0 = flat ring is always considered first). Empty selects
-	// DefaultGroupSizes.
-	GroupSizes []int
 }
 
-// DefaultHybridFracs is the Hybrid gradient-worker-fraction grid the
-// planner sweeps when the config leaves HybridFracs empty: enough points to
-// trace the memory/communication interpolation without exploding the grid.
-var DefaultHybridFracs = []float64{0.125, 0.25, 0.5}
+// gridFracs is the Hybrid gradient-worker-fraction axis of the
+// planner's grid: enough points to trace the memory/communication
+// interpolation without exploding the grid.
+var gridFracs = []float64{0.125, 0.25, 0.5}
 
-// DefaultGroupSizes is the hierarchical group-size grid when the config
-// leaves GroupSizes empty: the flat ring plus the common ranks-per-node
-// counts of GPU clusters.
-var DefaultGroupSizes = []int{0, 4, 8}
+// gridGroupSizes is the hierarchical group-size axis of the planner's
+// grid: the flat ring plus the common ranks-per-node counts of GPU
+// clusters.
+var gridGroupSizes = []int{0, 4, 8}
 
 // PlanDecision records one auto-planner resolution for logs, CLI tables and
 // the daemon's placement hints.
@@ -93,19 +83,11 @@ type PlanDecision struct {
 // ascending, then MemOpt. Order matters — cost ties resolve to the earliest
 // candidate, so it must be identical on every rank. Exported so CLI tables
 // (kfac-sim -plan-sweep) can print the same grid the planner scores.
-func PlanCandidates(cfg AutoPlannerConfig) []PlanCandidate {
-	fracs := cfg.HybridFracs
-	if len(fracs) == 0 {
-		fracs = DefaultHybridFracs
-	}
-	sizes := cfg.GroupSizes
-	if len(sizes) == 0 {
-		sizes = DefaultGroupSizes
-	}
-	out := make([]PlanCandidate, 0, len(sizes)*(len(fracs)+2))
-	for _, g := range sizes {
+func PlanCandidates() []PlanCandidate {
+	out := make([]PlanCandidate, 0, len(gridGroupSizes)*(len(gridFracs)+2))
+	for _, g := range gridGroupSizes {
 		out = append(out, PlanCandidate{Mode: CommOpt, GroupSize: g})
-		for _, f := range fracs {
+		for _, f := range gridFracs {
 			out = append(out, PlanCandidate{Mode: Hybrid, GradWorkerFrac: f, GroupSize: g})
 		}
 		out = append(out, PlanCandidate{Mode: MemOpt, GroupSize: g})
@@ -116,18 +98,12 @@ func PlanCandidates(cfg AutoPlannerConfig) []PlanCandidate {
 // ResolveAutoPlan runs the cost-model planner: enumerate the candidate
 // grid, reject candidates over the memory budget, pick the cheapest
 // (earliest grid position wins ties). A pure function of its arguments —
-// identical on every rank and across repeated calls. When cfg.Model is nil
-// the legacy two-case rule decides, with zero cost/memory predictions.
+// identical on every rank and across repeated calls.
 func ResolveAutoPlan(cfg AutoPlannerConfig, strategy Strategy, refs []FactorRef, world int) PlanDecision {
 	if world < 1 {
 		world = 1
 	}
-	if cfg.Model == nil {
-		return PlanDecision{PlanCandidate: PlanCandidate{
-			Mode: ResolveDistMode(DistAuto, strategy),
-		}}
-	}
-	cands := PlanCandidates(cfg)
+	cands := PlanCandidates()
 	d := PlanDecision{Candidates: len(cands)}
 	var (
 		bestSet    bool

@@ -41,7 +41,7 @@ func TestResolveAutoPlanNeverExceedsBudget(t *testing.T) {
 		d := ResolveAutoPlan(cfg, RoundRobin, refs, world)
 		if d.OverBudget {
 			// Degraded decision must be the minimum-memory candidate.
-			for _, cand := range PlanCandidates(cfg) {
+			for _, cand := range PlanCandidates() {
 				_, mem := cfg.Model.CandidateCost(RoundRobin, refs, world, cand)
 				if mem < d.PredictedMemBytes {
 					return false
@@ -73,7 +73,7 @@ func TestResolveAutoPlanMatchesBruteForce(t *testing.T) {
 			best  PlanCandidate
 			bestC float64
 		)
-		for _, cand := range PlanCandidates(cfg) {
+		for _, cand := range PlanCandidates() {
 			cost, mem := cfg.Model.CandidateCost(SizeGreedy, refs, world, cand)
 			if cfg.MemoryBudgetBytes > 0 && mem > cfg.MemoryBudgetBytes {
 				continue
@@ -116,43 +116,20 @@ func TestResolveAutoPlanDeterministicAcrossRanks(t *testing.T) {
 	}
 }
 
-func TestResolveAutoPlanLegacyFallback(t *testing.T) {
-	// Without a model the planner IS the legacy two-case rule, and the plans
-	// it induces are bit-identical to resolving DistAuto directly.
-	refs := planRefs(6, 5)
-	for _, strategy := range []Strategy{RoundRobin, LayerWise, SizeGreedy} {
-		for _, world := range []int{1, 4, 64, 1024} {
-			d := ResolveAutoPlan(AutoPlannerConfig{}, strategy, refs, world)
-			wantMode := ResolveDistMode(DistAuto, strategy)
-			if d.Mode != wantMode || d.GradWorkerFrac != 0 || d.GroupSize != 0 {
-				t.Fatalf("%v w=%d: fallback decision %+v, want mode %v", strategy, world, d, wantMode)
-			}
-			if d.Candidates != 0 || d.Rejected != 0 || d.OverBudget {
-				t.Fatalf("%v w=%d: fallback should not enumerate: %+v", strategy, world, d)
-			}
-			legacy := BuildPlan(strategy, DistAuto, 0, refs, world)
-			planned := BuildPlan(strategy, d.Mode, d.GradWorkerFrac, refs, world)
-			if !reflect.DeepEqual(legacy, planned) {
-				t.Fatalf("%v w=%d: fallback plan differs from legacy DistAuto", strategy, world)
-			}
-		}
-	}
-}
-
 func TestPlanCandidatesGridOrder(t *testing.T) {
-	cands := PlanCandidates(AutoPlannerConfig{})
-	wantLen := len(DefaultGroupSizes) * (len(DefaultHybridFracs) + 2)
+	cands := PlanCandidates()
+	wantLen := len(gridGroupSizes) * (len(gridFracs) + 2)
 	if len(cands) != wantLen {
 		t.Fatalf("default grid size %d, want %d", len(cands), wantLen)
 	}
 	// Fixed order per group size: CommOpt, Hybrid fracs ascending, MemOpt.
 	i := 0
-	for _, g := range DefaultGroupSizes {
+	for _, g := range gridGroupSizes {
 		if cands[i] != (PlanCandidate{Mode: CommOpt, GroupSize: g}) {
 			t.Fatalf("grid[%d] = %+v, want CommOpt g=%d", i, cands[i], g)
 		}
 		i++
-		for _, f := range DefaultHybridFracs {
+		for _, f := range gridFracs {
 			if cands[i] != (PlanCandidate{Mode: Hybrid, GradWorkerFrac: f, GroupSize: g}) {
 				t.Fatalf("grid[%d] = %+v, want Hybrid f=%v g=%d", i, cands[i], f, g)
 			}
@@ -162,13 +139,5 @@ func TestPlanCandidatesGridOrder(t *testing.T) {
 			t.Fatalf("grid[%d] = %+v, want MemOpt g=%d", i, cands[i], g)
 		}
 		i++
-	}
-	// Custom axes are honored verbatim.
-	custom := PlanCandidates(AutoPlannerConfig{HybridFracs: []float64{0.5}, GroupSizes: []int{0, 16}})
-	if len(custom) != 6 {
-		t.Fatalf("custom grid size %d, want 6", len(custom))
-	}
-	if custom[4] != (PlanCandidate{Mode: Hybrid, GradWorkerFrac: 0.5, GroupSize: 16}) {
-		t.Fatalf("custom grid[4] = %+v", custom[4])
 	}
 }

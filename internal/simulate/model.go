@@ -2,33 +2,37 @@
 // paper's ImageNet-scale measurements (Tables III–VI, Figures 5–10) without
 // the 16–256 V100 GPUs the authors used.
 //
-// The model combines:
+// There is one cost model. PlanModel (plancost.go) builds the real
+// kfac.Plan for a candidate configuration and prices every collective the
+// step engines issue under it on a node/rack Topology (topology.go): the
+// packed-triangle factor allreduce, the per-factor decomposition
+// broadcasts to each recipient set, the slowest owner's decompositions
+// (load imbalance, Table VI, comes from the real placement code, not a
+// curve fit), the slowest gradient worker's preconditioning and one result
+// broadcast per root. kfac-sim, ctl.PlacementHint, the auto planner and
+// the calibration gate use it directly.
 //
-//   - α–β communication costs for the ring allreduce / allgather / broadcast
-//     algorithms implemented in internal/comm, with an effective latency
-//     that grows with scale (switch contention and stragglers) and a
-//     contention multiplier on K-FAC's large factor payloads;
-//   - FLOP-derived compute times from the exact layer catalogs in
-//     internal/models, with a sublinear model-size exponent calibrated to
-//     the paper's measured per-iteration times (deeper models achieve
-//     better GPU utilization than raw FLOPs predict);
-//   - eigendecomposition stage time = max over workers of Σ 9n³/throughput,
-//     where the factor→worker assignment comes from the *real* placement
-//     code in internal/kfac — load imbalance (Table VI) is produced by the
-//     algorithm, not curve-fit;
-//   - a per-iteration K-FAC overhead (hook capture, preconditioning GEMMs,
-//     ν scaling, framework bookkeeping) calibrated against the residual
-//     per-iteration costs implied by Table III and scaling quadratically
-//     with parameter count, matching the measured 26/84/173 ms residuals
-//     for ResNet-50/101/152.
+// Model (this file) is the paper's layer on top of one PlanModel.Evaluate:
+//
+//   - the cluster (ClusterConfig) as a flat Topology whose links carry a
+//     latency that grows with scale (switch contention and stragglers),
+//     plus a contention multiplier on K-FAC's bulk factor and
+//     decomposition payloads;
+//   - FLOP-derived forward/backward and factor-compute times from the
+//     exact layer catalogs in internal/models, with a sublinear model-size
+//     exponent calibrated to the paper's measured per-iteration times;
+//   - the SGD iteration with its overlapped gradient allreduce;
+//   - a per-iteration K-FAC bookkeeping overhead calibrated against the
+//     residuals implied by Table III, quadratic in parameter count;
+//   - the paper's scale-proportional update frequency (PaperInvFreq) and
+//     the convergence curves (convergence.go).
 //
 // The experiments built on it (internal/experiments) print paper-vs-model
-// numbers for every artifact; TestCalibration gates the model against
+// numbers for every artifact; TestCalibration gates PlanModel against
 // measured runs.
 package simulate
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/kfac"
@@ -103,6 +107,14 @@ func (c ClusterConfig) alpha(p int) float64 {
 	return c.AlphaBaseSec * (1 + float64(p)/c.AlphaContentionGPUs)
 }
 
+// Topology returns the paper cluster at world size p as a flat Topology:
+// all three link classes are {α(p), β}, so every collective the paper
+// model prices goes through the same Topology arithmetic PlanModel uses.
+func (c ClusterConfig) Topology(p int) Topology {
+	l := Link{AlphaSec: c.alpha(p), BetaBytesPerSec: c.BetaBytesPerSec}
+	return Topology{RanksPerNode: 1, NodesPerRack: 1, IntraNode: l, InterNode: l, InterRack: l}
+}
+
 // stageContention returns the congestion multiplier for K-FAC's bulk
 // factor payloads at world size p.
 func (c ClusterConfig) stageContention(p int) float64 {
@@ -137,6 +149,11 @@ func ImageNetWorkload(c *models.Catalog) Workload {
 type Model struct {
 	Cluster  ClusterConfig
 	Workload Workload
+	// DistMode and GradWorkerFrac select the distribution plan the K-FAC
+	// stages are priced under. The zero value, DistAuto, is the strategy's
+	// own mode (kfac.ResolveDistMode) — the paper's configurations.
+	DistMode       kfac.DistMode
+	GradWorkerFrac float64
 }
 
 // NewModel pairs a cluster with a workload.
@@ -167,39 +184,11 @@ func (m *Model) GradBytes() float64 {
 	return float64(m.Workload.Catalog.TotalParams()) * m.Cluster.BytesPerElem
 }
 
-// ringAllreduceTime is the α–β cost of a ring allreduce of b bytes on p
-// ranks: 2(p−1) latency steps and 2(p−1)/p bandwidth factors.
-func (m *Model) ringAllreduceTime(b float64, p int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	steps := float64(2 * (p - 1))
-	return steps*m.Cluster.alpha(p) + 2*float64(p-1)/float64(p)*b/m.Cluster.BetaBytesPerSec
-}
-
-// ringAllgatherTime is the α–β cost of gathering b total bytes on p ranks.
-func (m *Model) ringAllgatherTime(b float64, p int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	steps := float64(p - 1)
-	return steps*m.Cluster.alpha(p) + float64(p-1)/float64(p)*b/m.Cluster.BetaBytesPerSec
-}
-
-// broadcastTime is the α–β cost of a binomial-tree broadcast of b bytes.
-func (m *Model) broadcastTime(b float64, p int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	steps := math.Ceil(math.Log2(float64(p)))
-	return steps * (m.Cluster.alpha(p) + b/m.Cluster.BetaBytesPerSec)
-}
-
 // SGDIterTime models one synchronous-SGD iteration: forward+backward plus
 // the non-overlapped remainder of the gradient allreduce.
 func (m *Model) SGDIterTime(p int) float64 {
 	fb := m.FwdBwdTime()
-	ar := m.ringAllreduceTime(m.GradBytes(), p)
+	ar := m.Cluster.Topology(p).RingAllreduceCost(m.GradBytes(), p)
 	exposed := ar - m.Cluster.OverlapFraction*fb
 	if exposed < 0 {
 		exposed = 0
@@ -207,23 +196,25 @@ func (m *Model) SGDIterTime(p int) float64 {
 	return fb + exposed
 }
 
-// FactorBytes returns the wire size of all Kronecker factors.
-func (m *Model) FactorBytes() float64 {
-	var elems float64
-	for _, l := range m.Workload.Catalog.Layers {
-		da := float64(l.FactorADim())
-		dg := float64(l.GDim)
-		elems += da*da + dg*dg
+// evaluate prices the plan the model runs at world p on the paper cluster,
+// with the stages amortized at the given update intervals: BuildPlan under
+// the strategy and the model's DistMode (DistAuto resolves to the
+// strategy's own mode), every collective priced by PlanModel.Evaluate on
+// ClusterConfig.Topology(p).
+func (m *Model) evaluate(p, facFreq, invFreq int, strategy kfac.Strategy) PlanEval {
+	pm := NewPlanModel(m.Cluster.Topology(p), m.Cluster)
+	pm.FactorUpdateFreq, pm.InvUpdateFreq = facFreq, invFreq
+	cand := kfac.PlanCandidate{
+		Mode:           kfac.ResolveDistMode(m.DistMode, strategy),
+		GradWorkerFrac: m.GradWorkerFrac,
 	}
-	return elems * m.Cluster.BytesPerElem
+	return pm.Evaluate(strategy, m.Workload.Catalog.FactorRefs(), p, cand)
 }
 
-// FactorStage returns the (compute, communication) time of one factor
-// update: every GPU computes all factors over its local batch (compute
-// independent of p — the Table V observation), then the running averages
-// are allreduced. comm excludes the contention multiplier; callers that
-// amortize stage costs apply it via stageContention.
-func (m *Model) FactorStage(p int) (comp, comm float64) {
+// factorComputeTime is one factor update's compute: every GPU forms every
+// layer's A and G over its local batch, so it is independent of p (the
+// Table V observation).
+func (m *Model) factorComputeTime() float64 {
 	var flops float64
 	b := float64(m.Workload.BatchPerGPU)
 	for _, l := range m.Workload.Catalog.Layers {
@@ -232,75 +223,32 @@ func (m *Model) FactorStage(p int) (comp, comm float64) {
 		s := float64(l.SpatialOut)
 		flops += 2 * b * s * (da*da + dg*dg)
 	}
-	comp = flops / m.Cluster.FactorFlopsPerSec
-	comm = m.ringAllreduceTime(m.FactorBytes(), p)
-	return comp, comm
-}
-
-// WorkerEigTimes returns the per-worker eigendecomposition time under the
-// given placement strategy — the quantity whose min/max spread Table VI
-// reports.
-func (m *Model) WorkerEigTimes(p int, strategy kfac.Strategy) []float64 {
-	refs := m.Workload.Catalog.FactorRefs()
-	assign := kfac.Assign(strategy, refs, p)
-	loads := kfac.WorkerLoads(refs, assign, p)
-	counts := make([]int, p)
-	for _, w := range assign {
-		counts[w]++
-	}
-	out := make([]float64, p)
-	for i, l := range loads {
-		out[i] = l/m.Cluster.EigFlopsPerSec +
-			float64(counts[i])*m.Cluster.PerFactorOverheadSec
-	}
-	return out
-}
-
-// EigStage returns the (compute, communication) time of one decomposition
-// update: compute is bounded by the slowest worker; comm is the allgather
-// of eigenvectors+values (zero under LayerWise, whose results stay local).
-func (m *Model) EigStage(p int, strategy kfac.Strategy) (comp, comm float64) {
-	for _, t := range m.WorkerEigTimes(p, strategy) {
-		if t > comp {
-			comp = t
-		}
-	}
-	if strategy == kfac.LayerWise {
-		return comp, 0
-	}
-	comm = m.ringAllgatherTime(m.FactorBytes(), p)
-	return comp, comm
-}
-
-// PrecondTime returns the per-iteration preconditioning GEMM cost
-// (Equations 13–15: two rotation GEMM pairs per layer) at near-peak GEMM
-// throughput.
-func (m *Model) PrecondTime() float64 {
-	var flops float64
-	for _, l := range m.Workload.Catalog.Layers {
-		da := float64(l.FactorADim())
-		dg := float64(l.GDim)
-		flops += 2 * 2 * (da*da*dg + da*dg*dg)
-	}
 	return flops / m.Cluster.FactorFlopsPerSec
 }
 
-// PrecondTimeLayerWise returns the slowest worker's preconditioning GEMM
-// cost when whole layers are distributed (K-FAC-lw).
-func (m *Model) PrecondTimeLayerWise(p int) float64 {
-	loads := make([]float64, p)
-	for i, l := range m.Workload.Catalog.Layers {
-		da := float64(l.FactorADim())
-		dg := float64(l.GDim)
-		loads[i%p] += 2 * 2 * (da*da*dg + da*dg*dg)
-	}
-	var maxLoad float64
-	for _, v := range loads {
-		if v > maxLoad {
-			maxLoad = v
-		}
-	}
-	return maxLoad / m.Cluster.FactorFlopsPerSec
+// FactorStage returns the (compute, communication) time of one factor
+// update: the p-independent factor compute, then the allreduce of the
+// running averages as the plan ships them (packed triangles). comm
+// excludes the contention multiplier; callers that amortize stage costs
+// apply it via stageContention.
+func (m *Model) FactorStage(p int) (comp, comm float64) {
+	return m.factorComputeTime(), m.evaluate(p, 1, 1, kfac.RoundRobin).FactorCommSec
+}
+
+// WorkerEigTimes returns the per-worker time of one decomposition update
+// under the given placement strategy — the quantity whose min/max spread
+// Table VI reports.
+func (m *Model) WorkerEigTimes(p int, strategy kfac.Strategy) []float64 {
+	return m.evaluate(p, 1, 1, strategy).EigSecPerRank
+}
+
+// EigStage returns the (compute, communication) time of one decomposition
+// update: compute is bounded by the slowest worker; comm is the plan's
+// per-factor broadcasts to each factor's recipient set (zero under
+// LayerWise's default MEM-OPT plan, whose results stay on the owner).
+func (m *Model) EigStage(p int, strategy kfac.Strategy) (comp, comm float64) {
+	ev := m.evaluate(p, 1, 1, strategy)
+	return ev.EigComputeSec, ev.EigCommSec
 }
 
 // perIterOverhead is the calibrated per-iteration K-FAC bookkeeping cost
@@ -313,34 +261,25 @@ func (m *Model) perIterOverhead() float64 {
 
 // KFACIterAvgTime returns the average per-iteration time of K-FAC training
 // with decomposition interval invFreq (kfac-update-freq); factors update
-// 10× as often (paper §V-C). Strategy selects the distribution scheme.
+// 10× as often (paper §V-C). Strategy selects the placement. On top of the
+// SGD iteration it adds the amortized factor compute and the plan's priced
+// stages — factor and decomposition communication under the contention
+// multiplier, the slowest worker's decompositions, the slowest gradient
+// worker's preconditioning and the per-root result broadcasts — plus the
+// bookkeeping overhead, of which K-FAC-lw pays half (no rank
+// preconditions every layer).
 func (m *Model) KFACIterAvgTime(p, invFreq int, strategy kfac.Strategy) float64 {
-	if invFreq < 1 {
-		invFreq = 1
-	}
-	facFreq := invFreq / 10
-	if facFreq < 1 {
-		facFreq = 1
-	}
+	invFreq = max(invFreq, 1)
+	facFreq := max(invFreq/10, 1)
+	ev := m.evaluate(p, facFreq, invFreq, strategy)
 	cont := m.Cluster.stageContention(p)
-	t := m.SGDIterTime(p)
-	fComp, fComm := m.FactorStage(p)
-	eComp, eComm := m.EigStage(p, strategy)
-	t += (fComp + fComm*cont) / float64(facFreq)
-	t += (eComp + eComm*cont) / float64(invFreq)
+	overhead := m.perIterOverhead()
 	if strategy == kfac.LayerWise {
-		// Owner preconditions its layers; every layer's preconditioned
-		// gradient is then broadcast every iteration (non-overlapped), and
-		// only part of the bookkeeping overhead applies (no local
-		// preconditioning of all layers on every rank).
-		t += 0.5 * m.perIterOverhead()
-		t += m.PrecondTimeLayerWise(p)
-		t += m.broadcastTime(m.GradBytes(), p)
-	} else {
-		t += m.perIterOverhead()
-		t += m.PrecondTime()
+		overhead *= 0.5
 	}
-	return t
+	return m.SGDIterTime(p) + m.factorComputeTime()/float64(facFreq) +
+		ev.FactorCommSec*cont + ev.EigComputeSec + ev.EigCommSec*cont +
+		ev.PrecondSec + ev.ResultBcastSec + overhead
 }
 
 // PaperInvFreq returns the paper's scale-proportional kfac-update-freq
@@ -379,12 +318,6 @@ func (m *Model) TimeToSolutionMin(spec RunSpec) float64 {
 	return float64(iters) * perIter / 60
 }
 
-// RingAllreduceTime exposes the α–β ring-allreduce cost for ablations
-// (e.g. the fusion-buffer sweep).
-func (m *Model) RingAllreduceTime(bytes float64, p int) float64 {
-	return m.ringAllreduceTime(bytes, p)
-}
-
 // ScalingEfficiency returns T(base)·base / (T(p)·p): sustained utilization
 // relative to the base scale.
 func (m *Model) ScalingEfficiency(spec RunSpec, baseGPUs int) float64 {
@@ -396,9 +329,4 @@ func (m *Model) ScalingEfficiency(spec RunSpec, baseGPUs int) float64 {
 		return 0
 	}
 	return tBase * float64(baseGPUs) / (tP * float64(spec.GPUs))
-}
-
-// String describes the model briefly.
-func (m *Model) String() string {
-	return fmt.Sprintf("simulate.Model{%s, batch/GPU=%d}", m.Workload.Catalog.Name, m.Workload.BatchPerGPU)
 }

@@ -20,10 +20,6 @@ type PlanModel struct {
 	// BytesPerElem is the wire width of one payload element (4 models the
 	// paper's FP32 fabric, 8 this repo's exact float64 wire format).
 	BytesPerElem float64
-	// DecompBytesPerElem is the resident width of one decomposition
-	// element. The live engines hold decompositions in float64 even on the
-	// f32 compute path, so admission parity wants 8 (the default).
-	DecompBytesPerElem float64
 	// EigFlopsPerSec is the effective symmetric-eigensolver throughput.
 	EigFlopsPerSec float64
 	// FactorFlopsPerSec is the GEMM throughput of the preconditioning
@@ -37,11 +33,6 @@ type PlanModel struct {
 	// intra-factor teams. 0 preserves the pre-team model (every factor
 	// priced at the flat EigFlopsPerSec), keeping old calibrations valid.
 	EigWorkers int
-	// EigTeamEff is the marginal efficiency of each additional team
-	// worker in the blocked solver's speedup model
-	// speedup(t) = 1 + EigTeamEff·(t−1); 0 selects the default 0.7.
-	// Only consulted when EigWorkers > 0.
-	EigTeamEff float64
 	// BaseStepSec is the candidate-independent per-iteration compute
 	// (forward+backward and bookkeeping). It shifts every candidate's total
 	// equally; 0 is fine for planning, calibration sets it from a measured
@@ -63,7 +54,6 @@ func NewPlanModel(topo Topology, cluster ClusterConfig) *PlanModel {
 	return &PlanModel{
 		Topology:             topo,
 		BytesPerElem:         cluster.BytesPerElem,
-		DecompBytesPerElem:   8,
 		EigFlopsPerSec:       cluster.EigFlopsPerSec,
 		FactorFlopsPerSec:    cluster.FactorFlopsPerSec,
 		PerFactorOverheadSec: cluster.PerFactorOverheadSec,
@@ -84,25 +74,23 @@ func (pm *PlanModel) freqs() (fac, inv float64) {
 	return fac, inv
 }
 
+const (
+	// decompBytesPerElem is the resident width of one decomposition
+	// element: the live engines hold decompositions in float64 on every
+	// compute path, and ctl.Admit charges the same 8 bytes.
+	decompBytesPerElem = 8
+	// eigTeamEff is the marginal efficiency of each additional team worker
+	// in the blocked solver's speedup model.
+	eigTeamEff = 0.7
+)
+
 // eigTeamSpeedup models the blocked solver's scaling with team size t:
-// 1 + eff·(t−1), a fixed-marginal-efficiency line (eff defaults to 0.7).
-func (pm *PlanModel) eigTeamSpeedup(t int) float64 {
+// 1 + eigTeamEff·(t−1), a fixed-marginal-efficiency line.
+func eigTeamSpeedup(t int) float64 {
 	if t <= 1 {
 		return 1
 	}
-	eff := pm.EigTeamEff
-	if eff <= 0 {
-		eff = 0.7
-	}
-	return 1 + eff*float64(t-1)
-}
-
-// decompWidth returns the resident decomposition element width.
-func (pm *PlanModel) decompWidth() float64 {
-	if pm.DecompBytesPerElem > 0 {
-		return pm.DecompBytesPerElem
-	}
-	return 8
+	return 1 + eigTeamEff*float64(t-1)
 }
 
 // PlanEval is one candidate's full predicted breakdown — what kfac-sim's
@@ -123,6 +111,10 @@ type PlanEval struct {
 	ResultBcastSec float64
 	// FactorCommSec is the amortized factor allreduce.
 	FactorCommSec float64
+	// EigSecPerRank is each rank's eigendecomposition time for one
+	// decomposition update (not amortized): the per-worker loads whose
+	// spread Table VI reports.
+	EigSecPerRank []float64
 	// EigComputeSec is the amortized slowest-worker eigendecomposition
 	// time.
 	EigComputeSec float64
@@ -141,12 +133,8 @@ func memStats(b []int64) (min, median, max int64) {
 	if len(b) == 0 {
 		return 0, 0, 0
 	}
-	sorted := append([]int64(nil), b...)
-	for i := 1; i < len(sorted); i++ { // insertion sort; rank counts are small
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(b)
+	slices.Sort(sorted)
 	return sorted[0], sorted[len(sorted)/2], sorted[len(sorted)-1]
 }
 
@@ -169,7 +157,7 @@ func (pm *PlanModel) Evaluate(strategy kfac.Strategy, refs []kfac.FactorRef, wor
 	elems := plan.DecompElemsPerRank(refs)
 	ev.MemBytesPerRank = make([]int64, len(elems))
 	for r, e := range elems {
-		ev.MemBytesPerRank[r] = int64(float64(e) * pm.decompWidth())
+		ev.MemBytesPerRank[r] = e * decompBytesPerElem
 		if ev.MemBytesPerRank[r] > ev.MaxMemBytes {
 			ev.MaxMemBytes = ev.MemBytesPerRank[r]
 		}
@@ -189,16 +177,21 @@ func (pm *PlanModel) Evaluate(strategy kfac.Strategy, refs []kfac.FactorRef, wor
 	// worker bounds it), each factor's cost shrunk by the modeled speedup of
 	// the team the kfac eig scheduler grants it (Plan.EigTeams; every team
 	// is 1 when EigWorkers is 0) — the MEM-OPT one-big-factor-per-rank case
-	// is exactly where this diverges from the flat-throughput model.
-	// Distribution is per-factor broadcasts from the owner to the factor's
-	// recipient set.
+	// is exactly where this diverges from the flat-throughput model — plus
+	// one launch overhead per factor. Distribution is per-factor broadcasts
+	// from the owner to the factor's recipient set.
 	teams := plan.EigTeams(refs, pm.EigWorkers)
-	eigPerRank := make([]float64, world)
+	flops := make([]float64, world)
+	counts := make([]int, world)
 	for i, f := range refs {
-		eigPerRank[plan.Owners[i]] += f.Cost()/(pm.EigFlopsPerSec*pm.eigTeamSpeedup(teams[i])) +
-			pm.PerFactorOverheadSec
+		flops[plan.Owners[i]] += f.Cost() / eigTeamSpeedup(teams[i])
+		counts[plan.Owners[i]]++
 	}
-	ev.EigComputeSec = slices.Max(eigPerRank) / invFreq
+	ev.EigSecPerRank = make([]float64, world)
+	for r := range flops {
+		ev.EigSecPerRank[r] = flops[r]/pm.EigFlopsPerSec + float64(counts[r])*pm.PerFactorOverheadSec
+	}
+	ev.EigComputeSec = slices.Max(ev.EigSecPerRank) / invFreq
 	var eigComm float64
 	for i, f := range refs {
 		recips := plan.Recipients(i/2, f.IsG)

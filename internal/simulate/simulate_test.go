@@ -253,20 +253,20 @@ func TestPaperInvFreq(t *testing.T) {
 }
 
 func TestCommPrimitiveCosts(t *testing.T) {
-	m := r50Model()
-	if m.ringAllreduceTime(1e6, 1) != 0 {
+	topo := DefaultV100Cluster().Topology(32)
+	if topo.RingAllreduceCost(1e6, 1) != 0 {
 		t.Error("single-rank allreduce should be free")
 	}
 	// Allreduce moves ~2× the payload of allgather on a ring.
-	ar := m.ringAllreduceTime(1e9, 32)
-	ag := m.ringAllgatherTime(1e9, 32)
+	ar := topo.RingAllreduceCost(1e9, 32)
+	ag := topo.AllgatherCost(1e9, 32)
 	if ar <= ag {
 		t.Errorf("allreduce %.3f should cost more than allgather %.3f", ar, ag)
 	}
-	if m.broadcastTime(1e6, 1) != 0 {
+	if topo.BroadcastCost(1e6, 0, 0, 1) != 0 {
 		t.Error("single-rank broadcast should be free")
 	}
-	if m.broadcastTime(1e6, 8) <= 0 {
+	if topo.BroadcastCost(1e6, 0, 7, 8) <= 0 {
 		t.Error("broadcast must cost time")
 	}
 }

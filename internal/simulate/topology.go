@@ -90,7 +90,9 @@ func (t Topology) rack(rank int) int { return rank / t.RanksPerRack() }
 
 // LinkBetween returns the link class connecting two ranks: the slowest
 // class on their path (same node → IntraNode, same rack → InterNode,
-// else InterRack).
+// else InterRack). For the ends of a consecutive rank interval it is the
+// slowest class the interval spans — the class that bounds any collective
+// whose communication pattern stays inside it.
 func (t Topology) LinkBetween(a, b int) Link {
 	switch {
 	case t.node(a) == t.node(b):
@@ -101,24 +103,6 @@ func (t Topology) LinkBetween(a, b int) Link {
 		return t.InterRack
 	}
 }
-
-// spanLink returns the slowest link class spanned by a consecutive rank
-// interval [lo, hi] — the class that bounds any collective whose
-// communication pattern stays inside the interval.
-func (t Topology) spanLink(lo, hi int) Link {
-	switch {
-	case t.node(lo) == t.node(hi):
-		return t.IntraNode
-	case t.rack(lo) == t.rack(hi):
-		return t.InterNode
-	default:
-		return t.InterRack
-	}
-}
-
-// SpanLink exposes spanLink for callers that price custom patterns over a
-// consecutive rank interval [lo, hi].
-func (t Topology) SpanLink(lo, hi int) Link { return t.spanLink(lo, hi) }
 
 // RingAllreduceCost prices a flat ring allreduce of b bytes over ranks
 // [0, world): 2(p−1) steps, each bounded by the slowest neighbor link in
@@ -174,7 +158,7 @@ func (t Topology) HierarchicalAllreduceCost(b float64, world, groupSize int) flo
 	// Phases 1 and 3: the widest group bounds the sequential leader fan-in
 	// and fan-out; a group spanning nodes pays the slower class for every
 	// member transfer.
-	groupLink := t.spanLink(0, groupSize-1)
+	groupLink := t.LinkBetween(0, groupSize-1)
 	fan := float64(groupSize-1) * groupLink.xfer(b)
 	// Phase 2: leader ring with stride groupSize.
 	var ringCost float64
@@ -193,7 +177,7 @@ func (t Topology) BroadcastCost(b float64, lo, hi, count int) float64 {
 	if count <= 1 {
 		return 0
 	}
-	l := t.spanLink(lo, hi)
+	l := t.LinkBetween(lo, hi)
 	rounds := math.Ceil(math.Log2(float64(count)))
 	return rounds * l.xfer(b)
 }

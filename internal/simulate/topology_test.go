@@ -47,14 +47,14 @@ func TestLinkClassification(t *testing.T) {
 			t.Errorf("LinkBetween(%d,%d) = %+v, want %+v", c.a, c.b, got, c.want)
 		}
 	}
-	// SpanLink: the slowest class the interval can force.
-	if topo.SpanLink(0, 3) != topo.IntraNode {
+	// Interval ends: the slowest class the interval can force.
+	if topo.LinkBetween(0, 3) != topo.IntraNode {
 		t.Error("span inside one node should be intra-node")
 	}
-	if topo.SpanLink(0, 63) != topo.InterNode {
+	if topo.LinkBetween(0, 63) != topo.InterNode {
 		t.Error("span inside one rack should be inter-node")
 	}
-	if topo.SpanLink(0, 64) != topo.InterRack {
+	if topo.LinkBetween(0, 64) != topo.InterRack {
 		t.Error("span across racks should be inter-rack")
 	}
 }
