@@ -75,17 +75,20 @@ func fail(format string, a ...any) {
 }
 
 func main() {
+	// The K-FAC flags decode straight into the options the model prices;
+	// Validate applies the same rules kfac-train and ctl do.
+	var opts kfac.Options
+	flag.TextVar(&opts.Strategy, "strategy", kfac.RoundRobin, "roundrobin|layerwise|greedy")
+	flag.TextVar(&opts.DistMode, "dist-mode", kfac.DistAuto, "auto|commopt|memopt|hybrid distribution plan")
+	flag.Float64Var(&opts.GradWorkerFrac, "grad-worker-frac", 0, "hybrid gradient-worker fraction (0 < F < 1)")
+	flag.TextVar(&opts.Precision, "precision", kfac.F32, "modeled wire width only: f32 (the paper's wire format) or f64")
 	var (
 		model      = flag.String("model", "resnet50", "resnet32|resnet34|resnet50|resnet101|resnet152")
 		gpus       = flag.Int("gpus", 64, "worker count (≥ 1)")
 		freq       = flag.Int("freq", 0, "kfac-update-freq (0 = paper's scale-proportional value)")
-		strategy   = flag.String("strategy", "roundrobin", "roundrobin|layerwise|greedy")
-		distMode   = flag.String("dist-mode", "auto", "auto|commopt|memopt|hybrid distribution plan")
-		gradFrac   = flag.Float64("grad-worker-frac", 0, "hybrid gradient-worker fraction (0 < F < 1)")
 		sgdEpochs  = flag.Int("sgd-epochs", 90, "SGD epoch budget (≥ 1)")
 		kfacEpochs = flag.Int("kfac-epochs", 55, "K-FAC epoch budget (≥ 1)")
 		workers    = flag.Bool("workers", false, "print per-worker eigendecomposition times")
-		precision  = flag.String("precision", "f32", "modeled wire width only: f32 (the paper's wire format) or f64")
 		ranksNode  = flag.Int("ranks-per-node", 0, "modeled ranks per node (0 = topology default)")
 		nodesRack  = flag.Int("nodes-per-rack", 0, "modeled nodes per rack (0 = topology default)")
 		memBudget  = flag.Float64("mem-budget", 0, "per-worker decomposition memory budget in MB (0 = unlimited)")
@@ -114,43 +117,13 @@ func main() {
 	case *memBudget < 0:
 		fail("-mem-budget must be 0 (unlimited) or a positive MB count, got %v", *memBudget)
 	}
-	var strat kfac.Strategy
-	switch *strategy {
-	case "layerwise":
-		strat = kfac.LayerWise
-	case "greedy":
-		strat = kfac.SizeGreedy
-	case "roundrobin":
-		strat = kfac.RoundRobin
-	default:
-		fail("unknown -strategy %q (want roundrobin, layerwise, or greedy)", *strategy)
-	}
-	var dmode kfac.DistMode
-	switch *distMode {
-	case "auto":
-		dmode = kfac.DistAuto
-	case "commopt":
-		dmode = kfac.CommOpt
-	case "memopt":
-		dmode = kfac.MemOpt
-	case "hybrid":
-		dmode = kfac.Hybrid
-	default:
-		fail("unknown -dist-mode %q (want auto, commopt, memopt, or hybrid)", *distMode)
-	}
-	if dmode == kfac.Hybrid && (*gradFrac <= 0 || *gradFrac >= 1) {
-		fail("-dist-mode hybrid needs -grad-worker-frac strictly between 0 and 1 (got %v)", *gradFrac)
-	}
-	if dmode != kfac.Hybrid && *gradFrac != 0 {
-		fail("-grad-worker-frac requires -dist-mode hybrid")
-	}
-
-	pr, err := kfac.ParsePrecision(*precision)
-	if err != nil {
+	if err := opts.Validate(*gpus); err != nil {
 		fail("%v", err)
 	}
+	strat := opts.Strategy
+
 	cluster := simulate.DefaultV100Cluster()
-	if pr == kfac.F64 {
+	if opts.Precision == kfac.F64 {
 		// Model double-width payloads: twice the bytes through the same
 		// interconnect model.
 		cluster.BytesPerElem = 8
@@ -186,8 +159,8 @@ func main() {
 	fmt.Printf("model %s: %.1fM params, %d K-FAC layers, %d iterations/epoch at %d GPUs\n",
 		cat.Name, float64(cat.TotalParams())/1e6, len(cat.Layers), m.IterationsPerEpoch(*gpus), *gpus)
 
-	cand := kfac.PlanCandidate{Mode: dmode, GradWorkerFrac: *gradFrac}
-	if dmode == kfac.DistAuto {
+	cand := kfac.PlanCandidate{Mode: opts.DistMode, GradWorkerFrac: opts.GradWorkerFrac}
+	if opts.DistMode == kfac.DistAuto {
 		// Cost-model-driven DistAuto, over the catalog's exact factor
 		// geometry: the planner is an offline/admission tool (here and in
 		// ctl.PlacementHint); a training job runs the mode, fraction and
@@ -211,7 +184,7 @@ func main() {
 	ev := pm.Evaluate(strat, refs, *gpus, cand)
 	mn, md, mx := ev.MemStats()
 	replicated := pm.Evaluate(strat, refs, *gpus, kfac.PlanCandidate{Mode: kfac.CommOpt}).MaxMemBytes
-	fmt.Printf("plan %s (%s wire)\n", kfac.BuildPlan(strat, cand.Mode, cand.GradWorkerFrac, refs, *gpus), pr)
+	fmt.Printf("plan %s (%s wire)\n", kfac.BuildPlan(strat, cand.Mode, cand.GradWorkerFrac, refs, *gpus), opts.Precision)
 	fmt.Printf("eigenbasis memory/rank: min %.1f MB, median %.1f MB, max %.1f MB (COMM-OPT would hold %.1f MB everywhere)\n",
 		float64(mn)/1e6, float64(md)/1e6, float64(mx)/1e6, float64(replicated)/1e6)
 	fmt.Printf("per-iteration: fwd+bwd %.1f ms, SGD iter %.1f ms, %s iter %.1f ms (freq %d)\n",

@@ -30,6 +30,7 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -64,9 +65,9 @@ K-FAC (with -optimizer kfac):
   -precision {f64,f32}                 compute precision of the K-FAC kernels; f32 runs
                                        float32 storage with float64 accumulation, keeping
                                        state and communication float64 (default f64)
-  -damping F                           Tikhonov damping γ (default 1e-3)
-  -inv-freq N                          eigendecomposition interval (default 10)
-  -factor-freq N                       factor update interval (default 1)
+  -damping F                           Tikhonov damping γ ≥ 0 (default 1e-3; 0 = 1e-3, the paper's)
+  -inv-freq N                          eigendecomposition interval ≥ 0 (default 10; 0 = 100, the paper's)
+  -factor-freq N                       factor update interval ≥ 0 (default 1; 0 = 10)
 
 Distribution plan (with -optimizer kfac; see docs/ARCHITECTURE.md):
   -dist-mode {auto,commopt,memopt,hybrid}  memory/communication tradeoff:
@@ -82,7 +83,7 @@ Compression & autotuning (with -optimizer kfac and -world > 1):
   -compress {none,float16,topk}        lossy codec for gradient and factor payloads,
                                        wrapped in error-feedback residual compensation
   -topk-frac F                         kept-coordinate fraction of -compress topk
-                                       (0 < F ≤ 1, default 0.1)
+                                       (0 < F ≤ 1; default 0 = 0.1; only with topk)
   -no-error-feedback                   send the bare biased stream (A/B experiments)
   -autotune                            bandwidth-adaptive control: re-select codec,
                                        fusion bytes, and group size each factor update
@@ -114,29 +115,32 @@ docs/PERFORMANCE.md.
 }
 
 func main() {
+	// The K-FAC flags decode straight into the preconditioner's options;
+	// kfac.Options.Validate is their rule book.
+	var ko kfac.Options
+	flag.TextVar(&ko.Strategy, "strategy", kfac.RoundRobin, "kfac distribution: roundrobin, layerwise, greedy")
+	flag.TextVar(&ko.Mode, "mode", kfac.EigenMode, "kfac inversion: eigen or inverse")
+	flag.TextVar(&ko.Precision, "precision", kfac.F64, "kfac compute precision: f64 or f32 (float32 kernels, float64 accumulation)")
+	flag.TextVar(&ko.Engine, "engine", kfac.EngineSync, "kfac step engine: sync or pipelined")
+	flag.TextVar(&ko.DistMode, "dist-mode", kfac.DistAuto, "distribution plan: auto, commopt, memopt, or hybrid")
+	flag.Float64Var(&ko.Damping, "damping", 1e-3, "K-FAC Tikhonov damping γ ≥ 0 (0 = 1e-3, the paper's)")
+	flag.IntVar(&ko.InvUpdateFreq, "inv-freq", 10, "kfac-update-freq: eigendecomposition interval ≥ 0 (0 = 100, the paper's)")
+	flag.IntVar(&ko.FactorUpdateFreq, "factor-freq", 1, "factor update interval ≥ 0 (0 = 10)")
+	flag.Float64Var(&ko.GradWorkerFrac, "grad-worker-frac", 0, "hybrid gradient-worker fraction (0 < F < 1; requires -dist-mode hybrid)")
+	flag.IntVar(&ko.GroupSize, "group-size", 0, "hierarchical allreduce group size (0 = flat ring, else ≥ 2)")
+	flag.BoolVar(&ko.NoErrorFeedback, "no-error-feedback", false, "disable error-feedback compensation (biased stream, A/B only)")
 	var (
 		optimizer = flag.String("optimizer", "kfac", "sgd or kfac")
-		strategy  = flag.String("strategy", "roundrobin", "kfac distribution: roundrobin, layerwise, greedy")
-		mode      = flag.String("mode", "eigen", "kfac inversion: eigen or inverse")
-		precision = flag.String("precision", "f64", "kfac compute precision: f64 or f32 (float32 kernels, float64 accumulation)")
-		engine    = flag.String("engine", "sync", "kfac step engine: sync or pipelined")
 		world     = flag.Int("world", 1, "number of simulated workers (in-process ranks)")
 		epochs    = flag.Int("epochs", 8, "training epochs")
 		batch     = flag.Int("batch", 32, "mini-batch size per rank")
 		lr        = flag.Float64("lr", 0.05, "base learning rate per rank (scaled by world)")
-		damping   = flag.Float64("damping", 1e-3, "K-FAC Tikhonov damping γ")
-		invFreq   = flag.Int("inv-freq", 10, "kfac-update-freq (eigendecomposition interval)")
-		facFreq   = flag.Int("factor-freq", 1, "factor update interval")
-		distMode  = flag.String("dist-mode", "auto", "distribution plan: auto, commopt, memopt, or hybrid")
-		gradFrac  = flag.Float64("grad-worker-frac", 0, "hybrid gradient-worker fraction (0 < F < 1; requires -dist-mode hybrid)")
-		groupSize = flag.Int("group-size", 0, "hierarchical allreduce group size (0 = flat ring, else ≥ 2)")
 		width     = flag.Int("width", 8, "model width (ResNet stem channels)")
 		blocks    = flag.Int("blocks", 1, "residual blocks per stage")
 		seed      = flag.Int64("seed", 42, "random seed")
 
 		compress   = flag.String("compress", "none", "payload codec: none, float16, or topk (error-feedback compensated)")
-		topkFrac   = flag.Float64("topk-frac", 0.1, "kept-coordinate fraction for -compress topk (0 < F ≤ 1)")
-		noEF       = flag.Bool("no-error-feedback", false, "disable error-feedback compensation (biased stream, A/B only)")
+		topkFrac   = flag.Float64("topk-frac", 0, "kept-coordinate fraction for -compress topk (0 < F ≤ 1; 0 = 0.1)")
 		autotune   = flag.Bool("autotune", false, "bandwidth-adaptive codec/fusion/group-size control")
 		tuneEveryN = flag.Int("autotune-interval", 1, "factor updates between autotune consensus decisions")
 
@@ -163,132 +167,35 @@ func main() {
 		trainer.WithSeed(*seed),
 		trainer.WithLogger(os.Stdout),
 	}
-	if *optimizer != "kfac" {
-		// The distribution-plan and grouped-allreduce knobs configure the
-		// K-FAC preconditioner; silently ignoring them under SGD would hide
-		// typos, so reject the combination outright.
-		if *distMode != "auto" || *gradFrac != 0 || *groupSize != 0 {
-			fmt.Fprintln(os.Stderr, "-dist-mode/-grad-worker-frac/-group-size require -optimizer kfac")
-			os.Exit(2)
-		}
-		if *compress != "none" || *noEF || *autotune {
-			fmt.Fprintln(os.Stderr, "-compress/-no-error-feedback/-autotune require -optimizer kfac")
-			os.Exit(2)
-		}
+	frac := *topkFrac
+	if frac == 0 && strings.EqualFold(*compress, "topk") {
+		frac = 0.1
 	}
-	if *optimizer == "kfac" {
-		kopts := []kfac.Option{
-			kfac.WithDamping(*damping),
-			kfac.WithInvUpdateFreq(*invFreq),
-			kfac.WithFactorUpdateFreq(*facFreq),
+	codec, err := comm.ParseCodec(*compress, frac)
+	if err != nil {
+		fail("-compress/-topk-frac: %v", err)
+	}
+	if *optimizer != "kfac" {
+		// The distribution-plan, grouped-allreduce and compression knobs
+		// configure the K-FAC preconditioner; silently ignoring them under
+		// SGD would hide typos, so reject the combination outright.
+		if ko.DistMode != kfac.DistAuto || ko.GradWorkerFrac != 0 || ko.GroupSize != 0 {
+			fail("-dist-mode/-grad-worker-frac/-group-size require -optimizer kfac")
 		}
-		switch *distMode {
-		case "auto":
-			if *gradFrac != 0 {
-				fmt.Fprintln(os.Stderr, "-grad-worker-frac requires -dist-mode hybrid")
-				os.Exit(2)
-			}
-		case "commopt", "memopt":
-			if *gradFrac != 0 {
-				fmt.Fprintf(os.Stderr, "-grad-worker-frac conflicts with -dist-mode %s (the fraction is fixed there; use hybrid)\n", *distMode)
-				os.Exit(2)
-			}
-			m := kfac.CommOpt
-			if *distMode == "memopt" {
-				m = kfac.MemOpt
-			}
-			kopts = append(kopts, kfac.WithDistMode(m))
-		case "hybrid":
-			if *gradFrac <= 0 || *gradFrac >= 1 {
-				fmt.Fprintf(os.Stderr, "-dist-mode hybrid needs -grad-worker-frac strictly between 0 and 1 (got %v); use commopt/memopt for the endpoints\n", *gradFrac)
-				os.Exit(2)
-			}
-			kopts = append(kopts, kfac.WithGradWorkerFrac(*gradFrac))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -dist-mode %q (want auto, commopt, memopt, or hybrid)\n", *distMode)
-			os.Exit(2)
+		if codec != nil || ko.NoErrorFeedback || *autotune {
+			fail("-compress/-no-error-feedback/-autotune require -optimizer kfac")
 		}
-		if *groupSize != 0 {
-			if *groupSize < 2 {
-				fmt.Fprintf(os.Stderr, "-group-size must be 0 (flat) or ≥ 2, got %d\n", *groupSize)
-				os.Exit(2)
-			}
-			if *groupSize >= *world {
-				fmt.Fprintf(os.Stderr, "-group-size %d is not smaller than -world %d: the hierarchy would be a single group (use 0 for the flat ring)\n", *groupSize, *world)
-				os.Exit(2)
-			}
-			kopts = append(kopts, kfac.WithGroupSize(*groupSize))
-		}
-		switch *strategy {
-		case "roundrobin":
-			kopts = append(kopts, kfac.WithStrategy(kfac.RoundRobin))
-		case "layerwise":
-			kopts = append(kopts, kfac.WithStrategy(kfac.LayerWise))
-		case "greedy":
-			kopts = append(kopts, kfac.WithStrategy(kfac.SizeGreedy))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -strategy %q (want roundrobin, layerwise, or greedy)\n", *strategy)
-			os.Exit(2)
-		}
-		switch *mode {
-		case "eigen":
-		case "inverse":
-			kopts = append(kopts, kfac.WithMode(kfac.InverseMode))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -mode %q (want eigen or inverse)\n", *mode)
-			os.Exit(2)
-		}
-		pr, err := kfac.ParsePrecision(*precision)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		kopts = append(kopts, kfac.WithPrecision(pr))
-		var codec comm.Codec
-		switch *compress {
-		case "none":
-		case "float16":
-			codec = comm.Float16Codec{}
-		case "topk":
-			if *topkFrac <= 0 || *topkFrac > 1 {
-				fmt.Fprintf(os.Stderr, "-topk-frac must be in (0, 1], got %v\n", *topkFrac)
-				os.Exit(2)
-			}
-			codec = comm.TopKCodec{FractionK: *topkFrac}
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -compress %q (want none, float16, or topk)\n", *compress)
-			os.Exit(2)
-		}
-		if codec != nil {
-			if *noEF {
-				kopts = append(kopts, kfac.WithBareCompression(codec))
-			} else {
-				kopts = append(kopts, kfac.WithCompression(codec))
-			}
-		} else if *noEF {
-			if !*autotune {
-				fmt.Fprintln(os.Stderr, "-no-error-feedback requires -compress or -autotune")
-				os.Exit(2)
-			}
-			// Autotuned codecs honor the bare-stream knob too.
-			kopts = append(kopts, func(o *kfac.Options) { o.NoErrorFeedback = true })
-		}
+	} else {
+		ko.Compression = codec
 		if *autotune {
-			kopts = append(kopts, kfac.WithAutotune(kfac.AutotuneConfig{Interval: *tuneEveryN}))
+			ko.Autotune = &kfac.AutotuneConfig{Interval: *tuneEveryN}
 		} else if *tuneEveryN != 1 {
-			fmt.Fprintln(os.Stderr, "-autotune-interval requires -autotune")
-			os.Exit(2)
+			fail("-autotune-interval requires -autotune")
 		}
-		switch *engine {
-		case "pipelined":
-			kopts = append(kopts, kfac.WithEngine(kfac.EnginePipelined))
-		case "sync":
-			// default engine
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -engine %q (want sync or pipelined)\n", *engine)
-			os.Exit(2)
+		if err := ko.Validate(*world); err != nil {
+			fail("%v", err)
 		}
-		opts = append(opts, trainer.WithKFAC(kopts...))
+		opts = append(opts, trainer.WithKFACOptions(ko))
 	}
 
 	cfgData := data.CIFARLike(*seed)
@@ -301,15 +208,13 @@ func main() {
 	}
 	fmt.Printf("model: cifar-resnet-%d width %d (%d params), optimizer %s (%s engine), world %d\n",
 		6**blocks+2, *width, nn.ParamCount(build(rand.New(rand.NewSource(*seed)))),
-		*optimizer, *engine, *world)
+		*optimizer, ko.Engine, *world)
 
 	var chaosFab *comm.ChaosFabric
 	var res *trainer.Result
-	var err error
 	if *world == 1 {
 		if *chaosOn {
-			fmt.Fprintln(os.Stderr, "-chaos needs -world > 1 (a single rank has no transport to disturb)")
-			os.Exit(2)
+			fail("-chaos needs -world > 1 (a single rank has no transport to disturb)")
 		}
 		var s *trainer.Session
 		s, err = trainer.NewSession(build(rand.New(rand.NewSource(*seed))), nil, train, test, opts...)
@@ -358,6 +263,12 @@ func main() {
 	if chaosFab != nil {
 		printChaosMetrics(chaosFab, *world)
 	}
+}
+
+// fail reports a usage error and exits 2.
+func fail(format string, a ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", a...)
+	os.Exit(2)
 }
 
 // bwString formats a bandwidth cap for the chaos banner.

@@ -38,7 +38,7 @@ func main() {
 			trainer.WithBatchPerRank(32),
 			trainer.WithLRSchedule(optim.LRSchedule{BaseLR: 0.05, WarmupEpochs: 1}),
 			trainer.WithMomentum(0.9),
-			trainer.WithKFAC(kfac.WithFactorUpdateFreq(1), kfac.WithInvUpdateFreq(5)),
+			trainer.WithKFACOptions(kfac.Options{FactorUpdateFreq: 1, InvUpdateFreq: 5}),
 			trainer.WithSeed(11),
 			trainer.WithLogger(os.Stdout),
 		}

@@ -58,11 +58,9 @@ func main() {
 
 	fmt.Printf("\n=== K-FAC (round-robin factors), %d workers, %d epochs ===\n", world, kfacEpochs)
 	kfRes, err := trainer.RunSessions(ctx, world, build, train, test, append(base(kfacEpochs),
-		trainer.WithKFAC(
-			kfac.WithStrategy(kfac.RoundRobin),
-			kfac.WithDamping(1e-3),
-			kfac.WithFactorUpdateFreq(1),
-			kfac.WithInvUpdateFreq(10)))...)
+		trainer.WithKFACOptions(kfac.Options{
+			Strategy: kfac.RoundRobin, Damping: 1e-3, FactorUpdateFreq: 1, InvUpdateFreq: 10,
+		}))...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 // is the Session's fixed skeleton; everything else attaches through
 // functional options and hooks:
 //
-//	build model → NewSession(net, …, WithKFAC(…), OnEpochEnd(…)) → Run(ctx)
+//	build model → NewSession(net, …, WithKFACOptions(…), OnEpochEnd(…)) → Run(ctx)
 //
 // The flags exist so CI can smoke-run the example to completion in seconds:
 //
@@ -49,13 +49,9 @@ func main() {
 	// Session = optimizer + K-FAC preconditioner + hooks (Listing 1,
 	// lines 3–5). The default optimizer is SGD shaped by WithMomentum;
 	// swap it with trainer.WithOptimizer for LARS/Adam/custom rules.
-	kopts := []kfac.Option{
-		kfac.WithDamping(1e-3),
-		kfac.WithFactorUpdateFreq(1),
-		kfac.WithInvUpdateFreq(10),
-	}
+	kopts := kfac.Options{Damping: 1e-3, FactorUpdateFreq: 1, InvUpdateFreq: 10}
 	if *pipelined {
-		kopts = append(kopts, kfac.WithEngine(kfac.EnginePipelined))
+		kopts.Engine = kfac.EnginePipelined
 	}
 	s, err := trainer.NewSession(net, nil, train, test,
 		trainer.WithEpochs(*epochs),
@@ -63,7 +59,7 @@ func main() {
 		trainer.WithLRSchedule(optim.LRSchedule{BaseLR: 0.05}),
 		trainer.WithMomentum(0.9),
 		trainer.WithSeed(1),
-		trainer.WithKFAC(kopts...),
+		trainer.WithKFACOptions(kopts),
 		trainer.OnEpochEnd(func(s *trainer.Session, e trainer.EpochStats) error {
 			fmt.Printf("epoch %d  train-loss %.4f  val-acc %.2f%%\n",
 				e.Epoch+1, e.TrainLoss, 100*e.ValAcc)

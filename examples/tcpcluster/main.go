@@ -150,11 +150,9 @@ func runRank(rank int, addrs []string) error {
 			Milestones: []int{2}, Factor: 0.1,
 		}),
 		trainer.WithMomentum(0.9),
-		trainer.WithKFAC(
-			kfac.WithStrategy(kfac.RoundRobin),
-			kfac.WithDamping(1e-3),
-			kfac.WithFactorUpdateFreq(1),
-			kfac.WithInvUpdateFreq(5)),
+		trainer.WithKFACOptions(kfac.Options{
+			Strategy: kfac.RoundRobin, Damping: 1e-3, FactorUpdateFreq: 1, InvUpdateFreq: 5,
+		}),
 		trainer.WithSeed(3),
 	}
 	if rank == 0 {

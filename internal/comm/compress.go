@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -33,6 +34,30 @@ type Codec interface {
 	CompressedLen(n int) int
 	// Name identifies the codec.
 	Name() string
+}
+
+// ParseCodec decodes a codec name as the command line and job specs spell
+// it, case-insensitively: "" or "none" is exact transmission (nil),
+// "float16" is Float16Codec, and "topk" is TopKCodec keeping topkFrac of the
+// coordinates. topkFrac must lie in (0, 1] for "topk" and be 0 otherwise.
+func ParseCodec(name string, topkFrac float64) (Codec, error) {
+	var c Codec
+	switch strings.ToLower(name) {
+	case "", "none":
+	case "float16":
+		c = Float16Codec{}
+	case "topk":
+		if !(topkFrac > 0 && topkFrac <= 1) {
+			return nil, fmt.Errorf("comm: codec topk needs a kept fraction in (0, 1], got %v", topkFrac)
+		}
+		return TopKCodec{FractionK: topkFrac}, nil
+	default:
+		return nil, fmt.Errorf("comm: unknown codec %q (want none, float16, or topk)", name)
+	}
+	if topkFrac != 0 {
+		return nil, fmt.Errorf("comm: a top-k fraction (%v) requires codec topk", topkFrac)
+	}
+	return c, nil
 }
 
 // Float16Codec packs each value to IEEE-754 binary16, four per float64

@@ -43,20 +43,10 @@ func (ef *ErrorFeedback) Codec() Codec { return ef.codec }
 
 // SetCodec switches the codec. Residual buffers are preserved across the
 // switch: pending error mass keeps draining under the new codec, and a
-// switch to nil (exact) freezes it until a lossy codec returns. Callers
-// that want a clean slate pair this with Reset. In SPMD use every rank
-// must switch at the same schedule boundary — the autotuner guarantees
-// this by deriving the switch from a consensus collective.
+// switch to nil (exact) freezes it until a lossy codec returns. In SPMD use
+// every rank must switch at the same schedule boundary — the autotuner
+// guarantees this by deriving the switch from a consensus collective.
 func (ef *ErrorFeedback) SetCodec(c Codec) { ef.codec = c }
-
-// Reset zeroes every residual buffer (buffers stay allocated for reuse).
-func (ef *ErrorFeedback) Reset() {
-	for _, s := range ef.slots {
-		for i := range s {
-			s[i] = 0
-		}
-	}
-}
 
 // Residual exposes the live residual buffer for chunk ordinal i (nil if
 // the slot was never used). Callers must not mutate it; it exists so

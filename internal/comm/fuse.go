@@ -201,7 +201,7 @@ func NewFuser(comm *Communicator, limitBytes int) *Fuser {
 
 // SetGroupSize routes every subsequently launched chunk through
 // HierarchicalAllreduceMean with the given intra-group rank count — the
-// two-level algorithm modeling fast intra-node links (kfac.WithGroupSize /
+// two-level algorithm modeling fast intra-node links (kfac.Options.GroupSize /
 // kfac-train -group-size). Values ≤ 1 (and ≥ world) keep the flat ring.
 // Must be set identically on every rank, before the first Add whose chunk
 // it should affect; chunk boundaries are unaffected, so the collective

@@ -74,11 +74,7 @@ func Admit(spec *JobSpec, fleet Fleet) error {
 	if err != nil {
 		return &AdmissionError{Reason: err.Error()}
 	}
-	mode, err := spec.KFAC.distMode()
-	if err != nil {
-		return &AdmissionError{Reason: err.Error()}
-	}
-	plan := kfac.BuildPlan(kfac.RoundRobin, mode, spec.KFAC.GradWorkerFrac, refs, spec.World)
+	plan := kfac.BuildPlan(kfac.RoundRobin, spec.KFAC.DistMode, spec.KFAC.GradWorkerFrac, refs, spec.World)
 	var worst int64
 	var worstRank int
 	for r, elems := range plan.DecompElemsPerRank(refs) {
@@ -95,7 +91,8 @@ func Admit(spec *JobSpec, fleet Fleet) error {
 		// memory arithmetic; when a configuration fits, name it so the
 		// rejection is actionable in one spec edit.
 		if hint, err := PlacementHint(spec, fleet, simulate.DefaultTopology()); err == nil && hint.FitsBudget {
-			reason += fmt.Sprintf("; planner hint: dist_mode=%s", hint.DistMode)
+			mode, _ := hint.DistMode.MarshalText() // the planner only picks modes that encode
+			reason += fmt.Sprintf("; planner hint: dist_mode=%s", mode)
 			if hint.GradWorkerFrac > 0 {
 				reason += fmt.Sprintf(" grad_worker_frac=%g", hint.GradWorkerFrac)
 			}

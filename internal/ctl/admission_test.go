@@ -2,6 +2,7 @@ package ctl
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -38,11 +39,17 @@ func TestValidateCatchesInconsistentSpecs(t *testing.T) {
 		{"min_world above world", func(s *JobSpec) { s.MinWorld = 5 }},
 		{"no epochs", func(s *JobSpec) { s.Epochs = 0 }},
 		{"negative lr", func(s *JobSpec) { s.LR = -1 }},
-		{"hybrid without frac", func(s *JobSpec) { s.KFAC = &KFACSpec{DistMode: "hybrid"} }},
+		{"hybrid without frac", func(s *JobSpec) { s.KFAC = &KFACSpec{DistMode: kfac.Hybrid} }},
 		{"frac without hybrid", func(s *JobSpec) {
-			s.KFAC = &KFACSpec{DistMode: "memopt", GradWorkerFrac: 0.5}
+			s.KFAC = &KFACSpec{DistMode: kfac.MemOpt, GradWorkerFrac: 0.5}
 		}},
-		{"bad precision", func(s *JobSpec) { s.KFAC = &KFACSpec{Precision: "fp16"} }},
+		{"bad precision", func(s *JobSpec) { s.KFAC = &KFACSpec{Precision: 7} }},
+		{"negative damping", func(s *JobSpec) { s.KFAC = &KFACSpec{Damping: -1} }},
+		{"negative inv_update_freq", func(s *JobSpec) { s.KFAC = &KFACSpec{InvUpdateFreq: -5} }},
+		{"negative factor_update_freq", func(s *JobSpec) { s.KFAC = &KFACSpec{FactorUpdateFreq: -2} }},
+		{"negative autotune_interval", func(s *JobSpec) {
+			s.KFAC = &KFACSpec{Autotune: true, AutotuneInterval: -1}
+		}},
 		{"unknown compression", func(s *JobSpec) { s.KFAC = &KFACSpec{Compression: "qsgd"} }},
 		{"topk without fraction", func(s *JobSpec) { s.KFAC = &KFACSpec{Compression: "topk"} }},
 		{"topk fraction above 1", func(s *JobSpec) {
@@ -78,9 +85,9 @@ func TestValidateCatchesInconsistentSpecs(t *testing.T) {
 }
 
 // TestKFACSpecCompressionResolves pins the wire-name → Options mapping of
-// the compression and autotune knobs.
+// the compression, autotune and enum knobs.
 func TestKFACSpecCompressionResolves(t *testing.T) {
-	o, err := KFACSpec{Compression: "topk", TopKFraction: 0.1, Autotune: true, AutotuneInterval: 3}.options()
+	o, err := KFACSpec{Compression: "topk", TopKFraction: 0.1, Autotune: true, AutotuneInterval: 3}.options(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,16 +97,31 @@ func TestKFACSpecCompressionResolves(t *testing.T) {
 	if o.Autotune == nil || o.Autotune.Interval != 3 {
 		t.Errorf("autotune spec resolved to %+v", o.Autotune)
 	}
-	o, err = KFACSpec{Compression: "float16", NoErrorFeedback: true}.options()
+	o, err = KFACSpec{Compression: "float16", NoErrorFeedback: true}.options(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.Compression == nil || o.Compression.Name() != "float16" || !o.NoErrorFeedback {
 		t.Errorf("float16 bare spec resolved to %v / NoEF=%v", o.Compression, o.NoErrorFeedback)
 	}
-	o, err = KFACSpec{}.options()
+	o, err = KFACSpec{}.options(2)
 	if err != nil || o.Compression != nil || o.Autotune != nil {
 		t.Errorf("empty spec resolved to %v %+v (err %v)", o.Compression, o.Autotune, err)
+	}
+	// The enum fields decode the kfac tokens in any case, and encode them
+	// back canonically.
+	var k KFACSpec
+	if err := json.Unmarshal([]byte(`{"dist_mode": "MEMOPT", "precision": "F32"}`), &k); err != nil {
+		t.Fatal(err)
+	}
+	if k.DistMode != kfac.MemOpt || k.Precision != kfac.F32 {
+		t.Errorf("decoded %+v, want MEM-OPT f32", k)
+	}
+	if b, _ := json.Marshal(k); string(b) != `{"dist_mode":"memopt","precision":"f32"}` {
+		t.Errorf("encoded %s", b)
+	}
+	if err := json.Unmarshal([]byte(`{"precision": "fp16"}`), &k); err == nil {
+		t.Error(`"precision": "fp16" decoded`)
 	}
 }
 
@@ -133,7 +155,7 @@ func TestAdmitMemoryFootprintFollowsPlan(t *testing.T) {
 	s.Model = ModelSpec{Kind: "mlp", Dims: []int{64, 64, 4}, Classes: 4}
 	s.Data.Size = 8 // 1×8×8 = 64, matching the MLP input
 	s.World = 4
-	s.KFAC = &KFACSpec{DistMode: "commopt"}
+	s.KFAC = &KFACSpec{DistMode: kfac.CommOpt}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +207,7 @@ func TestAdmitMemoryFootprintFollowsPlan(t *testing.T) {
 	}
 
 	memopt := *s
-	memopt.KFAC = &KFACSpec{DistMode: "memopt"}
+	memopt.KFAC = &KFACSpec{DistMode: kfac.MemOpt}
 	if err := Admit(&memopt, fleet); err != nil {
 		t.Errorf("MEM-OPT variant rejected under the same budget: %v", err)
 	}
@@ -220,13 +242,13 @@ func TestAdmitRefusesOversizedModelUnbuilt(t *testing.T) {
 		deep.Model.Dims[i] = 1
 	}
 	deep.Model.Dims[0], deep.Model.Dims[len(deep.Model.Dims)-1] = 16, 4
-	deep.KFAC = &KFACSpec{DistMode: "memopt"}
+	deep.KFAC = &KFACSpec{DistMode: kfac.MemOpt}
 	wide := tinySpec()
 	wide.Model = ModelSpec{Kind: "smallcnn", Width: 1 << 40, Channels: 1, Classes: 4}
 	tall := tinySpec()
 	tall.Model = ModelSpec{Kind: "cifar-resnet", Blocks: 1 << 40, Width: 1, Channels: 1, Classes: 4}
 	for _, s := range []*JobSpec{&huge, deep, wide, tall} {
-		s.KFAC = &KFACSpec{DistMode: "memopt"}
+		s.KFAC = &KFACSpec{DistMode: kfac.MemOpt}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("%s: %v", s.Model.Kind, err)
 		}

@@ -13,9 +13,9 @@ import (
 // advisory — admission still judges the spec the operator submitted — but
 // a rejected job's error carries the hint so the fix is one spec edit away.
 type Placement struct {
-	// DistMode is the suggested dist_mode in spec wire syntax (commopt,
-	// memopt, hybrid).
-	DistMode string `json:"dist_mode"`
+	// DistMode is the suggested dist_mode (commopt, memopt or hybrid on the
+	// wire).
+	DistMode kfac.DistMode `json:"dist_mode"`
 	// GradWorkerFrac is the suggested hybrid fraction (0 outside hybrid).
 	GradWorkerFrac float64 `json:"grad_worker_frac,omitempty"`
 	// GroupSize is the suggested hierarchical-allreduce group size (0 =
@@ -30,19 +30,6 @@ type Placement struct {
 	// memory budget; false means even the minimum-memory configuration
 	// exceeds it and the job can never fit.
 	FitsBudget bool `json:"fits_budget"`
-}
-
-// specModeToken maps a planner mode to the spec's dist_mode wire syntax.
-func specModeToken(m kfac.DistMode) string {
-	switch m {
-	case kfac.CommOpt:
-		return "commopt"
-	case kfac.MemOpt:
-		return "memopt"
-	case kfac.Hybrid:
-		return "hybrid"
-	}
-	return "auto"
 }
 
 // PlacementHint runs the scale planner over a K-FAC job's exact factor
@@ -65,7 +52,7 @@ func PlacementHint(spec *JobSpec, fleet Fleet, topo simulate.Topology) (*Placeme
 		MemoryBudgetBytes: fleet.MemoryPerWorker,
 	}, kfac.RoundRobin, refs, spec.World)
 	return &Placement{
-		DistMode:          specModeToken(dec.Mode),
+		DistMode:          dec.Mode,
 		GradWorkerFrac:    dec.GradWorkerFrac,
 		GroupSize:         dec.GroupSize,
 		PredictedStepSec:  dec.PredictedStepSec,

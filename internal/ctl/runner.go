@@ -39,7 +39,7 @@ func runElasticJob(ctx context.Context, d *Daemon, j *job) (*trainer.ElasticResu
 		trainer.WithSeed(spec.Seed),
 	}
 	if spec.KFAC != nil {
-		o, err := spec.KFAC.options()
+		o, err := spec.KFAC.options(spec.World)
 		if err != nil {
 			return nil, err // unreachable after Validate; belt and braces
 		}

@@ -3,7 +3,6 @@ package ctl
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"repro/internal/comm"
 	"repro/internal/data"
@@ -173,10 +172,11 @@ func (d DataSpec) validate() error {
 // KFACSpec enables and configures K-FAC preconditioning for a job. Its
 // distribution fields drive both the live preconditioner and the admission
 // controller's memory plan — admission models exactly the placement the
-// job will run.
+// job will run. The enum fields decode their kfac text tokens
+// case-insensitively; zero values select the paper defaults.
 type KFACSpec struct {
-	// DistMode is "auto", "commopt", "memopt", or "hybrid".
-	DistMode string `json:"dist_mode,omitempty"`
+	// DistMode is "auto" (default), "commopt", "memopt", or "hybrid".
+	DistMode kfac.DistMode `json:"dist_mode,omitempty"`
 	// GradWorkerFrac sizes hybrid gradient-worker sets (0 < f < 1;
 	// required iff DistMode is "hybrid").
 	GradWorkerFrac float64 `json:"grad_worker_frac,omitempty"`
@@ -187,9 +187,9 @@ type KFACSpec struct {
 	// InvUpdateFreq is the decomposition interval (0 = default).
 	InvUpdateFreq int `json:"inv_update_freq,omitempty"`
 	// Precision is "f64" (default) or "f32".
-	Precision string `json:"precision,omitempty"`
+	Precision kfac.Precision `json:"precision,omitempty"`
 	// Compression selects the payload codec for factor and gradient
-	// exchanges: "none" (default), "float16", or "topk".
+	// exchanges: "none" (default), "float16", or "topk" (comm.ParseCodec).
 	Compression string `json:"compression,omitempty"`
 	// TopKFraction is the kept-coordinate fraction of the "topk" codec
 	// (0 < f ≤ 1; required iff Compression is "topk").
@@ -205,87 +205,31 @@ type KFACSpec struct {
 	AutotuneInterval int `json:"autotune_interval,omitempty"`
 }
 
-// codec resolves the compression fields to a comm.Codec (nil = exact).
-func (k KFACSpec) codec() (comm.Codec, error) {
-	switch strings.ToLower(k.Compression) {
-	case "", "none":
-		if k.TopKFraction != 0 {
-			return nil, fmt.Errorf("ctl: topk_fraction requires compression \"topk\"")
-		}
-		return nil, nil
-	case "float16":
-		if k.TopKFraction != 0 {
-			return nil, fmt.Errorf("ctl: topk_fraction requires compression \"topk\"")
-		}
-		return comm.Float16Codec{}, nil
-	case "topk":
-		if k.TopKFraction <= 0 || k.TopKFraction > 1 {
-			return nil, fmt.Errorf("ctl: compression topk needs topk_fraction in (0, 1], got %v",
-				k.TopKFraction)
-		}
-		return comm.TopKCodec{FractionK: k.TopKFraction}, nil
-	}
-	return nil, fmt.Errorf("ctl: unknown compression %q (want none, float16, or topk)", k.Compression)
-}
-
-// distMode resolves the wire name to the kfac enum.
-func (k KFACSpec) distMode() (kfac.DistMode, error) {
-	switch strings.ToLower(k.DistMode) {
-	case "", "auto":
-		return kfac.DistAuto, nil
-	case "commopt":
-		return kfac.CommOpt, nil
-	case "memopt":
-		return kfac.MemOpt, nil
-	case "hybrid":
-		return kfac.Hybrid, nil
-	}
-	return 0, fmt.Errorf("ctl: unknown dist_mode %q (want auto, commopt, memopt, or hybrid)", k.DistMode)
-}
-
-// options resolves the spec into the kfac.Options the trainer consumes.
-func (k KFACSpec) options() (kfac.Options, error) {
-	mode, err := k.distMode()
+// options resolves the spec into the kfac.Options the trainer consumes and
+// checks them for a world-rank job with kfac.Options.Validate.
+func (k KFACSpec) options(world int) (kfac.Options, error) {
+	codec, err := comm.ParseCodec(k.Compression, k.TopKFraction)
 	if err != nil {
-		return kfac.Options{}, err
-	}
-	if mode == kfac.Hybrid && (k.GradWorkerFrac <= 0 || k.GradWorkerFrac >= 1) {
-		return kfac.Options{}, fmt.Errorf(
-			"ctl: dist_mode hybrid needs grad_worker_frac strictly between 0 and 1, got %v",
-			k.GradWorkerFrac)
-	}
-	if mode != kfac.Hybrid && k.GradWorkerFrac != 0 {
-		return kfac.Options{}, fmt.Errorf("ctl: grad_worker_frac requires dist_mode hybrid")
-	}
-	prec, err := kfac.ParsePrecision(k.Precision)
-	if err != nil {
-		return kfac.Options{}, fmt.Errorf("ctl: %w", err)
-	}
-	codec, err := k.codec()
-	if err != nil {
-		return kfac.Options{}, err
-	}
-	if k.NoErrorFeedback && codec == nil && !k.Autotune {
-		return kfac.Options{}, fmt.Errorf("ctl: no_error_feedback requires a compression codec or autotune")
+		return kfac.Options{}, fmt.Errorf("ctl: compression/topk_fraction: %w", err)
 	}
 	if k.AutotuneInterval != 0 && !k.Autotune {
 		return kfac.Options{}, fmt.Errorf("ctl: autotune_interval requires autotune")
 	}
-	if k.AutotuneInterval < 0 {
-		return kfac.Options{}, fmt.Errorf("ctl: autotune_interval must be ≥ 0, got %d", k.AutotuneInterval)
-	}
 	opts := kfac.Options{
-		DistMode:         mode,
+		DistMode:         k.DistMode,
 		GradWorkerFrac:   k.GradWorkerFrac,
 		Damping:          k.Damping,
 		FactorUpdateFreq: k.FactorUpdateFreq,
 		InvUpdateFreq:    k.InvUpdateFreq,
-		Precision:        prec,
+		Precision:        k.Precision,
 		Compression:      codec,
 		NoErrorFeedback:  k.NoErrorFeedback,
 	}
 	if k.Autotune {
 		opts.Autotune = &kfac.AutotuneConfig{Interval: k.AutotuneInterval}
+	}
+	if err := opts.Validate(world); err != nil {
+		return kfac.Options{}, fmt.Errorf("ctl: %w", err)
 	}
 	return opts, nil
 }
@@ -395,7 +339,7 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("ctl: checkpoint_every must be ≥ 1, got %d", s.CheckpointEvery)
 	}
 	if s.KFAC != nil {
-		if _, err := s.KFAC.options(); err != nil {
+		if _, err := s.KFAC.options(s.World); err != nil {
 			return err
 		}
 	}

@@ -61,12 +61,9 @@ func runAutotune(ctx context.Context, w io.Writer, cfg Config) error {
 				BandwidthBps: capBps,
 			})
 		}
-		kopts := []kfac.Option{
-			kfac.WithFactorUpdateFreq(1),
-			kfac.WithInvUpdateFreq(2),
-		}
+		kopts := kfac.Options{FactorUpdateFreq: 1, InvUpdateFreq: 2}
 		if tuned {
-			kopts = append(kopts, kfac.WithAutotune(kfac.AutotuneConfig{}))
+			kopts.Autotune = &kfac.AutotuneConfig{}
 		}
 		start := time.Now()
 		results, err := trainer.RunSessionsOn(ctx, fab, world, build, train, test,
@@ -75,7 +72,7 @@ func runAutotune(ctx context.Context, w io.Writer, cfg Config) error {
 			trainer.WithLRSchedule(optim.LRSchedule{BaseLR: 0.05}),
 			trainer.WithMomentum(0.9),
 			trainer.WithSeed(cfg.Seed),
-			trainer.WithKFAC(kopts...),
+			trainer.WithKFACOptions(kopts),
 		)
 		if err != nil {
 			return 0, "", err

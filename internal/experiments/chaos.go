@@ -68,10 +68,7 @@ func runChaos(ctx context.Context, w io.Writer, cfg Config) error {
 			trainer.WithLRSchedule(optim.LRSchedule{BaseLR: 0.05}),
 			trainer.WithMomentum(0.9),
 			trainer.WithSeed(cfg.Seed),
-			trainer.WithKFAC(
-				kfac.WithEngine(engine),
-				kfac.WithFactorUpdateFreq(1),
-				kfac.WithInvUpdateFreq(2)),
+			trainer.WithKFACOptions(kfac.Options{Engine: engine, FactorUpdateFreq: 1, InvUpdateFreq: 2}),
 		)
 		if err != nil {
 			return 0, 0, err

@@ -47,10 +47,7 @@ func profileWorkload(ctx context.Context, cfg Config, world int, engine kfac.Eng
 		trainer.WithBatchPerRank(16),
 		trainer.WithLRSchedule(optim.LRSchedule{BaseLR: 0.05}),
 		trainer.WithMomentum(0.9),
-		trainer.WithKFAC(
-			kfac.WithFactorUpdateFreq(2),
-			kfac.WithInvUpdateFreq(4),
-			kfac.WithEngine(engine)),
+		trainer.WithKFACOptions(kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Engine: engine}),
 		trainer.WithSeed(cfg.Seed),
 	}
 	build := func(rng *rand.Rand) *nn.Sequential { return correctnessNet(cfg)(rng) }

@@ -93,7 +93,7 @@ func (tp TunePolicy) Pick(bwBps, dropRate float64) int {
 	return pick
 }
 
-// AutotuneConfig configures the runtime controller (kfac.WithAutotune).
+// AutotuneConfig configures the runtime controller (Options.Autotune).
 type AutotuneConfig struct {
 	// Policy is the level table (zero value selects DefaultTunePolicy).
 	Policy TunePolicy

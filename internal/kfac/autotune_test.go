@@ -194,28 +194,3 @@ func TestAutotunePickBands(t *testing.T) {
 		}
 	}
 }
-
-// TestAutotuneRebindResets: an elastic resize rebuilds the consensus
-// group, so surviving ranks must fall back to the static configuration
-// (level −1, the static Decision) and drop accumulated residuals rather
-// than carry decisions made with dead peers.
-func TestAutotuneRebindResets(t *testing.T) {
-	net := buildTinyNet(42)
-	opts := Options{FactorUpdateFreq: 1, InvUpdateFreq: 1, Autotune: &AutotuneConfig{}}
-	prec := NewFromOptions(net, nil, opts)
-	defer prec.Close()
-	// Simulate an in-force decision, as autotune stores it.
-	prec.tuner.level = 2
-	prec.dec = resolve(prec.opts, &prec.tuner.policy.Levels[2])
-	if d := prec.Decision(); d.Codec == nil {
-		t.Fatalf("expected a tuned codec before rebind, got %+v", d)
-	}
-	prec.Rebind(nil)
-	if prec.tuner.level != -1 {
-		t.Fatalf("rebind did not reset the tuner: level %d", prec.tuner.level)
-	}
-	opts.fillDefaults()
-	if d, want := prec.Decision(), resolve(opts, nil); !reflect.DeepEqual(d, want) {
-		t.Fatalf("rebind left decision %+v, want the static %+v", d, want)
-	}
-}

@@ -1,77 +1,60 @@
 package kfac
 
 import (
+	"encoding"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/comm"
 )
 
+// TestBuildResolvesOptions: building a preconditioner keeps every field the
+// caller set; the paper defaults fill only zero fields.
 func TestBuildResolvesOptions(t *testing.T) {
-	o := Build(
-		WithMode(InverseMode),
-		WithStrategy(SizeGreedy),
-		WithDamping(0.01),
-		WithFactorDecay(0.9),
-		WithKLClip(-1),
-		WithFactorUpdateFreq(3),
-		WithInvUpdateFreq(30),
-		WithFusionBytes(1<<20),
-		WithPiDamping(),
-		WithSkipLayers("fc", "conv1"),
-		WithMaxFactorDim(64),
-		WithEngine(EnginePipelined),
-	)
 	want := Options{
 		Mode: InverseMode, Strategy: SizeGreedy, Damping: 0.01,
 		FactorDecay: 0.9, KLClip: -1, FactorUpdateFreq: 3, InvUpdateFreq: 30,
 		FusionBytes: 1 << 20, PiDamping: true, SkipLayers: []string{"fc", "conv1"},
-		MaxFactorDim: 64, Engine: EnginePipelined,
+		MaxFactorDim: 64, Engine: EnginePipelined, Precision: F32,
 	}
-	if o.Mode != want.Mode || o.Strategy != want.Strategy || o.Damping != want.Damping ||
-		o.FactorDecay != want.FactorDecay || o.KLClip != want.KLClip ||
-		o.FactorUpdateFreq != want.FactorUpdateFreq || o.InvUpdateFreq != want.InvUpdateFreq ||
-		o.FusionBytes != want.FusionBytes || o.PiDamping != want.PiDamping ||
-		o.MaxFactorDim != want.MaxFactorDim || o.Engine != want.Engine {
-		t.Errorf("Build = %+v, want %+v", o, want)
-	}
-	if len(o.SkipLayers) != 2 || o.SkipLayers[0] != "fc" || o.SkipLayers[1] != "conv1" {
-		t.Errorf("SkipLayers = %v", o.SkipLayers)
+	p := NewFromOptions(buildTinyNet(1), nil, want)
+	defer p.Close()
+	if !reflect.DeepEqual(p.opts, want) {
+		t.Errorf("resolved %+v, want %+v", p.opts, want)
 	}
 }
 
+// TestDistributionOptions: the distribution fields reach the Decision the
+// plan and the collectives follow, and DistAuto resolves per strategy.
 func TestDistributionOptions(t *testing.T) {
-	o := Build(WithDistMode(MemOpt), WithGroupSize(4))
-	if o.DistMode != MemOpt || o.GroupSize != 4 {
-		t.Errorf("Build = %+v", o)
-	}
-	// WithGradWorkerFrac selects Hybrid and carries the fraction.
-	o = Build(WithGradWorkerFrac(0.25))
-	if o.DistMode != Hybrid || o.GradWorkerFrac != 0.25 {
-		t.Errorf("WithGradWorkerFrac: %+v", o)
-	}
-	// Default: DistAuto resolves per strategy at plan-build time.
-	o = Build()
-	if o.DistMode != DistAuto {
-		t.Errorf("default DistMode = %v, want DistAuto", o.DistMode)
-	}
-}
-
-// WithOptions seeds from a resolved struct; later options override fields.
-func TestWithOptionsBaseAndOverride(t *testing.T) {
-	base := Options{Damping: 0.01, InvUpdateFreq: 50, Strategy: LayerWise}
-	o := Build(WithOptions(base), WithDamping(0.002))
-	if o.Damping != 0.002 {
-		t.Errorf("override lost: damping = %v", o.Damping)
-	}
-	if o.InvUpdateFreq != 50 || o.Strategy != LayerWise {
-		t.Errorf("base lost: %+v", o)
+	for _, c := range []struct {
+		opts Options
+		want Decision
+	}{
+		{Options{DistMode: MemOpt, GroupSize: 4}, Decision{Mode: MemOpt, GroupSize: 4}},
+		{Options{DistMode: Hybrid, GradWorkerFrac: 0.25}, Decision{Mode: Hybrid, GradWorkerFrac: 0.25}},
+		{Options{}, Decision{Mode: CommOpt}},
+		{Options{Strategy: LayerWise}, Decision{Mode: MemOpt}},
+	} {
+		p := NewFromOptions(buildTinyNet(1), nil, c.opts)
+		c.want.FusionBytes = comm.DefaultFusionBytes
+		if d := p.Decision(); !reflect.DeepEqual(d, c.want) {
+			t.Errorf("%+v: decision %+v, want %+v", c.opts, d, c.want)
+		}
+		if p.Plan().Mode != c.want.Mode {
+			t.Errorf("%+v: plan mode %v, want %v", c.opts, p.Plan().Mode, c.want.Mode)
+		}
+		p.Close()
 	}
 }
 
-// New with no options must behave exactly like NewFromOptions with a zero
-// struct: the paper defaults.
+// NewFromOptions with a zero struct selects the paper defaults.
 func TestNewAppliesPaperDefaults(t *testing.T) {
 	net := buildTinyNet(1)
-	p := New(net, nil)
+	p := NewFromOptions(net, nil, Options{})
+	defer p.Close()
 	if p.opts.Damping != 0.001 || p.opts.FactorDecay != 0.95 || p.opts.KLClip != 0.001 ||
 		p.opts.FactorUpdateFreq != 10 || p.opts.InvUpdateFreq != 100 {
 		t.Errorf("defaults not applied: %+v", p.opts)
@@ -81,30 +64,101 @@ func TestNewAppliesPaperDefaults(t *testing.T) {
 	}
 }
 
-// A preconditioner built from options must match one built from the
-// equivalent resolved struct step for step.
-func TestNewMatchesNewFromOptions(t *testing.T) {
-	a := buildTinyNet(7)
-	b := buildTinyNet(7)
-	pa := New(a, nil, WithDamping(0.01), WithFactorUpdateFreq(1), WithInvUpdateFreq(2))
-	pb := NewFromOptions(b, nil, Options{Damping: 0.01, FactorUpdateFreq: 1, InvUpdateFreq: 2})
-	defer pa.Close()
-	defer pb.Close()
-	for i := 0; i < 4; i++ {
-		runStep(a, int64(100+i), 4)
-		runStep(b, int64(100+i), 4)
-		if err := pa.Step(0.1); err != nil {
-			t.Fatal(err)
-		}
-		if err := pb.Step(0.1); err != nil {
-			t.Fatal(err)
+// TestOptionsValidate walks every rule of the rule book: each bad value is
+// refused with an error naming its field, and the zero value, the paper
+// defaults spelled out, and each rule's boundary are accepted.
+func TestOptionsValidate(t *testing.T) {
+	const world = 4
+	for _, c := range []struct {
+		opts  Options
+		field string // "" = valid
+	}{
+		{Options{}, ""},
+		{Options{Damping: 0.001, FactorDecay: 0.95, KLClip: -1, FactorUpdateFreq: 10, InvUpdateFreq: 100}, ""},
+		{Options{DistMode: Hybrid, GradWorkerFrac: 0.5}, ""},
+		{Options{GroupSize: 2}, ""},
+		{Options{GroupSize: 3}, ""},
+		{Options{NoErrorFeedback: true, Compression: comm.Float16Codec{}}, ""},
+		{Options{NoErrorFeedback: true, Autotune: &AutotuneConfig{}}, ""},
+		{Options{Autotune: &AutotuneConfig{Interval: 0}}, ""},
+
+		{Options{Mode: 2}, "Mode"},
+		{Options{Strategy: -1}, "Strategy"},
+		{Options{DistMode: 4}, "DistMode"},
+		{Options{Engine: 2}, "Engine"},
+		{Options{Precision: 2}, "Precision"},
+		{Options{DistMode: Hybrid}, "GradWorkerFrac"},
+		{Options{DistMode: Hybrid, GradWorkerFrac: 1}, "GradWorkerFrac"},
+		{Options{DistMode: Hybrid, GradWorkerFrac: math.NaN()}, "GradWorkerFrac"},
+		{Options{GradWorkerFrac: 0.5}, "GradWorkerFrac"},
+		{Options{DistMode: MemOpt, GradWorkerFrac: 0.5}, "GradWorkerFrac"},
+		{Options{GroupSize: 1}, "GroupSize"},
+		{Options{GroupSize: -2}, "GroupSize"},
+		{Options{GroupSize: world}, "GroupSize"},
+		{Options{NoErrorFeedback: true}, "NoErrorFeedback"},
+		{Options{Damping: -1}, "Damping"},
+		{Options{Damping: math.NaN()}, "Damping"},
+		{Options{FactorDecay: -0.1}, "FactorDecay"},
+		{Options{FactorDecay: 1}, "FactorDecay"},
+		{Options{FactorUpdateFreq: -2}, "FactorUpdateFreq"},
+		{Options{InvUpdateFreq: -5}, "InvUpdateFreq"},
+		{Options{FusionBytes: -1}, "FusionBytes"},
+		{Options{MaxFactorDim: -1}, "MaxFactorDim"},
+		{Options{Autotune: &AutotuneConfig{Interval: -1}}, "Autotune.Interval"},
+	} {
+		err := c.opts.Validate(world)
+		switch {
+		case c.field == "" && err != nil:
+			t.Errorf("%+v refused: %v", c.opts, err)
+		case c.field != "" && err == nil:
+			t.Errorf("%+v accepted, want an error naming %s", c.opts, c.field)
+		case c.field != "" && !strings.Contains(err.Error(), c.field):
+			t.Errorf("%+v: error %q does not name %s", c.opts, err, c.field)
 		}
 	}
-	ga, gb := a.Params()[0].Grad, b.Params()[0].Grad
-	for i := range ga.Data {
-		if ga.Data[i] != gb.Data[i] {
-			t.Fatalf("gradient %d diverged: %v vs %v", i, ga.Data[i], gb.Data[i])
+}
+
+// TestEnumTextRoundTrip: every value of the five configuration enums
+// round-trips through its text form, decoding ignores case, empty text is
+// the zero value, and an unknown token's error lists the accepted set.
+func TestEnumTextRoundTrip(t *testing.T) {
+	checkEnumText[Mode](t, 2, "eigen, inverse")
+	checkEnumText[Strategy](t, 3, "roundrobin, layerwise, greedy")
+	checkEnumText[DistMode](t, 4, "auto, commopt, memopt, hybrid")
+	checkEnumText[Engine](t, 2, "sync, pipelined")
+	checkEnumText[Precision](t, 2, "f64, float64, f32, float32")
+}
+
+// checkEnumText checks the text form of an enum whose values are 0…n−1.
+func checkEnumText[T interface {
+	~int
+	encoding.TextMarshaler
+}, P interface {
+	*T
+	encoding.TextUnmarshaler
+}](t *testing.T, n int, accepted string) {
+	t.Helper()
+	for v := T(0); v < T(n); v++ {
+		text, err := v.MarshalText()
+		if err != nil {
+			t.Fatalf("%T(%d): %v", v, v, err)
 		}
+		for _, in := range []string{string(text), strings.ToUpper(string(text))} {
+			var got T
+			if err := P(&got).UnmarshalText([]byte(in)); err != nil || got != v {
+				t.Errorf("%T %q decoded to %d (err %v), want %d", v, in, got, err, v)
+			}
+		}
+	}
+	if _, err := T(n).MarshalText(); err == nil {
+		t.Errorf("%T(%d) has a token", T(n), n)
+	}
+	got := T(n - 1)
+	if err := P(&got).UnmarshalText(nil); err != nil || got != 0 {
+		t.Errorf("%T: empty text decoded to %d (err %v), want 0", got, got, err)
+	}
+	if err := P(&got).UnmarshalText([]byte("bogus")); err == nil || !strings.Contains(err.Error(), accepted) {
+		t.Errorf("%T: unknown token error %v does not list %q", got, err, accepted)
 	}
 }
 

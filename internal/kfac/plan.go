@@ -32,8 +32,8 @@ const (
 	MemOpt
 	// Hybrid interpolates: each layer's gradient-worker set holds the
 	// eigenbases and preconditions redundantly, sized by
-	// Options.GradWorkerFrac (WithGradWorkerFrac). Larger sets spend memory
-	// to shrink the per-iteration result broadcast.
+	// Options.GradWorkerFrac. Larger sets spend memory to shrink the
+	// per-iteration result broadcast.
 	Hybrid
 )
 
@@ -96,7 +96,7 @@ func gradWorkerCount(mode DistMode, frac float64, world int) int {
 	case MemOpt:
 		return 1
 	case Hybrid:
-		// ⌈f·world⌉, as WithGradWorkerFrac documents: at least the
+		// ⌈f·world⌉, as Options.GradWorkerFrac documents: at least the
 		// requested fraction of the world serves as gradient workers.
 		n := int(math.Ceil(frac * float64(world)))
 		if n < 1 {

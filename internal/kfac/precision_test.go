@@ -10,19 +10,23 @@ import (
 	"repro/internal/tensor"
 )
 
-func TestParsePrecision(t *testing.T) {
+// TestPrecisionTokens: the precision tokens and their float64/float32
+// aliases decode in any case ("F32" too), empty text is F64, and String
+// keeps the short log names.
+func TestPrecisionTokens(t *testing.T) {
 	for _, c := range []struct {
 		in   string
 		want Precision
 		ok   bool
 	}{
 		{"", F64, true}, {"f64", F64, true}, {"float64", F64, true},
-		{"f32", F32, true}, {"float32", F32, true},
-		{"fp16", F64, false}, {"F32", F64, false},
+		{"f32", F32, true}, {"float32", F32, true}, {"F32", F32, true}, {"Float64", F64, true},
+		{"fp16", F64, false},
 	} {
-		got, err := ParsePrecision(c.in)
+		var got Precision
+		err := got.UnmarshalText([]byte(c.in))
 		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParsePrecision(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
 		}
 	}
 	if F64.String() != "f64" || F32.String() != "f32" {

@@ -34,100 +34,6 @@ func (m Mode) String() string {
 	return "K-FAC w/ Eigen-decomp."
 }
 
-// Options configures the preconditioner. Zero values select the paper's
-// defaults where one exists.
-type Options struct {
-	Mode     Mode
-	Strategy Strategy
-	// DistMode selects the memory/communication tradeoff of the resolved
-	// distribution plan (default DistAuto: LayerWise implies MemOpt, every
-	// other strategy CommOpt — the pre-plan behavior).
-	DistMode DistMode
-	// GradWorkerFrac sizes each layer's gradient-worker set under
-	// DistMode == Hybrid as a fraction of the world (clamped to at least
-	// one worker). Ignored by the other modes.
-	GradWorkerFrac float64
-	// GroupSize, when ≥ 2, routes the factor allreduce (and the trainer's
-	// gradient exchange) through the two-level hierarchical allreduce with
-	// this many consecutive ranks per group — modeling fast intra-node
-	// links. 0 keeps the flat ring.
-	GroupSize int
-	// Damping is the Tikhonov regularizer γ (paper: 0.001 for ImageNet).
-	Damping float64
-	// FactorDecay is the running-average coefficient ξ in Equations 16–17
-	// (typical range [0.9, 1); default 0.95).
-	FactorDecay float64
-	// KLClip is the κ constant of the gradient-scaling Equation 18
-	// (default 0.001). Negative disables clipping.
-	KLClip float64
-	// FactorUpdateFreq is the interval in iterations between factor
-	// recomputation + allreduce (default 10). The paper observes factors
-	// can be updated 10× more frequently than the decompositions.
-	FactorUpdateFreq int
-	// InvUpdateFreq is the paper's kfac-update-freq: the interval between
-	// eigendecomposition (or inverse) updates (default 100).
-	InvUpdateFreq int
-	// FusionBytes bounds the fusion buffer of the factor allreduce and the
-	// trainer's gradient exchange (default comm.DefaultFusionBytes).
-	FusionBytes int
-	// PiDamping enables the π-corrected factored damping split of
-	// Martens & Grosse (§6.3): (A+π√γI)⊗(G+√γ/π·I) instead of the
-	// uniform γ on the combined eigenvalue product. Off by default,
-	// matching the paper.
-	PiDamping bool
-	// SkipLayers lists layer names to leave to the first-order optimizer
-	// (the reference implementation's skip_layers option).
-	SkipLayers []string
-	// MaxFactorDim excludes layers whose A or G factor would exceed this
-	// dimension (0 = no limit) — a memory/time guard for very wide layers.
-	MaxFactorDim int
-	// Engine selects the schedule of the update stage graph: EngineSync
-	// (default) puts a barrier after every stage; EnginePipelined overlaps
-	// per-layer factor computation, fused async allreduce,
-	// eigendecomposition, and the per-layer decomposition exchange. Both
-	// run the same stage code and are bit-identical.
-	Engine Engine
-	// Precision selects the element type of the covariance and
-	// preconditioning kernels (default F64). F32 keeps their operands and
-	// products in float32; running averages, decompositions, communication,
-	// and checkpoints stay float64 regardless (see kernels.go).
-	Precision Precision
-	// Compression applies a lossy codec to the factor allreduce and the
-	// trainer's gradient exchange (nil = exact), wrapped in error-feedback
-	// residual accumulation unless NoErrorFeedback is set. Must be
-	// identical on every rank. The eigensolver symmetrizes its input, so
-	// sparsified factor averages stay safe to decompose.
-	Compression comm.Codec
-	// NoErrorFeedback strips the residual accumulator from Compression —
-	// the biased estimator, kept so the convergence-safety suite can
-	// demonstrate why error feedback is not optional for sparsifiers.
-	NoErrorFeedback bool
-	// Autotune, when non-nil, enables the bandwidth-adaptive controller:
-	// codec/FusionBytes/GroupSize are re-selected from the policy table at
-	// factor-update boundaries via a consensus collective, overriding the
-	// static Compression/FusionBytes/GroupSize fields from the first
-	// decision on. See autotune.go.
-	Autotune *AutotuneConfig
-}
-
-func (o *Options) fillDefaults() {
-	if o.Damping == 0 {
-		o.Damping = 0.001
-	}
-	if o.FactorDecay == 0 {
-		o.FactorDecay = 0.95
-	}
-	if o.KLClip == 0 {
-		o.KLClip = 0.001
-	}
-	if o.FactorUpdateFreq == 0 {
-		o.FactorUpdateFreq = 10
-	}
-	if o.InvUpdateFreq == 0 {
-		o.InvUpdateFreq = 100
-	}
-}
-
 // layerState carries the per-layer K-FAC quantities.
 type layerState struct {
 	layer nn.KFACCapturable
@@ -246,17 +152,11 @@ type Preconditioner struct {
 	pcHandles []*comm.Handle
 }
 
-// New builds a preconditioner over every K-FAC-capturable layer of model
-// (Linear and Conv2D; all other layers are left to the wrapped optimizer),
-// configured by functional options over the paper defaults. c may be nil
-// for single-process training.
-func New(model nn.Layer, c *comm.Communicator, opts ...Option) *Preconditioner {
-	return NewFromOptions(model, c, Build(opts...))
-}
-
-// NewFromOptions builds a preconditioner from a resolved Options struct —
-// the form trainer.WithKFACOptions takes. Zero-valued fields select the
-// paper defaults.
+// NewFromOptions builds a preconditioner over every K-FAC-capturable layer
+// of model (Linear and Conv2D; all other layers are left to the wrapped
+// optimizer). Zero-valued fields of opts select the paper defaults; callers
+// that take opts from text check them with Options.Validate first. c may be
+// nil for single-process training.
 func NewFromOptions(model nn.Layer, c *comm.Communicator, opts Options) *Preconditioner {
 	opts.fillDefaults()
 	skip := make(map[string]bool, len(opts.SkipLayers))
@@ -287,47 +187,6 @@ func NewFromOptions(model nn.Layer, c *comm.Communicator, opts Options) *Precond
 	return p
 }
 
-// Rebind attaches the preconditioner to a new communicator — the elastic
-// recovery path after a rank loss rebuilds a resized world — and re-plans
-// the whole distribution (Algorithm 1, line 9) for the new world size: a
-// fresh Plan with new owners, gradient-worker sets, and sub-communicator
-// groups. Replica state survives the resize when the outgoing plan was
-// fully replicated: the running-average factors and decompositions are
-// identical on every rank (products of collective averaging), so they
-// remain valid under the new placement and only *ownership* changes. c may
-// be nil to shrink to a single-process preconditioner.
-//
-// Rebind must not be called while a Step is in flight, and all surviving
-// ranks must call it with communicators of equal size (the usual SPMD
-// contract). Under a partially replicated plan (MemOpt/Hybrid — including
-// the implied MemOpt of LayerWise) the decompositions live only on their
-// recipient sets; Rebind clears them so the next decomposition update
-// rebuilds ownership consistently instead of broadcasting from stale
-// roots.
-func (p *Preconditioner) Rebind(c *comm.Communicator) {
-	// Mode-based rather than plan-based: a world-1 MemOpt plan is trivially
-	// fully replicated, but clearing stays the conservative contract for
-	// every partial mode so ownership is always rebuilt fresh.
-	partial := p.dec.Mode != CommOpt
-	p.comm = c
-	// Autotune baselines and compression residuals are tied to the old
-	// world's timing and chunk schedule; restart both so every surviving
-	// rank re-enters the static configuration at the same boundary.
-	if p.tuner != nil {
-		p.tuner = newTuner(AutotuneConfig{Policy: p.tuner.policy, Interval: p.tuner.interval})
-	}
-	p.factorEF.Reset()
-	if partial {
-		for _, s := range p.states {
-			s.eigA, s.eigG, s.invA, s.invG = nil, nil, nil, nil
-		}
-		// Force the next Step to recompute factors and decompositions at
-		// the new ownership before any layer preconditions.
-		p.step = 0
-	}
-	p.replan()
-}
-
 // size returns the world size (1 when running without a communicator).
 func (p *Preconditioner) size() int {
 	if p.comm == nil {
@@ -344,8 +203,8 @@ func (p *Preconditioner) rank() int {
 	return p.comm.Rank()
 }
 
-// replan resolves the static Decision — it runs at construction and after
-// Rebind has reset the tuner, so no autotune level is in force — rebuilds
+// replan resolves the static Decision — it runs at construction, before any
+// autotune level is in force — rebuilds
 // the distribution Plan for it at the current world, and mirrors the plan
 // into the per-layer state: owner ranks plus the plan-scoped
 // sub-communicator groups partial plans need. Every rank computes the

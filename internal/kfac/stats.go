@@ -56,7 +56,7 @@ type StageStats struct {
 	PeakFactorBytes int64
 
 	// TuneDecisions records every autotune consensus decision in step
-	// order (empty when WithAutotune is off). Every field of every entry
+	// order (empty when Options.Autotune is nil). Every field of every entry
 	// is a consensus output or a pure function of one, so the slice must
 	// be deep-equal across ranks — the determinism suite asserts exactly
 	// that.

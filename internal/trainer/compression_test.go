@@ -103,7 +103,7 @@ func TestFloat16CompressionTracksExact(t *testing.T) {
 	}
 }
 
-// TestAutotuneReconfiguresGradientExchange: under kfac.WithAutotune the
+// TestAutotuneReconfiguresGradientExchange: under kfac.Options.Autotune the
 // gradient exchange follows the preconditioner's Decision, not just the
 // factor allreduce. On a 1 MB/s link the consensus soon selects a
 // compressed level; the step after that decision is the first whose
@@ -120,8 +120,8 @@ func TestAutotuneReconfiguresGradientExchange(t *testing.T) {
 	sent := make([][]int64, world)
 	results, err := RunSessionsOn(context.Background(), fab, world, buildTestNet, train, test,
 		append(sessionOpts(), WithEpochs(1),
-			WithKFAC(kfac.WithFactorUpdateFreq(2), kfac.WithInvUpdateFreq(1000),
-				kfac.WithDamping(0.01), kfac.WithAutotune(kfac.AutotuneConfig{})),
+			WithKFACOptions(kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 1000,
+				Damping: 0.01, Autotune: &kfac.AutotuneConfig{}}),
 			OnStep(func(s *Session, info StepInfo) error {
 				sent[s.Rank()] = append(sent[s.Rank()], fab.Metrics(s.Rank()).Bytes)
 				return nil

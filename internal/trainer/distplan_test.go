@@ -45,7 +45,7 @@ func TestDistModesTrainBitIdentically(t *testing.T) {
 	}
 }
 
-// TestGroupedGradientExchangeTrains: kfac.WithGroupSize routes both the
+// TestGroupedGradientExchangeTrains: kfac.Options.GroupSize routes both the
 // gradient exchange and the factor averaging through the hierarchical
 // allreduce; the run must train and every rank must land on the identical
 // (leader-broadcast) trajectory.

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
+	"repro/internal/kfac"
 	"repro/internal/optim"
 	"repro/internal/testenv"
 )
@@ -216,7 +217,7 @@ func TestElasticKillAndRecoverKFAC(t *testing.T) {
 		},
 	}
 	opts := append(elasticOpts(epochs),
-		WithKFAC(), // paper defaults; RoundRobin placement across the world
+		WithKFACOptions(kfac.Options{}), // paper defaults; RoundRobin placement across the world
 		OnStep(func(s *Session, info StepInfo) error {
 			if s.World() == 2 && s.Rank() == victim && info.Epoch == 1 {
 				chaos.Kill(victim)

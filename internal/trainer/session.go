@@ -138,17 +138,8 @@ func WithSeed(seed int64) SessionOption { return func(s *Session) { s.cfg.Seed =
 // each exchange and optimizer step (0/1 = off).
 func WithAccumSteps(n int) SessionOption { return func(s *Session) { s.cfg.AccumSteps = n } }
 
-// WithKFAC enables K-FAC preconditioning, configured by kfac functional
-// options (paper defaults where unset).
-func WithKFAC(opts ...kfac.Option) SessionOption {
-	return func(s *Session) {
-		o := kfac.Build(opts...)
-		s.cfg.KFAC = &o
-	}
-}
-
-// WithKFACOptions enables K-FAC preconditioning from a resolved options
-// struct (kfac.Build's form).
+// WithKFACOptions enables K-FAC preconditioning configured by o (zero
+// fields select the paper defaults).
 func WithKFACOptions(o kfac.Options) SessionOption {
 	return func(s *Session) { s.cfg.KFAC = &o }
 }

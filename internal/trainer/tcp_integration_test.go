@@ -32,7 +32,7 @@ func TestTCPDistributedKFACTraining(t *testing.T) {
 	}
 	train, test := tinyDataset(t)
 	opts := append(sessionOpts(), WithEpochs(1), WithBatchPerRank(8),
-		WithKFAC(kfac.WithFactorUpdateFreq(2), kfac.WithInvUpdateFreq(4), kfac.WithDamping(1e-2)))
+		WithKFACOptions(kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 1e-2}))
 
 	var wg sync.WaitGroup
 	accs := make([]float64, world)

@@ -22,8 +22,8 @@ import (
 	"repro/internal/optim"
 )
 
-// config is a Session's resolved option form (kept internal, like
-// kfac.Options is for kfac.New's options).
+// config is a Session's resolved option form, built by the SessionOptions
+// (kept internal; K-FAC's own configuration is the kfac.Options in KFAC).
 type config struct {
 	// Epochs is the number of passes over the training set.
 	Epochs int

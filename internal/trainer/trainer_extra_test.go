@@ -59,7 +59,7 @@ func TestKFACStatsExposed(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(4)))
 	res := trainOne(t, net, train, test, WithEpochs(1),
-		WithKFAC(kfac.WithFactorUpdateFreq(2), kfac.WithInvUpdateFreq(4)))
+		WithKFACOptions(kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4}))
 	if res.KFACStats == nil {
 		t.Fatal("KFACStats not surfaced")
 	}

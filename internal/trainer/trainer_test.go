@@ -81,7 +81,7 @@ func TestSingleProcessKFACTrains(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(1)))
 	res := trainOne(t, net, train, test,
-		WithKFAC(kfac.WithFactorUpdateFreq(2), kfac.WithInvUpdateFreq(4), kfac.WithDamping(0.01)))
+		WithKFACOptions(kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01}))
 	if res.FinalValAcc <= 0.3 {
 		t.Errorf("K-FAC val acc = %v, want > 0.3", res.FinalValAcc)
 	}
@@ -112,7 +112,7 @@ func TestDistributedMatchesSingleWithSameGlobalBatch(t *testing.T) {
 func TestDistributedKFACConsistentAcrossRanks(t *testing.T) {
 	train, test := tinyDataset(t)
 	results := trainWorld(t, 2, train, test, WithEpochs(2), WithBatchPerRank(8),
-		WithKFAC(kfac.WithFactorUpdateFreq(2), kfac.WithInvUpdateFreq(4), kfac.WithDamping(0.01)))
+		WithKFACOptions(kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01}))
 	if results[0].FinalValAcc != results[1].FinalValAcc {
 		t.Errorf("K-FAC ranks disagree: %v vs %v",
 			results[0].FinalValAcc, results[1].FinalValAcc)
@@ -122,8 +122,8 @@ func TestDistributedKFACConsistentAcrossRanks(t *testing.T) {
 func TestDistributedKFACLayerWise(t *testing.T) {
 	train, test := tinyDataset(t)
 	results := trainWorld(t, 3, train, test, WithEpochs(1), WithBatchPerRank(8),
-		WithKFAC(kfac.WithStrategy(kfac.LayerWise), kfac.WithFactorUpdateFreq(2),
-			kfac.WithInvUpdateFreq(4), kfac.WithDamping(0.01)))
+		WithKFACOptions(kfac.Options{Strategy: kfac.LayerWise, FactorUpdateFreq: 2,
+			InvUpdateFreq: 4, Damping: 0.01}))
 	if results[0].FinalValAcc != results[2].FinalValAcc {
 		t.Error("layer-wise ranks disagree")
 	}
@@ -134,7 +134,7 @@ func TestSchedulesApplied(t *testing.T) {
 	net := buildTestNet(rand.New(rand.NewSource(2)))
 	lr := optim.LRSchedule{BaseLR: 0.05, WarmupEpochs: 1}
 	res := trainOne(t, net, train, test, WithEpochs(2), WithLRSchedule(lr),
-		WithKFAC(kfac.WithFactorUpdateFreq(1), kfac.WithInvUpdateFreq(1)),
+		WithKFACOptions(kfac.Options{FactorUpdateFreq: 1, InvUpdateFreq: 1}),
 		WithDampingSchedule(&kfac.ParamSchedule{Initial: 0.01, DecayEpochs: []int{1}, Factor: 0.5}),
 		WithFreqSchedule(&kfac.ParamSchedule{Initial: 2, DecayEpochs: []int{1}, Factor: 2})) // grows to 4
 	if len(res.History) != 2 {
