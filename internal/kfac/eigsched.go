@@ -1,6 +1,7 @@
 package kfac
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/linalg"
@@ -18,10 +19,12 @@ const EigTeamMinDim = 192
 // this rank owns under the active plan (see Plan.EigTeams). The rule
 // splits procs between inter-factor parallelism and intra-factor teams
 // by cost share: a factor carrying the whole rank's load (the MEM-OPT
-// one-big-factor case) gets the full machine, a factor that is one of
-// many small ones gets a team of one and relies on the factor-level
-// fan-out. Deterministic — a pure function of its arguments — so every
-// rank computes identical team tables without communication.
+// one-big-factor case) gets the full machine as its ceiling, a factor that
+// is one of many small ones gets a team of one and relies on the
+// factor-level fan-out. The team is a ceiling, not a reservation: it caps
+// how many chunks the solver's passes offer, and only idle workers join
+// them (eigSlots). Deterministic — a pure function of its arguments — so
+// every rank computes identical team tables without communication.
 func EigTeamSize(dim, procs int, rankLoad float64) int {
 	if procs <= 1 || dim < EigTeamMinDim {
 		return 1
@@ -43,55 +46,77 @@ func EigTeamSize(dim, procs int, rankLoad float64) int {
 	return t
 }
 
-// weightedSem is a counting semaphore with weighted acquisition: the
-// decomposition fan-out sizes each factor's hold to its team so that the
-// sum of concurrently running teams never exceeds the machine. Weights
-// above the capacity are clamped at acquire (a full-machine team then
-// simply runs alone). FIFO fairness is not guaranteed — the scheduler
-// launches largest-first and correctness does not depend on ordering.
-type weightedSem struct {
+// eigSlots is the decomposition stage's priority slot semaphore: every
+// decomposition in flight holds exactly one slot, and there are GOMAXPROCS
+// slots. A factor's team is not reserved here — it only caps the chunks its
+// solver's passes offer the shared pool, whose idle workers join them — so a
+// large factor's solve runs beside the small ones and picks up their cores as
+// they finish. A request that finds no free slot queues; a freed slot goes to
+// the queued factor with the largest dimension, ties to the lower FactorRefs
+// index, so the grants are a pure function of the order in which factors
+// become ready. No request starves: the queue holds one update's finite set
+// of decompositions and every release hands its slot on.
+type eigSlots struct {
 	mu    sync.Mutex
-	cond  sync.Cond
-	avail int
-	cap   int
-	peak  int // high-water mark of units held at once
+	free  int
+	queue []eigSlotReq
+	// history logs ref+1 at every grant and -(ref+1) at the matching
+	// release, in order; tests replay it.
+	history []int
 }
 
-// newWeightedSem returns a semaphore with the given capacity (≥ 1).
-func newWeightedSem(capacity int) *weightedSem {
-	if capacity < 1 {
-		capacity = 1
-	}
-	s := &weightedSem{avail: capacity, cap: capacity}
-	s.cond.L = &s.mu
-	return s
+// eigSlotReq is one queued request: the factor's dimension and FactorRefs
+// index, and the channel closed when its slot is granted.
+type eigSlotReq struct {
+	dim, ref int
+	granted  chan struct{}
 }
 
-// acquire blocks until w units (clamped to the capacity) are available
-// and takes them. It returns the clamped weight for the matching release.
-func (s *weightedSem) acquire(w int) int {
-	if w < 1 {
-		w = 1
-	}
-	if w > s.cap {
-		w = s.cap
-	}
+// newEigSlots returns a semaphore of n ≥ 1 slots.
+func newEigSlots(n int) *eigSlots {
+	return &eigSlots{free: n}
+}
+
+// acquire requests a slot for the factor with FactorRefs index ref and
+// dimension dim. The returned channel is closed once the slot is granted: at
+// once if one is free, else when a release hands one over.
+func (s *eigSlots) acquire(dim, ref int) <-chan struct{} {
+	req := eigSlotReq{dim: dim, ref: ref, granted: make(chan struct{})}
 	s.mu.Lock()
-	for s.avail < w {
-		s.cond.Wait()
+	defer s.mu.Unlock()
+	if s.free > 0 {
+		s.free--
+		s.grant(req)
+	} else {
+		s.queue = append(s.queue, req)
 	}
-	s.avail -= w
-	s.peak = max(s.peak, s.cap-s.avail)
-	s.mu.Unlock()
-	return w
+	return req.granted
 }
 
-// release returns w units taken by acquire.
-func (s *weightedSem) release(w int) {
+// release returns ref's slot; the best queued request takes it.
+func (s *eigSlots) release(ref int) {
 	s.mu.Lock()
-	s.avail += w
-	s.mu.Unlock()
-	s.cond.Broadcast()
+	defer s.mu.Unlock()
+	s.history = append(s.history, -(ref + 1))
+	if len(s.queue) == 0 {
+		s.free++
+		return
+	}
+	best := 0
+	for i, q := range s.queue {
+		if b := s.queue[best]; q.dim > b.dim || (q.dim == b.dim && q.ref < b.ref) {
+			best = i
+		}
+	}
+	req := s.queue[best]
+	s.queue = slices.Delete(s.queue, best, best+1)
+	s.grant(req)
+}
+
+// grant hands req its slot; the caller holds mu.
+func (s *eigSlots) grant(req eigSlotReq) {
+	s.history = append(s.history, req.ref+1)
+	close(req.granted)
 }
 
 // computeEigTeams records each factor's decomposition team from the active

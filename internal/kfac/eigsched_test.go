@@ -3,6 +3,8 @@ package kfac
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/linalg"
@@ -65,31 +67,117 @@ func TestEigTeamSize(t *testing.T) {
 	}
 }
 
-func TestWeightedSemClampsAndBalances(t *testing.T) {
-	sem := newWeightedSem(4)
-	if w := sem.acquire(100); w != 4 {
-		t.Fatalf("acquire(100) took %d units, want clamp to 4", w)
+// granted reports whether a slot request's channel has been closed.
+func granted(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
-	sem.release(4)
-	if w := sem.acquire(0); w != 1 {
-		t.Fatalf("acquire(0) took %d units, want floor 1", w)
+}
+
+// replaySlots checks an eigSlots grant history — every granted ref released
+// exactly once, after its grant — and returns the refs in grant order and
+// the most slots held at once.
+func replaySlots(t *testing.T, history []int) (grants []int, peak int) {
+	t.Helper()
+	held := map[int]bool{}
+	for _, h := range history {
+		ref := max(h, -h) - 1
+		if h > 0 {
+			if held[ref] {
+				t.Fatalf("ref %d granted twice without a release: %v", ref, history)
+			}
+			held[ref] = true
+			grants = append(grants, ref)
+			peak = max(peak, len(held))
+		} else {
+			if !held[ref] {
+				t.Fatalf("ref %d released without a grant: %v", ref, history)
+			}
+			delete(held, ref)
+		}
 	}
-	sem.release(1)
-	// Capacity-many unit holds must all succeed without blocking.
-	for i := 0; i < 4; i++ {
-		sem.acquire(1)
+	if len(held) != 0 {
+		t.Fatalf("slots still held after the update: %v (history %v)", held, history)
 	}
-	done := make(chan struct{})
-	go func() {
-		sem.acquire(2) // blocks until two units free
-		sem.release(2)
-		close(done)
-	}()
-	sem.release(1)
-	sem.release(1)
-	<-done
-	sem.release(1)
-	sem.release(1)
+	return grants, peak
+}
+
+// TestEigSlotsGrantLargestFirst: a free slot is granted at once; under
+// contention each release hands its slot to the queued factor with the
+// largest dimension, ties to the lower FactorRefs index — a late, larger
+// arrival goes ahead, yet every queued request is granted in the end.
+func TestEigSlotsGrantLargestFirst(t *testing.T) {
+	s := newEigSlots(2)
+	if !granted(s.acquire(64, 9)) || !granted(s.acquire(32, 8)) {
+		t.Fatal("a request finding a free slot was not granted at once")
+	}
+	pending := map[int]<-chan struct{}{}
+	for _, q := range []struct{ dim, ref int }{{108, 5}, {432, 7}, {216, 3}, {216, 1}, {108, 2}, {432, 4}} {
+		pending[q.ref] = s.acquire(q.dim, q.ref)
+	}
+	// step releases one slot and checks it went to want alone.
+	step := func(release, want int) {
+		for ref, ch := range pending {
+			if granted(ch) {
+				t.Fatalf("ref %d granted while every slot was held", ref)
+			}
+		}
+		s.release(release)
+		for ref, ch := range pending {
+			if got := granted(ch); got != (ref == want) {
+				t.Fatalf("releasing ref %d: ref %d granted=%v, want only ref %d", release, ref, got, want)
+			}
+		}
+		delete(pending, want)
+	}
+	step(9, 4)
+	pending[11] = s.acquire(1024, 11) // a late, larger arrival
+	for _, st := range [][2]int{{8, 11}, {4, 7}, {11, 1}, {7, 3}, {1, 2}, {3, 5}} {
+		step(st[0], st[1])
+	}
+	s.release(2)
+	s.release(5)
+	if s.free != 2 || len(s.queue) != 0 {
+		t.Fatalf("after every release: %d free slots, %d queued; want 2 and 0", s.free, len(s.queue))
+	}
+	replaySlots(t, s.history)
+}
+
+// TestEigSlotsAreWorkConserving: at GOMAXPROCS 2 the wide net's 257-column
+// factor carries nearly the whole decomposition load and gets a team of 2 —
+// yet it holds one slot, so a smaller factor starts while it still runs,
+// under either schedule. (Reserving the team would leave the smaller
+// factors waiting for the whole solve.)
+func TestEigSlotsAreWorkConserving(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(2)
+	for _, engine := range []Engine{EngineSync, EnginePipelined} {
+		net := buildWideNet(98)
+		prec := NewFromOptions(net, nil, Options{FactorUpdateFreq: 1, InvUpdateFreq: 1, Engine: engine})
+		runWideStep(net, 507, 8)
+		if err := prec.Step(0.1); err != nil {
+			t.Fatal(err)
+		}
+		prec.Close()
+		const big = 0 // FactorRefs index of the fc layer's 257-column A factor
+		teams := prec.Stats().Snapshot().EigTeams
+		if teams[big].Dim < EigTeamMinDim || teams[big].Team != 2 {
+			t.Fatalf("%v: factor %+v, want dim ≥ %d with a team of 2", engine, teams[big], EigTeamMinDim)
+		}
+		h := prec.eigSlots.history
+		replaySlots(t, h)
+		start, end := slices.Index(h, big+1), slices.Index(h, -(big+1))
+		overlapped := false
+		for _, e := range h[start+1 : end] {
+			overlapped = overlapped || e > 0
+		}
+		if !overlapped {
+			t.Errorf("%v: no smaller factor started while the %d-column one ran: history %v", engine, teams[big].Dim, h)
+		}
+	}
 }
 
 // TestEigSolverBlockedMatchesSerialOracle preconditions a wide net after a

@@ -130,9 +130,9 @@ type Preconditioner struct {
 	// return never blocks; covSlotElems is their total length.
 	covSlots     chan *tensor.Tensor
 	covSlotElems int64
-	// eigSem is the latest decomposition update's team-weight semaphore,
-	// kept so tests can read its high-water mark.
-	eigSem *weightedSem
+	// eigSlots is the latest decomposition update's slot semaphore, kept so
+	// tests can replay its grant history.
+	eigSlots *eigSlots
 
 	// dec is the configuration in force (see Decision), stored only by
 	// replan and autotune; factorEF persists factor-path compression

@@ -3,6 +3,7 @@ package kfac
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,10 +94,11 @@ func TestSchedulesIdenticalWireTraffic(t *testing.T) {
 }
 
 // TestSchedulesEigTeamsWithinGOMAXPROCS: every decomposition, under either
-// schedule, holds its team's weight of one GOMAXPROCS-capacity semaphore,
-// so the team weight in flight never exceeds the machine. The wide net's
-// 257-dim factor carries nearly the whole load and is assigned the full
-// machine as its team, so the high-water mark must also reach it.
+// schedule, holds one slot of a GOMAXPROCS-slot eigSlots whatever its team,
+// so at most GOMAXPROCS decompositions are ever in flight, every owned
+// factor is granted once, and no slot is still held after the update. Under
+// the barrier schedule all factors are ready at once, so the grants follow
+// (dimension desc, FactorRefs order) exactly.
 func TestSchedulesEigTeamsWithinGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
@@ -109,15 +111,29 @@ func TestSchedulesEigTeamsWithinGOMAXPROCS(t *testing.T) {
 				t.Fatal(err)
 			}
 			prec.Close()
-			if prec.eigSem == nil {
-				t.Fatalf("procs %d %v: decompositions bypassed the semaphore", procs, engine)
+			slots := prec.eigSlots
+			if slots == nil {
+				t.Fatalf("procs %d %v: decompositions bypassed the slot semaphore", procs, engine)
 			}
-			if peak := prec.eigSem.peak; peak != procs || prec.eigSem.cap != procs {
-				t.Errorf("procs %d %v: peak team weight in flight %d (capacity %d), want %d",
-					procs, engine, peak, prec.eigSem.cap, procs)
+			grants, peak := replaySlots(t, slots.history)
+			if peak > procs {
+				t.Errorf("procs %d %v: %d decompositions in flight at once", procs, engine, peak)
 			}
-			if prec.eigSem.avail != procs {
-				t.Errorf("procs %d %v: %d units still held after the update", procs, engine, procs-prec.eigSem.avail)
+			if slots.free != procs || len(slots.queue) != 0 {
+				t.Errorf("procs %d %v: %d of %d slots free, %d requests queued after the update",
+					procs, engine, slots.free, procs, len(slots.queue))
+			}
+			refs := prec.FactorRefs()
+			if len(grants) != len(refs) {
+				t.Fatalf("procs %d %v: %d grants for %d factors", procs, engine, len(grants), len(refs))
+			}
+			want := make([]int, len(refs))
+			for i := range want {
+				want[i] = i
+			}
+			slices.SortStableFunc(want, func(a, b int) int { return refs[b].Dim - refs[a].Dim })
+			if engine == EngineSync && !slices.Equal(grants, want) {
+				t.Errorf("procs %d: grant order %v, want %v (dimension desc, FactorRefs order)", procs, grants, want)
 			}
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -307,7 +307,7 @@ func (r *updateRun) run(barrier bool) error {
 		if r.distributed {
 			r.decomposed = newStageEvents(n, 2, barrier)
 		}
-		r.scheduleDecompositions()
+		r.scheduleDecompositions(barrier)
 	}
 	if r.distributed {
 		r.spawn(r.issue)
@@ -331,55 +331,64 @@ func (r *updateRun) exec(fn func()) {
 	})
 }
 
-// scheduleDecompositions is the eig scheduler. Per layer, a gate waits for
-// the layer's factors to be averaged, fixes its π correction (a pure
-// function of the averaged factors, so identical on every rank), and
-// launches one job per locally owned factor. Every job holds its team's
-// worth of a GOMAXPROCS-weighted semaphore, so inter-factor parallelism
-// and intra-factor teams together never oversubscribe the machine. Gates
-// launch in order of largest owned factor first, so big teamed factors
-// start early and small serial ones pack into the remaining slots (a
-// longest-processing-time schedule); factor results are per-layer state, so
-// ordering only shapes wall time, never values.
-func (r *updateRun) scheduleDecompositions() {
+// scheduleDecompositions is the eig scheduler. A gate waits for its layers'
+// factors to be averaged, fixes each layer's π correction (a pure function
+// of the averaged factors, so identical on every rank), and requests one
+// slot of a GOMAXPROCS-slot eigSlots per locally owned factor, largest
+// first, spawning a job that decomposes the factor once its slot is granted.
+// Under the overlapped schedule every layer has its own gate, so a factor
+// is ready as soon as its layer is averaged; where all layers share one
+// event — the barrier schedule, or an update that refreshes no factors —
+// one gate requests them all, so the update is granted in (dimension desc,
+// FactorRefs order). A job holds one slot whatever its team: the team only
+// caps the chunks its solver offers the shared pool, whose idle workers
+// join, so a big factor runs beside the small ones and takes over their
+// cores as they finish. Factor results are per-layer state and bitwise
+// team-invariant, so the schedule only shapes wall time, never values.
+func (r *updateRun) scheduleDecompositions(barrier bool) {
 	p := r.p
-	owned := func(f factorSide) bool { return !r.distributed || f.owner == r.mine }
-	maxOwned := make([]int, len(p.states))
-	order := make([]int, len(p.states))
-	for i, s := range p.states {
-		order[i] = i
-		for _, isG := range factorSides {
-			if owned(s.side(isG)) {
-				maxOwned[i] = max(maxOwned[i], p.factorDim(i, isG))
-			}
+	slots := newEigSlots(runtime.GOMAXPROCS(0))
+	p.eigSlots = slots
+	shared := barrier || r.averaged == nil // every layer ready at one event
+	var gates [][]int                      // each gate's layers
+	for i := range p.states {
+		if i == 0 || !shared {
+			gates = append(gates, nil)
 		}
+		gates[len(gates)-1] = append(gates[len(gates)-1], i)
 	}
-	sort.SliceStable(order, func(a, b int) bool { return maxOwned[order[a]] > maxOwned[order[b]] })
-
-	sem := newWeightedSem(runtime.GOMAXPROCS(0))
-	p.eigSem = sem
-	for _, i := range order {
-		s := p.states[i]
+	for _, layers := range gates {
 		r.spawn(func() error {
-			if !r.wait(r.averaged, i) {
+			if !r.wait(r.averaged, layers[0]) {
 				return nil
 			}
-			s.pi = 1
-			if p.opts.PiDamping {
-				s.pi = PiCorrection(s.A, s.G)
-			}
-			for _, isG := range factorSides {
-				f := s.side(isG)
-				if !owned(f) {
-					r.decomposed.done(i)
-					continue
+			var refs []int // FactorRefs indices of the owned factors
+			for _, i := range layers {
+				s := p.states[i]
+				s.pi = 1
+				if p.opts.PiDamping {
+					s.pi = PiCorrection(s.A, s.G)
 				}
+				for k, isG := range factorSides {
+					if r.distributed && s.side(isG).owner != r.mine {
+						r.decomposed.done(i)
+						continue
+					}
+					refs = append(refs, 2*i+k)
+				}
+			}
+			dim := func(ref int) int { return p.factorDim(ref/2, ref%2 == 1) }
+			// Stable: equal dimensions keep FactorRefs order.
+			slices.SortStableFunc(refs, func(a, b int) int { return dim(b) - dim(a) })
+			for _, ref := range refs {
+				i, isG := ref/2, ref%2 == 1
+				granted := slots.acquire(dim(ref), ref)
 				r.spawn(func() error {
-					w := sem.acquire(f.team)
+					<-granted
 					r.eigComp.begin()
-					err := p.decompose(s, isG)
+					err := p.decompose(p.states[i], isG)
 					r.eigComp.end()
-					sem.release(w)
+					slots.release(ref)
 					if err != nil {
 						return fmt.Errorf("kfac: layer %d %s: %w", i, sideName(isG), err)
 					}

@@ -175,7 +175,7 @@ func (pm *PlanModel) Evaluate(strategy kfac.Strategy, refs []kfac.FactorRef, wor
 
 	// Eigendecomposition stage: compute on the plan's owners (slowest
 	// worker bounds it), each factor's cost shrunk by the modeled speedup of
-	// the team the kfac eig scheduler grants it (Plan.EigTeams; every team
+	// its team ceiling in the kfac eig scheduler (Plan.EigTeams; every team
 	// is 1 when EigWorkers is 0) — the MEM-OPT one-big-factor-per-rank case
 	// is exactly where this diverges from the flat-throughput model — plus
 	// one launch overhead per factor. Distribution is per-factor broadcasts
