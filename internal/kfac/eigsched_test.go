@@ -1,6 +1,7 @@
 package kfac
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -13,8 +14,9 @@ import (
 )
 
 // buildWideNet returns a net whose fc layer's A factor (257×257 with
-// bias augmentation) crosses both the blocked-solver and team-size
-// thresholds, so the blocked path and the eig scheduler actually engage.
+// bias augmentation) crosses both the blocked-solver threshold and
+// EigTeamMinDim, so the blocked path runs and offers its chunks to the
+// whole pool.
 func buildWideNet(seed int64) *nn.Sequential {
 	rng := rand.New(rand.NewSource(seed))
 	return nn.NewSequential("wide",
@@ -37,34 +39,6 @@ func runWideStep(net *nn.Sequential, seed int64, batch int) {
 	_, grad := ce.Loss(out, labels)
 	nn.ZeroGrads(net)
 	net.Backward(grad)
-}
-
-func TestEigTeamSize(t *testing.T) {
-	cases := []struct {
-		dim, procs int
-		rankLoad   float64
-		want       int
-	}{
-		// Single core or small factor: always a team of one.
-		{dim: 4096, procs: 1, rankLoad: 0, want: 1},
-		{dim: EigTeamMinDim - 1, procs: 8, rankLoad: 0, want: 1},
-		// A factor carrying the rank's whole load gets the machine.
-		{dim: 1024, procs: 8, rankLoad: linalg.EigFLOPs(1024), want: 8},
-		{dim: 1024, procs: 8, rankLoad: 0, want: 8}, // load floored at own cost
-		// Half the load → half the machine (ceil).
-		{dim: 1024, procs: 8, rankLoad: 2 * linalg.EigFLOPs(1024), want: 4},
-		// A big factor among many: cost share ~1/8 of an 8-proc machine.
-		{dim: 256, procs: 8, rankLoad: 8 * linalg.EigFLOPs(256), want: 1},
-		// Shares always round up, never to zero, never past procs.
-		{dim: 256, procs: 8, rankLoad: 100 * linalg.EigFLOPs(256), want: 1},
-		{dim: 4096, procs: 4, rankLoad: linalg.EigFLOPs(4096), want: 4},
-	}
-	for _, c := range cases {
-		if got := EigTeamSize(c.dim, c.procs, c.rankLoad); got != c.want {
-			t.Errorf("EigTeamSize(%d, %d, %.3g) = %d, want %d",
-				c.dim, c.procs, c.rankLoad, got, c.want)
-		}
-	}
 }
 
 // granted reports whether a slot request's channel has been closed.
@@ -147,10 +121,10 @@ func TestEigSlotsGrantLargestFirst(t *testing.T) {
 }
 
 // TestEigSlotsAreWorkConserving: at GOMAXPROCS 2 the wide net's 257-column
-// factor carries nearly the whole decomposition load and gets a team of 2 —
-// yet it holds one slot, so a smaller factor starts while it still runs,
-// under either schedule. (Reserving the team would leave the smaller
-// factors waiting for the whole solve.)
+// factor is at least EigTeamMinDim wide, so its solve offers its chunks to
+// the whole pool — yet it holds one slot, so a smaller factor starts while
+// it still runs, under either schedule. (Reserving the pool would leave the
+// smaller factors waiting for the whole solve.)
 func TestEigSlotsAreWorkConserving(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(2)
@@ -163,9 +137,9 @@ func TestEigSlotsAreWorkConserving(t *testing.T) {
 		}
 		prec.Close()
 		const big = 0 // FactorRefs index of the fc layer's 257-column A factor
-		teams := prec.Stats().Snapshot().EigTeams
-		if teams[big].Dim < EigTeamMinDim || teams[big].Team != 2 {
-			t.Fatalf("%v: factor %+v, want dim ≥ %d with a team of 2", engine, teams[big], EigTeamMinDim)
+		ref := prec.FactorRefs()[big]
+		if ref.Dim < EigTeamMinDim {
+			t.Fatalf("%v: factor %+v, want dim ≥ %d", engine, ref, EigTeamMinDim)
 		}
 		h := prec.eigSlots.history
 		replaySlots(t, h)
@@ -175,7 +149,47 @@ func TestEigSlotsAreWorkConserving(t *testing.T) {
 			overlapped = overlapped || e > 0
 		}
 		if !overlapped {
-			t.Errorf("%v: no smaller factor started while the %d-column one ran: history %v", engine, teams[big].Dim, h)
+			t.Errorf("%v: no smaller factor started while the %d-column one ran: history %v", engine, ref.Dim, h)
+		}
+	}
+}
+
+// TestStepBitsIndependentOfGOMAXPROCS: GOMAXPROCS is the only input of the
+// eig-parallelism rule — the wide net's 257-column A factor offers its solve
+// to the whole pool — and the blocked solver is bitwise team-invariant, so
+// no step may depend on it. Four refresh steps under either engine leave
+// every combined gradient bit-equal after every Step at GOMAXPROCS 1, 2 and
+// 4, and with the preconditioner built at one GOMAXPROCS and stepped at
+// another.
+func TestStepBitsIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	// trace builds at GOMAXPROCS build, steps at step, and returns every
+	// layer's combined gradient after each of the four Steps.
+	trace := func(engine Engine, build, step int) []*tensor.Tensor {
+		runtime.GOMAXPROCS(build)
+		net := buildWideNet(99)
+		prec := NewFromOptions(net, nil, Options{FactorUpdateFreq: 1, InvUpdateFreq: 1, Engine: engine})
+		defer prec.Close()
+		runtime.GOMAXPROCS(step)
+		var out []*tensor.Tensor
+		for i := 0; i < 4; i++ {
+			runWideStep(net, int64(600+i), 8)
+			if err := prec.Step(0.1); err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range nn.CapturableLayers(net) {
+				out = append(out, l.CombinedGrad().Clone())
+			}
+		}
+		return out
+	}
+	for _, engine := range []Engine{EngineSync, EnginePipelined} {
+		want := trace(engine, 1, 1)
+		for _, procs := range [][2]int{{2, 2}, {4, 4}, {1, 4}, {4, 1}, {2, 4}} {
+			got := trace(engine, procs[0], procs[1])
+			for k := range want {
+				wantSameBits(t, fmt.Sprintf("%v built at %d, stepped at %d: gradient %d", engine, procs[0], procs[1], k), got[k], want[k])
+			}
 		}
 	}
 }
@@ -238,11 +252,10 @@ func TestEigSolverBlockedMatchesSerialOracle(t *testing.T) {
 	}
 }
 
-// TestEigStatsSurfaceTeamsAndKernels checks the scheduler's observability
-// contract: after a decomposition update the stage stats carry the team
-// table (every factor, FactorRefs order) and, for blocked-path factors,
-// nonzero per-kernel times.
-func TestEigStatsSurfaceTeamsAndKernels(t *testing.T) {
+// TestEigStatsSurfaceKernels checks the decomposition stage's observability
+// contract: after a decomposition update the stage stats carry the stage's
+// wall time and, for blocked-path factors, nonzero per-kernel times.
+func TestEigStatsSurfaceKernels(t *testing.T) {
 	net := buildWideNet(92)
 	prec := NewFromOptions(net, nil, Options{
 		FactorUpdateFreq: 1, InvUpdateFreq: 1, Damping: 1e-3,
@@ -252,21 +265,6 @@ func TestEigStatsSurfaceTeamsAndKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := prec.Stats().Snapshot()
-	if len(snap.EigTeams) != 2*prec.NumLayers() {
-		t.Fatalf("EigTeams has %d entries, want %d", len(snap.EigTeams), 2*prec.NumLayers())
-	}
-	refs := prec.FactorRefs()
-	for i, e := range snap.EigTeams {
-		if e.Layer != refs[i].Layer || e.IsG != refs[i].IsG || e.Dim != refs[i].Dim {
-			t.Fatalf("EigTeams[%d] = %+v does not match FactorRefs[%d] = %+v", i, e, i, refs[i])
-		}
-		if e.Team < 1 {
-			t.Fatalf("EigTeams[%d].Team = %d, want ≥ 1", i, e.Team)
-		}
-		if e.Dim < EigTeamMinDim && e.Team != 1 {
-			t.Fatalf("EigTeams[%d]: dim %d below threshold got team %d", i, e.Dim, e.Team)
-		}
-	}
 	// The 257-dim A factor runs the blocked kernels; their times must land.
 	if snap.EigTridiag <= 0 || snap.EigBackAccum <= 0 || snap.EigQL <= 0 {
 		t.Fatalf("blocked kernel times not recorded: tridiag=%v backaccum=%v ql=%v",

@@ -239,21 +239,6 @@ func (p *Plan) ResultBuckets() [][]int {
 	return buckets
 }
 
-// EigTeams returns every factor's decomposition worker team in refs order
-// (the placement order the plan was built from): EigTeamSize against the
-// owner's total decomposition load under this plan, on ranks with procs
-// schedulable workers. A pure function of (plan, procs), so every rank
-// computes the identical table; the eig scheduler runs these teams and
-// simulate.PlanModel prices them.
-func (p *Plan) EigTeams(refs []FactorRef, procs int) []int {
-	loads := WorkerLoads(refs, p.Owners, p.World)
-	teams := make([]int, len(refs))
-	for i, f := range refs {
-		teams[i] = EigTeamSize(f.Dim, procs, loads[p.Owners[i]])
-	}
-	return teams
-}
-
 // DecompElemsPerRank is the per-rank resident decomposition footprint of
 // the plan in float elements: each factor of dimension n contributes n²+n
 // (eigenbasis + eigenvalues) on every rank in its recipient set. That is

@@ -48,10 +48,6 @@ type layerState struct {
 	// Owner ranks for the A and G factors, mirrored from the active Plan
 	// (equal under LayerWise).
 	aWorker, gWorker int
-	// Intra-factor eigensolver team sizes, assigned by computeEigTeams
-	// from the plan's per-rank decomposition loads (1 = serial-in-parallel;
-	// purely a performance knob, results are team-independent).
-	aTeam, gTeam int
 	// Plan-scoped sub-communicators, rebuilt by replan; nil when the run is
 	// single-process. They carry a factor's decomposition from its owner to
 	// its recipients: the layer's gradient workers (everyone under a fully
@@ -83,19 +79,19 @@ type layerState struct {
 // taken before the layer's factor exists, and a layer's two sides are
 // worked on by concurrent goroutines that must each touch only their own.
 type factorSide struct {
-	factor      **tensor.Tensor // running average
-	eig         **linalg.Eigen
-	inv         **tensor.Tensor
-	owner, team int
-	recv        *comm.Group
+	factor **tensor.Tensor // running average
+	eig    **linalg.Eigen
+	inv    **tensor.Tensor
+	owner  int
+	recv   *comm.Group
 }
 
 // side selects the layer's A (isG false) or G factor.
 func (s *layerState) side(isG bool) factorSide {
 	if isG {
-		return factorSide{&s.G, &s.eigG, &s.invG, s.gWorker, s.gTeam, s.gRecvGroup}
+		return factorSide{&s.G, &s.eigG, &s.invG, s.gWorker, s.gRecvGroup}
 	}
-	return factorSide{&s.A, &s.eigA, &s.invA, s.aWorker, s.aTeam, s.aRecvGroup}
+	return factorSide{&s.A, &s.eigA, &s.invA, s.aWorker, s.aRecvGroup}
 }
 
 // pcBucket is one per-iteration preconditioned-gradient broadcast of a
@@ -251,7 +247,6 @@ func (p *Preconditioner) replan() {
 		}
 	}
 	p.pcStages = newPrecondStages(p, mine)
-	p.computeEigTeams(runtime.GOMAXPROCS(0))
 	p.stats.noteFactorMem(p.factorMemBytes())
 }
 
@@ -421,7 +416,7 @@ func (p *Preconditioner) decompose(s *layerState, isG bool) error {
 		if eg == nil {
 			eg = &linalg.Eigen{}
 		}
-		if err := p.symEig(*f.factor, eg, f.team); err != nil {
+		if err := p.symEig(*f.factor, eg); err != nil {
 			return err
 		}
 		clampEigen(eg)
@@ -432,13 +427,16 @@ func (p *Preconditioner) decompose(s *layerState, isG bool) error {
 }
 
 // symEig decomposes a into eg with the blocked solver
-// (linalg.SymEigBlockedInto) on this factor's worker team, reporting
-// per-kernel wall time into StageStats. Its result is bitwise independent
-// of the team size; linalg.SymEigInto, the serial tred2/tql2 pair, is its
-// test oracle (TestEigSolverBlockedMatchesSerialOracle).
-func (p *Preconditioner) symEig(a *tensor.Tensor, eg *linalg.Eigen, team int) error {
-	if team < 1 {
-		team = 1
+// (linalg.SymEigBlockedInto) under the one eig-parallelism rule
+// (EigTeamMinDim), reporting per-kernel wall time into StageStats. The
+// result is bitwise independent of the team, so a step's bits do not depend
+// on GOMAXPROCS (TestStepBitsIndependentOfGOMAXPROCS); linalg.SymEigInto,
+// the serial tred2/tql2 pair, is its test oracle
+// (TestEigSolverBlockedMatchesSerialOracle).
+func (p *Preconditioner) symEig(a *tensor.Tensor, eg *linalg.Eigen) error {
+	team := 1
+	if a.Shape[0] >= EigTeamMinDim {
+		team = runtime.GOMAXPROCS(0)
 	}
 	var tm linalg.EigKernelTimes
 	if err := linalg.SymEigBlockedTimedInto(a, eg, team, &tm); err != nil {

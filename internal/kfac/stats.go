@@ -61,29 +61,6 @@ type StageStats struct {
 	// be deep-equal across ranks — the determinism suite asserts exactly
 	// that.
 	TuneDecisions []TuneDecision
-
-	// EigTeams records the eig scheduler's intra-factor team decision for
-	// every factor under the active plan, in FactorRefs order (layer-major,
-	// A before G); rewritten at every plan build. A pure function of
-	// (plan, GOMAXPROCS), identical across same-shaped ranks.
-	EigTeams []EigTeamAssign
-}
-
-// EigTeamAssign is one factor's decomposition team decision.
-type EigTeamAssign struct {
-	// Layer indexes the preconditioned layer; IsG selects the G factor.
-	Layer int
-	IsG   bool
-	// Dim is the factor dimension; Team the assigned worker-team size.
-	Dim  int
-	Team int
-}
-
-// recordEigTeams replaces the team table (called at every plan build).
-func (s *StageStats) recordEigTeams(teams []EigTeamAssign) {
-	s.mu.Lock()
-	s.EigTeams = teams
-	s.mu.Unlock()
 }
 
 // addEigKernels folds one blocked decomposition's per-kernel times in.
@@ -139,7 +116,6 @@ func (s *StageStats) Snapshot() StageStats {
 		PipelineUpdates: s.PipelineUpdates,
 		PeakFactorBytes: s.PeakFactorBytes,
 		TuneDecisions:   append([]TuneDecision(nil), s.TuneDecisions...),
-		EigTeams:        append([]EigTeamAssign(nil), s.EigTeams...),
 	}
 }
 

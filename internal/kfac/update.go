@@ -340,11 +340,12 @@ func (r *updateRun) exec(fn func()) {
 // is ready as soon as its layer is averaged; where all layers share one
 // event — the barrier schedule, or an update that refreshes no factors —
 // one gate requests them all, so the update is granted in (dimension desc,
-// FactorRefs order). A job holds one slot whatever its team: the team only
-// caps the chunks its solver offers the shared pool, whose idle workers
-// join, so a big factor runs beside the small ones and takes over their
-// cores as they finish. Factor results are per-layer state and bitwise
-// team-invariant, so the schedule only shapes wall time, never values.
+// FactorRefs order). A job holds one slot whatever its size: a factor of at
+// least EigTeamMinDim columns only offers its solver's chunks to the shared
+// pool, whose idle workers join, so a big factor runs beside the small ones
+// and takes over their cores as they finish. Factor results are per-layer
+// state and bitwise team-invariant, so the schedule only shapes wall time,
+// never values.
 func (r *updateRun) scheduleDecompositions(barrier bool) {
 	p := r.p
 	slots := newEigSlots(runtime.GOMAXPROCS(0))

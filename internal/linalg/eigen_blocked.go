@@ -113,18 +113,6 @@ type EigKernelTimes struct {
 	QLNS int64
 }
 
-// Add folds other's counters into tm.
-func (tm *EigKernelTimes) Add(other *EigKernelTimes) {
-	tm.TridiagNS += other.TridiagNS
-	tm.BackAccumNS += other.BackAccumNS
-	tm.QLNS += other.QLNS
-}
-
-// TotalNS returns the summed kernel time.
-func (tm *EigKernelTimes) TotalNS() int64 {
-	return tm.TridiagNS + tm.BackAccumNS + tm.QLNS
-}
-
 // SymEigBlockedInto computes the eigendecomposition of symmetric matrix a
 // into eg using the blocked multi-threaded solver with the given worker
 // team size. The input is not modified; asymmetry up to round-off is

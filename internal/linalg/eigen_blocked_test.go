@@ -351,9 +351,6 @@ func TestSymEigBlockedKernelTimes(t *testing.T) {
 	if tm.TridiagNS <= 0 || tm.BackAccumNS <= 0 || tm.QLNS <= 0 {
 		t.Fatalf("kernel times not populated: %+v", tm)
 	}
-	if tm.TotalNS() != tm.TridiagNS+tm.BackAccumNS+tm.QLNS {
-		t.Fatalf("TotalNS mismatch: %+v", tm)
-	}
 }
 
 // TestSymEigBlockedSteadyStateZeroAllocs verifies the arena + pool

@@ -137,8 +137,7 @@ func probeLink(t *testing.T) simulate.Link {
 
 // symEigSec measures the best-of-reps time of one symmetric
 // eigendecomposition at dimension d using the solver the engines actually
-// run — the blocked solver with a full-machine team (the eig scheduler's
-// choice for a factor that is the whole rank load). Small probe
+// run — the blocked solver, here offered a full-machine team. Small probe
 // dimensions take the solver's own serial fallback, exactly as the
 // engines' small factors do.
 func symEigSec(t *testing.T, d, team int) float64 {
@@ -240,7 +239,6 @@ func calibrationModel(t *testing.T) *simulate.PlanModel {
 		GradBytes:            0, // the harness syncs no gradients outside K-FAC
 		FactorUpdateFreq:     calibFacFreq,
 		InvUpdateFreq:        calibInvFreq,
-		EigWorkers:           eigTeam,
 	}
 	if err := m.Topology.Validate(); err != nil {
 		t.Fatalf("probed topology invalid: %v", err)

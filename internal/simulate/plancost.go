@@ -28,11 +28,6 @@ type PlanModel struct {
 	// PerFactorOverheadSec is the fixed cost of launching one
 	// eigendecomposition.
 	PerFactorOverheadSec float64
-	// EigWorkers is GOMAXPROCS of the modeled ranks: the worker budget the
-	// kfac eig scheduler splits between inter-factor fan-out and
-	// intra-factor teams. 0 preserves the pre-team model (every factor
-	// priced at the flat EigFlopsPerSec), keeping old calibrations valid.
-	EigWorkers int
 	// BaseStepSec is the candidate-independent per-iteration compute
 	// (forward+backward and bookkeeping). It shifts every candidate's total
 	// equally; 0 is fine for planning, calibration sets it from a measured
@@ -74,24 +69,10 @@ func (pm *PlanModel) freqs() (fac, inv float64) {
 	return fac, inv
 }
 
-const (
-	// decompBytesPerElem is the resident width of one decomposition
-	// element: the live engines hold decompositions in float64 on every
-	// compute path, and ctl.Admit charges the same 8 bytes.
-	decompBytesPerElem = 8
-	// eigTeamEff is the marginal efficiency of each additional team worker
-	// in the blocked solver's speedup model.
-	eigTeamEff = 0.7
-)
-
-// eigTeamSpeedup models the blocked solver's scaling with team size t:
-// 1 + eigTeamEff·(t−1), a fixed-marginal-efficiency line.
-func eigTeamSpeedup(t int) float64 {
-	if t <= 1 {
-		return 1
-	}
-	return 1 + eigTeamEff*float64(t-1)
-}
+// decompBytesPerElem is the resident width of one decomposition element:
+// the live engines hold decompositions in float64 on every compute path, and
+// ctl.Admit charges the same 8 bytes.
+const decompBytesPerElem = 8
 
 // PlanEval is one candidate's full predicted breakdown — what kfac-sim's
 // predicted-vs-chosen table prints and CandidateCost condenses.
@@ -174,17 +155,13 @@ func (pm *PlanModel) Evaluate(strategy kfac.Strategy, refs []kfac.FactorRef, wor
 		factorElems*pm.BytesPerElem, world, cand.GroupSize) / facFreq
 
 	// Eigendecomposition stage: compute on the plan's owners (slowest
-	// worker bounds it), each factor's cost shrunk by the modeled speedup of
-	// its team ceiling in the kfac eig scheduler (Plan.EigTeams; every team
-	// is 1 when EigWorkers is 0) — the MEM-OPT one-big-factor-per-rank case
-	// is exactly where this diverges from the flat-throughput model — plus
-	// one launch overhead per factor. Distribution is per-factor broadcasts
-	// from the owner to the factor's recipient set.
-	teams := plan.EigTeams(refs, pm.EigWorkers)
+	// worker bounds it), every factor priced at the flat EigFlopsPerSec,
+	// plus one launch overhead per factor. Distribution is per-factor
+	// broadcasts from the owner to the factor's recipient set.
 	flops := make([]float64, world)
 	counts := make([]int, world)
 	for i, f := range refs {
-		flops[plan.Owners[i]] += f.Cost() / eigTeamSpeedup(teams[i])
+		flops[plan.Owners[i]] += f.Cost()
 		counts[plan.Owners[i]]++
 	}
 	ev.EigSecPerRank = make([]float64, world)
