@@ -267,7 +267,7 @@ func TestEigStatsSurfaceKernels(t *testing.T) {
 	snap := prec.Stats().Snapshot()
 	// The 257-dim A factor runs the blocked kernels; their times must land.
 	if snap.EigTridiag <= 0 || snap.EigBackAccum <= 0 || snap.EigQL <= 0 {
-		t.Fatalf("blocked kernel times not recorded: tridiag=%v backaccum=%v ql=%v",
+		t.Fatalf("blocked kernel times not recorded: tridiag=%v reflectors=%v dc=%v",
 			snap.EigTridiag, snap.EigBackAccum, snap.EigQL)
 	}
 	if snap.EigCompute <= 0 {

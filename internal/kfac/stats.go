@@ -25,10 +25,13 @@ type StageStats struct {
 	Precondition  time.Duration
 
 	// Per-kernel decomposition time of the blocked eigensolver, summed
-	// across factors (zero for small factors on the serial fallback).
-	// EigCompute is the decomposition stage's wall-clock window; these are
-	// summed task time, so their total can exceed EigCompute when factors
-	// decompose concurrently.
+	// across factors (zero for small factors on the serial fallback):
+	// EigTridiag the tridiagonalization, EigQL the divide and conquer of
+	// the tridiagonal, EigBackAccum the reflectors' application to its
+	// eigenvectors (the names predate the last two kernels; see
+	// linalg.EigKernelTimes). EigCompute is the decomposition stage's
+	// wall-clock window; these are summed task time, so their total can
+	// exceed EigCompute when factors decompose concurrently.
 	EigTridiag   time.Duration
 	EigBackAccum time.Duration
 	EigQL        time.Duration
@@ -171,9 +174,9 @@ func (s *StageStats) String() string {
 		ec.Round(time.Microsecond), em.Round(time.Microsecond), snap.EigUpdates,
 		perStep.Round(time.Microsecond), snap.Steps)
 	if snap.EigTridiag+snap.EigBackAccum+snap.EigQL > 0 {
-		out += fmt.Sprintf(" | eig kernels tridiag=%v backaccum=%v ql=%v",
-			snap.EigTridiag.Round(time.Microsecond), snap.EigBackAccum.Round(time.Microsecond),
-			snap.EigQL.Round(time.Microsecond))
+		out += fmt.Sprintf(" | eig kernels tridiag=%v dc=%v reflectors=%v",
+			snap.EigTridiag.Round(time.Microsecond), snap.EigQL.Round(time.Microsecond),
+			snap.EigBackAccum.Round(time.Microsecond))
 	}
 	if snap.PipelineUpdates > 0 {
 		// Reuse the snapshot so the line is self-consistent even when

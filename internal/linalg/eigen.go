@@ -4,12 +4,17 @@
 // the blocked symmetric Gram product the covariance factors are formed with.
 //
 // All routines operate on tensor.Tensor matrices and are written against the
-// standard library only. The eigensolver uses Householder tridiagonalization
-// followed by the implicit-shift QL iteration — a faithful port of the
-// public-domain JAMA tred2/tql2 pair — which is O(n³), numerically robust
-// for the symmetric positive-semidefinite covariance factors K-FAC produces,
-// and accurate enough to reconstruct A = QΛQᵀ to ~1e-10 for the factor sizes
-// that occur in ResNets.
+// standard library only. K-FAC's eigensolver, SymEigBlockedInto
+// (eigen_blocked.go), reduces a factor to tridiagonal form with blocked
+// Householder reflectors, solves the tridiagonal by divide and conquer
+// (eigen_dc.go) and applies the reflectors to its eigenvectors, every step
+// bitwise independent of the worker team. Below 128 columns, and as the
+// tests' oracle, it is the serial pair SymEigInto runs: Householder
+// tridiagonalization and the implicit-shift QL iteration — a faithful port
+// of the public-domain JAMA tred2/tql2 pair, whose tql2 also solves the
+// divide and conquer's leaves. Both are O(n³), numerically robust for the
+// symmetric positive-semidefinite covariance factors K-FAC produces, and
+// reconstruct A = QΛQᵀ to ~1e-10 at the factor sizes of the ResNets.
 package linalg
 
 import (
@@ -21,8 +26,9 @@ import (
 )
 
 // ErrNoConvergence is returned when the QL iteration fails to drive an
-// off-diagonal element to zero within the iteration budget. In practice this
-// only happens for matrices containing NaN/Inf.
+// off-diagonal element to zero within the iteration budget, or the blocked
+// solver's tridiagonal form is not finite. In practice this only happens for
+// matrices containing NaN/Inf or entries near math.MaxFloat64.
 var ErrNoConvergence = errors.New("linalg: eigendecomposition did not converge")
 
 // Eigen holds the eigendecomposition A = Q diag(Values) Qᵀ of a symmetric
@@ -346,8 +352,10 @@ func (eg *Eigen) InverseWithDamping(gamma float64) *tensor.Tensor {
 	return tensor.MatMulT2(qs, eg.Q)
 }
 
-// EigFLOPs returns the approximate floating-point operation count of a
-// symmetric eigendecomposition of an n×n matrix. The standard dense
-// tridiagonalization + QL cost is ~9n³; the constant only matters relative
-// to the other cost-model terms in internal/simulate.
+// EigFLOPs returns the cost model's floating-point operation count of a
+// symmetric eigendecomposition of an n×n matrix: ~9n³, the textbook cost of
+// dense tridiagonalization + QL. The blocked solver does fewer (4⁄3·n³ to
+// tridiagonal form, 2n³ to apply the reflectors, and a divide and conquer
+// whose merges deflate); the constant only matters relative to the other
+// cost-model terms in internal/simulate and to the placement's balance.
 func EigFLOPs(n int) float64 { return 9 * float64(n) * float64(n) * float64(n) }

@@ -1,9 +1,10 @@
 // Blocked symmetric eigensolver: Level-3 Householder tridiagonalization in
-// the compact-WY representation, a GEMM-rate Q back-accumulation, and a
-// batched-rotation QL iteration. This is the multi-threaded counterpart of
-// the serial tred2/tql2 pair in eigen.go, built so that every parallel
-// partition is a fixed chunk grid whose elements are each produced by
-// exactly one chunk with a fixed serial reduction order — the
+// the compact-WY representation, a divide-and-conquer solve of the
+// tridiagonal whose merges are GEMMs, and the reflectors applied straight
+// onto the tridiagonal's eigenvectors. This is the multi-threaded
+// counterpart of the serial tred2/tql2 pair in eigen.go, built so that
+// every parallel partition is a fixed chunk grid whose elements are each
+// produced by exactly one chunk with a fixed serial reduction order — the
 // sched.Pool.ForEach contract — making the result bitwise identical across
 // repeated calls, team sizes, and GOMAXPROCS settings.
 //
@@ -17,37 +18,26 @@
 //     rank-2b update A ← A − VWᵀ − WVᵀ, expressed as a single pooled
 //     tensor.MatMulT2Into GEMM S = U·[W|V]ᵀ followed by a chunked
 //     subtraction — the Level-3 step that carries ~2/3 of the reduction's
-//     flops.
-//  2. Q back-accumulation. Q is formed from the stored reflectors (kept in
-//     the reduced matrix's lower triangle, LAPACK-style) in panels of width
-//     accBlock, in reverse: Q ← (I − V T Vᵀ)Q. Only the bottom-right window
-//     W = Q[j0+1:, j0+1:] is not yet identity; it is kept contiguous at the
-//     front of Q's storage and re-strided in place as each panel widens it.
-//     T comes from one Gram product VᵀV, and each panel is three pooled
-//     GEMMs — M1 = VᵀW, M2 = T·M1, P = V·M2 — plus the subtraction W −= P,
-//     so every Q element is the GEMM's fixed FMA chain whatever the team.
-//     P is formed and subtracted accBlock rows at a time, in the panel
-//     buffer M1 leaves free, so Q is the only n×n buffer the step writes.
-//  3. Batched QL. The scalar shift/rotation recurrence of tql2 — which
-//     touches only the tridiagonal d/e arrays — runs serially and records
-//     each sweep's window and rotation cosines/sines into a bounded buffer
-//     (16·n rotations). Q is transposed once, so one block of qlLanes
-//     contiguous Qᵀ columns is qlLanes rows of Q; when the next sweep does
-//     not fit, one lane-block parallel pass applies every buffered sweep, in
-//     order, to each block with a per-lane carry chain whose arithmetic is
-//     tql2's column-strided update. A rotation treats every row of Q
-//     independently, so that grouping cannot change bits. The transpose
-//     back to Q is fused with the eigenvalue sort's column permutation.
+//     flops. The reflectors stay in the reduced matrix's lower triangle,
+//     LAPACK-style.
+//  2. Divide and conquer (eigen_dc.go): the tridiagonal's eigenvectors Z,
+//     ascending, written into the caller's eigenbasis, from tql2 leaves
+//     merged up a split tree fixed by n, each merge two structured GEMMs.
+//  3. Reflector application. Z ← H₀H₁⋯H_{n−3}·Z in reverse panels of
+//     accBlock reflectors, Z[j0+1:, :] ← (I − V T Vᵀ)·Z[j0+1:, :]: T from
+//     one Gram product VᵀV, then three pooled GEMMs — V·T, VᵀZ and their
+//     product P — and the chunked subtraction Z −= P, so every element is
+//     the GEMM's fixed FMA chain whatever the team.
 //
-// Steps 1–3 run in arena workspaces: the transpose back, after QL has
-// converged, is the first write to the caller's eigenbasis, so a failed
-// solve leaves it untouched (see SymEigBlockedTimedInto).
+// The solve runs in arena workspaces, and every step that can fail — the
+// input and tridiagonal finiteness checks and the leaves' QL — comes
+// before the first write to the caller's eigenbasis, so a failed solve
+// leaves it untouched (see SymEigBlockedTimedInto).
 package linalg
 
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/sched"
@@ -61,12 +51,9 @@ const (
 	// full throughput.
 	eigBlock = 32
 
-	// accBlock is the panel width of the back-accumulation. The reflectors
-	// are stored in A's lower triangle and tau, so they regroup freely; at
-	// 64 the products V·M2 and T·M1 have a 64-deep inner dimension and the
-	// per-panel packing and dispatch are amortized over twice the flops.
-	// It equals the U=[V|W] panel's row width, so the packed V and M1 reuse
-	// the tridiagonalization's U and C panels once it is done.
+	// accBlock is the panel width of the reflector application: its
+	// products have a 64-deep inner dimension, and the packed V and VᵀZ
+	// reuse the tridiagonalization's U and C panels.
 	accBlock = 2 * eigBlock
 
 	// eigBlockedMinDim is the dimension below which the blocked solver
@@ -75,27 +62,16 @@ const (
 	// fallback ignores the team parameter entirely, so the determinism
 	// contract (same bits for every team size) holds trivially there.
 	eigBlockedMinDim = 128
-
-	// qlLanes is the lane width of the QL rotation pass: one block of the
-	// transposed eigenbasis is qlLanes contiguous columns (qlLanes rows of
-	// Q), four ymm carries in the AVX kernel. The rotation buffer holds
-	// qlLanes·n rotations, so every flush but the last carries more than
-	// 15·n of them: one dispatch per batch of sweeps, not per sweep.
-	qlLanes = 16
 )
 
-// eigArena pools the blocked solver's workspaces — the reduced matrix copy
-// (whose lower triangle stores the Householder vectors, and which then
-// holds the transposed eigenbasis during QL), the U=[V|W] and
-// column-swapped panels (which the back-accumulation then reuses for its
-// packed V and for its first and third products), the rank-2b update
-// buffer (which then receives the back-accumulated Q), the
-// back-accumulation's second product with its T and Gram blocks, the
-// tridiagonal form and the QL rotation buffer — and the serial fallback's
-// copy — so steady-state redecomposition performs no heap allocation.
-// Checkouts are balanced per call (Get/Put), never Reset, so concurrent
-// decompositions (the pipelined engine, intra-step factor teams) share the
-// arena safely.
+// eigArena pools the blocked solver's workspaces — the reduced matrix (its
+// lower triangle then holds the reflectors), the rank-2b update buffer (a
+// divide-and-conquer level, then the product P), the U=[V|W] and C panels
+// (secular-vector panels, then the packed V and VᵀZ), the leaves' buffer
+// (then V·T, T and G) and the vectors — and the serial fallback's copy, so
+// steady-state redecomposition performs no heap allocation. Checkouts are
+// balanced per call (Get/Put), never Reset, so concurrent decompositions
+// share the arena safely.
 var eigArena = tensor.NewArena()
 
 // EigKernelTimes accumulates the per-kernel wall time of one or more
@@ -106,10 +82,13 @@ type EigKernelTimes struct {
 	// TridiagNS is the blocked Householder reduction (panel factorization
 	// plus trailing rank-2b GEMM updates).
 	TridiagNS int64
-	// BackAccumNS is the compact-WY Q back-accumulation.
+	// BackAccumNS is the compact-WY application of the reflectors to the
+	// tridiagonal's eigenvectors (the name predates it: Q is no longer
+	// back-accumulated).
 	BackAccumNS int64
-	// QLNS is the implicit-shift QL iteration with batched rotation
-	// application, including the final eigenvalue sort.
+	// QLNS is the divide-and-conquer solve of the tridiagonal — leaves,
+	// merges and the eigenvalue order (the name predates it: QL now only
+	// solves the leaves).
 	QLNS int64
 }
 
@@ -137,10 +116,11 @@ func SymEigBlockedInto(a *tensor.Tensor, eg *Eigen, team int) error {
 // storage — so a caller may decompose straight into the decomposition it
 // still preconditions with. Validation (shape, NaN/Inf) comes first. A
 // finite input can still fail later: entries near math.MaxFloat64 overflow
-// the symmetrized copy, and QL then cannot converge. Both paths therefore
-// solve in arena workspaces and write eg only once QL has converged: the
-// blocked path back-accumulates Q into the trailing-update buffer the
-// tridiagonalization is done with, and the serial fallback copies out.
+// the symmetrized copy, and the tridiagonal is then not finite. Both paths
+// therefore solve in arena workspaces. The blocked path checks the
+// tridiagonal and solves every leaf before its first write to eg.Q — the
+// merges and the reflector application cannot fail — and the serial
+// fallback copies out once QL has converged.
 func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernelTimes) error {
 	n := a.Rows()
 	if a.Cols() != n {
@@ -163,20 +143,27 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 		team = 1
 	}
 
-	ws := eigWSPool.Get().(*eigWS)
+	var ws *eigWS
+	select {
+	case ws = <-eigWSFree:
+	default:
+		ws = new(eigWS)
+	}
 	ws.team = team
 	A := eigArena.Get(n, n)
 	S := eigArena.Get(n, n)
 	U := eigArena.Get(n, 2*eigBlock)
 	C := eigArena.Get(n, 2*eigBlock)
 	tauT := eigArena.Get(n)
-	workT := eigArena.Get(4 * n)
-	deT := eigArena.Get(2 * n)
+	workT := eigArena.Get(dcFloats * n)
+	deT := eigArena.Get(3 * n)
 	accT := eigArena.Get(accBlock*n + 2*accBlock*accBlock)
-	rotT := eigArena.Get(2 * qlLanes * n)
 	defer func() {
 		ws.clear()
-		eigWSPool.Put(ws)
+		select {
+		case eigWSFree <- ws:
+		default:
+		}
 		eigArena.Put(A)
 		eigArena.Put(S)
 		eigArena.Put(U)
@@ -185,25 +172,56 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 		eigArena.Put(workT)
 		eigArena.Put(deT)
 		eigArena.Put(accT)
-		eigArena.Put(rotT)
 	}()
 
 	// Symmetrized working copy; a is left untouched.
 	symmetrize(A.Data, a.Data, n)
 
-	d, e := deT.Data[:n], deT.Data[n:]
+	d, e, et := deT.Data[:n], deT.Data[n:2*n], deT.Data[2*n:]
 	start := time.Now()
 	ws.blockedTridiag(A.Data, S, U, C, n, d, e, tauT.Data, workT.Data)
 	tTri := time.Now()
-	ws.backAccumulate(S.Data, A.Data, n, tauT.Data, U.Data, C.Data, accT.Data)
-	tAcc := time.Now()
-	err := ws.batchedQL(S.Data, n, d, e, rotT.Data, A.Data, eg)
+
+	exp, ok := unitScale(d, e)
+	if !ok {
+		return ErrNoConvergence
+	}
+	if err := ws.dcLeaves(d, e, et, accT.Data); err != nil {
+		return err
+	}
+	q := tensor.Ensure(&eg.Q, n, n).Data
+	ws.dcMerges(d, e, accT.Data, S.Data, q, U.Data, C.Data, workT.Data)
+	tDC := time.Now()
+	ws.applyReflectors(q, A.Data, n, tauT.Data, U.Data, C.Data, accT.Data, S.Data)
+	eg.Values = ensureFloats(eg.Values, n)
+	for i, v := range d {
+		eg.Values[i] = math.Ldexp(v, exp)
+	}
 	if tm != nil {
 		tm.TridiagNS += tTri.Sub(start).Nanoseconds()
-		tm.BackAccumNS += tAcc.Sub(tTri).Nanoseconds()
-		tm.QLNS += time.Since(tAcc).Nanoseconds()
+		tm.QLNS += tDC.Sub(tTri).Nanoseconds()
+		tm.BackAccumNS += time.Since(tDC).Nanoseconds()
 	}
-	return err
+	return nil
+}
+
+// unitScale scales the tridiagonal (d, e) to unit max norm by a power of
+// two, which is exact, so the deflation tolerances are relative to it, and
+// returns the exponent that scales the eigenvalues back — or false when the
+// tridiagonal is not finite.
+func unitScale(d, e []float64) (exp int, ok bool) {
+	norm := 0.0
+	for i := range d {
+		norm = max(norm, math.Abs(d[i]), math.Abs(e[i]))
+	}
+	if math.IsNaN(norm) || math.IsInf(norm, 0) {
+		return 0, false
+	}
+	_, exp = math.Frexp(norm)
+	for i := range d {
+		d[i], e[i] = math.Ldexp(d[i], -exp), math.Ldexp(e[i], -exp)
+	}
+	return exp, true
 }
 
 // symEigSmallInto is the serial tred2/tql2 pair below eigBlockedMinDim. It
@@ -236,23 +254,28 @@ func symmetrize(dst, a []float64, n int) {
 
 // eigWS carries the reusable non-tensor state of one blocked
 // decomposition: the ranger structs the parallel passes dispatch through,
-// the view headers handed to the pooled GEMM, the QL sweep windows and the sort
-// permutation buffer. A sync.Pool recycles them so steady-state solves
-// allocate nothing.
+// the view headers handed to the pooled GEMM, the divide and conquer's
+// state and its index workspace. eigWSFree recycles them so steady-state
+// solves allocate nothing.
 type eigWS struct {
 	team int
 
 	// View headers over arena storage for the pooled GEMMs (see view).
 	views [4]tensor.Tensor
 
-	tr trailRanger
-	rb rotBatch
-	lt laneTransRanger
+	tr  trailRanger
+	dc  dcState
+	grp tensor.Group[float64] // a merge panel's two products
 
-	perm []int
+	ints []int // dcInts·n index workspace of a merge
 }
 
-var eigWSPool = sync.Pool{New: func() any { return &eigWS{} }}
+// eigWSFree recycles eigWS values. A channel, not a sync.Pool: the
+// collector empties a sync.Pool, and every refill would re-allocate a
+// workspace's dcInts·n index vectors. Its capacity only bounds how many idle
+// workspaces are kept: concurrent solves are bounded by the eig scheduler's
+// GOMAXPROCS slots, and past 16 a workspace is left to the collector.
+var eigWSFree = make(chan *eigWS, 16)
 
 // clear drops the slice references the rangers and views captured, so a
 // pooled workspace does not keep arena storage reachable after the solve
@@ -262,8 +285,7 @@ func (ws *eigWS) clear() {
 		ws.views[i].Data = nil
 	}
 	ws.tr = trailRanger{}
-	ws.rb = rotBatch{win: ws.rb.win[:0]}
-	ws.lt = laneTransRanger{}
+	ws.dc = dcState{}
 }
 
 // view points header i at the leading rows×cols of data, reusing the
@@ -313,7 +335,7 @@ func eigDot4(a, b []float64) float64 {
 // (extracted into d and e), A's strict lower triangle below the
 // subdiagonal holds the normalized Householder vectors (v[0]=1 implicit on
 // the subdiagonal row), and tau[j] the reflector scale of column j — the
-// LAPACK dsytrd storage convention back-accumulation consumes.
+// LAPACK dsytrd storage convention the reflector application consumes.
 func (ws *eigWS) blockedTridiag(A []float64, S, U, C *tensor.Tensor, n int, d, e, tau []float64, work []float64) {
 	const b = eigBlock
 	hv := work[0:n]
@@ -355,8 +377,9 @@ func (ws *eigWS) blockedTridiag(A []float64, S, U, C *tensor.Tensor, n int, d, e
 				scale += math.Abs(A[(j+1+i)*n+j])
 			}
 			if scale == 0 {
-				// Zero column: H = I. Store v = e1 so back-accumulation
-				// reads a well-defined (and, with τ=0, inert) reflector.
+				// Zero column: H = I. Store v = e1 so the reflector
+				// application reads a well-defined (and, with τ=0, inert)
+				// reflector.
 				tau[j] = 0
 				U.Data[jj*2*b+jj] = 1
 				continue
@@ -463,10 +486,10 @@ func (ws *eigWS) blockedTridiag(A []float64, S, U, C *tensor.Tensor, n int, d, e
 	}
 }
 
-// trailRanger subtracts the m×m product S from the block of A (row stride
-// n) at rows/cols off..off+m-1, one matrix row per range element: the
-// tridiagonalization's rank-2w trailing update and the back-accumulation's
-// window update W −= V·M2.
+// trailRanger subtracts the product S (row stride m) from rows off.. and
+// columns off..off+m-1 of A (row stride n), one matrix row per range
+// element: the tridiagonalization's rank-2w trailing update and the
+// reflector application's update Z −= P.
 type trailRanger struct {
 	A, S      []float64
 	n, off, m int
@@ -484,32 +507,26 @@ func (r *trailRanger) RunRange(lo, hi int) {
 	}
 }
 
-// backAccumulate forms the tridiagonalization's orthogonal Q in q (n×n)
-// from the Householder vectors stored in A's lower triangle, applying the
-// compact-WY panels of width accBlock in reverse: Q ← (I − V T Vᵀ)Q. Before
-// panel j0 is applied only the window W = Q[j0+1:, j0+1:] differs from the
-// identity; it is held at the front of q with row stride mt = n−1−j0 (see
-// widenWindow), so each panel is three GEMMs over contiguous operands and
-// one chunked subtraction. V receives the packed panel and M1 the product
-// VᵀW (n·b each: the tridiagonalization's U and C panels); work holds M2
-// (b·n) followed by T and the Gram matrix G = VᵀV (b×b each). Once M2 is
-// formed M1 is dead, and its buffer takes the product P = V·M2 b rows at a
-// time: a GEMM element is its k-chain whatever rows the call covers, so
-// the chunks are P's bits, and q is the only n×n buffer written.
-func (ws *eigWS) backAccumulate(q, A []float64, n int, tau, V, M1, work []float64) {
+// applyReflectors overwrites z (n×n) with H₀H₁⋯H_{n−3}·z, the reflectors
+// H_j = I − τ_j v_j v_jᵀ stored in A's lower triangle and tau, applying the
+// compact-WY panels of (at most) accBlock reflectors in reverse:
+// Z[j0+1:, :] ← (I − V T Vᵀ)·Z[j0+1:, :], a contiguous row block of z, as
+// P = (V·T)·(VᵀZ) and Z −= P. V receives the packed panel and VᵀZ goes to
+// M1 (n·b each: the tridiagonalization's U and C panels); work holds V·T
+// (n·b) followed by T and the Gram matrix G = VᵀV (b×b each), and p receives
+// P (the n×n trailing-update buffer).
+func (ws *eigWS) applyReflectors(z, A []float64, n int, tau, V, M1, work, p []float64) {
 	const b = accBlock
-	M2, T, G := work[:b*n], work[b*n:b*n+b*b], work[b*n+b*b:b*n+2*b*b]
-	mt := 0
+	VT, T, G := work[:b*n], work[b*n:b*n+b*b], work[b*n+b*b:b*n+2*b*b]
 	for j0 := (n - 3) / b * b; j0 >= 0; j0 -= b {
 		w := min(b, n-2-j0)
-		widenWindow(q, mt, n-1-j0-mt)
-		mt = n - 1 - j0
+		mt := n - 1 - j0
 
-		// Pack V (mt×b row-major): row r ↔ A row j0+1+r; unit diagonal,
-		// stored components below, zero elsewhere (the columns past w
-		// included). Row-wise contiguous reads from A's lower triangle.
+		// Pack V (mt×w row-major): row r ↔ A row j0+1+r; unit diagonal,
+		// stored components below, zero above. Row-wise contiguous reads
+		// from A's lower triangle.
 		for r := 0; r < mt; r++ {
-			vr := V[r*b : (r+1)*b]
+			vr := V[r*w : (r+1)*w]
 			lim := min(r+1, w)
 			arow := A[(j0+1+r)*n+j0:]
 			for l := 0; l < lim; l++ {
@@ -522,265 +539,29 @@ func (ws *eigWS) backAccumulate(q, A []float64, n int, tau, V, M1, work []float6
 			clear(vr[lim:])
 		}
 
-		// T (w×w upper triangular, zero-padded to b×b, forward columnwise):
-		// T[k,k] = τ_k and T[l,k] = −τ_k·Σ_{l≤j<k} T[l,j]·G[j,k]. G is
-		// symmetric bit for bit (each element's products commute), so
-		// column k is read as row k.
-		v := ws.view(0, V, mt, b)
-		tensor.MatMulT1Into(ws.view(1, G, b, b), v, v)
-		clear(T)
+		// T (w×w upper triangular, forward columnwise): T[k,k] = τ_k and
+		// T[l,k] = −τ_k·Σ_{l≤j<k} T[l,j]·G[j,k]. G is symmetric bit for bit
+		// (each element's products commute), so column k is read as row k.
+		v := ws.view(0, V, mt, w)
+		tensor.MatMulT1Into(ws.view(1, G, w, w), v, v)
+		clear(T[:w*w])
 		for k := 0; k < w; k++ {
 			tk := tau[j0+k]
-			gk := G[k*b:]
+			gk := G[k*w:]
 			for l := 0; l < k; l++ {
-				T[l*b+k] = -tk * eigDot(T[l*b+l:l*b+k], gk[l:k])
+				T[l*w+k] = -tk * eigDot(T[l*w+l:l*w+k], gk[l:k])
 			}
-			T[k*b+k] = tk
+			T[k*w+k] = tk
 		}
 
-		// W ← W − V·(T·(VᵀW)). View 2 stays M2; views 0, 1, 3 are rebound.
-		m1, m2 := ws.view(1, M1, b, mt), ws.view(2, M2, b, mt)
-		tensor.MatMulT1Into(m1, v, ws.view(3, q, mt, mt))
-		tensor.MatMulInto(m2, ws.view(3, T, b, b), m1)
-		for r0 := 0; r0 < mt; r0 += b {
-			rc := min(b, mt-r0)
-			tensor.MatMulInto(ws.view(1, M1, rc, mt), ws.view(0, V[r0*b:], rc, b), m2)
-			ws.tr.A, ws.tr.S = q[r0*mt:], M1
-			ws.tr.n, ws.tr.off, ws.tr.m = mt, 0, mt
-			ws.run(rc, &ws.tr)
-		}
-	}
-	widenWindow(q, mt, n-mt)
-}
-
-// widenWindow re-strides the mt×mt window W at the front of q, in place,
-// into the (mt+d)×(mt+d) window [[I, 0], [0, W]]; mt = 0 writes the d×d
-// identity. Rows move last to first: for d ≥ 1 each row's destination lies
-// wholly past its own source and every row not yet moved, so no row is
-// overwritten before it is read.
-func widenWindow(q []float64, mt, d int) {
-	nt := mt + d
-	for r := mt - 1; r >= 0; r-- {
-		row := q[(d+r)*nt : (d+r+1)*nt]
-		copy(row[d:], q[r*mt:(r+1)*mt])
-		clear(row[:d])
-	}
-	for r := 0; r < d; r++ {
-		row := q[r*nt : (r+1)*nt]
-		clear(row)
-		row[r] = 1
-	}
-}
-
-// batchedQL runs tql2's implicit-shift QL iteration with the rotation
-// application to Q batched: the scalar recurrence (d/e only) is byte-for-
-// byte the serial algorithm and records each sweep's Givens pairs into rot
-// (2·qlLanes·n float64s), and lane-block passes over qt (n×n scratch, which
-// holds Qᵀ meanwhile) apply them with per-element arithmetic identical to
-// the serial column loop. v is the back-accumulated Q, read only by the
-// first transpose. Only once the recurrence has converged does it write eg:
-// the eigenvalues, and Q through the transpose back.
-func (ws *eigWS) batchedQL(v []float64, n int, d, e []float64, rot, qt []float64, eg *Eigen) error {
-	ws.lt.q, ws.lt.qt, ws.lt.n, ws.lt.perm = v, qt, n, nil
-	ws.run(laneBlocks(n), &ws.lt)
-	ws.rb.qt, ws.rb.cs, ws.rb.n = qt, rot, n
-
-	for i := 1; i < n; i++ {
-		e[i-1] = e[i]
-	}
-	e[n-1] = 0
-
-	f := 0.0
-	tst1 := 0.0
-	const eps = 2.220446049250313e-16 // 2^-52
-	for l := 0; l < n; l++ {
-		if t := math.Abs(d[l]) + math.Abs(e[l]); t > tst1 {
-			tst1 = t
-		}
-		m := l
-		for m < n {
-			if math.Abs(e[m]) <= eps*tst1 {
-				break
-			}
-			m++
-		}
-		if m > l {
-			for iter := 0; ; iter++ {
-				if iter > maxQLIter {
-					return ErrNoConvergence
-				}
-				g := d[l]
-				p := (d[l+1] - g) / (2 * e[l])
-				r := math.Hypot(p, 1)
-				if p < 0 {
-					r = -r
-				}
-				d[l] = e[l] / (p + r)
-				d[l+1] = e[l] * (p + r)
-				dl1 := d[l+1]
-				h := g - d[l]
-				for i := l + 2; i < n; i++ {
-					d[i] -= h
-				}
-				f += h
-
-				rs := ws.qlRecord(l, m)
-				p = d[m]
-				c := 1.0
-				c2, c3 := c, c
-				el1 := e[l+1]
-				s, s2 := 0.0, 0.0
-				for i := m - 1; i >= l; i-- {
-					c3 = c2
-					c2 = c
-					s2 = s
-					g = c * e[i]
-					h = c * p
-					r = math.Hypot(p, e[i])
-					e[i+1] = s * r
-					s = e[i] / r
-					c = p / r
-					p = c*d[i] - s*g
-					d[i+1] = h + s*(c*g+s*d[i])
-					rs[2*(m-1-i)] = c
-					rs[2*(m-1-i)+1] = s
-				}
-				p = -s * s2 * c3 * el1 * e[l] / dl1
-				e[l] = s * p
-				d[l] = c * p
-
-				if math.Abs(e[l]) <= eps*tst1 {
-					break
-				}
-			}
-		}
-		d[l] += f
-		e[l] = 0
-	}
-	ws.qlFlush()
-
-	// Sort eigenvalues ascending. The selection scan and d swaps are the
-	// serial tql2 code; the column permutation is recorded and applied by
-	// the transpose back to Q instead of per-swap column walks.
-	if cap(ws.perm) < n {
-		ws.perm = make([]int, n)
-	}
-	perm := ws.perm[:n]
-	for i := range perm {
-		perm[i] = i
-	}
-	for i := 0; i < n-1; i++ {
-		k := i
-		p := d[i]
-		for j := i + 1; j < n; j++ {
-			if d[j] < p {
-				k = j
-				p = d[j]
-			}
-		}
-		if k != i {
-			d[k] = d[i]
-			d[i] = p
-			perm[i], perm[k] = perm[k], perm[i]
-		}
-	}
-	eg.Values = ensureFloats(eg.Values, n)
-	copy(eg.Values, d)
-	ws.lt.q, ws.lt.perm = tensor.Ensure(&eg.Q, n, n).Data, perm
-	ws.run(laneBlocks(n), &ws.lt)
-	return nil
-}
-
-// laneBlocks is the number of qlLanes-wide blocks covering n lanes; the
-// last one holds the n mod qlLanes remainder.
-func laneBlocks(n int) int { return (n + qlLanes - 1) / qlLanes }
-
-// rotBatch is the QL rotation buffer: the (l, m) windows of the recorded
-// sweeps and their rotations as (c, s) pairs in generation order, applied
-// to the transposed eigenbasis by a pass over lane blocks. Each block owns
-// its qlLanes columns of qt in every row and applies the sweeps in
-// recording order, so the pass is deterministic for any chunk grid.
-type rotBatch struct {
-	qt   []float64 // n×n, Qᵀ: row j holds eigenbasis column j
-	cs   []float64 // (c, s) pairs; len(cs)/2 rotations fit
-	win  []int     // (l, m) per recorded sweep
-	used int       // rotations recorded
-	n    int
-}
-
-// qlRecord reserves the slots of one sweep over window (l, m) — m−l
-// rotations, rotation t acting on columns (m−1−t, m−t) — flushing the
-// buffered sweeps first when it does not fit, and returns them for the
-// recurrence to fill with (c, s) pairs.
-func (ws *eigWS) qlRecord(l, m int) []float64 {
-	b := &ws.rb
-	nrot := m - l
-	if 2*(b.used+nrot) > len(b.cs) {
-		ws.qlFlush()
-	}
-	rs := b.cs[2*b.used : 2*(b.used+nrot)]
-	b.used += nrot
-	b.win = append(b.win, l, m)
-	return rs
-}
-
-// qlFlush applies every buffered sweep in one pass over lane blocks and
-// empties the buffer.
-func (ws *eigWS) qlFlush() {
-	b := &ws.rb
-	if b.used == 0 {
-		return
-	}
-	ws.run(laneBlocks(b.n), b)
-	b.used, b.win = 0, b.win[:0]
-}
-
-// RunRange implements sched.Ranger over lane blocks.
-func (b *rotBatch) RunRange(lo, hi int) {
-	n := b.n
-	for blk := lo; blk < hi; blk++ {
-		k0 := blk * qlLanes
-		w := min(qlLanes, n-k0)
-		off := 0
-		for i := 0; i < len(b.win); i += 2 {
-			l, m := b.win[i], b.win[i+1]
-			rotLanes(b.qt[l*n+k0:m*n+k0+w], n, w, b.cs[2*off:2*(off+m-l)])
-			off += m - l
-		}
-	}
-}
-
-// laneTransRanger moves the eigenbasis between q (row-major n×n) and its
-// transpose qt over lane blocks of qlLanes rows of q. With perm nil it
-// writes qt = qᵀ; otherwise q[k][j] = qt[perm[j]][k], the transpose back
-// fused with the eigenvalue sort's column permutation. Each block owns its
-// rows of q and columns of qt.
-type laneTransRanger struct {
-	q, qt []float64
-	perm  []int
-	n     int
-}
-
-// RunRange implements sched.Ranger over lane blocks.
-func (r *laneTransRanger) RunRange(lo, hi int) {
-	n := r.n
-	for blk := lo; blk < hi; blk++ {
-		k0 := blk * qlLanes
-		w := min(qlLanes, n-k0)
-		q := r.q[k0*n : (k0+w)*n]
-		if r.perm == nil {
-			for j := 0; j < n; j++ {
-				lanes := r.qt[j*n+k0 : j*n+k0+w]
-				for i := range lanes {
-					lanes[i] = q[i*n+j]
-				}
-			}
-			continue
-		}
-		for j, pj := range r.perm {
-			for i, x := range r.qt[pj*n+k0 : pj*n+k0+w] {
-				q[i*n+j] = x
-			}
-		}
+		// Z ← Z − (V·T)·(VᵀZ) on rows j0+1.. .
+		zr := z[(j0+1)*n:]
+		vt, m1 := ws.view(2, VT, mt, w), ws.view(1, M1, w, n)
+		tensor.MatMulInto(vt, v, ws.view(3, T, w, w))
+		tensor.MatMulT1Into(m1, v, ws.view(3, zr, mt, n))
+		tensor.MatMulInto(ws.view(0, p, mt, n), vt, m1)
+		ws.tr.A, ws.tr.S = zr, p
+		ws.tr.n, ws.tr.off, ws.tr.m = n, 0, n
+		ws.run(mt, &ws.tr)
 	}
 }

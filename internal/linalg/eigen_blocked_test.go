@@ -13,7 +13,8 @@ import (
 // blockedDims covers the blocked path proper (≥ eigBlockedMinDim),
 // including odd sizes that exercise the remainder panel and the final
 // narrow panel, plus one multiple-of-b size. 129–131 and 193–195 give the
-// first back-accumulation panel (the last reflectors) widths 63, 64 and 1.
+// first reflector-application panel (the last reflectors) widths 63, 64
+// and 1.
 var blockedDims = []int{129, 130, 131, 161, 193, 194, 195, 256, 293}
 
 func maxAbsRowSum(a *tensor.Tensor) float64 {
@@ -135,37 +136,31 @@ func TestSymEigBlockedDeterministicAcrossTeams(t *testing.T) {
 	}
 }
 
-// TestBackAccumulateMatchesReflectorProduct holds the compact-WY
-// back-accumulation to its definition: after blockedTridiag, Q is the
-// product H₀H₁⋯H_{n−3} of the reflectors H_j = I − τ_j v_j v_jᵀ stored in
-// A's lower triangle and tau, formed here one reflector at a time. Q enters
-// as NaN, so any element the window re-striding fails to write shows.
-func TestBackAccumulateMatchesReflectorProduct(t *testing.T) {
+// TestApplyReflectorsMatchesReflectorProduct holds the compact-WY
+// reflector application to its definition: after blockedTridiag, it
+// overwrites Z with H₀H₁⋯H_{n−3}·Z for the reflectors H_j = I − τ_j v_j v_jᵀ
+// stored in A's lower triangle and tau, applied here one reflector at a
+// time. Z is a random dense matrix, so every row block of every panel is
+// exercised; the sizes give the first panel (the last reflectors) widths
+// 62, 63, 1 and 64 and cover a multiple of the panel width.
+func TestApplyReflectorsMatchesReflectorProduct(t *testing.T) {
 	for _, n := range []int{128, 129, 131, 194, 293} {
 		rng := rand.New(rand.NewSource(int64(n) + 4))
 		a := randSPD(rng, n, 0.1)
-		A := append([]float64(nil), a.Data...)
-		for i := 0; i < n; i++ {
-			for j := 0; j < i; j++ {
-				A[i*n+j] = 0.5 * (a.Data[i*n+j] + a.Data[j*n+i])
-				A[j*n+i] = A[i*n+j]
-			}
-		}
+		A := make([]float64, n*n)
+		symmetrize(A, a.Data, n)
 		ws := &eigWS{team: 2}
 		tau, d, e, work := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, 4*n)
 		U, C, S := tensor.New(n, 2*eigBlock), tensor.New(n, 2*eigBlock), tensor.New(n, n)
 		ws.blockedTridiag(A, S, U, C, n, d, e, tau, work)
-		q := make([]float64, n*n)
-		for i := range q {
-			q[i] = math.NaN()
+		z := make([]float64, n*n)
+		for i := range z {
+			z[i] = rng.NormFloat64()
 		}
-		ws.backAccumulate(q, A, n, tau, U.Data, C.Data,
-			make([]float64, accBlock*n+2*accBlock*accBlock))
+		want := append([]float64(nil), z...)
+		ws.applyReflectors(z, A, n, tau, U.Data, C.Data,
+			make([]float64, accBlock*n+2*accBlock*accBlock), S.Data)
 
-		want := make([]float64, n*n)
-		for i := 0; i < n; i++ {
-			want[i*n+i] = 1
-		}
 		v := make([]float64, n)
 		for j := n - 3; j >= 0; j-- {
 			clear(v)
@@ -183,27 +178,13 @@ func TestBackAccumulateMatchesReflectorProduct(t *testing.T) {
 				}
 			}
 		}
-		diff := 0.0
-		for i := range q {
-			diff += (q[i] - want[i]) * (q[i] - want[i])
+		diff, norm := 0.0, 0.0
+		for i := range z {
+			diff += (z[i] - want[i]) * (z[i] - want[i])
+			norm += want[i] * want[i]
 		}
-		// ‖H₀⋯H_{n−3}‖_F = √n.
-		if rel := math.Sqrt(diff / float64(n)); !(rel <= 1e-12) {
-			t.Errorf("n=%d: ‖Q − H₀⋯H_{n−3}‖_F / ‖Q‖_F = %g, want ≤ 1e-12", n, rel)
-		}
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				var dot float64
-				for k := 0; k < n; k++ {
-					dot += q[k*n+i] * q[k*n+j]
-				}
-				if i == j {
-					dot--
-				}
-				if !(math.Abs(dot) <= 1e-12*float64(n)) {
-					t.Fatalf("n=%d: (QᵀQ − I)[%d,%d] = %g", n, i, j, dot)
-				}
-			}
+		if rel := math.Sqrt(diff / norm); !(rel <= 1e-12) {
+			t.Errorf("n=%d: ‖Z′ − H₀⋯H_{n−3}·Z‖_F / ‖H₀⋯H_{n−3}·Z‖_F = %g, want ≤ 1e-12", n, rel)
 		}
 	}
 }
@@ -292,8 +273,9 @@ func TestSymEigBlockedRejectsBadInput(t *testing.T) {
 
 // overflowingFactor is a symmetric n×n input that passes validation — every
 // entry finite — and still fails the solve: its entries sit at
-// math.MaxFloat64, so the symmetrized copy overflows to +Inf and QL cannot
-// converge on the NaNs that follow.
+// math.MaxFloat64, so the symmetrized copy overflows to +Inf: the blocked
+// path's tridiagonal is not finite, and the fallback's QL cannot converge on
+// the NaNs that follow.
 func overflowingFactor(n int) *tensor.Tensor {
 	a := tensor.New(n, n)
 	for i := range a.Data {
@@ -378,138 +360,6 @@ func TestSymEigBlockedSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// rotSweepRow is the row-sweep oracle of the QL lane pass: it applies
-// rotations t = 0..nrot-1 (rotation t acts on columns (m-1-t, m-t),
-// recorded in generation order) to one row segment sub = Q[row][l..m]. The
-// carry-chain form is algebraically and bitwise the serial tql2 update:
-// carry is the running value of the right column, and each step's two
-// writes match the serial pair exactly.
-func rotSweepRow(sub, cs, sn []float64, nrot int) {
-	carry := sub[nrot]
-	for t := 0; t < nrot; t++ {
-		p := nrot - 1 - t
-		x := sub[p]
-		c, s := cs[t], sn[t]
-		sub[p+1] = s*x + c*carry
-		carry = c*x - s*carry
-	}
-	sub[0] = carry
-}
-
-// rotSweepRowFMA is rotSweepRow with the AVX lane kernel's arithmetic: the
-// right-column update one rounded product plus one fused multiply-add, the
-// carry update one rounded product plus one fused negated multiply-add.
-func rotSweepRowFMA(sub, cs, sn []float64, nrot int) {
-	carry := sub[nrot]
-	for t := 0; t < nrot; t++ {
-		p := nrot - 1 - t
-		x := sub[p]
-		c, s := cs[t], sn[t]
-		sub[p+1] = math.FMA(s, x, c*carry)
-		carry = math.FMA(-s, carry, c*x)
-	}
-	sub[0] = carry
-}
-
-// TestQLLanePassMatchesRowSweep drives the QL lane pass the way batchedQL
-// does — transpose Q, record sweeps, flush, transpose back through a sort
-// permutation — and holds every element, bit for bit, to the row-sweep
-// oracle of the active kernel set applied to Q's rows one sweep at a time.
-// The sizes cover every remainder n mod qlLanes; the buffer capacities
-// cover the production 16·n, a sweep that exactly fills the buffer, and
-// flushes in the middle of a run of short sweeps; teams 1–3 move the chunk
-// grid over the lane blocks.
-func TestQLLanePassMatchesRowSweep(t *testing.T) {
-	oracle := rotSweepRow
-	if eigKernelISA == "avx2+fma" {
-		oracle = rotSweepRowFMA
-	}
-	var dims []int
-	for n := 1; n <= 40; n++ {
-		dims = append(dims, n)
-	}
-	dims = append(dims, 130, 216, 432)
-
-	type window struct{ l, m int }
-	type lanePassCase struct {
-		name     string
-		capacity int // rotations the buffer holds
-		sweeps   []window
-	}
-	for _, n := range dims {
-		rng := rand.New(rand.NewSource(int64(n)))
-		// A hundred random windows of ≈ n/4 rotations each overflow the
-		// 16·n production buffer, so it flushes mid-sequence too.
-		cases := []lanePassCase{{name: "production", capacity: qlLanes * n}}
-		for i := 0; i < 100 && n > 1; i++ {
-			l := rng.Intn(n - 1)
-			cases[0].sweeps = append(cases[0].sweeps, window{l, l + 1 + rng.Intn(n-1-l)})
-		}
-		if n > 1 {
-			// The first sweep fills the buffer exactly; the second flushes it.
-			cases = append(cases, lanePassCase{"exact fill", n - 1, []window{{0, n - 1}, {0, n - 1}, {n / 2, n - 1}}})
-			// Sweeps of 1–3 rotations against a 7-rotation buffer flush
-			// between two short sweeps, many times over.
-			short := lanePassCase{name: "short sweeps", capacity: 7}
-			for i := 0; i < 30; i++ {
-				l := rng.Intn(n - 1)
-				m := min(l+1+rng.Intn(3), n-1)
-				short.sweeps = append(short.sweeps, window{l, m})
-			}
-			cases = append(cases, short)
-		}
-
-		for _, tc := range cases {
-			for _, team := range []int{1, 2, 3} {
-				q := make([]float64, n*n)
-				for i := range q {
-					q[i] = rng.NormFloat64()
-				}
-				want := append([]float64(nil), q...)
-				qt := make([]float64, n*n)
-
-				ws := &eigWS{team: team}
-				ws.lt.q, ws.lt.qt, ws.lt.n = q, qt, n
-				ws.run(laneBlocks(n), &ws.lt)
-				ws.rb.qt, ws.rb.cs, ws.rb.n = qt, make([]float64, 2*tc.capacity), n
-
-				cs, sn := make([]float64, n), make([]float64, n)
-				for i, sw := range tc.sweeps {
-					nrot := sw.m - sw.l
-					before := ws.rb.used
-					rs := ws.qlRecord(sw.l, sw.m)
-					flushed := before+nrot > tc.capacity
-					if got := ws.rb.used; (flushed && got != nrot) || (!flushed && got != before+nrot) {
-						t.Fatalf("n=%d %s sweep %d: %d rotations buffered after recording %d onto %d (capacity %d)",
-							n, tc.name, i, got, nrot, before, tc.capacity)
-					}
-					for r := 0; r < nrot; r++ {
-						theta := rng.Float64() * 2 * math.Pi
-						cs[r], sn[r] = math.Cos(theta), math.Sin(theta)
-						rs[2*r], rs[2*r+1] = cs[r], sn[r]
-					}
-					for k := 0; k < n; k++ {
-						oracle(want[k*n+sw.l:k*n+sw.m+1], cs, sn, nrot)
-					}
-				}
-				ws.qlFlush()
-
-				perm := rng.Perm(n)
-				ws.lt.perm = perm
-				ws.run(laneBlocks(n), &ws.lt)
-				for k := 0; k < n; k++ {
-					for j := 0; j < n; j++ {
-						if got, w := q[k*n+j], want[k*n+perm[j]]; math.Float64bits(got) != math.Float64bits(w) {
-							t.Fatalf("n=%d %s team=%d: Q[%d,%d] = %v, row-sweep oracle %v (kernels %s)",
-								n, tc.name, team, k, j, got, w, eigKernelISA)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // kfacFactor returns an n×n factor shaped like K-FAC's: a running average
 // (decay 0.95) of updates Gram products of batch×n Gaussian captures.
 func kfacFactor(rng *rand.Rand, n, batch, updates int) *tensor.Tensor {
@@ -525,18 +375,42 @@ func kfacFactor(rng *rand.Rand, n, batch, updates int) *tensor.Tensor {
 	return a
 }
 
+// topDeflated runs the blocked solver's steps on a, in private buffers, and
+// returns how many of its eigenvalues the divide and conquer's top merge
+// deflated.
+func topDeflated(a *tensor.Tensor) int {
+	n := a.Rows()
+	ws := &eigWS{team: 1}
+	A, q := make([]float64, n*n), make([]float64, n*n)
+	symmetrize(A, a.Data, n)
+	S, U, C := tensor.New(n, n), tensor.New(n, 2*eigBlock), tensor.New(n, 2*eigBlock)
+	d, e, et, tau := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	work, leaf := make([]float64, dcFloats*n), make([]float64, accBlock*n)
+	ws.blockedTridiag(A, S, U, C, n, d, e, tau, work)
+	if _, ok := unitScale(d, e); !ok {
+		panic("linalg: tridiagonal not finite")
+	}
+	if err := ws.dcLeaves(d, e, et, leaf); err != nil {
+		panic(err)
+	}
+	return ws.dcMerges(d, e, leaf, S.Data, q, U.Data, C.Data, work)
+}
+
 // BenchmarkSymEigBlocked decomposes a K-FAC-like factor (a running average
-// of 72×n Gram products) at the benchmark model's largest factor sizes,
-// 216 and 432, and at 1024, the first rung above them, and reports the
-// blocked kernels' split from EigKernelTimes, with the tridiagonalization
-// and back-accumulation rates at their 4⁄3·n³ flops each — the numbers of
-// docs/PERFORMANCE.md's eigensolver tables:
+// of 72×n Gram products) at the benchmark model's factor sizes — 144 and
+// 288 (the dist and converge rows), 216 and 432 — and at 1024, the first
+// rung above them. It reports the split from EigKernelTimes: the
+// tridiagonalization (tri_ms, and tri_gflops at 4⁄3·n³), the divide and
+// conquer (dc_ms), the reflector application (refl_ms, and refl_gflops at
+// its 2n³), and the fraction of eigenvalues the top merge deflated (defl) —
+// the numbers of docs/PERFORMANCE.md's eigensolver tables:
 //
 //	go test -run '^$' -bench SymEigBlocked -benchtime 20x ./internal/linalg
 //	go test -run '^$' -bench 'SymEigBlocked/n=1024' -benchtime 5x ./internal/linalg
 func BenchmarkSymEigBlocked(b *testing.B) {
-	for _, n := range []int{216, 432, 1024} {
+	for _, n := range []int{144, 216, 288, 432, 1024} {
 		a := kfacFactor(rand.New(rand.NewSource(int64(n))), n, 72, 8)
+		defl := float64(topDeflated(a)) / float64(n)
 		for _, team := range []int{1, 2} {
 			b.Run(fmt.Sprintf("n=%d/team=%d", n, team), func(b *testing.B) {
 				var eg Eigen
@@ -551,12 +425,13 @@ func BenchmarkSymEigBlocked(b *testing.B) {
 					}
 				}
 				perOp := 1e6 * float64(b.N)
-				b.ReportMetric(float64(tm.QLNS)/perOp, "ql_ms")
+				b.ReportMetric(float64(tm.QLNS)/perOp, "dc_ms")
 				b.ReportMetric(float64(tm.TridiagNS)/perOp, "tri_ms")
-				b.ReportMetric(float64(tm.BackAccumNS)/perOp, "acc_ms")
-				flops := 4.0 / 3 * float64(n) * float64(n) * float64(n) * float64(b.N)
-				b.ReportMetric(flops/float64(tm.TridiagNS), "tri_gflops")
-				b.ReportMetric(flops/float64(tm.BackAccumNS), "acc_gflops")
+				b.ReportMetric(float64(tm.BackAccumNS)/perOp, "refl_ms")
+				n3 := float64(n) * float64(n) * float64(n) * float64(b.N)
+				b.ReportMetric(4.0/3*n3/float64(tm.TridiagNS), "tri_gflops")
+				b.ReportMetric(2*n3/float64(tm.BackAccumNS), "refl_gflops")
+				b.ReportMetric(defl, "defl")
 			})
 		}
 	}

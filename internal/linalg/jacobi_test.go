@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,148 @@ import (
 
 	"repro/internal/tensor"
 )
+
+// SymEigJacobi computes the eigendecomposition of a symmetric matrix by the
+// cyclic Jacobi rotation method, the test suite's reference oracle. It is
+// asymptotically slower than the Householder+QL solver in SymEig (O(n³)
+// with a larger constant; one sweep at n = 432 costs about twelve blocked
+// solves) but has a very simple correctness argument (each sweep
+// monotonically reduces off-diagonal mass), which is what the suite
+// cross-checks SymEig against — the same role the paper's Table I plays for
+// validating the numerically delicate path.
+func SymEigJacobi(a *tensor.Tensor, maxSweeps int) (*Eigen, error) {
+	return symEigJacobi(a, maxSweeps, nil)
+}
+
+// SymEigJacobiArena is SymEigJacobi with every workspace — the symmetrized
+// working copy, the eigenvector accumulator, and the eigenvalue slice's
+// backing tensor — checked out of ws instead of heap-allocated, so repeated
+// oracle decompositions (test cross-checks, convergence sweeps) can run
+// allocation-free between ws.Reset calls. The returned Eigen's storage is
+// owned by the arena: it is valid only until the next ws.Reset.
+func SymEigJacobiArena(a *tensor.Tensor, maxSweeps int, ws *tensor.Arena) (*Eigen, error) {
+	return symEigJacobi(a, maxSweeps, ws)
+}
+
+// symEigJacobi runs the cyclic Jacobi iteration; ws may be nil (heap
+// scratch).
+func symEigJacobi(a *tensor.Tensor, maxSweeps int, ws *tensor.Arena) (*Eigen, error) {
+	n := a.Rows()
+	if a.Cols() != n {
+		return nil, fmt.Errorf("linalg: SymEigJacobi requires square matrix, got %dx%d", a.Rows(), a.Cols())
+	}
+	alloc := func(shape ...int) *tensor.Tensor {
+		if ws != nil {
+			return ws.GetZero(shape...)
+		}
+		return tensor.New(shape...)
+	}
+	if n == 0 {
+		return &Eigen{Q: alloc(0, 0)}, nil
+	}
+	if maxSweeps <= 0 {
+		maxSweeps = 60
+	}
+	// Work on the symmetrized copy.
+	m := alloc(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			m.Data[i*n+j] = 0.5 * (a.Data[i*n+j] + a.Data[j*n+i])
+		}
+	}
+	v := alloc(n, n)
+	for i := 0; i < n; i++ {
+		v.Data[i*n+i] = 1
+	}
+
+	offDiag := func() float64 {
+		var s float64
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				s += m.Data[i*n+j] * m.Data[i*n+j]
+			}
+		}
+		return s
+	}
+	var frob float64
+	for _, x := range m.Data {
+		frob += x * x
+	}
+	tol := 1e-28 * (frob + 1)
+
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		if offDiag() <= tol {
+			break
+		}
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				apq := m.Data[p*n+q]
+				if apq == 0 {
+					continue
+				}
+				app := m.Data[p*n+p]
+				aqq := m.Data[q*n+q]
+				theta := (aqq - app) / (2 * apq)
+				var t float64
+				if theta >= 0 {
+					t = 1 / (theta + math.Sqrt(1+theta*theta))
+				} else {
+					t = -1 / (-theta + math.Sqrt(1+theta*theta))
+				}
+				c := 1 / math.Sqrt(1+t*t)
+				s := t * c
+				// Apply the rotation to rows/cols p and q of m.
+				for k := 0; k < n; k++ {
+					akp := m.Data[k*n+p]
+					akq := m.Data[k*n+q]
+					m.Data[k*n+p] = c*akp - s*akq
+					m.Data[k*n+q] = s*akp + c*akq
+				}
+				for k := 0; k < n; k++ {
+					apk := m.Data[p*n+k]
+					aqk := m.Data[q*n+k]
+					m.Data[p*n+k] = c*apk - s*aqk
+					m.Data[q*n+k] = s*apk + c*aqk
+				}
+				// Accumulate eigenvectors.
+				for k := 0; k < n; k++ {
+					vkp := v.Data[k*n+p]
+					vkq := v.Data[k*n+q]
+					v.Data[k*n+p] = c*vkp - s*vkq
+					v.Data[k*n+q] = s*vkp + c*vkq
+				}
+			}
+		}
+	}
+	if offDiag() > tol*1e6 {
+		return nil, ErrNoConvergence
+	}
+	var vals []float64
+	if ws != nil {
+		vals = ws.Get(n).Data // fully overwritten below
+	} else {
+		vals = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		vals[i] = m.Data[i*n+i]
+	}
+	// Sort ascending, permuting columns.
+	for i := 0; i < n-1; i++ {
+		k := i
+		for j := i + 1; j < n; j++ {
+			if vals[j] < vals[k] {
+				k = j
+			}
+		}
+		if k != i {
+			vals[i], vals[k] = vals[k], vals[i]
+			for j := 0; j < n; j++ {
+				v.Data[j*n+i], v.Data[j*n+k] = v.Data[j*n+k], v.Data[j*n+i]
+			}
+		}
+	}
+	return &Eigen{Q: v, Values: vals}, nil
+}
 
 func TestJacobiReconstruct(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 30} {

@@ -2,8 +2,6 @@
 
 package linalg
 
-import "math"
-
 // AVX2+FMA implementations of the blocked eigensolver's float64 kernel
 // primitives (simd_amd64.s), swapped into the dispatch variables at init
 // when the CPU and OS support them. Build with -tags purego to keep the
@@ -15,9 +13,6 @@ func dotF64AVX(a, b []float64) float64
 
 //go:noescape
 func axpyF64AVX(dst, src []float64, a float64)
-
-//go:noescape
-func rotLanesAVX(q []float64, n int, cs []float64)
 
 // eigCPUID executes CPUID with the given leaf/subleaf.
 func eigCPUID(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -50,38 +45,9 @@ func eigHasAVX2FMA() bool {
 	return ebx7&avx2 != 0
 }
 
-// rotLanesFMA is rotLanes under the AVX dispatch: a full block runs
-// rotLanesAVX, and the n mod qlLanes remainder a scalar loop with the
-// kernel's arithmetic — the right-row update one rounded product plus one
-// fused multiply-add (VMULPD + VFMADD231PD), the carry update one rounded
-// product plus one fused negated multiply-add (VMULPD + VFNMADD) — so a
-// lane's bits do not depend on its block.
-func rotLanesFMA(q []float64, n, w int, cs []float64) {
-	if w == qlLanes {
-		rotLanesAVX(q, n, cs)
-		return
-	}
-	nrot := len(cs) / 2
-	var carry [qlLanes]float64
-	copy(carry[:w], q[nrot*n:nrot*n+w])
-	for t := 0; t < nrot; t++ {
-		p := (nrot - 1 - t) * n
-		c, s := cs[2*t], cs[2*t+1]
-		x := q[p : p+w]
-		out := q[p+n : p+n+w]
-		for j, xj := range x {
-			out[j] = math.FMA(s, xj, c*carry[j])
-			carry[j] = math.FMA(-s, carry[j], c*xj)
-		}
-	}
-	copy(q[:w], carry[:w])
-}
-
 func init() {
 	if eigHasAVX2FMA() {
 		eigDot = dotF64AVX
 		eigAxpy = axpyF64AVX
-		rotLanes = rotLanesFMA
-		eigKernelISA = "avx2+fma"
 	}
 }

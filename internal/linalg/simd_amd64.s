@@ -107,77 +107,6 @@ axpy_done:
 	VZEROUPPER
 	RET
 
-// func rotLanesAVX(q []float64, n int, cs []float64)
-// Applies one recorded QL sweep to a full block of 16 lanes of the
-// transposed eigenbasis: q[0:16] is row l, q[nrot*n : nrot*n+16] row m,
-// and rotation t = 0..nrot-1 (c = cs[2t], s = cs[2t+1]) acts on rows
-// (m-1-t, m-t). Y0-Y3 carry the 16 lanes' running right-row value; each
-// step loads row p = m-1-t with contiguous VMOVUPDs, stores
-// out = s*x + c*carry (VMULPD + VFMADD231PD) to row p+1 and forms
-// carry' = c*x - s*carry (VMULPD + VFNMADD213PD), the fused pair the
-// scalar remainder loop of rotLanesFMA performs. Row l receives the final
-// carry.
-TEXT ·rotLanesAVX(SB), NOSPLIT, $0-56
-	MOVQ  q_base+0(FP), DI
-	MOVQ  n+24(FP), BX
-	MOVQ  cs_base+32(FP), SI
-	MOVQ  cs_len+40(FP), CX
-	SHRQ  $1, CX                  // nrot
-	SHLQ  $3, BX                  // row stride in bytes
-	MOVQ  CX, AX
-	IMULQ BX, AX
-	ADDQ  AX, DI                  // DI = row m
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	TESTQ CX, CX
-	JZ    lanes_done
-
-lanes_loop:
-	MOVQ DI, R8                   // R8 = row p+1 (out)
-	SUBQ BX, DI                   // DI = row p (x)
-	VBROADCASTSD (SI), Y4         // c
-	VBROADCASTSD 8(SI), Y5        // s
-
-	VMOVUPD     (DI), Y6
-	VMOVUPD     32(DI), Y7
-	VMOVUPD     64(DI), Y8
-	VMOVUPD     96(DI), Y9
-	VMULPD      Y0, Y4, Y10       // c*carry
-	VMULPD      Y1, Y4, Y11
-	VMULPD      Y2, Y4, Y12
-	VMULPD      Y3, Y4, Y13
-	VFMADD231PD Y6, Y5, Y10       // + s*x
-	VFMADD231PD Y7, Y5, Y11
-	VFMADD231PD Y8, Y5, Y12
-	VFMADD231PD Y9, Y5, Y13
-	VMOVUPD     Y10, (R8)
-	VMOVUPD     Y11, 32(R8)
-	VMOVUPD     Y12, 64(R8)
-	VMOVUPD     Y13, 96(R8)
-	VMULPD      Y6, Y4, Y6        // c*x
-	VMULPD      Y7, Y4, Y7
-	VMULPD      Y8, Y4, Y8
-	VMULPD      Y9, Y4, Y9
-	VFNMADD213PD Y6, Y5, Y0       // carry = c*x - s*carry
-	VFNMADD213PD Y7, Y5, Y1
-	VFNMADD213PD Y8, Y5, Y2
-	VFNMADD213PD Y9, Y5, Y3
-
-	ADDQ $16, SI
-	DECQ CX
-	JNZ  lanes_loop
-
-lanes_done:
-	// row l = carry (DI is row m when nrot = 0, which is then row l)
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VZEROUPPER
-	RET
-
 // func eigCPUID(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·eigCPUID(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX
