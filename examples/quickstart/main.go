@@ -47,8 +47,7 @@ func main() {
 	fmt.Printf("model: %s with %d parameters\n", net.Name(), nn.ParamCount(net))
 
 	// Session = optimizer + K-FAC preconditioner + hooks (Listing 1,
-	// lines 3–5). The default optimizer is SGD shaped by WithMomentum;
-	// swap it with trainer.WithOptimizer for LARS/Adam/custom rules.
+	// lines 3–5). The optimizer is momentum SGD shaped by WithMomentum.
 	kopts := kfac.Options{Damping: 1e-3, FactorUpdateFreq: 1, InvUpdateFreq: 10}
 	if *pipelined {
 		kopts.Engine = kfac.EnginePipelined

@@ -32,10 +32,10 @@ import (
 // layerKernels is one layer's kernels[E], behind the element type.
 type layerKernels interface {
 	// computeCov recomputes the layer's local covariance factors and folds
-	// them into the running averages with coefficient decay, forming each
-	// Gram product in slot, a covariance slot of at least the larger
+	// them into the running averages with coefficient factorDecay, forming
+	// each Gram product in slot, a covariance slot of at least the larger
 	// factor's n² floats.
-	computeCov(decay float64, slot *tensor.Tensor)
+	computeCov(slot *tensor.Tensor)
 	// refresh mirrors one side's new decomposition at E. Called wherever
 	// the float64 slot is written: local decomposition and record consume.
 	refresh(isG bool)
@@ -85,7 +85,7 @@ type kernels[E tensor.Elem] struct {
 	sample, cov *tensor.Dense[E]
 }
 
-func (k *kernels[E]) computeCov(decay float64, slot *tensor.Tensor) {
+func (k *kernels[E]) computeCov(slot *tensor.Tensor) {
 	s := k.s
 	da, dg := FactorDims(s.layer)
 	if s.A == nil {
@@ -98,9 +98,9 @@ func (k *kernels[E]) computeCov(decay float64, slot *tensor.Tensor) {
 	// A and G are independent, so forming and folding them one after the
 	// other in one slot gives the bits two scratch buffers would.
 	activationCov(tensor.Ensure(&slot, da, da), k.gram, s.layer, k.act(s.layer), &k.sample, &k.cov)
-	s.A.Lerp(decay, slot)
+	s.A.Lerp(factorDecay, slot)
 	gradientCov(tensor.Ensure(&slot, dg, dg), k.gram, s.layer, k.grad(s.layer), &k.cov)
-	s.G.Lerp(decay, slot)
+	s.G.Lerp(factorDecay, slot)
 }
 
 func (k *kernels[E]) refresh(isG bool) {
@@ -296,29 +296,17 @@ func (st *stages[E]) RunRange(lo, hi int) {
 		case passDivide:
 			// Equation 14 is one definition at either E: the denominator is
 			// formed in float64 from the float64 eigenvalues and the current
-			// γ (and π), the element is divided by it in float64, and the
+			// γ, the element is divided by it in float64, and the
 			// quotient is rounded to E once.
 			k := st.ks[j]
 			s, v1 := k.s, k.wB
 			out, in := v1.Rows(), v1.Cols()
 			lamA, lamG := s.eigA.Values, s.eigG.Values
-			if p.opts.PiDamping {
-				// Factored split: denominator (λ_A + π√γ)(λ_G + √γ/π).
-				ga, gg := p.dampingSplit(s)
-				for r := 0; r < out; r++ {
-					vg := lamG[r] + gg
-					row := v1.Data[r*in : (r+1)*in]
-					for c := range row {
-						row[c] = E(float64(row[c]) / (vg * (lamA[c] + ga)))
-					}
-				}
-			} else {
-				for r := 0; r < out; r++ {
-					vg := lamG[r]
-					row := v1.Data[r*in : (r+1)*in]
-					for c := range row {
-						row[c] = E(float64(row[c]) / (vg*lamA[c] + p.opts.Damping))
-					}
+			for r := 0; r < out; r++ {
+				vg := lamG[r]
+				row := v1.Data[r*in : (r+1)*in]
+				for c := range row {
+					row[c] = E(float64(row[c]) / (vg*lamA[c] + p.opts.Damping))
 				}
 			}
 		}

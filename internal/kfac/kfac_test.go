@@ -881,38 +881,3 @@ func TestDistributedFourRanksManyLayers(t *testing.T) {
 		}
 	}
 }
-
-func TestSkipLayersExcluded(t *testing.T) {
-	net := buildTinyNet(90)
-	p := NewFromOptions(net, nil, Options{SkipLayers: []string{"fc"}})
-	if p.NumLayers() != 1 {
-		t.Errorf("NumLayers = %d, want 1 after skipping fc", p.NumLayers())
-	}
-	// The skipped layer's gradient must be untouched by Step.
-	runStep(net, 900, 4)
-	var fcGrad *tensor.Tensor
-	for _, l := range nn.CapturableLayers(net) {
-		if l.Name() == "fc" {
-			fcGrad = l.CombinedGrad()
-		}
-	}
-	if err := p.Step(0.1); err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range nn.CapturableLayers(net) {
-		if l.Name() == "fc" {
-			if !l.CombinedGrad().Equal(fcGrad, 0) {
-				t.Error("skipped layer's gradient was modified")
-			}
-		}
-	}
-}
-
-func TestMaxFactorDimExcludesWideLayers(t *testing.T) {
-	net := buildTinyNet(91)
-	// conv1 A dim = 1·3·3+1 = 10; fc A dim = 4. Limit 5 keeps only fc.
-	p := NewFromOptions(net, nil, Options{MaxFactorDim: 5})
-	if p.NumLayers() != 1 {
-		t.Errorf("NumLayers = %d, want 1 under MaxFactorDim", p.NumLayers())
-	}
-}

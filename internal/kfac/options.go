@@ -38,9 +38,6 @@ type Options struct {
 	GroupSize int
 	// Damping is the Tikhonov regularizer γ (paper: 0.001 for ImageNet).
 	Damping float64
-	// FactorDecay is the running-average coefficient ξ in Equations 16–17
-	// (typical range [0.9, 1); default 0.95).
-	FactorDecay float64
 	// KLClip is the κ constant of the gradient-scaling Equation 18
 	// (default 0.001). Negative disables clipping.
 	KLClip float64
@@ -54,17 +51,6 @@ type Options struct {
 	// FusionBytes bounds the fusion buffer of the factor allreduce and the
 	// trainer's gradient exchange (default comm.DefaultFusionBytes).
 	FusionBytes int
-	// PiDamping enables the π-corrected factored damping split of
-	// Martens & Grosse (§6.3): (A+π√γI)⊗(G+√γ/π·I) instead of the
-	// uniform γ on the combined eigenvalue product. Off by default,
-	// matching the paper.
-	PiDamping bool
-	// SkipLayers lists layer names to leave to the first-order optimizer
-	// (the reference implementation's skip_layers option).
-	SkipLayers []string
-	// MaxFactorDim excludes layers whose A or G factor would exceed this
-	// dimension (0 = no limit) — a memory/time guard for very wide layers.
-	MaxFactorDim int
 	// Engine selects the schedule of the update stage graph: EngineSync
 	// (default) puts a barrier after every stage; EnginePipelined overlaps
 	// per-layer factor computation, fused async allreduce,
@@ -99,12 +85,12 @@ type Options struct {
 	Autotune *AutotuneConfig
 }
 
+// factorDecay is the running-average coefficient ξ of Equations 16–17.
+const factorDecay = 0.95
+
 func (o *Options) fillDefaults() {
 	if o.Damping == 0 {
 		o.Damping = 0.001
-	}
-	if o.FactorDecay == 0 {
-		o.FactorDecay = 0.95
 	}
 	if o.KLClip == 0 {
 		o.KLClip = 0.001
@@ -140,16 +126,12 @@ func (o Options) Validate(world int) error {
 		return fmt.Errorf("kfac: NoErrorFeedback requires Compression or Autotune")
 	case !(o.Damping >= 0):
 		return fmt.Errorf("kfac: Damping must be ≥ 0 (0 = the paper's 0.001), got %v", o.Damping)
-	case !(o.FactorDecay >= 0 && o.FactorDecay < 1):
-		return fmt.Errorf("kfac: FactorDecay must be in [0, 1) (0 = 0.95), got %v", o.FactorDecay)
 	case o.FactorUpdateFreq < 0:
 		return fmt.Errorf("kfac: FactorUpdateFreq must be ≥ 0 (0 = 10), got %d", o.FactorUpdateFreq)
 	case o.InvUpdateFreq < 0:
 		return fmt.Errorf("kfac: InvUpdateFreq must be ≥ 0 (0 = the paper's 100), got %d", o.InvUpdateFreq)
 	case o.FusionBytes < 0:
 		return fmt.Errorf("kfac: FusionBytes must be ≥ 0 (0 = comm.DefaultFusionBytes), got %d", o.FusionBytes)
-	case o.MaxFactorDim < 0:
-		return fmt.Errorf("kfac: MaxFactorDim must be ≥ 0 (0 = no limit), got %d", o.MaxFactorDim)
 	case o.Autotune != nil && o.Autotune.Interval < 0:
 		return fmt.Errorf("kfac: Autotune.Interval must be ≥ 0 (0 = every factor update), got %d", o.Autotune.Interval)
 	}

@@ -15,9 +15,8 @@ import (
 func TestBuildResolvesOptions(t *testing.T) {
 	want := Options{
 		Mode: InverseMode, Strategy: SizeGreedy, Damping: 0.01,
-		FactorDecay: 0.9, KLClip: -1, FactorUpdateFreq: 3, InvUpdateFreq: 30,
-		FusionBytes: 1 << 20, PiDamping: true, SkipLayers: []string{"fc", "conv1"},
-		MaxFactorDim: 64, Engine: EnginePipelined, Precision: F32,
+		KLClip: -1, FactorUpdateFreq: 3, InvUpdateFreq: 30,
+		FusionBytes: 1 << 20, Engine: EnginePipelined, Precision: F32,
 	}
 	p := NewFromOptions(buildTinyNet(1), nil, want)
 	defer p.Close()
@@ -55,7 +54,7 @@ func TestNewAppliesPaperDefaults(t *testing.T) {
 	net := buildTinyNet(1)
 	p := NewFromOptions(net, nil, Options{})
 	defer p.Close()
-	if p.opts.Damping != 0.001 || p.opts.FactorDecay != 0.95 || p.opts.KLClip != 0.001 ||
+	if p.opts.Damping != 0.001 || p.opts.KLClip != 0.001 ||
 		p.opts.FactorUpdateFreq != 10 || p.opts.InvUpdateFreq != 100 {
 		t.Errorf("defaults not applied: %+v", p.opts)
 	}
@@ -74,7 +73,7 @@ func TestOptionsValidate(t *testing.T) {
 		field string // "" = valid
 	}{
 		{Options{}, ""},
-		{Options{Damping: 0.001, FactorDecay: 0.95, KLClip: -1, FactorUpdateFreq: 10, InvUpdateFreq: 100}, ""},
+		{Options{Damping: 0.001, KLClip: -1, FactorUpdateFreq: 10, InvUpdateFreq: 100}, ""},
 		{Options{DistMode: Hybrid, GradWorkerFrac: 0.5}, ""},
 		{Options{GroupSize: 2}, ""},
 		{Options{GroupSize: 3}, ""},
@@ -98,12 +97,9 @@ func TestOptionsValidate(t *testing.T) {
 		{Options{NoErrorFeedback: true}, "NoErrorFeedback"},
 		{Options{Damping: -1}, "Damping"},
 		{Options{Damping: math.NaN()}, "Damping"},
-		{Options{FactorDecay: -0.1}, "FactorDecay"},
-		{Options{FactorDecay: 1}, "FactorDecay"},
 		{Options{FactorUpdateFreq: -2}, "FactorUpdateFreq"},
 		{Options{InvUpdateFreq: -5}, "InvUpdateFreq"},
 		{Options{FusionBytes: -1}, "FusionBytes"},
-		{Options{MaxFactorDim: -1}, "MaxFactorDim"},
 		{Options{Autotune: &AutotuneConfig{Interval: -1}}, "Autotune.Interval"},
 	} {
 		err := c.opts.Validate(world)

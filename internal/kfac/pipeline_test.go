@@ -116,19 +116,6 @@ func TestPipelinedTinyFusionBudget(t *testing.T) {
 	}
 }
 
-func TestPipelinedPiDampingMatchesSync(t *testing.T) {
-	base := Options{FactorUpdateFreq: 1, InvUpdateFreq: 1, PiDamping: true}
-	syncGrads := stepTrace(t, nil, base, 3)
-	pipe := base
-	pipe.Engine = EnginePipelined
-	pipeGrads := stepTrace(t, nil, pipe, 3)
-	for i := range syncGrads {
-		if !syncGrads[i].Equal(pipeGrads[i], 0) {
-			t.Errorf("layer %d: π-damped pipelined gradient differs from sync", i)
-		}
-	}
-}
-
 func TestPipelinedDecompOnlyIteration(t *testing.T) {
 	// InvUpdateFreq=1 with FactorUpdateFreq=2 produces iterations where the
 	// decomposition refreshes without a factor update — the pipeline must

@@ -1,6 +1,7 @@
 package kfac
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -216,7 +217,7 @@ func roundF32(t *tensor.Tensor) *tensor.Tensor {
 // f32PreconditionRef is preconditionOne at F32 as a definition: the float64
 // body of Equations 13–15 (or 10) on the float32-rounded decompositions and
 // gradient, with one rounding to float32 after each product and after the
-// division. The eigenvalues, γ and π stay float64.
+// division. The eigenvalues and γ stay float64.
 func f32PreconditionRef(p *Preconditioner, s *layerState, grad *tensor.Tensor) *tensor.Tensor {
 	r := roundF32
 	g := r(grad)
@@ -226,14 +227,9 @@ func f32PreconditionRef(p *Preconditioner, s *layerState, grad *tensor.Tensor) *
 	qa, qg := r(s.eigA.Q), r(s.eigG.Q)
 	v := r(tensor.MatMul(r(tensor.MatMulT1(qg, g)), qa))
 	out, in := v.Rows(), v.Cols()
-	ga, gg := p.dampingSplit(s)
 	for row := 0; row < out; row++ {
 		for c := 0; c < in; c++ {
-			den := s.eigG.Values[row]*s.eigA.Values[c] + p.opts.Damping
-			if p.opts.PiDamping {
-				den = (s.eigG.Values[row] + gg) * (s.eigA.Values[c] + ga)
-			}
-			v.Data[row*in+c] /= den
+			v.Data[row*in+c] /= s.eigG.Values[row]*s.eigA.Values[c] + p.opts.Damping
 		}
 	}
 	return r(tensor.MatMulT2(r(tensor.MatMul(qg, r(v))), qa))
@@ -248,10 +244,7 @@ func f32TestState(t *testing.T, opts Options) (*Preconditioner, *layerState, *te
 	G, A := tensor.MatMulT1(ga, ga), tensor.MatMulT1(ab, ab)
 	opts.Precision = F32
 	p := &Preconditioner{opts: opts}
-	s := &layerState{pi: 1}
-	if opts.PiDamping {
-		s.pi = PiCorrection(A, G)
-	}
+	s := &layerState{}
 	var err error
 	if opts.Mode == InverseMode {
 		if s.invA, err = linalg.InverseDamped(A, opts.Damping); err == nil {
@@ -276,14 +269,13 @@ func wantSameBits(t *testing.T, what string, got, want *tensor.Tensor) {
 }
 
 // TestF32PreconditionOneIsItsDefinition turns the float32 step from a
-// tolerance into a definition, in both modes and both damping forms.
+// tolerance into a definition, in both modes.
 func TestF32PreconditionOneIsItsDefinition(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		opts Options
 	}{
 		{"eigen", Options{Mode: EigenMode, Damping: 0.05}},
-		{"eigen+pi", Options{Mode: EigenMode, Damping: 0.05, PiDamping: true}},
 		{"inverse", Options{Mode: InverseMode, Damping: 0.05}},
 	} {
 		p, s, grad := f32TestState(t, c.opts)
@@ -291,30 +283,19 @@ func TestF32PreconditionOneIsItsDefinition(t *testing.T) {
 	}
 }
 
-// TestF32StepSeesDampingAndPiAtOnce: γ and π are read by the step that uses
-// them, so a change between two F32 steps — the damping-decay schedule, a
-// decomposition update moving π — shows in the very next one.
-func TestF32StepSeesDampingAndPiAtOnce(t *testing.T) {
-	p, s, grad := f32TestState(t, Options{Mode: EigenMode, Damping: 0.05, PiDamping: true})
-	before := s.k.preconditionOne(grad).Clone()
-
-	p.SetDamping(0.005)
-	afterGamma := s.k.preconditionOne(grad).Clone()
-	wantSameBits(t, "after SetDamping", afterGamma, f32PreconditionRef(p, s, grad))
-	if afterGamma.Equal(before, 0) {
-		t.Fatal("a tenfold damping change left the preconditioned gradient unchanged")
+// TestF32StepSeesDampingAtOnce: γ is read by the step that uses it, so a
+// change between two F32 steps — the damping-decay schedule — shows in the
+// very next one.
+func TestF32StepSeesDampingAtOnce(t *testing.T) {
+	p, s, grad := f32TestState(t, Options{Mode: EigenMode, Damping: 0.05})
+	prev := s.k.preconditionOne(grad).Clone()
+	for _, gamma := range []float64{0.005, 0.5} {
+		p.SetDamping(gamma)
+		got := s.k.preconditionOne(grad).Clone()
+		wantSameBits(t, fmt.Sprintf("after SetDamping(%v)", gamma), got, f32PreconditionRef(p, s, grad))
+		if got.Equal(prev, 0) {
+			t.Fatalf("damping change to %v left the preconditioned gradient unchanged", gamma)
+		}
+		prev = got
 	}
-
-	s.pi *= 3
-	afterPi := s.k.preconditionOne(grad)
-	wantSameBits(t, "after π change", afterPi, f32PreconditionRef(p, s, grad))
-	if afterPi.Equal(afterGamma, 0) {
-		t.Fatal("a threefold π change left the preconditioned gradient unchanged")
-	}
-
-	// The uniform-γ form as well.
-	p, s, grad = f32TestState(t, Options{Mode: EigenMode, Damping: 0.05})
-	s.k.preconditionOne(grad)
-	p.SetDamping(0.5)
-	wantSameBits(t, "uniform γ after SetDamping", s.k.preconditionOne(grad), f32PreconditionRef(p, s, grad))
 }

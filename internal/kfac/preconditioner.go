@@ -53,11 +53,6 @@ type layerState struct {
 	// its recipients: the layer's gradient workers (everyone under a fully
 	// replicated plan) plus the owner.
 	aRecvGroup, gRecvGroup *comm.Group
-	// π correction for factored damping (1 when disabled); recomputed at
-	// every decomposition update from the averaged factors, so it is
-	// identical on every rank without communication.
-	pi float64
-
 	// Reused workspaces. Together with those of k they make the
 	// steady-state Step path — combined gradient, preconditioning products,
 	// KL clip — allocation-free; see TestKFACStepSteadyStateZeroAllocs.
@@ -160,25 +155,11 @@ type Preconditioner struct {
 // nil for single-process training.
 func NewFromOptions(model nn.Layer, c *comm.Communicator, opts Options) *Preconditioner {
 	opts.fillDefaults()
-	skip := make(map[string]bool, len(opts.SkipLayers))
-	for _, n := range opts.SkipLayers {
-		skip[n] = true
-	}
-	layers := nn.CapturableLayers(model)
 	p := &Preconditioner{comm: c, opts: opts, factorEF: comm.NewErrorFeedback(nil)}
 	if opts.Autotune != nil {
 		p.tuner = newTuner(*opts.Autotune)
 	}
-	for _, l := range layers {
-		if skip[l.Name()] {
-			continue
-		}
-		if opts.MaxFactorDim > 0 {
-			da, dg := FactorDims(l)
-			if da > opts.MaxFactorDim || dg > opts.MaxFactorDim {
-				continue
-			}
-		}
+	for _, l := range nn.CapturableLayers(model) {
 		l.SetCapture(true)
 		s := &layerState{layer: l}
 		s.k = newKernels(opts.Precision, p, s)
@@ -395,15 +376,7 @@ func (p *Preconditioner) Step(lr float64) error {
 func (p *Preconditioner) decompose(s *layerState, isG bool) error {
 	f := s.side(isG)
 	if p.opts.Mode == InverseMode {
-		gamma := p.opts.Damping
-		if p.opts.PiDamping {
-			ga, gg := p.dampingSplit(s)
-			gamma = ga
-			if isG {
-				gamma = gg
-			}
-		}
-		inv, err := linalg.InverseDamped(*f.factor, gamma)
+		inv, err := linalg.InverseDamped(*f.factor, p.opts.Damping)
 		if err != nil {
 			return err
 		}

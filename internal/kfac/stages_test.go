@@ -82,7 +82,7 @@ var stagesWorlds = []struct {
 // product of one step over all of the rank's gradient-worker layers on one
 // pooled grid, the element-wise passes pooled over layers — give every
 // layer exactly the bits of preconditionOne, the same stages over that layer
-// alone. Eigen, inverse and π damping, at F64 and F32, on one rank and on
+// alone. Eigen and inverse, at F64 and F32, on one rank and on
 // every rank of a world-3 MEM-OPT and HYBRID plan.
 func TestGroupedStagesMatchPreconditionOne(t *testing.T) {
 	for _, w := range stagesWorlds {
@@ -91,7 +91,6 @@ func TestGroupedStagesMatchPreconditionOne(t *testing.T) {
 			opts Options
 		}{
 			{"eigen", Options{Mode: EigenMode}},
-			{"eigen+pi", Options{Mode: EigenMode, PiDamping: true}},
 			{"inverse", Options{Mode: InverseMode}},
 		} {
 			for _, pr := range []Precision{F64, F32} {

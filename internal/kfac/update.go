@@ -296,7 +296,7 @@ func (r *updateRun) run(barrier bool) error {
 			r.exec(func() {
 				slot := <-p.covSlots
 				r.facComp.begin()
-				s.k.computeCov(p.opts.FactorDecay, slot)
+				s.k.computeCov(slot)
 				r.facComp.end()
 				p.covSlots <- slot
 				r.covDone.done(i)
@@ -366,10 +366,6 @@ func (r *updateRun) scheduleDecompositions(barrier bool) {
 			var refs []int // FactorRefs indices of the owned factors
 			for _, i := range layers {
 				s := p.states[i]
-				s.pi = 1
-				if p.opts.PiDamping {
-					s.pi = PiCorrection(s.A, s.G)
-				}
 				for k, isG := range factorSides {
 					if r.distributed && s.side(isG).owner != r.mine {
 						r.decomposed.done(i)

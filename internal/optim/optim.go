@@ -1,8 +1,8 @@
 // Package optim implements the first-order optimizers and learning-rate
-// schedules used in the paper's experiments: SGD with momentum (optionally
-// Nesterov) and decoupled weight decay exclusions, LARS (the large-batch
-// baseline family the related-work section compares against), Adam, and the
-// linear-warmup + step-decay schedule used for every run in §VI.
+// schedules used in the paper's experiments: SGD with heavy-ball momentum and
+// decoupled weight decay exclusions, LARS (the large-batch baseline family
+// the related-work section compares against), Adam, and the linear-warmup +
+// step-decay schedule used for every run in §VI.
 //
 // Optimizers are constructed with functional options:
 //
@@ -21,8 +21,7 @@ import (
 )
 
 // Optimizer updates parameters from their accumulated gradients. All
-// implementations in this package satisfy it, and the trainer accepts any
-// implementation through trainer.WithOptimizer.
+// implementations in this package satisfy it.
 type Optimizer interface {
 	// Step applies one update using the current learning rate.
 	Step()
@@ -46,20 +45,18 @@ func zeroGrads(params []*nn.Param) {
 // decay, matching PyTorch's torch.optim.SGD semantics:
 //
 //	buf = momentum·buf + grad + wd·w
-//	w  -= lr · buf            (heavy ball)
-//	w  -= lr · (grad + momentum·buf)  (Nesterov)
+//	w  -= lr · buf
 type SGDOptimizer struct {
 	Params      []*nn.Param
 	Momentum    float64
 	WeightDecay float64
-	Nesterov    bool
 
 	lr   float64
 	bufs []*tensor.Tensor
 }
 
 // SGD constructs an SGD optimizer over params. Defaults (overridable by
-// options): lr 0.1, zero momentum, zero weight decay, heavy-ball update.
+// options): lr 0.1, zero momentum, zero weight decay.
 func SGD(params []*nn.Param, opts ...Option) *SGDOptimizer {
 	st := resolve(opts)
 	bufs := make([]*tensor.Tensor, len(params))
@@ -68,7 +65,7 @@ func SGD(params []*nn.Param, opts ...Option) *SGDOptimizer {
 	}
 	return &SGDOptimizer{
 		Params: params, Momentum: st.momentum, WeightDecay: st.weightDecay,
-		Nesterov: st.nesterov, lr: st.lr, bufs: bufs,
+		lr: st.lr, bufs: bufs,
 	}
 }
 
@@ -87,11 +84,7 @@ func (s *SGDOptimizer) Step() {
 				gj += wd * p.Value.Data[j]
 			}
 			buf.Data[j] = s.Momentum*buf.Data[j] + gj
-			upd := buf.Data[j]
-			if s.Nesterov {
-				upd = gj + s.Momentum*buf.Data[j]
-			}
-			p.Value.Data[j] -= s.lr * upd
+			p.Value.Data[j] -= s.lr * buf.Data[j]
 		}
 	}
 }

@@ -35,15 +35,6 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	}
 }
 
-func TestSGDNesterov(t *testing.T) {
-	p := paramWith([]float64{0}, []float64{1})
-	s := SGD([]*nn.Param{p}, WithLR(1), WithMomentum(0.9), WithNesterov())
-	s.Step() // buf=1; update = g + m*buf = 1.9; w=-1.9
-	if math.Abs(p.Value.Data[0]+1.9) > 1e-12 {
-		t.Errorf("nesterov step = %v, want -1.9", p.Value.Data[0])
-	}
-}
-
 func TestSGDWeightDecay(t *testing.T) {
 	p := paramWith([]float64{10}, []float64{0})
 	s := SGD([]*nn.Param{p}, WithLR(0.1), WithWeightDecay(0.5))

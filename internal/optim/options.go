@@ -11,7 +11,6 @@ type settings struct {
 	lr           float64
 	momentum     float64
 	weightDecay  float64
-	nesterov     bool
 	eta          float64 // LARS trust coefficient
 	beta1, beta2 float64 // Adam moment decays
 	eps          float64 // Adam denominator floor
@@ -42,10 +41,6 @@ func WithMomentum(m float64) Option { return func(s *settings) { s.momentum = m 
 // WithWeightDecay sets the L2 weight-decay coefficient (default 0).
 // Parameters flagged nn.Param.NoWeightDecay are always excluded.
 func WithWeightDecay(wd float64) Option { return func(s *settings) { s.weightDecay = wd } }
-
-// WithNesterov selects the Nesterov momentum update for SGD (default
-// heavy-ball).
-func WithNesterov() Option { return func(s *settings) { s.nesterov = true } }
 
 // WithTrustCoefficient sets LARS's η trust coefficient (default 0.001).
 func WithTrustCoefficient(eta float64) Option { return func(s *settings) { s.eta = eta } }

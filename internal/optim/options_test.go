@@ -21,7 +21,7 @@ func TestOptionDefaults(t *testing.T) {
 		t.Errorf("LARS default eta = %v, want 0.001", l.Eta)
 	}
 	s := SGD(nil)
-	if s.Momentum != 0 || s.WeightDecay != 0 || s.Nesterov {
+	if s.Momentum != 0 || s.WeightDecay != 0 {
 		t.Errorf("SGD defaults = %+v", s)
 	}
 }

@@ -40,14 +40,14 @@ type StepInfo struct {
 	Iteration int
 	// LR is the learning rate the step used.
 	LR float64
-	// Loss is this rank's training loss of the step, averaged over the
-	// step's accumulation group. It is local (not rank-averaged): hooks
+	// Loss is this rank's training loss of the step: the cross-entropy of
+	// its local mini-batch. It is local (not rank-averaged): hooks
 	// that need a cross-rank view must reduce it themselves, and any
 	// cross-rank decision derived from it must still satisfy the
 	// all-ranks-agree contract documented on the hook types.
 	Loss float64
 	// StepDuration is the wall time of the step on this rank:
-	// forward/backward over the accumulation group, gradient exchange,
+	// forward/backward over the mini-batch, gradient exchange,
 	// preconditioning, and the optimizer update — everything between two
 	// iteration boundaries except the hooks themselves.
 	StepDuration time.Duration
@@ -82,9 +82,9 @@ type (
 // it with NewSession and functional options, register hooks, then call Run.
 // The zero value is not usable.
 //
-// The paper's Listing 1 loop (synchronize → precondition → step) is the
-// fixed skeleton, and everything scenario-specific — optimizer, K-FAC
-// preconditioning, schedules, logging, early stopping, checkpointing,
+// The paper's Listing 1 loop (synchronize → precondition → step) over
+// momentum SGD is the fixed skeleton, and everything scenario-specific —
+// K-FAC preconditioning, schedules, logging, early stopping, checkpointing,
 // observation — attaches through options and typed hooks.
 type Session struct {
 	net         *nn.Sequential
@@ -92,7 +92,6 @@ type Session struct {
 	train, test *data.Dataset
 	cfg         config
 
-	buildOpt   func(params []*nn.Param, initialLR float64) optim.Optimizer
 	epochHooks []EpochHook
 	stepHooks  []StepHook
 	ckptHooks  []CheckpointHook
@@ -118,12 +117,10 @@ func WithLRSchedule(sched optim.LRSchedule) SessionOption {
 	return func(s *Session) { s.cfg.LR = sched }
 }
 
-// WithMomentum sets the default SGD optimizer's momentum (ignored when
-// WithOptimizer overrides the optimizer).
+// WithMomentum sets the SGD optimizer's momentum.
 func WithMomentum(m float64) SessionOption { return func(s *Session) { s.cfg.Momentum = m } }
 
-// WithWeightDecay sets the default SGD optimizer's L2 weight decay (ignored
-// when WithOptimizer overrides the optimizer).
+// WithWeightDecay sets the SGD optimizer's L2 weight decay.
 func WithWeightDecay(wd float64) SessionOption { return func(s *Session) { s.cfg.WeightDecay = wd } }
 
 // WithLabelSmoothing sets the cross-entropy label-smoothing ε.
@@ -133,10 +130,6 @@ func WithLabelSmoothing(eps float64) SessionOption {
 
 // WithSeed drives data sharding; it must agree across ranks.
 func WithSeed(seed int64) SessionOption { return func(s *Session) { s.cfg.Seed = seed } }
-
-// WithAccumSteps accumulates gradients over this many micro-batches before
-// each exchange and optimizer step (0/1 = off).
-func WithAccumSteps(n int) SessionOption { return func(s *Session) { s.cfg.AccumSteps = n } }
 
 // WithKFACOptions enables K-FAC preconditioning configured by o (zero
 // fields select the paper defaults).
@@ -153,17 +146,6 @@ func WithDampingSchedule(sched *kfac.ParamSchedule) SessionOption {
 func WithFreqSchedule(sched *kfac.ParamSchedule) SessionOption {
 	return func(s *Session) { s.cfg.FreqSchedule = sched }
 }
-
-// WithOptimizer replaces the default SGD update rule. build receives the
-// model parameters and the schedule's epoch-0 learning rate; the session
-// calls SetLR on the returned optimizer at every epoch boundary and
-// ZeroGrad before every accumulation group.
-func WithOptimizer(build func(params []*nn.Param, initialLR float64) optim.Optimizer) SessionOption {
-	return func(s *Session) { s.buildOpt = build }
-}
-
-// WithTop5 additionally records top-5 validation accuracy in EpochStats.
-func WithTop5() SessionOption { return func(s *Session) { s.cfg.TrackTop5 = true } }
 
 // WithLogger installs the stock per-epoch logging hook: one line per epoch
 // to w, written by rank 0 only.
@@ -386,13 +368,8 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	var opt optim.Optimizer
-	if s.buildOpt != nil {
-		opt = s.buildOpt(params, cfg.LR.At(0))
-	} else {
-		opt = optim.SGD(params, optim.WithLR(cfg.LR.At(0)),
-			optim.WithMomentum(cfg.Momentum), optim.WithWeightDecay(cfg.WeightDecay))
-	}
+	opt := optim.SGD(params, optim.WithLR(cfg.LR.At(0)),
+		optim.WithMomentum(cfg.Momentum), optim.WithWeightDecay(cfg.WeightDecay))
 	var prec *kfac.Preconditioner
 	if cfg.KFAC != nil {
 		// The K-FAC options (including the step engine) pass through as-is.
@@ -437,16 +414,10 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 			}
 		}
 
-		accum := cfg.AccumSteps
-		if accum < 1 {
-			accum = 1
-		}
 		batches := data.Batches(s.train, sampler.EpochIndices(epoch), cfg.BatchPerRank)
-		// Truncate to a whole number of accumulation groups.
-		batches = batches[:len(batches)/accum*accum]
 		var lossSum, accSum float64
 		var stopRequested bool
-		for bi := 0; bi < len(batches); bi += accum {
+		for _, b := range batches {
 			// Iteration boundary: the only point at which cancellation is
 			// acted on, and only by cross-rank consensus.
 			if cancelled, cerr := s.checkCancelled(ctx); cancelled || cerr != nil {
@@ -454,22 +425,11 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 			}
 			stepStart := time.Now()
 			opt.ZeroGrad()
-			stepLoss := 0.0
-			for k := 0; k < accum; k++ {
-				b := batches[bi+k]
-				out := s.net.Forward(b.X, true)
-				loss, grad := ce.Loss(out, b.Labels)
-				stepLoss += loss / float64(accum)
-				accSum += nn.Accuracy(out, b.Labels) / float64(accum)
-				s.net.Backward(grad)
-			}
-			lossSum += stepLoss
-			if accum > 1 {
-				inv := 1 / float64(accum)
-				for _, p := range params {
-					p.Grad.Scale(inv)
-				}
-			}
+			out := s.net.Forward(b.X, true)
+			loss, grad := ce.Loss(out, b.Labels)
+			lossSum += loss
+			accSum += nn.Accuracy(out, b.Labels)
+			s.net.Backward(grad)
 
 			// Gradient exchange (optimizer.synchronize() in Listing 1).
 			// With a preconditioner attached, the exchange is configured by
@@ -502,7 +462,7 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 			if len(s.stepHooks) > 0 {
 				stop, err := runHooks(s, s.stepHooks,
 					StepInfo{Epoch: epoch, Iteration: res.Iterations, LR: lr,
-						Loss: stepLoss, StepDuration: time.Since(stepStart)})
+						Loss: loss, StepDuration: time.Since(stepStart)})
 				if err != nil {
 					return res, err
 				}
@@ -513,9 +473,9 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 		}
 
 		st := EpochStats{Epoch: epoch, LR: lr}
-		if groups := len(batches) / accum; groups > 0 {
-			st.TrainLoss = lossSum / float64(groups)
-			st.TrainAcc = accSum / float64(groups)
+		if n := len(batches); n > 0 {
+			st.TrainLoss = lossSum / float64(n)
+			st.TrainAcc = accSum / float64(n)
 		}
 		// Average the per-rank training metrics so logs agree across ranks.
 		if c != nil && world > 1 {
@@ -525,12 +485,11 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 			}
 			st.TrainLoss, st.TrainAcc = buf[0], buf[1]
 		}
-		va, top5, err := evaluateTopK(s.net, c, s.test, cfg.BatchPerRank, cfg.Seed, cfg.TrackTop5)
+		va, err := Evaluate(s.net, c, s.test, cfg.BatchPerRank, cfg.Seed)
 		if err != nil {
 			return res, err
 		}
 		st.ValAcc = va
-		st.ValTop5 = top5
 		st.Wall = time.Since(epochStart)
 		res.TotalWall += st.Wall
 		res.History = append(res.History, st)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/optim"
 )
@@ -153,40 +154,45 @@ func TestStepInfoCarriesLossAndDuration(t *testing.T) {
 		}
 		lossSum += info.Loss
 	}
-	// Single-process, accum=1: the epoch's TrainLoss is exactly the mean of
-	// the per-step losses.
+	// Single-process: the epoch's TrainLoss is exactly the mean of the
+	// per-step losses.
 	want := res.History[0].TrainLoss
 	if got := lossSum / float64(len(infos)); got != want {
 		t.Errorf("mean per-step loss %v != epoch TrainLoss %v", got, want)
 	}
 }
 
-// With gradient accumulation the reported step loss is the group average,
-// keeping the epoch-mean identity intact.
-func TestStepInfoLossAveragesAccumGroup(t *testing.T) {
+// StepInfo.Loss is the cross-entropy of the step's own mini-batch. At a zero
+// learning rate the weights never move, so a fresh replica reproduces each
+// step's training-mode forward pass over the same shard order.
+func TestStepInfoLossIsBatchCrossEntropy(t *testing.T) {
 	train, test := tinyDataset(t)
+	const batch, seed = 8, 5
 	net := buildTestNet(rand.New(rand.NewSource(8)))
-	var lossSum float64
-	var steps int
-	s, err := NewSession(net, nil, train, test, append(sessionOpts(),
-		WithEpochs(1), WithBatchPerRank(8), WithAccumSteps(2),
+	ref := buildTestNet(rand.New(rand.NewSource(8)))
+	var losses []float64
+	s, err := NewSession(net, nil, train, test,
+		WithEpochs(1), WithBatchPerRank(batch), WithSeed(seed), WithLRSchedule(optim.LRSchedule{}),
 		OnStep(func(s *Session, info StepInfo) error {
-			lossSum += info.Loss
-			steps++
+			losses = append(losses, info.Loss)
 			return nil
-		}))...)
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(context.Background())
-	if err != nil {
+	if _, err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if steps != res.Iterations {
-		t.Fatalf("observed %d steps, want %d", steps, res.Iterations)
+	sampler := data.ShardSampler{N: train.Len(), World: 1, Seed: seed}
+	batches := data.Batches(train, sampler.EpochIndices(0), batch)
+	if len(losses) != len(batches) {
+		t.Fatalf("observed %d steps, want one per mini-batch (%d)", len(losses), len(batches))
 	}
-	if got, want := lossSum/float64(steps), res.History[0].TrainLoss; got != want {
-		t.Errorf("mean per-step loss %v != epoch TrainLoss %v", got, want)
+	for i, b := range batches {
+		want, _ := nn.CrossEntropy{}.Loss(ref.Forward(b.X, true), b.Labels)
+		if losses[i] != want {
+			t.Errorf("step %d: loss %v, want the batch's cross-entropy %v", i, losses[i], want)
+		}
 	}
 }
 
@@ -337,31 +343,6 @@ func TestCheckpointHookErrStop(t *testing.T) {
 	}
 	if !res.Stopped || len(res.History) != 2 {
 		t.Errorf("stopped=%v history=%d, want graceful stop after epoch 1", res.Stopped, len(res.History))
-	}
-}
-
-// WithOptimizer swaps the update rule; the session drives any Optimizer.
-func TestSessionWithCustomOptimizer(t *testing.T) {
-	train, test := tinyDataset(t)
-	net := buildTestNet(rand.New(rand.NewSource(7)))
-	var built optim.Optimizer
-	s, err := NewSession(net, nil, train, test, append(sessionOpts(), WithEpochs(1),
-		WithOptimizer(func(params []*nn.Param, initialLR float64) optim.Optimizer {
-			built = optim.Adam(params, optim.WithLR(initialLR))
-			return built
-		}))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if built == nil {
-		t.Fatal("optimizer factory never called")
-	}
-	if res.FinalValAcc <= 0.25 {
-		t.Errorf("Adam session did not train: val acc %v", res.FinalValAcc)
 	}
 }
 

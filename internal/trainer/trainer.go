@@ -17,7 +17,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/kfac"
-	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/optim"
 )
@@ -47,13 +46,6 @@ type config struct {
 	FreqSchedule *kfac.ParamSchedule
 	// Seed drives data sharding; must agree across ranks.
 	Seed int64
-	// TrackTop5 additionally records top-5 validation accuracy.
-	TrackTop5 bool
-	// AccumSteps accumulates gradients over this many micro-batches before
-	// the (single) gradient exchange and optimizer step, emulating a
-	// larger effective batch without more memory (0/1 = off). The
-	// effective batch becomes BatchPerRank × AccumSteps × world.
-	AccumSteps int
 }
 
 // EpochStats records one epoch of training.
@@ -63,7 +55,6 @@ type EpochStats struct {
 	TrainLoss float64
 	TrainAcc  float64
 	ValAcc    float64
-	ValTop5   float64 // populated under WithTop5
 	Wall      time.Duration
 }
 
@@ -98,38 +89,28 @@ func (r *Result) EpochsToReach(acc float64) int {
 // Evaluate computes validation accuracy over test, sharded across ranks and
 // averaged by example count.
 func Evaluate(net *nn.Sequential, c *comm.Communicator, test *data.Dataset, batch int, seed int64) (float64, error) {
-	acc, _, err := evaluateTopK(net, c, test, batch, seed, false)
-	return acc, err
-}
-
-// evaluateTopK computes top-1 (and optionally top-5) validation accuracy.
-func evaluateTopK(net *nn.Sequential, c *comm.Communicator, test *data.Dataset,
-	batch int, seed int64, top5 bool) (float64, float64, error) {
 	rank, world := 0, 1
 	if c != nil {
 		rank, world = c.Rank(), c.Size()
 	}
 	sampler := data.ShardSampler{N: test.Len(), Rank: rank, World: world, Seed: seed}
 	idx := sampler.EpochIndices(0)
-	var correct, correct5, total float64
+	var correct, total float64
 	for _, b := range data.Batches(test, idx, batch) {
 		out := net.Forward(b.X, false)
 		n := float64(len(b.Labels))
 		correct += nn.Accuracy(out, b.Labels) * n
-		if top5 {
-			correct5 += metrics.TopKAccuracy(out, b.Labels, 5) * n
-		}
 		total += n
 	}
 	if c != nil && world > 1 {
-		buf := []float64{correct, correct5, total}
+		buf := []float64{correct, total}
 		if err := c.AllreduceSum(buf); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		correct, correct5, total = buf[0], buf[1], buf[2]
+		correct, total = buf[0], buf[1]
 	}
 	if total == 0 {
-		return 0, 0, nil
+		return 0, nil
 	}
-	return correct / total, correct5 / total, nil
+	return correct / total, nil
 }
