@@ -13,13 +13,16 @@
 //  1. Blocked tridiagonalization. Columns are reduced in panels of width b.
 //     Within a panel, column j's Householder reflector v_j and the product
 //     w_j = τ(A v_j − V Wᵀv_j − W Vᵀv_j) − ½τ²(v_jᵀ·)v_j are accumulated
-//     into a combined U = [V|W] panel; only the panel's own columns are
-//     updated eagerly. The trailing matrix then receives one symmetric
-//     rank-2b update A ← A − VWᵀ − WVᵀ, expressed as a single pooled
-//     tensor.MatMulT2Into GEMM S = U·[W|V]ᵀ followed by a chunked
-//     subtraction — the Level-3 step that carries ~2/3 of the reduction's
-//     flops. The reflectors stay in the reduced matrix's lower triangle,
-//     LAPACK-style.
+//     as rows of a transposed panel [Vᵀ;Wᵀ], so each of the panel's
+//     corrections — the eager update of column j, the products Wᵀv_j and
+//     Vᵀv_j, and their share of x = A v_j — is a few axpys or dots over a
+//     whole column, not one short call per row. Only the panel's own
+//     columns are updated eagerly. The trailing matrix then receives one
+//     symmetric rank-2b update A ← A − VWᵀ − WVᵀ, expressed as a single
+//     pooled tensor.MatMulT1Into GEMM S = [Vᵀ;Wᵀ]ᵀ·[Wᵀ;Vᵀ] followed by a
+//     chunked subtraction — the Level-3 step that carries ~2/3 of the
+//     reduction's flops. The reflectors stay in the reduced matrix's lower
+//     triangle, LAPACK-style.
 //  2. Divide and conquer (eigen_dc.go): the tridiagonal's eigenvectors Z,
 //     ascending, written into the caller's eigenbasis, from tql2 leaves
 //     merged up a split tree fixed by n, each merge two structured GEMMs.
@@ -46,9 +49,8 @@ import (
 
 const (
 	// eigBlock is the panel width b of the blocked tridiagonalization. 32
-	// keeps one U=[V|W] panel row (2b float64s) inside a cache line multiple
-	// and the rank-2b GEMM dots long enough for the pooled kernels to run at
-	// full throughput.
+	// keeps the rank-2b GEMM's inner dimension long enough for the pooled
+	// kernels to run at full throughput.
 	eigBlock = 32
 
 	// accBlock is the panel width of the reflector application: its
@@ -66,8 +68,9 @@ const (
 
 // eigArena pools the blocked solver's workspaces — the reduced matrix (its
 // lower triangle then holds the reflectors), the rank-2b update buffer (a
-// divide-and-conquer level, then the product P), the U=[V|W] and C panels
-// (secular-vector panels, then the packed V and VᵀZ), the leaves' buffer
+// divide-and-conquer level, then the product P), the U and C panels (the
+// transposed [Vᵀ;Wᵀ] panel and the GEMM's packed operands; secular-vector
+// panels; then the packed V and VᵀZ), the leaves' buffer
 // (then V·T, T and G) and the vectors — and the serial fallback's copy, so
 // steady-state redecomposition performs no heap allocation. Checkouts are
 // balanced per call (Get/Put), never Reset, so concurrent decompositions
@@ -336,57 +339,64 @@ func eigDot4(a, b []float64) float64 {
 // subdiagonal holds the normalized Householder vectors (v[0]=1 implicit on
 // the subdiagonal row), and tau[j] the reflector scale of column j — the
 // LAPACK dsytrd storage convention the reflector application consumes.
+//
+// A panel of w columns is held transposed in C while it is reduced: row l
+// of Vᵀ at C[l·mt:] and of Wᵀ at C[(w+l)·mt:], mt the panel's rows
+// (A rows j0+1..n−1), so every per-column correction is an eigAxpy or
+// eigDot over a whole column. Row l is written, and read, only from
+// element l on.
 func (ws *eigWS) blockedTridiag(A []float64, S, U, C *tensor.Tensor, n int, d, e, tau []float64, work []float64) {
-	const b = eigBlock
-	hv := work[0:n]
-	x := work[n : 2*n]
-	tmp1 := work[2*n : 3*n] // Wᵀv over the panel's prior columns
-	tmp2 := work[3*n : 4*n] // Vᵀv over the panel's prior columns
+	x := work[0:n]
+	tmp1 := work[n : 2*n]   // Wᵀv over the panel's prior columns
+	tmp2 := work[2*n : 3*n] // Vᵀv over the panel's prior columns
 
 	for j0 := 0; j0 < n-2; {
-		w := b
-		if j0+w > n-2 {
-			w = n - 2 - j0
-		}
+		w := min(eigBlock, n-2-j0)
 		mt := n - 1 - j0 // panel rows: j0+1 .. n-1
-		uz := U.Data[:mt*2*b]
-		for i := range uz {
-			uz[i] = 0
-		}
+		vt := func(l int) []float64 { return C.Data[l*mt : (l+1)*mt] }
+		wt := func(l int) []float64 { return C.Data[(w+l)*mt : (w+l+1)*mt] }
 
 		for jj := 0; jj < w; jj++ {
 			j := j0 + jj
 			m := n - 1 - j // reflector length: rows j+1 .. n-1
 
-			// Apply the panel's previous reflector pairs to the stored
-			// column j (rows j..n-1): A[p,j] −= V[p,:]·W[j,:]ᵀ + W[p,:]·V[j,:]ᵀ.
-			// Row j is U panel row jj-1.
-			if jj > 0 {
-				vj := U.Data[(jj-1)*2*b : (jj-1)*2*b+jj]
-				wj := U.Data[(jj-1)*2*b+b : (jj-1)*2*b+b+jj]
-				for r := jj - 1; r < mt; r++ {
-					urow := U.Data[r*2*b:]
-					A[(j0+1+r)*n+j] -= eigDot(urow[:jj], wj) + eigDot(urow[b:b+jj], vj)
-				}
+			// Gather column j (rows j..n-1; row j is panel row jj-1) and
+			// apply the panel's previous reflector pairs to it:
+			// col −= V·W[jj-1,:]ᵀ + W·V[jj-1,:]ᵀ.
+			col := x[:m+1]
+			for i := range col {
+				col[i] = A[(j+i)*n+j]
+			}
+			for l := 0; l < jj; l++ {
+				vl, wl := vt(l)[jj-1:], wt(l)[jj-1:]
+				eigAxpy(col, vl, -wl[0])
+				eigAxpy(col, wl, -vl[0])
 			}
 
-			// Householder reflector for A[j+1:n, j], with the same
-			// sum-of-absolute-values scaling discipline as tred2.
+			// Householder reflector for col[1:], with the same
+			// sum-of-absolute-values scaling discipline as tred2. v is
+			// built in place as Vᵀ row jj.
+			hv := vt(jj)[jj:]
 			scale := 0.0
-			for i := 0; i < m; i++ {
-				scale += math.Abs(A[(j+1+i)*n+j])
+			for _, c := range col[1:] {
+				scale += math.Abs(c)
 			}
 			if scale == 0 {
-				// Zero column: H = I. Store v = e1 so the reflector
-				// application reads a well-defined (and, with τ=0, inert)
-				// reflector.
+				// Zero column: H = I. Store v = e1 and w = 0, so the
+				// reflector application and the panel's later columns
+				// read a well-defined (and, with τ=0, inert) reflector.
+				for i, c := range col {
+					A[(j+i)*n+j] = c
+				}
 				tau[j] = 0
-				U.Data[jj*2*b+jj] = 1
+				hv[0] = 1
+				clear(hv[1:])
+				clear(wt(jj)[jj:])
 				continue
 			}
 			h := 0.0
-			for i := 0; i < m; i++ {
-				val := A[(j+1+i)*n+j] / scale
+			for i, c := range col[1:] {
+				val := c / scale
 				hv[i] = val
 				h += val * val
 			}
@@ -403,73 +413,57 @@ func (ws *eigWS) blockedTridiag(A []float64, S, U, C *tensor.Tensor, n int, d, e
 			for i := 1; i < m; i++ {
 				hv[i] *= inv
 			}
+			A[j*n+j] = col[0]
 			A[(j+1)*n+j] = scale * g // the subdiagonal entry e[j+1]
 			for i := 1; i < m; i++ {
 				A[(j+1+i)*n+j] = hv[i]
 			}
-			U.Data[jj*2*b+jj] = 1
-			for i := 1; i < m; i++ {
-				U.Data[(jj+i)*2*b+jj] = hv[i]
-			}
 
-			// tmp1 = Wᵀv, tmp2 = Vᵀv (serial: O(m·jj) in axpys of length
-			// jj < 32; 10–14 % of tridiagonalisation at n = 432).
+			// tmp1 = Wᵀv, tmp2 = Vᵀv over the panel's prior columns.
 			for l := 0; l < jj; l++ {
-				tmp1[l] = 0
-				tmp2[l] = 0
-			}
-			if jj > 0 {
-				for i := 0; i < m; i++ {
-					vi := hv[i]
-					if vi == 0 {
-						continue
-					}
-					urow := U.Data[(jj+i)*2*b:]
-					eigAxpy(tmp2[:jj], urow[:jj], vi)
-					eigAxpy(tmp1[:jj], urow[b:b+jj], vi)
-				}
+				tmp1[l] = eigDot(wt(l)[jj:], hv)
+				tmp2[l] = eigDot(vt(l)[jj:], hv)
 			}
 
-			// x = (A − VWᵀ − WVᵀ)·v: one row dot per trailing row, with the
-			// prior-column corrections. Run inline: it is memory-bound
-			// and one dispatch per column costs more than a team gains.
-			for i := 0; i < m; i++ {
+			// x = (A − VWᵀ − WVᵀ)·v: one row dot per trailing row, then
+			// the prior-column corrections as whole-column axpys. Run
+			// inline: it is memory-bound and one dispatch per column
+			// costs more than a team gains.
+			x := x[:m]
+			for i := range x {
 				p := j + 1 + i
-				acc := eigDot(A[p*n+j+1:p*n+n], hv[:m])
-				if jj > 0 {
-					urow := U.Data[(jj+i)*2*b:]
-					acc -= eigDot(urow[:jj], tmp1) + eigDot(urow[b:b+jj], tmp2)
-				}
-				x[i] = acc
+				x[i] = eigDot(A[p*n+j+1:p*n+n], hv)
+			}
+			for l := 0; l < jj; l++ {
+				eigAxpy(x, vt(l)[jj:], -tmp1[l])
+				eigAxpy(x, wt(l)[jj:], -tmp2[l])
 			}
 
-			// w = τx − ½τ²(xᵀv)·v, stored as W column jj.
+			// w = τx − ½τ²(xᵀv)·v, stored as Wᵀ row jj.
 			t := tau[j]
-			xv := eigDot(x[:m], hv[:m])
-			beta := 0.5 * t * t * xv
-			for i := 0; i < m; i++ {
-				U.Data[(jj+i)*2*b+b+jj] = t*x[i] - beta*hv[i]
+			beta := 0.5 * t * t * eigDot(x, hv)
+			wj := wt(jj)[jj:]
+			for i, xi := range x {
+				wj[i] = t*xi - beta*hv[i]
 			}
 		}
 
 		// Trailing symmetric rank-2w update on rows/cols ≥ j0+w:
-		// A ← A − VWᵀ − WVᵀ, expressed as ONE pooled GEMM S = U·Cᵀ with
-		// C = [W|V] (the column-swapped panel, so the single product sums
-		// both terms), then a chunked per-row subtraction.
-		rcount := mt - w + 1 // U rows w-1 .. mt-1 ↔ A rows j0+w .. n-1
-		base := (w - 1) * 2 * b
-		usl := U.Data[base : mt*2*b]
-		csl := C.Data[base : mt*2*b]
-		for r := 0; r < rcount; r++ {
-			ur := usl[r*2*b:]
-			cr := csl[r*2*b:]
-			for l := 0; l < b; l++ {
-				cr[l] = ur[b+l]
-				cr[b+l] = ur[l]
-			}
+		// A ← A − VWᵀ − WVᵀ, expressed as ONE pooled GEMM S = Xᵀ·Y with
+		// X = [Vᵀ;Wᵀ] and Y = [Wᵀ;Vᵀ] (the row-swapped panel, so the
+		// single product sums both terms), then a chunked per-row
+		// subtraction. One pass packs both from panel columns w-1..mt-1
+		// (↔ A rows j0+w..n-1): Y into U, and X over the panel itself,
+		// each row moving down to stride rcount — never past a row not
+		// yet read.
+		rcount := mt - w + 1
+		for k := 0; k < 2*w; k++ {
+			src := C.Data[k*mt+w-1 : (k+1)*mt]
+			copy(U.Data[(k+w)%(2*w)*rcount:], src)
+			copy(C.Data[k*rcount:], src)
 		}
-		tensor.MatMulT2Into(ws.view(0, S.Data, rcount, rcount),
-			ws.view(1, usl, rcount, 2*b), ws.view(2, csl, rcount, 2*b))
+		tensor.MatMulT1Into(ws.view(0, S.Data, rcount, rcount),
+			ws.view(1, C.Data, 2*w, rcount), ws.view(2, U.Data, 2*w, rcount))
 
 		ws.tr.A, ws.tr.S = A, S.Data
 		ws.tr.n, ws.tr.off, ws.tr.m = n, j0+w, rcount

@@ -189,6 +189,74 @@ func TestApplyReflectorsMatchesReflectorProduct(t *testing.T) {
 	}
 }
 
+// TestBlockedTridiagIsSimilarity holds the reduction to its definition:
+// with Q = H₀H₁⋯H_{n−3} (formed by applyReflectors on I), QᵀAQ is the
+// tridiagonal (d, e) blockedTridiag returns, within 1e-12·‖A‖∞ per
+// element. The sizes sit on panel boundaries: their last panels are 30, 31
+// or 32 columns wide (at n = 130, n − 2 is a multiple of the panel width),
+// and 3 at n = 293. A split case makes A block diagonal with its first
+// block ending at column split, so the column there is exactly zero below
+// the subdiagonal after the panel's corrections: the scale == 0 branch
+// fires mid-panel, and the panel's later columns read its inert Vᵀ and Wᵀ
+// rows. The workspaces start as NaN, so an element read before it is
+// written poisons the result; in the first panel that includes the inert
+// rows' tails.
+func TestBlockedTridiagIsSimilarity(t *testing.T) {
+	cases := []struct{ n, split int }{
+		{128, -1}, {129, -1}, {130, -1}, {160, -1}, {161, -1}, {193, -1}, {293, -1},
+		{161, 9}, {161, 2*eigBlock + 9}, // column 9 of the first and of the third panel
+	}
+	for _, c := range cases {
+		n := c.n
+		a := randSPD(rand.New(rand.NewSource(int64(n)+5)), n, 0.1)
+		if c.split >= 0 {
+			for p := 0; p < n; p++ {
+				for q := 0; q < n; q++ {
+					if (p <= c.split) != (q <= c.split) {
+						a.Data[p*n+q] = 0
+					}
+				}
+			}
+		}
+		A := make([]float64, n*n)
+		symmetrize(A, a.Data, n)
+		ws := &eigWS{team: 2}
+		tau, d, e, work := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, dcFloats*n)
+		U, C, S := tensor.New(n, 2*eigBlock), tensor.New(n, 2*eigBlock), tensor.New(n, n)
+		for _, buf := range [][]float64{U.Data, C.Data, S.Data, work} {
+			for i := range buf {
+				buf[i] = math.NaN() // arena storage is stale: a read before a write shows
+			}
+		}
+		ws.blockedTridiag(A, S, U, C, n, d, e, tau, work)
+		if c.split >= 0 && tau[c.split] != 0 {
+			t.Fatalf("n=%d: τ[%d] = %v, want 0 (the zero-column branch)", n, c.split, tau[c.split])
+		}
+		q := tensor.Eye(n)
+		ws.applyReflectors(q.Data, A, n, tau, U.Data, C.Data,
+			make([]float64, accBlock*n+2*accBlock*accBlock), S.Data)
+		got := tensor.MatMul(tensor.MatMulT1(q, a), q)
+		tol := 1e-12 * maxAbsRowSum(a)
+		for i := 0; i < n; i++ {
+			for k := 0; k < n; k++ {
+				want := 0.0
+				switch k - i {
+				case 0:
+					want = d[i]
+				case -1:
+					want = e[i]
+				case 1:
+					want = e[k]
+				}
+				if diff := math.Abs(got.Data[i*n+k] - want); !(diff <= tol) {
+					t.Fatalf("n=%d split=%d: (QᵀAQ)[%d,%d] = %v, tridiagonal has %v (|diff| %g > %g)",
+						n, c.split, i, k, got.Data[i*n+k], want, diff, tol)
+				}
+			}
+		}
+	}
+}
+
 // TestSymEigBlockedSmallFallback checks that below eigBlockedMinDim the
 // blocked entry point is bitwise the serial solver for every team size —
 // small factors must not depend on team assignment at all.

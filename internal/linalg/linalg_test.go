@@ -290,6 +290,16 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
+// Trace returns the trace of square matrix a.
+func Trace(a *tensor.Tensor) float64 {
+	n := a.Rows()
+	var s float64
+	for i := 0; i < n; i++ {
+		s += a.Data[i*n+i]
+	}
+	return s
+}
+
 func TestTrace(t *testing.T) {
 	a := tensor.FromSlice([]float64{1, 9, 9, 2}, 2, 2)
 	if Trace(a) != 3 {

@@ -28,16 +28,6 @@ func SymmetrizeInPlace(a *tensor.Tensor) {
 	}
 }
 
-// Trace returns the trace of square matrix a.
-func Trace(a *tensor.Tensor) float64 {
-	n := a.Rows()
-	var s float64
-	for i := 0; i < n; i++ {
-		s += a.Data[i*n+i]
-	}
-	return s
-}
-
 // IsSymmetric reports whether a is symmetric to within tol.
 func IsSymmetric(a *tensor.Tensor, tol float64) bool {
 	n := a.Rows()
