@@ -245,11 +245,21 @@ func TestAsyncAllreduceOverlap(t *testing.T) {
 	})
 }
 
+// allreduceMeanTensors averages ts across ranks through one Fuser with the
+// given budget.
+func allreduceMeanTensors(c *Communicator, limitBytes int, ts ...*tensor.Tensor) error {
+	fu := NewFuser(c, limitBytes)
+	for _, t := range ts {
+		fu.Add(t)
+	}
+	return fu.Flush()
+}
+
 func TestFuserAveragesTensors(t *testing.T) {
 	runWorld(t, 3, func(c *Communicator) error {
 		a := tensor.Full(float64(c.Rank()), 4)
 		b := tensor.Full(float64(c.Rank()*10), 3, 3)
-		if err := AllreduceMeanTensors(c, 0, a, b); err != nil {
+		if err := allreduceMeanTensors(c, 0, a, b); err != nil {
 			return err
 		}
 		for _, v := range a.Data {
@@ -274,7 +284,7 @@ func TestFuserSmallLimitSplitsBatches(t *testing.T) {
 		for i := range ts {
 			ts[i] = tensor.Full(float64(c.Rank()+i), 8)
 		}
-		if err := AllreduceMeanTensors(c, 1, ts...); err != nil {
+		if err := allreduceMeanTensors(c, 1, ts...); err != nil {
 			return err
 		}
 		for i, tt := range ts {

@@ -347,14 +347,3 @@ func (f *Fuser) Flush() error {
 	f.taken = 0
 	return firstErr
 }
-
-// AllreduceMeanTensors averages a set of tensors across ranks through a
-// fusion buffer — the convenience entry point the trainer uses for gradient
-// exchange.
-func AllreduceMeanTensors(c *Communicator, limitBytes int, ts ...*tensor.Tensor) error {
-	fu := NewFuser(c, limitBytes)
-	for _, t := range ts {
-		fu.Add(t)
-	}
-	return fu.Flush()
-}

@@ -88,7 +88,7 @@ func TestFuserSymmetricRoundTrip(t *testing.T) {
 						}
 						slotLen[c.Rank()] = len(ef.Residual(0))
 						// Dense path: the same matrices as n² values, exact ring.
-						if err := AllreduceMeanTensors(c, 1<<24, ref...); err != nil {
+						if err := allreduceMeanTensors(c, 1<<24, ref...); err != nil {
 							return err
 						}
 						got[c.Rank()], want[c.Rank()] = ts, ref

@@ -51,12 +51,6 @@ type Fabric interface {
 	Endpoint(rank int) Transport
 }
 
-// message is an in-flight tagged payload.
-type message struct {
-	tag  uint64
-	data []float64
-}
-
 // mailbox buffers out-of-order tagged messages from a single peer.
 type mailbox struct {
 	mu      sync.Mutex

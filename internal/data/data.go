@@ -62,16 +62,6 @@ func CIFARLike(seed int64) SyntheticConfig {
 	}
 }
 
-// ImageNetLike returns the scaled-down ImageNet-1k stand-in: more classes
-// than the CIFAR stand-in, used where the paper trains ResNet-50 on
-// ImageNet.
-func ImageNetLike(seed int64) SyntheticConfig {
-	return SyntheticConfig{
-		Train: 2048, Test: 512, Classes: 50,
-		Channels: 3, Size: 24, Noise: 1.0, Shift: 6, Seed: seed,
-	}
-}
-
 // GenerateSynthetic builds train and test splits from per-class smooth
 // prototypes. Both splits draw from the identical distribution, so test
 // accuracy measures generalization over noise and shifts rather than

@@ -30,8 +30,9 @@ import (
 // to end.
 var covKernel = linalg.SymMulT1Into[float64]
 
-// ComputeCovA forms the activation covariance factor A for a captured
-// layer, following the conventions of the paper's reference implementation:
+// activationCov writes the activation covariance factor A of a captured
+// layer into dst (da×da, float64) from the capture act at element type E,
+// following the conventions of the paper's reference implementation:
 //
 //	Linear: a [N, in] (+bias column of ones)   → A = aᵀa / N
 //	Conv2D: a [N·S, kh·kw·C] (+bias column of ones), each patch weighted 1/S
@@ -43,24 +44,13 @@ var covKernel = linalg.SymMulT1Into[float64]
 // and the capture is multiplied as it is, never copied to be scaled. The
 // bias column makes A's dimension in+1 so the bias gradient is
 // preconditioned jointly with the weights; a conv capture's columns, and so
-// A's rows, are in the patch order (ky, kx, c).
-func ComputeCovA(layer nn.KFACCapturable) *tensor.Tensor {
-	da, _ := FactorDims(layer)
-	cov := tensor.New(da, da)
-	var sample, prod *tensor.Tensor
-	activationCov(cov, covKernel, layer, layer.CapturedActivation(), &sample, &prod)
-	return cov
-}
-
-// activationCov is ComputeCovA writing into dst (da×da, float64) from the
-// capture act at element type E: with a bias the capture is copied into
-// *sample beside a column of ones, without one it is the Gram operand
-// itself; gramInto forms the product. This is the allocation-free form the
-// per-layer kernels use.
+// A's rows, are in the patch order (ky, kx, c). With a bias the capture is
+// copied into *sample beside a column of ones, without one it is the Gram
+// operand itself; gramInto forms the product.
 func activationCov[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.Dense[E]),
 	layer nn.KFACCapturable, act *tensor.Dense[E], sample, prod **tensor.Dense[E]) {
 	if act == nil {
-		panic("kfac: ComputeCovA called without captured activation (is capture enabled?)")
+		panic("kfac: A factor of a layer without a captured activation (is capture enabled?)")
 	}
 	a := act
 	if layer.HasBias() {
@@ -87,27 +77,19 @@ func gramInto[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.Dense[
 	dst.Scale(scale)
 }
 
-// ComputeCovG forms the output-gradient covariance factor G, assuming the
-// captured gradients come from a batch-averaged loss (the standard mean
-// cross-entropy), again following the reference implementation:
+// gradientCov writes the output-gradient covariance factor G into dst
+// (dg×dg, float64) from the capture g at element type E, as activationCov
+// does, assuming the captured gradients come from a batch-averaged loss (the
+// standard mean cross-entropy), again following the reference
+// implementation:
 //
 //	Linear: g [N, out]      → G = N · gᵀg
 //	Conv2D: g [N·S, out]    → G = (gᵀg) · N · S   (after scaling rows by N·S,
 //	                          normalized by the N·S sample count)
-func ComputeCovG(layer nn.KFACCapturable) *tensor.Tensor {
-	_, dg := FactorDims(layer)
-	cov := tensor.New(dg, dg)
-	var prod *tensor.Tensor
-	gradientCov(cov, covKernel, layer, layer.CapturedOutputGrad(), &prod)
-	return cov
-}
-
-// gradientCov is ComputeCovG writing into dst (dg×dg, float64) from the
-// capture g at element type E, as activationCov does.
 func gradientCov[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.Dense[E]),
 	layer nn.KFACCapturable, g *tensor.Dense[E], prod **tensor.Dense[E]) {
 	if g == nil {
-		panic("kfac: ComputeCovG called without captured output gradient")
+		panic("kfac: G factor of a layer without a captured output gradient")
 	}
 	// Undo batch averaging and spatial scaling: scale each sample row by
 	// N·S, then normalize the covariance by the sample count (N·S rows for

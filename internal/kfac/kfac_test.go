@@ -129,13 +129,31 @@ func withKernels(p *Preconditioner, s *layerState) *layerState {
 	return s
 }
 
+// covA and covG form a captured layer's float64 factors the way the
+// covariance stage does.
+func covA(layer nn.KFACCapturable) *tensor.Tensor {
+	da, _ := FactorDims(layer)
+	cov := tensor.New(da, da)
+	var sample, prod *tensor.Tensor
+	activationCov(cov, covKernel, layer, layer.CapturedActivation(), &sample, &prod)
+	return cov
+}
+
+func covG(layer nn.KFACCapturable) *tensor.Tensor {
+	_, dg := FactorDims(layer)
+	cov := tensor.New(dg, dg)
+	var prod *tensor.Tensor
+	gradientCov(cov, covKernel, layer, layer.CapturedOutputGrad(), &prod)
+	return cov
+}
+
 func TestComputeCovALinearMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := nn.NewLinear("fc", 3, 2, true, rng)
 	l.SetCapture(true)
 	x := tensor.Randn(rng, 1, 5, 3)
 	l.Forward(x, true)
-	cov := ComputeCovA(l)
+	cov := covA(l)
 	// Definition: A = (1/N) Σ āᵢāᵢᵀ with ā the bias-augmented activation.
 	want := tensor.New(4, 4)
 	for i := 0; i < 5; i++ {
@@ -164,7 +182,7 @@ func TestComputeCovGLinearMatchesDefinition(t *testing.T) {
 	out := l.Forward(x, true)
 	g := tensor.Randn(rng, 1, out.Shape...)
 	l.Backward(g)
-	cov := ComputeCovG(l)
+	cov := covG(l)
 	// G = N·gᵀg for batch-averaged gradients.
 	want := tensor.MatMulT1(g, g)
 	want.Scale(4)
@@ -179,7 +197,7 @@ func TestComputeCovAConvShape(t *testing.T) {
 	c.SetCapture(true)
 	x := tensor.Randn(rng, 1, 2, 4, 4, 2)
 	c.Forward(x, true)
-	cov := ComputeCovA(c)
+	cov := covA(c)
 	// A dim = inC·k·k + 1 = 19.
 	if cov.Rows() != 19 || cov.Cols() != 19 {
 		t.Fatalf("conv CovA shape = %v, want 19x19", cov.Shape)
@@ -830,19 +848,6 @@ func TestStrategyString(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if EigenMode.String() == InverseMode.String() {
 		t.Error("modes should print differently")
-	}
-}
-
-func TestParamsPerWorker(t *testing.T) {
-	refs := []FactorRef{
-		{0, false, 4}, {0, true, 8},
-		{1, false, 4}, {1, true, 8},
-	}
-	assign := []int{0, 1, 0, 1}
-	params := map[int]int{0: 100, 1: 200}
-	got := ParamsPerWorker(refs, assign, 2, params)
-	if got[0] != 0 || got[1] != 300 {
-		t.Errorf("ParamsPerWorker = %v", got)
 	}
 }
 

@@ -319,8 +319,7 @@ func (p *Preconditioner) SetDamping(g float64) { p.opts.Damping = g }
 // InvUpdateFreq returns the current kfac-update-freq.
 func (p *Preconditioner) InvUpdateFreq() int { return p.opts.InvUpdateFreq }
 
-// SetInvUpdateFreq updates kfac-update-freq; used by the update-frequency
-// decay schedule (§V-C).
+// SetInvUpdateFreq updates kfac-update-freq between steps.
 func (p *Preconditioner) SetInvUpdateFreq(k int) {
 	if k < 1 {
 		k = 1
@@ -530,7 +529,7 @@ func (p *Preconditioner) applyKLClip(lr float64, grads []*tensor.Tensor) error {
 }
 
 // ParamSchedule is the paper's "decay by a fixed scalar at fixed epochs"
-// schedule used for both damping (§V-C) and kfac-update-freq decay.
+// schedule (§V-C); the trainer decays the damping with it.
 type ParamSchedule struct {
 	Initial     float64
 	DecayEpochs []int

@@ -48,10 +48,10 @@ type Eigen struct {
 // not modified. Asymmetry up to round-off is tolerated: the routine operates
 // on (A+Aᵀ)/2.
 //
-// SymEig is reentrant: it touches no package state and works on private
-// copies, so concurrent calls on distinct (or even shared, unmutated)
-// inputs are safe. The pipelined K-FAC engine relies on this to
-// eigendecompose a rank's owned layers in parallel; see
+// SymEig is the serial reference solver: the tests hold the blocked solver
+// (SymEigBlockedInto, the one K-FAC runs) to it. It is reentrant: it touches
+// no package state and works on private copies, so concurrent calls on
+// distinct (or even shared, unmutated) inputs are safe; see
 // TestConcurrentSymEigMatchesSerial.
 func SymEig(a *tensor.Tensor) (*Eigen, error) {
 	eg := &Eigen{}
@@ -62,12 +62,11 @@ func SymEig(a *tensor.Tensor) (*Eigen, error) {
 }
 
 // SymEigInto is SymEig writing the decomposition into eg, reusing eg's Q,
-// Values, and internal scratch when their capacity suffices — the
-// steady-state redecomposition path of the K-FAC preconditioner, which
-// holds one Eigen per factor and refreshes it in place with zero heap
-// allocation. The input is validated (NaN/Inf rejected) before eg is
-// touched; on a convergence error eg's contents are unspecified (the
-// product path, SymEigBlockedInto, leaves eg untouched on every error).
+// Values, and internal scratch when their capacity suffices, so a repeated
+// decomposition allocates nothing. The input is validated (NaN/Inf
+// rejected) before eg is touched; on a convergence error eg's contents are
+// unspecified (the product path, SymEigBlockedInto, leaves eg untouched on
+// every error).
 func SymEigInto(a *tensor.Tensor, eg *Eigen) error {
 	n := a.Rows()
 	if a.Cols() != n {
@@ -333,20 +332,6 @@ func (eg *Eigen) Reconstruct() *tensor.Tensor {
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			qs.Data[i*n+j] = eg.Q.Data[i*n+j] * eg.Values[j]
-		}
-	}
-	return tensor.MatMulT2(qs, eg.Q)
-}
-
-// InverseWithDamping returns (A + γI)⁻¹ computed from the decomposition as
-// Q diag(1/(λᵢ+γ)) Qᵀ. This is the numerically stable inverse path used by
-// the paper's eigen-decomposition K-FAC variant.
-func (eg *Eigen) InverseWithDamping(gamma float64) *tensor.Tensor {
-	n := eg.Q.Rows()
-	qs := tensor.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			qs.Data[i*n+j] = eg.Q.Data[i*n+j] / (eg.Values[j] + gamma)
 		}
 	}
 	return tensor.MatMulT2(qs, eg.Q)

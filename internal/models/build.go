@@ -103,59 +103,6 @@ func MLPParams(dims []int) float64 {
 	return total
 }
 
-// BuildBottleneckResNet constructs a trainable bottleneck-block ResNet —
-// the block design of ResNet-50/101/152 — at configurable width and depth:
-// each block is 1×1 reduce → 3×3 → 1×1 expand (×4) with projection
-// shortcuts at stage entries. blocks lists the per-stage block counts
-// (e.g. {3,4,6,3} for the ResNet-50 topology); width is the first stage's
-// bottleneck width. Miniature configurations ({1,1} / width 4) train in
-// seconds in pure Go while preserving the factor-size heterogeneity that
-// drives K-FAC load imbalance.
-func BuildBottleneckResNet(blocks []int, width, channels, classes int, rng *rand.Rand) *nn.Sequential {
-	if len(blocks) == 0 || width < 1 {
-		panic("models: invalid bottleneck config")
-	}
-	net := nn.NewSequential("bottleneck-resnet",
-		nn.NewConv2D("conv1", channels, width, 3, 1, 1, false, rng),
-		nn.NewBatchNorm2d("bn1", width),
-		nn.NewReLU("relu1"),
-	)
-	inC := width
-	for stage, n := range blocks {
-		w := width << stage
-		outC := 4 * w
-		for block := 0; block < n; block++ {
-			stride := 1
-			if stage > 0 && block == 0 {
-				stride = 2
-			}
-			name := fmt.Sprintf("layer%d.%d", stage+1, block)
-			body := nn.NewSequential(name+".body",
-				nn.NewConv2D(name+".conv1", inC, w, 1, 1, 0, false, rng),
-				nn.NewBatchNorm2d(name+".bn1", w),
-				nn.NewReLU(name+".relu1"),
-				nn.NewConv2D(name+".conv2", w, w, 3, stride, 1, false, rng),
-				nn.NewBatchNorm2d(name+".bn2", w),
-				nn.NewReLU(name+".relu2"),
-				nn.NewConv2D(name+".conv3", w, outC, 1, 1, 0, false, rng),
-				nn.NewBatchNorm2d(name+".bn3", outC),
-			)
-			var shortcut nn.Layer
-			if stride != 1 || inC != outC {
-				shortcut = nn.NewSequential(name+".down",
-					nn.NewConv2D(name+".downconv", inC, outC, 1, stride, 0, false, rng),
-					nn.NewBatchNorm2d(name+".downbn", outC),
-				)
-			}
-			net.Add(nn.NewResidual(name, body, shortcut))
-			inC = outC
-		}
-	}
-	net.Add(nn.NewGlobalAvgPool("gap"))
-	net.Add(nn.NewLinear("fc", inC, classes, true, rng))
-	return net
-}
-
 // BuildSmallCNN constructs the compact conv net used by fast experiments:
 // two conv/BN/ReLU stages with pooling, then GAP and a classifier. It is
 // K-FAC-preconditionable end to end (convs and the linear head).

@@ -70,15 +70,6 @@ func (c *Catalog) FactorRefs() []kfac.FactorRef {
 	return refs
 }
 
-// LayerParams maps layer index to parameter count, for ParamsPerWorker.
-func (c *Catalog) LayerParams() map[int]int {
-	m := make(map[int]int, len(c.Layers))
-	for i, l := range c.Layers {
-		m[i] = l.Params
-	}
-	return m
-}
-
 // conv appends an ImageNet/CIFAR conv spec (bias-free, BN follows).
 func conv(name string, inC, outC, k, spatialOut int) LayerSpec {
 	return LayerSpec{

@@ -145,18 +145,6 @@ func TestCatalogByName(t *testing.T) {
 	}
 }
 
-func TestLayerParamsMap(t *testing.T) {
-	c := ResNet32Catalog()
-	m := c.LayerParams()
-	total := 0
-	for _, v := range m {
-		total += v
-	}
-	if total != c.TotalParams() {
-		t.Error("LayerParams does not sum to TotalParams")
-	}
-}
-
 func TestBuildCIFARResNetForwardBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := BuildCIFARResNet(1, 4, 3, 10, rng)

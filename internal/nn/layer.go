@@ -2,8 +2,7 @@
 // preconditioner operates on: parameterized layers with explicit forward and
 // backward passes (Linear, Conv2D via patch lowering, BatchNorm2d, ReLU,
 // pooling) over channels-last [N, H, W, C] activations,
-// residual blocks, sequential composition, and a cross-entropy loss with
-// label smoothing.
+// residual blocks, sequential composition, and a cross-entropy loss.
 //
 // The package plays the role PyTorch's nn + autograd play in the paper. In
 // particular it provides the capture hooks K-FAC needs (paper §IV-B): layers

@@ -6,28 +6,20 @@ import (
 	"repro/internal/tensor"
 )
 
-// CrossEntropy computes softmax cross-entropy with optional label smoothing
-// (the paper smooths ImageNet labels with factor 0.1). Given logits
-// [N, K] and integer labels, it returns the mean loss and the gradient of
-// the mean loss with respect to the logits — the starting point of the
-// backward pass.
-type CrossEntropy struct {
-	// Smoothing ε distributes ε of the target mass uniformly over classes:
-	// target = (1-ε)·onehot + ε/K.
-	Smoothing float64
-}
+// CrossEntropy computes softmax cross-entropy. Given logits [N, K] and
+// integer labels, it returns the mean loss and the gradient of the mean loss
+// with respect to the logits — the starting point of the backward pass.
+type CrossEntropy struct{}
 
-// Loss returns the mean smoothed cross-entropy over the batch and the
-// gradient dLoss/dlogits, shape [N, K].
-func (ce CrossEntropy) Loss(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+// Loss returns the mean cross-entropy over the batch and the gradient
+// dLoss/dlogits, shape [N, K].
+func (CrossEntropy) Loss(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	n, k := logits.Rows(), logits.Cols()
 	if len(labels) != n {
 		panic("nn: CrossEntropy label count mismatch")
 	}
 	grad := tensor.New(n, k)
 	var total float64
-	eps := ce.Smoothing
-	uni := eps / float64(k)
 	invN := 1 / float64(n)
 	for i := 0; i < n; i++ {
 		row := logits.Data[i*k : (i+1)*k]
@@ -44,20 +36,19 @@ func (ce CrossEntropy) Loss(logits *tensor.Tensor, labels []int) (float64, *tens
 			sum += math.Exp(v - m)
 		}
 		logZ := m + math.Log(sum)
-		y := labels[i]
-		// loss_i = -Σ_j target_j · (logit_j − logZ)
-		var li float64
-		for j := 0; j < k; j++ {
-			target := uni
-			if j == y {
-				target += 1 - eps
+		// loss_i = −(logit_y − logZ); its gradient is softmax − onehot.
+		// Labels must lie in [0, K). Today an out-of-range label is not
+		// checked: it adds no loss and gets a softmax-only gradient row.
+		// That is a known defect, not a contract; ROADMAP item 20 makes it
+		// panic once the experiments that rely on it are fixed.
+		for j, v := range row {
+			p := math.Exp(v - logZ)
+			if j == labels[i] {
+				p--
+				total -= v - logZ
 			}
-			logp := row[j] - logZ
-			li -= target * logp
-			p := math.Exp(logp)
-			grow[j] = (p - target) * invN
+			grow[j] = p * invN
 		}
-		total += li
 	}
 	return total * invN, grad
 }

@@ -337,25 +337,23 @@ func TestCrossEntropyGradientNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	logits := tensor.Randn(rng, 1, 3, 5)
 	labels := []int{1, 4, 0}
-	for _, smooth := range []float64{0, 0.1} {
-		ce := CrossEntropy{Smoothing: smooth}
-		_, grad := ce.Loss(logits, labels)
-		f := func() float64 {
-			l, _ := ce.Loss(logits, labels)
-			return l
-		}
-		num := numericGrad(f, logits, 1e-6)
-		checkGrad(t, "crossentropy", grad, num, 1e-5)
+	ce := CrossEntropy{}
+	_, grad := ce.Loss(logits, labels)
+	f := func() float64 {
+		l, _ := ce.Loss(logits, labels)
+		return l
 	}
+	num := numericGrad(f, logits, 1e-6)
+	checkGrad(t, "crossentropy", grad, num, 1e-5)
 }
 
 func TestCrossEntropyGradSumsToZeroPerRow(t *testing.T) {
-	// Softmax gradient rows sum to zero (probabilities sum to one on both
-	// sides); label smoothing preserves this.
+	// Softmax gradient rows sum to zero: the probabilities and the one-hot
+	// target each sum to one.
 	rng := rand.New(rand.NewSource(18))
 	logits := tensor.Randn(rng, 2, 4, 6)
 	labels := []int{0, 1, 2, 3}
-	ce := CrossEntropy{Smoothing: 0.1}
+	ce := CrossEntropy{}
 	_, grad := ce.Loss(logits, labels)
 	for i := 0; i < 4; i++ {
 		var s float64

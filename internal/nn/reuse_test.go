@@ -9,7 +9,7 @@ import (
 
 // reuseTestNet builds a model covering every BufferReuser layer type:
 // conv, batchnorm, relu, residual (with conv shortcut), pooling variants,
-// dropout, flatten, linear.
+// flatten, linear.
 func reuseTestNet(seed int64) *Sequential {
 	rng := rand.New(rand.NewSource(seed))
 	body := NewSequential("body",
@@ -23,8 +23,6 @@ func reuseTestNet(seed int64) *Sequential {
 		NewReLU("relu"),
 		NewResidual("res", body, short),
 		NewMaxPool2d("mp", 2, 2),
-		NewAvgPool2d("ap", 2, 1),
-		NewDropout("drop", 0.3, rand.New(rand.NewSource(seed+1))),
 		NewGlobalAvgPool("gap"),
 		NewLinear("fc", 4, 5, true, rng),
 	)

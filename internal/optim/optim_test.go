@@ -73,78 +73,12 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestLARSTrustRatioScalesUpdate(t *testing.T) {
-	// With ‖w‖=1 and ‖g‖=100, trust ≈ eta/100: update is tiny relative to
-	// vanilla SGD.
-	p := paramWith([]float64{1, 0}, []float64{100, 0})
-	l := LARS([]*nn.Param{p}, WithLR(1), WithTrustCoefficient(0.001))
-	l.Step()
-	moved := math.Abs(1 - p.Value.Data[0])
-	if moved > 0.01 {
-		t.Errorf("LARS moved %v, trust ratio not applied", moved)
-	}
-}
-
-func TestLARSConvergesOnQuadratic(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	target := tensor.Randn(rng, 1, 8)
-	p := nn.NewParam("w", tensor.Ones(8))
-	l := LARS([]*nn.Param{p}, WithLR(0.5), WithMomentum(0.9), WithTrustCoefficient(0.02))
-	for i := 0; i < 3000; i++ {
-		for j := range p.Grad.Data {
-			p.Grad.Data[j] = p.Value.Data[j] - target.Data[j]
-		}
-		l.Step()
-	}
-	diff := p.Value.Clone()
-	diff.Sub(target)
-	if diff.Norm2() > 0.05 {
-		t.Errorf("LARS did not approach target: dist %v", diff.Norm2())
-	}
-}
-
-func TestAdamConvergesOnQuadratic(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	target := tensor.Randn(rng, 1, 10)
-	p := nn.NewParam("w", tensor.New(10))
-	a := Adam([]*nn.Param{p}, WithLR(0.05))
-	for i := 0; i < 2000; i++ {
-		for j := range p.Grad.Data {
-			p.Grad.Data[j] = p.Value.Data[j] - target.Data[j]
-		}
-		a.Step()
-	}
-	diff := p.Value.Clone()
-	diff.Sub(target)
-	if diff.Norm2() > 1e-3 {
-		t.Errorf("Adam did not converge: dist %v", diff.Norm2())
-	}
-}
-
-func TestAdamDefaults(t *testing.T) {
-	p := paramWith([]float64{0}, []float64{1})
-	a := Adam([]*nn.Param{p}, WithLR(0.1))
-	if a.Beta1 != 0.9 || a.Beta2 != 0.999 || a.Eps != 1e-8 {
-		t.Errorf("defaults = %v %v %v", a.Beta1, a.Beta2, a.Eps)
-	}
-	a.Step()
-	// First Adam step moves by ≈ lr regardless of gradient scale.
-	if math.Abs(p.Value.Data[0]+0.1) > 1e-6 {
-		t.Errorf("first Adam step = %v, want ≈ -0.1", p.Value.Data[0])
-	}
-}
-
 func TestSetLR(t *testing.T) {
 	p := paramWith([]float64{0}, []float64{1})
-	for _, o := range []Optimizer{
-		SGD([]*nn.Param{p}, WithLR(0.1)),
-		LARS([]*nn.Param{p}, WithLR(0.1), WithTrustCoefficient(0.001)),
-		Adam([]*nn.Param{p}, WithLR(0.1)),
-	} {
-		o.SetLR(0.42)
-		if o.LR() != 0.42 {
-			t.Errorf("%T: SetLR/LR failed", o)
-		}
+	var o Optimizer = SGD([]*nn.Param{p}, WithLR(0.1))
+	o.SetLR(0.42)
+	if o.LR() != 0.42 {
+		t.Errorf("SetLR/LR failed: %v", o.LR())
 	}
 }
 
@@ -184,28 +118,5 @@ func TestLRScheduleMonotoneNonIncreasingAfterWarmup(t *testing.T) {
 			t.Fatalf("LR increased after warmup at epoch %d", e)
 		}
 		prev = v
-	}
-}
-
-func TestClipGradNorm(t *testing.T) {
-	p := paramWith([]float64{0, 0}, []float64{3, 4}) // norm 5
-	norm := ClipGradNorm([]*nn.Param{p}, 1)
-	if norm != 5 {
-		t.Errorf("returned norm = %v, want 5", norm)
-	}
-	if math.Abs(p.Grad.Norm2()-1) > 1e-12 {
-		t.Errorf("clipped norm = %v, want 1", p.Grad.Norm2())
-	}
-	// Within bounds: unchanged.
-	p2 := paramWith([]float64{0}, []float64{0.5})
-	ClipGradNorm([]*nn.Param{p2}, 1)
-	if p2.Grad.Data[0] != 0.5 {
-		t.Error("in-bounds gradient modified")
-	}
-	// maxNorm <= 0: no-op.
-	p3 := paramWith([]float64{0}, []float64{10})
-	ClipGradNorm([]*nn.Param{p3}, 0)
-	if p3.Grad.Data[0] != 10 {
-		t.Error("maxNorm=0 should disable clipping")
 	}
 }

@@ -1,30 +1,19 @@
 package optim
 
-// Option configures an optimizer constructor (SGD, LARS, Adam). Options are
-// applied in argument order, later options overriding earlier ones; options
-// irrelevant to a constructor (e.g. WithBetas on SGD) are accepted and
-// ignored, so one option slice can parameterize several optimizer families.
+// Option configures the SGD constructor. Options are applied in argument
+// order, later options overriding earlier ones.
 type Option func(*settings)
 
-// settings is the resolved option set shared by every constructor.
+// settings is the resolved option set.
 type settings struct {
-	lr           float64
-	momentum     float64
-	weightDecay  float64
-	eta          float64 // LARS trust coefficient
-	beta1, beta2 float64 // Adam moment decays
-	eps          float64 // Adam denominator floor
+	lr          float64
+	momentum    float64
+	weightDecay float64
 }
 
 // resolve applies opts over the package defaults.
 func resolve(opts []Option) settings {
-	st := settings{
-		lr:    0.1,
-		eta:   0.001,
-		beta1: 0.9,
-		beta2: 0.999,
-		eps:   1e-8,
-	}
+	st := settings{lr: 0.1}
 	for _, o := range opts {
 		o(&st)
 	}
@@ -41,15 +30,3 @@ func WithMomentum(m float64) Option { return func(s *settings) { s.momentum = m 
 // WithWeightDecay sets the L2 weight-decay coefficient (default 0).
 // Parameters flagged nn.Param.NoWeightDecay are always excluded.
 func WithWeightDecay(wd float64) Option { return func(s *settings) { s.weightDecay = wd } }
-
-// WithTrustCoefficient sets LARS's η trust coefficient (default 0.001).
-func WithTrustCoefficient(eta float64) Option { return func(s *settings) { s.eta = eta } }
-
-// WithBetas sets Adam's first/second-moment decay rates (default 0.9,
-// 0.999).
-func WithBetas(beta1, beta2 float64) Option {
-	return func(s *settings) { s.beta1, s.beta2 = beta1, beta2 }
-}
-
-// WithEpsilon sets Adam's denominator floor ε (default 1e-8).
-func WithEpsilon(eps float64) Option { return func(s *settings) { s.eps = eps } }

@@ -173,7 +173,7 @@ func probeGEMM() float64 {
 	rng := rand.New(rand.NewSource(7))
 	a := tensor.Randn(rng, 1, d, d)
 	b := tensor.Randn(rng, 1, d, d)
-	dst := tensor.Zeros(d, d)
+	dst := tensor.New(d, d)
 	tensor.MatMulInto(dst, a, b) // warmup
 	best := math.MaxFloat64
 	for rep := 0; rep < 4; rep++ {

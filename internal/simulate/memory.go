@@ -29,11 +29,6 @@ func (m MemoryBreakdown) Total() float64 {
 		m.EigVectors + m.EigValues + m.Activations
 }
 
-// KFACState returns only the K-FAC-specific bytes.
-func (m MemoryBreakdown) KFACState() float64 {
-	return m.Factors + m.EigVectors + m.EigValues
-}
-
 // MemoryModel estimates the per-GPU footprint of K-FAC training for a
 // catalog at the given local batch size, using the cluster's element size.
 func MemoryModel(cat *models.Catalog, batchPerGPU int, bytesPerElem float64) MemoryBreakdown {

@@ -257,12 +257,6 @@ func TestCommPrimitiveCosts(t *testing.T) {
 	if topo.RingAllreduceCost(1e6, 1) != 0 {
 		t.Error("single-rank allreduce should be free")
 	}
-	// Allreduce moves ~2× the payload of allgather on a ring.
-	ar := topo.RingAllreduceCost(1e9, 32)
-	ag := topo.AllgatherCost(1e9, 32)
-	if ar <= ag {
-		t.Errorf("allreduce %.3f should cost more than allgather %.3f", ar, ag)
-	}
 	if topo.BroadcastCost(1e6, 0, 0, 1) != 0 {
 		t.Error("single-rank broadcast should be free")
 	}

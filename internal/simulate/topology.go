@@ -181,14 +181,3 @@ func (t Topology) BroadcastCost(b float64, lo, hi, count int) float64 {
 	rounds := math.Ceil(math.Log2(float64(count)))
 	return rounds * l.xfer(b)
 }
-
-// AllgatherCost prices a ring allgather of b total bytes over ranks
-// [0, world).
-func (t Topology) AllgatherCost(b float64, world int) float64 {
-	if world <= 1 {
-		return 0
-	}
-	l := t.slowestRingLink(0, world, 1)
-	steps := float64(world - 1)
-	return steps*l.AlphaSec + float64(world-1)/float64(world)*b/l.BetaBytesPerSec
-}

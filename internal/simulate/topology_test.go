@@ -139,13 +139,3 @@ func TestBroadcastCost(t *testing.T) {
 		t.Error("rack-spanning broadcast should cost more than node-local")
 	}
 }
-
-func TestAllgatherCheaperThanAllreduce(t *testing.T) {
-	topo := DefaultTopology()
-	if topo.AllgatherCost(1e6, 1) != 0 {
-		t.Error("single-rank allgather should be free")
-	}
-	if !(topo.AllgatherCost(1e9, 32) < topo.RingAllreduceCost(1e9, 32)) {
-		t.Error("ring allgather moves half the payload of allreduce")
-	}
-}

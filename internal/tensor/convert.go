@@ -19,14 +19,9 @@ var (
 	widenImpl   = widenScalar
 	narrowImpl  = narrowScalar
 
-	// kernelISA names the active implementation for logs and tests.
+	// kernelISA names the active implementation for the tests' logs.
 	kernelISA = "scalar"
 )
-
-// KernelISA reports which implementation of the conversion primitives and
-// of the GEMM kernel set is active: "scalar" (portable Go, and always under
-// the purego build tag) or "avx2+fma" (amd64 assembly).
-func KernelISA() string { return kernelISA }
 
 // Widen overwrites dst with src converted to float64. Slices must have
 // equal length.

@@ -122,7 +122,7 @@ func dimsT2[E Elem](dst, a, b *Dense[E]) (m, n, k int) {
 }
 
 // Group is a batch of independent matrix products run as one: MatMul,
-// MatMulT1, MatMulT2 and MatMulT1Upper each record one product — with the
+// MatMulT1 and MatMulT2 each record one product — with the
 // shapes, storage and aliasing checks of its *Into namesake — and Run
 // computes them all, their block grids laid end to end, largest product
 // first, and fanned out over sched.Shared() as one claim-based ForEach when
@@ -153,13 +153,6 @@ func (g *Group[E]) MatMulT1(dst, a, b *Dense[E]) {
 func (g *Group[E]) MatMulT2(dst, a, b *Dense[E]) {
 	m, n, k := dimsT2(dst, a, b)
 	g.grid.add(dst.Data, a.Data, b.Data, m, n, k, false, true, false)
-}
-
-// MatMulT1Upper records the upper triangle of dst = aᵀ × a, as
-// MatMulT1UpperInto.
-func (g *Group[E]) MatMulT1Upper(dst, a *Dense[E]) {
-	m, k := dimsGram(dst, a)
-	g.grid.add(dst.Data, a.Data, a.Data, m, m, k, true, false, true)
 }
 
 // Run computes every product recorded since the last Run and empties the
@@ -200,18 +193,4 @@ func MatVec(a, x *Tensor) *Tensor {
 	y := New(m)
 	gemm(&gemmActive, y.Data, a.Data, x.Data, m, 1, n, false, false, false)
 	return y
-}
-
-// Outer returns the outer product x yᵀ of vectors x (m) and y (n).
-func Outer(x, y *Tensor) *Tensor {
-	m, n := x.Len(), y.Len()
-	t := New(m, n)
-	for i := 0; i < m; i++ {
-		xi := x.Data[i]
-		row := t.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			row[j] = xi * y.Data[j]
-		}
-	}
-	return t
 }

@@ -96,7 +96,7 @@ func TestMatMul32FamilyMatchesFloat64Oracle(t *testing.T) {
 // oracle at sizes straddling every vector-width boundary and tail case.
 // Bit-equality: each is an exact or correctly rounded elementwise operation.
 func TestKernelPrimitivesMatchScalarOracle(t *testing.T) {
-	t.Logf("active kernel ISA: %s", KernelISA())
+	t.Logf("active kernel ISA: %s", kernelISA)
 	rng := rand.New(rand.NewSource(7))
 	sizes := []int{0, 1, 3, 4, 7, 8, 9, 31, 32, 33, 63, 64, 100, 511, 512, 513, 1000}
 	for _, n := range sizes {

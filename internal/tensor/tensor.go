@@ -73,9 +73,6 @@ func FromSlice[E Elem](data []E, shape ...int) *Dense[E] {
 	return &Dense[E]{Shape: append([]int(nil), shape...), Data: data}
 }
 
-// Zeros is an alias for New, for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Ones returns a tensor of the given shape filled with 1.
 func Ones(shape ...int) *Tensor {
 	t := New(shape...)
@@ -109,15 +106,6 @@ func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.Data {
 		t.Data[i] = rng.NormFloat64() * std
-	}
-	return t
-}
-
-// RandUniform fills a new tensor with samples from U[lo, hi).
-func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.Data {
-		t.Data[i] = lo + rng.Float64()*(hi-lo)
 	}
 	return t
 }
@@ -235,16 +223,6 @@ func (t *Dense[E]) Add(o *Dense[E]) { t.AddScaled(1, o) }
 
 // Sub subtracts o elementwise from t.
 func (t *Dense[E]) Sub(o *Dense[E]) { t.AddScaled(-1, o) }
-
-// MulElem multiplies t by o elementwise in place.
-func (t *Dense[E]) MulElem(o *Dense[E]) {
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: MulElem size mismatch")
-	}
-	for i := range t.Data {
-		t.Data[i] *= o.Data[i]
-	}
-}
 
 // Lerp sets t = a*t + (1-a)*o, the running-average update used for
 // K-FAC factor accumulation (Equations 16–17 of the paper).

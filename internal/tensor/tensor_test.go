@@ -132,12 +132,6 @@ func TestElementwiseOps(t *testing.T) {
 			t.Fatalf("Scale: got %v", x.Data)
 		}
 	}
-	x.MulElem(y)
-	for i, w := range []float64{20, 80, 180, 320} {
-		if x.Data[i] != w {
-			t.Fatalf("MulElem: got %v", x.Data)
-		}
-	}
 }
 
 func TestLerpRunningAverage(t *testing.T) {
@@ -297,18 +291,6 @@ func TestMatVec(t *testing.T) {
 	y := MatVec(a, x)
 	if y.Data[0] != 6 || y.Data[1] != 15 {
 		t.Errorf("MatVec = %v, want [6 15]", y.Data)
-	}
-}
-
-func TestOuter(t *testing.T) {
-	x := FromSlice([]float64{1, 2}, 2)
-	y := FromSlice([]float64{3, 4, 5}, 3)
-	o := Outer(x, y)
-	want := []float64{3, 4, 5, 6, 8, 10}
-	for i := range want {
-		if o.Data[i] != want[i] {
-			t.Fatalf("Outer = %v, want %v", o.Data, want)
-		}
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // ErrStop is returned by a hook to end training gracefully after the
 // current epoch: the run finishes with Result.Stopped set and a nil error.
 // In a distributed run every rank's hooks must reach the same decision at
-// the same epoch (hooks observing only rank-averaged metrics, like the
-// stock WithStopAtValAcc hook, satisfy this automatically) — diverging
+// the same epoch (hooks observing only rank-averaged metrics, such as a
+// validation-accuracy target, satisfy this automatically) — diverging
 // decisions desynchronize the collective schedule.
 var ErrStop = errors.New("trainer: stop requested by hook")
 
@@ -123,11 +123,6 @@ func WithMomentum(m float64) SessionOption { return func(s *Session) { s.cfg.Mom
 // WithWeightDecay sets the SGD optimizer's L2 weight decay.
 func WithWeightDecay(wd float64) SessionOption { return func(s *Session) { s.cfg.WeightDecay = wd } }
 
-// WithLabelSmoothing sets the cross-entropy label-smoothing ε.
-func WithLabelSmoothing(eps float64) SessionOption {
-	return func(s *Session) { s.cfg.LabelSmoothing = eps }
-}
-
 // WithSeed drives data sharding; it must agree across ranks.
 func WithSeed(seed int64) SessionOption { return func(s *Session) { s.cfg.Seed = seed } }
 
@@ -142,11 +137,6 @@ func WithDampingSchedule(sched *kfac.ParamSchedule) SessionOption {
 	return func(s *Session) { s.cfg.DampingSchedule = sched }
 }
 
-// WithFreqSchedule decays kfac-update-freq at fixed epochs (§V-C).
-func WithFreqSchedule(sched *kfac.ParamSchedule) SessionOption {
-	return func(s *Session) { s.cfg.FreqSchedule = sched }
-}
-
 // WithLogger installs the stock per-epoch logging hook: one line per epoch
 // to w, written by rank 0 only.
 func WithLogger(w io.Writer) SessionOption {
@@ -155,24 +145,6 @@ func WithLogger(w io.Writer) SessionOption {
 			if s.Rank() == 0 && w != nil {
 				fmt.Fprintf(w, "epoch %3d  lr %.4f  loss %.4f  train-acc %.4f  val-acc %.4f  (%.1fs)\n",
 					e.Epoch, e.LR, e.TrainLoss, e.TrainAcc, e.ValAcc, e.Wall.Seconds())
-			}
-			return nil
-		})
-	}
-}
-
-// WithStopAtValAcc installs the stock early-stopping hook: training ends at
-// the first epoch whose (rank-averaged) validation accuracy reaches the
-// threshold — the paper's time-to-baseline measurement. Non-positive
-// thresholds install nothing.
-func WithStopAtValAcc(acc float64) SessionOption {
-	return func(s *Session) {
-		if acc <= 0 {
-			return
-		}
-		s.OnEpochEnd(func(s *Session, e EpochStats) error {
-			if e.ValAcc >= acc {
-				return ErrStop
 			}
 			return nil
 		})
@@ -382,7 +354,7 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 		prec = kfac.NewFromOptions(s.net, c, *cfg.KFAC)
 		defer prec.Close()
 	}
-	ce := nn.CrossEntropy{Smoothing: cfg.LabelSmoothing}
+	ce := nn.CrossEntropy{}
 	sampler := data.ShardSampler{N: s.train.Len(), Rank: rank, World: world, Seed: cfg.Seed}
 	// The gradient exchange owns its error-feedback accumulator, separate
 	// from the preconditioner's factor-path residuals: the two streams
@@ -405,13 +377,8 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 		epochStart := time.Now()
 		lr := cfg.LR.At(epoch)
 		opt.SetLR(lr)
-		if prec != nil {
-			if cfg.DampingSchedule != nil {
-				prec.SetDamping(cfg.DampingSchedule.At(epoch))
-			}
-			if cfg.FreqSchedule != nil {
-				prec.SetInvUpdateFreq(int(cfg.FreqSchedule.At(epoch) + 0.5))
-			}
+		if prec != nil && cfg.DampingSchedule != nil {
+			prec.SetDamping(cfg.DampingSchedule.At(epoch))
 		}
 
 		batches := data.Batches(s.train, sampler.EpochIndices(epoch), cfg.BatchPerRank)

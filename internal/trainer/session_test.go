@@ -346,15 +346,16 @@ func TestCheckpointHookErrStop(t *testing.T) {
 	}
 }
 
-// The stock stop hook (WithStopAtValAcc) behaves like the legacy field.
+// The stop hook also works when registered with the Session.OnEpochEnd
+// method after construction rather than passed as an option.
 func TestStockStopHook(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(1)))
-	s, err := NewSession(net, nil, train, test, append(sessionOpts(),
-		WithEpochs(50), WithStopAtValAcc(0.30))...)
+	s, err := NewSession(net, nil, train, test, append(sessionOpts(), WithEpochs(50))...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.OnEpochEnd(stopAtValAcc(0.30))
 	res, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

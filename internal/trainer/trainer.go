@@ -3,7 +3,7 @@
 // mini-batch shard, ring-allreduce gradient exchange, optional K-FAC
 // preconditioning (Listing 1 ordering: synchronize → precondition → step),
 // and a first-order optimizer update — plus distributed validation and the
-// learning-rate / damping / update-frequency schedules the experiments use.
+// learning-rate and damping schedules the experiments use.
 //
 // The K-FAC step may run either synchronously or through the pipelined
 // engine (kfac.Options.Engine); the trainer drives both identically because
@@ -36,14 +36,10 @@ type config struct {
 	Momentum float64
 	// WeightDecay for SGD (0 disables).
 	WeightDecay float64
-	// LabelSmoothing ε for the loss (paper: 0.1 on ImageNet).
-	LabelSmoothing float64
 	// KFAC enables K-FAC preconditioning when non-nil.
 	KFAC *kfac.Options
 	// DampingSchedule optionally decays K-FAC damping at fixed epochs.
 	DampingSchedule *kfac.ParamSchedule
-	// FreqSchedule optionally decays kfac-update-freq at fixed epochs.
-	FreqSchedule *kfac.ParamSchedule
 	// Seed drives data sharding; must agree across ranks.
 	Seed int64
 }
@@ -64,8 +60,8 @@ type Result struct {
 	FinalValAcc float64
 	BestValAcc  float64
 	Iterations  int
-	// Stopped reports whether a hook (e.g. WithStopAtValAcc) ended training
-	// early.
+	// Stopped reports whether a hook ended training early by returning
+	// ErrStop.
 	Stopped bool
 	// TotalWall is the summed epoch wall time (training + validation).
 	TotalWall time.Duration

@@ -7,11 +7,25 @@ import (
 	"repro/internal/kfac"
 )
 
+// stopAtValAcc returns an epoch hook that ends the run once the validation
+// accuracy reaches target.
+func stopAtValAcc(target float64) EpochHook {
+	return func(_ *Session, e EpochStats) error {
+		if e.ValAcc >= target {
+			return ErrStop
+		}
+		return nil
+	}
+}
+
+// An epoch hook that returns ErrStop at a validation-accuracy target ends
+// the run gracefully at the first epoch that reaches it.
 func TestStopAtValAccEndsEarly(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(1)))
 	// 0.30 is above chance and reached within a few epochs.
-	res := trainOne(t, net, train, test, WithEpochs(50), WithStopAtValAcc(0.30))
+	res := trainOne(t, net, train, test, WithEpochs(50),
+		OnEpochEnd(stopAtValAcc(0.30)))
 	if !res.Stopped {
 		t.Fatal("expected early stop")
 	}
@@ -20,6 +34,11 @@ func TestStopAtValAccEndsEarly(t *testing.T) {
 	}
 	if res.FinalValAcc < 0.30 {
 		t.Errorf("stopped below target: %v", res.FinalValAcc)
+	}
+	for _, e := range res.History[:len(res.History)-1] {
+		if e.ValAcc >= 0.30 {
+			t.Errorf("epoch %d reached the target (%v) but training went on", e.Epoch, e.ValAcc)
+		}
 	}
 }
 

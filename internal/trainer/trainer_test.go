@@ -135,8 +135,7 @@ func TestSchedulesApplied(t *testing.T) {
 	lr := optim.LRSchedule{BaseLR: 0.05, WarmupEpochs: 1}
 	res := trainOne(t, net, train, test, WithEpochs(2), WithLRSchedule(lr),
 		WithKFACOptions(kfac.Options{FactorUpdateFreq: 1, InvUpdateFreq: 1}),
-		WithDampingSchedule(&kfac.ParamSchedule{Initial: 0.01, DecayEpochs: []int{1}, Factor: 0.5}),
-		WithFreqSchedule(&kfac.ParamSchedule{Initial: 2, DecayEpochs: []int{1}, Factor: 2})) // grows to 4
+		WithDampingSchedule(&kfac.ParamSchedule{Initial: 0.01, DecayEpochs: []int{1}, Factor: 0.5}))
 	if len(res.History) != 2 {
 		t.Fatal("wrong history length")
 	}

@@ -1,0 +1,460 @@
+// Command deadcheck fails when a non-test package-level declaration is not
+// reachable from any program the module builds, unless the allowlist names
+// it. It uses go/parser and go/types alone, so CI needs no third-party
+// linter.
+//
+// Usage (from the module root):
+//
+//	go run ./tools/deadcheck
+//
+// The roots are the main function of every main package, every init
+// function and every blank-named package-level var. A declaration is live
+// when a live declaration's source names it; every method of a live type is
+// live, and a const group that counts with iota lives or dies as one. Test
+// files are not read; the other files are those the host's default build
+// (no tags) compiles.
+//
+// Each line of tools/deadcheck/allow.txt is `pkg.Name  reason`; pkg is the
+// directory relative to the module root, and the reason starts with "test
+// oracle", "test helper" or "item N" (a ROADMAP item that will call it). An
+// entry that is reached, or names nothing, is an error, so the list can only
+// shrink. Exit status 1 lists every finding.
+package main
+
+import (
+	"bufio"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+)
+
+func main() {
+	bad, err := run(".", "tools/deadcheck/allow.txt", os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deadcheck:", err)
+		os.Exit(2)
+	}
+	if bad > 0 {
+		fmt.Fprintf(os.Stderr, "deadcheck: %d finding(s)\n", bad)
+		os.Exit(1)
+	}
+}
+
+// decl is one package-level declaration of the module.
+type decl struct {
+	key   string // pkg.Name, pkg relative to the module root
+	pos   token.Position
+	lines int
+}
+
+// run checks the module at root against the allowlist at allowPath (relative
+// to root unless absolute), prints every finding to w and returns their count.
+func run(root, allowPath string, w io.Writer) (int, error) {
+	modPath, err := modulePath(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return 0, err
+	}
+	dirs, err := packageDirs(root)
+	if err != nil {
+		return 0, err
+	}
+	l := &loader{root: root, modPath: modPath, fset: token.NewFileSet(),
+		std: importer.Default(), pkgs: map[string]*pkgInfo{}}
+	for _, rel := range dirs {
+		if _, err := l.load(rel); err != nil {
+			return 0, err
+		}
+	}
+	decls, live := l.mark()
+
+	if !filepath.IsAbs(allowPath) {
+		allowPath = filepath.Join(root, allowPath)
+	}
+	allowed, err := readAllow(allowPath)
+	if err != nil {
+		return 0, err
+	}
+	bad := 0
+	report := func(format string, args ...any) {
+		fmt.Fprintf(w, format+"\n", args...)
+		bad++
+	}
+	var dead []*decl
+	for key, d := range decls {
+		if !live[key] && allowed[key] == "" {
+			dead = append(dead, d)
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool {
+		a, b := dead[i].pos, dead[j].pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Line < b.Line
+	})
+	for _, d := range dead {
+		rel, _ := filepath.Rel(root, d.pos.Filename)
+		report("%s:%d: %s is unreachable (%d lines)", filepath.ToSlash(rel), d.pos.Line, d.key, d.lines)
+	}
+	for _, key := range sortedKeys(allowed) {
+		switch {
+		case decls[key] == nil:
+			report("%s: allowlisted %s names no declaration; delete its entry", filepath.Base(allowPath), key)
+		case live[key]:
+			report("%s: allowlisted %s is reached; delete its entry", filepath.Base(allowPath), key)
+		}
+	}
+	return bad, nil
+}
+
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// reasonRE is the form an allowlist reason must take.
+var reasonRE = regexp.MustCompile(`^(test oracle|test helper|item [0-9]+)\b`)
+
+// readAllow parses the allowlist: one `key  reason` per line, # comments.
+func readAllow(path string) (map[string]string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	allowed := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for n := 1; sc.Scan(); n++ {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, reason, _ := strings.Cut(line, " ")
+		reason = strings.TrimSpace(reason)
+		if !reasonRE.MatchString(reason) {
+			return nil, fmt.Errorf("%s:%d: %s: reason must start with \"test oracle\", \"test helper\" or \"item N\"", path, n, key)
+		}
+		if allowed[key] != "" {
+			return nil, fmt.Errorf("%s:%d: %s listed twice", path, n, key)
+		}
+		allowed[key] = reason
+	}
+	return allowed, sc.Err()
+}
+
+// modulePath reads the module line of a go.mod file.
+func modulePath(gomod string) (string, error) {
+	b, err := os.ReadFile(gomod)
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			return f[1], nil
+		}
+	}
+	return "", fmt.Errorf("%s: no module line", gomod)
+}
+
+// packageDirs lists the module's directories that hold Go files, relative
+// to root, skipping testdata, hidden directories and nested modules.
+func packageDirs(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != root {
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		if m, _ := filepath.Glob(filepath.Join(path, "*.go")); len(m) > 0 {
+			rel, _ := filepath.Rel(root, path)
+			dirs = append(dirs, filepath.ToSlash(rel))
+		}
+		return nil
+	})
+	return dirs, err
+}
+
+// pkgInfo is one type-checked package.
+type pkgInfo struct {
+	rel   string
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// loader type-checks the module's packages; everything outside the module
+// comes from the standard importer.
+type loader struct {
+	root    string
+	modPath string
+	fset    *token.FileSet
+	std     types.Importer
+	pkgs    map[string]*pkgInfo // by rel; nil entry for a package without files
+}
+
+// Import implements types.Importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if !l.inModule(path) {
+		return l.std.Import(path)
+	}
+	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")
+	if rel == "" {
+		rel = "."
+	}
+	p, err := l.load(rel)
+	if err != nil {
+		return nil, err
+	}
+	if p == nil {
+		return nil, fmt.Errorf("%s: no Go files", path)
+	}
+	return p.types, nil
+}
+
+// load parses and type-checks the package in directory rel once.
+func (l *loader) load(rel string) (*pkgInfo, error) {
+	if p, ok := l.pkgs[rel]; ok {
+		return p, nil
+	}
+	l.pkgs[rel] = nil
+	bp, err := build.ImportDir(filepath.Join(l.root, rel), 0)
+	if _, noGo := err.(*build.NoGoError); noGo {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	p := &pkgInfo{rel: rel, info: &types.Info{
+		Defs: map[*ast.Ident]types.Object{},
+		Uses: map[*ast.Ident]types.Object{},
+	}}
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(bp.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+	}
+	path := l.modPath
+	if rel != "." {
+		path += "/" + rel
+	}
+	conf := types.Config{Importer: l}
+	if p.types, err = conf.Check(path, l.fset, p.files, p.info); err != nil {
+		return nil, err
+	}
+	l.pkgs[rel] = p
+	return p, nil
+}
+
+// node is one unit of liveness: a package-level declaration or a method.
+type node struct {
+	key  string         // "" for a method
+	refs []types.Object // what its source names
+	link []types.Object // what lives and dies with it
+}
+
+// mark returns every package-level declaration by key and the set of keys
+// reachable from the roots.
+func (l *loader) mark() (decls map[string]*decl, live map[string]bool) {
+	decls, live = map[string]*decl{}, map[string]bool{}
+	nodes := map[types.Object]*node{}
+	var roots []types.Object
+	for _, p := range l.pkgs {
+		if p == nil {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				l.collect(p, d, nodes, decls, &roots)
+			}
+		}
+	}
+
+	seen := map[types.Object]bool{}
+	var work []types.Object
+	push := func(obj types.Object) {
+		obj = origin(obj)
+		if obj == nil || seen[obj] {
+			return
+		}
+		seen[obj] = true
+		work = append(work, obj)
+	}
+	for _, r := range roots {
+		push(r)
+	}
+	for len(work) > 0 {
+		obj := work[len(work)-1]
+		work = work[:len(work)-1]
+		n := nodes[obj]
+		if n == nil {
+			continue // outside the module, or not package-level
+		}
+		if n.key != "" {
+			live[n.key] = true
+		}
+		for _, r := range n.refs {
+			push(r)
+		}
+		for _, r := range n.link {
+			push(r)
+		}
+	}
+	return decls, live
+}
+
+// collect records the nodes one top-level declaration defines.
+func (l *loader) collect(p *pkgInfo, d ast.Decl, nodes map[types.Object]*node, decls map[string]*decl, roots *[]types.Object) {
+	add := func(obj types.Object, keyed bool, from, to token.Pos, src ast.Node) *node {
+		n := &node{refs: l.refs(p, src)}
+		if keyed {
+			n.key = p.rel + "." + obj.Name()
+			decls[n.key] = &decl{key: n.key, pos: l.fset.Position(obj.Pos()),
+				lines: l.fset.Position(to).Line - l.fset.Position(from).Line + 1}
+		}
+		nodes[obj] = n
+		return n
+	}
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		obj := p.info.Defs[d.Name].(*types.Func)
+		from := d.Pos()
+		if d.Doc != nil {
+			from = d.Doc.Pos()
+		}
+		switch {
+		case d.Recv != nil:
+			n := add(obj, false, from, d.End(), d)
+			// Calling a method needs a value of its receiver type.
+			n.refs = append(n.refs, recvTypeName(obj))
+		case d.Name.Name == "init" || (p.types.Name() == "main" && d.Name.Name == "main"):
+			add(obj, false, from, d.End(), d)
+			*roots = append(*roots, obj)
+		default:
+			add(obj, true, from, d.End(), d)
+		}
+	case *ast.GenDecl:
+		var group []types.Object
+		for _, spec := range d.Specs {
+			from, to := spec.Pos(), spec.End()
+			if len(d.Specs) == 1 {
+				from, to = d.Pos(), d.End()
+			}
+			if d.Doc != nil && len(d.Specs) == 1 {
+				from = d.Doc.Pos()
+			}
+			switch s := spec.(type) {
+			case *ast.TypeSpec:
+				if s.Doc != nil {
+					from = s.Doc.Pos()
+				}
+				obj := p.info.Defs[s.Name].(*types.TypeName)
+				n := add(obj, true, from, to, s)
+				if named, ok := obj.Type().(*types.Named); ok {
+					for i := 0; i < named.NumMethods(); i++ {
+						n.link = append(n.link, named.Method(i))
+					}
+				}
+			case *ast.ValueSpec:
+				if s.Doc != nil {
+					from = s.Doc.Pos()
+				}
+				for _, name := range s.Names {
+					obj := p.info.Defs[name]
+					if name.Name == "_" {
+						// A blank var is evaluated at init and has no key.
+						obj = types.NewVar(name.Pos(), p.types, "_", nil)
+						add(obj, false, from, to, s)
+						*roots = append(*roots, obj)
+						continue
+					}
+					add(obj, true, from, to, s)
+					if d.Tok == token.CONST && (len(s.Values) == 0 || usesIota(s)) {
+						group = append(group, obj)
+					}
+				}
+			}
+		}
+		// Deleting one member of an iota sequence would renumber the rest.
+		for _, a := range group {
+			nodes[a].link = append(nodes[a].link, group...)
+		}
+	}
+}
+
+// refs lists the module objects that the source of n names.
+func (l *loader) refs(p *pkgInfo, n ast.Node) []types.Object {
+	var out []types.Object
+	ast.Inspect(n, func(x ast.Node) bool {
+		if id, ok := x.(*ast.Ident); ok {
+			if obj := p.info.Uses[id]; obj != nil && obj.Pkg() != nil && l.inModule(obj.Pkg().Path()) {
+				out = append(out, obj)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// inModule reports whether an import path belongs to the module.
+func (l *loader) inModule(path string) bool {
+	return path == l.modPath || strings.HasPrefix(path, l.modPath+"/")
+}
+
+// origin maps an instantiated function or method to its declaration.
+func origin(obj types.Object) types.Object {
+	if f, ok := obj.(*types.Func); ok {
+		return f.Origin()
+	}
+	return obj
+}
+
+// recvTypeName returns the named type a method is declared on.
+func recvTypeName(m *types.Func) types.Object {
+	t := m.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Origin().Obj()
+	}
+	return nil
+}
+
+// usesIota reports whether a const spec's values mention iota.
+func usesIota(s *ast.ValueSpec) bool {
+	found := false
+	for _, v := range s.Values {
+		ast.Inspect(v, func(x ast.Node) bool {
+			if id, ok := x.(*ast.Ident); ok && id.Name == "iota" {
+				found = true
+			}
+			return !found
+		})
+	}
+	return found
+}

@@ -1,0 +1,10 @@
+// Command mod is deadcheck's test module: main reaches lib.Live and
+// lib.Third, an init function reaches lib.FromInit, and nothing reaches
+// lib.Dead.
+package main
+
+import "example.com/mod/lib"
+
+func init() { lib.FromInit() }
+
+func main() { lib.Live(); _ = lib.Third }
