@@ -51,7 +51,7 @@ func runAutotune(ctx context.Context, w io.Writer, cfg Config) error {
 	train, test := data.GenerateSynthetic(dcfg)
 
 	build := func(rng *rand.Rand) *nn.Sequential {
-		return models.BuildSmallCNN(dcfg.Channels, 6, dcfg.Classes, rng)
+		return models.BuildSmallCNN(dcfg.Channels, dcfg.Classes, 6, rng)
 	}
 	runOne := func(tuned bool, capBps float64) (stepMS float64, lastDecision string, err error) {
 		var fab comm.Fabric = comm.NewInprocFabric(world)

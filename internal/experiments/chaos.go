@@ -50,7 +50,7 @@ func runChaos(ctx context.Context, w io.Writer, cfg Config) error {
 	train, test := data.GenerateSynthetic(dcfg)
 
 	build := func(rng *rand.Rand) *nn.Sequential {
-		return models.BuildSmallCNN(dcfg.Channels, 6, dcfg.Classes, rng)
+		return models.BuildSmallCNN(dcfg.Channels, dcfg.Classes, 6, rng)
 	}
 	runOne := func(engine kfac.Engine, maxLatency time.Duration) (stepMS float64, loss float64, err error) {
 		var fab comm.Fabric = comm.NewInprocFabric(world)

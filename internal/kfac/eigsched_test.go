@@ -160,16 +160,20 @@ func TestEigSlotsAreWorkConserving(t *testing.T) {
 // no step may depend on it. Four refresh steps under either engine leave
 // every combined gradient bit-equal after every Step at GOMAXPROCS 1, 2 and
 // 4, and with the preconditioner built at one GOMAXPROCS and stepped at
-// another.
+// another — with steps 1–3 taking the power tier, and under
+// ExactRefresh with every step a full solve.
 func TestStepBitsIndependentOfGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	// trace builds at GOMAXPROCS build, steps at step, and returns every
 	// layer's combined gradient after each of the four Steps.
-	trace := func(engine Engine, build, step int) []*tensor.Tensor {
+	trace := func(engine Engine, exact bool, build, step int) []*tensor.Tensor {
 		runtime.GOMAXPROCS(build)
 		net := buildWideNet(99)
 		prec := NewFromOptions(net, nil, Options{FactorUpdateFreq: 1, InvUpdateFreq: 1, Engine: engine})
 		defer prec.Close()
+		if exact {
+			ExactRefresh(prec)
+		}
 		runtime.GOMAXPROCS(step)
 		var out []*tensor.Tensor
 		for i := 0; i < 4; i++ {
@@ -181,14 +185,20 @@ func TestStepBitsIndependentOfGOMAXPROCS(t *testing.T) {
 				out = append(out, l.CombinedGrad().Clone())
 			}
 		}
+		if snap := prec.Stats().Snapshot(); exact != (snap.PowerRefreshes == 0) {
+			t.Fatalf("exact=%v: %d power refreshes", exact, snap.PowerRefreshes)
+		}
 		return out
 	}
 	for _, engine := range []Engine{EngineSync, EnginePipelined} {
-		want := trace(engine, 1, 1)
-		for _, procs := range [][2]int{{2, 2}, {4, 4}, {1, 4}, {4, 1}, {2, 4}} {
-			got := trace(engine, procs[0], procs[1])
-			for k := range want {
-				wantSameBits(t, fmt.Sprintf("%v built at %d, stepped at %d: gradient %d", engine, procs[0], procs[1], k), got[k], want[k])
+		for _, exact := range []bool{false, true} {
+			want := trace(engine, exact, 1, 1)
+			for _, procs := range [][2]int{{2, 2}, {4, 4}, {1, 4}, {4, 1}, {2, 4}} {
+				got := trace(engine, exact, procs[0], procs[1])
+				for k := range want {
+					wantSameBits(t, fmt.Sprintf("%v exact=%v built at %d, stepped at %d: gradient %d",
+						engine, exact, procs[0], procs[1], k), got[k], want[k])
+				}
 			}
 		}
 	}

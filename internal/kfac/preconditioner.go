@@ -124,6 +124,12 @@ type Preconditioner struct {
 	// eigSlots is the latest decomposition update's slot semaphore, kept so
 	// tests can replay its grant history.
 	eigSlots *eigSlots
+	// power is the tier of the latest decomposition update (see
+	// maxBasisAge), fullAt the step of the latest full-solve update, and
+	// exact forces every update onto the full solve (ExactRefresh).
+	power  bool
+	fullAt int
+	exact  bool
 
 	// dec is the configuration in force (see Decision), stored only by
 	// replan and autotune; factorEF persists factor-path compression
@@ -353,6 +359,14 @@ func (p *Preconditioner) Step(lr float64) error {
 
 	doFactors := iter%p.opts.FactorUpdateFreq == 0
 	doDecomp := iter%p.opts.InvUpdateFreq == 0
+	if doDecomp {
+		// The tier is a pure function of the step counter, so every rank
+		// takes the same one without communicating.
+		p.power = !p.exact && iter > 0 && iter-p.fullAt < maxBasisAge
+		if !p.power {
+			p.fullAt = iter
+		}
+	}
 	// Autotune consensus runs at factor-update boundaries (after the first
 	// update has produced a measurement), before the update issues its
 	// collectives — the same schedule point on every rank, so the tiny
@@ -370,8 +384,31 @@ func (p *Preconditioner) Step(lr float64) error {
 	return p.precondition(lr)
 }
 
+// maxBasisAge is the age, in steps, at which an eigenbasis is replaced.
+// A decomposition update is a full solve when it is the first (step 0) or
+// the latest full-solve update was at least maxBasisAge steps ago, and a
+// power refresh otherwise (linalg.SymEigPowerInto): the factor's basis takes
+// one step of orthogonal iteration, Q₁R = qr(A·Q₀), and its eigenvalues
+// become diag(Q₁ᵀAQ₁). Keeping Q₀ and re-reading only the eigenvalues
+// (the Kronecker-factored half of eigenvalue-corrected K-FAC, George et
+// al., 2018) is cheaper, but it failed the convergence gate
+// (docs/PERFORMANCE.md, "Power refresh"). The age counts steps, not
+// updates, so a run that refreshes every maxBasisAge steps or less often
+// takes only full solves, and no basis is older than the staleness the
+// paper's update intervals already accept (§V-C).
+const maxBasisAge = 20
+
+// ExactRefresh puts every later decomposition update of p on the full
+// solve: the exact arm the convergence gate holds the power tier to.
+// Step 0's update is a full solve in either case, so switching after it
+// still gives the exact run.
+func ExactRefresh(p *Preconditioner) { p.exact = true }
+
 // decompose eigendecomposes (or inverts) one factor of a layer into its
-// slots and refreshes the kernels' mirror of it.
+// slots and refreshes the kernels' mirror of it. On a power update (see
+// maxBasisAge) a factor with a decomposition refreshes it with one step of
+// orthogonal iteration; a factor without one, or whose refreshed values are
+// not finite, takes the full solve.
 func (p *Preconditioner) decompose(s *layerState, isG bool) error {
 	f := s.side(isG)
 	if p.opts.Mode == InverseMode {
@@ -381,18 +418,23 @@ func (p *Preconditioner) decompose(s *layerState, isG bool) error {
 		}
 		*f.inv = inv
 	} else {
-		// In place: the solver leaves eg untouched on failure, so the
+		// In place: both solvers leave eg untouched on failure, so the
 		// previous decomposition survives. A first one is installed only
 		// once it exists.
 		eg := *f.eig
-		if eg == nil {
-			eg = &linalg.Eigen{}
-		}
-		if err := p.symEig(*f.factor, eg); err != nil {
-			return err
+		if eg != nil && p.power && linalg.SymEigPowerInto(*f.factor, eg) == nil {
+			p.stats.count(&p.stats.PowerRefreshes)
+		} else {
+			if eg == nil {
+				eg = &linalg.Eigen{}
+			}
+			if err := p.symEig(*f.factor, eg); err != nil {
+				return err
+			}
+			*f.eig = eg
+			p.stats.count(&p.stats.FullSolves)
 		}
 		clampEigen(eg)
-		*f.eig = eg
 	}
 	s.k.refresh(isG)
 	return nil

@@ -40,6 +40,15 @@ type StageStats struct {
 	EigUpdates    int
 	Steps         int
 
+	// The refresh tier of every factor this rank eigendecomposed (see
+	// maxBasisAge): FullSolves ran the blocked eigensolver — the only tier
+	// the per-kernel times above cover — and PowerRefreshes took one step
+	// of orthogonal iteration from the previous basis (linalg.SymEigPowerInto).
+	// Together they count this rank's
+	// owned factors over every decomposition update.
+	FullSolves     int
+	PowerRefreshes int
+
 	// Pipelined-engine metrics (zero under EngineSync, whose stages cannot
 	// overlap). PipelineWall is the wall-clock spent inside updates;
 	// PipelineWork is the sum of the four stage windows folded into the
@@ -72,6 +81,13 @@ func (s *StageStats) addEigKernels(tm *linalg.EigKernelTimes) {
 	s.EigTridiag += time.Duration(tm.TridiagNS)
 	s.EigBackAccum += time.Duration(tm.BackAccumNS)
 	s.EigQL += time.Duration(tm.QLNS)
+	s.mu.Unlock()
+}
+
+// count adds one to a counter field of s.
+func (s *StageStats) count(dst *int) {
+	s.mu.Lock()
+	*dst++
 	s.mu.Unlock()
 }
 
@@ -113,6 +129,8 @@ func (s *StageStats) Snapshot() StageStats {
 		FactorUpdates:   s.FactorUpdates,
 		EigUpdates:      s.EigUpdates,
 		Steps:           s.Steps,
+		FullSolves:      s.FullSolves,
+		PowerRefreshes:  s.PowerRefreshes,
 		PipelineWall:    s.PipelineWall,
 		PipelineWork:    s.PipelineWork,
 		PipelineIdle:    s.PipelineIdle,
@@ -173,6 +191,9 @@ func (s *StageStats) String() string {
 		fc.Round(time.Microsecond), fm.Round(time.Microsecond), snap.FactorUpdates,
 		ec.Round(time.Microsecond), em.Round(time.Microsecond), snap.EigUpdates,
 		perStep.Round(time.Microsecond), snap.Steps)
+	if snap.PowerRefreshes > 0 {
+		out += fmt.Sprintf(" | refreshes full=%d power=%d", snap.FullSolves, snap.PowerRefreshes)
+	}
 	if snap.EigTridiag+snap.EigBackAccum+snap.EigQL > 0 {
 		out += fmt.Sprintf(" | eig kernels tridiag=%v dc=%v reflectors=%v",
 			snap.EigTridiag.Round(time.Microsecond), snap.EigQL.Round(time.Microsecond),

@@ -8,7 +8,9 @@
 // (eigen_blocked.go), reduces a factor to tridiagonal form with blocked
 // Householder reflectors, solves the tridiagonal by divide and conquer
 // (eigen_dc.go) and applies the reflectors to its eigenvectors, every step
-// bitwise independent of the worker team. Below 128 columns, and as the
+// bitwise independent of the worker team. Between full solves K-FAC
+// refreshes a decomposition with SymEigPowerInto (eigen_power.go), one
+// step of orthogonal iteration from the previous basis. Below 128 columns, and as the
 // tests' oracle, it is the serial pair SymEigInto runs: Householder
 // tridiagonalization and the implicit-shift QL iteration — a faithful port
 // of the public-domain JAMA tred2/tql2 pair, whose tql2 also solves the
@@ -32,14 +34,19 @@ import (
 var ErrNoConvergence = errors.New("linalg: eigendecomposition did not converge")
 
 // Eigen holds the eigendecomposition A = Q diag(Values) Qᵀ of a symmetric
-// matrix. Q's columns are the eigenvectors; Values are ascending.
+// matrix. Q's columns are the eigenvectors and Values[j] belongs to column
+// j. After a full solve (SymEigInto, SymEigBlockedInto) Values are
+// ascending; after a power refresh (SymEigPowerInto) they are in Q's
+// column order, which is descending in the previous values, and Values[j]
+// is the Rayleigh quotient of column j, an approximate eigenvalue. K-FAC
+// reads them per column only.
 //
 // An Eigen may be reused across decompositions via SymEigInto, which
 // recycles Q, Values, and the internal tridiagonal scratch so steady-state
 // redecomposition allocates nothing.
 type Eigen struct {
 	Q      *tensor.Tensor // n×n, column j is the eigenvector for Values[j]
-	Values []float64      // ascending eigenvalues
+	Values []float64      // eigenvalues, in Q's column order
 
 	scratch []float64 // sub-diagonal workspace reused by SymEigInto
 }

@@ -146,13 +146,7 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 		team = 1
 	}
 
-	var ws *eigWS
-	select {
-	case ws = <-eigWSFree:
-	default:
-		ws = new(eigWS)
-	}
-	ws.team = team
+	ws := acquireEigWS(team)
 	A := eigArena.Get(n, n)
 	S := eigArena.Get(n, n)
 	U := eigArena.Get(n, 2*eigBlock)
@@ -162,11 +156,7 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 	deT := eigArena.Get(3 * n)
 	accT := eigArena.Get(accBlock*n + 2*accBlock*accBlock)
 	defer func() {
-		ws.clear()
-		select {
-		case eigWSFree <- ws:
-		default:
-		}
+		ws.release()
 		eigArena.Put(A)
 		eigArena.Put(S)
 		eigArena.Put(U)
@@ -280,15 +270,32 @@ type eigWS struct {
 // GOMAXPROCS slots, and past 16 a workspace is left to the collector.
 var eigWSFree = make(chan *eigWS, 16)
 
-// clear drops the slice references the rangers and views captured, so a
+// acquireEigWS takes a workspace from eigWSFree (or a new one) for a solve
+// by a team of the given size.
+func acquireEigWS(team int) *eigWS {
+	var ws *eigWS
+	select {
+	case ws = <-eigWSFree:
+	default:
+		ws = new(eigWS)
+	}
+	ws.team = team
+	return ws
+}
+
+// release drops the slice references the rangers and views captured, so a
 // pooled workspace does not keep arena storage reachable after the solve
-// has handed it back.
-func (ws *eigWS) clear() {
+// has handed it back, and returns ws to eigWSFree.
+func (ws *eigWS) release() {
 	for i := range ws.views {
 		ws.views[i].Data = nil
 	}
 	ws.tr = trailRanger{}
 	ws.dc = dcState{}
+	select {
+	case eigWSFree <- ws:
+	default:
+	}
 }
 
 // view points header i at the leading rows×cols of data, reusing the

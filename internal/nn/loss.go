@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/tensor"
@@ -12,11 +13,17 @@ import (
 type CrossEntropy struct{}
 
 // Loss returns the mean cross-entropy over the batch and the gradient
-// dLoss/dlogits, shape [N, K].
+// dLoss/dlogits, shape [N, K]. Every label must lie in [0, K): a label the
+// head cannot output panics, naming the row.
 func (CrossEntropy) Loss(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	n, k := logits.Rows(), logits.Cols()
 	if len(labels) != n {
 		panic("nn: CrossEntropy label count mismatch")
+	}
+	for i, y := range labels {
+		if y < 0 || y >= k {
+			panic(fmt.Sprintf("nn: CrossEntropy label %d of row %d is outside [0, %d)", y, i, k))
+		}
 	}
 	grad := tensor.New(n, k)
 	var total float64
@@ -37,10 +44,6 @@ func (CrossEntropy) Loss(logits *tensor.Tensor, labels []int) (float64, *tensor.
 		}
 		logZ := m + math.Log(sum)
 		// loss_i = −(logit_y − logZ); its gradient is softmax − onehot.
-		// Labels must lie in [0, K). Today an out-of-range label is not
-		// checked: it adds no loss and gets a softmax-only gradient row.
-		// That is a known defect, not a contract; ROADMAP item 20 makes it
-		// panic once the experiments that rely on it are fixed.
 		for j, v := range row {
 			p := math.Exp(v - logZ)
 			if j == labels[i] {

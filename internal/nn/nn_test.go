@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -330,6 +332,26 @@ func TestCrossEntropyKnownValue(t *testing.T) {
 	loss, _ := ce.Loss(logits, []int{0, 3})
 	if math.Abs(loss-math.Log(4)) > 1e-12 {
 		t.Errorf("uniform CE loss = %v, want ln 4 = %v", loss, math.Log(4))
+	}
+}
+
+// TestCrossEntropyPanicsOnLabelOutsideHead: a label the head cannot output
+// (≥ K, or negative) is a caller bug — a head narrower than the label set —
+// and panics naming the row, instead of adding no loss.
+func TestCrossEntropyPanicsOnLabelOutsideHead(t *testing.T) {
+	for _, labels := range [][]int{{0, 4}, {-1, 2}} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("labels %v over a 4-class head: no panic", labels)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "outside [0, 4)") {
+					t.Errorf("labels %v: panic %q does not name the range", labels, msg)
+				}
+			}()
+			CrossEntropy{}.Loss(tensor.New(2, 4), labels)
+		}()
 	}
 }
 

@@ -97,6 +97,8 @@ type Session struct {
 	ckptHooks  []CheckpointHook
 	ckptEvery  int
 	resume     *checkpoint.File
+
+	prec *kfac.Preconditioner // the running K-FAC preconditioner, if any
 }
 
 // SessionOption configures a Session at construction. Options apply in
@@ -352,7 +354,11 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 		// collective between Step's entry and return — the SPMD ordering
 		// contract of docs/ARCHITECTURE.md.
 		prec = kfac.NewFromOptions(s.net, c, *cfg.KFAC)
-		defer prec.Close()
+		s.prec = prec
+		defer func() {
+			prec.Close()
+			s.prec = nil
+		}()
 	}
 	ce := nn.CrossEntropy{}
 	sampler := data.ShardSampler{N: s.train.Len(), Rank: rank, World: world, Seed: cfg.Seed}
