@@ -53,13 +53,22 @@ func (c gemmCase) refChain(a, b []float64) []float64 {
 }
 
 // run executes the case on the given kernel set. The destination starts as
-// NaN so an element the driver failed to write cannot pass for a result.
-func run[E Elem](c gemmCase, ks *gemmKernels, a, b []E) []E {
-	dst := make([]E, c.m*c.n)
-	for i := range dst {
-		dst[i] = E(math.NaN())
+// NaN so an element the driver failed to write cannot pass for a result, and
+// is followed by a guard a kernel writing past the last row would change.
+func run[E Elem](t testing.TB, c gemmCase, ks *gemmKernels, a, b []E) []E {
+	t.Helper()
+	const guard = 2 * gemmNRMax
+	buf := make([]E, c.m*c.n+guard)
+	for i := range buf {
+		buf[i] = E(math.NaN())
 	}
+	dst := buf[:c.m*c.n]
 	gemm(ks, dst, a, b, c.m, c.n, c.k, c.aT, c.bT, c.upper)
+	for _, v := range buf[len(dst):] {
+		if v == v {
+			t.Fatalf("%v: %v: the product wrote past its destination", ks.isa, c)
+		}
+	}
 	return dst
 }
 
@@ -126,17 +135,20 @@ func (c gemmCase) problem(rng *rand.Rand) gemmProblem {
 // check runs the problem at both element types on the given kernel set.
 func (c gemmCase) check(t *testing.T, label string, ks *gemmKernels, p gemmProblem) {
 	t.Helper()
-	sameBits(t, label+"/float64", c, run(c, ks, p.a, p.b), p.want)
-	sameBits(t, label+"/float32", c, run(c, ks, p.a32, p.b32), p.want32)
+	sameBits(t, label+"/float64", c, run(t, c, ks, p.a, p.b), p.want)
+	sameBits(t, label+"/float32", c, run(t, c, ks, p.a32, p.b32), p.want32)
 }
 
 // gemmCases is the shape set of the bit-identity tests: every small edge
-// (partial micro-tiles in both directions, k around the k-block), a random
-// sample of m, n, k ∈ 1…70, and the shapes the benchmark models issue.
+// (partial micro-tiles in both directions — n = 1…49 cuts a 12- or 24-column
+// panel and its 8-wide vectors to every width, in a product narrow enough
+// to be handed to the AVX2 tile and in one that is not, and runs past two
+// 24-wide panels — and k around the k-block), a random sample of m, n, k ∈
+// 1…70, and the shapes the benchmark models issue.
 func gemmCases() []gemmCase {
 	var shapes [][3]int // m, n, k
 	for m := 1; m <= 9; m++ {
-		for _, n := range []int{1, 2, 11, 12, 13, 23, 24, 25} {
+		for n := 1; n <= 49; n++ {
 			for _, k := range []int{1, 2, 7, gemmKC - 1, gemmKC, gemmKC + 1} {
 				shapes = append(shapes, [3]int{m, n, k})
 			}
@@ -166,24 +178,30 @@ func gemmCases() []gemmCase {
 	return cases
 }
 
-// TestGEMMKernelSetsBitIdentical is the kernel-equality gate: the active
-// kernel set (the AVX2 assembly where the build and CPU have it) and the
-// portable math.FMA set, linked into this one binary, must both reproduce
-// the written-down FMA chain bit for bit — every variant, every edge, both
-// element types.
+// TestGEMMKernelSetsBitIdentical is the kernel-equality gate: every kernel
+// set the host runs — the portable math.FMA set and, where the build and CPU
+// have them, the AVX2 and AVX-512 assembly sets, each at its own panel
+// width — must reproduce the written-down FMA chain bit for bit: every
+// variant (the upper Gram product included), every edge, both element
+// types. A set the host cannot run is skipped with the reason.
 func TestGEMMKernelSetsBitIdentical(t *testing.T) {
-	t.Logf("active GEMM kernel set: %s", kernelISA)
+	t.Logf("active GEMM kernel set: %v", gemmActive.isa)
+	cases := gemmCases()
 	rng := rand.New(rand.NewSource(1))
-	for _, c := range gemmCases() {
-		p := c.problem(rng)
-		c.check(t, "portable", &gemmGo, p)
-		c.check(t, "active", &gemmActive, p)
+	problems := make([]gemmProblem, len(cases))
+	for i, c := range cases {
+		problems[i] = c.problem(rng)
 	}
+	forEachKernelSet(t, func(t *testing.T, ks *gemmKernels) {
+		for i, c := range cases {
+			c.check(t, ks.isa.String(), ks, problems[i])
+		}
+	})
 }
 
 // TestGEMMBitIdenticalAcrossGOMAXPROCS: the block grid follows the worker
-// count, the bits must not. Shapes are past gemmParallelWork so the grid
-// really changes.
+// count, the bits must not, under every kernel set the host runs. Shapes are
+// past gemmParallelWork so the grid really changes.
 func TestGEMMBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	cases := []gemmCase{
 		{m: 190, n: 170, k: 140},
@@ -194,16 +212,21 @@ func TestGEMMBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(2))
-	for _, c := range cases {
+	problems := make([]gemmProblem, len(cases))
+	for i, c := range cases {
 		if work := c.m * c.n * c.k; work < 2*gemmParallelWork { // 2×: an upper case counts half
 			t.Fatalf("%v: %d multiply-adds would not fan out", c, work)
 		}
-		p := c.problem(rng)
-		for _, procs := range []int{1, 2, 4, 8} {
-			runtime.GOMAXPROCS(procs)
-			c.check(t, fmt.Sprintf("GOMAXPROCS=%d", procs), &gemmActive, p)
-		}
+		problems[i] = c.problem(rng)
 	}
+	forEachKernelSet(t, func(t *testing.T, ks *gemmKernels) {
+		for i, c := range cases {
+			for _, procs := range []int{1, 2, 4, 8} {
+				runtime.GOMAXPROCS(procs)
+				c.check(t, fmt.Sprintf("%v GOMAXPROCS=%d", ks.isa, procs), ks, problems[i])
+			}
+		}
+	})
 }
 
 // product is one entry point of the family at float64 operand types; the
@@ -407,7 +430,7 @@ func checkGroup[E Elem](t *testing.T, label string, ks *gemmKernels, cases []gem
 	g.Run()
 	for i, c := range cases {
 		a, b := operands(i)
-		sameBits(t, label, c, dsts[i], run(c, ks, a, b))
+		sameBits(t, label, c, dsts[i], run(t, c, ks, a, b))
 	}
 }
 

@@ -2,10 +2,11 @@
 
 package tensor
 
-// AVX2+FMA implementations of the float32 conversion primitives and of the
-// GEMM kernel set (simd_amd64.s), swapped into the dispatch
-// variables at init when the CPU and OS support them. Build with -tags
-// purego to keep the portable path (the conformance oracle) on any hardware.
+// Assembly implementations (simd_amd64.s) of the float32 conversion
+// primitives (AVX2) and of two GEMM kernel sets, AVX2 (4×12 tile) and
+// AVX-512 (4×24 tile), swapped into the dispatch variables at init as far as
+// the CPU and OS support them. Build with -tags purego to keep the portable
+// path (the conformance oracle) on any hardware.
 
 //go:noescape
 func foldAccAVX(acc []float64, src []float32)
@@ -16,19 +17,21 @@ func widenAVX(dst []float64, src []float32)
 //go:noescape
 func narrowAVX(dst []float32, src []float64)
 
-// gemmKernelAVX is the gemmMR×gemmNR float64 micro-kernel: twelve YMM
-// accumulators, one VFMADD231PD per term — bit-identical to gemmKernelGo.
+// gemmKernelAVX is the AVX2 set's gemmMR×12 float64 micro-kernel: twelve
+// YMM accumulators, one VFMADD231PD per term, every column whatever cols
+// says — bit-identical to gemmKernelGo.
 //
 //go:noescape
-func gemmKernelAVX(kc int, a, b, c []float64, ldc int, load bool)
+func gemmKernelAVX(kc int, a, b, c []float64, ldc, cols int, load bool)
 
-// copyStepsAVX is gemmKernels.copySteps with 4-wide vector moves; w must be
-// gemmMR or gemmNR.
+// copyStepsAVX is the AVX2 set's copySteps with 4-wide vector moves; w must
+// be gemmMR or 12.
 //
 //go:noescape
 func copyStepsAVX(dst, src []float64, ld, kc, w int)
 
-// transLanes4AVX is gemmKernels.transLanes4 as in-register 4×4 transposes.
+// transLanes4AVX is gemmKernels.transLanes4 as in-register 4×4 transposes,
+// shared by both assembly sets.
 //
 //go:noescape
 func transLanes4AVX(dst, src []float64, ld, kc, w int)
@@ -39,11 +42,53 @@ func transLanes4AVX(dst, src []float64, ld, kc, w int)
 //go:noescape
 func fmaPeakAVX(iters int)
 
-// fmaPeakLoopAVX is the assembly build's fmaPeakLoop.
+// fmaPeakLoopAVX is the AVX2 set's fmaPeak.
 func fmaPeakLoopAVX(iters int) int {
 	fmaPeakAVX(iters)
 	return iters * 12 * 4 * 2
 }
+
+// gemmKernelAVX512 is the AVX-512 set's gemmMR×24 float64 micro-kernel:
+// three 8-wide ZMM vectors per row, one VFMADD231PD per term; only the
+// vectors that reach columns [0, cols) run, and the last one under a lane
+// mask, so no column past cols is read or written — bit-identical to
+// gemmKernelGo.
+//
+//go:noescape
+func gemmKernelAVX512(kc int, a, b, c []float64, ldc, cols int, load bool)
+
+// copyStepsAVX512 is the AVX-512 set's copySteps; w must be gemmMR or 24.
+//
+//go:noescape
+func copyStepsAVX512(dst, src []float64, ld, kc, w int)
+
+// fmaPeakAVX512 runs iters steps of twelve independent 8-wide VFMADD231PD
+// chains on registers only.
+//
+//go:noescape
+func fmaPeakAVX512(iters int)
+
+// fmaPeakLoopAVX512 is the AVX-512 set's fmaPeak.
+func fmaPeakLoopAVX512(iters int) int {
+	fmaPeakAVX512(iters)
+	return iters * 12 * 8 * 2
+}
+
+// The assembly kernel sets. They share transLanes4AVX: a lane packer writes
+// four lanes per step whatever the panel width. The AVX-512 set hands the
+// products 9…12 columns wide to the AVX2 tile: its own tile runs two 8-wide
+// vectors per row for them, eight accumulator chains against the AVX2
+// tile's twelve, over a packed panel and float32 scratch twice as wide. On
+// a Sapphire Rapids core it ran such products 4–13 % slower (the 1152×108×12
+// conv forward at 12 output channels among them), while at most 8 columns,
+// one vector, it ran them 16–22 % faster.
+var (
+	gemmAVX2 = gemmKernels{isa: isaAVX2, nr: 12, tile: gemmKernelAVX,
+		copySteps: copyStepsAVX, transLanes4: transLanes4AVX, fmaPeak: fmaPeakLoopAVX}
+	gemmAVX512 = gemmKernels{isa: isaAVX512, nr: 24, tile: gemmKernelAVX512, exactCols: true,
+		copySteps: copyStepsAVX512, transLanes4: transLanes4AVX, fmaPeak: fmaPeakLoopAVX512,
+		narrow: &gemmAVX2}
+)
 
 // cpuidRaw executes CPUID with the given leaf/subleaf.
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -51,40 +96,33 @@ func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register 0 (the enabled XSAVE state mask).
 func xgetbv0() (eax, edx uint32)
 
-// cpuHasAVX2FMA reports whether the CPU supports AVX2 and FMA and the OS
-// has enabled YMM state saving (OSXSAVE + XCR0 bits 1–2) — the full
-// precondition for the kernels in simd_amd64.s.
-func cpuHasAVX2FMA() bool {
+// hostISA reads the words selectISA decides on. XGETBV runs only when
+// OSXSAVE says the OS supports it, and leaf 7 only when the CPU has it.
+func hostISA() isa {
 	maxID, _, _, _ := cpuidRaw(0, 0)
-	if maxID < 7 {
-		return false
-	}
 	_, _, ecx1, _ := cpuidRaw(1, 0)
-	const (
-		fma     = 1 << 12
-		osxsave = 1 << 27
-		avx     = 1 << 28
-	)
-	if ecx1&fma == 0 || ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
+	var ebx7, xcr0 uint32
+	if maxID >= 7 {
+		_, ebx7, _, _ = cpuidRaw(7, 0)
 	}
-	// XCR0 bits 1 (SSE/XMM) and 2 (AVX/YMM) must both be OS-enabled.
-	xcr0, _ := xgetbv0()
-	if xcr0&0x6 != 0x6 {
-		return false
+	const osxsave = 1 << 27
+	if ecx1&osxsave != 0 {
+		xcr0, _ = xgetbv0()
 	}
-	_, ebx7, _, _ := cpuidRaw(7, 0)
-	const avx2 = 1 << 5
-	return ebx7&avx2 != 0
+	return selectISA(ecx1, ebx7, xcr0)
 }
 
 func init() {
-	if cpuHasAVX2FMA() {
-		foldAccImpl = foldAccAVX
-		widenImpl = widenAVX
-		narrowImpl = narrowAVX
-		gemmActive = gemmKernels{tile: gemmKernelAVX, copySteps: copyStepsAVX, transLanes4: transLanes4AVX}
-		fmaPeakLoop = fmaPeakLoopAVX
-		kernelISA = "avx2+fma"
+	switch hostISA() {
+	case isaAVX512:
+		gemmActive = gemmAVX512
+	case isaAVX2:
+		gemmActive = gemmAVX2
+	default:
+		return
 	}
+	foldAccImpl = foldAccAVX
+	widenImpl = widenAVX
+	narrowImpl = narrowAVX
+	kernelISA = "avx2+fma"
 }

@@ -2,9 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2 float32 conversion primitives and the AVX2+FMA GEMM kernel set.
-// Operand order note: the Go assembler reverses Intel operand order, so
-// VFMADD231PD Ys, Ym, Yd computes Yd += Ym*Ys.
+// AVX2 float32 conversion primitives and the AVX2+FMA and AVX-512 GEMM
+// kernel sets. Operand order note: the Go assembler reverses Intel operand
+// order, so VFMADD231PD Ys, Ym, Yd computes Yd += Ym*Ys.
 // Every routine handles arbitrary lengths (vector body + scalar tail) and
 // executes VZEROUPPER before returning to avoid SSE/AVX transition stalls.
 
@@ -103,14 +103,14 @@ narrow_done:
 	VZEROUPPER
 	RET
 
-// func gemmKernelAVX(kc int, a, b, c []float64, ldc int, load bool)
-// One 4×12 float64 micro-tile: Y4–Y15 hold rows 0–3 × three 4-wide column
-// vectors. Each step loads one packed row of b (12 values) and broadcasts
+// func gemmKernelAVX(kc int, a, b, c []float64, ldc, cols int, load bool)
+// One 4×12 float64 micro-tile, all twelve columns (cols is not read): Y4–Y15
+// hold rows 0–3 × three 4-wide column vectors. Each step loads one packed row of b (12 values) and broadcasts
 // the four packed values of a; every accumulator lane takes exactly one
 // fused multiply-add per step, steps ascending — the chain math.FMA gives
 // gemmKernelGo. The tile starts from +0 (VXORPD) or, when load is set, from
 // the values stored in c.
-TEXT ·gemmKernelAVX(SB), NOSPLIT, $0-89
+TEXT ·gemmKernelAVX(SB), NOSPLIT, $0-97
 	MOVQ    kc+0(FP), CX
 	MOVQ    a_base+8(FP), AX
 	MOVQ    b_base+32(FP), BX
@@ -120,7 +120,7 @@ TEXT ·gemmKernelAVX(SB), NOSPLIT, $0-89
 	LEAQ    (DI)(DX*1), R9
 	LEAQ    (R9)(DX*1), R10
 	LEAQ    (R10)(DX*1), R11
-	MOVBLZX load+88(FP), R8
+	MOVBLZX load+96(FP), R8
 	TESTQ   R8, R8
 	JZ      gemm_zero
 	VMOVUPD (DI), Y4
@@ -342,6 +342,305 @@ peak_loop:
 	JNZ  peak_loop
 
 peak_done:
+	VZEROUPPER
+	RET
+
+// func gemmKernelAVX512(kc int, a, b, c []float64, ldc, cols int, load bool)
+// One 4×24 float64 micro-tile: row r, 8-wide column vector v accumulates in
+// Z(4+3r+v). Only the vectors that reach columns [0, cols) run — one when
+// cols ≤ 8, two when cols ≤ 16, else three — and the last of them loads and
+// stores under the lane mask K1 of its valid columns, so the tile reads and
+// writes exactly columns [0, cols) of c: a partial panel needs no private
+// edge tile and costs no padding arithmetic past its last vector. Each step
+// loads the running vectors of one packed row of b (24 values, 192 bytes)
+// and broadcasts the four packed values of a into Z16–Z19 before the first
+// multiply-add (one broadcast register reused per row ran the one-vector
+// loop about a quarter slower); every accumulator lane takes exactly one
+// fused multiply-add per step, steps ascending — the chain math.FMA gives
+// gemmKernelGo. The tile starts from +0 (VPXORQ) or, when load is set, from
+// the values stored in c.
+TEXT ·gemmKernelAVX512(SB), NOSPLIT, $0-97
+	MOVQ    a_base+8(FP), AX
+	MOVQ    b_base+32(FP), BX
+	MOVQ    c_base+56(FP), DI
+	MOVQ    ldc+80(FP), DX
+	SHLQ    $3, DX
+	LEAQ    (DI)(DX*1), R9
+	LEAQ    (R9)(DX*1), R10
+	LEAQ    (R10)(DX*1), R11
+	MOVQ    cols+88(FP), R12
+	MOVBLZX load+96(FP), R8
+	// K1 = (1 << valid columns of the last vector) - 1, the valid count
+	// being cols - 8·(vectors - 1), in 1…8.
+	LEAQ    -1(R12), CX
+	ANDQ    $7, CX
+	INCQ    CX
+	MOVL    $1, R13
+	SHLL    CX, R13
+	DECL    R13
+	KMOVW   R13, K1
+	MOVQ    kc+0(FP), CX
+	CMPQ    R12, $8
+	JLE     v1_start
+	CMPQ    R12, $16
+	JLE     v2_start
+
+v3_start:
+	TESTQ R8, R8
+	JZ    v3_zero
+	VMOVUPD   (DI), Z4
+	VMOVUPD   64(DI), Z5
+	VMOVUPD.Z 128(DI), K1, Z6
+	VMOVUPD   (R9), Z7
+	VMOVUPD   64(R9), Z8
+	VMOVUPD.Z 128(R9), K1, Z9
+	VMOVUPD   (R10), Z10
+	VMOVUPD   64(R10), Z11
+	VMOVUPD.Z 128(R10), K1, Z12
+	VMOVUPD   (R11), Z13
+	VMOVUPD   64(R11), Z14
+	VMOVUPD.Z 128(R11), K1, Z15
+	JMP       v3_steps
+
+v3_zero:
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+
+v3_steps:
+	TESTQ CX, CX
+	JZ    v3_store
+
+v3_loop:
+	VMOVUPD      (BX), Z0
+	VMOVUPD      64(BX), Z1
+	VMOVUPD      128(BX), Z2
+	VBROADCASTSD (AX), Z16
+	VBROADCASTSD 8(AX), Z17
+	VBROADCASTSD 16(AX), Z18
+	VBROADCASTSD 24(AX), Z19
+	VFMADD231PD  Z0, Z16, Z4
+	VFMADD231PD  Z1, Z16, Z5
+	VFMADD231PD  Z2, Z16, Z6
+	VFMADD231PD  Z0, Z17, Z7
+	VFMADD231PD  Z1, Z17, Z8
+	VFMADD231PD  Z2, Z17, Z9
+	VFMADD231PD  Z0, Z18, Z10
+	VFMADD231PD  Z1, Z18, Z11
+	VFMADD231PD  Z2, Z18, Z12
+	VFMADD231PD  Z0, Z19, Z13
+	VFMADD231PD  Z1, Z19, Z14
+	VFMADD231PD  Z2, Z19, Z15
+	ADDQ $32, AX
+	ADDQ $192, BX
+	DECQ CX
+	JNZ  v3_loop
+
+v3_store:
+	VMOVUPD Z4, (DI)
+	VMOVUPD Z5, 64(DI)
+	VMOVUPD Z6, K1, 128(DI)
+	VMOVUPD Z7, (R9)
+	VMOVUPD Z8, 64(R9)
+	VMOVUPD Z9, K1, 128(R9)
+	VMOVUPD Z10, (R10)
+	VMOVUPD Z11, 64(R10)
+	VMOVUPD Z12, K1, 128(R10)
+	VMOVUPD Z13, (R11)
+	VMOVUPD Z14, 64(R11)
+	VMOVUPD Z15, K1, 128(R11)
+	VZEROUPPER
+	RET
+
+v2_start:
+	TESTQ R8, R8
+	JZ    v2_zero
+	VMOVUPD   (DI), Z4
+	VMOVUPD.Z 64(DI), K1, Z5
+	VMOVUPD   (R9), Z7
+	VMOVUPD.Z 64(R9), K1, Z8
+	VMOVUPD   (R10), Z10
+	VMOVUPD.Z 64(R10), K1, Z11
+	VMOVUPD   (R11), Z13
+	VMOVUPD.Z 64(R11), K1, Z14
+	JMP       v2_steps
+
+v2_zero:
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+
+v2_steps:
+	TESTQ CX, CX
+	JZ    v2_store
+
+v2_loop:
+	VMOVUPD      (BX), Z0
+	VMOVUPD      64(BX), Z1
+	VBROADCASTSD (AX), Z16
+	VBROADCASTSD 8(AX), Z17
+	VBROADCASTSD 16(AX), Z18
+	VBROADCASTSD 24(AX), Z19
+	VFMADD231PD  Z0, Z16, Z4
+	VFMADD231PD  Z1, Z16, Z5
+	VFMADD231PD  Z0, Z17, Z7
+	VFMADD231PD  Z1, Z17, Z8
+	VFMADD231PD  Z0, Z18, Z10
+	VFMADD231PD  Z1, Z18, Z11
+	VFMADD231PD  Z0, Z19, Z13
+	VFMADD231PD  Z1, Z19, Z14
+	ADDQ $32, AX
+	ADDQ $192, BX
+	DECQ CX
+	JNZ  v2_loop
+
+v2_store:
+	VMOVUPD Z4, (DI)
+	VMOVUPD Z5, K1, 64(DI)
+	VMOVUPD Z7, (R9)
+	VMOVUPD Z8, K1, 64(R9)
+	VMOVUPD Z10, (R10)
+	VMOVUPD Z11, K1, 64(R10)
+	VMOVUPD Z13, (R11)
+	VMOVUPD Z14, K1, 64(R11)
+	VZEROUPPER
+	RET
+
+v1_start:
+	TESTQ R8, R8
+	JZ    v1_zero
+	VMOVUPD.Z (DI), K1, Z4
+	VMOVUPD.Z (R9), K1, Z7
+	VMOVUPD.Z (R10), K1, Z10
+	VMOVUPD.Z (R11), K1, Z13
+	JMP       v1_steps
+
+v1_zero:
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z13, Z13, Z13
+
+v1_steps:
+	TESTQ CX, CX
+	JZ    v1_store
+
+v1_loop:
+	VMOVUPD      (BX), Z0
+	VBROADCASTSD (AX), Z16
+	VBROADCASTSD 8(AX), Z17
+	VBROADCASTSD 16(AX), Z18
+	VBROADCASTSD 24(AX), Z19
+	VFMADD231PD  Z0, Z16, Z4
+	VFMADD231PD  Z0, Z17, Z7
+	VFMADD231PD  Z0, Z18, Z10
+	VFMADD231PD  Z0, Z19, Z13
+	ADDQ $32, AX
+	ADDQ $192, BX
+	DECQ CX
+	JNZ  v1_loop
+
+v1_store:
+	VMOVUPD Z4, K1, (DI)
+	VMOVUPD Z7, K1, (R9)
+	VMOVUPD Z10, K1, (R10)
+	VMOVUPD Z13, K1, (R11)
+	VZEROUPPER
+	RET
+
+// func copyStepsAVX512(dst, src []float64, ld, kc, w int)
+// dst[p*w+l] = src[p*ld+l]: one 4-wide (w = 4) or three 8-wide (w = 24)
+// vector moves per step.
+TEXT ·copyStepsAVX512(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ ld+48(FP), R8
+	SHLQ $3, R8
+	MOVQ kc+56(FP), CX
+	MOVQ w+64(FP), R9
+	TESTQ CX, CX
+	JZ   copyz_done
+	CMPQ R9, $24
+	JNE  copyz_loop4
+
+copyz_loop24:
+	VMOVUPD (SI), Z0
+	VMOVUPD 64(SI), Z1
+	VMOVUPD 128(SI), Z2
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	ADDQ R8, SI
+	ADDQ $192, DI
+	DECQ CX
+	JNZ  copyz_loop24
+	JMP  copyz_done
+
+copyz_loop4:
+	VMOVUPD (SI), Y0
+	VMOVUPD Y0, (DI)
+	ADDQ R8, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  copyz_loop4
+
+copyz_done:
+	VZEROUPPER
+	RET
+
+// func fmaPeakAVX512(iters int)
+// Twelve independent 8-wide accumulator chains (the AVX-512 micro-kernel's
+// register tile), no memory operands: that set's one-core FMA roofline.
+TEXT ·fmaPeakAVX512(SB), NOSPLIT, $0-8
+	MOVQ   iters+0(FP), CX
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	TESTQ  CX, CX
+	JZ     peakz_done
+
+peakz_loop:
+	VFMADD231PD Z0, Z1, Z4
+	VFMADD231PD Z0, Z1, Z5
+	VFMADD231PD Z0, Z1, Z6
+	VFMADD231PD Z0, Z1, Z7
+	VFMADD231PD Z0, Z1, Z8
+	VFMADD231PD Z0, Z1, Z9
+	VFMADD231PD Z0, Z1, Z10
+	VFMADD231PD Z0, Z1, Z11
+	VFMADD231PD Z0, Z1, Z12
+	VFMADD231PD Z0, Z1, Z13
+	VFMADD231PD Z0, Z1, Z14
+	VFMADD231PD Z0, Z1, Z15
+	DECQ CX
+	JNZ  peakz_loop
+
+peakz_done:
 	VZEROUPPER
 	RET
 
