@@ -80,7 +80,7 @@ func (f *File) AddExtra(name string, t *tensor.Tensor) {
 	f.Extra = append(f.Extra, entryOf(name, t))
 }
 
-// Extra returns the auxiliary tensor stored under name, or nil.
+// ExtraTensor returns the auxiliary tensor stored under name, or nil.
 func (f *File) ExtraTensor(name string) *tensor.Tensor {
 	for _, e := range f.Extra {
 		if e.Name == name {

@@ -54,7 +54,7 @@ func TestWriteReadStream(t *testing.T) {
 		t.Error("round trip lost data")
 	}
 	ex := got.ExtraTensor("momentum.fc0")
-	if ex == nil || ex.At(0, 0) != 0.5 {
+	if ex == nil || ex.Data[0] != 0.5 {
 		t.Error("extra tensor lost")
 	}
 	if got.ExtraTensor("missing") != nil {

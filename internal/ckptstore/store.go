@@ -118,9 +118,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 func (s *Store) objectPath(sum [32]byte) string {
 	return filepath.Join(s.root, "objects", hex.EncodeToString(sum[:])+".ckpt")
 }

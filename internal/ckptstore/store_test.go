@@ -207,7 +207,7 @@ func TestPruneAgeRetentionKeepsNewest(t *testing.T) {
 	// anyway (the resume guarantee).
 	old := time.Now().Add(-time.Hour)
 	for _, r := range refs {
-		path := filepath.Join(s.Root(), "jobs", "job-a",
+		path := filepath.Join(s.root, "jobs", "job-a",
 			refName(r.Seq, r.Sum))
 		if err := os.Chtimes(path, old, old); err != nil {
 			t.Fatal(err)

@@ -51,22 +51,11 @@ func WaitAll(hs ...*Handle) error {
 	return firstErr
 }
 
-// AllreduceSumAsync starts an asynchronous in-place sum-allreduce. The tag
+// AllreduceMeanAsync starts an asynchronous in-place mean-allreduce. The tag
 // namespace is reserved synchronously at call time, so as long as every rank
 // issues the same collectives in the same program order, overlapping
 // operations cannot cross-match. The caller must not touch data until Wait
 // returns.
-func (c *Communicator) AllreduceSumAsync(data []float64) *Handle {
-	base := c.nextOp()
-	h := newHandle()
-	go func() {
-		defer h.wg.Done()
-		h.err = c.allreduceSumTagged(data, base)
-	}()
-	return h
-}
-
-// AllreduceMeanAsync starts an asynchronous in-place mean-allreduce.
 func (c *Communicator) AllreduceMeanAsync(data []float64) *Handle {
 	base := c.nextOp()
 	h := newHandle()
@@ -98,10 +87,12 @@ func (h *GatherHandle) Wait() ([][]float64, error) {
 	return h.blocks, h.err
 }
 
-// AllgatherVAsync starts an asynchronous AllgatherV. The pipelined K-FAC
-// engine uses one call per layer to stream eigendecompositions instead of
-// blocking on a monolithic gather. The caller must not mutate mine until
-// Wait returns.
+// AllgatherVAsync starts gathering each rank's (variable-length)
+// contribution; Wait returns the per-rank payloads indexed by rank,
+// identical on every rank. This is the collective the paper's step 2→3
+// transition uses to share eigen decompositions (Algorithm 1, line 18);
+// here the Fuser's compressed chunks ride it. The caller must not mutate
+// mine until Wait returns.
 func (c *Communicator) AllgatherVAsync(mine []float64) *GatherHandle {
 	base := c.nextOp()
 	h := &GatherHandle{done: make(chan struct{})}

@@ -40,7 +40,7 @@ func TestChaosDeterministicSchedule(t *testing.T) {
 						t.Errorf("rank %d allreduce: %v", r, err)
 						return
 					}
-					if _, err := c.AllgatherV([]float64{float64(r)}); err != nil {
+					if _, err := c.AllgatherVAsync([]float64{float64(r)}).Wait(); err != nil {
 						t.Errorf("rank %d allgather: %v", r, err)
 						return
 					}

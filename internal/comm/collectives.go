@@ -49,10 +49,6 @@ func (c *Communicator) WithContext(ctx context.Context) *Communicator {
 	return &cp
 }
 
-// Context returns the context bound by WithContext (context.Background for
-// a communicator that never had one bound).
-func (c *Communicator) Context() context.Context { return c.ctx }
-
 // Rank returns this communicator's rank.
 func (c *Communicator) Rank() int { return c.t.Rank() }
 
@@ -265,16 +261,9 @@ func (c *Communicator) broadcastTree(data []float64, base uint64, rel, size int,
 	return nil
 }
 
-// AllgatherV gathers each rank's (variable-length) contribution and returns
-// the per-rank payloads indexed by rank, identical on every rank. This is
-// the collective the paper's step 2→3 transition uses to share eigen
-// decompositions (Algorithm 1, line 18). Ring algorithm: p−1 steps, each
-// forwarding the block received in the previous step.
-func (c *Communicator) AllgatherV(mine []float64) ([][]float64, error) {
-	return c.allgatherVTagged(mine, c.nextOp())
-}
-
-// allgatherVTagged is AllgatherV with an externally reserved tag base.
+// allgatherVTagged is the ring allgather body with an externally reserved
+// tag base: p−1 steps, each forwarding the block received in the previous
+// step.
 func (c *Communicator) allgatherVTagged(mine []float64, base uint64) ([][]float64, error) {
 	p := c.Size()
 	r := c.Rank()
@@ -299,12 +288,6 @@ func (c *Communicator) allgatherVTagged(mine []float64, base uint64) ([][]float6
 		out[mod(r-s-1, p)] = in
 	}
 	return out, nil
-}
-
-// Barrier blocks until every rank has entered it.
-func (c *Communicator) Barrier() error {
-	one := []float64{1}
-	return c.AllreduceSum(one)
 }
 
 // Reduce sums data from all ranks onto root (in place on root; other ranks'

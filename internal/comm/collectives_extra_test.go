@@ -206,7 +206,7 @@ func TestHierarchicalAllreduceMatchesFlat(t *testing.T) {
 				for i := range data {
 					data[i] = float64(c.Rank()*100 + i)
 				}
-				if err := c.HierarchicalAllreduceMean(data, tc.g); err != nil {
+				if err := c.HierarchicalAllreduceMeanAsync(data, tc.g).Wait(); err != nil {
 					return err
 				}
 				mu.Lock()
@@ -232,7 +232,7 @@ func TestHierarchicalDegenerateGroupSizes(t *testing.T) {
 		g := g
 		runWorld(t, 4, func(c *Communicator) error {
 			data := []float64{float64(c.Rank())}
-			if err := c.HierarchicalAllreduceMean(data, g); err != nil {
+			if err := c.HierarchicalAllreduceMeanAsync(data, g).Wait(); err != nil {
 				return err
 			}
 			if math.Abs(data[0]-1.5) > 1e-12 {

@@ -18,22 +18,28 @@ import (
 //     (the mixed-precision communication used by several of the paper's
 //     related works), 2× volume reduction;
 //   - TopKCodec: magnitude sparsification keeping the k largest entries as
-//     (index, value) pairs, with optional local error feedback handled by
-//     the caller.
+//     (index, value) pairs, with error feedback (ErrorFeedback) keeping
+//     what it drops.
 //
 // Codecs encode into []float64 transport payloads so they compose with any
 // Transport; the volume accounting (CompressedLen) feeds the α–β model.
+// Both directions write into caller-supplied buffers, so the Fuser's
+// compressed chunks run on pooled memory.
 
 // Codec converts between a dense vector and its compressed wire form.
 type Codec interface {
-	// Encode compresses src into a transport payload.
-	Encode(src []float64) []float64
-	// Decode expands a payload produced by Encode back to length n.
-	Decode(payload []float64, n int) ([]float64, error)
-	// CompressedLen returns the payload length for an n-vector.
-	CompressedLen(n int) int
 	// Name identifies the codec.
 	Name() string
+	// CompressedLen returns the payload length for an n-vector.
+	CompressedLen(n int) int
+	// EncodeInto compresses src into dst, a buffer of length
+	// CompressedLen(len(src)) whose contents need not be zeroed, and
+	// returns the payload.
+	EncodeInto(dst, src []float64) []float64
+	// DecodeInto expands a payload produced by EncodeInto into dst, whose
+	// length is the vector's; a payload that cannot describe len(dst)
+	// values is an error, never a panic, since it comes off a wire.
+	DecodeInto(dst, payload []float64) error
 }
 
 // ParseCodec decodes a codec name as the command line and job specs spell
@@ -71,15 +77,7 @@ func (Float16Codec) Name() string { return "float16" }
 // CompressedLen implements Codec.
 func (Float16Codec) CompressedLen(n int) int { return (n + 3) / 4 }
 
-// Encode implements Codec.
-func (c Float16Codec) Encode(src []float64) []float64 {
-	return c.EncodeInto(make([]float64, (len(src)+3)/4), src)
-}
-
-// EncodeInto is Encode writing into a caller-supplied payload buffer of
-// length CompressedLen(len(src)) — the allocation-free path the
-// error-feedback fusion layer uses with pooled buffers. The buffer is fully
-// overwritten; the (possibly reused) contents need not be zeroed.
+// EncodeInto implements Codec.
 func (Float16Codec) EncodeInto(dst, src []float64) []float64 {
 	dst = dst[:(len(src)+3)/4]
 	for i := range dst {
@@ -96,25 +94,7 @@ func (Float16Codec) EncodeInto(dst, src []float64) []float64 {
 	return dst
 }
 
-// Decode implements Codec.
-func (c Float16Codec) Decode(payload []float64, n int) ([]float64, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("comm: float16 decode with negative length %d", n)
-	}
-	// Check the bound before allocating n words — n is wire-controlled.
-	if n > 4*len(payload) {
-		return nil, fmt.Errorf("comm: float16 payload too short: %d words for n=%d", len(payload), n)
-	}
-	out := make([]float64, n)
-	if err := c.DecodeInto(out, payload); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeInto is Decode expanding into a caller-supplied buffer whose
-// length selects the output count (the allocation-free counterpart of
-// EncodeInto). Validation matches Decode.
+// DecodeInto implements Codec.
 func (Float16Codec) DecodeInto(dst, payload []float64) error {
 	n := len(dst)
 	// Bound n by the payload before any arithmetic on it: n near MaxInt
@@ -193,12 +173,11 @@ func float16ToFloat64(h uint16) float64 {
 	}
 }
 
-// TopKCodec keeps the k largest-magnitude entries as (index, value) pairs.
+// TopKCodec keeps the k = ceil(FractionK·n) largest-magnitude entries of
+// an n-vector (at least one) as (index, value) pairs.
 // Payload layout: [count, idx₀, val₀, idx₁, val₁, …].
 type TopKCodec struct {
-	// K is the number of entries to keep; when FractionK > 0, k is computed
-	// as ceil(FractionK·n) instead.
-	K         int
+	// FractionK is the kept fraction of the coordinates, in (0, 1].
 	FractionK float64
 }
 
@@ -206,10 +185,7 @@ type TopKCodec struct {
 func (c TopKCodec) Name() string { return "topk" }
 
 func (c TopKCodec) kFor(n int) int {
-	k := c.K
-	if c.FractionK > 0 {
-		k = int(math.Ceil(c.FractionK * float64(n)))
-	}
+	k := int(math.Ceil(c.FractionK * float64(n)))
 	if k < 1 {
 		k = 1
 	}
@@ -235,11 +211,6 @@ func topkMagKey(v float64) uint64 {
 	return math.Float64bits(math.Abs(v))
 }
 
-// Encode implements Codec.
-func (c TopKCodec) Encode(src []float64) []float64 {
-	return c.EncodeInto(make([]float64, c.CompressedLen(len(src))), src)
-}
-
 // topkSorter sorts candidate indices by descending magnitude key with an
 // ascending-index tiebreak. A pooled pointer implementing sort.Interface
 // keeps EncodeInto allocation-free (sort.Slice would box both the slice
@@ -261,8 +232,7 @@ func (s *topkSorter) Less(a, b int) bool {
 
 var topkSorterPool = sync.Pool{New: func() any { return new(topkSorter) }}
 
-// EncodeInto is Encode writing into a caller-supplied payload buffer of
-// length CompressedLen(len(src)). Selection keeps the k largest |v|,
+// EncodeInto implements Codec. Selection keeps the k largest |v|,
 // breaking magnitude ties by the LOWER index — a total order, so every
 // rank holding equal data emits an identical payload (required for
 // error-feedback consensus; see topkMagKey).
@@ -292,26 +262,8 @@ func (c TopKCodec) EncodeInto(dst, src []float64) []float64 {
 	return dst
 }
 
-// Decode implements Codec.
-func (c TopKCodec) Decode(payload []float64, n int) ([]float64, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("comm: top-k decode with negative length %d", n)
-	}
-	if n > math.MaxInt/8 {
-		// The output would overflow the allocator's byte count; a request
-		// this size is corrupt, not large.
-		return nil, fmt.Errorf("comm: top-k decode length %d too large", n)
-	}
-	out := make([]float64, n)
-	if err := c.DecodeInto(out, payload); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeInto is Decode expanding into a caller-supplied buffer whose
-// length selects the output count. The buffer is zeroed before the
-// sparse entries are scattered in; validation matches Decode.
+// DecodeInto implements Codec. The buffer is zeroed before the sparse
+// entries are scattered in.
 func (c TopKCodec) DecodeInto(dst, payload []float64) error {
 	n := len(dst)
 	if len(payload) < 1 {
@@ -337,78 +289,4 @@ func (c TopKCodec) DecodeInto(dst, payload []float64) error {
 		dst[int(jf)] = payload[2+2*i]
 	}
 	return nil
-}
-
-// codecEncoderInto / codecDecoderInto are the optional allocation-free
-// codec extensions; the fusion path uses them when available and falls
-// back to Encode/Decode (plus a copy) for third-party codecs.
-type codecEncoderInto interface {
-	EncodeInto(dst, src []float64) []float64
-}
-
-type codecDecoderInto interface {
-	DecodeInto(dst, payload []float64) error
-}
-
-// encodeInto compresses src into dst (length CompressedLen(len(src)))
-// without allocating when the codec supports it.
-func encodeInto(c Codec, dst, src []float64) []float64 {
-	if e, ok := c.(codecEncoderInto); ok {
-		return e.EncodeInto(dst, src)
-	}
-	out := c.Encode(src)
-	dst = dst[:len(out)]
-	copy(dst, out)
-	return dst
-}
-
-// decodeInto expands payload into dst (whose length selects the output
-// count) without allocating when the codec supports it.
-func decodeInto(c Codec, dst, payload []float64) error {
-	if d, ok := c.(codecDecoderInto); ok {
-		return d.DecodeInto(dst, payload)
-	}
-	out, err := c.Decode(payload, len(dst))
-	if err != nil {
-		return err
-	}
-	copy(dst, out)
-	return nil
-}
-
-// CompressedAllreduceMean averages data across ranks through the codec:
-// each rank's contribution is compressed, allgathered, decoded and
-// averaged. For sparsifying codecs the result is a biased estimate whose
-// residual the caller may keep for error feedback (returned as the
-// difference between input and the encoded-decoded local contribution).
-func (c *Communicator) CompressedAllreduceMean(data []float64, codec Codec) (residual []float64, err error) {
-	n := len(data)
-	encoded := codec.Encode(data)
-	// Local residual for error feedback: x − dec(enc(x)).
-	selfDecoded, err := codec.Decode(encoded, n)
-	if err != nil {
-		return nil, err
-	}
-	residual = make([]float64, n)
-	for i := range residual {
-		residual[i] = data[i] - selfDecoded[i]
-	}
-	blocks, err := c.AllgatherV(encoded)
-	if err != nil {
-		return nil, err
-	}
-	for i := range data {
-		data[i] = 0
-	}
-	inv := 1 / float64(len(blocks))
-	for _, b := range blocks {
-		dec, err := codec.Decode(b, n)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range dec {
-			data[i] += v * inv
-		}
-	}
-	return residual, nil
 }

@@ -11,8 +11,8 @@ import (
 // tests under `go test` and expand coverage under `go test -fuzz=Fuzz…`.
 // Invariants:
 //
-//   - Encode output length always equals CompressedLen;
-//   - Decode never panics, whatever bytes arrive off the wire — it
+//   - EncodeInto output length always equals CompressedLen;
+//   - DecodeInto never panics, whatever bytes arrive off the wire — it
 //     either round-trips or returns an error;
 //   - Float16 round-trips are within half-precision error bounds;
 //   - TopK round-trips reproduce the kept entries bit-exactly and zero
@@ -40,11 +40,11 @@ func FuzzFloat16RoundTrip(f *testing.F) {
 	}
 	codec := Float16Codec{}
 	f.Fuzz(func(t *testing.T, v float64) {
-		enc := codec.Encode([]float64{v})
+		enc := encode(codec, []float64{v})
 		if len(enc) != codec.CompressedLen(1) {
 			t.Fatalf("encode length %d != CompressedLen %d", len(enc), codec.CompressedLen(1))
 		}
-		dec, err := codec.Decode(enc, 1)
+		dec, err := decode(codec, enc, 1)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -90,11 +90,11 @@ func FuzzFloat16VectorRoundTrip(f *testing.F) {
 	codec := Float16Codec{}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		src := floatsFromBytes(b)
-		enc := codec.Encode(src)
+		enc := encode(codec, src)
 		if len(enc) != codec.CompressedLen(len(src)) {
 			t.Fatalf("encode length %d != CompressedLen %d", len(enc), codec.CompressedLen(len(src)))
 		}
-		dec, err := codec.Decode(enc, len(src))
+		dec, err := decode(codec, enc, len(src))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -103,7 +103,7 @@ func FuzzFloat16VectorRoundTrip(f *testing.F) {
 		}
 		// Re-encoding the decoded vector must be a fixed point: every
 		// decoded value is exactly representable in half precision.
-		enc2 := codec.Encode(dec)
+		enc2 := encode(codec, dec)
 		for i := range enc {
 			a, b := math.Float64bits(enc[i]), math.Float64bits(enc2[i])
 			if a != b {
@@ -122,12 +122,15 @@ func FuzzFloat16AdversarialDecode(f *testing.F) {
 	f.Add(make([]byte, 16), math.MaxInt-2)
 	codec := Float16Codec{}
 	f.Fuzz(func(t *testing.T, b []byte, n int) {
-		// No cap on n: any n the payload cannot cover must error before
-		// allocation (a successful decode allocates at most 4 halves per
-		// payload word, so memory stays bounded by the input).
-		dec, err := codec.Decode(floatsFromBytes(b), n)
-		if err == nil && len(dec) != n {
-			t.Fatalf("decode returned %d values for n=%d without error", len(dec), n)
+		if n < 0 {
+			n = -n
+		}
+		n %= 1 << 16 // bound the output allocation, not the attack surface
+		// A payload decodes exactly when it holds a half for every value.
+		payload := floatsFromBytes(b)
+		err := codec.DecodeInto(make([]float64, n), payload)
+		if fits := n <= 4*len(payload); (err == nil) != fits {
+			t.Fatalf("n=%d from %d words: err=%v", n, len(payload), err)
 		}
 	})
 }
@@ -142,13 +145,12 @@ func FuzzTopKRoundTrip(f *testing.F) {
 		if k < 0 {
 			k = -k
 		}
-		k = k%8 + 1
-		codec := TopKCodec{K: k}
-		enc := codec.Encode(src)
+		codec := TopKCodec{FractionK: float64(k%8+1) / 8}
+		enc := encode(codec, src)
 		if len(enc) != codec.CompressedLen(len(src)) {
 			t.Fatalf("encode length %d != CompressedLen %d", len(enc), codec.CompressedLen(len(src)))
 		}
-		dec, err := codec.Decode(enc, len(src))
+		dec, err := decode(codec, enc, len(src))
 		if err != nil {
 			t.Fatalf("decode of own encoding: %v", err)
 		}
@@ -192,8 +194,8 @@ func FuzzTopKAdversarialDecode(f *testing.F) {
 			n = -n
 		}
 		n %= 1 << 16 // bound the output allocation, not the attack surface
-		codec := TopKCodec{K: 4}
-		dec, err := codec.Decode(floatsFromBytes(b), n)
+		codec := TopKCodec{FractionK: 0.5}
+		dec, err := decode(codec, floatsFromBytes(b), n)
 		if err == nil && len(dec) != n {
 			t.Fatalf("decode returned %d values for n=%d without error", len(dec), n)
 		}

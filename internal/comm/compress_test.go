@@ -6,7 +6,20 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/tensor"
 )
+
+// encode runs c.EncodeInto on a fresh payload buffer.
+func encode(c Codec, src []float64) []float64 {
+	return c.EncodeInto(make([]float64, c.CompressedLen(len(src))), src)
+}
+
+// decode runs c.DecodeInto on a fresh n-vector.
+func decode(c Codec, payload []float64, n int) ([]float64, error) {
+	dst := make([]float64, n)
+	return dst, c.DecodeInto(dst, payload)
+}
 
 func TestFloat16RoundTripExactValues(t *testing.T) {
 	// Values exactly representable in binary16 must round trip exactly.
@@ -60,11 +73,11 @@ func TestFloat16CodecVector(t *testing.T) {
 		for i := range src {
 			src[i] = rng.NormFloat64()
 		}
-		enc := c.Encode(src)
+		enc := encode(c, src)
 		if len(enc) != c.CompressedLen(n) {
 			t.Fatalf("n=%d: payload %d words, want %d", n, len(enc), c.CompressedLen(n))
 		}
-		dec, err := c.Decode(enc, n)
+		dec, err := decode(c, enc, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,16 +87,15 @@ func TestFloat16CodecVector(t *testing.T) {
 			}
 		}
 	}
-	if _, err := c.Decode([]float64{0}, 100); err == nil {
+	if _, err := decode(c, []float64{0}, 100); err == nil {
 		t.Error("short payload should error")
 	}
 }
 
 func TestTopKCodecKeepsLargest(t *testing.T) {
-	c := TopKCodec{K: 2}
+	c := TopKCodec{FractionK: 0.25} // ceil(0.25·5) = 2
 	src := []float64{0.1, -5, 0.2, 3, 0}
-	enc := c.Encode(src)
-	dec, err := c.Decode(enc, len(src))
+	dec, err := decode(c, encode(c, src), len(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,22 +115,21 @@ func TestTopKCodecFraction(t *testing.T) {
 	if k := c.kFor(1); k != 1 {
 		t.Errorf("kFor(1) = %d, want 1", k)
 	}
-	// K clamps to n.
-	big := TopKCodec{K: 50}
-	if k := big.kFor(10); k != 10 {
-		t.Errorf("clamped k = %d", k)
+	// A fraction of one keeps every entry.
+	if k := (TopKCodec{FractionK: 1}).kFor(10); k != 10 {
+		t.Errorf("kFor(10) at fraction 1 = %d, want 10", k)
 	}
 }
 
 func TestTopKCodecErrors(t *testing.T) {
-	c := TopKCodec{K: 2}
-	if _, err := c.Decode(nil, 5); err == nil {
+	c := TopKCodec{FractionK: 0.5}
+	if _, err := decode(c, nil, 5); err == nil {
 		t.Error("empty payload should error")
 	}
-	if _, err := c.Decode([]float64{2, 0, 1}, 5); err == nil {
+	if _, err := decode(c, []float64{2, 0, 1}, 5); err == nil {
 		t.Error("truncated payload should error")
 	}
-	if _, err := c.Decode([]float64{1, 99, 1}, 5); err == nil {
+	if _, err := decode(c, []float64{1, 99, 1}, 5); err == nil {
 		t.Error("out-of-range index should error")
 	}
 }
@@ -128,12 +139,12 @@ func TestTopKResidualDecomposition(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(40)
-		c := TopKCodec{K: 1 + rng.Intn(4)}
+		c := TopKCodec{FractionK: float64(1+rng.Intn(4)) / 8}
 		src := make([]float64, n)
 		for i := range src {
 			src[i] = rng.NormFloat64()
 		}
-		dec, err := c.Decode(c.Encode(src), n)
+		dec, err := decode(c, encode(c, src), n)
 		if err != nil {
 			return false
 		}
@@ -150,23 +161,28 @@ func TestTopKResidualDecomposition(t *testing.T) {
 	}
 }
 
+// TestCompressedAllreduceMeanFloat16: a float16 chunk with error feedback
+// averages small values almost exactly and leaves almost no residual.
 func TestCompressedAllreduceMeanFloat16(t *testing.T) {
 	runWorld(t, 3, func(c *Communicator) error {
-		data := []float64{float64(c.Rank()), 1, 2}
-		res, err := c.CompressedAllreduceMean(data, Float16Codec{})
-		if err != nil {
+		data := tensor.FromSlice([]float64{float64(c.Rank()), 1, 2}, 3)
+		ef := NewErrorFeedback(Float16Codec{})
+		fu := NewFuser(c, 0)
+		fu.SetErrorFeedback(ef)
+		fu.Add(data)
+		if err := fu.Flush(); err != nil {
 			return err
 		}
 		// Mean of {0,1,2} = 1; values small → quantization ≈ exact.
 		want := []float64{1, 1, 2}
 		for i := range want {
-			if math.Abs(data[i]-want[i]) > 1e-3 {
-				return fmt.Errorf("mean = %v, want %v", data, want)
+			if math.Abs(data.Data[i]-want[i]) > 1e-3 {
+				return fmt.Errorf("mean = %v, want %v", data.Data, want)
 			}
 		}
-		for _, r := range res {
+		for _, r := range ef.slots[0] {
 			if math.Abs(r) > 1e-3 {
-				return fmt.Errorf("float16 residual too large: %v", res)
+				return fmt.Errorf("float16 residual too large: %v", ef.slots[0])
 			}
 		}
 		return nil
@@ -178,19 +194,18 @@ func TestCompressedAllreduceMeanTopKWithErrorFeedback(t *testing.T) {
 	// accumulating residuals (error feedback) recovers the rest over
 	// repeated rounds — the standard sparsified-SGD result.
 	runWorld(t, 2, func(c *Communicator) error {
-		grad := []float64{4, 1} // same on both ranks
-		acc := []float64{0, 0}  // error-feedback accumulator
-		sum := []float64{0, 0}  // what the optimizer would integrate
-		codec := TopKCodec{K: 1}
+		ef := NewErrorFeedback(TopKCodec{FractionK: 0.5}) // k = 1 of 2
+		sum := []float64{0, 0}                            // what the optimizer would integrate
 		for round := 0; round < 8; round++ {
-			buf := []float64{grad[0] + acc[0], grad[1] + acc[1]}
-			res, err := c.CompressedAllreduceMean(buf, codec)
-			if err != nil {
+			grad := tensor.FromSlice([]float64{4, 1}, 2) // same on both ranks
+			fu := NewFuser(c, 0)
+			fu.SetErrorFeedback(ef)
+			fu.Add(grad)
+			if err := fu.Flush(); err != nil {
 				return err
 			}
-			acc = res
-			sum[0] += buf[0]
-			sum[1] += buf[1]
+			sum[0] += grad.Data[0]
+			sum[1] += grad.Data[1]
 		}
 		// Over 8 rounds the integrated update should approach 8×grad in
 		// ratio: both coordinates must have been transmitted.

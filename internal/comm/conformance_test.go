@@ -50,7 +50,7 @@ type confOut struct {
 	gather           [][]float64 // root only
 	hier2, hier3     []float64
 	compressed       []float64
-	asyncSum         []float64
+	asyncMean        []float64
 	asyncGather      [][]float64
 	fused            [][]float64
 	efFused          [][]float64
@@ -87,14 +87,9 @@ func confScript(t *testing.T, c *Communicator, seed int64) *confOut {
 	}
 
 	var err error
-	o.gatherv, err = c.AllgatherV(confVec(r+1, r, seed+3))
+	o.gatherv, err = c.AllgatherVAsync(confVec(r+1, r, seed+3)).Wait()
 	if err != nil {
-		t.Errorf("rank %d AllgatherV: %v", r, err)
-		return o
-	}
-
-	if err := c.Barrier(); err != nil {
-		t.Errorf("rank %d Barrier: %v", r, err)
+		t.Errorf("rank %d AllgatherVAsync: %v", r, err)
 		return o
 	}
 
@@ -111,28 +106,33 @@ func confScript(t *testing.T, c *Communicator, seed int64) *confOut {
 	}
 
 	o.hier2 = confVec(n, r, seed+8)
-	if err := c.HierarchicalAllreduceMean(o.hier2, 2); err != nil {
+	if err := c.HierarchicalAllreduceMeanAsync(o.hier2, 2).Wait(); err != nil {
 		t.Errorf("rank %d Hierarchical(2): %v", r, err)
 		return o
 	}
 	o.hier3 = confVec(n, r, seed+9)
-	if err := c.HierarchicalAllreduceMean(o.hier3, 3); err != nil {
+	if err := c.HierarchicalAllreduceMeanAsync(o.hier3, 3).Wait(); err != nil {
 		t.Errorf("rank %d Hierarchical(3): %v", r, err)
 		return o
 	}
 
-	o.compressed = confVec(n, r, seed+10)
-	if _, err := c.CompressedAllreduceMean(o.compressed, Float16Codec{}); err != nil {
-		t.Errorf("rank %d CompressedAllreduceMean: %v", r, err)
+	// One compressed chunk without error feedback: the bare codec path.
+	compressed := tensor.FromSlice(confVec(n, r, seed+10), n)
+	cfu := NewFuser(c, 0)
+	cfu.SetCodec(Float16Codec{})
+	cfu.Add(compressed)
+	if err := cfu.Flush(); err != nil {
+		t.Errorf("rank %d compressed fused flush: %v", r, err)
 		return o
 	}
+	o.compressed = compressed.Data
 
-	// Async variants, deliberately overlapped: the sum-allreduce and the
+	// Async variants, deliberately overlapped: the mean-allreduce and the
 	// allgather are in flight simultaneously, and the fused chunks launch
 	// while both are outstanding. Issue order is identical on all ranks;
 	// completion order is whatever the chaos latency makes of it.
-	o.asyncSum = confVec(n, r, seed+11)
-	h1 := c.AllreduceSumAsync(o.asyncSum)
+	o.asyncMean = confVec(n, r, seed+11)
+	h1 := c.AllreduceMeanAsync(o.asyncMean)
 	gh := c.AllgatherVAsync(confVec(r+1, r, seed+12))
 
 	fu := NewFuser(c, 8*10) // tiny budget: multiple chunks in flight
@@ -207,9 +207,9 @@ func confReferenceMean(n, p int, seed int64) []float64 {
 	return out
 }
 
-// confCompressedMean replicates the compressed-mean arithmetic of both
-// CompressedAllreduceMean and the compressed fused chunk path: decoded
-// blocks accumulated with v·1/p in rank order, exact on small integers.
+// confCompressedMean replicates the compressed fused chunk path's
+// arithmetic: decoded blocks accumulated with v·1/p in rank order, exact on
+// small integers.
 func confCompressedMean(n, p int, seed int64) []float64 {
 	out := make([]float64, n)
 	inv := 1 / float64(p)
@@ -244,9 +244,9 @@ func runConformance(t *testing.T, p int, seed int64, cfg ChaosConfig) {
 	wantMean := confReferenceMean(n, p, seed+1)
 	wantBcast := confVec(n, root, seed+100)
 	wantReduce := confSum(n, p, seed+4)
-	wantAsync := confSum(n, p, seed+11)
+	wantAsync := confReferenceMean(n, p, seed+11)
 
-	// CompressedAllreduceMean accumulates dec(block_r)·1/p in rank order;
+	// A compressed chunk accumulates dec(block_r)·1/p in rank order;
 	// small integers are exact in float16, so dec(block_r) = input_r.
 	wantComp := confCompressedMean(n, p, seed+10)
 
@@ -256,7 +256,7 @@ func runConformance(t *testing.T, p int, seed int64, cfg ChaosConfig) {
 		checkEqual(t, "AllreduceMean", r, o.mean, wantMean)
 		checkEqual(t, "Broadcast", r, o.bcast, wantBcast)
 		for q := 0; q < p; q++ {
-			checkEqual(t, fmt.Sprintf("AllgatherV[%d]", q), r, o.gatherv[q], confVec(q+1, q, seed+3))
+			checkEqual(t, fmt.Sprintf("Allgather[%d]", q), r, o.gatherv[q], confVec(q+1, q, seed+3))
 			checkEqual(t, fmt.Sprintf("AllgatherVAsync[%d]", q), r, o.asyncGather[q], confVec(q+1, q, seed+12))
 		}
 		if r == root {
@@ -270,8 +270,8 @@ func runConformance(t *testing.T, p int, seed int64, cfg ChaosConfig) {
 		}
 		checkEqual(t, "Hierarchical(2)", r, o.hier2, confReferenceMean(n, p, seed+8))
 		checkEqual(t, "Hierarchical(3)", r, o.hier3, confReferenceMean(n, p, seed+9))
-		checkEqual(t, "CompressedAllreduceMean", r, o.compressed, wantComp)
-		checkEqual(t, "AllreduceSumAsync", r, o.asyncSum, wantAsync)
+		checkEqual(t, "Compressed", r, o.compressed, wantComp)
+		checkEqual(t, "AllreduceMeanAsync", r, o.asyncMean, wantAsync)
 		for i := 0; i < 3; i++ {
 			checkEqual(t, fmt.Sprintf("Fused[%d]", i), r, o.fused[i], confReferenceMean(7, p, seed+13+int64(i)))
 			checkEqual(t, fmt.Sprintf("EFFused[%d]", i), r, o.efFused[i], confCompressedMean(7, p, seed+16+int64(i)))

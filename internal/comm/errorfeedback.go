@@ -48,16 +48,6 @@ func (ef *ErrorFeedback) Codec() Codec { return ef.codec }
 // guarantees this by deriving the switch from a consensus collective.
 func (ef *ErrorFeedback) SetCodec(c Codec) { ef.codec = c }
 
-// Residual exposes the live residual buffer for chunk ordinal i (nil if
-// the slot was never used). Callers must not mutate it; it exists so
-// tests can assert the telescoping property.
-func (ef *ErrorFeedback) Residual(i int) []float64 {
-	if i < 0 || i >= len(ef.slots) {
-		return nil
-	}
-	return ef.slots[i]
-}
-
 // slot returns the residual buffer for chunk ordinal i, sized n. A size
 // mismatch (schedule reshape) discards the old residual — the mismatch is
 // schedule-determined, so every rank takes the same branch.

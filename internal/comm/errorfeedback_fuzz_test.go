@@ -12,8 +12,9 @@ import (
 //
 //   - one compensate → EncodeInto → DecodeInto → residual-update cycle
 //     never panics, whatever float bits the gradient holds;
-//   - the allocation-free EncodeInto/DecodeInto paths agree bit-for-bit
-//     with the allocating Encode/Decode they shadow (oracle check);
+//   - EncodeInto and DecodeInto write the same bits into a reused buffer
+//     full of stale values as into a fresh zeroed one (the pooled
+//     buffers the Fuser hands them are never cleared);
 //   - decoded + residual reconstructs the compensated input exactly for
 //     Top-K (it transmits exact entries), so residual mass never leaks.
 
@@ -40,7 +41,7 @@ func FuzzErrorFeedbackRoundTrip(f *testing.F) {
 		n := len(src)
 		var codec Codec = Float16Codec{}
 		if useTopK {
-			codec = TopKCodec{K: int(kByte)%8 + 1}
+			codec = TopKCodec{FractionK: float64(int(kByte)%8+1) / 8}
 		}
 		// Residual from a previous round: reuse the source bits shifted by
 		// one so compensation mixes two arbitrary float patterns.
@@ -53,32 +54,38 @@ func FuzzErrorFeedbackRoundTrip(f *testing.F) {
 			comp[i] = src[i] + res[i]
 		}
 
-		// Oracle agreement: the pooled in-place paths must match the
-		// allocating ones bit-for-bit.
-		payload := encodeInto(codec, make([]float64, codec.CompressedLen(n)), comp)
-		oracle := codec.Encode(comp)
-		if len(payload) != len(oracle) {
-			t.Fatalf("EncodeInto length %d != Encode %d", len(payload), len(oracle))
+		// Buffer independence: the pooled buffers the Fuser passes hold
+		// stale values, which must not reach the payload or the decode.
+		stale := func(n int) []float64 {
+			buf := make([]float64, n)
+			for i := range buf {
+				buf[i] = math.NaN()
+			}
+			return buf
 		}
-		for i := range oracle {
-			if math.Float64bits(payload[i]) != math.Float64bits(oracle[i]) {
-				t.Fatalf("payload word %d: EncodeInto %x != Encode %x", i,
-					math.Float64bits(payload[i]), math.Float64bits(oracle[i]))
+		payload := codec.EncodeInto(stale(codec.CompressedLen(n)), comp)
+		fresh := encode(codec, comp)
+		if len(payload) != len(fresh) {
+			t.Fatalf("EncodeInto length %d into a reused buffer, %d into a fresh one", len(payload), len(fresh))
+		}
+		for i := range fresh {
+			if math.Float64bits(payload[i]) != math.Float64bits(fresh[i]) {
+				t.Fatalf("payload word %d: %x into a reused buffer, %x into a fresh one", i,
+					math.Float64bits(payload[i]), math.Float64bits(fresh[i]))
 			}
 		}
 
-		dec := make([]float64, n)
-		errInto := decodeInto(codec, dec, payload)
-		decOracle, errOracle := codec.Decode(oracle, n)
-		if (errInto == nil) != (errOracle == nil) {
-			t.Fatalf("DecodeInto err=%v, Decode err=%v", errInto, errOracle)
+		dec := stale(n)
+		if err := codec.DecodeInto(dec, payload); err != nil {
+			t.Fatalf("decode of own encoding: %v", err)
 		}
-		if errInto != nil {
-			return // both reject: an error on self-encoded data is itself a bug
+		decFresh, err := decode(codec, fresh, n)
+		if err != nil {
+			t.Fatalf("decode of own encoding: %v", err)
 		}
 		for i := range dec {
-			if math.Float64bits(dec[i]) != math.Float64bits(decOracle[i]) {
-				t.Fatalf("decoded elem %d: DecodeInto %v != Decode %v", i, dec[i], decOracle[i])
+			if math.Float64bits(dec[i]) != math.Float64bits(decFresh[i]) {
+				t.Fatalf("decoded elem %d: %v into a reused buffer, %v into a fresh one", i, dec[i], decFresh[i])
 			}
 		}
 
@@ -105,17 +112,16 @@ func FuzzErrorFeedbackRoundTrip(f *testing.F) {
 
 // FuzzErrorFeedbackAdversarialDecode drives DecodeInto with wire-arbitrary
 // payloads: it must reject or fill exactly len(dst) values, never panic or
-// index out of range — the same contract the adversarial Decode fuzzers
-// pin for the allocating path.
+// index out of range.
 func FuzzErrorFeedbackAdversarialDecode(f *testing.F) {
 	efFuzzCorpus(f)
 	f.Fuzz(func(t *testing.T, b []byte, nByte uint8, useTopK bool) {
 		payload := floatsFromBytes(b)
 		var codec Codec = Float16Codec{}
 		if useTopK {
-			codec = TopKCodec{K: 4}
+			codec = TopKCodec{FractionK: 0.5}
 		}
 		dst := make([]float64, int(nByte))
-		_ = decodeInto(codec, dst, payload) // must not panic
+		_ = codec.DecodeInto(dst, payload) // must not panic
 	})
 }

@@ -42,7 +42,7 @@ func TestErrorFeedbackTelescopes(t *testing.T) {
 		gen   func(r *rand.Rand, i int) float64
 		exact bool
 	}{
-		{"topk-int", TopKCodec{K: 2}, func(r *rand.Rand, i int) float64 { return float64(r.Intn(21) - 10) }, true},
+		{"topk-int", TopKCodec{FractionK: 0.125}, func(r *rand.Rand, i int) float64 { return float64(r.Intn(21) - 10) }, true},
 		{"topk-frac-float", TopKCodec{FractionK: 0.34}, func(r *rand.Rand, i int) float64 { return r.NormFloat64() }, false},
 		{"float16-int", Float16Codec{}, func(r *rand.Rand, i int) float64 { return float64(r.Intn(21) - 10) }, true},
 	} {
@@ -63,7 +63,7 @@ func TestErrorFeedbackTelescopes(t *testing.T) {
 					sumSent[i] += v
 				}
 			}
-			res := ef.Residual(0)
+			res := ef.slots[0]
 			if len(res) != n {
 				t.Fatalf("residual slot length %d, want %d", len(res), n)
 			}
@@ -87,9 +87,9 @@ func TestErrorFeedbackTelescopes(t *testing.T) {
 func TestErrorFeedbackSlotReshape(t *testing.T) {
 	fab := NewInprocFabric(1)
 	c := NewCommunicator(fab.Endpoint(0))
-	ef := NewErrorFeedback(TopKCodec{K: 1})
+	ef := NewErrorFeedback(TopKCodec{FractionK: 0.25})
 	efRoundTrip(t, c, ef, []float64{4, 3, 2, 1})
-	res := ef.Residual(0)
+	res := ef.slots[0]
 	if len(res) != 4 {
 		t.Fatalf("residual length %d, want 4", len(res))
 	}
@@ -108,8 +108,8 @@ func TestErrorFeedbackSlotReshape(t *testing.T) {
 			t.Fatalf("reshaped exchange elem %d = %v, want %v (stale residual leaked)", i, got[i], want[i])
 		}
 	}
-	if len(ef.Residual(0)) != 6 {
-		t.Fatalf("residual slot not resized: %d", len(ef.Residual(0)))
+	if len(ef.slots[0]) != 6 {
+		t.Fatalf("residual slot not resized: %d", len(ef.slots[0]))
 	}
 }
 
@@ -119,10 +119,10 @@ func TestErrorFeedbackSlotReshape(t *testing.T) {
 // select different entries, which error feedback silently amplifies into
 // divergent residuals.
 func TestTopKTieBreakOrderStable(t *testing.T) {
-	codec := TopKCodec{K: 3}
+	codec := TopKCodec{FractionK: 0.5}
 	src := []float64{1, -1, 1, -1, 2, 1}
-	payload := codec.Encode(src)
-	dec, err := codec.Decode(payload, len(src))
+	payload := encode(codec, src)
+	dec, err := decode(codec, payload, len(src))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestTopKTieBreakOrderStable(t *testing.T) {
 	}
 	// -0 and +0 carry the same magnitude key, so the tie resolves to the
 	// lower index: payload must select indices {0, 2}, never {1, 2}.
-	payload = TopKCodec{K: 2}.Encode([]float64{math.Copysign(0, -1), 0, 3})
+	payload = encode(codec, []float64{math.Copysign(0, -1), 0, 3})
 	if payload[1] != 0 || payload[3] != 2 {
 		t.Fatalf("zero-tie selected indices {%v, %v}, want {0, 2}", payload[1], payload[3])
 	}
@@ -166,7 +166,7 @@ func TestTopKTieCrossRankEquality(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			c := NewCommunicator(fab.Endpoint(r))
-			ef := NewErrorFeedback(TopKCodec{K: 4})
+			ef := NewErrorFeedback(TopKCodec{FractionK: 0.25})
 			for round := 0; round < rounds; round++ {
 				// Many repeated magnitudes: (r+round) mod 3 cycles a handful
 				// of values so threshold ties are guaranteed.
@@ -199,16 +199,14 @@ func TestCodecEncodeIntoSteadyStateAllocs(t *testing.T) {
 	for i := range src {
 		src[i] = math.Sin(float64(i))
 	}
-	for _, codec := range []Codec{TopKCodec{K: 16}, Float16Codec{}} {
+	for _, codec := range []Codec{TopKCodec{FractionK: 0.0625}, Float16Codec{}} {
 		dst := make([]float64, codec.CompressedLen(n))
 		dec := make([]float64, n)
-		enc := codec.(codecEncoderInto)
-		decI := codec.(codecDecoderInto)
 		// Warm the sorter pool.
-		enc.EncodeInto(dst, src)
+		codec.EncodeInto(dst, src)
 		allocs := testing.AllocsPerRun(50, func() {
-			payload := enc.EncodeInto(dst, src)
-			if err := decI.DecodeInto(dec, payload); err != nil {
+			payload := codec.EncodeInto(dst, src)
+			if err := codec.DecodeInto(dec, payload); err != nil {
 				t.Fatalf("decode: %v", err)
 			}
 		})

@@ -74,8 +74,7 @@ func (e fuseEntry) unpack(src []float64) {
 //
 // A compressed chunk (codec != nil) rides an allgather of encoded payloads
 // instead of a ring allreduce: Wait decodes every rank's block and averages
-// them in rank order — the same deterministic arithmetic as
-// CompressedAllreduceMean, so results are bit-identical across ranks. When
+// them in rank order, so results are bit-identical across ranks. When
 // the chunk carries an error-feedback residual slot, Wait also stores the
 // part of this rank's compensated contribution that the codec discarded.
 type Chunk struct {
@@ -139,7 +138,7 @@ func (ch *Chunk) waitCompressed() error {
 		// enc(x+r), so the new residual is (x+r) − dec(enc(x+r)). Decoding the
 		// local payload keeps the arithmetic identical to what every peer
 		// attributes to this rank.
-		if err := decodeInto(ch.codec, dec, ch.payload); err != nil {
+		if err := ch.codec.DecodeInto(dec, ch.payload); err != nil {
 			return err
 		}
 		for i := range ch.res {
@@ -151,7 +150,7 @@ func (ch *Chunk) waitCompressed() error {
 		ch.buf[i] = 0
 	}
 	for _, b := range blocks {
-		if err := decodeInto(ch.codec, dec, b); err != nil {
+		if err := ch.codec.DecodeInto(dec, b); err != nil {
 			return err
 		}
 		for i, v := range dec {
@@ -200,7 +199,7 @@ func NewFuser(comm *Communicator, limitBytes int) *Fuser {
 }
 
 // SetGroupSize routes every subsequently launched chunk through
-// HierarchicalAllreduceMean with the given intra-group rank count — the
+// HierarchicalAllreduceMeanAsync with the given intra-group rank count — the
 // two-level algorithm modeling fast intra-node links (kfac.Options.GroupSize /
 // kfac-train -group-size). Values ≤ 1 (and ≥ world) keep the flat ring.
 // Must be set identically on every rank, before the first Add whose chunk
@@ -286,7 +285,7 @@ func (f *Fuser) launch() {
 				buf[i] += r
 			}
 		}
-		payload := encodeInto(codec, getBuf(codec.CompressedLen(total)), buf)
+		payload := codec.EncodeInto(getBuf(codec.CompressedLen(total)), buf)
 		gh := f.comm.AllgatherVAsync(payload)
 		f.launched = append(f.launched, &Chunk{
 			gh: gh, codec: codec, res: res, payload: payload,

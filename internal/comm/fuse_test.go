@@ -180,14 +180,14 @@ func TestFuserReuseAfterFlushKeepsTakenChunks(t *testing.T) {
 
 func TestWaitAllAggregatesHandles(t *testing.T) {
 	runRanks(t, 2, func(c *Communicator) error {
-		a := []float64{1, 2, 3}
+		a := []float64{float64(c.Rank()), 2, 3}
 		b := []float64{4, 5}
-		h1 := c.AllreduceSumAsync(a)
-		h2 := c.AllreduceMeanAsync(b)
+		h1 := c.AllreduceMeanAsync(a)
+		h2 := c.HierarchicalAllreduceMeanAsync(b, 2)
 		if err := WaitAll(h1, h2); err != nil {
 			return err
 		}
-		if a[0] != 2 || b[0] != 4 {
+		if a[0] != 0.5 || b[0] != 4 {
 			t.Errorf("rank %d: a=%v b=%v", c.Rank(), a, b)
 		}
 		return nil

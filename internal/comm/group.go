@@ -54,10 +54,6 @@ func (c *Communicator) Group(members []int) *Group {
 	return g
 }
 
-// Members returns the sorted member ranks. The slice is shared; do not
-// mutate it.
-func (g *Group) Members() []int { return g.members }
-
 // Size returns the number of member ranks.
 func (g *Group) Size() int { return len(g.members) }
 
@@ -79,19 +75,6 @@ func (g *Group) indexOf(rank int) int {
 	return -1
 }
 
-// Broadcast distributes root's data to every group member (in place on
-// non-root members) over the same binomial tree Communicator.Broadcast
-// uses; a group spanning the whole world is wire-identical to it. root is
-// a transport rank and must be a member — a non-member root is a
-// programming error and panics identically on every rank (a divergent
-// per-rank error would desynchronize the SPMD schedule). Non-members
-// reserve the tag namespace and return (data may be nil there).
-func (g *Group) Broadcast(data []float64, root int) error {
-	base := g.c.nextOp()
-	g.mustContain(root)
-	return g.broadcastTagged(data, root, base)
-}
-
 // mustContain panics when root is not a member — uniformly on every rank,
 // member or not, since the member list is shared state.
 func (g *Group) mustContain(root int) {
@@ -100,12 +83,17 @@ func (g *Group) mustContain(root int) {
 	}
 }
 
-// BroadcastAsync starts an asynchronous group broadcast. The tag namespace
-// is reserved synchronously at call time on every rank (members and
-// non-members alike), preserving the SPMD ordering contract for overlapping
-// operations; the pipelined K-FAC engine streams per-factor eigenbases with
-// it. The caller must not touch data until Wait returns. Non-members get an
-// already-completed handle.
+// BroadcastAsync starts an asynchronous broadcast of root's data to every
+// group member (in place on non-root members) over the same binomial tree
+// Communicator.Broadcast uses; a group spanning the whole world is
+// wire-identical to it. root is a transport rank and must be a member — a
+// non-member root is a programming error and panics identically on every
+// rank (a divergent per-rank error would desynchronize the SPMD schedule).
+// The tag namespace is reserved synchronously at call time on every rank
+// (members and non-members alike), preserving the SPMD ordering contract
+// for overlapping operations; K-FAC streams per-factor eigenbases with it.
+// The caller must not touch data until Wait returns. Non-members get an
+// already-completed handle (data may be nil there).
 func (g *Group) BroadcastAsync(data []float64, root int) *Handle {
 	base := g.c.nextOp()
 	g.mustContain(root)
@@ -132,43 +120,4 @@ func (g *Group) broadcastTagged(data []float64, root int, base uint64) error {
 	return g.c.broadcastTree(data, base, rel, n, func(peerRel int) int {
 		return g.members[mod(peerRel+rootIdx, n)]
 	})
-}
-
-// AllreduceSum sums data elementwise across the group members, in place on
-// members, using the ring algorithm over the member list. Non-members
-// reserve the tag namespace and return with data untouched.
-func (g *Group) AllreduceSum(data []float64) error {
-	base := g.c.nextOp()
-	n := len(g.members)
-	if g.index < 0 || n == 1 {
-		return nil
-	}
-	counts, displs := split(len(data), n)
-	rg := ring{
-		next:  g.members[mod(g.index+1, n)],
-		prev:  g.members[mod(g.index-1, n)],
-		index: g.index,
-		size:  n,
-	}
-	if err := g.c.ringReduceScatter(data, counts, displs, rg, base, 0); err != nil {
-		return err
-	}
-	return g.c.ringAllgatherChunks(data, counts, displs, rg, base, n)
-}
-
-// AllreduceMean averages data elementwise across the group members, in
-// place on members. Non-members reserve the tag namespace and return with
-// data untouched.
-func (g *Group) AllreduceMean(data []float64) error {
-	if err := g.AllreduceSum(data); err != nil {
-		return err
-	}
-	if g.index < 0 {
-		return nil
-	}
-	inv := 1 / float64(len(g.members))
-	for i := range data {
-		data[i] *= inv
-	}
-	return nil
 }

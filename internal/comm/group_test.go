@@ -21,7 +21,7 @@ func TestGroupBroadcastSubset(t *testing.T) {
 		if g.Contains(r) {
 			buf = data
 		}
-		if err := g.Broadcast(buf, root); err != nil {
+		if err := g.BroadcastAsync(buf, root).Wait(); err != nil {
 			return err
 		}
 		got[r] = data
@@ -56,7 +56,7 @@ func TestGroupBroadcastFullWorldMatchesBroadcast(t *testing.T) {
 			}
 			var err error
 			if grouped {
-				err = c.Group([]int{0, 1, 2, 3}).Broadcast(data, 2)
+				err = c.Group([]int{0, 1, 2, 3}).BroadcastAsync(data, 2).Wait()
 			} else {
 				err = c.Broadcast(data, 2)
 			}
@@ -72,43 +72,6 @@ func TestGroupBroadcastFullWorldMatchesBroadcast(t *testing.T) {
 				t.Fatalf("rank %d elem %d: group %v bcast %v want %v",
 					r, i, viaGroup[r][i], viaBcast[r][i], payload[i])
 			}
-		}
-	}
-}
-
-func TestGroupAllreduceMeanSubset(t *testing.T) {
-	const p = 6
-	members := []int{0, 2, 5}
-	got := make([][]float64, p)
-	runRanks(t, p, func(c *Communicator) error {
-		r := c.Rank()
-		data := []float64{float64(r), float64(2 * r), float64(3 * r)}
-		g := c.Group(members)
-		var buf []float64
-		if g.Contains(r) {
-			buf = data
-		}
-		if err := g.AllreduceMean(buf); err != nil {
-			return err
-		}
-		got[r] = data
-		return nil
-	})
-	// Mean over ranks {0,2,5}: integer sums are exact, and the mean is
-	// applied as multiplication by the rounded 1/3 (as the implementation
-	// does), so the expectation is bit-exact.
-	inv := 1.0 / 3
-	want := []float64{7 * inv, 14 * inv, 21 * inv}
-	for _, m := range members {
-		for i := range want {
-			if got[m][i] != want[i] {
-				t.Errorf("member %d elem %d = %v, want %v", m, i, got[m][i], want[i])
-			}
-		}
-	}
-	for _, r := range []int{1, 3, 4} {
-		if got[r][0] != float64(r) {
-			t.Errorf("non-member %d data disturbed: %v", r, got[r])
 		}
 	}
 }
@@ -159,8 +122,8 @@ func TestGroupBroadcastAsyncOverlapped(t *testing.T) {
 func TestGroupSingletonAndAccessors(t *testing.T) {
 	runRanks(t, 3, func(c *Communicator) error {
 		g := c.Group([]int{1, 1, 1})
-		if g.Size() != 1 || g.Members()[0] != 1 {
-			t.Errorf("dedup failed: %v", g.Members())
+		if g.Size() != 1 || g.members[0] != 1 {
+			t.Errorf("dedup failed: %v", g.members)
 		}
 		if got, want := g.Rank(), -1; c.Rank() == 1 {
 			if g.Rank() != 0 {
@@ -170,10 +133,7 @@ func TestGroupSingletonAndAccessors(t *testing.T) {
 			t.Errorf("non-member index = %d, want -1", got)
 		}
 		data := []float64{float64(c.Rank())}
-		if err := g.Broadcast(data, 1); err != nil {
-			return err
-		}
-		if err := g.AllreduceMean(data); err != nil {
+		if err := g.BroadcastAsync(data, 1).Wait(); err != nil {
 			return err
 		}
 		if data[0] != float64(c.Rank()) {
@@ -214,7 +174,7 @@ func TestGroupBroadcastBadRootPanicsOnEveryRank(t *testing.T) {
 		}
 		panicked := func() (p bool) {
 			defer func() { p = recover() != nil }()
-			_ = g.Broadcast(buf, 2) // 2 is not a member
+			_ = g.BroadcastAsync(buf, 2) // 2 is not a member
 			return
 		}()
 		if !panicked {
@@ -229,7 +189,7 @@ func TestGroupBroadcastBadRootPanicsOnEveryRank(t *testing.T) {
 // exactly representable, so the hierarchical algorithm's regrouped
 // summation must agree with the flat ring bit for bit. (For arbitrary
 // floats the two group additions differently and agree only to rounding —
-// see HierarchicalAllreduceMean.)
+// see HierarchicalAllreduceMeanAsync.)
 func TestHierarchicalBitEqualsFlatOnIntegerData(t *testing.T) {
 	const p = 6
 	const n = 41
@@ -249,7 +209,7 @@ func TestHierarchicalBitEqualsFlatOnIntegerData(t *testing.T) {
 			if groupSize == 0 {
 				err = c.AllreduceMean(data)
 			} else {
-				err = c.HierarchicalAllreduceMean(data, groupSize)
+				err = c.HierarchicalAllreduceMeanAsync(data, groupSize).Wait()
 			}
 			out[c.Rank()] = data
 			return err

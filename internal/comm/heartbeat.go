@@ -50,8 +50,8 @@ func (c *HeartbeatConfig) fillDefaults() {
 }
 
 // HeartbeatMonitor streams heartbeats to all peers and watches for peers
-// going silent. Create it with StartHeartbeat (or Communicator.Heartbeat)
-// and Close it when the rank leaves the world.
+// going silent. Create it with StartHeartbeat and Close it when the rank
+// leaves the world.
 type HeartbeatMonitor struct {
 	t      Transport
 	cfg    HeartbeatConfig
@@ -94,11 +94,6 @@ func StartHeartbeat(t Transport, cfg HeartbeatConfig, onFailure func(rank int)) 
 	m.wg.Add(1)
 	go m.watchLoop()
 	return m
-}
-
-// Heartbeat starts a failure detector over this communicator's transport.
-func (c *Communicator) Heartbeat(cfg HeartbeatConfig, onFailure func(rank int)) *HeartbeatMonitor {
-	return StartHeartbeat(c.t, cfg, onFailure)
 }
 
 // sendLoop streams heartbeats to one peer until the monitor closes. Send

@@ -4,9 +4,10 @@ import (
 	"fmt"
 )
 
-// HierarchicalAllreduceMean averages data across all ranks using a
-// two-level algorithm that mirrors Horovod's hierarchical allreduce on
-// multi-GPU nodes (the paper's platform has 4 V100s per node):
+// HierarchicalAllreduceMeanAsync starts an asynchronous average of data
+// across all ranks using a two-level algorithm that mirrors Horovod's
+// hierarchical allreduce on multi-GPU nodes (the paper's platform has 4
+// V100s per node):
 //
 //  1. intra-group reduce: every member sends to its group leader, which
 //     accumulates (models fast intra-node links, e.g. NVLink);
@@ -20,15 +21,10 @@ import (
 // arbitrary floating-point inputs the result agrees with AllreduceMean to
 // rounding (and exactly — bit for bit — whenever the sums are exactly
 // representable, e.g. integer-valued data; see
-// TestHierarchicalBitEqualsFlatOnIntegerData).
-func (c *Communicator) HierarchicalAllreduceMean(data []float64, groupSize int) error {
-	return c.hierarchicalMeanTagged(data, groupSize, c.nextOp())
-}
-
-// HierarchicalAllreduceMeanAsync starts an asynchronous hierarchical
-// mean-allreduce; the gradient/factor fusion path uses it when a group
-// size is configured (Fuser.SetGroupSize). The tag namespace is reserved
-// synchronously at call time, like every other async collective.
+// TestHierarchicalBitEqualsFlatOnIntegerData). The gradient/factor fusion
+// path uses it when a group size is configured (Fuser.SetGroupSize). The
+// tag namespace is reserved synchronously at call time, like every other
+// async collective.
 func (c *Communicator) HierarchicalAllreduceMeanAsync(data []float64, groupSize int) *Handle {
 	base := c.nextOp()
 	h := newHandle()

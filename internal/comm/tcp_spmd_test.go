@@ -36,7 +36,7 @@ const (
 )
 
 // spmdSequence runs a fixed program of collectives — flat allreduce,
-// hierarchical allreduce (group 4), broadcast, allgather, barrier — over
+// hierarchical allreduce (group 4), broadcast, allgather — over
 // deterministic per-rank data and folds every resulting bit pattern into
 // one checksum. Identical on every rank iff the transport delivered every
 // collective exactly.
@@ -68,7 +68,7 @@ func spmdSequence(c *Communicator) (uint64, error) {
 	fold(ar)
 
 	hier := fill(53, 2)
-	if err := c.HierarchicalAllreduceMean(hier, 4); err != nil {
+	if err := c.HierarchicalAllreduceMeanAsync(hier, 4).Wait(); err != nil {
 		return 0, fmt.Errorf("hierarchical allreduce: %w", err)
 	}
 	fold(hier)
@@ -84,7 +84,7 @@ func spmdSequence(c *Communicator) (uint64, error) {
 	}
 	fold(bc)
 
-	parts, err := c.AllgatherV(fill(rank+1, 3))
+	parts, err := c.AllgatherVAsync(fill(rank+1, 3)).Wait()
 	if err != nil {
 		return 0, fmt.Errorf("allgather: %w", err)
 	}
@@ -92,9 +92,6 @@ func spmdSequence(c *Communicator) (uint64, error) {
 		fold(part)
 	}
 
-	if err := c.Barrier(); err != nil {
-		return 0, fmt.Errorf("barrier: %w", err)
-	}
 	return h.Sum64(), nil
 }
 

@@ -43,7 +43,6 @@ type Daemon struct {
 	store *ckptstore.Store
 
 	mu     sync.Mutex
-	cond   *sync.Cond // broadcast on every job state change
 	jobs   map[string]*job
 	order  []*job // submit order, the FIFO axis of fair-share
 	nextID int
@@ -84,16 +83,12 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		free:  cfg.Fleet.Workers,
 		usage: make(map[string]int),
 	}
-	d.cond = sync.NewCond(&d.mu)
 	return d, nil
 }
 
 // Store exposes the daemon's checkpoint store (read-side: listing refs,
 // loading checkpoints).
 func (d *Daemon) Store() *ckptstore.Store { return d.store }
-
-// Fleet returns the configured worker pool declaration.
-func (d *Daemon) Fleet() Fleet { return d.cfg.Fleet }
 
 func (d *Daemon) logf(format string, args ...any) {
 	if d.cfg.Log != nil {
@@ -120,7 +115,6 @@ func (d *Daemon) setState(j *job, to State) {
 	case Queued: // resume: the job is live again
 		j.finished = time.Time{}
 	}
-	d.cond.Broadcast()
 }
 
 // Submit validates and admits a job. Validation and admission are
@@ -370,36 +364,6 @@ func (d *Daemon) Cancel(id string) error {
 		return nil
 	}
 	return fmt.Errorf("ctl: cannot cancel job %s in state %v", id, j.state)
-}
-
-// WaitSettled blocks until the job is settled — terminal or Paused, i.e.
-// it will not progress further without operator action — and returns its
-// view at that moment.
-func (d *Daemon) WaitSettled(ctx context.Context, id string) (JobView, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	stop := context.AfterFunc(ctx, func() {
-		d.mu.Lock()
-		d.cond.Broadcast()
-		d.mu.Unlock()
-	})
-	defer stop()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		j, err := d.get(id)
-		if err != nil {
-			return JobView{}, err
-		}
-		if j.state.Terminal() || j.state == Paused {
-			return j.view(true), nil
-		}
-		if err := ctx.Err(); err != nil {
-			return j.view(false), err
-		}
-		d.cond.Wait()
-	}
 }
 
 // Drain gracefully winds the daemon down: new submissions are refused,

@@ -31,6 +31,18 @@ func testDaemon(t *testing.T, fleet Fleet) *Daemon {
 	return d
 }
 
+// waitSettled polls until job id is settled — terminal or Paused, so it
+// will not progress without operator action — and returns its view then.
+func waitSettled(d *Daemon, id string) (JobView, error) {
+	for {
+		v, err := d.Job(id)
+		if err != nil || v.State.Terminal() || v.State == Paused {
+			return v, err
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // runnableSpec is a job small enough to train in tens of milliseconds.
 func runnableSpec(name, user string, world, epochs int) *JobSpec {
 	return &JobSpec{
@@ -77,7 +89,7 @@ func TestDaemonRunsConcurrentJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{va.ID, vb.ID} {
-		v, err := d.WaitSettled(context.Background(), id)
+		v, err := waitSettled(d, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,10 +174,10 @@ func TestDaemonFairShareOrdering(t *testing.T) {
 	if err := d.Cancel(filler.ID); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := d.WaitSettled(context.Background(), b1.ID); err != nil || v.State != Completed {
+	if v, err := waitSettled(d, b1.ID); err != nil || v.State != Completed {
 		t.Fatalf("b1 settled as %v (err %v), want completed", v.State, err)
 	}
-	a2done, err := d.WaitSettled(context.Background(), a2.ID)
+	a2done, err := waitSettled(d, a2.ID)
 	if err != nil || a2done.State != Completed {
 		t.Fatalf("a2 settled as %v (err %v), want completed", a2done.State, err)
 	}
@@ -198,7 +210,7 @@ func TestDaemonChaosKillRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err := d.WaitSettled(context.Background(), v.ID)
+	done, err := waitSettled(d, v.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +248,7 @@ func TestDaemonPauseResume(t *testing.T) {
 	if err := d.Pause(v.ID); err != nil {
 		t.Fatal(err)
 	}
-	paused, err := d.WaitSettled(context.Background(), v.ID)
+	paused, err := waitSettled(d, v.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +264,7 @@ func TestDaemonPauseResume(t *testing.T) {
 	if err := d.Resume(v.ID); err != nil {
 		t.Fatal(err)
 	}
-	done, err := d.WaitSettled(context.Background(), v.ID)
+	done, err := waitSettled(d, v.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +293,7 @@ func TestDaemonCancel(t *testing.T) {
 	if err := d.Cancel(v.ID); err != nil {
 		t.Fatal(err)
 	}
-	done, err := d.WaitSettled(context.Background(), v.ID)
+	done, err := waitSettled(d, v.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +321,7 @@ func TestDaemonCheckpointDedupAcrossJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{v1.ID, v2.ID} {
-		if v, err := d.WaitSettled(context.Background(), id); err != nil || v.State != Completed {
+		if v, err := waitSettled(d, id); err != nil || v.State != Completed {
 			t.Fatalf("twin %s settled as %v (err %v)", id, v.State, err)
 		}
 	}
@@ -339,7 +351,7 @@ func TestDaemonRetentionPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := d.WaitSettled(context.Background(), v.ID); err != nil || got.State != Completed {
+	if got, err := waitSettled(d, v.ID); err != nil || got.State != Completed {
 		t.Fatalf("job settled as %v (err %v)", got.State, err)
 	}
 	refs, err := d.Store().Refs(v.ID)

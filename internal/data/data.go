@@ -34,13 +34,6 @@ type Dataset struct {
 // Len returns the number of examples.
 func (d *Dataset) Len() int { return len(d.Labels) }
 
-// Image returns a view of example i as [1, H, W, C] sharing storage.
-func (d *Dataset) Image(i int) *tensor.Tensor {
-	h, w, c := d.X.Shape[1], d.X.Shape[2], d.X.Shape[3]
-	sz := h * w * c
-	return tensor.FromSlice(d.X.Data[i*sz:(i+1)*sz], 1, h, w, c)
-}
-
 // SyntheticConfig parameterizes GenerateSynthetic.
 type SyntheticConfig struct {
 	Train, Test    int // number of examples in each split

@@ -87,20 +87,6 @@ func TestGenerateSyntheticClassesSeparable(t *testing.T) {
 	}
 }
 
-func TestImageView(t *testing.T) {
-	cfg := SyntheticConfig{Train: 4, Test: 1, Classes: 2, Channels: 2, Size: 3, Seed: 2}
-	train, _ := GenerateSynthetic(cfg)
-	img := train.Image(2)
-	if img.Shape[0] != 1 || img.Shape[1] != 3 || img.Shape[2] != 3 || img.Shape[3] != 2 {
-		t.Fatalf("Image shape = %v", img.Shape)
-	}
-	// Shares storage with the dataset.
-	img.Data[0] = 42
-	if train.X.Data[2*18] != 42 {
-		t.Error("Image must be a view, not a copy")
-	}
-}
-
 func TestShardSamplerDisjointAndComplete(t *testing.T) {
 	// Shards must be disjoint and cover all indices when N divides world.
 	s := func(rank int) ShardSampler { return ShardSampler{N: 12, Rank: rank, World: 3, Seed: 9} }
@@ -276,7 +262,8 @@ func TestLayoutSameDatasetForSameSeed(t *testing.T) {
 	if got, want := fmt.Sprint(train.Labels, test.Labels), "[1 0 2 0 0 0] [0 2]"; got != want {
 		t.Errorf("labels %s, want %s", got, want)
 	}
-	if got := train.X.At(4, 1, 3, 2); got != -0.80421066381641282 {
+	// Element (4, 1, 3, 2) of the [6, 5, 5, 3] images.
+	if got := train.X.Data[((4*5+1)*5+3)*3+2]; got != -0.80421066381641282 {
 		t.Errorf("train image 4, channel 2, pixel (1, 3) = %.17g, want -0.80421066381641282", got)
 	}
 	wantHash := func(what string, x *tensor.Tensor, want uint64) {

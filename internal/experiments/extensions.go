@@ -91,10 +91,10 @@ func runAblationCompression(ctx context.Context, w io.Writer, cfg Config) error 
 	return nil
 }
 
-// runCompressedTraining runs a bare 2-rank data-parallel loop with the
-// given codec for gradient exchange (nil = exact fused allreduce) and
-// returns the final mean loss and the per-iteration exchange volume in
-// float64 words per rank.
+// runCompressedTraining runs a bare 2-rank data-parallel loop whose
+// gradient exchange is one fused allreduce (comm.NewFuser), compressed with
+// error feedback when codec is non-nil, and returns the final mean loss and
+// the per-iteration exchange volume in float64 words per rank.
 func runCompressedTraining(train *data.Dataset, codec comm.Codec, iters int, seed int64) (float64, int, error) {
 	const world = 2
 	fab := comm.NewInprocFabric(world)
@@ -114,10 +114,10 @@ func runCompressedTraining(train *data.Dataset, codec comm.Codec, iters int, see
 			ce := nn.CrossEntropy{}
 			sampler := data.ShardSampler{N: train.Len(), Rank: r, World: world, Seed: seed}
 			batches := data.Batches(train, sampler.EpochIndices(0), 16)
-			// Error-feedback accumulators per parameter.
-			residuals := make([][]float64, len(params))
-			for i, p := range params {
-				residuals[i] = make([]float64, p.Grad.Len())
+			// The residuals outlive each step's fuser (one slot per chunk).
+			var ef *comm.ErrorFeedback
+			if codec != nil {
+				ef = comm.NewErrorFeedback(codec)
 			}
 			var lastLoss float64
 			for it := 0; it < iters; it++ {
@@ -127,34 +127,18 @@ func runCompressedTraining(train *data.Dataset, codec comm.Codec, iters int, see
 				lastLoss = loss
 				nn.ZeroGrads(net)
 				net.Backward(grad)
-				if codec == nil {
-					fu := comm.NewFuser(c, 0)
-					for _, p := range params {
-						fu.Add(p.Grad)
-					}
-					if err := fu.Flush(); err != nil {
+				fu := comm.NewFuser(c, 0)
+				fu.SetErrorFeedback(ef)
+				for _, p := range params {
+					fu.Add(p.Grad)
+				}
+				for _, ch := range fu.FlushAsync() {
+					if err := ch.Wait(); err != nil {
 						errs[r] = err
 						return
 					}
 					if it == 0 {
-						for _, p := range params {
-							words[r] += p.Grad.Len()
-						}
-					}
-				} else {
-					for i, p := range params {
-						for j := range p.Grad.Data {
-							p.Grad.Data[j] += residuals[i][j]
-						}
-						res, err := c.CompressedAllreduceMean(p.Grad.Data, codec)
-						if err != nil {
-							errs[r] = err
-							return
-						}
-						residuals[i] = res
-						if it == 0 {
-							words[r] += codec.CompressedLen(p.Grad.Len())
-						}
+						words[r] += chunkWords(ch, codec)
 					}
 				}
 				opt.Step()
@@ -169,4 +153,17 @@ func runCompressedTraining(train *data.Dataset, codec comm.Codec, iters int, see
 		}
 	}
 	return (losses[0] + losses[1]) / 2, words[0], nil
+}
+
+// chunkWords returns the float64 words one rank sends for a fused chunk:
+// its packed length, or the codec's payload for that length.
+func chunkWords(ch *comm.Chunk, codec comm.Codec) int {
+	n := 0
+	for _, t := range ch.Tensors() {
+		n += t.Len()
+	}
+	if codec != nil {
+		n = codec.CompressedLen(n)
+	}
+	return n
 }

@@ -112,10 +112,10 @@ func TestPreconditionOneBroadcastPerRoot(t *testing.T) {
 				}
 				// Expectation from the plan: layers sharing a root share its
 				// member set and form one broadcast.
-				plan := p.Plan()
+				plan := p.plan
 				roots := map[int]bool{}
-				for i := 0; i < plan.NumLayers(); i++ {
-					root, members := plan.GradRoot(i), plan.Layers[i].BcastMembers
+				for i := range plan.Layers {
+					root, members := plan.Layers[i].GOwner, plan.Layers[i].BcastMembers
 					if len(members) != tc.members {
 						t.Errorf("%s layer %d: %d broadcast members, want %d", tc.name, i, len(members), tc.members)
 					}
@@ -199,8 +199,8 @@ func TestPreconditionBucketsAreViews(t *testing.T) {
 			for _, i := range bk.layers {
 				s := p.states[i]
 				da, dg := FactorDims(s.layer)
-				if p.plan.GradRoot(i) != bk.root {
-					t.Errorf("rank %d layer %d: root %d in a bucket of root %d", rank, i, p.plan.GradRoot(i), bk.root)
+				if p.plan.Layers[i].GOwner != bk.root {
+					t.Errorf("rank %d layer %d: root %d in a bucket of root %d", rank, i, p.plan.Layers[i].GOwner, bk.root)
 				}
 				if s.pcBuf.Rows() != dg || s.pcBuf.Cols() != da || cap(s.pcBuf.Data) != dg*da {
 					t.Errorf("rank %d layer %d: pcBuf shape %v cap %d, want [%d %d] cap %d", rank, i, s.pcBuf.Shape, cap(s.pcBuf.Data), dg, da, dg*da)
@@ -244,12 +244,12 @@ func TestPreconditionBucketsAreViews(t *testing.T) {
 				// covariances inline, the pipelined one on its pool.
 				lanes := 1
 				if engine == EnginePipelined {
-					lanes = p.pool.Workers()
+					lanes = runtime.GOMAXPROCS(0)
 				}
 				if cap(p.covSlots) != lanes || len(p.covSlots) != lanes {
 					t.Errorf("world %d %v rank %d: %d of %d covariance slots free, want %d of %d", world, engine, r, len(p.covSlots), cap(p.covSlots), lanes, lanes)
 				}
-				if got, want := p.factorMemBytes(), expectedFactorMemBytes(p.Plan(), r, batch, lanes); got != want {
+				if got, want := p.factorMemBytes(), expectedFactorMemBytes(p.plan, r, batch, lanes); got != want {
 					t.Errorf("world %d %v rank %d: factorMemBytes %d after warm-up, want %d from dims, plan and %d slot(s)", world, engine, r, got, want, lanes)
 				}
 			})
@@ -286,7 +286,7 @@ func TestFactorMemDecompositionsArePlanModel(t *testing.T) {
 						}
 					}
 				}
-				if want := p.Plan().DecompElemsPerRank(p.FactorRefs())[r]; 8*live != 8*want {
+				if want := p.plan.DecompElemsPerRank(p.FactorRefs())[r]; 8*live != 8*want {
 					t.Errorf("%v %v rank %d: holds %d B of decompositions, the plan model charges %d B", tc.mode, engine, r, 8*live, 8*want)
 				}
 			})

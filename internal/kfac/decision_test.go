@@ -60,7 +60,8 @@ func TestDecisionResolve(t *testing.T) {
 // TestDecisionNewFuserFollowsDecision: every route a Decision can select —
 // exact flat, hierarchical, compressed with and without error feedback —
 // averages a small-integer payload exactly (float16 is exact there) on every
-// rank, and only the error-feedback route fills the caller's residual slot.
+// rank, and only the error-feedback route installs its codec in the
+// caller's accumulator.
 func TestDecisionNewFuserFollowsDecision(t *testing.T) {
 	const p, n = 4, 64
 	f16 := comm.Float16Codec{}
@@ -99,8 +100,8 @@ func TestDecisionNewFuserFollowsDecision(t *testing.T) {
 					t.Fatalf("%s rank %d elem %d = %v, want %v", name, r, i, v, want)
 				}
 			}
-			if got := efs[r].Residual(0) != nil; got != wantEF {
-				t.Errorf("%s rank %d: residual slot used = %v, want %v", name, r, got, wantEF)
+			if got := efs[r].Codec() != nil; got != wantEF {
+				t.Errorf("%s rank %d: accumulator codec set = %v, want %v", name, r, got, wantEF)
 			}
 		}
 	}

@@ -42,8 +42,8 @@ func TestDistributionOptions(t *testing.T) {
 		if d := p.Decision(); !reflect.DeepEqual(d, c.want) {
 			t.Errorf("%+v: decision %+v, want %+v", c.opts, d, c.want)
 		}
-		if p.Plan().Mode != c.want.Mode {
-			t.Errorf("%+v: plan mode %v, want %v", c.opts, p.Plan().Mode, c.want.Mode)
+		if p.plan.Mode != c.want.Mode {
+			t.Errorf("%+v: plan mode %v, want %v", c.opts, p.plan.Mode, c.want.Mode)
 		}
 		p.Close()
 	}

@@ -170,9 +170,6 @@ func containsSorted(s []int, v int) bool {
 	return i < len(s) && s[i] == v
 }
 
-// NumLayers returns the number of planned layers.
-func (p *Plan) NumLayers() int { return len(p.Layers) }
-
 // GradWorkersPerLayer returns the resolved gradient-worker set size.
 func (p *Plan) GradWorkersPerLayer() int {
 	if len(p.Layers) == 0 {
@@ -185,10 +182,6 @@ func (p *Plan) GradWorkersPerLayer() int {
 // layer — the COMM-OPT regime in which eigenbases are shared with everyone
 // and the per-iteration step needs no communication.
 func (p *Plan) FullyReplicated() bool { return p.GradWorkersPerLayer() == p.World }
-
-// GradRoot returns the designated root of layer i's per-iteration result
-// broadcast (its G-factor owner, always a gradient worker).
-func (p *Plan) GradRoot(i int) int { return p.Layers[i].GOwner }
 
 // IsGradWorker reports whether rank preconditions layer i's gradient.
 func (p *Plan) IsGradWorker(i, rank int) bool {
@@ -215,7 +208,8 @@ func (p *Plan) Recipients(layer int, isG bool) []int {
 
 // ResultBuckets groups the layers whose preconditioned gradients travel
 // every iteration — those with a broadcast member beyond the root — into
-// one broadcast per (GradRoot, BcastMembers) pair, in first-layer order.
+// one broadcast per (G-factor owner, BcastMembers) pair, in first-layer
+// order.
 // Each bucket lists its layers ascending; its root and members are those of
 // any of its layers. Nil for a fully replicated plan. The preconditioner
 // issues exactly these broadcasts and simulate.PlanModel prices exactly

@@ -72,7 +72,7 @@ func TestPowerTierSchedule(t *testing.T) {
 			t.Errorf("interval %d exact=%v: tiers %q, want %q", c.invFreq, c.exact, got, want)
 		}
 		snap := p.Stats().Snapshot()
-		if factors := 2 * p.NumLayers(); (snap.FullSolves+snap.PowerRefreshes)%factors != 0 {
+		if factors := 2 * len(p.states); (snap.FullSolves+snap.PowerRefreshes)%factors != 0 {
 			t.Errorf("interval %d: %d full + %d power is not a whole number of updates over %d factors",
 				c.invFreq, snap.FullSolves, snap.PowerRefreshes, factors)
 		}

@@ -210,7 +210,7 @@ func roundF32(t *tensor.Tensor) *tensor.Tensor {
 	n := tensor.NewT32(t.Shape...)
 	n.NarrowFrom(t)
 	out := tensor.New(t.Shape...)
-	n.WidenInto(out)
+	tensor.Convert(out, n)
 	return out
 }
 

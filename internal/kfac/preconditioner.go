@@ -267,9 +267,6 @@ func (p *Preconditioner) buildBuckets() {
 	}
 }
 
-// Plan returns the active resolved distribution plan.
-func (p *Preconditioner) Plan() *Plan { return p.plan }
-
 // factorMemBytes measures this rank's currently resident K-FAC factor
 // state in bytes: every buffer the preconditioner holds — running
 // averages, the covariance slots at their full length, preconditioning
@@ -316,14 +313,8 @@ func (p *Preconditioner) FactorRefs() []FactorRef {
 // NumLayers returns the number of preconditioned layers.
 func (p *Preconditioner) NumLayers() int { return len(p.states) }
 
-// Damping returns the current Tikhonov damping γ.
-func (p *Preconditioner) Damping() float64 { return p.opts.Damping }
-
 // SetDamping updates γ; used by the damping-decay schedule (§V-C).
 func (p *Preconditioner) SetDamping(g float64) { p.opts.Damping = g }
-
-// InvUpdateFreq returns the current kfac-update-freq.
-func (p *Preconditioner) InvUpdateFreq() int { return p.opts.InvUpdateFreq }
 
 // SetInvUpdateFreq updates kfac-update-freq between steps.
 func (p *Preconditioner) SetInvUpdateFreq(k int) {
@@ -340,9 +331,6 @@ func (p *Preconditioner) SetFactorUpdateFreq(k int) {
 	}
 	p.opts.FactorUpdateFreq = k
 }
-
-// StepCount returns the number of completed Step calls.
-func (p *Preconditioner) StepCount() int { return p.step }
 
 // Step preconditions every registered layer's gradient in place. Call after
 // gradients have been computed (and averaged across ranks) and before the

@@ -41,7 +41,9 @@ func symEigJacobi(a *tensor.Tensor, maxSweeps int, ws *tensor.Arena) (*Eigen, er
 	}
 	alloc := func(shape ...int) *tensor.Tensor {
 		if ws != nil {
-			return ws.GetZero(shape...)
+			t := ws.Get(shape...)
+			t.Zero()
+			return t
 		}
 		return tensor.New(shape...)
 	}
@@ -174,7 +176,7 @@ func TestJacobiMatchesSymEigProperty(t *testing.T) {
 		n := 1 + rng.Intn(15)
 		b := tensor.Randn(rng, 1, n, n)
 		a := b.Clone()
-		a.Add(tensor.Transpose(b)) // symmetric, possibly indefinite
+		a.AddScaled(1, tensor.Transpose(b)) // symmetric, possibly indefinite
 		e1, err := SymEig(a)
 		if err != nil {
 			return false

@@ -125,7 +125,7 @@ func TestEigTraceProperty(t *testing.T) {
 		n := 1 + rng.Intn(20)
 		b := tensor.Randn(rng, 1, n, n)
 		a := b.Clone()
-		a.Add(tensor.Transpose(b)) // symmetric, possibly indefinite
+		a.AddScaled(1, tensor.Transpose(b)) // symmetric, possibly indefinite
 		eg, err := SymEig(a)
 		if err != nil {
 			return false

@@ -62,7 +62,7 @@ func TestSymMul32BitIdenticalToMatMulT1(t *testing.T) {
 		a64 := sh.operand()
 		a := tensor.NewT32(sh.k, sh.m)
 		a.NarrowFrom(a64)
-		a.WidenInto(a64)
+		tensor.Convert(a64, a)
 		want, got, narrowed := tensor.NewT32(sh.m, sh.m), tensor.NewT32(sh.m, sh.m), tensor.NewT32(sh.m, sh.m)
 		tensor.MatMulT1Into(want, a, a)
 		SymMulT1Into32(got, a)
@@ -100,7 +100,7 @@ func via32(run func(dst, a *tensor.T32)) func(a *tensor.Tensor) *tensor.Tensor {
 		a32, d32, dst := tensor.NewT32(a.Shape...), tensor.NewT32(m, m), tensor.New(m, m)
 		a32.NarrowFrom(a)
 		run(d32, a32)
-		d32.WidenInto(dst)
+		tensor.Convert(dst, d32)
 		return dst
 	}
 }
@@ -194,7 +194,9 @@ func BenchmarkSymMulShapes(b *testing.B) {
 func TestSymMulIntoReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dst := tensor.New(6, 6)
-	dst.Fill(999)
+	for i := range dst.Data {
+		dst.Data[i] = 999
+	}
 	a := tensor.Randn(rng, 1, 9, 6)
 	SymMulT1Into(dst, a)
 	want := tensor.New(6, 6)

@@ -222,7 +222,7 @@ func TestLayoutFlattenIsRowMajor(t *testing.T) {
 	}
 	f := NewFlatten("flat")
 	y := f.Forward(x, true)
-	if y.Rows() != 2 || y.Cols() != 24 || y.At(1, (1*3+2)*4+3) != x.At(1, 1, 2, 3) {
+	if y.Rows() != 2 || y.Cols() != 24 || y.Data[24+(1*3+2)*4+3] != x.Data[((1*2+1)*3+2)*4+3] {
 		t.Fatalf("Flatten gave %v", y)
 	}
 	if back := f.Backward(y); !back.SameShape(x) {
@@ -243,7 +243,7 @@ func TestLayoutConvInitDrawOrder(t *testing.T) {
 		for c := 0; c < inC; c++ {
 			for ky := 0; ky < k; ky++ {
 				for kx := 0; kx < k; kx++ {
-					if got, want := conv.W.Value.At(oc, (ky*k+kx)*inC+c), rng.NormFloat64()*std; got != want {
+					if got, want := conv.W.Value.Data[oc*k*k*inC+(ky*k+kx)*inC+c], rng.NormFloat64()*std; got != want {
 						t.Fatalf("W[%d, ky=%d kx=%d c=%d] = %v, want draw %v", oc, ky, kx, c, got, want)
 					}
 				}

@@ -80,7 +80,7 @@ func TestLinearForwardKnown(t *testing.T) {
 	l.B.Value.CopyFrom(tensor.FromSlice([]float64{10, 20}, 2))
 	x := tensor.FromSlice([]float64{1, 1}, 1, 2)
 	y := l.Forward(x, false)
-	if y.At(0, 0) != 13 || y.At(0, 1) != 27 {
+	if y.Data[0] != 13 || y.Data[1] != 27 {
 		t.Errorf("Linear forward = %v, want [13 27]", y.Data)
 	}
 }
@@ -126,7 +126,7 @@ func naiveConv2D(x, w *tensor.Tensor, bias []float64, outC, k, stride, pad int) 
 								continue
 							}
 							for ch := 0; ch < c; ch++ {
-								s += x.At(img, iy, ix, ch) * w.At(oc, (ky*k+kx)*c+ch)
+								s += x.Data[((img*h+iy)*wd+ix)*c+ch] * w.Data[oc*w.Shape[1]+(ky*k+kx)*c+ch]
 							}
 						}
 					}
@@ -380,7 +380,7 @@ func TestCrossEntropyGradSumsToZeroPerRow(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		var s float64
 		for j := 0; j < 6; j++ {
-			s += grad.At(i, j)
+			s += grad.Data[i*6+j]
 		}
 		if math.Abs(s) > 1e-12 {
 			t.Errorf("row %d grad sum = %v, want 0", i, s)
@@ -517,7 +517,9 @@ func TestParamCount(t *testing.T) {
 func TestZeroGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	l := NewLinear("fc", 3, 3, true, rng)
-	l.W.Grad.Fill(5)
+	for i := range l.W.Grad.Data {
+		l.W.Grad.Data[i] = 5
+	}
 	ZeroGrads(l)
 	if l.W.Grad.Norm2() != 0 {
 		t.Error("ZeroGrads did not clear gradient")

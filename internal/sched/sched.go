@@ -198,9 +198,6 @@ func (p *Pool) putJob(j *forJob) {
 	p.freeMu.Unlock()
 }
 
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
 // Submit enqueues fn for execution. It never blocks: when the queue is full
 // the task is handed to a transient goroutine that feeds it into the queue,
 // preserving the concurrency bound while keeping producers (e.g. collective
@@ -221,9 +218,6 @@ func (p *Pool) Submit(fn func()) {
 		go func() { p.tasks <- fn }()
 	}
 }
-
-// Wait blocks until every task submitted so far has finished.
-func (p *Pool) Wait() { p.wg.Wait() }
 
 // Close waits for outstanding tasks and stops the workers. The pool cannot
 // be reused afterwards. Close is idempotent.

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +17,7 @@ func TestPoolRunsAllTasks(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.Submit(func() { n.Add(1) })
 	}
-	p.Wait()
+	p.wg.Wait()
 	if n.Load() != 100 {
 		t.Fatalf("ran %d tasks, want 100", n.Load())
 	}
@@ -40,7 +41,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 			cur.Add(-1)
 		})
 	}
-	p.Wait()
+	p.wg.Wait()
 	if peak.Load() > workers {
 		t.Fatalf("observed %d concurrent tasks, bound is %d", peak.Load(), workers)
 	}
@@ -65,7 +66,7 @@ func TestPoolSubmitNeverBlocks(t *testing.T) {
 		t.Fatal("Submit blocked with a busy worker")
 	}
 	close(release)
-	p.Wait()
+	p.wg.Wait()
 }
 
 func TestPoolCloseIdempotent(t *testing.T) {
@@ -78,8 +79,8 @@ func TestPoolCloseIdempotent(t *testing.T) {
 func TestPoolDefaultWorkers(t *testing.T) {
 	p := NewPool(0)
 	defer p.Close()
-	if p.Workers() < 1 {
-		t.Fatalf("Workers() = %d", p.Workers())
+	if p.workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("NewPool(0) has %d workers, want GOMAXPROCS = %d", p.workers, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -194,7 +195,7 @@ func TestForEachCompletesWithEveryWorkerBusy(t *testing.T) {
 	}
 	close(release)
 	c.check(t, "busy workers")
-	p.Wait()
+	p.wg.Wait()
 }
 
 // stallRanger blocks in chunk 0 until the pool has drained every queued
@@ -210,7 +211,7 @@ func (r *stallRanger) RunRange(lo, hi int) {
 	if lo == 0 {
 		r.inFirst.Store(true)
 		close(r.release) // let the worker reach the stale tokens
-		r.p.Wait()       // ... and drain them all
+		r.p.wg.Wait()    // ... and drain them all
 		r.inFirst.Store(false)
 		return
 	}

@@ -146,11 +146,11 @@ func symEigSec(t *testing.T, d, team int) float64 {
 	a := tensor.Randn(rng, 1, d, d)
 	for i := 0; i < d; i++ {
 		for j := 0; j < i; j++ {
-			v := (a.At(i, j) + a.At(j, i)) / 2
+			v := (a.Data[i*d+j] + a.Data[j*d+i]) / 2
 			a.Set(v, i, j)
 			a.Set(v, j, i)
 		}
-		a.Set(a.At(i, i)+float64(d), i, i) // diagonally dominant: well-conditioned
+		a.Set(a.Data[i*d+i]+float64(d), i, i) // diagonally dominant: well-conditioned
 	}
 	var eg linalg.Eigen
 	best := math.MaxFloat64

@@ -135,8 +135,8 @@ func (t Topology) slowestRingLink(lo, count, stride int) Link {
 }
 
 // HierarchicalAllreduceCost prices b bytes through the exact three-phase
-// algorithm comm.HierarchicalAllreduceMean executes on `world` ranks with
-// `groupSize` consecutive ranks per group:
+// algorithm comm.HierarchicalAllreduceMeanAsync executes on `world` ranks
+// with `groupSize` consecutive ranks per group:
 //
 //  1. members send to their group leader, which accumulates sequentially
 //     — (groupSize−1) transfers of the full payload over the group's link;

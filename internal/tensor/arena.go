@@ -5,7 +5,7 @@ import "sync"
 // Arena is a reusable workspace of tensors, keyed by element count. It
 // exists so steady-state hot loops (the K-FAC step, layer forward/backward
 // passes) can run without per-step heap allocation: tensors are checked out
-// with Get/GetZero, optionally handed back early with Put, and reclaimed in
+// with Get, optionally handed back early with Put, and reclaimed in
 // bulk with Reset once the phase that used them is over.
 //
 // An Arena is safe for concurrent use. Every tensor it hands out remains
@@ -14,9 +14,6 @@ import "sync"
 type Arena struct {
 	mu      sync.Mutex
 	classes map[int]*arenaClass
-
-	// Outstanding counts checked-out tensors (for tests and leak checks).
-	outstanding int
 }
 
 // arenaClass is the free/used bookkeeping for one element count.
@@ -31,7 +28,7 @@ func NewArena() *Arena {
 }
 
 // Get checks out a tensor of the given shape. Contents are unspecified
-// (stale values from a previous checkout); use GetZero when zeros are
+// (stale values from a previous checkout); Zero the tensor when zeros are
 // required. The tensor's storage is reused from a previous Reset/Put when a
 // tensor of equal element count is available.
 func (a *Arena) Get(shape ...int) *Tensor {
@@ -54,16 +51,8 @@ func (a *Arena) Get(shape ...int) *Tensor {
 		t = &Tensor{Data: make([]float64, n)}
 		cl.all = append(cl.all, t)
 	}
-	a.outstanding++
 	a.mu.Unlock()
 	setShape(t, shape)
-	return t
-}
-
-// GetZero is Get with the returned tensor zero-filled.
-func (a *Arena) GetZero(shape ...int) *Tensor {
-	t := a.Get(shape...)
-	t.Zero()
 	return t
 }
 
@@ -80,7 +69,6 @@ func (a *Arena) Put(t *Tensor) {
 		panic("tensor: Arena.Put of tensor not obtained from this arena")
 	}
 	cl.free = append(cl.free, t)
-	a.outstanding--
 	a.mu.Unlock()
 }
 
@@ -92,16 +80,7 @@ func (a *Arena) Reset() {
 	for _, cl := range a.classes {
 		cl.free = append(cl.free[:0], cl.all...)
 	}
-	a.outstanding = 0
 	a.mu.Unlock()
-}
-
-// Outstanding returns the number of tensors currently checked out (Get
-// minus Put since the last Reset). Used by leak-check tests.
-func (a *Arena) Outstanding() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.outstanding
 }
 
 // setShape points t at the given shape, reusing t's shape slice when the

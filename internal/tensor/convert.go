@@ -97,9 +97,6 @@ func copyUnlessSame[E Elem](dst, src []E) {
 // NarrowFrom overwrites t with the float64 src at t's element type.
 func (t *Dense[E]) NarrowFrom(src *Tensor) { Convert(t, src) }
 
-// WidenInto overwrites the float64 dst with t.
-func (t *Dense[E]) WidenInto(dst *Tensor) { Convert(dst, t) }
-
 // Accumulate adds src elementwise into the float64 acc — the gradient
 // accumulation (W.Grad += dW) of the layer backward passes, which stays
 // float64 whatever element type the product dW was formed in. Element counts

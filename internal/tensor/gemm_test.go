@@ -245,7 +245,7 @@ func via32(run func(dst, a, b *T32)) func(dst, a, b *Tensor) {
 		a32.NarrowFrom(a)
 		b32.NarrowFrom(b)
 		run(d32, a32, b32)
-		d32.WidenInto(dst)
+		Convert(dst, d32)
 	}
 }
 

@@ -154,7 +154,9 @@ func checkUnfold[E Elem](t *testing.T, lc loweringCase) {
 	x := randDense[E](rng, lc.n, lc.h, lc.w, lc.c)
 	oh, ow := lc.out()
 	got := NewDense[E](lc.n*oh*ow, lc.k*lc.k*lc.c)
-	got.Fill(E(math.NaN()))
+	for i := range got.Data {
+		got.Data[i] = E(math.NaN())
+	}
 	UnfoldInto(got, x, lc.k, lc.k, lc.stride, lc.pad)
 
 	want := NewDense[E](lc.n*oh*ow, lc.c*lc.k*lc.k)
@@ -184,7 +186,9 @@ func checkFold[D, S Elem](t *testing.T, lc loweringCase) {
 	oh, ow := lc.out()
 	y := randDense[S](rng, lc.n*oh*ow, lc.k*lc.k*lc.c)
 	got := NewDense[D](lc.n, lc.h, lc.w, lc.c)
-	got.Fill(D(math.NaN()))
+	for i := range got.Data {
+		got.Data[i] = D(math.NaN())
+	}
 	FoldInto(got, y, lc.k, lc.k, lc.stride, lc.pad)
 
 	want := NewDense[D](lc.n, lc.c, lc.h, lc.w)
@@ -220,7 +224,7 @@ func TestLayoutViewSharesStorage(t *testing.T) {
 	m := New(6, 4)
 	var hdr *Tensor
 	v := View(&hdr, m, 2, 3, 4)
-	if v.NDim() != 3 || v.Dim(2) != 4 || &v.Data[0] != &m.Data[0] {
+	if v.NDim() != 3 || v.Shape[2] != 4 || &v.Data[0] != &m.Data[0] {
 		t.Fatalf("View shape %v, shares storage %v", v.Shape, &v.Data[0] == &m.Data[0])
 	}
 	if m.NDim() != 2 {

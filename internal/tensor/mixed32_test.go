@@ -260,7 +260,6 @@ func TestCastAndLikeAtTheBoundary(t *testing.T) {
 		Cast(&buf32, x)
 		Cast(&buf64, x)
 		Like(&buf32, x)
-		x.WidenInto(x)
 	}); allocs != 0 {
 		t.Fatalf("steady-state Cast/Like allocate %v times per call", allocs)
 	}

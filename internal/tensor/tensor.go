@@ -113,9 +113,6 @@ func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 // Len returns the total number of elements.
 func (t *Dense[E]) Len() int { return len(t.Data) }
 
-// Dim returns the extent of dimension i.
-func (t *Dense[E]) Dim(i int) int { return t.Shape[i] }
-
 // NDim returns the number of dimensions.
 func (t *Dense[E]) NDim() int { return len(t.Shape) }
 
@@ -124,11 +121,6 @@ func (t *Dense[E]) Rows() int { return t.Shape[0] }
 
 // Cols returns the second dimension of a matrix.
 func (t *Dense[E]) Cols() int { return t.Shape[1] }
-
-// At returns the element at the given multi-index.
-func (t *Dense[E]) At(idx ...int) E {
-	return t.Data[t.offset(idx)]
-}
 
 // Set assigns v to the element at the given multi-index.
 func (t *Dense[E]) Set(v E, idx ...int) {
@@ -191,13 +183,6 @@ func (t *Dense[E]) SameShape(o *Dense[E]) bool {
 	return true
 }
 
-// Fill sets every element to v.
-func (t *Dense[E]) Fill(v E) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // Zero sets every element to 0.
 func (t *Dense[E]) Zero() { clear(t.Data) }
 
@@ -217,9 +202,6 @@ func (t *Dense[E]) AddScaled(a E, o *Dense[E]) {
 		t.Data[i] += a * o.Data[i]
 	}
 }
-
-// Add adds o elementwise into t.
-func (t *Dense[E]) Add(o *Dense[E]) { t.AddScaled(1, o) }
 
 // Sub subtracts o elementwise from t.
 func (t *Dense[E]) Sub(o *Dense[E]) { t.AddScaled(-1, o) }
@@ -265,34 +247,6 @@ func (t *Dense[E]) Mean() E {
 	return t.Sum() / E(len(t.Data))
 }
 
-// Max returns the maximum element. Panics on empty tensors.
-func (t *Dense[E]) Max() E {
-	if len(t.Data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element. Panics on empty tensors.
-func (t *Dense[E]) Min() E {
-	if len(t.Data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Norm2 returns the Euclidean (Frobenius) norm.
 func (t *Dense[E]) Norm2() E {
 	var s E
@@ -318,22 +272,6 @@ func (t *Dense[E]) ArgMaxRow(r int) int {
 	return best
 }
 
-// Row returns a slice view of row r of a matrix.
-func (t *Dense[E]) Row(r int) []E {
-	if t.NDim() != 2 {
-		panic("tensor: Row requires a matrix")
-	}
-	cols := t.Shape[1]
-	return t.Data[r*cols : (r+1)*cols]
-}
-
-// Apply replaces every element x with f(x).
-func (t *Dense[E]) Apply(f func(E) E) {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
-}
-
 // Equal reports whether t and o have the same shape and all elements within
 // tol of each other.
 func (t *Dense[E]) Equal(o *Dense[E], tol float64) bool {
@@ -346,16 +284,6 @@ func (t *Dense[E]) Equal(o *Dense[E], tol float64) bool {
 		}
 	}
 	return true
-}
-
-// HasNaN reports whether any element is NaN or Inf.
-func (t *Dense[E]) HasNaN() bool {
-	for _, v := range t.Data {
-		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders small tensors fully and large ones as a summary.

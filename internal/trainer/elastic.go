@@ -81,9 +81,6 @@ type ElasticResult struct {
 	Generations []Generation
 }
 
-// Restarts returns how many recoveries the run needed.
-func (r *ElasticResult) Restarts() int { return len(r.Generations) - 1 }
-
 func (cfg *ElasticConfig) fillDefaults() error {
 	if cfg.World < 1 {
 		return fmt.Errorf("trainer: elastic World must be ≥ 1")

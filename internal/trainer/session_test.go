@@ -91,7 +91,7 @@ func TestSessionCancellationAllRanksSameBoundary(t *testing.T) {
 		barrierWG.Add(1)
 		go func(r int) {
 			defer barrierWG.Done()
-			barrierErrs[r] = comm.NewCommunicator(fab.Endpoint(r)).Barrier()
+			barrierErrs[r] = comm.NewCommunicator(fab.Endpoint(r)).AllreduceSum([]float64{1})
 		}(r)
 	}
 	barrierWG.Wait()

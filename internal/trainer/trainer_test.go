@@ -2,6 +2,7 @@ package trainer
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -30,6 +31,16 @@ func buildTestNet(rng *rand.Rand) *nn.Sequential {
 
 // trainOne runs a single-process session with sessionOpts plus opts (later
 // options win) and fails the test on error.
+// allFinite reports whether every value is neither NaN nor ±Inf.
+func allFinite(xs []float64) bool {
+	for _, v := range xs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 func trainOne(t *testing.T, net *nn.Sequential, train, test *data.Dataset, opts ...SessionOption) *Result {
 	t.Helper()
 	s, err := NewSession(net, nil, train, test, append(sessionOpts(), opts...)...)
@@ -86,7 +97,7 @@ func TestSingleProcessKFACTrains(t *testing.T) {
 		t.Errorf("K-FAC val acc = %v, want > 0.3", res.FinalValAcc)
 	}
 	for _, p := range net.Params() {
-		if p.Value.HasNaN() {
+		if !allFinite(p.Value.Data) {
 			t.Fatalf("parameter %s has NaN after K-FAC training", p.Name)
 		}
 	}

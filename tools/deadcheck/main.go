@@ -1,7 +1,7 @@
-// Command deadcheck fails when a non-test package-level declaration is not
-// reachable from any program the module builds, unless the allowlist names
-// it. It uses go/parser and go/types alone, so CI needs no third-party
-// linter.
+// Command deadcheck fails when a non-test package-level declaration or
+// method is not reachable from any program the module builds, unless the
+// allowlist names it. It uses go/parser and go/types alone, so CI needs no
+// third-party linter.
 //
 // Usage (from the module root):
 //
@@ -9,16 +9,24 @@
 //
 // The roots are the main function of every main package, every init
 // function and every blank-named package-level var. A declaration is live
-// when a live declaration's source names it; every method of a live type is
-// live, and a const group that counts with iota lives or dies as one. Test
-// files are not read; the other files are those the host's default build
-// (no tags) compiles.
+// when a live declaration's source names it, and a const group that counts
+// with iota lives or dies as one. Each method is a node of its own, keyed
+// pkg.Type.Method without type parameters (internal/tensor.Dense.Zero). It
+// is live when live code selects it — a call, a method value or
+// expression, or a selection promoted through an embedded field — or when
+// its receiver type is live and its name is Error or a method of some
+// interface type written in the module or declared by a package the module
+// imports directly, so String, Len/Less/Swap or ServeHTTP need no call
+// site. Test files are not read; the other files are those the host's
+// default build (no tags) compiles.
 //
-// Each line of tools/deadcheck/allow.txt is `pkg.Name  reason`; pkg is the
-// directory relative to the module root, and the reason starts with "test
-// oracle", "test helper" or "item N" (a ROADMAP item that will call it). An
-// entry that is reached, or names nothing, is an error, so the list can only
-// shrink. Exit status 1 lists every finding.
+// Each line of tools/deadcheck/allow.txt is `key  reason`; key is pkg.Name
+// or pkg.Type.Method, pkg the directory relative to the module root, and
+// the reason starts with "test oracle", "test helper" or "item N" (a
+// ROADMAP item that will call it). What an entry's own source reaches is
+// covered by it and needs no entry. An entry that a root reaches, or that
+// names nothing, is an error, so the list can only shrink. Exit status 1
+// lists every finding.
 package main
 
 import (
@@ -76,7 +84,7 @@ func run(root, allowPath string, w io.Writer) (int, error) {
 			return 0, err
 		}
 	}
-	decls, live := l.mark()
+	g := l.build()
 
 	if !filepath.IsAbs(allowPath) {
 		allowPath = filepath.Join(root, allowPath)
@@ -90,9 +98,19 @@ func run(root, allowPath string, w io.Writer) (int, error) {
 		fmt.Fprintf(w, format+"\n", args...)
 		bad++
 	}
+	// An allowlisted entry's own references are followed, so what only an
+	// oracle reaches needs no entry; an entry a real root reaches is stale.
+	live := g.reach(g.roots)
+	kept := append([]types.Object(nil), g.roots...)
+	for key := range allowed {
+		if obj := g.keyed[key]; obj != nil {
+			kept = append(kept, obj)
+		}
+	}
+	covered := g.reach(kept)
 	var dead []*decl
-	for key, d := range decls {
-		if !live[key] && allowed[key] == "" {
+	for key, d := range g.decls {
+		if !covered[key] {
 			dead = append(dead, d)
 		}
 	}
@@ -109,7 +127,7 @@ func run(root, allowPath string, w io.Writer) (int, error) {
 	}
 	for _, key := range sortedKeys(allowed) {
 		switch {
-		case decls[key] == nil:
+		case g.decls[key] == nil:
 			report("%s: allowlisted %s names no declaration; delete its entry", filepath.Base(allowPath), key)
 		case live[key]:
 			report("%s: allowlisted %s is reached; delete its entry", filepath.Base(allowPath), key)
@@ -272,28 +290,40 @@ func (l *loader) load(rel string) (*pkgInfo, error) {
 
 // node is one unit of liveness: a package-level declaration or a method.
 type node struct {
-	key  string         // "" for a method
+	key  string         // "" for a root that has no name of its own
 	refs []types.Object // what its source names
 	link []types.Object // what lives and dies with it
 }
 
-// mark returns every package-level declaration by key and the set of keys
-// reachable from the roots.
-func (l *loader) mark() (decls map[string]*decl, live map[string]bool) {
-	decls, live = map[string]*decl{}, map[string]bool{}
-	nodes := map[types.Object]*node{}
-	var roots []types.Object
+// graph is the module's declarations and the references between them.
+type graph struct {
+	nodes map[types.Object]*node
+	decls map[string]*decl
+	keyed map[string]types.Object // the object behind each decls key
+	roots []types.Object
+}
+
+// build collects every declaration of the module into a graph.
+func (l *loader) build() *graph {
+	g := &graph{nodes: map[types.Object]*node{}, decls: map[string]*decl{},
+		keyed: map[string]types.Object{}}
+	ifaces := l.interfaceMethods()
 	for _, p := range l.pkgs {
 		if p == nil {
 			continue
 		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
-				l.collect(p, d, nodes, decls, &roots)
+				l.collect(p, d, g, ifaces)
 			}
 		}
 	}
+	return g
+}
 
+// reach returns the keys of the declarations reachable from roots.
+func (g *graph) reach(roots []types.Object) map[string]bool {
+	live := map[string]bool{}
 	seen := map[types.Object]bool{}
 	var work []types.Object
 	push := func(obj types.Object) {
@@ -310,7 +340,7 @@ func (l *loader) mark() (decls map[string]*decl, live map[string]bool) {
 	for len(work) > 0 {
 		obj := work[len(work)-1]
 		work = work[:len(work)-1]
-		n := nodes[obj]
+		n := g.nodes[obj]
 		if n == nil {
 			continue // outside the module, or not package-level
 		}
@@ -324,19 +354,66 @@ func (l *loader) mark() (decls map[string]*decl, live map[string]bool) {
 			push(r)
 		}
 	}
-	return decls, live
+	return live
 }
 
-// collect records the nodes one top-level declaration defines.
-func (l *loader) collect(p *pkgInfo, d ast.Decl, nodes map[types.Object]*node, decls map[string]*decl, roots *[]types.Object) {
-	add := func(obj types.Object, keyed bool, from, to token.Pos, src ast.Node) *node {
-		n := &node{refs: l.refs(p, src)}
-		if keyed {
-			n.key = p.rel + "." + obj.Name()
-			decls[n.key] = &decl{key: n.key, pos: l.fset.Position(obj.Pos()),
-				lines: l.fset.Position(to).Line - l.fset.Position(from).Line + 1}
+// interfaceMethods returns the method names that some interface may call:
+// those of every interface type written in the module's source, of every
+// interface type a module package's direct imports declare, and Error.
+func (l *loader) interfaceMethods() map[string]bool {
+	names := map[string]bool{"Error": true}
+	imported := map[*types.Package]bool{}
+	for _, p := range l.pkgs {
+		if p == nil {
+			continue
 		}
-		nodes[obj] = n
+		for _, f := range p.files {
+			ast.Inspect(f, func(x ast.Node) bool {
+				if it, ok := x.(*ast.InterfaceType); ok {
+					for _, m := range it.Methods.List {
+						for _, name := range m.Names {
+							names[name.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		for _, imp := range p.types.Imports() {
+			if !l.inModule(imp.Path()) {
+				imported[imp] = true
+			}
+		}
+	}
+	for pkg := range imported {
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					names[it.Method(i).Name()] = true
+				}
+			}
+		}
+	}
+	return names
+}
+
+// collect records the nodes one top-level declaration defines. A method is
+// keyed pkg.Type.Method and lives when live code selects it; a live type
+// also keeps alive each of its methods whose name is in ifaces.
+func (l *loader) collect(p *pkgInfo, d ast.Decl, g *graph, ifaces map[string]bool) {
+	add := func(obj types.Object, key string, from, to token.Pos, src ast.Node) *node {
+		n := &node{key: key, refs: l.refs(p, src)}
+		if key != "" {
+			g.decls[key] = &decl{key: key, pos: l.fset.Position(obj.Pos()),
+				lines: l.fset.Position(to).Line - l.fset.Position(from).Line + 1}
+			g.keyed[key] = obj
+		}
+		g.nodes[obj] = n
 		return n
 	}
 	switch d := d.(type) {
@@ -348,14 +425,15 @@ func (l *loader) collect(p *pkgInfo, d ast.Decl, nodes map[types.Object]*node, d
 		}
 		switch {
 		case d.Recv != nil:
-			n := add(obj, false, from, d.End(), d)
+			recv := recvTypeName(obj)
+			n := add(obj, p.rel+"."+recv.Name()+"."+obj.Name(), from, d.End(), d)
 			// Calling a method needs a value of its receiver type.
-			n.refs = append(n.refs, recvTypeName(obj))
+			n.refs = append(n.refs, recv)
 		case d.Name.Name == "init" || (p.types.Name() == "main" && d.Name.Name == "main"):
-			add(obj, false, from, d.End(), d)
-			*roots = append(*roots, obj)
+			add(obj, "", from, d.End(), d)
+			g.roots = append(g.roots, obj)
 		default:
-			add(obj, true, from, d.End(), d)
+			add(obj, p.rel+"."+obj.Name(), from, d.End(), d)
 		}
 	case *ast.GenDecl:
 		var group []types.Object
@@ -373,10 +451,12 @@ func (l *loader) collect(p *pkgInfo, d ast.Decl, nodes map[types.Object]*node, d
 					from = s.Doc.Pos()
 				}
 				obj := p.info.Defs[s.Name].(*types.TypeName)
-				n := add(obj, true, from, to, s)
-				if named, ok := obj.Type().(*types.Named); ok {
+				n := add(obj, p.rel+"."+obj.Name(), from, to, s)
+				if named, ok := obj.Type().(*types.Named); ok && !obj.IsAlias() {
 					for i := 0; i < named.NumMethods(); i++ {
-						n.link = append(n.link, named.Method(i))
+						if m := named.Method(i); ifaces[m.Name()] {
+							n.link = append(n.link, m)
+						}
 					}
 				}
 			case *ast.ValueSpec:
@@ -388,11 +468,11 @@ func (l *loader) collect(p *pkgInfo, d ast.Decl, nodes map[types.Object]*node, d
 					if name.Name == "_" {
 						// A blank var is evaluated at init and has no key.
 						obj = types.NewVar(name.Pos(), p.types, "_", nil)
-						add(obj, false, from, to, s)
-						*roots = append(*roots, obj)
+						add(obj, "", from, to, s)
+						g.roots = append(g.roots, obj)
 						continue
 					}
-					add(obj, true, from, to, s)
+					add(obj, p.rel+"."+obj.Name(), from, to, s)
 					if d.Tok == token.CONST && (len(s.Values) == 0 || usesIota(s)) {
 						group = append(group, obj)
 					}
@@ -401,7 +481,7 @@ func (l *loader) collect(p *pkgInfo, d ast.Decl, nodes map[types.Object]*node, d
 		}
 		// Deleting one member of an iota sequence would renumber the rest.
 		for _, a := range group {
-			nodes[a].link = append(nodes[a].link, group...)
+			g.nodes[a].link = append(g.nodes[a].link, group...)
 		}
 	}
 }

@@ -23,24 +23,94 @@ func check(t *testing.T, allow string) (int, string) {
 	return bad, out.String()
 }
 
+// unreached lists the keys of the findings in deadcheck's output.
+func unreached(out string) []string {
+	var keys []string
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[2] == "is" {
+			keys = append(keys, f[1])
+		}
+	}
+	return keys
+}
+
+// testdata/mod's unreached declarations and methods, in source order.
+const (
+	dead       = "lib.Dead"     // a function nothing calls
+	picked     = "lib.T.Picked" // a method of a live type only Dead selects
+	boxPut     = "lib.Box.Put"  // a method of a generic type, keyed without [E]
+	oracle     = "lib.Oracle"   // a type only its method names
+	oracleM    = "lib.Oracle.M" // a method no root reaches
+	helperFunc = "lib.helper"   // a function only Oracle.M calls
+)
+
+// TestReportsOnlyTheUnreachedFunction: lib.Dead and every declaration or
+// method only unreached code names are reported, and nothing else.
 func TestReportsOnlyTheUnreachedFunction(t *testing.T) {
 	bad, out := check(t, "")
-	if bad != 1 || !strings.Contains(out, "lib/lib.go:12: lib.Dead is unreachable (2 lines)") {
-		t.Errorf("%d finding(s), want lib.Dead alone:\n%s", bad, out)
+	want := []string{dead, picked, boxPut, oracle, oracleM, helperFunc}
+	if got := unreached(out); bad != len(want) || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("%d finding(s) %v, want %v:\n%s", bad, got, want, out)
+	}
+	for _, line := range []string{
+		"lib/lib.go:22: lib.Dead is unreachable (2 lines)",
+		"lib/lib.go:71: lib.Box.Put is unreachable (2 lines)",
+	} {
+		if !strings.Contains(out, line) {
+			t.Errorf("output lacks %q:\n%s", line, out)
+		}
+	}
+}
+
+// TestMethodsLiveWithoutAnEntry: a method reached only through a module
+// interface (Square.Area), one only fmt calls through fmt.Stringer
+// (Named.String), one selected through an embedded field (Inner.Promoted)
+// and one selected on an instantiation of a generic type (Box.Get) are
+// live; none is reported.
+func TestMethodsLiveWithoutAnEntry(t *testing.T) {
+	_, out := check(t, "")
+	for _, key := range []string{"lib.T.Used", "lib.Square.Area", "lib.Named.String", "lib.Inner.Promoted", "lib.Box.Get"} {
+		if strings.Contains(out, " "+key+" ") {
+			t.Errorf("%s reported:\n%s", key, out)
+		}
 	}
 }
 
 func TestAllowlistedDeadCodePasses(t *testing.T) {
-	if bad, out := check(t, "# comment\nlib.Dead  test helper\n"); bad != 0 {
+	allow := "# comment\nlib.Dead  test helper\nlib.T.Picked  test oracle\nlib.Box.Put  item 2\nlib.Oracle.M  test oracle\n"
+	if bad, out := check(t, allow); bad != 0 {
 		t.Errorf("%d finding(s), want none:\n%s", bad, out)
 	}
 }
 
+// TestAllowlistedMethodCoversWhatItReaches: an entry's own references are
+// followed, so the type and helper only Oracle.M reaches need no entries.
+func TestAllowlistedMethodCoversWhatItReaches(t *testing.T) {
+	bad, out := check(t, "lib.Oracle.M  test oracle\n")
+	want := []string{dead, picked, boxPut}
+	if got := unreached(out); bad != len(want) || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("%d finding(s) %v, want %v:\n%s", bad, got, want, out)
+	}
+}
+
 func TestStaleAllowlistEntriesFail(t *testing.T) {
-	bad, out := check(t, "lib.Dead  test oracle\nlib.Live  item 2\nlib.Gone  test helper\n")
-	if bad != 2 || !strings.Contains(out, "allowlisted lib.Live is reached") ||
-		!strings.Contains(out, "allowlisted lib.Gone names no declaration") {
-		t.Errorf("%d finding(s), want the reached and the missing entry:\n%s", bad, out)
+	allow := "lib.Dead  test oracle\nlib.Live  item 2\nlib.Gone  test helper\n" +
+		"lib.T.Used  item 2\nlib.T.Gone  test helper\n"
+	bad, out := check(t, allow)
+	for _, msg := range []string{
+		"allowlisted lib.Live is reached",
+		"allowlisted lib.Gone names no declaration",
+		"allowlisted lib.T.Used is reached",
+		"allowlisted lib.T.Gone names no declaration",
+	} {
+		if !strings.Contains(out, msg) {
+			t.Errorf("output lacks %q:\n%s", msg, out)
+		}
+	}
+	// The stale entries and the unlisted unreached keys but T.Picked, which
+	// only the allowlisted Dead reaches.
+	if bad != 4+4 {
+		t.Errorf("%d finding(s), want 8:\n%s", bad, out)
 	}
 }
 

@@ -1,6 +1,5 @@
 // Command mod is deadcheck's test module: main reaches lib.Live and
-// lib.Third, an init function reaches lib.FromInit, and nothing reaches
-// lib.Dead.
+// lib.Third, and an init function reaches lib.FromInit.
 package main
 
 import "example.com/mod/lib"
