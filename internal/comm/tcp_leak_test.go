@@ -3,7 +3,9 @@ package comm
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -23,19 +25,61 @@ func waitForGoroutines(base int) int {
 	return n
 }
 
-// freePorts reserves n distinct loopback addresses.
+// freePorts reserves n distinct loopback addresses that were free when
+// probed. Where the kernel's ephemeral port range can be read (Linux) they
+// lie below it: a free port inside it can be handed to another socket — the
+// local end of a rank's outgoing connection, a listener bound to port 0 in a
+// concurrent test — between the probe and the moment the rank it was
+// reserved for listens on it, and that rank's join then fails. Elsewhere
+// they come from port 0.
 func freePorts(t *testing.T, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
+	addrs := make([]string, 0, n)
+	seen := map[string]bool{}
+	if lo := ephemeralLow(); lo > 1024 {
+		rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+		base := max(1024, lo-16384)
+		for try := 0; len(addrs) < n && try < 100*n; try++ {
+			addr := fmt.Sprintf("127.0.0.1:%d", base+rng.Intn(lo-base))
+			if seen[addr] {
+				continue
+			}
+			ln, err := net.Listen("tcp", addr)
+			if err != nil {
+				continue // taken
+			}
+			ln.Close()
+			seen[addr] = true
+			addrs = append(addrs, addr)
+		}
+	}
+	for len(addrs) < n {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = ln.Addr().String()
+		addr := ln.Addr().String()
 		ln.Close()
+		if !seen[addr] {
+			seen[addr] = true
+			addrs = append(addrs, addr)
+		}
 	}
 	return addrs
+}
+
+// ephemeralLow returns the first port of Linux's ephemeral range, or 0
+// where it cannot be read.
+func ephemeralLow() int {
+	b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range")
+	if err != nil {
+		return 0
+	}
+	var lo, hi int
+	if _, err := fmt.Sscan(string(b), &lo, &hi); err != nil {
+		return 0
+	}
+	return lo
 }
 
 // TestTCPFabricNoLeakOnFailedJoin: when a peer never joins, NewTCPFabric

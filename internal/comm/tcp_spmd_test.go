@@ -204,11 +204,30 @@ func TestTCPFabricSPMDConformance(t *testing.T) {
 		}
 		children = append(children, child{cmd: cmd, out: &out})
 	}
+	// Wait on every child at once. The first to fail stops the others and
+	// the failure prints every rank's output, so its cause is shown rather
+	// than a peer's join timing out on the rank that is gone.
+	errs := make([]error, world)
+	exited := make(chan int, world)
 	for r, ch := range children {
-		if err := ch.cmd.Wait(); err != nil {
+		go func() {
+			errs[r] = ch.cmd.Wait()
+			exited <- r
+		}()
+	}
+	first := -1
+	for range world {
+		if r := <-exited; errs[r] != nil && first < 0 {
+			first = r
 			killAll()
-			t.Fatalf("rank %d process failed: %v\n%s", r, err, ch.out.String())
 		}
+	}
+	if first >= 0 {
+		var all strings.Builder
+		for r, ch := range children {
+			fmt.Fprintf(&all, "--- rank %d (exit: %v)\n%s", r, errs[r], ch.out.String())
+		}
+		t.Fatalf("rank %d process failed first: %v\n%s", first, errs[first], all.String())
 	}
 
 	// Every child must report exactly the in-process checksum.

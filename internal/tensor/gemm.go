@@ -36,14 +36,19 @@ import (
 //
 // Structure: C is cut into blocks of at most gemmMC×gemmNC; one block is one
 // chunk of the grid (gemmGrid), which may hold several products. Per k-block
-// of at most gemmKC the chunk packs its rows of op(A) into gemmMR-interleaved
-// panels and its columns of op(B) into panels as wide as the kernel set's
-// tile (gemmKernels.nr; float64, zero-padded to whole panels; a float32
-// source is widened as it is packed), then runs the gemmMR×nr micro-kernel
-// over the block, B panel outermost so it stays in L1. The N/T1/T2 variants
-// differ only in which packer reads each operand. A float64 block
-// accumulates in dst; a float32 block accumulates in a float64 scratch the
-// workspace holds and is narrowed into dst after its last k-block.
+// of at most gemmKC the chunk runs the gemmMR×nr micro-kernel over the block,
+// B panel outermost so it stays in L1, each call down the panel's column of
+// row tiles. The micro-kernel reads each operand through strides, so it
+// takes the tiles of op(A) and a panel of op(B) either where they are stored
+// or from a packed copy in the workspace — gemmMR-lane panels of op(A),
+// panels of op(B) as wide as the kernel set's tile (gemmKernels.nr),
+// float64, zero-padded to whole panels. gemmPacks decides
+// which, per operand and per block: a copy pays only where a panel is reused
+// by many tiles, is transposed, must be widened from float32, or must be
+// padded because the tile would read past the operand. The N/T1/T2 variants
+// differ only in the strides and packers that reach each operand. A float64
+// block accumulates in dst; a float32 block accumulates in a float64 scratch
+// the workspace holds and is narrowed into dst after its last k-block.
 const (
 	gemmMR = 4 // micro-tile rows: broadcast lanes of op(A)
 
@@ -51,11 +56,14 @@ const (
 	// it sizes the workspace's edge tile.
 	gemmNRMax = 24
 
-	// Block caps, which bound the workspace: at most (gemmMC + gemmNC)·gemmKC
-	// float64 = 384 KiB of pack buffers plus, where float32 blocks were
-	// computed, gemmMC·gemmNC float64 = 288 KiB of C scratch. There are as
-	// many workspaces as goroutines were ever inside the driver at once
-	// (callers plus pool workers), recycled through gemmFree.
+	// Block caps, which bound the workspace: at most gemmMC·gemmKC float64 =
+	// 192 KiB of op(A) pack buffer, where a block packed op(A) (a float32
+	// source, a partial row tile), plus one op(B) panel, gemmNRMax·gemmKC =
+	// 24 KiB, where a block packed op(B), plus, where float32 blocks were
+	// computed, gemmMC·gemmNC float64 = 288 KiB of C scratch. A float64
+	// product whose operands are all read in place grows none of them. There
+	// are as many workspaces as goroutines were ever inside the driver at
+	// once (callers plus pool workers), recycled through gemmFree.
 	gemmMC = 192
 	gemmNC = 192
 	gemmKC = 128
@@ -63,6 +71,18 @@ const (
 	// gemmParallelWork is the multiply-add count below which a grid runs on
 	// the calling goroutine: waking pool workers costs more than it saves.
 	gemmParallelWork = 1 << 18
+
+	// gemmBInPlaceTiles is the most row tiles a block may have for its
+	// non-transposed op(B) to be read in place (gemmPacks): a packed panel
+	// is read by every row tile of the block, so its copy pays once enough
+	// of them share it. The crossover, from paired runs of the same shapes
+	// packing op(B) always against never (AVX-512, one core, six rounds in
+	// alternating order; N and T1 at k = n = 216 and 432): at 4–8 row tiles
+	// in place ran 1.01–1.20× the packed rate (median per shape), at 10
+	// tiles 0.86–1.00×, at 12–16 tiles 0.78–0.98×. Where op(B)'s rows lie 4
+	// KiB apart (n = 512) they share L1 sets, and in place ran 0.93–1.02×
+	// already at 4–8 tiles (docs/PERFORMANCE.md).
+	gemmBInPlaceTiles = 8
 )
 
 // gemmKernels is one implementation of the inner routines: the micro-kernel,
@@ -75,22 +95,27 @@ type gemmKernels struct {
 	// nr is the micro-tile's column count: the width of a packed op(B)
 	// panel, a multiple of 4 and at most gemmNRMax.
 	nr int
-	// tile computes columns [0, cols) of one gemmMR×nr tile, cols ≥ 1: rows
-	// of c (row stride ldc) continue from their stored values when load is
-	// set and from +0 otherwise, then take kc fused multiply-adds each from
-	// the packed panels a (kc×gemmMR) and b (kc×nr). Columns [cols, nr) of
-	// c are computed from the panel's zero padding unless exactCols is set.
-	tile func(kc int, a, b, c []float64, ldc, cols int, load bool)
-	// exactCols: tile reads and writes no column of c past cols, so a
-	// partial panel of a float64 block runs straight on dst.
+	// tile computes columns [0, cols) of mt gemmMR×nr tiles, cols ≥ 1, one
+	// under the other against one panel of op(B): rows of c (row stride
+	// ldc) continue from their stored values when load is set and from +0
+	// otherwise, then take kc fused multiply-adds each, step p of row r of
+	// tile t from op(A)'s a[t·ta + r·lda + p·sa] and op(B)'s row b[p·sb:],
+	// into c[(t·gemmMR + r)·ldc:]. A packed panel is the call with lda = 1,
+	// sa = gemmMR and sb = nr; the stored operand is the call with its own
+	// strides. Columns [cols, nr) of c are computed from columns [cols, nr)
+	// of b unless exactCols is set.
+	tile func(kc, mt int, a []float64, lda, sa, ta int, b []float64, sb int, c []float64, ldc, cols int, load bool)
+	// exactCols: tile reads no column of b and writes no column of c past
+	// cols, so a partial panel of a float64 block runs straight on dst and
+	// op(B) is read in place however few columns the panel has.
 	exactCols bool
 	// narrow, when set, is the set that runs the products wider than one of
 	// this set's column vectors (nr/3: a tile is three vectors wide) but no
 	// wider than one of narrow's panels (forWidth).
 	narrow *gemmKernels
-	// copySteps moves w (gemmMR or nr) adjacent values per step:
-	// dst[p·w+l] = src[p·ld+l] for p < kc.
-	copySteps func(dst, src []float64, ld, kc, w int)
+	// copySteps moves nr adjacent values per step: dst[p·nr+l] =
+	// src[p·ld+l] for p < kc.
+	copySteps func(dst, src []float64, ld, kc int)
 	// transLanes4 transposes four rows of src into four adjacent lanes:
 	// dst[p·w+l] = src[l·ld+p] for l < 4, p < kc.
 	transLanes4 func(dst, src []float64, ld, kc, w int)
@@ -109,13 +134,21 @@ var (
 )
 
 // gemmKernelGo is the portable micro-kernel (4×12, all columns whatever
-// cols says) and the bit-exact reference for the assembly ones. It walks the
-// tile two columns at a time so the eight running sums stay in registers;
-// the per-element chain is the same.
-func gemmKernelGo(kc int, a, b, c []float64, ldc, _ int, load bool) {
+// cols says) and the bit-exact reference for the assembly ones.
+func gemmKernelGo(kc, mt int, a []float64, lda, sa, ta int, b []float64, sb int, c []float64, ldc, _ int, load bool) {
+	for t := range mt {
+		gemmTileGo(kc, a[t*ta:], lda, sa, b, sb, c[t*gemmMR*ldc:], ldc, load)
+	}
+}
+
+// gemmTileGo computes one tile of gemmKernelGo. It walks the tile two
+// columns at a time so the eight running sums stay in registers; the
+// per-element chain is the same.
+func gemmTileGo(kc int, a []float64, lda, sa int, b []float64, sb int, c []float64, ldc int, load bool) {
 	const nr = 12
-	a = a[:kc*gemmMR]
-	b = b[:kc*nr]
+	end := (kc - 1) * sa
+	a0, a1, a2, a3 := a[:end+1], a[lda:lda+end+1], a[2*lda:2*lda+end+1], a[3*lda:3*lda+end+1]
+	b = b[:(kc-1)*sb+nr]
 	r0, r1, r2, r3 := c[:nr], c[ldc:ldc+nr], c[2*ldc:2*ldc+nr], c[3*ldc:3*ldc+nr]
 	for j := 0; j < nr; j += 2 {
 		var c00, c01, c10, c11, c20, c21, c30, c31 float64
@@ -125,18 +158,18 @@ func gemmKernelGo(kc int, a, b, c []float64, ldc, _ int, load bool) {
 			c20, c21 = r2[j], r2[j+1]
 			c30, c31 = r3[j], r3[j+1]
 		}
-		bj := b[j:]
 		for p := 0; p < kc; p++ {
-			ap := a[p*gemmMR : p*gemmMR+gemmMR : p*gemmMR+gemmMR]
-			b0, b1 := bj[p*nr], bj[p*nr+1]
-			c00 = math.FMA(ap[0], b0, c00)
-			c01 = math.FMA(ap[0], b1, c01)
-			c10 = math.FMA(ap[1], b0, c10)
-			c11 = math.FMA(ap[1], b1, c11)
-			c20 = math.FMA(ap[2], b0, c20)
-			c21 = math.FMA(ap[2], b1, c21)
-			c30 = math.FMA(ap[3], b0, c30)
-			c31 = math.FMA(ap[3], b1, c31)
+			ap := p * sa
+			bp := b[p*sb+j : p*sb+j+2 : p*sb+j+2]
+			b0, b1 := bp[0], bp[1]
+			c00 = math.FMA(a0[ap], b0, c00)
+			c01 = math.FMA(a0[ap], b1, c01)
+			c10 = math.FMA(a1[ap], b0, c10)
+			c11 = math.FMA(a1[ap], b1, c11)
+			c20 = math.FMA(a2[ap], b0, c20)
+			c21 = math.FMA(a2[ap], b1, c21)
+			c30 = math.FMA(a3[ap], b0, c30)
+			c31 = math.FMA(a3[ap], b1, c31)
 		}
 		r0[j], r0[j+1] = c00, c01
 		r1[j], r1[j+1] = c10, c11
@@ -185,10 +218,11 @@ func fmaPeakLoopGo(iters int) int {
 // fmaPeakSink keeps fmaPeakLoopGo's chains live.
 var fmaPeakSink float64
 
-// copyStepsGo is the portable gemmKernels.copySteps.
-func copyStepsGo(dst, src []float64, ld, kc, w int) {
+// copyStepsGo is the portable set's gemmKernels.copySteps.
+func copyStepsGo(dst, src []float64, ld, kc int) {
+	const nr = 12
 	for p := 0; p < kc; p++ {
-		copy(dst[p*w:p*w+w], src[p*ld:])
+		copy(dst[p*nr:p*nr+nr], src[p*ld:])
 	}
 }
 
@@ -204,8 +238,8 @@ func transLanes4Go[S Elem](dst []float64, src []S, ld, kc, w int) {
 
 // packLanes packs a w-wide panel whose lanes are rows of src: lane l, step p
 // comes from src[(r0+l)·ld + p0+p]. Lanes past rows are zero. This is the
-// packer for op(A) of MatMulInto/MatMulT2Into (w = gemmMR) and for op(B) of
-// MatMulT2Into (w = gemmKernels.nr).
+// packer for a packed op(A) of MatMulInto/MatMulT2Into (w = gemmMR) and for
+// op(B) of MatMulT2Into (w = gemmKernels.nr).
 func packLanes[S Elem](ks *gemmKernels, dst []float64, src []S, ld, r0, rows, p0, kc, w int) {
 	dst = dst[:kc*w]
 	if rows < w {
@@ -232,13 +266,13 @@ func packLanes[S Elem](ks *gemmKernels, dst []float64, src []S, ld, r0, rows, p0
 
 // packSteps packs a w-wide panel whose steps are rows of src: lane l, step p
 // comes from src[(p0+p)·ld + c0+l]. Lanes past cols are zero. This is the
-// packer for op(A) of MatMulT1Into (w = gemmMR) and for op(B) of
-// MatMulInto/MatMulT1Into (w = gemmKernels.nr).
+// packer for a packed op(A) of MatMulT1Into (w = gemmMR) and for a packed
+// op(B) of MatMulInto/MatMulT1Into (w = gemmKernels.nr).
 func packSteps[S Elem](ks *gemmKernels, dst []float64, src []S, ld, c0, cols, p0, kc, w int) {
 	dst = dst[:kc*w]
 	o := p0*ld + c0
-	if src64, ok := any(src).([]float64); ok && cols == w {
-		ks.copySteps(dst, src64[o:], ld, kc, w)
+	if src64, ok := any(src).([]float64); ok && cols == w && w == ks.nr {
+		ks.copySteps(dst, src64[o:], ld, kc)
 		return
 	}
 	if cols < w {
@@ -266,8 +300,9 @@ type gemmJob[E Elem] struct {
 }
 
 // gemmWorkspace is what one goroutine computing blocks holds: the pack
-// buffers and, once it has computed a float32 block, the float64 C scratch
-// — all grown on demand up to the block caps.
+// buffers, once it has packed an operand, and, once it has computed a
+// float32 block, the float64 C scratch — all grown on demand up to the
+// block caps (gemmMC, gemmNC, gemmKC).
 type gemmWorkspace struct {
 	pa, pb []float64
 	c      []float64                   // float32 blocks accumulate here, in whole micro-tiles
@@ -277,7 +312,7 @@ type gemmWorkspace struct {
 // freeList recycles kernel workspaces, so a kernel performs no heap
 // allocation once as many exist as goroutines were ever inside it at once
 // (callers plus pool workers). A mutex-guarded stack, not a sync.Pool: the
-// collector empties a sync.Pool, which would re-allocate up to 672 KiB of
+// collector empties a sync.Pool, which would re-allocate up to 504 KiB of
 // GEMM workspace per worker after every other collection, and the race
 // detector makes it drop Puts, which the steady-state zero-allocation
 // suites (run under -race in CI) would see. The zero value is ready.
@@ -461,6 +496,25 @@ func (g *gemmGrid[E]) RunRange(lo, hi int) {
 	gemmFree.put(ws)
 }
 
+// gemmPacks is the one pack-or-in-place decision: whether the micro-kernel
+// reads a row tile of op(A) mr rows tall (packA) and a panel of op(B) cols
+// wide (packB) from a packed copy rather than where the operand is stored,
+// in a block of rowTiles row tiles of a float64 (wide) or float32 product.
+// A float32 operand is always packed, since it is widened as it is packed.
+// Otherwise op(A) is read in place in whole row tiles — N/T2 at row stride k
+// and step 1, T1 at row stride 1 and step m — and packed only in a partial
+// tile, whose missing rows the packed panel pads with zeros. op(B) is packed
+// when it is transposed (T2: its steps would be strided), when the panel is
+// shared by more than gemmBInPlaceTiles row tiles, or when the panel is
+// partial and the tile computes all nr columns (the padding keeps it from
+// reading past the operand); an exactCols tile masks its last vector and
+// reads a partial panel in place.
+func gemmPacks(ks *gemmKernels, wide, bT bool, rowTiles, mr, cols int) (packA, packB bool) {
+	packA = !wide || mr < gemmMR
+	packB = !wide || bT || rowTiles > gemmBInPlaceTiles || (cols < ks.nr && !ks.exactCols)
+	return packA, packB
+}
+
 // block computes C[i0:i1, j0:j1].
 func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 	if g.upper && i0 >= j1 {
@@ -473,12 +527,9 @@ func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 	// Even k-blocks: same count as cutting at gemmKC, no short last block.
 	kb := (g.k + gemmKC - 1) / gemmKC
 	kc := (g.k + kb - 1) / kb
-	if need := mp * gemmMR * kc; cap(ws.pa) < need {
-		ws.pa = make([]float64, need)
-	}
-	if need := np * nr * kc; cap(ws.pb) < need {
-		ws.pb = make([]float64, need)
-	}
+	// The operands as float64, for the tiles read in place (wide only).
+	a64, wide := any(g.a).([]float64)
+	b64, _ := any(g.b).([]float64)
 	// c is where the micro-kernel accumulates this block, origin at its
 	// first element: dst itself when dst is float64, else the scratch, whose
 	// whole micro-tiles need no edge path. The element type is resolved here,
@@ -501,38 +552,77 @@ func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 	edge := ws.edge[:]
 	for p0 := 0; p0 < g.k; p0 += kc {
 		kc := min(kc, g.k-p0)
-		pa, pb := ws.pa[:mp*gemmMR*kc], ws.pb[:np*nr*kc]
 		for ip := 0; ip < mp; ip++ {
 			i := i0 + ip*gemmMR
-			if g.aT {
-				packSteps(ks, pa[ip*gemmMR*kc:], g.a, g.m, i, min(gemmMR, i1-i), p0, kc, gemmMR)
-			} else {
-				packLanes(ks, pa[ip*gemmMR*kc:], g.a, g.k, i, min(gemmMR, i1-i), p0, kc, gemmMR)
+			mr := min(gemmMR, i1-i)
+			if packA, _ := gemmPacks(ks, wide, g.bT, mp, mr, nr); !packA {
+				continue
 			}
-		}
-		for jp := 0; jp < np; jp++ {
-			j := j0 + jp*nr
-			if g.bT {
-				packLanes(ks, pb[jp*nr*kc:], g.b, g.k, j, min(nr, j1-j), p0, kc, nr)
+			if need := mp * gemmMR * kc; cap(ws.pa) < need {
+				ws.pa = make([]float64, need)
+			}
+			if g.aT {
+				packSteps(ks, ws.pa[ip*gemmMR*kc:], g.a, g.m, i, mr, p0, kc, gemmMR)
 			} else {
-				packSteps(ks, pb[jp*nr*kc:], g.b, g.n, j, min(nr, j1-j), p0, kc, nr)
+				packLanes(ks, ws.pa[ip*gemmMR*kc:], g.a, g.k, i, mr, p0, kc, gemmMR)
 			}
 		}
 		load := p0 > 0
 		for jp := 0; jp < np; jp++ {
 			j := j0 + jp*nr
 			cols := min(nr, j1-j)
-			bp := pb[jp*nr*kc : (jp+1)*nr*kc]
-			for ip := 0; ip < mp; ip++ {
-				i := i0 + ip*gemmMR
-				if g.upper && i >= j+cols {
-					break // this tile and those under it lie below the diagonal
+			// op(B)'s panel: step p, column l at bp[p·sb + l]. A packed panel
+			// is packed just before its tiles run, so one buffer serves.
+			var bp []float64
+			sb := nr
+			if _, packB := gemmPacks(ks, wide, g.bT, mp, gemmMR, cols); !packB {
+				bp, sb = b64[p0*g.n+j:], g.n
+			} else {
+				if need := nr * kc; cap(ws.pb) < need {
+					ws.pb = make([]float64, need)
 				}
+				bp = ws.pb[:nr*kc]
+				if g.bT {
+					packLanes(ks, bp, g.b, g.k, j, cols, p0, kc, nr)
+				} else {
+					packSteps(ks, bp, g.b, g.n, j, cols, p0, kc, nr)
+				}
+			}
+			// The row tiles that run against this panel: all of the block's,
+			// or of an upper product those that meet the upper triangle. The
+			// first run of them goes to the kernel in one call, straight onto
+			// c; on a float64 block a partial last tile, and every tile of a
+			// partial panel the kernel computes whole, go through the private
+			// edge tile instead.
+			mt := mp
+			if g.upper {
+				mt = min(mp, (j+cols-i0+gemmMR-1)/gemmMR)
+			}
+			run := mt
+			if direct && cols < nr && !ks.exactCols {
+				run = 0
+			} else if direct && i0+mt*gemmMR > i1 {
+				run = mt - 1
+			}
+			for ip := 0; ip < mt; ip++ {
+				i := i0 + ip*gemmMR
 				mr := min(gemmMR, i1-i)
-				ap := pa[ip*gemmMR*kc : (ip+1)*gemmMR*kc]
+				// op(A)'s tile: row r, step p at ap[r·lda + p·sa], the next
+				// tile ta further on.
+				var ap []float64
+				var lda, sa, ta int
+				switch packA, _ := gemmPacks(ks, wide, g.bT, mp, mr, cols); {
+				case packA:
+					ap, lda, sa, ta = ws.pa[ip*gemmMR*kc:], 1, gemmMR, gemmMR*kc
+				case g.aT:
+					ap, lda, sa, ta = a64[p0*g.m+i:], 1, g.m, gemmMR
+				default:
+					ap, lda, sa, ta = a64[i*g.k+p0:], g.k, 1, gemmMR*g.k
+				}
 				ct := c[ip*gemmMR*ldc+jp*nr:]
-				if !direct || (mr == gemmMR && (cols == nr || ks.exactCols)) {
-					ks.tile(kc, ap, bp, ct, ldc, cols, load)
+				if ip < run {
+					ks.tile(kc, run-ip, ap, lda, sa, ta, bp, sb, ct, ldc, cols, load)
+					ip = run - 1
 					continue
 				}
 				// Edge tile of a float64 block: run the kernel on a private
@@ -542,7 +632,7 @@ func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 						copy(edge[r*nr:r*nr+cols], ct[r*ldc:])
 					}
 				}
-				ks.tile(kc, ap, bp, edge, nr, cols, load)
+				ks.tile(kc, 1, ap, lda, sa, ta, bp, sb, edge, nr, cols, load)
 				for r := 0; r < mr; r++ {
 					copy(ct[r*ldc:r*ldc+cols], edge[r*nr:])
 				}

@@ -24,6 +24,7 @@ var gemmBenchShapes = []struct {
 	{"T2", 72, 432, 48, "conv forward, stage 3"},
 	{"T2", 368, 64, 368, "eig trailing update r×64·64×r"},
 	{"N", 256, 256, 256, "square"},
+	{"N", 48, 512, 512, "power-of-two row stride: op(B) rows 4 KiB apart"},
 }
 
 // gemmBenchCase returns, for shape i at element type float64 or float32,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -144,7 +145,8 @@ func (c gemmCase) check(t *testing.T, label string, ks *gemmKernels, p gemmProbl
 // panel and its 8-wide vectors to every width, in a product narrow enough
 // to be handed to the AVX2 tile and in one that is not, and runs past two
 // 24-wide panels — and k around the k-block), a random sample of m, n, k ∈
-// 1…70, and the shapes the benchmark models issue.
+// 1…70, blocks on either side of gemmBInPlaceTiles (op(B) read in place,
+// then packed), and the shapes the benchmark models issue.
 func gemmCases() []gemmCase {
 	var shapes [][3]int // m, n, k
 	for m := 1; m <= 9; m++ {
@@ -157,6 +159,9 @@ func gemmCases() []gemmCase {
 	rng := rand.New(rand.NewSource(70))
 	for i := 0; i < 200; i++ {
 		shapes = append(shapes, [3]int{1 + rng.Intn(70), 1 + rng.Intn(70), 1 + rng.Intn(70)})
+	}
+	for _, m := range []int{gemmMR*gemmBInPlaceTiles - 1, gemmMR * gemmBInPlaceTiles, gemmMR*gemmBInPlaceTiles + 1} {
+		shapes = append(shapes, [3]int{m, 2*gemmNRMax + 5, gemmKC + 3})
 	}
 	shapes = append(shapes,
 		[3]int{48, 432, 432}, [3]int{48, 432, 48}, [3]int{24, 216, 216}, // precondition
@@ -178,12 +183,125 @@ func gemmCases() []gemmCase {
 	return cases
 }
 
+// variant names the case's orientation: N, T1, T2 or the Gram product.
+func (c gemmCase) variant() string {
+	switch {
+	case c.upper:
+		return "upper"
+	case c.aT:
+		return "T1"
+	case c.bT:
+		return "T2"
+	}
+	return "N"
+}
+
+// packBranch is one branch gemmPacks takes: an orientation, an operand
+// ('A' or 'B') and whether it is packed.
+type packBranch struct {
+	variant string
+	operand byte
+	packed  bool
+}
+
+// checkPackBranches holds the float64 cases to reaching, on kernel set ks,
+// both branches of gemmPacks for op(A) and op(B) in every orientation they
+// hold — in place and packed — except op(B) of T2, which is always packed
+// (float32 operands are always packed too). It follows each case's block
+// grid as a grid of one product on one worker lays it out.
+func checkPackBranches(t *testing.T, ks *gemmKernels, cases []gemmCase) {
+	t.Helper()
+	seen := map[packBranch]int{}
+	for _, c := range cases {
+		jb := gemmJob[float64]{m: c.m, n: c.n, k: c.k, aT: c.aT, bT: c.bT, upper: c.upper, ks: ks.forWidth(c.n)}
+		nr := jb.ks.nr
+		for b := range jb.grid(1) {
+			i0, j0 := (b/jb.gn)*jb.bm, (b%jb.gn)*jb.bn
+			i1, j1 := min(i0+jb.bm, c.m), min(j0+jb.bn, c.n)
+			mp := (i1 - i0 + gemmMR - 1) / gemmMR
+			for i := i0; i < i1; i += gemmMR {
+				for j := j0; j < j1; j += nr {
+					packA, packB := gemmPacks(jb.ks, true, c.bT, mp, min(gemmMR, i1-i), min(nr, j1-j))
+					seen[packBranch{c.variant(), 'A', packA}]++
+					seen[packBranch{c.variant(), 'B', packB}]++
+				}
+			}
+		}
+	}
+	for _, v := range []string{"N", "T1", "T2", "upper"} {
+		if seen[packBranch{v, 'A', true}]+seen[packBranch{v, 'A', false}] == 0 {
+			continue // no case of this orientation
+		}
+		for _, op := range []byte{'A', 'B'} {
+			for _, packed := range []bool{false, true} {
+				n := seen[packBranch{v, op, packed}]
+				how := map[bool]string{false: "in place", true: "packed"}[packed]
+				if v == "T2" && op == 'B' && !packed {
+					if n > 0 {
+						t.Errorf("%v: %d tiles read a transposed op(B) in place", ks.isa, n)
+					}
+					continue
+				}
+				if n == 0 {
+					t.Errorf("%v: no %s tile reads op(%c) %s", ks.isa, v, op, how)
+				}
+			}
+		}
+	}
+}
+
+// TestGEMMPacksDecision holds gemmPacks, the one pack-or-in-place
+// decision, to its table — on a 12-wide tile that computes every column
+// (the portable and AVX2 sets) and a 24-wide one that masks its last
+// vector (the AVX-512 set) — and logs what it decides for each kernel set
+// the host runs.
+func TestGEMMPacksDecision(t *testing.T) {
+	whole := &gemmKernels{isa: isaAVX2, nr: 12}
+	exact := &gemmKernels{isa: isaAVX512, nr: 24, exactCols: true}
+	const lim = gemmBInPlaceTiles
+	for _, c := range []struct {
+		what         string
+		ks           *gemmKernels
+		wide, bT     bool
+		rowTiles     int
+		mr, cols     int
+		packA, packB bool
+	}{
+		{"float64 N/T1, whole tile, at the row-tile limit", whole, true, false, lim, gemmMR, 12, false, false},
+		{"… masked tile", exact, true, false, lim, gemmMR, 24, false, false},
+		{"one row tile past the limit", whole, true, false, lim + 1, gemmMR, 12, false, true},
+		{"… masked tile", exact, true, false, lim + 1, gemmMR, 24, false, true},
+		{"transposed op(B) (T2)", whole, true, true, 1, gemmMR, 12, false, true},
+		{"… masked tile", exact, true, true, 1, gemmMR, 24, false, true},
+		{"partial row tile", whole, true, false, 1, 3, 12, true, false},
+		{"… masked tile, of a T2 product", exact, true, true, lim + 1, 1, 24, true, true},
+		{"partial panel on a tile that computes every column", whole, true, false, 1, gemmMR, 11, false, true},
+		{"partial panel on the masked tile", exact, true, false, 1, gemmMR, 1, false, false},
+		{"… past the row-tile limit", exact, true, false, lim + 1, gemmMR, 5, false, true},
+		{"float32 sources, widened as packed", whole, false, false, 1, gemmMR, 12, true, true},
+		{"… masked tile", exact, false, false, 1, gemmMR, 24, true, true},
+	} {
+		packA, packB := gemmPacks(c.ks, c.wide, c.bT, c.rowTiles, c.mr, c.cols)
+		if packA != c.packA || packB != c.packB {
+			t.Errorf("%s (%v, wide=%v bT=%v rowTiles=%d mr=%d cols=%d): packA, packB = %v, %v, want %v, %v",
+				c.what, c.ks.isa, c.wide, c.bT, c.rowTiles, c.mr, c.cols, packA, packB, c.packA, c.packB)
+		}
+	}
+	for _, ks := range hostKernelSets() {
+		_, partial := gemmPacks(ks, true, false, 1, gemmMR, ks.nr-1)
+		t.Logf("%v (4×%d tile): float64 op(A) in place in whole row tiles (N/T2 row stride k, T1 step m); "+
+			"op(B) of N/T1 in place in blocks of ≤ %d row tiles, partial panels %s; T2's op(B) and float32 operands packed",
+			ks.isa, ks.nr, lim, map[bool]string{false: "too (masked last vector)", true: "packed"}[partial])
+	}
+}
+
 // TestGEMMKernelSetsBitIdentical is the kernel-equality gate: every kernel
 // set the host runs — the portable math.FMA set and, where the build and CPU
 // have them, the AVX2 and AVX-512 assembly sets, each at its own panel
 // width — must reproduce the written-down FMA chain bit for bit: every
 // variant (the upper Gram product included), every edge, both element
-// types. A set the host cannot run is skipped with the reason.
+// types, with each operand read in place and packed (checkPackBranches). A
+// set the host cannot run is skipped with the reason.
 func TestGEMMKernelSetsBitIdentical(t *testing.T) {
 	t.Logf("active GEMM kernel set: %v", gemmActive.isa)
 	cases := gemmCases()
@@ -193,6 +311,7 @@ func TestGEMMKernelSetsBitIdentical(t *testing.T) {
 		problems[i] = c.problem(rng)
 	}
 	forEachKernelSet(t, func(t *testing.T, ks *gemmKernels) {
+		checkPackBranches(t, ks, cases)
 		for i, c := range cases {
 			c.check(t, ks.isa.String(), ks, problems[i])
 		}
@@ -417,54 +536,62 @@ func record[E Elem](g *Group[E], c gemmCase, a, b []E) []E {
 }
 
 // checkGroup runs every case as one group on the given kernel set and holds
-// each product to the one-product call of the same case, bit for bit.
-func checkGroup[E Elem](t *testing.T, label string, ks *gemmKernels, cases []gemmCase, operands func(i int) (a, b []E)) {
+// each product to the one-product call of the same case and to the
+// written-down chain, bit for bit.
+func checkGroup[E Elem](t *testing.T, label string, ks *gemmKernels, cases []gemmCase, operands func(i int) (a, b, want []E)) {
 	t.Helper()
 	var g Group[E]
 	g.grid.ks = ks
 	dsts := make([][]E, len(cases))
 	for i, c := range cases {
-		a, b := operands(i)
+		a, b, _ := operands(i)
 		dsts[i] = record(&g, c, a, b)
 	}
 	g.Run()
 	for i, c := range cases {
-		a, b := operands(i)
+		a, b, want := operands(i)
 		sameBits(t, label, c, dsts[i], run(t, c, ks, a, b))
+		sameBits(t, label+" vs chain", c, dsts[i], want)
 	}
 }
 
 // TestGroupMatchesOneProductCalls: a group of mixed N/T1/T2 products
-// — a sample of the edge shapes plus the model shapes, enough work to fan
-// out — gives every product exactly the bits of its one-product call, at
-// both element types, with both kernel sets, whatever the worker count.
+// — a sample of the edge shapes plus the model shapes and the shapes on
+// either side of gemmBInPlaceTiles, enough work to fan out — gives every
+// product exactly the bits of its one-product call and of the written-down
+// chain, at both element types, with both kernel sets, whatever the worker
+// count; at one worker each orientation reads each operand both in place
+// and packed (checkPackBranches; the group holds no Gram product).
 func TestGroupMatchesOneProductCalls(t *testing.T) {
 	all := gemmCases()
 	var cases []gemmCase
 	for i, c := range all {
-		// The last 11 shapes are the model's; past 2^24 multiply-adds a
-		// case only slows the race run down.
-		if (i%10 == 0 || i >= len(all)-44) && c.m*c.n*c.k <= 1<<24 && !c.upper {
+		// The last 14 shapes are the crossover's and the model's; past 2^24
+		// multiply-adds a case only slows the race run down.
+		if (i%10 == 0 || i >= len(all)-56) && c.m*c.n*c.k <= 1<<24 && !c.upper {
 			cases = append(cases, c)
 		}
 	}
 	rng := rand.New(rand.NewSource(4))
-	a64, b64 := make([][]float64, len(cases)), make([][]float64, len(cases))
-	a32, b32 := make([][]float32, len(cases)), make([][]float32, len(cases))
+	problems := make([]gemmProblem, len(cases))
 	for i, c := range cases {
-		a64[i], b64[i] = c.operands(rng)
-		a32[i], b32[i] = narrowed(a64[i]), narrowed(b64[i])
+		problems[i] = c.problem(rng)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, set := range []struct {
 		name string
 		ks   *gemmKernels
 	}{{"portable", &gemmGo}, {"active", &gemmActive}} {
+		checkPackBranches(t, set.ks, cases)
 		for _, procs := range []int{1, 2, 4, 8} {
 			runtime.GOMAXPROCS(procs)
 			label := fmt.Sprintf("%s GOMAXPROCS=%d", set.name, procs)
-			checkGroup(t, label+"/float64", set.ks, cases, func(i int) (a, b []float64) { return a64[i], b64[i] })
-			checkGroup(t, label+"/float32", set.ks, cases, func(i int) (a, b []float32) { return a32[i], b32[i] })
+			checkGroup(t, label+"/float64", set.ks, cases, func(i int) (a, b, want []float64) {
+				return problems[i].a, problems[i].b, problems[i].want
+			})
+			checkGroup(t, label+"/float32", set.ks, cases, func(i int) (a, b, want []float32) {
+				return problems[i].a32, problems[i].b32, problems[i].want32
+			})
 		}
 	}
 }
@@ -500,4 +627,64 @@ func TestGroupZeroAllocSteadyState(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
 		t.Fatalf("a reused Group allocates %v times per run", allocs)
 	}
+}
+
+// TestGEMMReadsNoBytePastOperands: every operand and the destination end
+// exactly where an inaccessible page begins (guarded), so a micro-kernel
+// that read an operand in place past its last element — a full vector of a
+// partial op(B) panel, a row of a partial op(A) tile — or wrote past the
+// destination faults, and the fault fails the test. m, n and k are no
+// multiples of gemmMR, of either panel width or of gemmKC, so partial row
+// tiles, partial panels, several k-blocks, the narrow set's hand-off and
+// both sides of gemmBInPlaceTiles are all reached, in every orientation and
+// the Gram product, on every kernel set the host runs, at both element
+// types. Each product runs on the calling goroutine, whose faults
+// debug.SetPanicOnFault turns into a panic guardedRun recovers.
+func TestGEMMReadsNoBytePastOperands(t *testing.T) {
+	var cases []gemmCase
+	for _, s := range [][3]int{{13, 29, 259}, {13, 11, 259}, {6, 7, 131}, {37, 7, 133}, {29, 53, 133}, {37, 53, 133}} {
+		m, n, k := s[0], s[1], s[2]
+		cases = append(cases,
+			gemmCase{m: m, n: n, k: k},
+			gemmCase{m: m, n: n, k: k, aT: true},
+			gemmCase{m: m, n: n, k: k, bT: true},
+			gemmCase{m: m, n: m, k: k, aT: true, upper: true})
+	}
+	rng := rand.New(rand.NewSource(6))
+	problems := make([]gemmProblem, len(cases))
+	for i, c := range cases {
+		if c.m*c.n*c.k >= gemmParallelWork {
+			t.Fatalf("%v would fan out to goroutines whose faults are not recovered", c)
+		}
+		problems[i] = c.problem(rng)
+	}
+	forEachKernelSet(t, func(t *testing.T, ks *gemmKernels) {
+		for i, c := range cases {
+			p := problems[i]
+			sameBits(t, ks.isa.String()+"/float64", c, guardedRun(t, c, ks, p.a, p.b), p.want)
+			sameBits(t, ks.isa.String()+"/float32", c, guardedRun(t, c, ks, p.a32, p.b32), p.want32)
+		}
+	})
+}
+
+// guardedRun computes case c on guarded copies of a and b into a guarded
+// destination and returns the destination.
+func guardedRun[E Elem](t *testing.T, c gemmCase, ks *gemmKernels, a, b []E) []E {
+	t.Helper()
+	ga := guarded(t, a)
+	gb := ga
+	if !c.upper {
+		gb = guarded(t, b)
+	}
+	dst := guarded(t, make([]E, c.m*c.n))
+	func() {
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("%v: %v: touched memory past an operand: %v", ks.isa, c, r)
+			}
+		}()
+		gemm(ks, dst, ga, gb, c.m, c.n, c.k, c.aT, c.bT, c.upper)
+	}()
+	return dst
 }

@@ -19,16 +19,17 @@ func narrowAVX(dst []float32, src []float64)
 
 // gemmKernelAVX is the AVX2 set's gemmMR×12 float64 micro-kernel: twelve
 // YMM accumulators, one VFMADD231PD per term, every column whatever cols
-// says — bit-identical to gemmKernelGo.
+// says, operands read through their strides, mt tiles a call
+// (gemmKernels.tile) — bit-identical to gemmKernelGo.
 //
 //go:noescape
-func gemmKernelAVX(kc int, a, b, c []float64, ldc, cols int, load bool)
+func gemmKernelAVX(kc, mt int, a []float64, lda, sa, ta int, b []float64, sb int, c []float64, ldc, cols int, load bool)
 
-// copyStepsAVX is the AVX2 set's copySteps with 4-wide vector moves; w must
-// be gemmMR or 12.
+// copyStepsAVX is the AVX2 set's copySteps: three 4-wide vector moves per
+// step.
 //
 //go:noescape
-func copyStepsAVX(dst, src []float64, ld, kc, w int)
+func copyStepsAVX(dst, src []float64, ld, kc int)
 
 // transLanes4AVX is gemmKernels.transLanes4 as in-register 4×4 transposes,
 // shared by both assembly sets.
@@ -49,18 +50,20 @@ func fmaPeakLoopAVX(iters int) int {
 }
 
 // gemmKernelAVX512 is the AVX-512 set's gemmMR×24 float64 micro-kernel:
-// three 8-wide ZMM vectors per row, one VFMADD231PD per term; only the
-// vectors that reach columns [0, cols) run, and the last one under a lane
-// mask, so no column past cols is read or written — bit-identical to
-// gemmKernelGo.
+// three 8-wide ZMM vectors per row, one VFMADD231PD per term, operands read
+// through their strides, mt tiles a call (gemmKernels.tile); only the
+// vectors that reach columns [0, cols) run, and the last one loads b and
+// loads and stores c under a lane mask, so no column of b or c past cols is
+// read or written — bit-identical to gemmKernelGo.
 //
 //go:noescape
-func gemmKernelAVX512(kc int, a, b, c []float64, ldc, cols int, load bool)
+func gemmKernelAVX512(kc, mt int, a []float64, lda, sa, ta int, b []float64, sb int, c []float64, ldc, cols int, load bool)
 
-// copyStepsAVX512 is the AVX-512 set's copySteps; w must be gemmMR or 24.
+// copyStepsAVX512 is the AVX-512 set's copySteps: three 8-wide vector moves
+// per step.
 //
 //go:noescape
-func copyStepsAVX512(dst, src []float64, ld, kc, w int)
+func copyStepsAVX512(dst, src []float64, ld, kc int)
 
 // fmaPeakAVX512 runs iters steps of twelve independent 8-wide VFMADD231PD
 // chains on registers only.

@@ -103,24 +103,45 @@ narrow_done:
 	VZEROUPPER
 	RET
 
-// func gemmKernelAVX(kc int, a, b, c []float64, ldc, cols int, load bool)
-// One 4×12 float64 micro-tile, all twelve columns (cols is not read): Y4–Y15
-// hold rows 0–3 × three 4-wide column vectors. Each step loads one packed row of b (12 values) and broadcasts
-// the four packed values of a; every accumulator lane takes exactly one
-// fused multiply-add per step, steps ascending — the chain math.FMA gives
-// gemmKernelGo. The tile starts from +0 (VXORPD) or, when load is set, from
-// the values stored in c.
-TEXT ·gemmKernelAVX(SB), NOSPLIT, $0-97
-	MOVQ    kc+0(FP), CX
-	MOVQ    a_base+8(FP), AX
-	MOVQ    b_base+32(FP), BX
-	MOVQ    c_base+56(FP), DI
-	MOVQ    ldc+80(FP), DX
+// func gemmKernelAVX(kc, mt int, a []float64, lda, sa, ta int, b []float64, sb int, c []float64, ldc, cols int, load bool)
+// mt 4×12 float64 micro-tiles, one under the other, all twelve columns (cols
+// is not read): Y4–Y15 hold rows 0–3 × three 4-wide column vectors. Each
+// step loads twelve values of op(B) from b and broadcasts the four values of
+// op(A) at a, a+lda, a+2·lda, a+3·lda (R12, R13 = lda, 3·lda in bytes), then
+// advances a by sa (R14) and b by sb (SI) — a packed panel and an operand
+// read in place are the same loop. The next tile starts ta further on in a
+// (its base kept in a's argument slot, ta rescaled to bytes in its own) and
+// four rows further on in c, from the same b. Every accumulator lane takes
+// exactly one fused multiply-add per step, steps ascending — the chain
+// math.FMA gives gemmKernelGo. A tile starts from +0 (VXORPD) or, when
+// load is set, from the values stored in c.
+TEXT ·gemmKernelAVX(SB), NOSPLIT, $0-137
+	MOVQ    mt+8(FP), CX
+	TESTQ   CX, CX
+	JZ      gemm_done
+	MOVQ    ta+56(FP), BX
+	SHLQ    $3, BX
+	MOVQ    BX, ta+56(FP)
+	MOVQ    a_base+16(FP), AX
+	MOVQ    lda+40(FP), R12
+	SHLQ    $3, R12
+	LEAQ    (R12)(R12*2), R13
+	MOVQ    sa+48(FP), R14
+	SHLQ    $3, R14
+	MOVQ    sb+88(FP), SI
+	SHLQ    $3, SI
+	MOVQ    c_base+96(FP), DI
+	MOVQ    ldc+120(FP), DX
 	SHLQ    $3, DX
+	MOVBLZX load+136(FP), R8
+
+gemm_tile:
+	MOVQ    kc+0(FP), CX
+	MOVQ    b_base+64(FP), BX
+	MOVQ    AX, a_base+16(FP)
 	LEAQ    (DI)(DX*1), R9
 	LEAQ    (R9)(DX*1), R10
 	LEAQ    (R10)(DX*1), R11
-	MOVBLZX load+96(FP), R8
 	TESTQ   R8, R8
 	JZ      gemm_zero
 	VMOVUPD (DI), Y4
@@ -163,20 +184,20 @@ gemm_loop:
 	VFMADD231PD  Y0, Y3, Y4
 	VFMADD231PD  Y1, Y3, Y5
 	VFMADD231PD  Y2, Y3, Y6
-	VBROADCASTSD 8(AX), Y3
+	VBROADCASTSD (AX)(R12*1), Y3
 	VFMADD231PD  Y0, Y3, Y7
 	VFMADD231PD  Y1, Y3, Y8
 	VFMADD231PD  Y2, Y3, Y9
-	VBROADCASTSD 16(AX), Y3
+	VBROADCASTSD (AX)(R12*2), Y3
 	VFMADD231PD  Y0, Y3, Y10
 	VFMADD231PD  Y1, Y3, Y11
 	VFMADD231PD  Y2, Y3, Y12
-	VBROADCASTSD 24(AX), Y3
+	VBROADCASTSD (AX)(R13*1), Y3
 	VFMADD231PD  Y0, Y3, Y13
 	VFMADD231PD  Y1, Y3, Y14
 	VFMADD231PD  Y2, Y3, Y15
-	ADDQ $32, AX
-	ADDQ $96, BX
+	ADDQ R14, AX
+	ADDQ SI, BX
 	DECQ CX
 	JNZ  gemm_loop
 
@@ -193,23 +214,26 @@ gemm_store:
 	VMOVUPD Y13, (R11)
 	VMOVUPD Y14, 32(R11)
 	VMOVUPD Y15, 64(R11)
+	MOVQ    a_base+16(FP), AX
+	ADDQ    ta+56(FP), AX
+	LEAQ    (R11)(DX*1), DI
+	DECQ    mt+8(FP)
+	JNZ     gemm_tile
 	VZEROUPPER
+
+gemm_done:
 	RET
 
-// func copyStepsAVX(dst, src []float64, ld, kc, w int)
-// dst[p*w+l] = src[p*ld+l]: one (w = 4) or three (w = 12) vector moves per
-// step.
-TEXT ·copyStepsAVX(SB), NOSPLIT, $0-72
+// func copyStepsAVX(dst, src []float64, ld, kc int)
+// dst[p*12+l] = src[p*ld+l]: three vector moves per step.
+TEXT ·copyStepsAVX(SB), NOSPLIT, $0-64
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
 	MOVQ ld+48(FP), R8
 	SHLQ $3, R8
 	MOVQ kc+56(FP), CX
-	MOVQ w+64(FP), R9
 	TESTQ CX, CX
 	JZ   copy_done
-	CMPQ R9, $12
-	JNE  copy_loop4
 
 copy_loop12:
 	VMOVUPD (SI), Y0
@@ -222,15 +246,6 @@ copy_loop12:
 	ADDQ $96, DI
 	DECQ CX
 	JNZ  copy_loop12
-	JMP  copy_done
-
-copy_loop4:
-	VMOVUPD (SI), Y0
-	VMOVUPD Y0, (DI)
-	ADDQ R8, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  copy_loop4
 
 copy_done:
 	VZEROUPPER
@@ -345,47 +360,69 @@ peak_done:
 	VZEROUPPER
 	RET
 
-// func gemmKernelAVX512(kc int, a, b, c []float64, ldc, cols int, load bool)
-// One 4×24 float64 micro-tile: row r, 8-wide column vector v accumulates in
-// Z(4+3r+v). Only the vectors that reach columns [0, cols) run — one when
-// cols ≤ 8, two when cols ≤ 16, else three — and the last of them loads and
-// stores under the lane mask K1 of its valid columns, so the tile reads and
-// writes exactly columns [0, cols) of c: a partial panel needs no private
-// edge tile and costs no padding arithmetic past its last vector. Each step
-// loads the running vectors of one packed row of b (24 values, 192 bytes)
-// and broadcasts the four packed values of a into Z16–Z19 before the first
-// multiply-add (one broadcast register reused per row ran the one-vector
-// loop about a quarter slower); every accumulator lane takes exactly one
-// fused multiply-add per step, steps ascending — the chain math.FMA gives
-// gemmKernelGo. The tile starts from +0 (VPXORQ) or, when load is set, from
-// the values stored in c.
-TEXT ·gemmKernelAVX512(SB), NOSPLIT, $0-97
-	MOVQ    a_base+8(FP), AX
-	MOVQ    b_base+32(FP), BX
-	MOVQ    c_base+56(FP), DI
-	MOVQ    ldc+80(FP), DX
-	SHLQ    $3, DX
-	LEAQ    (DI)(DX*1), R9
-	LEAQ    (R9)(DX*1), R10
-	LEAQ    (R10)(DX*1), R11
-	MOVQ    cols+88(FP), R12
-	MOVBLZX load+96(FP), R8
+// func gemmKernelAVX512(kc, mt int, a []float64, lda, sa, ta int, b []float64, sb int, c []float64, ldc, cols int, load bool)
+// mt 4×24 float64 micro-tiles, one under the other: row r, 8-wide column
+// vector v accumulates in Z(4+3r+v). Only the vectors that reach columns
+// [0, cols) run — one when cols ≤ 8, two when cols ≤ 16, else three — and
+// the last of them loads b and loads and stores c under the lane mask K1 of
+// its valid columns, so the kernel reads and writes exactly columns
+// [0, cols) of b and c: a partial panel needs no private edge tile, no zero
+// padding and no padding arithmetic past its last vector, and is read in
+// place right up to an operand's last element. Each step loads the running
+// vectors of op(B) from b and broadcasts the four values of op(A) at a,
+// a+lda, a+2·lda, a+3·lda (R12, R13 = lda, 3·lda in bytes) into Z16–Z19
+// before the first multiply-add (one broadcast register reused per row ran
+// the one-vector loop about a quarter slower), then advances a by sa (R14)
+// and b by sb (SI) — a packed panel and an operand read in place are the
+// same loop. The next tile starts ta further on in a (its base kept in a's
+// argument slot, ta rescaled to bytes in its own) and four rows further on
+// in c (DX = ldc in bytes), from the same b. Every accumulator lane takes
+// exactly one fused multiply-add per step, steps ascending — the chain
+// math.FMA gives gemmKernelGo. A tile starts from +0 (VPXORQ) or, when load
+// is set, from the values stored in c.
+TEXT ·gemmKernelAVX512(SB), NOSPLIT, $0-137
+	MOVQ    mt+8(FP), CX
+	TESTQ   CX, CX
+	JZ      z_done
+	MOVQ    cols+128(FP), DX
 	// K1 = (1 << valid columns of the last vector) - 1, the valid count
 	// being cols - 8·(vectors - 1), in 1…8.
-	LEAQ    -1(R12), CX
+	LEAQ    -1(DX), CX
 	ANDQ    $7, CX
 	INCQ    CX
 	MOVL    $1, R13
 	SHLL    CX, R13
 	DECL    R13
 	KMOVW   R13, K1
-	MOVQ    kc+0(FP), CX
-	CMPQ    R12, $8
+	MOVQ    ta+56(FP), BX
+	SHLQ    $3, BX
+	MOVQ    BX, ta+56(FP)
+	MOVQ    a_base+16(FP), AX
+	MOVQ    lda+40(FP), R12
+	SHLQ    $3, R12
+	LEAQ    (R12)(R12*2), R13
+	MOVQ    sa+48(FP), R14
+	SHLQ    $3, R14
+	MOVQ    sb+88(FP), SI
+	SHLQ    $3, SI
+	MOVQ    c_base+96(FP), DI
+	MOVBLZX load+136(FP), R8
+	CMPQ    DX, $8
 	JLE     v1_start
-	CMPQ    R12, $16
+	CMPQ    DX, $16
 	JLE     v2_start
 
 v3_start:
+	MOVQ ldc+120(FP), DX
+	SHLQ $3, DX
+
+v3_tile:
+	MOVQ  kc+0(FP), CX
+	MOVQ  b_base+64(FP), BX
+	MOVQ  AX, a_base+16(FP)
+	LEAQ  (DI)(DX*1), R9
+	LEAQ  (R9)(DX*1), R10
+	LEAQ  (R10)(DX*1), R11
 	TESTQ R8, R8
 	JZ    v3_zero
 	VMOVUPD   (DI), Z4
@@ -423,11 +460,11 @@ v3_steps:
 v3_loop:
 	VMOVUPD      (BX), Z0
 	VMOVUPD      64(BX), Z1
-	VMOVUPD      128(BX), Z2
+	VMOVUPD.Z    128(BX), K1, Z2
 	VBROADCASTSD (AX), Z16
-	VBROADCASTSD 8(AX), Z17
-	VBROADCASTSD 16(AX), Z18
-	VBROADCASTSD 24(AX), Z19
+	VBROADCASTSD (AX)(R12*1), Z17
+	VBROADCASTSD (AX)(R12*2), Z18
+	VBROADCASTSD (AX)(R13*1), Z19
 	VFMADD231PD  Z0, Z16, Z4
 	VFMADD231PD  Z1, Z16, Z5
 	VFMADD231PD  Z2, Z16, Z6
@@ -440,8 +477,8 @@ v3_loop:
 	VFMADD231PD  Z0, Z19, Z13
 	VFMADD231PD  Z1, Z19, Z14
 	VFMADD231PD  Z2, Z19, Z15
-	ADDQ $32, AX
-	ADDQ $192, BX
+	ADDQ R14, AX
+	ADDQ SI, BX
 	DECQ CX
 	JNZ  v3_loop
 
@@ -458,10 +495,25 @@ v3_store:
 	VMOVUPD Z13, (R11)
 	VMOVUPD Z14, 64(R11)
 	VMOVUPD Z15, K1, 128(R11)
+	MOVQ    a_base+16(FP), AX
+	ADDQ    ta+56(FP), AX
+	LEAQ    (R11)(DX*1), DI
+	DECQ    mt+8(FP)
+	JNZ     v3_tile
 	VZEROUPPER
 	RET
 
 v2_start:
+	MOVQ ldc+120(FP), DX
+	SHLQ $3, DX
+
+v2_tile:
+	MOVQ  kc+0(FP), CX
+	MOVQ  b_base+64(FP), BX
+	MOVQ  AX, a_base+16(FP)
+	LEAQ  (DI)(DX*1), R9
+	LEAQ  (R9)(DX*1), R10
+	LEAQ  (R10)(DX*1), R11
 	TESTQ R8, R8
 	JZ    v2_zero
 	VMOVUPD   (DI), Z4
@@ -490,11 +542,11 @@ v2_steps:
 
 v2_loop:
 	VMOVUPD      (BX), Z0
-	VMOVUPD      64(BX), Z1
+	VMOVUPD.Z    64(BX), K1, Z1
 	VBROADCASTSD (AX), Z16
-	VBROADCASTSD 8(AX), Z17
-	VBROADCASTSD 16(AX), Z18
-	VBROADCASTSD 24(AX), Z19
+	VBROADCASTSD (AX)(R12*1), Z17
+	VBROADCASTSD (AX)(R12*2), Z18
+	VBROADCASTSD (AX)(R13*1), Z19
 	VFMADD231PD  Z0, Z16, Z4
 	VFMADD231PD  Z1, Z16, Z5
 	VFMADD231PD  Z0, Z17, Z7
@@ -503,8 +555,8 @@ v2_loop:
 	VFMADD231PD  Z1, Z18, Z11
 	VFMADD231PD  Z0, Z19, Z13
 	VFMADD231PD  Z1, Z19, Z14
-	ADDQ $32, AX
-	ADDQ $192, BX
+	ADDQ R14, AX
+	ADDQ SI, BX
 	DECQ CX
 	JNZ  v2_loop
 
@@ -517,10 +569,25 @@ v2_store:
 	VMOVUPD Z11, K1, 64(R10)
 	VMOVUPD Z13, (R11)
 	VMOVUPD Z14, K1, 64(R11)
+	MOVQ    a_base+16(FP), AX
+	ADDQ    ta+56(FP), AX
+	LEAQ    (R11)(DX*1), DI
+	DECQ    mt+8(FP)
+	JNZ     v2_tile
 	VZEROUPPER
 	RET
 
 v1_start:
+	MOVQ ldc+120(FP), DX
+	SHLQ $3, DX
+
+v1_tile:
+	MOVQ  kc+0(FP), CX
+	MOVQ  b_base+64(FP), BX
+	MOVQ  AX, a_base+16(FP)
+	LEAQ  (DI)(DX*1), R9
+	LEAQ  (R9)(DX*1), R10
+	LEAQ  (R10)(DX*1), R11
 	TESTQ R8, R8
 	JZ    v1_zero
 	VMOVUPD.Z (DI), K1, Z4
@@ -540,17 +607,17 @@ v1_steps:
 	JZ    v1_store
 
 v1_loop:
-	VMOVUPD      (BX), Z0
+	VMOVUPD.Z    (BX), K1, Z0
 	VBROADCASTSD (AX), Z16
-	VBROADCASTSD 8(AX), Z17
-	VBROADCASTSD 16(AX), Z18
-	VBROADCASTSD 24(AX), Z19
+	VBROADCASTSD (AX)(R12*1), Z17
+	VBROADCASTSD (AX)(R12*2), Z18
+	VBROADCASTSD (AX)(R13*1), Z19
 	VFMADD231PD  Z0, Z16, Z4
 	VFMADD231PD  Z0, Z17, Z7
 	VFMADD231PD  Z0, Z18, Z10
 	VFMADD231PD  Z0, Z19, Z13
-	ADDQ $32, AX
-	ADDQ $192, BX
+	ADDQ R14, AX
+	ADDQ SI, BX
 	DECQ CX
 	JNZ  v1_loop
 
@@ -559,23 +626,27 @@ v1_store:
 	VMOVUPD Z7, K1, (R9)
 	VMOVUPD Z10, K1, (R10)
 	VMOVUPD Z13, K1, (R11)
+	MOVQ    a_base+16(FP), AX
+	ADDQ    ta+56(FP), AX
+	LEAQ    (R11)(DX*1), DI
+	DECQ    mt+8(FP)
+	JNZ     v1_tile
 	VZEROUPPER
 	RET
 
-// func copyStepsAVX512(dst, src []float64, ld, kc, w int)
-// dst[p*w+l] = src[p*ld+l]: one 4-wide (w = 4) or three 8-wide (w = 24)
-// vector moves per step.
-TEXT ·copyStepsAVX512(SB), NOSPLIT, $0-72
+z_done:
+	RET
+
+// func copyStepsAVX512(dst, src []float64, ld, kc int)
+// dst[p*24+l] = src[p*ld+l]: three 8-wide vector moves per step.
+TEXT ·copyStepsAVX512(SB), NOSPLIT, $0-64
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
 	MOVQ ld+48(FP), R8
 	SHLQ $3, R8
 	MOVQ kc+56(FP), CX
-	MOVQ w+64(FP), R9
 	TESTQ CX, CX
 	JZ   copyz_done
-	CMPQ R9, $24
-	JNE  copyz_loop4
 
 copyz_loop24:
 	VMOVUPD (SI), Z0
@@ -588,15 +659,6 @@ copyz_loop24:
 	ADDQ $192, DI
 	DECQ CX
 	JNZ  copyz_loop24
-	JMP  copyz_done
-
-copyz_loop4:
-	VMOVUPD (SI), Y0
-	VMOVUPD Y0, (DI)
-	ADDQ R8, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  copyz_loop4
 
 copyz_done:
 	VZEROUPPER
