@@ -61,7 +61,8 @@ Training:
 K-FAC (with -optimizer kfac):
   -engine {sync,pipelined}             step engine; pipelined overlaps compute and comm
   -strategy {roundrobin,layerwise,greedy}  factor placement across workers
-  -mode {eigen,inverse}                inversion path (Table I ablation)
+  -mode {eigen,inverse}                damping of G⊗A (eigen) or of each factor (inverse;
+                                       Table I ablation)
   -precision {f64,f32}                 compute precision of the K-FAC kernels; f32 runs
                                        float32 storage with float64 accumulation, keeping
                                        state and communication float64 (default f64)
@@ -119,7 +120,7 @@ func main() {
 	// kfac.Options.Validate is their rule book.
 	var ko kfac.Options
 	flag.TextVar(&ko.Strategy, "strategy", kfac.RoundRobin, "kfac distribution: roundrobin, layerwise, greedy")
-	flag.TextVar(&ko.Mode, "mode", kfac.EigenMode, "kfac inversion: eigen or inverse")
+	flag.TextVar(&ko.Mode, "mode", kfac.EigenMode, "kfac damping: eigen (of G⊗A) or inverse (of each factor)")
 	flag.TextVar(&ko.Precision, "precision", kfac.F64, "kfac compute precision: f64 or f32 (float32 kernels, float64 accumulation)")
 	flag.TextVar(&ko.Engine, "engine", kfac.EngineSync, "kfac step engine: sync or pipelined")
 	flag.TextVar(&ko.DistMode, "dist-mode", kfac.DistAuto, "distribution plan: auto, commopt, memopt, or hybrid")

@@ -31,10 +31,8 @@ import (
 // injected-latency-only schedule leaves all collective arithmetic
 // bit-identical to a chaos-free run.
 //
-// Kill triggers (KillSpec.AfterSends) count a rank's completed sends; with
-// the single-issuer collective schedule the count at which a kill fires is
-// deterministic, though which concurrent message observes it first may
-// vary. Tests that need an exact kill point use ChaosFabric.Kill directly.
+// A rank dies when ChaosFabric.Kill is called on it, at whatever point of
+// the run its caller (a test, or a training hook) chooses.
 
 // ErrRankKilled is returned by a killed rank's own Send/Recv calls.
 var ErrRankKilled = errors.New("comm: rank killed by chaos schedule")
@@ -46,17 +44,6 @@ var ErrPeerKilled = errors.New("comm: peer killed by chaos schedule")
 // ErrDropped is returned when a message was dropped on every attempt of
 // the bounded retry loop.
 var ErrDropped = errors.New("comm: message dropped after retries exhausted")
-
-// KillSpec schedules the death of one rank: after AfterSends completed
-// (successfully delivered) sends in the collective tag namespace, the
-// rank's next collective send attempt fails with ErrRankKilled and the
-// rank stays dead. Heartbeat traffic is excluded from the count — it is
-// timer-driven, so counting it would tie the kill point to wall-clock
-// speed instead of training progress.
-type KillSpec struct {
-	Rank       int
-	AfterSends int64
-}
 
 // ChaosConfig scripts the fault schedule. The zero value injects nothing.
 type ChaosConfig struct {
@@ -77,8 +64,6 @@ type ChaosConfig struct {
 	// BandwidthBps caps per-message throughput: each send is additionally
 	// delayed by payloadBytes/BandwidthBps seconds (0 = uncapped).
 	BandwidthBps float64
-	// Kills lists scripted rank deaths.
-	Kills []KillSpec
 }
 
 func (c *ChaosConfig) fillDefaults() {
@@ -117,12 +102,6 @@ type endpointState struct {
 
 	sent, recvd, dropped, retried, bytes atomic.Int64
 	delayNanos                           atomic.Int64
-	// schedSent counts completed sends in the collective tag namespace
-	// only. Kill triggers consume this counter, not sent: heartbeat
-	// traffic is timer-driven (its volume depends on wall-clock speed), so
-	// counting it would make scripted kill points machine-dependent and
-	// break seed replay.
-	schedSent atomic.Int64
 }
 
 // useCount returns and increments the per-(to,tag) usage ordinal.
@@ -312,24 +291,13 @@ func (t *ChaosTransport) state(rank int) *endpointState {
 // construction) stay out of the map, so it never grows with training.
 const reusableTagLimit = uint64(1) << 16
 
-// Send implements Transport: it applies the kill schedule, injects the
-// hash-derived latency/bandwidth delay, and runs the bounded drop-retry
+// Send implements Transport: it fails on a killed rank or peer, injects
+// the hash-derived latency/bandwidth delay, and runs the bounded drop-retry
 // loop before delegating to the wrapped transport.
 func (t *ChaosTransport) Send(to int, tag uint64, data []float64) error {
 	self := t.state(t.rank)
 	if self.killed.Load() {
 		return ErrRankKilled
-	}
-	// Scripted kill: the first collective-namespace send attempted after
-	// AfterSends *completed* collective sends dies (drop-exhausted
-	// attempts and heartbeat traffic do not consume the allowance).
-	if tag >= reusableTagLimit {
-		for _, k := range t.fabric.cfg.Kills {
-			if k.Rank == t.rank && self.schedSent.Load() >= k.AfterSends {
-				t.fabric.Kill(t.rank)
-				return ErrRankKilled
-			}
-		}
 	}
 	if peer := t.state(to); peer != nil && peer.killed.Load() {
 		return ErrPeerKilled
@@ -364,9 +332,6 @@ func (t *ChaosTransport) Send(to int, tag uint64, data []float64) error {
 		return err
 	}
 	self.sent.Add(1)
-	if tag >= reusableTagLimit {
-		self.schedSent.Add(1)
-	}
 	self.bytes.Add(int64(8 * len(data)))
 	return nil
 }

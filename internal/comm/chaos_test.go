@@ -168,11 +168,11 @@ func TestChaosRetryExhaustion(t *testing.T) {
 	}
 }
 
-// TestChaosScriptedKill: the send that exceeds the allowance kills the
-// rank; peers sending to it see ErrPeerKilled; its own blocked Recv
-// unblocks with ErrRankKilled.
+// TestChaosScriptedKill: a Kill between two sends kills the rank: its next
+// send fails with ErrRankKilled, peers sending to it see ErrPeerKilled,
+// and its own blocked Recv unblocks with ErrRankKilled.
 func TestChaosScriptedKill(t *testing.T) {
-	fab := chaosWorld(2, ChaosConfig{Seed: 1, Kills: []KillSpec{{Rank: 0, AfterSends: 2}}})
+	fab := chaosWorld(2, ChaosConfig{Seed: 1})
 	e0, e1 := fab.Endpoint(0), fab.Endpoint(1)
 
 	// A receive blocked before the kill must unblock when it fires.
@@ -188,6 +188,7 @@ func TestChaosScriptedKill(t *testing.T) {
 	if err := e0.Send(1, 2<<16, []float64{2}); err != nil {
 		t.Fatalf("send 2: %v", err)
 	}
+	fab.Kill(0)
 	if err := e0.Send(1, 3<<16, []float64{3}); !errors.Is(err, ErrRankKilled) {
 		t.Fatalf("send 3: got %v, want ErrRankKilled", err)
 	}

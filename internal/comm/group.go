@@ -57,9 +57,6 @@ func (c *Communicator) Group(members []int) *Group {
 // Size returns the number of member ranks.
 func (g *Group) Size() int { return len(g.members) }
 
-// Rank returns this rank's index within the group, or -1 for non-members.
-func (g *Group) Rank() int { return g.index }
-
 // Contains reports whether the transport rank is a group member.
 func (g *Group) Contains(rank int) bool {
 	i := sort.SearchInts(g.members, rank)

@@ -125,9 +125,9 @@ func TestGroupSingletonAndAccessors(t *testing.T) {
 		if g.Size() != 1 || g.members[0] != 1 {
 			t.Errorf("dedup failed: %v", g.members)
 		}
-		if got, want := g.Rank(), -1; c.Rank() == 1 {
-			if g.Rank() != 0 {
-				t.Errorf("member index = %d, want 0", g.Rank())
+		if got, want := g.index, -1; c.Rank() == 1 {
+			if g.index != 0 {
+				t.Errorf("member index = %d, want 0", g.index)
 			}
 		} else if got != want {
 			t.Errorf("non-member index = %d, want -1", got)

@@ -35,7 +35,7 @@ func init() {
 // tightens, the consensus bandwidth estimate drops through the policy
 // table's bands and the tuned run switches to compressed payloads, so its
 // step time must degrade no faster than the static run's at every cap
-// level — the degradation-curve acceptance criterion of ROADMAP item 4.
+// level — the degradation-curve acceptance criterion of ROADMAP item 11.
 func runAutotune(ctx context.Context, w io.Writer, cfg Config) error {
 	e, _ := ByID("autotune")
 	header(w, e)

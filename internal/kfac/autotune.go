@@ -8,7 +8,7 @@ import (
 	"repro/internal/comm"
 )
 
-// Bandwidth-adaptive communication autotuning (ROADMAP item 4). The
+// Bandwidth-adaptive communication autotuning (ROADMAP item 11). The
 // paper's central tradeoff — communication cost vs statistical efficiency
 // of the second-order update — is static in PR 3's codecs: somebody has
 // to guess the link quality at launch. The autotuner closes the loop at
@@ -25,15 +25,15 @@ import (
 // determinism suite asserts the sequences are deep-equal across ranks
 // under chaos schedules.
 
-// TuneLevel is one row of the autotune policy table: the communication
-// configuration to run when the consensus bandwidth estimate is at least
-// MinBandwidthBps.
+// TuneLevel is one row of the autotune policy table (tuneLevels): the
+// communication configuration to run when the consensus bandwidth estimate
+// is at least MinBandwidthBps.
 type TuneLevel struct {
 	// Name labels the level in decisions and logs.
 	Name string
 	// MinBandwidthBps is the lower edge of this level's bandwidth band;
-	// levels must be ordered by strictly descending MinBandwidthBps, and
-	// the last level should use 0 as the catch-all.
+	// levels are ordered by strictly descending MinBandwidthBps, and the
+	// last level uses 0 as the catch-all.
 	MinBandwidthBps float64
 	// Codec compresses factor and gradient payloads (nil = exact).
 	Codec comm.Codec
@@ -44,50 +44,36 @@ type TuneLevel struct {
 	GroupSize int
 }
 
-// TunePolicy is the ordered level table the autotuner selects from.
-type TunePolicy struct {
-	// Levels in descending MinBandwidthBps order.
-	Levels []TuneLevel
-	// DropPenalty: a consensus drop rate above this threshold biases the
-	// selection one level down (toward more compression) — small messages
-	// ride retries better. 0 selects the default 0.02; negative disables.
-	DropPenalty float64
-}
-
-// DefaultTunePolicy returns the built-in four-level table: exact/flat on
+// tuneLevels is the policy table the autotuner selects from: exact/flat on
 // fast links, exact/hierarchical with a smaller fusion buffer in the
 // middle band, float16 below that, and Top-K 10% + error feedback on
 // badly constrained links.
-func DefaultTunePolicy() TunePolicy {
-	return TunePolicy{
-		Levels: []TuneLevel{
-			{Name: "exact", MinBandwidthBps: 64 << 20, FusionBytes: comm.DefaultFusionBytes},
-			{Name: "exact-hier", MinBandwidthBps: 16 << 20, FusionBytes: 4 << 20, GroupSize: 2},
-			{Name: "float16", MinBandwidthBps: 4 << 20, Codec: comm.Float16Codec{}, FusionBytes: 4 << 20},
-			{Name: "topk10", MinBandwidthBps: 0, Codec: comm.TopKCodec{FractionK: 0.10}, FusionBytes: 1 << 20},
-		},
-		DropPenalty: 0.02,
-	}
+var tuneLevels = []TuneLevel{
+	{Name: "exact", MinBandwidthBps: 64 << 20, FusionBytes: comm.DefaultFusionBytes},
+	{Name: "exact-hier", MinBandwidthBps: 16 << 20, FusionBytes: 4 << 20, GroupSize: 2},
+	{Name: "float16", MinBandwidthBps: 4 << 20, Codec: comm.Float16Codec{}, FusionBytes: 4 << 20},
+	{Name: "topk10", MinBandwidthBps: 0, Codec: comm.TopKCodec{FractionK: 0.10}, FusionBytes: 1 << 20},
 }
 
-// Pick returns the index of the level for a consensus (bandwidth, drop)
-// estimate: the first level whose band contains the bandwidth, pushed one
-// level down when the drop rate exceeds the penalty threshold. A pure
+// dropPenalty is the consensus drop rate above which the selection moves
+// one level down (toward more compression): small messages ride retries
+// better.
+const dropPenalty = 0.02
+
+// pickLevel returns the index into tuneLevels for a consensus (bandwidth,
+// drop) estimate: the first level whose band contains the bandwidth,
+// pushed one level down when the drop rate exceeds dropPenalty. A pure
 // function — every rank calling it with the same consensus inputs picks
 // the same level.
-func (tp TunePolicy) Pick(bwBps, dropRate float64) int {
-	pick := len(tp.Levels) - 1
-	for i, lv := range tp.Levels {
+func pickLevel(bwBps, dropRate float64) int {
+	pick := len(tuneLevels) - 1
+	for i, lv := range tuneLevels {
 		if bwBps >= lv.MinBandwidthBps {
 			pick = i
 			break
 		}
 	}
-	pen := tp.DropPenalty
-	if pen == 0 {
-		pen = 0.02
-	}
-	if pen > 0 && dropRate > pen && pick < len(tp.Levels)-1 {
+	if dropRate > dropPenalty && pick < len(tuneLevels)-1 {
 		pick++
 	}
 	return pick
@@ -95,8 +81,6 @@ func (tp TunePolicy) Pick(bwBps, dropRate float64) int {
 
 // AutotuneConfig configures the runtime controller (Options.Autotune).
 type AutotuneConfig struct {
-	// Policy is the level table (zero value selects DefaultTunePolicy).
-	Policy TunePolicy
 	// Interval is the number of factor updates between consensus
 	// decisions (≤ 0 selects 1: decide at every factor-update boundary).
 	Interval int
@@ -128,7 +112,6 @@ type TuneDecision struct {
 // tuner is the controller's mutable runtime state. It lives on the
 // preconditioner and is only touched from Step (single-goroutine).
 type tuner struct {
-	policy    TunePolicy
 	interval  int
 	level     int // -1 until the first decision
 	sinceLast int
@@ -141,10 +124,7 @@ type tuner struct {
 }
 
 func newTuner(cfg AutotuneConfig) *tuner {
-	t := &tuner{policy: cfg.Policy, interval: cfg.Interval, level: -1, lastBW: math.Inf(1)}
-	if len(t.policy.Levels) == 0 {
-		t.policy = DefaultTunePolicy()
-	}
+	t := &tuner{interval: cfg.Interval, level: -1, lastBW: math.Inf(1)}
 	if t.interval < 1 {
 		t.interval = 1
 	}
@@ -213,10 +193,10 @@ func (p *Preconditioner) autotune(iter int) error {
 		return fmt.Errorf("kfac: autotune consensus: %w", err)
 	}
 	t.lastBW = est[0]
-	level := t.policy.Pick(est[0], est[1])
+	level := pickLevel(est[0], est[1])
 	changed := level != t.level
 	t.level = level
-	lv := &t.policy.Levels[level]
+	lv := &tuneLevels[level]
 	p.dec = resolve(p.opts, lv)
 	p.stats.recordTune(TuneDecision{
 		Step:         iter,

@@ -51,7 +51,7 @@ func tuneRank(t *testing.T, c *comm.Communicator, opts Options, steps int) ([]Tu
 	}
 	var out []*tensor.Tensor
 	for _, s := range prec.states {
-		out = append(out, s.layer.CombinedGrad().Clone())
+		out = append(out, combinedGradOf(s.layer))
 	}
 	return prec.Stats().Snapshot().TuneDecisions, out
 }
@@ -172,7 +172,6 @@ func TestAutotuneBandwidthCapForcesCompression(t *testing.T) {
 // edges are inclusive, the drop penalty pushes one level down but never
 // past the last level.
 func TestAutotunePickBands(t *testing.T) {
-	tp := DefaultTunePolicy()
 	cases := []struct {
 		bw, drop float64
 		want     int
@@ -189,8 +188,8 @@ func TestAutotunePickBands(t *testing.T) {
 		{math.Inf(1), 0, 0}, // pre-first-measurement optimism
 	}
 	for _, c := range cases {
-		if got := tp.Pick(c.bw, c.drop); got != c.want {
-			t.Errorf("Pick(%g, %g) = %d, want %d", c.bw, c.drop, got, c.want)
+		if got := pickLevel(c.bw, c.drop); got != c.want {
+			t.Errorf("pickLevel(%g, %g) = %d, want %d", c.bw, c.drop, got, c.want)
 		}
 	}
 }

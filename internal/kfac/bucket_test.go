@@ -268,28 +268,31 @@ func TestFactorMemDecompositionsArePlanModel(t *testing.T) {
 		mode DistMode
 		frac float64
 	}{{CommOpt, 0}, {MemOpt, 0}, {Hybrid, 0.5}} {
-		for _, engine := range []Engine{EngineSync, EnginePipelined} {
-			opts := Options{DistMode: tc.mode, GradWorkerFrac: tc.frac, Engine: engine, FactorUpdateFreq: 1, InvUpdateFreq: 1}
-			deepWorld(t, world, opts, func(r int, net *nn.Sequential, p *Preconditioner, _ *countingEndpoint) {
-				for i := 0; i < 3; i++ {
-					runDeepStep(net, int64(300+i), 4)
-					if err := p.Step(0.1); err != nil {
-						t.Errorf("%v %v rank %d: %v", tc.mode, engine, r, err)
-						return
-					}
-				}
-				var live int64
-				for _, s := range p.states {
-					for _, eg := range []*linalg.Eigen{s.eigA, s.eigG} {
-						if eg != nil {
-							live += int64(eg.Q.Len() + len(eg.Values))
+		for _, mode := range []Mode{EigenMode, InverseMode} {
+			for _, engine := range []Engine{EngineSync, EnginePipelined} {
+				opts := Options{Mode: mode, DistMode: tc.mode, GradWorkerFrac: tc.frac, Engine: engine, FactorUpdateFreq: 1, InvUpdateFreq: 1}
+				deepWorld(t, world, opts, func(r int, net *nn.Sequential, p *Preconditioner, _ *countingEndpoint) {
+					for i := 0; i < 3; i++ {
+						runDeepStep(net, int64(300+i), 4)
+						if err := p.Step(0.1); err != nil {
+							t.Errorf("%v %v %v rank %d: %v", tc.mode, mode, engine, r, err)
+							return
 						}
 					}
-				}
-				if want := p.plan.DecompElemsPerRank(p.FactorRefs())[r]; 8*live != 8*want {
-					t.Errorf("%v %v rank %d: holds %d B of decompositions, the plan model charges %d B", tc.mode, engine, r, 8*live, 8*want)
-				}
-			})
+					var live int64
+					for _, s := range p.states {
+						for _, eg := range []*linalg.Eigen{s.eigA, s.eigG} {
+							if eg != nil {
+								live += int64(eg.Q.Len() + len(eg.Values))
+							}
+						}
+					}
+					if want := p.plan.DecompElemsPerRank(p.FactorRefs())[r]; 8*live != 8*want {
+						t.Errorf("%v %v %v rank %d: holds %d B of decompositions, the plan model charges %d B",
+							tc.mode, mode, engine, r, 8*live, 8*want)
+					}
+				})
+			}
 		}
 	}
 }

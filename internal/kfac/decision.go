@@ -22,8 +22,8 @@ type Decision struct {
 	GroupSize int
 	// Codec compresses payloads (nil = exact).
 	Codec comm.Codec
-	// FusionBytes bounds the fusion buffer (never 0: resolve fills in
-	// comm.DefaultFusionBytes).
+	// FusionBytes bounds the fusion buffer: the autotune level's bound, else
+	// comm.DefaultFusionBytes.
 	FusionBytes int
 	// NoErrorFeedback applies Codec bare, without residual accumulation.
 	NoErrorFeedback bool
@@ -39,14 +39,11 @@ func resolve(opts Options, level *TuneLevel) Decision {
 		GradWorkerFrac:  opts.GradWorkerFrac,
 		GroupSize:       opts.GroupSize,
 		Codec:           opts.Compression,
-		FusionBytes:     opts.FusionBytes,
+		FusionBytes:     comm.DefaultFusionBytes,
 		NoErrorFeedback: opts.NoErrorFeedback,
 	}
 	if level != nil {
 		d.Codec, d.FusionBytes, d.GroupSize = level.Codec, level.FusionBytes, level.GroupSize
-	}
-	if d.FusionBytes <= 0 {
-		d.FusionBytes = comm.DefaultFusionBytes
 	}
 	return d
 }

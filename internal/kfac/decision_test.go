@@ -26,12 +26,9 @@ func TestDecisionResolve(t *testing.T) {
 		{name: "static layerwise implies memopt", opts: Options{Strategy: LayerWise},
 			want: Decision{Mode: MemOpt, FusionBytes: comm.DefaultFusionBytes}},
 		{name: "static explicit", opts: Options{DistMode: Hybrid, GradWorkerFrac: 0.5, GroupSize: 2,
-			Compression: topk, FusionBytes: 1 << 20, NoErrorFeedback: true},
+			Compression: topk, NoErrorFeedback: true},
 			want: Decision{Mode: Hybrid, GradWorkerFrac: 0.5, GroupSize: 2, Codec: topk,
-				FusionBytes: 1 << 20, NoErrorFeedback: true}},
-		{name: "fusion bytes 0 is the default", opts: Options{FusionBytes: 0},
-			level: &TuneLevel{Name: "unbounded", Codec: f16},
-			want:  Decision{Mode: CommOpt, Codec: f16, FusionBytes: comm.DefaultFusionBytes}},
+				FusionBytes: comm.DefaultFusionBytes, NoErrorFeedback: true}},
 		{name: "no error feedback survives a tuned codec",
 			opts:  Options{Compression: topk, NoErrorFeedback: true},
 			level: &TuneLevel{Name: "f16", Codec: f16, FusionBytes: 4 << 20},
@@ -44,8 +41,8 @@ func TestDecisionResolve(t *testing.T) {
 	// Each default level over the same static options: the level's codec,
 	// fusion bound and group size win — an explicit GroupSize included —
 	// while the plan fields and error-feedback mode stay static.
-	static := Options{Strategy: LayerWise, GroupSize: 4, FusionBytes: 8 << 20, NoErrorFeedback: true}
-	for _, lv := range DefaultTunePolicy().Levels {
+	static := Options{Strategy: LayerWise, GroupSize: 4, NoErrorFeedback: true}
+	for _, lv := range tuneLevels {
 		cases = append(cases, tc{name: "static+" + lv.Name, opts: static, level: &lv,
 			want: Decision{Mode: MemOpt, GroupSize: lv.GroupSize, Codec: lv.Codec,
 				FusionBytes: lv.FusionBytes, NoErrorFeedback: true}})

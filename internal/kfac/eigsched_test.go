@@ -182,7 +182,7 @@ func TestStepBitsIndependentOfGOMAXPROCS(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, l := range nn.CapturableLayers(net) {
-				out = append(out, l.CombinedGrad().Clone())
+				out = append(out, combinedGradOf(l))
 			}
 		}
 		if snap := prec.Stats().Snapshot(); exact != (snap.PowerRefreshes == 0) {

@@ -13,7 +13,7 @@ import (
 
 // The element-typed half of the step: the per-iteration O(n³) work — the
 // covariance Gram products and the preconditioning products of Equations
-// 13–15 (or 10) — written once over the element type E of its operands and
+// 13–15 — written once over the element type E of its operands and
 // products. NewFromOptions picks E per preconditioner from Options.Precision
 // (float64, or float32 for the mixed-precision path, whose products run the
 // float64 FMA chain on float32 operands and round once; see
@@ -36,13 +36,9 @@ type layerKernels interface {
 	// each Gram product in slot, a covariance slot of at least the larger
 	// factor's n² floats.
 	computeCov(slot *tensor.Tensor)
-	// refresh mirrors one side's new decomposition at E. Called wherever
-	// the float64 slot is written: local decomposition and record consume.
+	// refresh mirrors one side's new eigenbasis at E. Called wherever the
+	// float64 slot is written: local decomposition and record consume.
 	refresh(isG bool)
-	// preconditionOne computes (F̂ᵢ+γI)⁻¹∇L into the layer's pcBuf: the
-	// stages of one layer (the step runs them over all of a rank's layers at
-	// once; see stages).
-	preconditionOne(grad *tensor.Tensor) *tensor.Tensor
 	// memBytes counts the resident bytes of the buffers held at E.
 	memBytes() int64
 }
@@ -66,8 +62,7 @@ type kernels[E tensor.Elem] struct {
 	gram      func(dst, a *tensor.Dense[E])            // dst = aᵀa
 	act, grad func(nn.KFACCapturable) *tensor.Dense[E] // the layer's captures at E
 
-	// mirror[side] is the side's decomposition at E — the eigenbasis Q
-	// (EigenMode) or the damped inverse (InverseMode); index 0 is A, 1 is G.
+	// mirror[side] is the side's eigenbasis Q at E; index 0 is A, 1 is G.
 	// It is the float64 tensor itself at float64, else mirrorBuf[side]. A
 	// layer's two sides are refreshed by concurrent decomposition jobs and
 	// record consumers, each touching only its own index.
@@ -76,10 +71,6 @@ type kernels[E tensor.Elem] struct {
 	// Step workspaces: the gradient at E, the two preconditioning
 	// intermediates, and the result where pcBuf itself cannot hold it.
 	gradBuf, wA, wB, pcBuf *tensor.Dense[E]
-	// one is the stages over this layer alone, which preconditionOne runs
-	// with its gradient in oneGrad.
-	one     *stages[E]
-	oneGrad [1]*tensor.Tensor
 	// Covariance workspaces: bias-augmented activation sample, and the Gram
 	// product where the float64 covariance slot cannot hold it.
 	sample, cov *tensor.Dense[E]
@@ -104,37 +95,20 @@ func (k *kernels[E]) computeCov(slot *tensor.Tensor) {
 }
 
 func (k *kernels[E]) refresh(isG bool) {
-	f := k.s.side(isG)
 	i := 0
 	if isG {
 		i = 1
 	}
-	src := *f.inv
-	if k.p.opts.Mode != InverseMode {
-		src = (*f.eig).Q
-	}
-	k.mirror[i] = tensor.Cast(&k.mirrorBuf[i], src)
-}
-
-// preconditionOne is the grouped stages over this layer alone. It writes
-// into the layer's reused float64 pcBuf (which it returns), so the KL clip,
-// the MEM-OPT result broadcast and SetCombinedGrad see an ordinary float64
-// tensor; the products in between run at E against the mirrored
-// decompositions. grad must not alias the workspace tensors.
-func (k *kernels[E]) preconditionOne(grad *tensor.Tensor) *tensor.Tensor {
-	if k.one == nil {
-		k.one = newStages(k.p, []*kernels[E]{k}, []int{0})
-	}
-	k.oneGrad[0] = grad
-	k.one.run(k.oneGrad[:])
-	k.oneGrad[0] = nil
-	return k.s.pcBuf
+	k.mirror[i] = tensor.Cast(&k.mirrorBuf[i], (*k.s.side(isG).eig).Q)
 }
 
 // precondStages preconditions a fixed set of layers (kernels[E]'s stages).
 type precondStages interface {
 	// run writes (F̂ᵢ+γI)⁻¹ grads[i] into the pcBuf of every layer i of the
-	// set; grads is indexed by layer.
+	// set; grads is indexed by layer. A pcBuf is an ordinary float64 tensor,
+	// so the KL clip, the MEM-OPT result broadcast and SetCombinedGrad read
+	// it as such; the products in between run at E against the mirrored
+	// eigenbases. No grads[i] may alias a workspace tensor.
 	run(grads []*tensor.Tensor)
 }
 
@@ -162,7 +136,7 @@ func stagesOver[E tensor.Elem](p *Preconditioner, layers []int) *stages[E] {
 	return newStages(p, ks, layers)
 }
 
-// stages runs Equations 13–15 (or 10) for a set of layers as a few steps
+// stages runs Equations 13–15 for a set of layers as a few steps
 // each taken by every layer at once, instead of layer after layer: every
 // product of one step is recorded into one tensor.Group, so the step's
 // products share one block grid at pool width, and the element-wise steps
@@ -172,9 +146,10 @@ func stagesOver[E tensor.Elem](p *Preconditioner, layers []int) *stages[E] {
 // do not depend on their grid, and the element-wise passes touch each
 // element once — so the set is bit-identical to its layers one at a time.
 //
-//	EigenMode:   t = Q_Gᵀ∇L;  V₁ = t·Q_A;  V₂ = V₁ / (υ_G υ_Aᵀ + γ);
-//	             t = Q_G·V₂;  out = t·Q_Aᵀ
-//	InverseMode: t = G⁻¹∇L;   out = t·A⁻¹
+//	t = Q_Gᵀ∇L;  V₁ = t·Q_A;  V₂ = V₁ / D;  t = Q_G·V₂;  out = t·Q_Aᵀ
+//
+// where Equation 14's denominator D is υ_G υ_Aᵀ + γ in EigenMode and
+// (υ_G + γ)(υ_A + γ)ᵀ in InverseMode (see Mode).
 type stages[E tensor.Elem] struct {
 	p   *Preconditioner
 	ks  []*kernels[E]
@@ -212,13 +187,9 @@ func (st *stages[E]) run(grads []*tensor.Tensor) {
 	if len(st.ks) == 0 {
 		return
 	}
-	inverse := st.p.opts.Mode == InverseMode
 	for j, k := range st.ks {
 		s := k.s
-		if inverse && (s.invA == nil || s.invG == nil) {
-			panic("kfac: precondition before inverse update")
-		}
-		if !inverse && (s.eigA == nil || s.eigG == nil) {
+		if s.eigA == nil || s.eigG == nil {
 			panic("kfac: precondition before eigendecomposition update")
 		}
 		grad := grads[st.idx[j]]
@@ -228,9 +199,7 @@ func (st *stages[E]) run(grads []*tensor.Tensor) {
 		st.res[j] = tensor.Like(&k.pcBuf, st.pc[j])
 		st.g[j] = tensor.Like(&k.gradBuf, grad)
 		tensor.Ensure(&k.wA, out, in)
-		if !inverse {
-			tensor.Ensure(&k.wB, out, in)
-		}
+		tensor.Ensure(&k.wB, out, in)
 	}
 	// At float64 Like handed back the float64 tensors themselves, and the
 	// passes across the precision boundary have nothing to do.
@@ -239,35 +208,23 @@ func (st *stages[E]) run(grads []*tensor.Tensor) {
 		st.each(passCastIn)
 	}
 	grp := &st.grp
-	if inverse {
-		// Equation 10: G⁻¹ ∇L A⁻¹ (inverses already damped).
-		for j, k := range st.ks {
-			grp.MatMul(k.wA, k.mirror[1], st.g[j])
-		}
-		grp.Run()
-		for j, k := range st.ks {
-			grp.MatMul(st.res[j], k.wA, k.mirror[0])
-		}
-		grp.Run()
-	} else {
-		for j, k := range st.ks {
-			grp.MatMulT1(k.wA, k.mirror[1], st.g[j])
-		}
-		grp.Run()
-		for _, k := range st.ks {
-			grp.MatMul(k.wB, k.wA, k.mirror[0])
-		}
-		grp.Run()
-		st.each(passDivide)
-		for _, k := range st.ks {
-			grp.MatMul(k.wA, k.mirror[1], k.wB)
-		}
-		grp.Run()
-		for j, k := range st.ks {
-			grp.MatMulT2(st.res[j], k.wA, k.mirror[0])
-		}
-		grp.Run()
+	for j, k := range st.ks {
+		grp.MatMulT1(k.wA, k.mirror[1], st.g[j])
 	}
+	grp.Run()
+	for _, k := range st.ks {
+		grp.MatMul(k.wB, k.wA, k.mirror[0])
+	}
+	grp.Run()
+	st.each(passDivide)
+	for _, k := range st.ks {
+		grp.MatMul(k.wA, k.mirror[1], k.wB)
+	}
+	grp.Run()
+	for j, k := range st.ks {
+		grp.MatMulT2(st.res[j], k.wA, k.mirror[0])
+	}
+	grp.Run()
 	if boundary {
 		st.each(passConvert)
 	}
@@ -297,16 +254,28 @@ func (st *stages[E]) RunRange(lo, hi int) {
 			// Equation 14 is one definition at either E: the denominator is
 			// formed in float64 from the float64 eigenvalues and the current
 			// γ, the element is divided by it in float64, and the
-			// quotient is rounded to E once.
+			// quotient is rounded to E once. This is the one place the step
+			// reads Mode: InverseMode damps each factor, (υ_G+γ)(υ_A+γ),
+			// which over the shared eigenbases is Equation 11's
+			// (G+γI)⁻¹∇L(A+γI)⁻¹.
 			k := st.ks[j]
 			s, v1 := k.s, k.wB
 			out, in := v1.Rows(), v1.Cols()
 			lamA, lamG := s.eigA.Values, s.eigG.Values
+			γ := p.opts.Damping
+			factored := p.opts.Mode == InverseMode
 			for r := 0; r < out; r++ {
 				vg := lamG[r]
 				row := v1.Data[r*in : (r+1)*in]
+				if factored {
+					vg += γ
+					for c := range row {
+						row[c] = E(float64(row[c]) / (vg * (lamA[c] + γ)))
+					}
+					continue
+				}
 				for c := range row {
-					row[c] = E(float64(row[c]) / (vg*lamA[c] + p.opts.Damping))
+					row[c] = E(float64(row[c]) / (vg*lamA[c] + γ))
 				}
 			}
 		}

@@ -132,11 +132,31 @@ func TestBiasFreeLayersPreconditionWeightGradInPlace(t *testing.T) {
 func withKernels(p *Preconditioner, s *layerState) *layerState {
 	s.k = newKernels(p.opts.Precision, p, s)
 	for _, isG := range factorSides {
-		if f := s.side(isG); *f.eig != nil || *f.inv != nil {
+		if *s.side(isG).eig != nil {
 			s.k.refresh(isG)
 		}
 	}
 	return s
+}
+
+// combinedGradOf returns a fresh copy of l's [dg, da] combined gradient.
+func combinedGradOf(l nn.KFACCapturable) *tensor.Tensor {
+	da, dg := FactorDims(l)
+	g := tensor.New(dg, da)
+	l.CombinedGradInto(g)
+	return g
+}
+
+// preconditionOne runs the stages over s's layer alone on grad and returns
+// its pcBuf: (F̂+γI)⁻¹ grad by the step's own code path.
+func preconditionOne(s *layerState, grad *tensor.Tensor) *tensor.Tensor {
+	switch k := s.k.(type) {
+	case *kernels[float32]:
+		newStages(k.p, []*kernels[float32]{k}, []int{0}).run([]*tensor.Tensor{grad})
+	case *kernels[float64]:
+		newStages(k.p, []*kernels[float64]{k}, []int{0}).run([]*tensor.Tensor{grad})
+	}
+	return s.pcBuf
 }
 
 // covA and covG form a captured layer's float64 factors the way the
@@ -313,7 +333,7 @@ func TestEigenPreconditionMatchesKroneckerInverse(t *testing.T) {
 	}
 	p := &Preconditioner{opts: Options{Mode: EigenMode, Damping: gamma}}
 	s := withKernels(p, &layerState{eigA: egA, eigG: egG})
-	got := s.k.preconditionOne(grad)
+	got := preconditionOne(s, grad)
 
 	// Explicit: build the (out·in)×(out·in) matrix G⊗A and solve damped.
 	dim := out * in
@@ -339,7 +359,8 @@ func TestEigenPreconditionMatchesKroneckerInverse(t *testing.T) {
 
 // TestInversePreconditionMatchesFactoredDamping verifies Equation 11/12:
 // InverseMode computes (G+γI)⁻¹ ∇L (A+γI)⁻¹ — the factored damping, which
-// differs from the eigen path's exact (G⊗A+γI)⁻¹.
+// differs from the eigen path's exact (G⊗A+γI)⁻¹ — from the same
+// eigendecompositions EigenMode uses, held to explicit damped inverses.
 func TestInversePreconditionMatchesFactoredDamping(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	out, in := 4, 3
@@ -350,6 +371,17 @@ func TestInversePreconditionMatchesFactoredDamping(t *testing.T) {
 	grad := tensor.Randn(rng, 1, out, in)
 	gamma := 0.1
 
+	egA, err := linalg.SymEig(A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	egG, err := linalg.SymEig(G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Preconditioner{opts: Options{Mode: InverseMode, Damping: gamma}}
+	s := withKernels(p, &layerState{eigA: egA, eigG: egG})
+	got := preconditionOne(s, grad)
 	invA, err := linalg.InverseDamped(A, gamma)
 	if err != nil {
 		t.Fatal(err)
@@ -358,9 +390,6 @@ func TestInversePreconditionMatchesFactoredDamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &Preconditioner{opts: Options{Mode: InverseMode, Damping: gamma}}
-	s := withKernels(p, &layerState{invA: invA, invG: invG})
-	got := s.k.preconditionOne(grad)
 	want := tensor.MatMul(tensor.MatMul(invG, grad), invA)
 	if !got.Equal(want, 1e-10) {
 		t.Error("inverse preconditioning != (G+γI)⁻¹∇L(A+γI)⁻¹")
@@ -397,7 +426,7 @@ func TestPreconditionRoundTripProperty(t *testing.T) {
 		}
 		p := &Preconditioner{opts: Options{Mode: EigenMode, Damping: 0}}
 		s := withKernels(p, &layerState{eigA: egA, eigG: egG})
-		pc := s.k.preconditionOne(grad)
+		pc := preconditionOne(s, grad)
 		// Fisher · pc = G · pc · A should recover grad.
 		back := tensor.MatMul(tensor.MatMul(G, pc), A)
 		return back.Equal(grad, 1e-6)
@@ -664,6 +693,9 @@ func TestWorkerLoadsAndStats(t *testing.T) {
 	}
 }
 
+// TestSerializationRoundTrip: both modes send one record shape,
+// [layer, side, n, values…, Q…], and a consumed record reproduces the
+// sender's decomposition and mirror bit for bit.
 func TestSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	for _, mode := range []Mode{EigenMode, InverseMode} {
@@ -673,52 +705,44 @@ func TestSerializationRoundTrip(t *testing.T) {
 		spd := tensor.MatMulT1(tensor.Randn(rng, 1, n, n), tensor.Randn(rng, 1, n, n))
 		// Use the same matrix for A-side of layer 0 (in+bias = n).
 		layer := nn.NewLinear("fc", n-1, 3, true, rng)
-		s := &layerState{layer: layer}
-		if mode == EigenMode {
-			eg, err := linalg.SymEig(spd)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.eigA = eg
-		} else {
-			inv, err := linalg.InverseDamped(spd, 0.1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.invA = inv
+		eg, err := linalg.SymEig(spd)
+		if err != nil {
+			t.Fatal(err)
 		}
+		s := &layerState{layer: layer, eigA: eg}
 		src.states = []*layerState{s}
 		dst.states = []*layerState{withKernels(dst, &layerState{layer: layer})}
 		buf := src.appendRecord(nil, 0, false)
+		if want := 3 + n + n*n; len(buf) != want || len(buf) != src.recordLen(0, false) {
+			t.Fatalf("mode %v: record of %d values, recordLen %d, want %d", mode, len(buf), src.recordLen(0, false), want)
+		}
 		if err := dst.consumeRecords(buf); err != nil {
 			t.Fatal(err)
 		}
-		if mode == EigenMode {
-			if !dst.states[0].eigA.Q.Equal(s.eigA.Q, 0) {
-				t.Error("eigen Q round trip failed")
+		got := dst.states[0]
+		if !got.eigA.Q.Equal(s.eigA.Q, 0) {
+			t.Errorf("mode %v: eigen Q round trip failed", mode)
+		}
+		for i := range s.eigA.Values {
+			if got.eigA.Values[i] != s.eigA.Values[i] {
+				t.Errorf("mode %v: eigen values round trip failed", mode)
 			}
-			for i := range s.eigA.Values {
-				if dst.states[0].eigA.Values[i] != s.eigA.Values[i] {
-					t.Error("eigen values round trip failed")
-				}
-			}
-		} else if !dst.states[0].invA.Equal(s.invA, 0) {
-			t.Error("inverse round trip failed")
+		}
+		if k := got.k.(*kernels[float64]); k.mirror[0] != got.eigA.Q {
+			t.Errorf("mode %v: consumed record not mirrored", mode)
 		}
 	}
 }
 
 // recordFixture returns a never-stepped preconditioner over the tiny net
 // (layer 0: A 10×10, G 3×3; layer 1: A 4×4, G 4×4) plus one valid record
-// for layer 1's G factor in the given mode.
+// for layer 1's G factor, whose shape does not depend on the mode.
 func recordFixture(mode Mode) (*Preconditioner, []float64) {
 	p := NewFromOptions(buildTinyNet(61), nil, Options{Mode: mode})
 	_, n := FactorDims(p.states[1].layer)
 	rec := []float64{1, 1, float64(n)}
-	if mode == EigenMode {
-		for i := 0; i < n; i++ {
-			rec = append(rec, float64(i+1))
-		}
+	for i := 0; i < n; i++ {
+		rec = append(rec, float64(i+1))
 	}
 	for i := 0; i < n*n; i++ {
 		rec = append(rec, float64(i%7))
@@ -736,9 +760,6 @@ func checkRecordState(t *testing.T, p *Preconditioner) {
 			n, f := p.factorDim(i, isG), s.side(isG)
 			if eg := *f.eig; eg != nil && (len(eg.Values) != n || eg.Q.Rows() != n || eg.Q.Cols() != n) {
 				t.Fatalf("layer %d %s: eigen slot shaped %d/%v, want %d", i, sideName(isG), len(eg.Values), eg.Q.Shape, n)
-			}
-			if inv := *f.inv; inv != nil && (inv.Rows() != n || inv.Cols() != n) {
-				t.Fatalf("layer %d %s: inverse slot shaped %v, want %d", i, sideName(isG), inv.Shape, n)
 			}
 		}
 	}

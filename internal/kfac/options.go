@@ -46,11 +46,8 @@ type Options struct {
 	// can be updated 10× more frequently than the decompositions.
 	FactorUpdateFreq int
 	// InvUpdateFreq is the paper's kfac-update-freq: the interval between
-	// eigendecomposition (or inverse) updates (default 100).
+	// eigendecomposition updates (default 100).
 	InvUpdateFreq int
-	// FusionBytes bounds the fusion buffer of the factor allreduce and the
-	// trainer's gradient exchange (default comm.DefaultFusionBytes).
-	FusionBytes int
 	// Engine selects the schedule of the update stage graph: EngineSync
 	// (default) puts a barrier after every stage; EnginePipelined overlaps
 	// per-layer factor computation, fused async allreduce,
@@ -77,11 +74,11 @@ type Options struct {
 	// optional for sparsifiers.
 	NoErrorFeedback bool
 	// Autotune, when non-nil, enables the bandwidth-adaptive controller:
-	// codec/FusionBytes/GroupSize are re-selected from the policy table at
-	// factor-update boundaries via a consensus collective, overriding the
-	// static Compression/FusionBytes/GroupSize fields from the first
-	// decision on. The zero AutotuneConfig selects DefaultTunePolicy
-	// deciding at every factor update. See autotune.go.
+	// codec, fusion bound and group size are re-selected from the policy
+	// table (tuneLevels) at factor-update boundaries via a consensus
+	// collective, overriding the static Compression/GroupSize fields and
+	// the default fusion bound from the first decision on. The zero
+	// AutotuneConfig decides at every factor update. See autotune.go.
 	Autotune *AutotuneConfig
 }
 
@@ -130,8 +127,6 @@ func (o Options) Validate(world int) error {
 		return fmt.Errorf("kfac: FactorUpdateFreq must be ≥ 0 (0 = 10), got %d", o.FactorUpdateFreq)
 	case o.InvUpdateFreq < 0:
 		return fmt.Errorf("kfac: InvUpdateFreq must be ≥ 0 (0 = the paper's 100), got %d", o.InvUpdateFreq)
-	case o.FusionBytes < 0:
-		return fmt.Errorf("kfac: FusionBytes must be ≥ 0 (0 = comm.DefaultFusionBytes), got %d", o.FusionBytes)
 	case o.Autotune != nil && o.Autotune.Interval < 0:
 		return fmt.Errorf("kfac: Autotune.Interval must be ≥ 0 (0 = every factor update), got %d", o.Autotune.Interval)
 	}

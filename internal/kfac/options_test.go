@@ -16,7 +16,7 @@ func TestBuildResolvesOptions(t *testing.T) {
 	want := Options{
 		Mode: InverseMode, Strategy: SizeGreedy, Damping: 0.01,
 		KLClip: -1, FactorUpdateFreq: 3, InvUpdateFreq: 30,
-		FusionBytes: 1 << 20, Engine: EnginePipelined, Precision: F32,
+		Engine: EnginePipelined, Precision: F32,
 	}
 	p := NewFromOptions(buildTinyNet(1), nil, want)
 	defer p.Close()
@@ -99,7 +99,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Options{Damping: math.NaN()}, "Damping"},
 		{Options{FactorUpdateFreq: -2}, "FactorUpdateFreq"},
 		{Options{InvUpdateFreq: -5}, "InvUpdateFreq"},
-		{Options{FusionBytes: -1}, "FusionBytes"},
 		{Options{Autotune: &AutotuneConfig{Interval: -1}}, "Autotune.Interval"},
 	} {
 		err := c.opts.Validate(world)

@@ -15,6 +15,13 @@ func stepTrace(t *testing.T, c *comm.Communicator, opts Options, steps int) []*t
 	t.Helper()
 	net := buildTinyNet(42)
 	prec := NewFromOptions(net, c, opts)
+	return runTrace(t, net, prec, steps)
+}
+
+// runTrace runs stepTrace's steps on a built net and preconditioner and
+// closes the preconditioner.
+func runTrace(t *testing.T, net *nn.Sequential, prec *Preconditioner, steps int) []*tensor.Tensor {
+	t.Helper()
 	defer prec.Close()
 	for i := 0; i < steps; i++ {
 		runStep(net, int64(1000+i), 4)
@@ -24,7 +31,7 @@ func stepTrace(t *testing.T, c *comm.Communicator, opts Options, steps int) []*t
 	}
 	var out []*tensor.Tensor
 	for _, l := range nn.CapturableLayers(net) {
-		out = append(out, l.CombinedGrad().Clone())
+		out = append(out, combinedGradOf(l))
 	}
 	return out
 }
@@ -96,10 +103,12 @@ func TestPipelinedTinyFusionBudget(t *testing.T) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				out[r] = stepTrace(t, comm.NewCommunicator(fab.Endpoint(r)), Options{
+				net := buildTinyNet(42)
+				prec := NewFromOptions(net, comm.NewCommunicator(fab.Endpoint(r)), Options{
 					Engine: engine, FactorUpdateFreq: 1, InvUpdateFreq: 1,
-					FusionBytes: 1, // every tensor becomes its own chunk
-				}, 3)
+				})
+				prec.dec.FusionBytes = 1 // every tensor becomes its own chunk
+				out[r] = runTrace(t, net, prec, 3)
 			}(r)
 		}
 		wg.Wait()

@@ -102,7 +102,7 @@ func TestPowerTierSameOnEveryRank(t *testing.T) {
 				snap := p.Stats().Snapshot()
 				counts[r] = snap.FullSolves + snap.PowerRefreshes
 				for _, l := range nn.CapturableLayers(net) {
-					grads[r] = append(grads[r], l.CombinedGrad().Data...)
+					grads[r] = append(grads[r], combinedGradOf(l).Data...)
 				}
 			})
 		want := wantTiers(steps, invFreq, false)

@@ -13,16 +13,21 @@ import (
 	"repro/internal/tensor"
 )
 
-// Mode selects how (F̂+γI)⁻¹ is applied to the gradient.
+// Mode selects how the damping γ enters the preconditioner. Both modes
+// precondition from the same eigendecompositions of A and G (Equations
+// 13–15) and differ only in Equation 14's denominator.
 type Mode int
 
 const (
-	// EigenMode preconditions via the eigendecomposition expansion
-	// (Equations 13–15) — the paper's default, chosen in §IV-A because it
+	// EigenMode damps the Kronecker product, (G⊗A + γI)⁻¹: the denominator
+	// is υ_G υ_Aᵀ + γ. The paper's default, chosen in §IV-A because it
 	// preserves convergence at large batch sizes.
 	EigenMode Mode = iota
-	// InverseMode preconditions via explicit damped inverses
-	// (Equation 11) — kept for the Table I ablation.
+	// InverseMode damps each factor, (G+γI)⁻¹∇L(A+γI)⁻¹ (Equation 11, the
+	// factored Tikhonov damping of Martens & Grosse, 2015): the denominator
+	// is (υ_G + γ)(υ_A + γ)ᵀ. Since (A+γI)⁻¹ = Q_A diag(1/(υ_A+γ)) Q_Aᵀ,
+	// this is the explicit damped inverses' preconditioner computed from
+	// the eigenbases — kept for the Table I ablation.
 	InverseMode
 )
 
@@ -39,12 +44,10 @@ type layerState struct {
 	layer nn.KFACCapturable
 	// Running-average Kronecker factors (Equations 16–17).
 	A, G *tensor.Tensor
-	// Eigen decompositions (EigenMode), refreshed in place: the solver
-	// writes one only on success, so a failed solve leaves the last good
-	// decomposition for the stale path to keep preconditioning with.
+	// Eigen decompositions, refreshed in place: the solver writes one only
+	// on success, so a failed solve leaves the last good decomposition for
+	// the stale path to keep preconditioning with.
 	eigA, eigG *linalg.Eigen
-	// Damped inverses (InverseMode).
-	invA, invG *tensor.Tensor
 	// Owner ranks for the A and G factors, mirrored from the active Plan
 	// (equal under LayerWise).
 	aWorker, gWorker int
@@ -76,7 +79,6 @@ type layerState struct {
 type factorSide struct {
 	factor **tensor.Tensor // running average
 	eig    **linalg.Eigen
-	inv    **tensor.Tensor
 	owner  int
 	recv   *comm.Group
 }
@@ -84,9 +86,9 @@ type factorSide struct {
 // side selects the layer's A (isG false) or G factor.
 func (s *layerState) side(isG bool) factorSide {
 	if isG {
-		return factorSide{&s.G, &s.eigG, &s.invG, s.gWorker, s.gRecvGroup}
+		return factorSide{&s.G, &s.eigG, s.gWorker, s.gRecvGroup}
 	}
-	return factorSide{&s.A, &s.eigA, &s.invA, s.aWorker, s.aRecvGroup}
+	return factorSide{&s.A, &s.eigA, s.aWorker, s.aRecvGroup}
 }
 
 // pcBucket is one per-iteration preconditioned-gradient broadcast of a
@@ -291,7 +293,6 @@ func (p *Preconditioner) factorMemBytes() int64 {
 	for _, s := range p.states {
 		elems += tlen(s.A) + tlen(s.G)
 		elems += tlen(s.gradBuf) + tlen(s.pcBuf)
-		elems += tlen(s.invA) + tlen(s.invG)
 		elems += eglen(s.eigA) + eglen(s.eigG)
 		atE += s.k.memBytes()
 	}
@@ -392,38 +393,29 @@ const maxBasisAge = 20
 // still gives the exact run.
 func ExactRefresh(p *Preconditioner) { p.exact = true }
 
-// decompose eigendecomposes (or inverts) one factor of a layer into its
-// slots and refreshes the kernels' mirror of it. On a power update (see
+// decompose eigendecomposes one factor of a layer into its slot and
+// refreshes the kernels' mirror of it (in either Mode). On a power update (see
 // maxBasisAge) a factor with a decomposition refreshes it with one step of
 // orthogonal iteration; a factor without one, or whose refreshed values are
 // not finite, takes the full solve.
 func (p *Preconditioner) decompose(s *layerState, isG bool) error {
 	f := s.side(isG)
-	if p.opts.Mode == InverseMode {
-		inv, err := linalg.InverseDamped(*f.factor, p.opts.Damping)
-		if err != nil {
+	// In place: both solvers leave eg untouched on failure, so the previous
+	// decomposition survives. A first one is installed only once it exists.
+	eg := *f.eig
+	if eg != nil && p.power && linalg.SymEigPowerInto(*f.factor, eg) == nil {
+		p.stats.count(&p.stats.PowerRefreshes)
+	} else {
+		if eg == nil {
+			eg = &linalg.Eigen{}
+		}
+		if err := p.symEig(*f.factor, eg); err != nil {
 			return err
 		}
-		*f.inv = inv
-	} else {
-		// In place: both solvers leave eg untouched on failure, so the
-		// previous decomposition survives. A first one is installed only
-		// once it exists.
-		eg := *f.eig
-		if eg != nil && p.power && linalg.SymEigPowerInto(*f.factor, eg) == nil {
-			p.stats.count(&p.stats.PowerRefreshes)
-		} else {
-			if eg == nil {
-				eg = &linalg.Eigen{}
-			}
-			if err := p.symEig(*f.factor, eg); err != nil {
-				return err
-			}
-			*f.eig = eg
-			p.stats.count(&p.stats.FullSolves)
-		}
-		clampEigen(eg)
+		*f.eig = eg
+		p.stats.count(&p.stats.FullSolves)
 	}
+	clampEigen(eg)
 	s.k.refresh(isG)
 	return nil
 }

@@ -26,10 +26,11 @@ func bytesToFloats(b []byte) []float64 {
 }
 
 // FuzzConsumeRecords feeds arbitrary blocks to the decomposition-record
-// decoder — the bytes a peer's allgather or broadcast delivers. Whatever
-// arrives, the decoder must return an error or leave every slot fully
-// shaped for its factor; it must never panic, and a later Step must never
-// meet a slot of the wrong dimension.
+// decoder — the bytes a peer's allgather or broadcast delivers — under
+// either Mode, which share one record shape. Whatever arrives, the decoder
+// must return an error or leave every slot fully shaped for its factor; it
+// must never panic, and a later Step must never meet a slot of the wrong
+// dimension.
 func FuzzConsumeRecords(f *testing.F) {
 	_, eigenRec := recordFixture(EigenMode)
 	_, inverseRec := recordFixture(InverseMode)

@@ -123,7 +123,7 @@ func TestGroupedStagesMatchPreconditionOne(t *testing.T) {
 						if grouped[i] == nil {
 							continue
 						}
-						one := s.k.preconditionOne(grads[i])
+						one := preconditionOne(s, grads[i])
 						for e := range one.Data {
 							if math.Float64bits(one.Data[e]) != math.Float64bits(grouped[i].Data[e]) {
 								t.Errorf("%s rank %d layer %d element %d: grouped %v, alone %v",

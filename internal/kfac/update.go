@@ -12,7 +12,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/linalg"
 	"repro/internal/sched"
-	"repro/internal/tensor"
 )
 
 // Engine selects the schedule of the K-FAC update stage graph (update.go).
@@ -332,10 +331,9 @@ func (r *updateRun) exec(fn func()) {
 }
 
 // scheduleDecompositions is the eig scheduler. A gate waits for its layers'
-// factors to be averaged, fixes each layer's π correction (a pure function
-// of the averaged factors, so identical on every rank), and requests one
-// slot of a GOMAXPROCS-slot eigSlots per locally owned factor, largest
-// first, spawning a job that decomposes the factor once its slot is granted.
+// factors to be averaged and requests one slot of a GOMAXPROCS-slot
+// eigSlots per locally owned factor, largest first, spawning a job that
+// decomposes the factor once its slot is granted.
 // Under the overlapped schedule every layer has its own gate, so a factor
 // is ready as soon as its layer is averaged; where all layers share one
 // event — the barrier schedule, or an update that refreshes no factors —
@@ -504,9 +502,6 @@ func sideName(isG bool) string {
 // decomposition (header + payload; see appendRecord).
 func (p *Preconditioner) recordLen(layer int, isG bool) int {
 	n := p.factorDim(layer, isG)
-	if p.opts.Mode == InverseMode {
-		return 3 + n*n
-	}
 	return 3 + n + n*n
 }
 
@@ -520,7 +515,7 @@ func (p *Preconditioner) factorDim(layer int, isG bool) int {
 }
 
 // appendRecord serializes one factor's decomposition onto buf as a float64
-// stream: [layer, isG, n, values…(eigen only), payload…].
+// stream: [layer, isG, n, values…, Q…].
 func (p *Preconditioner) appendRecord(buf []float64, layer int, isG bool) []float64 {
 	f := p.states[layer].side(isG)
 	side := 0.0
@@ -528,9 +523,6 @@ func (p *Preconditioner) appendRecord(buf []float64, layer int, isG bool) []floa
 		side = 1
 	}
 	buf = append(buf, float64(layer), side, float64(p.factorDim(layer, isG)))
-	if p.opts.Mode == InverseMode {
-		return append(buf, (*f.inv).Data...)
-	}
 	buf = append(buf, (*f.eig).Values...)
 	return append(buf, (*f.eig).Q.Data...)
 }
@@ -566,15 +558,10 @@ func (p *Preconditioner) consumeRecords(block []float64) error {
 		s := p.states[layer]
 		f := s.side(isG)
 		payload := block[pos+3 : end]
-		if p.opts.Mode == InverseMode {
-			// Fill the stored inverse in place, reusing its storage.
-			copy(tensor.Ensure(f.inv, n, n).Data, payload)
-		} else {
-			if *f.eig == nil {
-				*f.eig = &linalg.Eigen{}
-			}
-			(*f.eig).SetFrom(payload[:n], payload[n:], n)
+		if *f.eig == nil {
+			*f.eig = &linalg.Eigen{}
 		}
+		(*f.eig).SetFrom(payload[:n], payload[n:], n)
 		s.k.refresh(isG)
 		pos = end
 	}

@@ -47,7 +47,7 @@ func TestKFACStepSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestKFACStepSteadyStateZeroAllocsInverseMode is the same guard for the
-// Table I explicit-inverse ablation path.
+// Table I factored-damping ablation, whose Equation 14 pass differs.
 func TestKFACStepSteadyStateZeroAllocsInverseMode(t *testing.T) {
 	net := buildTinyNet(78)
 	prec := NewFromOptions(net, nil, Options{

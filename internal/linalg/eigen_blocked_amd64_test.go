@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // symEigBlockedHash is the FNV-1a hash of the bits of Q, then Values, of the
@@ -21,7 +23,7 @@ const symEigBlockedHash = 0xf5a810b4fae65690
 // file builds on amd64 without purego only, and the test skips without the
 // AVX2+FMA kernels: the portable dot sums in another order.
 func TestSymEigBlockedBitsPinned(t *testing.T) {
-	if !eigHasAVX2FMA() {
+	if !tensor.HasAVX2() {
 		t.Skip("no AVX2+FMA: the blocked solver's bits are pinned for the SIMD kernels")
 	}
 	const n = 216

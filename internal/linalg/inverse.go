@@ -13,15 +13,12 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 
 // InverseDamped returns (A + γI)⁻¹ — the Tikhonov-regularized inverse of
 // Equation (11) in the paper — by Gauss–Jordan elimination with partial
-// pivoting (γ = 0 gives the plain inverse). This is the explicit-inverse
-// path the paper ablates in Table I: cheaper per update than
-// eigendecomposition but less robust for ill-conditioned covariance
-// factors.
+// pivoting (γ = 0 gives the plain inverse). K-FAC's inverse mode computes
+// the same preconditioner from the factors' eigendecompositions; this
+// explicit form is the oracle its tests hold it to.
 //
 // InverseDamped is reentrant: the input is cloned before elimination and no
-// package state is shared, so concurrent calls are safe — the property the
-// pipelined K-FAC engine depends on when inverting a rank's owned factors
-// in parallel.
+// package state is shared, so concurrent calls are safe.
 func InverseDamped(a *tensor.Tensor, gamma float64) (*tensor.Tensor, error) {
 	n := a.Rows()
 	if a.Cols() != n {

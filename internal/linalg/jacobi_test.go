@@ -24,10 +24,8 @@ func SymEigJacobi(a *tensor.Tensor, maxSweeps int) (*Eigen, error) {
 
 // SymEigJacobiArena is SymEigJacobi with every workspace — the symmetrized
 // working copy, the eigenvector accumulator, and the eigenvalue slice's
-// backing tensor — checked out of ws instead of heap-allocated, so repeated
-// oracle decompositions (test cross-checks, convergence sweeps) can run
-// allocation-free between ws.Reset calls. The returned Eigen's storage is
-// owned by the arena: it is valid only until the next ws.Reset.
+// backing tensor — checked out of ws instead of heap-allocated. The
+// returned Eigen's storage is owned by the arena.
 func SymEigJacobiArena(a *tensor.Tensor, maxSweeps int, ws *tensor.Arena) (*Eigen, error) {
 	return symEigJacobi(a, maxSweeps, ws)
 }

@@ -2,8 +2,9 @@ package linalg
 
 // Dispatch variables for the float64 kernel primitives of the blocked
 // eigensolver. The portable scalar implementations below are the defaults;
-// simd_amd64.go swaps in AVX2+FMA versions at init when the CPU and OS
-// support them (and the build is not -tags purego).
+// simd_amd64.go swaps in AVX2+FMA versions at init when internal/tensor
+// chose a kernel level of at least AVX2 (tensor.HasAVX2; never under -tags
+// purego).
 //
 // Determinism note: the dispatch is global per process, so every chunk of
 // every parallel pass uses the same kernel — results stay bitwise

@@ -106,22 +106,3 @@ axpy_tail:
 axpy_done:
 	VZEROUPPER
 	RET
-
-// func eigCPUID(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·eigCPUID(SB), NOSPLIT, $0-24
-	MOVL eaxIn+0(FP), AX
-	MOVL ecxIn+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func eigXGETBV() (eax, edx uint32)
-TEXT ·eigXGETBV(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET

@@ -256,11 +256,10 @@ func TestSymEigIntoRejectsNaNWithoutClobbering(t *testing.T) {
 func nan() float64 { z := 0.0; return z / z }
 
 // TestSymEigJacobiArenaMatchesHeap: the arena-backed oracle must agree with
-// the heap-allocating one and leave the arena fully recyclable.
+// the heap-allocating one.
 func TestSymEigJacobiArenaMatchesHeap(t *testing.T) {
 	ws := tensor.NewArena()
 	for seed := int64(0); seed < 3; seed++ {
-		ws.Reset()
 		rng := rand.New(rand.NewSource(seed))
 		spd := SymMulT1(tensor.Randn(rng, 1, 10, 10))
 		got, err := SymEigJacobiArena(spd, 0, ws)

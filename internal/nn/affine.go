@@ -267,18 +267,6 @@ func (l *affineLayer) InDim() int { return l.W.Value.Cols() }
 // OutDim implements KFACCapturable.
 func (l *affineLayer) OutDim() int { return l.W.Value.Rows() }
 
-// CombinedGrad implements KFACCapturable: [out, in(+1)] with the bias
-// gradient in the final column when present.
-func (l *affineLayer) CombinedGrad() *tensor.Tensor {
-	cols := l.InDim()
-	if l.B != nil {
-		cols++
-	}
-	g := tensor.New(l.OutDim(), cols)
-	l.CombinedGradInto(g)
-	return g
-}
-
 // CombinedGradInto implements KFACCapturable.
 func (l *affineLayer) CombinedGradInto(g *tensor.Tensor) {
 	if l.B == nil {

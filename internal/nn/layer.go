@@ -92,13 +92,10 @@ type KFACCapturable interface {
 	// HasBias reports whether the layer has a bias parameter (the A factor
 	// then gains a homogeneous coordinate).
 	HasBias() bool
-	// CombinedGrad returns the [outDim, inDim(+1)] gradient matrix of
-	// weight (and bias in the final column when present). The returned
-	// tensor is freshly allocated.
-	CombinedGrad() *tensor.Tensor
-	// CombinedGradInto writes the combined gradient matrix into dst, which
-	// must have shape [outDim, inDim(+1)]. This is the allocation-free form
-	// the K-FAC step's per-layer workspaces use.
+	// CombinedGradInto writes the combined gradient matrix — weight, and
+	// bias in the final column when present — into dst, which must have
+	// shape [outDim, inDim(+1)]. The K-FAC step's per-layer workspaces are
+	// its dst.
 	CombinedGradInto(dst *tensor.Tensor)
 	// CombinedGradView returns the combined gradient matrix without a copy
 	// when the layer stores it as one tensor — a bias-free layer's weight

@@ -466,7 +466,7 @@ func TestCombinedGradRoundTrip(t *testing.T) {
 				p.Grad.Data[i] = float64(i + 1)
 			}
 		}
-		g := layer.CombinedGrad()
+		g := combinedGrad(layer)
 		wantCols := layer.InDim()
 		if layer.HasBias() {
 			wantCols++
@@ -476,11 +476,22 @@ func TestCombinedGradRoundTrip(t *testing.T) {
 		}
 		g.Scale(2)
 		layer.SetCombinedGrad(g)
-		g2 := layer.CombinedGrad()
+		g2 := combinedGrad(layer)
 		if !g2.Equal(g, 0) {
-			t.Errorf("%s: SetCombinedGrad/CombinedGrad round trip failed", layer.Name())
+			t.Errorf("%s: SetCombinedGrad/CombinedGradInto round trip failed", layer.Name())
 		}
 	}
+}
+
+// combinedGrad returns a fresh copy of l's [out, in(+1)] combined gradient.
+func combinedGrad(l KFACCapturable) *tensor.Tensor {
+	cols := l.InDim()
+	if l.HasBias() {
+		cols++
+	}
+	g := tensor.New(l.OutDim(), cols)
+	l.CombinedGradInto(g)
+	return g
 }
 
 func TestCapturableLayersWalk(t *testing.T) {

@@ -25,8 +25,6 @@ type Optimizer interface {
 	ZeroGrad()
 	// SetLR sets the learning rate used by subsequent steps.
 	SetLR(lr float64)
-	// LR returns the current learning rate.
-	LR() float64
 }
 
 // SGDOptimizer is stochastic gradient descent with momentum and L2 weight
@@ -86,9 +84,6 @@ func (s *SGDOptimizer) ZeroGrad() {
 
 // SetLR implements Optimizer.
 func (s *SGDOptimizer) SetLR(lr float64) { s.lr = lr }
-
-// LR implements Optimizer.
-func (s *SGDOptimizer) LR() float64 { return s.lr }
 
 // LRSchedule produces a learning rate for each epoch. The paper's recipe
 // (§VI-C): linear warmup over the first WarmupEpochs from BaseLR/N to the

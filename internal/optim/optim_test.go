@@ -75,10 +75,11 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 
 func TestSetLR(t *testing.T) {
 	p := paramWith([]float64{0}, []float64{1})
-	var o Optimizer = SGD([]*nn.Param{p}, WithLR(0.1))
+	s := SGD([]*nn.Param{p}, WithLR(0.1))
+	var o Optimizer = s
 	o.SetLR(0.42)
-	if o.LR() != 0.42 {
-		t.Errorf("SetLR/LR failed: %v", o.LR())
+	if s.lr != 0.42 {
+		t.Errorf("SetLR failed: lr = %v", s.lr)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 func TestOptionDefaults(t *testing.T) {
 	s := SGD(nil)
-	if s.LR() != 0.1 {
-		t.Errorf("default lr = %v, want 0.1", s.LR())
+	if s.lr != 0.1 {
+		t.Errorf("default lr = %v, want 0.1", s.lr)
 	}
 	if s.Momentum != 0 || s.WeightDecay != 0 {
 		t.Errorf("SGD defaults = %+v", s)
@@ -21,8 +21,8 @@ func TestOptionDefaults(t *testing.T) {
 // Later options override earlier ones.
 func TestOptionOrderLastWins(t *testing.T) {
 	s := SGD(nil, WithLR(0.1), WithLR(0.7))
-	if s.LR() != 0.7 {
-		t.Errorf("lr = %v, want 0.7 (last option wins)", s.LR())
+	if s.lr != 0.7 {
+		t.Errorf("lr = %v, want 0.7 (last option wins)", s.lr)
 	}
 }
 

@@ -14,12 +14,10 @@ import (
 type Series struct {
 	Name   string
 	Values []float64
-	// Marker is the rune drawn for this series (assigned automatically
-	// when zero).
-	Marker rune
 }
 
-var defaultMarkers = []rune{'*', 'o', '+', 'x', '#', '@'}
+// markers are the runes series are drawn with, in series order.
+var markers = []rune{'*', 'o', '+', 'x', '#', '@'}
 
 // LineChart renders the series on a width×height character grid with a
 // y-axis scale and a legend. All series share the x range [0, maxLen).
@@ -57,10 +55,7 @@ func LineChart(title string, width, height int, series ...Series) string {
 		grid[r] = []rune(strings.Repeat(" ", width))
 	}
 	for si, s := range series {
-		marker := s.Marker
-		if marker == 0 {
-			marker = defaultMarkers[si%len(defaultMarkers)]
-		}
+		marker := markers[si%len(markers)]
 		for i, v := range s.Values {
 			x := 0
 			if maxLen > 1 {
@@ -104,11 +99,7 @@ func LineChart(title string, width, height int, series ...Series) string {
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "%sx: 0..%d", strings.Repeat(" ", 11), maxLen-1)
 	for si, s := range series {
-		marker := s.Marker
-		if marker == 0 {
-			marker = defaultMarkers[si%len(defaultMarkers)]
-		}
-		fmt.Fprintf(&b, "   %c %s", marker, s.Name)
+		fmt.Fprintf(&b, "   %c %s", markers[si%len(markers)], s.Name)
 	}
 	b.WriteByte('\n')
 	return b.String()

@@ -62,13 +62,6 @@ func TestLineChartClampsTinyDims(t *testing.T) {
 	}
 }
 
-func TestCustomMarker(t *testing.T) {
-	out := LineChart("m", 30, 6, Series{Name: "c", Values: []float64{1, 2}, Marker: '%'})
-	if !strings.Contains(out, "%") {
-		t.Error("custom marker not used")
-	}
-}
-
 func TestBarChart(t *testing.T) {
 	out := BarChart("bars", 20, []Bar{
 		{"alpha", 10},

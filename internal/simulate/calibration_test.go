@@ -236,7 +236,6 @@ func calibrationModel(t *testing.T) *simulate.PlanModel {
 		FactorFlopsPerSec:    probeGEMM(),
 		PerFactorOverheadSec: eigSmall, // tiny-dim solve ≈ pure launch cost
 		BaseStepSec:          probeBaseStepSec(),
-		GradBytes:            0, // the harness syncs no gradients outside K-FAC
 		FactorUpdateFreq:     calibFacFreq,
 		InvUpdateFreq:        calibInvFreq,
 	}

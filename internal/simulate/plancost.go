@@ -33,11 +33,6 @@ type PlanModel struct {
 	// equally; 0 is fine for planning, calibration sets it from a measured
 	// forward/backward.
 	BaseStepSec float64
-	// GradBytes is the per-iteration gradient-exchange payload; the
-	// candidate's hierarchical group size prices it too (the trainer routes
-	// the gradient fusion buffer through the same group size). 0 skips the
-	// term.
-	GradBytes float64
 	// FactorUpdateFreq and InvUpdateFreq amortize the factor and
 	// decomposition stages the way training does (defaults 10 and 100).
 	FactorUpdateFreq, InvUpdateFreq int
@@ -81,10 +76,10 @@ type PlanEval struct {
 	Candidate kfac.PlanCandidate
 	// World is the rank count evaluated.
 	World int
-	// StepSec is the amortized per-iteration total.
+	// StepSec is the amortized per-iteration total of the K-FAC stages and
+	// BaseStepSec; the gradient exchange is left to the paper Model, which
+	// prices it itself.
 	StepSec float64
-	// GradAllreduceSec is the per-iteration gradient exchange.
-	GradAllreduceSec float64
 	// PrecondSec is the slowest rank's per-iteration preconditioning GEMMs.
 	PrecondSec float64
 	// ResultBcastSec sums the per-iteration preconditioned-gradient
@@ -201,11 +196,7 @@ func (pm *PlanModel) Evaluate(strategy kfac.Strategy, refs []kfac.FactorRef, wor
 	}
 	ev.PrecondSec = slices.Max(perRank) / pm.FactorFlopsPerSec
 
-	if pm.GradBytes > 0 {
-		ev.GradAllreduceSec = pm.Topology.HierarchicalAllreduceCost(pm.GradBytes, world, cand.GroupSize)
-	}
-
-	ev.StepSec = pm.BaseStepSec + ev.GradAllreduceSec + ev.PrecondSec + ev.ResultBcastSec +
+	ev.StepSec = pm.BaseStepSec + ev.PrecondSec + ev.ResultBcastSec +
 		ev.FactorCommSec + ev.EigComputeSec + ev.EigCommSec
 	return ev
 }

@@ -5,12 +5,11 @@ import "sync"
 // Arena is a reusable workspace of tensors, keyed by element count. It
 // exists so steady-state hot loops (the K-FAC step, layer forward/backward
 // passes) can run without per-step heap allocation: tensors are checked out
-// with Get, optionally handed back early with Put, and reclaimed in
-// bulk with Reset once the phase that used them is over.
+// with Get and handed back with Put once the phase that used them is over.
 //
 // An Arena is safe for concurrent use. Every tensor it hands out remains
-// owned by the arena: after Reset (or Put) the storage may be handed out
-// again, so callers must not retain references across a Reset.
+// owned by the arena: after Put the storage may be handed out again, so
+// callers must not retain references to a tensor they have Put.
 type Arena struct {
 	mu      sync.Mutex
 	classes map[int]*arenaClass
@@ -29,7 +28,7 @@ func NewArena() *Arena {
 
 // Get checks out a tensor of the given shape. Contents are unspecified
 // (stale values from a previous checkout); Zero the tensor when zeros are
-// required. The tensor's storage is reused from a previous Reset/Put when a
+// required. The tensor's storage is reused from a previous Put when a
 // tensor of equal element count is available.
 func (a *Arena) Get(shape ...int) *Tensor {
 	n := 1
@@ -56,8 +55,8 @@ func (a *Arena) Get(shape ...int) *Tensor {
 	return t
 }
 
-// Put returns a tensor obtained from Get to the arena ahead of the next
-// Reset. The caller must not use t afterwards. Putting a tensor the arena
+// Put returns a tensor obtained from Get to the arena. The caller must not
+// use t afterwards. Putting a tensor the arena
 // did not hand out (or putting one twice) corrupts the bookkeeping; Put
 // panics when it can detect this (foreign element count).
 func (a *Arena) Put(t *Tensor) {
@@ -69,17 +68,6 @@ func (a *Arena) Put(t *Tensor) {
 		panic("tensor: Arena.Put of tensor not obtained from this arena")
 	}
 	cl.free = append(cl.free, t)
-	a.mu.Unlock()
-}
-
-// Reset reclaims every tensor the arena has handed out, making all storage
-// available to subsequent Gets. Outstanding tensors become invalid: their
-// storage will be reused.
-func (a *Arena) Reset() {
-	a.mu.Lock()
-	for _, cl := range a.classes {
-		cl.free = append(cl.free[:0], cl.all...)
-	}
 	a.mu.Unlock()
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // checkedOut returns the number of tensors a has handed out and not yet
-// taken back by Put or Reset.
+// taken back by Put.
 func checkedOut(a *Arena) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -18,7 +18,9 @@ func checkedOut(a *Arena) int {
 	return n
 }
 
-func TestArenaReuseAfterReset(t *testing.T) {
+// TestArenaReuseTakesNewShape: storage Put back is handed out again for
+// any shape of the same element count.
+func TestArenaReuseTakesNewShape(t *testing.T) {
 	a := NewArena()
 	t1 := a.Get(4, 5)
 	for i := range t1.Data {
@@ -28,14 +30,14 @@ func TestArenaReuseAfterReset(t *testing.T) {
 	if checkedOut(a) != 1 {
 		t.Fatalf("outstanding = %d, want 1", checkedOut(a))
 	}
-	a.Reset()
+	a.Put(t1)
 	if checkedOut(a) != 0 {
-		t.Fatalf("outstanding after reset = %d, want 0", checkedOut(a))
+		t.Fatalf("outstanding after Put = %d, want 0", checkedOut(a))
 	}
 	// Same element count must reuse the same storage, with the new shape.
 	t2 := a.Get(5, 4)
 	if &t2.Data[0] != p1 {
-		t.Error("Get after Reset did not reuse storage")
+		t.Error("Get after Put did not reuse storage")
 	}
 	if t2.Shape[0] != 5 || t2.Shape[1] != 4 {
 		t.Errorf("shape = %v, want [5 4]", t2.Shape)

@@ -10,6 +10,11 @@ const (
 	isaAVX512              // also AVX-512F, opmask and ZMM state enabled by the OS
 )
 
+// HasAVX2 reports whether init chose a kernel level of at least isaAVX2
+// for this host (selectISA; never off amd64 or under purego). It is the
+// process's one CPU decision: linalg's SIMD kernels follow it too.
+func HasAVX2() bool { return gemmActive.isa >= isaAVX2 }
+
 func (l isa) String() string {
 	switch l {
 	case isaAVX2:

@@ -51,9 +51,6 @@ type ElasticConfig struct {
 	// comm.ChaosFabric. Defaults to a fresh in-process fabric per
 	// generation.
 	Fabric func(gen, world int) comm.Fabric
-	// MaxGenerations bounds restart attempts (default World: each
-	// generation must lose at least one rank to recurse).
-	MaxGenerations int
 	// Log, when non-nil, receives one line per generation transition.
 	Log io.Writer
 }
@@ -93,9 +90,6 @@ func (cfg *ElasticConfig) fillDefaults() error {
 	}
 	if cfg.CheckpointEvery < 1 {
 		cfg.CheckpointEvery = 1
-	}
-	if cfg.MaxGenerations < 1 {
-		cfg.MaxGenerations = cfg.World
 	}
 	return nil
 }
@@ -139,7 +133,9 @@ func RunElastic(ctx context.Context, cfg ElasticConfig, buildNet func(rng *rand.
 	byEpoch := make(map[int]EpochStats) // replayed epochs: last run wins
 	world := cfg.World
 
-	for gen := 0; gen < cfg.MaxGenerations; gen++ {
+	// A generation that fails loses at least one rank, so World generations
+	// bound the restarts.
+	for gen := 0; gen < cfg.World; gen++ {
 		if err := ctx.Err(); err != nil {
 			return mergeElastic(out, byEpoch, nil), err
 		}
@@ -219,7 +215,7 @@ func RunElastic(ctx context.Context, cfg ElasticConfig, buildNet func(rng *rand.
 		}
 	}
 	return mergeElastic(out, byEpoch, nil),
-		fmt.Errorf("trainer: elastic run exhausted %d generations", cfg.MaxGenerations)
+		fmt.Errorf("trainer: elastic run exhausted %d generations", cfg.World)
 }
 
 // runGeneration runs one attempt: world sessions over a fresh fabric with

@@ -28,8 +28,11 @@ func elasticOpts(epochs int) []SessionOption {
 	}
 }
 
-// testHeartbeat is fast enough for test-scale epochs while keeping a
-// comfortable margin over scheduler jitter.
+// testHeartbeat detects a killed rank fast enough for test-scale epochs.
+// Only the tests that kill a rank use it: its 60 ms timeout is not the
+// margin comm.HeartbeatConfig asks for over a loaded host's stalls, and a
+// false detection cancels the generation and shrinks the world. Runs
+// without a fault keep the default heartbeat (500 ms timeout).
 var testHeartbeat = comm.HeartbeatConfig{
 	Interval: 3 * time.Millisecond,
 	Timeout:  60 * time.Millisecond,
@@ -93,7 +96,6 @@ func TestRunElasticCleanRun(t *testing.T) {
 	res, err := RunElastic(context.Background(), ElasticConfig{
 		World:         2,
 		CheckpointDir: t.TempDir(),
-		Heartbeat:     testHeartbeat,
 	}, buildTestNet, train, test, elasticOpts(2)...)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +124,6 @@ func TestElasticKillAndRecover(t *testing.T) {
 	clean, err := RunElastic(context.Background(), ElasticConfig{
 		World:         3,
 		CheckpointDir: t.TempDir(),
-		Heartbeat:     testHeartbeat,
 	}, buildTestNet, train, test, elasticOpts(epochs)...)
 	if err != nil {
 		t.Fatal(err)
@@ -269,13 +270,16 @@ func TestElasticBelowMinWorld(t *testing.T) {
 // used to hang on a Background-context receive).
 func TestRunSessionsOnAbortsPeersOnRankFailure(t *testing.T) {
 	train, test := tinyDataset(t)
-	fab := comm.NewChaosFabric(comm.NewInprocFabric(2), 2, comm.ChaosConfig{
-		Seed:  1,
-		Kills: []comm.KillSpec{{Rank: 1, AfterSends: 3}},
-	})
+	fab := comm.NewChaosFabric(comm.NewInprocFabric(2), 2, comm.ChaosConfig{Seed: 1})
+	opts := append(elasticOpts(2), OnStep(func(s *Session, info StepInfo) error {
+		if s.Rank() == 1 && info.Iteration == 1 {
+			fab.Kill(1)
+		}
+		return nil
+	}))
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunSessionsOn(context.Background(), fab, 2, buildTestNet, train, test, elasticOpts(2)...)
+		_, err := RunSessionsOn(context.Background(), fab, 2, buildTestNet, train, test, opts...)
 		done <- err
 	}()
 	select {
@@ -294,7 +298,7 @@ func TestRunSessionsOnAbortsPeersOnRankFailure(t *testing.T) {
 func TestRunElasticIgnoresStaleCheckpoint(t *testing.T) {
 	train, test := tinyDataset(t)
 	dir := t.TempDir()
-	cfg := ElasticConfig{World: 2, CheckpointDir: dir, Heartbeat: testHeartbeat}
+	cfg := ElasticConfig{World: 2, CheckpointDir: dir}
 	first, err := RunElastic(context.Background(), cfg, buildTestNet, train, test, elasticOpts(2)...)
 	if err != nil {
 		t.Fatal(err)

@@ -14,11 +14,18 @@
 // pkg.Type.Method without type parameters (internal/tensor.Dense.Zero). It
 // is live when live code selects it — a call, a method value or
 // expression, or a selection promoted through an embedded field — or when
-// its receiver type is live and its name is Error or a method of some
-// interface type written in the module or declared by a package the module
-// imports directly, so String, Len/Less/Swap or ServeHTTP need no call
-// site. Test files are not read; the other files are those the host's
-// default build (no tags) compiles.
+// its receiver type is live and some interface may call it through that
+// type:
+//   - an interface declared by a package the module imports directly, or
+//     error, keeps the method if the type or a pointer to it implements
+//     that interface, so String, Len/Less/Swap or ServeHTTP need no call
+//     site;
+//   - an interface written in the module, named or anonymous, keeps the
+//     method only once live code calls that interface's method, and only
+//     on a type that implements the interface.
+//
+// Test files are not read; the other files are those the host's default
+// build (no tags) compiles.
 //
 // Each line of tools/deadcheck/allow.txt is `key  reason`; key is pkg.Name
 // or pkg.Type.Method, pkg the directory relative to the module root, and
@@ -301,20 +308,42 @@ type graph struct {
 	decls map[string]*decl
 	keyed map[string]types.Object // the object behind each decls key
 	roots []types.Object
+	// dispatch lists, per method of an interface written in the module, the
+	// methods a call of it may run: a method is live once both the call and
+	// its receiver type are.
+	dispatch []dispatch
+}
+
+// dispatch is one method a call through a module interface may run.
+type dispatch struct {
+	call, recv, method types.Object
 }
 
 // build collects every declaration of the module into a graph.
 func (l *loader) build() *graph {
 	g := &graph{nodes: map[types.Object]*node{}, decls: map[string]*decl{},
 		keyed: map[string]types.Object{}}
-	ifaces := l.interfaceMethods()
+	imported := l.importedInterfaces()
+	var named []*types.TypeName
 	for _, p := range l.pkgs {
 		if p == nil {
 			continue
 		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
-				l.collect(p, d, g, ifaces)
+				named = append(named, l.collect(p, d, g, imported)...)
+			}
+		}
+	}
+	for _, call := range l.moduleInterfaceMethods() {
+		it := call.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		for _, tn := range named {
+			if !implements(tn, it) {
+				continue
+			}
+			m, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), false, call.Pkg(), call.Name())
+			if m != nil {
+				g.dispatch = append(g.dispatch, dispatch{call, tn, origin(m)})
 			}
 		}
 	}
@@ -338,46 +367,41 @@ func (g *graph) reach(roots []types.Object) map[string]bool {
 		push(r)
 	}
 	for len(work) > 0 {
-		obj := work[len(work)-1]
-		work = work[:len(work)-1]
-		n := g.nodes[obj]
-		if n == nil {
-			continue // outside the module, or not package-level
+		for len(work) > 0 {
+			obj := work[len(work)-1]
+			work = work[:len(work)-1]
+			n := g.nodes[obj]
+			if n == nil {
+				continue // outside the module, or not package-level
+			}
+			if n.key != "" {
+				live[n.key] = true
+			}
+			for _, r := range n.refs {
+				push(r)
+			}
+			for _, r := range n.link {
+				push(r)
+			}
 		}
-		if n.key != "" {
-			live[n.key] = true
-		}
-		for _, r := range n.refs {
-			push(r)
-		}
-		for _, r := range n.link {
-			push(r)
+		for _, d := range g.dispatch {
+			if seen[d.call] && seen[d.recv] {
+				push(d.method)
+			}
 		}
 	}
 	return live
 }
 
-// interfaceMethods returns the method names that some interface may call:
-// those of every interface type written in the module's source, of every
-// interface type a module package's direct imports declare, and Error.
-func (l *loader) interfaceMethods() map[string]bool {
-	names := map[string]bool{"Error": true}
+// importedInterfaces returns error and every interface type that a module
+// package's direct imports declare: code outside the module may call their
+// methods on any value that implements them.
+func (l *loader) importedInterfaces() []*types.Interface {
+	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	imported := map[*types.Package]bool{}
 	for _, p := range l.pkgs {
 		if p == nil {
 			continue
-		}
-		for _, f := range p.files {
-			ast.Inspect(f, func(x ast.Node) bool {
-				if it, ok := x.(*ast.InterfaceType); ok {
-					for _, m := range it.Methods.List {
-						for _, name := range m.Names {
-							names[name.Name] = true
-						}
-					}
-				}
-				return true
-			})
 		}
 		for _, imp := range p.types.Imports() {
 			if !l.inModule(imp.Path()) {
@@ -392,20 +416,64 @@ func (l *loader) interfaceMethods() map[string]bool {
 			if !ok {
 				continue
 			}
-			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-				for i := 0; i < it.NumMethods(); i++ {
-					names[it.Method(i).Name()] = true
-				}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+				out = append(out, it)
 			}
 		}
 	}
-	return names
+	return out
 }
 
-// collect records the nodes one top-level declaration defines. A method is
-// keyed pkg.Type.Method and lives when live code selects it; a live type
-// also keeps alive each of its methods whose name is in ifaces.
-func (l *loader) collect(p *pkgInfo, d ast.Decl, g *graph, ifaces map[string]bool) {
+// moduleInterfaceMethods returns the methods of every interface type
+// written in the module's source, named or anonymous.
+func (l *loader) moduleInterfaceMethods() []*types.Func {
+	var out []*types.Func
+	for _, p := range l.pkgs {
+		if p == nil {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(x ast.Node) bool {
+				if it, ok := x.(*ast.InterfaceType); ok {
+					for _, m := range it.Methods.List {
+						for _, name := range m.Names {
+							out = append(out, p.info.Defs[name].(*types.Func))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// implements reports whether the named type tn, or a pointer to it,
+// implements it. go/types does not define Implements for a generic type, so
+// one matches on method names alone.
+func implements(tn *types.TypeName, it *types.Interface) bool {
+	t := tn.Type()
+	if _, ok := t.Underlying().(*types.Interface); ok || it.NumMethods() == 0 {
+		return false
+	}
+	if n, ok := t.(*types.Named); !ok || n.TypeParams().Len() == 0 {
+		return types.Implements(t, it) || types.Implements(types.NewPointer(t), it)
+	}
+	for i := 0; i < it.NumMethods(); i++ {
+		m := it.Method(i)
+		if obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), false, m.Pkg(), m.Name()); obj == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// collect records the nodes one top-level declaration defines and returns
+// the named types it declares. A method is keyed pkg.Type.Method and lives
+// when live code selects it; a live type also keeps alive each of its
+// methods that an imported interface it implements names.
+func (l *loader) collect(p *pkgInfo, d ast.Decl, g *graph, imported []*types.Interface) []*types.TypeName {
+	var declared []*types.TypeName
 	add := func(obj types.Object, key string, from, to token.Pos, src ast.Node) *node {
 		n := &node{key: key, refs: l.refs(p, src)}
 		if key != "" {
@@ -452,11 +520,22 @@ func (l *loader) collect(p *pkgInfo, d ast.Decl, g *graph, ifaces map[string]boo
 				}
 				obj := p.info.Defs[s.Name].(*types.TypeName)
 				n := add(obj, p.rel+"."+obj.Name(), from, to, s)
-				if named, ok := obj.Type().(*types.Named); ok && !obj.IsAlias() {
-					for i := 0; i < named.NumMethods(); i++ {
-						if m := named.Method(i); ifaces[m.Name()] {
-							n.link = append(n.link, m)
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				declared = append(declared, obj)
+				callable := map[string]bool{}
+				for _, it := range imported {
+					if implements(obj, it) {
+						for i := 0; i < it.NumMethods(); i++ {
+							callable[it.Method(i).Name()] = true
 						}
+					}
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); callable[m.Name()] {
+						n.link = append(n.link, m)
 					}
 				}
 			case *ast.ValueSpec:
@@ -484,6 +563,7 @@ func (l *loader) collect(p *pkgInfo, d ast.Decl, g *graph, ifaces map[string]boo
 			g.nodes[a].link = append(g.nodes[a].link, group...)
 		}
 	}
+	return declared
 }
 
 // refs lists the module objects that the source of n names.

@@ -42,19 +42,23 @@ const (
 	oracle     = "lib.Oracle"   // a type only its method names
 	oracleM    = "lib.Oracle.M" // a method no root reaches
 	helperFunc = "lib.helper"   // a function only Oracle.M calls
+	// A live type's String that does not implement fmt.Stringer.
+	mislabeled = "lib.Mislabeled.String"
+	// A module interface's implementation no live code calls it through.
+	crateSize = "lib.Crate.Size"
 )
 
 // TestReportsOnlyTheUnreachedFunction: lib.Dead and every declaration or
 // method only unreached code names are reported, and nothing else.
 func TestReportsOnlyTheUnreachedFunction(t *testing.T) {
 	bad, out := check(t, "")
-	want := []string{dead, picked, boxPut, oracle, oracleM, helperFunc}
+	want := []string{dead, picked, boxPut, oracle, oracleM, helperFunc, mislabeled, crateSize}
 	if got := unreached(out); bad != len(want) || strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("%d finding(s) %v, want %v:\n%s", bad, got, want, out)
 	}
 	for _, line := range []string{
-		"lib/lib.go:22: lib.Dead is unreachable (2 lines)",
-		"lib/lib.go:71: lib.Box.Put is unreachable (2 lines)",
+		"lib/lib.go:28: lib.Dead is unreachable (2 lines)",
+		"lib/lib.go:77: lib.Box.Put is unreachable (2 lines)",
 	} {
 		if !strings.Contains(out, line) {
 			t.Errorf("output lacks %q:\n%s", line, out)
@@ -62,14 +66,14 @@ func TestReportsOnlyTheUnreachedFunction(t *testing.T) {
 	}
 }
 
-// TestMethodsLiveWithoutAnEntry: a method reached only through a module
-// interface (Square.Area), one only fmt calls through fmt.Stringer
-// (Named.String), one selected through an embedded field (Inner.Promoted)
-// and one selected on an instantiation of a generic type (Box.Get) are
-// live; none is reported.
+// TestMethodsLiveWithoutAnEntry: a method reached only through a call of a
+// module interface (Square.Area) or of an anonymous one (Kit.Kill), one
+// only fmt calls through fmt.Stringer (Named.String), one selected through
+// an embedded field (Inner.Promoted) and one selected on an instantiation
+// of a generic type (Box.Get) are live; none is reported.
 func TestMethodsLiveWithoutAnEntry(t *testing.T) {
 	_, out := check(t, "")
-	for _, key := range []string{"lib.T.Used", "lib.Square.Area", "lib.Named.String", "lib.Inner.Promoted", "lib.Box.Get"} {
+	for _, key := range []string{"lib.T.Used", "lib.Square.Area", "lib.Kit.Kill", "lib.Named.String", "lib.Inner.Promoted", "lib.Box.Get"} {
 		if strings.Contains(out, " "+key+" ") {
 			t.Errorf("%s reported:\n%s", key, out)
 		}
@@ -77,7 +81,8 @@ func TestMethodsLiveWithoutAnEntry(t *testing.T) {
 }
 
 func TestAllowlistedDeadCodePasses(t *testing.T) {
-	allow := "# comment\nlib.Dead  test helper\nlib.T.Picked  test oracle\nlib.Box.Put  item 2\nlib.Oracle.M  test oracle\n"
+	allow := "# comment\nlib.Dead  test helper\nlib.T.Picked  test oracle\nlib.Box.Put  item 2\nlib.Oracle.M  test oracle\n" +
+		"lib.Mislabeled.String  test helper\nlib.Crate.Size  item 2\n"
 	if bad, out := check(t, allow); bad != 0 {
 		t.Errorf("%d finding(s), want none:\n%s", bad, out)
 	}
@@ -87,7 +92,7 @@ func TestAllowlistedDeadCodePasses(t *testing.T) {
 // followed, so the type and helper only Oracle.M reaches need no entries.
 func TestAllowlistedMethodCoversWhatItReaches(t *testing.T) {
 	bad, out := check(t, "lib.Oracle.M  test oracle\n")
-	want := []string{dead, picked, boxPut}
+	want := []string{dead, picked, boxPut, mislabeled, crateSize}
 	if got := unreached(out); bad != len(want) || strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("%d finding(s) %v, want %v:\n%s", bad, got, want, out)
 	}
@@ -109,8 +114,8 @@ func TestStaleAllowlistEntriesFail(t *testing.T) {
 	}
 	// The stale entries and the unlisted unreached keys but T.Picked, which
 	// only the allowlisted Dead reaches.
-	if bad != 4+4 {
-		t.Errorf("%d finding(s), want 8:\n%s", bad, out)
+	if bad != 4+6 {
+		t.Errorf("%d finding(s), want 10:\n%s", bad, out)
 	}
 }
 

@@ -13,6 +13,12 @@ func Live() {
 	fmt.Println(Named{})
 	Outer{}.Promoted()
 	_ = Box[int]{}.Get()
+	_ = Mislabeled{}
+	var z Sizer = Crate{}
+	_ = z
+	if k, ok := any(Kit{}).(interface{ Kill() }); ok {
+		k.Kill()
+	}
 }
 
 // FromInit is called from an init function.
@@ -78,3 +84,24 @@ func (Oracle) M() { helper() }
 
 // helper is reached only from Oracle.M.
 func helper() {}
+
+// Mislabeled is live, but its String does not satisfy fmt.Stringer.
+type Mislabeled struct{}
+
+// String returns an int, so fmt never calls it.
+func (Mislabeled) String() int { return 0 }
+
+// Sizer is a module interface whose method nothing calls.
+type Sizer interface{ Size() int }
+
+// Crate is stored as a Sizer but never asked its size.
+type Crate struct{}
+
+// Size is kept by no call of Sizer.Size.
+func (Crate) Size() int { return 0 }
+
+// Kit is reached through an anonymous interface.
+type Kit struct{}
+
+// Kill is called through interface{ Kill() }.
+func (Kit) Kill() {}
