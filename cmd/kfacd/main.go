@@ -13,8 +13,9 @@
 //
 // SIGINT/SIGTERM drains gracefully: no new submissions, running jobs are
 // paused at a step boundary with their latest checkpoint retained, then
-// the process exits. A restarted daemon resumes paused jobs from the store
-// when asked to via the API.
+// the process exits. The job table lives in memory: a restarted daemon
+// starts with no jobs and numbers new ones after the IDs its store holds,
+// so no new job resumes from an old job's checkpoint.
 //
 // See docs/ARCHITECTURE.md, "Control plane", for the state machine and
 // API contract; kfacctl is the companion client.
@@ -61,7 +62,6 @@ func parseBytes(s string) (int64, error) {
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "HTTP listen address")
 	storeDir := flag.String("store", "kfacd-store", "checkpoint store directory")
-	scratch := flag.String("scratch", "", "elastic recovery scratch directory (default: temp)")
 	workers := flag.Int("workers", 4, "worker fleet size")
 	memPerWorker := flag.String("mem-per-worker", "0",
 		"per-worker memory budget for K-FAC decompositions (0 disables the check; accepts KiB/MiB/GiB)")
@@ -80,7 +80,6 @@ func main() {
 	cfg := ctl.Config{
 		Fleet:         ctl.Fleet{Workers: *workers, MemoryPerWorker: mem},
 		StoreDir:      *storeDir,
-		ScratchDir:    *scratch,
 		Retention:     ckptstore.Policy{MaxPerJob: *keepPerJob, MaxAge: *maxAge},
 		MetricsBuffer: *metricsBuf,
 	}

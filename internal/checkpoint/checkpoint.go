@@ -13,9 +13,11 @@ package checkpoint
 import (
 	"crypto/sha256"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -236,23 +238,33 @@ func (f *File) Restore(model nn.Layer) error {
 	return nil
 }
 
-// Save writes the checkpoint atomically to path (via a temp file + rename).
+// Save writes the checkpoint atomically and durably to path: the bytes go
+// to a temp file that is synced before it is renamed over path, and the
+// directory is synced after the rename. A crash or power loss therefore
+// leaves either the previous file or the whole new one under path, never an
+// empty or partial one.
 func (f *File) Save(path string) error {
 	tmp := path + ".tmp"
 	w, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := f.Write(w); err != nil {
-		w.Close()
-		os.Remove(tmp)
-		return err
+	err = errors.Join(f.Write(w), w.Sync(), w.Close())
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := w.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	return os.Rename(tmp, path)
+	dir, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = errors.Join(dir.Sync(), dir.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("checkpoint: syncing directory: %w", err)
+	}
+	return nil
 }
 
 // Load reads a checkpoint from path, naming the file in any decode or

@@ -79,6 +79,38 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
+// TestSaveReplacesWhole: a Save over an existing checkpoint leaves the new
+// one in place and no temp file beside it; a Save that cannot create its
+// temp file leaves the old checkpoint untouched. (That a synced file
+// survives a power cut is the kernel's promise; no test here can cut power.)
+func TestSaveReplacesWhole(t *testing.T) {
+	m := models.BuildMLP("mlp", []int{3, 3}, rand.New(rand.NewSource(4)))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt.gob")
+	for _, epoch := range []int{1, 2} {
+		if err := Snapshot(m, epoch, 10*epoch).Save(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := Load(path)
+	if err != nil || got.Epoch != 2 {
+		t.Fatalf("Load after two Saves: epoch %v, err %v; want the second", got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %d entries (err %v), want only the checkpoint", len(entries), err)
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := Snapshot(m, 3, 30).Save(path); err == nil {
+		t.Fatal("Save succeeded although its temp file could not be created")
+	}
+	if got, err := Load(path); err != nil || got.Epoch != 2 {
+		t.Fatalf("failed Save disturbed the old checkpoint: %v, %v", got, err)
+	}
+}
+
 func TestLoadMissingFile(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
 		t.Error("expected error")

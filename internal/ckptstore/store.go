@@ -169,8 +169,9 @@ func (s *Store) Put(job string, f *checkpoint.File) (Ref, bool, error) {
 	created := false
 	objPath := s.objectPath(sum)
 	if _, err := os.Stat(objPath); os.IsNotExist(err) {
-		// checkpoint.Save writes via temp file + rename, so a crashed Put
-		// never leaves a half-written object under a content hash.
+		// checkpoint.Save syncs a temp file before renaming it into place,
+		// so a crashed Put never leaves a half-written object under a
+		// content hash.
 		if err := f.Save(objPath); err != nil {
 			return Ref{}, false, fmt.Errorf("ckptstore: storing object: %w", err)
 		}
@@ -240,8 +241,12 @@ func (s *Store) Refs(job string) ([]Ref, error) {
 }
 
 // Latest returns job's newest checkpoint, or (nil, zero Ref, nil) when the
-// job has none — absence is a normal state, not an error.
+// job has none — absence is a normal state, not an error. A job name Put
+// would refuse is an error here too.
 func (s *Store) Latest(job string) (*checkpoint.File, Ref, error) {
+	if !jobNameRE.MatchString(job) {
+		return nil, Ref{}, fmt.Errorf("ckptstore: invalid job name %q", job)
+	}
 	refs, err := s.Refs(job)
 	if err != nil || len(refs) == 0 {
 		return nil, Ref{}, err

@@ -251,7 +251,6 @@ func TestGetDetectsCorruptObject(t *testing.T) {
 	}
 }
 
-// Job names reach the filesystem, so hostile ones are rejected outright.
 // A version-1 object (conv weights in the channels-first column order) that
 // an older build filed is refused on the way out, by Get and by the Latest a
 // kfacd resume starts from, with checkpoint.Read's reason attached.
@@ -274,6 +273,8 @@ func TestGetRefusesVersion1Layout(t *testing.T) {
 	}
 }
 
+// Job names reach the filesystem, so hostile ones are rejected outright,
+// by Put and by the Latest a resuming run starts from.
 func TestPutRejectsUnsafeJobNames(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -283,6 +284,9 @@ func TestPutRejectsUnsafeJobNames(t *testing.T) {
 	for _, job := range []string{"", "../escape", "a/b", ".hidden", "x y"} {
 		if _, _, err := s.Put(job, f); err == nil {
 			t.Errorf("Put accepted unsafe job name %q", job)
+		}
+		if _, _, err := s.Latest(job); err == nil {
+			t.Errorf("Latest accepted unsafe job name %q", job)
 		}
 	}
 }

@@ -307,10 +307,9 @@ func TestAdmitParamBoundIsNecessary(t *testing.T) {
 // body — is refused with 413 before it is decoded, and no job is recorded.
 func TestSubmitRejectsOversizedBody(t *testing.T) {
 	d, err := NewDaemon(Config{
-		Fleet:      Fleet{Workers: 4, MemoryPerWorker: 64 << 20},
-		StoreDir:   t.TempDir(),
-		ScratchDir: t.TempDir(),
-		Heartbeat:  fastHeartbeat,
+		Fleet:     Fleet{Workers: 4, MemoryPerWorker: 64 << 20},
+		StoreDir:  t.TempDir(),
+		Heartbeat: fastHeartbeat,
 	})
 	if err != nil {
 		t.Fatal(err)

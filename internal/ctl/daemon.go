@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -21,9 +20,6 @@ type Config struct {
 	// Retention prunes the store after every checkpoint write (zero value:
 	// keep everything).
 	Retention ckptstore.Policy
-	// ScratchDir holds per-job elastic recovery checkpoints (defaults to a
-	// fresh temp directory).
-	ScratchDir string
 	// MetricsBuffer caps each job's retained step metrics (default 4096).
 	MetricsBuffer int
 	// Heartbeat tunes elastic failure detection for every job (zero values
@@ -62,13 +58,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if cfg.StoreDir == "" {
 		return nil, fmt.Errorf("ctl: daemon needs a checkpoint store directory")
 	}
-	if cfg.ScratchDir == "" {
-		dir, err := os.MkdirTemp("", "kfacd-scratch-")
-		if err != nil {
-			return nil, fmt.Errorf("ctl: scratch dir: %w", err)
-		}
-		cfg.ScratchDir = dir
-	}
 	if cfg.MetricsBuffer < 1 {
 		cfg.MetricsBuffer = 4096
 	}
@@ -82,6 +71,18 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		jobs:  make(map[string]*job),
 		free:  cfg.Fleet.Workers,
 		usage: make(map[string]int),
+	}
+	// A job resumes from the newest checkpoint under its ID, so a restarted
+	// daemon numbers after every ID its store holds.
+	ids, err := store.Jobs()
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range ids {
+		var n int
+		if _, err := fmt.Sscanf(id, "j-%d", &n); err == nil && n > d.nextID {
+			d.nextID = n
+		}
 	}
 	return d, nil
 }
@@ -299,9 +300,11 @@ func (d *Daemon) Metrics(id string, after int) ([]StepMetric, error) {
 }
 
 // Pause stops a job while keeping it resumable: a queued job parks
-// immediately; a running job stops cooperatively at the next step boundary
-// (the consensus-stop path), keeping its latest store checkpoint for
-// resume. Pausing a launching (Admitted) or settled job is an error.
+// immediately; a running job's context is cancelled, and every rank stops
+// at the same iteration boundary through the session's consensus stop.
+// A resume continues from its newest store checkpoint, the last checkpoint
+// boundary it passed, and replays the steps since. Pausing a launching
+// (Admitted) or settled job is an error.
 func (d *Daemon) Pause(id string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -345,8 +348,8 @@ func (d *Daemon) Resume(id string) error {
 }
 
 // Cancel terminates a job permanently. A running job stops through the
-// same cooperative consensus-stop path as Pause — every rank agrees on the
-// stopping iteration — but lands in the terminal Cancelled state.
+// same cooperative consensus stop as Pause — every rank stops at the same
+// iteration boundary — but lands in the terminal Cancelled state.
 func (d *Daemon) Cancel(id string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -367,8 +370,8 @@ func (d *Daemon) Cancel(id string) error {
 }
 
 // Drain gracefully winds the daemon down: new submissions are refused,
-// queued jobs stay queued, and every running job is paused (its latest
-// checkpoint retained, so a restarted daemon can resume it). Blocks until
+// queued jobs stay queued, and every running job is paused through the
+// consensus stop, its newest checkpoint kept in the store. Blocks until
 // all job goroutines settle or ctx expires.
 func (d *Daemon) Drain(ctx context.Context) error {
 	d.mu.Lock()

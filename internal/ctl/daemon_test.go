@@ -19,10 +19,9 @@ var fastHeartbeat = comm.HeartbeatConfig{
 func testDaemon(t *testing.T, fleet Fleet) *Daemon {
 	t.Helper()
 	d, err := NewDaemon(Config{
-		Fleet:      fleet,
-		StoreDir:   t.TempDir(),
-		ScratchDir: t.TempDir(),
-		Heartbeat:  fastHeartbeat,
+		Fleet:     fleet,
+		StoreDir:  t.TempDir(),
+		Heartbeat: fastHeartbeat,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,11 +336,10 @@ func TestDaemonCheckpointDedupAcrossJobs(t *testing.T) {
 // Retention: with MaxPerJob 1, only each job's newest checkpoint survives.
 func TestDaemonRetentionPrunes(t *testing.T) {
 	d, err := NewDaemon(Config{
-		Fleet:      Fleet{Workers: 2},
-		StoreDir:   t.TempDir(),
-		ScratchDir: t.TempDir(),
-		Heartbeat:  fastHeartbeat,
-		Retention:  ckptstore.Policy{MaxPerJob: 1},
+		Fleet:     Fleet{Workers: 2},
+		StoreDir:  t.TempDir(),
+		Heartbeat: fastHeartbeat,
+		Retention: ckptstore.Policy{MaxPerJob: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -370,8 +368,53 @@ func TestDaemonRetentionPrunes(t *testing.T) {
 	}
 }
 
-// Drain refuses new work and pauses running jobs so a restarted daemon
-// could resume them.
+// A restarted daemon over the same store numbers new jobs after the IDs
+// the store holds: a reused ID would resume the new job from the old job's
+// checkpoint instead of training it.
+func TestDaemonRestartDoesNotReuseJobIDs(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Fleet: Fleet{Workers: 2}, StoreDir: dir, Heartbeat: fastHeartbeat}
+	d1, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := d1.Submit(runnableSpec("before", "alice", 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := waitSettled(d1, first.ID); err != nil || v.State != Completed {
+		t.Fatalf("first job settled as %v (err %v)", v.State, err)
+	}
+	d1.Close()
+
+	d2, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	second, err := d2.Submit(runnableSpec("after", "bob", 2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.ID == first.ID {
+		t.Fatalf("restarted daemon reused job ID %s", first.ID)
+	}
+	done, err := waitSettled(d2, second.ID)
+	if err != nil || done.State != Completed {
+		t.Fatalf("second job settled as %v (err %v)", done.State, err)
+	}
+	ms, err := d2.Metrics(second.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != done.Result.Iterations {
+		t.Errorf("second job trained %d of its %d steps: it resumed from another job's checkpoint",
+			len(ms), done.Result.Iterations)
+	}
+}
+
+// Drain refuses new work and pauses running jobs, their checkpoints kept
+// in the store.
 func TestDaemonDrainPausesRunning(t *testing.T) {
 	d := testDaemon(t, Fleet{Workers: 2})
 	v, err := d.Submit(runnableSpec("draining", "alice", 2, 40))

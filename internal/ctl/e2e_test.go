@@ -27,11 +27,10 @@ import (
 //     consensus-stop path.
 func TestControlPlaneEndToEnd(t *testing.T) {
 	d, err := NewDaemon(Config{
-		Fleet:      Fleet{Workers: 4},
-		StoreDir:   t.TempDir(),
-		ScratchDir: t.TempDir(),
-		Heartbeat:  fastHeartbeat,
-		Retention:  ckptstore.Policy{MaxPerJob: 2},
+		Fleet:     Fleet{Workers: 4},
+		StoreDir:  t.TempDir(),
+		Heartbeat: fastHeartbeat,
+		Retention: ckptstore.Policy{MaxPerJob: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

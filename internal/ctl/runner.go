@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 
-	"repro/internal/checkpoint"
 	"repro/internal/ckptstore"
 	"repro/internal/comm"
 	"repro/internal/data"
@@ -18,11 +16,11 @@ import (
 // runElasticJob executes one admitted job through trainer.RunElastic on an
 // in-memory fabric: every rank generates the declared synthetic dataset,
 // builds the declared model, and trains under the spec's optimizer and
-// K-FAC settings. Rank 0 streams step metrics into the job's ring buffer
-// and files every epoch-boundary checkpoint into the content-addressed
-// store (pruned under the daemon's retention policy); if the store already
-// holds a checkpoint for the job — a paused run being resumed, or a daemon
-// restart — training continues from it. A scripted chaos kill, when the
+// K-FAC settings. Rank 0 streams step metrics into the job's ring buffer.
+// RunElastic keeps the job's checkpoints in the daemon's content-addressed
+// store under the job ID — so a paused job resumes from its newest one —
+// and the daemon prunes the store under its retention policy after each
+// checkpoint is filed. A scripted chaos kill, when the
 // spec asks for one, rides the first generation's fabric so elastic
 // recovery is exercised under control-plane supervision.
 func runElasticJob(ctx context.Context, d *Daemon, j *job) (*trainer.ElasticResult, error) {
@@ -46,14 +44,6 @@ func runElasticJob(ctx context.Context, d *Daemon, j *job) (*trainer.ElasticResu
 		opts = append(opts, trainer.WithKFACOptions(o))
 	}
 
-	// Cross-run resume: the latest store checkpoint (if any) seeds the
-	// first generation. RunElastic owns within-run recovery checkpoints.
-	if latest, _, err := d.store.Latest(j.id); err != nil {
-		return nil, fmt.Errorf("ctl: loading resume checkpoint: %w", err)
-	} else if latest != nil {
-		opts = append(opts, trainer.WithResume(latest))
-	}
-
 	// Rank 0 feeds the metrics stream.
 	opts = append(opts, trainer.OnStep(func(s *trainer.Session, info trainer.StepInfo) error {
 		if s.Rank() == 0 {
@@ -68,28 +58,25 @@ func runElasticJob(ctx context.Context, d *Daemon, j *job) (*trainer.ElasticResu
 		return nil
 	}))
 
-	// Rank 0 files durable checkpoints into the content-addressed store.
-	opts = append(opts, trainer.OnCheckpoint(func(s *trainer.Session, info trainer.CheckpointInfo) error {
-		if s.Rank() != 0 {
-			return nil
-		}
-		ck := checkpoint.Snapshot(s.Net(), info.Epoch+1, info.Iterations)
-		ck.World = s.World()
-		if _, _, err := d.store.Put(j.id, ck); err != nil {
-			return fmt.Errorf("ctl: storing checkpoint: %w", err)
-		}
-		if d.cfg.Retention != (ckptstore.Policy{}) {
+	// RunElastic files each checkpoint before this hook runs, so the
+	// prune never drops the job's newest ref.
+	if d.cfg.Retention != (ckptstore.Policy{}) {
+		opts = append(opts, trainer.OnCheckpoint(func(s *trainer.Session, info trainer.CheckpointInfo) error {
+			if s.Rank() != 0 {
+				return nil
+			}
 			if _, err := d.store.Prune(d.cfg.Retention); err != nil {
 				return fmt.Errorf("ctl: pruning store: %w", err)
 			}
-		}
-		return nil
-	}))
+			return nil
+		}))
+	}
 
 	ecfg := trainer.ElasticConfig{
 		World:           spec.World,
 		MinWorld:        spec.MinWorld,
-		CheckpointDir:   filepath.Join(d.cfg.ScratchDir, j.id),
+		Store:           d.store,
+		Job:             j.id,
 		CheckpointEvery: spec.CheckpointEvery,
 		Heartbeat:       d.cfg.Heartbeat,
 		Log:             d.cfg.Log,

@@ -3,7 +3,8 @@
 // sessions with heartbeat failure detection; when a rank dies, the
 // surviving ranks hard-abort, the supervisor rebuilds a resized world —
 // fresh communicators, re-run K-FAC factor placement, shard sampler for
-// the new rank count — and training resumes from the latest checkpoint.
+// the new rank count — and training resumes from the job's latest
+// checkpoint in a ckptstore.Store, the run's only checkpoint copy.
 //
 // The division of labor with the cancellation contract
 // (docs/ARCHITECTURE.md): within a generation the SPMD collective
@@ -19,12 +20,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
 	"repro/internal/checkpoint"
+	"repro/internal/ckptstore"
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/nn"
@@ -36,9 +36,11 @@ type ElasticConfig struct {
 	World int
 	// MinWorld aborts recovery when survivors drop below it (default 1).
 	MinWorld int
-	// CheckpointDir holds the recovery checkpoint (required). The latest
-	// checkpoint is kept at <dir>/elastic.ckpt, written atomically.
-	CheckpointDir string
+	// Store and Job (both required) hold the run's checkpoints: every
+	// generation resumes from Store.Latest(Job) — epoch 0 when the job has
+	// none — and rank 0 files each one with Store.Put(Job, …).
+	Store *ckptstore.Store
+	Job   string
 	// CheckpointEvery is the epoch interval between recovery checkpoints
 	// (default 1: every epoch boundary is durable).
 	CheckpointEvery int
@@ -59,8 +61,8 @@ type ElasticConfig struct {
 type Generation struct {
 	// World is the rank count this generation ran with.
 	World int
-	// StartEpoch is the epoch training (re)started at (0 for the first
-	// generation, the checkpoint's completed-epoch count afterwards).
+	// StartEpoch is the epoch training (re)started at: the completed-epoch
+	// count of the job's latest checkpoint, 0 when it has none.
 	StartEpoch int
 	// Failed lists the ranks (in this generation's numbering) that died.
 	// Empty for the generation that completed the run.
@@ -82,8 +84,8 @@ func (cfg *ElasticConfig) fillDefaults() error {
 	if cfg.World < 1 {
 		return fmt.Errorf("trainer: elastic World must be ≥ 1")
 	}
-	if cfg.CheckpointDir == "" {
-		return fmt.Errorf("trainer: elastic CheckpointDir is required")
+	if cfg.Store == nil || cfg.Job == "" {
+		return fmt.Errorf("trainer: elastic Store and Job are required")
 	}
 	if cfg.MinWorld < 1 {
 		cfg.MinWorld = 1
@@ -94,9 +96,6 @@ func (cfg *ElasticConfig) fillDefaults() error {
 	return nil
 }
 
-// elasticCheckpointPath is where RunElastic keeps the recovery checkpoint.
-func elasticCheckpointPath(dir string) string { return filepath.Join(dir, "elastic.ckpt") }
-
 // killErr reports whether err traces back to a chaos kill.
 func killErr(err error) bool {
 	return errors.Is(err, comm.ErrRankKilled) || errors.Is(err, comm.ErrPeerKilled)
@@ -104,11 +103,13 @@ func killErr(err error) bool {
 
 // RunElastic trains to completion through rank failures. buildNet and the
 // session options carry the same contract as RunSessions (identical on
-// every rank); opts must include WithEpochs and WithBatchPerRank, and must
-// not install their own WithResume or WithCheckpointEvery (RunElastic owns
-// both). Returns the merged result once a generation completes, or the
-// first unrecoverable error (survivors below MinWorld, restart budget
-// exhausted, a non-failure training error, or outer-context cancellation).
+// every rank); opts must include WithEpochs and WithBatchPerRank, and any
+// WithResume or WithCheckpointEvery in them is overridden. Rank 0 files each
+// checkpoint before the caller's OnCheckpoint hooks run. Cancelling ctx
+// stops every rank cooperatively at one iteration boundary. Returns the
+// merged result once a generation completes, or the first unrecoverable
+// error (an unreadable latest checkpoint, survivors below MinWorld, restart
+// budget exhausted, a non-failure training error, or ctx cancellation).
 func RunElastic(ctx context.Context, cfg ElasticConfig, buildNet func(rng *rand.Rand) *nn.Sequential,
 	train, test *data.Dataset, opts ...SessionOption) (*ElasticResult, error) {
 	if err := cfg.fillDefaults(); err != nil {
@@ -117,18 +118,6 @@ func RunElastic(ctx context.Context, cfg ElasticConfig, buildNet func(rng *rand.
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
-		return nil, fmt.Errorf("trainer: elastic checkpoint dir: %w", err)
-	}
-	ckptPath := elasticCheckpointPath(cfg.CheckpointDir)
-	// The recovery checkpoint belongs to THIS run: a stale file from a
-	// previous run in the same directory would silently fast-forward (or
-	// entirely skip) training. Cross-run resumption is an explicit choice —
-	// pass WithResume in opts — not an accident of directory reuse.
-	if err := os.Remove(ckptPath); err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("trainer: removing stale elastic checkpoint: %w", err)
-	}
-
 	out := &ElasticResult{Result: &Result{}}
 	byEpoch := make(map[int]EpochStats) // replayed epochs: last run wins
 	world := cfg.World
@@ -139,19 +128,20 @@ func RunElastic(ctx context.Context, cfg ElasticConfig, buildNet func(rng *rand.
 		if err := ctx.Err(); err != nil {
 			return mergeElastic(out, byEpoch, nil), err
 		}
-		var resume *checkpoint.File
+		resume, _, err := cfg.Store.Latest(cfg.Job)
+		if err != nil {
+			return mergeElastic(out, byEpoch, nil), fmt.Errorf("trainer: elastic resume: %w", err)
+		}
 		startEpoch := 0
-		if f, err := checkpoint.Load(ckptPath); err == nil {
-			resume, startEpoch = f, f.Epoch
-		} else if gen > 0 && cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "elastic: no checkpoint yet, generation %d restarts from scratch\n", gen)
+		if resume != nil {
+			startEpoch = resume.Epoch
 		}
 		if cfg.Log != nil {
 			fmt.Fprintf(cfg.Log, "elastic: generation %d, world %d, starting at epoch %d\n",
 				gen, world, startEpoch)
 		}
 
-		results, errs, dead := runGeneration(ctx, &cfg, gen, world, resume, ckptPath,
+		results, errs, dead := runGeneration(ctx, &cfg, gen, world, resume,
 			buildNet, train, test, opts)
 
 		g := Generation{World: world, StartEpoch: startEpoch, Failed: dead}
@@ -222,7 +212,7 @@ func RunElastic(ctx context.Context, cfg ElasticConfig, buildNet func(rng *rand.
 // heartbeat monitors, any detected failure hard-aborting the generation.
 // Returns per-rank results and errors plus the ranks found dead.
 func runGeneration(ctx context.Context, cfg *ElasticConfig, gen, world int,
-	resume *checkpoint.File, ckptPath string, buildNet func(rng *rand.Rand) *nn.Sequential,
+	resume *checkpoint.File, buildNet func(rng *rand.Rand) *nn.Sequential,
 	train, test *data.Dataset, opts []SessionOption) ([]*Result, []error, []int) {
 
 	var fab comm.Fabric
@@ -231,7 +221,10 @@ func runGeneration(ctx context.Context, cfg *ElasticConfig, gen, world int,
 	} else {
 		fab = comm.NewInprocFabric(world)
 	}
-	genCtx, genCancel := context.WithCancel(ctx)
+	// genCtx, the hard abort, fires on heartbeat verdicts and genuine
+	// errors only. Like RunSessionsOn's it is not derived from ctx: the
+	// sessions see ctx, whose consensus stop genCtx must not abort.
+	genCtx, genCancel := context.WithCancel(context.Background())
 	defer genCancel()
 
 	// Endpoints and heartbeat monitors outlive the session goroutines: a
@@ -257,23 +250,20 @@ func runGeneration(ctx context.Context, cfg *ElasticConfig, gen, world int,
 			defer wg.Done()
 			c := comm.NewCommunicator(endpoints[r]).WithContext(genCtx)
 			ropts := make([]SessionOption, 0, len(opts)+3)
-			ropts = append(ropts, opts...)
-			if resume != nil {
-				ropts = append(ropts, WithResume(resume))
-			}
-			ropts = append(ropts,
-				WithCheckpointEvery(cfg.CheckpointEvery),
-				OnCheckpoint(func(s *Session, info CheckpointInfo) error {
-					if s.Rank() != 0 {
-						return nil
-					}
-					ck := checkpoint.Snapshot(s.Net(), info.Epoch+1, info.Iterations)
-					ck.World = s.World()
-					if err := ck.Save(ckptPath); err != nil {
-						return fmt.Errorf("elastic checkpoint: %w", err)
-					}
+			// First, so the caller's hooks (ctl's prune) see the new ref.
+			ropts = append(ropts, OnCheckpoint(func(s *Session, info CheckpointInfo) error {
+				if s.Rank() != 0 {
 					return nil
-				}))
+				}
+				ck := checkpoint.Snapshot(s.Net(), info.Epoch+1, info.Iterations)
+				ck.World = s.World()
+				if _, _, err := cfg.Store.Put(cfg.Job, ck); err != nil {
+					return fmt.Errorf("elastic checkpoint: %w", err)
+				}
+				return nil
+			}))
+			ropts = append(ropts, opts...)
+			ropts = append(ropts, WithResume(resume), WithCheckpointEvery(cfg.CheckpointEvery))
 			net := buildNet(rand.New(rand.NewSource(12345)))
 			s, err := NewSession(net, c, train, test, ropts...)
 			if err != nil {
@@ -281,7 +271,7 @@ func runGeneration(ctx context.Context, cfg *ElasticConfig, gen, world int,
 				genCancel()
 				return
 			}
-			results[r], errs[r] = s.Run(genCtx)
+			results[r], errs[r] = s.Run(ctx)
 			if errs[r] != nil && !killErr(errs[r]) && !errors.Is(errs[r], context.Canceled) {
 				// A genuine training error (not a scripted death, not the
 				// abort rippling out from one): fail the generation fast.

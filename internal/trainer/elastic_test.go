@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/ckptstore"
 	"repro/internal/comm"
 	"repro/internal/kfac"
 	"repro/internal/optim"
@@ -26,6 +27,16 @@ func elasticOpts(epochs int) []SessionOption {
 		WithMomentum(0.9),
 		WithSeed(5),
 	}
+}
+
+// testStore opens a fresh checkpoint store for one test.
+func testStore(t *testing.T) *ckptstore.Store {
+	t.Helper()
+	s, err := ckptstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // testHeartbeat detects a killed rank fast enough for test-scale epochs.
@@ -94,8 +105,9 @@ func TestWithResumeContinuesTraining(t *testing.T) {
 func TestRunElasticCleanRun(t *testing.T) {
 	train, test := tinyDataset(t)
 	res, err := RunElastic(context.Background(), ElasticConfig{
-		World:         2,
-		CheckpointDir: t.TempDir(),
+		World: 2,
+		Store: testStore(t),
+		Job:   "clean",
 	}, buildTestNet, train, test, elasticOpts(2)...)
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +134,9 @@ func TestElasticKillAndRecover(t *testing.T) {
 
 	// Baseline: the identical run with no fault injected.
 	clean, err := RunElastic(context.Background(), ElasticConfig{
-		World:         3,
-		CheckpointDir: t.TempDir(),
+		World: 3,
+		Store: testStore(t),
+		Job:   "clean",
 	}, buildTestNet, train, test, elasticOpts(epochs)...)
 	if err != nil {
 		t.Fatal(err)
@@ -131,9 +144,10 @@ func TestElasticKillAndRecover(t *testing.T) {
 
 	var chaos *comm.ChaosFabric
 	cfg := ElasticConfig{
-		World:         3,
-		CheckpointDir: t.TempDir(),
-		Heartbeat:     testHeartbeat,
+		World:     3,
+		Store:     testStore(t),
+		Job:       "killed",
+		Heartbeat: testHeartbeat,
 		Fabric: func(gen, world int) comm.Fabric {
 			if gen == 0 {
 				chaos = comm.NewChaosFabric(comm.NewInprocFabric(world), world, comm.ChaosConfig{Seed: 3})
@@ -206,9 +220,10 @@ func TestElasticKillAndRecoverKFAC(t *testing.T) {
 	const victim = 1
 	var chaos *comm.ChaosFabric
 	cfg := ElasticConfig{
-		World:         2,
-		CheckpointDir: t.TempDir(),
-		Heartbeat:     testHeartbeat,
+		World:     2,
+		Store:     testStore(t),
+		Job:       "killed",
+		Heartbeat: testHeartbeat,
 		Fabric: func(gen, world int) comm.Fabric {
 			if gen == 0 {
 				chaos = comm.NewChaosFabric(comm.NewInprocFabric(world), world, comm.ChaosConfig{Seed: 4})
@@ -243,10 +258,11 @@ func TestElasticBelowMinWorld(t *testing.T) {
 	train, test := tinyDataset(t)
 	var chaos *comm.ChaosFabric
 	cfg := ElasticConfig{
-		World:         2,
-		MinWorld:      2,
-		CheckpointDir: t.TempDir(),
-		Heartbeat:     testHeartbeat,
+		World:     2,
+		MinWorld:  2,
+		Store:     testStore(t),
+		Job:       "killed",
+		Heartbeat: testHeartbeat,
 		Fabric: func(gen, world int) comm.Fabric {
 			chaos = comm.NewChaosFabric(comm.NewInprocFabric(world), world, comm.ChaosConfig{Seed: 5})
 			return chaos
@@ -292,29 +308,178 @@ func TestRunSessionsOnAbortsPeersOnRankFailure(t *testing.T) {
 	}
 }
 
-// TestRunElasticIgnoresStaleCheckpoint: a leftover elastic.ckpt from a
-// previous run in the same directory must not fast-forward (or skip) a
-// fresh run.
+// TestRunElasticIgnoresStaleCheckpoint: another job's checkpoints in the
+// same store must not fast-forward (or skip) a new job's run.
 func TestRunElasticIgnoresStaleCheckpoint(t *testing.T) {
 	train, test := tinyDataset(t)
-	dir := t.TempDir()
-	cfg := ElasticConfig{World: 2, CheckpointDir: dir}
-	first, err := RunElastic(context.Background(), cfg, buildTestNet, train, test, elasticOpts(2)...)
+	store := testStore(t)
+	first, err := RunElastic(context.Background(), ElasticConfig{World: 2, Store: store, Job: "first"},
+		buildTestNet, train, test, elasticOpts(2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(first.Result.History) != 2 {
 		t.Fatalf("first run trained %d epochs, want 2", len(first.Result.History))
 	}
-	// The finished run left a checkpoint at Epoch == Epochs; a rerun must
-	// still train from scratch, not return an empty result.
-	second, err := RunElastic(context.Background(), cfg, buildTestNet, train, test, elasticOpts(2)...)
+	// The finished job's newest ref is at Epoch == Epochs; a new job must
+	// still train from epoch 0, not return an empty result.
+	second, err := RunElastic(context.Background(), ElasticConfig{World: 2, Store: store, Job: "second"},
+		buildTestNet, train, test, elasticOpts(2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(second.Result.History) != 2 || second.Generations[0].StartEpoch != 0 {
-		t.Fatalf("rerun resumed from a stale checkpoint: history %d epochs, start epoch %d",
+		t.Fatalf("new job resumed from another job's checkpoint: history %d epochs, start epoch %d",
 			len(second.Result.History), second.Generations[0].StartEpoch)
+	}
+	if f, _, err := store.Latest("second"); err != nil || f == nil || f.Epoch != 2 {
+		t.Fatalf("new job's latest checkpoint %v (err %v), want its own at epoch 2", f, err)
+	}
+}
+
+// TestRunElasticResumesOwnJob: a rerun of the same Job continues from that
+// job's newest checkpoint, keeping global epoch indices.
+func TestRunElasticResumesOwnJob(t *testing.T) {
+	train, test := tinyDataset(t)
+	cfg := ElasticConfig{World: 2, Store: testStore(t), Job: "job"}
+	if _, err := RunElastic(context.Background(), cfg, buildTestNet, train, test, elasticOpts(2)...); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunElastic(context.Background(), cfg, buildTestNet, train, test, elasticOpts(4)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := res.Generations[0]; g.StartEpoch != 2 {
+		t.Fatalf("rerun started at epoch %d, want 2 (the job's latest checkpoint)", g.StartEpoch)
+	}
+	if h := res.Result.History; len(h) != 2 || h[0].Epoch != 2 || h[1].Epoch != 3 {
+		t.Fatalf("rerun trained epochs %+v, want exactly epochs 2 and 3", h)
+	}
+	refs, err := cfg.Store.Refs(cfg.Job)
+	if err != nil || len(refs) != 4 {
+		t.Fatalf("job holds %d refs (err %v), want one per epoch over both runs", len(refs), err)
+	}
+}
+
+// TestRunElasticFailsOnCorruptLatest: a job whose newest stored object no
+// longer matches its content hash fails the run with that error; it does
+// not retrain from epoch 0 as if no checkpoint existed.
+func TestRunElasticFailsOnCorruptLatest(t *testing.T) {
+	train, test := tinyDataset(t)
+	dir := t.TempDir()
+	store, err := ckptstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := buildTestNet(rand.New(rand.NewSource(1)))
+	ref, _, err := store.Put("job", checkpoint.Snapshot(net, 1, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A decodable checkpoint of other content under the object's name.
+	if err := checkpoint.Snapshot(net, 2, 32).Save(filepath.Join(dir, "objects", ref.Hex()+".ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunElastic(context.Background(), ElasticConfig{World: 2, Store: store, Job: "job"},
+		buildTestNet, train, test, elasticOpts(2)...)
+	if err == nil || !strings.Contains(err.Error(), "verification") {
+		t.Fatalf("got %v, want the store's content-verification error", err)
+	}
+	if len(res.Generations) != 0 || len(res.Result.History) != 0 {
+		t.Fatalf("run trained (generations %+v) over an unreadable checkpoint", res.Generations)
+	}
+}
+
+// TestRunElasticRecoversFromSeededCheckpoint: a job resumed from a stored
+// epoch-2 checkpoint whose first generation dies before filing a new one
+// restarts its second generation from that same checkpoint, not epoch 0.
+func TestRunElasticRecoversFromSeededCheckpoint(t *testing.T) {
+	train, test := tinyDataset(t)
+	store := testStore(t)
+	if _, _, err := store.Put("job", checkpoint.Snapshot(buildTestNet(rand.New(rand.NewSource(1))), 2, 16)); err != nil {
+		t.Fatal(err)
+	}
+	var chaos *comm.ChaosFabric
+	cfg := ElasticConfig{
+		World:     2,
+		Store:     store,
+		Job:       "job",
+		Heartbeat: testHeartbeat,
+		Fabric: func(gen, world int) comm.Fabric {
+			if gen == 0 {
+				chaos = comm.NewChaosFabric(comm.NewInprocFabric(world), world, comm.ChaosConfig{Seed: 6})
+				return chaos
+			}
+			return comm.NewInprocFabric(world)
+		},
+	}
+	// The first step of epoch 2 kills rank 1, before the epoch-3 checkpoint.
+	opts := append(elasticOpts(4), OnStep(func(s *Session, info StepInfo) error {
+		if s.World() == 2 && s.Rank() == 1 && info.Epoch == 2 {
+			chaos.Kill(1)
+		}
+		return nil
+	}))
+	res, err := RunElastic(context.Background(), cfg, buildTestNet, train, test, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Generations) != 2 {
+		t.Fatalf("generations %+v, want a kill and a recovery", res.Generations)
+	}
+	for i, g := range res.Generations {
+		if g.StartEpoch != 2 {
+			t.Errorf("generation %d started at epoch %d, want 2 (the seeded checkpoint)", i, g.StartEpoch)
+		}
+	}
+	if h := res.Result.History; len(h) != 2 || h[0].Epoch != 2 || h[1].Epoch != 3 {
+		t.Fatalf("history %+v, want exactly epochs 2 and 3", h)
+	}
+}
+
+// TestRunElasticRequiresStoreAndJob: the store and the job name are the
+// run's only checkpoint path, so a config missing either is refused.
+func TestRunElasticRequiresStoreAndJob(t *testing.T) {
+	train, test := tinyDataset(t)
+	for _, cfg := range []ElasticConfig{
+		{World: 1, Job: "job"},
+		{World: 1, Store: testStore(t)},
+	} {
+		if _, err := RunElastic(context.Background(), cfg, buildTestNet, train, test, elasticOpts(1)...); err == nil {
+			t.Errorf("config %+v accepted", cfg)
+		}
+	}
+}
+
+// TestRunGenerationCancelIsCooperative: cancelling the run's context stops
+// every rank through the consensus stop at one iteration boundary, each
+// rank returning exactly context.Canceled — the consensus allreduce is not
+// itself aborted by the cancellation it agrees on, and no rank is dead.
+func TestRunGenerationCancelIsCooperative(t *testing.T) {
+	train, test := tinyDataset(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := ElasticConfig{World: 2, Store: testStore(t), Job: "job"}
+	if err := cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	opts := append(elasticOpts(2), OnStep(func(s *Session, info StepInfo) error {
+		if s.Rank() == 0 && info.Iteration == 3 {
+			cancel()
+		}
+		return nil
+	}))
+	results, errs, dead := runGeneration(ctx, &cfg, 0, 2, nil, buildTestNet, train, test, opts)
+	if len(dead) != 0 {
+		t.Fatalf("cooperative stop reported dead ranks %v", dead)
+	}
+	for r, err := range errs {
+		if err != context.Canceled {
+			t.Errorf("rank %d returned %v, want exactly context.Canceled", r, err)
+		}
+	}
+	if results[0] == nil || results[1] == nil || results[0].Iterations != results[1].Iterations {
+		t.Fatalf("ranks stopped at different iterations: %+v, %+v", results[0], results[1])
 	}
 }
 
