@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,8 +31,23 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// jobNameRE bounds job identifiers to filesystem-safe names.
-var jobNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$`)
+// validJobName bounds job identifiers to filesystem-safe names: 1 to 128
+// bytes of ASCII letters, digits, '.', '_' and '-', the first a letter or
+// digit (the regular expression ^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$).
+func validJobName(job string) bool {
+	if len(job) == 0 || len(job) > 128 {
+		return false
+	}
+	for i := 0; i < len(job); i++ {
+		switch b := job[i]; {
+		case 'a' <= b && b <= 'z', 'A' <= b && b <= 'Z', '0' <= b && b <= '9':
+		case i > 0 && (b == '.' || b == '_' || b == '-'):
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // Store is a content-addressed checkpoint store rooted at one directory.
 // All methods are safe for concurrent use.
@@ -155,7 +169,7 @@ func parseRefName(name string) (seq int, sum [32]byte, ok bool) {
 // is recorded either way. Returns the ref and whether a new object was
 // created (false = pure dedup hit).
 func (s *Store) Put(job string, f *checkpoint.File) (Ref, bool, error) {
-	if !jobNameRE.MatchString(job) {
+	if !validJobName(job) {
 		return Ref{}, false, fmt.Errorf("ckptstore: invalid job name %q", job)
 	}
 	sum, err := f.Sum()
@@ -244,7 +258,7 @@ func (s *Store) Refs(job string) ([]Ref, error) {
 // job has none — absence is a normal state, not an error. A job name Put
 // would refuse is an error here too.
 func (s *Store) Latest(job string) (*checkpoint.File, Ref, error) {
-	if !jobNameRE.MatchString(job) {
+	if !validJobName(job) {
 		return nil, Ref{}, fmt.Errorf("ckptstore: invalid job name %q", job)
 	}
 	refs, err := s.Refs(job)

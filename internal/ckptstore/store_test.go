@@ -290,3 +290,28 @@ func TestPutRejectsUnsafeJobNames(t *testing.T) {
 		}
 	}
 }
+
+// TestJobNameBoundaries holds validJobName to the edges of its rule: 128
+// bytes pass and 129 do not, the first byte must be a letter or digit, and
+// '.', '_' and '-' are allowed after it.
+func TestJobNameBoundaries(t *testing.T) {
+	for _, c := range []struct {
+		job string
+		ok  bool
+	}{
+		{strings.Repeat("a", 128), true},
+		{strings.Repeat("a", 129), false},
+		{"a" + strings.Repeat("-", 127), true},
+		{".job", false},
+		{"-job", false},
+		{"_job", false},
+		{"j.o_b-9", true},
+		{"Z", true},
+		{"job\n", false},
+		{"jöb", false},
+	} {
+		if got := validJobName(c.job); got != c.ok {
+			t.Errorf("validJobName(%q) = %v, want %v", c.job, got, c.ok)
+		}
+	}
+}

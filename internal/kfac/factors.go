@@ -27,8 +27,20 @@ import (
 // symmetric multiply (half the multiply-adds of a general matmul, parallel
 // over the shared compute pool); the bit-identity tests swap in the
 // reference general-matmul path to prove the two produce identical bits end
-// to end.
-var covKernel = linalg.SymMulT1Into[float64]
+// to end. covPatchesKernel is the same product on a conv layer's patch
+// matrix read through its input image, and is swapped with it.
+var (
+	covKernel        = linalg.SymMulT1Into[float64]
+	covPatchesKernel = linalg.SymMulPatchesInto[float64]
+)
+
+// gramKernels are the Gram products a layer's factors are formed with at
+// element type E: dense is dst = aᵀa of a stored matrix, patches dst = PᵀP
+// of a patch matrix read through its image.
+type gramKernels[E tensor.Elem] struct {
+	dense   func(dst, a *tensor.Dense[E])
+	patches func(dst *tensor.Dense[E], p tensor.Patches[E])
+}
 
 // activationCov writes the activation covariance factor A of a captured
 // layer into dst (da×da, float64) from the capture act at element type E,
@@ -44,13 +56,22 @@ var covKernel = linalg.SymMulT1Into[float64]
 // and the capture is multiplied as it is, never copied to be scaled. The
 // bias column makes A's dimension in+1 so the bias gradient is
 // preconditioned jointly with the weights; a conv capture's columns, and so
-// A's rows, are in the patch order (ky, kx, c). With a bias the capture is
-// copied into *sample beside a column of ones, without one it is the Gram
-// operand itself; gramInto forms the product.
-func activationCov[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.Dense[E]),
+// A's rows, are in the patch order (ky, kx, c). A conv capture is the input
+// image, and the Gram reads its patch matrix, bias column included, through
+// it (tensor.Patches). A Linear capture with a bias is copied into *sample
+// beside a column of ones; without one it is the Gram operand itself.
+func activationCov[E tensor.Elem](dst *tensor.Tensor, gram gramKernels[E],
 	layer nn.KFACCapturable, act *tensor.Dense[E], sample, prod **tensor.Dense[E]) {
 	if act == nil {
 		panic("kfac: A factor of a layer without a captured activation (is capture enabled?)")
+	}
+	s := float64(layer.SpatialSize())
+	scale := 1 / (s * s * float64(layer.BatchSize()))
+	if win := layer.Window(); win != (tensor.Window{}) {
+		cov := tensor.Like(prod, dst)
+		gram.patches(cov, tensor.Patches[E]{Image: act, Window: win, Ones: layer.HasBias()})
+		scaleInto(dst, cov, scale)
+		return
 	}
 	a := act
 	if layer.HasBias() {
@@ -62,8 +83,7 @@ func activationCov[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.D
 			row[cols] = 1
 		}
 	}
-	s := float64(layer.SpatialSize())
-	gramInto(dst, gram, a, prod, 1/(s*s*float64(layer.BatchSize())))
+	gramInto(dst, gram.dense, a, prod, scale)
 }
 
 // gramInto writes scale·aᵀa into the float64 dst: the product is formed at
@@ -73,6 +93,11 @@ func gramInto[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.Dense[
 	a *tensor.Dense[E], prod **tensor.Dense[E], scale float64) {
 	cov := tensor.Like(prod, dst)
 	gram(cov, a)
+	scaleInto(dst, cov, scale)
+}
+
+// scaleInto writes scale·cov into dst, cov being dst itself at float64.
+func scaleInto[E tensor.Elem](dst *tensor.Tensor, cov *tensor.Dense[E], scale float64) {
 	tensor.Convert(dst, cov)
 	dst.Scale(scale)
 }
@@ -86,7 +111,7 @@ func gramInto[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.Dense[
 //	Linear: g [N, out]      → G = N · gᵀg
 //	Conv2D: g [N·S, out]    → G = (gᵀg) · N · S   (after scaling rows by N·S,
 //	                          normalized by the N·S sample count)
-func gradientCov[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.Dense[E]),
+func gradientCov[E tensor.Elem](dst *tensor.Tensor, gram gramKernels[E],
 	layer nn.KFACCapturable, g *tensor.Dense[E], prod **tensor.Dense[E]) {
 	if g == nil {
 		panic("kfac: G factor of a layer without a captured output gradient")
@@ -94,7 +119,7 @@ func gradientCov[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.Den
 	// Undo batch averaging and spatial scaling: scale each sample row by
 	// N·S, then normalize the covariance by the sample count (N·S rows for
 	// conv, N rows for linear). Algebraically G = (N·S)²/(N·S)·gᵀg = N·S·gᵀg.
-	gramInto(dst, gram, g, prod, float64(layer.BatchSize())*float64(layer.SpatialSize()))
+	gramInto(dst, gram.dense, g, prod, float64(layer.BatchSize())*float64(layer.SpatialSize()))
 }
 
 // FactorDims returns the dimensions (rows of A, rows of G) the factors of a

@@ -44,13 +44,17 @@ type layerKernels interface {
 }
 
 // newKernels picks the element type of a layer's kernels. The float64 Gram
-// product reads covKernel at call time, so tests can swap it.
+// products read covKernel and covPatchesKernel at call time, so tests can
+// swap them.
 func newKernels(pr Precision, p *Preconditioner, s *layerState) layerKernels {
 	if pr == F32 {
-		return &kernels[float32]{p: p, s: s, gram: linalg.SymMulT1Into[float32],
-			act: nn.KFACCapturable.CapturedActivation32, grad: nn.KFACCapturable.CapturedOutputGrad32}
+		return &kernels[float32]{p: p, s: s,
+			gram: gramKernels[float32]{linalg.SymMulT1Into[float32], linalg.SymMulPatchesInto[float32]},
+			act:  nn.KFACCapturable.CapturedActivation32, grad: nn.KFACCapturable.CapturedOutputGrad32}
 	}
-	return &kernels[float64]{p: p, s: s, gram: func(dst, a *tensor.Tensor) { covKernel(dst, a) },
+	return &kernels[float64]{p: p, s: s, gram: gramKernels[float64]{
+		func(dst, a *tensor.Tensor) { covKernel(dst, a) },
+		func(dst *tensor.Tensor, p tensor.Patches[float64]) { covPatchesKernel(dst, p) }},
 		act: nn.KFACCapturable.CapturedActivation, grad: nn.KFACCapturable.CapturedOutputGrad}
 }
 
@@ -59,7 +63,7 @@ type kernels[E tensor.Elem] struct {
 	p *Preconditioner
 	s *layerState
 
-	gram      func(dst, a *tensor.Dense[E])            // dst = aᵀa
+	gram      gramKernels[E]                           // the factors' Gram products
 	act, grad func(nn.KFACCapturable) *tensor.Dense[E] // the layer's captures at E
 
 	// mirror[side] is the side's eigenbasis Q at E; index 0 is A, 1 is G.

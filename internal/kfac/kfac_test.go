@@ -159,13 +159,31 @@ func preconditionOne(s *layerState, grad *tensor.Tensor) *tensor.Tensor {
 	return s.pcBuf
 }
 
+// grams64 and grams32 are the Gram products the covariance stage forms
+// factors with at each element type.
+func grams64() gramKernels[float64] { return gramKernels[float64]{covKernel, covPatchesKernel} }
+
+func grams32() gramKernels[float32] {
+	return gramKernels[float32]{linalg.SymMulT1Into[float32], linalg.SymMulPatchesInto[float32]}
+}
+
+// patchMatrix stores the patch matrix of a conv layer's captured image, the
+// sample matrix its A factor is the Gram of.
+func patchMatrix(c *nn.Conv2D) *tensor.Tensor {
+	x := c.CapturedActivation()
+	p := tensor.Patches[float64]{Image: x, Window: c.Window()}
+	cols := tensor.New(p.Rows(), p.Cols())
+	tensor.UnfoldInto(cols, x, c.KH, c.KW, c.Stride, c.Pad)
+	return cols
+}
+
 // covA and covG form a captured layer's float64 factors the way the
 // covariance stage does.
 func covA(layer nn.KFACCapturable) *tensor.Tensor {
 	da, _ := FactorDims(layer)
 	cov := tensor.New(da, da)
 	var sample, prod *tensor.Tensor
-	activationCov(cov, covKernel, layer, layer.CapturedActivation(), &sample, &prod)
+	activationCov(cov, grams64(), layer, layer.CapturedActivation(), &sample, &prod)
 	return cov
 }
 
@@ -173,7 +191,7 @@ func covG(layer nn.KFACCapturable) *tensor.Tensor {
 	_, dg := FactorDims(layer)
 	cov := tensor.New(dg, dg)
 	var prod *tensor.Tensor
-	gradientCov(cov, covKernel, layer, layer.CapturedOutputGrad(), &prod)
+	gradientCov(cov, grams64(), layer, layer.CapturedOutputGrad(), &prod)
 	return cov
 }
 
@@ -246,11 +264,12 @@ func TestComputeCovAConvShape(t *testing.T) {
 }
 
 // TestComputeCovAConvIsItsDefinition states the conv A factor's arithmetic:
-// A = [a, 1]ᵀ[a, 1] / (S²·N) on the captured patch matrix a as it is — the
-// reference implementation's 1/S weight on every patch row, folded into the
-// product's one scalar. At float64 that is the Gram product's bits times the
-// scalar; a bias-free layer's capture is the Gram operand itself, so no
-// sample buffer exists for it at either element type.
+// A = [a, 1]ᵀ[a, 1] / (S²·N) on the patch matrix a of the captured image as
+// it is — the reference implementation's 1/S weight on every patch row,
+// folded into the product's one scalar. At float64 that is the Gram
+// product's bits on the stored patch matrix times the scalar; the Gram reads
+// the patch matrix and its bias column through the image, so no sample
+// buffer exists for a conv layer at either element type.
 func TestComputeCovAConvIsItsDefinition(t *testing.T) {
 	const n, size, inC, outC = 3, 4, 2, 3
 	for _, bias := range []bool{true, false} {
@@ -258,7 +277,7 @@ func TestComputeCovAConvIsItsDefinition(t *testing.T) {
 		c := nn.NewConv2D("cv", inC, outC, 3, 1, 1, bias, rng)
 		c.SetCapture(true)
 		c.Forward(tensor.Randn(rng, 1, n, size, size, inC), true)
-		a := c.CapturedActivation()
+		a := patchMatrix(c)
 		if bias {
 			aug := tensor.New(a.Rows(), a.Cols()+1)
 			for i := 0; i < a.Rows(); i++ {
@@ -274,15 +293,15 @@ func TestComputeCovAConvIsItsDefinition(t *testing.T) {
 		da, _ := FactorDims(c)
 		got, got32 := tensor.New(da, da), tensor.New(da, da)
 		var sample, prod *tensor.Tensor
-		activationCov(got, covKernel, c, c.CapturedActivation(), &sample, &prod)
+		activationCov(got, grams64(), c, c.CapturedActivation(), &sample, &prod)
 		wantSameBits(t, fmt.Sprintf("bias=%v float64 A", bias), got, want)
 		var sample32, prod32 *tensor.T32
-		activationCov(got32, linalg.SymMulT1Into[float32], c, c.CapturedActivation32(), &sample32, &prod32)
+		activationCov(got32, grams32(), c, c.CapturedActivation32(), &sample32, &prod32)
 		if !got32.Equal(want, 1e-6) {
 			t.Errorf("bias=%v: float32 A departs from the definition by more than 1e-6", bias)
 		}
-		if !bias && (sample != nil || sample32 != nil) {
-			t.Error("a bias-free capture was copied into a sample buffer")
+		if sample != nil || sample32 != nil {
+			t.Error("a conv capture was copied into a sample buffer")
 		}
 		// The same factor the reference implementation's row scaling gives.
 		scaled := a.Clone()

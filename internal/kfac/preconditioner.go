@@ -167,8 +167,8 @@ func NewFromOptions(model nn.Layer, c *comm.Communicator, opts Options) *Precond
 	if opts.Autotune != nil {
 		p.tuner = newTuner(*opts.Autotune)
 	}
+	nn.SetCapture(model, true)
 	for _, l := range nn.CapturableLayers(model) {
-		l.SetCapture(true)
 		s := &layerState{layer: l}
 		s.k = newKernels(opts.Precision, p, s)
 		p.states = append(p.states, s)

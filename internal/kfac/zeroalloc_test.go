@@ -2,21 +2,38 @@ package kfac
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-// useReferenceCovKernel swaps the covariance kernel to the general-matmul
-// reference path and returns a restore func. Tests using it must not run in
-// parallel (the hook is package state).
+// useReferenceCovKernel swaps the covariance kernels to the general-matmul
+// reference path — for a conv layer's A factor, on its patch matrix stored
+// by UnfoldInto — and returns a restore func. Tests using it must not run in
+// parallel (the hooks are package state).
 func useReferenceCovKernel() func() {
-	old := covKernel
+	old, oldPatches := covKernel, covPatchesKernel
 	covKernel = func(dst, a *tensor.Tensor) { tensor.MatMulT1Into(dst, a, a) }
-	return func() { covKernel = old }
+	covPatchesKernel = func(dst *tensor.Tensor, p tensor.Patches[float64]) {
+		k := p.KH * p.KW * p.Image.Shape[3]
+		cols := tensor.New(p.Rows(), k)
+		tensor.UnfoldInto(cols, p.Image, p.KH, p.KW, p.Stride, p.Pad)
+		if p.Ones {
+			aug := tensor.New(p.Rows(), k+1)
+			for r := 0; r < p.Rows(); r++ {
+				copy(aug.Data[r*(k+1):], cols.Data[r*k:(r+1)*k])
+				aug.Data[r*(k+1)+k] = 1
+			}
+			cols = aug
+		}
+		tensor.MatMulT1Into(dst, cols, cols)
+	}
+	return func() { covKernel, covPatchesKernel = old, oldPatches }
 }
 
 // TestKFACStepSteadyStateZeroAllocs is the allocation guard of the
@@ -186,6 +203,47 @@ func TestCovKernelBitIdenticalAcrossWorlds(t *testing.T) {
 					t.Errorf("world %d rank %d layer %d: blocked kernel differs from reference (exact comparison)", p, r, i)
 				}
 			}
+		}
+	}
+}
+
+// TestConvForwardBackwardGramZeroAllocs: a conv layer's steady-state
+// forward, backward and A-factor Gram — each reading the patch matrix
+// through the input image, the input gradient folded a block of images at a
+// time — allocate nothing, at both element types. The conv sits behind
+// another layer, so its float64 capture borrows the image.
+func TestConvForwardBackwardGramZeroAllocs(t *testing.T) {
+	for _, f32 := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(80))
+		conv := nn.NewConv2D("conv", 4, 6, 3, 2, 1, true, rng)
+		net := nn.NewSequential("net", nn.NewReLU("relu"), conv)
+		nn.SetBufferReuse(net, true)
+		nn.SetComputeF32(net, f32)
+		nn.SetCapture(net, true)
+		x := tensor.Randn(rng, 1, 3, 9, 9, 4)
+		g := tensor.Randn(rng, 1, 3, 5, 5, 6)
+		da, _ := FactorDims(conv)
+		cov := tensor.New(da, da)
+		var step func()
+		if f32 {
+			var sample, prod *tensor.T32
+			step = func() {
+				net.Forward(x, true)
+				net.Backward(g)
+				activationCov(cov, grams32(), conv, conv.CapturedActivation32(), &sample, &prod)
+			}
+		} else {
+			var sample, prod *tensor.Tensor
+			step = func() {
+				net.Forward(x, true)
+				net.Backward(g)
+				activationCov(cov, grams64(), conv, conv.CapturedActivation(), &sample, &prod)
+			}
+		}
+		step()
+		step()
+		if a := testing.AllocsPerRun(20, step); a != 0 {
+			t.Errorf("f32=%v: conv forward, backward and A Gram allocate %v times per run", f32, a)
 		}
 	}
 }

@@ -28,6 +28,14 @@ func SymMulT1Into[E tensor.Elem](dst, a *tensor.Dense[E]) {
 	mirrorLower(dst.Data, m)
 }
 
+// SymMulPatchesInto is SymMulT1Into on a patch matrix read through its
+// image (tensor.Patches): dst = pᵀ × p, bit for bit what SymMulT1Into writes
+// for the patch matrix stored. It is the A factor's Gram of a conv layer.
+func SymMulPatchesInto[E tensor.Elem](dst *tensor.Dense[E], p tensor.Patches[E]) {
+	tensor.MatMulT1UpperPatchesInto(dst, p)
+	mirrorLower(dst.Data, dst.Shape[0])
+}
+
 // SymMulT1Into32 is SymMulT1Into at float32, by the name the benchmark calls.
 func SymMulT1Into32(dst, a *tensor.T32) { SymMulT1Into(dst, a) }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/tensor"
@@ -91,9 +92,11 @@ func (m *MaxPool2d) SetBufferReuse(on bool) { m.reuse = on }
 // pixel and takes, channel by channel, every later one that is larger.
 func (m *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	oh, ow, err := tensor.Window{KH: m.K, KW: m.K, Stride: m.S}.Out(h, w)
+	if err != nil {
+		panic(fmt.Sprintf("nn: MaxPool2d %s: %v", m.name, err))
+	}
 	m.inShape = x.Shape
-	oh := (h-m.K)/m.S + 1
-	ow := (w-m.K)/m.S + 1
 	out := ensureBuf(m.reuse, &m.outBuf, n, oh, ow, c)
 	if cap(m.argmax) < out.Len() {
 		m.argmax = make([]int, out.Len())

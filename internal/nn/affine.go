@@ -6,15 +6,16 @@ import "repro/internal/tensor"
 // over the element type.
 //
 // A Linear is the affine map Y = X·Wᵀ + b; a Conv2D is the same map applied
-// to its patch matrix. Both delegate forward and backward to an
-// affine[E] — Linear directly, Conv2D between the lowering and its adjoint
-// (convCore) — and SetComputeF32 picks E once per layer: float64 (the
-// default), or float32 for the mixed-precision path, whose products run the
-// float64 FMA chain on float32 operands and round once (internal/tensor/
-// gemm.go). Nothing else asks which it is: a value crosses the precision
-// boundary through tensor.Cast, which hands back the float64 tensor itself
-// at float64 and converts into a reused buffer at float32 ("convert at the
-// boundary", docs/ARCHITECTURE.md).
+// to the patch matrix of its input image, which the products read through
+// the image (tensor.Patches) and no buffer holds. Both delegate forward and
+// backward to an affine[E] — Linear directly, Conv2D with the input
+// gradient folded onto the image (convCore) — and SetComputeF32 picks E
+// once per layer: float64 (the default), or float32 for the mixed-precision
+// path, whose products run the float64 FMA chain on float32 operands and
+// round once (internal/tensor/gemm.go). Nothing else asks which it is: a
+// value crosses the precision boundary through tensor.Cast, which hands back
+// the float64 tensor itself at float64 and converts into a reused buffer at
+// float32 ("convert at the boundary", docs/ARCHITECTURE.md).
 //
 // Whatever E is, everything crossing the layer boundary is float64: Forward
 // returns a float64 tensor, Backward consumes and produces float64
@@ -71,15 +72,17 @@ func SetComputeF32(root Layer, on bool) {
 }
 
 // affine is the core proper: Y = X·Wᵀ + b forward; dW = GᵀX and db folded
-// into the float64 Param.Grad accumulators, and dX = G·W, backward. Operands
-// and products are E; it keeps the operands of the last pass, which are what
-// backward multiplies by and what K-FAC captures.
+// into the float64 Param.Grad accumulators backward. X is the operand x
+// itself or, under a window (Conv2D), x's patch matrix, which the products
+// read through x. Operands and products are E; it keeps the operands of the
+// last pass, which are what backward multiplies by and what K-FAC captures.
 type affine[E tensor.Elem] struct {
-	l *affineLayer
+	l   *affineLayer
+	win tensor.Window // Conv2D's kernel geometry; zero for Linear, whose X is x
 
-	x, g, w   *tensor.Dense[E] // X and W of the last forward, G of the last backward
-	wBuf      *tensor.Dense[E] // w's storage where W.Value itself cannot serve
-	y, dw, dx *tensor.Dense[E] // products
+	x, g, w *tensor.Dense[E] // x and W of the last forward, G of the last backward
+	wBuf    *tensor.Dense[E] // w's storage where W.Value itself cannot serve
+	y, dw   *tensor.Dense[E] // products
 
 	// The captures on the far side of the precision boundary.
 	act64, grad64 *tensor.Tensor
@@ -92,8 +95,15 @@ func (a *affine[E]) forward(x *tensor.Dense[E]) *tensor.Dense[E] {
 	l := a.l
 	a.x = x
 	a.w = castBuf(l.reuse, &a.wBuf, l.W.Value)
-	y := ensureBuf(l.reuse, &a.y, x.Rows(), a.w.Rows())
-	tensor.MatMulT2Into(y, x, a.w)
+	var y *tensor.Dense[E]
+	if a.win == (tensor.Window{}) {
+		y = ensureBuf(l.reuse, &a.y, x.Rows(), a.w.Rows())
+		tensor.MatMulT2Into(y, x, a.w)
+	} else {
+		p := a.patches()
+		y = ensureBuf(l.reuse, &a.y, p.Rows(), a.w.Rows())
+		tensor.MatMulT2PatchesInto(y, p, a.w)
+	}
 	if l.B != nil {
 		bias, out := l.B.Value.Data, y.Cols()
 		for i := 0; i < y.Rows(); i++ {
@@ -106,13 +116,22 @@ func (a *affine[E]) forward(x *tensor.Dense[E]) *tensor.Dense[E] {
 	return y
 }
 
+// patches is X under a window: the patch matrix of the image x.
+func (a *affine[E]) patches() tensor.Patches[E] {
+	return tensor.Patches[E]{Image: a.x, Window: a.win}
+}
+
 // backward accumulates dW = GᵀX and db = Σᵢ G[i,:] into the parameter
-// gradients and returns dX = G·W. g must stay valid as x must.
-func (a *affine[E]) backward(g *tensor.Dense[E]) *tensor.Dense[E] {
+// gradients; the input gradient is the core's. g must stay valid as x must.
+func (a *affine[E]) backward(g *tensor.Dense[E]) {
 	l := a.l
 	a.g = g
 	dw := ensureBuf(l.reuse, &a.dw, a.w.Rows(), a.w.Cols())
-	tensor.MatMulT1Into(dw, g, a.x)
+	if a.win == (tensor.Window{}) {
+		tensor.MatMulT1Into(dw, g, a.x)
+	} else {
+		tensor.MatMulT1PatchesInto(dw, g, a.patches())
+	}
 	tensor.Accumulate(l.W.Grad, dw)
 	if l.B != nil {
 		out := g.Cols()
@@ -122,19 +141,16 @@ func (a *affine[E]) backward(g *tensor.Dense[E]) *tensor.Dense[E] {
 			}
 		}
 	}
-	dx := ensureBuf(l.reuse, &a.dx, g.Rows(), a.w.Cols())
-	tensor.MatMulInto(dx, g, a.w)
-	return dx
 }
 
 // operand brings a caller's float64 tensor in as an operand. For the
 // arithmetic alone the core may borrow src, and at float64 Cast does; a
-// capture must outlive the caller's buffer, so keep asks for a copy in the
-// core's own *buf at either element type. That is Linear's ownership rule: a
-// capture is the core's own operand buffer when it has one (always at
-// float32), else a copy into one. Conv2D's patch matrix is its own buffer
-// too; its G capture at float64 is the incoming gradient itself, which the
-// layer behind it keeps until its own next Backward (KFACCapturable).
+// capture that must outlive the caller's buffer asks, with keep, for a copy
+// in the core's own *buf at either element type. Linear keeps every capture
+// (its input may be the caller's). A Conv2D keeps its input image only where
+// no layer before it owns it (KFACCapturable); its G capture at float64 is
+// the incoming gradient itself, which the layer behind it keeps until its own
+// next Backward.
 func (a *affine[E]) operand(buf **tensor.Dense[E], src *tensor.Tensor, keep bool) *tensor.Dense[E] {
 	if !keep {
 		return castBuf(a.l.reuse, buf, src)
@@ -171,6 +187,7 @@ func castCapture[D, S tensor.Elem](l *affineLayer, buf **tensor.Dense[D], t *ten
 type linearCore[E tensor.Elem] struct {
 	affine[E]
 	xBuf, gBuf  *tensor.Dense[E] // own copies of x and gradOut (see operand)
+	dx          *tensor.Dense[E] // dX = G·W
 	yOut, dxOut *tensor.Tensor   // products at float64 where the core's are not
 }
 
@@ -180,42 +197,44 @@ func (c *linearCore[E]) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 func (c *linearCore[E]) backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	dx := c.affine.backward(c.operand(&c.gBuf, gradOut, c.l.capture))
+	g := c.operand(&c.gBuf, gradOut, c.l.capture)
+	c.affine.backward(g)
+	dx := ensureBuf(c.l.reuse, &c.dx, g.Rows(), c.w.Cols())
+	tensor.MatMulInto(dx, g, c.w)
 	return castBuf(c.l.reuse, &c.dxOut, dx)
 }
 
-// convCore is Conv2D's core: the lowering in front of the affine map, its
-// adjoint behind it. Activations are channels-last, so the map's
-// [n·oh·ow, outC] product is the layer's [n, oh, ow, outC] output and the
-// incoming gradient is its G operand — both under another shape, neither
-// copied. The lowering only moves data, so it runs at E on the once-cast
-// input; the fold converts as it adds, so no separate pass crosses back to
-// float64.
+// convCore is Conv2D's core: the affine map over the input image's patch
+// matrix, read through the image, and the input gradient folded onto the
+// image a block of images at a time (tensor.FoldMatMulInto), so that no
+// [n·oh·ow, kh·kw·inC] buffer exists. Activations are channels-last, so the
+// map's [n·oh·ow, outC] product is the layer's [n, oh, ow, outC] output and
+// the incoming gradient is its G operand — both under another shape, neither
+// copied. The input is cast to E once; the fold converts as it adds, so no
+// separate pass crosses back to float64.
 type convCore[E tensor.Elem] struct {
 	affine[E]
 	c *Conv2D
 
 	xIn, gIn   *tensor.Dense[E] // input and gradOut at E where they cannot serve themselves
-	cols       *tensor.Dense[E] // patches [n·oh·ow, kh·kw·inC]: the affine X
 	out, dx    *tensor.Tensor   // the product at float64 where the core's is not; the input gradient
 	outV, gInV *tensor.Tensor   // headers: the product as [n, oh, ow, outC], gradOut as a matrix
 }
 
-func (k *convCore[E]) forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (k *convCore[E]) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c, reuse := k.c, k.l.reuse
-	n := c.inShape[0]
-	cols := ensureBuf(reuse, &k.cols, n*c.outH*c.outW, c.InDim())
-	tensor.UnfoldInto(cols, castBuf(reuse, &k.xIn, x), c.KH, c.KW, c.Stride, c.Pad)
-	y := castBuf(reuse, &k.out, k.affine.forward(cols))
-	return viewBuf(reuse, &k.outV, y, n, c.outH, c.outW, c.OutC)
+	k.win = c.Window()
+	img := k.operand(&k.xIn, x, train && k.l.capture && !c.borrowInput)
+	y := castBuf(reuse, &k.out, k.affine.forward(img))
+	return viewBuf(reuse, &k.outV, y, c.inShape[0], c.outH, c.outW, c.OutC)
 }
 
 func (k *convCore[E]) backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	c, reuse := k.c, k.l.reuse
-	g := viewBuf(reuse, &k.gInV, gradOut, gradOut.Len()/c.OutC, c.OutC)
-	dCols := k.affine.backward(castBuf(reuse, &k.gIn, g))
+	g := castBuf(reuse, &k.gIn, viewBuf(reuse, &k.gInV, gradOut, gradOut.Len()/c.OutC, c.OutC))
+	k.affine.backward(g)
 	dx := ensureBuf(reuse, &k.dx, c.inShape...)
-	tensor.FoldInto(dx, dCols, c.KH, c.KW, c.Stride, c.Pad)
+	tensor.FoldMatMulInto(dx, g, k.w, k.win)
 	return dx
 }
 
@@ -254,6 +273,10 @@ func (l *affineLayer) CapturedActivation32() *tensor.T32 { return l.core.capture
 
 // CapturedOutputGrad32 implements KFACCapturable.
 func (l *affineLayer) CapturedOutputGrad32() *tensor.T32 { return l.core.captured32(true) }
+
+// Window implements KFACCapturable: the zero Window, for a layer whose
+// activation capture is its sample matrix itself. Conv2D overrides it.
+func (l *affineLayer) Window() tensor.Window { return tensor.Window{} }
 
 // BatchSize implements KFACCapturable.
 func (l *affineLayer) BatchSize() int { return l.batch }

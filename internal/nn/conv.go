@@ -1,23 +1,26 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/tensor"
 )
 
 // Conv2D is a 2-D convolution over channels-last [N, H, W, C] inputs
-// implemented as patch lowering + GEMM, as the paper's PyTorch substrate
-// does: the affine core applied to the patch matrix (see convCore), whose
-// product is the [N, outH, outW, outC] output. Weight has shape
-// [outC, kh·kw·inC], its columns in the patch order (ky, kx, c); bias
-// (optional) has shape [outC].
+// computed as a GEMM over the patch matrix, as the paper's PyTorch substrate
+// does: the affine core applied to the patch matrix [N·outH·outW,
+// kh·kw·inC], which the products read through the input image and no buffer
+// holds (see convCore), whose product is the [N, outH, outW, outC] output.
+// Weight has shape [outC, kh·kw·inC], its columns in the patch order
+// (ky, kx, c); bias (optional) has shape [outC].
 //
-// As a KFACCapturable, the captured activation is the patch matrix
-// [N·outH·outW, kh·kw·inC] — each row is one receptive-field sample, which
-// is why the A factor of a conv layer has dimension kh·kw·inC (+1 with
-// bias), its rows in the same (ky, kx, c) order — and the captured output
-// gradient is [N·outH·outW, outC].
+// As a KFACCapturable, the captured activation is the input image
+// [N, H, W, C], whose patch matrix under Window — each row one
+// receptive-field sample — is the activation sample matrix: that is why the
+// A factor of a conv layer has dimension kh·kw·inC (+1 with bias), its rows
+// in the same (ky, kx, c) order. The captured output gradient is
+// [N·outH·outW, outC].
 type Conv2D struct {
 	affineLayer
 	InC, OutC   int
@@ -26,6 +29,9 @@ type Conv2D struct {
 
 	inShape    []int // [N, H, W, C] of the last forward
 	outH, outW int
+	// borrowInput: the input is a layer's output, kept by its owner past
+	// this layer's use of it, so a float64 capture borrows it (SetCapture).
+	borrowInput bool
 }
 
 // NewConv2D constructs a convolution layer with He initialization
@@ -56,10 +62,13 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if ch != c.InC {
 		panic("nn: Conv2D channel mismatch")
 	}
+	oh, ow, err := c.Window().Out(h, w)
+	if err != nil {
+		panic(fmt.Sprintf("nn: Conv2D %s: %v", c.name, err))
+	}
 	c.inShape = append(c.inShape[:0], n, h, w, ch)
 	c.batch = n
-	c.outH = tensor.ConvOutSize(h, c.KH, c.Stride, c.Pad)
-	c.outW = tensor.ConvOutSize(w, c.KW, c.Stride, c.Pad)
+	c.outH, c.outW = oh, ow
 	return c.core.forward(x, train)
 }
 
@@ -70,6 +79,19 @@ func (c *Conv2D) SetComputeF32(on bool) {
 	} else {
 		c.core = &convCore[float64]{affine: affine[float64]{l: &c.affineLayer}, c: c}
 	}
+}
+
+// SetCapture implements KFACCapturable. A capture turned on here copies the
+// input image; SetCapture over the layer tree lets it borrow the image where
+// the image is another layer's output.
+func (c *Conv2D) SetCapture(on bool) {
+	c.capture = on
+	c.borrowInput = false
+}
+
+// Window implements KFACCapturable: the layer's kernel geometry.
+func (c *Conv2D) Window() tensor.Window {
+	return tensor.Window{KH: c.KH, KW: c.KW, Stride: c.Stride, Pad: c.Pad}
 }
 
 // SpatialSize implements KFACCapturable.

@@ -63,22 +63,33 @@ type Layer interface {
 // Capture validity: a capture is valid from the training Forward
 // (activation) or Backward (output gradient) that produced it until the
 // layer's next Forward — which is after K-FAC's Step has consumed it. It is
-// the layer's own buffer, except a Conv2D's float64 output gradient: that is
-// the gradient the layer behind it handed in, read as a matrix, which its
-// owner keeps until its own next Backward — later still. Callers that need
-// a capture longer copy it.
+// the layer's own buffer, with two exceptions at float64, where the layer
+// borrows what a neighbour owns: a Conv2D's output gradient is the gradient
+// the layer behind it handed in, read as a matrix, which its owner keeps
+// until its own next Backward; and a Conv2D's activation is its input image
+// itself when SetCapture found a layer before it in the tree, whose output it
+// is and which keeps it until its own next Forward — which comes before this
+// layer's. A conv that reads the network's own input, the caller's tensor, or
+// whose capture was turned on by its own SetCapture method, copies the image
+// (1/(kh·kw) of its patch matrix). Callers that need a capture longer copy
+// it.
 type KFACCapturable interface {
 	Layer
 	// SetCapture enables or disables activation/gradient capture.
 	SetCapture(on bool)
-	// CapturedActivation returns the activation samples from the last
-	// forward pass as a [samples, inDim] matrix (conv layers return the
-	// patch matrix [n·outH·outW, kh·kw·C]). Nil if capture was off.
+	// CapturedActivation returns the activation from the last forward pass
+	// — for a Linear the [samples, inDim] sample matrix; for a Conv2D the
+	// input image [N, H, W, C], whose patch matrix under Window,
+	// [N·outH·outW, kh·kw·C], is the sample matrix. Nil if capture was off.
 	CapturedActivation() *tensor.Tensor
 	// CapturedOutputGrad returns dL/d(pre-activation output) from the last
 	// backward pass as a [samples, outDim] matrix (conv layers return
-	// [n·outH·outW, outC]). Nil if capture was off.
+	// [N·outH·outW, outC]). Nil if capture was off.
 	CapturedOutputGrad() *tensor.Tensor
+	// Window returns the window the activation is read through: a Conv2D's
+	// kernel geometry, or the zero Window when the activation is the sample
+	// matrix itself.
+	Window() tensor.Window
 	// CapturedActivation32 and CapturedOutputGrad32 are the same captures at
 	// float32, so a float32 K-FAC step consumes a float32 layer's own
 	// buffers without a float64 round trip. Whichever pair is not at the
@@ -209,6 +220,35 @@ func CapturableLayers(root Layer) []KFACCapturable {
 		}
 	})
 	return out
+}
+
+// SetCapture enables or disables K-FAC capture on every KFACCapturable
+// under root. It also tells each Conv2D whether its input is another layer's
+// output, which the conv's float64 activation capture then borrows, or the
+// input root itself was given, the caller's, which it copies
+// (KFACCapturable). A Sequential hands its own input to its first layer
+// only; a Residual to its body and shortcut both.
+func SetCapture(root Layer, on bool) { setCapture(root, on, true) }
+
+// setCapture is SetCapture on the subtree l, which reads root's input when
+// fromRoot is set.
+func setCapture(l Layer, on, fromRoot bool) {
+	switch v := l.(type) {
+	case *Sequential:
+		for i, c := range v.Layers {
+			setCapture(c, on, fromRoot && i == 0)
+		}
+	case *Residual:
+		setCapture(v.Body, on, fromRoot)
+		if v.Shortcut != nil {
+			setCapture(v.Shortcut, on, fromRoot)
+		}
+	case KFACCapturable:
+		v.SetCapture(on)
+		if c, ok := v.(*Conv2D); ok {
+			c.borrowInput = !fromRoot
+		}
+	}
 }
 
 // BufferReuser is implemented by layers that can recycle their forward and

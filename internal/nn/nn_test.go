@@ -431,8 +431,11 @@ func TestConvCaptureShapes(t *testing.T) {
 	c.Backward(tensor.Randn(rng, 1, out.Shape...))
 	act := c.CapturedActivation()
 	g := c.CapturedOutputGrad()
-	if act.Rows() != 2*8*8 || act.Cols() != 3*3*3 {
-		t.Errorf("captured activation shape = %v", act.Shape)
+	if !act.SameShape(x) {
+		t.Errorf("captured activation shape = %v, want the input image's %v", act.Shape, x.Shape)
+	}
+	if p := (tensor.Patches[float64]{Image: act, Window: c.Window()}); p.Rows() != 2*8*8 || p.Cols() != 3*3*3 {
+		t.Errorf("captured patch matrix is %dx%d", p.Rows(), p.Cols())
 	}
 	if g.Rows() != 2*8*8 || g.Cols() != 6 {
 		t.Errorf("captured grad shape = %v", g.Shape)
@@ -534,5 +537,74 @@ func TestZeroGrads(t *testing.T) {
 	ZeroGrads(l)
 	if l.W.Grad.Norm2() != 0 {
 		t.Error("ZeroGrads did not clear gradient")
+	}
+}
+
+// TestWindowLargerThanInputPanics: a window that does not fit its padded
+// input once panics naming the layer and the geometry, rather than
+// returning a negative shape or reading another image's pixels.
+func TestWindowLargerThanInputPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, c := range []struct {
+		layer Layer
+		shape []int
+		want  []string
+	}{
+		{NewConv2D("stem", 3, 4, 3, 1, 0, false, rng), []int{1, 1, 1, 3}, []string{"Conv2D stem", "3x3 window", "1x1 input padded by 0"}},
+		{NewConv2D("wide", 2, 4, 5, 1, 1, false, rng), []int{2, 2, 6, 2}, []string{"Conv2D wide", "5x5 window", "2x6 input padded by 1"}},
+		{NewConv2D("zero", 2, 4, 3, 0, 1, false, rng), []int{1, 4, 4, 2}, []string{"Conv2D zero", "stride 0"}},
+		{NewMaxPool2d("pool", 2, 2), []int{2, 1, 1, 1}, []string{"MaxPool2d pool", "2x2 window", "1x1 input padded by 0"}},
+		{NewMaxPool2d("tall", 3, 1), []int{1, 2, 5, 1}, []string{"MaxPool2d tall", "3x3 window", "2x5 input"}},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				msg, _ := r.(string)
+				for _, w := range c.want {
+					if !strings.Contains(msg, w) {
+						t.Errorf("%s over %v: panic %q does not name %q", c.layer.Name(), c.shape, r, w)
+					}
+				}
+			}()
+			c.layer.Forward(tensor.New(c.shape...), true)
+		}()
+	}
+	// The largest window that fits still runs.
+	if out := NewMaxPool2d("fit", 2, 2).Forward(tensor.New(2, 2, 2, 1), true); out.Shape[1] != 1 || out.Shape[2] != 1 {
+		t.Errorf("2x2 pool over a 2x2 image: output shape %v", out.Shape)
+	}
+}
+
+// TestConvCaptureBorrowsLayerOutputs: under SetCapture over the tree, a
+// conv whose input is another layer's output captures that output itself
+// at float64, while a conv that reads the network's own input — at the top
+// of a Sequential, or of a Residual's body and shortcut at the top of one —
+// keeps a copy; a conv whose capture its own SetCapture turned on copies
+// too.
+func TestConvCaptureBorrowsLayerOutputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	body := NewConv2D("body", 2, 2, 3, 1, 1, false, rng)
+	short := NewConv2D("short", 2, 2, 1, 1, 0, false, rng)
+	relu := NewReLU("relu")
+	inner := NewConv2D("inner", 2, 2, 3, 1, 1, false, rng)
+	net := NewSequential("net", NewResidual("res", body, short), relu, inner)
+	SetCapture(net, true)
+	x := tensor.Randn(rng, 1, 2, 5, 5, 2)
+	net.Forward(x, true)
+	shares := func(c *Conv2D, t2 *tensor.Tensor) bool {
+		return &c.CapturedActivation().Data[0] == &t2.Data[0]
+	}
+	for _, c := range []*Conv2D{body, short} {
+		if shares(c, x) || !c.CapturedActivation().Equal(x, 0) {
+			t.Errorf("%s reads the network's input: its capture must be an equal copy", c.Name())
+		}
+	}
+	if !shares(inner, relu.out) {
+		t.Error("inner reads relu's output: its capture must be that output itself")
+	}
+	inner.SetCapture(true)
+	net.Forward(x, true)
+	if shares(inner, relu.out) || !inner.CapturedActivation().Equal(relu.out, 0) {
+		t.Error("after its own SetCapture, inner must capture an equal copy")
 	}
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
@@ -91,5 +92,58 @@ func TestBufferReuseSteadyStateForwardBackwardAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state forward+backward allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestConvResidentBytesHoldNoPatchMatrix: a conv layer's steady-state
+// buffers are its image-sized ones — the input copy its capture keeps, the
+// input gradient — plus the output and the weight gradient, and nothing of
+// the [N·outH·outW, kh·kw·C] patch matrix: the products read it through
+// the image and the input gradient is folded a block of images at a time.
+// The layer's resident heap, measured after a second identical layer has
+// warmed the shared GEMM workspaces and fold scratches, must come to those
+// buffers, where the patch buffer and the patch-shaped input gradient alone
+// would add two patch matrices.
+func TestConvResidentBytesHoldNoPatchMatrix(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, size, inC, outC, k = 8, 16, 16, 4, 3
+	rng := rand.New(rand.NewSource(24))
+	x := tensor.Randn(rng, 1, n, size, size, inC)
+	g := tensor.Randn(rng, 1, n, size, size, outC)
+	step := func(c *Conv2D) {
+		c.Forward(x, true)
+		c.Backward(g)
+	}
+	layer := func() *Conv2D {
+		c := NewConv2D("c", inC, outC, k, 1, 1, false, rand.New(rand.NewSource(25)))
+		c.SetBufferReuse(true)
+		c.SetCapture(true)
+		return c
+	}
+	warm := layer()
+	step(warm)
+	step(warm)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := layer()
+	step(c)
+	step(c)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	resident := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(warm)
+
+	img, rows, cols := int64(x.Len()), int64(n*size*size), int64(k*k*inC)
+	weights := int64(outC) * cols
+	// Input copy and input gradient, output, weight gradient; the layer's
+	// weight and its gradient accumulator.
+	want := 8 * (2*img + rows*outC + 3*weights)
+	patch := 8 * rows * cols
+	t.Logf("resident %d B, buffers %d B, one patch matrix %d B", resident, want, patch)
+	if resident > want+want/10+16<<10 {
+		t.Errorf("conv layer holds %d B, its buffers come to %d B: a patch-sized buffer (%d B) is back", resident, want, patch)
 	}
 }

@@ -46,9 +46,14 @@ import (
 // which, per operand and per block: a copy pays only where a panel is reused
 // by many tiles, is transposed, must be widened from float32, or must be
 // padded because the tile would read past the operand. The N/T1/T2 variants
-// differ only in the strides and packers that reach each operand. A float64
-// block accumulates in dst; a float32 block accumulates in a float64 scratch
-// the workspace holds and is narrowed into dst after its last k-block.
+// differ only in the strides and packers that reach each operand. An
+// operand is a stored matrix or the patch matrix of a channels-last image
+// (gemmSrc): of the latter, each k-block first copies the rows and columns
+// the block reads into a window in the workspace, and from there on the
+// window is a stored matrix to gemmPacks, the packers and the kernel. A
+// float64 block accumulates in dst; a float32 block accumulates in a float64
+// scratch the workspace holds and is narrowed into dst after its last
+// k-block.
 const (
 	gemmMR = 4 // micro-tile rows: broadcast lanes of op(A)
 
@@ -60,10 +65,13 @@ const (
 	// 192 KiB of op(A) pack buffer, where a block packed op(A) (a float32
 	// source, a partial row tile), plus one op(B) panel, gemmNRMax·gemmKC =
 	// 24 KiB, where a block packed op(B), plus, where float32 blocks were
-	// computed, gemmMC·gemmNC float64 = 288 KiB of C scratch. A float64
-	// product whose operands are all read in place grows none of them. There
-	// are as many workspaces as goroutines were ever inside the driver at
-	// once (callers plus pool workers), recycled through gemmFree.
+	// computed, gemmMC·gemmNC float64 = 288 KiB of C scratch, plus, where a
+	// block read a patch matrix, a window of at most gemmMC·gemmKC elements
+	// for op(A) and gemmKC·gemmNC for op(B), 384 KiB for both at float64 and
+	// 192 KiB at float32: at most 1080 KiB in all, 504 KiB without windows.
+	// A float64 product whose operands are all read in place grows none of
+	// them. There are as many workspaces as goroutines were ever inside the
+	// driver at once (callers plus pool workers), recycled through gemmFree.
 	gemmMC = 192
 	gemmNC = 192
 	gemmKC = 128
@@ -237,10 +245,10 @@ func transLanes4Go[S Elem](dst []float64, src []S, ld, kc, w int) {
 }
 
 // packLanes packs a w-wide panel whose lanes are rows of src: lane l, step p
-// comes from src[(r0+l)·ld + p0+p]. Lanes past rows are zero. This is the
-// packer for a packed op(A) of MatMulInto/MatMulT2Into (w = gemmMR) and for
-// op(B) of MatMulT2Into (w = gemmKernels.nr).
-func packLanes[S Elem](ks *gemmKernels, dst []float64, src []S, ld, r0, rows, p0, kc, w int) {
+// comes from src[l·ld + p]. Lanes past rows are zero. This is the packer for
+// a packed op(A) of MatMulInto/MatMulT2Into (w = gemmMR) and for op(B) of
+// MatMulT2Into (w = gemmKernels.nr).
+func packLanes[S Elem](ks *gemmKernels, dst []float64, src []S, ld, rows, kc, w int) {
 	dst = dst[:kc*w]
 	if rows < w {
 		clear(dst)
@@ -248,31 +256,28 @@ func packLanes[S Elem](ks *gemmKernels, dst []float64, src []S, ld, r0, rows, p0
 	src64, is64 := any(src).([]float64)
 	l := 0
 	for ; l+4 <= rows; l += 4 {
-		o := (r0+l)*ld + p0
 		if is64 {
-			ks.transLanes4(dst[l:], src64[o:], ld, kc, w)
+			ks.transLanes4(dst[l:], src64[l*ld:], ld, kc, w)
 		} else {
-			transLanes4Go(dst[l:], src[o:], ld, kc, w)
+			transLanes4Go(dst[l:], src[l*ld:], ld, kc, w)
 		}
 	}
 	for ; l < rows; l++ {
-		o := (r0+l)*ld + p0
 		d := dst[l:]
-		for p, v := range src[o : o+kc] {
+		for p, v := range src[l*ld : l*ld+kc] {
 			d[p*w] = float64(v)
 		}
 	}
 }
 
 // packSteps packs a w-wide panel whose steps are rows of src: lane l, step p
-// comes from src[(p0+p)·ld + c0+l]. Lanes past cols are zero. This is the
-// packer for a packed op(A) of MatMulT1Into (w = gemmMR) and for a packed
-// op(B) of MatMulInto/MatMulT1Into (w = gemmKernels.nr).
-func packSteps[S Elem](ks *gemmKernels, dst []float64, src []S, ld, c0, cols, p0, kc, w int) {
+// comes from src[p·ld + l]. Lanes past cols are zero. This is the packer for
+// a packed op(A) of MatMulT1Into (w = gemmMR) and for a packed op(B) of
+// MatMulInto/MatMulT1Into (w = gemmKernels.nr).
+func packSteps[S Elem](ks *gemmKernels, dst []float64, src []S, ld, cols, kc, w int) {
 	dst = dst[:kc*w]
-	o := p0*ld + c0
 	if src64, ok := any(src).([]float64); ok && cols == w && w == ks.nr {
-		ks.copySteps(dst, src64[o:], ld, kc)
+		ks.copySteps(dst, src64, ld, kc)
 		return
 	}
 	if cols < w {
@@ -280,23 +285,70 @@ func packSteps[S Elem](ks *gemmKernels, dst []float64, src []S, ld, c0, cols, p0
 	}
 	for p := 0; p < kc; p++ {
 		d := dst[p*w : p*w+cols]
-		for l, v := range src[o+p*ld : o+p*ld+cols] {
+		for l, v := range src[p*ld : p*ld+cols] {
 			d[l] = float64(v)
 		}
 	}
 }
 
+// gemmSrc is an operand as the driver reads it. It is one of two kinds: a
+// stored matrix, row-major with row stride ld, read in place or packed from
+// where it lies; or the patch matrix of a channels-last image under a window
+// (Patches; im.win.KH > 0), of which no copy exists — each k-block copies the
+// rows and columns its block reads into the workspace (view), and from there
+// on it is read as a stored matrix is. A pre-packed operand would be a third
+// kind, a third case of view.
+type gemmSrc[E Elem] struct {
+	data []E // the stored matrix, or the image
+	ld   int
+	im   patchGeom
+}
+
+// storedSrc is the stored matrix data with row stride ld.
+func storedSrc[E Elem](data []E, ld int) gemmSrc[E] { return gemmSrc[E]{data: data, ld: ld} }
+
+// patchesSrc is p's patch matrix.
+func patchesSrc[E Elem](p Patches[E]) gemmSrc[E] {
+	return gemmSrc[E]{data: p.Image.Data, im: p.geom()}
+}
+
+// gemmView is where one k-block reads an operand: element (r, c) of the
+// stored matrix at s[(r−r0)·ld + c−c0].
+type gemmView[E Elem] struct {
+	s          []E
+	ld, r0, c0 int
+}
+
+// at returns the index of element (r, c) in v.s.
+func (v *gemmView[E]) at(r, c int) int { return (r-v.r0)*v.ld + c - v.c0 }
+
+// view returns where rows [r0, r1) and columns [c0, c1) of the operand's
+// stored matrix are read: the matrix itself, or a patch matrix's window
+// copied into *buf.
+func (o *gemmSrc[E]) view(buf *[]E, r0, r1, c0, c1 int) gemmView[E] {
+	if o.im.win.KH == 0 {
+		return gemmView[E]{s: o.data, ld: o.ld}
+	}
+	need := (r1 - r0) * (c1 - c0)
+	if cap(*buf) < need {
+		*buf = make([]E, need)
+	}
+	copyWindow((*buf)[:need], o.data, &o.im, r0, r1, c0, c1)
+	return gemmView[E]{s: (*buf)[:need], ld: c1 - c0, r0: r0, c0: c0}
+}
+
 // gemmJob describes one product of a grid. Operand storage: a is m×k, or
 // k×m when aT; b is k×n, or n×k when bT.
 type gemmJob[E Elem] struct {
-	dst, a, b []E
-	m, n, k   int
-	aT, bT    bool
-	upper     bool         // skip tiles strictly below the diagonal
-	ks        *gemmKernels // the grid's set, or its narrow set
-	work      int          // multiply-adds: m·n·k, halved for an upper product
-	bm, bn    int          // block extent in rows / columns
-	gn        int          // blocks per grid row
+	dst     []E
+	a, b    gemmSrc[E]
+	m, n, k int
+	aT, bT  bool
+	upper   bool         // skip tiles strictly below the diagonal
+	ks      *gemmKernels // the grid's set, or its narrow set
+	work    int          // multiply-adds: m·n·k, halved for an upper product
+	bm, bn  int          // block extent in rows / columns
+	gn      int          // blocks per grid row
 }
 
 // gemmWorkspace is what one goroutine computing blocks holds: the pack
@@ -307,12 +359,24 @@ type gemmWorkspace struct {
 	pa, pb []float64
 	c      []float64                   // float32 blocks accumulate here, in whole micro-tiles
 	edge   [gemmMR * gemmNRMax]float64 // private C tile for partial micro-tiles of a float64 block
+	// The windows of patch-matrix operands (gemmSrc.view), op(A)'s and
+	// op(B)'s, at the product's element type.
+	wa, wb     []float64
+	wa32, wb32 []float32
+}
+
+// windows returns ws's window buffers for element type E.
+func windows[E Elem](ws *gemmWorkspace) (wa, wb *[]E) {
+	if a, ok := any(&ws.wa).(*[]E); ok {
+		return a, any(&ws.wb).(*[]E)
+	}
+	return any(&ws.wa32).(*[]E), any(&ws.wb32).(*[]E)
 }
 
 // freeList recycles kernel workspaces, so a kernel performs no heap
 // allocation once as many exist as goroutines were ever inside it at once
 // (callers plus pool workers). A mutex-guarded stack, not a sync.Pool: the
-// collector empties a sync.Pool, which would re-allocate up to 504 KiB of
+// collector empties a sync.Pool, which would re-allocate up to 1080 KiB of
 // GEMM workspace per worker after every other collection, and the race
 // detector makes it drop Puts, which the steady-state zero-allocation
 // suites (run under -race in CI) would see. The zero value is ready.
@@ -369,17 +433,33 @@ type gemmGrid[E Elem] struct {
 	ends []int
 }
 
-// add appends the product dst (m×n) = op(a)·op(b); with upper set (m == n)
-// only the micro-tiles that meet the upper triangle are written. Products
-// with nothing to multiply are finished here.
+// add appends the product dst (m×n) = op(a)·op(b) of stored matrices; with
+// upper set (m == n, b == a) only the micro-tiles that meet the upper
+// triangle are written.
 func (g *gemmGrid[E]) add(dst, a, b []E, m, n, k int, aT, bT, upper bool) {
-	if len(dst) < m*n || len(a) < m*k || len(b) < k*n {
+	if len(a) < m*k || len(b) < k*n {
 		panic("tensor: matmul operand storage shorter than its shape")
 	}
 	// The assembly indexes these without bounds checks; from here on every
 	// access is within the extents the shapes name.
-	dst, a, b = dst[:m*n], a[:m*k], b[:k*n]
-	if overlaps(dst, a) || overlaps(dst, b) {
+	lda, ldb := k, n
+	if aT {
+		lda = m
+	}
+	if bT {
+		ldb = k
+	}
+	g.addSrc(dst, storedSrc(a[:m*k], lda), storedSrc(b[:k*n], ldb), m, n, k, aT, bT, upper)
+}
+
+// addSrc appends the product dst (m×n) = op(a)·op(b) of operands of either
+// kind. Products with nothing to multiply are finished here.
+func (g *gemmGrid[E]) addSrc(dst []E, a, b gemmSrc[E], m, n, k int, aT, bT, upper bool) {
+	if len(dst) < m*n {
+		panic("tensor: matmul operand storage shorter than its shape")
+	}
+	dst = dst[:m*n]
+	if overlaps(dst, a.data) || overlaps(dst, b.data) {
 		panic("tensor: matmul destination aliases an operand")
 	}
 	if m == 0 || n == 0 {
@@ -459,11 +539,19 @@ func (ks *gemmKernels) forWidth(n int) *gemmKernels {
 // set, capped by the pack buffers, halving the longer side until there are
 // at least target blocks (near-square blocks re-pack the least operand
 // data), then evened out over the resulting grid — and returns the block
-// count.
+// count. An upper product whose whole triangle fits one block stays one
+// block: cut, its blocks each stream op(A)'s k-slices and pack op(B)'s
+// panels again, and the triangle does not share out evenly. The Gram at
+// k = 4096, m = 72 cut four ways ran its blocks at 15, 9, 3 and 9 tiles'
+// work, took 1.3–1.6× the one block's time run one after another, and two
+// workers took longer than one (docs/PERFORMANCE.md).
 func (g *gemmJob[E]) grid(target int) int {
 	nr := g.ks.nr
 	tm, tn := (g.m+gemmMR-1)/gemmMR, (g.n+nr-1)/nr
 	bm, bn := min(tm, gemmMC/gemmMR), min(tn, gemmNC/nr)
+	if g.upper && bm == tm && bn == tn {
+		target = 1
+	}
 	for ((tm+bm-1)/bm)*((tn+bn-1)/bn) < target && (bm > 1 || bn > 1) {
 		if bn == 1 || (bm > 1 && bm*gemmMR >= bn*nr) {
 			bm = (bm + 1) / 2
@@ -527,9 +615,7 @@ func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 	// Even k-blocks: same count as cutting at gemmKC, no short last block.
 	kb := (g.k + gemmKC - 1) / gemmKC
 	kc := (g.k + kb - 1) / kb
-	// The operands as float64, for the tiles read in place (wide only).
-	a64, wide := any(g.a).([]float64)
-	b64, _ := any(g.b).([]float64)
+	_, wide := any(g.dst).([]float64)
 	// c is where the micro-kernel accumulates this block, origin at its
 	// first element: dst itself when dst is float64, else the scratch, whose
 	// whole micro-tiles need no edge path. The element type is resolved here,
@@ -550,8 +636,28 @@ func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 	}
 	direct := dst32 == nil
 	edge := ws.edge[:]
+	wa, wb := windows[E](ws)
 	for p0 := 0; p0 < g.k; p0 += kc {
 		kc := min(kc, g.k-p0)
+		// Where this k-block reads each operand. A Gram's diagonal block
+		// reads the same rows and columns as both, so one window serves.
+		var av, bv gemmView[E]
+		if g.aT {
+			av = g.a.view(wa, p0, p0+kc, i0, i1)
+		} else {
+			av = g.a.view(wa, i0, i1, p0, p0+kc)
+		}
+		switch {
+		case g.upper && i0 == j0 && i1 == j1:
+			bv = av
+		case g.bT:
+			bv = g.b.view(wb, j0, j1, p0, p0+kc)
+		default:
+			bv = g.b.view(wb, p0, p0+kc, j0, j1)
+		}
+		// The operands as float64, for the tiles read in place (wide only).
+		a64, _ := any(av.s).([]float64)
+		b64, _ := any(bv.s).([]float64)
 		for ip := 0; ip < mp; ip++ {
 			i := i0 + ip*gemmMR
 			mr := min(gemmMR, i1-i)
@@ -562,30 +668,33 @@ func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 				ws.pa = make([]float64, need)
 			}
 			if g.aT {
-				packSteps(ks, ws.pa[ip*gemmMR*kc:], g.a, g.m, i, mr, p0, kc, gemmMR)
+				packSteps(ks, ws.pa[ip*gemmMR*kc:], av.s[av.at(p0, i):], av.ld, mr, kc, gemmMR)
 			} else {
-				packLanes(ks, ws.pa[ip*gemmMR*kc:], g.a, g.k, i, mr, p0, kc, gemmMR)
+				packLanes(ks, ws.pa[ip*gemmMR*kc:], av.s[av.at(i, p0):], av.ld, mr, kc, gemmMR)
 			}
 		}
 		load := p0 > 0
 		for jp := 0; jp < np; jp++ {
 			j := j0 + jp*nr
 			cols := min(nr, j1-j)
+			if g.upper && j+cols <= i0 {
+				continue // wholly below the diagonal: no tile meets it
+			}
 			// op(B)'s panel: step p, column l at bp[p·sb + l]. A packed panel
 			// is packed just before its tiles run, so one buffer serves.
 			var bp []float64
 			sb := nr
 			if _, packB := gemmPacks(ks, wide, g.bT, mp, gemmMR, cols); !packB {
-				bp, sb = b64[p0*g.n+j:], g.n
+				bp, sb = b64[bv.at(p0, j):], bv.ld
 			} else {
 				if need := nr * kc; cap(ws.pb) < need {
 					ws.pb = make([]float64, need)
 				}
 				bp = ws.pb[:nr*kc]
 				if g.bT {
-					packLanes(ks, bp, g.b, g.k, j, cols, p0, kc, nr)
+					packLanes(ks, bp, bv.s[bv.at(j, p0):], bv.ld, cols, kc, nr)
 				} else {
-					packSteps(ks, bp, g.b, g.n, j, cols, p0, kc, nr)
+					packSteps(ks, bp, bv.s[bv.at(p0, j):], bv.ld, cols, kc, nr)
 				}
 			}
 			// The row tiles that run against this panel: all of the block's,
@@ -615,9 +724,9 @@ func (g *gemmJob[E]) block(ws *gemmWorkspace, i0, i1, j0, j1 int) {
 				case packA:
 					ap, lda, sa, ta = ws.pa[ip*gemmMR*kc:], 1, gemmMR, gemmMR*kc
 				case g.aT:
-					ap, lda, sa, ta = a64[p0*g.m+i:], 1, g.m, gemmMR
+					ap, lda, sa, ta = a64[av.at(p0, i):], 1, av.ld, gemmMR
 				default:
-					ap, lda, sa, ta = a64[i*g.k+p0:], g.k, 1, gemmMR*g.k
+					ap, lda, sa, ta = a64[av.at(i, p0):], av.ld, 1, gemmMR*av.ld
 				}
 				ct := c[ip*gemmMR*ldc+jp*nr:]
 				if ip < run {
@@ -669,13 +778,22 @@ func gemm[E Elem](ks *gemmKernels, dst, a, b []E, m, n, k int, aT, bT, upper boo
 	free.put(g)
 }
 
-// overlaps reports whether the two slices share any element's storage.
-func overlaps[E Elem](x, y []E) bool {
+// gemmSrcs is gemm on operands of either kind.
+func gemmSrcs[E Elem](ks *gemmKernels, dst []E, a, b gemmSrc[E], m, n, k int, aT, bT, upper bool) {
+	free := gridFreeOf[E]()
+	g := free.get()
+	g.ks = ks
+	g.addSrc(dst, a, b, m, n, k, aT, bT, upper)
+	g.run()
+	free.put(g)
+}
+
+// overlaps reports whether the two slices share any byte of storage.
+func overlaps[X, Y Elem](x []X, y []Y) bool {
 	if len(x) == 0 || len(y) == 0 {
 		return false
 	}
 	xp := uintptr(unsafe.Pointer(unsafe.SliceData(x)))
 	yp := uintptr(unsafe.Pointer(unsafe.SliceData(y)))
-	sz := unsafe.Sizeof(x[0])
-	return xp < yp+uintptr(len(y))*sz && yp < xp+uintptr(len(x))*sz
+	return xp < yp+uintptr(len(y))*unsafe.Sizeof(y[0]) && yp < xp+uintptr(len(x))*unsafe.Sizeof(x[0])
 }

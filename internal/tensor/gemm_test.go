@@ -638,8 +638,11 @@ func TestGroupZeroAllocSteadyState(t *testing.T) {
 // tiles, partial panels, several k-blocks, the narrow set's hand-off and
 // both sides of gemmBInPlaceTiles are all reached, in every orientation and
 // the Gram product, on every kernel set the host runs, at both element
-// types. Each product runs on the calling goroutine, whose faults
-// debug.SetPanicOnFault turns into a panic guardedRun recovers.
+// types. A patch-matrix operand's image ends at such a page too, read
+// through windows whose last row takes the image's last pixel (no padding)
+// and windows clipped by padding, with and without the ones column. Each
+// product runs on the calling goroutine, whose faults debug.SetPanicOnFault
+// turns into a panic guardedRun recovers.
 func TestGEMMReadsNoBytePastOperands(t *testing.T) {
 	var cases []gemmCase
 	for _, s := range [][3]int{{13, 29, 259}, {13, 11, 259}, {6, 7, 131}, {37, 7, 133}, {29, 53, 133}, {37, 53, 133}} {
@@ -663,6 +666,26 @@ func TestGEMMReadsNoBytePastOperands(t *testing.T) {
 			p := problems[i]
 			sameBits(t, ks.isa.String()+"/float64", c, guardedRun(t, c, ks, p.a, p.b), p.want)
 			sameBits(t, ks.isa.String()+"/float32", c, guardedRun(t, c, ks, p.a32, p.b32), p.want32)
+		}
+		for _, pc := range []patchCase{
+			{n: 2, h: 5, w: 4, c: 3, win: Window{3, 3, 1, 0}},
+			{n: 1, h: 6, w: 5, c: 5, win: Window{3, 3, 2, 1}, ones: true},
+			{n: 2, h: 3, w: 7, c: 2, win: Window{1, 1, 1, 0}},
+		} {
+			x := pc.image(rng)
+			x32 := NewT32(x.Shape...)
+			x32.NarrowFrom(x)
+			other := Randn(rng, 1, 32*200).Data
+			other32 := narrowed(other)
+			for _, pp := range patchProducts() {
+				label := ks.isa.String() + "/" + pc.String() + "/" + pp.name
+				cols := unfolded(pc, x)
+				_, n, _ := pp.dims(cols.Rows(), cols.Cols())
+				_, want := runPatchProduct(ks, pc, pp, x, other)
+				samePatchBits(t, label+"/float64", pp.upper, n, guardedPatchRun(t, ks, pc, pp, x, other), want)
+				_, want32 := runPatchProduct(ks, pc, pp, x32, other32)
+				samePatchBits(t, label+"/float32", pp.upper, n, guardedPatchRun(t, ks, pc, pp, x32, other32), want32)
+			}
 		}
 	})
 }

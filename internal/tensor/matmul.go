@@ -91,6 +91,18 @@ func dimsGram[E Elem](dst, a *Dense[E]) (m, k int) {
 	return m, k
 }
 
+// MatMulT1UpperPatchesInto is MatMulT1UpperInto on a patch matrix:
+// the upper triangle of dst = pᵀ × p, as MatMulT1UpperInto(dst, P) would
+// write it for P = p's patch matrix stored, bit for bit.
+func MatMulT1UpperPatchesInto[E Elem](dst *Dense[E], p Patches[E]) {
+	src := patchesSrc(p)
+	m, k := src.im.cols(), src.im.rows()
+	if dst.Shape[0] != m || dst.Shape[1] != m {
+		panic("tensor: MatMulT1UpperPatchesInto shape mismatch")
+	}
+	gemmSrcs(&gemmActive, dst.Data, src, src, m, m, k, true, false, true)
+}
+
 // MatMulT2 returns a × bᵀ for a (m×k) and b (n×k).
 func MatMulT2[E Elem](a, b *Dense[E]) *Dense[E] {
 	m, k := a.Shape[0], a.Shape[1]
@@ -119,6 +131,32 @@ func dimsT2[E Elem](dst, a, b *Dense[E]) (m, n, k int) {
 		panic("tensor: MatMulT2Into shape mismatch")
 	}
 	return m, n, k
+}
+
+// MatMulT2PatchesInto computes dst = P × bᵀ for the patch matrix P of a
+// (N·outH·outW × k) and b (n×k): a convolution's forward product, bit for bit
+// MatMulT2Into on P stored.
+func MatMulT2PatchesInto[E Elem](dst *Dense[E], a Patches[E], b *Dense[E]) {
+	src := patchesSrc(a)
+	m, k := src.im.rows(), src.im.cols()
+	n := b.Shape[0]
+	if b.Shape[1] != k || dst.Shape[0] != m || dst.Shape[1] != n {
+		panic("tensor: MatMulT2PatchesInto shape mismatch")
+	}
+	gemmSrcs(&gemmActive, dst.Data, src, storedSrc(b.Data[:n*k], k), m, n, k, false, true, false)
+}
+
+// MatMulT1PatchesInto computes dst = aᵀ × P for a (k×m) and the patch
+// matrix P of b (k × n): a convolution's weight gradient, bit for bit
+// MatMulT1Into on P stored.
+func MatMulT1PatchesInto[E Elem](dst, a *Dense[E], b Patches[E]) {
+	src := patchesSrc(b)
+	k, n := src.im.rows(), src.im.cols()
+	m := a.Shape[1]
+	if a.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != n {
+		panic("tensor: MatMulT1PatchesInto shape mismatch")
+	}
+	gemmSrcs(&gemmActive, dst.Data, storedSrc(a.Data[:k*m], m), src, m, n, k, true, false, false)
 }
 
 // Group is a batch of independent matrix products run as one: MatMul,
