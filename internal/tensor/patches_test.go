@@ -43,7 +43,7 @@ func patchCases() []patchCase {
 	return out
 }
 
-// image draws the case's image at element type E.
+// image draws the case's float64 image.
 func (pc patchCase) image(rng *rand.Rand) *Tensor { return Randn(rng, 1, pc.n, pc.h, pc.w, pc.c) }
 
 // unfolded is the case's patch matrix stored, by the whole-matrix lowering,
@@ -170,8 +170,9 @@ func TestPatchesMatchUnfoldThenProduct(t *testing.T) {
 	})
 }
 
-// TestPatchesEntryPoints holds the exported patch products to their stored
-// namesakes and the fold of a product to FoldInto of it, bit for bit.
+// TestPatchesEntryPoints holds Patches' extents and the exported patch
+// products to the stored patch matrix and their stored namesakes, bit for
+// bit.
 func TestPatchesEntryPoints(t *testing.T) {
 	for _, pc := range patchCases() {
 		rng := rand.New(rand.NewSource(int64(pc.n*7 + pc.c)))
