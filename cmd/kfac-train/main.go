@@ -56,7 +56,8 @@ Training:
   -batch N                mini-batch size per rank (default 32)
   -lr F                   base learning rate per rank, scaled by world (default 0.05)
   -width N / -blocks N    model size (ResNet stem channels / blocks per stage)
-  -seed N                 random seed (default 42)
+  -seed N                 seed of the data, the shuffling and the sharding (default 42);
+                          initial weights come from the trainer's replica seed at every -world
 
 K-FAC (with -optimizer kfac):
   -engine {sync,pipelined}             step engine; pipelined overlaps compute and comm
@@ -138,7 +139,7 @@ func main() {
 		lr        = flag.Float64("lr", 0.05, "base learning rate per rank (scaled by world)")
 		width     = flag.Int("width", 8, "model width (ResNet stem channels)")
 		blocks    = flag.Int("blocks", 1, "residual blocks per stage")
-		seed      = flag.Int64("seed", 42, "random seed")
+		seed      = flag.Int64("seed", 42, "seed of the data, shuffling and sharding (initial weights come from the replica seed at every -world)")
 
 		compress   = flag.String("compress", "none", "payload codec: none, float16, or topk (error-feedback compensated)")
 		topkFrac   = flag.Float64("topk-frac", 0, "kept-coordinate fraction for -compress topk (0 < F ≤ 1; 0 = 0.1)")
@@ -153,6 +154,12 @@ func main() {
 	)
 	flag.Usage = usage
 	flag.Parse()
+	if *world < 1 {
+		fail("-world must be ≥ 1")
+	}
+	if *chaosOn && *world < 2 {
+		fail("-chaos needs -world > 1 (a single rank has no transport to disturb)")
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -211,35 +218,23 @@ func main() {
 		6**blocks+2, *width, nn.ParamCount(build(rand.New(rand.NewSource(*seed)))),
 		*optimizer, ko.Engine, *world)
 
+	var fab comm.Fabric = comm.NewInprocFabric(*world)
 	var chaosFab *comm.ChaosFabric
+	if *chaosOn {
+		chaosFab = comm.NewChaosFabric(fab, *world, comm.ChaosConfig{
+			Seed:         *chaosSeed,
+			MaxLatency:   *chaosLat,
+			DropRate:     *chaosDrop,
+			BandwidthBps: *chaosBW,
+		})
+		fab = chaosFab
+		fmt.Printf("chaos: seed %d, latency ≤ %v, drop %.1f%%, bandwidth %s\n",
+			*chaosSeed, *chaosLat, *chaosDrop*100, bwString(*chaosBW))
+	}
+	all, err := trainer.RunSessionsOn(ctx, fab, *world, build, train, test, opts...)
 	var res *trainer.Result
-	if *world == 1 {
-		if *chaosOn {
-			fail("-chaos needs -world > 1 (a single rank has no transport to disturb)")
-		}
-		var s *trainer.Session
-		s, err = trainer.NewSession(build(rand.New(rand.NewSource(*seed))), nil, train, test, opts...)
-		if err == nil {
-			res, err = s.Run(ctx)
-		}
-	} else {
-		var fab comm.Fabric = comm.NewInprocFabric(*world)
-		if *chaosOn {
-			chaosFab = comm.NewChaosFabric(fab, *world, comm.ChaosConfig{
-				Seed:         *chaosSeed,
-				MaxLatency:   *chaosLat,
-				DropRate:     *chaosDrop,
-				BandwidthBps: *chaosBW,
-			})
-			fab = chaosFab
-			fmt.Printf("chaos: seed %d, latency ≤ %v, drop %.1f%%, bandwidth %s\n",
-				*chaosSeed, *chaosLat, *chaosDrop*100, bwString(*chaosBW))
-		}
-		var all []*trainer.Result
-		all, err = trainer.RunSessionsOn(ctx, fab, *world, build, train, test, opts...)
-		if len(all) > 0 {
-			res = all[0] // rank 0's result; partial under cancellation
-		}
+	if len(all) > 0 {
+		res = all[0] // rank 0's result; partial under cancellation
 	}
 	if errors.Is(err, context.Canceled) {
 		fmt.Println("interrupted: run cancelled cleanly at an iteration boundary")

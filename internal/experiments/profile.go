@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"repro/internal/data"
 	"repro/internal/kfac"
-	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/trainer"
 )
@@ -50,19 +48,7 @@ func profileWorkload(ctx context.Context, cfg Config, world int, engine kfac.Eng
 		trainer.WithKFACOptions(kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Engine: engine}),
 		trainer.WithSeed(cfg.Seed),
 	}
-	build := func(rng *rand.Rand) *nn.Sequential { return correctnessNet(cfg)(rng) }
-	if world == 1 {
-		s, err := trainer.NewSession(build(rand.New(rand.NewSource(1))), nil, train, test, opts...)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.Run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return res.KFACStats, nil
-	}
-	results, err := trainer.RunSessions(ctx, world, build, train, test, opts...)
+	results, err := trainer.RunSessions(ctx, world, correctnessNet(cfg), train, test, opts...)
 	if err != nil {
 		return nil, err
 	}

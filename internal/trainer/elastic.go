@@ -21,7 +21,6 @@ import (
 	"io"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/ckptstore"
@@ -96,11 +95,6 @@ func (cfg *ElasticConfig) fillDefaults() error {
 	return nil
 }
 
-// killErr reports whether err traces back to a chaos kill.
-func killErr(err error) bool {
-	return errors.Is(err, comm.ErrRankKilled) || errors.Is(err, comm.ErrPeerKilled)
-}
-
 // RunElastic trains to completion through rank failures. buildNet and the
 // session options carry the same contract as RunSessions (identical on
 // every rank); opts must include WithEpochs and WithBatchPerRank, and any
@@ -155,43 +149,27 @@ func RunElastic(ctx context.Context, cfg ElasticConfig, buildNet func(rng *rand.
 
 		if len(dead) == 0 {
 			// No failure: the generation either finished or hit a genuine
-			// error / outer cancellation. Prefer the originating failure
-			// over the context.Canceled it induced in peers through the
-			// hard abort — a low rank's induced Canceled must not mask the
-			// real cause on a higher rank.
-			var firstErr error
-			for _, err := range errs {
-				if err == nil {
-					continue
-				}
-				if firstErr == nil || (errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
-					firstErr = err
-				}
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return mergeElastic(out, byEpoch, results[0]), cerr
-			}
-			if errors.Is(firstErr, ErrResumeComplete) {
+			// error / outer cancellation.
+			err = worldErr(errs)
+			switch {
+			case ctx.Err() != nil:
+				err = ctx.Err()
+			case errors.Is(err, ErrResumeComplete):
 				// The checkpoint already covers every epoch — a failure
 				// landed after the final checkpoint write, so the resumed
 				// generation had nothing left to do. The run is complete.
-				return mergeElastic(out, byEpoch, results[0]), nil
-			}
-			if errors.Is(firstErr, context.Canceled) {
+				err = nil
+			case errors.Is(err, context.Canceled):
 				// The generation was hard-aborted without any dead-rank
 				// evidence and without outer cancellation: the failure
 				// detector fired on a live world (typically
 				// Heartbeat.Timeout below the transport's worst-case
 				// delay). Name the misfire rather than surfacing a bare
 				// context error nobody asked for.
-				return mergeElastic(out, byEpoch, results[0]),
-					fmt.Errorf("trainer: elastic generation %d aborted with no dead rank (heartbeat false positive? timeout %v): %w",
-						gen, cfg.Heartbeat.Timeout, firstErr)
+				err = fmt.Errorf("trainer: elastic generation %d aborted with no dead rank (heartbeat false positive? timeout %v): %w",
+					gen, cfg.Heartbeat.Timeout, err)
 			}
-			if firstErr != nil {
-				return mergeElastic(out, byEpoch, results[0]), firstErr
-			}
-			return mergeElastic(out, byEpoch, results[0]), nil
+			return mergeElastic(out, byEpoch, results[0]), err
 		}
 
 		if cfg.Log != nil {
@@ -221,69 +199,36 @@ func runGeneration(ctx context.Context, cfg *ElasticConfig, gen, world int,
 	} else {
 		fab = comm.NewInprocFabric(world)
 	}
-	// genCtx, the hard abort, fires on heartbeat verdicts and genuine
-	// errors only. Like RunSessionsOn's it is not derived from ctx: the
-	// sessions see ctx, whose consensus stop genCtx must not abort.
-	genCtx, genCancel := context.WithCancel(context.Background())
-	defer genCancel()
-
-	// Endpoints and heartbeat monitors outlive the session goroutines: a
-	// rank that finishes its last epoch early keeps heartbeating while
-	// laggards validate, so generation-end stragglers are never mistaken
-	// for deaths. Any real detection hard-aborts the whole generation.
-	endpoints := make([]comm.Transport, world)
-	monitors := make([]*comm.HeartbeatMonitor, world)
-	for r := 0; r < world; r++ {
-		endpoints[r] = fab.Endpoint(r)
-		if world > 1 {
-			monitors[r] = comm.StartHeartbeat(endpoints[r], cfg.Heartbeat,
-				func(peer int) { genCancel() })
+	ropts := make([]SessionOption, 0, len(opts)+3)
+	// First, so the caller's hooks (ctl's prune) see the new ref.
+	ropts = append(ropts, OnCheckpoint(func(s *Session, info CheckpointInfo) error {
+		if s.Rank() != 0 {
+			return nil
 		}
-	}
+		ck := checkpoint.Snapshot(s.Net(), info.Epoch+1, info.Iterations)
+		ck.World = s.World()
+		if _, _, err := cfg.Store.Put(cfg.Job, ck); err != nil {
+			return fmt.Errorf("elastic checkpoint: %w", err)
+		}
+		return nil
+	}))
+	ropts = append(ropts, opts...)
+	ropts = append(ropts, WithResume(resume), WithCheckpointEvery(cfg.CheckpointEvery))
 
-	results := make([]*Result, world)
-	errs := make([]error, world)
-	var wg sync.WaitGroup
-	for r := 0; r < world; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			c := comm.NewCommunicator(endpoints[r]).WithContext(genCtx)
-			ropts := make([]SessionOption, 0, len(opts)+3)
-			// First, so the caller's hooks (ctl's prune) see the new ref.
-			ropts = append(ropts, OnCheckpoint(func(s *Session, info CheckpointInfo) error {
-				if s.Rank() != 0 {
-					return nil
-				}
-				ck := checkpoint.Snapshot(s.Net(), info.Epoch+1, info.Iterations)
-				ck.World = s.World()
-				if _, _, err := cfg.Store.Put(cfg.Job, ck); err != nil {
-					return fmt.Errorf("elastic checkpoint: %w", err)
-				}
-				return nil
-			}))
-			ropts = append(ropts, opts...)
-			ropts = append(ropts, WithResume(resume), WithCheckpointEvery(cfg.CheckpointEvery))
-			net := buildNet(rand.New(rand.NewSource(12345)))
-			s, err := NewSession(net, c, train, test, ropts...)
-			if err != nil {
-				errs[r] = err
-				genCancel()
-				return
+	// Heartbeat monitors outlive the session goroutines: a rank that
+	// finishes its last epoch early keeps heartbeating while laggards
+	// validate, so generation-end stragglers are never mistaken for deaths.
+	// Any real detection hard-aborts the whole generation. A fabric that
+	// fails runWorld's check gets no monitors.
+	var monitors []*comm.HeartbeatMonitor // indexed by rank
+	results, errs := runWorld(ctx, fab, world, buildNet, train, test, ropts,
+		func(eps []comm.Transport, abort func()) {
+			for _, ep := range eps {
+				monitors = append(monitors, comm.StartHeartbeat(ep, cfg.Heartbeat, func(peer int) { abort() }))
 			}
-			results[r], errs[r] = s.Run(ctx)
-			if errs[r] != nil && !killErr(errs[r]) && !errors.Is(errs[r], context.Canceled) {
-				// A genuine training error (not a scripted death, not the
-				// abort rippling out from one): fail the generation fast.
-				genCancel()
-			}
-		}(r)
-	}
-	wg.Wait()
+		})
 	for _, m := range monitors {
-		if m != nil {
-			m.Close()
-		}
+		m.Close()
 	}
 
 	// A rank is dead if the chaos layer killed it or its own error traces
@@ -305,15 +250,9 @@ func runGeneration(ctx context.Context, cfg *ElasticConfig, gen, world int,
 	// goes blind to every peer at once — its verdicts are noise and are
 	// excluded.) Only consulted when the generation actually failed; a
 	// clean finish ignores residual suspicions.
-	anyErr := false
-	for _, err := range errs {
-		if err != nil {
-			anyErr = true
-		}
-	}
-	if anyErr {
+	if errors.Join(errs...) != nil {
 		for r, m := range monitors {
-			if m == nil || deadSet[r] {
+			if deadSet[r] {
 				continue
 			}
 			for _, failed := range m.Failed() {

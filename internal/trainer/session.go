@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -242,7 +243,8 @@ func (s *Session) World() int {
 //
 // The consensus collective is only issued for cancellable contexts: every
 // rank must agree on cancellability (all pass a cancellable context or
-// none do), which RunSessions guarantees by construction.
+// none do), which runWorld guarantees by construction: every rank's Run gets
+// the one run context.
 func (s *Session) checkCancelled(ctx context.Context) (bool, error) {
 	if ctx.Done() == nil {
 		return false, nil
@@ -493,12 +495,19 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
+// replicaSeed seeds every rank's replica in every world the trainer
+// launches (RunSessions, RunSessionsOn, RunElastic): replicas start
+// identical (the initial broadcast enforces it regardless), and a one-rank
+// run starts from the same weights as any larger world.
+const replicaSeed = 12345
+
 // RunSessions builds one session per rank over an in-process fabric and
 // runs them in parallel under a shared context, returning every rank's
-// Result. buildNet is called once per rank with a rank-independent seed so
-// replicas start identical (the initial broadcast enforces it regardless).
-// The shared context satisfies the cancellation contract's requirement that every
-// rank agree on cancellability.
+// Result. buildNet is called once per rank with a generator seeded from
+// replicaSeed, the same at every world size, so a one-rank run is the
+// single-process run from those weights. The shared context satisfies the
+// cancellation contract's requirement that every rank agree on
+// cancellability.
 func RunSessions(ctx context.Context, world int, buildNet func(rng *rand.Rand) *nn.Sequential,
 	train, test *data.Dataset, opts ...SessionOption) ([]*Result, error) {
 	if world < 1 {
@@ -510,60 +519,84 @@ func RunSessions(ctx context.Context, world int, buildNet func(rng *rand.Rand) *
 // RunSessionsOn is RunSessions over a caller-supplied fabric: one session
 // per rank on fab.Endpoint(0..world-1). This is how a run is placed on a
 // fault-injected world (comm.NewChaosFabric) or any other transport that
-// hands out per-rank endpoints; the kfac-train CLI's -chaos mode and the
-// chaos experiment both use it.
+// hands out per-rank endpoints; the kfac-train CLI and the chaos
+// experiment both use it. A fabric whose endpoints do not number
+// 0..world-1 of world ranks is refused before any session starts.
 func RunSessionsOn(ctx context.Context, fab comm.Fabric, world int, buildNet func(rng *rand.Rand) *nn.Sequential,
 	train, test *data.Dataset, opts ...SessionOption) ([]*Result, error) {
 	if world < 1 {
 		return nil, fmt.Errorf("trainer: world must be ≥ 1")
 	}
-	// abortCtx fires only when a rank fails: peers blocked mid-collective
-	// on the broken rank (reachable on fault-injecting fabrics — exhausted
-	// chaos retries, kills) are hard-aborted instead of hanging forever.
-	// It is deliberately NOT derived from the run ctx: user cancellation
-	// goes through the cooperative consensus path, which keeps the clean
-	// all-ranks-stop-together semantics and bit-identical arithmetic.
-	abortCtx, abort := context.WithCancel(context.Background())
-	defer abort()
+	results, errs := runWorld(ctx, fab, world, buildNet, train, test, opts, nil)
+	return results, worldErr(errs)
+}
+
+// runWorld is the one launcher of a world of sessions: it checks that
+// fab's endpoints 0..world-1 are ranks 0..world-1 of world, builds every
+// rank's replica from replicaSeed, binds every communicator to one abort
+// context and runs NewSession + Run on each rank, returning per-rank
+// results and errors. A fabric mismatch is the error of the first
+// mismatched rank, and no session starts.
+//
+// The abort context fires only when a rank fails for real — any error but
+// context.Canceled, a chaos kill included: peers blocked mid-collective on
+// the broken rank are hard-aborted instead of hanging. It is deliberately
+// not derived from ctx: the sessions see ctx, whose cooperative consensus
+// stop keeps the all-ranks-stop-together semantics and bit-identical
+// arithmetic, and which the abort must not cut short.
+//
+// watch, when non-nil, is called with the endpoints and the abort after
+// the fabric check and before any session starts (the elastic heartbeats).
+func runWorld(ctx context.Context, fab comm.Fabric, world int, buildNet func(rng *rand.Rand) *nn.Sequential,
+	train, test *data.Dataset, opts []SessionOption, watch func(eps []comm.Transport, abort func())) ([]*Result, []error) {
 	results := make([]*Result, world)
 	errs := make([]error, world)
-	done := make(chan int, world)
-	for r := 0; r < world; r++ {
-		go func(r int) {
-			defer func() { done <- r }()
-			net := buildNet(rand.New(rand.NewSource(12345)))
-			c := comm.NewCommunicator(fab.Endpoint(r)).WithContext(abortCtx)
-			s, err := NewSession(net, c, train, test, opts...)
-			if err != nil {
-				errs[r] = err
-				abort()
-				return
-			}
-			results[r], errs[r] = s.Run(ctx)
-			if errs[r] != nil && !errors.Is(errs[r], context.Canceled) {
-				abort()
-			}
-		}(r)
+	eps := make([]comm.Transport, world)
+	for r := range eps {
+		eps[r] = fab.Endpoint(r)
+		if got, size := eps[r].Rank(), eps[r].Size(); got != r || size != world {
+			errs[r] = fmt.Errorf("trainer: fabric endpoint %d is rank %d of %d, world is %d", r, got, size, world)
+			return results, errs
+		}
 	}
-	for i := 0; i < world; i++ {
-		<-done
+	abortCtx, abort := context.WithCancel(context.Background())
+	defer abort()
+	if watch != nil {
+		watch(eps, abort)
 	}
-	// Prefer the originating failure over the context errors it induced in
-	// peers through the abort.
-	var ctxErr error
+	var wg sync.WaitGroup
+	for r, ep := range eps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			net := buildNet(rand.New(rand.NewSource(replicaSeed)))
+			s, err := NewSession(net, comm.NewCommunicator(ep).WithContext(abortCtx), train, test, opts...)
+			if err == nil {
+				results[r], err = s.Run(ctx)
+			}
+			if errs[r] = err; err != nil && !errors.Is(err, context.Canceled) {
+				abort()
+			}
+		}()
+	}
+	wg.Wait()
+	return results, errs
+}
+
+// worldErr reports a world's outcome from its ranks' errors: the first
+// rank's genuine failure, not the context.Canceled that failure's abort
+// induced in its peers; context.Canceled only when no rank failed for real
+// (a cooperative stop); nil when every rank finished.
+func worldErr(errs []error) error {
+	var cancelled error
 	for r, err := range errs {
 		switch {
 		case err == nil:
-		case errors.Is(err, context.Canceled):
-			if ctxErr == nil {
-				ctxErr = fmt.Errorf("rank %d: %w", r, err)
-			}
-		default:
-			return results, fmt.Errorf("rank %d: %w", r, err)
+		case !errors.Is(err, context.Canceled):
+			return fmt.Errorf("rank %d: %w", r, err)
+		case cancelled == nil:
+			cancelled = fmt.Errorf("rank %d: %w", r, err)
 		}
 	}
-	if ctxErr != nil {
-		return results, ctxErr
-	}
-	return results, nil
+	return cancelled
 }
