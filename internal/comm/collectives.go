@@ -22,7 +22,7 @@ import (
 // collective, as trainer.Session.Run does; see docs/ARCHITECTURE.md.
 //
 // This file holds the synchronous collectives (allreduce, broadcast,
-// allgather, barrier, reduce, gather) and the shared ring-phase helpers;
+// allgather, reduce, gather) and the shared ring-phase helpers;
 // the asynchronous handle-based variants live in async.go.
 type Communicator struct {
 	t   Transport

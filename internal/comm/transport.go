@@ -1,7 +1,7 @@
 // Package comm implements the collective-communication runtime the paper
-// delegates to Horovod (§II-D, §V-A): allreduce, allgather, broadcast and
-// barrier over an abstract point-to-point Transport, with asynchronous
-// handles and a gradient fusion buffer.
+// delegates to Horovod (§II-D, §V-A): allreduce, allgather, broadcast,
+// reduce and gather over an abstract point-to-point Transport, with
+// asynchronous handles and a gradient fusion buffer.
 //
 // Allreduce uses the ring scatter-reduce + allgather algorithm
 // (Patarasuk & Yuan), the bandwidth-optimal algorithm Horovod's fusion

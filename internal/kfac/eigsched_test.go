@@ -288,7 +288,7 @@ func TestEigStatsSurfaceKernels(t *testing.T) {
 // TestKFACStepSteadyStateZeroAllocsWide extends the allocation guard to a
 // net whose factors take the blocked eigensolver path: the steady-state
 // stale-decomposition Step must stay allocation-free with the blocked
-// solver active (its workspaces live in linalg's arena and pools).
+// solver active (its workspaces come from linalg's workspace pool).
 func TestKFACStepSteadyStateZeroAllocsWide(t *testing.T) {
 	net := buildWideNet(94)
 	prec := NewFromOptions(net, nil, Options{

@@ -51,7 +51,7 @@ type layerState struct {
 	// Owner ranks for the A and G factors, mirrored from the active Plan
 	// (equal under LayerWise).
 	aWorker, gWorker int
-	// Plan-scoped sub-communicators, rebuilt by replan; nil when the run is
+	// Plan-scoped sub-communicators, built by replan; nil when the run is
 	// single-process. They carry a factor's decomposition from its owner to
 	// its recipients: the layer's gradient workers (everyone under a fully
 	// replicated plan) plus the owner.
@@ -111,7 +111,7 @@ type Preconditioner struct {
 	comm   *comm.Communicator // nil means single-process
 	opts   Options
 	states []*layerState
-	plan   *Plan // resolved distribution plan (rebuilt by replan)
+	plan   *Plan // resolved distribution plan (built by replan)
 	step   int
 	stats  StageStats
 	pool   *sched.Pool // lazily created by the pipelined engine
@@ -142,14 +142,14 @@ type Preconditioner struct {
 	tuner    *tuner
 
 	// pcBuckets lists the per-iteration result broadcasts in issue order
-	// (first-layer order), rebuilt by replan; empty when the plan is fully
+	// (first-layer order), built by replan; empty when the plan is fully
 	// replicated or the run is single-process. pcBacking is the storage the
 	// buckets partition: Σ dg·da elements, allocated once.
 	pcBuckets []pcBucket
 	pcBacking []float64
 
 	// pcStages preconditions the layers this rank is a gradient worker of
-	// (all of them under a fully replicated plan), rebuilt by replan;
+	// (all of them under a fully replicated plan), built by replan;
 	// gradsBuf and pcHandles are reused per-step slices.
 	pcStages  precondStages
 	gradsBuf  []*tensor.Tensor
@@ -204,13 +204,12 @@ func (p *Preconditioner) rank() int {
 	return p.comm.Rank()
 }
 
-// replan resolves the static Decision — it runs at construction, before any
-// autotune level is in force — rebuilds
-// the distribution Plan for it at the current world, and mirrors the plan
-// into the per-layer state: owner ranks plus the plan-scoped
-// sub-communicator groups partial plans need. Every rank computes the
-// identical plan from shared state, so no communication is needed
-// (Algorithm 1, line 9).
+// replan resolves the static Decision — it runs once, at construction,
+// before any autotune level is in force — builds the distribution Plan for
+// it at the current world, and mirrors the plan into the per-layer state:
+// owner ranks plus the plan-scoped sub-communicator groups partial plans
+// need. Every rank computes the identical plan from shared state, so no
+// communication is needed (Algorithm 1, line 9).
 func (p *Preconditioner) replan() {
 	p.dec = resolve(p.opts, nil)
 	p.plan = BuildPlan(p.opts.Strategy, p.dec.Mode, p.dec.GradWorkerFrac,
@@ -219,13 +218,11 @@ func (p *Preconditioner) replan() {
 	for i, s := range p.states {
 		lp := &p.plan.Layers[i]
 		s.aWorker, s.gWorker = lp.AOwner, lp.GOwner
-		s.aRecvGroup, s.gRecvGroup = nil, nil
 		if distributed {
 			s.aRecvGroup = p.comm.Group(p.plan.Recipients(i, false))
 			s.gRecvGroup = p.comm.Group(p.plan.Recipients(i, true))
 		}
 	}
-	p.pcBuckets = nil
 	if distributed && !p.plan.FullyReplicated() {
 		p.buildBuckets()
 	}
@@ -251,9 +248,7 @@ func (p *Preconditioner) buildBuckets() {
 		da, dg := FactorDims(s.layer)
 		total += dg * da
 	}
-	if len(p.pcBacking) != total {
-		p.pcBacking = make([]float64, total)
-	}
+	p.pcBacking = make([]float64, total)
 	rest := p.pcBacking
 	for _, layers := range p.plan.ResultBuckets() {
 		n := 0

@@ -91,9 +91,8 @@ func SymEigInto(a *tensor.Tensor, eg *Eigen) error {
 	}
 	// Work on the symmetrized copy.
 	symmetrize(v.Data, a.Data, n)
-	eg.Values = ensureFloats(eg.Values, n)   // diagonal of the tridiagonal form
-	eg.scratch = ensureFloats(eg.scratch, n) // sub-diagonal
-	d, e := eg.Values, eg.scratch
+	d := ensureFloats(&eg.Values, n)  // diagonal of the tridiagonal form
+	e := ensureFloats(&eg.scratch, n) // sub-diagonal
 	tred2(v.Data, n, d, e)
 	return tql2(v.Data, n, d, e)
 }
@@ -103,18 +102,20 @@ func SymEigInto(a *tensor.Tensor, eg *Eigen) error {
 // storage when possible. It is the deserialization path of K-FAC's
 // decomposition allgather.
 func (eg *Eigen) SetFrom(values, q []float64, n int) {
-	eg.Values = ensureFloats(eg.Values, n)
-	copy(eg.Values, values)
+	copy(ensureFloats(&eg.Values, n), values)
 	copy(tensor.Ensure(&eg.Q, n, n).Data, q)
 }
 
-// ensureFloats returns a length-n slice, reusing buf's storage when its
-// capacity suffices. Contents are unspecified.
-func ensureFloats(buf []float64, n int) []float64 {
-	if cap(buf) >= n {
-		return buf[:n]
+// ensureFloats returns a length-n slice backed by (*buf)'s storage when its
+// capacity suffices, else a fresh allocation, storing the result back into
+// *buf — the slice form of tensor.Ensure. Contents are unspecified.
+func ensureFloats(buf *[]float64, n int) []float64 {
+	if cap(*buf) >= n {
+		*buf = (*buf)[:n]
+	} else {
+		*buf = make([]float64, n)
 	}
-	return make([]float64, n)
+	return *buf
 }
 
 // tred2 reduces a symmetric matrix (stored in v, row-major n×n) to

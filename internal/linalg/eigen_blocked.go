@@ -32,8 +32,8 @@
 //     product P — and the chunked subtraction Z −= P, so every element is
 //     the GEMM's fixed FMA chain whatever the team.
 //
-// The solve runs in arena workspaces, and every step that can fail — the
-// input and tridiagonal finiteness checks and the leaves' QL — comes
+// The solve runs in its workspace (eigWS), and every step that can fail —
+// the input and tridiagonal finiteness checks and the leaves' QL — comes
 // before the first write to the caller's eigenbasis, so a failed solve
 // leaves it untouched (see SymEigBlockedTimedInto).
 package linalg
@@ -41,6 +41,8 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/sched"
@@ -65,17 +67,6 @@ const (
 	// contract (same bits for every team size) holds trivially there.
 	eigBlockedMinDim = 128
 )
-
-// eigArena pools the blocked solver's workspaces — the reduced matrix (its
-// lower triangle then holds the reflectors), the rank-2b update buffer (a
-// divide-and-conquer level, then the product P), the U and C panels (the
-// transposed [Vᵀ;Wᵀ] panel and the GEMM's packed operands; secular-vector
-// panels; then the packed V and VᵀZ), the leaves' buffer
-// (then V·T, T and G) and the vectors — and the serial fallback's copy, so
-// steady-state redecomposition performs no heap allocation. Checkouts are
-// balanced per call (Get/Put), never Reset, so concurrent decompositions
-// share the arena safely.
-var eigArena = tensor.NewArena()
 
 // EigKernelTimes accumulates the per-kernel wall time of one or more
 // blocked eigendecompositions, in nanoseconds. The K-FAC engines surface
@@ -120,7 +111,7 @@ func SymEigBlockedInto(a *tensor.Tensor, eg *Eigen, team int) error {
 // still preconditions with. Validation (shape, NaN/Inf) comes first. A
 // finite input can still fail later: entries near math.MaxFloat64 overflow
 // the symmetrized copy, and the tridiagonal is then not finite. Both paths
-// therefore solve in arena workspaces. The blocked path checks the
+// therefore solve in their workspace (eigWS). The blocked path checks the
 // tridiagonal and solves every leaf before its first write to eg.Q — the
 // merges and the reflector application cannot fail — and the serial
 // fallback copies out once QL has converged.
@@ -146,49 +137,35 @@ func SymEigBlockedTimedInto(a *tensor.Tensor, eg *Eigen, team int, tm *EigKernel
 		team = 1
 	}
 
-	ws := acquireEigWS(team)
-	A := eigArena.Get(n, n)
-	S := eigArena.Get(n, n)
-	U := eigArena.Get(n, 2*eigBlock)
-	C := eigArena.Get(n, 2*eigBlock)
-	tauT := eigArena.Get(n)
-	workT := eigArena.Get(dcFloats * n)
-	deT := eigArena.Get(3 * n)
-	accT := eigArena.Get(accBlock*n + 2*accBlock*accBlock)
-	defer func() {
-		ws.release()
-		eigArena.Put(A)
-		eigArena.Put(S)
-		eigArena.Put(U)
-		eigArena.Put(C)
-		eigArena.Put(tauT)
-		eigArena.Put(workT)
-		eigArena.Put(deT)
-		eigArena.Put(accT)
-	}()
+	ws := acquireEigWS(team, n)
+	defer ws.release()
+	A, S := ensureFloats(&ws.a, n*n), ensureFloats(&ws.s, n*n)
+	U, C := ensureFloats(&ws.u, 2*eigBlock*n), ensureFloats(&ws.c, 2*eigBlock*n)
+	tau, work := ensureFloats(&ws.tau, n), ensureFloats(&ws.work, dcFloats*n)
+	de, acc := ensureFloats(&ws.de, 3*n), ensureFloats(&ws.acc, accBlock*n+2*accBlock*accBlock)
 
 	// Symmetrized working copy; a is left untouched.
-	symmetrize(A.Data, a.Data, n)
+	symmetrize(A, a.Data, n)
 
-	d, e, et := deT.Data[:n], deT.Data[n:2*n], deT.Data[2*n:]
+	d, e, et := de[:n], de[n:2*n], de[2*n:]
 	start := time.Now()
-	ws.blockedTridiag(A.Data, S, U, C, n, d, e, tauT.Data, workT.Data)
+	ws.blockedTridiag(A, S, U, C, n, d, e, tau, work)
 	tTri := time.Now()
 
 	exp, ok := unitScale(d, e)
 	if !ok {
 		return ErrNoConvergence
 	}
-	if err := ws.dcLeaves(d, e, et, accT.Data); err != nil {
+	if err := ws.dcLeaves(d, e, et, acc); err != nil {
 		return err
 	}
 	q := tensor.Ensure(&eg.Q, n, n).Data
-	ws.dcMerges(d, e, accT.Data, S.Data, q, U.Data, C.Data, workT.Data)
+	ws.dcMerges(d, e, acc, S, q, U, C, work)
 	tDC := time.Now()
-	ws.applyReflectors(q, A.Data, n, tauT.Data, U.Data, C.Data, accT.Data, S.Data)
-	eg.Values = ensureFloats(eg.Values, n)
+	ws.applyReflectors(q, A, n, tau, U, C, acc, S)
+	vals := ensureFloats(&eg.Values, n)
 	for i, v := range d {
-		eg.Values[i] = math.Ldexp(v, exp)
+		vals[i] = math.Ldexp(v, exp)
 	}
 	if tm != nil {
 		tm.TridiagNS += tTri.Sub(start).Nanoseconds()
@@ -218,21 +195,21 @@ func unitScale(d, e []float64) (exp int, ok bool) {
 }
 
 // symEigSmallInto is the serial tred2/tql2 pair below eigBlockedMinDim. It
-// works on an arena copy (under eigBlockedMinDim² floats) and copies it
-// into eg only once QL has converged.
+// works on a copy in its workspace's reduced-matrix buffer (under
+// eigBlockedMinDim² floats) and copies it into eg only once QL has
+// converged.
 func symEigSmallInto(a *tensor.Tensor, eg *Eigen) error {
 	n := a.Rows()
-	V := eigArena.Get(n, n)
-	deT := eigArena.Get(2 * n)
-	defer eigArena.Put(V)
-	defer eigArena.Put(deT)
-	symmetrize(V.Data, a.Data, n)
-	d, e := deT.Data[:n], deT.Data[n:]
-	tred2(V.Data, n, d, e)
-	if err := tql2(V.Data, n, d, e); err != nil {
+	ws := acquireEigWS(1, n)
+	defer ws.release()
+	V, de := ensureFloats(&ws.a, n*n), ensureFloats(&ws.de, 2*n)
+	symmetrize(V, a.Data, n)
+	d, e := de[:n], de[n:]
+	tred2(V, n, d, e)
+	if err := tql2(V, n, d, e); err != nil {
 		return err
 	}
-	eg.SetFrom(d, V.Data, n)
+	eg.SetFrom(d, V, n)
 	return nil
 }
 
@@ -245,15 +222,30 @@ func symmetrize(dst, a []float64, n int) {
 	}
 }
 
-// eigWS carries the reusable non-tensor state of one blocked
-// decomposition: the ranger structs the parallel passes dispatch through,
-// the view headers handed to the pooled GEMM, the divide and conquer's
-// state and its index workspace. eigWSFree recycles them so steady-state
-// solves allocate nothing.
+// eigWS is the one workspace of a solve — a blocked full solve, a serial
+// solve below eigBlockedMinDim or a power refresh: its buffers, the ranger
+// structs the parallel passes dispatch through, the view headers handed to
+// the pooled GEMM, the divide and conquer's state and its index workspace.
+// Each solve sizes the buffers it uses with ensureFloats, so a buffer grows
+// to the largest size it has been asked for and keeps it; their contents
+// are unspecified, possibly a differently sized solve's leftovers.
+// eigWSFree recycles workspaces so steady-state solves allocate nothing.
 type eigWS struct {
 	team int
 
-	// View headers over arena storage for the pooled GEMMs (see view).
+	// The blocked full solve's buffers: a the reduced matrix (its lower
+	// triangle then holds the reflectors); s the rank-2b update buffer (a
+	// divide-and-conquer level, then the product P); u and c the panels
+	// (the transposed [Vᵀ;Wᵀ] panel and the GEMM's packed operands;
+	// secular-vector panels; then the packed V and VᵀZ), n·2·eigBlock
+	// each; tau the reflector scales; work a merge's dcFloats·n floats; de
+	// the tridiagonal (d, e and the leaves' copy of e); acc the leaves
+	// (then V·T, T and G). The serial solve takes its copy from a and d, e
+	// from de; the power refresh's use is documented on powerWS.
+	a, s, u, c, tau, work, de, acc []float64
+
+	// View headers over the workspace's and the caller's storage for the
+	// pooled GEMMs (see view).
 	views [4]tensor.Tensor
 
 	tr  trailRanger
@@ -263,39 +255,61 @@ type eigWS struct {
 	ints []int // dcInts·n index workspace of a merge
 }
 
-// eigWSFree recycles eigWS values. A channel, not a sync.Pool: the
-// collector empties a sync.Pool, and every refill would re-allocate a
-// workspace's dcInts·n index vectors. Its capacity only bounds how many idle
-// workspaces are kept: concurrent solves are bounded by the eig scheduler's
-// GOMAXPROCS slots, and past 16 a workspace is left to the collector.
-var eigWSFree = make(chan *eigWS, 16)
+// eigWSFree holds the idle workspaces in ascending order of their
+// reduced-matrix buffer's capacity. Not a sync.Pool: the collector empties
+// a sync.Pool, and every refill would re-allocate a workspace's buffers.
+// eigWSIdle only bounds how many idle workspaces are kept: concurrent
+// solves are bounded by the eig scheduler's GOMAXPROCS slots, and past it a
+// workspace is left to the collector.
+var eigWSFree struct {
+	sync.Mutex
+	ws []*eigWS
+}
 
-// acquireEigWS takes a workspace from eigWSFree (or a new one) for a solve
-// by a team of the given size.
-func acquireEigWS(team int) *eigWS {
+const eigWSIdle = 16
+
+// acquireEigWS takes from eigWSFree the smallest idle workspace whose
+// buffers hold a solve of order n, else the largest (or a new one), for a
+// solve by a team of the given size. A large solve thus runs on a
+// workspace already grown for it, so the pool keeps one large set per
+// large solve in flight, not one per solve of any size.
+func acquireEigWS(team, n int) *eigWS {
 	var ws *eigWS
-	select {
-	case ws = <-eigWSFree:
-	default:
+	eigWSFree.Lock()
+	if free := eigWSFree.ws; len(free) > 0 {
+		i := slices.IndexFunc(free, func(w *eigWS) bool { return cap(w.a) >= n*n })
+		if i < 0 {
+			i = len(free) - 1
+		}
+		ws = free[i]
+		eigWSFree.ws = slices.Delete(free, i, i+1)
+	}
+	eigWSFree.Unlock()
+	if ws == nil {
 		ws = new(eigWS)
 	}
 	ws.team = team
 	return ws
 }
 
-// release drops the slice references the rangers and views captured, so a
-// pooled workspace does not keep arena storage reachable after the solve
-// has handed it back, and returns ws to eigWSFree.
+// release drops the slice references the rangers and views captured — the
+// caller's eigenbasis among them — so a pooled workspace keeps only its own
+// buffers reachable, and returns ws to eigWSFree.
 func (ws *eigWS) release() {
 	for i := range ws.views {
 		ws.views[i].Data = nil
 	}
 	ws.tr = trailRanger{}
 	ws.dc = dcState{}
-	select {
-	case eigWSFree <- ws:
-	default:
+	eigWSFree.Lock()
+	if free := eigWSFree.ws; len(free) < eigWSIdle {
+		i := slices.IndexFunc(free, func(w *eigWS) bool { return cap(w.a) > cap(ws.a) })
+		if i < 0 {
+			i = len(free)
+		}
+		eigWSFree.ws = slices.Insert(free, i, ws)
 	}
+	eigWSFree.Unlock()
 }
 
 // view points header i at the leading rows×cols of data, reusing the
@@ -352,7 +366,7 @@ func eigDot4(a, b []float64) float64 {
 // (A rows j0+1..n−1), so every per-column correction is an eigAxpy or
 // eigDot over a whole column. Row l is written, and read, only from
 // element l on.
-func (ws *eigWS) blockedTridiag(A []float64, S, U, C *tensor.Tensor, n int, d, e, tau []float64, work []float64) {
+func (ws *eigWS) blockedTridiag(A, S, U, C []float64, n int, d, e, tau, work []float64) {
 	x := work[0:n]
 	tmp1 := work[n : 2*n]   // Wᵀv over the panel's prior columns
 	tmp2 := work[2*n : 3*n] // Vᵀv over the panel's prior columns
@@ -360,8 +374,8 @@ func (ws *eigWS) blockedTridiag(A []float64, S, U, C *tensor.Tensor, n int, d, e
 	for j0 := 0; j0 < n-2; {
 		w := min(eigBlock, n-2-j0)
 		mt := n - 1 - j0 // panel rows: j0+1 .. n-1
-		vt := func(l int) []float64 { return C.Data[l*mt : (l+1)*mt] }
-		wt := func(l int) []float64 { return C.Data[(w+l)*mt : (w+l+1)*mt] }
+		vt := func(l int) []float64 { return C[l*mt : (l+1)*mt] }
+		wt := func(l int) []float64 { return C[(w+l)*mt : (w+l+1)*mt] }
 
 		for jj := 0; jj < w; jj++ {
 			j := j0 + jj
@@ -465,14 +479,14 @@ func (ws *eigWS) blockedTridiag(A []float64, S, U, C *tensor.Tensor, n int, d, e
 		// yet read.
 		rcount := mt - w + 1
 		for k := 0; k < 2*w; k++ {
-			src := C.Data[k*mt+w-1 : (k+1)*mt]
-			copy(U.Data[(k+w)%(2*w)*rcount:], src)
-			copy(C.Data[k*rcount:], src)
+			src := C[k*mt+w-1 : (k+1)*mt]
+			copy(U[(k+w)%(2*w)*rcount:], src)
+			copy(C[k*rcount:], src)
 		}
-		tensor.MatMulT1Into(ws.view(0, S.Data, rcount, rcount),
-			ws.view(1, C.Data, 2*w, rcount), ws.view(2, U.Data, 2*w, rcount))
+		tensor.MatMulT1Into(ws.view(0, S, rcount, rcount),
+			ws.view(1, C, 2*w, rcount), ws.view(2, U, 2*w, rcount))
 
-		ws.tr.A, ws.tr.S = A, S.Data
+		ws.tr.A, ws.tr.S = A, S
 		ws.tr.n, ws.tr.off, ws.tr.m = n, j0+w, rcount
 		ws.run(rcount, &ws.tr)
 

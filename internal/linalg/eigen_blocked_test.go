@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -152,7 +153,7 @@ func TestApplyReflectorsMatchesReflectorProduct(t *testing.T) {
 		ws := &eigWS{team: 2}
 		tau, d, e, work := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, 4*n)
 		U, C, S := tensor.New(n, 2*eigBlock), tensor.New(n, 2*eigBlock), tensor.New(n, n)
-		ws.blockedTridiag(A, S, U, C, n, d, e, tau, work)
+		ws.blockedTridiag(A, S.Data, U.Data, C.Data, n, d, e, tau, work)
 		z := make([]float64, n*n)
 		for i := range z {
 			z[i] = rng.NormFloat64()
@@ -225,10 +226,10 @@ func TestBlockedTridiagIsSimilarity(t *testing.T) {
 		U, C, S := tensor.New(n, 2*eigBlock), tensor.New(n, 2*eigBlock), tensor.New(n, n)
 		for _, buf := range [][]float64{U.Data, C.Data, S.Data, work} {
 			for i := range buf {
-				buf[i] = math.NaN() // arena storage is stale: a read before a write shows
+				buf[i] = math.NaN() // workspace storage is stale: a read before a write shows
 			}
 		}
-		ws.blockedTridiag(A, S, U, C, n, d, e, tau, work)
+		ws.blockedTridiag(A, S.Data, U.Data, C.Data, n, d, e, tau, work)
 		if c.split >= 0 && tau[c.split] != 0 {
 			t.Fatalf("n=%d: τ[%d] = %v, want 0 (the zero-column branch)", n, c.split, tau[c.split])
 		}
@@ -403,13 +404,10 @@ func TestSymEigBlockedKernelTimes(t *testing.T) {
 	}
 }
 
-// TestSymEigBlockedSteadyStateZeroAllocs verifies the arena + pool
-// workspace routing: after warmup, repeated decompositions into the same
-// Eigen target allocate nothing.
+// TestSymEigBlockedSteadyStateZeroAllocs verifies the workspace routing:
+// after warmup, repeated decompositions into the same Eigen target
+// allocate nothing.
 func TestSymEigBlockedSteadyStateZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops random Puts under the race detector; allocation counts cannot hold")
-	}
 	rng := rand.New(rand.NewSource(13))
 	a := randSPD(rng, 160, 0.1)
 	var eg Eigen
@@ -425,6 +423,121 @@ func TestSymEigBlockedSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state SymEigBlockedInto allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestSymEigWorkspaceHistoryBits: a solve's bits do not depend on what the
+// workspace serving it held before. A pooled eigWS keeps every buffer at
+// the largest size it has been asked for, holding the leftovers of earlier
+// solves of any size, so for each path — the blocked full solve, the
+// serial solve below eigBlockedMinDim and the power refresh — a solve at n
+// on a fresh workspace is repeated bit for bit after a larger and after a
+// smaller solve on its workspace, and on a workspace whose buffers are all
+// NaN. Before each solve eigWSFree holds only the workspace the test picks
+// to serve it.
+func TestSymEigWorkspaceHistoryBits(t *testing.T) {
+	cases := []struct {
+		name               string
+		n, larger, smaller int
+		power              bool
+	}{
+		{"blocked", 160, 200, 136, false},
+		{"serial", 60, 100, 24, false},
+		{"power", 150, 190, 40, true},
+	}
+	serve := func(ws *eigWS) {
+		eigWSFree.Lock()
+		eigWSFree.ws = append(eigWSFree.ws[:0], ws)
+		eigWSFree.Unlock()
+	}
+	for _, c := range cases {
+		// Inputs and, for the refresh, starting bases, made before any
+		// solve the test routes.
+		inputs := map[int]*tensor.Tensor{}
+		bases := map[int]*Eigen{}
+		for _, n := range []int{c.n, c.larger, c.smaller} {
+			if c.power {
+				inputs[n], bases[n] = powerCase(t, n)
+			} else {
+				inputs[n] = randSPD(rand.New(rand.NewSource(int64(n)+17)), n, 0.1)
+			}
+		}
+		solve := func(ws *eigWS, n int) *Eigen {
+			t.Helper()
+			serve(ws)
+			eg := &Eigen{}
+			var err error
+			if c.power {
+				eg.SetFrom(bases[n].Values, bases[n].Q.Data, n)
+				err = SymEigPowerInto(inputs[n], eg)
+			} else {
+				err = SymEigBlockedInto(inputs[n], eg, 2)
+			}
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", c.name, n, err)
+			}
+			return eg
+		}
+		same := func(situation string, got, want *Eigen) {
+			t.Helper()
+			for i, v := range want.Q.Data {
+				if math.Float64bits(got.Q.Data[i]) != math.Float64bits(v) {
+					t.Errorf("%s %s: Q[%d] = %v, want %v", c.name, situation, i, got.Q.Data[i], v)
+					return
+				}
+			}
+			for i, v := range want.Values {
+				if math.Float64bits(got.Values[i]) != math.Float64bits(v) {
+					t.Errorf("%s %s: Values[%d] = %v, want %v", c.name, situation, i, got.Values[i], v)
+					return
+				}
+			}
+		}
+
+		want := solve(new(eigWS), c.n)
+		ws := new(eigWS)
+		solve(ws, c.larger)
+		same("after a larger solve", solve(ws, c.n), want)
+		solve(ws, c.smaller)
+		same("after a smaller solve", solve(ws, c.n), want)
+
+		solve(ws, c.larger)
+		for _, buf := range [][]float64{ws.a, ws.s, ws.u, ws.c, ws.tau, ws.work, ws.de, ws.acc} {
+			for i := range buf[:cap(buf)] {
+				buf[:cap(buf)][i] = math.NaN()
+			}
+		}
+		for i := range ws.ints[:cap(ws.ints)] {
+			ws.ints[:cap(ws.ints)][i] = -1
+		}
+		same("on a NaN workspace", solve(ws, c.n), want)
+	}
+}
+
+// TestAcquireEigWSTakesBestFit: a solve takes the smallest idle workspace
+// that holds it, else the largest, and a released workspace goes back in
+// capacity order — so a large solve does not grow a second workspace while
+// one already grown for it is idle.
+func TestAcquireEigWSTakesBestFit(t *testing.T) {
+	sized := func(n int) *eigWS { return &eigWS{a: make([]float64, n*n)} }
+	small, mid, large := sized(10), sized(50), sized(100)
+	eigWSFree.Lock()
+	eigWSFree.ws = append(eigWSFree.ws[:0], small, mid, large)
+	eigWSFree.Unlock()
+	for _, c := range []struct {
+		n    int
+		want *eigWS
+	}{{40, mid}, {50, mid}, {5, small}, {101, large}} {
+		ws := acquireEigWS(1, c.n)
+		if ws != c.want {
+			t.Errorf("n=%d: took the workspace of capacity %d, want %d", c.n, cap(ws.a), cap(c.want.a))
+		}
+		ws.release()
+	}
+	eigWSFree.Lock()
+	defer eigWSFree.Unlock()
+	if !slices.Equal(eigWSFree.ws, []*eigWS{small, mid, large}) {
+		t.Error("released workspaces are not back in capacity order")
 	}
 }
 
@@ -454,7 +567,7 @@ func topDeflated(a *tensor.Tensor) int {
 	S, U, C := tensor.New(n, n), tensor.New(n, 2*eigBlock), tensor.New(n, 2*eigBlock)
 	d, e, et, tau := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 	work, leaf := make([]float64, dcFloats*n), make([]float64, accBlock*n)
-	ws.blockedTridiag(A, S, U, C, n, d, e, tau, work)
+	ws.blockedTridiag(A, S.Data, U.Data, C.Data, n, d, e, tau, work)
 	if _, ok := unitScale(d, e); !ok {
 		panic("linalg: tridiagonal not finite")
 	}

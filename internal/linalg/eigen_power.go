@@ -33,8 +33,8 @@ const powerBlock = eigBlock
 // GEMM and every reduction has a fixed order, so the result is bitwise
 // independent of the worker count. Below eigBlockedMinDim the panels run
 // the portable vector kernels, so there, as for the serial full solve, the
-// bits do not depend on the build either. The workspaces come from eigArena; the
-// two n×n ones are the full solver's sizes.
+// bits do not depend on the build either. The buffers are the solve's
+// eigWS's (see powerWS), the two n×n ones the full solve's a and s.
 //
 // eg must already hold an n×n basis. On every error — a shape mismatch, a
 // NaN/Inf input, or a non-finite eigenvalue (entries near
@@ -55,28 +55,15 @@ func SymEigPowerInto(a *tensor.Tensor, eg *Eigen) error {
 	if n == 0 {
 		return nil
 	}
-	ws := acquireEigWS(1)
-	W := eigArena.Get(n, n)
-	Qn := eigArena.Get(n, n)
-	U := eigArena.Get(n, powerBlock)
-	C := eigArena.Get(n, 2*powerBlock)
-	deT := eigArena.Get(3 * n)
-	tT := eigArena.Get(powerBlock, powerBlock)
-	defer func() {
-		ws.release()
-		eigArena.Put(W)
-		eigArena.Put(Qn)
-		eigArena.Put(U)
-		eigArena.Put(C)
-		eigArena.Put(deT)
-		eigArena.Put(tT)
-	}()
+	ws := acquireEigWS(1, n)
+	defer ws.release()
+	C, de := ensureFloats(&ws.c, 2*powerBlock*n), ensureFloats(&ws.de, 3*n)
 	p := powerWS{
-		ws: ws, n: n, w: W.Data, q: Qn.Data,
-		vt: U.Data[:n*powerBlock],
-		s:  C.Data[:n*powerBlock], s2: C.Data[n*powerBlock:],
-		t:   tT.Data,
-		tau: deT.Data[:n], beta: deT.Data[n : 2*n],
+		ws: ws, n: n, w: ensureFloats(&ws.a, n*n), q: ensureFloats(&ws.s, n*n),
+		vt: ensureFloats(&ws.u, powerBlock*n),
+		s:  C[:n*powerBlock], s2: C[n*powerBlock:],
+		t:   ensureFloats(&ws.tau, powerBlock*powerBlock),
+		tau: de[:n], beta: de[n : 2*n],
 		dot: eigDot, axpy: eigAxpy,
 	}
 	if n < eigBlockedMinDim {
@@ -84,7 +71,7 @@ func SymEigPowerInto(a *tensor.Tensor, eg *Eigen) error {
 		// portable code only, so its bits do not depend on the build.
 		p.dot, p.axpy = eigDot4, eigAxpyGeneric
 	}
-	lam := deT.Data[2*n:]
+	lam := de[2*n:]
 
 	// Q₀'s columns in descending order of their values: the QR's first
 	// columns are the ones A·Q₀ keeps best, and a column of the null space
@@ -129,12 +116,13 @@ func SymEigPowerInto(a *tensor.Tensor, eg *Eigen) error {
 	return nil
 }
 
-// powerWS is one power refresh's workspace: w holds W and then the packed
-// reflectors, q the permuted Q₀, then the trailing update's product, then
-// Q₁; vt holds a panel's reflectors as rows (kb×m), t its kb×kb compact-WY
-// factor, s/s2 the panel GEMMs' narrow operands, tau the reflectors'
-// scales and beta R's diagonal before the sign fix; dot and axpy are the
-// vector kernels the panels run.
+// powerWS is one power refresh's view of its eigWS: w (the eigWS's a)
+// holds W and then the packed reflectors, q (its s) the permuted Q₀, then
+// the trailing update's product, then Q₁; vt (its u) holds a panel's
+// reflectors as rows (kb×m), t (its tau) the panel's kb×kb compact-WY
+// factor, s/s2 (its c) the panel GEMMs' narrow operands, tau and beta (its
+// de, before the eigenvalues) the reflectors' scales and R's diagonal
+// before the sign fix; dot and axpy are the vector kernels the panels run.
 type powerWS struct {
 	ws              *eigWS
 	n               int

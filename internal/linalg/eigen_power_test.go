@@ -177,12 +177,9 @@ func TestSymEigPowerLeavesEigenOnFailure(t *testing.T) {
 	}
 }
 
-// TestSymEigPowerSteadyStateZeroAllocs: the workspaces come from eigArena
-// and the pooled eigWS, so a repeated refresh allocates nothing.
+// TestSymEigPowerSteadyStateZeroAllocs: the buffers come from the pooled
+// eigWS, so a repeated refresh allocates nothing.
 func TestSymEigPowerSteadyStateZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops random Puts under the race detector; allocation counts cannot hold")
-	}
 	a, eg := powerCase(t, 200)
 	if err := SymEigPowerInto(a, eg); err != nil {
 		t.Fatal(err)

@@ -19,46 +19,24 @@ import (
 // cross-checks SymEig against — the same role the paper's Table I plays for
 // validating the numerically delicate path.
 func SymEigJacobi(a *tensor.Tensor, maxSweeps int) (*Eigen, error) {
-	return symEigJacobi(a, maxSweeps, nil)
-}
-
-// SymEigJacobiArena is SymEigJacobi with every workspace — the symmetrized
-// working copy, the eigenvector accumulator, and the eigenvalue slice's
-// backing tensor — checked out of ws instead of heap-allocated. The
-// returned Eigen's storage is owned by the arena.
-func SymEigJacobiArena(a *tensor.Tensor, maxSweeps int, ws *tensor.Arena) (*Eigen, error) {
-	return symEigJacobi(a, maxSweeps, ws)
-}
-
-// symEigJacobi runs the cyclic Jacobi iteration; ws may be nil (heap
-// scratch).
-func symEigJacobi(a *tensor.Tensor, maxSweeps int, ws *tensor.Arena) (*Eigen, error) {
 	n := a.Rows()
 	if a.Cols() != n {
 		return nil, fmt.Errorf("linalg: SymEigJacobi requires square matrix, got %dx%d", a.Rows(), a.Cols())
 	}
-	alloc := func(shape ...int) *tensor.Tensor {
-		if ws != nil {
-			t := ws.Get(shape...)
-			t.Zero()
-			return t
-		}
-		return tensor.New(shape...)
-	}
 	if n == 0 {
-		return &Eigen{Q: alloc(0, 0)}, nil
+		return &Eigen{Q: tensor.New(0, 0)}, nil
 	}
 	if maxSweeps <= 0 {
 		maxSweeps = 60
 	}
 	// Work on the symmetrized copy.
-	m := alloc(n, n)
+	m := tensor.New(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			m.Data[i*n+j] = 0.5 * (a.Data[i*n+j] + a.Data[j*n+i])
 		}
 	}
-	v := alloc(n, n)
+	v := tensor.New(n, n)
 	for i := 0; i < n; i++ {
 		v.Data[i*n+i] = 1
 	}
@@ -125,12 +103,7 @@ func symEigJacobi(a *tensor.Tensor, maxSweeps int, ws *tensor.Arena) (*Eigen, er
 	if offDiag() > tol*1e6 {
 		return nil, ErrNoConvergence
 	}
-	var vals []float64
-	if ws != nil {
-		vals = ws.Get(n).Data // fully overwritten below
-	} else {
-		vals = make([]float64, n)
-	}
+	vals := make([]float64, n)
 	for i := 0; i < n; i++ {
 		vals[i] = m.Data[i*n+i]
 	}

@@ -300,29 +300,3 @@ func TestSymEigIntoRejectsNaNWithoutClobbering(t *testing.T) {
 }
 
 func nan() float64 { z := 0.0; return z / z }
-
-// TestSymEigJacobiArenaMatchesHeap: the arena-backed oracle must agree with
-// the heap-allocating one.
-func TestSymEigJacobiArenaMatchesHeap(t *testing.T) {
-	ws := tensor.NewArena()
-	for seed := int64(0); seed < 3; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		spd := SymMulT1(tensor.Randn(rng, 1, 10, 10))
-		got, err := SymEigJacobiArena(spd, 0, ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := SymEigJacobi(spd, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Q.Equal(want.Q, 0) {
-			t.Errorf("seed %d: arena Q differs from heap Q", seed)
-		}
-		for i := range want.Values {
-			if got.Values[i] != want.Values[i] {
-				t.Errorf("seed %d: eigenvalue %d differs", seed, i)
-			}
-		}
-	}
-}
