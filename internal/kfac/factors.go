@@ -18,33 +18,33 @@
 package kfac
 
 import (
-	"repro/internal/linalg"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-// covKernel computes dst = aᵀa at float64. It defaults to the blocked
-// symmetric multiply (half the multiply-adds of a general matmul, parallel
-// over the shared compute pool); the bit-identity tests swap in the
-// reference general-matmul path to prove the two produce identical bits end
-// to end. covPatchesKernel is the same product on a conv layer's patch
+// covKernel forms the upper triangle of dst = aᵀa at float64, about half
+// the multiply-adds of a general matmul; the factor fold reads nothing
+// below it. The bit-identity tests swap in the reference general-matmul
+// path to prove the two produce identical bits end to end. covPatchesKernel is the same product on a conv layer's patch
 // matrix read through its input image, and is swapped with it.
 var (
-	covKernel        = linalg.SymMulT1Into[float64]
-	covPatchesKernel = linalg.SymMulPatchesInto[float64]
+	covKernel        = tensor.MatMulT1UpperInto[float64]
+	covPatchesKernel = tensor.MatMulT1UpperPatchesInto[float64]
 )
 
 // gramKernels are the Gram products a layer's factors are formed with at
 // element type E: dense is dst = aᵀa of a stored matrix, patches dst = PᵀP
-// of a patch matrix read through its image.
+// of a patch matrix read through its image. Each need only write dst's
+// upper triangle.
 type gramKernels[E tensor.Elem] struct {
 	dense   func(dst, a *tensor.Dense[E])
 	patches func(dst *tensor.Dense[E], p tensor.Patches[E])
 }
 
-// activationCov writes the activation covariance factor A of a captured
-// layer into dst (da×da, float64) from the capture act at element type E,
-// following the conventions of the paper's reference implementation:
+// activationGram forms the activation Gram of a captured layer from the
+// capture act at element type E and returns it with the scale that makes
+// it the activation covariance factor A (da×da), following the conventions
+// of the paper's reference implementation:
 //
 //	Linear: a [N, in] (+bias column of ones)   → A = aᵀa / N
 //	Conv2D: a [N·S, kh·kw·C] (+bias column of ones), each patch weighted 1/S
@@ -60,18 +60,18 @@ type gramKernels[E tensor.Elem] struct {
 // image, and the Gram reads its patch matrix, bias column included, through
 // it (tensor.Patches). A Linear capture with a bias is copied into *sample
 // beside a column of ones; without one it is the Gram operand itself.
-func activationCov[E tensor.Elem](dst *tensor.Tensor, gram gramKernels[E],
-	layer nn.KFACCapturable, act *tensor.Dense[E], sample, prod **tensor.Dense[E]) {
+// The Gram is formed at E, in form at float64 and else in *prod.
+func activationGram[E tensor.Elem](form *tensor.Tensor, gram gramKernels[E],
+	layer nn.KFACCapturable, act *tensor.Dense[E], sample, prod **tensor.Dense[E]) (*tensor.Dense[E], float64) {
 	if act == nil {
 		panic("kfac: A factor of a layer without a captured activation (is capture enabled?)")
 	}
 	s := float64(layer.SpatialSize())
 	scale := 1 / (s * s * float64(layer.BatchSize()))
+	cov := tensor.Like(prod, form)
 	if win := layer.Window(); win != (tensor.Window{}) {
-		cov := tensor.Like(prod, dst)
 		gram.patches(cov, tensor.Patches[E]{Image: act, Window: win, Ones: layer.HasBias()})
-		scaleInto(dst, cov, scale)
-		return
+		return cov, scale
 	}
 	a := act
 	if layer.HasBias() {
@@ -83,43 +83,30 @@ func activationCov[E tensor.Elem](dst *tensor.Tensor, gram gramKernels[E],
 			row[cols] = 1
 		}
 	}
-	gramInto(dst, gram.dense, a, prod, scale)
+	gram.dense(cov, a)
+	return cov, scale
 }
 
-// gramInto writes scale·aᵀa into the float64 dst: the product is formed at
-// a's element type — in dst itself at float64, else in *prod — and scaled
-// after it has crossed the boundary.
-func gramInto[E tensor.Elem](dst *tensor.Tensor, gram func(dst, a *tensor.Dense[E]),
-	a *tensor.Dense[E], prod **tensor.Dense[E], scale float64) {
-	cov := tensor.Like(prod, dst)
-	gram(cov, a)
-	scaleInto(dst, cov, scale)
-}
-
-// scaleInto writes scale·cov into dst, cov being dst itself at float64.
-func scaleInto[E tensor.Elem](dst *tensor.Tensor, cov *tensor.Dense[E], scale float64) {
-	tensor.Convert(dst, cov)
-	dst.Scale(scale)
-}
-
-// gradientCov writes the output-gradient covariance factor G into dst
-// (dg×dg, float64) from the capture g at element type E, as activationCov
-// does, assuming the captured gradients come from a batch-averaged loss (the
-// standard mean cross-entropy), again following the reference
-// implementation:
+// gradientGram forms the output-gradient Gram from the capture g at element
+// type E, as activationGram does, and returns it with the scale that makes
+// it the factor G (dg×dg), assuming the captured gradients come from a
+// batch-averaged loss (the standard mean cross-entropy), again following the
+// reference implementation:
 //
 //	Linear: g [N, out]      → G = N · gᵀg
 //	Conv2D: g [N·S, out]    → G = (gᵀg) · N · S   (after scaling rows by N·S,
 //	                          normalized by the N·S sample count)
-func gradientCov[E tensor.Elem](dst *tensor.Tensor, gram gramKernels[E],
-	layer nn.KFACCapturable, g *tensor.Dense[E], prod **tensor.Dense[E]) {
+func gradientGram[E tensor.Elem](form *tensor.Tensor, gram gramKernels[E],
+	layer nn.KFACCapturable, g *tensor.Dense[E], prod **tensor.Dense[E]) (*tensor.Dense[E], float64) {
 	if g == nil {
 		panic("kfac: G factor of a layer without a captured output gradient")
 	}
 	// Undo batch averaging and spatial scaling: scale each sample row by
 	// N·S, then normalize the covariance by the sample count (N·S rows for
 	// conv, N rows for linear). Algebraically G = (N·S)²/(N·S)·gᵀg = N·S·gᵀg.
-	gramInto(dst, gram.dense, g, prod, float64(layer.BatchSize())*float64(layer.SpatialSize()))
+	cov := tensor.Like(prod, form)
+	gram.dense(cov, g)
+	return cov, float64(layer.BatchSize()) * float64(layer.SpatialSize())
 }
 
 // FactorDims returns the dimensions (rows of A, rows of G) the factors of a

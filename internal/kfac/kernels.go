@@ -5,7 +5,6 @@ import (
 	"sort"
 	"unsafe"
 
-	"repro/internal/linalg"
 	"repro/internal/nn"
 	"repro/internal/sched"
 	"repro/internal/tensor"
@@ -20,11 +19,13 @@ import (
 // internal/tensor/gemm.go), and nothing below asks which it is.
 //
 // Everything that carries state across steps or ranks is float64 whatever E
-// is: the running-average factors A and G (and their Lerp), the factor
-// allreduce, decompositions and their records, checkpoints, Param.Grad and
-// the preconditioned-gradient buffers. State at E is strictly derived —
-// mirrors of the decompositions, refreshed when one changes, plus
-// workspaces — so it is never communicated or persisted. A value crosses
+// is: the running-average factors A and G (and the factor fold, the Gram's
+// upper product's other consumer beside linalg.SymMulT1Into, which averages
+// the triangle into them), the factor allreduce, decompositions and their
+// records, checkpoints, Param.Grad and the preconditioned-gradient buffers.
+// State at E is strictly derived — mirrors of the decompositions, refreshed
+// when one changes, plus workspaces — so it is never communicated or
+// persisted. A value crosses
 // between the two through tensor.Cast/Like, which hand back the float64
 // tensor itself when E is float64 ("convert at the boundary",
 // docs/ARCHITECTURE.md).
@@ -33,8 +34,8 @@ import (
 type layerKernels interface {
 	// computeCov recomputes the layer's local covariance factors and folds
 	// them into the running averages with coefficient factorDecay, forming
-	// each Gram product in slot, a covariance slot of at least the larger
-	// factor's n² floats.
+	// each Gram product's upper triangle in slot, a covariance slot of at
+	// least the larger factor's n² floats.
 	computeCov(slot *tensor.Tensor)
 	// refresh mirrors one side's new eigenbasis at E. Called wherever the
 	// float64 slot is written: local decomposition and record consume.
@@ -49,7 +50,7 @@ type layerKernels interface {
 func newKernels(pr Precision, p *Preconditioner, s *layerState) layerKernels {
 	if pr == F32 {
 		return &kernels[float32]{p: p, s: s,
-			gram: gramKernels[float32]{linalg.SymMulT1Into[float32], linalg.SymMulPatchesInto[float32]},
+			gram: gramKernels[float32]{tensor.MatMulT1UpperInto[float32], tensor.MatMulT1UpperPatchesInto[float32]},
 			act:  nn.KFACCapturable.CapturedActivation32, grad: nn.KFACCapturable.CapturedOutputGrad32}
 	}
 	return &kernels[float64]{p: p, s: s, gram: gramKernels[float64]{
@@ -78,24 +79,77 @@ type kernels[E tensor.Elem] struct {
 	// Covariance workspaces: bias-augmented activation sample, and the Gram
 	// product where the float64 covariance slot cannot hold it.
 	sample, cov *tensor.Dense[E]
+	fold        factorFold[E] // the pass that finishes each factor
 }
 
 func (k *kernels[E]) computeCov(slot *tensor.Tensor) {
 	s := k.s
 	da, dg := FactorDims(s.layer)
-	if s.A == nil {
-		// The first update is the average: form it in place.
+	// The first update is the average, formed in the factor itself. Later
+	// Grams go to slot; A and G are independent, so they can share it.
+	first := s.A == nil
+	formA, formG := slot, slot
+	if first {
 		s.A, s.G = tensor.New(da, da), tensor.New(dg, dg)
-		activationCov(s.A, k.gram, s.layer, k.act(s.layer), &k.sample, &k.cov)
-		gradientCov(s.G, k.gram, s.layer, k.grad(s.layer), &k.cov)
-		return
+		formA, formG = s.A, s.G
 	}
-	// A and G are independent, so forming and folding them one after the
-	// other in one slot gives the bits two scratch buffers would.
-	activationCov(tensor.Ensure(&slot, da, da), k.gram, s.layer, k.act(s.layer), &k.sample, &k.cov)
-	s.A.Lerp(factorDecay, slot)
-	gradientCov(tensor.Ensure(&slot, dg, dg), k.gram, s.layer, k.grad(s.layer), &k.cov)
-	s.G.Lerp(factorDecay, slot)
+	cov, scale := activationGram(tensor.Ensure(&formA, da, da), k.gram, s.layer, k.act(s.layer), &k.sample, &k.cov)
+	k.fold.run(s.A, cov, scale, first)
+	cov, scale = gradientGram(tensor.Ensure(&formG, dg, dg), k.gram, s.layer, k.grad(s.layer), &k.cov)
+	k.fold.run(s.G, cov, scale, first)
+}
+
+// foldTile is the side of the tiles the factor fold shares out over the
+// pool; under foldPoolMinDim columns the pass is too short to hand off.
+const foldTile, foldPoolMinDim = 32, 128
+
+// factorFold finishes a factor from the upper triangle of its Gram cov: for
+// each i ≤ j, v = float64(cov[i][j])·scale and avg[i][j] = avg[j][i] =
+// ξ·avg[i][j] + (1−ξ)·v (Equations 16–17, ξ = factorDecay), or v on the
+// first update. A tile reads only upper elements and writes them and their
+// mirrors, so tiles share no element and cov may be avg. The averages are
+// bitwise symmetric (this pass and the factor allreduce both mirror), so
+// the bits are those of mirroring, scaling and folding the whole matrix.
+type factorFold[E tensor.Elem] struct {
+	cov      []E
+	avg      []float64
+	n, tiles int
+	scale    float64
+	first    bool
+}
+
+// run finishes the n×n factor avg from cov and scale.
+func (f *factorFold[E]) run(avg *tensor.Tensor, cov *tensor.Dense[E], scale float64, first bool) {
+	n := avg.Rows()
+	tiles := (n + foldTile - 1) / foldTile
+	*f = factorFold[E]{cov.Data, avg.Data, n, tiles, scale, first}
+	if n < foldPoolMinDim || runtime.GOMAXPROCS(0) == 1 {
+		f.RunRange(0, tiles*tiles)
+	} else {
+		sched.Shared().ForEach(tiles*tiles, tiles*tiles, f)
+	}
+}
+
+// RunRange implements sched.Ranger over tiles [lo, hi) of the tiles×tiles
+// grid, row-major; a tile below the diagonal has no j ≥ i and does nothing.
+func (f *factorFold[E]) RunRange(lo, hi int) {
+	n, cov, avg, scale := f.n, f.cov, f.avg, f.scale
+	// 1 − ξ rounded at float64: the constant 1 − factorDecay is exactly 0.05,
+	// which rounds to another float64.
+	ξ := float64(factorDecay)
+	b := 1 - ξ
+	for t := lo; t < hi; t++ {
+		i0, j0 := t/f.tiles*foldTile, t%f.tiles*foldTile
+		for i := i0; i < min(i0+foldTile, n); i++ {
+			for j := max(i, j0); j < min(j0+foldTile, n); j++ {
+				v := float64(cov[i*n+j]) * scale
+				if !f.first {
+					v = ξ*avg[i*n+j] + b*v
+				}
+				avg[i*n+j], avg[j*n+i] = v, v
+			}
+		}
+	}
 }
 
 func (k *kernels[E]) refresh(isG bool) {

@@ -164,7 +164,7 @@ func preconditionOne(s *layerState, grad *tensor.Tensor) *tensor.Tensor {
 func grams64() gramKernels[float64] { return gramKernels[float64]{covKernel, covPatchesKernel} }
 
 func grams32() gramKernels[float32] {
-	return gramKernels[float32]{linalg.SymMulT1Into[float32], linalg.SymMulPatchesInto[float32]}
+	return gramKernels[float32]{tensor.MatMulT1UpperInto[float32], tensor.MatMulT1UpperPatchesInto[float32]}
 }
 
 // patchMatrix stores the patch matrix of a conv layer's captured image, the
@@ -183,7 +183,8 @@ func covA(layer nn.KFACCapturable) *tensor.Tensor {
 	da, _ := FactorDims(layer)
 	cov := tensor.New(da, da)
 	var sample, prod *tensor.Tensor
-	activationCov(cov, grams64(), layer, layer.CapturedActivation(), &sample, &prod)
+	gram, scale := activationGram(cov, grams64(), layer, layer.CapturedActivation(), &sample, &prod)
+	(&factorFold[float64]{}).run(cov, gram, scale, true)
 	return cov
 }
 
@@ -191,7 +192,8 @@ func covG(layer nn.KFACCapturable) *tensor.Tensor {
 	_, dg := FactorDims(layer)
 	cov := tensor.New(dg, dg)
 	var prod *tensor.Tensor
-	gradientCov(cov, grams64(), layer, layer.CapturedOutputGrad(), &prod)
+	gram, scale := gradientGram(cov, grams64(), layer, layer.CapturedOutputGrad(), &prod)
+	(&factorFold[float64]{}).run(cov, gram, scale, true)
 	return cov
 }
 
@@ -293,10 +295,12 @@ func TestComputeCovAConvIsItsDefinition(t *testing.T) {
 		da, _ := FactorDims(c)
 		got, got32 := tensor.New(da, da), tensor.New(da, da)
 		var sample, prod *tensor.Tensor
-		activationCov(got, grams64(), c, c.CapturedActivation(), &sample, &prod)
+		gram, scale := activationGram(got, grams64(), c, c.CapturedActivation(), &sample, &prod)
+		(&factorFold[float64]{}).run(got, gram, scale, true)
 		wantSameBits(t, fmt.Sprintf("bias=%v float64 A", bias), got, want)
 		var sample32, prod32 *tensor.T32
-		activationCov(got32, grams32(), c, c.CapturedActivation32(), &sample32, &prod32)
+		gram32, scale := activationGram(got32, grams32(), c, c.CapturedActivation32(), &sample32, &prod32)
+		(&factorFold[float32]{}).run(got32, gram32, scale, true)
 		if !got32.Equal(want, 1e-6) {
 			t.Errorf("bias=%v: float32 A departs from the definition by more than 1e-6", bias)
 		}

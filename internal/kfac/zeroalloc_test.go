@@ -227,17 +227,21 @@ func TestConvForwardBackwardGramZeroAllocs(t *testing.T) {
 		var step func()
 		if f32 {
 			var sample, prod *tensor.T32
+			var fold factorFold[float32]
 			step = func() {
 				net.Forward(x, true)
 				net.Backward(g)
-				activationCov(cov, grams32(), conv, conv.CapturedActivation32(), &sample, &prod)
+				gram, scale := activationGram(cov, grams32(), conv, conv.CapturedActivation32(), &sample, &prod)
+				fold.run(cov, gram, scale, true)
 			}
 		} else {
 			var sample, prod *tensor.Tensor
+			var fold factorFold[float64]
 			step = func() {
 				net.Forward(x, true)
 				net.Backward(g)
-				activationCov(cov, grams64(), conv, conv.CapturedActivation(), &sample, &prod)
+				gram, scale := activationGram(cov, grams64(), conv, conv.CapturedActivation(), &sample, &prod)
+				fold.run(cov, gram, scale, true)
 			}
 		}
 		step()

@@ -1,7 +1,7 @@
 // Package linalg provides the dense linear-algebra kernels K-FAC needs:
 // symmetric eigendecomposition (the paper's implicit-inverse path, §IV-A),
 // explicit matrix inversion with partial pivoting (the ablated path), and
-// the blocked symmetric Gram product the covariance factors are formed with.
+// the blocked symmetric Gram product.
 //
 // All routines operate on tensor.Tensor matrices and are written against the
 // standard library only. K-FAC's eigensolver, SymEigBlockedInto

@@ -3,11 +3,11 @@ package linalg
 import "repro/internal/tensor"
 
 // SymMulT1Into computes the Gram matrix dst = aᵀ × a for a (k×m), writing
-// an m×m result; dst must not alias a. It is the kernel K-FAC's covariance
-// factors A = aᵀa/N and G = gᵀg are built from: because the result is
-// symmetric, only the micro-tiles that meet the upper triangle are computed
-// (about half the multiply-adds of a general matmul) and the lower triangle
-// is mirrored.
+// an m×m result; dst must not alias a. Because the result is symmetric,
+// only the micro-tiles that meet the upper triangle are computed (about half
+// the multiply-adds of a general matmul) and the lower triangle is mirrored.
+// K-FAC's covariance factors skip the mirror here: their fold reads the
+// upper triangle of tensor.MatMulT1UpperInto and mirrors as it averages.
 //
 // The result is bit-identical to tensor.MatMulT1Into(dst, a, a) for every
 // input, non-finite ones included: the upper triangle comes out of the same
@@ -26,14 +26,6 @@ func SymMulT1Into[E tensor.Elem](dst, a *tensor.Dense[E]) {
 	}
 	tensor.MatMulT1UpperInto(dst, a)
 	mirrorLower(dst.Data, m)
-}
-
-// SymMulPatchesInto is SymMulT1Into on a patch matrix read through its
-// image (tensor.Patches): dst = pᵀ × p, bit for bit what SymMulT1Into writes
-// for the patch matrix stored. It is the A factor's Gram of a conv layer.
-func SymMulPatchesInto[E tensor.Elem](dst *tensor.Dense[E], p tensor.Patches[E]) {
-	tensor.MatMulT1UpperPatchesInto(dst, p)
-	mirrorLower(dst.Data, dst.Shape[0])
 }
 
 // SymMulT1Into32 is SymMulT1Into at float32, by the name the benchmark calls.

@@ -190,51 +190,6 @@ func BenchmarkSymMulShapes(b *testing.B) {
 	}
 }
 
-// BenchmarkSymMulPatchesShapes runs the conv A factor's Gram, read through
-// the layer's input image, at the benchmark models' conv shapes (n images of
-// h×w×c under a 3×3, stride 1, pad 1 window: k = n·h·w rows, m = 9c), at
-// both element types, reporting GFLOP/s as BenchmarkSymMulShapes does: the
-// window copies ride inside the product.
-func BenchmarkSymMulPatchesShapes(b *testing.B) {
-	peak := tensor.FMAPeakGFLOPS()
-	for _, sh := range []struct {
-		n, h, w, c int
-		what       string
-	}{
-		{8, 3, 3, 48, "stage 3"},
-		{8, 6, 6, 24, "stage 2"},
-		{8, 12, 12, 12, "stage 1"},
-		{16, 16, 16, 8, "converge_w2 stage 1"},
-	} {
-		img := tensor.Randn(rand.New(rand.NewSource(1)), 1, sh.n, sh.h, sh.w, sh.c)
-		img32 := tensor.NewT32(img.Shape...)
-		img32.NarrowFrom(img)
-		win := tensor.Window{KH: 3, KW: 3, Stride: 1, Pad: 1}
-		p, p32 := tensor.Patches[float64]{Image: img, Window: win}, tensor.Patches[float32]{Image: img32, Window: win}
-		k, m := p.Rows(), p.Cols()
-		dst, dst32 := tensor.New(m, m), tensor.NewT32(m, m)
-		for _, et := range []struct {
-			name string
-			run  func()
-		}{
-			{"float64", func() { SymMulPatchesInto(dst, p) }},
-			{"float32", func() { SymMulPatchesInto(dst32, p32) }},
-		} {
-			b.Run(fmt.Sprintf("%dx%d/%s", k, m, et.name), func(b *testing.B) {
-				et.run()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					et.run()
-				}
-				g := float64(k) * float64(m) * float64(m) * float64(b.N) / b.Elapsed().Seconds() / 1e9
-				b.ReportMetric(g, "GFLOP/s")
-				b.ReportMetric(peak, "peak-GFLOP/s")
-				b.ReportMetric(g/peak, "of-peak")
-			})
-		}
-	}
-}
-
 // TestSymMulIntoReuse: repeated in-place use over the same destination must
 // fully overwrite previous results.
 func TestSymMulIntoReuse(t *testing.T) {

@@ -13,8 +13,9 @@ import (
 
 // The GEMM: one driver and one float64 micro-kernel under every matrix
 // product of both element types — MatMulInto, MatMulT1Into, MatMulT2Into
-// and MatVec at either Elem and, through MatMulT1UpperInto,
-// linalg.SymMulT1Into.
+// and MatVec at either Elem and, through MatMulT1UpperInto, both consumers
+// of the Gram's upper triangle: linalg.SymMulT1Into and the K-FAC factor
+// fold, which scales it into the running average and mirrors it.
 //
 // Arithmetic definition — the whole determinism story of the product
 // family: every output element is

@@ -76,7 +76,9 @@ func dimsT1[E Elem](dst, a, b *Dense[E]) (m, n, k int) {
 // dst = aᵀ × a for a (k×m): every element on or above the diagonal holds
 // exactly what MatMulT1Into(dst, a, a) would put there; elements below it
 // are unspecified (some are written, some keep their old contents). It is
-// the kernel under linalg.SymMulT1Into, which mirrors the triangle.
+// the kernel under linalg.SymMulT1Into, which mirrors the triangle, and
+// under the K-FAC factor fold, which reads the triangle alone, scales it
+// into the running average and writes each element's mirror there.
 func MatMulT1UpperInto[E Elem](dst, a *Dense[E]) {
 	m, k := dimsGram(dst, a)
 	gemm(&gemmActive, dst.Data, a.Data, a.Data, m, m, k, true, false, true)

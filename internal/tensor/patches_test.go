@@ -354,3 +354,49 @@ func guardedPatchRun[E Elem](t *testing.T, ks *gemmKernels, pc patchCase, pp pat
 	}()
 	return dst
 }
+
+// BenchmarkGramPatchesShapes runs the conv A factor's Gram — the upper
+// triangle the factor stage forms, read through the layer's input image —
+// at the benchmark models' conv shapes (n images of h×w×c under a 3×3,
+// stride 1, pad 1 window: k = n·h·w rows, m = 9c), at both element types,
+// reporting GFLOP/s at k·m² (the triangle's multiply-adds, doubled) beside
+// the FMA peak: the window copies ride inside the product.
+func BenchmarkGramPatchesShapes(b *testing.B) {
+	peak := FMAPeakGFLOPS()
+	for _, sh := range []struct {
+		n, h, w, c int
+		what       string
+	}{
+		{8, 3, 3, 48, "stage 3"},
+		{8, 6, 6, 24, "stage 2"},
+		{8, 12, 12, 12, "stage 1"},
+		{16, 16, 16, 8, "converge_w2 stage 1"},
+	} {
+		img := Randn(rand.New(rand.NewSource(1)), 1, sh.n, sh.h, sh.w, sh.c)
+		img32 := NewT32(img.Shape...)
+		img32.NarrowFrom(img)
+		win := Window{KH: 3, KW: 3, Stride: 1, Pad: 1}
+		p, p32 := Patches[float64]{Image: img, Window: win}, Patches[float32]{Image: img32, Window: win}
+		k, m := p.Rows(), p.Cols()
+		dst, dst32 := New(m, m), NewT32(m, m)
+		for _, et := range []struct {
+			name string
+			run  func()
+		}{
+			{"float64", func() { MatMulT1UpperPatchesInto(dst, p) }},
+			{"float32", func() { MatMulT1UpperPatchesInto(dst32, p32) }},
+		} {
+			b.Run(fmt.Sprintf("%dx%d/%s", k, m, et.name), func(b *testing.B) {
+				et.run()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					et.run()
+				}
+				g := float64(k) * float64(m) * float64(m) * float64(b.N) / b.Elapsed().Seconds() / 1e9
+				b.ReportMetric(g, "GFLOP/s")
+				b.ReportMetric(peak, "peak-GFLOP/s")
+				b.ReportMetric(g/peak, "of-peak")
+			})
+		}
+	}
+}

@@ -206,18 +206,6 @@ func (t *Dense[E]) AddScaled(a E, o *Dense[E]) {
 // Sub subtracts o elementwise from t.
 func (t *Dense[E]) Sub(o *Dense[E]) { t.AddScaled(-1, o) }
 
-// Lerp sets t = a*t + (1-a)*o, the running-average update used for
-// K-FAC factor accumulation (Equations 16–17 of the paper).
-func (t *Dense[E]) Lerp(a E, o *Dense[E]) {
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: Lerp size mismatch")
-	}
-	b := 1 - a
-	for i := range t.Data {
-		t.Data[i] = a*t.Data[i] + b*o.Data[i]
-	}
-}
-
 // Dot returns the inner product of t and o viewed as flat vectors.
 func (t *Dense[E]) Dot(o *Dense[E]) E {
 	if len(t.Data) != len(o.Data) {

@@ -140,17 +140,6 @@ func TestElementwiseOps(t *testing.T) {
 	}
 }
 
-func TestLerpRunningAverage(t *testing.T) {
-	// Lerp with a=0.9 is the paper's factor running average:
-	// new = 0.9*current + 0.1*update.
-	cur := FromSlice([]float64{1, 1}, 2)
-	upd := FromSlice([]float64{2, 0}, 2)
-	cur.Lerp(0.9, upd)
-	if math.Abs(cur.Data[0]-1.1) > 1e-12 || math.Abs(cur.Data[1]-0.9) > 1e-12 {
-		t.Errorf("Lerp: got %v, want [1.1 0.9]", cur.Data)
-	}
-}
-
 func TestReductions(t *testing.T) {
 	x := FromSlice([]float64{-1, 4, 2, -5}, 4)
 	if x.Sum() != 0 {
