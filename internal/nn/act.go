@@ -2,33 +2,9 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
-
-// rectify returns max(v, 0) with every input that is not positive — negative
-// values, −0 and NaN — mapped to +0. The comparison selects a bit mask, not
-// a path, so it compiles to a conditional move: a sign pattern the branch
-// predictor cannot learn costs nothing.
-func rectify(v float64) float64 {
-	var keep uint64
-	if v > 0 {
-		keep = ^uint64(0)
-	}
-	return math.Float64frombits(math.Float64bits(v) & keep)
-}
-
-// rectifyGrad writes dx = g where the rectified output out is positive and
-// +0 elsewhere. A rectified value is positive exactly when its bits are not
-// all zero, so the kept output is the mask and no branch is taken.
-func rectifyGrad(dx, g, out []float64) {
-	dx, g = dx[:len(out)], g[:len(out)]
-	for i, o := range out {
-		b := math.Float64bits(o)
-		dx[i] = math.Float64frombits(math.Float64bits(g[i]) & uint64(int64(b|-b)>>63))
-	}
-}
 
 // ReLU is the rectified linear activation, applied elementwise.
 type ReLU struct {
@@ -48,16 +24,14 @@ func (r *ReLU) SetBufferReuse(on bool) { r.reuse = on }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.out = ensureBuf(r.reuse, &r.out, x.Shape...)
-	for i, v := range x.Data {
-		r.out.Data[i] = rectify(v)
-	}
+	tensor.Rectify(r.out.Data, x.Data)
 	return r.out
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	dx := ensureBuf(r.reuse, &r.dxBuf, gradOut.Shape...)
-	rectifyGrad(dx.Data, gradOut.Data, r.out.Data)
+	tensor.RectifyGrad(dx.Data, gradOut.Data, r.out.Data)
 	return dx
 }
 

@@ -371,24 +371,20 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			r.name, body.Shape, sc.Shape))
 	}
 	r.out = ensureBuf(r.reuse, &r.out, body.Shape...)
-	for i, v := range body.Data {
-		r.out.Data[i] = rectify(v + sc.Data[i])
-	}
+	tensor.AddRectify(r.out.Data, body.Data, sc.Data)
 	return r.out
 }
 
 // Backward implements Layer.
 func (r *Residual) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	g := ensureBuf(r.reuse, &r.gBuf, gradOut.Shape...)
-	rectifyGrad(g.Data, gradOut.Data, r.out.Data)
+	tensor.RectifyGrad(g.Data, gradOut.Data, r.out.Data)
 	gBody, gShort := r.Body.Backward(g), g
 	if r.Shortcut != nil {
 		gShort = r.Shortcut.Backward(g)
 	}
 	sum := ensureBuf(r.reuse, &r.bwBuf, gBody.Shape...)
-	for i, v := range gBody.Data {
-		sum.Data[i] = v + gShort.Data[i]
-	}
+	tensor.Add(sum.Data, gBody.Data, gShort.Data)
 	return sum
 }
 

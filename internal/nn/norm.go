@@ -26,7 +26,7 @@ type BatchNorm2d struct {
 
 	// Backward caches.
 	xhat  *tensor.Tensor
-	stats []float64 // per channel: mean, variance, 1/std of the last forward; Σdy, Σdy·xhat of the last backward
+	stats []float64 // per channel: mean, variance, 1/std of the last forward; Σdy, Σdy·xhat, γ·(1/std)/n of the last backward
 	n     int       // N·H·W per channel in last batch
 	shape []int
 
@@ -52,8 +52,8 @@ func NewBatchNorm2d(name string, c int) *BatchNorm2d {
 	}
 }
 
-// Forward implements Layer. Every pass walks the [N·H·W, C] rows once with
-// one accumulator per channel, so a channel's sums run over its samples in
+// Forward implements Layer. Every pass walks the [N·H·W, C] rows once
+// (tensor's per-channel passes), so a channel's sums run over its samples in
 // row order.
 func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c := x.Shape[3]
@@ -65,26 +65,16 @@ func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b.n = cnt
 	out := ensureBuf(b.reuse, &b.outBuf, x.Shape...)
 	b.xhat = ensureBuf(b.reuse, &b.xhat, x.Shape...)
-	if len(b.stats) != 5*c {
-		b.stats = make([]float64, 5*c)
+	if len(b.stats) != 6*c {
+		b.stats = make([]float64, 6*c)
 	}
 	mean, variance, inv := b.stats[:c], b.stats[c:2*c], b.stats[2*c:3*c]
 	if train {
-		clear(b.stats[:2*c])
-		for r := 0; r < cnt; r++ {
-			for ch, v := range x.Data[r*c : (r+1)*c] {
-				mean[ch] += v
-			}
-		}
+		tensor.ChannelSums(mean, x.Data)
 		for ch := range mean {
 			mean[ch] /= float64(cnt)
 		}
-		for r := 0; r < cnt; r++ {
-			for ch, v := range x.Data[r*c : (r+1)*c] {
-				d := v - mean[ch]
-				variance[ch] += d * d
-			}
-		}
+		tensor.ChannelSqDevs(variance, x.Data, mean)
 		for ch := range variance {
 			variance[ch] /= float64(cnt)
 			// Update running stats with the unbiased variance, as PyTorch does.
@@ -102,43 +92,26 @@ func (b *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for ch := range inv {
 		inv[ch] = 1 / math.Sqrt(variance[ch]+b.Eps)
 	}
-	gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
-	for r := 0; r < cnt; r++ {
-		xh, o := b.xhat.Data[r*c:(r+1)*c], out.Data[r*c:(r+1)*c]
-		for ch, v := range x.Data[r*c : (r+1)*c] {
-			xh[ch] = (v - mean[ch]) * inv[ch]
-			o[ch] = gamma[ch]*xh[ch] + beta[ch]
-		}
-	}
+	tensor.Normalize(b.xhat.Data, out.Data, x.Data, mean, inv, b.Gamma.Value.Data, b.Beta.Value.Data)
 	return out
 }
 
 // Backward implements Layer. Standard BatchNorm backward:
 // dxhat = dy·γ
 // dx = (1/N)·invStd·(N·dxhat − Σdxhat − xhat·Σ(dxhat·xhat))
+// evaluated as dx = k·(N·dy − Σdy − xhat·Σ(dy·xhat)) with k = γ·invStd/N.
 func (b *BatchNorm2d) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	c, cnt := b.C, float64(b.n)
 	dx := ensureBuf(b.reuse, &b.dxBuf, b.shape...)
-	inv, sumDy, sumDyXhat := b.stats[2*c:3*c], b.stats[3*c:4*c], b.stats[4*c:]
-	clear(b.stats[3*c:])
-	for r := 0; r < b.n; r++ {
-		xh := b.xhat.Data[r*c : (r+1)*c]
-		for ch, dy := range gradOut.Data[r*c : (r+1)*c] {
-			sumDy[ch] += dy
-			sumDyXhat[ch] += dy * xh[ch]
-		}
-	}
+	inv, sumDy, sumDyXhat, k := b.stats[2*c:3*c], b.stats[3*c:4*c], b.stats[4*c:5*c], b.stats[5*c:]
+	tensor.ChannelSumPair(sumDy, sumDyXhat, gradOut.Data, b.xhat.Data)
 	gamma := b.Gamma.Value.Data
 	for ch := 0; ch < c; ch++ {
 		b.Gamma.Grad.Data[ch] += sumDyXhat[ch]
 		b.Beta.Grad.Data[ch] += sumDy[ch]
+		k[ch] = gamma[ch] * inv[ch] / cnt
 	}
-	for r := 0; r < b.n; r++ {
-		xh, d := b.xhat.Data[r*c:(r+1)*c], dx.Data[r*c:(r+1)*c]
-		for ch, dy := range gradOut.Data[r*c : (r+1)*c] {
-			d[ch] = gamma[ch] * inv[ch] / cnt * (cnt*dy - sumDy[ch] - xh[ch]*sumDyXhat[ch])
-		}
-	}
+	tensor.NormalizeGrad(dx.Data, gradOut.Data, b.xhat.Data, k, sumDy, sumDyXhat, cnt)
 	return dx
 }
 

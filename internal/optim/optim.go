@@ -58,20 +58,11 @@ func SGD(params []*nn.Param, opts ...Option) *SGDOptimizer {
 // Step implements Optimizer.
 func (s *SGDOptimizer) Step() {
 	for i, p := range s.Params {
-		g := p.Grad
-		buf := s.bufs[i]
 		wd := s.WeightDecay
 		if p.NoWeightDecay {
 			wd = 0
 		}
-		for j := range g.Data {
-			gj := g.Data[j]
-			if wd != 0 {
-				gj += wd * p.Value.Data[j]
-			}
-			buf.Data[j] = s.Momentum*buf.Data[j] + gj
-			p.Value.Data[j] -= s.lr * buf.Data[j]
-		}
+		tensor.MomentumStep(p.Value.Data, s.bufs[i].Data, p.Grad.Data, s.lr, s.Momentum, wd)
 	}
 }
 
@@ -99,7 +90,8 @@ type LRSchedule struct {
 func (s LRSchedule) At(epoch int) float64 {
 	lr := s.BaseLR
 	if s.WarmupEpochs > 0 && epoch < s.WarmupEpochs {
-		// Linear ramp: epoch 0 starts at BaseLR/(warmup+1) ... full at end.
+		// Linear ramp: epoch 0 runs at BaseLR/WarmupEpochs, and epoch
+		// WarmupEpochs−1 at the full BaseLR.
 		return s.BaseLR * float64(epoch+1) / float64(s.WarmupEpochs)
 	}
 	f := s.Factor

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -73,6 +74,19 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
+// TestSGDStepSteadyStateZeroAllocs: a step updates every parameter and its
+// momentum buffer in place and allocates nothing, weight decay or not.
+func TestSGDStepSteadyStateZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	w, b := nn.NewParam("w", tensor.Randn(rng, 13, 7)), nn.NewParam("b", tensor.Randn(rng, 13))
+	b.NoWeightDecay = true
+	s := SGD([]*nn.Param{w, b}, WithLR(0.1), WithMomentum(0.9), WithWeightDecay(5e-4))
+	s.Step()
+	if a := testing.AllocsPerRun(100, s.Step); a != 0 {
+		t.Fatalf("steady-state SGD step allocates %v times", a)
+	}
+}
+
 func TestSetLR(t *testing.T) {
 	p := paramWith([]float64{0}, []float64{1})
 	s := SGD([]*nn.Param{p}, WithLR(0.1))
@@ -119,5 +133,24 @@ func TestLRScheduleMonotoneNonIncreasingAfterWarmup(t *testing.T) {
 			t.Fatalf("LR increased after warmup at epoch %d", e)
 		}
 		prev = v
+	}
+}
+
+// BenchmarkSGDStep times one momentum step over the parameters of the
+// benchmark's stale_w1 network (models.BuildCIFARResNet(2, 12, 3, 10)).
+//
+//	go test ./internal/optim -run '^$' -bench SGDStep -cpu 1
+func BenchmarkSGDStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	params := models.BuildCIFARResNet(2, 12, 3, 10, rng).Params()
+	for _, p := range params {
+		for i := range p.Grad.Data {
+			p.Grad.Data[i] = rng.NormFloat64()
+		}
+	}
+	s := SGD(params, WithLR(0.02), WithMomentum(0.9))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
 	}
 }

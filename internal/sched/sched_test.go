@@ -89,12 +89,14 @@ func TestGroupCollectsFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	g.Go(func() error { return nil })
 	g.Go(func() error { return boom })
-	g.Go(func() error { time.Sleep(time.Millisecond); return errors.New("later") })
-	if err := g.Wait(); !errors.Is(err, boom) && err.Error() != "later" {
-		// First error wins; either could be first, but nil is wrong.
-		if err == nil {
-			t.Fatal("Wait returned nil despite failures")
-		}
+	g.Go(func() error { return errors.New("later") })
+	// First error wins; either could be first, but nil is wrong.
+	err := g.Wait()
+	if err == nil {
+		t.Fatal("Wait returned nil despite failures")
+	}
+	if !errors.Is(err, boom) && err.Error() != "later" {
+		t.Fatalf("Wait returned %v, want boom or later", err)
 	}
 }
 

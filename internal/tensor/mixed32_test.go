@@ -92,9 +92,10 @@ func TestMatMul32FamilyMatchesFloat64Oracle(t *testing.T) {
 }
 
 // TestKernelPrimitivesMatchScalarOracle compares the active (possibly SIMD)
-// implementations of every conversion primitive against the portable scalar
-// oracle at sizes straddling every vector-width boundary and tail case.
-// Bit-equality: each is an exact or correctly rounded elementwise operation.
+// implementations of every conversion primitive and layer pass against the
+// portable scalar oracle at sizes straddling every vector-width boundary and
+// tail case. Bit-equality: each conversion is an exact or correctly rounded
+// elementwise operation, and each layer pass repeats its oracle's operations.
 func TestKernelPrimitivesMatchScalarOracle(t *testing.T) {
 	t.Logf("active kernel ISA: %s", kernelISA)
 	rng := rand.New(rand.NewSource(7))
@@ -139,6 +140,102 @@ func TestKernelPrimitivesMatchScalarOracle(t *testing.T) {
 				t.Fatalf("Narrow n=%d i=%d: %v vs %v", n, i, n1[i], n2[i])
 			}
 		}
+	}
+
+	// The layer passes: channel counts with and without scalar tail channels
+	// and past one four-vector block, row counts from none to the stage-1
+	// shape's, on finite inputs (a long sum of the special values is NaN) and
+	// on inputs with special values.
+	for _, c := range []int{1, 3, 4, 5, 12, 13, 17, 48, 100} {
+		for _, rows := range []int{0, 1, 7, 1152} {
+			for _, specials := range []bool{false, true} {
+				checkLayerPasses(t, rng, c, rows, specials)
+			}
+		}
+	}
+}
+
+// layerInputs returns n values in [-2, 2), of which, with specials, about
+// one in six is ±0, a subnormal, ±Inf or a NaN of one of two payloads.
+func layerInputs(rng *rand.Rand, n int, specials bool) []float64 {
+	special := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		-0x1p-1030, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0xfff8_0000_0000_0123)}
+	x := make([]float64, n)
+	for i := range x {
+		if specials && rng.Intn(6) == 0 {
+			x[i] = special[rng.Intn(len(special))]
+		} else {
+			x[i] = rng.Float64()*4 - 2
+		}
+	}
+	return x
+}
+
+// checkLayerPasses runs every layer pass and its scalar oracle on the same
+// [rows, c] inputs and fails unless each output matches bit for bit
+// (Float64bits: NaN != NaN), a NaN matching any NaN: which of two NaN
+// operands an operation returns is the compiler's choice in Go — the oracle
+// inlined into its wrapper and called here directly return different ones.
+func checkLayerPasses(t *testing.T, rng *rand.Rand, c, rows int, specials bool) {
+	t.Helper()
+	n := rows * c
+	in := func(n int) []float64 { return layerInputs(rng, n, specials) }
+	x, dy, xh, out := in(n), in(n), in(n), in(n)
+	mean, inv, gamma, beta := in(c), in(c), in(c), in(c)
+	same := func(pass string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+				t.Fatalf("%s c=%d rows=%d specials=%v i=%d: %v (%#x) vs oracle %v (%#x)", pass, c, rows, specials, i,
+					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	g1, g2, w1, w2 := make([]float64, c), make([]float64, c), make([]float64, c), make([]float64, c)
+	ChannelSums(g1, x)
+	channelSumsGo(w1, x, 0, c)
+	same("ChannelSums", g1, w1)
+	ChannelSqDevs(g1, x, mean)
+	channelSqDevsGo(w1, x, mean, 0, c)
+	same("ChannelSqDevs", g1, w1)
+	ChannelSumPair(g1, g2, dy, xh)
+	channelSumPairGo(w1, w2, dy, xh, 0, c)
+	same("ChannelSumPair s", g1, w1)
+	same("ChannelSumPair sp", g2, w2)
+
+	e1, e2, f1, f2 := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	Normalize(e1, e2, x, mean, inv, gamma, beta)
+	normalizeGo(f1, f2, x, mean, inv, gamma, beta, 0, c)
+	same("Normalize xh", e1, f1)
+	same("Normalize out", e2, f2)
+	NormalizeGrad(e1, dy, xh, mean, inv, gamma, float64(rows))
+	normalizeGradGo(f1, dy, xh, mean, inv, gamma, float64(rows), 0, c)
+	same("NormalizeGrad", e1, f1)
+
+	Rectify(e1, x)
+	rectifyGo(f1, x)
+	same("Rectify", e1, f1)
+	AddRectify(e1, x, dy)
+	addRectifyGo(f1, x, dy)
+	same("AddRectify", e1, f1)
+	RectifyGrad(e1, dy, out)
+	rectifyGradGo(f1, dy, out)
+	same("RectifyGrad", e1, f1)
+	Add(e1, x, dy)
+	addGo(f1, x, dy)
+	same("Add", e1, f1)
+	for _, wd := range []float64{0, 5e-4} {
+		copy(e1, xh)
+		copy(f1, xh)
+		copy(e2, out)
+		copy(f2, out)
+		for range 2 {
+			MomentumStep(e1, e2, dy, 0.1, 0.9, wd)
+			momentumStepGo(f1, f2, dy, 0.1, 0.9, wd)
+		}
+		same("MomentumStep w", e1, f1)
+		same("MomentumStep buf", e2, f2)
 	}
 }
 

@@ -3,10 +3,11 @@
 package tensor
 
 // Assembly implementations (simd_amd64.s) of the float32 conversion
-// primitives (AVX2) and of two GEMM kernel sets, AVX2 (4×12 tile) and
-// AVX-512 (4×24 tile), swapped into the dispatch variables at init as far as
-// the CPU and OS support them. Build with -tags purego to keep the portable
-// path (the conformance oracle) on any hardware.
+// primitives (AVX2), of the layer passes (AVX2, layerpass_amd64.s) and of
+// two GEMM kernel sets, AVX2 (4×12 tile) and AVX-512 (4×24 tile), swapped
+// into the dispatch variables at init as far as the CPU and OS support them.
+// Build with -tags purego to keep the portable path (the conformance oracle)
+// on any hardware.
 
 //go:noescape
 func foldAccAVX(acc []float64, src []float32)
@@ -16,6 +17,40 @@ func widenAVX(dst []float64, src []float32)
 
 //go:noescape
 func narrowAVX(dst []float32, src []float64)
+
+// The layer passes' AVX2 twins (layerpass_amd64.s): a per-channel twin runs
+// channels [lo, hi), hi − lo a multiple of 4; an elementwise twin takes a
+// length that is a multiple of 4.
+
+//go:noescape
+func channelSumsAVX(sum, x []float64, lo, hi int)
+
+//go:noescape
+func channelSqDevsAVX(sq, x, mean []float64, lo, hi int)
+
+//go:noescape
+func channelSumPairAVX(s, sp, dy, xh []float64, lo, hi int)
+
+//go:noescape
+func normalizeAVX(xh, out, x, mean, inv, gamma, beta []float64, lo, hi int)
+
+//go:noescape
+func normalizeGradAVX(dx, dy, xh, k, s, sp []float64, n float64, lo, hi int)
+
+//go:noescape
+func rectifyAVX(dst, src []float64)
+
+//go:noescape
+func addRectifyAVX(dst, a, b []float64)
+
+//go:noescape
+func rectifyGradAVX(dx, g, out []float64)
+
+//go:noescape
+func addAVX(dst, a, b []float64)
+
+//go:noescape
+func momentumStepAVX(w, buf, g []float64, lr, momentum, wd float64)
 
 // gemmKernelAVX is the AVX2 set's gemmMR×12 float64 micro-kernel: twelve
 // YMM accumulators, one VFMADD231PD per term, every column whatever cols
@@ -127,5 +162,15 @@ func init() {
 	foldAccImpl = foldAccAVX
 	widenImpl = widenAVX
 	narrowImpl = narrowAVX
+	channelSumsImpl = channelSumsAVX
+	channelSqDevsImpl = channelSqDevsAVX
+	channelSumPairImpl = channelSumPairAVX
+	normalizeImpl = normalizeAVX
+	normalizeGradImpl = normalizeGradAVX
+	rectifyImpl = rectifyAVX
+	addRectifyImpl = addRectifyAVX
+	rectifyGradImpl = rectifyGradAVX
+	addImpl = addAVX
+	momentumStepImpl = momentumStepAVX
 	kernelISA = "avx2+fma"
 }
