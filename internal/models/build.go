@@ -16,12 +16,15 @@ import (
 // training at that size is possible but slow, so the experiment harness
 // defaults to n=1, width=8 — a faithful miniature with the same topology;
 // pass n=5, width=16 to build the paper-exact model.
+//
+// The stem reads the data, so it skips its input gradient
+// (Conv2D.SkipInputGrad) and the network's Backward returns nil.
 func BuildCIFARResNet(n, width, channels, classes int, rng *rand.Rand) *nn.Sequential {
 	if n < 1 || width < 1 {
 		panic(fmt.Sprintf("models: invalid resnet config n=%d width=%d", n, width))
 	}
 	net := nn.NewSequential(fmt.Sprintf("cifar-resnet-%d", 6*n+2),
-		nn.NewConv2D("conv1", channels, width, 3, 1, 1, false, rng),
+		stem(channels, width, rng),
 		nn.NewBatchNorm2d("bn1", width),
 		nn.NewReLU("relu1"),
 	)
@@ -105,10 +108,11 @@ func MLPParams(dims []int) float64 {
 
 // BuildSmallCNN constructs the compact conv net used by fast experiments:
 // two conv/BN/ReLU stages with pooling, then GAP and a classifier. It is
-// K-FAC-preconditionable end to end (convs and the linear head).
+// K-FAC-preconditionable end to end (convs and the linear head). Like
+// BuildCIFARResNet's, its stem skips the input gradient.
 func BuildSmallCNN(channels, classes, width int, rng *rand.Rand) *nn.Sequential {
 	return nn.NewSequential("smallcnn",
-		nn.NewConv2D("conv1", channels, width, 3, 1, 1, false, rng),
+		stem(channels, width, rng),
 		nn.NewBatchNorm2d("bn1", width),
 		nn.NewReLU("relu1"),
 		nn.NewMaxPool2d("pool1", 2, 2),
@@ -125,4 +129,12 @@ func BuildSmallCNN(channels, classes, width int, rng *rand.Rand) *nn.Sequential 
 func SmallCNNParams(channels, classes, width int) float64 {
 	c, k, w := float64(channels), float64(classes), float64(width)
 	return 9*c*w + 2*w + 9*w*2*w + 2*2*w + (2*w+1)*k
+}
+
+// stem is a network's first layer, conv1: a 3×3 convolution of the data
+// that skips its input gradient, which nothing reads.
+func stem(channels, width int, rng *rand.Rand) *nn.Conv2D {
+	c := nn.NewConv2D("conv1", channels, width, 3, 1, 1, false, rng)
+	c.SkipInputGrad = true
+	return c
 }

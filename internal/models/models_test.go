@@ -1,6 +1,8 @@
 package models
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -255,4 +257,55 @@ func TestBuildInvalidConfigPanics(t *testing.T) {
 		}
 	}()
 	BuildCIFARResNet(0, 4, 3, 10, rng)
+}
+
+// TestStemSkipsInputGrad: the stem of each builder skips its input
+// gradient, so the network's Backward returns nil, and every parameter
+// gradient is bit-identical to the same network's with the fold kept, at
+// both compute precisions and over two steps with buffer reuse on.
+func TestStemSkipsInputGrad(t *testing.T) {
+	builders := map[string]func() *nn.Sequential{
+		"resnet":   func() *nn.Sequential { return BuildCIFARResNet(1, 4, 3, 10, rand.New(rand.NewSource(5))) },
+		"smallcnn": func() *nn.Sequential { return BuildSmallCNN(3, 10, 4, rand.New(rand.NewSource(5))) },
+	}
+	for name, build := range builders {
+		for _, f32 := range []bool{false, true} {
+			label := fmt.Sprintf("%s f32=%v", name, f32)
+			skip, keep := build(), build()
+			stem := keep.Layers[0].(*nn.Conv2D)
+			if !skip.Layers[0].(*nn.Conv2D).SkipInputGrad || !stem.SkipInputGrad {
+				t.Fatalf("%s: the builder's stem keeps its input gradient", label)
+			}
+			stem.SkipInputGrad = false
+			for _, net := range []*nn.Sequential{skip, keep} {
+				nn.SetComputeF32(net, f32)
+				nn.SetBufferReuse(net, true)
+			}
+			for step := 0; step < 2; step++ {
+				rng := rand.New(rand.NewSource(int64(9 + step)))
+				x := tensor.Randn(rng, 1, 2, 16, 16, 3)
+				var dx [2]*tensor.Tensor
+				for i, net := range []*nn.Sequential{skip, keep} {
+					_, g := nn.CrossEntropy{}.Loss(net.Forward(x, true), []int{3, 7})
+					nn.ZeroGrads(net)
+					dx[i] = net.Backward(g)
+				}
+				if dx[0] != nil {
+					t.Fatalf("%s: Backward returned an input gradient past a skipping stem", label)
+				}
+				if dx[1] == nil || !dx[1].SameShape(x) {
+					t.Fatalf("%s: the kept stem returned no [N, H, W, C] input gradient", label)
+				}
+				ps, pk := skip.Params(), keep.Params()
+				for i := range ps {
+					for j, v := range ps[i].Grad.Data {
+						if math.Float64bits(v) != math.Float64bits(pk[i].Grad.Data[j]) {
+							t.Fatalf("%s step %d: %s gradient element %d = %v, with the fold kept %v",
+								label, step, ps[i].Name, j, v, pk[i].Grad.Data[j])
+						}
+					}
+				}
+			}
+		}
+	}
 }

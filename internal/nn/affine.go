@@ -233,6 +233,9 @@ func (k *convCore[E]) backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	c, reuse := k.c, k.l.reuse
 	g := castBuf(reuse, &k.gIn, viewBuf(reuse, &k.gInV, gradOut, gradOut.Len()/c.OutC, c.OutC))
 	k.affine.backward(g)
+	if c.SkipInputGrad {
+		return nil
+	}
 	dx := ensureBuf(reuse, &k.dx, c.inShape...)
 	tensor.FoldMatMulInto(dx, g, k.w, k.win)
 	return dx

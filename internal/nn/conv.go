@@ -26,6 +26,12 @@ type Conv2D struct {
 	InC, OutC   int
 	KH, KW      int
 	Stride, Pad int
+	// SkipInputGrad marks a layer whose input is the network's data, whose
+	// gradient nothing reads: Backward forms the parameter gradients (and
+	// the K-FAC capture) and returns nil without folding dX. A network's
+	// builder sets it on its stem, the first layer, whose nil gradient is
+	// the last one Backward hands on.
+	SkipInputGrad bool
 
 	inShape    []int // [N, H, W, C] of the last forward
 	outH, outW int

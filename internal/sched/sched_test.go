@@ -280,3 +280,101 @@ func TestForEachZeroAlloc(t *testing.T) {
 		t.Fatalf("ForEach allocated %v times per run", allocs)
 	}
 }
+
+// waitParked returns once n goroutines are blocked in p. It polls the
+// pool's own count; the deadline only turns a pool that never parks into a
+// failure rather than a hang.
+func waitParked(t *testing.T, p *Pool, n int32, label string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for p.parked.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines parked, want %d", label, p.parked.Load(), n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestIdlePoolParks: a worker with nothing to do polls for spinWindow and
+// then blocks in its receive, so an idle pool burns no CPU. Every worker
+// parks on a new pool and again once fan-outs and tasks have run out, and
+// a parked pool still takes up the next tokens and tasks.
+func TestIdlePoolParks(t *testing.T) {
+	const workers = 3
+	p := NewPool(workers)
+	defer p.Close()
+	waitParked(t, p, workers, "new pool")
+	for rep := 0; rep < 2; rep++ {
+		for i := 0; i < 200; i++ {
+			c := newChunkCounter(64, 16)
+			p.ForEach(64, 16, c)
+			c.check(t, "fan-out")
+		}
+		var n atomic.Int64
+		for i := 0; i < 20; i++ {
+			p.Submit(func() { n.Add(1) })
+		}
+		p.wg.Wait()
+		if n.Load() != 20 {
+			t.Fatalf("ran %d tasks, want 20", n.Load())
+		}
+		waitParked(t, p, workers, fmt.Sprintf("after work, round %d", rep))
+	}
+}
+
+// holdRanger runs two chunks: chunk 1 blocks until release, and chunk 0
+// waits until chunk 1 has started, so the two run on different goroutines.
+// finished records that chunk 1 returned.
+type holdRanger struct {
+	started  chan struct{}
+	release  chan struct{}
+	finished atomic.Bool
+}
+
+func (r *holdRanger) RunRange(lo, hi int) {
+	if lo == 0 {
+		<-r.started
+		return
+	}
+	close(r.started)
+	<-r.release
+	r.finished.Store(true)
+}
+
+// TestForEachWaitsForSlowHelper: a caller whose helper is still inside after
+// spinWindow parks until the helper leaves; ForEach returns only after every
+// chunk has finished, and the descriptor goes back with no leftover drained
+// signal for its next use to misread. The slow chunk is released once one
+// goroutine is parked: the caller on drained when the helper holds it (the
+// usual case: the caller claims first), else the worker, idle after the
+// chunk it ran.
+func TestForEachWaitsForSlowHelper(t *testing.T) {
+	p := NewPool(1)
+	defer p.Close()
+	for rep := 0; rep < 5; rep++ {
+		waitParked(t, p, 1, "idle worker")
+		r := &holdRanger{started: make(chan struct{}), release: make(chan struct{})}
+		done := make(chan struct{})
+		go func() {
+			p.ForEach(2, 2, r)
+			if !r.finished.Load() {
+				t.Error("ForEach returned before its slow chunk finished")
+			}
+			close(done)
+		}()
+		<-r.started
+		waitParked(t, p, 1, "slow chunk")
+		close(r.release)
+		<-done
+		p.freeMu.Lock()
+		for _, j := range p.free {
+			if len(j.drained) != 0 {
+				t.Errorf("rep %d: a recycled descriptor holds a drained signal", rep)
+			}
+		}
+		p.freeMu.Unlock()
+		c := newChunkCounter(64, 16)
+		p.ForEach(64, 16, c)
+		c.check(t, "after a slow helper")
+	}
+}
