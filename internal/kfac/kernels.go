@@ -1,6 +1,7 @@
 package kfac
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"unsafe"
@@ -42,6 +43,12 @@ type layerKernels interface {
 	refresh(isG bool)
 	// memBytes counts the resident bytes of the buffers held at E.
 	memBytes() int64
+	// adopt finishes an early result (earlyRun): when live, the layer's
+	// combined gradient now, equals bit for bit the snapshot in pcBuf the
+	// result was computed from, it moves the result, kept at E in wB, into
+	// pcBuf and reports true. Otherwise it reports false and leaves both
+	// buffers to be overwritten by a precondition from live.
+	adopt(live *tensor.Tensor) bool
 }
 
 // newKernels picks the element type of a layer's kernels. The float64 Gram
@@ -160,20 +167,45 @@ func (k *kernels[E]) refresh(isG bool) {
 	k.mirror[i] = tensor.Cast(&k.mirrorBuf[i], (*k.s.side(isG).eig).Q)
 }
 
+func (k *kernels[E]) adopt(live *tensor.Tensor) bool {
+	s := k.s
+	snap := s.pcBuf.Data[:len(live.Data)]
+	for i, v := range live.Data {
+		if math.Float64bits(v) != math.Float64bits(snap[i]) {
+			return false
+		}
+	}
+	// At float64 the result already is a float64 tensor of pcBuf's shape,
+	// so the two buffers trade places. pcBuf is a bucket view only under a
+	// partial plan, where nothing starts early.
+	if res, ok := any(k.wB).(*tensor.Tensor); ok {
+		s.pcBuf, k.wB = res, any(s.pcBuf).(*tensor.Dense[E])
+		return true
+	}
+	tensor.Convert(s.pcBuf, k.wB)
+	return true
+}
+
 // precondStages preconditions a fixed set of layers (kernels[E]'s stages).
 type precondStages interface {
-	// run writes (F̂ᵢ+γI)⁻¹ grads[i] into the pcBuf of every layer i of the
-	// set; grads is indexed by layer. A pcBuf is an ordinary float64 tensor,
-	// so the KL clip, the MEM-OPT result broadcast and SetCombinedGrad read
-	// it as such; the products in between run at E against the mirrored
-	// eigenbases. No grads[i] may alias a workspace tensor.
-	run(grads []*tensor.Tensor)
+	// run preconditions with damping γ every layer i of the set whose
+	// grads[i] is not nil, skipping the others; grads is indexed by layer.
+	// It writes (F̂ᵢ+γI)⁻¹ grads[i] into layer i's pcBuf, or with keep set
+	// (newPrecondStages) leaves it at E in the layer's wB, and sets the
+	// layer's dot to the dot product of that result with grads[i]. A pcBuf is
+	// an ordinary float64 tensor, so the KL clip, the MEM-OPT result
+	// broadcast and SetCombinedGrad read it as such; the products in
+	// between run at E against the mirrored eigenbases. No grads[i] may
+	// alias a workspace tensor of E; with keep set it may be the pcBuf.
+	run(grads []*tensor.Tensor, γ float64)
 }
 
 // newPrecondStages builds the stages over the given layers of p at p's
 // element type, largest layer first so that a pooled pass does not end on
-// one.
-func newPrecondStages(p *Preconditioner, layers []int) precondStages {
+// one. keep selects where a result lands: false for Step's stages, whose
+// results go to each pcBuf, true for the early runner's, whose gradients
+// are the snapshots in the pcBufs.
+func newPrecondStages(p *Preconditioner, layers []int, keep bool) precondStages {
 	size := func(i int) int {
 		da, dg := FactorDims(p.states[i].layer)
 		return da * dg
@@ -181,17 +213,19 @@ func newPrecondStages(p *Preconditioner, layers []int) precondStages {
 	order := append([]int(nil), layers...)
 	sort.SliceStable(order, func(a, b int) bool { return size(order[a]) > size(order[b]) })
 	if p.opts.Precision == F32 {
-		return stagesOver[float32](p, order)
+		return stagesOver[float32](p, order, keep)
 	}
-	return stagesOver[float64](p, order)
+	return stagesOver[float64](p, order, keep)
 }
 
-func stagesOver[E tensor.Elem](p *Preconditioner, layers []int) *stages[E] {
+func stagesOver[E tensor.Elem](p *Preconditioner, layers []int, keep bool) *stages[E] {
 	ks := make([]*kernels[E], len(layers))
 	for j, i := range layers {
 		ks[j] = p.states[i].k.(*kernels[E])
 	}
-	return newStages(p, ks, layers)
+	st := newStages(p, ks, layers)
+	st.keep = keep
+	return st
 }
 
 // stages runs Equations 13–15 for a set of layers as a few steps
@@ -199,25 +233,34 @@ func stagesOver[E tensor.Elem](p *Preconditioner, layers []int) *stages[E] {
 // product of one step is recorded into one tensor.Group, so the step's
 // products share one block grid at pool width, and the element-wise steps
 // (Equation 14's division; at float32, the gradient's rounding in and the
-// result's widening out) run as one pooled pass over the layers. Each
-// layer's arithmetic is exactly what it would be alone — the products' bits
-// do not depend on their grid, and the element-wise passes touch each
-// element once — so the set is bit-identical to its layers one at a time.
+// result's widening out; the result's dot product with the gradient) run
+// as one pooled pass over the layers. Each layer's arithmetic is exactly
+// what it would be alone — the products' bits do not depend on their grid,
+// and the element-wise passes touch each element once — so the set is
+// bit-identical to its layers one at a time, and to any split of them
+// into runs.
 //
 //	t = Q_Gᵀ∇L;  V₁ = t·Q_A;  V₂ = V₁ / D;  t = Q_G·V₂;  out = t·Q_Aᵀ
 //
 // where Equation 14's denominator D is υ_G υ_Aᵀ + γ in EigenMode and
-// (υ_G + γ)(υ_A + γ)ᵀ in InverseMode (see Mode).
+// (υ_G + γ)(υ_A + γ)ᵀ in InverseMode (see Mode). t lives in the layer's wA,
+// V₁ and V₂ in its wB, and out in its pcBuf or, under keep, in wB, which
+// V₂'s last reader has freed by then.
 type stages[E tensor.Elem] struct {
-	p   *Preconditioner
-	ks  []*kernels[E]
-	idx []int // ks[j]'s layer index into run's grads
+	p    *Preconditioner
+	ks   []*kernels[E]
+	idx  []int // ks[j]'s layer index into run's grads
+	keep bool  // results stay at E in wB (the early runner's stages)
 
-	// Per-run views, ks-aligned: the gradient and the result at E (the
-	// float64 gradBuf and pcBuf themselves at float64), and the pcBuf.
+	// Per-run state: on lists the positions in ks of the layers this run
+	// covers; the rest is ks-aligned views: the gradient and the result at
+	// E (the float64 gradient and pcBuf themselves at float64, and wB under
+	// keep), the gradient, and the pcBuf (nil under keep).
+	on     []int
 	g, res []*tensor.Dense[E]
 	grad   []*tensor.Tensor
 	pc     []*tensor.Tensor
+	γ      float64
 
 	grp  tensor.Group[E]
 	pass stagePass // the element-wise pass RunRange performs
@@ -227,90 +270,108 @@ type stages[E tensor.Elem] struct {
 type stagePass int
 
 const (
-	passCastIn  stagePass = iota // g = grad at E
-	passDivide                   // Equation 14
-	passConvert                  // pc = res as float64
+	passCastIn stagePass = iota // g = grad at E
+	passDivide                  // Equation 14
+	passFinish                  // pc = res as float64 unless keep; the dot
 )
 
 // newStages runs over the layers ks, in that order; idx[j] is ks[j]'s index
 // into run's grads. It keeps both slices.
 func newStages[E tensor.Elem](p *Preconditioner, ks []*kernels[E], idx []int) *stages[E] {
 	n := len(ks)
-	return &stages[E]{p: p, ks: ks, idx: idx,
+	return &stages[E]{p: p, ks: ks, idx: idx, on: make([]int, 0, n),
 		g: make([]*tensor.Dense[E], n), res: make([]*tensor.Dense[E], n),
 		grad: make([]*tensor.Tensor, n), pc: make([]*tensor.Tensor, n)}
 }
 
-func (st *stages[E]) run(grads []*tensor.Tensor) {
-	if len(st.ks) == 0 {
-		return
-	}
+func (st *stages[E]) run(grads []*tensor.Tensor, γ float64) {
+	st.on, st.γ = st.on[:0], γ
 	for j, k := range st.ks {
+		grad := grads[st.idx[j]]
+		if grad == nil {
+			continue
+		}
 		s := k.s
 		if s.eigA == nil || s.eigG == nil {
 			panic("kfac: precondition before eigendecomposition update")
 		}
-		grad := grads[st.idx[j]]
 		out, in := grad.Rows(), grad.Cols()
+		st.on = append(st.on, j)
 		st.grad[j] = grad
-		st.pc[j] = tensor.Ensure(&s.pcBuf, out, in)
-		st.res[j] = tensor.Like(&k.pcBuf, st.pc[j])
 		st.g[j] = tensor.Like(&k.gradBuf, grad)
 		tensor.Ensure(&k.wA, out, in)
-		tensor.Ensure(&k.wB, out, in)
+		wB := tensor.Ensure(&k.wB, out, in)
+		if st.keep {
+			st.res[j] = wB
+		} else {
+			st.pc[j] = tensor.Ensure(&s.pcBuf, out, in)
+			st.res[j] = tensor.Like(&k.pcBuf, st.pc[j])
+		}
 	}
-	// At float64 Like handed back the float64 tensors themselves, and the
-	// passes across the precision boundary have nothing to do.
-	boundary := any(st.g[0]) != any(st.grad[0])
-	if boundary {
+	if len(st.on) == 0 {
+		return
+	}
+	// At float64 Like handed back the float64 gradient itself, and the
+	// gradient has no pass across the precision boundary to take.
+	if j := st.on[0]; any(st.g[j]) != any(st.grad[j]) {
 		st.each(passCastIn)
 	}
 	grp := &st.grp
-	for j, k := range st.ks {
-		grp.MatMulT1(k.wA, k.mirror[1], st.g[j])
+	for _, j := range st.on {
+		grp.MatMulT1(st.ks[j].wA, st.ks[j].mirror[1], st.g[j])
 	}
 	grp.Run()
-	for _, k := range st.ks {
+	for _, j := range st.on {
+		k := st.ks[j]
 		grp.MatMul(k.wB, k.wA, k.mirror[0])
 	}
 	grp.Run()
 	st.each(passDivide)
-	for _, k := range st.ks {
+	for _, j := range st.on {
+		k := st.ks[j]
 		grp.MatMul(k.wA, k.mirror[1], k.wB)
 	}
 	grp.Run()
-	for j, k := range st.ks {
+	for _, j := range st.on {
+		k := st.ks[j]
 		grp.MatMulT2(st.res[j], k.wA, k.mirror[0])
 	}
 	grp.Run()
-	if boundary {
-		st.each(passConvert)
-	}
+	st.each(passFinish)
 	clear(st.grad)
 }
 
-// each runs one element-wise pass over every layer, one layer per chunk.
+// each runs one element-wise pass over the run's layers, one layer per
+// chunk.
 func (st *stages[E]) each(pass stagePass) {
 	st.pass = pass
 	if runtime.GOMAXPROCS(0) > 1 {
-		sched.Shared().ForEach(len(st.ks), len(st.ks), st)
+		sched.Shared().ForEach(len(st.on), len(st.on), st)
 	} else {
-		st.RunRange(0, len(st.ks))
+		st.RunRange(0, len(st.on))
 	}
 }
 
-// RunRange implements sched.Ranger: the current pass over layers [lo, hi).
+// RunRange implements sched.Ranger: the current pass over the run's layers
+// [lo, hi).
 func (st *stages[E]) RunRange(lo, hi int) {
 	p := st.p
-	for j := lo; j < hi; j++ {
+	for _, j := range st.on[lo:hi] {
 		switch st.pass {
 		case passCastIn:
 			tensor.Convert(st.g[j], st.grad[j])
-		case passConvert:
-			tensor.Convert(st.pc[j], st.res[j])
+		case passFinish:
+			// The dot product is the KL clip's term for the layer
+			// (applyKLClip), taken here so a layer preconditioned early
+			// brings it along. Widening is exact, so it has the bits of
+			// pcBuf·grad at either E.
+			if !st.keep {
+				tensor.Convert(st.pc[j], st.res[j])
+			}
+			st.ks[j].s.dot = dotWide(st.res[j], st.grad[j])
 		case passDivide:
 			// Equation 14 is one definition at either E: the denominator is
-			// formed in float64 from the float64 eigenvalues and the current
+			// formed in float64 from the float64 eigenvalues and the run's
 			// γ, the element is divided by it in float64, and the
 			// quotient is rounded to E once. This is the one place the step
 			// reads Mode: InverseMode damps each factor, (υ_G+γ)(υ_A+γ),
@@ -320,7 +381,7 @@ func (st *stages[E]) RunRange(lo, hi int) {
 			s, v1 := k.s, k.wB
 			out, in := v1.Rows(), v1.Cols()
 			lamA, lamG := s.eigA.Values, s.eigG.Values
-			γ := p.opts.Damping
+			γ := st.γ
 			factored := p.opts.Mode == InverseMode
 			for r := 0; r < out; r++ {
 				vg := lamG[r]
@@ -338,6 +399,18 @@ func (st *stages[E]) RunRange(lo, hi int) {
 			}
 		}
 	}
+}
+
+// dotWide is Σᵢ float64(res[i])·grad[i] in index order: tensor's Dot of
+// the result widened to float64 with the gradient, without the widened
+// copy.
+func dotWide[E tensor.Elem](res *tensor.Dense[E], grad *tensor.Tensor) float64 {
+	r := res.Data[:len(grad.Data)]
+	var s float64
+	for i, v := range grad.Data {
+		s += float64(r[i]) * v
+	}
+	return s
 }
 
 func (k *kernels[E]) memBytes() int64 {

@@ -152,9 +152,9 @@ func combinedGradOf(l nn.KFACCapturable) *tensor.Tensor {
 func preconditionOne(s *layerState, grad *tensor.Tensor) *tensor.Tensor {
 	switch k := s.k.(type) {
 	case *kernels[float32]:
-		newStages(k.p, []*kernels[float32]{k}, []int{0}).run([]*tensor.Tensor{grad})
+		newStages(k.p, []*kernels[float32]{k}, []int{0}).run([]*tensor.Tensor{grad}, k.p.opts.Damping)
 	case *kernels[float64]:
-		newStages(k.p, []*kernels[float64]{k}, []int{0}).run([]*tensor.Tensor{grad})
+		newStages(k.p, []*kernels[float64]{k}, []int{0}).run([]*tensor.Tensor{grad}, k.p.opts.Damping)
 	}
 	return s.pcBuf
 }

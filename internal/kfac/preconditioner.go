@@ -66,6 +66,10 @@ type layerState struct {
 	// pcBuf is the preconditioned gradient [dg, da]. Under a partial plan it
 	// is a view into its broadcast bucket's backing (see pcBucket).
 	pcBuf *tensor.Tensor
+	// dot is pcBuf·grad, the layer's term of the KL clip (applyKLClip), set
+	// by the stages beside the precondition or, for a layer whose result
+	// arrives by broadcast, once it lands.
+	dot float64
 
 	// k holds the layer's state and stage bodies at the compute element
 	// type (kernels.go).
@@ -150,10 +154,16 @@ type Preconditioner struct {
 
 	// pcStages preconditions the layers this rank is a gradient worker of
 	// (all of them under a fully replicated plan), built by replan;
-	// gradsBuf and pcHandles are reused per-step slices.
+	// gradsBuf and pcHandles are reused per-step slices; remote lists the
+	// layers whose results arrive by broadcast.
 	pcStages  precondStages
 	gradsBuf  []*tensor.Tensor
 	pcHandles []*comm.Handle
+	remote    []int
+
+	// early starts the precondition stage beside the backward (early.go);
+	// its stages exist only at world 1.
+	early earlyRun
 }
 
 // NewFromOptions builds a preconditioner over every K-FAC-capturable layer
@@ -185,6 +195,7 @@ func NewFromOptions(model nn.Layer, c *comm.Communicator, opts Options) *Precond
 	}
 	p.covSlotElems = int64(lanes) * int64(maxDim) * int64(maxDim)
 	p.replan()
+	p.hookGrads()
 	return p
 }
 
@@ -230,9 +241,16 @@ func (p *Preconditioner) replan() {
 	for i := range p.states {
 		if p.plan.IsGradWorker(i, p.rank()) {
 			mine = append(mine, i)
+		} else {
+			p.remote = append(p.remote, i)
 		}
 	}
-	p.pcStages = newPrecondStages(p, mine)
+	p.pcStages = newPrecondStages(p, mine, false)
+	var early precondStages
+	if p.size() == 1 {
+		early = newPrecondStages(p, mine, true)
+	}
+	p.early.init(p, len(p.states), early)
 	p.stats.noteFactorMem(p.factorMemBytes())
 }
 
@@ -331,7 +349,9 @@ func (p *Preconditioner) SetFactorUpdateFreq(k int) {
 // Step preconditions every registered layer's gradient in place. Call after
 // gradients have been computed (and averaged across ranks) and before the
 // optimizer update. lr is the current learning rate, used by the κ gradient
-// scaling (Equation 18).
+// scaling (Equation 18). Step reads the gradients as they stand when it is
+// called; at world 1, on a step that keeps its eigenbases, it adopts the
+// layers the backward already preconditioned (early.go) and runs the rest.
 //
 // All ranks must call Step the same number of times with identical options
 // and an identically ordered layer list (guaranteed when every rank builds
@@ -360,8 +380,14 @@ func (p *Preconditioner) Step(lr float64) error {
 			return err
 		}
 	}
+	if doDecomp {
+		// The update rewrites the eigenbases an early start reads. The hooks
+		// declined this step unless the interval changed since the backward.
+		p.early.cancel()
+	}
 	if doFactors || doDecomp {
 		if err := p.update(doFactors, doDecomp); err != nil {
+			p.early.cancel()
 			return err
 		}
 	}
@@ -459,17 +485,15 @@ func (p *Preconditioner) precondition(lr float64) error {
 		p.gradsBuf = make([]*tensor.Tensor, len(p.states))
 	}
 	grads := p.gradsBuf[:len(p.states)]
-	for i, s := range p.states {
-		grads[i] = p.combinedGrad(s)
-	}
 
 	// Every rank preconditions the layers it is a gradient worker of — all
 	// of them under a fully replicated plan (COMM-OPT), which therefore
 	// needs no per-iteration communication — as grouped stages at pool
-	// width (kernels.go). Under a partial plan the results land in the
-	// bucket views; a layer this rank does not compute keeps its view as the
+	// width (kernels.go), taking over at world 1 what the backward started
+	// (early.go). Under a partial plan the results land in the bucket
+	// views; a layer this rank does not compute keeps its view as the
 	// receive buffer the bucket broadcast fully overwrites.
-	p.pcStages.run(grads)
+	p.preconditionLocal(grads)
 
 	// Partial plan (MEM-OPT / HYBRID, and the LayerWise default): a layer's
 	// gradient workers preconditioned redundantly from their shared
@@ -492,8 +516,13 @@ func (p *Preconditioner) precondition(lr float64) error {
 			return err
 		}
 	}
-
-	return p.applyKLClip(lr, grads)
+	// Only a partial plan has remote layers, and nothing starts early under
+	// one, so grads holds their gradients.
+	for _, i := range p.remote {
+		s := p.states[i]
+		s.dot = s.pcBuf.Dot(grads[i])
+	}
+	return p.applyKLClip(lr)
 }
 
 // combinedGrad returns the layer's combined gradient: a bias-free layer's
@@ -510,9 +539,10 @@ func (p *Preconditioner) combinedGrad(s *layerState) *tensor.Tensor {
 }
 
 // applyKLClip applies the κ gradient scaling (Equation 18) and writes the
-// preconditioned gradients back: ν = min(1, sqrt(κ / (lr²·Σ|v·g|))). The
-// dot-product reduction runs in layer order whatever width preconditioning
-// fanned out at, so every schedule produces bit-identical results.
+// preconditioned gradients back: ν = min(1, sqrt(κ / (lr²·Σ|v·g|))). Each
+// layer's term vᵀg is its layerState.dot, formed beside its precondition;
+// the reduction adds them in layer order whatever width and start point
+// preconditioning ran at, so every schedule produces bit-identical results.
 //
 // The reduction runs whether or not clipping is on, and doubles as the
 // step's non-finite guard: if Σ vᵀg is NaN or ±Inf, nothing is written back
@@ -521,10 +551,10 @@ func (p *Preconditioner) combinedGrad(s *layerState) *tensor.Tensor {
 // every rank after the gradient exchange and the result broadcast, so every
 // rank fails at the same step with the same error and none is left inside
 // a collective.
-func (p *Preconditioner) applyKLClip(lr float64, grads []*tensor.Tensor) error {
+func (p *Preconditioner) applyKLClip(lr float64) error {
 	var vg float64
 	for i, s := range p.states {
-		vg += s.pcBuf.Dot(grads[i]) * lr * lr
+		vg += s.dot * lr * lr
 		if math.IsNaN(vg) || math.IsInf(vg, 0) {
 			return fmt.Errorf("kfac: step %d: layer %d (%s): preconditioned gradient is not finite (Σ vᵀg·lr² = %v)",
 				p.step-1, i, s.layer.Name(), vg)

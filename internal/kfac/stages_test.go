@@ -106,8 +106,11 @@ func TestGroupedStagesMatchPreconditionOne(t *testing.T) {
 							return
 						}
 					}
-					grads := p.gradsBuf[:len(p.states)]
-					p.pcStages.run(grads)
+					grads := make([]*tensor.Tensor, len(p.states))
+					for i, s := range p.states {
+						grads[i] = combinedGradOf(s.layer)
+					}
+					p.pcStages.run(grads, p.opts.Damping)
 					computed := 0
 					grouped := make([]*tensor.Tensor, len(p.states))
 					for i, s := range p.states {

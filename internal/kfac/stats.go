@@ -22,7 +22,18 @@ type StageStats struct {
 	FactorComm    time.Duration
 	EigCompute    time.Duration
 	EigComm       time.Duration
-	Precondition  time.Duration
+	// Precondition is the wall time Step spends in the precondition stage:
+	// the layers it runs itself, the wait for the early runner, adopting
+	// its results, and the KL clip and write-back. At world 1, on a step
+	// that keeps its eigenbases, the backward starts most layers early
+	// (early.go), so this is what the stage still costs the step, not the
+	// stage's work; the early part is PreconditionEarly.
+	Precondition time.Duration
+	// PreconditionEarly is the summed task time of the early runner's
+	// batches, which run beside the backward on the shared pool; zero at
+	// world > 1, where nothing starts early. The two overlap: the time
+	// Step waits for the runner's last batch is in both.
+	PreconditionEarly time.Duration
 
 	// Per-kernel decomposition time of the blocked eigensolver, summed
 	// across factors (zero for small factors on the serial fallback):
@@ -118,25 +129,26 @@ func (s *StageStats) Snapshot() StageStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return StageStats{
-		FactorCompute:   s.FactorCompute,
-		FactorComm:      s.FactorComm,
-		EigCompute:      s.EigCompute,
-		EigComm:         s.EigComm,
-		Precondition:    s.Precondition,
-		EigTridiag:      s.EigTridiag,
-		EigBackAccum:    s.EigBackAccum,
-		EigQL:           s.EigQL,
-		FactorUpdates:   s.FactorUpdates,
-		EigUpdates:      s.EigUpdates,
-		Steps:           s.Steps,
-		FullSolves:      s.FullSolves,
-		PowerRefreshes:  s.PowerRefreshes,
-		PipelineWall:    s.PipelineWall,
-		PipelineWork:    s.PipelineWork,
-		PipelineIdle:    s.PipelineIdle,
-		PipelineUpdates: s.PipelineUpdates,
-		PeakFactorBytes: s.PeakFactorBytes,
-		TuneDecisions:   append([]TuneDecision(nil), s.TuneDecisions...),
+		FactorCompute:     s.FactorCompute,
+		FactorComm:        s.FactorComm,
+		EigCompute:        s.EigCompute,
+		EigComm:           s.EigComm,
+		Precondition:      s.Precondition,
+		PreconditionEarly: s.PreconditionEarly,
+		EigTridiag:        s.EigTridiag,
+		EigBackAccum:      s.EigBackAccum,
+		EigQL:             s.EigQL,
+		FactorUpdates:     s.FactorUpdates,
+		EigUpdates:        s.EigUpdates,
+		Steps:             s.Steps,
+		FullSolves:        s.FullSolves,
+		PowerRefreshes:    s.PowerRefreshes,
+		PipelineWall:      s.PipelineWall,
+		PipelineWork:      s.PipelineWork,
+		PipelineIdle:      s.PipelineIdle,
+		PipelineUpdates:   s.PipelineUpdates,
+		PeakFactorBytes:   s.PeakFactorBytes,
+		TuneDecisions:     append([]TuneDecision(nil), s.TuneDecisions...),
 	}
 }
 
@@ -191,6 +203,10 @@ func (s *StageStats) String() string {
 		fc.Round(time.Microsecond), fm.Round(time.Microsecond), snap.FactorUpdates,
 		ec.Round(time.Microsecond), em.Round(time.Microsecond), snap.EigUpdates,
 		perStep.Round(time.Microsecond), snap.Steps)
+	if snap.PreconditionEarly > 0 && snap.Steps > 0 {
+		out += fmt.Sprintf(" | early precond/step=%v",
+			(snap.PreconditionEarly / time.Duration(snap.Steps)).Round(time.Microsecond))
+	}
 	if snap.PowerRefreshes > 0 {
 		out += fmt.Sprintf(" | refreshes full=%d power=%d", snap.FullSolves, snap.PowerRefreshes)
 	}

@@ -67,10 +67,16 @@ func (p *Preconditioner) ensurePool() *sched.Pool {
 	return p.pool
 }
 
-// Close releases the pipelined engine's worker pool. It is safe to call on
-// any preconditioner (a no-op for the sync engine) and after Close the
-// preconditioner may still Step — the pool is recreated on demand.
+// Close removes the layers' gradient hooks, after dropping and waiting for
+// any precondition they started (early.go), and releases the pipelined
+// engine's worker pool. It is safe to call on any preconditioner, more than
+// once, and after Close the preconditioner may still Step — the pool is
+// recreated on demand, and every layer is preconditioned inside Step.
 func (p *Preconditioner) Close() {
+	p.early.cancel()
+	for _, s := range p.states {
+		s.layer.SetGradHook(nil)
+	}
 	if p.pool != nil {
 		p.pool.Close()
 		p.pool = nil

@@ -36,6 +36,9 @@ type affineLayer struct {
 	reuse   bool // recycle the core's buffers across steps (BufferReuser)
 	batch   int
 	core    affineCore
+	// gradHook, when set, is called once Backward has accumulated the
+	// parameter gradients, before the input gradient (SetGradHook).
+	gradHook func()
 }
 
 // affineCore is a layer's element-typed half: linearCore[E] or convCore[E].
@@ -122,7 +125,8 @@ func (a *affine[E]) patches() tensor.Patches[E] {
 }
 
 // backward accumulates dW = GᵀX and db = Σᵢ G[i,:] into the parameter
-// gradients; the input gradient is the core's. g must stay valid as x must.
+// gradients and then calls the layer's gradient hook; the input gradient is
+// the core's, formed after the hook returns. g must stay valid as x must.
 func (a *affine[E]) backward(g *tensor.Dense[E]) {
 	l := a.l
 	a.g = g
@@ -140,6 +144,9 @@ func (a *affine[E]) backward(g *tensor.Dense[E]) {
 				l.B.Grad.Data[j] += float64(v)
 			}
 		}
+	}
+	if l.gradHook != nil {
+		l.gradHook()
 	}
 }
 
@@ -264,6 +271,9 @@ func (l *affineLayer) SetBufferReuse(on bool) { l.reuse = on }
 
 // SetCapture implements KFACCapturable.
 func (l *affineLayer) SetCapture(on bool) { l.capture = on }
+
+// SetGradHook implements KFACCapturable.
+func (l *affineLayer) SetGradHook(fn func()) { l.gradHook = fn }
 
 // CapturedActivation implements KFACCapturable.
 func (l *affineLayer) CapturedActivation() *tensor.Tensor { return l.core.captured(false) }

@@ -77,6 +77,14 @@ type KFACCapturable interface {
 	Layer
 	// SetCapture enables or disables activation/gradient capture.
 	SetCapture(on bool)
+	// SetGradHook installs fn, or removes the hook when fn is nil. The layer
+	// calls fn on the goroutine running its Backward, as soon as that
+	// Backward has accumulated the weight and bias gradients and before it
+	// forms the input gradient, so the parameter gradients are final for
+	// the pass from the call on. A layer holds one hook; K-FAC installs it
+	// at construction to start preconditioning the layer while the rest of
+	// the backward runs, and removes it on Close.
+	SetGradHook(fn func())
 	// CapturedActivation returns the activation from the last forward pass
 	// — for a Linear the [samples, inDim] sample matrix; for a Conv2D the
 	// input image [N, H, W, C], whose patch matrix under Window,

@@ -202,7 +202,8 @@ func (j *forJob) help(gen uint32) {
 // property the zero-allocation tensor kernels rely on.
 //
 // Like all pool tasks, ranges must be pure leaf compute: a RunRange must not
-// block on other pool work.
+// block on other pool work. ForEach itself may run inside a pool task (see
+// Shared).
 func (p *Pool) ForEach(m, nchunks int, r Ranger) {
 	if m <= 0 {
 		return
@@ -326,6 +327,14 @@ var (
 // not themselves submit to (and wait on) the shared pool, or a full queue
 // could leave every worker blocked waiting for subtasks that can no longer
 // be scheduled. Blocking work belongs on a Group or a dedicated Pool.
+//
+// A task may call ForEach on the shared pool: ForEach is claim-based, so it
+// never waits for a chunk no goroutine has started. Its caller runs every
+// chunk no helper claimed, and then waits only for the helpers already
+// inside its chunks; a helper is a worker running a chunk, which is leaf
+// compute and finishes without waiting on anything. So a task calling ForEach finishes even when every
+// other worker is busy, or is itself a task calling ForEach; it holds its
+// worker meanwhile, which only narrows other fan-outs, never stops them.
 func Shared() *Pool {
 	sharedOnce.Do(func() { sharedPool = NewPool(0) })
 	return sharedPool

@@ -1,5 +1,7 @@
 package tensor
 
+import "slices"
+
 // setShape points t at the given shape, reusing t's shape slice when the
 // dimensionality matches so steady-state reshapes are allocation-free.
 func setShape[E Elem](t *Dense[E], shape []int) {
@@ -18,7 +20,9 @@ func setShape[E Elem](t *Dense[E], shape []int) {
 // shape-stable buffer-reuse primitive the layer forward/backward passes,
 // the K-FAC workspaces and the eigensolver (its eigenbasis, and in slice
 // form its workspace buffers) are built on: after the first step at a
-// given batch shape, Ensure never allocates.
+// given batch shape, Ensure never allocates, and a buffer already at the
+// shape is not written at all, so another goroutine may read its length
+// meanwhile (the K-FAC memory count beside an early precondition).
 func Ensure[E Elem](buf **Dense[E], shape ...int) *Dense[E] {
 	n := 1
 	for _, s := range shape {
@@ -26,8 +30,12 @@ func Ensure[E Elem](buf **Dense[E], shape ...int) *Dense[E] {
 	}
 	t := *buf
 	if t != nil && cap(t.Data) >= n {
-		t.Data = t.Data[:n]
-		setShape(t, shape)
+		if len(t.Data) != n {
+			t.Data = t.Data[:n]
+		}
+		if !slices.Equal(t.Shape, shape) {
+			setShape(t, shape)
+		}
 		return t
 	}
 	// Built directly (not via NewDense) so the variadic shape slice provably
