@@ -2,7 +2,9 @@ package comm
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -22,7 +24,8 @@ import (
 // collective, as trainer.Session.Run does; see docs/ARCHITECTURE.md.
 //
 // This file holds the synchronous collectives (allreduce, broadcast,
-// allgather, reduce, gather) and the shared ring-phase helpers;
+// allgather, reduce, gather), the ring-phase helpers and the recursive
+// halving/doubling schedule;
 // the asynchronous handle-based variants live in async.go.
 type Communicator struct {
 	t   Transport
@@ -105,13 +108,36 @@ func split(n, p int) (counts, displs []int) {
 
 func mod(a, p int) int { return ((a % p) + p) % p }
 
-// sendAsync launches a Send on its own goroutine and returns the error
-// channel; pairing concurrent send/recv avoids ring deadlock without
-// requiring buffered transports.
-func (c *Communicator) sendAsync(to int, tag uint64, data []float64) chan error {
-	ch := make(chan error, 1)
-	go func() { ch <- c.t.Send(to, tag, data) }()
-	return ch
+// sendRecv is one hop of a ring or pairwise exchange: it sends out to rank
+// `to` while receiving from rank `from` under the same tag, and returns the
+// received payload once both have completed. The send runs on its own
+// goroutine, so the exchange cannot deadlock on a transport whose Send
+// blocks until the peer receives.
+func (c *Communicator) sendRecv(to, from int, tag uint64, out []float64) ([]float64, error) {
+	errCh := make(chan error, 1)
+	go func() { errCh <- c.t.Send(to, tag, out) }()
+	in, err := c.recv(from, tag)
+	if err != nil {
+		return nil, err
+	}
+	if serr := <-errCh; serr != nil {
+		return nil, serr
+	}
+	return in, nil
+}
+
+// errSegmentMismatch reports a received allreduce chunk or segment whose
+// length differs from the local one: the ranks passed buffers of different
+// lengths to the same collective.
+var errSegmentMismatch = errors.New("comm: allreduce segment length mismatch (ranks must pass equal-length buffers)")
+
+// checkSegment returns errSegmentMismatch, with both lengths, unless the
+// received payload in is as long as the local segment dst.
+func checkSegment(in, dst []float64) error {
+	if len(in) != len(dst) {
+		return fmt.Errorf("%w: got %d, want %d", errSegmentMismatch, len(in), len(dst))
+	}
+	return nil
 }
 
 // ring describes one position in a logical ring: the transport ranks of the
@@ -142,17 +168,13 @@ func (c *Communicator) ringReduceScatter(data []float64, counts, displs []int, r
 	for s := 0; s < rg.size-1; s++ {
 		sendIdx := mod(rg.index-s, rg.size)
 		recvIdx := mod(rg.index-s-1, rg.size)
-		errCh := c.sendAsync(rg.next, opTag(base, stepOff+s), chunkOf(data, counts, displs, sendIdx))
-		in, err := c.recv(rg.prev, opTag(base, stepOff+s))
+		in, err := c.sendRecv(rg.next, rg.prev, opTag(base, stepOff+s), chunkOf(data, counts, displs, sendIdx))
 		if err != nil {
 			return err
 		}
-		if serr := <-errCh; serr != nil {
-			return serr
-		}
 		dst := chunkOf(data, counts, displs, recvIdx)
-		if len(in) != len(dst) {
-			return fmt.Errorf("comm: ring chunk size mismatch: got %d, want %d (ranks must pass equal-length buffers)", len(in), len(dst))
+		if err := checkSegment(in, dst); err != nil {
+			return err
 		}
 		for i := range dst {
 			dst[i] += in[i]
@@ -168,32 +190,39 @@ func (c *Communicator) ringAllgatherChunks(data []float64, counts, displs []int,
 	for s := 0; s < rg.size-1; s++ {
 		sendIdx := mod(rg.index+1-s, rg.size)
 		recvIdx := mod(rg.index-s, rg.size)
-		errCh := c.sendAsync(rg.next, opTag(base, stepOff+s), chunkOf(data, counts, displs, sendIdx))
-		in, err := c.recv(rg.prev, opTag(base, stepOff+s))
+		in, err := c.sendRecv(rg.next, rg.prev, opTag(base, stepOff+s), chunkOf(data, counts, displs, sendIdx))
 		if err != nil {
 			return err
-		}
-		if serr := <-errCh; serr != nil {
-			return serr
 		}
 		copy(chunkOf(data, counts, displs, recvIdx), in)
 	}
 	return nil
 }
 
-// AllreduceSum sums data elementwise across all ranks, in place, using the
-// bandwidth-optimal ring algorithm: a scatter-reduce phase (p−1 steps, each
-// rank ends owning the full sum of one chunk) followed by a ring allgather
-// of the reduced chunks (p−1 steps).
+// AllreduceSum sums data elementwise across all ranks, in place. Every
+// element ends bit-identical on every rank; see allreduceSumTagged for the
+// schedule and its summation order.
 func (c *Communicator) AllreduceSum(data []float64) error {
 	return c.allreduceSumTagged(data, c.nextOp())
 }
 
-// allreduceSumTagged is AllreduceSum with an externally reserved tag base.
+// allreduceSumTagged is AllreduceSum with an externally reserved tag base,
+// and the one place the allreduce schedule is chosen. On a power-of-two
+// world it runs recursive halving then doubling (halvingDoubling: 2·log₂p
+// hops, every element summed as the pairwise tree over ranks
+// ((x₀+x₁)+(x₂+x₃))+…, wherever it sits in data). On any other world it
+// runs the bandwidth-optimal ring (Patarasuk & Yuan): a scatter-reduce
+// phase of p−1 steps, after which each rank owns the full sum of one of p
+// chunks, then a ring allgather of the reduced chunks in p−1 more; chunk c
+// is summed in ring order starting from rank c. Under both, each rank
+// sends 2(p−1)/p of the buffer.
 func (c *Communicator) allreduceSumTagged(data []float64, base uint64) error {
 	p := c.Size()
 	if p == 1 {
 		return nil
+	}
+	if p&(p-1) == 0 {
+		return c.halvingDoubling(data, base)
 	}
 	counts, displs := split(len(data), p)
 	rg := c.fullRing()
@@ -201,6 +230,70 @@ func (c *Communicator) allreduceSumTagged(data []float64, base uint64) error {
 		return err
 	}
 	return c.ringAllgatherChunks(data, counts, displs, rg, base, p)
+}
+
+// halvingDoubling is the allreduce of a power-of-two world p = 2^k
+// (Thakur, Rabenseifner & Gropp, IJHPCA 2005; MPICH's allreduce at
+// power-of-two sizes).
+//
+// Reduce-scatter by recursive halving: at step s = 0…k−1 a rank splits its
+// current segment in two (the lower half takes the odd element), keeps the
+// lower half when bit s of its rank is 0 and the upper half otherwise,
+// sends the other half to rank r XOR 2^s and adds the partner's copy of
+// the kept half, dst[i] += in[i]. After step s the kept segment holds the
+// sum over the 2^(s+1) ranks that agree with r above bit s, so every
+// element reduces along the same pairwise tree, and because a+b == b+a
+// exactly, both partners of a step compute the same bits. Allgather by
+// recursive doubling: the same partners in reverse order, each sending the
+// segment it holds and copying in the partner's, until every rank holds
+// the whole buffer. Tag steps are s for halving step s and 2k−1−s for the
+// doubling step with partner r XOR 2^s. A segment may be empty (len(data)
+// < p); it still travels, so every rank takes every step.
+func (c *Communicator) halvingDoubling(data []float64, base uint64) error {
+	r := c.Rank()
+	k := bits.TrailingZeros(uint(c.Size()))
+	// seg[s] is the segment held before halving step s.
+	var seg [bits.UintSize][2]int
+	lo, hi := 0, len(data)
+	for s := 0; s < k; s++ {
+		seg[s] = [2]int{lo, hi}
+		mid := lo + (hi-lo+1)/2
+		keepLo, keepHi, sendLo, sendHi := lo, mid, mid, hi
+		if r&(1<<s) != 0 {
+			keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
+		}
+		peer := r ^ (1 << s)
+		in, err := c.sendRecv(peer, peer, opTag(base, s), data[sendLo:sendHi])
+		if err != nil {
+			return err
+		}
+		dst := data[keepLo:keepHi]
+		if err := checkSegment(in, dst); err != nil {
+			return err
+		}
+		for i := range dst {
+			dst[i] += in[i]
+		}
+		lo, hi = keepLo, keepHi
+	}
+	for s := k - 1; s >= 0; s-- {
+		peer := r ^ (1 << s)
+		in, err := c.sendRecv(peer, peer, opTag(base, 2*k-1-s), data[lo:hi])
+		if err != nil {
+			return err
+		}
+		// The partner holds the other half of seg[s].
+		dst := data[hi:seg[s][1]]
+		if r&(1<<s) != 0 {
+			dst = data[seg[s][0]:lo]
+		}
+		if err := checkSegment(in, dst); err != nil {
+			return err
+		}
+		copy(dst, in)
+		lo, hi = seg[s][0], seg[s][1]
+	}
+	return nil
 }
 
 // AllreduceMean averages data elementwise across all ranks, in place. This
@@ -276,14 +369,9 @@ func (c *Communicator) allgatherVTagged(mine []float64, base uint64) ([][]float6
 	}
 	next, prev := mod(r+1, p), mod(r-1, p)
 	for s := 0; s < p-1; s++ {
-		sendIdx := mod(r-s, p)
-		errCh := c.sendAsync(next, opTag(base, s), out[sendIdx])
-		in, err := c.recv(prev, opTag(base, s))
+		in, err := c.sendRecv(next, prev, opTag(base, s), out[mod(r-s, p)])
 		if err != nil {
 			return nil, err
-		}
-		if serr := <-errCh; serr != nil {
-			return nil, serr
 		}
 		out[mod(r-s-1, p)] = in
 	}

@@ -109,6 +109,57 @@ func TestAllRanksUnblockOnSharedContextCancel(t *testing.T) {
 	}
 }
 
+// cancelAtTagStep cancels the shared context instead of sending the first
+// message of one tag step, so the world aborts partway through a collective.
+type cancelAtTagStep struct {
+	Transport
+	step   uint64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAtTagStep) Send(to int, tag uint64, data []float64) error {
+	if tag&0xffff == c.step {
+		c.cancel()
+		return context.Canceled
+	}
+	return c.Transport.Send(to, tag, data)
+}
+
+// The world-4 sibling of TestAllRanksUnblockOnSharedContextCancel: every
+// rank enters the allreduce, rank 0 cancels the shared context in place of
+// its second recursive-halving send, and every rank returns.
+func TestAllRanksUnblockOnSharedContextCancelWorld4(t *testing.T) {
+	const p = 4
+	fab := NewInprocFabric(p)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	errs := make([]error, p)
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			tr := fab.Endpoint(r)
+			if r == 0 {
+				tr = &cancelAtTagStep{Transport: tr, step: 1, cancel: cancel}
+			}
+			errs[r] = NewCommunicator(tr).WithContext(ctx).AllreduceSum(make([]float64, 128))
+		}(r)
+	}
+	ok := make(chan struct{})
+	go func() { wg.Wait(); close(ok) }()
+	select {
+	case <-ok:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ranks deadlocked after cancellation mid-halving")
+	}
+	for r, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("rank %d returned %v, want context.Canceled", r, err)
+		}
+	}
+}
+
 // WithContext must share the tag sequence with its parent so collectives
 // issued through either stay matched across ranks.
 func TestWithContextSharesTagSequence(t *testing.T) {

@@ -50,7 +50,7 @@ func (e fuseEntry) pack(dst []float64) {
 // unpack is the inverse of pack: it writes the wire values at the front of
 // src back into the tensor and, for a symmetric one, mirrors the upper
 // triangle into the lower half — so A[j][i] is the same float64 as A[i][j]
-// whatever ring chunk, codec or summation order produced it.
+// whatever allreduce segment, codec or summation order produced it.
 func (e fuseEntry) unpack(src []float64) {
 	if !e.sym {
 		copy(e.t.Data, src)
@@ -73,7 +73,7 @@ func (e fuseEntry) unpack(src []float64) {
 // to call from multiple goroutines.
 //
 // A compressed chunk (codec != nil) rides an allgather of encoded payloads
-// instead of a ring allreduce: Wait decodes every rank's block and averages
+// instead of an allreduce: Wait decodes every rank's block and averages
 // them in rank order, so results are bit-identical across ranks. When
 // the chunk carries an error-feedback residual slot, Wait also stores the
 // part of this rank's compensated contribution that the codec discarded.
@@ -201,7 +201,7 @@ func NewFuser(comm *Communicator, limitBytes int) *Fuser {
 // SetGroupSize routes every subsequently launched chunk through
 // HierarchicalAllreduceMeanAsync with the given intra-group rank count — the
 // two-level algorithm modeling fast intra-node links (kfac.Options.GroupSize /
-// kfac-train -group-size). Values ≤ 1 (and ≥ world) keep the flat ring.
+// kfac-train -group-size). Values ≤ 1 (and ≥ world) keep the flat allreduce.
 // Must be set identically on every rank, before the first Add whose chunk
 // it should affect; chunk boundaries are unaffected, so the collective
 // schedule stays deterministic.

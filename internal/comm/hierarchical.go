@@ -17,7 +17,7 @@ import (
 //
 // groupSize is the number of consecutive ranks per group (a trailing group
 // may be smaller). Every rank receives the identical leader-computed
-// result. The sum is grouped differently than the flat ring's, so for
+// result. The sum is grouped differently than the flat allreduce's, so for
 // arbitrary floating-point inputs the result agrees with AllreduceMean to
 // rounding (and exactly — bit for bit — whenever the sums are exactly
 // representable, e.g. integer-valued data; see
@@ -37,7 +37,7 @@ func (c *Communicator) HierarchicalAllreduceMeanAsync(data []float64, groupSize 
 
 // hierarchicalMeanTagged is the hierarchical mean-allreduce body with an
 // externally reserved tag base. Degenerate group sizes (≤1, or ≥ world)
-// fall back to the flat ring within the same tag namespace, so exactly one
+// fall back to the flat allreduce within the same tag namespace, so exactly one
 // namespace is consumed per call on every rank.
 func (c *Communicator) hierarchicalMeanTagged(data []float64, groupSize int, base uint64) error {
 	p := c.Size()

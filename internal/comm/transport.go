@@ -3,10 +3,11 @@
 // reduce and gather over an abstract point-to-point Transport, with
 // asynchronous handles and a gradient fusion buffer.
 //
-// Allreduce uses the ring scatter-reduce + allgather algorithm
-// (Patarasuk & Yuan), the bandwidth-optimal algorithm Horovod's fusion
-// buffer is tuned for: each element crosses each link 2(p−1)/p times.
-// Broadcast uses a binomial tree. All collectives are SPMD: every rank must
+// Allreduce is bandwidth-optimal at every world size: each rank sends
+// 2(p−1)/p of the buffer. On a power-of-two world it runs recursive
+// halving then doubling (Thakur, Rabenseifner & Gropp) in 2·log₂p hops;
+// on any other it runs the ring scatter-reduce + allgather (Patarasuk &
+// Yuan) in 2(p−1). Broadcast uses a binomial tree. All collectives are SPMD: every rank must
 // invoke the same collectives in the same program order (Horovod enforces
 // this with its coordinator; here it is a documented contract, checked by
 // the per-operation sequence tags).

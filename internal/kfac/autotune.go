@@ -17,8 +17,8 @@ import (
 // allreduce time) and samples the transport's DeliveryMetrics for the
 // drop rate, then the ranks agree on one view of the link through a tiny
 // consensus allreduce — the same trick the trainer uses for cancellation:
-// the ring allreduce's rank-ordered arithmetic makes the mean
-// bit-identical on every rank, so thresholding it yields the same policy
+// the allreduce sums every element in one fixed order and hands every
+// rank that one sum, so the mean is bit-identical on every rank, so thresholding it yields the same policy
 // level everywhere, and every rank re-resolves its Decision (codec, fusion
 // bound, group size) at the same step boundary with no extra coordination
 // protocol. Decisions are recorded in StageStats.TuneDecisions; the
@@ -134,7 +134,7 @@ func newTuner(cfg AutotuneConfig) *tuner {
 // factorWireBytesPerUpdate models the bytes this rank puts on the wire
 // for one factor update under the decision in force. The payload
 // is every factor's packed upper triangle (comm.SymPackedLen, what the
-// Fuser actually sends); a flat ring allreduce sends 2(p−1)/p of it, a
+// Fuser actually sends); a flat allreduce sends 2(p−1)/p of it, a
 // compressed allgather circulates each encoded block p−1 times. The model
 // is shared by every rank (a pure function of plan state), so only the
 // measured time side of the bandwidth estimate differs per rank — and the
@@ -184,8 +184,8 @@ func (p *Preconditioner) autotune(iter int) error {
 		t.prevMetrics, t.hasMetrics = m, true
 	}
 
-	// Consensus: a two-word mean allreduce. The ring's rank-ordered
-	// arithmetic produces bit-identical sums everywhere, so every rank
+	// Consensus: a two-word mean allreduce. Its fixed summation order
+	// produces bit-identical sums everywhere, so every rank
 	// thresholds the same floats and picks the same level — no separate
 	// agreement protocol (the PR 2 cancellation trick).
 	est := []float64{bw, drop}

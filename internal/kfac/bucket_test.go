@@ -358,6 +358,69 @@ func TestAveragedFactorsBitwiseSymmetric(t *testing.T) {
 	}
 }
 
+// TestFactorsIndependentOfFusionLayoutWorld4: at world 4 the allreduce sums
+// every element along one pairwise tree over the ranks, wherever the fusion
+// buffer puts it, so a factor update whose factors travel in two chunks
+// (the 257-column A of the first layer alone, the rest after it) lands the
+// same factors, bit for bit, as one chunk carrying them all. Under the ring
+// allreduce an element's sum order depended on which of the p ring chunks
+// it fell in, and this test failed.
+func TestFactorsIndependentOfFusionLayoutWorld4(t *testing.T) {
+	const world = 4
+	run := func(engine Engine, fusionBytes int) ([][]*tensor.Tensor, [world]int64) {
+		fab := comm.NewInprocFabric(world)
+		factors := make([][]*tensor.Tensor, world)
+		var sends [world]int64
+		var wg sync.WaitGroup
+		for r := 0; r < world; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				end := &countingEndpoint{Transport: fab.Endpoint(r)}
+				net := buildWideNet(31)
+				p := NewFromOptions(net, comm.NewCommunicator(end), Options{
+					Engine: engine, FactorUpdateFreq: 1, InvUpdateFreq: 1,
+				})
+				defer p.Close()
+				if fusionBytes > 0 {
+					p.dec.FusionBytes = fusionBytes
+				}
+				runWideStep(net, int64(1000*r), 8)
+				if err := p.Step(0.1); err != nil {
+					t.Errorf("%v rank %d: %v", engine, r, err)
+					return
+				}
+				for _, s := range p.states {
+					factors[r] = append(factors[r], s.A.Clone(), s.G.Clone())
+				}
+				sends[r] = end.sends.Load()
+			}(r)
+		}
+		wg.Wait()
+		return factors, sends
+	}
+	// The first factor's packed bytes reach the bound on their own.
+	split := 8 * comm.SymPackedLen(256+1)
+	for _, engine := range []Engine{EngineSync, EnginePipelined} {
+		one, oneSends := run(engine, 0)
+		two, twoSends := run(engine, split)
+		if t.Failed() {
+			return
+		}
+		for r := range one {
+			// The second chunk is one more allreduce: 2·log₂4 sends.
+			if d := twoSends[r] - oneSends[r]; d != 4 {
+				t.Fatalf("%v rank %d: the split update sent %d more messages, want 4 (one more chunk)", engine, r, d)
+			}
+			for k, f := range one[r] {
+				if !f.Equal(two[r][k], 0) {
+					t.Errorf("%v rank %d layer %d %s: two chunks differ bitwise from one", engine, r, k/2, sideName(k%2 == 1))
+				}
+			}
+		}
+	}
+}
+
 // memOptStaleStepMallocs measures the heap allocations of one stale
 // MEM-OPT step of the whole in-process world (all ranks, their collective
 // goroutines and the transport's message copies), averaged over a window.

@@ -107,7 +107,11 @@ func (t Topology) LinkBetween(a, b int) Link {
 // RingAllreduceCost prices a flat ring allreduce of b bytes over ranks
 // [0, world): 2(p−1) steps, each bounded by the slowest neighbor link in
 // the ring (rank p−1 → rank 0 wraps the full span), moving b/p bytes per
-// step.
+// step. This is the paper testbed's collective, and it prices every world
+// that way: comm's allreduce runs recursive halving and doubling at
+// power-of-two worlds, 2·log₂p steps for the same bytes, so there the
+// latency term is (p−1)/log₂p times what the transport pays. Re-pricing it
+// would move the paper-shape predictions this model is held to.
 func (t Topology) RingAllreduceCost(b float64, world int) float64 {
 	if world <= 1 {
 		return 0
@@ -145,8 +149,9 @@ func (t Topology) slowestRingLink(lo, count, stride int) Link {
 //  3. leaders send the result back to members — another (groupSize−1)
 //     sequential transfers.
 //
-// Degenerate group sizes (≤ 1 or ≥ world) collapse to the flat ring,
-// matching the implementation's fallback.
+// Degenerate group sizes (≤ 1 or ≥ world) collapse to RingAllreduceCost,
+// matching the implementation's fallback to the flat allreduce, and priced
+// as the ring at every world (see RingAllreduceCost for the gap).
 func (t Topology) HierarchicalAllreduceCost(b float64, world, groupSize int) float64 {
 	if world <= 1 {
 		return 0
