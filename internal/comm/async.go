@@ -23,11 +23,19 @@ func (h *Handle) Wait() error {
 	return h.err
 }
 
-// newHandle returns the handle of an operation about to start: the
-// operation's goroutine calls h.wg.Done once, after setting h.err.
-func newHandle() *Handle {
+// launch starts op(r, data, n, base) on a goroutine of its own and returns
+// its handle: the one launcher of every asynchronous collective. The caller
+// reserves base, the operation's tag namespace, on its own goroutine, so
+// overlapping operations keep the SPMD order. op is a method expression
+// that captures nothing, so a launch allocates the handle and the
+// goroutine's closure, no more.
+func launch[R any](op func(R, []float64, int, uint64) error, r R, data []float64, n int, base uint64) *Handle {
 	h := &Handle{}
 	h.wg.Add(1)
+	go func() {
+		defer h.wg.Done()
+		h.err = op(r, data, n, base)
+	}()
 	return h
 }
 
@@ -55,36 +63,23 @@ func WaitAll(hs ...*Handle) error {
 // namespace is reserved synchronously at call time, so as long as every rank
 // issues the same collectives in the same program order, overlapping
 // operations cannot cross-match. The caller must not touch data until Wait
-// returns.
+// returns. It is HierarchicalAllreduceMeanAsync without groups.
 func (c *Communicator) AllreduceMeanAsync(data []float64) *Handle {
-	base := c.nextOp()
-	h := newHandle()
-	go func() {
-		defer h.wg.Done()
-		if err := c.allreduceSumTagged(data, base); err != nil {
-			h.err = err
-			return
-		}
-		inv := 1 / float64(c.Size())
-		for i := range data {
-			data[i] *= inv
-		}
-	}()
-	return h
+	return c.HierarchicalAllreduceMeanAsync(data, 1)
 }
 
 // GatherHandle is an asynchronous variable-length allgather in flight.
 type GatherHandle struct {
-	done   chan struct{}
-	blocks [][]float64
-	err    error
+	h      *Handle
+	c      *Communicator
+	blocks [][]float64 // written before h completes
 }
 
 // Wait blocks until the allgather completes and returns the per-rank
 // payloads (indexed by rank, identical on every rank).
 func (h *GatherHandle) Wait() ([][]float64, error) {
-	<-h.done
-	return h.blocks, h.err
+	err := h.h.Wait()
+	return h.blocks, err
 }
 
 // AllgatherVAsync starts gathering each rank's (variable-length)
@@ -94,11 +89,13 @@ func (h *GatherHandle) Wait() ([][]float64, error) {
 // here the Fuser's compressed chunks ride it. The caller must not mutate
 // mine until Wait returns.
 func (c *Communicator) AllgatherVAsync(mine []float64) *GatherHandle {
-	base := c.nextOp()
-	h := &GatherHandle{done: make(chan struct{})}
-	go func() {
-		defer close(h.done)
-		h.blocks, h.err = c.allgatherVTagged(mine, base)
-	}()
-	return h
+	gh := &GatherHandle{c: c}
+	gh.h = launch((*GatherHandle).gather, gh, mine, 0, c.nextOp())
+	return gh
+}
+
+// gather is AllgatherVAsync's launched body; n is unused.
+func (gh *GatherHandle) gather(mine []float64, _ int, base uint64) (err error) {
+	gh.blocks, err = gh.c.allgatherVTagged(mine, base)
+	return err
 }

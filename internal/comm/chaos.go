@@ -156,7 +156,8 @@ func NewChaosFabric(inner Fabric, n int, cfg ChaosConfig) *ChaosFabric {
 }
 
 // Endpoint returns rank's chaos-wrapped transport (cached: repeated calls
-// return the same instance).
+// return the same instance). A rank killed before its endpoint is first
+// taken gets one whose inner endpoint is already closed.
 func (f *ChaosFabric) Endpoint(rank int) Transport {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -164,19 +165,29 @@ func (f *ChaosFabric) Endpoint(rank int) Transport {
 		return t
 	}
 	t := &ChaosTransport{inner: f.inner.Endpoint(rank), fabric: f, rank: rank}
+	if s := t.state(rank); s != nil && s.killed.Load() {
+		t.inner.Close()
+	}
 	f.endpoints[rank] = t
 	return t
 }
 
-// Kill marks rank dead immediately: its blocked receives unblock with
-// ErrRankKilled and all of its subsequent operations fail.
+// Kill marks rank dead immediately and closes its inner endpoint: its
+// blocked receives wake through the inner transport's close path and
+// return ErrRankKilled, and all of its subsequent operations fail.
 func (f *ChaosFabric) Kill(rank int) {
 	if rank < 0 || rank >= len(f.ranks) {
 		return
 	}
 	s := f.ranks[rank]
-	if s.killed.CompareAndSwap(false, true) {
-		s.killCancel()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !s.killed.CompareAndSwap(false, true) {
+		return
+	}
+	s.killCancel()
+	if t, ok := f.endpoints[rank]; ok {
+		t.inner.Close()
 	}
 }
 
@@ -357,17 +368,14 @@ func (t *ChaosTransport) sleep(self *endpointState, d time.Duration) error {
 }
 
 // Recv implements Transport. A killed rank's receives — including ones
-// already blocked when the kill fires — return ErrRankKilled.
+// already blocked when the kill fires, which Kill wakes by closing the
+// inner endpoint — return ErrRankKilled.
 func (t *ChaosTransport) Recv(ctx context.Context, from int, tag uint64) ([]float64, error) {
 	self := t.state(t.rank)
 	if self.killed.Load() {
 		return nil, ErrRankKilled
 	}
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stop := context.AfterFunc(self.killCtx, cancel)
-	defer stop()
-	data, err := t.inner.Recv(rctx, from, tag)
+	data, err := t.inner.Recv(ctx, from, tag)
 	if err != nil {
 		if self.killed.Load() {
 			return nil, ErrRankKilled

@@ -3,6 +3,7 @@ package comm
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -205,6 +206,102 @@ func TestChaosScriptedKill(t *testing.T) {
 	}
 	if got := fab.Killed(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("Killed() = %v, want [0]", got)
+	}
+}
+
+// killAtTagStep kills victim in place of sending to it at one tag step,
+// after a pause that lets the victim block in that step's receive.
+type killAtTagStep struct {
+	Transport
+	fab    *ChaosFabric
+	victim int
+	step   uint64
+}
+
+func (k *killAtTagStep) Send(to int, tag uint64, data []float64) error {
+	if to == k.victim && tag&0xffff == k.step {
+		time.Sleep(20 * time.Millisecond)
+		k.fab.Kill(k.victim)
+	}
+	return k.Transport.Send(to, tag, data)
+}
+
+// TestChaosKillMidAllreduce: a rank killed while blocked in a world-4
+// AllreduceMean returns ErrRankKilled. Its partner kills it in place of
+// the first halving step's send; the victim runs without a context, so
+// only Kill closing its endpoint can wake it. The survivors abort through
+// a shared context, and every goroutine winds down.
+func TestChaosKillMidAllreduce(t *testing.T) {
+	const p, victim = 4, 3
+	base := runtime.NumGoroutine()
+	fab := chaosWorld(p, ChaosConfig{Seed: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			tr := fab.Endpoint(r)
+			if r == victim^1 {
+				tr = &killAtTagStep{Transport: tr, fab: fab, victim: victim, step: 0}
+			}
+			c := NewCommunicator(tr)
+			if r != victim {
+				c = c.WithContext(ctx)
+			}
+			if errs[r] = c.AllreduceMean(make([]float64, 64)); errs[r] != nil {
+				cancel()
+			}
+		}(r)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ranks did not return after a kill mid-allreduce")
+	}
+	if !errors.Is(errs[victim], ErrRankKilled) {
+		t.Errorf("victim returned %v, want ErrRankKilled", errs[victim])
+	}
+	for r, err := range errs {
+		if r != victim && err == nil {
+			t.Errorf("rank %d finished an allreduce its peer died in", r)
+		}
+	}
+	for r := 0; r < p; r++ {
+		fab.Endpoint(r).Close()
+	}
+	if n := waitForGoroutines(base); n > base {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Errorf("goroutines leaked after a kill: %d > %d\n%s", n, base, dumpNew(string(buf)))
+	}
+}
+
+// TestChaosKillBeforeEndpoint: a rank killed before its endpoint is first
+// taken gets an endpoint whose inner transport is already closed, so a
+// later Recv returns ErrRankKilled and the inner one fails rather than
+// blocks. Kill, then Close twice, does not panic.
+func TestChaosKillBeforeEndpoint(t *testing.T) {
+	fab := chaosWorld(2, ChaosConfig{Seed: 1})
+	fab.Kill(1)
+	e := fab.Endpoint(1)
+	if _, err := e.Recv(context.Background(), 0, 1<<16); !errors.Is(err, ErrRankKilled) {
+		t.Fatalf("recv after kill: got %v, want ErrRankKilled", err)
+	}
+	if _, err := e.(*ChaosTransport).inner.Recv(context.Background(), 0, 1<<16); err == nil {
+		t.Fatal("the killed rank's inner endpoint is still open")
+	}
+	fab.Kill(0)
+	for i := 0; i < 2; i++ {
+		for r := 0; r < 2; r++ {
+			if err := fab.Endpoint(r).Close(); err != nil {
+				t.Errorf("close %d of rank %d: %v", i, r, err)
+			}
+		}
 	}
 }
 

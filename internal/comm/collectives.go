@@ -108,34 +108,34 @@ func split(n, p int) (counts, displs []int) {
 
 func mod(a, p int) int { return ((a % p) + p) % p }
 
-// sendRecv is one hop of a ring or pairwise exchange: it sends out to rank
-// `to` while receiving from rank `from` under the same tag, and returns the
-// received payload once both have completed. The send runs on its own
-// goroutine, so the exchange cannot deadlock on a transport whose Send
-// blocks until the peer receives.
-func (c *Communicator) sendRecv(to, from int, tag uint64, out []float64) ([]float64, error) {
-	errCh := make(chan error, 1)
-	go func() { errCh <- c.t.Send(to, tag, out) }()
-	in, err := c.recv(from, tag)
-	if err != nil {
-		return nil, err
-	}
-	if serr := <-errCh; serr != nil {
-		return nil, serr
-	}
-	return in, nil
-}
-
 // errSegmentMismatch reports a received allreduce chunk or segment whose
 // length differs from the local one: the ranks passed buffers of different
 // lengths to the same collective.
 var errSegmentMismatch = errors.New("comm: allreduce segment length mismatch (ranks must pass equal-length buffers)")
 
-// checkSegment returns errSegmentMismatch, with both lengths, unless the
-// received payload in is as long as the local segment dst.
-func checkSegment(in, dst []float64) error {
+// hop is one step of a ring or pairwise exchange, run on the caller's
+// goroutine: it sends out to rank `to`, then receives from rank `from`
+// under the same tag, checks the payload is as long as the local segment
+// dst, and adds it into dst (sum) or copies it over dst. Sending before
+// receiving cannot deadlock because no Transport's Send waits for the
+// peer's Recv (the Transport contract).
+func (c *Communicator) hop(to, from int, tag uint64, out, dst []float64, sum bool) error {
+	if err := c.t.Send(to, tag, out); err != nil {
+		return err
+	}
+	in, err := c.recv(from, tag)
+	if err != nil {
+		return err
+	}
 	if len(in) != len(dst) {
 		return fmt.Errorf("%w: got %d, want %d", errSegmentMismatch, len(in), len(dst))
+	}
+	if !sum {
+		copy(dst, in)
+		return nil
+	}
+	for i := range dst {
+		dst[i] += in[i]
 	}
 	return nil
 }
@@ -168,16 +168,9 @@ func (c *Communicator) ringReduceScatter(data []float64, counts, displs []int, r
 	for s := 0; s < rg.size-1; s++ {
 		sendIdx := mod(rg.index-s, rg.size)
 		recvIdx := mod(rg.index-s-1, rg.size)
-		in, err := c.sendRecv(rg.next, rg.prev, opTag(base, stepOff+s), chunkOf(data, counts, displs, sendIdx))
-		if err != nil {
+		if err := c.hop(rg.next, rg.prev, opTag(base, stepOff+s),
+			chunkOf(data, counts, displs, sendIdx), chunkOf(data, counts, displs, recvIdx), true); err != nil {
 			return err
-		}
-		dst := chunkOf(data, counts, displs, recvIdx)
-		if err := checkSegment(in, dst); err != nil {
-			return err
-		}
-		for i := range dst {
-			dst[i] += in[i]
 		}
 	}
 	return nil
@@ -190,11 +183,10 @@ func (c *Communicator) ringAllgatherChunks(data []float64, counts, displs []int,
 	for s := 0; s < rg.size-1; s++ {
 		sendIdx := mod(rg.index+1-s, rg.size)
 		recvIdx := mod(rg.index-s, rg.size)
-		in, err := c.sendRecv(rg.next, rg.prev, opTag(base, stepOff+s), chunkOf(data, counts, displs, sendIdx))
-		if err != nil {
+		if err := c.hop(rg.next, rg.prev, opTag(base, stepOff+s),
+			chunkOf(data, counts, displs, sendIdx), chunkOf(data, counts, displs, recvIdx), false); err != nil {
 			return err
 		}
-		copy(chunkOf(data, counts, displs, recvIdx), in)
 	}
 	return nil
 }
@@ -263,34 +255,21 @@ func (c *Communicator) halvingDoubling(data []float64, base uint64) error {
 			keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
 		}
 		peer := r ^ (1 << s)
-		in, err := c.sendRecv(peer, peer, opTag(base, s), data[sendLo:sendHi])
-		if err != nil {
+		if err := c.hop(peer, peer, opTag(base, s), data[sendLo:sendHi], data[keepLo:keepHi], true); err != nil {
 			return err
-		}
-		dst := data[keepLo:keepHi]
-		if err := checkSegment(in, dst); err != nil {
-			return err
-		}
-		for i := range dst {
-			dst[i] += in[i]
 		}
 		lo, hi = keepLo, keepHi
 	}
 	for s := k - 1; s >= 0; s-- {
 		peer := r ^ (1 << s)
-		in, err := c.sendRecv(peer, peer, opTag(base, 2*k-1-s), data[lo:hi])
-		if err != nil {
-			return err
-		}
 		// The partner holds the other half of seg[s].
 		dst := data[hi:seg[s][1]]
 		if r&(1<<s) != 0 {
 			dst = data[seg[s][0]:lo]
 		}
-		if err := checkSegment(in, dst); err != nil {
+		if err := c.hop(peer, peer, opTag(base, 2*k-1-s), data[lo:hi], dst, false); err != nil {
 			return err
 		}
-		copy(dst, in)
 		lo, hi = seg[s][0], seg[s][1]
 	}
 	return nil
@@ -300,7 +279,13 @@ func (c *Communicator) halvingDoubling(data []float64, base uint64) error {
 // is Horovod's allreduce(average=True), the operation SGD gradient exchange
 // and K-FAC factor averaging both use.
 func (c *Communicator) AllreduceMean(data []float64) error {
-	if err := c.AllreduceSum(data); err != nil {
+	return c.meanTagged(data, c.nextOp())
+}
+
+// meanTagged is AllreduceMean with an externally reserved tag base: the
+// allreduce sum, then one scaling by 1/p.
+func (c *Communicator) meanTagged(data []float64, base uint64) error {
+	if err := c.allreduceSumTagged(data, base); err != nil {
 		return err
 	}
 	inv := 1 / float64(c.Size())
@@ -356,7 +341,8 @@ func (c *Communicator) broadcastTree(data []float64, base uint64, rel, size int,
 
 // allgatherVTagged is the ring allgather body with an externally reserved
 // tag base: p−1 steps, each forwarding the block received in the previous
-// step.
+// step. Blocks have no common length, so each step sends then receives
+// without hop's segment check.
 func (c *Communicator) allgatherVTagged(mine []float64, base uint64) ([][]float64, error) {
 	p := c.Size()
 	r := c.Rank()
@@ -369,7 +355,11 @@ func (c *Communicator) allgatherVTagged(mine []float64, base uint64) ([][]float6
 	}
 	next, prev := mod(r+1, p), mod(r-1, p)
 	for s := 0; s < p-1; s++ {
-		in, err := c.sendRecv(next, prev, opTag(base, s), out[mod(r-s, p)])
+		tag := opTag(base, s)
+		if err := c.t.Send(next, tag, out[mod(r-s, p)]); err != nil {
+			return nil, err
+		}
+		in, err := c.recv(prev, tag)
 		if err != nil {
 			return nil, err
 		}

@@ -97,21 +97,13 @@ func (g *Group) BroadcastAsync(data []float64, root int) *Handle {
 	if g.index < 0 || len(g.members) == 1 {
 		return completedHandle()
 	}
-	h := newHandle()
-	go func() {
-		defer h.wg.Done()
-		h.err = g.broadcastTagged(data, root, base)
-	}()
-	return h
+	return launch((*Group).broadcastTagged, g, data, root, base)
 }
 
 // broadcastTagged is the group broadcast body with an externally reserved
-// tag base; callers have already validated root membership.
+// tag base, run by members of a group of two or more; root is a member.
 func (g *Group) broadcastTagged(data []float64, root int, base uint64) error {
 	n := len(g.members)
-	if g.index < 0 || n == 1 {
-		return nil
-	}
 	rootIdx := g.indexOf(root)
 	rel := mod(g.index-rootIdx, n)
 	return g.c.broadcastTree(data, base, rel, n, func(peerRel int) int {

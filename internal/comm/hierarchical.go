@@ -21,18 +21,13 @@ import (
 // arbitrary floating-point inputs the result agrees with AllreduceMean to
 // rounding (and exactly — bit for bit — whenever the sums are exactly
 // representable, e.g. integer-valued data; see
-// TestHierarchicalBitEqualsFlatOnIntegerData). The gradient/factor fusion
+// TestHierarchicalBitEqualsFlatOnIntegerData). A groupSize ≤ 1 or ≥ the
+// world size is the flat AllreduceMeanAsync. The gradient/factor fusion
 // path uses it when a group size is configured (Fuser.SetGroupSize). The
 // tag namespace is reserved synchronously at call time, like every other
 // async collective.
 func (c *Communicator) HierarchicalAllreduceMeanAsync(data []float64, groupSize int) *Handle {
-	base := c.nextOp()
-	h := newHandle()
-	go func() {
-		defer h.wg.Done()
-		h.err = c.hierarchicalMeanTagged(data, groupSize, base)
-	}()
-	return h
+	return launch((*Communicator).hierarchicalMeanTagged, c, data, groupSize, c.nextOp())
 }
 
 // hierarchicalMeanTagged is the hierarchical mean-allreduce body with an
@@ -42,14 +37,7 @@ func (c *Communicator) HierarchicalAllreduceMeanAsync(data []float64, groupSize 
 func (c *Communicator) hierarchicalMeanTagged(data []float64, groupSize int, base uint64) error {
 	p := c.Size()
 	if groupSize <= 1 || groupSize >= p {
-		if err := c.allreduceSumTagged(data, base); err != nil {
-			return err
-		}
-		inv := 1 / float64(p)
-		for i := range data {
-			data[i] *= inv
-		}
-		return nil
+		return c.meanTagged(data, base)
 	}
 	r := c.Rank()
 	group := r / groupSize

@@ -12,6 +12,11 @@
 // this with its coordinator; here it is a documented contract, checked by
 // the per-operation sequence tags).
 //
+// A collective runs on its caller's goroutine: each hop of a ring or
+// pairwise exchange is a Send then a Recv, which cannot deadlock because
+// no Transport's Send waits for the peer's Recv. Each asynchronous
+// collective starts one goroutine for the whole operation.
+//
 // Two transports are provided: an in-process fabric (goroutines and
 // channels, used by tests, the trainer, and single-process examples) and a
 // TCP fabric (one net.Conn per peer pair, used by the multi-process
@@ -34,6 +39,10 @@ type Transport interface {
 	Size() int
 	// Send delivers data to rank `to` under the given tag. The callee owns
 	// no reference to data after return (implementations copy as needed).
+	// Send must not wait for the peer's Recv: it returns once the payload
+	// is queued or handed to the wire, so every hop of a collective can
+	// send and then receive on one goroutine while its partner does the
+	// same.
 	Send(to int, tag uint64, data []float64) error
 	// Recv blocks until a message from rank `from` with the given tag
 	// arrives and returns its payload, or until ctx is cancelled, in which
