@@ -129,7 +129,7 @@ func main() {
 	flag.IntVar(&ko.InvUpdateFreq, "inv-freq", 10, "kfac-update-freq: eigendecomposition interval ≥ 0 (0 = 100, the paper's)")
 	flag.IntVar(&ko.FactorUpdateFreq, "factor-freq", 1, "factor update interval ≥ 0 (0 = 10)")
 	flag.Float64Var(&ko.GradWorkerFrac, "grad-worker-frac", 0, "hybrid gradient-worker fraction (0 < F < 1; requires -dist-mode hybrid)")
-	flag.IntVar(&ko.GroupSize, "group-size", 0, "hierarchical allreduce group size (0 = flat ring, else ≥ 2)")
+	flag.IntVar(&ko.GroupSize, "group-size", 0, "hierarchical allreduce group size (0 = flat allreduce, else ≥ 2)")
 	flag.BoolVar(&ko.NoErrorFeedback, "no-error-feedback", false, "disable error-feedback compensation (biased stream, A/B only)")
 	var (
 		optimizer = flag.String("optimizer", "kfac", "sgd or kfac")

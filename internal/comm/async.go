@@ -39,13 +39,11 @@ func launch[R any](op func(R, []float64, int, uint64) error, r R, data []float64
 	return h
 }
 
-// completed is the one already finished, error-free handle.
+// completed is the one already finished, error-free handle: the fuser
+// returns it for degenerate (empty) chunks and group collectives for
+// non-members, neither of which communicates. It is shared and never
+// written.
 var completed = &Handle{}
-
-// completedHandle returns an already finished handle: the fuser uses it for
-// degenerate (empty) chunks and group collectives for non-members, neither
-// of which communicates. It is shared and never written.
-func completedHandle() *Handle { return completed }
 
 // WaitAll aggregates a batch of handles: it waits for every operation and
 // returns the first error encountered.

@@ -90,9 +90,8 @@ type DeliveryMetrics struct {
 
 // endpointState is the shared per-rank chaos state.
 type endpointState struct {
-	killed     atomic.Bool
-	killCtx    context.Context
-	killCancel context.CancelFunc
+	killed atomic.Bool
+	dead   chan struct{} // closed by Kill; wakes a sleeping Send
 
 	// tagUse counts sends per (to, tag) for reusable low-range tags
 	// (heartbeats), salting their fault rolls so a stream reusing one tag
@@ -149,8 +148,7 @@ func NewChaosFabric(inner Fabric, n int, cfg ChaosConfig) *ChaosFabric {
 		endpoints: make(map[int]*ChaosTransport),
 	}
 	for i := range f.ranks {
-		ctx, cancel := context.WithCancel(context.Background())
-		f.ranks[i] = &endpointState{killCtx: ctx, killCancel: cancel}
+		f.ranks[i] = &endpointState{dead: make(chan struct{})}
 	}
 	return f
 }
@@ -185,7 +183,7 @@ func (f *ChaosFabric) Kill(rank int) {
 	if !s.killed.CompareAndSwap(false, true) {
 		return
 	}
-	s.killCancel()
+	close(s.dead)
 	if t, ok := f.endpoints[rank]; ok {
 		t.inner.Close()
 	}
@@ -362,7 +360,7 @@ func (t *ChaosTransport) sleep(self *endpointState, d time.Duration) error {
 	case <-timer.C:
 		self.delayNanos.Add(int64(d))
 		return nil
-	case <-self.killCtx.Done():
+	case <-self.dead:
 		return ErrRankKilled
 	}
 }

@@ -108,21 +108,28 @@ func split(n, p int) (counts, displs []int) {
 
 func mod(a, p int) int { return ((a % p) + p) % p }
 
-// errSegmentMismatch reports a received allreduce chunk or segment whose
-// length differs from the local one: the ranks passed buffers of different
+// errSegmentMismatch reports a received payload whose length differs from
+// the local buffer it lands in: the ranks passed buffers of different
 // lengths to the same collective.
-var errSegmentMismatch = errors.New("comm: allreduce segment length mismatch (ranks must pass equal-length buffers)")
+var errSegmentMismatch = errors.New("comm: payload length mismatch (ranks must pass equal-length buffers)")
 
 // hop is one step of a ring or pairwise exchange, run on the caller's
 // goroutine: it sends out to rank `to`, then receives from rank `from`
-// under the same tag, checks the payload is as long as the local segment
-// dst, and adds it into dst (sum) or copies it over dst. Sending before
-// receiving cannot deadlock because no Transport's Send waits for the
-// peer's Recv (the Transport contract).
+// under the same tag into the local segment dst. Sending before receiving
+// cannot deadlock because no Transport's Send waits for the peer's Recv
+// (the Transport contract).
 func (c *Communicator) hop(to, from int, tag uint64, out, dst []float64, sum bool) error {
 	if err := c.t.Send(to, tag, out); err != nil {
 		return err
 	}
+	return c.recvInto(from, tag, dst, sum)
+}
+
+// recvInto is the one fixed-length receive of every collective: it
+// receives from rank `from` under tag, checks the payload is as long as
+// dst (errSegmentMismatch otherwise), and adds it into dst (sum) or copies
+// it over dst.
+func (c *Communicator) recvInto(from int, tag uint64, dst []float64, sum bool) error {
 	in, err := c.recv(from, tag)
 	if err != nil {
 		return err
@@ -326,14 +333,9 @@ func (c *Communicator) broadcastTree(data []float64, base uint64, rel, size int,
 				}
 			}
 		} else if rel < 2*offset {
-			in, err := c.recv(rankOf(rel-offset), opTag(base, offset))
-			if err != nil {
+			if err := c.recvInto(rankOf(rel-offset), opTag(base, offset), data, false); err != nil {
 				return err
 			}
-			if len(in) != len(data) {
-				return fmt.Errorf("comm: broadcast size mismatch: %d != %d", len(in), len(data))
-			}
-			copy(data, in)
 		}
 	}
 	return nil
@@ -342,7 +344,7 @@ func (c *Communicator) broadcastTree(data []float64, base uint64, rel, size int,
 // allgatherVTagged is the ring allgather body with an externally reserved
 // tag base: p−1 steps, each forwarding the block received in the previous
 // step. Blocks have no common length, so each step sends then receives
-// without hop's segment check.
+// without recvInto's length check.
 func (c *Communicator) allgatherVTagged(mine []float64, base uint64) ([][]float64, error) {
 	p := c.Size()
 	r := c.Rank()
@@ -396,15 +398,8 @@ func (c *Communicator) Reduce(data []float64, root int) error {
 			return c.t.Send(mod(peer+root, p), opTag(base, offset), acc)
 		}
 		if rel%(2*offset) == 0 && rel+offset < p {
-			in, err := c.recv(mod(rel+offset+root, p), opTag(base, offset))
-			if err != nil {
+			if err := c.recvInto(mod(rel+offset+root, p), opTag(base, offset), acc, true); err != nil {
 				return err
-			}
-			if len(in) != len(acc) {
-				return fmt.Errorf("comm: reduce size mismatch: %d != %d", len(in), len(acc))
-			}
-			for i := range acc {
-				acc[i] += in[i]
 			}
 		}
 	}

@@ -296,7 +296,7 @@ func (f *Fuser) launch() {
 		f.ordinal++
 		return
 	}
-	h := completedHandle()
+	h := completed
 	if total > 0 {
 		// Zero-element chunks (all-empty tensors) need no wire traffic; every
 		// rank sees the same sizes, so all skip identically.

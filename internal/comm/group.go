@@ -95,7 +95,7 @@ func (g *Group) BroadcastAsync(data []float64, root int) *Handle {
 	base := g.c.nextOp()
 	g.mustContain(root)
 	if g.index < 0 || len(g.members) == 1 {
-		return completedHandle()
+		return completed
 	}
 	return launch((*Group).broadcastTagged, g, data, root, base)
 }

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -9,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/tensor"
 )
@@ -206,32 +204,17 @@ func TestAllreduceSendCounts(t *testing.T) {
 // others, cancelled through their shared context, all return too.
 func TestAllreduceSegmentMismatch(t *testing.T) {
 	for _, p := range []int{2, 4, 3} {
-		fab := NewInprocFabric(p)
-		ctx, cancel := context.WithCancel(context.Background())
-		errs := make([]error, p)
-		var wg sync.WaitGroup
-		for r := 0; r < p; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				n := 10
-				if r == 0 {
-					n++
-				}
-				c := NewCommunicator(fab.Endpoint(r)).WithContext(ctx)
-				if errs[r] = c.AllreduceSum(make([]float64, n)); errs[r] != nil {
-					cancel()
-				}
-			}(r)
+		ranks := make([]int, p)
+		for r := range ranks {
+			ranks[r] = r
 		}
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("p %d: ranks did not return after a length mismatch", p)
-		}
-		cancel()
+		errs := runCancelOnError(t, fmt.Sprintf("p %d", p), p, ranks, func(c *Communicator) error {
+			n := 10
+			if c.Rank() == 0 {
+				n++
+			}
+			return c.AllreduceSum(make([]float64, n))
+		})
 		named := false
 		for r, err := range errs {
 			if err == nil {

@@ -1,9 +1,5 @@
 package comm
 
-import (
-	"fmt"
-)
-
 // HierarchicalAllreduceMeanAsync starts an asynchronous average of data
 // across all ranks using a two-level algorithm that mirrors Horovod's
 // hierarchical allreduce on multi-GPU nodes (the paper's platform has 4
@@ -55,15 +51,8 @@ func (c *Communicator) hierarchicalMeanTagged(data []float64, groupSize int, bas
 			end = p
 		}
 		for m := leader + 1; m < end; m++ {
-			in, err := c.recv(m, opTag(base, 1))
-			if err != nil {
+			if err := c.recvInto(m, opTag(base, 1), data, true); err != nil {
 				return err
-			}
-			if len(in) != len(data) {
-				return fmt.Errorf("comm: hierarchical phase-1 size mismatch: %d != %d", len(in), len(data))
-			}
-			for i := range data {
-				data[i] += in[i]
 			}
 		}
 	}
@@ -104,12 +93,7 @@ func (c *Communicator) hierarchicalMeanTagged(data []float64, groupSize int, bas
 		}
 		return nil
 	}
-	in, err := c.recv(leader, opTag(base, 4))
-	if err != nil {
-		return err
-	}
-	copy(data, in)
-	return nil
+	return c.recvInto(leader, opTag(base, 4), data, false)
 }
 
 // uint16Step packs (phase, step) into a distinct tag step value.

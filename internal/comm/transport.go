@@ -14,8 +14,13 @@
 //
 // A collective runs on its caller's goroutine: each hop of a ring or
 // pairwise exchange is a Send then a Recv, which cannot deadlock because
-// no Transport's Send waits for the peer's Recv. Each asynchronous
-// collective starts one goroutine for the whole operation.
+// no Transport's Send waits for the peer's Recv. Every receive whose
+// length the collective fixes (ring and pairwise hops, broadcast, reduce,
+// both hierarchical fan-ins and fan-outs) goes through one helper,
+// recvInto, which refuses a payload of the wrong length with one error;
+// only the variable-length allgather and gather take blocks as they come.
+// Each asynchronous collective starts one goroutine for the whole
+// operation.
 //
 // Two transports are provided: an in-process fabric (goroutines and
 // channels, used by tests, the trainer, and single-process examples) and a

@@ -18,7 +18,7 @@ type Decision struct {
 	// only under Hybrid).
 	GradWorkerFrac float64
 	// GroupSize, when ≥ 2, routes exact payloads through the hierarchical
-	// allreduce; 0 keeps the flat ring.
+	// allreduce; 0 keeps the flat allreduce.
 	GroupSize int
 	// Codec compresses payloads (nil = exact).
 	Codec comm.Codec

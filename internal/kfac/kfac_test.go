@@ -716,9 +716,9 @@ func TestWorkerLoadsAndStats(t *testing.T) {
 	}
 }
 
-// TestSerializationRoundTrip: both modes send one record shape,
-// [layer, side, n, values…, Q…], and a consumed record reproduces the
-// sender's decomposition and mirror bit for bit.
+// TestSerializationRoundTrip: both modes send one headerless record shape,
+// [values…, Q…], and a consumed record reproduces the sender's
+// decomposition and mirror bit for bit.
 func TestSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	for _, mode := range []Mode{EigenMode, InverseMode} {
@@ -736,10 +736,10 @@ func TestSerializationRoundTrip(t *testing.T) {
 		src.states = []*layerState{s}
 		dst.states = []*layerState{withKernels(dst, &layerState{layer: layer})}
 		buf := src.appendRecord(nil, 0, false)
-		if want := 3 + n + n*n; len(buf) != want || len(buf) != src.recordLen(0, false) {
+		if want := n + n*n; len(buf) != want || len(buf) != src.recordLen(0, false) {
 			t.Fatalf("mode %v: record of %d values, recordLen %d, want %d", mode, len(buf), src.recordLen(0, false), want)
 		}
-		if err := dst.consumeRecords(buf); err != nil {
+		if err := dst.consumeRecord(0, false, buf); err != nil {
 			t.Fatal(err)
 		}
 		got := dst.states[0]
@@ -763,7 +763,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 func recordFixture(mode Mode) (*Preconditioner, []float64) {
 	p := NewFromOptions(buildTinyNet(61), nil, Options{Mode: mode})
 	_, n := FactorDims(p.states[1].layer)
-	rec := []float64{1, 1, float64(n)}
+	var rec []float64
 	for i := 0; i < n; i++ {
 		rec = append(rec, float64(i+1))
 	}
@@ -775,7 +775,7 @@ func recordFixture(mode Mode) (*Preconditioner, []float64) {
 
 // checkRecordState asserts every decomposition slot is either empty or
 // fully shaped for its factor — what "state fully consistent" means after
-// any consumeRecords call, failed or not.
+// any consumeRecord call, failed or not.
 func checkRecordState(t *testing.T, p *Preconditioner) {
 	t.Helper()
 	for i, s := range p.states {
@@ -788,44 +788,36 @@ func checkRecordState(t *testing.T, p *Preconditioner) {
 	}
 }
 
+// TestConsumeRecordsTruncated: a record of any length but its factor's is
+// refused, names the factor, and leaves every slot fully shaped and the
+// stored decomposition as it was.
 func TestConsumeRecordsTruncated(t *testing.T) {
 	p, valid := recordFixture(EigenMode)
-	if err := p.consumeRecords(valid); err != nil {
+	if err := p.consumeRecord(1, true, valid); err != nil {
 		t.Fatalf("valid record rejected: %v", err)
 	}
 	if p.states[1].eigG == nil || p.states[1].eigG.Values[3] != 4 {
 		t.Fatal("valid record not stored")
 	}
-	with := func(field int, v float64) []float64 {
-		rec := append([]float64(nil), valid...)
-		rec[field] = v
-		return rec
-	}
 	for _, c := range []struct {
 		name  string
 		block []float64
-		want  string // substring the error must carry
 	}{
-		{"truncated header", []float64{0, 0}, "header"},
-		{"truncated payload", valid[:len(valid)-1], "layer 1 G"},
-		{"unknown layer", with(0, 9), "layer 9"},
-		{"negative dimension", []float64{0, 0, -1}, "layer 0 A"},
-		{"NaN layer", with(0, math.NaN()), "layer NaN"},
-		{"fractional layer", with(0, 0.5), "layer 0.5"},
-		{"infinite layer", with(0, math.Inf(1)), "layer +Inf"},
-		{"side flag not 0/1", with(1, 2), "layer 1"},
-		{"NaN dimension", with(2, math.NaN()), "layer 1 G"},
-		{"fractional dimension", with(2, 4.5), "layer 1 G"},
-		{"other side's dimension", append([]float64{0, 1, 10}, make([]float64, 110)...), "layer 0 G"},
-		{"bad record after a good one", append(append([]float64(nil), valid...), 1, 1, 5), "layer 1 G"},
+		{"empty block", nil},
+		{"short block", valid[:len(valid)-1]},
+		{"long block", append(append([]float64(nil), valid...), 0)},
+		{"another factor's length", make([]float64, p.recordLen(0, false))},
 	} {
-		err := p.consumeRecords(c.block)
+		err := p.consumeRecord(1, true, c.block)
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
-		} else if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
+		} else if !strings.Contains(err.Error(), "layer 1 G") {
+			t.Errorf("%s: error %q does not name layer 1 G", c.name, err)
 		}
 		checkRecordState(t, p)
+		if p.states[1].eigG.Values[3] != 4 {
+			t.Errorf("%s: refused record overwrote the stored one", c.name)
+		}
 	}
 }
 

@@ -33,8 +33,9 @@ type Options struct {
 	// GroupSize, when ≥ 2, routes the factor allreduce (and the trainer's
 	// gradient exchange) through the two-level hierarchical allreduce with
 	// this many consecutive ranks per group — modeling fast intra-node
-	// links. 0 keeps the flat ring. Results agree with the flat ring to
-	// rounding — exactly on integer-representable sums.
+	// links. 0 keeps the flat allreduce (halving/doubling at power-of-two
+	// worlds, the ring otherwise). Results agree with the flat allreduce
+	// to rounding — exactly on integer-representable sums.
 	GroupSize int
 	// Damping is the Tikhonov regularizer γ (paper: 0.001 for ImageNet).
 	Damping float64
@@ -116,9 +117,9 @@ func (o Options) Validate(world int) error {
 	case o.DistMode != Hybrid && o.GradWorkerFrac != 0:
 		return fmt.Errorf("kfac: GradWorkerFrac %v requires DistMode hybrid", o.GradWorkerFrac)
 	case o.GroupSize < 0 || o.GroupSize == 1:
-		return fmt.Errorf("kfac: GroupSize must be 0 (the flat ring) or ≥ 2, got %d", o.GroupSize)
+		return fmt.Errorf("kfac: GroupSize must be 0 (the flat allreduce) or ≥ 2, got %d", o.GroupSize)
 	case o.GroupSize >= 2 && o.GroupSize >= world:
-		return fmt.Errorf("kfac: GroupSize %d is not smaller than the world of %d: the hierarchy would be a single group (use 0 for the flat ring)", o.GroupSize, world)
+		return fmt.Errorf("kfac: GroupSize %d is not smaller than the world of %d: the hierarchy would be a single group (use 0 for the flat allreduce)", o.GroupSize, world)
 	case o.NoErrorFeedback && o.Compression == nil && o.Autotune == nil:
 		return fmt.Errorf("kfac: NoErrorFeedback requires Compression or Autotune")
 	case !(o.Damping >= 0):

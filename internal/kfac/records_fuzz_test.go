@@ -26,26 +26,27 @@ func bytesToFloats(b []byte) []float64 {
 }
 
 // FuzzConsumeRecords feeds arbitrary blocks to the decomposition-record
-// decoder — the bytes a peer's allgather or broadcast delivers — under
-// either Mode, which share one record shape. Whatever arrives, the decoder
-// must return an error or leave every slot fully shaped for its factor; it
-// must never panic, and a later Step must never meet a slot of the wrong
-// dimension.
+// decoder as the record of an arbitrary factor — the bytes a peer's
+// broadcast delivers — under either Mode, which share one record shape.
+// Whatever arrives, the decoder must return an error or leave every slot
+// fully shaped for its factor; it must never panic, and a later Step must
+// never meet a slot of the wrong dimension.
 func FuzzConsumeRecords(f *testing.F) {
 	_, eigenRec := recordFixture(EigenMode)
 	_, inverseRec := recordFixture(InverseMode)
-	f.Add(floatsToBytes(eigenRec), false)
-	f.Add(floatsToBytes(inverseRec), true)
-	f.Add(floatsToBytes([]float64{0, 0, -1}), false)                                  // negative n passes a naive length check
-	f.Add(floatsToBytes([]float64{math.NaN(), 0.5, 4, 1, 2, 3}), false)               // NaN / fractional header fields
-	f.Add(floatsToBytes(append([]float64{0, 1, 10}, make([]float64, 110)...)), false) // n is the other side's dimension
-	f.Fuzz(func(t *testing.T, data []byte, inverse bool) {
+	f.Add(floatsToBytes(eigenRec), false, uint8(1), true)
+	f.Add(floatsToBytes(inverseRec), true, uint8(1), true)
+	f.Add(floatsToBytes(eigenRec), false, uint8(0), true)     // another factor's record
+	f.Add([]byte(nil), false, uint8(0), false)                // empty block
+	f.Add(floatsToBytes(eigenRec[1:]), false, uint8(1), true) // one value short
+	f.Fuzz(func(t *testing.T, data []byte, inverse bool, layer uint8, isG bool) {
 		mode := EigenMode
 		if inverse {
 			mode = InverseMode
 		}
 		p, _ := recordFixture(mode)
-		_ = p.consumeRecords(bytesToFloats(data)) // error or success: both fine
+		// The layer and side come from the schedule, never the wire.
+		_ = p.consumeRecord(int(layer)%len(p.states), isG, bytesToFloats(data)) // error or success: both fine
 		checkRecordState(t, p)
 	})
 }

@@ -2,7 +2,6 @@ package kfac
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -484,7 +483,7 @@ func (r *updateRun) issueExchange() {
 			r.spawn(func() error {
 				err := h.Wait()
 				if err == nil && receives {
-					err = p.consumeRecords(buf)
+					err = p.consumeRecord(i, isG, buf)
 				}
 				r.eigComm.end()
 				return err
@@ -505,10 +504,10 @@ func sideName(isG bool) string {
 }
 
 // recordLen returns the serialized record length of one factor's
-// decomposition (header + payload; see appendRecord).
+// decomposition (see appendRecord).
 func (p *Preconditioner) recordLen(layer int, isG bool) int {
 	n := p.factorDim(layer, isG)
-	return 3 + n + n*n
+	return n + n*n
 }
 
 // factorDim returns the dimension of one factor of a layer.
@@ -521,55 +520,30 @@ func (p *Preconditioner) factorDim(layer int, isG bool) int {
 }
 
 // appendRecord serializes one factor's decomposition onto buf as a float64
-// stream: [layer, isG, n, values…, Q…].
+// stream: [values…, Q…]. The layer, side and dimension travel in the
+// schedule, not on the wire: every rank issues the same broadcast for the
+// same factor.
 func (p *Preconditioner) appendRecord(buf []float64, layer int, isG bool) []float64 {
 	f := p.states[layer].side(isG)
-	side := 0.0
-	if isG {
-		side = 1
-	}
-	buf = append(buf, float64(layer), side, float64(p.factorDim(layer, isG)))
 	buf = append(buf, (*f.eig).Values...)
 	return append(buf, (*f.eig).Q.Data...)
 }
 
-// consumeRecords decodes a block of decomposition records received from a
-// peer into the local state. The header comes off the wire, so every field
-// is validated before it sizes or addresses anything: layer and side must
-// be integer-valued and in range (a NaN fails every comparison) and n must
-// be that factor's dimension. Each record touches only its own factor's
-// slots — a layer's A and G records are consumed on concurrent goroutines.
-func (p *Preconditioner) consumeRecords(block []float64) error {
-	for pos := 0; pos < len(block); {
-		if len(block)-pos < 3 {
-			return fmt.Errorf("kfac: truncated decomposition record header")
-		}
-		lf, side, nf := block[pos], block[pos+1], block[pos+2]
-		if !(lf >= 0 && lf < float64(len(p.states))) || lf != math.Trunc(lf) {
-			return fmt.Errorf("kfac: decomposition record for unknown layer %v", lf)
-		}
-		layer := int(lf)
-		if side != 0 && side != 1 {
-			return fmt.Errorf("kfac: layer %d decomposition record has side flag %v, want 0 (A) or 1 (G)", layer, side)
-		}
-		isG := side == 1
-		n := p.factorDim(layer, isG)
-		if nf != float64(n) {
-			return fmt.Errorf("kfac: layer %d %s decomposition record has dimension %v, want %d", layer, sideName(isG), nf, n)
-		}
-		end := pos + p.recordLen(layer, isG)
-		if end > len(block) {
-			return fmt.Errorf("kfac: layer %d %s decomposition record truncated: %d of %d values", layer, sideName(isG), len(block)-pos, end-pos)
-		}
-		s := p.states[layer]
-		f := s.side(isG)
-		payload := block[pos+3 : end]
-		if *f.eig == nil {
-			*f.eig = &linalg.Eigen{}
-		}
-		(*f.eig).SetFrom(payload[:n], payload[n:], n)
-		s.k.refresh(isG)
-		pos = end
+// consumeRecord decodes the record of one factor's decomposition, received
+// from its owner, into the local state. It touches only that factor's
+// slots — a layer's A and G records are consumed on concurrent goroutines
+// — and refuses a record of any length but the factor's.
+func (p *Preconditioner) consumeRecord(layer int, isG bool, rec []float64) error {
+	n := p.factorDim(layer, isG)
+	if want := p.recordLen(layer, isG); len(rec) != want {
+		return fmt.Errorf("kfac: layer %d %s decomposition record of %d values, want %d", layer, sideName(isG), len(rec), want)
 	}
+	s := p.states[layer]
+	f := s.side(isG)
+	if *f.eig == nil {
+		*f.eig = &linalg.Eigen{}
+	}
+	(*f.eig).SetFrom(rec[:n], rec[n:], n)
+	s.k.refresh(isG)
 	return nil
 }

@@ -1,6 +1,6 @@
 // Package trainer implements the synchronous data-parallel training loop of
 // the paper (§II-B, Figure 1): per-rank forward/backward over a local
-// mini-batch shard, ring-allreduce gradient exchange, optional K-FAC
+// mini-batch shard, allreduce gradient exchange, optional K-FAC
 // preconditioning (Listing 1 ordering: synchronize → precondition → step),
 // and a first-order optimizer update — plus distributed validation and the
 // learning-rate and damping schedules the experiments use.
